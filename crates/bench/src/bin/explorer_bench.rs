@@ -46,14 +46,12 @@
 
 use std::time::{Duration, Instant};
 
-use twostep_bench::distcli::{
-    bench_proposals, maybe_run_dist_worker, run_elastic_crw, run_partitioned_crw,
-};
+use twostep_bench::distcli::{bench_proposals, maybe_run_dist_worker, run_dist_crw, DistRequest};
 use twostep_core::crw_processes;
 use twostep_model::SystemConfig;
 use twostep_modelcheck::{
-    explore_with, CacheConfig, ExploreConfig, ExploreOptions, FaultPlan, MemoConfig, StealConfig,
-    Summary, SuperviseConfig, Symmetry, WalkBudget,
+    explore_with, CacheConfig, ExploreConfig, ExploreOptions, MemoConfig, StealConfig, Summary,
+    Symmetry, WalkBudget,
 };
 use twostep_sim::default_threads;
 
@@ -286,6 +284,17 @@ fn main() {
         results.push(result);
     }
 
+    // The two multi-process rows: `PARTITIONS` all-RAM workers of
+    // `threads` threads each, partitioned unless a steal policy is given.
+    let dist_request = |steal: Option<StealConfig>| {
+        let mut request = DistRequest::new(n, t);
+        request.run.threads = threads;
+        request.run.max_states = MAX_STATES;
+        request.partitions = PARTITIONS;
+        request.steal = steal.unwrap_or_default();
+        request
+    };
+
     // Partitioned row: worker OS processes + merge + canonical replay,
     // timed end to end (merge time included), with the best run's
     // per-phase attribution recorded alongside the single number.
@@ -293,22 +302,7 @@ fn main() {
         let mut best = f64::INFINITY;
         let mut phases = String::new();
         for _ in 0..iters {
-            let run = run_partitioned_crw(
-                n,
-                t,
-                PARTITIONS,
-                1,
-                threads,
-                None,
-                MAX_STATES,
-                Symmetry::Off,
-                None,
-                WalkBudget::unlimited(),
-                None,
-                FaultPlan::none(),
-                SuperviseConfig::default(),
-            )
-            .expect("partitioned bench exploration");
+            let run = run_dist_crw(&dist_request(None)).expect("partitioned bench exploration");
             assert_eq!(
                 run.report.distinct_states, distinct_states,
                 "partitioned report must match the single-process engines"
@@ -322,10 +316,10 @@ fn main() {
                      \"merge\": {:.6}, \"replay\": {:.6}, \"report\": {:.6}}}",
                     run.timings.seed_seconds,
                     run.timings.workers_wall_seconds,
-                    run.worker_seed_seconds,
-                    run.worker_frontier_seconds,
-                    run.worker_walk_seconds,
-                    run.worker_export_seconds,
+                    run.worker_phases.seed,
+                    run.worker_phases.frontier,
+                    run.worker_phases.walk,
+                    run.worker_phases.export,
                     run.timings.merge_seconds,
                     run.timings.replay_seconds,
                     run.timings.report_seconds
@@ -362,23 +356,8 @@ fn main() {
         let mut best = f64::INFINITY;
         let mut stats_extra = String::new();
         for _ in 0..iters {
-            let run = run_elastic_crw(
-                n,
-                t,
-                PARTITIONS,
-                1,
-                threads,
-                None,
-                MAX_STATES,
-                Symmetry::Off,
-                None,
-                WalkBudget::unlimited(),
-                None,
-                StealConfig::on(),
-                FaultPlan::none(),
-                SuperviseConfig::default(),
-            )
-            .expect("elastic bench exploration");
+            let run = run_dist_crw(&dist_request(Some(StealConfig::on())))
+                .expect("elastic bench exploration");
             assert_eq!(
                 run.report.distinct_states, distinct_states,
                 "elastic report must match the single-process engines"

@@ -7,7 +7,8 @@
 //!
 //! Usage: `twostep-dist [--quick] [--n N] [--t T] [--partitions K]
 //!                      [--depth D] [--worker-threads W] [--spill HOT]
-//!                      [--symmetry off|full] [--cache-dir DIR]
+//!                      [--symmetry off|full|partial|partial+value]
+//!                      [--cache-dir DIR]
 //!                      [--max-steps S] [--deadline-ms MS]
 //!                      [--checkpoint-dir DIR] [--steal]
 //!                      [--steal-poll-ms MS] [--steal-min-frontier K]
@@ -26,16 +27,15 @@
 //!   bit-identical to the classic engines — `ci.sh` asserts it;
 //! * `--spill HOT` — workers run a two-tier memo with the given hot
 //!   capacity instead of all-RAM;
-//! * `--symmetry off|full` — symmetry reduction mode for the whole run
-//!   (coordinator *and* every worker; the mode rides in the worker argv
-//!   so a worker's own environment cannot diverge).  Defaults to the
-//!   `TWOSTEP_SYMMETRY` env var, else `off`;
+//! * `--symmetry off|full|partial|partial+value` — symmetry reduction
+//!   mode for the whole run (coordinator *and* every worker; the mode
+//!   rides in the worker argv so a worker's own environment cannot
+//!   diverge).  Defaults to the `TWOSTEP_SYMMETRY` env var, else `off`;
 //! * `--cache-dir DIR` — persistent result cache (read-write): the
 //!   coordinator and every worker warm-start from `DIR` when its
 //!   fingerprint matches this run, and the run's newly discovered
 //!   states are committed back as a delta segment.  Falls back to the
-//!   `TWOSTEP_CACHE_DIR` env var (same warn-on-garbage policy as
-//!   `TWOSTEP_THREADS`) when the flag is absent;
+//!   `TWOSTEP_CACHE_DIR` env var;
 //! * `--max-steps S` / `--deadline-ms MS` — walk budget for the whole
 //!   coordinator pipeline (the deadline clock covers seed, workers,
 //!   merge, and replay; workers walk unbounded).  Fall back to the
@@ -63,28 +63,58 @@
 //!   way, which `ci.sh` asserts);
 //! * worker processes are recognized by the `--dist-worker` argument
 //!   vector (see `twostep_bench::distcli`) — never pass it by hand.
+//!
+//! Every flag with an env fallback resolves the same way: the flag when
+//! it is present and parses, else the env var (which warns once on
+//! garbage, like `TWOSTEP_THREADS`), else the default — and a flag whose
+//! value is missing or unparseable says so before falling back, except
+//! `--fault`, which is a hard error.
 
 use std::path::PathBuf;
-
 use std::time::Duration;
 
-use twostep_bench::distcli::{maybe_run_dist_worker, run_elastic_crw, run_partitioned_crw};
+use twostep_bench::distcli::{maybe_run_dist_worker, run_dist_crw, CrwRunArgs, DistRequest};
 use twostep_modelcheck::{
     budget_from_env, cache_from_env, fault_plan_from_env, steal_from_env, supervise_from_env,
-    ExploreConfig, ExploreError, ExploreReport, FaultPlan, StealConfig, Symmetry,
+    ExploreError, FaultPlan, StealConfig, SuperviseConfig, Symmetry, WalkBudget,
 };
 
-fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    match args.iter().position(|a| a == flag) {
-        None => default,
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse().ok()) {
-            Some(v) => v,
-            None => {
-                eprintln!("twostep-dist: {flag} needs a value; using the default");
-                default
-            }
-        },
-    }
+/// The value of `flag` when it is present and `parse` accepts it, else
+/// `fallback()` — the env var's value, or the default.  A flag whose
+/// value is missing or rejected is never silently dropped.
+fn flag_or<T>(
+    args: &[String],
+    flag: &str,
+    parse: impl Fn(&str) -> Option<T>,
+    fallback: impl FnOnce() -> T,
+) -> T {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return fallback();
+    };
+    args.get(i + 1).and_then(|v| parse(v)).unwrap_or_else(|| {
+        eprintln!("twostep-dist: {flag} needs a valid value; using the env var or the default");
+        fallback()
+    })
+}
+
+/// [`flag_or`] for flags whose value is a plain number.
+fn number_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    flag_or(args, flag, |v| v.parse().ok(), || default)
+}
+
+/// [`flag_or`] for millisecond flags where `0` means "off".
+fn millis_or(args: &[String], flag: &str, fallback: Option<Duration>) -> Option<Duration> {
+    let parse = |v: &str| {
+        v.parse()
+            .ok()
+            .map(|ms| (ms > 0).then(|| Duration::from_millis(ms)))
+    };
+    flag_or(args, flag, parse, || fallback)
+}
+
+/// A directory flag's value; the next flag is not a directory.
+fn directory(v: &str) -> Option<Option<PathBuf>> {
+    (!v.starts_with("--")).then(|| Some(PathBuf::from(v)))
 }
 
 fn main() {
@@ -92,242 +122,113 @@ fn main() {
     if let Some(code) = maybe_run_dist_worker(&args) {
         std::process::exit(code);
     }
+    let has = |flag: &str| args.iter().any(|a| a == flag);
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let (default_n, default_t) = if quick { (5, 4) } else { (6, 5) };
-    let n = arg_value(&args, "--n", default_n);
-    let t = arg_value(&args, "--t", default_t);
-    let partitions = arg_value(&args, "--partitions", 2usize).max(1);
-    let depth = arg_value(&args, "--depth", 1u32);
-    let worker_threads = arg_value(&args, "--worker-threads", twostep_sim::default_threads());
-    let hot_capacity: usize = arg_value(&args, "--spill", 0);
-    let hot_capacity = (hot_capacity > 0).then_some(hot_capacity);
-    let symmetry = match args
-        .iter()
-        .position(|a| a == "--symmetry")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some(raw) => Symmetry::parse_token(raw).unwrap_or_else(|| {
-            eprintln!(
-                "twostep-dist: --symmetry must be off|full|partial|partial+value (got {raw:?}); \
-                 using off"
-            );
-            Symmetry::Off
-        }),
-        // `for_crw` resolves the TWOSTEP_SYMMETRY env override; the
-        // system itself does not influence the mode.
-        None => {
-            ExploreConfig::for_crw(&twostep_model::SystemConfig::new(2, 1).expect("valid")).symmetry
-        }
-    };
-    let cache_dir: Option<PathBuf> = match args.iter().position(|a| a == "--cache-dir") {
-        Some(i) => match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-            Some(dir) => Some(PathBuf::from(dir)),
-            None => {
-                // Same policy as every other knob: a broken value is
-                // never silently dropped (the user would believe later
-                // runs are warm-started when nothing was cached).
-                eprintln!("twostep-dist: --cache-dir needs a directory; cache disabled");
-                None
-            }
-        },
-        None => cache_from_env().map(|c| c.dir),
-    };
-    // Flags override the TWOSTEP_MAX_STEPS / TWOSTEP_DEADLINE_MS env
-    // defaults; a flagless run inherits whatever the env resolved.
-    let mut budget = budget_from_env();
-    if let Some(i) = args.iter().position(|a| a == "--max-steps") {
-        match args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
-            Some(steps) => budget.max_steps = Some(steps),
-            None => eprintln!("twostep-dist: --max-steps needs a step count; flag ignored"),
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--deadline-ms") {
-        match args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
-            Some(ms) => budget.deadline = Some(Duration::from_millis(ms)),
-            None => eprintln!("twostep-dist: --deadline-ms needs milliseconds; flag ignored"),
-        }
-    }
-    let checkpoint_dir: Option<PathBuf> = match args.iter().position(|a| a == "--checkpoint-dir") {
-        Some(i) => match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-            Some(dir) => Some(PathBuf::from(dir)),
-            None => {
-                eprintln!(
-                    "twostep-dist: --checkpoint-dir needs a directory; \
-                     a budget suspension would discard its partial work"
-                );
-                None
-            }
-        },
-        None => None,
-    };
-
-    let steal_enabled = args.iter().any(|a| a == "--steal") || steal_from_env().unwrap_or(false);
-    let mut steal = StealConfig {
-        enabled: steal_enabled,
-        ..StealConfig::default()
-    };
-    steal.poll_interval = Duration::from_millis(arg_value(
-        &args,
-        "--steal-poll-ms",
-        steal.poll_interval.as_millis() as u64,
-    ));
-    steal.min_frontier = arg_value(&args, "--steal-min-frontier", steal.min_frontier);
-    steal.yield_every = arg_value(&args, "--steal-yield-every", steal.yield_every).max(1);
-
-    // Fault plan: the flag overrides the TWOSTEP_FAULT env var (which
-    // warns once on garbage and runs clean); an unparseable *flag* is a
-    // hard error — a chaos run that silently ran clean would pass
+    let (default_n, default_t) = if has("--quick") { (5, 4) } else { (6, 5) };
+    let n = number_or(&args, "--n", default_n);
+    let t = number_or(&args, "--t", default_t);
+    let env_budget = budget_from_env();
+    let env_supervise = supervise_from_env();
+    let steal_defaults = StealConfig::default();
+    // The one flag that does not fall back: an unparseable `--fault` is
+    // a hard error — a chaos run that silently ran clean would pass
     // vacuously.
     let faults = match args.iter().position(|a| a == "--fault") {
-        Some(i) => match args.get(i + 1) {
-            Some(raw) => match FaultPlan::parse(raw) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("twostep-dist: --fault {raw:?}: {e}");
-                    std::process::exit(2);
-                }
-            },
-            None => {
-                eprintln!("twostep-dist: --fault needs a plan (or 'none')");
-                std::process::exit(2);
-            }
-        },
         None => fault_plan_from_env(),
+        Some(i) => args
+            .get(i + 1)
+            .ok_or_else(|| "needs a plan (or 'none')".to_string())
+            .and_then(|raw| FaultPlan::parse(raw).map_err(|e| format!("{raw:?}: {e}")))
+            .unwrap_or_else(|e| {
+                eprintln!("twostep-dist: --fault {e}");
+                std::process::exit(2);
+            }),
     };
-    let mut supervise = supervise_from_env();
-    if let Some(i) = args.iter().position(|a| a == "--attempt-timeout-ms") {
-        match args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
-            Some(0) => supervise.attempt_timeout = None,
-            Some(ms) => supervise.attempt_timeout = Some(Duration::from_millis(ms)),
-            None => {
-                eprintln!("twostep-dist: --attempt-timeout-ms needs milliseconds; flag ignored")
-            }
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--watchdog-ms") {
-        match args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
-            Some(0) => supervise.watchdog = None,
-            Some(ms) => supervise.watchdog = Some(Duration::from_millis(ms)),
-            None => eprintln!("twostep-dist: --watchdog-ms needs milliseconds; flag ignored"),
-        }
-    }
-    if let Some(i) = args.iter().position(|a| a == "--backoff-ms") {
-        match args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) {
-            Some(ms) => supervise.backoff = Duration::from_millis(ms),
-            None => eprintln!("twostep-dist: --backoff-ms needs milliseconds; flag ignored"),
-        }
-    }
-    if args.iter().any(|a| a == "--no-degrade") {
-        supervise.degrade = false;
-    }
-    if !faults.is_empty() {
-        eprintln!("twostep-dist: fault plan {}", faults.render());
+    let defaults = DistRequest::new(n, t);
+    let request = DistRequest {
+        run: CrwRunArgs {
+            threads: number_or(&args, "--worker-threads", twostep_sim::default_threads()),
+            hot_capacity: Some(number_or(&args, "--spill", 0)).filter(|&hot| hot > 0),
+            symmetry: flag_or(
+                &args,
+                "--symmetry",
+                Symmetry::parse_token,
+                Symmetry::from_env,
+            ),
+            ..defaults.run
+        },
+        partitions: number_or(&args, "--partitions", defaults.partitions).max(1),
+        depth: number_or(&args, "--depth", defaults.depth),
+        cache_dir: flag_or(&args, "--cache-dir", directory, || {
+            cache_from_env().map(|c| c.dir)
+        }),
+        budget: WalkBudget {
+            max_steps: flag_or(
+                &args,
+                "--max-steps",
+                |v| v.parse().ok().map(Some),
+                || env_budget.max_steps,
+            ),
+            deadline: flag_or(
+                &args,
+                "--deadline-ms",
+                |v| v.parse().ok().map(|ms| Some(Duration::from_millis(ms))),
+                || env_budget.deadline,
+            ),
+            ..env_budget
+        },
+        // Without it a budget suspension discards its partial work.
+        checkpoint_dir: flag_or(&args, "--checkpoint-dir", directory, || None),
+        steal: StealConfig {
+            enabled: has("--steal") || steal_from_env().unwrap_or(false),
+            poll_interval: Duration::from_millis(number_or(
+                &args,
+                "--steal-poll-ms",
+                steal_defaults.poll_interval.as_millis() as u64,
+            )),
+            min_frontier: number_or(&args, "--steal-min-frontier", steal_defaults.min_frontier),
+            yield_every: number_or(&args, "--steal-yield-every", steal_defaults.yield_every).max(1),
+        },
+        faults,
+        supervise: SuperviseConfig {
+            attempt_timeout: millis_or(
+                &args,
+                "--attempt-timeout-ms",
+                env_supervise.attempt_timeout,
+            ),
+            watchdog: millis_or(&args, "--watchdog-ms", env_supervise.watchdog),
+            backoff: Duration::from_millis(number_or(
+                &args,
+                "--backoff-ms",
+                env_supervise.backoff.as_millis() as u64,
+            )),
+            degrade: !has("--no-degrade"),
+            ..env_supervise
+        },
+    };
+    if !request.faults.is_empty() {
+        eprintln!("twostep-dist: fault plan {}", request.faults.render());
     }
 
+    let partitions = request.partitions;
     eprintln!(
         "twostep-dist: exploring ({n}, {t}) across {partitions} worker processes \
-         (depth {depth}, {worker_threads} threads each, memo {}, symmetry {}, cache {}, steal {})",
-        match hot_capacity {
+         (depth {}, {} threads each, memo {}, symmetry {}, cache {}, steal {})",
+        request.depth,
+        request.run.threads,
+        match request.run.hot_capacity {
             Some(h) => format!("spill@{h}"),
             None => "all-RAM".to_string(),
         },
-        symmetry.token(),
-        match &cache_dir {
+        request.run.symmetry.token(),
+        match &request.cache_dir {
             Some(dir) => dir.display().to_string(),
             None => "off".to_string(),
         },
-        if steal.enabled { "on" } else { "off" }
+        if request.steal.enabled { "on" } else { "off" }
     );
-    // Common lines first (summary / result / cache), then the
-    // engine-specific attribution lines collected here.
-    let (report, total_seconds, engine_lines): (ExploreReport<_>, f64, Vec<String>) =
-        if steal.enabled {
-            match run_elastic_crw(
-                n,
-                t,
-                partitions,
-                depth,
-                worker_threads,
-                hot_capacity,
-                50_000_000,
-                symmetry,
-                cache_dir,
-                budget,
-                checkpoint_dir,
-                steal,
-                faults,
-                supervise,
-            ) {
-                Ok(run) => {
-                    let lines = vec![
-                        format!(
-                            "twostep-dist: steal workers={} steals={} offloaded={}",
-                            run.stats.workers_launched, run.stats.steals, run.stats.offloaded
-                        ),
-                        format!(
-                            "twostep-dist: supervision degraded={} quarantined={}",
-                            run.stats.degraded, run.stats.quarantined
-                        ),
-                        format!(
-                            "twostep-dist: phases seed={:.3} frontier={:.3} workers={:.3} \
-                         merge={:.3} replay={:.3} report={:.3}",
-                            run.timings.seed_seconds,
-                            run.timings.frontier_seconds,
-                            run.timings.workers_wall_seconds,
-                            run.timings.merge_seconds,
-                            run.timings.replay_seconds,
-                            run.timings.report_seconds
-                        ),
-                    ];
-                    (run.report, run.total_seconds, lines)
-                }
-                Err(e) => bail(e),
-            }
-        } else {
-            match run_partitioned_crw(
-                n,
-                t,
-                partitions,
-                depth,
-                worker_threads,
-                hot_capacity,
-                50_000_000,
-                symmetry,
-                cache_dir,
-                budget,
-                checkpoint_dir,
-                faults,
-                supervise,
-            ) {
-                Ok(run) => {
-                    let lines = vec![
-                        format!(
-                            "twostep-dist: supervision degraded={} quarantined=0",
-                            run.timings.degraded_partitions
-                        ),
-                        format!(
-                            "twostep-dist: phases seed={:.3} frontier={:.3} workers={:.3} \
-                             (seed<={:.3} frontier<={:.3} walk<={:.3} export<={:.3}) \
-                             merge={:.3} replay={:.3} report={:.3}",
-                            run.timings.seed_seconds,
-                            run.timings.frontier_seconds,
-                            run.timings.workers_wall_seconds,
-                            run.worker_seed_seconds,
-                            run.worker_frontier_seconds,
-                            run.worker_walk_seconds,
-                            run.worker_export_seconds,
-                            run.timings.merge_seconds,
-                            run.timings.replay_seconds,
-                            run.timings.report_seconds
-                        ),
-                    ];
-                    (run.report, run.total_seconds, lines)
-                }
-                Err(e) => bail(e),
-            }
-        };
+    let run = run_dist_crw(&request).unwrap_or_else(|e| bail(e));
+    let (report, total_seconds, timings) = (&run.report, run.total_seconds, &run.timings);
 
     let worst = report
         .root
@@ -359,9 +260,37 @@ fn main() {
         "twostep-dist: cache cache_hits={} fresh_states={}",
         report.cache_hits, report.fresh_states
     );
-    for line in engine_lines {
-        println!("{line}");
+    // Engine attribution: the steal line and the workers' own phases
+    // each exist for one engine only.
+    let mut worker_phases = String::new();
+    if request.steal.enabled {
+        println!(
+            "twostep-dist: steal workers={} steals={} offloaded={}",
+            run.stats.workers_launched, run.stats.steals, run.stats.offloaded
+        );
+    } else {
+        worker_phases = format!(
+            "(seed<={:.3} frontier<={:.3} walk<={:.3} export<={:.3}) ",
+            run.worker_phases.seed,
+            run.worker_phases.frontier,
+            run.worker_phases.walk,
+            run.worker_phases.export
+        );
     }
+    println!(
+        "twostep-dist: supervision degraded={} quarantined={}",
+        run.stats.degraded, run.stats.quarantined
+    );
+    println!(
+        "twostep-dist: phases seed={:.3} frontier={:.3} workers={:.3} {worker_phases}\
+         merge={:.3} replay={:.3} report={:.3}",
+        timings.seed_seconds,
+        timings.frontier_seconds,
+        timings.workers_wall_seconds,
+        timings.merge_seconds,
+        timings.replay_seconds,
+        timings.report_seconds
+    );
     println!("twostep-dist: worst decision round by crash count: {worst}");
 }
 

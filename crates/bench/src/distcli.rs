@@ -16,10 +16,11 @@
 //! the frontier split.
 
 use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitStatus, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use twostep_core::crw_processes;
 use twostep_model::{SystemConfig, WideValue};
@@ -37,20 +38,16 @@ pub const WORKER_FLAG: &str = "--dist-worker";
 /// Argv marker that switches a binary into *elastic* worker mode.
 pub const WORKER_ELASTIC_FLAG: &str = "--dist-elastic-worker";
 
-/// Everything a CRW partition worker needs to reproduce its assignment.
+/// What every CRW worker — classic or elastic — needs to rebuild the
+/// run it belongs to: the head both argv forms share.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CrwWorkerArgs {
+pub struct CrwRunArgs {
     /// System size.
     pub n: usize,
     /// Resilience bound.
     pub t: usize,
-    /// Frontier depth.
-    pub depth: u32,
-    /// This worker's partition.
-    pub partition: usize,
-    /// Total partitions.
-    pub partitions: usize,
-    /// Worker threads.
+    /// Worker threads (memo sharding only for an elastic worker, whose
+    /// walk is single-threaded).
     pub threads: usize,
     /// Spill hot capacity (`None` = all-RAM memo).
     pub hot_capacity: Option<usize>,
@@ -62,64 +59,23 @@ pub struct CrwWorkerArgs {
     /// identically, regardless of what `TWOSTEP_SYMMETRY` says in the
     /// worker's environment.
     pub symmetry: Symmetry,
-    /// Where to write the sealed export segment.
-    pub export_path: PathBuf,
-    /// Optional seed segment to import before walking (the coordinator's
-    /// consolidated cache image).
-    pub seed_path: Option<PathBuf>,
-    /// Optional coordinator-expanded frontier segment; `None` re-expands
-    /// in-process (legacy).
-    pub frontier_path: Option<PathBuf>,
-    /// Injected misbehavior for this launch (fault harness); `None` — the
-    /// production case — runs clean.  The coordinator resolves the fault
-    /// from its [`FaultPlan`] by `(partition, attempt)` and ships only
-    /// the resolved token, so the worker needs no plan of its own.
-    pub fault: Option<WorkerFault>,
 }
 
-impl CrwWorkerArgs {
-    /// The argument vector (starting with [`WORKER_FLAG`]) that
-    /// [`parse`](Self::parse) inverts.
-    pub fn to_args(&self) -> Vec<String> {
-        let mut args = vec![
-            WORKER_FLAG.to_string(),
+impl CrwRunArgs {
+    fn to_args(&self) -> Vec<String> {
+        vec![
             self.n.to_string(),
             self.t.to_string(),
-            self.depth.to_string(),
-            self.partition.to_string(),
-            self.partitions.to_string(),
             self.threads.to_string(),
             self.hot_capacity.map_or("ram".into(), |h| h.to_string()),
             self.max_states.to_string(),
             self.symmetry.token().to_string(),
-        ];
-        args.push(self.export_path.display().to_string());
-        args.push(
-            self.seed_path
-                .as_ref()
-                .map_or("unseeded".into(), |p| p.display().to_string()),
-        );
-        args.push(
-            self.frontier_path
-                .as_ref()
-                .map_or("nofrontier".into(), |p| p.display().to_string()),
-        );
-        args.push(self.fault.map_or("nofault".into(), |f| f.token()));
-        args
+        ]
     }
 
-    /// Parses an argument vector produced by [`to_args`](Self::to_args);
-    /// `None` if `args` is not a worker invocation.
-    pub fn parse(args: &[String]) -> Option<CrwWorkerArgs> {
-        let mut it = args.iter();
-        if it.next().map(String::as_str) != Some(WORKER_FLAG) {
-            return None;
-        }
+    fn parse<'a>(it: &mut impl Iterator<Item = &'a String>) -> Option<CrwRunArgs> {
         let n = it.next()?.parse().ok()?;
         let t = it.next()?.parse().ok()?;
-        let depth = it.next()?.parse().ok()?;
-        let partition = it.next()?.parse().ok()?;
-        let partitions = it.next()?.parse().ok()?;
         let threads = it.next()?.parse().ok()?;
         let hot_raw = it.next()?;
         let hot_capacity = if hot_raw == "ram" {
@@ -128,32 +84,15 @@ impl CrwWorkerArgs {
             Some(hot_raw.parse().ok()?)
         };
         let max_states = it.next()?.parse().ok()?;
-        let symmetry = Symmetry::parse_token(it.next()?.as_str())?;
-        let export_path = PathBuf::from(it.next()?);
-        let seed_raw = it.next()?;
-        let seed_path = (seed_raw != "unseeded").then(|| PathBuf::from(seed_raw));
-        let frontier_raw = it.next()?;
-        let frontier_path = (frontier_raw != "nofrontier").then(|| PathBuf::from(frontier_raw));
-        let fault_raw = it.next()?;
-        let fault = if fault_raw == "nofault" {
-            None
-        } else {
-            Some(WorkerFault::parse_token(fault_raw).ok()?)
-        };
-        it.next().is_none().then_some(CrwWorkerArgs {
+        // An unknown symmetry token is a parse failure, not a default.
+        let symmetry = Symmetry::parse_token(it.next()?)?;
+        Some(CrwRunArgs {
             n,
             t,
-            depth,
-            partition,
-            partitions,
             threads,
             hot_capacity,
             max_states,
             symmetry,
-            export_path,
-            seed_path,
-            frontier_path,
-            fault,
         })
     }
 
@@ -172,6 +111,102 @@ impl CrwWorkerArgs {
             ..ExploreConfig::for_crw(system)
         }
     }
+
+    /// The system and the canonical bench proposals, or — after saying
+    /// so as `who` — the exit code of a worker handed an invalid system.
+    fn instance(&self, who: &str) -> Result<(SystemConfig, Vec<WideValue>), i32> {
+        match SystemConfig::new(self.n, self.t) {
+            Ok(system) => Ok((system, bench_proposals(self.n))),
+            Err(e) => {
+                eprintln!("{who}: invalid system ({}, {}): {e}", self.n, self.t);
+                Err(2)
+            }
+        }
+    }
+}
+
+/// The argv token of an optional injected fault, and its inverse (`None`
+/// for a token that is neither `nofault` nor a fault: an unknown fault is
+/// a parse failure, not a silent no-op).
+fn fault_token(fault: Option<WorkerFault>) -> String {
+    fault.map_or("nofault".into(), |f| f.token())
+}
+
+fn parse_fault_token(raw: &str) -> Option<Option<WorkerFault>> {
+    if raw == "nofault" {
+        return Some(None);
+    }
+    WorkerFault::parse_token(raw).ok().map(Some)
+}
+
+/// Everything a CRW partition worker needs to reproduce its assignment.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CrwWorkerArgs {
+    /// The run this worker belongs to.
+    pub run: CrwRunArgs,
+    /// Frontier depth.
+    pub depth: u32,
+    /// This worker's partition.
+    pub partition: usize,
+    /// Total partitions.
+    pub partitions: usize,
+    /// Where to write the sealed export segment.
+    pub export_path: PathBuf,
+    /// Optional seed segment to import before walking (the coordinator's
+    /// consolidated cache image).
+    pub seed_path: Option<PathBuf>,
+    /// The coordinator-expanded frontier segment (a worker handed `None`
+    /// fails loudly).
+    pub frontier_path: Option<PathBuf>,
+    /// Injected misbehavior for this launch (fault harness); `None` — the
+    /// production case — runs clean.  The coordinator resolves the fault
+    /// from its [`FaultPlan`] by `(partition, attempt)` and ships only
+    /// the resolved token, so the worker needs no plan of its own.
+    pub fault: Option<WorkerFault>,
+}
+
+impl CrwWorkerArgs {
+    /// The argument vector (starting with [`WORKER_FLAG`]) that
+    /// [`parse`](Self::parse) inverts.
+    pub fn to_args(&self) -> Vec<String> {
+        let path_or = |path: &Option<PathBuf>, absent: &str| {
+            path.as_ref()
+                .map_or(absent.to_string(), |p| p.display().to_string())
+        };
+        let mut args = vec![WORKER_FLAG.to_string()];
+        args.extend(self.run.to_args());
+        args.extend([
+            self.depth.to_string(),
+            self.partition.to_string(),
+            self.partitions.to_string(),
+            self.export_path.display().to_string(),
+            path_or(&self.seed_path, "unseeded"),
+            path_or(&self.frontier_path, "nofrontier"),
+            fault_token(self.fault),
+        ]);
+        args
+    }
+
+    /// Parses an argument vector produced by [`to_args`](Self::to_args);
+    /// `None` if `args` is not a worker invocation.
+    pub fn parse(args: &[String]) -> Option<CrwWorkerArgs> {
+        let mut it = args.iter();
+        if it.next().map(String::as_str) != Some(WORKER_FLAG) {
+            return None;
+        }
+        let path_unless = |raw: &String, absent: &str| (raw != absent).then(|| PathBuf::from(raw));
+        let parsed = CrwWorkerArgs {
+            run: CrwRunArgs::parse(&mut it)?,
+            depth: it.next()?.parse().ok()?,
+            partition: it.next()?.parse().ok()?,
+            partitions: it.next()?.parse().ok()?,
+            export_path: PathBuf::from(it.next()?),
+            seed_path: path_unless(it.next()?, "unseeded"),
+            frontier_path: path_unless(it.next()?, "nofrontier"),
+            fault: parse_fault_token(it.next()?)?,
+        };
+        it.next().is_none().then_some(parsed)
+    }
 }
 
 /// The canonical bench proposals: `p_{i+1}` proposes bit `i % 2`.
@@ -182,14 +217,10 @@ pub fn bench_proposals(n: usize) -> Vec<WideValue> {
 /// Runs one CRW partition worker from parsed args; the body of a worker
 /// process.  Returns the process exit code.
 pub fn run_crw_worker(args: &CrwWorkerArgs) -> i32 {
-    let system = match SystemConfig::new(args.n, args.t) {
-        Ok(system) => system,
-        Err(e) => {
-            eprintln!("dist-worker: invalid system ({}, {}): {e}", args.n, args.t);
-            return 2;
-        }
+    let (system, proposals) = match args.run.instance("dist-worker") {
+        Ok(instance) => instance,
+        Err(code) => return code,
     };
-    let proposals = bench_proposals(args.n);
     // The coordinator resolved the fault before shipping it, so attempt
     // keying is already done; the cancel token is process-local — an
     // injected hang in a worker *process* ends when the coordinator's
@@ -207,8 +238,8 @@ pub fn run_crw_worker(args: &CrwWorkerArgs) -> i32 {
     };
     match run_worker(
         system,
-        args.config(&system),
-        args.engine(),
+        args.run.config(&system),
+        args.run.engine(),
         crw_processes(&system, &proposals),
         proposals,
         &task,
@@ -226,7 +257,7 @@ pub fn run_crw_worker(args: &CrwWorkerArgs) -> i32 {
                 report.exported
             );
             // Machine-parseable phase attribution, read back by the
-            // coordinator (`run_partitioned_crw` captures stdout).
+            // coordinator (`run_dist_crw` tails stdout).
             println!(
                 "dist-worker-timing: partition={} seed={:.6} frontier={:.6} walk={:.6} export={:.6}",
                 args.partition,
@@ -263,20 +294,8 @@ pub fn maybe_run_dist_worker(argv: &[String]) -> Option<i32> {
 /// plus any number of seed segments (trailing argv).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CrwElasticArgs {
-    /// System size.
-    pub n: usize,
-    /// Resilience bound.
-    pub t: usize,
-    /// Worker threads for memo sharding (the elastic walk itself is
-    /// single-threaded).
-    pub threads: usize,
-    /// Spill hot capacity (`None` = all-RAM memo).
-    pub hot_capacity: Option<usize>,
-    /// Distinct-state budget.
-    pub max_states: usize,
-    /// Symmetry-reduction mode (must match the coordinator's — see
-    /// [`CrwWorkerArgs::symmetry`]).
-    pub symmetry: Symmetry,
+    /// The run this worker belongs to.
+    pub run: CrwRunArgs,
     /// Coordinator-assigned worker id.
     pub worker: u64,
     /// Progress-pulse cadence in walk steps.
@@ -300,22 +319,17 @@ impl CrwElasticArgs {
     /// The argument vector (starting with [`WORKER_ELASTIC_FLAG`]) that
     /// [`parse`](Self::parse) inverts.
     pub fn to_args(&self) -> Vec<String> {
-        let mut args = vec![
-            WORKER_ELASTIC_FLAG.to_string(),
-            self.n.to_string(),
-            self.t.to_string(),
-            self.threads.to_string(),
-            self.hot_capacity.map_or("ram".into(), |h| h.to_string()),
-            self.max_states.to_string(),
-            self.symmetry.token().to_string(),
+        let mut args = vec![WORKER_ELASTIC_FLAG.to_string()];
+        args.extend(self.run.to_args());
+        args.extend([
             self.worker.to_string(),
             self.yield_every.to_string(),
             self.frontier_path.display().to_string(),
             self.export_path.display().to_string(),
             self.preempt_path.display().to_string(),
             self.steal_flag.display().to_string(),
-        ];
-        args.push(self.fault.map_or("nofault".into(), |f| f.token()));
+            fault_token(self.fault),
+        ]);
         args.extend(self.seed_paths.iter().map(|p| p.display().to_string()));
         args
     }
@@ -327,76 +341,17 @@ impl CrwElasticArgs {
         if it.next().map(String::as_str) != Some(WORKER_ELASTIC_FLAG) {
             return None;
         }
-        let n = it.next()?.parse().ok()?;
-        let t = it.next()?.parse().ok()?;
-        let threads = it.next()?.parse().ok()?;
-        let hot_raw = it.next()?;
-        let hot_capacity = if hot_raw == "ram" {
-            None
-        } else {
-            Some(hot_raw.parse().ok()?)
-        };
-        let max_states = it.next()?.parse().ok()?;
-        let symmetry = Symmetry::parse_token(it.next()?.as_str())?;
-        let worker = it.next()?.parse().ok()?;
-        let yield_every = it.next()?.parse().ok()?;
-        let frontier_path = PathBuf::from(it.next()?);
-        let export_path = PathBuf::from(it.next()?);
-        let preempt_path = PathBuf::from(it.next()?);
-        let steal_flag = PathBuf::from(it.next()?);
-        let fault_raw = it.next()?;
-        let fault = if fault_raw == "nofault" {
-            None
-        } else {
-            Some(WorkerFault::parse_token(fault_raw).ok()?)
-        };
-        let seed_paths = it.map(PathBuf::from).collect();
         Some(CrwElasticArgs {
-            n,
-            t,
-            threads,
-            hot_capacity,
-            max_states,
-            symmetry,
-            worker,
-            yield_every,
-            frontier_path,
-            export_path,
-            preempt_path,
-            steal_flag,
-            fault,
-            seed_paths,
+            run: CrwRunArgs::parse(&mut it)?,
+            worker: it.next()?.parse().ok()?,
+            yield_every: it.next()?.parse().ok()?,
+            frontier_path: PathBuf::from(it.next()?),
+            export_path: PathBuf::from(it.next()?),
+            preempt_path: PathBuf::from(it.next()?),
+            steal_flag: PathBuf::from(it.next()?),
+            fault: parse_fault_token(it.next()?)?,
+            seed_paths: it.map(PathBuf::from).collect(),
         })
-    }
-
-    fn engine(&self) -> ExploreOptions {
-        let memo = match self.hot_capacity {
-            Some(hot) => MemoConfig::spill(hot),
-            None => MemoConfig::all_ram(),
-        };
-        ExploreOptions::with_threads(self.threads).with_memo(memo)
-    }
-
-    fn config(&self, system: &SystemConfig) -> ExploreConfig {
-        ExploreConfig {
-            max_states: self.max_states,
-            symmetry: self.symmetry,
-            ..ExploreConfig::for_crw(system)
-        }
-    }
-
-    fn task(&self) -> ElasticTask {
-        ElasticTask {
-            worker: self.worker,
-            seed_paths: self.seed_paths.clone(),
-            frontier_path: self.frontier_path.clone(),
-            export_path: self.export_path.clone(),
-            preempt_path: self.preempt_path.clone(),
-            steal_flag: self.steal_flag.clone(),
-            yield_every: self.yield_every,
-            fault: self.fault,
-            cancel: CancelToken::new(),
-        }
     }
 }
 
@@ -405,18 +360,21 @@ impl CrwElasticArgs {
 /// final `dist-elastic:` outcome line on stdout (flushed per line — the
 /// coordinator tails the pipe live).  Returns the process exit code.
 pub fn run_crw_elastic_worker(args: &CrwElasticArgs) -> i32 {
-    let system = match SystemConfig::new(args.n, args.t) {
-        Ok(system) => system,
-        Err(e) => {
-            eprintln!(
-                "dist-elastic-worker: invalid system ({}, {}): {e}",
-                args.n, args.t
-            );
-            return 2;
-        }
+    let (system, proposals) = match args.run.instance("dist-elastic-worker") {
+        Ok(instance) => instance,
+        Err(code) => return code,
     };
-    let proposals = bench_proposals(args.n);
-    let task = args.task();
+    let task = ElasticTask {
+        worker: args.worker,
+        seed_paths: args.seed_paths.clone(),
+        frontier_path: args.frontier_path.clone(),
+        export_path: args.export_path.clone(),
+        preempt_path: args.preempt_path.clone(),
+        steal_flag: args.steal_flag.clone(),
+        yield_every: args.yield_every,
+        fault: args.fault,
+        cancel: CancelToken::new(),
+    };
     let pulse = |p: WorkerPulse| {
         // Block-buffered when piped; flush per pulse or the coordinator's
         // load estimates lag an entire buffer behind reality.
@@ -430,8 +388,8 @@ pub fn run_crw_elastic_worker(args: &CrwElasticArgs) -> i32 {
     };
     match run_worker_elastic(
         system,
-        args.config(&system),
-        args.engine(),
+        args.run.config(&system),
+        args.run.engine(),
         crw_processes(&system, &proposals),
         proposals,
         &task,
@@ -470,6 +428,14 @@ enum PulseLine {
     NotAPulse,
 }
 
+/// The value of `line`'s first `key=value` token, if it parses.
+fn field<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
+    line.split_whitespace()
+        .find_map(|token| token.strip_prefix(key)?.strip_prefix('='))?
+        .parse()
+        .ok()
+}
+
 /// Classifies one worker stdout line.  Unknown `key=value` tokens are
 /// ignored, so a *future* worker adding fields still parses — only a
 /// line missing a required field is garbled.
@@ -477,22 +443,12 @@ fn classify_pulse_line(line: &str) -> PulseLine {
     let Some(rest) = line.strip_prefix("dist-progress:") else {
         return PulseLine::NotAPulse;
     };
-    let mut worker = None;
-    let mut steps = None;
-    let mut frontier = None;
-    let mut fresh = None;
-    for token in rest.split_whitespace() {
-        if let Some((key, value)) = token.split_once('=') {
-            match key {
-                "worker" => worker = value.parse::<u64>().ok(),
-                "steps" => steps = value.parse::<u64>().ok(),
-                "frontier" => frontier = value.parse::<usize>().ok(),
-                "fresh" => fresh = value.parse::<usize>().ok(),
-                _ => {}
-            }
-        }
-    }
-    match (worker, steps, frontier, fresh) {
+    match (
+        field(rest, "worker"),
+        field(rest, "steps"),
+        field(rest, "frontier"),
+        field(rest, "fresh"),
+    ) {
         (Some(worker), Some(steps), Some(frontier), Some(fresh)) => PulseLine::Pulse(WorkerPulse {
             worker,
             steps,
@@ -512,71 +468,211 @@ fn parse_outcome_line(line: &str) -> Option<ElasticExit> {
     }
 }
 
-/// Timing breakdown of a multi-process *elastic* exploration.
-pub struct ElasticRun {
-    /// The merged report (bit-identical to the serial walk).
-    pub report: ExploreReport<WideValue>,
-    /// End-to-end wall time.
-    pub total_seconds: f64,
-    /// Coordinator-side phase attribution.
-    pub timings: DistTimings,
-    /// What the elastic scheduler actually did.
-    pub stats: ElasticStats,
+/// One worker's phase attribution, parsed back from its stdout.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct WorkerPhaseSeconds {
+    /// Importing the seed segment.
+    pub seed: f64,
+    /// Rebuilding its slice of the frontier segment.
+    pub frontier: f64,
+    /// Walking the owned subtrees.
+    pub walk: f64,
+    /// Exporting the delta segment.
+    pub export: f64,
 }
 
-/// Runs a `(n, t)` CRW exploration elastically: the coordinator walks
-/// locally and offloads to worker OS processes (re-executions of the
-/// current binary, stdout-tailed for progress pulses) only when `steal`
-/// says the run is big enough.  See [`run_partitioned_crw`] for the
-/// shared parameter semantics.
-#[allow(clippy::too_many_arguments)]
-pub fn run_elastic_crw(
-    n: usize,
-    t: usize,
-    partitions: usize,
-    depth: u32,
-    worker_threads: usize,
-    hot_capacity: Option<usize>,
-    max_states: usize,
-    symmetry: Symmetry,
-    cache_dir: Option<PathBuf>,
-    budget: WalkBudget,
-    checkpoint_dir: Option<PathBuf>,
-    steal: StealConfig,
-    faults: FaultPlan,
-    supervise: SuperviseConfig,
-) -> Result<ElasticRun, ExploreError> {
-    let system = SystemConfig::new(n, t).expect("valid bench system");
-    let proposals = bench_proposals(n);
-    let config = ExploreConfig {
-        max_states,
-        symmetry,
-        ..ExploreConfig::for_crw(&system)
-    };
+/// Extracts the phase attribution a worker printed on its stdout.
+fn parse_worker_timing(stdout: &str) -> Option<WorkerPhaseSeconds> {
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("dist-worker-timing:"))?;
+    Some(WorkerPhaseSeconds {
+        seed: field(line, "seed")?,
+        frontier: field(line, "frontier")?,
+        walk: field(line, "walk")?,
+        export: field(line, "export")?,
+    })
+}
+
+/// Runs one worker process — `exe` re-executed with `args` — to its exit,
+/// handing every line of its stdout to `on_line` as it arrives (its
+/// stderr passes straight through).  A watcher kills the process as soon
+/// as `cancel` trips: the supervisor's attempt timeout and pulse
+/// watchdog must be able to end a hung worker, and the tailer blocks on
+/// the pipe and cannot poll.  Killing the child closes the pipe, which
+/// unblocks the tailer.  Anything but a clean, uncancelled exit is a
+/// retryable launch failure.
+fn run_child(
+    exe: &Path,
+    args: Vec<String>,
+    cancel: &CancelToken,
+    mut on_line: impl FnMut(&str),
+) -> Result<(), String> {
+    let mut child = Command::new(exe)
+        .args(args)
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("spawning worker process: {e}"))?;
+    let stdout = child.stdout.take().expect("piped stdout");
+    let child = Mutex::new(child);
+    let done = AtomicBool::new(false);
+    let status = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                if cancel.is_cancelled() {
+                    let _ = child.lock().expect("child poisoned").kill();
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        });
+        let tail = || -> Result<ExitStatus, String> {
+            for line in BufReader::new(stdout).lines() {
+                on_line(&line.map_err(|e| format!("reading worker pipe: {e}"))?);
+            }
+            let mut child = child.lock().expect("child poisoned");
+            child.wait().map_err(|e| format!("waiting for worker: {e}"))
+        };
+        let status = tail();
+        done.store(true, Ordering::Relaxed);
+        if status.is_err() {
+            let mut child = child.lock().expect("child poisoned");
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        status
+    })?;
+    if cancel.is_cancelled() {
+        return Err("worker killed by the supervisor (timeout/watchdog)".to_string());
+    }
+    if !status.success() {
+        return Err(format!("worker process exited with {status}"));
+    }
+    Ok(())
+}
+
+/// One multi-process CRW exploration, as `twostep-dist` and
+/// `explorer_bench` ask for it.
+#[derive(Clone, Debug)]
+pub struct DistRequest {
+    /// The system, the workers' engine, the budget and symmetry mode of
+    /// the whole run — coordinator and workers.
+    pub run: CrwRunArgs,
+    /// Worker processes (frontier partitions, or elastic capacity).
+    pub partitions: usize,
+    /// Frontier depth of the partitioned engine.
+    pub depth: u32,
+    /// Persistent result cache (read-write): the coordinator seeds
+    /// itself and every worker from it, and commits the run's delta
+    /// back.
+    pub cache_dir: Option<PathBuf>,
+    /// Governs the coordinator pipeline (the deadline clock spans seed,
+    /// workers, merge, and replay; workers themselves walk unbounded).
+    pub budget: WalkBudget,
+    /// Makes a budget suspension resumable — rerun with the same
+    /// directory to continue.
+    pub checkpoint_dir: Option<PathBuf>,
+    /// [`StealConfig::enabled`] selects the elastic engine: the
+    /// coordinator walks locally and offloads only when the policy says
+    /// the run is big enough.  Off is the partitioned engine.
+    pub steal: StealConfig,
+    /// Injected faults.
+    pub faults: FaultPlan,
+    /// Worker-lifecycle supervision.
+    pub supervise: SuperviseConfig,
+}
+
+impl DistRequest {
+    /// A clean two-process partitioned `(n, t)` run: depth 1, all-RAM
+    /// one-thread workers, symmetry off, no cache, no budget, no faults.
+    pub fn new(n: usize, t: usize) -> Self {
+        DistRequest {
+            run: CrwRunArgs {
+                n,
+                t,
+                threads: 1,
+                hot_capacity: None,
+                max_states: 50_000_000,
+                symmetry: Symmetry::Off,
+            },
+            partitions: 2,
+            depth: 1,
+            cache_dir: None,
+            budget: WalkBudget::unlimited(),
+            checkpoint_dir: None,
+            steal: StealConfig::default(),
+            faults: FaultPlan::none(),
+            supervise: SuperviseConfig::default(),
+        }
+    }
+}
+
+/// The outcome and timing breakdown of [`run_dist_crw`].
+pub struct DistRun {
+    /// The merged report (bit-identical to the serial walk).
+    pub report: ExploreReport<WideValue>,
+    /// End-to-end wall time: workers + validation + merge + replay.
+    pub total_seconds: f64,
+    /// Coordinator-side phase attribution (seed, worker wall, merge,
+    /// replay, report).
+    pub timings: DistTimings,
+    /// What the elastic scheduler did; for a partitioned run only
+    /// `degraded` is set (to [`DistTimings::degraded_partitions`]).
+    pub stats: ElasticStats,
+    /// Worker-reported seconds per phase, max across the workers of a
+    /// partitioned run (they run concurrently, so the max approximates
+    /// the phase's wall-clock share); zero for an elastic run.
+    pub worker_phases: WorkerPhaseSeconds,
+}
+
+/// Runs a `(n, t)` CRW exploration across worker OS processes
+/// (re-executions of the current binary), merging their exported
+/// segments and replaying the canonical walk in this process.
+pub fn run_dist_crw(request: &DistRequest) -> Result<DistRun, ExploreError> {
+    let run = &request.run;
+    let system = SystemConfig::new(run.n, run.t).expect("valid bench system");
+    let proposals = bench_proposals(run.n);
+    let config = run.config(&system);
     let exe = std::env::current_exe().map_err(|e| ExploreError::Coordinator {
         detail: format!("cannot locate own binary for re-exec: {e}"),
     })?;
     let options = DistOptions {
-        partitions,
-        depth,
+        partitions: request.partitions,
+        depth: request.depth,
         attempts: 3,
         scratch_dir: None,
         replay: ExploreOptions::default()
-            .with_budget(budget)
-            .with_checkpoint(checkpoint_dir.map(CheckpointConfig::at)),
-        cache: cache_dir.map(CacheConfig::read_write),
-        steal,
-        faults,
-        supervise,
+            .with_budget(request.budget.clone())
+            .with_checkpoint(request.checkpoint_dir.clone().map(CheckpointConfig::at)),
+        cache: request.cache_dir.clone().map(CacheConfig::read_write),
+        steal: request.steal.clone(),
+        faults: request.faults.clone(),
+        supervise: request.supervise,
     };
-    let launch = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
+    // Last successful attempt's worker-side phase timings, per partition.
+    let worker_timings: Mutex<Vec<Option<WorkerPhaseSeconds>>> =
+        Mutex::new(vec![None; request.partitions.max(1)]);
+    let launch = |task: &WorkerTask| {
+        let args = CrwWorkerArgs {
+            run: run.clone(),
+            depth: task.depth,
+            partition: task.partition,
+            partitions: task.partitions,
+            export_path: task.export_path.clone(),
+            seed_path: task.seed_path.clone(),
+            frontier_path: task.frontier_path.clone(),
+            fault: task.fault,
+        };
+        let mut timing = None;
+        run_child(&exe, args.to_args(), &task.cancel, |line| {
+            timing = parse_worker_timing(line).or(timing);
+        })?;
+        worker_timings.lock().expect("worker timings poisoned")[task.partition] = timing;
+        Ok(())
+    };
+    let launch_elastic = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
         let args = CrwElasticArgs {
-            n,
-            t,
-            threads: worker_threads,
-            hot_capacity,
-            max_states,
-            symmetry,
+            run: run.clone(),
             worker: task.worker,
             yield_every: task.yield_every,
             frontier_path: task.frontier_path.clone(),
@@ -586,293 +682,60 @@ pub fn run_elastic_crw(
             fault: task.fault,
             seed_paths: task.seed_paths.clone(),
         };
-        let mut child = Command::new(&exe)
-            .args(args.to_args())
-            .stdout(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("spawning elastic worker: {e}"))?;
-        let stdout = child.stdout.take().expect("piped stdout");
-        // Kill-watcher: the supervisor's cancel token (watchdog trip)
-        // must terminate a hung worker *process* — the tailer below
-        // blocks on the pipe and cannot poll.  Killing the child closes
-        // the pipe, which unblocks the tailer; the launch then reports
-        // the non-zero exit as an ordinary retryable failure.
-        let child = std::sync::Mutex::new(child);
-        let done = std::sync::atomic::AtomicBool::new(false);
-        let cancel = task.cancel.clone();
-        let (status, outcome) = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while !done.load(std::sync::atomic::Ordering::Relaxed) {
-                    if cancel.is_cancelled() {
-                        let _ = child.lock().expect("child poisoned").kill();
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(10));
+        let mut outcome = None;
+        let mut warned_garbled = false;
+        run_child(
+            &exe,
+            args.to_args(),
+            &task.cancel,
+            |line| match classify_pulse_line(line) {
+                PulseLine::Pulse(p) => pulse(p),
+                PulseLine::Garbled if !warned_garbled => {
+                    warned_garbled = true;
+                    eprintln!(
+                        "dist-elastic: worker {}: ignoring garbled progress \
+                         line {line:?} (warning once per launch)",
+                        task.worker
+                    );
                 }
-            });
-            let mut outcome = None;
-            let mut warned_garbled = false;
-            let tail = || -> Result<std::process::ExitStatus, String> {
-                for line in BufReader::new(stdout).lines() {
-                    let line = line.map_err(|e| format!("reading worker pipe: {e}"))?;
-                    match classify_pulse_line(&line) {
-                        PulseLine::Pulse(p) => pulse(p),
-                        PulseLine::Garbled => {
-                            if !warned_garbled {
-                                warned_garbled = true;
-                                eprintln!(
-                                    "dist-elastic: worker {}: ignoring garbled progress \
-                                     line {line:?} (warning once per launch)",
-                                    task.worker
-                                );
-                            }
-                        }
-                        PulseLine::NotAPulse => {
-                            if let Some(exit) = parse_outcome_line(&line) {
-                                outcome = Some(exit);
-                            }
-                        }
-                    }
-                }
-                child
-                    .lock()
-                    .expect("child poisoned")
-                    .wait()
-                    .map_err(|e| format!("waiting for worker: {e}"))
-            };
-            let status = tail();
-            done.store(true, std::sync::atomic::Ordering::Relaxed);
-            if status.is_err() {
-                let mut child = child.lock().expect("child poisoned");
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            (status, outcome)
-        });
-        let status = status?;
-        if task.cancel.is_cancelled() {
-            return Err("worker killed by the supervisor (watchdog/cancel)".to_string());
-        }
-        if !status.success() {
-            return Err(format!("worker process exited with {status}"));
-        }
+                PulseLine::Garbled => {}
+                PulseLine::NotAPulse => outcome = parse_outcome_line(line).or(outcome),
+            },
+        )?;
         outcome.ok_or_else(|| "worker exited without reporting an outcome".to_string())
     };
+    let initial = crw_processes(&system, &proposals);
     let start = Instant::now();
-    let (report, timings, stats) = explore_elastic_timed(
-        system,
-        config,
-        &options,
-        crw_processes(&system, &proposals),
-        proposals,
-        launch,
-    )?;
-    Ok(ElasticRun {
-        report,
-        total_seconds: start.elapsed().as_secs_f64(),
-        timings,
-        stats,
-    })
-}
-
-/// Timing breakdown of a multi-process partitioned exploration.
-pub struct DistRun {
-    /// The merged report (bit-identical to the serial walk).
-    pub report: ExploreReport<WideValue>,
-    /// End-to-end wall time: workers + validation + merge + replay.
-    pub total_seconds: f64,
-    /// Coordinator-side phase attribution (seed, worker wall, merge,
-    /// replay, report).
-    pub timings: DistTimings,
-    /// Worker-reported seed-import seconds, max across workers — the
-    /// dominant worker-side cost of a warm run.
-    pub worker_seed_seconds: f64,
-    /// Worker-reported frontier-expansion seconds, max across workers
-    /// (they run concurrently, so the max approximates the phase's
-    /// wall-clock share).
-    pub worker_frontier_seconds: f64,
-    /// Worker-reported subtree-walk seconds, max across workers.
-    pub worker_walk_seconds: f64,
-    /// Worker-reported delta-export seconds, max across workers.
-    pub worker_export_seconds: f64,
-}
-
-/// One worker's phase attribution, parsed back from its stdout.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct WorkerPhaseSeconds {
-    seed: f64,
-    frontier: f64,
-    walk: f64,
-    export: f64,
-}
-
-/// Extracts the phase attribution a worker printed on its stdout.
-fn parse_worker_timing(stdout: &str) -> Option<WorkerPhaseSeconds> {
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("dist-worker-timing:"))?;
-    let mut seed = None;
-    let mut frontier = None;
-    let mut walk = None;
-    let mut export = None;
-    for token in line.split_whitespace() {
-        if let Some((key, value)) = token.split_once('=') {
-            let slot = match key {
-                "seed" => &mut seed,
-                "frontier" => &mut frontier,
-                "walk" => &mut walk,
-                "export" => &mut export,
-                _ => continue,
-            };
-            *slot = value.parse::<f64>().ok();
-        }
-    }
-    Some(WorkerPhaseSeconds {
-        seed: seed?,
-        frontier: frontier?,
-        walk: walk?,
-        export: export?,
-    })
-}
-
-/// Runs a `(n, t)` CRW exploration split across `partitions` worker OS
-/// processes (re-executions of the current binary), merging their
-/// exported segments and replaying the canonical walk in this process.
-/// `cache_dir` enables the persistent result cache (read-write): the
-/// coordinator seeds itself and every worker from it, and commits the
-/// run's delta back.  `budget` governs the coordinator pipeline (the
-/// deadline clock spans seed, workers, merge, and replay; workers
-/// themselves walk unbounded) and `checkpoint_dir` makes a budget
-/// suspension resumable — rerun with the same directory to continue.
-#[allow(clippy::too_many_arguments)]
-pub fn run_partitioned_crw(
-    n: usize,
-    t: usize,
-    partitions: usize,
-    depth: u32,
-    worker_threads: usize,
-    hot_capacity: Option<usize>,
-    max_states: usize,
-    symmetry: Symmetry,
-    cache_dir: Option<PathBuf>,
-    budget: WalkBudget,
-    checkpoint_dir: Option<PathBuf>,
-    faults: FaultPlan,
-    supervise: SuperviseConfig,
-) -> Result<DistRun, ExploreError> {
-    let system = SystemConfig::new(n, t).expect("valid bench system");
-    let proposals = bench_proposals(n);
-    let config = ExploreConfig {
-        max_states,
-        symmetry,
-        ..ExploreConfig::for_crw(&system)
-    };
-    let exe = std::env::current_exe().map_err(|e| ExploreError::Coordinator {
-        detail: format!("cannot locate own binary for re-exec: {e}"),
-    })?;
-    let options = DistOptions {
-        partitions,
-        depth,
-        attempts: 3,
-        scratch_dir: None,
-        replay: ExploreOptions::default()
-            .with_budget(budget)
-            .with_checkpoint(checkpoint_dir.map(CheckpointConfig::at)),
-        cache: cache_dir.map(CacheConfig::read_write),
-        steal: StealConfig::default(),
-        faults,
-        supervise,
-    };
-    // Last successful attempt's worker-side phase timings, per partition.
-    let worker_timings: Mutex<Vec<Option<WorkerPhaseSeconds>>> =
-        Mutex::new(vec![None; partitions.max(1)]);
-    let launch = |task: &WorkerTask| {
-        let args = CrwWorkerArgs {
-            n,
-            t,
-            depth: task.depth,
-            partition: task.partition,
-            partitions: task.partitions,
-            threads: worker_threads,
-            hot_capacity,
-            max_states,
-            symmetry,
-            export_path: task.export_path.clone(),
-            seed_path: task.seed_path.clone(),
-            frontier_path: task.frontier_path.clone(),
-            fault: task.fault,
+    let (report, timings, stats) = if request.steal.enabled {
+        explore_elastic_timed(system, config, &options, initial, proposals, launch_elastic)?
+    } else {
+        let (report, timings) =
+            explore_partitioned_timed(system, config, &options, initial, proposals, launch)?;
+        let stats = ElasticStats {
+            degraded: timings.degraded_partitions,
+            ..ElasticStats::default()
         };
-        // Spawn + poll instead of a blocking `.output()`: the
-        // supervisor's cancel token (attempt timeout, watchdog) must be
-        // able to kill a hung worker process.  Pipe drains happen after
-        // exit — worker output is a handful of lines, far below the
-        // pipe buffer.
-        let mut child = Command::new(&exe)
-            .args(args.to_args())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("spawning worker process: {e}"))?;
-        let killed = loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break false,
-                Ok(None) => {
-                    if task.cancel.is_cancelled() {
-                        let _ = child.kill();
-                        break true;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(format!("polling worker process: {e}"));
-                }
-            }
-        };
-        let output = child
-            .wait_with_output()
-            .map_err(|e| format!("collecting worker output: {e}"))?;
-        // The worker's stderr (status + warnings) stays visible.
-        eprint!("{}", String::from_utf8_lossy(&output.stderr));
-        if killed {
-            return Err("worker killed by the supervisor (timeout/cancel)".to_string());
-        }
-        if !output.status.success() {
-            return Err(format!("worker process exited with {}", output.status));
-        }
-        let timing = parse_worker_timing(&String::from_utf8_lossy(&output.stdout));
-        worker_timings.lock().expect("worker timings poisoned")[task.partition] = timing;
-        Ok(())
+        (report, timings, stats)
     };
-    let start = Instant::now();
-    let (report, timings) = explore_partitioned_timed(
-        system,
-        config,
-        &options,
-        crw_processes(&system, &proposals),
-        proposals,
-        launch,
-    )?;
     let total_seconds = start.elapsed().as_secs_f64();
-    let worker_timings = worker_timings
+    let mut worker_phases = WorkerPhaseSeconds::default();
+    for worker in worker_timings
         .into_inner()
-        .expect("worker timings poisoned");
-    let phase_max = |pick: fn(&WorkerPhaseSeconds) -> f64| {
-        worker_timings
-            .iter()
-            .flatten()
-            .map(pick)
-            .fold(0f64, f64::max)
-    };
+        .expect("worker timings poisoned")
+        .iter()
+        .flatten()
+    {
+        worker_phases.seed = worker_phases.seed.max(worker.seed);
+        worker_phases.frontier = worker_phases.frontier.max(worker.frontier);
+        worker_phases.walk = worker_phases.walk.max(worker.walk);
+        worker_phases.export = worker_phases.export.max(worker.export);
+    }
     Ok(DistRun {
         report,
         total_seconds,
         timings,
-        worker_seed_seconds: phase_max(|t| t.seed),
-        worker_frontier_seconds: phase_max(|t| t.frontier),
-        worker_walk_seconds: phase_max(|t| t.walk),
-        worker_export_seconds: phase_max(|t| t.export),
+        stats,
+        worker_phases,
     })
 }
 
@@ -883,15 +746,17 @@ mod tests {
     #[test]
     fn worker_args_roundtrip() {
         let args = CrwWorkerArgs {
-            n: 6,
-            t: 5,
+            run: CrwRunArgs {
+                n: 6,
+                t: 5,
+                threads: 4,
+                hot_capacity: Some(1024),
+                max_states: 50_000_000,
+                symmetry: Symmetry::Full,
+            },
             depth: 1,
             partition: 1,
             partitions: 2,
-            threads: 4,
-            hot_capacity: Some(1024),
-            max_states: 50_000_000,
-            symmetry: Symmetry::Full,
             export_path: PathBuf::from("/tmp/worker1.seg"),
             seed_path: Some(PathBuf::from("/tmp/seed.seg")),
             frontier_path: Some(PathBuf::from("/tmp/frontier.seg")),
@@ -899,10 +764,13 @@ mod tests {
         };
         assert_eq!(CrwWorkerArgs::parse(&args.to_args()), Some(args.clone()));
         let ram = CrwWorkerArgs {
-            hot_capacity: None,
+            run: CrwRunArgs {
+                hot_capacity: None,
+                symmetry: Symmetry::Off,
+                ..args.run.clone()
+            },
             seed_path: None,
             frontier_path: None,
-            symmetry: Symmetry::Off,
             ..args.clone()
         };
         assert_eq!(CrwWorkerArgs::parse(&ram.to_args()), Some(ram));
@@ -933,7 +801,10 @@ mod tests {
         // two-word partial+value token.
         for mode in [Symmetry::Partial, Symmetry::PartialValue] {
             let deep = CrwWorkerArgs {
-                symmetry: mode,
+                run: CrwRunArgs {
+                    symmetry: mode,
+                    ..args.run.clone()
+                },
                 ..args.clone()
             };
             assert_eq!(CrwWorkerArgs::parse(&deep.to_args()), Some(deep.clone()));
@@ -976,15 +847,17 @@ mod tests {
         assert_eq!(maybe_run_dist_worker(&["--out".to_string()]), None);
         // A mangled worker vector parses to None rather than panicking.
         let mut broken = CrwWorkerArgs {
-            n: 4,
-            t: 2,
+            run: CrwRunArgs {
+                n: 4,
+                t: 2,
+                threads: 1,
+                hot_capacity: None,
+                max_states: 1000,
+                symmetry: Symmetry::Off,
+            },
             depth: 1,
             partition: 0,
             partitions: 2,
-            threads: 1,
-            hot_capacity: None,
-            max_states: 1000,
-            symmetry: Symmetry::Off,
             export_path: PathBuf::from("x"),
             seed_path: None,
             frontier_path: None,
@@ -998,12 +871,14 @@ mod tests {
     #[test]
     fn elastic_args_roundtrip() {
         let args = CrwElasticArgs {
-            n: 6,
-            t: 5,
-            threads: 2,
-            hot_capacity: Some(4096),
-            max_states: 50_000_000,
-            symmetry: Symmetry::Full,
+            run: CrwRunArgs {
+                n: 6,
+                t: 5,
+                threads: 2,
+                hot_capacity: Some(4096),
+                max_states: 50_000_000,
+                symmetry: Symmetry::Full,
+            },
             worker: 7,
             yield_every: 2048,
             frontier_path: PathBuf::from("/tmp/f7.seg"),
@@ -1026,15 +901,21 @@ mod tests {
         assert_eq!(CrwElasticArgs::parse(&faulty.to_args()), Some(faulty));
         for mode in [Symmetry::Partial, Symmetry::PartialValue] {
             let deep = CrwElasticArgs {
-                symmetry: mode,
+                run: CrwRunArgs {
+                    symmetry: mode,
+                    ..args.run.clone()
+                },
                 ..args.clone()
             };
             assert_eq!(CrwElasticArgs::parse(&deep.to_args()), Some(deep.clone()));
         }
         let unseeded = CrwElasticArgs {
-            hot_capacity: None,
+            run: CrwRunArgs {
+                hot_capacity: None,
+                symmetry: Symmetry::Off,
+                ..args.run.clone()
+            },
             seed_paths: Vec::new(),
-            symmetry: Symmetry::Off,
             ..args
         };
         assert_eq!(CrwElasticArgs::parse(&unseeded.to_args()), Some(unseeded));

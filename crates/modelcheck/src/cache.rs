@@ -51,7 +51,7 @@ use std::hash::Hash;
 use std::path::{Path, PathBuf};
 
 use twostep_model::SystemConfig;
-use twostep_sim::ModelKind;
+use twostep_sim::{EnvKnob, ModelKind};
 
 use crate::explorer::{CheckableProtocol, ExploreConfig, RoundBound, SpecMode};
 use crate::memo::ShardedMemo;
@@ -571,39 +571,22 @@ impl CacheSession {
 // Environment resolution (TWOSTEP_CACHE_DIR)
 // ---------------------------------------------------------------------------
 
-/// Pure resolution of a `TWOSTEP_CACHE_DIR` value: the cache root plus
-/// an optional warning describing a loud fallback — the same policy as
-/// `TWOSTEP_THREADS` (`twostep_sim::default_threads`): a set-but-useless
-/// value is never silently honored *or* silently dropped.
-pub(crate) fn resolve_cache_dir(raw: Option<&str>) -> (Option<PathBuf>, Option<String>) {
-    let raw = match raw {
-        None => return (None, None),
-        Some(raw) => raw,
-    };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return (
-            None,
-            Some("TWOSTEP_CACHE_DIR is set but empty; persistent cache disabled".to_string()),
-        );
-    }
-    (Some(PathBuf::from(trimmed)), None)
-}
+/// `TWOSTEP_CACHE_DIR`: the cache root; unset is no cache, and a
+/// set-but-empty value is never silently honored *or* dropped.
+pub(crate) const CACHE_DIR: EnvKnob<PathBuf> = EnvKnob {
+    name: "TWOSTEP_CACHE_DIR",
+    fallback: "is set but empty; persistent cache disabled",
+    parse: |raw| (!raw.is_empty()).then(|| PathBuf::from(raw)),
+};
 
 /// Resolves the persistent-cache configuration from `TWOSTEP_CACHE_DIR`
 /// (ReadWrite mode — the env knob is for "keep warming this directory
-/// up" workflows).  Unset means no cache; a garbage value warns once on
+/// up" workflows).  Unset means no cache; an empty value warns once on
 /// stderr and disables the cache rather than panicking.  A path that
 /// turns out to be unusable (e.g. an existing non-directory) is caught
 /// later by the session's open/commit, which also warn-and-disable.
 pub fn cache_from_env() -> Option<CacheConfig> {
-    let raw = std::env::var("TWOSTEP_CACHE_DIR").ok();
-    let (dir, warning) = resolve_cache_dir(raw.as_deref());
-    if let Some(warning) = warning {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| eprintln!("twostep: {warning}"));
-    }
-    dir.map(CacheConfig::read_write)
+    CACHE_DIR.get().map(CacheConfig::read_write)
 }
 
 #[cfg(test)]
@@ -659,18 +642,6 @@ mod tests {
         assert!(!is_cache_segment_name("seg-0123456789abcdxx-000000.seg"));
         assert!(!is_cache_segment_name("seg-0123456789abcdef-00000.seg")); // 5 digits
         assert!(!is_cache_segment_name("archive.seg"));
-    }
-
-    #[test]
-    fn resolve_cache_dir_policy() {
-        assert_eq!(resolve_cache_dir(None), (None, None));
-        let (dir, warning) = resolve_cache_dir(Some("  /tmp/twostep-cache "));
-        assert_eq!(dir, Some(PathBuf::from("/tmp/twostep-cache")));
-        assert!(warning.is_none());
-        let (dir, warning) = resolve_cache_dir(Some("   "));
-        assert_eq!(dir, None, "empty value disables the cache");
-        let warning = warning.expect("empty value must warn, not be silently dropped");
-        assert!(warning.contains("TWOSTEP_CACHE_DIR"), "{warning}");
     }
 
     #[test]

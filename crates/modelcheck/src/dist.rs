@@ -1,31 +1,43 @@
-//! Distributed exploration: a frontier-split, multi-process pipeline over
-//! the walker core of [`crate::explorer`].
+//! Distributed exploration: the two multi-process **work phases** of the
+//! run spine in [`crate::explorer`] (open → work → finish).
 //!
 //! One machine's RAM and cores stopped being the ceiling in two earlier
 //! steps (the work-sharing parallel engine, then the disk-backed memo);
-//! this module removes the "one process" bound.  The scheme has three
-//! phases, none of which needs a network — processes rendezvous through
-//! checksummed segment files under a shared scratch directory:
+//! this module removes the "one process" bound.  A coordinator opens a
+//! run exactly as [`crate::explore_with`] does — clock, fingerprint,
+//! cache seed, checkpoint resume — fills the run's memo with summaries
+//! computed by worker processes, and finishes it exactly as
+//! `explore_with` does: the canonical root walk (here a *replay*, which
+//! finds every worker-covered subtree already memoized and computes
+//! only the region above the frontier plus whatever no worker covered),
+//! report, cache commit.  Nothing needs a network — processes
+//! rendezvous through checksummed segment files under a shared scratch
+//! directory.  What differs between the two coordinators is only how
+//! the memo gets filled:
 //!
-//! 1. **Frontier split.**  Every worker deterministically expands the
-//!    root configuration to the depth-`d` frontier (the distinct
-//!    configurations reachable in exactly `d` rounds, deduplicated by
-//!    configuration key) and keeps the subtree roots whose key hash
-//!    lands in its partition (`hash % partitions == partition`).  The
-//!    key hash is the memo's own cached hash, computed by a keyless
-//!    hasher — identical in every process running the same build — so
-//!    the workers partition the frontier consistently *without talking
-//!    to each other*.
-//! 2. **Partition walks.**  Each worker runs the ordinary work-sharing
-//!    engine ([`crate::explorer::walk_roots`]) over its subtree roots —
-//!    any thread count, any memo tiering — and exports its entire memo
-//!    (full keys *and* summaries) as one sealed interchange segment via
-//!    [`crate::memo::ShardedMemo::export_to`].
-//! 3. **Merge and replay.**  The coordinator imports every worker's
-//!    segment into a fresh memo and replays the canonical root walk over
-//!    it.  The replay finds every frontier subtree already memoized, so
-//!    it only computes the (tiny) region above the frontier plus
-//!    anything a worker did not cover.
+//! * **partitioned** ([`explore_partitioned_timed`]) — the coordinator
+//!   expands the root to the depth-`d` frontier (the distinct
+//!   configurations reachable in exactly `d` rounds, deduplicated by
+//!   configuration key) once, ships it as a sealed frontier segment,
+//!   and launches one supervised worker per partition; a worker owns
+//!   the subtree roots whose key hash lands in its partition
+//!   (`hash % partitions == partition` — the memo's own stable hash,
+//!   identical in every process running the same build);
+//! * **elastic** ([`explore_elastic_timed`]) — the coordinator walks the
+//!   root locally first and offloads only once the run outlives its
+//!   [`StealConfig`]; a scheduler then re-balances by preempting loaded
+//!   workers and re-splitting the frontiers they hand back.  The two
+//!   schedulers stay separate on measurement: at CRW (8,7) the elastic
+//!   one takes 2.69–4.07 s where the partitioned one takes 1.99–2.58 s
+//!   (`benchmark/results/trace-seed0.jsonl`, `dist.elastic_s` against
+//!   `dist.inproc_s`), so "partitioned = elastic with stealing off"
+//!   would be a regression.
+//!
+//! Both kinds of worker ([`run_worker`], [`run_worker_elastic`]) are one
+//! body: import the seed segments, rebuild subtree roots from the
+//! frontier segment, walk them with the ordinary walker core — any
+//! thread count, any memo tiering — and export the fresh memo delta
+//! (full keys *and* summaries) as one sealed interchange segment.
 //!
 //! ## Determinism
 //!
@@ -85,25 +97,24 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use twostep_model::SystemConfig;
 use twostep_sim::{
-    panic_message, run_tasks_supervised, CancelToken, RetryPolicy, Stepper, SupervisedAttempt,
-    TraceLevel,
+    panic_message, run_tasks_supervised, CancelToken, EnvKnob, RetryPolicy, Stepper,
+    SupervisedAttempt, TraceLevel,
 };
 
-use crate::faults::{self, FaultPlan, WorkerFault, WorkerPhase};
-
-use crate::cache::{CacheConfig, CacheSession};
-use crate::checkpoint::{self, CheckpointLoad};
+use crate::cache::CacheConfig;
 use crate::explorer::{
-    build_report, drive_elastic, suspend_to_checkpoint, walk_roots, BudgetKind, CheckableProtocol,
-    ElasticOutcome, ElasticVerdict, ExploreConfig, ExploreError, ExploreOptions, ExploreReport,
-    Interrupt, PathedRoot, Shared, WalkBudget, WalkOutcome, Walker,
+    drive_elastic, walk_roots, CheckableProtocol, ElasticOutcome, ElasticPulse, ElasticVerdict,
+    ExploreConfig, ExploreError, ExploreOptions, ExploreReport, Interrupt, PathedRoot, Run, Shared,
+    WalkBudget, WalkOutcome, Walker,
 };
+use crate::faults::{self, FaultPlan, WorkerFault, WorkerPhase};
+use crate::memo::key_validator;
 use crate::spill::{read_frontier_segment, write_frontier_segment, SpillCodec, SpillDir};
 
 /// How a partitioned exploration is split and merged.
@@ -125,12 +136,11 @@ pub struct DistOptions {
     /// system temp dir when `None`.  A unique subdirectory is created
     /// per run and removed when the coordinator finishes.
     pub scratch_dir: Option<PathBuf>,
-    /// Engine options for the coordinator's merge replay (and the
-    /// in-process workers of [`explore_partitioned_in_process`]).  The
-    /// replay's own [`ExploreOptions::cache`] field is ignored — the
-    /// partitioned engine's cache is configured by
-    /// [`DistOptions::cache`], which also seeds the workers.  The
-    /// replay's [`ExploreOptions::budget`] and
+    /// Engine options the coordinator's run is opened and finished with
+    /// (the finish is the merge replay).  Its own
+    /// [`ExploreOptions::cache`] field is ignored — a distributed run's
+    /// cache is configured by [`DistOptions::cache`], which also seeds
+    /// the workers.  Its [`ExploreOptions::budget`] and
     /// [`ExploreOptions::checkpoint`] *are* honored and govern the whole
     /// pipeline: the deadline clock starts at coordinator entry and is
     /// checked both at the worker/replay phase boundary and per replay
@@ -148,7 +158,8 @@ pub struct DistOptions {
     /// merge traffic from repeated runs.
     pub cache: Option<CacheConfig>,
     /// Work-stealing policy for the elastic engine
-    /// ([`explore_elastic`]); ignored by [`explore_partitioned`].
+    /// ([`explore_elastic_timed`]); ignored by
+    /// [`explore_partitioned_timed`].
     pub steal: StealConfig,
     /// Deterministic fault injection ([`crate::faults`]): which worker
     /// launches misbehave and how.  Empty by default — production runs
@@ -231,43 +242,37 @@ impl SuperviseConfig {
     }
 }
 
+/// `TWOSTEP_WATCHDOG_MS`: the pulse-liveness deadline in milliseconds
+/// (`0` disables it).
+pub(crate) const WATCHDOG_MS: EnvKnob<u64> = EnvKnob {
+    name: "TWOSTEP_WATCHDOG_MS",
+    fallback: "is not a millisecond count; keeping the default",
+    parse: |raw| raw.parse().ok(),
+};
+
+/// `TWOSTEP_BACKOFF_MS`: the base retry backoff in milliseconds.
+pub(crate) const BACKOFF_MS: EnvKnob<u64> = EnvKnob {
+    name: "TWOSTEP_BACKOFF_MS",
+    fallback: "is not a millisecond count; keeping the default",
+    parse: |raw| raw.parse().ok(),
+};
+
 /// Resolves supervision overrides from the environment:
 /// `TWOSTEP_WATCHDOG_MS` (pulse-liveness deadline, `0` disables) and
 /// `TWOSTEP_BACKOFF_MS` (base retry backoff).  Garbage warns once per
-/// process and leaves the default in place — never silently honored,
-/// per the `TWOSTEP_THREADS` idiom.
+/// process and leaves the default in place — never silently honored.
 pub fn supervise_from_env() -> SuperviseConfig {
     let mut config = SuperviseConfig::default();
-    let mut warnings: Vec<String> = Vec::new();
-    for (name, slot) in [
-        ("TWOSTEP_WATCHDOG_MS", 0usize),
-        ("TWOSTEP_BACKOFF_MS", 1usize),
-    ] {
-        let Ok(raw) = std::env::var(name) else {
-            continue;
-        };
-        match raw.trim().parse::<u64>() {
-            Ok(ms) if slot == 0 => {
-                config.watchdog = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            Ok(ms) => config.backoff = Duration::from_millis(ms),
-            Err(_) => warnings.push(format!(
-                "{name}={raw:?} is not a millisecond count; keeping the default"
-            )),
-        }
+    if let Some(ms) = WATCHDOG_MS.get() {
+        config.watchdog = (ms > 0).then(|| Duration::from_millis(ms));
     }
-    if !warnings.is_empty() {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(move || {
-            for warning in warnings {
-                eprintln!("twostep: {warning}");
-            }
-        });
+    if let Some(ms) = BACKOFF_MS.get() {
+        config.backoff = Duration::from_millis(ms);
     }
     config
 }
 
-/// Work-stealing policy for [`explore_elastic`]: when the coordinator
+/// Work-stealing policy for [`explore_elastic_timed`]: when the coordinator
 /// provisions workers, and when it preempts a loaded one to re-balance.
 ///
 /// The defaults are deliberately lazy: a run that finishes within
@@ -277,7 +282,7 @@ pub fn supervise_from_env() -> SuperviseConfig {
 /// worker spawn.  Distribution is an *escalation*, not a default.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StealConfig {
-    /// Master switch; `false` means [`explore_elastic`] runs the whole
+    /// Master switch; `false` means [`explore_elastic_timed`] runs the whole
     /// walk locally (observing pulses, never offloading).
     pub enabled: bool,
     /// Minimum harvestable frontier (unexplored subtree roots) before
@@ -314,27 +319,22 @@ impl StealConfig {
     }
 }
 
-/// Resolves the `TWOSTEP_STEAL` env toggle: `Some(true)` for
-/// `1`/`true`/`on`, `Some(false)` for `0`/`false`/`off`, `None` when
-/// unset.  Garbage warns once per process and resolves to `None` —
-/// never silently dropped (the same policy as `TWOSTEP_THREADS`): the
-/// user would otherwise believe stealing is on when it is not.
-pub fn steal_from_env() -> Option<bool> {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let raw = std::env::var("TWOSTEP_STEAL").ok()?;
-    match raw.trim().to_ascii_lowercase().as_str() {
+/// `TWOSTEP_STEAL`: `1`/`true`/`on` or `0`/`false`/`off`.
+pub(crate) const STEAL: EnvKnob<bool> = EnvKnob {
+    name: "TWOSTEP_STEAL",
+    fallback: "is not a toggle (1/0/true/false/on/off); work stealing stays off",
+    parse: |raw| match raw.to_ascii_lowercase().as_str() {
         "1" | "true" | "on" => Some(true),
         "0" | "false" | "off" => Some(false),
-        _ => {
-            WARNED.call_once(|| {
-                eprintln!(
-                    "TWOSTEP_STEAL={raw:?} is not a toggle (1/0/true/false/on/off); \
-                     work stealing stays off"
-                );
-            });
-            None
-        }
-    }
+        _ => None,
+    },
+};
+
+/// Resolves the `TWOSTEP_STEAL` env toggle; `None` when unset, and —
+/// loudly, once — when set to anything that is not a toggle: the user
+/// would otherwise believe stealing is on when it is not.
+pub fn steal_from_env() -> Option<bool> {
+    STEAL.get()
 }
 
 /// One worker's assignment: which frontier partition to explore and
@@ -345,7 +345,9 @@ pub struct WorkerTask {
     pub partition: usize,
     /// Total partition count.
     pub partitions: usize,
-    /// Frontier depth (must match the coordinator's).
+    /// Frontier depth the coordinator expanded to (informational: the
+    /// worker reads the frontier from
+    /// [`frontier_path`](Self::frontier_path)).
     pub depth: u32,
     /// Where the worker writes its sealed interchange segment — a
     /// **delta**: only the entries it computed beyond the seed.
@@ -354,12 +356,11 @@ pub struct WorkerTask {
     /// image) the worker imports before walking; subtrees answered by it
     /// are skipped, not re-explored, and excluded from the export.
     pub seed_path: Option<PathBuf>,
-    /// Optional sealed frontier segment written by the coordinator
-    /// (`(hash, path)` records for the *whole* depth-`d` frontier).
-    /// When present the worker imports its slice instead of re-expanding
-    /// the frontier from scratch — the expansion then happens once per
-    /// run instead of once per worker.  `None` preserves the legacy
-    /// re-expansion (any coordinator/worker version mix keeps working).
+    /// The sealed frontier segment written by the coordinator (`(hash,
+    /// path)` records for the *whole* depth-`d` frontier), from which
+    /// the worker rebuilds its slice — the expansion happens once per
+    /// run, not once per worker.  Every coordinator ships one; a worker
+    /// handed `None` fails loudly.
     pub frontier_path: Option<PathBuf>,
     /// Which launch of this partition this is (0-based); the fault
     /// harness keys injected misbehavior by `(partition, attempt)`.
@@ -389,7 +390,8 @@ pub struct WorkerReport {
     pub exported: u64,
     /// Seconds spent importing the seed segment.
     pub seed_seconds: f64,
-    /// Seconds spent deterministically expanding the depth-`d` frontier.
+    /// Seconds spent rebuilding its subtree roots from the frontier
+    /// segment.
     pub frontier_seconds: f64,
     /// Seconds spent walking the owned subtrees.
     pub walk_seconds: f64,
@@ -540,13 +542,153 @@ where
     Ok(())
 }
 
-/// Runs one partition worker to completion: expands the frontier,
-/// explores the owned subtrees with the given engine, and exports the
-/// memo as a sealed interchange segment at `task.export_path`.
+/// Walks `roots` to completion with `threads` walkers and no budget:
+/// workers and degraded local walks never suspend — budgets belong to the
+/// run's [`finish`](Run::finish), which owns the deadline clock and the
+/// checkpoint.
+fn walk_unbounded<P>(
+    shared: &Shared<'_, P>,
+    threads: usize,
+    roots: Vec<PathedRoot<P>>,
+) -> Result<(), ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let roots = roots.into_iter().map(|r| r.stepper).collect();
+    let unlimited = WalkBudget::unlimited();
+    match walk_roots(shared, threads, roots, &unlimited, Instant::now(), None)? {
+        WalkOutcome::Done(_) => Ok(()),
+        WalkOutcome::Suspended { .. } => unreachable!("an unbounded walk never suspends"),
+    }
+}
+
+/// Walks `roots` alone through the elastic driver, asking `observe` every
+/// `yield_every` steps whether to go on.  `None` when every root is
+/// memoized; otherwise the frontier a preemption left unexplored.
+fn walk_elastic<P>(
+    shared: &Shared<'_, P>,
+    roots: Vec<PathedRoot<P>>,
+    yield_every: u64,
+    observe: impl FnMut(&ElasticPulse) -> ElasticVerdict,
+) -> Result<Option<Vec<FrontierRecord>>, ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let mut walker = Walker::new(shared);
+    match drive_elastic(&mut walker, roots, yield_every.max(1), observe) {
+        Ok(ElasticOutcome::Done) => Ok(None),
+        Ok(ElasticOutcome::Preempted { frontier }) => Ok(Some(frontier)),
+        Err(Interrupt::Failed(e)) => Err(e),
+        Err(Interrupt::Stopped) => unreachable!("an elastic walk has no peers to stop it"),
+    }
+}
+
+/// What a worker launch is handed, whichever coordinator launched it.
+struct WorkerJob<'t> {
+    /// Memo segments imported as seed, in order, before walking.
+    seeds: &'t [PathBuf],
+    /// The sealed frontier segment to rebuild subtree roots from.
+    frontier: &'t Path,
+    /// `Some((partition, partitions))` keeps only the records hashing
+    /// into that partition; `None` means the whole segment is this
+    /// worker's.
+    slice: Option<(usize, usize)>,
+    /// Where the fresh memo delta goes.
+    export: &'t Path,
+    fault: Option<WorkerFault>,
+    cancel: &'t CancelToken,
+}
+
+/// The one worker body: seed import → frontier-segment rebuild → `walk`
+/// → delta export, with the fault hooks of [`crate::faults`] at each
+/// phase boundary.  `walk` explores the rebuilt roots and returns the
+/// frontier it was preempted off, if any, with the path to write it to;
+/// the flag in the result says whether it did.
+fn worker_body<'t, P>(
+    system: SystemConfig,
+    config: ExploreConfig,
+    engine: &ExploreOptions,
+    initial: Vec<P>,
+    proposals: &[P::Output],
+    job: WorkerJob<'t>,
+    walk: impl FnOnce(
+        &Shared<'_, P>,
+        Vec<PathedRoot<P>>,
+    ) -> Result<Option<(&'t Path, Vec<FrontierRecord>)>, ExploreError>,
+) -> Result<(WorkerReport, bool), ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let root = Stepper::new(system, config.model, TraceLevel::Off, initial.clone())
+        .map_err(ExploreError::Engine)?;
+    let shared = Shared::new(system, config, engine, proposals, initial)?;
+    let seed_start = Instant::now();
+    faults::at_phase(job.fault, WorkerPhase::Seed, job.cancel)?;
+    let mut seeded = 0;
+    for seed in job.seeds {
+        // A worker's seeds come from its own coordinator over a process
+        // boundary it shares a disk with; a damaged seed means the run
+        // is broken, so fail (and let the coordinator retry) rather than
+        // silently exploring cold and re-exporting the whole space.
+        seeded += shared.memo.import_seed_from(seed, key_validator::<P>())?;
+    }
+    let seed_seconds = seed_start.elapsed().as_secs_f64();
+    let frontier_start = Instant::now();
+    faults::at_phase(job.fault, WorkerPhase::Frontier, job.cancel)?;
+    let mut records = read_frontier_segment(job.frontier)?;
+    let frontier = records.len();
+    if let Some((partition, partitions)) = job.slice {
+        records.retain(|(hash, _)| (hash % partitions as u64) as usize == partition);
+    }
+    let roots = reconstruct_paths(&mut Walker::new(&shared), &root, records)?;
+    let owned = roots.len();
+    let frontier_seconds = frontier_start.elapsed().as_secs_f64();
+    let walk_start = Instant::now();
+    faults::at_phase(job.fault, WorkerPhase::Walk, job.cancel)?;
+    let handoff = walk(&shared, roots)?;
+    let walk_seconds = walk_start.elapsed().as_secs_f64();
+    let export_start = Instant::now();
+    faults::at_phase(job.fault, WorkerPhase::Export, job.cancel)?;
+    if let Some((preempt_path, remaining)) = &handoff {
+        // Frontier first: if the process dies between the two writes the
+        // coordinator sees a valid preempt segment but an unsealed
+        // export, fails validation, and retries — never the reverse (an
+        // export without its frontier would silently drop the
+        // unexplored subtrees until the replay recomputed them
+        // serially).
+        write_frontier_segment(preempt_path, remaining)?;
+    }
+    let exported = shared.memo.export_delta(job.export)?;
+    // Post-export damage (corrupt/truncate): the worker then *claims*
+    // success, and the coordinator's validation must catch it.
+    faults::mangle_export(job.fault, job.export)?;
+    let report = WorkerReport {
+        frontier,
+        owned,
+        distinct_states: shared.memo.len(),
+        seeded,
+        exported,
+        seed_seconds,
+        frontier_seconds,
+        walk_seconds,
+        export_seconds: export_start.elapsed().as_secs_f64(),
+    };
+    Ok((report, handoff.is_some()))
+}
+
+/// Runs one partition worker to completion: imports its seed, rebuilds
+/// its slice of the coordinator's frontier segment, explores the owned
+/// subtrees with the given engine, and exports the memo delta as a
+/// sealed interchange segment at `task.export_path`.
 ///
 /// Callable in-process (the differential suite does) or as the body of a
 /// worker OS process (`twostep-dist --dist-worker`); either way the
-/// exported segment is identical.
+/// exported segment is identical.  A task without a
+/// [`frontier_path`](WorkerTask::frontier_path) is an error: every
+/// coordinator ships one.
 pub fn run_worker<P>(
     system: SystemConfig,
     config: ExploreConfig,
@@ -566,125 +708,30 @@ where
         task.partition,
         task.partitions
     );
-    let root = Stepper::new(system, config.model, TraceLevel::Off, initial.clone())
-        .map_err(ExploreError::Engine)?;
-    let shared = Shared::new(system, config, &engine, &proposals, initial)?;
-    let seed_start = Instant::now();
-    faults::at_phase(task.fault, WorkerPhase::Seed, &task.cancel)?;
-    let seeded = match &task.seed_path {
-        // A worker's seed comes from its own coordinator over a process
-        // boundary it shares a disk with; a damaged seed means the run
-        // is broken, so fail (and let the coordinator retry) rather than
-        // silently exploring cold and re-exporting the whole space.
-        Some(seed) => shared
-            .memo
-            .import_seed_from(seed, crate::memo::key_validator::<P>())?,
-        None => 0,
+    let Some(frontier) = &task.frontier_path else {
+        return Err(ExploreError::Worker {
+            partition: task.partition,
+            detail: "the task names no frontier segment to rebuild its subtree roots from"
+                .to_string(),
+        });
     };
-    let seed_seconds = seed_start.elapsed().as_secs_f64();
-    let frontier_start = Instant::now();
-    faults::at_phase(task.fault, WorkerPhase::Frontier, &task.cancel)?;
-    let (frontier_len, owned): (usize, Vec<Stepper<P>>) = {
-        let mut walker = Walker::new(&shared);
-        match &task.frontier_path {
-            // The coordinator already expanded the frontier; import the
-            // records and rebuild only this partition's slice.
-            Some(path) => {
-                let records = read_frontier_segment(path)?;
-                let total = records.len();
-                let mine: Vec<(u64, Vec<u32>)> = records
-                    .into_iter()
-                    .filter(|(hash, _)| (hash % task.partitions as u64) as usize == task.partition)
-                    .collect();
-                let owned = reconstruct_paths(&mut walker, &root, mine)?
-                    .into_iter()
-                    .map(|r| r.stepper)
-                    .collect();
-                (total, owned)
-            }
-            // Legacy: re-expand the whole frontier in-process.
-            None => {
-                let frontier = expand_frontier(&mut walker, root, task.depth)?;
-                let total = frontier.len();
-                let owned = frontier
-                    .into_iter()
-                    .filter(|r| (r.hash % task.partitions as u64) as usize == task.partition)
-                    .map(|r| r.stepper)
-                    .collect();
-                (total, owned)
-            }
-        }
+    let job = WorkerJob {
+        seeds: task.seed_path.as_slice(),
+        frontier,
+        slice: Some((task.partition, task.partitions)),
+        export: &task.export_path,
+        fault: task.fault,
+        cancel: &task.cancel,
     };
-    let frontier_seconds = frontier_start.elapsed().as_secs_f64();
-    let owned_len = owned.len();
-    let walk_start = Instant::now();
-    faults::at_phase(task.fault, WorkerPhase::Walk, &task.cancel)?;
-    // Workers walk unbounded: per-walk budgets belong to the
-    // coordinator, which owns the deadline clock and the checkpoint.
-    match walk_roots(
-        &shared,
-        engine.threads,
-        owned,
-        &WalkBudget::unlimited(),
-        walk_start,
-        None,
-    )? {
-        WalkOutcome::Done(_) => {}
-        WalkOutcome::Suspended { .. } => unreachable!("an unbounded walk never suspends"),
-    }
-    let walk_seconds = walk_start.elapsed().as_secs_f64();
-    let export_start = Instant::now();
-    faults::at_phase(task.fault, WorkerPhase::Export, &task.cancel)?;
-    let exported = shared.memo.export_delta(&task.export_path)?;
-    // Post-export damage (corrupt/truncate): the worker then *claims*
-    // success, and the coordinator's validation must catch it.
-    faults::mangle_export(task.fault, &task.export_path)?;
-    Ok(WorkerReport {
-        frontier: frontier_len,
-        owned: owned_len,
-        distinct_states: shared.memo.len(),
-        seeded,
-        exported,
-        seed_seconds,
-        frontier_seconds,
-        walk_seconds,
-        export_seconds: export_start.elapsed().as_secs_f64(),
-    })
+    let walk = |shared: &Shared<'_, P>, roots| {
+        walk_unbounded(shared, engine.threads, roots).map(|()| None)
+    };
+    worker_body(system, config, &engine, initial, &proposals, job, walk).map(|(report, _)| report)
 }
 
-/// Explores `initial` by frontier partitioning: launches one worker per
-/// partition via `launch`, validates and retries failed workers, merges
-/// every exported segment into a pre-seeded memo, and replays the
-/// canonical root walk over it.
-///
-/// The report is bit-identical to [`crate::explore_with`] at any
-/// partition count, any worker engine, and any worker crash/retry
-/// history (module docs give the argument).  `launch` runs one worker to
-/// completion — typically by spawning an OS process with the task's
-/// parameters and waiting for it — and returns a human-readable error if
-/// the worker could not run; the coordinator additionally validates the
-/// export file itself, so a worker that *claims* success with a damaged
-/// or unsealed export is also retried.
-pub fn explore_partitioned<P, L>(
-    system: SystemConfig,
-    config: ExploreConfig,
-    options: &DistOptions,
-    initial: Vec<P>,
-    proposals: Vec<P::Output>,
-    launch: L,
-) -> Result<ExploreReport<P::Output>, ExploreError>
-where
-    P: CheckableProtocol,
-    P::Output: Hash + SpillCodec,
-    L: Fn(&WorkerTask) -> Result<(), String> + Sync,
-{
-    explore_partitioned_timed(system, config, options, initial, proposals, launch)
-        .map(|(report, _)| report)
-}
-
-/// Per-phase wall-clock breakdown of one partitioned exploration, so
+/// Per-phase wall-clock breakdown of one distributed exploration, so
 /// coordinator overhead is attributable instead of one opaque number.
-/// Worker-internal phases (frontier expand, subtree walk, delta export)
+/// Worker-internal phases (frontier rebuild, subtree walk, delta export)
 /// are reported per worker in [`WorkerReport`]; these are the
 /// coordinator-side phases.
 #[derive(Clone, Copy, Debug, Default)]
@@ -716,8 +763,53 @@ pub struct DistTimings {
     pub degraded_seconds: f64,
 }
 
-/// [`explore_partitioned`], additionally returning the coordinator's
+/// Walks `(hash, path)` records in the coordinator itself — the degraded
+/// fallback for a slice whose worker exhausted every retry.  Sound for
+/// the same reason under-coverage is: whatever the failed launches did
+/// or didn't export, these subtrees end up memoized exactly once, here.
+fn walk_locally<P>(
+    run: &Run<'_, P>,
+    threads: usize,
+    records: Vec<FrontierRecord>,
+) -> Result<(), ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let roots = reconstruct_paths(&mut Walker::new(&run.shared), &run.root, records)?;
+    walk_unbounded(&run.shared, threads, roots)
+}
+
+/// Finishes a coordinator's run ([`Run::finish`]: replay, report,
+/// commit), filing the two phases it times under `timings`.
+fn finish_timed<P>(
+    run: Run<'_, P>,
+    mut timings: DistTimings,
+) -> Result<(ExploreReport<P::Output>, DistTimings), ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let (report, replay_seconds, report_seconds) = run.finish()?;
+    timings.replay_seconds = replay_seconds;
+    timings.report_seconds = report_seconds;
+    Ok((report, timings))
+}
+
+/// Explores `initial` by frontier partitioning: launches one worker per
+/// partition via `launch`, validates and retries failed workers, merges
+/// every exported segment into a pre-seeded memo, and replays the
+/// canonical root walk over it.  Also returns the coordinator's
 /// per-phase [`DistTimings`].
+///
+/// The report is bit-identical to [`crate::explore_with`] at any
+/// partition count, any worker engine, and any worker crash/retry
+/// history (module docs give the argument).  `launch` runs one worker to
+/// completion — typically by spawning an OS process with the task's
+/// parameters and waiting for it — and returns a human-readable error if
+/// the worker could not run; the coordinator additionally validates the
+/// export file itself, so a worker that *claims* success with a damaged
+/// or unsealed export is also retried.
 pub fn explore_partitioned_timed<P, L>(
     system: SystemConfig,
     config: ExploreConfig,
@@ -731,43 +823,28 @@ where
     P::Output: Hash + SpillCodec,
     L: Fn(&WorkerTask) -> Result<(), String> + Sync,
 {
-    // The deadline clock covers the whole pipeline — seed, workers,
-    // merge, replay — not just the replay walk.
-    let started = Instant::now();
     let partitions = options.partitions.max(1);
-    // An `io=` clause in the fault plan arms the coordinator-process IO
-    // shim for the run's duration (worker OS processes have their own
-    // address space and are untouched — their faults ride the task).
-    let _io_fault = options.faults.io.map(crate::faults::install_io_fault);
-    let fingerprint = crate::cache::run_fingerprint(system, &config, &initial, &proposals);
-    let mut session = CacheSession::open(options.cache.clone(), fingerprint);
+    // An `io=` clause in the fault plan arms the IO shim over this
+    // (the coordinator) thread's writes for the run's duration; workers
+    // are untouched — their faults ride the task.
+    let _io_fault = options.faults.io.map(faults::install_io_fault);
     // The scratch dir is owned by this function: whichever way it exits
     // — success, worker-retry exhaustion, validation failure, engine
     // error, even unwind — `scratch` drops and the directory is removed
     // recursively (`SpillDir`); only the caller-provided root outlives
     // the run.
     let scratch = SpillDir::create(options.scratch_dir.as_deref())?;
-
-    let root = Stepper::new(system, config.model, TraceLevel::Off, initial.clone())
-        .map_err(ExploreError::Engine)?;
-    let mut shared = Shared::new(system, config, &options.replay, &proposals, initial)?;
     let mut timings = DistTimings::default();
 
     let seed_start = Instant::now();
-    let resumed = seed_coordinator(
-        system,
-        config,
-        options,
-        &proposals,
-        &mut shared,
-        &mut session,
-        fingerprint,
-    )?;
+    let cache = options.cache.clone();
+    let run = Run::open(system, config, &options.replay, cache, &proposals, initial)?;
+    let shared = &run.shared;
     let seed_path = if shared.memo.len() == 0 {
         None
     } else {
-        let mut segments = session.segments();
-        if resumed == 0 && segments.len() == 1 {
+        let mut segments = run.cache_segments();
+        if run.resumed == 0 && segments.len() == 1 {
             // The common warm case: one sealed image the coordinator
             // just imported end to end.  Hand workers that very file
             // (they only read it) instead of re-compressing and
@@ -782,50 +859,36 @@ where
         }
     };
     timings.seed_seconds = seed_start.elapsed().as_secs_f64();
-    // Fresh-progress baseline for the phase-boundary deadline check:
-    // suspending with nothing new memoized would make resume a no-op.
-    let session_baseline = shared.memo.len();
 
     // Expand the depth-`d` frontier once, here, and ship it to every
-    // worker as a sealed frontier segment — the per-worker re-expansion
-    // used to be the second-largest slice of worker wall time.
+    // worker as a sealed frontier segment.  The records stay alive past
+    // the worker phase: if a partition exhausts its retry budget, the
+    // coordinator rebuilds that slice from them and walks it locally.
     let frontier_start = Instant::now();
-    let frontier_records: Vec<(u64, Vec<u32>)> = {
-        let mut walker = Walker::new(&shared);
-        expand_frontier(&mut walker, root.clone(), options.depth)?
+    let frontier_records: Vec<FrontierRecord> =
+        expand_frontier(&mut Walker::new(shared), run.root.clone(), options.depth)?
             .into_iter()
             .map(|r| (r.hash, r.path))
-            .collect()
-    };
+            .collect();
     let frontier_path = scratch.path().join("frontier.seg");
     write_frontier_segment(&frontier_path, &frontier_records)?;
-    // `frontier_records` stays alive past the worker phase: if a
-    // partition exhausts its retry budget, the coordinator rebuilds that
-    // slice from these records and walks it locally (degraded mode).
     timings.frontier_seconds = frontier_start.elapsed().as_secs_f64();
-
-    let tasks: Vec<WorkerTask> = (0..partitions)
-        .map(|partition| WorkerTask {
-            partition,
-            partitions,
-            depth: options.depth,
-            export_path: scratch.path().join(format!("worker{partition}.seg")),
-            seed_path: seed_path.clone(),
-            frontier_path: Some(frontier_path.clone()),
-            attempt: 0,
-            fault: None,
-            cancel: CancelToken::new(),
-        })
-        .collect();
 
     let merge_seconds = Mutex::new(0f64);
     let workers_start = Instant::now();
     let policy = options.supervise.policy(options.attempts);
     let outcomes = run_tasks_supervised(partitions, &policy, |ctx: &SupervisedAttempt| {
-        let mut task = tasks[ctx.index].clone();
-        task.attempt = ctx.attempt;
-        task.fault = options.faults.for_worker(ctx.index as u64, ctx.attempt);
-        task.cancel = ctx.cancel.clone();
+        let task = WorkerTask {
+            partition: ctx.index,
+            partitions,
+            depth: options.depth,
+            export_path: scratch.path().join(format!("worker{}.seg", ctx.index)),
+            seed_path: seed_path.clone(),
+            frontier_path: Some(frontier_path.clone()),
+            attempt: ctx.attempt,
+            fault: options.faults.for_worker(ctx.index as u64, ctx.attempt),
+            cancel: ctx.cancel.clone(),
+        };
         launch(&task)?;
         // Trust nothing a process boundary crossed: the import scans
         // header, every record's CRC, and the sealed record count —
@@ -839,7 +902,7 @@ where
         let merge_start = Instant::now();
         let result = shared
             .memo
-            .import_from(&task.export_path, crate::memo::key_validator::<P>())
+            .import_from(&task.export_path, key_validator::<P>())
             .map(|_| ())
             .map_err(|e| e.to_string());
         *merge_seconds.lock().expect("merge timing poisoned") +=
@@ -848,217 +911,41 @@ where
     });
     timings.workers_wall_seconds = workers_start.elapsed().as_secs_f64();
     timings.merge_seconds = merge_seconds.into_inner().expect("merge timing poisoned");
-    let mut orphaned: Vec<(usize, String)> = Vec::new();
+    let degraded_start = Instant::now();
     for (partition, outcome) in outcomes.into_iter().enumerate() {
-        if let Err(err) = outcome {
-            let detail = err.to_string();
-            if options.supervise.degrade {
-                orphaned.push((partition, detail));
-            } else {
-                return Err(ExploreError::Worker { partition, detail });
-            }
+        let Err(err) = outcome else { continue };
+        let detail = err.to_string();
+        if !options.supervise.degrade {
+            return Err(ExploreError::Worker { partition, detail });
         }
-    }
-    if !orphaned.is_empty() {
         // Graceful degradation: under-coverage is safe (module docs), so
         // an orphaned partition is walked right here — slower than a
         // worker, but the run completes with the exact report instead of
         // dying after every retry already failed.
-        let degraded_start = Instant::now();
-        for (partition, detail) in &orphaned {
-            eprintln!(
-                "twostep: partition {partition} exhausted its {} launch attempt(s) \
-                 ({detail}); walking it locally in degraded mode",
-                policy.attempts
-            );
-            let mine: Vec<FrontierRecord> = frontier_records
-                .iter()
-                .filter(|(hash, _)| (hash % partitions as u64) as usize == *partition)
-                .cloned()
-                .collect();
-            let roots: Vec<Stepper<P>> = {
-                let mut walker = Walker::new(&shared);
-                reconstruct_paths(&mut walker, &root, mine)?
-                    .into_iter()
-                    .map(|r| r.stepper)
-                    .collect()
-            };
-            match walk_roots(
-                &shared,
-                options.replay.threads,
-                roots,
-                &WalkBudget::unlimited(),
-                started,
-                None,
-            )? {
-                WalkOutcome::Done(_) => {}
-                WalkOutcome::Suspended { .. } => unreachable!("an unbounded walk never suspends"),
-            }
-        }
-        timings.degraded_partitions = orphaned.len();
+        eprintln!(
+            "twostep: partition {partition} exhausted its {} launch attempt(s) \
+             ({detail}); walking it locally in degraded mode",
+            policy.attempts
+        );
+        let mine = frontier_records
+            .iter()
+            .filter(|(hash, _)| (hash % partitions as u64) as usize == partition)
+            .cloned()
+            .collect();
+        walk_locally(&run, options.replay.threads, mine)?;
+        timings.degraded_partitions += 1;
+    }
+    if timings.degraded_partitions > 0 {
         timings.degraded_seconds = degraded_start.elapsed().as_secs_f64();
     }
-
-    let report = finish_pipeline(
-        &shared,
-        &mut session,
-        options,
-        root,
-        fingerprint,
-        started,
-        session_baseline,
-        &mut timings,
-    )?;
-    Ok((report, timings))
+    finish_timed(run, timings)
 }
 
-/// Seed phase shared by the partitioned and elastic coordinators: pull
-/// the persistent cache into the memo, resume any checkpoint, and
-/// rebuild the memo whole on a broken artifact (a partial image would
-/// silently shrink the report's aggregates).  Returns the records
-/// resumed from a checkpoint (0 when none).
-///
-/// A resumed checkpoint's fresh delta imports as *fresh* — relative to
-/// the persistent cache it is exactly what the suspended run added — so
-/// the final commit still writes a complete delta and `cache_hits`
-/// matches an uninterrupted run.
-fn seed_coordinator<'a, P>(
-    system: SystemConfig,
-    config: ExploreConfig,
-    options: &DistOptions,
-    proposals: &'a [P::Output],
-    shared: &mut Shared<'a, P>,
-    session: &mut CacheSession,
-    fingerprint: u64,
-) -> Result<u64, ExploreError>
-where
-    P: CheckableProtocol,
-    P::Output: Hash + SpillCodec,
-{
-    if session
-        .seed(&shared.memo, crate::memo::key_validator::<P>())
-        .is_none()
-    {
-        let initial = std::mem::take(&mut shared.initial);
-        *shared = Shared::new(system, config, &options.replay, proposals, initial)?;
-    }
-    let mut resumed = 0u64;
-    if let Some(ckpt) = &options.replay.checkpoint {
-        match checkpoint::load_checkpoint(
-            ckpt,
-            fingerprint,
-            shared.plan.strength(),
-            &shared.memo,
-            crate::memo::key_validator::<P>(),
-        ) {
-            CheckpointLoad::Loaded { records } => resumed = records,
-            CheckpointLoad::Absent => {}
-            CheckpointLoad::StrengthMismatch { found } => {
-                return Err(ExploreError::CheckpointStrength {
-                    found,
-                    expected: shared.plan.strength(),
-                });
-            }
-            CheckpointLoad::Broken => {
-                // All-or-nothing, like a broken cache: rebuild the memo
-                // whole and re-seed from the (still intact) cache.
-                let initial = std::mem::take(&mut shared.initial);
-                *shared = Shared::new(system, config, &options.replay, proposals, initial)?;
-                if session
-                    .seed(&shared.memo, crate::memo::key_validator::<P>())
-                    .is_none()
-                {
-                    let initial = std::mem::take(&mut shared.initial);
-                    *shared = Shared::new(system, config, &options.replay, proposals, initial)?;
-                }
-            }
-        }
-    }
-    Ok(resumed)
-}
-
-/// The shared pipeline tail: phase-boundary deadline check, canonical
-/// root replay over the merged memo, census/witness report, cache
-/// commit, checkpoint consumption.  Identical for the partitioned and
-/// elastic engines — which is precisely why every differential guarantee
-/// of the classic engine carries over to stealing runs.
-#[allow(clippy::too_many_arguments)]
-fn finish_pipeline<P>(
-    shared: &Shared<'_, P>,
-    session: &mut CacheSession,
-    options: &DistOptions,
-    root: Stepper<P>,
-    fingerprint: u64,
-    started: Instant,
-    session_baseline: usize,
-    timings: &mut DistTimings,
-) -> Result<ExploreReport<P::Output>, ExploreError>
-where
-    P: CheckableProtocol,
-    P::Output: Hash + SpillCodec,
-{
-    // Phase-boundary deadline: the worker phase is the long one and runs
-    // unbounded, so an expired deadline is honored *here*, before the
-    // replay — every merged worker result is fresh progress and rides
-    // into the checkpoint.
-    if let Some(deadline) = options.replay.budget.deadline {
-        if started.elapsed() >= deadline && shared.memo.len() > session_baseline {
-            return Err(suspend_to_checkpoint(
-                shared,
-                options.replay.checkpoint.as_ref(),
-                fingerprint,
-                BudgetKind::Deadline,
-            ));
-        }
-    }
-
-    let replay_start = Instant::now();
-    let outcome = match walk_roots(
-        shared,
-        options.replay.threads,
-        vec![root],
-        &options.replay.budget,
-        started,
-        None,
-    ) {
-        // Same satellite rerouting as `explore_with`: with a checkpoint
-        // configured a `StateLimit` abort preserves the partial memo.
-        Err(ExploreError::StateLimit { .. }) if options.replay.checkpoint.is_some() => {
-            return Err(suspend_to_checkpoint(
-                shared,
-                options.replay.checkpoint.as_ref(),
-                fingerprint,
-                BudgetKind::States,
-            ));
-        }
-        other => other?,
-    };
-    let root_summary = match outcome {
-        WalkOutcome::Done(mut summaries) => summaries.pop().expect("one root, one summary"),
-        WalkOutcome::Suspended { reason } => {
-            return Err(suspend_to_checkpoint(
-                shared,
-                options.replay.checkpoint.as_ref(),
-                fingerprint,
-                reason,
-            ));
-        }
-    };
-    timings.replay_seconds = replay_start.elapsed().as_secs_f64();
-    let report_start = Instant::now();
-    let report = build_report(shared, root_summary)?;
-    timings.report_seconds = report_start.elapsed().as_secs_f64();
-    session.commit(&shared.memo);
-    if let Some(ckpt) = &options.replay.checkpoint {
-        checkpoint::consume_checkpoint(ckpt);
-    }
-    Ok(report)
-}
-
-/// [`explore_partitioned`] with every worker run inside this process —
-/// the zero-setup path (and the one the differential suite exercises):
-/// workers still communicate solely through exported segment files, so
-/// the merge path is identical to the multi-process deployment.
+/// [`explore_partitioned_timed`] with every worker run inside this
+/// process — the zero-setup path (and the one the differential suite
+/// exercises): workers still communicate solely through exported segment
+/// files, so the merge path is identical to the multi-process
+/// deployment.
 ///
 /// `worker_engine` selects each worker's thread count and memo tiering;
 /// the coordinator's replay uses `options.replay`.
@@ -1088,7 +975,8 @@ where
         .map(|_| ())
         .map_err(|e| e.to_string())
     };
-    explore_partitioned(system, config, options, initial, proposals, launch)
+    explore_partitioned_timed(system, config, options, initial, proposals, launch)
+        .map(|(report, _)| report)
 }
 
 /// One elastic worker's assignment: the frontier slice it walks, the
@@ -1202,70 +1090,44 @@ where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
-    let root = Stepper::new(system, config.model, TraceLevel::Off, initial.clone())
-        .map_err(ExploreError::Engine)?;
-    let shared = Shared::new(system, config, &engine, &proposals, initial)?;
-    faults::at_phase(task.fault, WorkerPhase::Seed, &task.cancel)?;
-    for seed in &task.seed_paths {
-        // A damaged seed means the run is broken; fail (and let the
-        // coordinator retry) rather than explore cold and re-export the
-        // world.
-        shared
-            .memo
-            .import_seed_from(seed, crate::memo::key_validator::<P>())?;
-    }
-    faults::at_phase(task.fault, WorkerPhase::Frontier, &task.cancel)?;
-    let records = read_frontier_segment(&task.frontier_path)?;
-    let mut walker = Walker::new(&shared);
-    let roots = reconstruct_paths(&mut walker, &root, records)?;
-    let worker = task.worker;
-    let lying = faults::lies(task.fault);
-    faults::at_phase(task.fault, WorkerPhase::Walk, &task.cancel)?;
-    let outcome = drive_elastic(&mut walker, roots, task.yield_every.max(1), |p| {
-        pulse(WorkerPulse {
-            worker,
-            steps: p.steps,
-            // A lying worker advertises a wildly inflated load; the
-            // steal scheduler may preempt it for nothing, and the result
-            // must still be exact.
-            frontier: if lying {
-                faults::lying_frontier(p.frontier)
-            } else {
-                p.frontier
-            },
-            fresh: p.fresh,
-        });
-        if task.steal_flag.exists() {
-            ElasticVerdict::Preempt
-        } else {
-            ElasticVerdict::Continue
-        }
-    });
-    let outcome = match outcome {
-        Ok(outcome) => outcome,
-        Err(Interrupt::Failed(e)) => return Err(e),
-        Err(Interrupt::Stopped) => unreachable!("an elastic worker walks alone"),
+    let job = WorkerJob {
+        seeds: &task.seed_paths,
+        frontier: &task.frontier_path,
+        slice: None,
+        export: &task.export_path,
+        fault: task.fault,
+        cancel: &task.cancel,
     };
-    faults::at_phase(task.fault, WorkerPhase::Export, &task.cancel)?;
-    match outcome {
-        ElasticOutcome::Done => {
-            shared.memo.export_delta(&task.export_path)?;
-            faults::mangle_export(task.fault, &task.export_path)?;
-            Ok(ElasticExit::Finished)
-        }
-        ElasticOutcome::Preempted { frontier } => {
-            // Frontier first: if the process dies between the two writes
-            // the coordinator sees a valid preempt segment but an
-            // unsealed export, fails validation, and retries — never the
-            // reverse (an export without its frontier would silently
-            // drop the unexplored subtrees until the replay recomputed
-            // them serially).
-            write_frontier_segment(&task.preempt_path, &frontier)?;
-            shared.memo.export_delta(&task.export_path)?;
-            faults::mangle_export(task.fault, &task.export_path)?;
-            Ok(ElasticExit::Preempted)
-        }
-    }
+    let lying = faults::lies(task.fault);
+    let walk = |shared: &Shared<'_, P>, roots| {
+        let remaining = walk_elastic(shared, roots, task.yield_every, |p| {
+            pulse(WorkerPulse {
+                worker: task.worker,
+                steps: p.steps,
+                // A lying worker advertises a wildly inflated load; the
+                // steal scheduler may preempt it for nothing, and the
+                // result must still be exact.
+                frontier: if lying {
+                    faults::lying_frontier(p.frontier)
+                } else {
+                    p.frontier
+                },
+                fresh: p.fresh,
+            });
+            if task.steal_flag.exists() {
+                ElasticVerdict::Preempt
+            } else {
+                ElasticVerdict::Continue
+            }
+        })?;
+        Ok(remaining.map(|frontier| (task.preempt_path.as_path(), frontier)))
+    };
+    let (_, preempted) = worker_body(system, config, &engine, initial, &proposals, job, walk)?;
+    Ok(if preempted {
+        ElasticExit::Preempted
+    } else {
+        ElasticExit::Finished
+    })
 }
 
 /// A live elastic worker, from the coordinator's side of the handshake.
@@ -1312,31 +1174,14 @@ impl Drop for SendGuard {
 /// Explores `initial` elastically: walk locally first, offload to
 /// workers only when the steal policy says the run is big enough, and
 /// re-balance by preempting loaded workers while idle capacity exists.
+/// Also returns the coordinator's per-phase [`DistTimings`] and the
+/// run's [`ElasticStats`].
 ///
 /// The report is bit-identical to [`crate::explore_with`] — see the
 /// module docs of [`crate::explorer`] ("Elastic distribution") for the
 /// soundness argument.  `launch` runs one worker to completion —
 /// in-process or by spawning an OS process and tailing its pipe — and
 /// forwards every progress pulse to the provided callback.
-pub fn explore_elastic<P, L>(
-    system: SystemConfig,
-    config: ExploreConfig,
-    options: &DistOptions,
-    initial: Vec<P>,
-    proposals: Vec<P::Output>,
-    launch: L,
-) -> Result<ExploreReport<P::Output>, ExploreError>
-where
-    P: CheckableProtocol,
-    P::Output: Hash + SpillCodec,
-    L: Fn(&ElasticTask, &(dyn Fn(WorkerPulse) + Sync)) -> Result<ElasticExit, String> + Sync,
-{
-    explore_elastic_timed(system, config, options, initial, proposals, launch)
-        .map(|(report, _, _)| report)
-}
-
-/// [`explore_elastic`], additionally returning the coordinator's
-/// per-phase [`DistTimings`] and the run's [`ElasticStats`].
 pub fn explore_elastic_timed<P, L>(
     system: SystemConfig,
     config: ExploreConfig,
@@ -1350,35 +1195,21 @@ where
     P::Output: Hash + SpillCodec,
     L: Fn(&ElasticTask, &(dyn Fn(WorkerPulse) + Sync)) -> Result<ElasticExit, String> + Sync,
 {
-    let started = Instant::now();
     let partitions = options.partitions.max(1);
     let steal = &options.steal;
     let attempts = options.attempts.max(1);
-    // See `explore_partitioned_timed`: an `io=` clause arms the
-    // coordinator-process IO shim for the run.
-    let _io_fault = options.faults.io.map(crate::faults::install_io_fault);
-    let fingerprint = crate::cache::run_fingerprint(system, &config, &initial, &proposals);
-    let mut session = CacheSession::open(options.cache.clone(), fingerprint);
+    // See `explore_partitioned_timed`: an `io=` clause arms the IO shim
+    // over the coordinator thread's writes for the run.
+    let _io_fault = options.faults.io.map(faults::install_io_fault);
     let scratch = SpillDir::create(options.scratch_dir.as_deref())?;
-
-    let root = Stepper::new(system, config.model, TraceLevel::Off, initial.clone())
-        .map_err(ExploreError::Engine)?;
-    let mut shared = Shared::new(system, config, &options.replay, &proposals, initial)?;
     let mut timings = DistTimings::default();
     let mut stats = ElasticStats::default();
 
     let seed_start = Instant::now();
-    seed_coordinator(
-        system,
-        config,
-        options,
-        &proposals,
-        &mut shared,
-        &mut session,
-        fingerprint,
-    )?;
+    let cache = options.cache.clone();
+    let run = Run::open(system, config, &options.replay, cache, &proposals, initial)?;
+    let shared = &run.shared;
     timings.seed_seconds = seed_start.elapsed().as_secs_f64();
-    let session_baseline = shared.memo.len();
 
     // No upfront frontier expansion (`options.depth` is a partitioned
     // concern): the local walk starts at the root itself, and a preempted
@@ -1388,10 +1219,7 @@ where
     // walk, which is what lets elastic distribution win the quick bench
     // instead of taxing it.
     let frontier_start = Instant::now();
-    let roots = {
-        let mut walker = Walker::new(&shared);
-        expand_frontier(&mut walker, root.clone(), 0)?
-    };
+    let roots = expand_frontier(&mut Walker::new(shared), run.root.clone(), 0)?;
     timings.frontier_seconds = frontier_start.elapsed().as_secs_f64();
 
     // Local-first: walk in this very process and only consider
@@ -1399,26 +1227,18 @@ where
     // holds a frontier worth splitting.  A quick run never pays a worker
     // spawn; a big one sheds its whole remaining frontier in one preempt.
     let workers_start = Instant::now();
-    let local = {
-        let mut walker = Walker::new(&shared);
-        drive_elastic(&mut walker, roots, steal.yield_every.max(1), |p| {
-            if steal.enabled
-                && partitions > 1
-                && workers_start.elapsed() >= steal.poll_interval
-                && p.frontier >= steal.min_frontier.max(1)
-            {
-                ElasticVerdict::Preempt
-            } else {
-                ElasticVerdict::Continue
-            }
-        })
-    };
-    let mut pending: VecDeque<(u64, Vec<u32>)> = match local {
-        Ok(ElasticOutcome::Done) => VecDeque::new(),
-        Ok(ElasticOutcome::Preempted { frontier }) => frontier.into(),
-        Err(Interrupt::Failed(e)) => return Err(e),
-        Err(Interrupt::Stopped) => unreachable!("the local walker walks alone"),
-    };
+    let local = walk_elastic(shared, roots, steal.yield_every, |p| {
+        if steal.enabled
+            && partitions > 1
+            && workers_start.elapsed() >= steal.poll_interval
+            && p.frontier >= steal.min_frontier.max(1)
+        {
+            ElasticVerdict::Preempt
+        } else {
+            ElasticVerdict::Continue
+        }
+    })?;
+    let mut pending: VecDeque<FrontierRecord> = local.unwrap_or_default().into();
 
     if !pending.is_empty() {
         stats.offloaded = true;
@@ -1442,25 +1262,6 @@ where
         let mut next_worker = 0u64;
         let poll = steal.poll_interval.max(Duration::from_millis(1));
         let policy = options.supervise.policy(attempts);
-
-        // Walks `(hash, path)` records in the coordinator itself — the
-        // degraded fallback for a slice whose worker exhausted every
-        // retry.  Sound for the same reason under-coverage is: whatever
-        // the failed launches did or didn't export, these subtrees end
-        // up memoized exactly once, here.
-        let walk_locally = |records: Vec<FrontierRecord>| -> Result<(), ExploreError> {
-            let roots: Vec<Stepper<P>> = {
-                let mut walker = Walker::new(&shared);
-                reconstruct_paths(&mut walker, &root, records)?
-                    .into_iter()
-                    .map(|r| r.stepper)
-                    .collect()
-            };
-            match walk_roots(&shared, 1, roots, &WalkBudget::unlimited(), started, None)? {
-                WalkOutcome::Done(_) => Ok(()),
-                WalkOutcome::Suspended { .. } => unreachable!("an unbounded walk never suspends"),
-            }
-        };
 
         std::thread::scope(|scope| -> Result<(), ExploreError> {
             // Launches one attempt of `task`, containing panics: a
@@ -1497,7 +1298,7 @@ where
                          {} frontier record(s) locally in degraded mode",
                         records.len()
                     );
-                    walk_locally(records)?;
+                    walk_locally(&run, 1, records)?;
                     stats.degraded += 1;
                 }
                 // Respawn attempts whose deterministic backoff elapsed.
@@ -1523,7 +1324,7 @@ where
                         .len()
                         .div_ceil(capacity - active.len())
                         .min(pending.len());
-                    let chunk: Vec<(u64, Vec<u32>)> = pending.drain(..take).collect();
+                    let chunk: Vec<FrontierRecord> = pending.drain(..take).collect();
                     let worker = next_worker;
                     next_worker += 1;
                     let frontier_path =
@@ -1624,7 +1425,7 @@ where
                         let merge_start = Instant::now();
                         let merged = shared
                             .memo
-                            .import_from(&w.task.export_path, crate::memo::key_validator::<P>())
+                            .import_from(&w.task.export_path, key_validator::<P>())
                             .map(|_| ())
                             .map_err(|e| e.to_string());
                         timings.merge_seconds += merge_start.elapsed().as_secs_f64();
@@ -1660,7 +1461,7 @@ where
                         let records = read_frontier_segment(&w.task.frontier_path)?;
                         let _ = std::fs::remove_file(&w.task.steal_flag);
                         active.remove(&worker);
-                        walk_locally(records)?;
+                        walk_locally(&run, 1, records)?;
                         stats.degraded += 1;
                         stats.quarantined += 1;
                     }
@@ -1692,21 +1493,12 @@ where
     }
     timings.workers_wall_seconds = workers_start.elapsed().as_secs_f64();
 
-    let report = finish_pipeline(
-        &shared,
-        &mut session,
-        options,
-        root,
-        fingerprint,
-        started,
-        session_baseline,
-        &mut timings,
-    )?;
+    let (report, timings) = finish_timed(run, timings)?;
     Ok((report, timings, stats))
 }
 
-/// [`explore_elastic`] with every worker run inside this process — the
-/// zero-setup path (and the one the differential suite exercises):
+/// [`explore_elastic_timed`] with every worker run inside this process —
+/// the zero-setup path (and the one the differential suite exercises):
 /// workers still communicate solely through exported segment files and
 /// the steal-flag handshake, so the scheduler path is identical to the
 /// multi-process deployment.
@@ -1736,5 +1528,6 @@ where
         )
         .map_err(|e| e.to_string())
     };
-    explore_elastic(system, config, options, initial, proposals, launch)
+    explore_elastic_timed(system, config, options, initial, proposals, launch)
+        .map(|(report, ..)| report)
 }

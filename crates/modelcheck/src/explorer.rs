@@ -58,6 +58,43 @@
 //!   (or, for a distributed worker, the canonical walk of each assigned
 //!   subtree root in order — the core is root-agnostic).
 //!
+//! ## One run spine: open → work → finish
+//!
+//! Every engine is the same three steps around one crate-private `Run`:
+//!
+//! * **open** — start the deadline clock (budgets bound the whole call,
+//!   not one walk), fingerprint the run, build the shared state, seed
+//!   the memo from the persistent cache when its fingerprint matches,
+//!   and resume a checkpoint when one is there.  Seeding is **all or
+//!   nothing**: a seeded parent hides its descendants from the walk, so
+//!   an artifact that breaks mid-import (corrupt segment, bad CRC,
+//!   undecompressable record) would be result-correct for the root but
+//!   silently shrink `distinct_states` and the census.  A broken cache
+//!   or checkpoint therefore costs the whole memo, which is rebuilt and
+//!   re-seeded from whatever is still intact; a checkpoint suspended at
+//!   another symmetry strength is a hard
+//!   [`ExploreError::CheckpointStrength`] refusal;
+//! * **work** — whatever fills the memo ahead of the final walk.
+//!   Nothing, for [`explore_with`], which *is* the zero-worker run; one
+//!   frontier expansion and a supervised worker per partition, for the
+//!   partitioned coordinator; a local-first walk and a steal scheduler,
+//!   for the elastic one ([`crate::dist`]).  Workers share one body of
+//!   their own (seed import → frontier-segment rebuild → walk → delta
+//!   export).  Work phases run unbounded and may under-cover freely —
+//!   the determinism argument below is why;
+//! * **finish** — honor a deadline that passed during a work phase that
+//!   made progress (everything merged rides into the checkpoint), run
+//!   the canonical root walk under the budget, build the census and
+//!   witness, commit the fresh delta to the cache, and consume the
+//!   checkpoint the run resumed from.  Every way of stopping short — an
+//!   exhausted [`WalkBudget`] limit, or a `StateLimit` abort when a
+//!   checkpoint is configured — leaves through one suspend path that
+//!   serializes the fresh memo delta and returns
+//!   [`ExploreError::Interrupted`].
+//!
+//! The sections below describe what each layer adds; none of them opens
+//! or closes a run differently.
+//!
 //! ## Hot path
 //!
 //! Everything every engine does funnels through one loop — fork a child
@@ -261,10 +298,11 @@
 //! ## Distributed exploration
 //!
 //! The same argument extends across **process boundaries**, which is what
-//! [`crate::dist`] exploits.  A partitioned exploration deterministically
-//! expands the root to a depth-`d` frontier, assigns each distinct
-//! frontier subtree to a worker process by key hash, and merges the
-//! workers' exported memo segments before a final canonical root walk.
+//! [`crate::dist`] exploits.  A partitioned run's work phase
+//! deterministically expands the root to a depth-`d` frontier, assigns
+//! each distinct frontier subtree to a worker process by key hash, and
+//! merges the workers' exported memo segments; the spine's finish is
+//! then the canonical root walk over the merged memo (the *replay*).
 //! Three observations carry the proof over:
 //!
 //! 1. a worker process is indistinguishable from a stealer thread: it
@@ -292,7 +330,7 @@
 //! Static partitioning pays its whole coordination bill — frontier
 //! expansion, worker spawn-up, export/merge — up front, whether or not
 //! the run is long enough to amortize it.  The **elastic** engine
-//! ([`crate::dist::explore_elastic`]) inverts that: the coordinator
+//! ([`crate::dist::explore_elastic_timed`]) inverts that: its work phase
 //! starts walking the root *locally* through the same frame-stepped
 //! core, and distribution is an escape hatch it only reaches for when
 //! the run outlives a [`crate::StealConfig`]'s thresholds.  Short runs
@@ -400,7 +438,9 @@
 //! compressed, CRC'd interchange segments plus a fingerprinted
 //! manifest — can pre-seed this run's memo, and the walk short-circuits
 //! on every seeded subtree; a fully warm run touches exactly the root.
-//! Three rules keep it sound:
+//! The spine's open seeds it and its finish commits it, for every
+//! engine alike; two rules (plus open's all-or-nothing seeding) keep it
+//! sound:
 //!
 //! * **fingerprinting** — segments are only reused when the manifest's
 //!   fingerprint matches this run ([`crate::cache::run_fingerprint`]:
@@ -416,15 +456,9 @@
 //! * **delta commit** — the memo tracks which entries were seeded and
 //!   which this run inserted, so a ReadWrite commit appends a segment
 //!   holding only the *new* entries (nothing at all when fully warm);
-//!   a stale or absent cache is replaced wholesale.  Distributed runs
-//!   use the same machinery end to end: the coordinator seeds workers
-//!   with one consolidated segment and workers export deltas only;
-//! * **invalidation** — a cache that fails validation mid-import
-//!   (corrupt segment, bad CRC, undecompressable record) is discarded
-//!   *whole* and the run explores cold: a partial image would be
-//!   result-correct for the root but silently shrink `distinct_states`
-//!   and the census, because a seeded parent hides its missing
-//!   descendants from the walk.
+//!   a stale or absent cache is replaced wholesale.  Distributed work
+//!   phases pass the seed on: the coordinator hands workers one
+//!   consolidated segment and workers export deltas only.
 //!
 //! Cold-vs-warm bit-identity across both model kinds and every engine
 //! shape is pinned by `tests/cache_differential.rs`; the report's
@@ -454,10 +488,9 @@
 //! or block on the queue after an abort, so the exploration call joins
 //! promptly and returns the first recorded failure (regression-tested at
 //! `threads = 4` in this module).  When a checkpoint directory is
-//! configured ([`ExploreOptions::checkpoint`]), a `StateLimit` abort no
-//! longer discards the partial walk: the fresh memo image is serialized
-//! as a resumable checkpoint and the run returns
-//! [`ExploreError::Interrupted`] instead.
+//! configured ([`ExploreOptions::checkpoint`]), the spine's finish
+//! reroutes a `StateLimit` abort through its suspend path, so the
+//! partial walk survives for a rerun with a raised budget.
 //!
 //! ## Frame-stepped core
 //!
@@ -467,7 +500,9 @@
 //! frame push) or one frame pop (memoizing insert) — and returns a
 //! [`StepResult`] envelope; every engine (serial, parallel stealers,
 //! spill, distributed workers and replay) is a thin *driver* looping
-//! over `step()`.  Three contracts make this preemption-safe:
+//! over `step()` — the spine's finish drives the root walk this way, and
+//! so does every work phase.  Three contracts make this
+//! preemption-safe:
 //!
 //! * **step law** — step *order* is exactly the owned loop's iteration
 //!   order (only loop ownership moved), so bit-identity of reports is
@@ -492,8 +527,9 @@
 //!   ([`crate::checkpoint`]).  No frontier frames are saved: memo
 //!   inserts happen only at frame pop or terminal entry, so any
 //!   quiescent memo image is **descendant-closed**, and a resumed run
-//!   simply re-drives the root walk, fast-forwarding through memo hits
-//!   until it reaches unexplored territory.  The resumed final report is
+//!   (the spine's open imports the image) simply re-drives the root
+//!   walk, fast-forwarding through memo hits until it reaches
+//!   unexplored territory.  The resumed final report is
 //!   bit-identical to the uninterrupted one
 //!   (`tests/checkpoint_differential.rs`, plus a proptest composing
 //!   arbitrary step-budget partitions).
@@ -511,9 +547,9 @@ use twostep_model::{
     CrashPoint, CrashSchedule, CrashStage, ProcessId, SymmetryContext, SystemConfig,
 };
 use twostep_sim::{
-    check_uniform_consensus, default_threads, run_on_workers, Decision, ModelKind, PlanShape,
-    ProcStatus, RoundActions, SimError, SpecViolation, Stepper, SyncProtocol, TraceLevel,
-    WorkQueue,
+    check_uniform_consensus, default_threads, run_on_workers, Decision, EnvKnob, ModelKind,
+    PlanShape, ProcStatus, RoundActions, SimError, SpecViolation, Stepper, SyncProtocol,
+    TraceLevel, WorkQueue,
 };
 
 use crate::cache::{CacheConfig, CacheSession};
@@ -667,6 +703,13 @@ impl Symmetry {
             "partial+value" => Some(Symmetry::PartialValue),
             _ => None,
         }
+    }
+
+    /// The mode the `TWOSTEP_SYMMETRY` env var selects
+    /// (`off|full|partial|partial+value`); [`Symmetry::Off`] when unset,
+    /// and — loudly, once — when set to anything else.
+    pub fn from_env() -> Symmetry {
+        SYMMETRY.get().unwrap_or_default()
     }
 
     /// Resolves the mode into the run's concrete [`SymmetryPlan`] —
@@ -827,10 +870,11 @@ pub struct ExploreConfig {
 impl ExploreConfig {
     /// Defaults for checking the paper's algorithm: extended model, round
     /// cap `n + 1`, Theorem 1 bound, a generous state budget.  Honors
-    /// the `TWOSTEP_SYMMETRY` env override (`off` / `full`) so operators
-    /// can flip symmetry reduction without recompiling; explicit callers
-    /// (the bench harness runs both modes in one process) just assign
-    /// [`ExploreConfig::symmetry`] after construction.
+    /// the `TWOSTEP_SYMMETRY` env override ([`Symmetry::from_env`]) so
+    /// operators can flip symmetry reduction without recompiling;
+    /// explicit callers (the bench harness runs both modes in one
+    /// process) just assign [`ExploreConfig::symmetry`] after
+    /// construction.
     pub fn for_crw(system: &SystemConfig) -> Self {
         ExploreConfig {
             model: ModelKind::Extended,
@@ -839,7 +883,7 @@ impl ExploreConfig {
             round_bound: Some(RoundBound::FPlus(1)),
             spec: SpecMode::Uniform,
             max_crashes_per_round: None,
-            symmetry: symmetry_from_env(),
+            symmetry: Symmetry::from_env(),
         }
     }
 
@@ -917,7 +961,7 @@ impl Default for ExploreOptions {
             threads: default_threads(),
             shards: 64,
             memo: MemoConfig::all_ram(),
-            donate_depth: donate_depth_from_env(),
+            donate_depth: DONATE_DEPTH.get(),
             cache: crate::cache::cache_from_env(),
             budget: budget_from_env(),
             checkpoint: None,
@@ -976,49 +1020,38 @@ impl ExploreOptions {
     }
 }
 
-/// Resolves the `TWOSTEP_DONATE_DEPTH` donation cutoff from the
-/// environment — unset means "donate at any depth".  Same policy as
-/// `TWOSTEP_THREADS`: a set-but-unparseable value is never silently
-/// ignored (one-time stderr warning, then the default).
-fn donate_depth_from_env() -> Option<u32> {
-    let raw = std::env::var("TWOSTEP_DONATE_DEPTH").ok()?;
-    match raw.trim().parse::<u32>() {
-        Ok(depth) => Some(depth),
-        Err(_) => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "twostep: TWOSTEP_DONATE_DEPTH={raw:?} is not a round number; \
-                     donating at any depth"
-                )
-            });
-            None
-        }
-    }
-}
+/// `TWOSTEP_DONATE_DEPTH`: the donation cutoff round; unset donates at
+/// any depth.
+pub(crate) const DONATE_DEPTH: EnvKnob<u32> = EnvKnob {
+    name: "TWOSTEP_DONATE_DEPTH",
+    fallback: "is not a round number; donating at any depth",
+    parse: |raw| raw.parse().ok(),
+};
 
-/// Resolves the `TWOSTEP_SYMMETRY` mode override from the environment —
-/// unset means [`Symmetry::Off`].  Same policy as `TWOSTEP_THREADS`: a
-/// set-but-unrecognized value is never silently ignored (one-time stderr
-/// warning, then the default).
-fn symmetry_from_env() -> Symmetry {
-    let Ok(raw) = std::env::var("TWOSTEP_SYMMETRY") else {
-        return Symmetry::Off;
-    };
-    match Symmetry::parse_token(&raw) {
-        Some(mode) => mode,
-        None => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "twostep: TWOSTEP_SYMMETRY={raw:?} is not \"off\", \"full\", \
-                     \"partial\", or \"partial+value\"; symmetry reduction stays off"
-                )
-            });
-            Symmetry::Off
-        }
-    }
-}
+/// `TWOSTEP_SYMMETRY`: a [`Symmetry::token`]; unset is [`Symmetry::Off`].
+pub(crate) const SYMMETRY: EnvKnob<Symmetry> = EnvKnob {
+    name: "TWOSTEP_SYMMETRY",
+    fallback: "is not \"off\", \"full\", \"partial\", or \"partial+value\"; \
+               symmetry reduction stays off",
+    parse: Symmetry::parse_token,
+};
+
+/// `TWOSTEP_MAX_STEPS`: a step count; unset is unbounded.  `0` is
+/// accepted: the min-progress guarantee still advances one fresh state
+/// per session.
+pub(crate) const MAX_STEPS: EnvKnob<u64> = EnvKnob {
+    name: "TWOSTEP_MAX_STEPS",
+    fallback: "is not a step count; walks are unbounded",
+    parse: |raw| raw.parse().ok(),
+};
+
+/// `TWOSTEP_DEADLINE_MS`: a wall-clock deadline in milliseconds; unset is
+/// none.
+pub(crate) const DEADLINE_MS: EnvKnob<Duration> = EnvKnob {
+    name: "TWOSTEP_DEADLINE_MS",
+    fallback: "is not a millisecond count; walks have no deadline",
+    parse: |raw| raw.parse().ok().map(Duration::from_millis),
+};
 
 /// Declarative per-walk budget enforced by the frame-stepped driver via
 /// [`BudgetArbiter`] (see the module docs' *Frame-stepped core* section).
@@ -1218,63 +1251,14 @@ pub enum StepStatus {
     Refused(BudgetKind),
 }
 
-/// Pure resolver for `TWOSTEP_MAX_STEPS`: `None` in = unset = no limit;
-/// a non-numeric value yields `(None, Some(warning))` — same policy as
-/// `TWOSTEP_THREADS` (never silently ignored).  `0` is accepted: the
-/// min-progress guarantee still advances one fresh state per session.
-fn resolve_max_steps(raw: Option<&str>) -> (Option<u64>, Option<String>) {
-    let Some(raw) = raw else {
-        return (None, None);
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(steps) => (Some(steps), None),
-        Err(_) => (
-            None,
-            Some(format!(
-                "twostep: TWOSTEP_MAX_STEPS={raw:?} is not a step count; walks are unbounded"
-            )),
-        ),
-    }
-}
-
-/// Pure resolver for `TWOSTEP_DEADLINE_MS` (milliseconds), same policy
-/// as [`resolve_max_steps`].
-fn resolve_deadline_ms(raw: Option<&str>) -> (Option<Duration>, Option<String>) {
-    let Some(raw) = raw else {
-        return (None, None);
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(ms) => (Some(Duration::from_millis(ms)), None),
-        Err(_) => (
-            None,
-            Some(format!(
-                "twostep: TWOSTEP_DEADLINE_MS={raw:?} is not a millisecond count; \
-                 walks have no deadline"
-            )),
-        ),
-    }
-}
-
 /// Resolves the default [`WalkBudget`] from the `TWOSTEP_MAX_STEPS` /
-/// `TWOSTEP_DEADLINE_MS` env vars — unset means unlimited.  Same policy
-/// as `TWOSTEP_THREADS`: a set-but-unparseable value is never silently
-/// ignored (one-time stderr warning each, then the default).
+/// `TWOSTEP_DEADLINE_MS` env vars — unset means unlimited, and a
+/// set-but-unparseable value is never silently ignored
+/// ([`twostep_sim::EnvKnob`]).
 pub fn budget_from_env() -> WalkBudget {
-    let (max_steps, steps_warning) =
-        resolve_max_steps(std::env::var("TWOSTEP_MAX_STEPS").ok().as_deref());
-    if let Some(warning) = steps_warning {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| eprintln!("{warning}"));
-    }
-    let (deadline, deadline_warning) =
-        resolve_deadline_ms(std::env::var("TWOSTEP_DEADLINE_MS").ok().as_deref());
-    if let Some(warning) = deadline_warning {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| eprintln!("{warning}"));
-    }
     WalkBudget {
-        max_steps,
-        deadline,
+        max_steps: MAX_STEPS.get(),
+        deadline: DEADLINE_MS.get(),
         ..WalkBudget::unlimited()
     }
 }
@@ -1946,137 +1930,210 @@ where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
-    // The deadline clock starts before seeding: the budget bounds the
-    // whole call, not just the walk.
-    let started = Instant::now();
-    // Fingerprint before `initial` moves into the stepper; a stale or
-    // absent cache is reported (loudly) by the session and ignored.
-    let fingerprint = crate::cache::run_fingerprint(system, &config, &initial, &proposals);
-    let mut session = CacheSession::open(options.cache.clone(), fingerprint);
-    let root_stepper = Stepper::new(system, config.model, TraceLevel::Off, initial.clone())
-        .map_err(ExploreError::Engine)?;
-    let mut shared = Shared::new(system, config, &options, &proposals, initial)?;
-    if session
-        .seed(&shared.memo, crate::memo::key_validator::<P>())
-        .is_none()
-    {
-        // Broken cache: discard the partial seed (a fresh memo) and run
-        // cold; the session is now stale, so a ReadWrite commit replaces
-        // the broken cache with this run's full image.
-        let initial = std::mem::take(&mut shared.initial);
-        shared = Shared::new(system, config, &options, &proposals, initial)?;
-    }
-    if let Some(ckpt) = &options.checkpoint {
-        match checkpoint::load_checkpoint(
-            ckpt,
-            fingerprint,
-            shared.plan.strength(),
-            &shared.memo,
-            crate::memo::key_validator::<P>(),
-        ) {
-            CheckpointLoad::Broken => {
-                // Same all-or-nothing policy as a broken cache: a partial
-                // checkpoint import would silently shrink the census, so
-                // discard the memo whole and rebuild — re-seeding the cache,
-                // which survived (the session re-iterates its segments).
-                let initial = std::mem::take(&mut shared.initial);
-                shared = Shared::new(system, config, &options, &proposals, initial)?;
-                if session
-                    .seed(&shared.memo, crate::memo::key_validator::<P>())
-                    .is_none()
-                {
-                    let initial = std::mem::take(&mut shared.initial);
-                    shared = Shared::new(system, config, &options, &proposals, initial)?;
-                }
-            }
-            // A strength flip is a hard refusal, not a loud restart: the
-            // user asked to resume a specific suspended image, and that
-            // image lives in another strength's canonical key space.
-            CheckpointLoad::StrengthMismatch { found } => {
-                return Err(ExploreError::CheckpointStrength {
-                    found,
-                    expected: shared.plan.strength(),
-                });
-            }
-            CheckpointLoad::Absent | CheckpointLoad::Loaded { .. } => {}
-        }
-    }
-    let autosave = options.checkpoint.as_ref().and_then(|ckpt| {
-        ckpt.autosave_every.map(|every| Autosave {
-            config: ckpt,
-            fingerprint,
-            every: every.max(1),
-        })
-    });
-    match walk_roots(
-        &shared,
-        options.threads,
-        vec![root_stepper],
-        &options.budget,
-        started,
-        autosave,
-    ) {
-        Ok(WalkOutcome::Done(mut summaries)) => {
-            let root = summaries.pop().expect("one root, one summary");
-            let report = build_report(&shared, root)?;
-            session.commit(&shared.memo);
-            if let Some(ckpt) = &options.checkpoint {
-                checkpoint::consume_checkpoint(ckpt);
-            }
-            Ok(report)
-        }
-        Ok(WalkOutcome::Suspended { reason }) => Err(suspend_to_checkpoint(
-            &shared,
-            options.checkpoint.as_ref(),
-            fingerprint,
-            reason,
-        )),
-        // Satellite fix: a `StateLimit` abort no longer discards partial
-        // work when a checkpoint is configured — every memoized state
-        // survives for a resume with a raised budget.  Without a
-        // checkpoint the historical error is preserved exactly.
-        Err(ExploreError::StateLimit { .. }) if options.checkpoint.is_some() => {
-            Err(suspend_to_checkpoint(
-                &shared,
-                options.checkpoint.as_ref(),
-                fingerprint,
-                BudgetKind::States,
-            ))
-        }
-        Err(error) => Err(error),
-    }
+    // The zero-worker run: open, no work phase, finish.
+    Run::open(
+        system,
+        config,
+        &options,
+        options.cache.clone(),
+        &proposals,
+        initial,
+    )?
+    .finish()
+    .map(|(report, ..)| report)
 }
 
-/// Serializes the suspended walk's fresh memo delta (when a checkpoint
-/// directory is configured) and builds the [`ExploreError::Interrupted`]
-/// to return.  The exploration is quiescent here: every walker joined
-/// before [`walk_roots`] returned, so the memo image is
-/// descendant-closed (inserts happen only at frame pop / terminal
-/// entry).
-pub(crate) fn suspend_to_checkpoint<P>(
-    shared: &Shared<'_, P>,
-    config: Option<&CheckpointConfig>,
+/// One exploration run, the spine every engine shares: [`open`](Self::open)
+/// it, do the engine's own work over [`shared`](Self::shared) (nothing
+/// for [`explore_with`]; worker launches and merges for the
+/// [`crate::dist`] coordinators), then [`finish`](Self::finish) it.  The
+/// open policy and the finish policy exist only here.
+pub(crate) struct Run<'a, P>
+where
+    P: CheckableProtocol,
+    P::Output: Hash,
+{
+    /// The memo (seeded by `open`) and the walker machinery.
+    pub(crate) shared: Shared<'a, P>,
+    /// The true initial configuration, ready to step.
+    pub(crate) root: Stepper<P>,
+    /// Records imported from a resumed checkpoint (0 when none).
+    pub(crate) resumed: u64,
+    /// Threads, budget and checkpoint directory of the finishing walk.
+    engine: &'a ExploreOptions,
+    session: CacheSession,
     fingerprint: u64,
-    reason: BudgetKind,
-) -> ExploreError
+    /// Entry instant: the deadline bounds the whole run, not one walk.
+    started: Instant,
+    /// Memo size once `open` has seeded it — what came from a cache or a
+    /// checkpoint is not this session's progress.
+    baseline: usize,
+}
+
+impl<'a, P> Run<'a, P>
 where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
-    let states = shared.memo.len();
-    let written = config.and_then(|ckpt| {
-        checkpoint::write_checkpoint(
-            ckpt,
+    /// Opens a run: starts the deadline clock, fingerprints the run,
+    /// builds the shared state, seeds the memo from `cache` when its
+    /// fingerprint matches, and resumes `engine.checkpoint` when one is
+    /// there.
+    ///
+    /// The memo is seeded **all or nothing**: a seeded parent hides its
+    /// descendants from the walk, so a cache or checkpoint that breaks
+    /// mid-import would silently shrink `distinct_states` and the
+    /// census.  A broken artifact therefore costs the whole memo, which
+    /// is rebuilt and re-seeded from whatever is still intact (a broken
+    /// cache turns its session stale, so it re-seeds nothing and a
+    /// ReadWrite commit replaces it with this run's full image).
+    ///
+    /// A resumed checkpoint's records import as *fresh* — relative to
+    /// the cache they are exactly what the suspended run added — so the
+    /// final commit still writes a complete delta and `cache_hits`
+    /// matches an uninterrupted run.
+    pub(crate) fn open(
+        system: SystemConfig,
+        config: ExploreConfig,
+        engine: &'a ExploreOptions,
+        cache: Option<CacheConfig>,
+        proposals: &'a [P::Output],
+        initial: Vec<P>,
+    ) -> Result<Self, ExploreError> {
+        let started = Instant::now();
+        // A stale or absent cache is reported (loudly) by the session
+        // and ignored.
+        let fingerprint = crate::cache::run_fingerprint(system, &config, &initial, proposals);
+        let mut session = CacheSession::open(cache, fingerprint);
+        let root = Stepper::new(system, config.model, TraceLevel::Off, initial.clone())
+            .map_err(ExploreError::Engine)?;
+        let mut cache_seeded = |initial: Vec<P>| -> Result<Shared<'a, P>, ExploreError> {
+            let shared = Shared::new(system, config, engine, proposals, initial)?;
+            if session
+                .seed(&shared.memo, crate::memo::key_validator::<P>())
+                .is_some()
+            {
+                return Ok(shared);
+            }
+            // Broken cache: the partial seed goes, memo and all.
+            Shared::new(system, config, engine, proposals, shared.initial)
+        };
+        let mut shared = cache_seeded(initial)?;
+        let mut resumed = 0;
+        if let Some(ckpt) = &engine.checkpoint {
+            match checkpoint::load_checkpoint(
+                ckpt,
+                fingerprint,
+                shared.plan.strength(),
+                &shared.memo,
+                crate::memo::key_validator::<P>(),
+            ) {
+                CheckpointLoad::Loaded { records } => resumed = records,
+                CheckpointLoad::Absent => {}
+                // A strength flip is a hard refusal, not a loud restart:
+                // the user asked to resume a specific suspended image,
+                // and that image lives in another strength's key space.
+                CheckpointLoad::StrengthMismatch { found } => {
+                    return Err(ExploreError::CheckpointStrength {
+                        found,
+                        expected: shared.plan.strength(),
+                    });
+                }
+                CheckpointLoad::Broken => {
+                    shared = cache_seeded(std::mem::take(&mut shared.initial))?;
+                }
+            }
+        }
+        let baseline = shared.memo.len();
+        Ok(Run {
+            shared,
+            root,
+            resumed,
+            engine,
+            session,
             fingerprint,
-            shared.plan.strength(),
+            started,
+            baseline,
+        })
+    }
+
+    /// The cache segments `open` seeded the memo from.
+    pub(crate) fn cache_segments(&self) -> Vec<PathBuf> {
+        self.session.segments()
+    }
+
+    /// Finishes a run: the canonical root walk over whatever the memo
+    /// holds by now (everything, for a distributed run's replay; only
+    /// the seeds, for [`explore_with`]), then census and witness, cache
+    /// commit, and consumption of the checkpoint the run resumed from.
+    /// Also returns the seconds the walk and the report took.
+    ///
+    /// Every way of stopping short goes through
+    /// [`suspend`](Self::suspend) here: the deadline having already
+    /// passed during a work phase that made progress (that phase runs
+    /// unbounded, so the deadline is honored at the boundary and
+    /// everything merged rides into the checkpoint), a budget the walk
+    /// itself exhausts, and — when a checkpoint is configured, so that
+    /// the partial memo survives for a rerun with a raised budget — a
+    /// `StateLimit` abort.
+    pub(crate) fn finish(self) -> Result<(ExploreReport<P::Output>, f64, f64), ExploreError> {
+        let Run { engine, shared, .. } = &self;
+        if let Some(deadline) = engine.budget.deadline {
+            if self.started.elapsed() >= deadline && shared.memo.len() > self.baseline {
+                return Err(self.suspend(BudgetKind::Deadline));
+            }
+        }
+        let autosave = engine.checkpoint.as_ref().and_then(|ckpt| {
+            ckpt.autosave_every.map(|every| Autosave {
+                config: ckpt,
+                fingerprint: self.fingerprint,
+                every: every.max(1),
+            })
+        });
+        let walk_start = Instant::now();
+        let root = match walk_roots(
+            shared,
+            engine.threads,
+            vec![self.root.clone()],
+            &engine.budget,
+            self.started,
+            autosave,
+        ) {
+            Ok(WalkOutcome::Done(mut summaries)) => summaries.pop().expect("one root, one summary"),
+            Ok(WalkOutcome::Suspended { reason }) => return Err(self.suspend(reason)),
+            Err(ExploreError::StateLimit { .. }) if engine.checkpoint.is_some() => {
+                return Err(self.suspend(BudgetKind::States));
+            }
+            Err(error) => return Err(error),
+        };
+        let walk_seconds = walk_start.elapsed().as_secs_f64();
+        let report_start = Instant::now();
+        let report = build_report(shared, root)?;
+        let report_seconds = report_start.elapsed().as_secs_f64();
+        self.session.commit(&shared.memo);
+        if let Some(ckpt) = &engine.checkpoint {
+            checkpoint::consume_checkpoint(ckpt);
+        }
+        Ok((report, walk_seconds, report_seconds))
+    }
+
+    /// Serializes the suspended run's fresh memo delta (when a
+    /// checkpoint directory is configured) and builds the
+    /// [`ExploreError::Interrupted`] to return.  The exploration is
+    /// quiescent here — every walker joined before [`walk_roots`]
+    /// returned — so the memo image is descendant-closed (inserts happen
+    /// only at frame pop / terminal entry).
+    fn suspend(&self, reason: BudgetKind) -> ExploreError {
+        let memo = &self.shared.memo;
+        let written = self.engine.checkpoint.as_ref().and_then(|ckpt| {
+            let strength = self.shared.plan.strength();
+            checkpoint::write_checkpoint(ckpt, self.fingerprint, strength, reason, memo)
+        });
+        ExploreError::Interrupted {
             reason,
-            &shared.memo,
-        )
-    });
-    ExploreError::Interrupted {
-        reason,
-        checkpoint: written,
-        states,
+            checkpoint: written,
+            states: memo.len(),
+        }
     }
 }
 
@@ -4701,30 +4758,63 @@ mod tests {
         assert_eq!(ws.decisions, wp.decisions);
     }
 
-    /// Budget env resolvers: unset is unlimited, digits parse, and
-    /// garbage warns instead of being silently ignored — the
-    /// `resolve_threads` policy.
+    /// The env-knob policy over every model-checker variable, one row
+    /// each (`TWOSTEP_THREADS` has the same row next to its knob in
+    /// `twostep_sim`): unset resolves to the default silently, a valid
+    /// value (whitespace tolerated) is honored silently, and garbage
+    /// resolves to the default with a warning naming the variable and
+    /// the offending value — never silently ignored.
     #[test]
-    fn budget_resolvers_follow_the_warn_once_policy() {
-        assert_eq!(resolve_max_steps(None), (None, None));
-        assert_eq!(resolve_max_steps(Some("123")), (Some(123), None));
-        assert_eq!(resolve_max_steps(Some(" 7 ")), (Some(7), None));
-        assert_eq!(resolve_max_steps(Some("0")), (Some(0), None));
-        let (steps, warning) = resolve_max_steps(Some("soon"));
-        assert_eq!(steps, None);
-        assert!(warning.unwrap().contains("TWOSTEP_MAX_STEPS=\"soon\""));
-        let (steps, warning) = resolve_max_steps(Some("-3"));
-        assert_eq!(steps, None);
-        assert!(warning.is_some());
-
-        assert_eq!(resolve_deadline_ms(None), (None, None));
-        assert_eq!(
-            resolve_deadline_ms(Some("250")),
-            (Some(Duration::from_millis(250)), None)
+    fn every_env_knob_follows_the_warn_once_policy() {
+        fn row<T: PartialEq + std::fmt::Debug>(
+            knob: EnvKnob<T>,
+            valid: &str,
+            value: T,
+            garbage: &str,
+        ) {
+            assert_eq!(knob.resolve(None), (None, None), "{}: unset", knob.name);
+            assert_eq!(
+                knob.resolve(Some(&format!("  {valid} "))),
+                (Some(value), None),
+                "{}: valid",
+                knob.name
+            );
+            let (value, warning) = knob.resolve(Some(garbage));
+            assert_eq!(value, None, "{}: garbage falls back", knob.name);
+            let warning = warning.unwrap_or_else(|| panic!("{}: garbage must warn", knob.name));
+            assert!(warning.contains(knob.name), "{warning}");
+            assert!(warning.contains(&format!("{garbage:?}")), "{warning}");
+        }
+        use crate::dist::{BACKOFF_MS, STEAL, WATCHDOG_MS};
+        let plan = "p0a0=crash@walk;p1a0=hang@export";
+        row(DONATE_DEPTH, "2", 2, "deep");
+        row(
+            SYMMETRY,
+            "Partial+Value",
+            Symmetry::PartialValue,
+            "sideways",
         );
-        let (deadline, warning) = resolve_deadline_ms(Some("1.5s"));
-        assert_eq!(deadline, None);
-        assert!(warning.unwrap().contains("TWOSTEP_DEADLINE_MS=\"1.5s\""));
+        row(SYMMETRY, "off", Symmetry::Off, "");
+        // `0` is a valid step budget (min-progress still advances).
+        row(MAX_STEPS, "0", 0, "soon");
+        row(MAX_STEPS, "123", 123, "-3");
+        row(DEADLINE_MS, "250", Duration::from_millis(250), "1.5s");
+        row(
+            crate::cache::CACHE_DIR,
+            "/tmp/twostep-cache",
+            PathBuf::from("/tmp/twostep-cache"),
+            "   ",
+        );
+        row(STEAL, "ON", true, "maybe");
+        row(STEAL, "0", false, "2");
+        row(WATCHDOG_MS, "0", 0, "5s");
+        row(BACKOFF_MS, "40", 40, "fast");
+        row(
+            crate::faults::FAULT,
+            plan,
+            crate::faults::FaultPlan::parse(plan).unwrap(),
+            "p0=explode",
+        );
     }
 
     #[test]

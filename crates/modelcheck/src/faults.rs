@@ -10,10 +10,10 @@
 //!   attempt makes every scenario reproducible: "partition 1 crashes on
 //!   its first two launches, then succeeds" is one plan string, and the
 //!   supervised retry schedule replays it identically every run.
-//! * **IO faults** ([`IoFault`], [`install_io_fault`]): a process-global
-//!   shim over the workspace's write choke points — framed spill/export
-//!   records and cache/checkpoint manifests — that fails, tears, or
-//!   ENOSPC-s the `n`-th intercepted write.  This proves the
+//! * **IO faults** ([`IoFault`], [`install_io_fault`]): a shim over the
+//!   workspace's write choke points — framed spill/export records and
+//!   cache/checkpoint manifests — that fails, tears, or ENOSPC-s the
+//!   `n`-th write the arming (coordinator) thread makes.  This proves the
 //!   loud-replace and all-or-nothing manifest guarantees under injected
 //!   damage rather than hand-mangled files.
 //!
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use twostep_sim::CancelToken;
+use twostep_sim::{CancelToken, EnvKnob};
 
 use crate::explorer::ExploreError;
 
@@ -280,28 +280,18 @@ fn parse_worker_key(key: &str) -> Result<(u64, usize), String> {
     ))
 }
 
+/// `TWOSTEP_FAULT`: a [`FaultPlan::parse`] plan; unset injects nothing.
+pub(crate) const FAULT: EnvKnob<FaultPlan> = EnvKnob {
+    name: "TWOSTEP_FAULT",
+    fallback: "is not a fault plan; injecting nothing",
+    parse: |raw| FaultPlan::parse(raw).ok(),
+};
+
 /// Resolves a fault plan from the `TWOSTEP_FAULT` environment variable.
 /// Unset means no faults; a value that doesn't parse is **not** silently
-/// honored — it warns once on stderr and injects nothing, per the
-/// `TWOSTEP_THREADS` idiom.
+/// honored — it warns once on stderr and injects nothing.
 pub fn fault_plan_from_env() -> FaultPlan {
-    let raw = match std::env::var("TWOSTEP_FAULT") {
-        Ok(raw) => raw,
-        Err(_) => return FaultPlan::none(),
-    };
-    match FaultPlan::parse(&raw) {
-        Ok(plan) => plan,
-        Err(detail) => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "twostep: TWOSTEP_FAULT={raw:?} is not a fault plan ({detail}); \
-                     injecting nothing"
-                )
-            });
-            FaultPlan::none()
-        }
-    }
+    FAULT.get().unwrap_or_default()
 }
 
 /// Hard cap on an injected hang whose cancel token never trips, so a
@@ -468,6 +458,13 @@ static IO_NTH: AtomicU64 = AtomicU64::new(0);
 static IO_COUNT: AtomicU64 = AtomicU64::new(0);
 static IO_LOCK: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    /// Whether this thread armed the shim: only its own writes are
+    /// tapped, so whatever else runs in the process meanwhile — in-process
+    /// workers, another test's exploration — never eats the fault.
+    static IO_ARMED_HERE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// Keeps an installed [`IoFault`] armed; disarms on drop.  Holds a
 /// process-global lock so concurrently running tests cannot interleave
 /// their injected faults.
@@ -478,6 +475,9 @@ pub struct IoFaultGuard {
 
 impl Drop for IoFaultGuard {
     fn drop(&mut self) {
+        // The guard holds a `MutexGuard`, so it is dropped on the thread
+        // that armed the shim.
+        IO_ARMED_HERE.set(false);
         IO_ARMED.store(false, Ordering::SeqCst);
         IO_MODE.store(0, Ordering::SeqCst);
         IO_NTH.store(0, Ordering::SeqCst);
@@ -485,9 +485,9 @@ impl Drop for IoFaultGuard {
     }
 }
 
-/// Arms the process-global IO shim with `fault`.  The returned guard
-/// keeps it armed and serializes callers; hold it for the duration of
-/// the scenario.
+/// Arms the IO shim with `fault` for the calling thread's writes.  The
+/// returned guard keeps it armed and serializes callers; hold it for the
+/// duration of the scenario.
 pub fn install_io_fault(fault: IoFault) -> IoFaultGuard {
     let lock = IO_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (mode, nth) = match fault {
@@ -499,6 +499,7 @@ pub fn install_io_fault(fault: IoFault) -> IoFaultGuard {
     IO_NTH.store(nth, Ordering::SeqCst);
     IO_MODE.store(mode, Ordering::SeqCst);
     IO_ARMED.store(true, Ordering::SeqCst);
+    IO_ARMED_HERE.set(true);
     IoFaultGuard { _lock: lock }
 }
 
@@ -517,7 +518,7 @@ pub(crate) enum IoTap {
 /// how it should misbehave, or `None` to proceed normally.  One relaxed
 /// load when no fault is armed.
 pub(crate) fn tap_write() -> Option<IoTap> {
-    if !IO_ARMED.load(Ordering::Relaxed) {
+    if !IO_ARMED.load(Ordering::Relaxed) || !IO_ARMED_HERE.get() {
         return None;
     }
     let ordinal = IO_COUNT.fetch_add(1, Ordering::SeqCst) + 1;
@@ -679,6 +680,13 @@ mod tests {
     fn io_shim_taps_exactly_the_nth_write() {
         let guard = install_io_fault(IoFault::FailWrite(2));
         assert_eq!(tap_write(), None, "first write passes");
+        // Another thread's writes are neither tapped nor counted: an
+        // exploration running elsewhere in the process never eats the
+        // fault (the suites run their tests on parallel threads).
+        std::thread::scope(|scope| {
+            let elsewhere = scope.spawn(|| [tap_write(), tap_write()]);
+            assert_eq!(elsewhere.join().unwrap(), [None, None]);
+        });
         assert_eq!(tap_write(), Some(IoTap::Fail), "second write fails");
         assert_eq!(tap_write(), None, "third write passes again");
         drop(guard);

@@ -25,16 +25,19 @@
 //!   encoded cold entries — keys *and* summaries, indexed in RAM only by
 //!   fixed-width hashes (module [`spill`]), so the reachable `(n, t)` is
 //!   bounded by disk, not RAM;
-//! * [`explore_partitioned`] / [`run_worker`] (module [`dist`]) — the
-//!   **distributed** engine: hash-partition the depth-`d` frontier
-//!   across worker OS processes, merge their exported memo segments, and
-//!   replay the canonical walk — bit-identical to the serial report,
-//!   with crashed workers validated out and retried;
-//! * [`explore_elastic`] / [`run_worker_elastic`] — the **elastic**
-//!   variant: walk locally first, offload only when the run outlives
-//!   [`StealConfig`]'s thresholds, and re-balance live by preempting
-//!   loaded workers (steal-flag handshake, frontier re-split) — still
-//!   bit-identical;
+//! * one run spine — every engine opens a run the same way (deadline
+//!   clock, fingerprint, cache seed, checkpoint resume, all-or-nothing
+//!   memo), differs only in the *work* that fills the memo, and finishes
+//!   it the same way (root walk, report, cache commit); [`explore_with`]
+//!   is the run with no work phase, and module [`dist`] adds the two
+//!   that use worker OS processes, both bit-identical to the serial
+//!   report with crashed workers validated out and retried:
+//!   [`explore_partitioned_timed`] / [`run_worker`] hash-partition the
+//!   depth-`d` frontier, and [`explore_elastic_timed`] /
+//!   [`run_worker_elastic`] walk locally first, offload only when the
+//!   run outlives [`StealConfig`]'s thresholds, and re-balance live by
+//!   preempting loaded workers (steal-flag handshake, frontier
+//!   re-split);
 //! * [`Witness`] — concrete counterexample schedules, reconstructed when
 //!   a violation exists (used by the commit-order ablation, where the
 //!   ascending variant mechanically violates Theorem 1);
@@ -60,10 +63,10 @@ pub mod spill;
 pub use cache::{cache_from_env, run_fingerprint, CacheConfig, CacheMode};
 pub use checkpoint::CheckpointConfig;
 pub use dist::{
-    explore_elastic, explore_elastic_in_process, explore_elastic_timed, explore_partitioned,
-    explore_partitioned_in_process, explore_partitioned_timed, run_worker, run_worker_elastic,
-    steal_from_env, supervise_from_env, DistOptions, DistTimings, ElasticExit, ElasticStats,
-    ElasticTask, StealConfig, SuperviseConfig, WorkerPulse, WorkerReport, WorkerTask,
+    explore_elastic_in_process, explore_elastic_timed, explore_partitioned_in_process,
+    explore_partitioned_timed, run_worker, run_worker_elastic, steal_from_env, supervise_from_env,
+    DistOptions, DistTimings, ElasticExit, ElasticStats, ElasticTask, StealConfig, SuperviseConfig,
+    WorkerPulse, WorkerReport, WorkerTask,
 };
 pub use explorer::{
     budget_from_env, explore, explore_with, Arbiter, BudgetArbiter, BudgetKind, CheckableProtocol,

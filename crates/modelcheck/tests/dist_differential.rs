@@ -16,8 +16,8 @@ use twostep_baselines::floodset_processes;
 use twostep_core::{crw_processes, CommitOrder, Crw};
 use twostep_model::{ProcessId, SystemConfig, WideValue};
 use twostep_modelcheck::{
-    explore_elastic, explore_elastic_in_process, explore_partitioned,
-    explore_partitioned_in_process, explore_with, run_worker, run_worker_elastic, DistOptions,
+    explore_elastic_in_process, explore_elastic_timed, explore_partitioned_in_process,
+    explore_partitioned_timed, explore_with, run_worker, run_worker_elastic, DistOptions,
     ElasticTask, ExploreConfig, ExploreError, ExploreOptions, ExploreReport, FaultPlan, MemoConfig,
     RoundBound, SpecMode, StealConfig, SuperviseConfig, Symmetry, WorkerPulse, WorkerTask,
 };
@@ -303,7 +303,7 @@ fn killed_worker_is_retried_to_identical_report() {
         }
         run()
     };
-    let dist = explore_partitioned(
+    let dist = explore_partitioned_timed(
         system,
         config,
         &dist_options(2),
@@ -311,7 +311,8 @@ fn killed_worker_is_retried_to_identical_report() {
         proposals.clone(),
         launch,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_eq!(kills.load(Ordering::Relaxed), 2, "partition 0 ran twice");
     assert_identical(&serial, &dist, "killed worker retried");
 }
@@ -351,7 +352,7 @@ fn lying_worker_is_caught_by_validation_and_retried() {
         .map(|_| ())
         .map_err(|e| e.to_string())
     };
-    let dist = explore_partitioned(
+    let dist = explore_partitioned_timed(
         system,
         config,
         &dist_options(2),
@@ -359,7 +360,8 @@ fn lying_worker_is_caught_by_validation_and_retried() {
         proposals.clone(),
         launch,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_eq!(lies.load(Ordering::Relaxed), 2, "partition 1 ran twice");
     assert_identical(&serial, &dist, "lying worker retried");
 }
@@ -392,7 +394,7 @@ fn exhausted_worker_attempts_fail_loudly() {
         supervise: no_degrade(),
         ..dist_options(2)
     };
-    let err = explore_partitioned(
+    let err = explore_partitioned_timed(
         system,
         config,
         &options,
@@ -455,7 +457,7 @@ fn scratch_dir_is_removed_on_every_coordinator_outcome() {
     assert_scratch_empty("success");
 
     // Worker-retry exhaustion: a worker that never comes up.
-    let err = explore_partitioned(
+    let err = explore_partitioned_timed(
         system,
         config,
         &options,
@@ -469,7 +471,7 @@ fn scratch_dir_is_removed_on_every_coordinator_outcome() {
 
     // Validation failure: a worker that always claims success but leaves
     // a damaged export, exhausting every attempt.
-    let err = explore_partitioned(
+    let err = explore_partitioned_timed(
         system,
         config,
         &options,
@@ -492,7 +494,7 @@ fn scratch_dir_is_removed_on_every_coordinator_outcome() {
         supervise: SuperviseConfig::default(),
         ..options.clone()
     };
-    let report = explore_partitioned(
+    let report = explore_partitioned_timed(
         system,
         config,
         &degrading,
@@ -500,7 +502,8 @@ fn scratch_dir_is_removed_on_every_coordinator_outcome() {
         proposals.clone(),
         |_task: &WorkerTask| Err("never comes up".to_string()),
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert!(report.distinct_states > 0, "degraded run still explores");
     assert_scratch_empty("degraded success");
 
@@ -652,7 +655,7 @@ fn elastic_with_lazy_policy_never_offloads_and_matches_serial() {
         steal: StealConfig::on(), // default thresholds: 250ms warm-up
         ..dist_options(2)
     };
-    let dist = explore_elastic(
+    let dist = explore_elastic_timed(
         system,
         config,
         &options,
@@ -672,7 +675,8 @@ fn elastic_with_lazy_policy_never_offloads_and_matches_serial() {
             .map_err(|e| e.to_string())
         },
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_eq!(
         launches.load(Ordering::Relaxed),
         0,
@@ -704,7 +708,7 @@ fn killed_elastic_worker_mid_steal_is_retried_to_identical_report() {
         steal: forced_steal(16),
         ..dist_options(2)
     };
-    let dist = explore_elastic(
+    let dist = explore_elastic_timed(
         system,
         config,
         &options,
@@ -731,7 +735,8 @@ fn killed_elastic_worker_mid_steal_is_retried_to_identical_report() {
             Ok(exit)
         },
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_eq!(kills.load(Ordering::Relaxed), 2, "worker 0 ran twice");
     assert_identical(&serial, &dist, "killed elastic worker retried");
 }
@@ -759,7 +764,7 @@ fn steal_raced_with_natural_finish_is_identical() {
         steal: forced_steal(8),
         ..dist_options(2)
     };
-    let dist = explore_elastic(
+    let dist = explore_elastic_timed(
         system,
         config,
         &options,
@@ -785,7 +790,8 @@ fn steal_raced_with_natural_finish_is_identical() {
             .map_err(|e| e.to_string())
         },
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_identical(&serial, &dist, "steal raced with natural finish");
 }
 
@@ -803,7 +809,7 @@ fn exhausted_elastic_worker_attempts_fail_loudly() {
         supervise: no_degrade(),
         ..dist_options(2)
     };
-    let err = explore_elastic(
+    let err = explore_elastic_timed(
         system,
         config,
         &options,

@@ -19,7 +19,9 @@
 //! * [`run_on_workers`] / [`WorkQueue`] / [`default_threads`] — the
 //!   workspace-wide worker scheduler and work-sharing injector (module
 //!   [`scheduler`]), shared by sweeps and the exhaustive explorer and
-//!   honoring the `TWOSTEP_THREADS` env override.
+//!   honoring the `TWOSTEP_THREADS` env override;
+//! * [`EnvKnob`] — the one warn-once policy every `TWOSTEP_*` environment
+//!   variable in the workspace resolves through.
 //!
 //! The engine is fully deterministic: given the same protocol states and
 //! the same [`CrashSchedule`](twostep_model::CrashSchedule), it produces
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+mod env;
 pub mod protocol;
 pub mod scheduler;
 pub mod spec;
@@ -41,10 +44,11 @@ pub use engine::{
     Decision, ModelKind, PlanShape, ProcStatus, RoundActions, RunReport, SimError, Simulation,
     Stepper,
 };
+pub use env::EnvKnob;
 pub use protocol::{Inbox, SendPlan, Step, SyncProtocol};
 pub use scheduler::{
-    default_threads, panic_message, run_on_workers, run_tasks_supervised, run_tasks_with_retry,
-    CancelToken, RetryPolicy, SupervisedAttempt, TaskAttempt, TaskError, WorkQueue, MAX_THREADS,
+    default_threads, panic_message, run_on_workers, run_tasks_supervised, CancelToken, RetryPolicy,
+    SupervisedAttempt, TaskError, WorkQueue, MAX_THREADS,
 };
 pub use spec::{check_uniform_consensus, SpecReport, SpecViolation};
 pub use stats::{Histogram, Summary};

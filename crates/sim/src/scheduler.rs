@@ -29,6 +29,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::env::{warn_once, EnvKnob};
+
 /// Hard cap on the worker count accepted from `TWOSTEP_THREADS`: values
 /// above this are almost certainly typos (no machine this workspace
 /// targets has thousands of cores, and each worker pins a thread), so
@@ -51,48 +53,31 @@ pub fn default_threads() -> usize {
     let machine = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let raw = std::env::var("TWOSTEP_THREADS").ok();
-    let (threads, warning) = resolve_threads(raw.as_deref(), machine);
+    let (threads, warning) = clamp_threads(THREADS.get().unwrap_or(machine));
     if let Some(warning) = warning {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| eprintln!("twostep: {warning}"));
+        warn_once("TWOSTEP_THREADS cap", &warning);
     }
     threads
 }
 
-/// Pure resolution of a `TWOSTEP_THREADS` value against the machine's
-/// parallelism: the worker count plus an optional warning describing a
-/// loud fallback or clamp.  Split from [`default_threads`] so the policy
-/// is unit-testable without touching process environment.
-fn resolve_threads(raw: Option<&str>, machine: usize) -> (usize, Option<String>) {
-    let machine = machine.max(1);
-    let raw = match raw {
-        None => return (machine, None),
-        Some(raw) => raw,
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(0) => (
-            machine,
-            Some(format!(
-                "TWOSTEP_THREADS=0 is invalid (need at least one worker); \
-                 falling back to machine parallelism ({machine})"
-            )),
-        ),
-        Ok(n) if n > MAX_THREADS => (
-            MAX_THREADS,
-            Some(format!(
-                "TWOSTEP_THREADS={n} exceeds the {MAX_THREADS}-thread cap; clamping"
-            )),
-        ),
-        Ok(n) => (n, None),
-        Err(_) => (
-            machine,
-            Some(format!(
-                "TWOSTEP_THREADS={raw:?} is not a thread count; \
-                 falling back to machine parallelism ({machine})"
-            )),
-        ),
+/// `TWOSTEP_THREADS`: any positive worker count ([`default_threads`]
+/// clamps it to [`MAX_THREADS`]).
+const THREADS: EnvKnob<usize> = EnvKnob {
+    name: "TWOSTEP_THREADS",
+    fallback: "is not a thread count (need at least one worker); \
+               falling back to machine parallelism",
+    parse: |raw| raw.parse().ok().filter(|&n| n >= 1),
+};
+
+/// Clamps a requested worker count to [`MAX_THREADS`], with the warning
+/// the clamp earns.
+fn clamp_threads(requested: usize) -> (usize, Option<String>) {
+    if requested > MAX_THREADS {
+        let warning =
+            format!("TWOSTEP_THREADS={requested} exceeds the {MAX_THREADS}-thread cap; clamping");
+        return (MAX_THREADS, Some(warning));
     }
+    (requested, None)
 }
 
 /// Runs `work(worker_index)` on `threads` workers: indexes `1..threads`
@@ -115,17 +100,6 @@ where
         }
         work(0);
     });
-}
-
-/// One launch attempt of a retried task: which task, and which attempt
-/// (0-based) this is.  Passed to the closure of [`run_tasks_with_retry`]
-/// so callers can, e.g., log retries or vary behavior per attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskAttempt {
-    /// The task index, `0..count`.
-    pub index: usize,
-    /// The attempt number for this task, `0..attempts`.
-    pub attempt: usize,
 }
 
 /// A cooperative stop signal shared between a supervisor and the work it
@@ -185,7 +159,7 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// A policy with `attempts` launches, no backoff, and no per-attempt
-    /// timeout — the behavior of the legacy retry loop.
+    /// timeout.
     pub fn new(attempts: usize) -> Self {
         RetryPolicy {
             attempts,
@@ -424,33 +398,6 @@ where
     results
 }
 
-/// Runs `count` independent fallible tasks concurrently, retrying each
-/// failed task up to `attempts` total launches with no backoff and no
-/// per-attempt timeout.  A thin wrapper over [`run_tasks_supervised`]
-/// kept for callers that don't need a full [`RetryPolicy`]; panics in
-/// the task closure surface as [`TaskError::Panicked`] for that task,
-/// never as a panic of this function.
-///
-/// # Panics
-///
-/// Panics if `attempts == 0` (every task needs at least one launch).
-pub fn run_tasks_with_retry<E, F>(
-    count: usize,
-    attempts: usize,
-    run: F,
-) -> Vec<Result<(), TaskError<E>>>
-where
-    E: Send,
-    F: Fn(TaskAttempt) -> Result<(), E> + Sync,
-{
-    run_tasks_supervised(count, &RetryPolicy::new(attempts), |ctx| {
-        run(TaskAttempt {
-            index: ctx.index,
-            attempt: ctx.attempt,
-        })
-    })
-}
-
 /// A closable multi-producer multi-consumer work injector.
 ///
 /// Producers [`push`](Self::push) items; consumers block in
@@ -556,35 +503,32 @@ mod tests {
     }
 
     #[test]
-    fn resolve_threads_honors_plain_values_with_whitespace() {
-        assert_eq!(resolve_threads(Some("  8 "), 4), (8, None));
-        assert_eq!(resolve_threads(Some("1"), 4), (1, None));
-        assert_eq!(resolve_threads(None, 4), (4, None));
-    }
-
-    #[test]
-    fn resolve_threads_rejects_zero_loudly() {
-        let (threads, warning) = resolve_threads(Some("0"), 8);
-        assert_eq!(threads, 8, "falls back to machine parallelism");
-        let warning = warning.expect("zero must warn, not be silently ignored");
-        assert!(warning.contains("TWOSTEP_THREADS=0"), "{warning}");
-    }
-
-    #[test]
-    fn resolve_threads_rejects_garbage_loudly() {
-        let (threads, warning) = resolve_threads(Some("not-a-number"), 6);
-        assert_eq!(threads, 6, "falls back to machine parallelism");
-        let warning = warning.expect("garbage must warn, not be silently ignored");
-        assert!(warning.contains("not-a-number"), "{warning}");
-    }
-
-    #[test]
-    fn resolve_threads_clamps_absurd_values() {
-        let (threads, warning) = resolve_threads(Some("10000"), 8);
+    fn clamp_threads_caps_absurd_values_loudly() {
+        let (threads, warning) = clamp_threads(10_000);
         assert_eq!(threads, MAX_THREADS);
         assert!(warning.expect("clamping warns").contains("10000"));
         // The cap itself is accepted silently.
-        assert_eq!(resolve_threads(Some("4096"), 8), (MAX_THREADS, None));
+        assert_eq!(clamp_threads(MAX_THREADS), (MAX_THREADS, None));
+        assert_eq!(clamp_threads(8), (8, None));
+    }
+
+    /// The env-knob policy, once, through the `TWOSTEP_THREADS` row (the
+    /// model checker's table test runs the other nine variables through
+    /// the same `resolve`): unset is the default and silent, garbage is
+    /// the default plus a warning naming variable and value, a valid
+    /// value is honored.
+    #[test]
+    fn threads_knob_follows_the_env_policy() {
+        assert_eq!(THREADS.resolve(None), (None, None));
+        assert_eq!(THREADS.resolve(Some("  8 ")), (Some(8), None));
+        assert_eq!(THREADS.resolve(Some("1")), (Some(1), None));
+        for garbage in ["0", "not-a-number", "-3", ""] {
+            let (threads, warning) = THREADS.resolve(Some(garbage));
+            assert_eq!(threads, None, "{garbage:?} falls back");
+            let warning = warning.expect("garbage must warn, not be silently ignored");
+            assert!(warning.contains("TWOSTEP_THREADS"), "{warning}");
+            assert!(warning.contains(&format!("{garbage:?}")), "{warning}");
+        }
     }
 
     #[test]
@@ -606,12 +550,15 @@ mod tests {
     }
 
     #[test]
-    fn run_tasks_with_retry_retries_until_success() {
+    fn supervised_tasks_retry_until_success() {
         // Task 1 fails its first two attempts, then succeeds; the others
         // succeed immediately.  Attempt numbers must be sequential.
         let attempts_seen = Mutex::new(Vec::new());
-        let results = run_tasks_with_retry(3, 3, |task: TaskAttempt| {
-            attempts_seen.lock().unwrap().push(task);
+        let results = run_tasks_supervised(3, &RetryPolicy::new(3), |task: &SupervisedAttempt| {
+            attempts_seen
+                .lock()
+                .unwrap()
+                .push((task.index, task.attempt));
             if task.index == 1 && task.attempt < 2 {
                 Err(format!("task {} attempt {} died", task.index, task.attempt))
             } else {
@@ -622,16 +569,16 @@ mod tests {
         let seen = attempts_seen.into_inner().unwrap();
         let task1: Vec<usize> = seen
             .iter()
-            .filter(|t| t.index == 1)
-            .map(|t| t.attempt)
+            .filter(|(index, _)| *index == 1)
+            .map(|&(_, attempt)| attempt)
             .collect();
         assert_eq!(task1, vec![0, 1, 2]);
-        assert_eq!(seen.iter().filter(|t| t.index == 0).count(), 1);
+        assert_eq!(seen.iter().filter(|(index, _)| *index == 0).count(), 1);
     }
 
     #[test]
-    fn run_tasks_with_retry_reports_exhausted_task() {
-        let results = run_tasks_with_retry(2, 2, |task: TaskAttempt| {
+    fn supervised_tasks_report_exhausted_task() {
+        let results = run_tasks_supervised(2, &RetryPolicy::new(2), |task: &SupervisedAttempt| {
             if task.index == 0 {
                 Err("always dies")
             } else {
@@ -647,7 +594,7 @@ mod tests {
         // Regression for the old `handle.join().expect(...)`: a panic in
         // the task closure must surface as that task's retryable failure,
         // not abort the scheduler.  Task 0 panics once, then succeeds.
-        let results = run_tasks_with_retry(2, 2, |task: TaskAttempt| {
+        let results = run_tasks_supervised(2, &RetryPolicy::new(2), |task: &SupervisedAttempt| {
             if task.index == 0 && task.attempt == 0 {
                 panic!("injected panic on attempt {}", task.attempt);
             }
@@ -658,7 +605,7 @@ mod tests {
 
     #[test]
     fn always_panicking_task_reports_panicked_without_aborting_siblings() {
-        let results = run_tasks_with_retry(3, 2, |task: TaskAttempt| {
+        let results = run_tasks_supervised(3, &RetryPolicy::new(2), |task: &SupervisedAttempt| {
             if task.index == 1 {
                 panic!("task 1 always panics");
             }
