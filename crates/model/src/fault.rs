@@ -89,29 +89,28 @@ impl DeliveryOutcome {
 impl CrashStage {
     /// The delivery outcome this stage imposes on the crashing process's
     /// round (Section 2.1 semantics, see module docs).
+    #[inline]
     pub fn effect(&self, universe: usize) -> DeliveryOutcome {
-        match self {
-            CrashStage::BeforeSend => DeliveryOutcome {
-                data_filter: Some(PidSet::empty(universe)),
-                control_prefix: Some(0),
-                receives_this_round: false,
-            },
-            CrashStage::MidData { delivered } => DeliveryOutcome {
-                data_filter: Some(delivered.clone()),
-                control_prefix: Some(0),
-                receives_this_round: false,
-            },
-            CrashStage::MidControl { prefix_len } => DeliveryOutcome {
-                data_filter: None,
-                control_prefix: Some(*prefix_len),
-                receives_this_round: false,
-            },
-            CrashStage::EndOfRound => DeliveryOutcome {
-                data_filter: None,
-                control_prefix: None,
-                receives_this_round: true,
-            },
+        let (data_filter, control_prefix) = match self {
+            CrashStage::BeforeSend => (Some(PidSet::empty(universe)), Some(0)),
+            CrashStage::MidData { delivered } => (Some(delivered.clone()), Some(0)),
+            CrashStage::MidControl { prefix_len } => (None, Some(*prefix_len)),
+            CrashStage::EndOfRound => (None, None),
+        };
+        DeliveryOutcome {
+            data_filter,
+            control_prefix,
+            receives_this_round: self.receives_this_round(),
         }
+    }
+
+    /// Whether a process crashing at this stage still executes the
+    /// receive + compute phase of its crash round (and may therefore
+    /// decide before dying): only a crash at the very end of the round
+    /// leaves it that far.
+    #[inline]
+    pub fn receives_this_round(&self) -> bool {
+        matches!(self, CrashStage::EndOfRound)
     }
 
     /// Whether this stage lets the process complete its entire send phase.
@@ -120,6 +119,7 @@ impl CrashStage {
     /// entirely" lines 4–5; a crash in `BeforeSend`, `MidData` or
     /// `MidControl` interrupts the send phase, so a decision scheduled for
     /// after the send must not be recorded.
+    #[inline]
     pub fn completes_send_phase(&self) -> bool {
         matches!(self, CrashStage::EndOfRound)
     }

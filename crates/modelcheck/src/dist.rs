@@ -429,17 +429,28 @@ where
         stepper: root,
     }];
     for _ in 0..depth {
+        // Key first, like the walk itself: a child is assembled as raw
+        // key bytes, and only the first occurrence of a raw key is
+        // stepped into existence and canonicalized — a repeated raw key
+        // is a repeated canonical key, so dropping it here leaves the
+        // first-occurrence order untouched.
+        let mut seen_raw: HashSet<Vec<u8>> = HashSet::new();
         let mut seen: HashSet<Vec<u8>> = HashSet::new();
         let mut next: Vec<PathedRoot<P>> = Vec::new();
         for parent in level {
             if walker.is_terminal(&parent.stepper) {
                 continue;
             }
-            for (idx, actions) in walker
-                .enumerate_action_sets(&parent.stepper)
-                .iter()
-                .enumerate()
-            {
+            let mut round = walker
+                .open_round(&parent.stepper)
+                .map_err(ExploreError::Engine)?;
+            for (idx, actions) in walker.enumerate_action_sets(&round).iter().enumerate() {
+                if let Some(raw) = walker.child_raw_key(&mut round, actions) {
+                    if seen_raw.contains(raw) {
+                        continue;
+                    }
+                    seen_raw.insert(raw.to_vec());
+                }
                 let mut child = parent.stepper.clone();
                 child.step(actions).map_err(ExploreError::Engine)?;
                 let (hash, _) = walker.canonical_key(&child, None);
@@ -453,6 +464,7 @@ where
                     });
                 }
             }
+            walker.close_round(round);
         }
         level = next;
     }
@@ -522,7 +534,7 @@ where
     if groups.is_empty() {
         return Ok(());
     }
-    let actions = walker.enumerate_action_sets(node);
+    let actions = walker.action_sets_of(node)?;
     for (idx, group) in groups {
         let Some(action) = actions.get(idx as usize) else {
             // A path that indexes past the enumeration cannot have been

@@ -97,10 +97,10 @@
 //!
 //! ## Hot path
 //!
-//! Everything every engine does funnels through one loop — fork a child
-//! configuration, step it one round, key it, probe the memo — so that
-//! loop is engineered to allocate nothing and hash once in steady
-//! state:
+//! Everything every engine does funnels through one loop — key a child
+//! configuration, probe the memo, and only for a child nothing answers
+//! for fork it, step it one round and enter it — so that loop is
+//! engineered to allocate nothing and hash once in steady state:
 //!
 //! * **canonical byte keys** — entering a configuration encodes it once
 //!   into a walker-local scratch buffer (`make_key_into`: round,
@@ -119,7 +119,9 @@
 //!   and late-exploration walks) takes only the shard's read lock and
 //!   touches an atomic clock bit; write locks are for misses with a
 //!   disk tier and for inserts ([`crate::memo`]);
-//! * **clone-free successors** — per-process snapshots live behind
+//! * **clone-free successors** — a child that has to exist (a memo
+//!   miss, see *Key-first successor generation* below) costs no
+//!   allocation either: per-process snapshots live behind
 //!   `Arc`s ([`twostep_sim::Stepper`] copy-on-write), child steppers
 //!   are recycled through a walker pool and re-forked in place
 //!   (`Stepper::fork_from` reuses every buffer), round scratch (send
@@ -127,8 +129,9 @@
 //!   stepper, and hot protocols refill their plans in place
 //!   ([`twostep_sim::SyncProtocol::send_into`]);
 //! * **pooled enumeration** — crash-outcome buffers, action-set
-//!   vectors and their rows, key buffers, and the terminal
-//!   pseudo-schedule are all recycled across configurations.
+//!   vectors and their rows, key buffers, open rounds (send-phase copy,
+//!   record arena, view tables), and the terminal pseudo-schedule are
+//!   all recycled across configurations.
 //!
 //! None of this changes a single observable bit: keys merge exactly the
 //! configurations the structured comparison merged, summaries are the
@@ -137,6 +140,65 @@
 //! interchange record format did change shape (key bytes stored
 //! verbatim, length-prefixed), which is segment format **v4** — v3-era
 //! files and caches are foreign and loudly replaced, never reused.
+//!
+//! ## Key-first successor generation
+//!
+//! A memoized DFS asks for far more children than it finds states: the
+//! serial `(8, 7)` CRW walk enters 2 936 634 children — 9 192 expanded
+//! configurations × ~320 adversary moves each — to find 47 789 states,
+//! so 98.4 % of the children resolve in a memo hit (under
+//! `partial+value`: 2 420 154 children for 5 787 orbits).  Building each
+//! of those children as a [`Stepper`] — fork, run the send phase, deliver,
+//! receive, encode — only to learn its key was the walk's dominant cost.
+//! Successors are therefore generated **key first**: the child's raw key
+//! bytes are assembled without the child, the probe runs on those bytes,
+//! and `fork` + `step` + `enter` is the path of the 1.6 % nothing
+//! answers for.
+//!
+//! When a configuration expands, its **send phase runs once**
+//! ([`twostep_sim::SentRound`], held by the frame as its open round) —
+//! for the adversary enumeration, which reads the plans, and for every
+//! child key after it.  An action row is then reduced to one
+//! [`twostep_sim::RoundView`] per process: which senders' data and
+//! control messages the row lets reach it, and how its own action ends
+//! its round.  A small per-frame, per-process table maps each view met
+//! so far to the process's **key record** — the exact bytes
+//! `make_key_into` would emit for it in the child — and a view met for
+//! the first time is settled by the engine (the real `receive` on a copy
+//! of the post-send state) and its record appended.  The child's raw key
+//! is header + one record per process; consecutive rows of the
+//! enumeration differ in their last processes, so the records of the
+//! leading processes whose views did not change are not even re-copied.
+//! The probe is the memo itself under a raw plan, and the raw→canonical
+//! key cache (a pinned summary, or the cached canonical key against the
+//! memo) under a canonicalizing one; the distributed frontier expander
+//! and the steal harvester key their children the same way and build a
+//! `Stepper` only for a first occurrence / a memo miss.
+//!
+//! Soundness rests on three facts of the round semantics, all of them
+//! properties of [`twostep_sim::Stepper::step`] (which is written on top
+//! of the same per-process settle function, so this is a second *caller*
+//! of the round, not a second copy):
+//!
+//! 1. the send phase depends only on a process's state and the round —
+//!    never on the adversary — so one execution serves every row;
+//! 2. `receive` is a function of the post-send state, the round and the
+//!    inbox;
+//! 3. `step` touches process `j` only through `j`'s inbox and `j`'s own
+//!    action — exactly what a view records — so rows that give `j` equal
+//!    views leave `j` with equal key records.
+//!
+//! What is deliberately **not** keyed, because `make_key_into` never
+//! encoded it: metrics, the trace, and the round a process crashed in.
+//! A row the views cannot describe — one aimed at an already decided
+//! process, which `step` relabels crashed, or a system wider than the
+//! views' 64-bit sender masks — is recognized from the row itself and
+//! takes the fork + step path, as does every memo miss; in debug builds
+//! every assembled key is checked against `fork` + `step` +
+//! `make_key_into`, so each differential suite is also a differential
+//! of this.  Enumeration order, absorb order, the one-`step()`-per-child
+//! accounting, the stop check and the `max_states` check are where they
+//! always were: reports are bit-identical.
 //!
 //! ## Symmetry reduction
 //!
@@ -517,7 +579,8 @@
 //!   distinct-state budget keeps its historical `enter()`-site check).
 //!   The built-in [`BudgetArbiter`] enforces a declarative
 //!   [`WalkBudget`] ([`ExploreOptions::budget`], env-resolvable via
-//!   `TWOSTEP_MAX_STEPS` / `TWOSTEP_DEADLINE_MS`).  A refusal is
+//!   `TWOSTEP_MAX_STEPS` / `TWOSTEP_DEADLINE_MS`; the deadline clock
+//!   is read every 64 steps, not every step).  A refusal is
 //!   honored only after the walk has memoized at least one *fresh*
 //!   configuration this session, so a resume chain always terminates in
 //!   at most `distinct_states` sessions even at `max_steps = 0`;
@@ -548,7 +611,7 @@ use twostep_model::{
 };
 use twostep_sim::{
     check_uniform_consensus, default_threads, run_on_workers, Decision, EnvKnob, ModelKind,
-    PlanShape, ProcStatus, RoundActions, SimError, SpecViolation, Stepper, SyncProtocol,
+    ProcStatus, RoundActions, RoundView, SentRound, SimError, SpecViolation, Stepper, SyncProtocol,
     TraceLevel, WorkQueue,
 };
 
@@ -1179,7 +1242,15 @@ impl Arbiter for Unbounded {
 pub struct BudgetArbiter {
     budget: WalkBudget,
     started: Instant,
+    /// Latched once the deadline has been seen to pass.
+    expired: bool,
 }
+
+/// Steps between two reads of the deadline clock.  A step is well under
+/// a microsecond and a clock read is a tenth of that, so reading it on
+/// every step is a measurable share of a bounded walk; an expired
+/// deadline is noticed at most this many steps late.
+const DEADLINE_POLL_STEPS: u64 = 64;
 
 impl BudgetArbiter {
     /// An arbiter whose deadline clock starts now.
@@ -1191,7 +1262,11 @@ impl BudgetArbiter {
     /// instant — e.g. the entry into a multi-phase pipeline, so seed and
     /// worker phases count against the same clock.
     pub fn from_start(budget: WalkBudget, started: Instant) -> Self {
-        BudgetArbiter { budget, started }
+        BudgetArbiter {
+            budget,
+            started,
+            expired: false,
+        }
     }
 }
 
@@ -1208,7 +1283,12 @@ impl Arbiter for BudgetArbiter {
             }
         }
         if let Some(deadline) = self.budget.deadline {
-            if self.started.elapsed() >= deadline {
+            // Polled from a walk's first step on, and latched: a refusal
+            // the driver cannot honor yet is repeated on every step.
+            if !self.expired && progress.steps % DEADLINE_POLL_STEPS == 1 {
+                self.expired = self.started.elapsed() >= deadline;
+            }
+            if self.expired {
                 return StepVerdict::Refuse(BudgetKind::Deadline);
             }
         }
@@ -1480,13 +1560,27 @@ where
         .zip(stepper.procs())
         .zip(stepper.decisions())
     {
-        match status {
-            ProcStatus::Active => {
-                out.push(0);
-                proc.encode(out);
-            }
-            settled => encode_settled_record(settled, decision, false, out),
+        encode_key_record(status, &**proc, decision, out);
+    }
+}
+
+/// Appends the raw key record of one process: tag `0` + protocol
+/// encoding while it is active, its settled record otherwise.
+fn encode_key_record<P>(
+    status: &ProcStatus,
+    proc: &P,
+    decision: &Option<Decision<P::Output>>,
+    out: &mut Vec<u8>,
+) where
+    P: CheckableProtocol,
+    P::Output: SpillCodec,
+{
+    match status {
+        ProcStatus::Active => {
+            out.push(0);
+            proc.encode(out);
         }
+        settled => encode_settled_record(settled, decision, false, out),
     }
 }
 
@@ -2628,8 +2722,10 @@ where
     /// children so successor generation reuses their buffers instead of
     /// allocating a full clone per child.
     stepper_pool: Vec<Stepper<P>>,
-    /// Reusable plan-shape buffer for `Stepper::peek_plan_shape_into`.
-    shape_buf: PlanShape,
+    /// Retired open rounds ([`RoundKeys`]), re-aimed at future
+    /// configurations so their send-phase copy, record arena and view
+    /// tables are reused.
+    round_pool: Vec<RoundKeys<P>>,
     /// Reusable pseudo-schedule for terminal evaluation.
     schedule_buf: CrashSchedule,
     /// Reusable record-sorting scratch for symmetry-reduced keying
@@ -2710,10 +2806,13 @@ impl<O> Default for KeyCacheSlot<O> {
 }
 
 /// Slot count of the raw→canonical key cache (power of two; the raw
-/// hash's low bits index it).  Sized so the bench systems' full raw
-/// state sets fit with headroom — repeated revisits (the dominant
-/// canonicalization repeats in DFS order) then hit at >90%, and the
-/// slots' heap-allocated payloads keep the table itself small.
+/// hash's low bits index it).  Direct-mapped and far smaller than a
+/// large run's raw state set (16 384 slots against 47 789 raw states at
+/// CRW `(8, 7)`): it works because DFS revisits are local — a slot
+/// usually survives from a configuration's first canonicalization to
+/// its revisits as a sibling's child — and a clobbered slot only costs
+/// one re-canonicalization.  The slots' heap-allocated payloads keep
+/// the table itself small.
 const KEY_CACHE_SLOTS: usize = 1 << 14;
 
 /// Fast, non-cryptographic slot index for the raw→canonical cache:
@@ -2765,6 +2864,108 @@ where
     /// This configuration's sorted settled pools, seeding its children's
     /// incremental canonicalization.
     seeds: FrameSeeds,
+    /// This configuration's open round: its one send phase and the key
+    /// records its children's raw keys are assembled from.
+    round: RoundKeys<P>,
+}
+
+/// One configuration's **open round** — what key-first successor
+/// generation (module docs) works from: the configuration's send phase,
+/// executed once ([`SentRound`]), and the raw key record of every
+/// (process, view) pair settled so far.  A child's raw key is a header
+/// plus one such record per process, so a child whose processes' views
+/// have all been met before — almost every child — is keyed by table
+/// lookups and `memcpy`, without ever existing as a [`Stepper`].
+pub(crate) struct RoundKeys<P>
+where
+    P: CheckableProtocol,
+{
+    sent: SentRound<P>,
+    /// Key records ([`encode_key_record`] bytes), back to back.
+    records: Vec<u8>,
+    /// Per process, the views met so far, each with its record's range
+    /// in `records`.  A process that was settled before the round has
+    /// one entry: every row gives it the same view and its record never
+    /// changes.
+    known: Vec<Vec<(RoundView, u32, u32)>>,
+    /// Scratch: the views of the row being keyed.
+    views: Vec<RoundView>,
+    /// The last child key assembled, the views it was assembled from,
+    /// and where each process's record ends in it.
+    key: Vec<u8>,
+    key_views: Vec<RoundView>,
+    key_ends: Vec<u32>,
+}
+
+/// Bytes of a raw key ahead of the first process record: round and
+/// process count.
+const KEY_HEADER_LEN: usize = 8;
+
+impl<P> RoundKeys<P>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    /// Assembles the raw key ([`make_key_into`] layout) of the
+    /// configuration's successor under `actions`.  A (process, view)
+    /// pair met for the first time is settled by the engine — the real
+    /// `receive` on a copy of the post-send state — and its record kept.
+    /// `None` when the engine cannot reduce the row to views
+    /// ([`SentRound::views`]); the caller steps it instead.
+    fn child_key(&mut self, actions: &RoundActions) -> Option<&[u8]> {
+        if !self.sent.views(actions, &mut self.views) {
+            return None;
+        }
+        // Rows arrive in enumeration order, which varies the last
+        // processes fastest: the records of the leading processes whose
+        // views did not change still stand in `key`.
+        let same = self
+            .views
+            .iter()
+            .zip(&self.key_views)
+            .take_while(|(now, then)| now == then)
+            .count();
+        self.key_views.truncate(same);
+        self.key_ends.truncate(same);
+        self.key.truncate(
+            self.key_ends
+                .last()
+                .map_or(KEY_HEADER_LEN, |end| *end as usize),
+        );
+        for (i, view) in self.views.iter().enumerate().skip(same) {
+            let known = &mut self.known[i];
+            let (start, end) = match known.iter().find(|(met, ..)| met == view) {
+                Some(&(_, start, end)) => (start, end),
+                None => {
+                    let start = self.records.len() as u32;
+                    if matches!(self.sent.status()[i], ProcStatus::Active) {
+                        let after = self.sent.settle(i, view);
+                        encode_key_record(
+                            after.status,
+                            after.state,
+                            after.decision,
+                            &mut self.records,
+                        );
+                    } else {
+                        encode_settled_record(
+                            &self.sent.status()[i],
+                            &self.sent.decisions()[i],
+                            false,
+                            &mut self.records,
+                        );
+                    }
+                    let end = self.records.len() as u32;
+                    known.push((*view, start, end));
+                    (start, end)
+                }
+            };
+            self.key
+                .extend_from_slice(&self.records[start as usize..end as usize]);
+            self.key_views.push(*view);
+            self.key_ends.push(self.key.len() as u32);
+        }
+        Some(&self.key)
+    }
 }
 
 /// Outcome of entering a configuration.
@@ -2859,16 +3060,25 @@ where
             if frame.next_action < frame.actions.len() {
                 let idx = frame.next_action;
                 frame.next_action += 1;
-                let mut child = self.walker.fork(&frame.stepper);
-                child
-                    .step(&frame.actions[idx])
-                    .map_err(|e| self.walker.shared.fail(ExploreError::Engine(e)))?;
-                match self.walker.enter(child, &mut self.stack)? {
-                    Entered::Ready(summary, stepper) => {
-                        self.walker.stepper_pool.push(stepper);
-                        self.pending = Some(summary);
+                if self.walker.shared.stop.load(Ordering::Relaxed) {
+                    return Err(Interrupt::Stopped);
+                }
+                // Key first: only a child nothing answers for is forked,
+                // stepped and entered.
+                if let Some(summary) = self.walker.probe_child(frame, idx)? {
+                    self.pending = Some(summary);
+                } else {
+                    let mut child = self.walker.fork(&frame.stepper);
+                    child
+                        .step(&frame.actions[idx])
+                        .map_err(|e| self.walker.shared.fail(ExploreError::Engine(e)))?;
+                    match self.walker.enter(child, &mut self.stack)? {
+                        Entered::Ready(summary, stepper) => {
+                            self.walker.stepper_pool.push(stepper);
+                            self.pending = Some(summary);
+                        }
+                        Entered::Expanded => expanded = true,
                     }
-                    Entered::Expanded => expanded = true,
                 }
             } else {
                 let done = self.stack.pop().expect("popping the completed frame");
@@ -2884,7 +3094,8 @@ where
                     .insert(done.hash, &done.key, canonical)
                     .map_err(|e| self.walker.shared.fail(e.into()))?;
                 let summary = self.walker.to_real(summary, done.value_swapped);
-                self.walker.recycle(done.key, done.actions, done.seeds);
+                self.walker
+                    .recycle(done.key, done.actions, done.seeds, done.round);
                 self.walker.stepper_pool.push(done.stepper);
                 if self.stack.is_empty() {
                     self.summaries.push(summary);
@@ -2938,9 +3149,10 @@ where
     }
 
     /// Harvests the suspended walk's remaining frontier: for every frame
-    /// on the stack, each not-yet-started child is forked, stepped, and
-    /// emitted as a `(canonical-key hash, action-index path)` record —
-    /// unless the memo already holds it.  `prefix` is the current root's
+    /// on the stack, each not-yet-started child is emitted as a
+    /// `(canonical-key hash, action-index path)` record — unless the memo
+    /// already holds it, which the key-first probe answers for almost
+    /// every child without forking it.  `prefix` is the current root's
     /// own path; a child of frame `j` extends it with the actions chosen
     /// into frames `1..=j` plus the child's own index.
     ///
@@ -2960,7 +3172,7 @@ where
         let mut path: Vec<u32> = Vec::with_capacity(prefix.len() + self.stack.len() + 1);
         path.extend_from_slice(prefix);
         let depth = self.stack.len();
-        for (level, frame) in self.stack.iter().enumerate() {
+        for (level, frame) in self.stack.iter_mut().enumerate() {
             // Interior frames (those with a frame above) necessarily
             // advanced `next_action` to push that child; only the top
             // frame may sit just-entered at `next_action == 0`.
@@ -2969,6 +3181,9 @@ where
                 "interior frames were entered through an action"
             );
             for idx in frame.next_action..frame.actions.len() {
+                if walker.probe_child(frame, idx)?.is_some() {
+                    continue;
+                }
                 let mut child = walker.fork(&frame.stepper);
                 child
                     .step(&frame.actions[idx])
@@ -3009,11 +3224,7 @@ where
             row_pool: Vec::new(),
             active_buf: Vec::new(),
             stepper_pool: Vec::new(),
-            shape_buf: PlanShape {
-                data_dests: Vec::new(),
-                control_dests: Vec::new(),
-                control_len: 0,
-            },
+            round_pool: Vec::new(),
             schedule_buf: CrashSchedule::none(shared.system.n()),
             canon: Canonicalizer::new(),
             raw_scratch: Vec::new(),
@@ -3037,11 +3248,118 @@ where
 
     /// Returns a completed frame's buffers to the walker's pools so the
     /// next expansion reuses their allocations.
-    fn recycle(&mut self, key: Vec<u8>, mut actions: Vec<RoundActions>, seeds: FrameSeeds) {
+    fn recycle(
+        &mut self,
+        key: Vec<u8>,
+        mut actions: Vec<RoundActions>,
+        seeds: FrameSeeds,
+        round: RoundKeys<P>,
+    ) {
         self.key_pool.push(key);
         self.row_pool.append(&mut actions);
         self.actions_pool.push(actions);
         self.seeds_pool.push(seeds);
+        self.close_round(round);
+    }
+
+    /// Opens `stepper`'s next round: runs its send phase once, on a
+    /// pooled copy, and starts an empty record table.  Fails where
+    /// stepping any child would have failed (the send phase does not
+    /// look at the adversary).
+    pub(crate) fn open_round(&mut self, stepper: &Stepper<P>) -> Result<RoundKeys<P>, SimError> {
+        let mut round = match self.round_pool.pop() {
+            Some(mut round) => {
+                round.sent.reset(stepper)?;
+                round
+            }
+            None => RoundKeys {
+                sent: SentRound::new(stepper)?,
+                records: Vec::new(),
+                known: Vec::new(),
+                views: Vec::new(),
+                key: Vec::new(),
+                key_views: Vec::new(),
+                key_ends: Vec::new(),
+            },
+        };
+        round.records.clear();
+        round.known.resize_with(stepper.procs().len(), Vec::new);
+        round.known.iter_mut().for_each(Vec::clear);
+        round.key.clear();
+        stepper.round().next().get().encode(&mut round.key);
+        (stepper.procs().len() as u32).encode(&mut round.key);
+        debug_assert_eq!(round.key.len(), KEY_HEADER_LEN);
+        round.key_views.clear();
+        round.key_ends.clear();
+        Ok(round)
+    }
+
+    /// Returns an open round's buffers to the pool.
+    pub(crate) fn close_round(&mut self, round: RoundKeys<P>) {
+        self.round_pool.push(round);
+    }
+
+    /// The buffer raw key bytes are encoded into: they *are* the
+    /// canonical key under a raw plan, and index the raw→canonical cache
+    /// under a canonicalizing one.
+    fn raw_key_buf(&mut self) -> &mut Vec<u8> {
+        if self.shared.plan.tier == CanonTier::Raw {
+            &mut self.key_scratch
+        } else {
+            &mut self.raw_scratch
+        }
+    }
+
+    /// Assembles the raw key of `round`'s successor under `actions`
+    /// without stepping ([`RoundKeys::child_key`]) and leaves it in the
+    /// raw key buffer; `None` for a row only `Stepper::step` can execute.
+    pub(crate) fn child_raw_key(
+        &mut self,
+        round: &mut RoundKeys<P>,
+        actions: &RoundActions,
+    ) -> Option<&[u8]> {
+        let key = round.child_key(actions)?;
+        let raw = self.raw_key_buf();
+        raw.clear();
+        raw.extend_from_slice(key);
+        Some(raw)
+    }
+
+    /// The key-first probe: `frame`'s child under action `idx`, answered
+    /// from its assembled raw key alone — by the memo under a raw plan,
+    /// by the raw→canonical cache (a pinned summary, or the cached
+    /// canonical key against the memo) under a canonicalizing one.
+    /// `None` when nothing answers: the caller forks, steps and enters
+    /// the child as it always did.
+    fn probe_child(
+        &mut self,
+        frame: &mut Frame<P>,
+        idx: usize,
+    ) -> Result<Option<Arc<Summary<P::Output>>>, Interrupt> {
+        let actions = &frame.actions[idx];
+        if self.child_raw_key(&mut frame.round, actions).is_none() {
+            return Ok(None);
+        }
+        debug_assert!(
+            self.raw_key_is_stepped_key(&frame.stepper, actions),
+            "assembled child key differs from the stepped child's key"
+        );
+        match self.lookup_raw(true) {
+            Err(_) => Ok(None),
+            Ok(KeyedEntry::Resolved(real)) => Ok(Some(real)),
+            Ok(KeyedEntry::Key { hash, swap }) => self.memoized(hash, swap),
+        }
+    }
+
+    /// The oracle behind `probe_child`'s debug assertion: fork, step,
+    /// encode — and compare with the assembled bytes in the raw buffer.
+    fn raw_key_is_stepped_key(&mut self, parent: &Stepper<P>, actions: &RoundActions) -> bool {
+        let mut child = self.fork(parent);
+        let stepped = child.step(actions).is_ok();
+        let mut key = Vec::new();
+        make_key_into(&child, &mut key);
+        self.stepper_pool.push(child);
+        stepped && key == *self.raw_key_buf()
     }
 
     /// Encodes `stepper`'s configuration into its canonical key bytes in
@@ -3080,37 +3398,11 @@ where
         shortcut: bool,
     ) -> KeyedEntry<P::Output> {
         let plan = self.shared.plan;
-        if plan.tier == CanonTier::Raw {
-            make_key_into(stepper, &mut self.key_scratch);
-            self.last_slot = None;
-            return KeyedEntry::Key {
-                hash: stable_hash64(&self.key_scratch),
-                swap: false,
-            };
-        }
-        make_key_into(stepper, &mut self.raw_scratch);
-        let slot_idx = key_cache_slot(&self.raw_scratch);
-        {
-            let slot = &self.key_cache[slot_idx];
-            if !slot.raw.is_empty() && slot.raw == self.raw_scratch {
-                // The seeds copy is deferred: `take_frame_seeds` pulls
-                // it from the slot only if this configuration actually
-                // expands into a frame (most hits resolve in the memo).
-                self.seeds_pending_slot = Some(slot_idx);
-                self.last_slot = Some(slot_idx);
-                if shortcut {
-                    if let Some(real) = &slot.real {
-                        return KeyedEntry::Resolved(Arc::clone(real));
-                    }
-                }
-                self.key_scratch.clear();
-                self.key_scratch.extend_from_slice(&slot.canon);
-                return KeyedEntry::Key {
-                    hash: slot.hash,
-                    swap: slot.swap,
-                };
-            }
-        }
+        make_key_into(stepper, self.raw_key_buf());
+        let slot_idx = match self.lookup_raw(shortcut) {
+            Ok(keyed) => return keyed,
+            Err(slot_idx) => slot_idx,
+        };
         self.seeds_pending_slot = None;
         if plan.tier == CanonTier::SettledInert {
             compute_inert_flags(stepper, self.shared.system.t(), &mut self.inert_buf);
@@ -3160,6 +3452,68 @@ where
         slot.real = None;
         self.last_slot = Some(slot_idx);
         KeyedEntry::Key { hash, swap }
+    }
+
+    /// Resolves the raw key sitting in [`raw_key_buf`](Self::raw_key_buf)
+    /// as far as it goes without a configuration to canonicalize: under
+    /// a raw plan the bytes are the key (hashed here); under a
+    /// canonicalizing plan a byte-verified raw→canonical cache hit
+    /// yields the cached canonical key (copied into `key_scratch`) or,
+    /// with `shortcut`, the slot's pinned summary.  `Err` carries the
+    /// cache slot a miss should fill.
+    fn lookup_raw(&mut self, shortcut: bool) -> Result<KeyedEntry<P::Output>, usize> {
+        if self.shared.plan.tier == CanonTier::Raw {
+            self.last_slot = None;
+            return Ok(KeyedEntry::Key {
+                hash: stable_hash64(&self.key_scratch),
+                swap: false,
+            });
+        }
+        let slot_idx = key_cache_slot(&self.raw_scratch);
+        let slot = &self.key_cache[slot_idx];
+        if slot.raw.is_empty() || slot.raw != self.raw_scratch {
+            return Err(slot_idx);
+        }
+        // The seeds copy is deferred: `take_frame_seeds` pulls it from
+        // the slot only if this configuration actually expands into a
+        // frame (most hits resolve in the memo).
+        self.seeds_pending_slot = Some(slot_idx);
+        self.last_slot = Some(slot_idx);
+        if shortcut {
+            if let Some(real) = &slot.real {
+                return Ok(KeyedEntry::Resolved(Arc::clone(real)));
+            }
+        }
+        self.key_scratch.clear();
+        self.key_scratch.extend_from_slice(&slot.canon);
+        Ok(KeyedEntry::Key {
+            hash: slot.hash,
+            swap: slot.swap,
+        })
+    }
+
+    /// Probes the memo with the canonical key in `key_scratch`; a hit
+    /// comes back in the configuration's real value space and is pinned
+    /// in the raw→canonical cache slot the key path went through, so the
+    /// next visit skips the probe.
+    fn memoized(
+        &mut self,
+        hash: u64,
+        value_swapped: bool,
+    ) -> Result<Option<Arc<Summary<P::Output>>>, Interrupt> {
+        let Some(summary) = self
+            .shared
+            .memo
+            .get(hash, &self.key_scratch)
+            .map_err(|e| self.shared.fail(e.into()))?
+        else {
+            return Ok(None);
+        };
+        let real = self.to_real(summary, value_swapped);
+        if let Some(idx) = self.last_slot {
+            self.key_cache[idx].real = Some(Arc::clone(&real));
+        }
+        Ok(Some(real))
     }
 
     /// The canonical key bytes produced by the last
@@ -3290,16 +3644,7 @@ where
             KeyedEntry::Resolved(real) => return Ok(Entered::Ready(real, stepper)),
             KeyedEntry::Key { hash, swap } => (hash, swap),
         };
-        if let Some(summary) = self
-            .shared
-            .memo
-            .get(hash, &self.key_scratch)
-            .map_err(|e| self.shared.fail(e.into()))?
-        {
-            let real = self.to_real(summary, value_swapped);
-            if let Some(idx) = self.last_slot {
-                self.key_cache[idx].real = Some(Arc::clone(&real));
-            }
+        if let Some(real) = self.memoized(hash, value_swapped)? {
             return Ok(Entered::Ready(real, stepper));
         }
         if self.shared.memo.len() >= self.shared.config.max_states {
@@ -3326,7 +3671,12 @@ where
             return Ok(Entered::Ready(real, stepper));
         }
 
-        let actions = self.enumerate_action_sets(&stepper);
+        // The configuration expands: its send phase runs here, once, for
+        // the enumeration below and for every child key after it.
+        let round = self
+            .open_round(&stepper)
+            .map_err(|e| self.shared.fail(ExploreError::Engine(e)))?;
+        let actions = self.enumerate_action_sets(&round);
 
         // Work-sharing: if workers are parked on the injector, hand them
         // the subtrees this walker would reach last.  They explore into
@@ -3364,6 +3714,7 @@ where
             acc: Summary::empty(self.shared.system.t()),
             value_swapped,
             seeds,
+            round,
         });
         Ok(Entered::Expanded)
     }
@@ -3426,11 +3777,13 @@ where
     /// result vector, and the action rows themselves all live in
     /// reusable walker-local pools — in steady state the enumeration
     /// performs no allocation of its own (rows are refilled via
-    /// `clone_from`, which reuses their spines).
-    pub(crate) fn enumerate_action_sets(&mut self, stepper: &Stepper<P>) -> Vec<RoundActions> {
+    /// `clone_from`, which reuses their spines).  The plans are the ones
+    /// the configuration's open round already holds — its send phase is
+    /// not run again here.
+    pub(crate) fn enumerate_action_sets(&mut self, round: &RoundKeys<P>) -> Vec<RoundActions> {
         let n = self.shared.system.n();
-        let crashed_so_far = stepper
-            .status()
+        let status = round.sent.status();
+        let crashed_so_far = status
             .iter()
             .filter(|s| matches!(s, ProcStatus::Crashed(_)))
             .count();
@@ -3438,20 +3791,13 @@ where
 
         self.active_buf.clear();
         self.active_buf
-            .extend((0..n).filter(|i| matches!(stepper.status()[*i], ProcStatus::Active)));
+            .extend((0..n).filter(|i| matches!(status[*i], ProcStatus::Active)));
         let active = &self.active_buf;
         while self.outcome_bufs.len() < active.len() {
             self.outcome_bufs.push(Vec::new());
         }
-        let status = stepper.status();
         for (slot, &i) in active.iter().enumerate() {
-            let shaped = stepper.peek_plan_shape_into(i, &mut self.shape_buf);
-            debug_assert!(shaped, "active process has a shape");
-            debug_assert_eq!(
-                self.shape_buf.control_dests.len(),
-                self.shape_buf.control_len,
-                "one control destination per control message"
-            );
+            let plan = round.sent.plan(i).expect("active process has a plan");
             // Deliveries to settled (decided/crashed) receivers are
             // dropped by the engine, so crash stages differing only in
             // them produce bit-identical successors — enumerate one
@@ -3459,16 +3805,14 @@ where
             // "Effect-pruned adversary enumeration").
             self.live_dests_buf.clear();
             self.live_dests_buf.extend(
-                self.shape_buf
-                    .data_dests
+                plan.data
                     .iter()
-                    .copied()
+                    .map(|(dst, _)| *dst)
                     .filter(|p| matches!(status[p.idx()], ProcStatus::Active)),
             );
             self.live_ks_buf.clear();
             self.live_ks_buf.extend(
-                self.shape_buf
-                    .control_dests
+                plan.control
                     .iter()
                     .enumerate()
                     .filter(|(_, p)| matches!(status[p.idx()], ProcStatus::Active))
@@ -3477,7 +3821,7 @@ where
             crash_outcomes_effective_into(
                 n,
                 &self.live_dests_buf,
-                !self.shape_buf.data_dests.is_empty(),
+                !plan.data.is_empty(),
                 &self.live_ks_buf,
                 &mut self.outcome_bufs[slot],
             );
@@ -3505,6 +3849,19 @@ where
         );
         self.row_pool.push(current);
         out
+    }
+
+    /// [`enumerate_action_sets`](Self::enumerate_action_sets) for a
+    /// caller that wants a configuration's moves and none of its child
+    /// keys: opens the round, enumerates, closes it.
+    pub(crate) fn action_sets_of(
+        &mut self,
+        stepper: &Stepper<P>,
+    ) -> Result<Vec<RoundActions>, ExploreError> {
+        let round = self.open_round(stepper).map_err(ExploreError::Engine)?;
+        let actions = self.enumerate_action_sets(&round);
+        self.close_round(round);
+        Ok(actions)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -3602,7 +3959,7 @@ where
 
             let round = stepper.round();
             let mut advanced = false;
-            for actions in self.enumerate_action_sets(&stepper) {
+            for actions in self.action_sets_of(&stepper)? {
                 let mut child = stepper.clone();
                 child.step(&actions).map_err(ExploreError::Engine)?;
                 let (hash, _) = self.canonical_key(&child, None);
@@ -4186,7 +4543,7 @@ mod tests {
             if walker.is_terminal(&stepper) {
                 break;
             }
-            let actions = walker.enumerate_action_sets(&stepper);
+            let actions = walker.action_sets_of(&stepper).unwrap();
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -4465,7 +4822,7 @@ mod tests {
             Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
         let mut out = vec![stepper.clone()];
         while !walker.is_terminal(&stepper) {
-            let actions = walker.enumerate_action_sets(&stepper);
+            let actions = walker.action_sets_of(&stepper).unwrap();
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -5033,5 +5390,349 @@ mod tests {
             other => panic!("expected a loadable autosave checkpoint, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- Key-first successor generation ---------------------------------
+
+    /// Two simultaneous coordinators: in round 1 both `p_1` and `p_2`
+    /// send their estimate to everyone, commit to the ranks above 2 in
+    /// order, and schedule a send-phase decision; receivers adopt the
+    /// smallest estimate they hear and decide on a commit, or in round
+    /// 2.  Inboxes with two senders, and a `decide_after_send` that a
+    /// mid-send crash must suppress.
+    #[derive(Clone, PartialEq, Eq, Hash, Debug)]
+    struct Duo {
+        me: u32,
+        n: usize,
+        est: u64,
+    }
+
+    impl SyncProtocol for Duo {
+        type Msg = u64;
+        type Output = u64;
+        fn send(&mut self, round: Round) -> SendPlan<u64, u64> {
+            let mut plan = SendPlan::quiet();
+            if round == Round::FIRST && self.me <= 2 {
+                for r in (1..=self.n as u32).filter(|r| *r != self.me) {
+                    plan = plan.with_data(ProcessId::new(r), self.est);
+                }
+                for r in 3..=self.n as u32 {
+                    plan = plan.with_control(ProcessId::new(r));
+                }
+                plan = plan.then_decide(self.est);
+            }
+            plan
+        }
+        fn receive(&mut self, round: Round, inbox: &Inbox<u64>) -> Step<u64> {
+            for (_, v) in inbox.data() {
+                self.est = self.est.min(*v);
+            }
+            if !inbox.control().is_empty() || round.get() >= 2 {
+                Step::Decide(self.est)
+            } else {
+                Step::Continue
+            }
+        }
+    }
+
+    impl SpillCodec for Duo {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.me.encode(out);
+            self.n.encode(out);
+            self.est.encode(out);
+        }
+        fn decode(input: &mut &[u8]) -> Option<Self> {
+            Some(Duo {
+                me: u32::decode(input)?,
+                n: usize::decode(input)?,
+                est: u64::decode(input)?,
+            })
+        }
+    }
+
+    fn duo_procs(n: usize) -> (Vec<Duo>, Vec<u64>) {
+        let proposals: Vec<u64> = (0..n as u64).map(|i| 10 + (i * 7) % 4).collect();
+        let procs = proposals
+            .iter()
+            .enumerate()
+            .map(|(i, est)| Duo {
+                me: i as u32 + 1,
+                n,
+                est: *est,
+            })
+            .collect();
+        (procs, proposals)
+    }
+
+    /// The key-first differential: along seeded random adversary paths
+    /// from `procs`, for **every** action of every visited
+    /// configuration, the raw key assembled from the open round's
+    /// per-process records must equal [`make_key_into`] of the child
+    /// that `fork_from` + `step` produce.  The oracle side shares none
+    /// of the assembly code.  Returns how many children were compared.
+    fn assert_assembled_keys_match_stepped<P>(
+        system: SystemConfig,
+        model: ModelKind,
+        max_rounds: u32,
+        procs: Vec<P>,
+        proposals: Vec<P::Output>,
+        label: &str,
+    ) -> usize
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let config = ExploreConfig {
+            model,
+            ..options(max_rounds, 1_000_000)
+        };
+        let shared = Shared::new(
+            system,
+            config,
+            &ExploreOptions::serial(),
+            &proposals,
+            procs.clone(),
+        )
+        .unwrap();
+        let mut walker = Walker::new(&shared);
+        let root = Stepper::new(system, model, TraceLevel::Off, procs).unwrap();
+        let mut spare = root.clone();
+        let mut stepped_key = Vec::new();
+        let mut compared = 0;
+        for seed in [1u64, 7, 42, 0xBAD5EED, 0xC0FFEE] {
+            let mut state = seed;
+            let mut stepper = root.clone();
+            while !walker.is_terminal(&stepper) {
+                let mut round = walker.open_round(&stepper).unwrap();
+                let actions = walker.enumerate_action_sets(&round);
+                for (idx, row) in actions.iter().enumerate() {
+                    let assembled = walker
+                        .child_raw_key(&mut round, row)
+                        .expect("enumerated rows only act on active processes")
+                        .to_vec();
+                    spare.fork_from(&stepper);
+                    spare.step(row).unwrap();
+                    make_key_into(&spare, &mut stepped_key);
+                    assert_eq!(
+                        assembled,
+                        stepped_key,
+                        "{label}: seed {seed} round {} action {idx} {row:?}",
+                        stepper.round()
+                    );
+                    compared += 1;
+                }
+                walker.close_round(round);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let pick = (state >> 33) as usize % actions.len();
+                stepper.step(&actions[pick]).unwrap();
+            }
+        }
+        compared
+    }
+
+    #[test]
+    fn assembled_child_keys_match_stepped_children() {
+        use twostep_core::{crw_processes, CommitOrder, Crw, ExtendedOnClassic};
+        use twostep_model::WideValue;
+
+        let bits = |n: usize| -> Vec<WideValue> {
+            (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect()
+        };
+        let ranks = |n: usize| -> Vec<u64> { (0..n as u64).map(|i| 10 + (i * 7) % 4).collect() };
+        let mut compared = 0;
+
+        // CRW under the paper's commit order and the LowestFirst ablation.
+        let system = SystemConfig::new(5, 4).unwrap();
+        compared += assert_assembled_keys_match_stepped(
+            system,
+            ModelKind::Extended,
+            6,
+            crw_processes(&system, &bits(5)),
+            bits(5),
+            "crw highest-first",
+        );
+        let lowest_first: Vec<Crw<WideValue>> = bits(5)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| Crw::with_order(ProcessId::from_idx(i), 5, v, CommitOrder::LowestFirst))
+            .collect();
+        compared += assert_assembled_keys_match_stepped(
+            system,
+            ModelKind::Extended,
+            7,
+            lowest_first,
+            bits(5),
+            "crw lowest-first",
+        );
+
+        // FloodSet (everyone sends to everyone) and EarlyStopping (the
+        // one `DecideAndContinue` user), on the classic model.
+        let system = SystemConfig::new(4, 3).unwrap();
+        compared += assert_assembled_keys_match_stepped(
+            system,
+            ModelKind::Classic,
+            5,
+            twostep_baselines::floodset_processes(4, 3, &ranks(4)),
+            ranks(4),
+            "floodset",
+        );
+        compared += assert_assembled_keys_match_stepped(
+            system,
+            ModelKind::Classic,
+            5,
+            twostep_baselines::earlystop_processes(4, 3, &ranks(4)),
+            ranks(4),
+            "earlystop",
+        );
+
+        // The §2.2 block simulation: its state stashes a `SendPlan` that
+        // its own `send` mutates, so only the *post-send* state is right.
+        let system = SystemConfig::new(3, 2).unwrap();
+        let wrapped: Vec<_> = crw_processes(&system, &bits(3))
+            .into_iter()
+            .map(|p| ExtendedOnClassic::new(p, 3))
+            .collect();
+        compared += assert_assembled_keys_match_stepped(
+            system,
+            ModelKind::Classic,
+            10,
+            wrapped,
+            bits(3),
+            "extended-on-classic crw",
+        );
+
+        // Two simultaneous senders with send-phase decisions.
+        let system = SystemConfig::new(4, 2).unwrap();
+        let (procs, proposals) = duo_procs(4);
+        compared += assert_assembled_keys_match_stepped(
+            system,
+            ModelKind::Extended,
+            3,
+            procs,
+            proposals,
+            "duo",
+        );
+        assert!(compared > 5_000, "only {compared} children compared");
+    }
+
+    /// The scenario the toy exists for, checked against the engine
+    /// alone: `p_1` crashing mid-commit loses its send-phase decision
+    /// while `p_2`, untouched, keeps its own — and the assembled key
+    /// says exactly that.
+    #[test]
+    fn mid_control_crash_suppresses_the_send_phase_decision_in_the_assembled_key() {
+        let system = SystemConfig::new(4, 2).unwrap();
+        let (procs, proposals) = duo_procs(4);
+        let shared = Shared::new(
+            system,
+            options(3, 1_000),
+            &ExploreOptions::serial(),
+            &proposals,
+            procs.clone(),
+        )
+        .unwrap();
+        let mut walker = Walker::new(&shared);
+        let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
+        let row: RoundActions = vec![
+            Some(CrashStage::MidControl { prefix_len: 1 }),
+            None,
+            None,
+            None,
+        ];
+        let mut child = root.clone();
+        child.step(&row).unwrap();
+        assert_eq!(child.status()[0], ProcStatus::Crashed(Round::FIRST));
+        assert!(
+            child.decisions()[0].is_none(),
+            "send phase did not complete"
+        );
+        assert_eq!(child.status()[1], ProcStatus::Decided);
+        let mut stepped_key = Vec::new();
+        make_key_into(&child, &mut stepped_key);
+        let mut round = walker.open_round(&root).unwrap();
+        assert_eq!(
+            walker.child_raw_key(&mut round, &row),
+            Some(&stepped_key[..])
+        );
+    }
+
+    /// A row aimed at an already decided process is a round the
+    /// factoring does not describe (`step` relabels the process
+    /// crashed): no key is assembled, the walker forks and steps, and
+    /// the configuration it enters is the stepped one.
+    #[test]
+    fn row_crashing_a_decided_process_takes_the_step_path() {
+        use twostep_model::{PidSet, WideValue};
+        let system = SystemConfig::new(4, 3).unwrap();
+        let proposals: Vec<WideValue> = (0..4).map(|i| WideValue::new(1, i % 2)).collect();
+        let procs = twostep_core::crw_processes(&system, &proposals);
+        let shared = Shared::new(
+            system,
+            options(6, 1_000),
+            &ExploreOptions::serial(),
+            &proposals,
+            procs.clone(),
+        )
+        .unwrap();
+        // Round 1, coordinator dies after one commit: p_4 decides, p_2
+        // and p_3 stay active.
+        let mut parent = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
+        parent
+            .step(&vec![
+                Some(CrashStage::MidControl { prefix_len: 1 }),
+                None,
+                None,
+                None,
+            ])
+            .unwrap();
+        assert_eq!(parent.status()[3], ProcStatus::Decided);
+        // Round 2: the new coordinator dies silent (p_3 lives on), and
+        // the adversary wastes a crash on decided p_4.
+        let wasted: RoundActions = vec![
+            None,
+            Some(CrashStage::MidData {
+                delivered: PidSet::empty(4),
+            }),
+            None,
+            Some(CrashStage::EndOfRound),
+        ];
+        let mut stepped = parent.clone();
+        stepped.step(&wasted).unwrap();
+        assert_eq!(stepped.status()[2], ProcStatus::Active);
+        assert_eq!(stepped.status()[3], ProcStatus::Crashed(Round::new(2)));
+
+        let mut walker = Walker::new(&shared);
+        let mut round = walker.open_round(&parent).unwrap();
+        assert_eq!(walker.child_raw_key(&mut round, &wasted), None);
+        walker.close_round(round);
+
+        // Through the walker itself: enter the parent, aim its first
+        // move at the decided process, and take one step.
+        let mut stepped_walk = StepWalker::new(&mut walker, vec![parent]);
+        assert!(stepped_walk.step(&mut Unbounded).unwrap().expanded);
+        stepped_walk.stack[0].actions[0] = wasted;
+        assert!(stepped_walk.step(&mut Unbounded).unwrap().expanded);
+        let entered = &stepped_walk.stack[1].stepper;
+        let (mut entered_key, mut stepped_key) = (Vec::new(), Vec::new());
+        make_key_into(entered, &mut entered_key);
+        make_key_into(&stepped, &mut stepped_key);
+        assert_eq!(entered_key, stepped_key);
+        assert_eq!(entered.status(), stepped.status());
+    }
+
+    /// A system too large for the views' sender masks is explored
+    /// entirely on the step path — the factoring imposes no limit on
+    /// `n`.  One round of a quiet protocol at `n = 65`, `t = 1`: the
+    /// crash-free run, plus each process dying silent or at the end.
+    #[test]
+    fn systems_beyond_the_view_masks_are_stepped() {
+        let n = 65;
+        let system = SystemConfig::new(n, 1).unwrap();
+        let procs = vec![DecideOwn { v: 3 }; n];
+        let report = explore(system, options(2, 10_000), procs, vec![3; n]).unwrap();
+        assert_eq!(report.root.terminals, 1 + 2 * n as u64);
+        assert!(report.root.decided == vec![3] && !report.root.violating);
     }
 }

@@ -24,6 +24,21 @@
 //!   survive;
 //! * classic-model runs reject control messages outright (suppressing the
 //!   second send step recovers the traditional model, Section 2.2).
+//!
+//! ## One definition of a round, two callers
+//!
+//! A round is an adversary-independent half — the send phase, a function
+//! of each process's state and the round — and an adversary-dependent
+//! half: deliveries, then every process's round *ending* (send-phase
+//! decision if its send completed, receive + computation, crash last).
+//! How a process's round ends is one private function, `settle`, and how
+//! an adversary action resolves into "what gets through" and "how the
+//! crasher's own round ends" is one small set of helpers beside it.
+//! [`Stepper::step`] is written on top of them and executes a whole
+//! configuration in place; [`SentRound`] is the second caller — it runs
+//! the send phase once and then settles single (process, view) pairs on
+//! scratch, which is what lets the model checker key a successor without
+//! building it.  Neither restates the other's rules.
 
 use crate::protocol::{Inbox, SendPlan, Step, SyncProtocol};
 use crate::trace::{Event, Trace, TraceLevel};
@@ -159,7 +174,8 @@ pub struct Stepper<P: SyncProtocol> {
     /// plans that no phase reads.
     plans: Vec<SendPlan<P::Msg, P::Output>>,
     outcomes: Vec<Option<DeliveryOutcome>>,
-    receives: Vec<bool>,
+    ends: Vec<RoundEnd>,
+    settled: Vec<Settled>,
 }
 
 impl<P: SyncProtocol> Clone for Stepper<P> {
@@ -176,7 +192,8 @@ impl<P: SyncProtocol> Clone for Stepper<P> {
             inboxes: (0..self.config.n()).map(|_| Inbox::new()).collect(),
             plans: Vec::new(),
             outcomes: Vec::new(),
-            receives: Vec::new(),
+            ends: Vec::new(),
+            settled: Vec::new(),
         }
     }
 }
@@ -209,7 +226,8 @@ impl<P: SyncProtocol> Stepper<P> {
             inboxes: (0..n).map(|_| Inbox::new()).collect(),
             plans: Vec::new(),
             outcomes: Vec::new(),
-            receives: Vec::new(),
+            ends: Vec::new(),
+            settled: Vec::new(),
         })
     }
 
@@ -356,9 +374,9 @@ impl<P: SyncProtocol> Stepper<P> {
     /// Executes one full round under the given adversary `actions`.
     ///
     /// `actions[i]` is the crash stage of `p_{i+1}` *in this round*, or
-    /// `None`.  Crashing an already-crashed or decided process is a no-op
-    /// (the adversary wasted a move); schedule-level validation prevents it
-    /// in normal runs.
+    /// `None`.  Crashing an already-crashed process is a no-op (the
+    /// adversary wasted a move) and crashing a decided one only relabels
+    /// it crashed; schedule-level validation prevents both in normal runs.
     ///
     /// Needs `P: Clone` for the copy-on-write snapshots: a process whose
     /// state this round mutates is unshared (`Arc::make_mut`) first.  On
@@ -373,41 +391,25 @@ impl<P: SyncProtocol> Stepper<P> {
         self.metrics.rounds_executed = round.get();
         self.trace.record(|| Event::RoundBegan { round });
 
-        // --- Send phase, one pass per process: collect the complete
-        // plan into the reusable per-slot scratch (each slot's buffers
-        // are refilled in place, so a steady-state round allocates no
-        // plan storage), materialize the adversary's delivery outcome,
-        // and decide receive eligibility.  All plans are produced before
-        // any delivery — the delivery loop below starts only after this
-        // pass — so no computation can sneak in between the data and
-        // control steps.
-        self.plans.resize_with(n, SendPlan::quiet);
+        self.send_phase()?;
+
+        // --- The adversary's choice, resolved once per process: what
+        // its crash lets through (`None`: no crash, nothing is held
+        // back), and how its own round ends.
         self.outcomes.clear();
-        self.receives.clear();
+        self.ends.clear();
         for (i, action) in actions.iter().enumerate() {
             if !matches!(self.status[i], ProcStatus::Active) {
                 self.outcomes.push(None);
-                self.receives.push(false);
+                self.ends.push(RoundEnd::IDLE);
                 continue;
             }
-            let plan = &mut self.plans[i];
-            plan.clear();
-            Arc::make_mut(&mut self.procs[i]).send_into(round, plan);
-            if self.model == ModelKind::Classic && !plan.control.is_empty() {
-                return Err(SimError::ControlInClassicModel {
-                    pid: ProcessId::from_idx(i),
-                    round,
-                });
-            }
-            let outcome = match action {
-                Some(stage) => stage.effect(n),
-                None => DeliveryOutcome::unimpeded(),
-            };
-            // Receive phase requires surviving the round's deliveries
-            // and not halting on a send-phase decision.
-            let receives_now = outcome.receives_this_round && plan.decide_after_send.is_none();
-            self.outcomes.push(Some(outcome));
-            self.receives.push(receives_now);
+            self.outcomes
+                .push(action.as_ref().map(|stage| stage.effect(n)));
+            self.ends.push(RoundEnd::of(
+                action.as_ref(),
+                self.plans[i].decide_after_send.is_some(),
+            ));
         }
 
         // --- Delivery: data step first, then control step, in sender rank
@@ -420,9 +422,7 @@ impl<P: SyncProtocol> Stepper<P> {
                 continue;
             }
             let plan = &self.plans[i];
-            let out = self.outcomes[i]
-                .as_ref()
-                .expect("active sender has an outcome");
+            let out = self.outcomes[i].as_ref();
             let from = ProcessId::from_idx(i);
 
             for (dst, msg) in &plan.data {
@@ -431,14 +431,11 @@ impl<P: SyncProtocol> Stepper<P> {
                 // transmissions — a coordinator cannot know a destination
                 // has already halted.  "Delivered" additionally requires
                 // the destination to execute this round's receive phase.
-                let transmitted = out
-                    .data_filter
-                    .as_ref()
-                    .is_none_or(|filter| filter.contains(*dst));
+                let transmitted = transmits_data(out, *dst);
                 if transmitted {
                     self.metrics.count_data(msg.bit_size());
                 }
-                let delivered = transmitted && self.receives[dst.idx()];
+                let delivered = transmitted && self.ends[dst.idx()].receives;
                 if delivered {
                     self.inboxes[dst.idx()].push_data(from, msg.clone());
                 }
@@ -452,16 +449,13 @@ impl<P: SyncProtocol> Stepper<P> {
                 });
             }
 
-            let prefix = out
-                .control_prefix
-                .unwrap_or(plan.control.len())
-                .min(plan.control.len());
+            let prefix = control_prefix(out, plan.control.len());
             for (k, dst) in plan.control.iter().enumerate() {
                 let transmitted = k < prefix;
                 if transmitted {
                     self.metrics.count_control();
                 }
-                let delivered = transmitted && self.receives[dst.idx()];
+                let delivered = transmitted && self.ends[dst.idx()].receives;
                 if delivered {
                     self.inboxes[dst.idx()].push_control(from);
                 }
@@ -475,59 +469,58 @@ impl<P: SyncProtocol> Stepper<P> {
             }
         }
 
-        // --- Send-phase decisions (Figure 1 line 6): recorded only when the
-        // send phase completed, i.e. the process did not crash mid-send.
+        // --- Every process's round ends ([`settle`]): send-phase
+        // decision, receive + computation, crash.  Process `i`'s end
+        // touches only `i`'s own state, so one pass in rank order does it.
+        self.settled.clear();
         for (i, action) in actions.iter().enumerate() {
-            // Status is still the round-start status here: the send
-            // phase never mutates it, and this loop only settles the
-            // index it is currently processing.
-            if !matches!(self.status[i], ProcStatus::Active) {
-                continue;
-            }
-            let Some(value) = self.plans[i].decide_after_send.take() else {
-                continue;
-            };
-            let completed = match action {
-                None => true,
-                Some(stage) => stage.completes_send_phase(),
-            };
-            if completed {
-                self.record_decision(ProcessId::from_idx(i), value, round);
-                self.status[i] = ProcStatus::Decided;
-            }
-        }
-
-        // --- Receive + computation phase.  (A process that just decided in
-        // its send phase skipped receive — filtered via `receives` above.)
-        for i in 0..n {
-            if !self.receives[i] {
-                continue;
-            }
-            let pid = ProcessId::from_idx(i);
-            match Arc::make_mut(&mut self.procs[i]).receive(round, &self.inboxes[i]) {
-                Step::Continue => {}
-                Step::Decide(value) => {
-                    self.record_decision(pid, value, round);
-                    self.status[i] = ProcStatus::Decided;
-                }
-                Step::DecideAndContinue(value) => {
-                    // Early deciding, late stopping: record now, halt later.
-                    self.record_decision(pid, value, round);
-                }
-            }
-        }
-
-        // --- Crashes take effect: any active process with an action dies
-        // now (EndOfRound crashers participated fully above; a process that
-        // decided this round and was scheduled to crash is marked crashed —
-        // its decision stands, which is the uniform-agreement trap).
-        for (i, action) in actions.iter().enumerate() {
-            if action.is_some() && !matches!(self.status[i], ProcStatus::Crashed(_)) {
-                self.status[i] = ProcStatus::Crashed(round);
-                self.trace.record(|| Event::Crashed {
-                    pid: ProcessId::from_idx(i),
+            let what = if matches!(self.status[i], ProcStatus::Active) {
+                let (procs, inboxes) = (&mut self.procs, &self.inboxes);
+                let what = settle(
                     round,
-                });
+                    self.ends[i],
+                    self.plans[i].decide_after_send.take(),
+                    || Arc::make_mut(&mut procs[i]).receive(round, &inboxes[i]),
+                    &mut self.status[i],
+                    &mut self.decisions[i],
+                );
+                if what.decided_sending || what.decided_receiving {
+                    self.metrics.record_decision(ProcessId::from_idx(i), round);
+                }
+                what
+            } else if action.is_some() && !matches!(self.status[i], ProcStatus::Crashed(_)) {
+                // A crash aimed at a decided process: it is marked
+                // crashed and its decision stands.
+                self.status[i] = ProcStatus::Crashed(round);
+                Settled {
+                    crashed: true,
+                    ..Settled::default()
+                }
+            } else {
+                Settled::default()
+            };
+            self.settled.push(what);
+        }
+
+        // --- Lifecycle events, in the order the phases happen: every
+        // send-phase decision, then every receive-phase decision, then
+        // the crashes.
+        if self.trace.level() != TraceLevel::Off {
+            let pids = || (0..n).map(ProcessId::from_idx);
+            for (pid, what) in pids().zip(&self.settled) {
+                if what.decided_sending {
+                    self.trace.record(|| Event::Decided { pid, round });
+                }
+            }
+            for (pid, what) in pids().zip(&self.settled) {
+                if what.decided_receiving {
+                    self.trace.record(|| Event::Decided { pid, round });
+                }
+            }
+            for (pid, what) in pids().zip(&self.settled) {
+                if what.crashed {
+                    self.trace.record(|| Event::Crashed { pid, round });
+                }
             }
         }
 
@@ -535,16 +528,33 @@ impl<P: SyncProtocol> Stepper<P> {
         Ok(())
     }
 
-    fn record_decision(&mut self, pid: ProcessId, value: P::Output, round: Round) {
-        // First decision wins: an early decider (DecideAndContinue) later
-        // emits a halting Decide whose value must not overwrite the
-        // recorded one (and consensus processes decide at most once anyway).
-        let slot = &mut self.decisions[pid.idx()];
-        if slot.is_none() {
-            self.metrics.record_decision(pid, round);
-            self.trace.record(|| Event::Decided { pid, round });
-            *slot = Some(Decision { value, round });
+    /// The send phase of the current round, one pass per active process:
+    /// the complete plan is collected into the reusable per-slot scratch
+    /// (each slot's buffers are refilled in place, so a steady-state
+    /// round allocates no plan storage).  It depends on nothing but the
+    /// configuration — not on the adversary — and all plans are produced
+    /// before any delivery, so no computation can sneak in between the
+    /// data and control steps.
+    fn send_phase(&mut self) -> Result<(), SimError>
+    where
+        P: Clone,
+    {
+        let round = self.round;
+        self.plans.resize_with(self.config.n(), SendPlan::quiet);
+        for (i, plan) in self.plans.iter_mut().enumerate() {
+            if !matches!(self.status[i], ProcStatus::Active) {
+                continue;
+            }
+            plan.clear();
+            Arc::make_mut(&mut self.procs[i]).send_into(round, plan);
+            if self.model == ModelKind::Classic && !plan.control.is_empty() {
+                return Err(SimError::ControlInClassicModel {
+                    pid: ProcessId::from_idx(i),
+                    round,
+                });
+            }
         }
+        Ok(())
     }
 
     /// Consumes the stepper into its outcome pieces.  Needs `P: Clone`
@@ -573,6 +583,447 @@ impl<P: SyncProtocol> Stepper<P> {
                 .into_iter()
                 .map(|p| Arc::try_unwrap(p).unwrap_or_else(|shared| (*shared).clone()))
                 .collect(),
+        }
+    }
+}
+
+/// How one process's own round ends under the adversary's action for it
+/// (or the absence of one): everything about a [`CrashStage`] that
+/// matters to the crashing process *itself*, as opposed to what the crash
+/// lets through to others ([`DeliveryOutcome`]'s filters).  Opaque and
+/// comparable, so it can key a table of already-settled rounds.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct RoundEnd {
+    /// The process executes the round's receive + computation phase.
+    receives: bool,
+    /// Its send phase ran to completion, so a decision scheduled for the
+    /// end of it (Figure 1 line 6) stands.
+    completes_send: bool,
+    /// It is crashed when the round closes.
+    crashes: bool,
+}
+
+impl RoundEnd {
+    /// The round of a process that is not taking part in it (decided or
+    /// crashed earlier): nothing reaches it, nothing happens to it.
+    const IDLE: RoundEnd = RoundEnd {
+        receives: false,
+        completes_send: false,
+        crashes: false,
+    };
+
+    /// How the round of one **active** process ends under the
+    /// adversary's `action` for it; `decides_after_send` is whether its
+    /// plan schedules a send-phase decision.  The receive phase requires
+    /// surviving the round's deliveries *and* not halting on that
+    /// decision.
+    #[inline]
+    fn of(action: Option<&CrashStage>, decides_after_send: bool) -> RoundEnd {
+        RoundEnd {
+            receives: action.is_none_or(CrashStage::receives_this_round) && !decides_after_send,
+            completes_send: action.is_none_or(CrashStage::completes_send_phase),
+            crashes: action.is_some(),
+        }
+    }
+}
+
+/// Whether the sender's crash lets its data message to `dst` onto the
+/// wire.
+#[inline]
+fn transmits_data(outcome: Option<&DeliveryOutcome>, dst: ProcessId) -> bool {
+    outcome
+        .and_then(|o| o.data_filter.as_ref())
+        .is_none_or(|filter| filter.contains(dst))
+}
+
+/// How many entries of an ordered control list of length `len` the
+/// sender's crash lets onto the wire.
+#[inline]
+fn control_prefix(outcome: Option<&DeliveryOutcome>, len: usize) -> usize {
+    outcome
+        .and_then(|o| o.control_prefix)
+        .unwrap_or(len)
+        .min(len)
+}
+
+/// What [`settle`] did to a process — the lifecycle events of its round,
+/// for the caller's trace and metrics.
+#[derive(Clone, Copy, Default)]
+struct Settled {
+    /// Its first decision was recorded at the end of the send phase.
+    decided_sending: bool,
+    /// Its first decision was recorded in the receive phase.
+    decided_receiving: bool,
+    /// It crashed.
+    crashed: bool,
+}
+
+/// Ends one **active** process's round — the single definition of what a
+/// round does to the process that executes it, shared by
+/// [`Stepper::step`] (which runs it in place) and [`SentRound::settle`]
+/// (which runs it on a scratch copy):
+///
+/// 1. a decision scheduled for the end of the send phase is recorded,
+///    and the process halts, only if the send phase completed;
+/// 2. a process that reaches the receive phase runs `receive` — the
+///    protocol's receive + computation step on this round's inbox — and
+///    continues, decides and halts, or decides and keeps participating
+///    (early deciding, late stopping: record now, halt later);
+/// 3. a crash takes effect last: an `EndOfRound` crasher participated
+///    fully above, and a process that decided this round and then dies
+///    keeps its decision — the uniform-agreement trap.
+///
+/// The first decision wins: an early decider later emits a halting
+/// `Decide` whose value must not overwrite the recorded one.
+fn settle<O>(
+    round: Round,
+    end: RoundEnd,
+    send_decision: Option<O>,
+    receive: impl FnOnce() -> Step<O>,
+    status: &mut ProcStatus,
+    decision: &mut Option<Decision<O>>,
+) -> Settled {
+    let mut record = |value: O| {
+        let first = decision.is_none();
+        if first {
+            *decision = Some(Decision { value, round });
+        }
+        first
+    };
+    let mut what = Settled::default();
+    if let Some(value) = send_decision {
+        if end.completes_send {
+            what.decided_sending = record(value);
+            *status = ProcStatus::Decided;
+        }
+    }
+    if end.receives {
+        match receive() {
+            Step::Continue => {}
+            Step::Decide(value) => {
+                what.decided_receiving = record(value);
+                *status = ProcStatus::Decided;
+            }
+            Step::DecideAndContinue(value) => {
+                what.decided_receiving = record(value);
+            }
+        }
+    }
+    if end.crashes {
+        *status = ProcStatus::Crashed(round);
+        what.crashed = true;
+    }
+    what
+}
+
+/// One process's view of a round under one adversary action row: which
+/// senders' data and control messages reach its inbox, and how its own
+/// round ends.  By the round semantics this is *everything* the row
+/// contributes to what becomes of the process — two rows that give a
+/// process equal views leave it in equal states — which is what lets the
+/// model checker settle each (process, view) pair once per configuration
+/// ([`SentRound`]).  Opaque and comparable; bit `i` of a mask is sender
+/// `p_{i+1}`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct RoundView {
+    data: u64,
+    control: u64,
+    end: RoundEnd,
+}
+
+impl RoundView {
+    /// The view of a process that takes no part in the round.
+    const IDLE: RoundView = RoundView {
+        data: 0,
+        control: 0,
+        end: RoundEnd::IDLE,
+    };
+
+    /// Largest system whose senders fit the view's masks.
+    const MAX_PROCESSES: usize = u64::BITS as usize;
+}
+
+/// What became of one process at the end of a round settled on the side
+/// ([`SentRound::settle`]): exactly the per-process part of a
+/// configuration that [`Stepper::step`] would have left behind.
+pub struct SettledProcess<'a, P: SyncProtocol> {
+    /// Its lifecycle status after the round.
+    pub status: &'a ProcStatus,
+    /// Its protocol state after the round.
+    pub state: &'a P,
+    /// Its recorded decision after the round.
+    pub decision: &'a Option<Decision<P::Output>>,
+}
+
+/// Where a crashing sender's data and control messages still get
+/// through, as destination masks.
+fn crash_reach<M, O>(plan: &SendPlan<M, O>, outcome: &DeliveryOutcome) -> (u64, u64) {
+    let outcome = Some(outcome);
+    let data = plan.data.iter().map(|(dst, _)| *dst);
+    let prefix = control_prefix(outcome, plan.control.len());
+    (
+        pid_mask(data.filter(|dst| transmits_data(outcome, *dst))),
+        pid_mask(plan.control[..prefix].iter().copied()),
+    )
+}
+
+/// The processes of `pids` as a mask, bit `i` for `p_{i+1}`.
+fn pid_mask(pids: impl Iterator<Item = ProcessId>) -> u64 {
+    pids.fold(0, |mask, pid| mask | 1 << pid.idx())
+}
+
+/// One sending process of a [`SentRound`]: its index and the
+/// destination sets of its complete data and control steps, as masks.
+struct Sender {
+    idx: usize,
+    data: u64,
+    control: u64,
+}
+
+/// A configuration with the adversary-independent half of its next round
+/// — the **send phase** — already executed, so the adversary-dependent
+/// half can be evaluated process by process without stepping a whole
+/// configuration per action row.
+///
+/// The factoring rests on three facts of the round semantics
+/// ([`Stepper::step`] is written to make them evident):
+///
+/// * the send phase depends only on the configuration (states and round),
+///   never on the adversary — so it is run once, here;
+/// * what the receive phase does to a process is a function of its
+///   post-send state, the round and its inbox;
+/// * an action row touches process `j` only through `j`'s inbox and
+///   `j`'s own action — its [`RoundView`].
+///
+/// So [`views`](Self::views) reduces a row to one view per process, and
+/// [`settle`](Self::settle) evaluates one (process, view) pair with the
+/// real `receive` on a scratch copy of the post-send state — through
+/// the same `settle` function `step` ends every process's round with.
+/// The copy, its inbox and the plans are reusable scratch owned here; a
+/// settled pair allocates nothing in steady state.
+pub struct SentRound<P: SyncProtocol> {
+    /// A fork of the configuration with the send phase run on it: `procs`
+    /// hold the post-send states, `plans` the complete plans.  Never
+    /// stepped further.
+    sent: Stepper<P>,
+    /// The active processes whose plan sends anything, ascending, and
+    /// the set of active processes whose plan decides after sending —
+    /// both read off the plans once, for [`views`](Self::views).  Left
+    /// empty for a system the views' masks cannot describe.
+    senders: Vec<Sender>,
+    decides_after_send: u64,
+    /// The active and the decided processes, as masks.
+    active: u64,
+    decided: u64,
+    /// Per-sender scratch of [`views`](Self::views): where each sender's
+    /// data and control messages get through under the current row.
+    reach: Vec<(u64, u64)>,
+    /// Scratch for [`settle`](Self::settle): the copy `receive` runs on,
+    /// its inbox, and where its status and decision end up.
+    proc: Option<P>,
+    inbox: Inbox<P::Msg>,
+    status: ProcStatus,
+    decision: Option<Decision<P::Output>>,
+}
+
+impl<P: SyncProtocol + Clone> SentRound<P> {
+    /// Runs the send phase of `source`'s next round on a copy of it.
+    /// Fails exactly where [`Stepper::step`] would fail before looking at
+    /// its actions (a control message under classic semantics).
+    pub fn new(source: &Stepper<P>) -> Result<Self, SimError> {
+        let mut round = SentRound {
+            sent: source.clone(),
+            senders: Vec::new(),
+            decides_after_send: 0,
+            active: 0,
+            decided: 0,
+            reach: Vec::new(),
+            proc: None,
+            inbox: Inbox::new(),
+            status: ProcStatus::Active,
+            decision: None,
+        };
+        round.send()?;
+        Ok(round)
+    }
+
+    /// Re-aims `self` at `source`, reusing every buffer
+    /// ([`Stepper::fork_from`]) — the pooled counterpart of
+    /// [`new`](Self::new).
+    pub fn reset(&mut self, source: &Stepper<P>) -> Result<(), SimError> {
+        self.sent.fork_from(source);
+        self.send()
+    }
+
+    /// Runs the send phase on the freshly forked copy and reads the
+    /// senders and masks [`views`](Self::views) works from off the plans.
+    fn send(&mut self) -> Result<(), SimError> {
+        self.sent.send_phase()?;
+        self.senders.clear();
+        self.decides_after_send = 0;
+        self.active = 0;
+        self.decided = 0;
+        if self.sent.config.n() > RoundView::MAX_PROCESSES {
+            return Ok(());
+        }
+        for (idx, plan) in self.sent.plans.iter().enumerate() {
+            match self.sent.status[idx] {
+                ProcStatus::Active => self.active |= 1 << idx,
+                ProcStatus::Decided => {
+                    self.decided |= 1 << idx;
+                    continue;
+                }
+                ProcStatus::Crashed(_) => continue,
+            }
+            if plan.decide_after_send.is_some() {
+                self.decides_after_send |= 1 << idx;
+            }
+            if !(plan.data.is_empty() && plan.control.is_empty()) {
+                self.senders.push(Sender {
+                    idx,
+                    data: pid_mask(plan.data.iter().map(|(dst, _)| *dst)),
+                    control: pid_mask(plan.control.iter().copied()),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The round whose send phase this is.
+    pub fn round(&self) -> Round {
+        self.sent.round
+    }
+
+    /// Per-process lifecycle status of the configuration (the send
+    /// phase settles nobody).
+    pub fn status(&self) -> &[ProcStatus] {
+        &self.sent.status
+    }
+
+    /// Per-process decisions of the configuration.
+    pub fn decisions(&self) -> &[Option<Decision<P::Output>>] {
+        &self.sent.decisions
+    }
+
+    /// The complete send plan of process `i` for this round; `None` when
+    /// it is not active.
+    pub fn plan(&self, i: usize) -> Option<&SendPlan<P::Msg, P::Output>> {
+        matches!(self.sent.status[i], ProcStatus::Active).then(|| &self.sent.plans[i])
+    }
+
+    /// Reduces the action row `actions` to one [`RoundView`] per process
+    /// (`views` is cleared and refilled; settled processes all get the
+    /// same idle view).  Returns `false` — leaving `views` unspecified —
+    /// for a round the factoring does not describe and only
+    /// [`Stepper::step`] can execute: a row aimed at a decided process
+    /// (`step` relabels it crashed), or a system too large for the
+    /// views' sender masks.
+    pub fn views(&mut self, actions: &RoundActions, views: &mut Vec<RoundView>) -> bool {
+        let n = self.sent.config.n();
+        debug_assert_eq!(actions.len(), n);
+        if n > RoundView::MAX_PROCESSES {
+            return false;
+        }
+        // How every process's own round ends — and, for the senders
+        // among them, where their messages get through.
+        views.clear();
+        self.reach.clear();
+        let mut described = true;
+        views.extend(actions.iter().enumerate().map(|(i, action)| {
+            if self.active >> i & 1 == 0 {
+                described &= action.is_none() || self.decided >> i & 1 == 0;
+                return RoundView::IDLE;
+            }
+            let decides_after_send = self.decides_after_send >> i & 1 == 1;
+            let sender = self.senders.get(self.reach.len()).filter(|s| s.idx == i);
+            if let Some(sender) = sender {
+                self.reach.push(match action {
+                    None => (sender.data, sender.control),
+                    Some(stage) => crash_reach(&self.sent.plans[i], &stage.effect(n)),
+                });
+            }
+            RoundView {
+                data: 0,
+                control: 0,
+                end: RoundEnd::of(action.as_ref(), decides_after_send),
+            }
+        }));
+        if !described {
+            return false;
+        }
+        // Transmitted is not delivered: only a process that executes the
+        // receive phase has an inbox at all.
+        for (i, view) in views.iter_mut().enumerate() {
+            if !view.end.receives {
+                continue;
+            }
+            for (sender, (data, control)) in self.senders.iter().zip(&self.reach) {
+                view.data |= (data >> i & 1) << sender.idx;
+                view.control |= (control >> i & 1) << sender.idx;
+            }
+        }
+        true
+    }
+
+    /// Ends the round of **active** process `i` under `view` (one of the
+    /// views [`views`](Self::views) produced for `i`), on scratch: the
+    /// inbox the view describes is rebuilt from the senders' plans, the
+    /// real `receive` runs on a copy of the post-send state, and the
+    /// result is what [`Stepper::step`] leaves of process `i` under any
+    /// action row that gives it this view.
+    pub fn settle(&mut self, i: usize, view: &RoundView) -> SettledProcess<'_, P> {
+        let sent = &self.sent;
+        debug_assert!(
+            matches!(sent.status[i], ProcStatus::Active),
+            "only active processes have a round to settle"
+        );
+        let round = sent.round;
+        self.status = ProcStatus::Active;
+        self.decision.clone_from(&sent.decisions[i]);
+        let (copy, inbox) = (&mut self.proc, &mut self.inbox);
+        settle(
+            round,
+            view.end,
+            sent.plans[i].decide_after_send.clone(),
+            || {
+                let proc = match copy {
+                    Some(proc) => {
+                        proc.clone_from(&sent.procs[i]);
+                        proc
+                    }
+                    None => copy.insert((*sent.procs[i]).clone()),
+                };
+                inbox.clear();
+                let mut senders = view.data | view.control;
+                while senders != 0 {
+                    let s = senders.trailing_zeros() as usize;
+                    senders &= senders - 1;
+                    let from = ProcessId::from_idx(s);
+                    if view.data >> s & 1 == 1 {
+                        for (dst, msg) in &sent.plans[s].data {
+                            if dst.idx() == i {
+                                inbox.push_data(from, msg.clone());
+                            }
+                        }
+                    }
+                    if view.control >> s & 1 == 1 {
+                        inbox.push_control(from);
+                    }
+                }
+                proc.receive(round, inbox)
+            },
+            &mut self.status,
+            &mut self.decision,
+        );
+        SettledProcess {
+            status: &self.status,
+            // A process that skipped the receive phase keeps its
+            // post-send state.
+            state: match (&self.proc, view.end.receives) {
+                (Some(proc), true) => proc,
+                _ => &sent.procs[i],
+            },
+            decision: &self.decision,
         }
     }
 }
@@ -927,6 +1378,68 @@ mod tests {
         assert_eq!(report.metrics.control_messages, 2);
         assert!(report.decisions[1].is_none(), "dead p_2 received nothing");
         assert_eq!(report.decisions[2].as_ref().unwrap().value, 101);
+    }
+
+    #[test]
+    fn sent_round_settles_each_process_as_step_does() {
+        let config = SystemConfig::new(4, 2).unwrap();
+        let root = Stepper::new(config, ModelKind::Extended, TraceLevel::Off, procs(4)).unwrap();
+        let mut sent = SentRound::new(&root).unwrap();
+        assert_eq!(sent.round(), Round::FIRST);
+        assert_eq!(sent.plan(0).unwrap().control.len(), 3);
+        let rows: Vec<RoundActions> = vec![
+            vec![None; 4],
+            vec![
+                Some(CrashStage::MidData {
+                    delivered: PidSet::from_iter(4, [pid(3)]),
+                }),
+                None,
+                None,
+                None,
+            ],
+            vec![
+                Some(CrashStage::MidControl { prefix_len: 1 }),
+                None,
+                None,
+                None,
+            ],
+            vec![
+                Some(CrashStage::EndOfRound),
+                None,
+                Some(CrashStage::BeforeSend),
+                None,
+            ],
+        ];
+        let mut views = Vec::new();
+        for row in &rows {
+            let mut stepped = root.clone();
+            stepped.step(row).unwrap();
+            assert!(sent.views(row, &mut views));
+            for (i, view) in views.iter().enumerate() {
+                let after = sent.settle(i, view);
+                assert_eq!(*after.status, stepped.status()[i], "{row:?} p{}", i + 1);
+                assert_eq!(
+                    *after.decision,
+                    stepped.decisions()[i],
+                    "{row:?} p{}",
+                    i + 1
+                );
+                if matches!(after.status, ProcStatus::Active) {
+                    assert_eq!(*after.state, *stepped.procs()[i], "{row:?} p{}", i + 1);
+                }
+            }
+        }
+
+        // After a crash-free round 1 everyone has decided: a row aimed at
+        // one of them is `step`'s business, not the factoring's.
+        let mut decided = root.clone();
+        decided.step(&vec![None; 4]).unwrap();
+        sent.reset(&decided).unwrap();
+        assert!(sent.plan(0).is_none());
+        assert!(sent.views(&vec![None; 4], &mut views));
+        let mut wasted = vec![None; 4];
+        wasted[2] = Some(CrashStage::EndOfRound);
+        assert!(!sent.views(&wasted, &mut views));
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub mod sweep;
 pub mod trace;
 
 pub use engine::{
-    Decision, ModelKind, PlanShape, ProcStatus, RoundActions, RunReport, SimError, Simulation,
-    Stepper,
+    Decision, ModelKind, PlanShape, ProcStatus, RoundActions, RoundView, RunReport, SentRound,
+    SettledProcess, SimError, Simulation, Stepper,
 };
 pub use env::EnvKnob;
 pub use protocol::{Inbox, SendPlan, Step, SyncProtocol};
