@@ -103,7 +103,7 @@ use std::time::{Duration, Instant};
 
 use twostep_model::SystemConfig;
 use twostep_sim::{
-    panic_message, run_tasks_supervised, CancelToken, EnvKnob, RetryPolicy, Stepper,
+    panic_message, run_tasks_supervised, CancelToken, EnvKnob, RetryPolicy, RoundActions, Stepper,
     SupervisedAttempt, TraceLevel,
 };
 
@@ -437,6 +437,7 @@ where
         let mut seen_raw: HashSet<Vec<u8>> = HashSet::new();
         let mut seen: HashSet<Vec<u8>> = HashSet::new();
         let mut next: Vec<PathedRoot<P>> = Vec::new();
+        let mut actions = RoundActions::new();
         for parent in level {
             if walker.is_terminal(&parent.stepper) {
                 continue;
@@ -444,15 +445,16 @@ where
             let mut round = walker
                 .open_round(&parent.stepper)
                 .map_err(ExploreError::Engine)?;
-            for (idx, actions) in walker.enumerate_action_sets(&round).iter().enumerate() {
-                if let Some(raw) = walker.child_raw_key(&mut round, actions) {
+            for idx in 0..round.len() {
+                if let Some(raw) = walker.child_raw_key(&mut round, idx) {
                     if seen_raw.contains(raw) {
                         continue;
                     }
                     seen_raw.insert(raw.to_vec());
                 }
+                round.actions_into(idx, &mut actions);
                 let mut child = parent.stepper.clone();
-                child.step(actions).map_err(ExploreError::Engine)?;
+                child.step(&actions).map_err(ExploreError::Engine)?;
                 let (hash, _) = walker.canonical_key(&child, None);
                 if seen.insert(walker.key_bytes().to_vec()) {
                     let mut path = parent.path.clone();
@@ -534,23 +536,26 @@ where
     if groups.is_empty() {
         return Ok(());
     }
-    let actions = walker.action_sets_of(node)?;
+    let round = walker.open_round(node).map_err(ExploreError::Engine)?;
+    let mut actions = RoundActions::new();
     for (idx, group) in groups {
-        let Some(action) = actions.get(idx as usize) else {
+        if idx as usize >= round.len() {
             // A path that indexes past the enumeration cannot have been
             // written by a same-build coordinator: classify like any
             // other damaged interchange artifact.
             return Err(ExploreError::Spill {
                 detail: format!(
                     "frontier record selects action {idx} of {} at depth {depth}",
-                    actions.len()
+                    round.len()
                 ),
             });
-        };
+        }
+        round.actions_into(idx as usize, &mut actions);
         let mut child = node.clone();
-        child.step(action).map_err(ExploreError::Engine)?;
+        child.step(&actions).map_err(ExploreError::Engine)?;
         rebuild_level(walker, &child, depth + 1, group, out)?;
     }
+    walker.close_round(round);
     Ok(())
 }
 

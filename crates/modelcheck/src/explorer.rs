@@ -128,9 +128,12 @@
 //!   plans, outcomes, receive flags, inboxes) persists inside the
 //!   stepper, and hot protocols refill their plans in place
 //!   ([`twostep_sim::SyncProtocol::send_into`]);
-//! * **pooled enumeration** — crash-outcome buffers, action-set
-//!   vectors and their rows, key buffers, open rounds (send-phase copy,
-//!   record arena, view tables), and the terminal pseudo-schedule are
+//! * **pooled enumeration** — a configuration's adversary moves are
+//!   rows of small outcome *indices* in one flat array, not vectors of
+//!   crash stages; that array, the per-process outcome lists, the
+//!   send-phase copy, the record arena, the view and class tables, the
+//!   one buffer a row is materialized into when the engine needs a real
+//!   action vector, key buffers, and the terminal pseudo-schedule are
 //!   all recycled across configurations.
 //!
 //! None of this changes a single observable bit: keys merge exactly the
@@ -149,31 +152,89 @@
 //! so 98.4 % of the children resolve in a memo hit (under
 //! `partial+value`: 2 420 154 children for 5 787 orbits).  Building each
 //! of those children as a [`Stepper`] — fork, run the send phase, deliver,
-//! receive, encode — only to learn its key was the walk's dominant cost.
-//! Successors are therefore generated **key first**: the child's raw key
-//! bytes are assembled without the child, the probe runs on those bytes,
-//! and `fork` + `step` + `enter` is the path of the 1.6 % nothing
-//! answers for.
+//! receive, encode — only to learn its key was the walk's dominant cost;
+//! after that, materializing each move as a vector of crash stages
+//! (282 211 moves ≈ 97 MB for the `(8, 7)` root alone), re-deriving what
+//! each stage means for every cell of every row, and hashing + probing
+//! the memo for every row were.  Successors are therefore generated
+//! **key first**, from a round that is kept **factored**: a child is
+//! resolved to a *successor class* by table lookups, a class's raw key
+//! is assembled without the child, and `fork` + `step` + `enter` is the
+//! path of the 1.6 % nothing answers for.
 //!
-//! When a configuration expands, its **send phase runs once**
-//! ([`twostep_sim::SentRound`], held by the frame as its open round) —
-//! for the adversary enumeration, which reads the plans, and for every
-//! child key after it.  An action row is then reduced to one
-//! [`twostep_sim::RoundView`] per process: which senders' data and
-//! control messages the row lets reach it, and how its own action ends
-//! its round.  A small per-frame, per-process table maps each view met
-//! so far to the process's **key record** — the exact bytes
-//! `make_key_into` would emit for it in the child — and a view met for
-//! the first time is settled by the engine (the real `receive` on a copy
-//! of the post-send state) and its record appended.  The child's raw key
-//! is header + one record per process; consecutive rows of the
-//! enumeration differ in their last processes, so the records of the
-//! leading processes whose views did not change are not even re-copied.
-//! The probe is the memo itself under a raw plan, and the raw→canonical
-//! key cache (a pinned summary, or the cached canonical key against the
-//! memo) under a canonicalizing one; the distributed frontier expander
-//! and the steal harvester key their children the same way and build a
+//! The adversary of one round is a product — every active process
+//! independently survives or crashes in one of its own outcomes (for the
+//! one sending coordinator of `(8, 7)` up to 136 of them, 2 for a silent
+//! process) — and what a move does to a process is a function of that
+//! process's view alone.  A frame's open round (`RoundKeys`) follows
+//! that shape, in four steps per row:
+//!
+//! 1. **indexed rows** — when a configuration expands, its **send phase
+//!    runs once** ([`twostep_sim::SentRound`]), the live-effect crash
+//!    outcomes of each active process are listed against the plans it
+//!    produced, and every move within the crash budget is written as a
+//!    row of outcome indices (`0` = survives) into one flat `u16` array,
+//!    in the canonical enumeration order — survive first, then each
+//!    outcome, last process fastest — that action-index paths,
+//!    checkpoints and frontier segments are written against (4.5 MB for
+//!    the `(8, 7)` root).  A `RoundActions` vector exists only where the
+//!    engine needs one — a memo miss, a donation, a harvest, a frontier
+//!    or witness replay — materialized from the row into one pooled
+//!    buffer;
+//! 2. **views by table** — the engine resolves each (process, outcome)
+//!    pair once per configuration (~150 entries at `(8, 7)`, against
+//!    2 560 cells per configuration before): how the process's own round
+//!    ends, and which destinations a crashing sender's data and control
+//!    steps still reach.  A row is reduced to one
+//!    [`twostep_sim::RoundView`] per active process — which senders'
+//!    data and control messages reach it, how its round ends — by table
+//!    lookups and mask ORs, and as a *revision* of the previous row:
+//!    unless a sender's outcome changed, only the trailing slots that
+//!    differ are looked at;
+//! 3. **interned record ids** — a per-slot table maps each view met so
+//!    far to the process's **key record**, the exact bytes
+//!    `make_key_into` would emit for it in the child.  A view met for
+//!    the first time is settled by the engine (the real `receive` on a
+//!    copy of the post-send state), and its record is interned by
+//!    content among the slot's records: different views often settle to
+//!    the same bytes (a process that hears its own estimate, or dies at
+//!    the end of the round undecided whatever it heard), and only ids
+//!    that mean "equal bytes" make the next step work — without
+//!    interning half the rows repeat a class, with it 86.8 %;
+//! 4. **the successor-class table** — the row's vector of record ids
+//!    *is* its child: equal ids are equal records process by process,
+//!    hence equal raw keys.  A frame-local open-addressed table keyed by
+//!    that vector (sized from the round's row count, entries verified by
+//!    comparing ids, pooled with the round) holds, per class, the
+//!    child's real-space summary.  A row that repeats a class is
+//!    answered from it: no key is assembled, nothing is hashed, the memo
+//!    and the raw→canonical cache are not touched.  Only the **first**
+//!    row of a class assembles its raw key (header + one record per
+//!    process) and takes the probe — the memo itself under a raw plan,
+//!    the raw→canonical key cache (a pinned summary, or the cached
+//!    canonical key against the memo) under a canonicalizing one — and
+//!    the answer is recorded for the class; if nothing answers, the
+//!    child is forked, stepped and entered, and its summary is recorded
+//!    when it comes back.
+//!
+//! At `(8, 7)` the 2 936 634 rows fall into 387 567 classes (13.2 %;
+//! `partial+value`: 2 420 154 → 278 081), so that many keys are
+//! assembled and probed instead of one per row.  What rows-as-indices
+//! deleted: the per-frame `Vec<RoundActions>` and its two pools, the
+//! per-row `CrashStage::effect` / reach / round-end evaluation, and the
+//! engine's "row aimed at a decided process" escape — an index row can
+//! only name active processes.  The distributed frontier expander and
+//! the steal harvester key their children the same way and build a
 //! `Stepper` only for a first occurrence / a memo miss.
+//!
+//! **Multiplicity and order are untouched.**  The class table answers
+//! *what* a child's summary is, never *whether* the row counts: every
+//! row is still taken in enumeration order, in its own `step()`, and its
+//! summary absorbed into the frame — `terminals` adds the shared child's
+//! count once per row that leads to it, and `decided` discovery order is
+//! the order rows are visited in.  (Absorbing a class's repeats once
+//! with a multiplier is possible, but would reorder nothing only if done
+//! carefully; it is not done.)
 //!
 //! Soundness rests on three facts of the round semantics, all of them
 //! properties of [`twostep_sim::Stepper::step`] (which is written on top
@@ -190,15 +251,20 @@
 //!
 //! What is deliberately **not** keyed, because `make_key_into` never
 //! encoded it: metrics, the trace, and the round a process crashed in.
-//! A row the views cannot describe — one aimed at an already decided
-//! process, which `step` relabels crashed, or a system wider than the
-//! views' 64-bit sender masks — is recognized from the row itself and
-//! takes the fork + step path, as does every memo miss; in debug builds
-//! every assembled key is checked against `fork` + `step` +
-//! `make_key_into`, so each differential suite is also a differential
-//! of this.  Enumeration order, absorb order, the one-`step()`-per-child
-//! accounting, the stop check and the `max_states` check are where they
-//! always were: reports are bit-identical.
+//! The one fallback is a system wider than the views' 64-bit sender
+//! masks: the engine declines to tabulate it, nothing is classified, and
+//! every row is materialized and takes the fork + step path, as does
+//! every memo miss.  In debug builds every first-of-class key is checked
+//! against `fork` + `step` + `make_key_into`, and every class hit
+//! assembles its key after all, checks it the same way, and compares the
+//! class's summary with what the skipped probe returns — so each
+//! differential suite is also a differential of this.  Enumeration
+//! order, absorb order, the one-`step()`-per-child accounting, the stop
+//! check and the `max_states` check are where they always were: reports
+//! are bit-identical.  One thing does move: a probe that is not made
+//! does not touch the memo's clock bits, so a spilling memo may evict —
+//! and write — a different set of entries; what it *answers* cannot
+//! change.
 //!
 //! ## Symmetry reduction
 //!
@@ -329,9 +395,12 @@
 //! [`Canonicalizer::sort_from`] sorts just that delta and merges.
 //! **Raw→canonical key cache**: each walker keeps a small direct-mapped
 //! cache from raw key bytes (byte-verified, so a hash collision only
-//! costs a miss) to the finished canonical key and its seeds, so
-//! re-visited configurations — the common case in a memoized DFS —
-//! skip canonicalization entirely.
+//! costs a miss) to the finished canonical key — and, once resolved,
+//! the configuration's real-space summary — so re-visited
+//! configurations, the common case in a memoized DFS, skip
+//! canonicalization entirely.  Slots are allocated on first use and
+//! hold no seeds: the rare configuration that expands after a cache hit
+//! is canonicalized again for them.
 //!
 //! ## Determinism argument
 //!
@@ -1673,13 +1742,6 @@ impl CanonSeed {
             Some(&self.bytes[s..end as usize])
         })
     }
-
-    fn copy_from(&mut self, other: &CanonSeed) {
-        self.bytes.clear();
-        self.bytes.extend_from_slice(&other.bytes);
-        self.ends.clear();
-        self.ends.extend_from_slice(&other.ends);
-    }
 }
 
 /// A configuration's seeds for both encodings of the value-symmetry
@@ -1690,13 +1752,6 @@ impl CanonSeed {
 pub(crate) struct FrameSeeds {
     plain: CanonSeed,
     swapped: CanonSeed,
-}
-
-impl FrameSeeds {
-    fn copy_from(&mut self, other: &FrameSeeds) {
-        self.plain.copy_from(&other.plain);
-        self.swapped.copy_from(&other.swapped);
-    }
 }
 
 /// Fills `inert[i]` for every process: `true` iff `p_{i+1}` is active
@@ -2431,7 +2486,8 @@ where
 /// Canonical keys are not invertible (symmetry canonicalization is
 /// lossy), so the only faithful way to ship "this exact configuration"
 /// between processes is the deterministic action sequence reaching it:
-/// index `i` selects `enumerate_action_sets(..)[i]` at each level.
+/// index `i` selects row `i` of the configuration's open round at each
+/// level.
 pub(crate) struct PathedRoot<P>
 where
     P: CheckableProtocol,
@@ -2695,36 +2751,29 @@ where
 /// One exploration walker: an explicit DFS stack plus reusable scratch
 /// buffers and recycling pools, so the hot enumeration loop performs no
 /// per-configuration `Vec` allocation in steady state — not for crash
-/// outcomes, not for key bytes, not for action sets.
+/// outcomes, not for key bytes, not for adversary rows.
 pub(crate) struct Walker<'s, 'a, P>
 where
     P: CheckableProtocol,
     P::Output: Hash,
 {
     shared: &'s Shared<'a, P>,
-    /// Per-active-process crash-outcome buffers, reused across
-    /// configurations (`crash_outcomes_into`).
-    outcome_bufs: Vec<Vec<CrashStage>>,
     /// Scratch for the canonical key encoding of the configuration being
     /// entered; swapped into the frame (and replaced from `key_pool`)
     /// when the configuration expands.
     key_scratch: Vec<u8>,
     /// Retired frame key buffers, reused for future frames.
     key_pool: Vec<Vec<u8>>,
-    /// Retired action-set vectors (outer), reused per expansion.
-    actions_pool: Vec<Vec<RoundActions>>,
-    /// Retired action rows (inner), refilled via `clone_from` so their
-    /// allocations survive recycling.
-    row_pool: Vec<RoundActions>,
-    /// Reusable index buffer of the configuration's active processes.
-    active_buf: Vec<usize>,
+    /// The one buffer an index row is materialized into where the engine
+    /// needs a real action vector ([`RoundKeys::actions_into`]).
+    row_buf: RoundActions,
     /// Retired steppers, re-forked (`Stepper::fork_from`) for future
     /// children so successor generation reuses their buffers instead of
     /// allocating a full clone per child.
     stepper_pool: Vec<Stepper<P>>,
     /// Retired open rounds ([`RoundKeys`]), re-aimed at future
-    /// configurations so their send-phase copy, record arena and view
-    /// tables are reused.
+    /// configurations so their send-phase copy, outcome lists, index
+    /// rows, record arena, view tables and class table are reused.
     round_pool: Vec<RoundKeys<P>>,
     /// Reusable pseudo-schedule for terminal evaluation.
     schedule_buf: CrashSchedule,
@@ -2739,16 +2788,18 @@ where
     swap_buf: Vec<u8>,
     /// Per-process rank-inertness flags ([`compute_inert_flags`]).
     inert_buf: Vec<bool>,
-    /// The just-keyed configuration's own seeds, left here by
+    /// The just-canonicalized configuration's own seeds, left here by
     /// [`Walker::canonical_key`] for `enter` to move into the frame —
-    /// or, after a cache hit, *deferred*: `seeds_pending_slot` names the
-    /// cache slot holding them and [`Walker::take_frame_seeds`] copies
-    /// lazily, because most entered configurations hit the memo and
-    /// never expand, so an eager per-probe seeds copy was the single
-    /// largest cache-hit cost.
+    /// unless the key came from a cache hit, which computes none:
+    /// `seeds_pending_slot` then names the slot that was hit, and
+    /// [`Walker::take_frame_seeds`] canonicalizes after all.  Slots
+    /// carry no seeds: a configuration that is revisited is almost
+    /// always answered (a pinned summary, the memo) and never expands,
+    /// so seeds stored per slot were written on every canonicalization
+    /// and read on next to none.
     seeds_scratch: FrameSeeds,
-    /// Cache slot whose seeds the last [`Walker::canonical_key`] call
-    /// resolved but did not copy (cache-hit fast path).  Valid only
+    /// Cache slot the last [`Walker::canonical_key`] call hit, leaving
+    /// `seeds_scratch` about some other configuration.  Valid only
     /// until the next `canonical_key` call — `enter` consumes it before
     /// any other key can be computed on this walker.
     seeds_pending_slot: Option<usize>,
@@ -2761,7 +2812,7 @@ where
     seeds_pool: Vec<FrameSeeds>,
     /// Direct-mapped raw-key → canonical-key cache (the hot-path
     /// memoization of canonicalization itself); empty under raw plans.
-    key_cache: Vec<KeyCacheSlot<P::Output>>,
+    key_cache: Vec<Option<Box<KeyCacheSlot<P::Output>>>>,
     /// Reusable buffer of a plan's data destinations still active —
     /// deliveries to settled processes are effect-free, so the adversary
     /// enumeration quotients them out (`crash_outcomes_effective_into`).
@@ -2774,7 +2825,7 @@ where
 /// One slot of the walker-local raw→canonical key cache: a previously
 /// canonicalized configuration's raw key bytes (the verification tag —
 /// hash equality alone would be unsound under collision), its canonical
-/// key and hash, which encoding won the value minimum, and its seeds.
+/// key and hash, and which encoding won the value minimum.
 ///
 /// `real` short-circuits the whole entry path on revisits: once this
 /// raw configuration's summary has been resolved (memo hit or terminal
@@ -2788,7 +2839,6 @@ struct KeyCacheSlot<O> {
     canon: Vec<u8>,
     hash: u64,
     swap: bool,
-    seeds: FrameSeeds,
     real: Option<Arc<Summary<O>>>,
 }
 
@@ -2799,7 +2849,6 @@ impl<O> Default for KeyCacheSlot<O> {
             canon: Vec::new(),
             hash: 0,
             swap: false,
-            seeds: FrameSeeds::default(),
             real: None,
         }
     }
@@ -2852,10 +2901,13 @@ where
     /// The configuration's canonical key bytes and their single hash.
     hash: u64,
     key: Vec<u8>,
-    /// Every adversary move for this round, in canonical enumeration
-    /// order (the merge order that makes reports deterministic).
-    actions: Vec<RoundActions>,
+    /// The next adversary move to take: an index into the open round's
+    /// rows, which stand in canonical enumeration order (the merge order
+    /// that makes reports deterministic).
     next_action: usize,
+    /// The successor class whose summary the frame is waiting for: the
+    /// child it forked, stepped and entered for `next_action - 1`.
+    awaiting: Option<usize>,
     acc: Summary<P::Output>,
     /// Whether the value-swapped encoding won this configuration's key
     /// (value-symmetry tier): the accumulated summary is in *real*
@@ -2864,108 +2916,323 @@ where
     /// This configuration's sorted settled pools, seeding its children's
     /// incremental canonicalization.
     seeds: FrameSeeds,
-    /// This configuration's open round: its one send phase and the key
-    /// records its children's raw keys are assembled from.
+    /// This configuration's open round: its one send phase, every
+    /// adversary move as an index row, and the records and classes its
+    /// children are keyed from.
     round: RoundKeys<P>,
 }
 
 /// One configuration's **open round** — what key-first successor
-/// generation (module docs) works from: the configuration's send phase,
-/// executed once ([`SentRound`]), and the raw key record of every
-/// (process, view) pair settled so far.  A child's raw key is a header
-/// plus one such record per process, so a child whose processes' views
-/// have all been met before — almost every child — is keyed by table
-/// lookups and `memcpy`, without ever existing as a [`Stepper`].
+/// generation (module docs) works from.  It holds the configuration's
+/// send phase, executed once ([`SentRound`]); the adversary's options for
+/// the round as a *product* — the crash stages open to each active
+/// process — and every move within the crash budget as a row of outcome
+/// indices into them; the raw key record of every (process, view) pair
+/// settled so far, interned by content; and the successor classes met so
+/// far.  Almost every child is a repeat of a class its frame has already
+/// resolved, and is answered by table lookups alone; a child that is the
+/// first of its class is keyed by `memcpy` from the records — neither
+/// ever exists as a [`Stepper`].
 pub(crate) struct RoundKeys<P>
 where
     P: CheckableProtocol,
 {
     sent: SentRound<P>,
-    /// Key records ([`encode_key_record`] bytes), back to back.
+    /// The crash stages open to each active process, in slot order
+    /// ([`SentRound::active`]), one representative per live-effect
+    /// class.  Outcome index `k ≥ 1` of a slot is its `k - 1`-th stage;
+    /// `0` is survival.
+    outcomes: Vec<Vec<CrashStage>>,
+    /// Every adversary move of the round, as outcome indices: `len` rows
+    /// of one index per slot, back to back, in canonical enumeration
+    /// order (survival first, then each outcome; last slot fastest).
+    rows: Vec<u16>,
+    len: usize,
+    /// Scratch: the row the enumeration is writing.
+    current: Vec<u16>,
+    /// Whether the engine tabulated the outcomes.  It declines a system
+    /// wider than its view masks; no child of such a configuration is
+    /// keyed, and every row takes the fork + step path.
+    keyed: bool,
+    /// Key records ([`encode_key_record`] bytes), back to back, and each
+    /// record id's range in them.
     records: Vec<u8>,
-    /// Per process, the views met so far, each with its record's range
-    /// in `records`.  A process that was settled before the round has
-    /// one entry: every row gives it the same view and its record never
-    /// changes.
-    known: Vec<Vec<(RoundView, u32, u32)>>,
-    /// Scratch: the views of the row being keyed.
+    ranges: Vec<(u32, u32)>,
+    /// Per process: the id of its record if it was settled before the
+    /// round — no row changes it — and `None` for an active process,
+    /// whose record is its slot's entry in a class.
+    fixed: Vec<Option<u32>>,
+    /// Per slot, the views met so far, each with the id of the record it
+    /// settled to.  Records are interned per slot: different views of one
+    /// process often settle to the same bytes (a process that hears its
+    /// own estimate, or dies at the end of the round undecided whatever
+    /// it heard), and equal bytes get equal ids.
+    known: Vec<Vec<(RoundView, u32)>>,
+    /// The row last classified, with its views and the record id each
+    /// settled to — the row's successor class.  The next row is
+    /// classified as a revision of this one.
+    classified: Option<usize>,
     views: Vec<RoundView>,
-    /// The last child key assembled, the views it was assembled from,
-    /// and where each process's record ends in it.
-    key: Vec<u8>,
-    key_views: Vec<RoundView>,
-    key_ends: Vec<u32>,
+    ids: Vec<u32>,
+    classes: ClassTable<P::Output>,
 }
 
-/// Bytes of a raw key ahead of the first process record: round and
-/// process count.
-const KEY_HEADER_LEN: usize = 8;
+/// A frame's **successor classes**: the distinct record-id vectors its
+/// rows have produced, each — once known — with the real-space summary
+/// of the child they all lead to.  Equal id vectors are equal record
+/// bytes process by process, hence equal raw keys, hence one child; so a
+/// row that repeats a class repeats its answer, and nothing is
+/// assembled, hashed or probed for it.  Open addressing over an index
+/// sized from the round's row count (a class per row at most), entries
+/// verified by comparing ids.
+struct ClassTable<O> {
+    /// Class number + 1 per bucket, `0` for an empty one; a power of two
+    /// long.
+    index: Vec<u32>,
+    /// Class `c`'s record ids: `ids[c * stride..][..stride]`.
+    ids: Vec<u32>,
+    summaries: Vec<Option<Arc<Summary<O>>>>,
+}
+
+impl<O> ClassTable<O> {
+    fn new() -> Self {
+        ClassTable {
+            index: Vec::new(),
+            ids: Vec::new(),
+            summaries: Vec::new(),
+        }
+    }
+
+    /// Empties the table and sizes its index for a round of `rows` rows:
+    /// at most half full, so probe sequences stay short.
+    fn reset(&mut self, rows: usize) {
+        self.index.clear();
+        self.index.resize((2 * rows).next_power_of_two(), 0);
+        self.ids.clear();
+        self.summaries.clear();
+    }
+
+    /// The class of the id vector `ids`, entered as a new one — without
+    /// a summary — when no row produced it before.
+    fn class_of(&mut self, ids: &[u32]) -> usize {
+        let hash = ids.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, id| {
+            (h ^ u64::from(*id)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let mask = self.index.len() - 1;
+        let mut bucket = (hash ^ (hash >> 32)) as usize & mask;
+        loop {
+            match self.index[bucket] {
+                0 => {
+                    self.ids.extend_from_slice(ids);
+                    self.summaries.push(None);
+                    self.index[bucket] = self.summaries.len() as u32;
+                    return self.summaries.len() - 1;
+                }
+                entry => {
+                    let class = entry as usize - 1;
+                    if self.ids[class * ids.len()..][..ids.len()] == *ids {
+                        return class;
+                    }
+                }
+            }
+            bucket = (bucket + 1) & mask;
+        }
+    }
+}
 
 impl<P> RoundKeys<P>
 where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
-    /// Assembles the raw key ([`make_key_into`] layout) of the
-    /// configuration's successor under `actions`.  A (process, view)
-    /// pair met for the first time is settled by the engine — the real
-    /// `receive` on a copy of the post-send state — and its record kept.
-    /// `None` when the engine cannot reduce the row to views
-    /// ([`SentRound::views`]); the caller steps it instead.
-    fn child_key(&mut self, actions: &RoundActions) -> Option<&[u8]> {
-        if !self.sent.views(actions, &mut self.views) {
-            return None;
-        }
-        // Rows arrive in enumeration order, which varies the last
-        // processes fastest: the records of the leading processes whose
-        // views did not change still stand in `key`.
-        let same = self
-            .views
-            .iter()
-            .zip(&self.key_views)
-            .take_while(|(now, then)| now == then)
-            .count();
-        self.key_views.truncate(same);
-        self.key_ends.truncate(same);
-        self.key.truncate(
-            self.key_ends
-                .last()
-                .map_or(KEY_HEADER_LEN, |end| *end as usize),
+    /// Writes the round's rows: every subset of the active processes of
+    /// at most `budget` members crashing, each member in every one of its
+    /// outcomes.
+    fn enumerate_rows(&mut self, budget: usize) {
+        self.rows.clear();
+        self.current.clear();
+        self.current.resize(self.outcomes.len(), 0);
+        self.len = 0;
+        rec_rows(
+            &self.outcomes,
+            budget,
+            &mut self.current,
+            &mut self.rows,
+            &mut self.len,
         );
-        for (i, view) in self.views.iter().enumerate().skip(same) {
-            let known = &mut self.known[i];
-            let (start, end) = match known.iter().find(|(met, ..)| met == view) {
-                Some(&(_, start, end)) => (start, end),
-                None => {
-                    let start = self.records.len() as u32;
-                    if matches!(self.sent.status()[i], ProcStatus::Active) {
-                        let after = self.sent.settle(i, view);
-                        encode_key_record(
-                            after.status,
-                            after.state,
-                            after.decision,
-                            &mut self.records,
-                        );
-                    } else {
-                        encode_settled_record(
-                            &self.sent.status()[i],
-                            &self.sent.decisions()[i],
-                            false,
-                            &mut self.records,
-                        );
-                    }
-                    let end = self.records.len() as u32;
-                    known.push((*view, start, end));
-                    (start, end)
+    }
+
+    /// Has the engine tabulate the outcomes and, if it does, starts the
+    /// round's tables: the fixed records of the processes settled before
+    /// the round, no view met, no row classified, no class.
+    fn start_tables(&mut self) {
+        self.keyed = self.sent.tabulate(&self.outcomes);
+        if !self.keyed {
+            return;
+        }
+        self.records.clear();
+        self.ranges.clear();
+        self.fixed.clear();
+        for i in 0..self.sent.status().len() {
+            let fixed = match &self.sent.status()[i] {
+                ProcStatus::Active => None,
+                settled => {
+                    let start = self.records.len();
+                    let decision = &self.sent.decisions()[i];
+                    encode_settled_record(settled, decision, false, &mut self.records);
+                    Some(self.push_range(start))
                 }
             };
-            self.key
-                .extend_from_slice(&self.records[start as usize..end as usize]);
-            self.key_views.push(*view);
-            self.key_ends.push(self.key.len() as u32);
+            self.fixed.push(fixed);
         }
-        Some(&self.key)
+        self.known.resize_with(self.outcomes.len(), Vec::new);
+        self.known.iter_mut().for_each(Vec::clear);
+        self.classified = None;
+        self.classes.reset(self.len);
     }
+
+    /// How many adversary moves the round has.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Row `idx` as outcome indices, one per slot.
+    fn row(&self, idx: usize) -> &[u16] {
+        let stride = self.outcomes.len();
+        &self.rows[idx * stride..][..stride]
+    }
+
+    /// Materializes row `idx` as the action vector the engine steps
+    /// under — only ever setting active processes.  For the few places a
+    /// child has to exist: a memo miss, a donation, a frontier or
+    /// witness replay.
+    pub(crate) fn actions_into(&self, idx: usize, actions: &mut RoundActions) {
+        actions.clear();
+        actions.resize(self.sent.status().len(), None);
+        let slots = self.sent.active().iter().zip(&self.outcomes);
+        for ((&i, stages), &k) in slots.zip(self.row(idx)) {
+            if k > 0 {
+                actions[i] = Some(stages[k as usize - 1].clone());
+            }
+        }
+    }
+
+    /// Resolves row `idx` to its successor class: index row → views by
+    /// the engine's table → one interned record id per slot → class
+    /// number.  A (process, view) pair met for the first time is settled
+    /// by the engine — the real `receive` on a copy of the post-send
+    /// state — and its record kept.  `None` for a round the engine did
+    /// not tabulate; the caller steps the row instead.
+    fn classify(&mut self, idx: usize) -> Option<usize> {
+        if !self.keyed {
+            return None;
+        }
+        // Rows mostly arrive in enumeration order, which varies the last
+        // slots fastest: the views — hence the record ids — of the
+        // leading slots the previous row left unchanged still stand.
+        let stride = self.outcomes.len();
+        let row = |idx: usize| &self.rows[idx * stride..][..stride];
+        let from = match self.classified.replace(idx) {
+            Some(before) => self.sent.revise(row(before), row(idx), &mut self.views),
+            None => {
+                self.sent.views(row(idx), &mut self.views);
+                0
+            }
+        };
+        self.ids.truncate(from);
+        for slot in from..stride {
+            let view = self.views[slot];
+            let id = match self.known[slot].iter().find(|(met, _)| *met == view) {
+                Some(&(_, id)) => id,
+                None => self.settle_record(slot, &view),
+            };
+            self.ids.push(id);
+        }
+        Some(self.classes.class_of(&self.ids))
+    }
+
+    /// Settles `slot`'s process under a view met for the first time and
+    /// interns its key record among the slot's records.
+    fn settle_record(&mut self, slot: usize, view: &RoundView) -> u32 {
+        let start = self.records.len();
+        let after = self.sent.settle(self.sent.active()[slot], view);
+        encode_key_record(after.status, after.state, after.decision, &mut self.records);
+        let (earlier, fresh) = self.records.split_at(start);
+        let same = self.known[slot].iter().map(|(_, id)| *id).find(|id| {
+            let (from, to) = self.ranges[*id as usize];
+            earlier[from as usize..to as usize] == *fresh
+        });
+        let id = match same {
+            Some(id) => {
+                self.records.truncate(start);
+                id
+            }
+            None => self.push_range(start),
+        };
+        self.known[slot].push((*view, id));
+        id
+    }
+
+    /// Gives the record at the arena's tail, starting at `start`, the
+    /// next id.
+    fn push_range(&mut self, start: usize) -> u32 {
+        self.ranges.push((start as u32, self.records.len() as u32));
+        self.ranges.len() as u32 - 1
+    }
+
+    /// Assembles into `key` the raw key ([`make_key_into`] layout) of the
+    /// class last [`classify`](Self::classify)d: round and process count,
+    /// then one record per process — its slot's for an active one, its
+    /// fixed one otherwise.
+    fn class_key_into(&self, key: &mut Vec<u8>) {
+        key.clear();
+        self.sent.round().next().get().encode(key);
+        (self.fixed.len() as u32).encode(key);
+        let mut slots = self.ids.iter();
+        for fixed in &self.fixed {
+            let id = fixed.unwrap_or_else(|| *slots.next().expect("one id per active process"));
+            let (from, to) = self.ranges[id as usize];
+            key.extend_from_slice(&self.records[from as usize..to as usize]);
+        }
+    }
+}
+
+/// Appends to `rows` every index row over `outcomes[slot..]` that
+/// crashes at most `budget` processes, `current[..slot]` held fixed:
+/// each process survives (index 0) first, then crashes in each of its
+/// outcomes in turn — the enumeration order action-index paths,
+/// checkpoints and frontier segments are written against.  `len` counts
+/// the rows.
+fn rec_rows(
+    outcomes: &[Vec<CrashStage>],
+    budget: usize,
+    current: &mut [u16],
+    rows: &mut Vec<u16>,
+    len: &mut usize,
+) {
+    let slot = current.len() - outcomes.len();
+    let Some((stages, rest)) = outcomes.split_first() else {
+        rows.extend_from_slice(current);
+        *len += 1;
+        return;
+    };
+    current[slot] = 0;
+    rec_rows(rest, budget, current, rows, len);
+    if budget > 0 {
+        for k in 1..=stages.len() {
+            current[slot] = k as u16;
+            rec_rows(rest, budget - 1, current, rows, len);
+        }
+        current[slot] = 0;
+    }
+}
+
+/// What the key-first probe ([`Walker::probe_child`]) learned about a
+/// child: the successor class of its row (`None` for a round that is not
+/// keyed) and, if anything answered for it, its real-space summary.
+struct Probed<O> {
+    class: Option<usize>,
+    summary: Option<Arc<Summary<O>>>,
 }
 
 /// Outcome of entering a configuration.
@@ -3056,8 +3323,13 @@ where
             let frame = self.stack.last_mut().expect("non-empty stack in DFS loop");
             if let Some(child_summary) = self.pending.take() {
                 frame.acc.absorb(&child_summary);
+                // The child a class was waiting for is back: its repeats
+                // in this frame are answered from here on.
+                if let Some(class) = frame.awaiting.take() {
+                    frame.round.classes.summaries[class] = Some(child_summary);
+                }
             }
-            if frame.next_action < frame.actions.len() {
+            if frame.next_action < frame.round.len() {
                 let idx = frame.next_action;
                 frame.next_action += 1;
                 if self.walker.shared.stop.load(Ordering::Relaxed) {
@@ -3065,12 +3337,15 @@ where
                 }
                 // Key first: only a child nothing answers for is forked,
                 // stepped and entered.
-                if let Some(summary) = self.walker.probe_child(frame, idx)? {
+                let probed = self.walker.probe_child(frame, idx)?;
+                if let Some(summary) = probed.summary {
                     self.pending = Some(summary);
                 } else {
+                    frame.awaiting = probed.class;
                     let mut child = self.walker.fork(&frame.stepper);
+                    frame.round.actions_into(idx, &mut self.walker.row_buf);
                     child
-                        .step(&frame.actions[idx])
+                        .step(&self.walker.row_buf)
                         .map_err(|e| self.walker.shared.fail(ExploreError::Engine(e)))?;
                     match self.walker.enter(child, &mut self.stack)? {
                         Entered::Ready(summary, stepper) => {
@@ -3094,8 +3369,7 @@ where
                     .insert(done.hash, &done.key, canonical)
                     .map_err(|e| self.walker.shared.fail(e.into()))?;
                 let summary = self.walker.to_real(summary, done.value_swapped);
-                self.walker
-                    .recycle(done.key, done.actions, done.seeds, done.round);
+                self.walker.recycle(done.key, done.seeds, done.round);
                 self.walker.stepper_pool.push(done.stepper);
                 if self.stack.is_empty() {
                     self.summaries.push(summary);
@@ -3144,7 +3418,7 @@ where
     pub(crate) fn harvestable(&self) -> usize {
         self.stack
             .iter()
-            .map(|f| f.actions.len() - f.next_action)
+            .map(|f| f.round.len() - f.next_action)
             .sum()
     }
 
@@ -3180,13 +3454,14 @@ where
                 level + 1 == depth || frame.next_action > 0,
                 "interior frames were entered through an action"
             );
-            for idx in frame.next_action..frame.actions.len() {
-                if walker.probe_child(frame, idx)?.is_some() {
+            for idx in frame.next_action..frame.round.len() {
+                if walker.probe_child(frame, idx)?.summary.is_some() {
                     continue;
                 }
                 let mut child = walker.fork(&frame.stepper);
+                frame.round.actions_into(idx, &mut walker.row_buf);
                 child
-                    .step(&frame.actions[idx])
+                    .step(&walker.row_buf)
                     .map_err(|e| walker.shared.fail(ExploreError::Engine(e)))?;
                 let (hash, _) = walker.canonical_key(&child, Some(frame));
                 let known = walker
@@ -3217,12 +3492,9 @@ where
     pub(crate) fn new(shared: &'s Shared<'a, P>) -> Self {
         Walker {
             shared,
-            outcome_bufs: Vec::new(),
             key_scratch: Vec::new(),
             key_pool: Vec::new(),
-            actions_pool: Vec::new(),
-            row_pool: Vec::new(),
-            active_buf: Vec::new(),
+            row_buf: Vec::new(),
             stepper_pool: Vec::new(),
             round_pool: Vec::new(),
             schedule_buf: CrashSchedule::none(shared.system.n()),
@@ -3237,9 +3509,7 @@ where
             key_cache: if shared.plan.tier == CanonTier::Raw {
                 Vec::new()
             } else {
-                (0..KEY_CACHE_SLOTS)
-                    .map(|_| KeyCacheSlot::default())
-                    .collect()
+                (0..KEY_CACHE_SLOTS).map(|_| None).collect()
             },
             live_dests_buf: Vec::new(),
             live_ks_buf: Vec::new(),
@@ -3248,24 +3518,20 @@ where
 
     /// Returns a completed frame's buffers to the walker's pools so the
     /// next expansion reuses their allocations.
-    fn recycle(
-        &mut self,
-        key: Vec<u8>,
-        mut actions: Vec<RoundActions>,
-        seeds: FrameSeeds,
-        round: RoundKeys<P>,
-    ) {
+    fn recycle(&mut self, key: Vec<u8>, seeds: FrameSeeds, round: RoundKeys<P>) {
         self.key_pool.push(key);
-        self.row_pool.append(&mut actions);
-        self.actions_pool.push(actions);
         self.seeds_pool.push(seeds);
         self.close_round(round);
     }
 
-    /// Opens `stepper`'s next round: runs its send phase once, on a
-    /// pooled copy, and starts an empty record table.  Fails where
-    /// stepping any child would have failed (the send phase does not
-    /// look at the adversary).
+    /// Opens `stepper`'s next round on a pooled [`RoundKeys`]: runs its
+    /// send phase once, lists the crash outcomes open to each active
+    /// process against the plans it produced, has the engine tabulate
+    /// them, and enumerates every adversary move within the crash budget
+    /// as an index row — the no-crash move first, then the canonical
+    /// order that makes reports deterministic.  Fails where stepping any
+    /// child would have failed (the send phase does not look at the
+    /// adversary).
     pub(crate) fn open_round(&mut self, stepper: &Stepper<P>) -> Result<RoundKeys<P>, SimError> {
         let mut round = match self.round_pool.pop() {
             Some(mut round) => {
@@ -3274,23 +3540,73 @@ where
             }
             None => RoundKeys {
                 sent: SentRound::new(stepper)?,
+                outcomes: Vec::new(),
+                rows: Vec::new(),
+                len: 0,
+                current: Vec::new(),
+                keyed: false,
                 records: Vec::new(),
+                ranges: Vec::new(),
+                fixed: Vec::new(),
                 known: Vec::new(),
+                classified: None,
                 views: Vec::new(),
-                key: Vec::new(),
-                key_views: Vec::new(),
-                key_ends: Vec::new(),
+                ids: Vec::new(),
+                classes: ClassTable::new(),
             },
         };
-        round.records.clear();
-        round.known.resize_with(stepper.procs().len(), Vec::new);
-        round.known.iter_mut().for_each(Vec::clear);
-        round.key.clear();
-        stepper.round().next().get().encode(&mut round.key);
-        (stepper.procs().len() as u32).encode(&mut round.key);
-        debug_assert_eq!(round.key.len(), KEY_HEADER_LEN);
-        round.key_views.clear();
-        round.key_ends.clear();
+        let n = self.shared.system.n();
+        let status = round.sent.status();
+        let slots = round.sent.active().len();
+        round.outcomes.resize_with(slots, Vec::new);
+        for (&i, stages) in round.sent.active().iter().zip(&mut round.outcomes) {
+            let plan = round.sent.plan(i).expect("active process has a plan");
+            // Deliveries to settled (decided/crashed) receivers are
+            // dropped by the engine, so crash stages differing only in
+            // them produce bit-identical successors — enumerate one
+            // representative per *live-effect* class (module docs,
+            // "Effect-pruned adversary enumeration").
+            self.live_dests_buf.clear();
+            self.live_dests_buf.extend(
+                plan.data
+                    .iter()
+                    .map(|(dst, _)| *dst)
+                    .filter(|p| matches!(status[p.idx()], ProcStatus::Active)),
+            );
+            self.live_ks_buf.clear();
+            self.live_ks_buf.extend(
+                plan.control
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| matches!(status[p.idx()], ProcStatus::Active))
+                    .map(|(k0, _)| k0 + 1),
+            );
+            crash_outcomes_effective_into(
+                n,
+                &self.live_dests_buf,
+                !plan.data.is_empty(),
+                &self.live_ks_buf,
+                stages,
+            );
+            assert!(
+                stages.len() < usize::from(u16::MAX),
+                "a row stores outcome indices as u16"
+            );
+        }
+
+        let crashed_so_far = status
+            .iter()
+            .filter(|s| matches!(s, ProcStatus::Crashed(_)))
+            .count();
+        // The tighter of the global `t` budget and the per-round cap.
+        let budget = self
+            .shared
+            .config
+            .max_crashes_per_round
+            .unwrap_or(usize::MAX)
+            .min(self.shared.system.t() - crashed_so_far);
+        round.enumerate_rows(budget);
+        round.start_tables();
         Ok(round)
     }
 
@@ -3310,40 +3626,68 @@ where
         }
     }
 
-    /// Assembles the raw key of `round`'s successor under `actions`
-    /// without stepping ([`RoundKeys::child_key`]) and leaves it in the
-    /// raw key buffer; `None` for a row only `Stepper::step` can execute.
-    pub(crate) fn child_raw_key(
-        &mut self,
-        round: &mut RoundKeys<P>,
-        actions: &RoundActions,
-    ) -> Option<&[u8]> {
-        let key = round.child_key(actions)?;
+    /// Assembles the raw key of `round`'s successor under row `idx`
+    /// without stepping and leaves it in the raw key buffer; `None` for
+    /// a round only `Stepper::step` can execute.
+    pub(crate) fn child_raw_key(&mut self, round: &mut RoundKeys<P>, idx: usize) -> Option<&[u8]> {
+        round.classify(idx)?;
         let raw = self.raw_key_buf();
-        raw.clear();
-        raw.extend_from_slice(key);
+        round.class_key_into(raw);
         Some(raw)
     }
 
-    /// The key-first probe: `frame`'s child under action `idx`, answered
-    /// from its assembled raw key alone — by the memo under a raw plan,
-    /// by the raw→canonical cache (a pinned summary, or the cached
-    /// canonical key against the memo) under a canonicalizing one.
-    /// `None` when nothing answers: the caller forks, steps and enters
-    /// the child as it always did.
+    /// The key-first probe: `frame`'s child under row `idx`, answered
+    /// without the child.  A row that repeats a successor class its
+    /// frame has resolved is answered by the class table.  The first row
+    /// of a class has its raw key assembled and probed
+    /// ([`probe_raw`](Self::probe_raw)), and the answer is recorded for
+    /// the class.  Without a summary the caller forks, steps and enters
+    /// the child as it always did, and a caller that absorbs the result
+    /// records it for the class when it comes back.
     fn probe_child(
         &mut self,
         frame: &mut Frame<P>,
         idx: usize,
-    ) -> Result<Option<Arc<Summary<P::Output>>>, Interrupt> {
-        let actions = &frame.actions[idx];
-        if self.child_raw_key(&mut frame.round, actions).is_none() {
-            return Ok(None);
-        }
-        debug_assert!(
-            self.raw_key_is_stepped_key(&frame.stepper, actions),
-            "assembled child key differs from the stepped child's key"
-        );
+    ) -> Result<Probed<P::Output>, Interrupt> {
+        let Some(class) = frame.round.classify(idx) else {
+            return Ok(Probed {
+                class: None,
+                summary: None,
+            });
+        };
+        let known = &frame.round.classes.summaries[class];
+        let summary = match known {
+            Some(summary) => {
+                let summary = Arc::clone(summary);
+                debug_assert!(
+                    self.class_answer_is_memo_answer(frame, idx, &summary),
+                    "class table and memo disagree on a repeated child"
+                );
+                Some(summary)
+            }
+            None => {
+                frame.round.class_key_into(self.raw_key_buf());
+                debug_assert!(
+                    self.raw_key_is_stepped_key(&frame.stepper, &frame.round, idx),
+                    "assembled child key differs from the stepped child's key"
+                );
+                let summary = self.probe_raw()?;
+                frame.round.classes.summaries[class] = summary.clone();
+                summary
+            }
+        };
+        Ok(Probed {
+            class: Some(class),
+            summary,
+        })
+    }
+
+    /// Answers for the configuration whose raw key is in the raw key
+    /// buffer, if anything can without the configuration itself: the
+    /// memo under a raw plan, the raw→canonical cache (a pinned summary,
+    /// or the cached canonical key against the memo) under a
+    /// canonicalizing one.
+    fn probe_raw(&mut self) -> Result<Option<Arc<Summary<P::Output>>>, Interrupt> {
         match self.lookup_raw(true) {
             Err(_) => Ok(None),
             Ok(KeyedEntry::Resolved(real)) => Ok(Some(real)),
@@ -3351,15 +3695,44 @@ where
         }
     }
 
-    /// The oracle behind `probe_child`'s debug assertion: fork, step,
-    /// encode — and compare with the assembled bytes in the raw buffer.
-    fn raw_key_is_stepped_key(&mut self, parent: &Stepper<P>, actions: &RoundActions) -> bool {
+    /// The oracle behind `probe_child`'s debug assertion on a first
+    /// occurrence: fork, step, encode — and compare with the assembled
+    /// bytes in the raw buffer.
+    fn raw_key_is_stepped_key(
+        &mut self,
+        parent: &Stepper<P>,
+        round: &RoundKeys<P>,
+        idx: usize,
+    ) -> bool {
         let mut child = self.fork(parent);
-        let stepped = child.step(actions).is_ok();
+        round.actions_into(idx, &mut self.row_buf);
+        let stepped = child.step(&self.row_buf).is_ok();
         let mut key = Vec::new();
         make_key_into(&child, &mut key);
         self.stepper_pool.push(child);
         stepped && key == *self.raw_key_buf()
+    }
+
+    /// The oracle behind `probe_child`'s debug assertion on a repeat: the
+    /// class's key is assembled after all and must be the stepped
+    /// child's, and what the skipped [`probe_raw`](Self::probe_raw)
+    /// returns must equal the class's summary.  Under a canonicalizing
+    /// plan that path may return nothing (the child's raw→canonical
+    /// cache slot was clobbered since), which leaves the key check.
+    fn class_answer_is_memo_answer(
+        &mut self,
+        frame: &mut Frame<P>,
+        idx: usize,
+        summary: &Summary<P::Output>,
+    ) -> bool {
+        frame.round.class_key_into(self.raw_key_buf());
+        if !self.raw_key_is_stepped_key(&frame.stepper, &frame.round, idx) {
+            return false;
+        }
+        match self.probe_raw().ok().flatten() {
+            Some(memo) => *memo == *summary,
+            None => self.shared.plan.tier != CanonTier::Raw,
+        }
     }
 
     /// Encodes `stepper`'s configuration into its canonical key bytes in
@@ -3371,9 +3744,8 @@ where
     /// (byte-verified against the raw key, so a hash collision can only
     /// cost a miss, never corrupt a key); on a miss the tier encoder
     /// runs — seeded from `parent`'s sorted settled pool when the caller
-    /// has one — and the result is cached.  Either way the
-    /// configuration's own seeds are left in `seeds_scratch` for `enter`
-    /// to move into the frame.
+    /// has one — and the result is cached, with the configuration's own
+    /// seeds left in `seeds_scratch` for `enter` to move into the frame.
     pub(crate) fn canonical_key(
         &mut self,
         stepper: &Stepper<P>,
@@ -3397,12 +3769,25 @@ where
         parent: Option<&Frame<P>>,
         shortcut: bool,
     ) -> KeyedEntry<P::Output> {
-        let plan = self.shared.plan;
         make_key_into(stepper, self.raw_key_buf());
-        let slot_idx = match self.lookup_raw(shortcut) {
-            Ok(keyed) => return keyed,
-            Err(slot_idx) => slot_idx,
-        };
+        match self.lookup_raw(shortcut) {
+            Ok(keyed) => keyed,
+            Err(slot_idx) => self.canonicalize(stepper, parent, slot_idx),
+        }
+    }
+
+    /// Runs the tier encoder on `stepper` — whose raw key is in the raw
+    /// key buffer and maps to cache slot `slot_idx` — seeded from
+    /// `parent`'s sorted settled pool when there is one.  Leaves the
+    /// canonical key in `key_scratch` and the configuration's own seeds
+    /// in `seeds_scratch`, and fills the slot.
+    fn canonicalize(
+        &mut self,
+        stepper: &Stepper<P>,
+        parent: Option<&Frame<P>>,
+        slot_idx: usize,
+    ) -> KeyedEntry<P::Output> {
+        let plan = self.shared.plan;
         self.seeds_pending_slot = None;
         if plan.tier == CanonTier::SettledInert {
             compute_inert_flags(stepper, self.shared.system.t(), &mut self.inert_buf);
@@ -3441,14 +3826,13 @@ where
             self.seeds_scratch.swapped.clear();
         }
         let hash = stable_hash64(&self.key_scratch);
-        let slot = &mut self.key_cache[slot_idx];
+        let slot = self.key_cache[slot_idx].get_or_insert_with(Box::default);
         slot.raw.clear();
         slot.raw.extend_from_slice(&self.raw_scratch);
         slot.canon.clear();
         slot.canon.extend_from_slice(&self.key_scratch);
         slot.hash = hash;
         slot.swap = swap;
-        slot.seeds.copy_from(&self.seeds_scratch);
         slot.real = None;
         self.last_slot = Some(slot_idx);
         KeyedEntry::Key { hash, swap }
@@ -3470,13 +3854,15 @@ where
             });
         }
         let slot_idx = key_cache_slot(&self.raw_scratch);
-        let slot = &self.key_cache[slot_idx];
-        if slot.raw.is_empty() || slot.raw != self.raw_scratch {
+        let Some(slot) = self.key_cache[slot_idx]
+            .as_deref()
+            .filter(|slot| slot.raw == self.raw_scratch)
+        else {
             return Err(slot_idx);
-        }
-        // The seeds copy is deferred: `take_frame_seeds` pulls it from
-        // the slot only if this configuration actually expands into a
-        // frame (most hits resolve in the memo).
+        };
+        // No seeds were computed: `take_frame_seeds` makes up for it
+        // only if this configuration actually expands into a frame
+        // (most hits resolve in the memo).
         self.seeds_pending_slot = Some(slot_idx);
         self.last_slot = Some(slot_idx);
         if shortcut {
@@ -3510,10 +3896,17 @@ where
             return Ok(None);
         };
         let real = self.to_real(summary, value_swapped);
-        if let Some(idx) = self.last_slot {
-            self.key_cache[idx].real = Some(Arc::clone(&real));
-        }
+        self.pin(&real);
         Ok(Some(real))
+    }
+
+    /// Pins `real` — the real-space summary of the configuration the key
+    /// path last resolved — in the raw→canonical cache slot it went
+    /// through, if it went through one.
+    fn pin(&mut self, real: &Arc<Summary<P::Output>>) {
+        if let Some(slot) = self.last_slot.and_then(|idx| self.key_cache[idx].as_mut()) {
+            slot.real = Some(Arc::clone(real));
+        }
     }
 
     /// The canonical key bytes produced by the last
@@ -3524,20 +3917,16 @@ where
         &self.key_scratch
     }
 
-    /// Takes the seeds belonging to the configuration the last
-    /// [`canonical_key`](Self::canonical_key) call keyed, materializing
-    /// the deferred cache-hit copy if one is pending.  Must be called
-    /// before any further `canonical_key` on this walker (the pending
-    /// slot is only valid until then); `enter` is the sole consumer and
-    /// computes no other keys in between.
-    fn take_frame_seeds(&mut self) -> FrameSeeds {
-        if let Some(idx) = self.seeds_pending_slot.take() {
-            let slot = &self.key_cache[idx];
-            debug_assert_eq!(
-                slot.raw, self.raw_scratch,
-                "pending seeds slot was clobbered between keying and expansion"
-            );
-            self.seeds_scratch.copy_from(&slot.seeds);
+    /// Takes the seeds belonging to `stepper`, the configuration the
+    /// last [`canonical_key`](Self::canonical_key) call keyed — running
+    /// the tier encoder now if that call was answered by the cache and
+    /// never ran it.  Must be called before any further `canonical_key`
+    /// on this walker (the pending slot is only valid until then);
+    /// `enter` is the sole consumer and computes no other keys in
+    /// between.
+    fn take_frame_seeds(&mut self, stepper: &Stepper<P>, parent: Option<&Frame<P>>) -> FrameSeeds {
+        if let Some(slot_idx) = self.seeds_pending_slot.take() {
+            self.canonicalize(stepper, parent, slot_idx);
         }
         std::mem::replace(
             &mut self.seeds_scratch,
@@ -3665,9 +4054,7 @@ where
                 .insert(hash, &self.key_scratch, canonical)
                 .map_err(|e| self.shared.fail(e.into()))?;
             let real = self.to_real(summary, value_swapped);
-            if let Some(idx) = self.last_slot {
-                self.key_cache[idx].real = Some(Arc::clone(&real));
-            }
+            self.pin(&real);
             return Ok(Entered::Ready(real, stepper));
         }
 
@@ -3676,7 +4063,6 @@ where
         let round = self
             .open_round(&stepper)
             .map_err(|e| self.shared.fail(ExploreError::Engine(e)))?;
-        let actions = self.enumerate_action_sets(&round);
 
         // Work-sharing: if workers are parked on the injector, hand them
         // the subtrees this walker would reach last.  They explore into
@@ -3686,10 +4072,12 @@ where
         // donation to shallow rounds, where subtrees are still large
         // enough to be worth the handoff.
         let idle = self.shared.queue.idle_workers();
-        if idle > 0 && actions.len() > 1 && self.shared.donate_allowed(stepper.round().get()) {
-            for donated in actions.iter().rev().take(idle.min(actions.len() - 1)) {
+        let rows = round.len();
+        if idle > 0 && rows > 1 && self.shared.donate_allowed(stepper.round().get()) {
+            for idx in (0..rows).rev().take(idle.min(rows - 1)) {
                 let mut child = self.fork(&stepper);
-                if child.step(donated).is_ok() {
+                round.actions_into(idx, &mut self.row_buf);
+                if child.step(&self.row_buf).is_ok() {
                     self.shared.queue.push(child);
                 }
             }
@@ -3704,13 +4092,13 @@ where
             &mut self.key_scratch,
             self.key_pool.pop().unwrap_or_default(),
         );
-        let seeds = self.take_frame_seeds();
+        let seeds = self.take_frame_seeds(&stepper, stack.last());
         stack.push(Frame {
             stepper,
             hash,
             key,
-            actions,
             next_action: 0,
+            awaiting: None,
             acc: Summary::empty(self.shared.system.t()),
             value_swapped,
             seeds,
@@ -3768,137 +4156,6 @@ where
         }
         summary.violating = !report.ok();
         summary
-    }
-
-    /// All adversary moves for the upcoming round: every subset of live
-    /// processes within the remaining budget, each with every distinct
-    /// crash outcome against its concrete plan.  The no-crash move comes
-    /// first.  Per-process outcome vectors, the active-index buffer, the
-    /// result vector, and the action rows themselves all live in
-    /// reusable walker-local pools — in steady state the enumeration
-    /// performs no allocation of its own (rows are refilled via
-    /// `clone_from`, which reuses their spines).  The plans are the ones
-    /// the configuration's open round already holds — its send phase is
-    /// not run again here.
-    pub(crate) fn enumerate_action_sets(&mut self, round: &RoundKeys<P>) -> Vec<RoundActions> {
-        let n = self.shared.system.n();
-        let status = round.sent.status();
-        let crashed_so_far = status
-            .iter()
-            .filter(|s| matches!(s, ProcStatus::Crashed(_)))
-            .count();
-        let budget = self.shared.system.t() - crashed_so_far;
-
-        self.active_buf.clear();
-        self.active_buf
-            .extend((0..n).filter(|i| matches!(status[*i], ProcStatus::Active)));
-        let active = &self.active_buf;
-        while self.outcome_bufs.len() < active.len() {
-            self.outcome_bufs.push(Vec::new());
-        }
-        for (slot, &i) in active.iter().enumerate() {
-            let plan = round.sent.plan(i).expect("active process has a plan");
-            // Deliveries to settled (decided/crashed) receivers are
-            // dropped by the engine, so crash stages differing only in
-            // them produce bit-identical successors — enumerate one
-            // representative per *live-effect* class (module docs,
-            // "Effect-pruned adversary enumeration").
-            self.live_dests_buf.clear();
-            self.live_dests_buf.extend(
-                plan.data
-                    .iter()
-                    .map(|(dst, _)| *dst)
-                    .filter(|p| matches!(status[p.idx()], ProcStatus::Active)),
-            );
-            self.live_ks_buf.clear();
-            self.live_ks_buf.extend(
-                plan.control
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| matches!(status[p.idx()], ProcStatus::Active))
-                    .map(|(k0, _)| k0 + 1),
-            );
-            crash_outcomes_effective_into(
-                n,
-                &self.live_dests_buf,
-                !plan.data.is_empty(),
-                &self.live_ks_buf,
-                &mut self.outcome_bufs[slot],
-            );
-        }
-
-        let round_budget = self
-            .shared
-            .config
-            .max_crashes_per_round
-            .unwrap_or(usize::MAX)
-            .min(budget);
-        let mut out: Vec<RoundActions> = self.actions_pool.pop().unwrap_or_default();
-        debug_assert!(out.is_empty(), "pooled action vectors are drained");
-        let mut current: RoundActions = self.row_pool.pop().unwrap_or_default();
-        current.clear();
-        current.resize(n, None);
-        Self::rec_actions(
-            active,
-            &self.outcome_bufs[..active.len()],
-            0,
-            round_budget,
-            &mut current,
-            &mut out,
-            &mut self.row_pool,
-        );
-        self.row_pool.push(current);
-        out
-    }
-
-    /// [`enumerate_action_sets`](Self::enumerate_action_sets) for a
-    /// caller that wants a configuration's moves and none of its child
-    /// keys: opens the round, enumerates, closes it.
-    pub(crate) fn action_sets_of(
-        &mut self,
-        stepper: &Stepper<P>,
-    ) -> Result<Vec<RoundActions>, ExploreError> {
-        let round = self.open_round(stepper).map_err(ExploreError::Engine)?;
-        let actions = self.enumerate_action_sets(&round);
-        self.close_round(round);
-        Ok(actions)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rec_actions(
-        active: &[usize],
-        outcomes: &[Vec<CrashStage>],
-        idx: usize,
-        budget: usize,
-        current: &mut RoundActions,
-        out: &mut Vec<RoundActions>,
-        row_pool: &mut Vec<RoundActions>,
-    ) {
-        if idx == active.len() {
-            let mut row = row_pool.pop().unwrap_or_default();
-            row.clone_from(current);
-            out.push(row);
-            return;
-        }
-        // This process survives the round.
-        Self::rec_actions(active, outcomes, idx + 1, budget, current, out, row_pool);
-        // Or it crashes, in every distinct way — if budget remains (the
-        // tighter of the global `t` budget and the per-round cap).
-        if budget > 0 {
-            for stage in &outcomes[idx] {
-                current[active[idx]] = Some(stage.clone());
-                Self::rec_actions(
-                    active,
-                    outcomes,
-                    idx + 1,
-                    budget - 1,
-                    current,
-                    out,
-                    row_pool,
-                );
-            }
-            current[active[idx]] = None;
-        }
     }
 
     /// Walks one violating path through the completed memo, rebuilding its
@@ -3959,9 +4216,11 @@ where
 
             let round = stepper.round();
             let mut advanced = false;
-            for actions in self.action_sets_of(&stepper)? {
+            let open = self.open_round(&stepper).map_err(ExploreError::Engine)?;
+            for idx in 0..open.len() {
+                open.actions_into(idx, &mut self.row_buf);
                 let mut child = stepper.clone();
-                child.step(&actions).map_err(ExploreError::Engine)?;
+                child.step(&self.row_buf).map_err(ExploreError::Engine)?;
                 let (hash, _) = self.canonical_key(&child, None);
                 let violating = self
                     .shared
@@ -3970,7 +4229,7 @@ where
                     .map(|s| s.violating)
                     .unwrap_or(false);
                 if violating {
-                    for (i, a) in actions.iter().enumerate() {
+                    for (i, a) in self.row_buf.iter().enumerate() {
                         if let Some(stage) = a {
                             schedule.set(
                                 ProcessId::from_idx(i),
@@ -3983,6 +4242,7 @@ where
                     break;
                 }
             }
+            self.close_round(open);
             assert!(
                 advanced,
                 "violating summary without violating child — memo inconsistency"
@@ -4132,6 +4392,26 @@ mod tests {
             spec: SpecMode::Uniform,
             symmetry: Symmetry::Off,
         }
+    }
+
+    /// Every adversary move of `stepper`'s next round as an action
+    /// vector, in enumeration order — a cold collector for tests that
+    /// drive configurations by hand.
+    fn action_sets_of<P>(walker: &mut Walker<'_, '_, P>, stepper: &Stepper<P>) -> Vec<RoundActions>
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let round = walker.open_round(stepper).unwrap();
+        let rows = (0..round.len())
+            .map(|idx| {
+                let mut actions = RoundActions::new();
+                round.actions_into(idx, &mut actions);
+                actions
+            })
+            .collect();
+        walker.close_round(round);
+        rows
     }
 
     #[test]
@@ -4543,7 +4823,7 @@ mod tests {
             if walker.is_terminal(&stepper) {
                 break;
             }
-            let actions = walker.action_sets_of(&stepper).unwrap();
+            let actions = action_sets_of(&mut walker, &stepper);
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -4822,7 +5102,7 @@ mod tests {
             Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
         let mut out = vec![stepper.clone()];
         while !walker.is_terminal(&stepper) {
-            let actions = walker.action_sets_of(&stepper).unwrap();
+            let actions = action_sets_of(&mut walker, &stepper);
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -5464,19 +5744,18 @@ mod tests {
         (procs, proposals)
     }
 
-    /// The key-first differential: along seeded random adversary paths
-    /// from `procs`, for **every** action of every visited
-    /// configuration, the raw key assembled from the open round's
-    /// per-process records must equal [`make_key_into`] of the child
-    /// that `fork_from` + `step` produce.  The oracle side shares none
-    /// of the assembly code.  Returns how many children were compared.
-    fn assert_assembled_keys_match_stepped<P>(
+    /// Calls `check` on every configuration met along seeded random
+    /// adversary paths from `procs`, with its round open; returns how
+    /// many rows those rounds had between them.
+    #[allow(clippy::too_many_arguments)]
+    fn on_random_paths<P>(
         system: SystemConfig,
         model: ModelKind,
         max_rounds: u32,
+        max_crashes_per_round: Option<usize>,
         procs: Vec<P>,
         proposals: Vec<P::Output>,
-        label: &str,
+        mut check: impl FnMut(&mut Walker<'_, '_, P>, &Stepper<P>, &mut RoundKeys<P>),
     ) -> usize
     where
         P: CheckableProtocol,
@@ -5484,6 +5763,7 @@ mod tests {
     {
         let config = ExploreConfig {
             model,
+            max_crashes_per_round,
             ..options(max_rounds, 1_000_000)
         };
         let shared = Shared::new(
@@ -5496,125 +5776,314 @@ mod tests {
         .unwrap();
         let mut walker = Walker::new(&shared);
         let root = Stepper::new(system, model, TraceLevel::Off, procs).unwrap();
-        let mut spare = root.clone();
-        let mut stepped_key = Vec::new();
-        let mut compared = 0;
+        let mut actions = RoundActions::new();
+        let mut rows = 0;
         for seed in [1u64, 7, 42, 0xBAD5EED, 0xC0FFEE] {
             let mut state = seed;
             let mut stepper = root.clone();
             while !walker.is_terminal(&stepper) {
                 let mut round = walker.open_round(&stepper).unwrap();
-                let actions = walker.enumerate_action_sets(&round);
-                for (idx, row) in actions.iter().enumerate() {
+                check(&mut walker, &stepper, &mut round);
+                rows += round.len();
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                round.actions_into((state >> 33) as usize % round.len(), &mut actions);
+                walker.close_round(round);
+                stepper.step(&actions).unwrap();
+            }
+        }
+        rows
+    }
+
+    /// Sums `$check(system, model, max_rounds, procs, proposals, label,
+    /// $extra..)` — a function generic in the protocol — over the
+    /// protocols the key-first tests cover.
+    macro_rules! over_the_zoo {
+        ($check:ident $(, $extra:expr)*) => {{
+            use twostep_core::{crw_processes, CommitOrder, Crw, ExtendedOnClassic};
+            use twostep_model::WideValue;
+
+            let bits = |n: usize| -> Vec<WideValue> {
+                (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect()
+            };
+            let ranks =
+                |n: usize| -> Vec<u64> { (0..n as u64).map(|i| 10 + (i * 7) % 4).collect() };
+            let mut total = 0;
+
+            // CRW under the paper's commit order and the LowestFirst
+            // ablation.
+            let system = SystemConfig::new(5, 4).unwrap();
+            total += $check(
+                system,
+                ModelKind::Extended,
+                6,
+                crw_processes(&system, &bits(5)),
+                bits(5),
+                "crw highest-first"
+                $(, $extra)*
+            );
+            let lowest_first: Vec<Crw<WideValue>> = bits(5)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    Crw::with_order(ProcessId::from_idx(i), 5, v, CommitOrder::LowestFirst)
+                })
+                .collect();
+            total += $check(
+                system,
+                ModelKind::Extended,
+                7,
+                lowest_first,
+                bits(5),
+                "crw lowest-first"
+                $(, $extra)*
+            );
+
+            // FloodSet (everyone sends to everyone) and EarlyStopping
+            // (the one `DecideAndContinue` user), on the classic model.
+            let system = SystemConfig::new(4, 3).unwrap();
+            total += $check(
+                system,
+                ModelKind::Classic,
+                5,
+                twostep_baselines::floodset_processes(4, 3, &ranks(4)),
+                ranks(4),
+                "floodset"
+                $(, $extra)*
+            );
+            total += $check(
+                system,
+                ModelKind::Classic,
+                5,
+                twostep_baselines::earlystop_processes(4, 3, &ranks(4)),
+                ranks(4),
+                "earlystop"
+                $(, $extra)*
+            );
+
+            // The §2.2 block simulation: its state stashes a `SendPlan`
+            // that its own `send` mutates, so only the *post-send* state
+            // is right.
+            let system = SystemConfig::new(3, 2).unwrap();
+            let wrapped: Vec<_> = crw_processes(&system, &bits(3))
+                .into_iter()
+                .map(|p| ExtendedOnClassic::new(p, 3))
+                .collect();
+            total += $check(
+                system,
+                ModelKind::Classic,
+                10,
+                wrapped,
+                bits(3),
+                "extended-on-classic crw"
+                $(, $extra)*
+            );
+
+            // Two simultaneous senders with send-phase decisions.
+            let system = SystemConfig::new(4, 2).unwrap();
+            let (procs, proposals) = duo_procs(4);
+            total += $check(
+                system,
+                ModelKind::Extended,
+                3,
+                procs,
+                proposals,
+                "duo"
+                $(, $extra)*
+            );
+            total
+        }};
+    }
+
+    /// The key-first differential: along seeded random adversary paths
+    /// from `procs`, for **every** row of every visited configuration,
+    /// the raw key assembled from the open round's interned per-process
+    /// records must equal [`make_key_into`] of the child that `fork_from`
+    /// and `step` produce under the materialized row.  The oracle side
+    /// shares none of the table, view or assembly code.  Returns how
+    /// many children were compared.
+    fn assert_assembled_keys_match_stepped<P>(
+        system: SystemConfig,
+        model: ModelKind,
+        max_rounds: u32,
+        procs: Vec<P>,
+        proposals: Vec<P::Output>,
+        label: &str,
+    ) -> usize
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let mut spare = Stepper::new(system, model, TraceLevel::Off, procs.clone()).unwrap();
+        let mut row = RoundActions::new();
+        let mut stepped_key = Vec::new();
+        on_random_paths(
+            system,
+            model,
+            max_rounds,
+            None,
+            procs,
+            proposals,
+            |walker, stepper, round| {
+                for idx in 0..round.len() {
                     let assembled = walker
-                        .child_raw_key(&mut round, row)
-                        .expect("enumerated rows only act on active processes")
+                        .child_raw_key(round, idx)
+                        .expect("systems this small are keyed")
                         .to_vec();
-                    spare.fork_from(&stepper);
-                    spare.step(row).unwrap();
+                    round.actions_into(idx, &mut row);
+                    spare.fork_from(stepper);
+                    spare.step(&row).unwrap();
                     make_key_into(&spare, &mut stepped_key);
                     assert_eq!(
                         assembled,
                         stepped_key,
-                        "{label}: seed {seed} round {} action {idx} {row:?}",
+                        "{label}: round {} row {idx} {row:?}",
                         stepper.round()
                     );
-                    compared += 1;
                 }
-                walker.close_round(round);
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let pick = (state >> 33) as usize % actions.len();
-                stepper.step(&actions[pick]).unwrap();
-            }
-        }
-        compared
+            },
+        )
     }
 
     #[test]
     fn assembled_child_keys_match_stepped_children() {
-        use twostep_core::{crw_processes, CommitOrder, Crw, ExtendedOnClassic};
-        use twostep_model::WideValue;
+        let compared = over_the_zoo!(assert_assembled_keys_match_stepped);
+        assert!(compared > 5_000, "only {compared} children compared");
+    }
 
-        let bits = |n: usize| -> Vec<WideValue> {
-            (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect()
+    /// The enumeration the index rows must reproduce, written the way
+    /// the walker wrote it before rows were indices: peek each active
+    /// process's plan shape, list its live-effect crash outcomes, and
+    /// take the nested product — survive first, then each outcome — as
+    /// whole action vectors.
+    fn reference_rows<P>(
+        stepper: &Stepper<P>,
+        t: usize,
+        max_crashes_per_round: Option<usize>,
+    ) -> Vec<RoundActions>
+    where
+        P: SyncProtocol + Clone,
+    {
+        fn rec(
+            active: &[usize],
+            outcomes: &[Vec<CrashStage>],
+            idx: usize,
+            budget: usize,
+            current: &mut RoundActions,
+            out: &mut Vec<RoundActions>,
+        ) {
+            if idx == active.len() {
+                out.push(current.clone());
+                return;
+            }
+            rec(active, outcomes, idx + 1, budget, current, out);
+            if budget > 0 {
+                for stage in &outcomes[idx] {
+                    current[active[idx]] = Some(stage.clone());
+                    rec(active, outcomes, idx + 1, budget - 1, current, out);
+                }
+                current[active[idx]] = None;
+            }
+        }
+
+        let n = stepper.procs().len();
+        let is_active = |p: &ProcessId| matches!(stepper.status()[p.idx()], ProcStatus::Active);
+        let active: Vec<usize> = stepper.active().map(ProcessId::idx).collect();
+        let mut shape = twostep_sim::PlanShape {
+            data_dests: Vec::new(),
+            control_len: 0,
+            control_dests: Vec::new(),
         };
-        let ranks = |n: usize| -> Vec<u64> { (0..n as u64).map(|i| 10 + (i * 7) % 4).collect() };
-        let mut compared = 0;
-
-        // CRW under the paper's commit order and the LowestFirst ablation.
-        let system = SystemConfig::new(5, 4).unwrap();
-        compared += assert_assembled_keys_match_stepped(
-            system,
-            ModelKind::Extended,
-            6,
-            crw_processes(&system, &bits(5)),
-            bits(5),
-            "crw highest-first",
-        );
-        let lowest_first: Vec<Crw<WideValue>> = bits(5)
-            .into_iter()
-            .enumerate()
-            .map(|(i, v)| Crw::with_order(ProcessId::from_idx(i), 5, v, CommitOrder::LowestFirst))
+        let outcomes: Vec<Vec<CrashStage>> = active
+            .iter()
+            .map(|&i| {
+                assert!(stepper.peek_plan_shape_into(i, &mut shape));
+                let live: Vec<ProcessId> =
+                    shape.data_dests.iter().copied().filter(is_active).collect();
+                let ks: Vec<usize> = (1..=shape.control_len)
+                    .filter(|k| is_active(&shape.control_dests[k - 1]))
+                    .collect();
+                let mut stages = Vec::new();
+                crash_outcomes_effective_into(
+                    n,
+                    &live,
+                    !shape.data_dests.is_empty(),
+                    &ks,
+                    &mut stages,
+                );
+                stages
+            })
             .collect();
-        compared += assert_assembled_keys_match_stepped(
-            system,
-            ModelKind::Extended,
-            7,
-            lowest_first,
-            bits(5),
-            "crw lowest-first",
-        );
+        let crashed = (stepper.status().iter())
+            .filter(|s| matches!(s, ProcStatus::Crashed(_)))
+            .count();
+        let budget = max_crashes_per_round.unwrap_or(usize::MAX).min(t - crashed);
+        let mut out = Vec::new();
+        rec(&active, &outcomes, 0, budget, &mut vec![None; n], &mut out);
+        out
+    }
 
-        // FloodSet (everyone sends to everyone) and EarlyStopping (the
-        // one `DecideAndContinue` user), on the classic model.
-        let system = SystemConfig::new(4, 3).unwrap();
-        compared += assert_assembled_keys_match_stepped(
+    /// Row `idx` of an open round *is* row `idx` of the enumeration every
+    /// `(hash, Vec<u32>)` frontier path, checkpoint and persistent cache
+    /// was written against.
+    fn assert_rows_match_reference<P>(
+        system: SystemConfig,
+        model: ModelKind,
+        max_rounds: u32,
+        procs: Vec<P>,
+        proposals: Vec<P::Output>,
+        label: &str,
+        max_crashes_per_round: Option<usize>,
+    ) -> usize
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let mut row = RoundActions::new();
+        on_random_paths(
             system,
-            ModelKind::Classic,
-            5,
-            twostep_baselines::floodset_processes(4, 3, &ranks(4)),
-            ranks(4),
-            "floodset",
-        );
-        compared += assert_assembled_keys_match_stepped(
-            system,
-            ModelKind::Classic,
-            5,
-            twostep_baselines::earlystop_processes(4, 3, &ranks(4)),
-            ranks(4),
-            "earlystop",
-        );
-
-        // The §2.2 block simulation: its state stashes a `SendPlan` that
-        // its own `send` mutates, so only the *post-send* state is right.
-        let system = SystemConfig::new(3, 2).unwrap();
-        let wrapped: Vec<_> = crw_processes(&system, &bits(3))
-            .into_iter()
-            .map(|p| ExtendedOnClassic::new(p, 3))
-            .collect();
-        compared += assert_assembled_keys_match_stepped(
-            system,
-            ModelKind::Classic,
-            10,
-            wrapped,
-            bits(3),
-            "extended-on-classic crw",
-        );
-
-        // Two simultaneous senders with send-phase decisions.
-        let system = SystemConfig::new(4, 2).unwrap();
-        let (procs, proposals) = duo_procs(4);
-        compared += assert_assembled_keys_match_stepped(
-            system,
-            ModelKind::Extended,
-            3,
+            model,
+            max_rounds,
+            max_crashes_per_round,
             procs,
             proposals,
-            "duo",
-        );
-        assert!(compared > 5_000, "only {compared} children compared");
+            |_, stepper, round| {
+                let reference = reference_rows(stepper, system.t(), max_crashes_per_round);
+                assert_eq!(round.len(), reference.len(), "{label}: {}", stepper.round());
+                for (idx, expected) in reference.iter().enumerate() {
+                    round.actions_into(idx, &mut row);
+                    assert_eq!(row, *expected, "{label}: {} row {idx}", stepper.round());
+                    // An index row cannot name a settled process.
+                    for (action, status) in row.iter().zip(stepper.status()) {
+                        assert!(action.is_none() || matches!(status, ProcStatus::Active));
+                    }
+                }
+            },
+        )
+    }
+
+    #[test]
+    fn index_rows_reproduce_the_reference_enumeration() {
+        let free = over_the_zoo!(assert_rows_match_reference, None);
+        let capped = over_the_zoo!(assert_rows_match_reference, Some(1));
+        assert!(capped < free, "the per-round cap prunes rows");
+        assert!(free > 5_000, "only {free} rows compared");
+    }
+
+    /// The index of the row of `round` that materializes to `actions`.
+    fn row_index<P>(round: &RoundKeys<P>, actions: &RoundActions) -> usize
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let mut row = RoundActions::new();
+        (0..round.len())
+            .find(|idx| {
+                round.actions_into(*idx, &mut row);
+                row == *actions
+            })
+            .expect("the adversary has this move")
     }
 
     /// The scenario the toy exists for, checked against the engine
@@ -5652,74 +6121,107 @@ mod tests {
         let mut stepped_key = Vec::new();
         make_key_into(&child, &mut stepped_key);
         let mut round = walker.open_round(&root).unwrap();
+        let idx = row_index(&round, &row);
         assert_eq!(
-            walker.child_raw_key(&mut round, &row),
+            walker.child_raw_key(&mut round, idx),
             Some(&stepped_key[..])
         );
     }
 
-    /// A row aimed at an already decided process is a round the
-    /// factoring does not describe (`step` relabels the process
-    /// crashed): no key is assembled, the walker forks and steps, and
-    /// the configuration it enters is the stepped one.
+    /// Two views of one process that settle to the same record: `p_4`
+    /// dies at the end of round 1 with and without the coordinator's
+    /// data (and no commit either way), and is "crashed, undecided" both
+    /// times.  The two rows must share a successor class — one key, one
+    /// memo probe — and still be absorbed once each: a frame cut down to
+    /// just these two rows counts the shared child's terminals twice.
     #[test]
-    fn row_crashing_a_decided_process_takes_the_step_path() {
+    fn views_that_settle_alike_share_a_class_and_are_each_absorbed() {
         use twostep_model::{PidSet, WideValue};
         let system = SystemConfig::new(4, 3).unwrap();
         let proposals: Vec<WideValue> = (0..4).map(|i| WideValue::new(1, i % 2)).collect();
         let procs = twostep_core::crw_processes(&system, &proposals);
+        let shared = |procs: &Vec<_>| {
+            Shared::new(
+                system,
+                options(6, 100_000),
+                &ExploreOptions::serial(),
+                &proposals,
+                procs.clone(),
+            )
+            .unwrap()
+        };
+        let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone())
+            .expect("four processes");
+        let silent = |heard: &[ProcessId]| -> RoundActions {
+            vec![
+                Some(CrashStage::MidData {
+                    delivered: PidSet::from_iter(4, heard.iter().copied()),
+                }),
+                None,
+                None,
+                Some(CrashStage::EndOfRound),
+            ]
+        };
+        let (without, with) = (silent(&[]), silent(&[ProcessId::new(4)]));
+
+        let classes = shared(&procs);
+        let mut walker = Walker::new(&classes);
+        let mut round = walker.open_round(&root).unwrap();
+        let (a, b) = (row_index(&round, &without), row_index(&round, &with));
+        let class = round.classify(a).expect("keyed");
+        let view = round.views[3];
+        assert_eq!(round.classify(b), Some(class), "one class for both rows");
+        assert_ne!(round.views[3], view, "p_4 saw two different rounds");
+        assert_eq!(round.known[3].len(), 2, "two views of p_4 met");
+        assert_eq!(round.known[3][0].1, round.known[3][1].1, "one record");
+
+        // The child on its own, for its terminal count.
+        let alone = shared(&procs);
+        let mut walker = Walker::new(&alone);
+        let mut child = root.clone();
+        child.step(&without).unwrap();
+        let mut walk = StepWalker::new(&mut walker, vec![child]);
+        while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+        let child_terminals = walk.into_summaries()[0].terminals;
+        assert!(child_terminals > 1);
+
+        // The root, with every other move struck from its frame.
+        let cut = shared(&procs);
+        let mut walker = Walker::new(&cut);
+        let mut walk = StepWalker::new(&mut walker, vec![root]);
+        assert!(walk.step(&mut Unbounded).unwrap().expanded);
+        let frame = &mut walk.stack[0];
+        let kept: Vec<u16> = [a, b]
+            .iter()
+            .flat_map(|idx| frame.round.row(*idx).to_vec())
+            .collect();
+        frame.round.rows = kept;
+        frame.round.len = 2;
+        while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+        assert_eq!(walk.into_summaries()[0].terminals, 2 * child_terminals);
+    }
+
+    /// What rows-as-indices bought: the `(8, 7)` CRW root round — 282 211
+    /// adversary moves, 97 MB as action vectors — stores its rows in a
+    /// few megabytes.
+    #[test]
+    fn root_round_rows_at_8_7_fit_in_eight_mebibytes() {
+        use twostep_model::WideValue;
+        let system = SystemConfig::new(8, 7).unwrap();
+        let proposals: Vec<WideValue> = (0..8).map(|i| WideValue::new(1, i % 2)).collect();
+        let procs = twostep_core::crw_processes(&system, &proposals);
         let shared = Shared::new(
             system,
-            options(6, 1_000),
+            ExploreConfig::for_crw(&system),
             &ExploreOptions::serial(),
             &proposals,
             procs.clone(),
         )
         .unwrap();
-        // Round 1, coordinator dies after one commit: p_4 decides, p_2
-        // and p_3 stay active.
-        let mut parent = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
-        parent
-            .step(&vec![
-                Some(CrashStage::MidControl { prefix_len: 1 }),
-                None,
-                None,
-                None,
-            ])
-            .unwrap();
-        assert_eq!(parent.status()[3], ProcStatus::Decided);
-        // Round 2: the new coordinator dies silent (p_3 lives on), and
-        // the adversary wastes a crash on decided p_4.
-        let wasted: RoundActions = vec![
-            None,
-            Some(CrashStage::MidData {
-                delivered: PidSet::empty(4),
-            }),
-            None,
-            Some(CrashStage::EndOfRound),
-        ];
-        let mut stepped = parent.clone();
-        stepped.step(&wasted).unwrap();
-        assert_eq!(stepped.status()[2], ProcStatus::Active);
-        assert_eq!(stepped.status()[3], ProcStatus::Crashed(Round::new(2)));
-
-        let mut walker = Walker::new(&shared);
-        let mut round = walker.open_round(&parent).unwrap();
-        assert_eq!(walker.child_raw_key(&mut round, &wasted), None);
-        walker.close_round(round);
-
-        // Through the walker itself: enter the parent, aim its first
-        // move at the decided process, and take one step.
-        let mut stepped_walk = StepWalker::new(&mut walker, vec![parent]);
-        assert!(stepped_walk.step(&mut Unbounded).unwrap().expanded);
-        stepped_walk.stack[0].actions[0] = wasted;
-        assert!(stepped_walk.step(&mut Unbounded).unwrap().expanded);
-        let entered = &stepped_walk.stack[1].stepper;
-        let (mut entered_key, mut stepped_key) = (Vec::new(), Vec::new());
-        make_key_into(entered, &mut entered_key);
-        make_key_into(&stepped, &mut stepped_key);
-        assert_eq!(entered_key, stepped_key);
-        assert_eq!(entered.status(), stepped.status());
+        let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
+        let round = Walker::new(&shared).open_round(&root).unwrap();
+        assert_eq!(round.len(), 282_211);
+        assert!(std::mem::size_of_val(&round.rows[..]) <= 8 << 20);
     }
 
     /// A system too large for the views' sender masks is explored

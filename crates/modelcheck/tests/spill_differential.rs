@@ -6,10 +6,10 @@
 //! (threads 1 and 4) — the bit-identical spill-vs-no-spill claim of the
 //! explorer module docs.
 //!
-//! Spilling runs twice per system: once into an explicit caller-provided
-//! root (the system temp dir) and once into the automatic temp dir, which
-//! also exercises the spill-directory lifecycle under concurrent
-//! explorations.
+//! Spilling runs three times per system: once into an explicit
+//! caller-provided root (the system temp dir), once into the automatic
+//! temp dir, which also exercises the spill-directory lifecycle under
+//! concurrent explorations, and once with `hot_capacity = 1`.
 
 use twostep_baselines::floodset_processes;
 use twostep_core::crw_processes;
@@ -61,6 +61,10 @@ fn spill_configs() -> Vec<(&'static str, MemoConfig)> {
             "explicit-dir",
             MemoConfig::spill_to(HOT_CAPACITY, std::env::temp_dir()),
         ),
+        // One resident entry per shard: nearly every memo answer is a
+        // rehydrate — and every answer a frame's class table gives
+        // instead skips one, which must not show in the report.
+        ("one-hot-entry", MemoConfig::spill(1)),
     ]
 }
 

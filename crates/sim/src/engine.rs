@@ -36,9 +36,11 @@
 //! crasher's own round ends" is one small set of helpers beside it.
 //! [`Stepper::step`] is written on top of them and executes a whole
 //! configuration in place; [`SentRound`] is the second caller — it runs
-//! the send phase once and then settles single (process, view) pairs on
-//! scratch, which is what lets the model checker key a successor without
-//! building it.  Neither restates the other's rules.
+//! the send phase once, tabulates what each of a process's crash outcomes
+//! does (how its own round ends, where its messages still get through)
+//! and then settles single (process, view) pairs on scratch, which is
+//! what lets the model checker key a successor without building it.
+//! Neither restates the other's rules.
 
 use crate::protocol::{Inbox, SendPlan, Step, SyncProtocol};
 use crate::trace::{Event, Trace, TraceLevel};
@@ -716,14 +718,13 @@ fn settle<O>(
     what
 }
 
-/// One process's view of a round under one adversary action row: which
-/// senders' data and control messages reach its inbox, and how its own
-/// round ends.  By the round semantics this is *everything* the row
-/// contributes to what becomes of the process — two rows that give a
-/// process equal views leave it in equal states — which is what lets the
-/// model checker settle each (process, view) pair once per configuration
-/// ([`SentRound`]).  Opaque and comparable; bit `i` of a mask is sender
-/// `p_{i+1}`.
+/// One process's view of a round under one adversary row: which senders'
+/// data and control messages reach its inbox, and how its own round ends.
+/// By the round semantics this is *everything* the row contributes to
+/// what becomes of the process — two rows that give a process equal views
+/// leave it in equal states — which is what lets the model checker settle
+/// each (process, view) pair once per configuration ([`SentRound`]).
+/// Opaque and comparable; bit `i` of a mask is sender `p_{i+1}`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RoundView {
     data: u64,
@@ -732,13 +733,6 @@ pub struct RoundView {
 }
 
 impl RoundView {
-    /// The view of a process that takes no part in the round.
-    const IDLE: RoundView = RoundView {
-        data: 0,
-        control: 0,
-        end: RoundEnd::IDLE,
-    };
-
     /// Largest system whose senders fit the view's masks.
     const MAX_PROCESSES: usize = u64::BITS as usize;
 }
@@ -772,10 +766,14 @@ fn pid_mask(pids: impl Iterator<Item = ProcessId>) -> u64 {
     pids.fold(0, |mask, pid| mask | 1 << pid.idx())
 }
 
-/// One sending process of a [`SentRound`]: its index and the
-/// destination sets of its complete data and control steps, as masks.
-struct Sender {
-    idx: usize,
+/// One entry of a [`SentRound`]'s outcome table: what one outcome of one
+/// active process — surviving the round, or one of its crash stages —
+/// means for the round: how the process's own round ends, and which
+/// destinations its data and control messages still reach (both empty
+/// for a process that sends nothing).
+#[derive(Clone, Copy)]
+struct Outcome {
+    end: RoundEnd,
     data: u64,
     control: u64,
 }
@@ -783,7 +781,7 @@ struct Sender {
 /// A configuration with the adversary-independent half of its next round
 /// — the **send phase** — already executed, so the adversary-dependent
 /// half can be evaluated process by process without stepping a whole
-/// configuration per action row.
+/// configuration per adversary row.
 ///
 /// The factoring rests on three facts of the round semantics
 /// ([`Stepper::step`] is written to make them evident):
@@ -792,32 +790,41 @@ struct Sender {
 ///   never on the adversary — so it is run once, here;
 /// * what the receive phase does to a process is a function of its
 ///   post-send state, the round and its inbox;
-/// * an action row touches process `j` only through `j`'s inbox and
+/// * an adversary row touches process `j` only through `j`'s inbox and
 ///   `j`'s own action — its [`RoundView`].
 ///
-/// So [`views`](Self::views) reduces a row to one view per process, and
-/// [`settle`](Self::settle) evaluates one (process, view) pair with the
-/// real `receive` on a scratch copy of the post-send state — through
-/// the same `settle` function `step` ends every process's round with.
-/// The copy, its inbox and the plans are reusable scratch owned here; a
-/// settled pair allocates nothing in steady state.
+/// The adversary of one round is a *product*: each active process
+/// independently survives or crashes in one of its own outcomes.  So a
+/// row is a vector of **outcome indices**, one per active process in
+/// ascending order (`0` = survives, `k` = the `k`-th crash stage handed
+/// to [`tabulate`](Self::tabulate)), and everything a [`CrashStage`]
+/// means — `effect`, the reach of a crashing sender's two steps, how the
+/// crasher's own round ends — is evaluated once per (process, outcome)
+/// into a table, not once per cell of every row.  [`views`](Self::views)
+/// reduces an index row to one view per active process by table lookups
+/// and mask ORs, and [`settle`](Self::settle) evaluates one (process,
+/// view) pair with the real `receive` on a scratch copy of the post-send
+/// state — through the same `settle` function `step` ends every
+/// process's round with.  An index row can only name active processes,
+/// so the one thing `step` does to a *settled* process (relabel a decided
+/// one crashed) never arises.  The copy, its inbox, the plans and the
+/// table are reusable scratch owned here; a settled pair allocates
+/// nothing in steady state.
 pub struct SentRound<P: SyncProtocol> {
     /// A fork of the configuration with the send phase run on it: `procs`
     /// hold the post-send states, `plans` the complete plans.  Never
     /// stepped further.
     sent: Stepper<P>,
-    /// The active processes whose plan sends anything, ascending, and
-    /// the set of active processes whose plan decides after sending —
-    /// both read off the plans once, for [`views`](Self::views).  Left
-    /// empty for a system the views' masks cannot describe.
-    senders: Vec<Sender>,
-    decides_after_send: u64,
-    /// The active and the decided processes, as masks.
-    active: u64,
-    decided: u64,
-    /// Per-sender scratch of [`views`](Self::views): where each sender's
-    /// data and control messages get through under the current row.
-    reach: Vec<(u64, u64)>,
+    /// The active processes, ascending: slot `s` of an index row is
+    /// about process `active[s]`.
+    active: Vec<usize>,
+    /// The outcome table: slot `s`'s entries are
+    /// `table[starts[s]..starts[s + 1]]`, entry 0 its crash-free round.
+    /// Empty until [`tabulate`](Self::tabulate) fills it.
+    table: Vec<Outcome>,
+    starts: Vec<u32>,
+    /// The slots whose plan sends anything, ascending.
+    senders: Vec<usize>,
     /// Scratch for [`settle`](Self::settle): the copy `receive` runs on,
     /// its inbox, and where its status and decision end up.
     proc: Option<P>,
@@ -833,11 +840,10 @@ impl<P: SyncProtocol + Clone> SentRound<P> {
     pub fn new(source: &Stepper<P>) -> Result<Self, SimError> {
         let mut round = SentRound {
             sent: source.clone(),
+            active: Vec::new(),
+            table: Vec::new(),
+            starts: Vec::new(),
             senders: Vec::new(),
-            decides_after_send: 0,
-            active: 0,
-            decided: 0,
-            reach: Vec::new(),
             proc: None,
             inbox: Inbox::new(),
             status: ProcStatus::Active,
@@ -855,37 +861,14 @@ impl<P: SyncProtocol + Clone> SentRound<P> {
         self.send()
     }
 
-    /// Runs the send phase on the freshly forked copy and reads the
-    /// senders and masks [`views`](Self::views) works from off the plans.
+    /// Runs the send phase on the freshly forked copy and lists the
+    /// active processes; the previous configuration's outcome table no
+    /// longer counts as tabulated.
     fn send(&mut self) -> Result<(), SimError> {
         self.sent.send_phase()?;
-        self.senders.clear();
-        self.decides_after_send = 0;
-        self.active = 0;
-        self.decided = 0;
-        if self.sent.config.n() > RoundView::MAX_PROCESSES {
-            return Ok(());
-        }
-        for (idx, plan) in self.sent.plans.iter().enumerate() {
-            match self.sent.status[idx] {
-                ProcStatus::Active => self.active |= 1 << idx,
-                ProcStatus::Decided => {
-                    self.decided |= 1 << idx;
-                    continue;
-                }
-                ProcStatus::Crashed(_) => continue,
-            }
-            if plan.decide_after_send.is_some() {
-                self.decides_after_send |= 1 << idx;
-            }
-            if !(plan.data.is_empty() && plan.control.is_empty()) {
-                self.senders.push(Sender {
-                    idx,
-                    data: pid_mask(plan.data.iter().map(|(dst, _)| *dst)),
-                    control: pid_mask(plan.control.iter().copied()),
-                });
-            }
-        }
+        self.active.clear();
+        self.active.extend(self.sent.active().map(ProcessId::idx));
+        self.starts.clear();
         Ok(())
     }
 
@@ -905,68 +888,126 @@ impl<P: SyncProtocol + Clone> SentRound<P> {
         &self.sent.decisions
     }
 
+    /// The indices of the active processes, ascending — the slots of an
+    /// index row, in order.
+    pub fn active(&self) -> &[usize] {
+        &self.active
+    }
+
     /// The complete send plan of process `i` for this round; `None` when
     /// it is not active.
     pub fn plan(&self, i: usize) -> Option<&SendPlan<P::Msg, P::Output>> {
         matches!(self.sent.status[i], ProcStatus::Active).then(|| &self.sent.plans[i])
     }
 
-    /// Reduces the action row `actions` to one [`RoundView`] per process
-    /// (`views` is cleared and refilled; settled processes all get the
-    /// same idle view).  Returns `false` — leaving `views` unspecified —
-    /// for a round the factoring does not describe and only
-    /// [`Stepper::step`] can execute: a row aimed at a decided process
-    /// (`step` relabels it crashed), or a system too large for the
-    /// views' sender masks.
-    pub fn views(&mut self, actions: &RoundActions, views: &mut Vec<RoundView>) -> bool {
+    /// Tabulates the adversary's options for this round: `outcomes[s]`
+    /// lists the crash stages open to the `s`-th active process, and
+    /// outcome index `k ≥ 1` of slot `s` in an index row means
+    /// `outcomes[s][k - 1]` from here on (`0` means it survives).  Each
+    /// (process, outcome) pair is resolved once — [`CrashStage::effect`],
+    /// the reach of a sender's data and control steps, how the process's
+    /// own round ends.  Returns `false`, tabulating nothing, for a system
+    /// too large for the views' sender masks: only [`Stepper::step`] can
+    /// execute its rounds.
+    pub fn tabulate(&mut self, outcomes: &[Vec<CrashStage>]) -> bool {
+        debug_assert_eq!(outcomes.len(), self.active.len());
+        self.table.clear();
+        self.starts.clear();
+        self.senders.clear();
         let n = self.sent.config.n();
-        debug_assert_eq!(actions.len(), n);
         if n > RoundView::MAX_PROCESSES {
             return false;
         }
-        // How every process's own round ends — and, for the senders
-        // among them, where their messages get through.
-        views.clear();
-        self.reach.clear();
-        let mut described = true;
-        views.extend(actions.iter().enumerate().map(|(i, action)| {
-            if self.active >> i & 1 == 0 {
-                described &= action.is_none() || self.decided >> i & 1 == 0;
-                return RoundView::IDLE;
+        for (slot, (&i, stages)) in self.active.iter().zip(outcomes).enumerate() {
+            let plan = &self.sent.plans[i];
+            let decides_after_send = plan.decide_after_send.is_some();
+            let sends = !(plan.data.is_empty() && plan.control.is_empty());
+            if sends {
+                self.senders.push(slot);
             }
-            let decides_after_send = self.decides_after_send >> i & 1 == 1;
-            let sender = self.senders.get(self.reach.len()).filter(|s| s.idx == i);
-            if let Some(sender) = sender {
-                self.reach.push(match action {
-                    None => (sender.data, sender.control),
-                    Some(stage) => crash_reach(&self.sent.plans[i], &stage.effect(n)),
-                });
-            }
-            RoundView {
-                data: 0,
-                control: 0,
-                end: RoundEnd::of(action.as_ref(), decides_after_send),
-            }
-        }));
-        if !described {
-            return false;
+            self.starts.push(self.table.len() as u32);
+            self.table.push(Outcome {
+                end: RoundEnd::of(None, decides_after_send),
+                data: pid_mask(plan.data.iter().map(|(dst, _)| *dst)),
+                control: pid_mask(plan.control.iter().copied()),
+            });
+            self.table.extend(stages.iter().map(|stage| {
+                let (data, control) = if sends {
+                    crash_reach(plan, &stage.effect(n))
+                } else {
+                    (0, 0)
+                };
+                Outcome {
+                    end: RoundEnd::of(Some(stage), decides_after_send),
+                    data,
+                    control,
+                }
+            }));
         }
-        // Transmitted is not delivered: only a process that executes the
-        // receive phase has an inbox at all.
-        for (i, view) in views.iter_mut().enumerate() {
-            if !view.end.receives {
-                continue;
-            }
-            for (sender, (data, control)) in self.senders.iter().zip(&self.reach) {
-                view.data |= (data >> i & 1) << sender.idx;
-                view.control |= (control >> i & 1) << sender.idx;
-            }
-        }
+        self.starts.push(self.table.len() as u32);
         true
     }
 
+    /// Reduces the index row `row` — one outcome index per active
+    /// process, against the lists last [`tabulate`](Self::tabulate)d — to
+    /// one [`RoundView`] per active process, in slot order (`views` is
+    /// cleared and refilled).  Table lookups and mask ORs: no
+    /// [`CrashStage`] is looked at.
+    pub fn views(&self, row: &[u16], views: &mut Vec<RoundView>) {
+        debug_assert_eq!(row.len(), self.active.len());
+        debug_assert_eq!(self.starts.len(), self.active.len() + 1, "tabulate first");
+        views.clear();
+        views.extend((0..row.len()).map(|slot| self.view_of(row, slot)));
+    }
+
+    /// Rewrites `views` — the views of index row `before` — into the
+    /// views of `row`, recomputing only what the change can have touched.
+    /// A row reaches a process through the process's own outcome and the
+    /// senders' outcomes, nothing else; so unless a sender's outcome
+    /// differs, the views of the slots ahead of the first difference
+    /// stand (an enumeration that varies the last slots fastest mostly
+    /// changes one or two trailing slots per row).  Returns the first
+    /// slot whose view was recomputed — `row.len()` for equal rows.
+    pub fn revise(&self, before: &[u16], row: &[u16], views: &mut Vec<RoundView>) -> usize {
+        debug_assert_eq!(views.len(), row.len());
+        let Some(first) = (0..row.len()).find(|&slot| before[slot] != row[slot]) else {
+            return row.len();
+        };
+        if self.senders.iter().any(|&s| before[s] != row[s]) {
+            self.views(row, views);
+            return 0;
+        }
+        for (slot, view) in views.iter_mut().enumerate().skip(first) {
+            *view = self.view_of(row, slot);
+        }
+        first
+    }
+
+    /// The view `row` gives the process of `slot`: how its own outcome
+    /// ends its round and — transmitted is not delivered: only a process
+    /// that executes the receive phase has an inbox at all — which
+    /// senders' outcomes let their data and control messages reach it.
+    #[inline]
+    fn view_of(&self, row: &[u16], slot: usize) -> RoundView {
+        let entry = |slot: usize| &self.table[self.starts[slot] as usize + row[slot] as usize];
+        let mut view = RoundView {
+            data: 0,
+            control: 0,
+            end: entry(slot).end,
+        };
+        if view.end.receives {
+            let i = self.active[slot];
+            for &sender in &self.senders {
+                let (out, bit) = (entry(sender), self.active[sender]);
+                view.data |= (out.data >> i & 1) << bit;
+                view.control |= (out.control >> i & 1) << bit;
+            }
+        }
+        view
+    }
+
     /// Ends the round of **active** process `i` under `view` (one of the
-    /// views [`views`](Self::views) produced for `i`), on scratch: the
+    /// views [`views`](Self::views) produced for `i`'s slot), on scratch: the
     /// inbox the view describes is rebuilt from the senders' plans, the
     /// real `receive` runs on a copy of the post-send state, and the
     /// result is what [`Stepper::step`] leaves of process `i` under any
@@ -1387,34 +1428,49 @@ mod tests {
         let mut sent = SentRound::new(&root).unwrap();
         assert_eq!(sent.round(), Round::FIRST);
         assert_eq!(sent.plan(0).unwrap().control.len(), 3);
-        let rows: Vec<RoundActions> = vec![
-            vec![None; 4],
+        assert_eq!(sent.active(), [0, 1, 2, 3]);
+        // The adversary's options per process, and five index rows over
+        // them: nobody crashes; p_1 dies mid-data, mid-control, at the
+        // end of the round — with p_3 dying before it sends, then alone.
+        let outcomes = vec![
             vec![
-                Some(CrashStage::MidData {
+                CrashStage::MidData {
                     delivered: PidSet::from_iter(4, [pid(3)]),
-                }),
-                None,
-                None,
-                None,
+                },
+                CrashStage::MidControl { prefix_len: 1 },
+                CrashStage::EndOfRound,
             ],
-            vec![
-                Some(CrashStage::MidControl { prefix_len: 1 }),
-                None,
-                None,
-                None,
-            ],
-            vec![
-                Some(CrashStage::EndOfRound),
-                None,
-                Some(CrashStage::BeforeSend),
-                None,
-            ],
+            vec![],
+            vec![CrashStage::BeforeSend],
+            vec![],
         ];
-        let mut views = Vec::new();
+        assert!(sent.tabulate(&outcomes));
+        let rows: [[u16; 4]; 5] = [
+            [0, 0, 0, 0],
+            [1, 0, 0, 0],
+            [2, 0, 0, 0],
+            [3, 0, 1, 0],
+            [3, 0, 0, 0],
+        ];
+        let (mut views, mut revised) = (Vec::new(), Vec::new());
+        sent.views(&rows[3], &mut revised);
+        let mut before = &rows[3];
         for row in &rows {
+            let actions: RoundActions = row
+                .iter()
+                .zip(&outcomes)
+                .map(|(&k, stages)| (k > 0).then(|| stages[k as usize - 1].clone()))
+                .collect();
             let mut stepped = root.clone();
-            stepped.step(row).unwrap();
-            assert!(sent.views(row, &mut views));
+            stepped.step(&actions).unwrap();
+            sent.views(row, &mut views);
+            // Revising the previous row's views gives the same views —
+            // from scratch when the one sender's outcome changed, from
+            // the first changed slot otherwise.
+            let from = sent.revise(before, row, &mut revised);
+            assert_eq!(revised, views, "{before:?} -> {row:?}");
+            assert_eq!(from, if before[0] == row[0] { 2 } else { 0 });
+            before = row;
             for (i, view) in views.iter().enumerate() {
                 let after = sent.settle(i, view);
                 assert_eq!(*after.status, stepped.status()[i], "{row:?} p{}", i + 1);
@@ -1430,16 +1486,16 @@ mod tests {
             }
         }
 
-        // After a crash-free round 1 everyone has decided: a row aimed at
-        // one of them is `step`'s business, not the factoring's.
+        // After a crash-free round 1 everyone has decided: the round has
+        // no slots, so no row can name a decided process.
         let mut decided = root.clone();
         decided.step(&vec![None; 4]).unwrap();
         sent.reset(&decided).unwrap();
         assert!(sent.plan(0).is_none());
-        assert!(sent.views(&vec![None; 4], &mut views));
-        let mut wasted = vec![None; 4];
-        wasted[2] = Some(CrashStage::EndOfRound);
-        assert!(!sent.views(&wasted, &mut views));
+        assert!(sent.active().is_empty());
+        assert!(sent.tabulate(&[]));
+        sent.views(&[], &mut views);
+        assert!(views.is_empty());
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! never-tripping budget arbiter.
 //!
 //! This is the measurement harness behind the explorer's hot-path
-//! budget ("the inner loop allocates nothing in steady state", ~7
+//! budget ("the inner loop allocates nothing in steady state", ~5
 //! allocations per distinct state end to end): watch `allocs_total`
 //! when touching the walker, the stepper fork path, or the memo — a
 //! regression shows up here as thousands of extra allocations long
 //! before it is visible in wall-clock noise.  The probe *pins* both
-//! budgets: each driver stays under 8 allocs/state, and the stepped
+//! budgets: each driver stays under 6 allocs/state, and the stepped
 //! driver stays within 10% (+64 fixed) of the plain one — one `step()`
 //! call per configuration must not buy its bookkeeping with heap
 //! traffic.
@@ -120,13 +120,13 @@ fn main() {
     );
 
     assert!(
-        per_state(plain_allocs) <= 8.0,
-        "plain driver exceeds the ~7 allocs/state budget: {:.2}",
+        per_state(plain_allocs) <= 6.0,
+        "plain driver exceeds the ~5 allocs/state budget: {:.2}",
         per_state(plain_allocs)
     );
     assert!(
-        per_state(stepped_allocs) <= 8.0,
-        "stepped driver exceeds the ~7 allocs/state budget: {:.2}",
+        per_state(stepped_allocs) <= 6.0,
+        "stepped driver exceeds the ~5 allocs/state budget: {:.2}",
         per_state(stepped_allocs)
     );
     let ceiling = plain_allocs + plain_allocs / 10 + 64;
