@@ -107,8 +107,9 @@ fi
 echo "== perf gate (stepped driver within 10% of the owned-loop serial walk, same run)"
 # Both rows come from the same bench invocation (same machine state,
 # best-of-N), so this is a same-run overhead bound on the frame-stepped
-# core — one step() call plus one arbiter inspection per configuration —
-# not a cross-commit trend gate.
+# core — per step() call (a run of repeated rows and the step that ends
+# it) one headroom computation and one arbiter inspection, with every
+# budget limit armed — not a cross-commit trend gate.
 new_stepped="$(sed -n 's/.*"engine": "stepped".*"states_per_sec": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
 if [[ -z "$new_stepped" ]]; then
     echo "FAIL: BENCH_explorer.json is missing the stepped row" >&2

@@ -129,12 +129,13 @@
 //!   stepper, and hot protocols refill their plans in place
 //!   ([`twostep_sim::SyncProtocol::send_into`]);
 //! * **pooled enumeration** — a configuration's adversary moves are
-//!   rows of small outcome *indices* in one flat array, not vectors of
-//!   crash stages; that array, the per-process outcome lists, the
-//!   send-phase copy, the record arena, the view and class tables, the
-//!   one buffer a row is materialized into when the engine needs a real
-//!   action vector, key buffers, and the terminal pseudo-schedule are
-//!   all recycled across configurations.
+//!   rows of small outcome *indices*, and none of them is stored: an
+//!   odometer holds the one row the walk stands on and steps it in
+//!   place.  The odometer, the per-process outcome lists, the
+//!   send-phase copy, the record arena, the (slot, outcome) and class
+//!   tables, the one buffer a row is materialized into when the engine
+//!   needs a real action vector, key buffers, and the terminal
+//!   pseudo-schedule are all recycled across configurations.
 //!
 //! None of this changes a single observable bit: keys merge exactly the
 //! configurations the structured comparison merged, summaries are the
@@ -169,28 +170,40 @@
 //! process's view alone.  A frame's open round (`RoundKeys`) follows
 //! that shape, in four steps per row:
 //!
-//! 1. **indexed rows** — when a configuration expands, its **send phase
-//!    runs once** ([`twostep_sim::SentRound`]), the live-effect crash
+//! 1. **counted rows** — when a configuration expands, its **send phase
+//!    runs once** ([`twostep_sim::SentRound`]) and the live-effect crash
 //!    outcomes of each active process are listed against the plans it
-//!    produced, and every move within the crash budget is written as a
-//!    row of outcome indices (`0` = survives) into one flat `u16` array,
-//!    in the canonical enumeration order — survive first, then each
-//!    outcome, last process fastest — that action-index paths,
-//!    checkpoints and frontier segments are written against (4.5 MB for
-//!    the `(8, 7)` root).  A `RoundActions` vector exists only where the
-//!    engine needs one — a memo miss, a donation, a harvest, a frontier
-//!    or witness replay — materialized from the row into one pooled
-//!    buffer;
-//! 2. **views by table** — the engine resolves each (process, outcome)
-//!    pair once per configuration (~150 entries at `(8, 7)`, against
-//!    2 560 cells per configuration before): how the process's own round
-//!    ends, and which destinations a crashing sender's data and control
-//!    steps still reach.  A row is reduced to one
-//!    [`twostep_sim::RoundView`] per active process — which senders'
-//!    data and control messages reach it, how its round ends — by table
-//!    lookups and mask ORs, and as a *revision* of the previous row:
-//!    unless a sender's outcome changed, only the trailing slots that
-//!    differ are looked at;
+//!    produced.  A move within the crash budget is a row of outcome
+//!    indices (`0` = survives), and the rows stand in the canonical
+//!    enumeration order — survive first, then each outcome, last process
+//!    fastest — that action-index paths, checkpoints and frontier
+//!    segments are written against.  None is written down.  A table of
+//!    suffix counts (`count[slot][crashes left]`, 72 entries at
+//!    `(8, 7)`) makes the number of rows a closed form and row `idx` a
+//!    mixed-radix numeral; the walk keeps an **odometer** — the row it
+//!    stands on and the crashes that row spends — and finds the next
+//!    row in place, from the right: the last slot that can take a
+//!    further outcome takes it, the slots after it go back to
+//!    surviving.  A `RoundActions` vector exists only where the engine
+//!    needs one — a memo miss, a donation, a harvest, a frontier or
+//!    witness replay — *unranked* from the row's index into one pooled
+//!    buffer, the cursor left where it stands;
+//! 2. **record ids by (slot, outcome)** — the engine resolves each
+//!    (process, outcome) pair once per configuration (~150 entries at
+//!    `(8, 7)`): how the process's own round ends, and which
+//!    destinations a crashing sender's data and control steps still
+//!    reach.  A row reaches a process through the process's own outcome
+//!    and the *senders'* outcomes, nothing else — so while no sender
+//!    slot moves, a slot's [`twostep_sim::RoundView`] (which senders'
+//!    data and control messages reach it, how its round ends), hence
+//!    its key record, is a function of its own outcome index alone, and
+//!    a per-round table stamped with an epoch answers it.  The odometer
+//!    reports the first slot it changed: the ids of the slots before it
+//!    stand, the slots from it on read the table, and a view is
+//!    computed only to fill an entry.  When a sender slot does move,
+//!    the epoch moves on, every entry goes stale and **every** slot's
+//!    id is looked up again — a sender late in the row changes the view
+//!    of a slot early in it;
 //! 3. **interned record ids** — a per-slot table maps each view met so
 //!    far to the process's **key record**, the exact bytes
 //!    `make_key_into` would emit for it in the child.  A view met for
@@ -204,37 +217,56 @@
 //! 4. **the successor-class table** — the row's vector of record ids
 //!    *is* its child: equal ids are equal records process by process,
 //!    hence equal raw keys.  A frame-local open-addressed table keyed by
-//!    that vector (sized from the round's row count, entries verified by
-//!    comparing ids, pooled with the round) holds, per class, the
-//!    child's real-space summary.  A row that repeats a class is
-//!    answered from it: no key is assembled, nothing is hashed, the memo
-//!    and the raw→canonical cache are not touched.  Only the **first**
-//!    row of a class assembles its raw key (header + one record per
-//!    process) and takes the probe — the memo itself under a raw plan,
-//!    the raw→canonical key cache (a pinned summary, or the cached
-//!    canonical key against the memo) under a canonicalizing one — and
-//!    the answer is recorded for the class; if nothing answers, the
-//!    child is forked, stepped and entered, and its summary is recorded
-//!    when it comes back.
+//!    that vector (hashed by an FNV fold kept as per-slot prefix states,
+//!    so a row re-folds only the slots that changed; the index starts
+//!    small and doubles at half full, so it is sized by the classes
+//!    met; entries verified by comparing ids; pooled with the round)
+//!    holds, per class the frame has absorbed, the child's real-space
+//!    summary.  Only the **first** row of a class assembles its raw key
+//!    (header + one record per process) and takes the probe — the memo
+//!    itself under a raw plan, the raw→canonical key cache (a pinned
+//!    summary, or the cached canonical key against the memo) under a
+//!    canonicalizing one; if nothing answers, the child is forked,
+//!    stepped and entered.  Either way its summary is absorbed into the
+//!    frame and recorded for the class in one move, so a class that has
+//!    a summary has been absorbed.  A row that repeats such a class is
+//!    an addition: no key is assembled, nothing is hashed, the memo and
+//!    the raw→canonical cache are not touched, no summary is cloned.
 //!
 //! At `(8, 7)` the 2 936 634 rows fall into 387 567 classes (13.2 %;
 //! `partial+value`: 2 420 154 → 278 081), so that many keys are
-//! assembled and probed instead of one per row.  What rows-as-indices
-//! deleted: the per-frame `Vec<RoundActions>` and its two pools, the
-//! per-row `CrashStage::effect` / reach / round-end evaluation, and the
-//! engine's "row aimed at a decided process" escape — an index row can
-//! only name active processes.  The distributed frontier expander and
-//! the steal harvester key their children the same way and build a
-//! `Stepper` only for a first occurrence / a memo miss.
+//! assembled and probed, and the other 2 549 067 rows cost a table
+//! lookup and an addition each.  What the factoring deleted: the
+//! per-frame `Vec<RoundActions>` and its two pools, then the flat row
+//! array after it (4.5 MB for the `(8, 7)` root), the per-row
+//! `CrashStage::effect` / reach / round-end evaluation, the per-row
+//! view vector, and the engine's "row aimed at a decided process"
+//! escape — an index row can only name active processes.  The
+//! distributed frontier expander and the steal harvester key their
+//! children the same way and build a `Stepper` only for a first
+//! occurrence / a memo miss.
 //!
 //! **Multiplicity and order are untouched.**  The class table answers
 //! *what* a child's summary is, never *whether* the row counts: every
-//! row is still taken in enumeration order, in its own `step()`, and its
-//! summary absorbed into the frame — `terminals` adds the shared child's
-//! count once per row that leads to it, and `decided` discovery order is
-//! the order rows are visited in.  (Absorbing a class's repeats once
-//! with a multiplier is possible, but would reorder nothing only if done
-//! carefully; it is not done.)
+//! row is still taken in enumeration order and counted as a step.  What
+//! a row that repeats an absorbed class contributes is worked out, not
+//! skipped: [`Summary`]'s merge takes the maximum of worst rounds, the
+//! ordered-set union of `decided` and the OR of `violating` — all three
+//! idempotent, so merging the same child a second time changes none of
+//! them, whatever was merged in between — and adds `terminals`, so the
+//! whole of the second merge is `terminals += child.terminals`
+//! (property-tested).  A **run** is a maximal stretch of consecutive
+//! such rows; since none of them touches the memo, the stack or
+//! anything an arbiter looks at but the step count, one `step()` call
+//! takes a run together with the step that ends it — the next first row
+//! of a class, or the frame's pop — as far as the arbiter's
+//! [`headroom`](Arbiter::headroom) says no verdict but `Allow` is
+//! passed over (the serial `(8, 7)` walk: 2 945 827 steps in 396 760
+//! calls).  Order cannot change because nothing is reordered: the first
+//! row of every class is where it was, so the children are entered in
+//! the same order (DFS order, memo insertion order), `decided` values
+//! are discovered in the same order (a repeat discovers none), and a
+//! budget, a yield or a deadline poll falls on the same step number.
 //!
 //! Soundness rests on three facts of the round semantics, all of them
 //! properties of [`twostep_sim::Stepper::step`] (which is written on top
@@ -255,16 +287,16 @@
 //! masks: the engine declines to tabulate it, nothing is classified, and
 //! every row is materialized and takes the fork + step path, as does
 //! every memo miss.  In debug builds every first-of-class key is checked
-//! against `fork` + `step` + `make_key_into`, and every class hit
-//! assembles its key after all, checks it the same way, and compares the
-//! class's summary with what the skipped probe returns — so each
-//! differential suite is also a differential of this.  Enumeration
-//! order, absorb order, the one-`step()`-per-child accounting, the stop
-//! check and the `max_states` check are where they always were: reports
-//! are bit-identical.  One thing does move: a probe that is not made
-//! does not touch the memo's clock bits, so a spilling memo may evict —
-//! and write — a different set of entries; what it *answers* cannot
-//! change.
+//! against `fork` + `step` + `make_key_into`, and every class hit — the
+//! rows inside a run included — assembles its key after all, checks it
+//! the same way, and compares the class's summary with what the skipped
+//! probe returns — so each differential suite is also a differential of
+//! this.  Enumeration order, absorb order, the one-step-per-child
+//! accounting, the stop check and the `max_states` check are where they
+//! always were: reports are bit-identical.  One thing does move: a
+//! probe that is not made does not touch the memo's clock bits, so a
+//! spilling memo may evict — and write — a different set of entries;
+//! what it *answers* cannot change.
 //!
 //! ## Symmetry reduction
 //!
@@ -626,20 +658,25 @@
 //! ## Frame-stepped core
 //!
 //! The walker no longer owns its loop.  The DFS body lives in a
-//! `StepWalker` whose `step()` performs **exactly one bounded unit of
-//! work** — one configuration entry (memo probe / terminal evaluation /
-//! frame push) or one frame pop (memoizing insert) — and returns a
-//! [`StepResult`] envelope; every engine (serial, parallel stealers,
-//! spill, distributed workers and replay) is a thin *driver* looping
-//! over `step()` — the spine's finish drives the root walk this way, and
-//! so does every work phase.  Three contracts make this
+//! `StepWalker` whose `step()` performs **a bounded unit of work** and
+//! returns a [`StepResult`] envelope; every engine (serial, parallel
+//! stealers, spill, distributed workers and replay) is a thin *driver*
+//! looping over `step()` — the spine's finish drives the root walk this
+//! way, and so does every work phase.  A **step** is one iteration of
+//! the historical loop — one configuration entry (memo probe / terminal
+//! evaluation / frame push) or one frame pop (memoizing insert) — and a
+//! call takes one or more, each counted: the steps of a *run* (rows
+//! that repeat a successor class their frame has absorbed, each an
+//! addition to the frame's terminal count; see *Key-first successor
+//! generation*) are taken in the same call as the step that ends the
+//! run, as far as the arbiter allows.  Three contracts make this
 //! preemption-safe:
 //!
 //! * **step law** — step *order* is exactly the owned loop's iteration
 //!   order (only loop ownership moved), so bit-identity of reports is
 //!   structural, not re-proven: any interleaving of `step()` calls
 //!   performs the same enters and the same canonical-order merges;
-//! * **arbiter contract** — after each unit the driver-supplied
+//! * **arbiter contract** — at the end of each call the driver-supplied
 //!   [`Arbiter`] inspects a [`StepProgress`] snapshot and answers
 //!   [`StepVerdict::Allow`] (keep going), [`StepVerdict::Yield`] (a
 //!   cooperative scheduling point — the primary driver calls
@@ -649,7 +686,15 @@
 //!   The built-in [`BudgetArbiter`] enforces a declarative
 //!   [`WalkBudget`] ([`ExploreOptions::budget`], env-resolvable via
 //!   `TWOSTEP_MAX_STEPS` / `TWOSTEP_DEADLINE_MS`; the deadline clock
-//!   is read every 64 steps, not every step).  A refusal is
+//!   is read every 64 steps, not every step).  A call never passes over
+//!   a step at which the arbiter could have answered anything else, or
+//!   changed its own state: before the first silent step of a run the
+//!   walker asks for the arbiter's [`headroom`](Arbiter::headroom) — how
+//!   many further steps are certain to be allowed while the memo does
+//!   not change (none by default; the distance to `max_steps`, the next
+//!   `yield_every` multiple and the next deadline poll for
+//!   `BudgetArbiter`) — so verdicts land on the step numbers they
+//!   always did.  A refusal is
 //!   honored only after the walk has memoized at least one *fresh*
 //!   configuration this session, so a resume chain always terminates in
 //!   at most `distinct_states` sessions even at `max_steps = 0`;
@@ -1194,9 +1239,10 @@ pub(crate) const DEADLINE_MS: EnvKnob<Duration> = EnvKnob {
 /// guarantee that makes resume chains terminate).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WalkBudget {
-    /// Maximum `step()` calls for this walk (`None` = unlimited).  A
-    /// step is one configuration entry or one frame pop, so this bounds
-    /// work, not states: memo hits count too.
+    /// Maximum steps for this walk (`None` = unlimited).  A step is one
+    /// configuration entry or one frame pop — however many of them a
+    /// `step()` call takes — so this bounds work, not states: memo hits
+    /// count too.
     pub max_steps: Option<u64>,
     /// Wall-clock deadline measured from the start of the exploration
     /// call (`None` = unlimited).  Checked cooperatively once per step —
@@ -1256,7 +1302,8 @@ impl std::fmt::Display for BudgetKind {
     }
 }
 
-/// Progress snapshot handed to an [`Arbiter`] after every step.
+/// Progress snapshot handed to an [`Arbiter`] at the end of every
+/// `step()` call.
 #[derive(Clone, Copy, Debug)]
 pub struct StepProgress {
     /// Steps performed by this walk so far (monotone).
@@ -1284,15 +1331,28 @@ pub enum StepVerdict {
     Refuse(BudgetKind),
 }
 
-/// Policy hook consulted by a frame-stepped driver after every `step()`
-/// — the "arbiter" of the one-step-per-call law: the walker does one
-/// bounded unit, the arbiter says Allow/Yield/Refuse, the driver owns
-/// the loop.  Implementations must be cheap (called once per step on
-/// the hot path) and need not be deterministic: verdicts affect only
-/// *when* a walk suspends, never its result.
+/// Policy hook consulted by a frame-stepped driver at the end of every
+/// `step()` call: the walker does a bounded unit of work, the arbiter
+/// says Allow/Yield/Refuse, the driver owns the loop.  Implementations
+/// must be cheap (called on the hot path) and need not be
+/// deterministic: verdicts affect only *when* a walk suspends, never
+/// its result.
 pub trait Arbiter {
     /// Verdict for the step that just completed.
     fn inspect(&mut self, progress: &StepProgress) -> StepVerdict;
+
+    /// How many steps after `progress.steps` are certain to be answered
+    /// [`StepVerdict::Allow`] — by an `inspect` that would change
+    /// nothing in `self` — for as long as the memo does not change
+    /// (`distinct_states`, `memo_bytes`) and the stack does not move.
+    /// A `step()` call may take that many steps whose only effect is an
+    /// addition (rows that repeat a successor class their frame has
+    /// absorbed) without returning to the driver in between; every one
+    /// is still counted.  The default promises nothing, which makes
+    /// every step its own `step()` call.
+    fn headroom(&self, _progress: &StepProgress) -> u64 {
+        0
+    }
 }
 
 /// The trivial arbiter: always [`StepVerdict::Allow`].  Stealer threads
@@ -1303,6 +1363,10 @@ pub struct Unbounded;
 impl Arbiter for Unbounded {
     fn inspect(&mut self, _progress: &StepProgress) -> StepVerdict {
         StepVerdict::Allow
+    }
+
+    fn headroom(&self, _progress: &StepProgress) -> u64 {
+        u64::MAX
     }
 }
 
@@ -1368,13 +1432,45 @@ impl Arbiter for BudgetArbiter {
         }
         StepVerdict::Allow
     }
+
+    /// The distance to the nearest step at which `inspect` could do
+    /// anything but return `Allow`: the step that exhausts `max_steps`,
+    /// the next multiple of `yield_every`, the next read of the deadline
+    /// clock.  Nothing, once a limit refuses.
+    fn headroom(&self, progress: &StepProgress) -> u64 {
+        let budget = &self.budget;
+        let steps = progress.steps;
+        if self.expired
+            || budget
+                .max_memo_bytes
+                .is_some_and(|max| progress.memo_bytes >= max)
+        {
+            return 0;
+        }
+        let mut room = u64::MAX;
+        if let Some(max) = budget.max_steps {
+            room = room.min(max.saturating_sub(steps.saturating_add(1)));
+        }
+        if budget.deadline.is_some() {
+            let polled = DEADLINE_POLL_STEPS;
+            room = room.min(polled - 1 - (steps % polled + polled - 1) % polled);
+        }
+        if let Some(every) = budget.yield_every.filter(|every| *every > 0) {
+            room = room.min(every - 1 - steps % every);
+        }
+        room
+    }
 }
 
 /// What one `step()` call did — the uniform envelope every driver loops
 /// on.
 #[derive(Clone, Copy, Debug)]
 pub struct StepResult {
-    /// Whether the step pushed a new frame (a configuration expanded),
+    /// Steps this walk has performed so far, this call's included — a
+    /// call takes one or more ([`Arbiter::headroom`]), so drivers that
+    /// keep a cadence in steps read it here instead of counting calls.
+    pub steps: u64,
+    /// Whether the call pushed a new frame (a configuration expanded),
     /// as opposed to a memo hit, terminal evaluation, or frame pop.
     pub expanded: bool,
     /// DFS stack depth after the step.
@@ -2442,17 +2538,15 @@ where
     }
     let mut arbiter = BudgetArbiter::from_start(effective, started);
     let mut stepped = StepWalker::new(walker, roots);
-    let mut steps = 0u64;
     let mut last_saved = 0u64;
     loop {
         let step = stepped.step(&mut arbiter)?;
-        steps += 1;
         match step.status {
             StepStatus::Running => {}
             StepStatus::Done => return Ok(WalkOutcome::Done(stepped.into_summaries())),
             StepStatus::Yielded => {
                 if let Some(save) = &autosave {
-                    if steps - last_saved >= save.every && step.distinct_states > baseline {
+                    if step.steps - last_saved >= save.every && step.distinct_states > baseline {
                         checkpoint::write_checkpoint(
                             save.config,
                             save.fingerprint,
@@ -2460,7 +2554,7 @@ where
                             BudgetKind::Autosave,
                             &shared.memo,
                         );
-                        last_saved = steps;
+                        last_saved = step.steps;
                     }
                 }
                 std::thread::yield_now()
@@ -2558,31 +2652,37 @@ where
     P::Output: Hash + SpillCodec,
 {
     let baseline = walker.shared.memo.len();
-    let every = yield_every.max(1);
+    // The pulse cadence is the arbiter's yield cadence, over the steps
+    // of every root: each root's walk carries the count on.
+    let mut arbiter = BudgetArbiter::new(WalkBudget {
+        yield_every: Some(yield_every.max(1)),
+        ..WalkBudget::unlimited()
+    });
     let mut queue: std::collections::VecDeque<PathedRoot<P>> = roots.into();
     let mut steps = 0u64;
     while let Some(root) = queue.pop_front() {
         let path = root.path;
         let mut stepped = StepWalker::new(walker, vec![root.stepper]);
+        stepped.steps = steps;
         loop {
-            let step = stepped.step(&mut Unbounded)?;
-            steps += 1;
-            if step.status == StepStatus::Done {
-                break;
+            let step = stepped.step(&mut arbiter)?;
+            steps = step.steps;
+            match step.status {
+                StepStatus::Done => break,
+                StepStatus::Yielded => {}
+                StepStatus::Running | StepStatus::Refused(_) => continue,
             }
-            if steps.is_multiple_of(every) {
-                let fresh = step.distinct_states.saturating_sub(baseline);
-                let pulse = ElasticPulse {
-                    steps,
-                    frontier: stepped.harvestable() + queue.len(),
-                    fresh,
-                };
-                if observe(&pulse) == ElasticVerdict::Preempt && fresh > 0 {
-                    let mut frontier = Vec::new();
-                    stepped.harvest_into(&path, &mut frontier)?;
-                    frontier.extend(queue.into_iter().map(|r| (r.hash, r.path)));
-                    return Ok(ElasticOutcome::Preempted { frontier });
-                }
+            let fresh = step.distinct_states.saturating_sub(baseline);
+            let pulse = ElasticPulse {
+                steps,
+                frontier: stepped.harvestable() + queue.len(),
+                fresh,
+            };
+            if observe(&pulse) == ElasticVerdict::Preempt && fresh > 0 {
+                let mut frontier = Vec::new();
+                stepped.harvest_into(&path, &mut frontier)?;
+                frontier.extend(queue.into_iter().map(|r| (r.hash, r.path)));
+                return Ok(ElasticOutcome::Preempted { frontier });
             }
         }
     }
@@ -2772,8 +2872,8 @@ where
     /// allocating a full clone per child.
     stepper_pool: Vec<Stepper<P>>,
     /// Retired open rounds ([`RoundKeys`]), re-aimed at future
-    /// configurations so their send-phase copy, outcome lists, index
-    /// rows, record arena, view tables and class table are reused.
+    /// configurations so their send-phase copy, outcome lists, odometer,
+    /// record arena, (slot, outcome) and class tables are reused.
     round_pool: Vec<RoundKeys<P>>,
     /// Reusable pseudo-schedule for terminal evaluation.
     schedule_buf: CrashSchedule,
@@ -2901,12 +3001,13 @@ where
     /// The configuration's canonical key bytes and their single hash.
     hash: u64,
     key: Vec<u8>,
-    /// The next adversary move to take: an index into the open round's
-    /// rows, which stand in canonical enumeration order (the merge order
-    /// that makes reports deterministic).
+    /// The next adversary move to take: the index of a row of the open
+    /// round, whose rows stand in canonical enumeration order (the merge
+    /// order that makes reports deterministic).
     next_action: usize,
-    /// The successor class whose summary the frame is waiting for: the
-    /// child it forked, stepped and entered for `next_action - 1`.
+    /// The successor class of the child the frame is waiting for — the
+    /// one it forked, stepped and entered for `next_action - 1`, now the
+    /// frame above it.
     awaiting: Option<usize>,
     acc: Summary<P::Output>,
     /// Whether the value-swapped encoding won this configuration's key
@@ -2916,23 +3017,52 @@ where
     /// This configuration's sorted settled pools, seeding its children's
     /// incremental canonicalization.
     seeds: FrameSeeds,
-    /// This configuration's open round: its one send phase, every
-    /// adversary move as an index row, and the records and classes its
-    /// children are keyed from.
+    /// This configuration's open round: its one send phase, the
+    /// odometer over its adversary moves, and the records and classes
+    /// its children are keyed from.
     round: RoundKeys<P>,
+}
+
+impl<P> Frame<P>
+where
+    P: CheckableProtocol,
+    P::Output: Hash,
+{
+    /// Absorbs the summary of a child met for the first time — `class`
+    /// its successor class, if the round is keyed — and records it for
+    /// the class.  The one place a class gets its summary, so that a
+    /// class that has one has been absorbed: what is left of a later row
+    /// that repeats it is its terminal count ([`Summary::absorb`] adds
+    /// `terminals` and is idempotent in everything else).
+    fn absorb(&mut self, class: Option<usize>, summary: Arc<Summary<P::Output>>) {
+        self.acc.absorb(&summary);
+        if let Some(class) = class {
+            self.round.classes.summaries[class] = Some(summary);
+        }
+    }
+
+    /// [`absorb`](Self::absorb)s the summary of the child the frame was
+    /// waiting for.
+    fn absorb_awaited(&mut self, summary: Arc<Summary<P::Output>>) {
+        let class = self.awaiting.take();
+        self.absorb(class, summary);
+    }
 }
 
 /// One configuration's **open round** — what key-first successor
 /// generation (module docs) works from.  It holds the configuration's
 /// send phase, executed once ([`SentRound`]); the adversary's options for
 /// the round as a *product* — the crash stages open to each active
-/// process — and every move within the crash budget as a row of outcome
-/// indices into them; the raw key record of every (process, view) pair
-/// settled so far, interned by content; and the successor classes met so
-/// far.  Almost every child is a repeat of a class its frame has already
-/// resolved, and is answered by table lookups alone; a child that is the
-/// first of its class is keyed by `memcpy` from the records — neither
-/// ever exists as a [`Stepper`].
+/// process — and an **odometer** over its moves: the row of outcome
+/// indices the cursor stands on and a table of suffix counts, from which
+/// the number of rows is a closed form, the next row is found in place
+/// and any row is unranked from its index, so no row is stored; the raw
+/// key record of every (process, view) pair settled so far, interned by
+/// content; and the successor classes met so far.  Almost every child is
+/// a repeat of a class its frame has already absorbed, and costs a table
+/// lookup and an addition; a child that is the first of its class is
+/// keyed by `memcpy` from the records — neither ever exists as a
+/// [`Stepper`].
 pub(crate) struct RoundKeys<P>
 where
     P: CheckableProtocol,
@@ -2943,13 +3073,20 @@ where
     /// class.  Outcome index `k ≥ 1` of a slot is its `k - 1`-th stage;
     /// `0` is survival.
     outcomes: Vec<Vec<CrashStage>>,
-    /// Every adversary move of the round, as outcome indices: `len` rows
-    /// of one index per slot, back to back, in canonical enumeration
-    /// order (survival first, then each outcome; last slot fastest).
-    rows: Vec<u16>,
-    len: usize,
-    /// Scratch: the row the enumeration is writing.
-    current: Vec<u16>,
+    /// How many processes a row may crash: the tighter of the `t` budget
+    /// left and the per-round cap, and no more than there are slots.
+    budget: usize,
+    /// Suffix counts: `count[slot * (budget + 1) + left]` rows differ
+    /// over the slots `slot..` when `left` crashes may still be spent
+    /// (one, past the last slot).  The rows stand in canonical
+    /// enumeration order — survival first, then each outcome; last slot
+    /// fastest — which makes row `idx` a mixed-radix numeral in these.
+    count: Vec<usize>,
+    /// The cursor: the row last classified and its index (`None` before
+    /// the first), and how many crashes that row spends.
+    row: Vec<u16>,
+    at: Option<usize>,
+    spent: usize,
     /// Whether the engine tabulated the outcomes.  It declines a system
     /// wider than its view masks; no child of such a configuration is
     /// keyed, and every row takes the fork + step path.
@@ -2968,75 +3105,126 @@ where
     /// own estimate, or dies at the end of the round undecided whatever
     /// it heard), and equal bytes get equal ids.
     known: Vec<Vec<(RoundView, u32)>>,
-    /// The row last classified, with its views and the record id each
-    /// settled to — the row's successor class.  The next row is
-    /// classified as a revision of this one.
-    classified: Option<usize>,
-    views: Vec<RoundView>,
+    /// The slots whose process sends, as a mask.  A row reaches a slot
+    /// through the slot's own outcome and these slots' outcomes only.
+    sender_slots: u64,
+    /// While the senders stand still, a slot's record id is a function
+    /// of its own outcome index: entry `first_entry[slot] + outcome` is
+    /// `(stamp, id)`, good while `stamp == epoch` — the epoch moves on
+    /// whenever a sender slot does, and a stale entry is refilled from
+    /// the slot's view.
+    by_outcome: Vec<(u64, u32)>,
+    first_entry: Vec<u32>,
+    epoch: u64,
+    /// The cursor row's record id per slot — the row's successor class —
+    /// and the class hash as per-slot prefix states: `folds[slot]` is
+    /// the fold of `ids[..slot]`, so a row that differs from the last in
+    /// its trailing slots re-folds only those.
     ids: Vec<u32>,
+    folds: Vec<u64>,
     classes: ClassTable<P::Output>,
 }
 
+/// The class hash: an FNV-1a fold over a row's record ids, one id per
+/// step.
+const FOLD_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[inline]
+fn fold_id(state: u64, id: u32) -> u64 {
+    (state ^ u64::from(id)).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+fn fold_ids(ids: &[u32]) -> u64 {
+    ids.iter().fold(FOLD_START, |state, id| fold_id(state, *id))
+}
+
 /// A frame's **successor classes**: the distinct record-id vectors its
-/// rows have produced, each — once known — with the real-space summary
-/// of the child they all lead to.  Equal id vectors are equal record
-/// bytes process by process, hence equal raw keys, hence one child; so a
-/// row that repeats a class repeats its answer, and nothing is
-/// assembled, hashed or probed for it.  Open addressing over an index
-/// sized from the round's row count (a class per row at most), entries
-/// verified by comparing ids.
+/// rows have produced, each — once the frame has absorbed it — with the
+/// real-space summary of the child they all lead to.  Equal id vectors
+/// are equal record bytes process by process, hence equal raw keys,
+/// hence one child; so a row that repeats a class repeats its answer,
+/// and nothing is assembled, hashed or probed for it.  Open addressing,
+/// entries verified by comparing ids; the index starts small and doubles
+/// when the classes met fill half of it, so it is sized by classes, not
+/// by rows (13 % of them at `(8, 7)`).
 struct ClassTable<O> {
     /// Class number + 1 per bucket, `0` for an empty one; a power of two
     /// long.
     index: Vec<u32>,
     /// Class `c`'s record ids: `ids[c * stride..][..stride]`.
     ids: Vec<u32>,
+    stride: usize,
+    /// A class's summary, from the moment its frame absorbed it — which
+    /// [`Frame::absorb`] alone records, so "has a summary" *is* "was
+    /// absorbed", the fact run absorption rests on.
     summaries: Vec<Option<Arc<Summary<O>>>>,
 }
 
 impl<O> ClassTable<O> {
+    /// Buckets of an emptied table: room for the classes of an average
+    /// frame (42 at `(8, 7)`) without growing.
+    const START_BUCKETS: usize = 128;
+
     fn new() -> Self {
         ClassTable {
             index: Vec::new(),
             ids: Vec::new(),
+            stride: 0,
             summaries: Vec::new(),
         }
     }
 
-    /// Empties the table and sizes its index for a round of `rows` rows:
-    /// at most half full, so probe sequences stay short.
-    fn reset(&mut self, rows: usize) {
+    /// Empties the table for a round of `stride` slots.
+    fn reset(&mut self, stride: usize) {
         self.index.clear();
-        self.index.resize((2 * rows).next_power_of_two(), 0);
+        self.index.resize(Self::START_BUCKETS, 0);
         self.ids.clear();
+        self.stride = stride;
         self.summaries.clear();
     }
 
-    /// The class of the id vector `ids`, entered as a new one — without
-    /// a summary — when no row produced it before.
-    fn class_of(&mut self, ids: &[u32]) -> usize {
-        let hash = ids.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, id| {
-            (h ^ u64::from(*id)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+    fn ids_of(&self, class: usize) -> &[u32] {
+        &self.ids[class * self.stride..][..self.stride]
+    }
+
+    /// The first bucket from `hash`'s home on that is empty or holds a
+    /// class `matches` accepts, with what it holds.
+    fn find(&self, hash: u64, matches: impl Fn(usize) -> bool) -> (usize, Option<usize>) {
         let mask = self.index.len() - 1;
         let mut bucket = (hash ^ (hash >> 32)) as usize & mask;
         loop {
             match self.index[bucket] {
-                0 => {
-                    self.ids.extend_from_slice(ids);
-                    self.summaries.push(None);
-                    self.index[bucket] = self.summaries.len() as u32;
-                    return self.summaries.len() - 1;
-                }
-                entry => {
-                    let class = entry as usize - 1;
-                    if self.ids[class * ids.len()..][..ids.len()] == *ids {
-                        return class;
-                    }
-                }
+                0 => return (bucket, None),
+                entry if matches(entry as usize - 1) => return (bucket, Some(entry as usize - 1)),
+                _ => bucket = (bucket + 1) & mask,
             }
-            bucket = (bucket + 1) & mask;
         }
+    }
+
+    /// The class of the id vector `ids`, whose [`fold_ids`] hash is
+    /// `hash` — entered as a new one, without a summary, when no row
+    /// produced it before.
+    fn class_of(&mut self, ids: &[u32], hash: u64) -> usize {
+        debug_assert_eq!(ids.len(), self.stride);
+        debug_assert_eq!(hash, fold_ids(ids));
+        let (bucket, met) = self.find(hash, |class| self.ids_of(class) == ids);
+        if let Some(class) = met {
+            return class;
+        }
+        let class = self.summaries.len();
+        self.ids.extend_from_slice(ids);
+        self.summaries.push(None);
+        self.index[bucket] = class as u32 + 1;
+        if 2 * self.summaries.len() > self.index.len() {
+            let buckets = 2 * self.index.len();
+            self.index.clear();
+            self.index.resize(buckets, 0);
+            for class in 0..self.summaries.len() {
+                let (bucket, _) = self.find(fold_ids(self.ids_of(class)), |_| false);
+                self.index[bucket] = class as u32 + 1;
+            }
+        }
+        class
     }
 }
 
@@ -3045,26 +3233,34 @@ where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
-    /// Writes the round's rows: every subset of the active processes of
+    /// Counts the round's rows — every subset of the active processes of
     /// at most `budget` members crashing, each member in every one of its
-    /// outcomes.
-    fn enumerate_rows(&mut self, budget: usize) {
-        self.rows.clear();
-        self.current.clear();
-        self.current.resize(self.outcomes.len(), 0);
-        self.len = 0;
-        rec_rows(
-            &self.outcomes,
-            budget,
-            &mut self.current,
-            &mut self.rows,
-            &mut self.len,
-        );
+    /// outcomes — suffix by suffix, from the last slot back.
+    fn count_rows(&mut self, budget: usize) {
+        let slots = self.outcomes.len();
+        self.budget = budget.min(slots);
+        let width = self.budget + 1;
+        self.count.clear();
+        self.count.resize((slots + 1) * width, 1);
+        for slot in (0..slots).rev() {
+            let stages = self.outcomes[slot].len();
+            for left in 0..width {
+                let below = (slot + 1) * width + left;
+                let crashing = match left {
+                    0 => Some(0),
+                    _ => stages.checked_mul(self.count[below - 1]),
+                };
+                self.count[slot * width + left] = crashing
+                    .and_then(|rows| rows.checked_add(self.count[below]))
+                    .expect("a round's rows are indexed by usize");
+            }
+        }
     }
 
     /// Has the engine tabulate the outcomes and, if it does, starts the
     /// round's tables: the fixed records of the processes settled before
-    /// the round, no view met, no row classified, no class.
+    /// the round, no view met, no (slot, outcome) entry good, the cursor
+    /// before the first row, no class.
     fn start_tables(&mut self) {
         self.keyed = self.sent.tabulate(&self.outcomes);
         if !self.keyed {
@@ -3085,70 +3281,155 @@ where
             };
             self.fixed.push(fixed);
         }
-        self.known.resize_with(self.outcomes.len(), Vec::new);
+        let slots = self.outcomes.len();
+        self.known.resize_with(slots, Vec::new);
         self.known.iter_mut().for_each(Vec::clear);
-        self.classified = None;
-        self.classes.reset(self.len);
+        self.sender_slots = (self.sent.senders().iter()).fold(0, |mask, slot| mask | 1 << slot);
+        self.first_entry.clear();
+        let mut entries = 0;
+        for stages in &self.outcomes {
+            self.first_entry.push(entries);
+            entries += stages.len() as u32 + 1;
+        }
+        // Stamp 0 is good in no epoch: the first row is unranked into
+        // the cursor, which moves the epoch on.
+        self.by_outcome.clear();
+        self.by_outcome.resize(entries as usize, (0, 0));
+        self.epoch = 0;
+        self.row.clear();
+        self.row.resize(slots, 0);
+        self.at = None;
+        self.ids.clear();
+        self.ids.resize(slots, 0);
+        self.folds.clear();
+        self.folds.resize(slots + 1, FOLD_START);
+        self.classes.reset(slots);
     }
 
     /// How many adversary moves the round has.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.count[self.budget]
     }
 
-    /// Row `idx` as outcome indices, one per slot.
-    fn row(&self, idx: usize) -> &[u16] {
-        let stride = self.outcomes.len();
-        &self.rows[idx * stride..][..stride]
+    /// Unranks row `idx`: calls `put(slot, outcome index)` for every
+    /// slot in order, without touching the cursor.  At each slot the
+    /// rows that let it survive come first, then one block per crash
+    /// outcome, each as long as the rest of the row has moves with one
+    /// crash fewer to spend.
+    fn unrank(&self, mut idx: usize, mut put: impl FnMut(usize, u16)) {
+        debug_assert!(idx < self.len());
+        let width = self.budget + 1;
+        let mut left = self.budget;
+        for slot in 0..self.outcomes.len() {
+            let below = &self.count[(slot + 1) * width..][..width];
+            let mut outcome = 0;
+            if idx >= below[left] {
+                idx -= below[left];
+                left -= 1;
+                outcome = idx / below[left] + 1;
+                idx %= below[left];
+            }
+            put(slot, outcome as u16);
+        }
     }
 
     /// Materializes row `idx` as the action vector the engine steps
     /// under — only ever setting active processes.  For the few places a
-    /// child has to exist: a memo miss, a donation, a frontier or
-    /// witness replay.
+    /// child has to exist: a memo miss, a donation, a harvest, a
+    /// frontier or witness replay.
     pub(crate) fn actions_into(&self, idx: usize, actions: &mut RoundActions) {
         actions.clear();
         actions.resize(self.sent.status().len(), None);
-        let slots = self.sent.active().iter().zip(&self.outcomes);
-        for ((&i, stages), &k) in slots.zip(self.row(idx)) {
-            if k > 0 {
-                actions[i] = Some(stages[k as usize - 1].clone());
+        let active = self.sent.active();
+        self.unrank(idx, |slot, outcome| {
+            if outcome > 0 {
+                actions[active[slot]] = Some(self.outcomes[slot][outcome as usize - 1].clone());
             }
-        }
+        });
     }
 
-    /// Resolves row `idx` to its successor class: index row → views by
-    /// the engine's table → one interned record id per slot → class
-    /// number.  A (process, view) pair met for the first time is settled
-    /// by the engine — the real `receive` on a copy of the post-send
-    /// state — and its record kept.  `None` for a round the engine did
-    /// not tabulate; the caller steps the row instead.
+    /// Moves the cursor to the next row, in place and from the right:
+    /// the last slot that can take its next outcome — a crashed one that
+    /// has a further stage, a surviving one if the row has a crash left
+    /// to spend — takes it, and every slot after it goes back to
+    /// surviving.  Returns the first slot whose record id the move can
+    /// have changed: the slot that stepped, or — the epoch moving on —
+    /// slot 0 when a sender's outcome is among those that changed.
+    fn advance(&mut self) -> usize {
+        let mut moved = 0u64;
+        for slot in (0..self.row.len()).rev() {
+            let outcome = usize::from(self.row[slot]);
+            let stepped = if outcome > 0 {
+                let further = outcome < self.outcomes[slot].len();
+                if further {
+                    self.row[slot] += 1;
+                } else {
+                    self.row[slot] = 0;
+                    self.spent -= 1;
+                }
+                further
+            } else if self.spent < self.budget && !self.outcomes[slot].is_empty() {
+                self.row[slot] = 1;
+                self.spent += 1;
+                true
+            } else {
+                continue;
+            };
+            moved |= 1 << slot;
+            if stepped {
+                if moved & self.sender_slots == 0 {
+                    return slot;
+                }
+                self.epoch += 1;
+                return 0;
+            }
+        }
+        unreachable!("the cursor stood on the round's last row")
+    }
+
+    /// Resolves row `idx` to its successor class: one interned record id
+    /// per slot → class number.  The cursor moves to `idx` — one step of
+    /// the odometer when the rows arrive in enumeration order, which
+    /// varies the last slots fastest, so the ids of the leading slots
+    /// stand; an unranking otherwise.  A slot's id is read off the
+    /// (slot, outcome) table; an entry that is not good is refilled
+    /// through the slot's view, and a (process, view) pair met for the
+    /// first time is settled by the engine — the real `receive` on a
+    /// copy of the post-send state — and its record kept.  `None` for a
+    /// round the engine did not tabulate; the caller steps the row
+    /// instead.
     fn classify(&mut self, idx: usize) -> Option<usize> {
         if !self.keyed {
             return None;
         }
-        // Rows mostly arrive in enumeration order, which varies the last
-        // slots fastest: the views — hence the record ids — of the
-        // leading slots the previous row left unchanged still stand.
-        let stride = self.outcomes.len();
-        let row = |idx: usize| &self.rows[idx * stride..][..stride];
-        let from = match self.classified.replace(idx) {
-            Some(before) => self.sent.revise(row(before), row(idx), &mut self.views),
-            None => {
-                self.sent.views(row(idx), &mut self.views);
+        let slots = self.row.len();
+        let from = match self.at.replace(idx) {
+            Some(at) if at == idx => slots,
+            Some(at) if at + 1 == idx => self.advance(),
+            _ => {
+                let mut row = std::mem::take(&mut self.row);
+                self.unrank(idx, |slot, outcome| row[slot] = outcome);
+                self.spent = row.iter().filter(|outcome| **outcome > 0).count();
+                self.row = row;
+                self.epoch += 1;
                 0
             }
         };
-        self.ids.truncate(from);
-        for slot in from..stride {
-            let view = self.views[slot];
-            let id = match self.known[slot].iter().find(|(met, _)| *met == view) {
-                Some(&(_, id)) => id,
-                None => self.settle_record(slot, &view),
-            };
-            self.ids.push(id);
+        for slot in from..slots {
+            let entry = self.first_entry[slot] as usize + usize::from(self.row[slot]);
+            let (stamp, mut id) = self.by_outcome[entry];
+            if stamp != self.epoch {
+                let view = self.sent.view(&self.row, slot);
+                id = match self.known[slot].iter().find(|(met, _)| *met == view) {
+                    Some(&(_, id)) => id,
+                    None => self.settle_record(slot, &view),
+                };
+                self.by_outcome[entry] = (self.epoch, id);
+            }
+            self.ids[slot] = id;
+            self.folds[slot + 1] = fold_id(self.folds[slot], id);
         }
-        Some(self.classes.class_of(&self.ids))
+        Some(self.classes.class_of(&self.ids, self.folds[slots]))
     }
 
     /// Settles `slot`'s process under a view met for the first time and
@@ -3197,42 +3478,18 @@ where
     }
 }
 
-/// Appends to `rows` every index row over `outcomes[slot..]` that
-/// crashes at most `budget` processes, `current[..slot]` held fixed:
-/// each process survives (index 0) first, then crashes in each of its
-/// outcomes in turn — the enumeration order action-index paths,
-/// checkpoints and frontier segments are written against.  `len` counts
-/// the rows.
-fn rec_rows(
-    outcomes: &[Vec<CrashStage>],
-    budget: usize,
-    current: &mut [u16],
-    rows: &mut Vec<u16>,
-    len: &mut usize,
-) {
-    let slot = current.len() - outcomes.len();
-    let Some((stages, rest)) = outcomes.split_first() else {
-        rows.extend_from_slice(current);
-        *len += 1;
-        return;
-    };
-    current[slot] = 0;
-    rec_rows(rest, budget, current, rows, len);
-    if budget > 0 {
-        for k in 1..=stages.len() {
-            current[slot] = k as u16;
-            rec_rows(rest, budget - 1, current, rows, len);
-        }
-        current[slot] = 0;
-    }
-}
-
 /// What the key-first probe ([`Walker::probe_child`]) learned about a
-/// child: the successor class of its row (`None` for a round that is not
-/// keyed) and, if anything answered for it, its real-space summary.
-struct Probed<O> {
-    class: Option<usize>,
-    summary: Option<Arc<Summary<O>>>,
+/// child.
+enum Probed<O> {
+    /// Its row repeats a successor class the frame has absorbed: all
+    /// that is left of it is the class's terminal count, to be added.
+    Repeat(u64),
+    /// Its row is the first of its class, and this — its real-space
+    /// summary — is what the memo answered for the class's key.
+    Answered(usize, Arc<Summary<O>>),
+    /// Nothing answers for it: it has to be forked, stepped and entered.
+    /// Its class, if the round is keyed.
+    Unanswered(Option<usize>),
 }
 
 /// Outcome of entering a configuration.
@@ -3252,7 +3509,7 @@ where
     Expanded,
 }
 
-/// The frame-stepped walker core: one bounded unit of DFS work per
+/// The frame-stepped walker core: a bounded unit of DFS work per
 /// [`step`](Self::step) call, driver owns the loop (module docs,
 /// *Frame-stepped core*).  Borrows a [`Walker`] so its scratch pools
 /// survive across jobs — a stealer reuses one walker for every donated
@@ -3262,7 +3519,11 @@ where
 /// entry of the next configuration (memo probe / terminal evaluation /
 /// frame push, child or next root) or the pop of a completed frame
 /// (memoizing insert).  Step order is therefore identical to the owned
-/// loop's — bit-identity of the final report is structural.
+/// loop's — bit-identity of the final report is structural.  A call
+/// takes one step or more: steps that only add a terminal count to their
+/// frame (rows that repeat a successor class it has absorbed) are taken
+/// in the same call as the step that follows them, as far as the
+/// arbiter's [`headroom`](Arbiter::headroom) reaches, each counted.
 pub(crate) struct StepWalker<'w, 's, 'a, P>
 where
     P: CheckableProtocol,
@@ -3270,9 +3531,6 @@ where
 {
     walker: &'w mut Walker<'s, 'a, P>,
     stack: Vec<Frame<P>>,
-    /// A just-completed child's summary, absorbed into the parent frame
-    /// at the start of the next step.
-    pending: Option<Arc<Summary<P::Output>>>,
     /// Roots not yet entered; the next one starts when the stack drains.
     roots: std::vec::IntoIter<Stepper<P>>,
     /// Completed roots' summaries, in root order.
@@ -3290,118 +3548,129 @@ where
         StepWalker {
             walker,
             stack: Vec::new(),
-            pending: None,
             roots: roots.into_iter(),
             summaries,
             steps: 0,
         }
     }
 
-    /// Performs one bounded unit of work, then (unless the walk just
-    /// finished) asks `arbiter` whether to continue.  Errors carry the
-    /// usual interrupt protocol — the failure site has already signalled
-    /// the abort.
+    /// Performs a bounded unit of work — the run of repeated rows the
+    /// walk stands before, if any and as far as `arbiter`'s headroom
+    /// reaches, then one step more — and (unless the walk just finished)
+    /// asks `arbiter` whether to continue.  Errors carry the usual
+    /// interrupt protocol — the failure site has already signalled the
+    /// abort.
     pub(crate) fn step(&mut self, arbiter: &mut impl Arbiter) -> Result<StepResult, Interrupt> {
+        let shared = self.walker.shared;
+        let progress = |steps: u64, frontier_len: usize| StepProgress {
+            steps,
+            frontier_len,
+            distinct_states: shared.memo.len(),
+            memo_bytes: shared.memo.approx_bytes(),
+        };
         let mut expanded = false;
-        if self.stack.is_empty() {
-            let Some(root) = self.roots.next() else {
-                return Ok(StepResult {
-                    expanded: false,
-                    frontier_len: 0,
-                    distinct_states: self.walker.shared.memo.len(),
-                    status: StepStatus::Done,
-                });
-            };
-            match self.walker.enter(root, &mut self.stack)? {
-                Entered::Ready(summary, stepper) => {
-                    self.walker.stepper_pool.push(stepper);
-                    self.summaries.push(summary);
-                }
-                Entered::Expanded => expanded = true,
-            }
-        } else {
-            let frame = self.stack.last_mut().expect("non-empty stack in DFS loop");
-            if let Some(child_summary) = self.pending.take() {
-                frame.acc.absorb(&child_summary);
-                // The child a class was waiting for is back: its repeats
-                // in this frame are answered from here on.
-                if let Some(class) = frame.awaiting.take() {
-                    frame.round.classes.summaries[class] = Some(child_summary);
-                }
-            }
-            if frame.next_action < frame.round.len() {
-                let idx = frame.next_action;
-                frame.next_action += 1;
-                if self.walker.shared.stop.load(Ordering::Relaxed) {
-                    return Err(Interrupt::Stopped);
-                }
-                // Key first: only a child nothing answers for is forked,
-                // stepped and entered.
-                let probed = self.walker.probe_child(frame, idx)?;
-                if let Some(summary) = probed.summary {
-                    self.pending = Some(summary);
-                } else {
-                    frame.awaiting = probed.class;
-                    let mut child = self.walker.fork(&frame.stepper);
-                    frame.round.actions_into(idx, &mut self.walker.row_buf);
-                    child
-                        .step(&self.walker.row_buf)
-                        .map_err(|e| self.walker.shared.fail(ExploreError::Engine(e)))?;
-                    match self.walker.enter(child, &mut self.stack)? {
-                        Entered::Ready(summary, stepper) => {
-                            self.walker.stepper_pool.push(stepper);
-                            self.pending = Some(summary);
-                        }
-                        Entered::Expanded => expanded = true,
+        // Steps the arbiter lets this call take in silence; asked at the
+        // first row that could use one.
+        let mut headroom = None;
+        loop {
+            let depth = self.stack.len();
+            let Some(frame) = self.stack.last_mut() else {
+                let Some(root) = self.roots.next() else {
+                    return Ok(StepResult {
+                        steps: self.steps,
+                        expanded: false,
+                        frontier_len: 0,
+                        distinct_states: shared.memo.len(),
+                        status: StepStatus::Done,
+                    });
+                };
+                match self.walker.enter(root, &mut self.stack)? {
+                    Entered::Ready(summary, stepper) => {
+                        self.walker.stepper_pool.push(stepper);
+                        self.summaries.push(summary);
                     }
+                    Entered::Expanded => expanded = true,
                 }
-            } else {
+                break;
+            };
+            if frame.next_action == frame.round.len() {
                 let done = self.stack.pop().expect("popping the completed frame");
                 // `acc` accumulated in real value space; the memo stores
                 // canonical space, and whatever comes back is translated
                 // again for the parent (an involution, so racing inserts
                 // of the same key agree regardless of which twin won).
                 let canonical = self.walker.to_canonical_arc(done.acc, done.value_swapped);
-                let summary = self
-                    .walker
-                    .shared
+                let summary = shared
                     .memo
                     .insert(done.hash, &done.key, canonical)
-                    .map_err(|e| self.walker.shared.fail(e.into()))?;
+                    .map_err(|e| shared.fail(e.into()))?;
                 let summary = self.walker.to_real(summary, done.value_swapped);
                 self.walker.recycle(done.key, done.seeds, done.round);
                 self.walker.stepper_pool.push(done.stepper);
-                if self.stack.is_empty() {
-                    self.summaries.push(summary);
-                    self.pending = None;
-                } else {
-                    self.pending = Some(summary);
+                // The child a class of the frame below was waiting for
+                // is back: its repeats there are additions from here on.
+                match self.stack.last_mut() {
+                    Some(parent) => parent.absorb_awaited(summary),
+                    None => self.summaries.push(summary),
+                }
+                break;
+            }
+            let idx = frame.next_action;
+            frame.next_action += 1;
+            if shared.stop.load(Ordering::Relaxed) {
+                return Err(Interrupt::Stopped);
+            }
+            // Key first: only a child nothing answers for is forked,
+            // stepped and entered.
+            match self.walker.probe_child(frame, idx)? {
+                Probed::Repeat(terminals) => {
+                    frame.acc.terminals += terminals;
+                    let silent = headroom
+                        .get_or_insert_with(|| arbiter.headroom(&progress(self.steps, depth)));
+                    if *silent > 0 {
+                        *silent -= 1;
+                        self.steps += 1;
+                        continue;
+                    }
+                }
+                Probed::Answered(class, summary) => frame.absorb(Some(class), summary),
+                Probed::Unanswered(class) => {
+                    frame.awaiting = class;
+                    let mut child = self.walker.fork(&frame.stepper);
+                    frame.round.actions_into(idx, &mut self.walker.row_buf);
+                    child
+                        .step(&self.walker.row_buf)
+                        .map_err(|e| shared.fail(ExploreError::Engine(e)))?;
+                    match self.walker.enter(child, &mut self.stack)? {
+                        Entered::Ready(summary, stepper) => {
+                            self.walker.stepper_pool.push(stepper);
+                            let frame = self.stack.last_mut().expect("the frame is still open");
+                            frame.absorb_awaited(summary);
+                        }
+                        Entered::Expanded => expanded = true,
+                    }
                 }
             }
+            break;
         }
         self.steps += 1;
 
-        let shared = self.walker.shared;
         let frontier_len = self.stack.len();
-        let distinct_states = shared.memo.len();
+        let progress = progress(self.steps, frontier_len);
         let status = if frontier_len == 0 && self.roots.as_slice().is_empty() {
             StepStatus::Done
         } else {
-            match arbiter.inspect(&StepProgress {
-                steps: self.steps,
-                frontier_len,
-                distinct_states,
-                memo_bytes: shared.memo.approx_bytes(),
-            }) {
+            match arbiter.inspect(&progress) {
                 StepVerdict::Allow => StepStatus::Running,
                 StepVerdict::Yield => StepStatus::Yielded,
                 StepVerdict::Refuse(kind) => StepStatus::Refused(kind),
             }
         };
         Ok(StepResult {
+            steps: self.steps,
             expanded,
             frontier_len,
-            distinct_states,
+            distinct_states: progress.distinct_states,
             status,
         })
     }
@@ -3455,7 +3724,10 @@ where
                 "interior frames were entered through an action"
             );
             for idx in frame.next_action..frame.round.len() {
-                if walker.probe_child(frame, idx)?.summary.is_some() {
+                // The probe reads the frame's class table and records
+                // nothing in it: a class gets a summary only from the
+                // walk, when the frame absorbs it.
+                if !matches!(walker.probe_child(frame, idx)?, Probed::Unanswered(_)) {
                     continue;
                 }
                 let mut child = walker.fork(&frame.stepper);
@@ -3527,11 +3799,11 @@ where
     /// Opens `stepper`'s next round on a pooled [`RoundKeys`]: runs its
     /// send phase once, lists the crash outcomes open to each active
     /// process against the plans it produced, has the engine tabulate
-    /// them, and enumerates every adversary move within the crash budget
-    /// as an index row — the no-crash move first, then the canonical
-    /// order that makes reports deterministic.  Fails where stepping any
-    /// child would have failed (the send phase does not look at the
-    /// adversary).
+    /// them, and counts the adversary moves within the crash budget —
+    /// index rows the round's odometer steps through and unranks, the
+    /// no-crash move first, then the canonical order that makes reports
+    /// deterministic.  Fails where stepping any child would have failed
+    /// (the send phase does not look at the adversary).
     pub(crate) fn open_round(&mut self, stepper: &Stepper<P>) -> Result<RoundKeys<P>, SimError> {
         let mut round = match self.round_pool.pop() {
             Some(mut round) => {
@@ -3541,17 +3813,22 @@ where
             None => RoundKeys {
                 sent: SentRound::new(stepper)?,
                 outcomes: Vec::new(),
-                rows: Vec::new(),
-                len: 0,
-                current: Vec::new(),
+                budget: 0,
+                count: Vec::new(),
+                row: Vec::new(),
+                at: None,
+                spent: 0,
                 keyed: false,
                 records: Vec::new(),
                 ranges: Vec::new(),
                 fixed: Vec::new(),
                 known: Vec::new(),
-                classified: None,
-                views: Vec::new(),
+                sender_slots: 0,
+                by_outcome: Vec::new(),
+                first_entry: Vec::new(),
+                epoch: 0,
                 ids: Vec::new(),
+                folds: Vec::new(),
                 classes: ClassTable::new(),
             },
         };
@@ -3605,7 +3882,7 @@ where
             .max_crashes_per_round
             .unwrap_or(usize::MAX)
             .min(self.shared.system.t() - crashed_so_far);
-        round.enumerate_rows(budget);
+        round.count_rows(budget);
         round.start_tables();
         Ok(round)
     }
@@ -3638,47 +3915,37 @@ where
 
     /// The key-first probe: `frame`'s child under row `idx`, answered
     /// without the child.  A row that repeats a successor class its
-    /// frame has resolved is answered by the class table.  The first row
-    /// of a class has its raw key assembled and probed
-    /// ([`probe_raw`](Self::probe_raw)), and the answer is recorded for
-    /// the class.  Without a summary the caller forks, steps and enters
-    /// the child as it always did, and a caller that absorbs the result
-    /// records it for the class when it comes back.
+    /// frame has absorbed is answered by the class table, with the one
+    /// number that is left to add.  The first row of a class has its raw
+    /// key assembled and probed ([`probe_raw`](Self::probe_raw)).
+    /// Nothing is recorded here: the caller that absorbs an answer
+    /// records it for the class ([`Frame::absorb`]), as it does for a
+    /// child nothing answered for — forked, stepped and entered as it
+    /// always was — when that child's summary comes back.
     fn probe_child(
         &mut self,
         frame: &mut Frame<P>,
         idx: usize,
     ) -> Result<Probed<P::Output>, Interrupt> {
         let Some(class) = frame.round.classify(idx) else {
-            return Ok(Probed {
-                class: None,
-                summary: None,
-            });
+            return Ok(Probed::Unanswered(None));
         };
-        let known = &frame.round.classes.summaries[class];
-        let summary = match known {
-            Some(summary) => {
-                let summary = Arc::clone(summary);
-                debug_assert!(
-                    self.class_answer_is_memo_answer(frame, idx, &summary),
-                    "class table and memo disagree on a repeated child"
-                );
-                Some(summary)
-            }
-            None => {
-                frame.round.class_key_into(self.raw_key_buf());
-                debug_assert!(
-                    self.raw_key_is_stepped_key(&frame.stepper, &frame.round, idx),
-                    "assembled child key differs from the stepped child's key"
-                );
-                let summary = self.probe_raw()?;
-                frame.round.classes.summaries[class] = summary.clone();
-                summary
-            }
-        };
-        Ok(Probed {
-            class: Some(class),
-            summary,
+        if let Some(summary) = &frame.round.classes.summaries[class] {
+            let terminals = summary.terminals;
+            debug_assert!(
+                self.class_answer_is_memo_answer(frame, idx, class),
+                "class table and memo disagree on a repeated child"
+            );
+            return Ok(Probed::Repeat(terminals));
+        }
+        frame.round.class_key_into(self.raw_key_buf());
+        debug_assert!(
+            self.raw_key_is_stepped_key(&frame.stepper, &frame.round, idx),
+            "assembled child key differs from the stepped child's key"
+        );
+        Ok(match self.probe_raw()? {
+            Some(summary) => Probed::Answered(class, summary),
+            None => Probed::Unanswered(Some(class)),
         })
     }
 
@@ -3719,18 +3986,13 @@ where
     /// returns must equal the class's summary.  Under a canonicalizing
     /// plan that path may return nothing (the child's raw→canonical
     /// cache slot was clobbered since), which leaves the key check.
-    fn class_answer_is_memo_answer(
-        &mut self,
-        frame: &mut Frame<P>,
-        idx: usize,
-        summary: &Summary<P::Output>,
-    ) -> bool {
+    fn class_answer_is_memo_answer(&mut self, frame: &Frame<P>, idx: usize, class: usize) -> bool {
         frame.round.class_key_into(self.raw_key_buf());
         if !self.raw_key_is_stepped_key(&frame.stepper, &frame.round, idx) {
             return false;
         }
         match self.probe_raw().ok().flatten() {
-            Some(memo) => *memo == *summary,
+            Some(memo) => Some(&*memo) == frame.round.classes.summaries[class].as_deref(),
             None => self.shared.plan.tier != CanonTier::Raw,
         }
     }
@@ -5952,19 +6214,15 @@ mod tests {
         assert!(compared > 5_000, "only {compared} children compared");
     }
 
-    /// The enumeration the index rows must reproduce, written the way
-    /// the walker wrote it before rows were indices: peek each active
-    /// process's plan shape, list its live-effect crash outcomes, and
-    /// take the nested product — survive first, then each outcome — as
-    /// whole action vectors.
-    fn reference_rows<P>(
-        stepper: &Stepper<P>,
-        t: usize,
-        max_crashes_per_round: Option<usize>,
-    ) -> Vec<RoundActions>
-    where
-        P: SyncProtocol + Clone,
-    {
+    /// The nested product the odometer must reproduce, as whole action
+    /// vectors: each active process survives first, then crashes in each
+    /// of its outcomes in turn, at most `budget` of them in one row.
+    fn reference_product(
+        n: usize,
+        active: &[usize],
+        outcomes: &[Vec<CrashStage>],
+        budget: usize,
+    ) -> Vec<RoundActions> {
         fn rec(
             active: &[usize],
             outcomes: &[Vec<CrashStage>],
@@ -5986,7 +6244,23 @@ mod tests {
                 current[active[idx]] = None;
             }
         }
+        let mut out = Vec::new();
+        rec(active, outcomes, 0, budget, &mut vec![None; n], &mut out);
+        out
+    }
 
+    /// The enumeration the odometer must reproduce, written the way the
+    /// walker wrote it before rows were indices: peek each active
+    /// process's plan shape, list its live-effect crash outcomes, and
+    /// take the nested product.
+    fn reference_rows<P>(
+        stepper: &Stepper<P>,
+        t: usize,
+        max_crashes_per_round: Option<usize>,
+    ) -> Vec<RoundActions>
+    where
+        P: SyncProtocol + Clone,
+    {
         let n = stepper.procs().len();
         let is_active = |p: &ProcessId| matches!(stepper.status()[p.idx()], ProcStatus::Active);
         let active: Vec<usize> = stepper.active().map(ProcessId::idx).collect();
@@ -6019,14 +6293,59 @@ mod tests {
             .filter(|s| matches!(s, ProcStatus::Crashed(_)))
             .count();
         let budget = max_crashes_per_round.unwrap_or(usize::MAX).min(t - crashed);
-        let mut out = Vec::new();
-        rec(&active, &outcomes, 0, budget, &mut vec![None; n], &mut out);
-        out
+        reference_product(n, &active, &outcomes, budget)
+    }
+
+    /// Every way of asking `round`'s odometer for a row gives the row of
+    /// `reference`: unranked off the cursor, stepped to in place from
+    /// the row before — whatever was unranked in between — and unranked
+    /// *into* the cursor, with the step after that.
+    fn assert_odometer_matches<P>(round: &mut RoundKeys<P>, reference: &[RoundActions], label: &str)
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let cursor = |round: &RoundKeys<P>| -> RoundActions {
+            let spent = round.row.iter().filter(|outcome| **outcome > 0).count();
+            assert_eq!(round.spent, spent, "{label}: {:?}", round.row);
+            let mut actions = vec![None; round.sent.status().len()];
+            for (slot, &outcome) in round.row.iter().enumerate() {
+                if outcome > 0 {
+                    actions[round.sent.active()[slot]] =
+                        Some(round.outcomes[slot][outcome as usize - 1].clone());
+                }
+            }
+            actions
+        };
+        assert_eq!(round.len(), reference.len(), "{label}");
+        let mut row = RoundActions::new();
+        for (idx, expected) in reference.iter().enumerate() {
+            round.actions_into(idx, &mut row);
+            assert_eq!(row, *expected, "{label}: row {idx} unranked");
+            // An index row cannot name a settled process.
+            for (action, status) in row.iter().zip(round.sent.status()) {
+                assert!(action.is_none() || matches!(status, ProcStatus::Active));
+            }
+            round.actions_into((7 * idx + 3) % reference.len(), &mut row);
+            round.classify(idx).expect("keyed");
+            assert_eq!(cursor(round), *expected, "{label}: row {idx} stepped to");
+        }
+        for idx in (0..reference.len()).rev().step_by(3) {
+            round.classify(idx).expect("keyed");
+            assert_eq!(cursor(round), reference[idx], "{label}: row {idx} sought");
+            if let Some(expected) = reference.get(idx + 1) {
+                round.classify(idx + 1).expect("keyed");
+                assert_eq!(cursor(round), *expected, "{label}: row {idx} + 1");
+            }
+        }
     }
 
     /// Row `idx` of an open round *is* row `idx` of the enumeration every
     /// `(hash, Vec<u32>)` frontier path, checkpoint and persistent cache
-    /// was written against.
+    /// was written against — and stays it under budgets and outcome
+    /// lists the walk itself does not produce at these sizes: no crash
+    /// left to spend, one, more than there are slots, and a slot that
+    /// cannot crash at all.
     fn assert_rows_match_reference<P>(
         system: SystemConfig,
         model: ModelKind,
@@ -6040,7 +6359,7 @@ mod tests {
         P: CheckableProtocol,
         P::Output: Hash + SpillCodec,
     {
-        let mut row = RoundActions::new();
+        let mut at_root = true;
         on_random_paths(
             system,
             model,
@@ -6050,15 +6369,32 @@ mod tests {
             proposals,
             |_, stepper, round| {
                 let reference = reference_rows(stepper, system.t(), max_crashes_per_round);
-                assert_eq!(round.len(), reference.len(), "{label}: {}", stepper.round());
-                for (idx, expected) in reference.iter().enumerate() {
-                    round.actions_into(idx, &mut row);
-                    assert_eq!(row, *expected, "{label}: {} row {idx}", stepper.round());
-                    // An index row cannot name a settled process.
-                    for (action, status) in row.iter().zip(stepper.status()) {
-                        assert!(action.is_none() || matches!(status, ProcStatus::Active));
+                assert_odometer_matches(
+                    round,
+                    &reference,
+                    &format!("{label}: {}", stepper.round()),
+                );
+                if !std::mem::take(&mut at_root) {
+                    return;
+                }
+                let (n, active) = (system.n(), round.sent.active().to_vec());
+                let (outcomes, budget) = (round.outcomes.clone(), round.budget);
+                for unable in [None, Some(1)] {
+                    if let Some(slot) = unable {
+                        round.outcomes[slot].clear();
+                    }
+                    for budget in [0, 1, active.len() + 1] {
+                        round.count_rows(budget);
+                        round.start_tables();
+                        let reference = reference_product(n, &active, &round.outcomes, budget);
+                        let label = format!("{label}: budget {budget}, unable {unable:?}");
+                        assert_odometer_matches(round, &reference, &label);
                     }
                 }
+                // The path goes on from the round the walker opened.
+                round.outcomes = outcomes;
+                round.count_rows(budget);
+                round.start_tables();
             },
         )
     }
@@ -6128,12 +6464,24 @@ mod tests {
         );
     }
 
+    /// [`BudgetArbiter`]'s verdicts with its headroom withheld (the
+    /// trait's default promises none): every step its own `step()` call,
+    /// as all of them were before runs.
+    struct NoHeadroom<'b>(&'b mut BudgetArbiter);
+
+    impl Arbiter for NoHeadroom<'_> {
+        fn inspect(&mut self, progress: &StepProgress) -> StepVerdict {
+            self.0.inspect(progress)
+        }
+    }
+
     /// Two views of one process that settle to the same record: `p_4`
     /// dies at the end of round 1 with and without the coordinator's
     /// data (and no commit either way), and is "crashed, undecided" both
     /// times.  The two rows must share a successor class — one key, one
-    /// memo probe — and still be absorbed once each: a frame cut down to
-    /// just these two rows counts the shared child's terminals twice.
+    /// memo probe — and still count once each: a frame steered over just
+    /// these two rows absorbs the shared child at the first and adds its
+    /// terminals again at the second.
     #[test]
     fn views_that_settle_alike_share_a_class_and_are_each_absorbed() {
         use twostep_model::{PidSet, WideValue};
@@ -6169,9 +6517,9 @@ mod tests {
         let mut round = walker.open_round(&root).unwrap();
         let (a, b) = (row_index(&round, &without), row_index(&round, &with));
         let class = round.classify(a).expect("keyed");
-        let view = round.views[3];
+        let view = round.sent.view(&round.row, 3);
         assert_eq!(round.classify(b), Some(class), "one class for both rows");
-        assert_ne!(round.views[3], view, "p_4 saw two different rounds");
+        assert_ne!(round.sent.view(&round.row, 3), view, "p_4 saw two rounds");
         assert_eq!(round.known[3].len(), 2, "two views of p_4 met");
         assert_eq!(round.known[3][0].1, round.known[3][1].1, "one record");
 
@@ -6185,27 +6533,36 @@ mod tests {
         let child_terminals = walk.into_summaries()[0].terminals;
         assert!(child_terminals > 1);
 
-        // The root, with every other move struck from its frame.
-        let cut = shared(&procs);
-        let mut walker = Walker::new(&cut);
+        // The root, steered: row `a`, row `b`, then straight to the pop.
+        let steered = shared(&procs);
+        let mut walker = Walker::new(&steered);
         let mut walk = StepWalker::new(&mut walker, vec![root]);
-        assert!(walk.step(&mut Unbounded).unwrap().expanded);
+        let mut unbudgeted = BudgetArbiter::new(WalkBudget::unlimited());
+        let by_step = &mut NoHeadroom(&mut unbudgeted);
+        assert!(walk.step(by_step).unwrap().expanded);
+        walk.stack[0].next_action = a;
+        assert!(walk.step(by_step).unwrap().expanded, "a first row");
+        while walk.step(by_step).unwrap().frontier_len > 1 {}
         let frame = &mut walk.stack[0];
-        let kept: Vec<u16> = [a, b]
-            .iter()
-            .flat_map(|idx| frame.round.row(*idx).to_vec())
-            .collect();
-        frame.round.rows = kept;
-        frame.round.len = 2;
-        while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+        assert_eq!(frame.acc.terminals, child_terminals, "absorbed at row a");
+        assert!(frame.round.classes.summaries[class].is_some());
+        frame.next_action = b;
+        let (states, steps) = (steered.memo.len(), walk.steps);
+        assert!(!walk.step(by_step).unwrap().expanded, "a repeat");
+        assert_eq!((steered.memo.len(), walk.steps), (states, steps + 1));
+        let frame = &mut walk.stack[0];
+        assert_eq!(frame.acc.terminals, 2 * child_terminals, "added at row b");
+        frame.next_action = frame.round.len();
+        assert_eq!(walk.step(by_step).unwrap().status, StepStatus::Done);
         assert_eq!(walk.into_summaries()[0].terminals, 2 * child_terminals);
     }
 
-    /// What rows-as-indices bought: the `(8, 7)` CRW root round — 282 211
-    /// adversary moves, 97 MB as action vectors — stores its rows in a
-    /// few megabytes.
+    /// What the odometer bought: the `(8, 7)` CRW root round — 282 211
+    /// adversary moves, 97 MB as action vectors, 4.5 MB as index rows —
+    /// is a cursor and a count table, and its class index is sized by
+    /// the classes it meets.
     #[test]
-    fn root_round_rows_at_8_7_fit_in_eight_mebibytes() {
+    fn root_round_at_8_7_has_282_211_rows_and_no_per_row_storage() {
         use twostep_model::WideValue;
         let system = SystemConfig::new(8, 7).unwrap();
         let proposals: Vec<WideValue> = (0..8).map(|i| WideValue::new(1, i % 2)).collect();
@@ -6219,9 +6576,300 @@ mod tests {
         )
         .unwrap();
         let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
-        let round = Walker::new(&shared).open_round(&root).unwrap();
+        let mut round = Walker::new(&shared).open_round(&root).unwrap();
         assert_eq!(round.len(), 282_211);
-        assert!(std::mem::size_of_val(&round.rows[..]) <= 8 << 20);
+        // Eight slots, seven crashes to spend.
+        assert_eq!((round.row.len(), round.count.len()), (8, 9 * 8));
+        let outcomes: usize = round.outcomes.iter().map(|stages| stages.len() + 1).sum();
+        assert_eq!(round.by_outcome.len(), outcomes);
+        assert!(outcomes < 256, "{outcomes} (slot, outcome) pairs");
+        let buckets = |round: &RoundKeys<_>| round.classes.index.len();
+        assert_eq!(buckets(&round), ClassTable::<WideValue>::START_BUCKETS);
+        for idx in 0..round.len() {
+            round.classify(idx).expect("keyed");
+        }
+        let classes = round.classes.summaries.len();
+        assert!(classes < round.len() / 4, "{classes} classes");
+        assert!(2 * classes <= buckets(&round) && buckets(&round) < 4 * classes + 4);
+    }
+
+    /// Arbitrary summaries over a handful of values, as wide as `t = 3`
+    /// makes them.
+    fn any_summary() -> impl proptest::prelude::Strategy<Value = Summary<u8>> {
+        use proptest::prelude::*;
+        let worst = prop::collection::vec(prop_oneof![Just(None), (1u32..9).prop_map(Some)], 4);
+        let decided = prop::collection::vec(0u8..5, 0..6);
+        (0u64..1 << 40, worst, decided, any::<bool>()).prop_map(
+            |(terminals, worst_round_by_f, values, violating)| {
+                let mut decided = Vec::new();
+                for v in values {
+                    if !decided.contains(&v) {
+                        decided.push(v);
+                    }
+                }
+                Summary {
+                    terminals,
+                    worst_round_by_f,
+                    decided,
+                    violating,
+                }
+            },
+        )
+    }
+
+    proptest::proptest! {
+        /// What run absorption rests on: absorbing a summary a second
+        /// time changes nothing but the terminal count — worst rounds
+        /// are maxima, `decided` is an ordered-set union, `violating`
+        /// an OR — so a frame that has absorbed a child once may count
+        /// every further row that leads to it by addition alone,
+        /// whatever it absorbed in between.
+        #[test]
+        fn absorbing_a_summary_again_only_adds_its_terminals(
+            frame in any_summary(),
+            between in proptest::prelude::prop::collection::vec(any_summary(), 0..3),
+            child in any_summary(),
+        ) {
+            let mut twice = frame;
+            twice.absorb(&child);
+            for other in &between {
+                twice.absorb(other);
+            }
+            let mut once = twice.clone();
+            twice.absorb(&child);
+            once.terminals += child.terminals;
+            proptest::prop_assert_eq!(twice, once);
+        }
+    }
+
+    /// Calls `$check(system, config, procs, proposals, label)` — a
+    /// function generic in the protocol — for the two walks the run
+    /// absorption tests drive: CRW `(5, 4)`, whose one sender a round
+    /// leaves long runs of repeated rows, and FloodSet `(4, 3)`, where
+    /// every slot is a sender.
+    macro_rules! on_the_accounted_walks {
+        ($check:ident) => {{
+            use twostep_model::WideValue;
+            let system = SystemConfig::new(5, 4).unwrap();
+            let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
+            $check(
+                system,
+                ExploreConfig::for_crw(&system),
+                twostep_core::crw_processes(&system, &bits),
+                bits,
+                "crw (5, 4)",
+            );
+            let system = SystemConfig::new(4, 3).unwrap();
+            let ranks: Vec<u64> = (0..4).map(|i| 10 + (i * 7) % 4).collect();
+            $check(
+                system,
+                ExploreConfig {
+                    model: ModelKind::Classic,
+                    ..options(5, 1_000_000)
+                },
+                twostep_baselines::floodset_processes(4, 3, &ranks),
+                ranks,
+                "floodset (4, 3)",
+            );
+        }};
+    }
+
+    /// What a `step()` call reports of the walk, beside its step count:
+    /// distinct states, stack depth, status.
+    type Seen = (usize, usize, StepStatus);
+
+    fn seen(step: &StepResult) -> Seen {
+        (step.distinct_states, step.frontier_len, step.status)
+    }
+
+    /// The reference the accounting tests compare against: the walk from
+    /// `root` with every step taken in its own call, under `arbiter`'s
+    /// verdicts.  Entry `k - 1` is what step `k` left behind; the root
+    /// summary rides along.
+    fn step_by_step<P>(
+        shared: &Shared<'_, P>,
+        root: &Stepper<P>,
+        arbiter: &mut BudgetArbiter,
+    ) -> (Vec<Seen>, Arc<Summary<P::Output>>)
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let mut walker = Walker::new(shared);
+        let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
+        let mut trace = Vec::new();
+        while trace
+            .last()
+            .is_none_or(|(_, _, status)| *status != StepStatus::Done)
+        {
+            let step = walk.step(&mut NoHeadroom(arbiter)).unwrap();
+            assert_eq!(step.steps, trace.len() as u64 + 1, "a step a call");
+            trace.push(seen(&step));
+        }
+        (trace, walk.into_summaries().remove(0))
+    }
+
+    /// Step accounting under run absorption: a `step()` call that takes
+    /// several steps counts each, passes over none at which the arbiter
+    /// would have said anything but `Allow`, and returns what the
+    /// step-by-step walk saw at the same step number.  So
+    /// `yield_every = 7` yields at exactly the multiples of 7, and
+    /// `max_steps = k` refuses after exactly `k` steps — for every `k`
+    /// the walk has, inside runs included.
+    fn assert_steps_are_counted<P>(
+        system: SystemConfig,
+        config: ExploreConfig,
+        procs: Vec<P>,
+        proposals: Vec<P::Output>,
+        label: &str,
+    ) where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let fresh = || {
+            let options = ExploreOptions::serial();
+            Shared::new(system, config, &options, &proposals, procs.clone()).unwrap()
+        };
+        let root = Stepper::new(system, config.model, TraceLevel::Off, procs.clone()).unwrap();
+        let yielding = || {
+            BudgetArbiter::new(WalkBudget {
+                yield_every: Some(7),
+                ..WalkBudget::unlimited()
+            })
+        };
+        let (trace, reference) = step_by_step(&fresh(), &root, &mut yielding());
+        for (k, (_, _, status)) in (1..).zip(&trace) {
+            let yields = k % 7 == 0 && k < trace.len();
+            assert_eq!(*status == StepStatus::Yielded, yields, "{label}: step {k}");
+        }
+
+        // Runs taken: fewer calls, the same walk at every call's end.
+        let shared = fresh();
+        let mut walker = Walker::new(&shared);
+        let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
+        let mut yielding = yielding();
+        let (mut calls, mut counted) = (0, 0);
+        while counted < trace.len() {
+            let step = walk.step(&mut yielding).unwrap();
+            let passed = &trace[counted..step.steps as usize - 1];
+            assert!(
+                (passed.iter()).all(|(_, _, status)| *status == StepStatus::Running),
+                "{label}: call {calls} passed over a step the arbiter had a say at"
+            );
+            assert_eq!(seen(&step), trace[step.steps as usize - 1], "{label}");
+            (calls, counted) = (calls + 1, step.steps as usize);
+        }
+        assert!(calls < trace.len(), "{label}: {calls} calls, no run taken");
+        assert_eq!(walk.into_summaries(), [reference], "{label}");
+
+        // `max_steps = k`: the walk is free to run up to a stride ahead
+        // of each `k`, and every `k` is the target of one of the walks.
+        const STRIDE: usize = 13;
+        for offset in 1..=STRIDE {
+            let shared = fresh();
+            let mut walker = Walker::new(&shared);
+            let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
+            for k in (offset..trace.len()).step_by(STRIDE) {
+                refused_after(&mut walk, k, &trace);
+            }
+        }
+        // And from the start, free to run all the way, at a few.
+        for k in (1..8).map(|eighth| eighth * trace.len() / 8) {
+            let shared = fresh();
+            let mut walker = Walker::new(&shared);
+            let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
+            let calls = refused_after(&mut walk, k, &trace);
+            assert!(calls < k, "{label}: {calls} calls for {k} steps");
+        }
+    }
+
+    /// Steps `walk` under `max_steps = k` until it is refused — after
+    /// exactly `k` steps, where the step-by-step `trace` stood then.
+    /// Returns how many calls that took.
+    fn refused_after<P>(walk: &mut StepWalker<'_, '_, '_, P>, k: usize, trace: &[Seen]) -> usize
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let mut arbiter = BudgetArbiter::new(WalkBudget {
+            max_steps: Some(k as u64),
+            ..WalkBudget::unlimited()
+        });
+        let mut calls = 1;
+        let mut step = walk.step(&mut arbiter).unwrap();
+        while step.status == StepStatus::Running {
+            (calls, step) = (calls + 1, walk.step(&mut arbiter).unwrap());
+        }
+        let (states, depth, _) = trace[k - 1];
+        let refused = StepStatus::Refused(BudgetKind::Steps);
+        assert_eq!(
+            (step.steps, seen(&step)),
+            (k as u64, (states, depth, refused))
+        );
+        calls
+    }
+
+    #[test]
+    fn steps_inside_runs_are_counted_one_by_one() {
+        on_the_accounted_walks!(assert_steps_are_counted);
+    }
+
+    /// A harvest taken from a walk suspended anywhere — mid-frame, with
+    /// classes met and not yet met below it — leaves the walk able to go
+    /// on to the root summary of a walk never harvested: the harvest
+    /// reads the frames' class tables and writes nothing in them.  (A
+    /// class it gave a summary would count as absorbed by its frame, and
+    /// the rows that lead to it would add their terminals to a frame
+    /// that never merged the rest.)
+    fn assert_harvest_leaves_the_walk_whole<P>(
+        system: SystemConfig,
+        config: ExploreConfig,
+        procs: Vec<P>,
+        proposals: Vec<P::Output>,
+        label: &str,
+    ) where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let fresh = || {
+            let options = ExploreOptions::serial();
+            Shared::new(system, config, &options, &proposals, procs.clone()).unwrap()
+        };
+        let root = Stepper::new(system, config.model, TraceLevel::Off, procs.clone()).unwrap();
+        // Every memoized summary counts, not the root's alone: what a
+        // frame failed to merge may be merged by its siblings' parents.
+        let image = |shared: &Shared<'_, P>| {
+            let mut image = std::collections::BTreeMap::new();
+            let entry = |key: &[u8], summary: &Arc<Summary<_>>| {
+                image.insert(key.to_vec(), (**summary).clone());
+            };
+            shared.memo.for_each(entry).unwrap();
+            image
+        };
+        let unharvested = fresh();
+        let unbudgeted = &mut BudgetArbiter::new(WalkBudget::unlimited());
+        let (trace, _) = step_by_step(&unharvested, &root, unbudgeted);
+        let reference = image(&unharvested);
+        let mut mid_frame = 0;
+        for k in (1..24).map(|part| part * trace.len() / 24) {
+            let shared = fresh();
+            let mut walker = Walker::new(&shared);
+            let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
+            refused_after(&mut walk, k, &trace);
+            let top = walk.stack.last().expect("suspended before the end");
+            mid_frame += usize::from(0 < top.next_action && top.next_action < top.round.len());
+            let mut frontier = Vec::new();
+            walk.harvest_into(&[], &mut frontier).unwrap();
+            assert!(frontier.len() <= walk.harvestable(), "{label}: at {k}");
+            while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+            assert!(image(&shared) == reference, "{label}: harvested at {k}");
+        }
+        assert!(mid_frame > 12, "{label}: {mid_frame} harvests mid-frame");
+    }
+
+    #[test]
+    fn a_harvest_mid_frame_leaves_the_walk_whole() {
+        on_the_accounted_walks!(assert_harvest_leaves_the_walk_whole);
     }
 
     /// A system too large for the views' sender masks is explored

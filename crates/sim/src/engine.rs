@@ -800,14 +800,19 @@ struct Outcome {
 /// to [`tabulate`](Self::tabulate)), and everything a [`CrashStage`]
 /// means — `effect`, the reach of a crashing sender's two steps, how the
 /// crasher's own round ends — is evaluated once per (process, outcome)
-/// into a table, not once per cell of every row.  [`views`](Self::views)
-/// reduces an index row to one view per active process by table lookups
-/// and mask ORs, and [`settle`](Self::settle) evaluates one (process,
-/// view) pair with the real `receive` on a scratch copy of the post-send
-/// state — through the same `settle` function `step` ends every
-/// process's round with.  An index row can only name active processes,
-/// so the one thing `step` does to a *settled* process (relabel a decided
-/// one crashed) never arises.  The copy, its inbox, the plans and the
+/// into a table, not once per cell of every row.  [`view`](Self::view)
+/// reduces an index row to one process's view by table lookups and mask
+/// ORs — per slot, because the caller rarely needs more than one: while
+/// no [sender](Self::senders)'s outcome changes, a slot's view depends
+/// on its own outcome index alone, so an enumeration that varies the
+/// last slots fastest asks for a view only the first time it meets a
+/// (slot, outcome) pair between two moves of a sender — and
+/// [`settle`](Self::settle) evaluates one (process, view) pair with the
+/// real `receive` on a scratch copy of the post-send state — through
+/// the same `settle` function `step` ends every process's round with.
+/// An index row can only name active processes, so the one thing `step`
+/// does to a *settled* process (relabel a decided one crashed) never
+/// arises.  The copy, its inbox, the plans and the
 /// table are reusable scratch owned here; a settled pair allocates
 /// nothing in steady state.
 pub struct SentRound<P: SyncProtocol> {
@@ -948,47 +953,27 @@ impl<P: SyncProtocol + Clone> SentRound<P> {
         true
     }
 
-    /// Reduces the index row `row` — one outcome index per active
-    /// process, against the lists last [`tabulate`](Self::tabulate)d — to
-    /// one [`RoundView`] per active process, in slot order (`views` is
-    /// cleared and refilled).  Table lookups and mask ORs: no
-    /// [`CrashStage`] is looked at.
-    pub fn views(&self, row: &[u16], views: &mut Vec<RoundView>) {
+    /// The slots whose plan sends anything, ascending.  A row reaches a
+    /// process through the process's own outcome and these slots'
+    /// outcomes, nothing else: between two rows that agree on them, the
+    /// view of any other slot is a function of that slot's own outcome
+    /// index alone.
+    pub fn senders(&self) -> &[usize] {
+        debug_assert_eq!(self.starts.len(), self.active.len() + 1, "tabulate first");
+        &self.senders
+    }
+
+    /// The view the index row `row` — one outcome index per active
+    /// process, against the lists last [`tabulate`](Self::tabulate)d —
+    /// gives the process of `slot`: how its own outcome ends its round
+    /// and — transmitted is not delivered: only a process that executes
+    /// the receive phase has an inbox at all — which senders' outcomes
+    /// let their data and control messages reach it.  Table lookups and
+    /// mask ORs: no [`CrashStage`] is looked at.
+    #[inline]
+    pub fn view(&self, row: &[u16], slot: usize) -> RoundView {
         debug_assert_eq!(row.len(), self.active.len());
         debug_assert_eq!(self.starts.len(), self.active.len() + 1, "tabulate first");
-        views.clear();
-        views.extend((0..row.len()).map(|slot| self.view_of(row, slot)));
-    }
-
-    /// Rewrites `views` — the views of index row `before` — into the
-    /// views of `row`, recomputing only what the change can have touched.
-    /// A row reaches a process through the process's own outcome and the
-    /// senders' outcomes, nothing else; so unless a sender's outcome
-    /// differs, the views of the slots ahead of the first difference
-    /// stand (an enumeration that varies the last slots fastest mostly
-    /// changes one or two trailing slots per row).  Returns the first
-    /// slot whose view was recomputed — `row.len()` for equal rows.
-    pub fn revise(&self, before: &[u16], row: &[u16], views: &mut Vec<RoundView>) -> usize {
-        debug_assert_eq!(views.len(), row.len());
-        let Some(first) = (0..row.len()).find(|&slot| before[slot] != row[slot]) else {
-            return row.len();
-        };
-        if self.senders.iter().any(|&s| before[s] != row[s]) {
-            self.views(row, views);
-            return 0;
-        }
-        for (slot, view) in views.iter_mut().enumerate().skip(first) {
-            *view = self.view_of(row, slot);
-        }
-        first
-    }
-
-    /// The view `row` gives the process of `slot`: how its own outcome
-    /// ends its round and — transmitted is not delivered: only a process
-    /// that executes the receive phase has an inbox at all — which
-    /// senders' outcomes let their data and control messages reach it.
-    #[inline]
-    fn view_of(&self, row: &[u16], slot: usize) -> RoundView {
         let entry = |slot: usize| &self.table[self.starts[slot] as usize + row[slot] as usize];
         let mut view = RoundView {
             data: 0,
@@ -1006,8 +991,8 @@ impl<P: SyncProtocol + Clone> SentRound<P> {
         view
     }
 
-    /// Ends the round of **active** process `i` under `view` (one of the
-    /// views [`views`](Self::views) produced for `i`'s slot), on scratch: the
+    /// Ends the round of **active** process `i` under `view` (a
+    /// [`view`](Self::view) of `i`'s slot), on scratch: the
     /// inbox the view describes is rebuilt from the senders' plans, the
     /// real `receive` runs on a copy of the post-send state, and the
     /// result is what [`Stepper::step`] leaves of process `i` under any
@@ -1452,9 +1437,7 @@ mod tests {
             [3, 0, 1, 0],
             [3, 0, 0, 0],
         ];
-        let (mut views, mut revised) = (Vec::new(), Vec::new());
-        sent.views(&rows[3], &mut revised);
-        let mut before = &rows[3];
+        assert_eq!(sent.senders(), [0], "only the coordinator sends");
         for row in &rows {
             let actions: RoundActions = row
                 .iter()
@@ -1463,16 +1446,14 @@ mod tests {
                 .collect();
             let mut stepped = root.clone();
             stepped.step(&actions).unwrap();
-            sent.views(row, &mut views);
-            // Revising the previous row's views gives the same views —
-            // from scratch when the one sender's outcome changed, from
-            // the first changed slot otherwise.
-            let from = sent.revise(before, row, &mut revised);
-            assert_eq!(revised, views, "{before:?} -> {row:?}");
-            assert_eq!(from, if before[0] == row[0] { 2 } else { 0 });
-            before = row;
-            for (i, view) in views.iter().enumerate() {
-                let after = sent.settle(i, view);
+            for i in 0..4 {
+                let view = sent.view(row, i);
+                // Between rows that agree on the one sender's outcome, a
+                // slot's view is a function of its own outcome alone.
+                for other in rows.iter().filter(|o| o[0] == row[0] && o[i] == row[i]) {
+                    assert_eq!(sent.view(other, i), view, "{row:?} / {other:?} p{}", i + 1);
+                }
+                let after = sent.settle(i, &view);
                 assert_eq!(*after.status, stepped.status()[i], "{row:?} p{}", i + 1);
                 assert_eq!(
                     *after.decision,
@@ -1485,6 +1466,10 @@ mod tests {
                 }
             }
         }
+        // The sender's outcome is part of every receiver's view: p_4
+        // hears the data of a coordinator that dies mid-control, and
+        // nothing of one that dies mid-data towards p_3 alone.
+        assert_ne!(sent.view(&rows[1], 3), sent.view(&rows[2], 3));
 
         // After a crash-free round 1 everyone has decided: the round has
         // no slots, so no row can name a decided process.
@@ -1494,8 +1479,7 @@ mod tests {
         assert!(sent.plan(0).is_none());
         assert!(sent.active().is_empty());
         assert!(sent.tabulate(&[]));
-        sent.views(&[], &mut views);
-        assert!(views.is_empty());
+        assert!(sent.senders().is_empty());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! regression shows up here as thousands of extra allocations long
 //! before it is visible in wall-clock noise.  The probe *pins* both
 //! budgets: each driver stays under 6 allocs/state, and the stepped
-//! driver stays within 10% (+64 fixed) of the plain one — one `step()`
-//! call per configuration must not buy its bookkeeping with heap
-//! traffic.
+//! driver stays within 10% (+64 fixed) of the plain one — a `step()`
+//! call, and the headroom it asks its arbiter for before a run of
+//! repeated rows, must not buy its bookkeeping with heap traffic.
 //!
 //! Usage: `cargo run --release --example alloc_probe` (set
 //! `TWOSTEP_BENCH_N`/`TWOSTEP_BENCH_T` to change the system).
