@@ -158,15 +158,19 @@ else
 fi
 
 echo "== perf gate (symmetry wall clock within 25% of the serial walk, same run)"
-# The quotient exists to win on wall clock, and at scale it does (the
-# repo benchmark's crw8-quotient against crw8-cold).  On the pinned
-# quick system the two finish within noise of each other, so the bar
-# here is a same-run ratio with a stated tolerance, like the stepped
-# gate above: both rows come from one bench invocation (same machine
-# state, best-of-N), and one full symmetry-reduced exploration may cost
-# at most 1.25x the serial walk it stands in for.  A cross-commit
-# absolute (the old "beats the committed serial row") turns every
-# serial speed-up into a spurious symmetry failure on the next PR.
+# The quotient exists to win on wall clock, and at scale it does: since
+# the orbit-level classes the repo benchmark's crw8-quotient runs at
+# about 0.6x crw8-cold, which is where that claim is measured and held.
+# This gate is only a tripwire on the pinned quick system, a 7 ms (6,5)
+# row where fixed costs dominate and the two walks differ by less than
+# the row's noise: a same-run ratio with a stated tolerance, like the
+# stepped gate above — both rows come from one bench invocation (same
+# machine state, best-of-N), and one full symmetry-reduced exploration
+# may cost at most 1.25x the serial walk it stands in for.  The ceiling
+# stays at 1.25x until ROADMAP item 2(a) re-bases the quick bench at a
+# size where the quotient's gain shows.  A cross-commit absolute (the
+# old "beats the committed serial row") turns every serial speed-up
+# into a spurious symmetry failure on the next PR.
 new_symmetry_seconds="$(sed -n 's/.*"engine": "symmetry".*"best_seconds": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
 new_serial_seconds="$(sed -n 's/.*"engine": "serial".*"best_seconds": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
 if [[ -z "$new_symmetry_seconds" || -z "$new_serial_seconds" ]]; then

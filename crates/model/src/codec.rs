@@ -330,8 +330,6 @@ pub struct Canonicalizer {
     live: usize,
     /// Argsort of `bufs[..live]`, valid after `sort`.
     order: Vec<u32>,
-    /// Scratch for [`sort_from`](Canonicalizer::sort_from)'s tail run.
-    tail_order: Vec<u32>,
 }
 
 impl Canonicalizer {
@@ -370,44 +368,11 @@ impl Canonicalizer {
 
     /// Sorts the batch by record bytes (ties by original index).
     pub fn sort(&mut self) {
-        self.sort_from(0);
-    }
-
-    /// Sorts the batch assuming records `0..sorted_prefix` are *already*
-    /// in byte order (the incremental canonicalization path: a child
-    /// configuration re-seeds its parent's sorted immutable records and
-    /// appends only what changed).  Sorts the tail, then merges the two
-    /// runs — byte-for-byte the same sorted sequence [`sort`] produces,
-    /// since equal records have equal bytes and the emitted key copies
-    /// bytes, never indexes.
-    pub fn sort_from(&mut self, sorted_prefix: usize) {
-        debug_assert!(sorted_prefix <= self.live, "prefix within the batch");
-        debug_assert!(
-            self.bufs[..sorted_prefix].windows(2).all(|w| w[0] <= w[1]),
-            "seeded prefix must be byte-sorted"
-        );
         let bufs = &self.bufs;
-        self.tail_order.clear();
-        self.tail_order
-            .extend(sorted_prefix as u32..self.live as u32);
-        self.tail_order
-            .sort_unstable_by(|&a, &b| bufs[a as usize].cmp(&bufs[b as usize]).then(a.cmp(&b)));
         self.order.clear();
-        let (mut i, mut j) = (0u32, 0usize);
-        while (i as usize) < sorted_prefix && j < self.tail_order.len() {
-            let t = self.tail_order[j];
-            // Prefix-first on byte ties: prefix indexes are the smaller
-            // ones, so this reproduces the full sort's index tie-break.
-            if bufs[i as usize] <= bufs[t as usize] {
-                self.order.push(i);
-                i += 1;
-            } else {
-                self.order.push(t);
-                j += 1;
-            }
-        }
-        self.order.extend(i..sorted_prefix as u32);
-        self.order.extend_from_slice(&self.tail_order[j..]);
+        self.order.extend(0..self.live as u32);
+        self.order
+            .sort_unstable_by(|&a, &b| bufs[a as usize].cmp(&bufs[b as usize]).then(a.cmp(&b)));
     }
 
     /// The sorted batch as `(original_index, record_bytes)` pairs; call
@@ -937,45 +902,6 @@ mod tests {
         canon.record().extend_from_slice(b"zz");
         canon.sort();
         assert_eq!(canon.iter_sorted().count(), 1);
-    }
-
-    #[test]
-    fn sort_from_matches_full_sort() {
-        // The incremental path (sorted seed + merged tail) must emit the
-        // same byte sequence as a from-scratch sort, for every split of
-        // every batch — including byte ties straddling the seed/tail
-        // boundary.
-        let batches: Vec<Vec<&[u8]>> = vec![
-            vec![],
-            vec![b"a"],
-            vec![b"aa", b"ab", b"zz", b"aa", b"a", b"zz"],
-            vec![b"x", b"x", b"x"],
-            vec![b"b", b"d", b"f", b"a", b"c", b"e", b"g"],
-        ];
-        let mut canon = Canonicalizer::new();
-        for batch in &batches {
-            for split in 0..=batch.len() {
-                let mut seed: Vec<&[u8]> = batch[..split].to_vec();
-                seed.sort();
-                canon.begin();
-                for rec in &seed {
-                    canon.record().extend_from_slice(rec);
-                }
-                for rec in &batch[split..] {
-                    canon.record().extend_from_slice(rec);
-                }
-                canon.sort_from(split);
-                let incremental: Vec<Vec<u8>> =
-                    canon.iter_sorted().map(|(_, b)| b.to_vec()).collect();
-                canon.begin();
-                for rec in batch {
-                    canon.record().extend_from_slice(rec);
-                }
-                canon.sort();
-                let full: Vec<Vec<u8>> = canon.iter_sorted().map(|(_, b)| b.to_vec()).collect();
-                assert_eq!(incremental, full, "batch {batch:?} split {split}");
-            }
-        }
     }
 
     #[test]

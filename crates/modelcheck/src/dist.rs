@@ -422,19 +422,13 @@ where
     // one key path) — so every process running the same build partitions
     // identically, and pid-permuted frontier variants collapse onto one
     // owner instead of being walked by several.
-    let (root_hash, _) = walker.canonical_key(&root, None);
+    let (root_hash, _) = walker.canonical_key(&root);
     let mut level: Vec<PathedRoot<P>> = vec![PathedRoot {
         hash: root_hash,
         path: Vec::new(),
         stepper: root,
     }];
     for _ in 0..depth {
-        // Key first, like the walk itself: a child is assembled as raw
-        // key bytes, and only the first occurrence of a raw key is
-        // stepped into existence and canonicalized — a repeated raw key
-        // is a repeated canonical key, so dropping it here leaves the
-        // first-occurrence order untouched.
-        let mut seen_raw: HashSet<Vec<u8>> = HashSet::new();
         let mut seen: HashSet<Vec<u8>> = HashSet::new();
         let mut next: Vec<PathedRoot<P>> = Vec::new();
         let mut actions = RoundActions::new();
@@ -445,17 +439,32 @@ where
             let mut round = walker
                 .open_round(&parent.stepper)
                 .map_err(ExploreError::Engine)?;
+            // Key first, like the walk itself.  A row whose successor
+            // class the round has met is a repeated key: class numbers
+            // are handed out in first-occurrence order, so dropping it
+            // leaves that order untouched.  The first row of a class has
+            // the plan's key assembled from its records, and only a key
+            // the level has not seen is stepped into existence.  (A round
+            // the engine does not tabulate keys no row: every child is
+            // stepped, then keyed.)
+            let mut met = 0;
             for idx in 0..round.len() {
-                if let Some(raw) = walker.child_raw_key(&mut round, idx) {
-                    if seen_raw.contains(raw) {
-                        continue;
+                let assembled = match round.classify(idx) {
+                    Some(class) if class < met => continue,
+                    Some(class) => {
+                        met = class + 1;
+                        Some(walker.cursor_key(&mut round).0)
                     }
-                    seen_raw.insert(raw.to_vec());
+                    None => None,
+                };
+                if assembled.is_some() && seen.contains(walker.key_bytes()) {
+                    continue;
                 }
                 round.actions_into(idx, &mut actions);
                 let mut child = parent.stepper.clone();
                 child.step(&actions).map_err(ExploreError::Engine)?;
-                let (hash, _) = walker.canonical_key(&child, None);
+                debug_assert!(assembled.is_none_or(|hash| walker.canonical_key(&child).0 == hash));
+                let hash = assembled.unwrap_or_else(|| walker.canonical_key(&child).0);
                 if seen.insert(walker.key_bytes().to_vec()) {
                     let mut path = parent.path.clone();
                     path.push(idx as u32);

@@ -132,9 +132,9 @@
 //!   rows of small outcome *indices*, and none of them is stored: an
 //!   odometer holds the one row the walk stands on and steps it in
 //!   place.  The odometer, the per-process outcome lists, the
-//!   send-phase copy, the record arena, the (slot, outcome) and class
-//!   tables, the one buffer a row is materialized into when the engine
-//!   needs a real action vector, key buffers, and the terminal
+//!   send-phase copy, the record arena, the (slot, outcome), class and
+//!   orbit tables, the one buffer a row is materialized into when the
+//!   engine needs a real action vector, key buffers, and the terminal
 //!   pseudo-schedule are all recycled across configurations.
 //!
 //! None of this changes a single observable bit: keys merge exactly the
@@ -222,21 +222,40 @@
 //!    small and doubles at half full, so it is sized by the classes
 //!    met; entries verified by comparing ids; pooled with the round)
 //!    holds, per class the frame has absorbed, the child's real-space
-//!    summary.  Only the **first** row of a class assembles its raw key
-//!    (header + one record per process) and takes the probe — the memo
-//!    itself under a raw plan, the raw→canonical key cache (a pinned
-//!    summary, or the cached canonical key against the memo) under a
-//!    canonicalizing one; if nothing answers, the child is forked,
+//!    summary.  Only the **first** row of a class is keyed at all.
+//!    Under a raw plan its raw key is assembled (header + one record
+//!    per process) and taken to the memo.  Under a canonicalizing plan
+//!    there is an **orbit level** between the class and the key: the
+//!    row is resolved to its *orbit vector* — per slot, the record id
+//!    where the tier encoder would leave the child's process in place,
+//!    and, in the slots it would pool (settled records; rank-inert
+//!    actives on the partial tier; every record on the full orbit), the
+//!    sorted *content ids* of the pooled records, interned across the
+//!    frame by their plain-encoding bytes — and a second frame-local
+//!    table of the same kind, keyed by that vector, holds per orbit the
+//!    frame has absorbed the summary absorbed for it.  Equal vectors
+//!    are equal in-place records at equal slots and equal multisets of
+//!    pooled records, so equal plain *and* equal value-swapped canonical
+//!    bytes: the same memo entry, read through the same orientation —
+//!    an absorbed orbit answers the row with exactly what the memo probe
+//!    it skips would return.  Only the first row of an *orbit* has its
+//!    canonical key assembled — the tier encoder run over the forms each
+//!    interned record keeps of its process, see *Canonicalization hot
+//!    path* — and probed.  If nothing answers, the child is forked,
 //!    stepped and entered.  Either way its summary is absorbed into the
-//!    frame and recorded for the class in one move, so a class that has
-//!    a summary has been absorbed.  A row that repeats such a class is
-//!    an addition: no key is assembled, nothing is hashed, the memo and
-//!    the raw→canonical cache are not touched, no summary is cloned.
+//!    frame and recorded for the class and the orbit in one move, so a
+//!    class or an orbit that has a summary has been absorbed.  A row
+//!    that repeats such a class is an addition: no key is assembled,
+//!    nothing is hashed, neither the orbit table nor the memo is
+//!    touched, no summary is cloned; the first row of another class of
+//!    such an orbit is absorbed in full — only its probe is skipped.
 //!
-//! At `(8, 7)` the 2 936 634 rows fall into 387 567 classes (13.2 %;
-//! `partial+value`: 2 420 154 → 278 081), so that many keys are
-//! assembled and probed, and the other 2 549 067 rows cost a table
-//! lookup and an addition each.  What the factoring deleted: the
+//! At `(8, 7)` the 2 936 634 rows fall into 387 567 classes (13.2 %), so
+//! that many keys are assembled and probed, and the other 2 549 067 rows
+//! cost a table lookup and an addition each.  Under `partial+value` the
+//! 2 420 154 rows fall into 278 081 classes, those into 72 818 orbit
+//! classes — the keys assembled and probed — and 5 786 children are
+//! forked, stepped and entered.  What the factoring deleted: the
 //! per-frame `Vec<RoundActions>` and its two pools, then the flat row
 //! array after it (4.5 MB for the `(8, 7)` root), the per-row
 //! `CrashStage::effect` / reach / round-end evaluation, the per-row
@@ -286,12 +305,15 @@
 //! The one fallback is a system wider than the views' 64-bit sender
 //! masks: the engine declines to tabulate it, nothing is classified, and
 //! every row is materialized and takes the fork + step path, as does
-//! every memo miss.  In debug builds every first-of-class key is checked
-//! against `fork` + `step` + `make_key_into`, and every class hit — the
-//! rows inside a run included — assembles its key after all, checks it
-//! the same way, and compares the class's summary with what the skipped
-//! probe returns — so each differential suite is also a differential of
-//! this.  Enumeration order, absorb order, the one-step-per-child
+//! every memo miss.  In debug builds every key assembled from records is
+//! checked against the forked + stepped child — its raw bytes against
+//! `make_key_into`, its plan key against the tier encoder run on the
+//! child, in bytes, hash and swap orientation — and every row answered
+//! from a table — a class hit, the rows inside a run included, and an
+//! orbit hit — assembles its key after all, checks it the same way, and
+//! compares the table's summary with what the skipped probe returns —
+//! so each differential suite is also a differential of this.
+//! Enumeration order, absorb order, the one-step-per-child
 //! accounting, the stop check and the `max_states` check are where they
 //! always were: reports are bit-identical.  One thing does move: a
 //! probe that is not made does not touch the memo's clock bits, so a
@@ -417,22 +439,27 @@
 //!
 //! ### Canonicalization hot path
 //!
-//! Two mechanisms keep the quotient cheaper than the states it merges.
-//! **Incremental keys**: settled records are immutable once written, so
-//! each frame carries its canonical encoding's sorted settled pool
-//! (`CanonSeed`, one per encoding when the value quotient is active);
-//! a child copies the parent's pool pre-sorted, appends only the
-//! records settled by this one step (plus the rank-inert records,
-//! always re-encoded fresh — inert state still mutates), and
-//! [`Canonicalizer::sort_from`] sorts just that delta and merges.
-//! **Raw→canonical key cache**: each walker keeps a small direct-mapped
-//! cache from raw key bytes (byte-verified, so a hash collision only
-//! costs a miss) to the finished canonical key — and, once resolved,
-//! the configuration's real-space summary — so re-visited
-//! configurations, the common case in a memoized DFS, skip
-//! canonicalization entirely.  Slots are allocated on first use and
-//! hold no seeds: the rare configuration that expands after a cache hit
-//! is canonicalized again for them.
+//! A canonical key is written in one place, the tier encoder
+//! (`tier_key_into`), over a *source* of per-process records with two
+//! implementors.  A [`Stepper`] encodes each form from the process's
+//! state as it is asked; that is the key path of every configuration
+//! that exists — a root, a configuration being entered, a frontier or
+//! witness replay — and it runs once per configuration *entered* (5 787
+//! times at `(8, 7)` under `partial+value`).  The row an open round's
+//! cursor stands on is the other: when a record is interned, the round
+//! keeps beside its raw bytes what the encoder may ask of that process
+//! in the child — its in-place and its pooled (owner-stripped) bytes, in
+//! the plain and, under a value plan, the swapped encoding, and the
+//! settled state itself where `rank_inert` or a relabelling to a sorted
+//! position must be asked — so the key of a child nothing has stepped
+//! is the same encoder copying those forms.  A first-of-orbit row thus
+//! costs the row's in-place flags, its orbit vector and a table lookup,
+//! then one assembly per encoding, one stable hash and one memo probe;
+//! `fork` + `step` + `enter` is left to the children nothing answers
+//! for.  A key is always encoded from scratch — its pooled records, a
+//! handful of short ones, sorted in full — and nothing caches keys
+//! across frames: the orbit table remembers, for the life of a frame,
+//! which children it has seen, and the memo everything else.
 //!
 //! ## Determinism argument
 //!
@@ -1725,16 +1752,19 @@ where
         .zip(stepper.procs())
         .zip(stepper.decisions())
     {
-        encode_key_record(status, &**proc, decision, out);
+        encode_key_record(status, &**proc, decision, false, out);
     }
 }
 
-/// Appends the raw key record of one process: tag `0` + protocol
-/// encoding while it is active, its settled record otherwise.
+/// Appends the key record of one process as it stands in a slot: tag
+/// `0` and its protocol encoding while it is active, its settled record
+/// otherwise — with `swap`, those of its value-swapped image (which only
+/// the value-symmetry tier asks for; a raw key is never swapped).
 fn encode_key_record<P>(
     status: &ProcStatus,
     proc: &P,
     decision: &Option<Decision<P::Output>>,
+    swap: bool,
     out: &mut Vec<u8>,
 ) where
     P: CheckableProtocol,
@@ -1743,9 +1773,13 @@ fn encode_key_record<P>(
     match status {
         ProcStatus::Active => {
             out.push(0);
-            proc.encode(out);
+            if swap {
+                swapped_proc(proc).encode(out);
+            } else {
+                proc.encode(out);
+            }
         }
-        settled => encode_settled_record(settled, decision, false, out),
+        settled => encode_settled_record(settled, decision, swap, out),
     }
 }
 
@@ -1802,256 +1836,213 @@ fn swapped_proc<P: SpillCodec>(proc: &P) -> P {
         .expect("value-symmetry tier active but a process state has no swap image")
 }
 
-/// The sorted settled-record bytes of one canonical encoding — the
-/// incremental-canonicalization carry.  Settled records are *immutable*
-/// (a decision's `(value, round)` and a crash's optional decision never
-/// change once written), so a child configuration's settled pool is its
-/// parent's pool plus the records settled by this one step; carrying the
-/// parent's already-sorted pool lets [`Canonicalizer::sort_from`] sort
-/// only the delta and merge.  Records are stored back to back in
-/// `bytes`, with `ends[i]` the exclusive end offset of record `i`.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CanonSeed {
-    bytes: Vec<u8>,
-    ends: Vec<u32>,
+/// What has become of a process, as far as a key cares: the crash round
+/// of a crashed one is not keyed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Role {
+    Active,
+    Decided,
+    Crashed,
 }
 
-impl CanonSeed {
-    fn clear(&mut self) {
-        self.bytes.clear();
-        self.ends.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    fn push(&mut self, rec: &[u8]) {
-        self.bytes.extend_from_slice(rec);
-        self.ends.push(self.bytes.len() as u32);
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        self.ends.iter().scan(0usize, move |start, &end| {
-            let s = *start;
-            *start = end as usize;
-            Some(&self.bytes[s..end as usize])
-        })
-    }
-}
-
-/// A configuration's seeds for both encodings of the value-symmetry
-/// tier: the settled pool sorts differently under the plain and the
-/// swapped encoding, so each pass carries its own seed — independent of
-/// which encoding won the lexicographic minimum.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct FrameSeeds {
-    plain: CanonSeed,
-    swapped: CanonSeed,
-}
-
-/// Fills `inert[i]` for every process: `true` iff `p_{i+1}` is active
-/// and the protocol declares its *rank* inert for the rest of the run
-/// ([`SpillCodec::rank_inert`], soundness in the module docs).  One
-/// ascending pass: `crash_budget` is the remaining crashes `t − crashed`,
-/// and `actives_below` counts the actives `j < i` whose rank `j + 1` is
-/// still reachable by the committing frontier (`j + 1 ≥ round`).
-/// Computed from the **unswapped** state only — the value involution
-/// commutes with the dynamics, so it cannot change rank inertness.
-fn compute_inert_flags<P>(stepper: &Stepper<P>, t: usize, inert: &mut Vec<bool>)
-where
-    P: CheckableProtocol,
-    P::Output: Hash + SpillCodec,
-{
-    let n = stepper.procs().len();
-    let round = stepper.round().get();
-    let crashed = stepper
-        .status()
-        .iter()
-        .filter(|s| matches!(s, ProcStatus::Crashed(_)))
-        .count();
-    let crash_budget = t.saturating_sub(crashed);
-    inert.clear();
-    inert.resize(n, false);
-    let mut running = 0usize;
-    for (i, ((flag, status), proc)) in inert
-        .iter_mut()
-        .zip(stepper.status())
-        .zip(stepper.procs())
-        .enumerate()
-    {
-        if matches!(status, ProcStatus::Active) {
-            let ctx = SymmetryContext {
-                round,
-                crash_budget,
-                actives_below: running,
-            };
-            *flag = proc.rank_inert(&ctx);
-            if (i as u32 + 1) >= round {
-                running += 1;
-            }
+impl Role {
+    fn of(status: &ProcStatus) -> Role {
+        match status {
+            ProcStatus::Active => Role::Active,
+            ProcStatus::Decided => Role::Decided,
+            ProcStatus::Crashed(_) => Role::Crashed,
         }
     }
 }
 
-/// Encodes one canonical key at the given tier — the single encoder
-/// behind every canonicalizing mode, shared by the walker hot path,
-/// witness reconstruction, and the distributed frontier expander, so
-/// every engine keys (and therefore hashes, shards, and partitions) a
-/// configuration identically.
+/// A configuration as the tier encoder ([`tier_key_into`]) reads it: one
+/// record per process, in the forms the canonical layouts are made of.
+/// Two implementors: a [`Stepper`], which encodes each form from the
+/// process's state as it is asked — roots, `enter`, the distributed
+/// frontier, witness replay, the debug oracles — and the row an open
+/// round's cursor stands on ([`CursorRow`]), which copies the forms its
+/// interned records keep, so that the key of a child nothing has stepped
+/// is assembled by `memcpy`.  With `swap` a form is that of the
+/// process's [`SpillCodec::value_swapped`] image.
+trait KeySource<P: CheckableProtocol> {
+    /// The round the configuration is about to play.
+    fn round_number(&self) -> u32;
+    /// How many processes it has.
+    fn processes(&self) -> usize;
+    fn role(&self, i: usize) -> Role;
+    /// [`SpillCodec::rank_inert`] of **active** process `i`'s state.
+    fn rank_inert(&self, i: usize, ctx: &SymmetryContext) -> bool;
+    /// Appends process `i`'s record as it stands in a slot
+    /// ([`encode_key_record`]): tag `0` + protocol encoding for an
+    /// active process, the settled record otherwise.
+    fn record(&self, i: usize, swap: bool, out: &mut Vec<u8>);
+    /// Appends **active** process `i`'s encoding as if the process at
+    /// index `at` owned it ([`SpillCodec::encode_relabelled`]), untagged.
+    fn relabelled(&self, i: usize, swap: bool, at: usize, out: &mut Vec<u8>);
+}
+
+impl<P> KeySource<P> for Stepper<P>
+where
+    P: CheckableProtocol,
+    P::Output: SpillCodec,
+{
+    fn round_number(&self) -> u32 {
+        self.round().get()
+    }
+
+    fn processes(&self) -> usize {
+        self.procs().len()
+    }
+
+    fn role(&self, i: usize) -> Role {
+        Role::of(&self.status()[i])
+    }
+
+    fn rank_inert(&self, i: usize, ctx: &SymmetryContext) -> bool {
+        self.procs()[i].rank_inert(ctx)
+    }
+
+    fn record(&self, i: usize, swap: bool, out: &mut Vec<u8>) {
+        let (status, decision) = (&self.status()[i], &self.decisions()[i]);
+        encode_key_record(status, &*self.procs()[i], decision, swap, out);
+    }
+
+    fn relabelled(&self, i: usize, swap: bool, at: usize, out: &mut Vec<u8>) {
+        if swap {
+            swapped_proc(&*self.procs()[i]).encode_relabelled(at, out);
+        } else {
+            self.procs()[i].encode_relabelled(at, out);
+        }
+    }
+}
+
+/// Fills `in_place[i]` for every process: whether the tier encoder
+/// leaves `p_{i+1}`'s record in its own slot rather than pooling it.
+/// No record stands on the full orbit; otherwise every active process
+/// does — unless the tier pools rank-inert actives
+/// ([`CanonTier::SettledInert`]) and the protocol declares the process's
+/// *rank* inert for the rest of the run ([`SpillCodec::rank_inert`],
+/// soundness in the module docs).  One ascending pass: `crash_budget` is
+/// the remaining crashes `t − crashed`, and `actives_below` counts the
+/// actives `j < i` whose rank `j + 1` is still reachable by the
+/// committing frontier (`j + 1 ≥ round`).  Computed from the
+/// **unswapped** state only — the value involution commutes with the
+/// dynamics, so it cannot change rank inertness.
+fn flag_in_place<P, S>(source: &S, tier: CanonTier, t: usize, in_place: &mut Vec<bool>)
+where
+    P: CheckableProtocol,
+    S: KeySource<P>,
+{
+    let n = source.processes();
+    in_place.clear();
+    if tier == CanonTier::FullOrbit {
+        return in_place.resize(n, false);
+    }
+    let mut crashed = 0usize;
+    for i in 0..n {
+        let role = source.role(i);
+        in_place.push(role == Role::Active);
+        crashed += usize::from(role == Role::Crashed);
+    }
+    if tier != CanonTier::SettledInert {
+        return;
+    }
+    let round = source.round_number();
+    let crash_budget = t.saturating_sub(crashed);
+    let mut running = 0usize;
+    for (i, stands) in in_place
+        .iter_mut()
+        .enumerate()
+        .filter(|(_, active)| **active)
+    {
+        let ctx = SymmetryContext {
+            round,
+            crash_budget,
+            actives_below: running,
+        };
+        *stands = !source.rank_inert(i, &ctx);
+        if (i as u32 + 1) >= round {
+            running += 1;
+        }
+    }
+}
+
+/// Encodes one canonical key at the given tier — the one place a
+/// canonical layout is written, behind every canonicalizing mode and
+/// every [`KeySource`]: the walker's key-first probe (a row's records),
+/// `enter`, witness reconstruction, and the distributed frontier
+/// expander, so every engine keys (and therefore hashes, shards, and
+/// partitions) a configuration identically, stepped or not.
 ///
 /// * `swap` — encode the value-swapped twin of the configuration (the
 ///   value-symmetry tier runs this encoder twice and keeps the
 ///   lexicographically smaller key).
-/// * `inert` — per-process rank-inertness flags
-///   ([`compute_inert_flags`]); consulted only at
-///   [`CanonTier::SettledInert`].
-/// * `seed` — the parent configuration's sorted settled pool plus the
-///   parent's statuses: the pool is copied pre-sorted, only the records
-///   settled since the parent (and the freshly re-encoded inert
-///   actives, which *do* mutate) are sorted and merged
-///   ([`Canonicalizer::sort_from`]).  `None` falls back to a full sort.
-///   Ignored at `FullOrbit`, where active records dominate the pool and
-///   mutate every step.
-/// * `new_seed` — when present, receives this configuration's own
-///   sorted settled pool for its children to seed from.
+/// * `in_place` — which processes keep their slot ([`flag_in_place`]).
+///
+/// A process the tier leaves **in place** — an active one, unless the
+/// tier is the full orbit or the process's rank is inert — is encoded
+/// into its own slot; every other record is **pooled**: settled records
+/// as they are, pooled actives owner-stripped (relabelled to slot 0)
+/// behind tag `3` (rank-inert) or `0` (full orbit), all sorted by their
+/// bytes into the remaining slots — where the full orbit re-encodes each
+/// active as owned by its sorted position.
 ///
 /// Every canonical layout remains a valid key encoding —
 /// [`decode_key_prefix`](crate::memo::decode_key_prefix) and the
 /// segment key validator accept tags `0`–`3` unchanged.
-#[allow(clippy::too_many_arguments)]
-fn tier_key_into<P>(
-    stepper: &Stepper<P>,
+fn tier_key_into<P, S>(
+    source: &S,
     tier: CanonTier,
     swap: bool,
-    inert: &[bool],
-    seed: Option<(&CanonSeed, &[ProcStatus])>,
+    in_place: &[bool],
     canon: &mut Canonicalizer,
     out: &mut Vec<u8>,
-    new_seed: Option<&mut CanonSeed>,
 ) where
     P: CheckableProtocol,
-    P::Output: Hash + SpillCodec,
+    S: KeySource<P>,
 {
     debug_assert!(tier != CanonTier::Raw, "raw keys take make_key_into");
+    let n = source.processes();
     out.clear();
-    stepper.round().get().encode(out);
-    (stepper.procs().len() as u32).encode(out);
+    source.round_number().encode(out);
+    (n as u32).encode(out);
     canon.begin();
-    let mut prefix = 0usize;
-    match tier {
-        CanonTier::Raw => unreachable!(),
-        CanonTier::FullOrbit => {
-            for ((status, proc), decision) in stepper
-                .status()
-                .iter()
-                .zip(stepper.procs())
-                .zip(stepper.decisions())
-            {
-                let rec = canon.record();
-                match status {
-                    ProcStatus::Active => {
-                        rec.push(0);
-                        if swap {
-                            swapped_proc(&**proc).encode_relabelled(0, rec);
-                        } else {
-                            proc.encode_relabelled(0, rec);
-                        }
-                    }
-                    settled => encode_settled_record(settled, decision, swap, rec),
-                }
+    for i in (0..n).filter(|i| !in_place[*i]) {
+        let rec = canon.record();
+        match source.role(i) {
+            Role::Active => {
+                rec.push(if tier == CanonTier::FullOrbit { 0 } else { 3 });
+                source.relabelled(i, swap, 0, rec);
             }
+            Role::Decided | Role::Crashed => source.record(i, swap, rec),
         }
-        CanonTier::Settled | CanonTier::SettledInert => {
-            if let Some((seed, parent_status)) = seed {
-                for rec in seed.iter() {
-                    canon.record().extend_from_slice(rec);
-                }
-                prefix = seed.len();
-                // Only the records settled since the parent are new;
-                // everything settled earlier arrived pre-sorted above.
-                for (i, (status, decision)) in
-                    stepper.status().iter().zip(stepper.decisions()).enumerate()
-                {
-                    if !matches!(status, ProcStatus::Active)
-                        && matches!(parent_status[i], ProcStatus::Active)
-                    {
-                        encode_settled_record(status, decision, swap, canon.record());
-                    }
-                }
+    }
+    canon.sort();
+    if tier == CanonTier::FullOrbit {
+        // Everything was pooled, so a record's place in the batch is its
+        // process's index.
+        for (at, (i, bytes)) in canon.iter_sorted().enumerate() {
+            if bytes.first() == Some(&0) {
+                out.push(0);
+                source.relabelled(i, swap, at, out);
             } else {
-                for (status, decision) in stepper.status().iter().zip(stepper.decisions()) {
-                    if !matches!(status, ProcStatus::Active) {
-                        encode_settled_record(status, decision, swap, canon.record());
-                    }
-                }
+                out.extend_from_slice(bytes);
             }
-            if tier == CanonTier::SettledInert {
-                // Inert actives mutate between steps — always re-encoded
-                // fresh (tag 3, owner-stripped), never carried in a seed.
-                for (i, proc) in stepper.procs().iter().enumerate() {
-                    if inert[i] {
-                        let rec = canon.record();
-                        rec.push(3);
-                        if swap {
-                            swapped_proc(&**proc).encode_relabelled(0, rec);
-                        } else {
-                            proc.encode_relabelled(0, rec);
-                        }
-                    }
-                }
-            }
+        }
+        return;
+    }
+    let mut pooled = canon.iter_sorted();
+    for (i, stands) in in_place.iter().enumerate() {
+        if *stands {
+            source.record(i, swap, out);
+        } else {
+            let (_, bytes) = pooled
+                .next()
+                .expect("one pooled record per slot not kept in place");
+            out.extend_from_slice(bytes);
         }
     }
-    canon.sort_from(prefix);
-    match tier {
-        CanonTier::Raw => unreachable!(),
-        CanonTier::FullOrbit => {
-            for (pos, (orig, bytes)) in canon.iter_sorted().enumerate() {
-                if bytes.first() == Some(&0) {
-                    out.push(0);
-                    if swap {
-                        swapped_proc(&*stepper.procs()[orig]).encode_relabelled(pos, out);
-                    } else {
-                        stepper.procs()[orig].encode_relabelled(pos, out);
-                    }
-                } else {
-                    out.extend_from_slice(bytes);
-                }
-            }
-        }
-        CanonTier::Settled | CanonTier::SettledInert => {
-            let mut pooled = canon.iter_sorted();
-            for (i, (status, proc)) in stepper.status().iter().zip(stepper.procs()).enumerate() {
-                let true_active = matches!(status, ProcStatus::Active)
-                    && !(tier == CanonTier::SettledInert && inert[i]);
-                if true_active {
-                    out.push(0);
-                    if swap {
-                        swapped_proc(&**proc).encode(out);
-                    } else {
-                        proc.encode(out);
-                    }
-                } else {
-                    let (_, bytes) = pooled
-                        .next()
-                        .expect("one pooled record per non-true-active slot");
-                    out.extend_from_slice(bytes);
-                }
-            }
-            debug_assert!(pooled.next().is_none(), "pooled records exceed slots");
-        }
-    }
-    if let Some(ns) = new_seed {
-        ns.clear();
-        if tier != CanonTier::FullOrbit {
-            for (_, bytes) in canon.iter_sorted() {
-                if bytes.first() != Some(&3) {
-                    ns.push(bytes);
-                }
-            }
-        }
-    }
+    debug_assert!(pooled.next().is_none(), "pooled records exceed slots");
 }
 
 /// The result of a completed exploration.
@@ -2880,39 +2871,15 @@ where
     /// Reusable record-sorting scratch for symmetry-reduced keying
     /// (unused when [`ExploreConfig::symmetry`] is off).
     canon: Canonicalizer,
-    /// Scratch for the *raw* key bytes that index the raw→canonical
-    /// cache (canonicalizing plans only).
-    raw_scratch: Vec<u8>,
     /// Scratch for the value-swapped candidate key; the lexicographic
     /// minimum against `key_scratch` decides the canonical key.
     swap_buf: Vec<u8>,
-    /// Per-process rank-inertness flags ([`compute_inert_flags`]).
-    inert_buf: Vec<bool>,
-    /// The just-canonicalized configuration's own seeds, left here by
-    /// [`Walker::canonical_key`] for `enter` to move into the frame —
-    /// unless the key came from a cache hit, which computes none:
-    /// `seeds_pending_slot` then names the slot that was hit, and
-    /// [`Walker::take_frame_seeds`] canonicalizes after all.  Slots
-    /// carry no seeds: a configuration that is revisited is almost
-    /// always answered (a pinned summary, the memo) and never expands,
-    /// so seeds stored per slot were written on every canonicalization
-    /// and read on next to none.
-    seeds_scratch: FrameSeeds,
-    /// Cache slot the last [`Walker::canonical_key`] call hit, leaving
-    /// `seeds_scratch` about some other configuration.  Valid only
-    /// until the next `canonical_key` call — `enter` consumes it before
-    /// any other key can be computed on this walker.
-    seeds_pending_slot: Option<usize>,
-    /// Cache slot the last [`Walker::canonical_key`] call hit or wrote
-    /// (canonicalizing plans only) — `enter` reads and pins the slot's
-    /// resolved real-space summary through it.  Same validity window as
-    /// `seeds_pending_slot`.
-    last_slot: Option<usize>,
-    /// Retired frame seeds, reused for future frames.
-    seeds_pool: Vec<FrameSeeds>,
-    /// Direct-mapped raw-key → canonical-key cache (the hot-path
-    /// memoization of canonicalization itself); empty under raw plans.
-    key_cache: Vec<Option<Box<KeyCacheSlot<P::Output>>>>,
+    /// Which processes keep their slot ([`flag_in_place`]) in the
+    /// configuration the tier encoder is about to run on.
+    in_place_buf: Vec<bool>,
+    /// Two encoded `decided` values, compared where a summary's valency
+    /// list is sorted for the memo ([`Walker::canonical_arc`]).
+    decided_bufs: (Vec<u8>, Vec<u8>),
     /// Reusable buffer of a plan's data destinations still active —
     /// deliveries to settled processes are effect-free, so the adversary
     /// enumeration quotients them out (`crash_outcomes_effective_into`).
@@ -2920,75 +2887,6 @@ where
     /// Reusable buffer of the 1-based control-message counts `k` whose
     /// `k`-th receiver is still active (same effect quotient).
     live_ks_buf: Vec<usize>,
-}
-
-/// One slot of the walker-local raw→canonical key cache: a previously
-/// canonicalized configuration's raw key bytes (the verification tag —
-/// hash equality alone would be unsound under collision), its canonical
-/// key and hash, and which encoding won the value minimum.
-///
-/// `real` short-circuits the whole entry path on revisits: once this
-/// raw configuration's summary has been resolved (memo hit or terminal
-/// insert), the *real-space* summary `Arc` is pinned here, and a later
-/// raw-key hit returns it without re-probing the memo or re-mapping
-/// through the value involution.  Sound because summaries are
-/// deterministic and immutable per canonical key, and the raw bytes
-/// fully determine both the canonical key and the swap orientation.
-struct KeyCacheSlot<O> {
-    raw: Vec<u8>,
-    canon: Vec<u8>,
-    hash: u64,
-    swap: bool,
-    real: Option<Arc<Summary<O>>>,
-}
-
-impl<O> Default for KeyCacheSlot<O> {
-    fn default() -> Self {
-        KeyCacheSlot {
-            raw: Vec::new(),
-            canon: Vec::new(),
-            hash: 0,
-            swap: false,
-            real: None,
-        }
-    }
-}
-
-/// Slot count of the raw→canonical key cache (power of two; the raw
-/// hash's low bits index it).  Direct-mapped and far smaller than a
-/// large run's raw state set (16 384 slots against 47 789 raw states at
-/// CRW `(8, 7)`): it works because DFS revisits are local — a slot
-/// usually survives from a configuration's first canonicalization to
-/// its revisits as a sibling's child — and a clobbered slot only costs
-/// one re-canonicalization.  The slots' heap-allocated payloads keep
-/// the table itself small.
-const KEY_CACHE_SLOTS: usize = 1 << 14;
-
-/// Fast, non-cryptographic slot index for the raw→canonical cache:
-/// word-wise FNV over the raw key bytes, folded to the table size.  A
-/// collision only costs a cache miss (slots are byte-verified), so the
-/// probe path skips the stable 64-bit hash it would otherwise pay on
-/// every entered successor.
-#[inline]
-fn key_cache_slot(bytes: &[u8]) -> usize {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h = (h ^ u64::from_le_bytes(c.try_into().unwrap())).wrapping_mul(PRIME);
-    }
-    for &b in chunks.remainder() {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    ((h ^ (h >> 32)) as usize) & (KEY_CACHE_SLOTS - 1)
-}
-
-/// What the `enter` key path resolved: a canonical `(hash, swap)` pair
-/// ready for the memo, or — on a fully warmed cache-hit revisit — the
-/// configuration's real-space summary itself.
-enum KeyedEntry<O> {
-    Key { hash: u64, swap: bool },
-    Resolved(Arc<Summary<O>>),
 }
 
 /// One level of the explicit DFS stack: a configuration mid-expansion.
@@ -3005,22 +2903,27 @@ where
     /// round, whose rows stand in canonical enumeration order (the merge
     /// order that makes reports deterministic).
     next_action: usize,
-    /// The successor class of the child the frame is waiting for — the
-    /// one it forked, stepped and entered for `next_action - 1`, now the
-    /// frame above it.
-    awaiting: Option<usize>,
+    /// Where the child the frame is waiting for — the one it forked,
+    /// stepped and entered for `next_action - 1`, now the frame above it
+    /// — will be recorded when its summary comes back.
+    awaiting: Option<ChildClass>,
     acc: Summary<P::Output>,
     /// Whether the value-swapped encoding won this configuration's key
     /// (value-symmetry tier): the accumulated summary is in *real*
     /// space, so the memo insert maps it through the involution first.
     value_swapped: bool,
-    /// This configuration's sorted settled pools, seeding its children's
-    /// incremental canonicalization.
-    seeds: FrameSeeds,
     /// This configuration's open round: its one send phase, the
     /// odometer over its adversary moves, and the records and classes
     /// its children are keyed from.
     round: RoundKeys<P>,
+}
+
+/// Where a keyed child's summary is recorded once its frame absorbs it:
+/// its successor class, and under a canonicalizing plan its orbit class.
+#[derive(Clone, Copy, Debug)]
+struct ChildClass {
+    class: usize,
+    orbit: Option<usize>,
 }
 
 impl<P> Frame<P>
@@ -3028,24 +2931,28 @@ where
     P: CheckableProtocol,
     P::Output: Hash,
 {
-    /// Absorbs the summary of a child met for the first time — `class`
-    /// its successor class, if the round is keyed — and records it for
-    /// the class.  The one place a class gets its summary, so that a
-    /// class that has one has been absorbed: what is left of a later row
-    /// that repeats it is its terminal count ([`Summary::absorb`] adds
-    /// `terminals` and is idempotent in everything else).
-    fn absorb(&mut self, class: Option<usize>, summary: Arc<Summary<P::Output>>) {
+    /// Absorbs the summary of a child met for the first time — `child`
+    /// its classes, if the round is keyed — and records it for both.
+    /// The one place a class or an orbit gets its summary, so that one
+    /// that has a summary has been absorbed: what is left of a later row
+    /// that repeats the class is its terminal count ([`Summary::absorb`]
+    /// adds `terminals` and is idempotent in everything else), and a
+    /// later row of the orbit is absorbed without asking the memo.
+    fn absorb(&mut self, child: Option<ChildClass>, summary: Arc<Summary<P::Output>>) {
         self.acc.absorb(&summary);
-        if let Some(class) = class {
-            self.round.classes.summaries[class] = Some(summary);
+        let Some(child) = child else { return };
+        if let (Some(orbit), Some(orbits)) = (child.orbit, &mut self.round.orbits) {
+            // An orbit that answered the row itself keeps what it has.
+            orbits.table.summaries[orbit].get_or_insert_with(|| Arc::clone(&summary));
         }
+        self.round.classes.summaries[child.class] = Some(summary);
     }
 
     /// [`absorb`](Self::absorb)s the summary of the child the frame was
     /// waiting for.
     fn absorb_awaited(&mut self, summary: Arc<Summary<P::Output>>) {
-        let class = self.awaiting.take();
-        self.absorb(class, summary);
+        let child = self.awaiting.take();
+        self.absorb(child, summary);
     }
 }
 
@@ -3062,7 +2969,10 @@ where
 /// a repeat of a class its frame has already absorbed, and costs a table
 /// lookup and an addition; a child that is the first of its class is
 /// keyed by `memcpy` from the records — neither ever exists as a
-/// [`Stepper`].
+/// [`Stepper`].  Under a canonicalizing plan the round also has an
+/// **orbit level** ([`Orbits`]): the first row of a class is resolved to
+/// the orbit of its child before any key exists, and keyed canonically
+/// from the records if the frame has not absorbed that orbit.
 pub(crate) struct RoundKeys<P>
 where
     P: CheckableProtocol,
@@ -3123,6 +3033,234 @@ where
     ids: Vec<u32>,
     folds: Vec<u64>,
     classes: ClassTable<P::Output>,
+    /// The orbit level, under a canonicalizing plan — boxed, so that a
+    /// raw-plan round carries an empty pointer and nothing else of it.
+    orbits: Option<Box<Orbits<P>>>,
+}
+
+/// The **orbit level** of an open round, kept under a canonicalizing
+/// plan only.  Two things.  Per interned record, the **forms** the tier
+/// encoder ([`tier_key_into`]) may ask of that process in the child —
+/// written once when the record is interned, so that the canonical key
+/// of a child nothing has stepped is assembled by copying them
+/// ([`CursorRow`]).  And the **orbit classes** the frame's rows have met:
+/// a second [`ClassTable`], consulted for the first row of a successor
+/// class only, keyed on the row's *orbit vector* — per slot, the record
+/// id where the encoder leaves the child's process in place, and in the
+/// slots it pools the **content ids** of the pooled records, sorted.
+/// Content ids intern the pooled forms by their plain bytes across the
+/// whole frame (record ids are per slot), so equal vectors are equal
+/// in-place records at equal slots and equal multisets of pooled
+/// records: equal plain *and* equal value-swapped canonical bytes, hence
+/// the same memo entry read through the same orientation.  A row whose
+/// orbit the frame has absorbed is therefore answered with the orbit's
+/// real-space summary — what the memo probe it skips would return.
+struct Orbits<P: CheckableProtocol> {
+    plan: SymmetryPlan,
+    /// Per record id (parallel to [`RoundKeys::ranges`]).
+    forms: Vec<RecordForms>,
+    /// The states behind the active records of a tier that asks for them
+    /// (`rank_inert`, `encode_relabelled` at a sorted position).  Pooled
+    /// with the round: only the first `live_states` belong to it.
+    states: Vec<P>,
+    live_states: usize,
+    /// The distinct pooled forms met in the frame — whether of an active
+    /// process, and where the plain bytes lie in the record arena.  A
+    /// record's content id is its form's index here.
+    contents: Vec<(bool, (u32, u32))>,
+    /// The record id of every process under the cursor row: fixed for a
+    /// process settled before the round, refreshed from the row's ids
+    /// for the others ([`RoundKeys::cursor_row`]).
+    recs: Vec<u32>,
+    /// The cursor row's orbit vector, and scratch for the content ids
+    /// of its pooled slots.
+    vector: Vec<u32>,
+    pooled: Vec<u32>,
+    table: ClassTable<P::Output>,
+}
+
+/// What [`Orbits`] keeps of one interned record: the process's role in
+/// the child, and where in the record arena its forms lie, each as
+/// `[plain, value-swapped]` (the swapped one only under a value plan).
+struct RecordForms {
+    role: Role,
+    /// The record as it stands in a slot: tag `0` + encoding for an
+    /// active process, the settled record otherwise.
+    whole: [(u32, u32); 2],
+    /// An active process's owner-stripped encoding (relabelled to slot
+    /// 0, untagged), under the tiers that pool actives.
+    stripped: [(u32, u32); 2],
+    /// The content id of the form the record pools as, if it ever does.
+    content: u32,
+    /// Where its state is kept among [`Orbits::states`], if it is.
+    state: u32,
+}
+
+/// Appends what `write` encodes to the record arena; returns its range.
+fn appended(records: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> (u32, u32) {
+    let start = records.len() as u32;
+    write(records);
+    (start, records.len() as u32)
+}
+
+/// In an orbit vector, marks a content id — record ids and content ids
+/// are numbered apart, and a slot kept in place must not compare equal
+/// to a pooled one.
+const POOLED: u32 = 1 << 31;
+
+impl<P> Orbits<P>
+where
+    P: CheckableProtocol,
+    P::Output: SpillCodec,
+{
+    fn new(plan: SymmetryPlan) -> Self {
+        Orbits {
+            plan,
+            forms: Vec::new(),
+            states: Vec::new(),
+            live_states: 0,
+            contents: Vec::new(),
+            recs: Vec::new(),
+            vector: Vec::new(),
+            pooled: Vec::new(),
+            table: ClassTable::new(),
+        }
+    }
+
+    /// Keeps the forms of the record just interned with the next id —
+    /// raw bytes `records[whole]` — of a process the round leaves
+    /// active, in `state`.
+    fn keep_active(&mut self, records: &mut Vec<u8>, whole: (u32, u32), state: &P) {
+        let mut forms = RecordForms {
+            role: Role::Active,
+            whole: [whole; 2],
+            stripped: [(0, 0); 2],
+            content: u32::MAX,
+            state: u32::MAX,
+        };
+        let swapped = self.plan.value.then(|| swapped_proc(state));
+        if let Some(swapped) = &swapped {
+            forms.whole[1] = appended(records, |out| {
+                out.push(0);
+                swapped.encode(out);
+            });
+        }
+        // The settled tier leaves every active in place and asks its
+        // state nothing.
+        if self.plan.tier != CanonTier::Settled {
+            forms.stripped[0] = appended(records, |out| state.encode_relabelled(0, out));
+            if let Some(swapped) = &swapped {
+                forms.stripped[1] = appended(records, |out| swapped.encode_relabelled(0, out));
+            }
+            forms.content = self.content_of(records, true, forms.stripped[0]);
+            forms.state = self.live_states as u32;
+            match self.states.get_mut(self.live_states) {
+                Some(kept) => kept.clone_from(state),
+                None => self.states.push(state.clone()),
+            }
+            self.live_states += 1;
+        }
+        self.forms.push(forms);
+    }
+
+    /// Keeps the forms of the record just interned with the next id —
+    /// raw bytes `records[whole]` — of a process settled as `status`
+    /// with `decision`.
+    fn keep_settled(
+        &mut self,
+        records: &mut Vec<u8>,
+        whole: (u32, u32),
+        status: &ProcStatus,
+        decision: &Option<Decision<P::Output>>,
+    ) {
+        let swapped = match self.plan.value {
+            true => appended(records, |out| {
+                encode_settled_record(status, decision, true, out)
+            }),
+            false => whole,
+        };
+        let content = self.content_of(records, false, whole);
+        self.forms.push(RecordForms {
+            role: Role::of(status),
+            whole: [whole, swapped],
+            stripped: [(0, 0); 2],
+            content,
+            state: u32::MAX,
+        });
+    }
+
+    /// The content id of the pooled form whose plain bytes are
+    /// `records[range]`.
+    fn content_of(&mut self, records: &[u8], active: bool, range: (u32, u32)) -> u32 {
+        let bytes = |(from, to): (u32, u32)| &records[from as usize..to as usize];
+        let met = (self.contents.iter())
+            .position(|(of_active, at)| *of_active == active && bytes(*at) == bytes(range));
+        met.unwrap_or_else(|| {
+            self.contents.push((active, range));
+            self.contents.len() - 1
+        }) as u32
+    }
+}
+
+/// The row an open round's cursor stands on, as a [`KeySource`]: the
+/// child that row leads to — which nothing has stepped — read off the
+/// forms of the records the row's ids name.
+struct CursorRow<'r, P: CheckableProtocol> {
+    round: u32,
+    records: &'r [u8],
+    orbits: &'r Orbits<P>,
+}
+
+impl<P: CheckableProtocol> CursorRow<'_, P> {
+    fn forms(&self, i: usize) -> &RecordForms {
+        &self.orbits.forms[self.orbits.recs[i] as usize]
+    }
+
+    fn state(&self, i: usize) -> &P {
+        &self.orbits.states[self.forms(i).state as usize]
+    }
+
+    fn copy(&self, (from, to): (u32, u32), out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.records[from as usize..to as usize]);
+    }
+}
+
+impl<P> KeySource<P> for CursorRow<'_, P>
+where
+    P: CheckableProtocol,
+{
+    fn round_number(&self) -> u32 {
+        self.round
+    }
+
+    fn processes(&self) -> usize {
+        self.orbits.recs.len()
+    }
+
+    fn role(&self, i: usize) -> Role {
+        self.forms(i).role
+    }
+
+    fn rank_inert(&self, i: usize, ctx: &SymmetryContext) -> bool {
+        self.state(i).rank_inert(ctx)
+    }
+
+    fn record(&self, i: usize, swap: bool, out: &mut Vec<u8>) {
+        self.copy(self.forms(i).whole[usize::from(swap)], out);
+    }
+
+    /// The stripped form (`at == 0`) is kept with the record; an owner
+    /// anywhere else — the full orbit's sorted positions — is encoded
+    /// from the kept state.
+    fn relabelled(&self, i: usize, swap: bool, at: usize, out: &mut Vec<u8>) {
+        if at == 0 {
+            self.copy(self.forms(i).stripped[usize::from(swap)], out);
+        } else if swap {
+            swapped_proc(self.state(i)).encode_relabelled(at, out);
+        } else {
+            self.state(i).encode_relabelled(at, out);
+        }
+    }
 }
 
 /// The class hash: an FNV-1a fold over a row's record ids, one id per
@@ -3146,7 +3284,8 @@ fn fold_ids(ids: &[u32]) -> u64 {
 /// and nothing is assembled, hashed or probed for it.  Open addressing,
 /// entries verified by comparing ids; the index starts small and doubles
 /// when the classes met fill half of it, so it is sized by classes, not
-/// by rows (13 % of them at `(8, 7)`).
+/// by rows (13 % of them at `(8, 7)`).  A round's orbit level ([`Orbits`])
+/// keeps a second one, keyed on orbit vectors.
 struct ClassTable<O> {
     /// Class number + 1 per bucket, `0` for an empty one; a power of two
     /// long.
@@ -3269,14 +3408,28 @@ where
         self.records.clear();
         self.ranges.clear();
         self.fixed.clear();
+        if let Some(orbits) = &mut self.orbits {
+            orbits.forms.clear();
+            orbits.live_states = 0;
+            orbits.contents.clear();
+            orbits.recs.clear();
+            orbits.recs.resize(self.sent.status().len(), 0);
+        }
         for i in 0..self.sent.status().len() {
             let fixed = match &self.sent.status()[i] {
                 ProcStatus::Active => None,
                 settled => {
-                    let start = self.records.len();
+                    let start = self.records.len() as u32;
                     let decision = &self.sent.decisions()[i];
                     encode_settled_record(settled, decision, false, &mut self.records);
-                    Some(self.push_range(start))
+                    let whole = (start, self.records.len() as u32);
+                    let id = self.ranges.len() as u32;
+                    self.ranges.push(whole);
+                    if let Some(orbits) = &mut self.orbits {
+                        orbits.keep_settled(&mut self.records, whole, settled, decision);
+                        orbits.recs[i] = id;
+                    }
+                    Some(id)
                 }
             };
             self.fixed.push(fixed);
@@ -3304,6 +3457,9 @@ where
         self.folds.clear();
         self.folds.resize(slots + 1, FOLD_START);
         self.classes.reset(slots);
+        if let Some(orbits) = &mut self.orbits {
+            orbits.table.reset(slots);
+        }
     }
 
     /// How many adversary moves the round has.
@@ -3398,7 +3554,7 @@ where
     /// copy of the post-send state — and its record kept.  `None` for a
     /// round the engine did not tabulate; the caller steps the row
     /// instead.
-    fn classify(&mut self, idx: usize) -> Option<usize> {
+    pub(crate) fn classify(&mut self, idx: usize) -> Option<usize> {
         if !self.keyed {
             return None;
         }
@@ -3437,7 +3593,8 @@ where
     fn settle_record(&mut self, slot: usize, view: &RoundView) -> u32 {
         let start = self.records.len();
         let after = self.sent.settle(self.sent.active()[slot], view);
-        encode_key_record(after.status, after.state, after.decision, &mut self.records);
+        let (status, state, decision) = (after.status, after.state, after.decision);
+        encode_key_record(status, state, decision, false, &mut self.records);
         let (earlier, fresh) = self.records.split_at(start);
         let same = self.known[slot].iter().map(|(_, id)| *id).find(|id| {
             let (from, to) = self.ranges[*id as usize];
@@ -3448,17 +3605,24 @@ where
                 self.records.truncate(start);
                 id
             }
-            None => self.push_range(start),
+            None => {
+                let whole = (start as u32, self.records.len() as u32);
+                self.ranges.push(whole);
+                if let Some(orbits) = &mut self.orbits {
+                    match after.status {
+                        ProcStatus::Active => {
+                            orbits.keep_active(&mut self.records, whole, after.state)
+                        }
+                        settled => {
+                            orbits.keep_settled(&mut self.records, whole, settled, after.decision)
+                        }
+                    }
+                }
+                self.ranges.len() as u32 - 1
+            }
         };
         self.known[slot].push((*view, id));
         id
-    }
-
-    /// Gives the record at the arena's tail, starting at `start`, the
-    /// next id.
-    fn push_range(&mut self, start: usize) -> u32 {
-        self.ranges.push((start as u32, self.records.len() as u32));
-        self.ranges.len() as u32 - 1
     }
 
     /// Assembles into `key` the raw key ([`make_key_into`] layout) of the
@@ -3476,6 +3640,53 @@ where
             key.extend_from_slice(&self.records[from as usize..to as usize]);
         }
     }
+
+    /// The row last [`classify`](Self::classify)d — the child it leads
+    /// to — as the tier encoder's source.  Canonicalizing plans only.
+    fn cursor_row(&mut self) -> CursorRow<'_, P> {
+        let orbits = self.orbits.as_deref_mut();
+        let orbits = orbits.expect("a canonicalizing plan keeps the records' forms");
+        for (&i, &id) in self.sent.active().iter().zip(&self.ids) {
+            orbits.recs[i] = id;
+        }
+        CursorRow {
+            round: self.sent.round().next().get(),
+            records: &self.records,
+            orbits,
+        }
+    }
+
+    /// Resolves the row last [`classify`](Self::classify)d to its orbit
+    /// class — entered as a new one, without a summary, when no row of
+    /// the frame produced its orbit vector before — and returns it with
+    /// the summary the frame has absorbed for it, if any.  `in_place`
+    /// are the row's flags ([`flag_in_place`] of its
+    /// [`cursor_row`](Self::cursor_row)).
+    fn orbit_class(&mut self, in_place: &[bool]) -> (usize, Option<Arc<Summary<P::Output>>>) {
+        let orbits = self.orbits.as_deref_mut();
+        let orbits = orbits.expect("a canonicalizing plan has an orbit level");
+        orbits.vector.clear();
+        orbits.pooled.clear();
+        for (&i, &id) in self.sent.active().iter().zip(&self.ids) {
+            if in_place[i] {
+                orbits.vector.push(id);
+            } else {
+                orbits.vector.push(POOLED);
+                orbits.pooled.push(orbits.forms[id as usize].content);
+            }
+        }
+        // The pooled slots take the row's content ids in ascending
+        // order: which slot pooled which record is what the orbit
+        // forgets.
+        orbits.pooled.sort_unstable();
+        let mut sorted = orbits.pooled.iter();
+        for entry in orbits.vector.iter_mut().filter(|entry| **entry == POOLED) {
+            *entry |= sorted.next().expect("one content id per pooled slot");
+        }
+        let hash = fold_ids(&orbits.vector);
+        let orbit = orbits.table.class_of(&orbits.vector, hash);
+        (orbit, orbits.table.summaries[orbit].clone())
+    }
 }
 
 /// What the key-first probe ([`Walker::probe_child`]) learned about a
@@ -3484,12 +3695,13 @@ enum Probed<O> {
     /// Its row repeats a successor class the frame has absorbed: all
     /// that is left of it is the class's terminal count, to be added.
     Repeat(u64),
-    /// Its row is the first of its class, and this — its real-space
-    /// summary — is what the memo answered for the class's key.
-    Answered(usize, Arc<Summary<O>>),
+    /// Its row is the first of its class, and this is its real-space
+    /// summary: what the memo answered for its key, or what the frame
+    /// absorbed for its orbit.
+    Answered(ChildClass, Arc<Summary<O>>),
     /// Nothing answers for it: it has to be forked, stepped and entered.
-    /// Its class, if the round is keyed.
-    Unanswered(Option<usize>),
+    /// Its classes, if the round is keyed.
+    Unanswered(Option<ChildClass>),
 }
 
 /// Outcome of entering a configuration.
@@ -3599,13 +3811,13 @@ where
                 // canonical space, and whatever comes back is translated
                 // again for the parent (an involution, so racing inserts
                 // of the same key agree regardless of which twin won).
-                let canonical = self.walker.to_canonical_arc(done.acc, done.value_swapped);
+                let canonical = self.walker.canonical_arc(done.acc, done.value_swapped);
                 let summary = shared
                     .memo
                     .insert(done.hash, &done.key, canonical)
                     .map_err(|e| shared.fail(e.into()))?;
                 let summary = self.walker.to_real(summary, done.value_swapped);
-                self.walker.recycle(done.key, done.seeds, done.round);
+                self.walker.recycle(done.key, done.round);
                 self.walker.stepper_pool.push(done.stepper);
                 // The child a class of the frame below was waiting for
                 // is back: its repeats there are additions from here on.
@@ -3633,9 +3845,9 @@ where
                         continue;
                     }
                 }
-                Probed::Answered(class, summary) => frame.absorb(Some(class), summary),
-                Probed::Unanswered(class) => {
-                    frame.awaiting = class;
+                Probed::Answered(child, summary) => frame.absorb(Some(child), summary),
+                Probed::Unanswered(child) => {
+                    frame.awaiting = child;
                     let mut child = self.walker.fork(&frame.stepper);
                     frame.round.actions_into(idx, &mut self.walker.row_buf);
                     child
@@ -3735,7 +3947,7 @@ where
                 child
                     .step(&walker.row_buf)
                     .map_err(|e| walker.shared.fail(ExploreError::Engine(e)))?;
-                let (hash, _) = walker.canonical_key(&child, Some(frame));
+                let (hash, _) = walker.canonical_key(&child);
                 let known = walker
                     .shared
                     .memo
@@ -3771,18 +3983,9 @@ where
             round_pool: Vec::new(),
             schedule_buf: CrashSchedule::none(shared.system.n()),
             canon: Canonicalizer::new(),
-            raw_scratch: Vec::new(),
             swap_buf: Vec::new(),
-            inert_buf: Vec::new(),
-            seeds_scratch: FrameSeeds::default(),
-            seeds_pending_slot: None,
-            last_slot: None,
-            seeds_pool: Vec::new(),
-            key_cache: if shared.plan.tier == CanonTier::Raw {
-                Vec::new()
-            } else {
-                (0..KEY_CACHE_SLOTS).map(|_| None).collect()
-            },
+            in_place_buf: Vec::new(),
+            decided_bufs: (Vec::new(), Vec::new()),
             live_dests_buf: Vec::new(),
             live_ks_buf: Vec::new(),
         }
@@ -3790,9 +3993,8 @@ where
 
     /// Returns a completed frame's buffers to the walker's pools so the
     /// next expansion reuses their allocations.
-    fn recycle(&mut self, key: Vec<u8>, seeds: FrameSeeds, round: RoundKeys<P>) {
+    fn recycle(&mut self, key: Vec<u8>, round: RoundKeys<P>) {
         self.key_pool.push(key);
-        self.seeds_pool.push(seeds);
         self.close_round(round);
     }
 
@@ -3830,6 +4032,8 @@ where
                 ids: Vec::new(),
                 folds: Vec::new(),
                 classes: ClassTable::new(),
+                orbits: (self.shared.plan.tier != CanonTier::Raw)
+                    .then(|| Box::new(Orbits::new(self.shared.plan))),
             },
         };
         let n = self.shared.system.n();
@@ -3892,36 +4096,19 @@ where
         self.round_pool.push(round);
     }
 
-    /// The buffer raw key bytes are encoded into: they *are* the
-    /// canonical key under a raw plan, and index the raw→canonical cache
-    /// under a canonicalizing one.
-    fn raw_key_buf(&mut self) -> &mut Vec<u8> {
-        if self.shared.plan.tier == CanonTier::Raw {
-            &mut self.key_scratch
-        } else {
-            &mut self.raw_scratch
-        }
-    }
-
-    /// Assembles the raw key of `round`'s successor under row `idx`
-    /// without stepping and leaves it in the raw key buffer; `None` for
-    /// a round only `Stepper::step` can execute.
-    pub(crate) fn child_raw_key(&mut self, round: &mut RoundKeys<P>, idx: usize) -> Option<&[u8]> {
-        round.classify(idx)?;
-        let raw = self.raw_key_buf();
-        round.class_key_into(raw);
-        Some(raw)
-    }
-
     /// The key-first probe: `frame`'s child under row `idx`, answered
     /// without the child.  A row that repeats a successor class its
     /// frame has absorbed is answered by the class table, with the one
-    /// number that is left to add.  The first row of a class has its raw
-    /// key assembled and probed ([`probe_raw`](Self::probe_raw)).
-    /// Nothing is recorded here: the caller that absorbs an answer
-    /// records it for the class ([`Frame::absorb`]), as it does for a
-    /// child nothing answered for — forked, stepped and entered as it
-    /// always was — when that child's summary comes back.
+    /// number that is left to add.  The first row of a class is, under a
+    /// canonicalizing plan, resolved to its orbit class first — an orbit
+    /// the frame has absorbed answers it with the summary absorbed then,
+    /// and no key is assembled; otherwise the plan's key of the child is
+    /// assembled from the row's records ([`cursor_key`](Self::cursor_key))
+    /// and taken to the memo.  Nothing is recorded here: the caller that
+    /// absorbs an answer records it for the class and the orbit
+    /// ([`Frame::absorb`]), as it does for a child nothing answered for
+    /// — forked, stepped and entered as it always was — when that
+    /// child's summary comes back.
     fn probe_child(
         &mut self,
         frame: &mut Frame<P>,
@@ -3933,267 +4120,168 @@ where
         if let Some(summary) = &frame.round.classes.summaries[class] {
             let terminals = summary.terminals;
             debug_assert!(
-                self.class_answer_is_memo_answer(frame, idx, class),
+                self.skipped_probe(frame, idx).as_deref()
+                    == frame.round.classes.summaries[class].as_deref(),
                 "class table and memo disagree on a repeated child"
             );
             return Ok(Probed::Repeat(terminals));
         }
-        frame.round.class_key_into(self.raw_key_buf());
+        let mut child = ChildClass { class, orbit: None };
+        let (hash, swap) = if self.shared.plan.tier != CanonTier::Raw {
+            self.flag_in_place(&frame.round.cursor_row());
+            let (orbit, absorbed) = frame.round.orbit_class(&self.in_place_buf);
+            child.orbit = Some(orbit);
+            if let Some(summary) = absorbed {
+                debug_assert!(
+                    self.skipped_probe(frame, idx).as_deref() == Some(&*summary),
+                    "orbit table and memo disagree"
+                );
+                return Ok(Probed::Answered(child, summary));
+            }
+            // The row's flags stand from the orbit lookup.
+            self.tier_key(&frame.round.cursor_row())
+        } else {
+            self.cursor_key(&mut frame.round)
+        };
         debug_assert!(
-            self.raw_key_is_stepped_key(&frame.stepper, &frame.round, idx),
+            self.assembled_keys_are_stepped_keys(frame, idx, (hash, swap)),
             "assembled child key differs from the stepped child's key"
         );
-        Ok(match self.probe_raw()? {
-            Some(summary) => Probed::Answered(class, summary),
-            None => Probed::Unanswered(Some(class)),
+        Ok(match self.memoized(hash, swap)? {
+            Some(summary) => Probed::Answered(child, summary),
+            None => Probed::Unanswered(Some(child)),
         })
     }
 
-    /// Answers for the configuration whose raw key is in the raw key
-    /// buffer, if anything can without the configuration itself: the
-    /// memo under a raw plan, the raw→canonical cache (a pinned summary,
-    /// or the cached canonical key against the memo) under a
-    /// canonicalizing one.
-    fn probe_raw(&mut self) -> Result<Option<Arc<Summary<P::Output>>>, Interrupt> {
-        match self.lookup_raw(true) {
-            Err(_) => Ok(None),
-            Ok(KeyedEntry::Resolved(real)) => Ok(Some(real)),
-            Ok(KeyedEntry::Key { hash, swap }) => self.memoized(hash, swap),
-        }
-    }
-
-    /// The oracle behind `probe_child`'s debug assertion on a first
-    /// occurrence: fork, step, encode — and compare with the assembled
-    /// bytes in the raw buffer.
-    fn raw_key_is_stepped_key(
+    /// The oracle behind `probe_child`'s debug assertions on a key it
+    /// assembled: fork, step, encode.  The cursor row's raw key
+    /// ([`RoundKeys::class_key_into`]) must be the stepped child's
+    /// [`make_key_into`], and `keyed` with the bytes in `key_scratch` —
+    /// the row's plan key as [`cursor_key`](Self::cursor_key) left it —
+    /// the child's [`canonical_key`](Self::canonical_key): bytes, hash
+    /// and swap orientation.
+    fn assembled_keys_are_stepped_keys(
         &mut self,
-        parent: &Stepper<P>,
-        round: &RoundKeys<P>,
+        frame: &Frame<P>,
         idx: usize,
+        keyed: (u64, bool),
     ) -> bool {
-        let mut child = self.fork(parent);
-        round.actions_into(idx, &mut self.row_buf);
+        let mut child = self.fork(&frame.stepper);
+        frame.round.actions_into(idx, &mut self.row_buf);
         let stepped = child.step(&self.row_buf).is_ok();
-        let mut key = Vec::new();
-        make_key_into(&child, &mut key);
+        let (mut raw, mut stepped_raw) = (Vec::new(), Vec::new());
+        frame.round.class_key_into(&mut raw);
+        make_key_into(&child, &mut stepped_raw);
+        let assembled = self.key_scratch.clone();
+        let agree = stepped
+            && raw == stepped_raw
+            && self.canonical_key(&child) == keyed
+            && self.key_scratch == assembled;
         self.stepper_pool.push(child);
-        stepped && key == *self.raw_key_buf()
+        agree
     }
 
-    /// The oracle behind `probe_child`'s debug assertion on a repeat: the
-    /// class's key is assembled after all and must be the stepped
-    /// child's, and what the skipped [`probe_raw`](Self::probe_raw)
-    /// returns must equal the class's summary.  Under a canonicalizing
-    /// plan that path may return nothing (the child's raw→canonical
-    /// cache slot was clobbered since), which leaves the key check.
-    fn class_answer_is_memo_answer(&mut self, frame: &Frame<P>, idx: usize, class: usize) -> bool {
-        frame.round.class_key_into(self.raw_key_buf());
-        if !self.raw_key_is_stepped_key(&frame.stepper, &frame.round, idx) {
-            return false;
+    /// The oracle behind `probe_child`'s debug assertions on a row it
+    /// answers from a table — a repeat of an absorbed class, the first
+    /// row of a class in an absorbed orbit: what the probe that row
+    /// skipped would have returned.  The key is assembled after all,
+    /// must be the stepped child's, and is taken to the memo.
+    fn skipped_probe(
+        &mut self,
+        frame: &mut Frame<P>,
+        idx: usize,
+    ) -> Option<Arc<Summary<P::Output>>> {
+        let (hash, swap) = self.cursor_key(&mut frame.round);
+        if !self.assembled_keys_are_stepped_keys(frame, idx, (hash, swap)) {
+            return None;
         }
-        match self.probe_raw().ok().flatten() {
-            Some(memo) => Some(&*memo) == frame.round.classes.summaries[class].as_deref(),
-            None => self.shared.plan.tier != CanonTier::Raw,
-        }
+        self.memoized(hash, swap).ok().flatten()
     }
 
     /// Encodes `stepper`'s configuration into its canonical key bytes in
-    /// `key_scratch` and returns `(hash, value_swapped)` — the one
-    /// key-path entry point for every engine.
-    ///
-    /// Raw plans delegate straight to [`make_key_into`].  Canonicalizing
-    /// plans first probe the walker's direct-mapped raw→canonical cache
-    /// (byte-verified against the raw key, so a hash collision can only
-    /// cost a miss, never corrupt a key); on a miss the tier encoder
-    /// runs — seeded from `parent`'s sorted settled pool when the caller
-    /// has one — and the result is cached, with the configuration's own
-    /// seeds left in `seeds_scratch` for `enter` to move into the frame.
-    pub(crate) fn canonical_key(
-        &mut self,
-        stepper: &Stepper<P>,
-        parent: Option<&Frame<P>>,
-    ) -> (u64, bool) {
-        match self.key_or_summary(stepper, parent, false) {
-            KeyedEntry::Key { hash, swap } => (hash, swap),
-            KeyedEntry::Resolved(_) => unreachable!("summary shortcut disabled"),
+    /// `key_scratch` and returns `(hash, value_swapped)` — the key path
+    /// of every configuration that exists: a root, a configuration being
+    /// entered, a frontier or witness replay.  Raw plans delegate
+    /// straight to [`make_key_into`]; canonicalizing plans run the tier
+    /// encoder on the stepper.
+    pub(crate) fn canonical_key(&mut self, stepper: &Stepper<P>) -> (u64, bool) {
+        if self.shared.plan.tier == CanonTier::Raw {
+            make_key_into(stepper, &mut self.key_scratch);
+            return (stable_hash64(&self.key_scratch), false);
         }
+        self.flag_in_place(stepper);
+        self.tier_key(stepper)
     }
 
-    /// The key path behind [`canonical_key`](Self::canonical_key).
-    /// With `shortcut` set (the `enter` hot path), a cache hit whose
-    /// real-space summary is already pinned returns it directly —
-    /// skipping the canonical-byte copy, the memo probe, and the value
-    /// un-swap entirely.  Without it the canonical key bytes are always
-    /// left in `key_scratch` for callers that need them.
-    fn key_or_summary(
-        &mut self,
-        stepper: &Stepper<P>,
-        parent: Option<&Frame<P>>,
-        shortcut: bool,
-    ) -> KeyedEntry<P::Output> {
-        make_key_into(stepper, self.raw_key_buf());
-        match self.lookup_raw(shortcut) {
-            Ok(keyed) => keyed,
-            Err(slot_idx) => self.canonicalize(stepper, parent, slot_idx),
+    /// The same key — bytes in `key_scratch`, `(hash, value_swapped)` —
+    /// of a configuration that does not exist: `round`'s successor under
+    /// the row last [`classify`](RoundKeys::classify)d, assembled from
+    /// the row's records.  The raw key under a raw plan; under a
+    /// canonicalizing one the tier encoder runs on the row.
+    pub(crate) fn cursor_key(&mut self, round: &mut RoundKeys<P>) -> (u64, bool) {
+        if self.shared.plan.tier == CanonTier::Raw {
+            round.class_key_into(&mut self.key_scratch);
+            return (stable_hash64(&self.key_scratch), false);
         }
+        let row = round.cursor_row();
+        self.flag_in_place(&row);
+        self.tier_key(&row)
     }
 
-    /// Runs the tier encoder on `stepper` — whose raw key is in the raw
-    /// key buffer and maps to cache slot `slot_idx` — seeded from
-    /// `parent`'s sorted settled pool when there is one.  Leaves the
-    /// canonical key in `key_scratch` and the configuration's own seeds
-    /// in `seeds_scratch`, and fills the slot.
-    fn canonicalize(
-        &mut self,
-        stepper: &Stepper<P>,
-        parent: Option<&Frame<P>>,
-        slot_idx: usize,
-    ) -> KeyedEntry<P::Output> {
+    /// Leaves in `in_place_buf` which of `source`'s processes keep their
+    /// slot under the run's tier.
+    fn flag_in_place<S: KeySource<P>>(&mut self, source: &S) {
+        let (plan, t) = (self.shared.plan, self.shared.system.t());
+        flag_in_place(source, plan.tier, t, &mut self.in_place_buf);
+    }
+
+    /// Runs the tier encoder on `source`, whose flags are in
+    /// `in_place_buf` — twice under a value plan, for the plain and the
+    /// value-swapped encoding, keeping the smaller.  Leaves the key in
+    /// `key_scratch`.
+    fn tier_key<S: KeySource<P>>(&mut self, source: &S) -> (u64, bool) {
         let plan = self.shared.plan;
-        self.seeds_pending_slot = None;
-        if plan.tier == CanonTier::SettledInert {
-            compute_inert_flags(stepper, self.shared.system.t(), &mut self.inert_buf);
-        } else {
-            self.inert_buf.clear();
-            self.inert_buf.resize(stepper.procs().len(), false);
-        }
-        let parent_seeds = parent.map(|f| (&f.seeds, f.stepper.status()));
+        let (in_place, canon) = (&self.in_place_buf, &mut self.canon);
         tier_key_into(
-            stepper,
+            source,
             plan.tier,
             false,
-            &self.inert_buf,
-            parent_seeds.map(|(s, st)| (&s.plain, st)),
-            &mut self.canon,
+            in_place,
+            canon,
             &mut self.key_scratch,
-            Some(&mut self.seeds_scratch.plain),
         );
         let mut swap = false;
         if plan.value {
-            tier_key_into(
-                stepper,
-                plan.tier,
-                true,
-                &self.inert_buf,
-                parent_seeds.map(|(s, st)| (&s.swapped, st)),
-                &mut self.canon,
-                &mut self.swap_buf,
-                Some(&mut self.seeds_scratch.swapped),
-            );
+            tier_key_into(source, plan.tier, true, in_place, canon, &mut self.swap_buf);
             if self.swap_buf < self.key_scratch {
                 std::mem::swap(&mut self.swap_buf, &mut self.key_scratch);
                 swap = true;
             }
-        } else {
-            self.seeds_scratch.swapped.clear();
         }
-        let hash = stable_hash64(&self.key_scratch);
-        let slot = self.key_cache[slot_idx].get_or_insert_with(Box::default);
-        slot.raw.clear();
-        slot.raw.extend_from_slice(&self.raw_scratch);
-        slot.canon.clear();
-        slot.canon.extend_from_slice(&self.key_scratch);
-        slot.hash = hash;
-        slot.swap = swap;
-        slot.real = None;
-        self.last_slot = Some(slot_idx);
-        KeyedEntry::Key { hash, swap }
-    }
-
-    /// Resolves the raw key sitting in [`raw_key_buf`](Self::raw_key_buf)
-    /// as far as it goes without a configuration to canonicalize: under
-    /// a raw plan the bytes are the key (hashed here); under a
-    /// canonicalizing plan a byte-verified raw→canonical cache hit
-    /// yields the cached canonical key (copied into `key_scratch`) or,
-    /// with `shortcut`, the slot's pinned summary.  `Err` carries the
-    /// cache slot a miss should fill.
-    fn lookup_raw(&mut self, shortcut: bool) -> Result<KeyedEntry<P::Output>, usize> {
-        if self.shared.plan.tier == CanonTier::Raw {
-            self.last_slot = None;
-            return Ok(KeyedEntry::Key {
-                hash: stable_hash64(&self.key_scratch),
-                swap: false,
-            });
-        }
-        let slot_idx = key_cache_slot(&self.raw_scratch);
-        let Some(slot) = self.key_cache[slot_idx]
-            .as_deref()
-            .filter(|slot| slot.raw == self.raw_scratch)
-        else {
-            return Err(slot_idx);
-        };
-        // No seeds were computed: `take_frame_seeds` makes up for it
-        // only if this configuration actually expands into a frame
-        // (most hits resolve in the memo).
-        self.seeds_pending_slot = Some(slot_idx);
-        self.last_slot = Some(slot_idx);
-        if shortcut {
-            if let Some(real) = &slot.real {
-                return Ok(KeyedEntry::Resolved(Arc::clone(real)));
-            }
-        }
-        self.key_scratch.clear();
-        self.key_scratch.extend_from_slice(&slot.canon);
-        Ok(KeyedEntry::Key {
-            hash: slot.hash,
-            swap: slot.swap,
-        })
+        (stable_hash64(&self.key_scratch), swap)
     }
 
     /// Probes the memo with the canonical key in `key_scratch`; a hit
-    /// comes back in the configuration's real value space and is pinned
-    /// in the raw→canonical cache slot the key path went through, so the
-    /// next visit skips the probe.
+    /// comes back in the configuration's real value space.
     fn memoized(
-        &mut self,
+        &self,
         hash: u64,
         value_swapped: bool,
     ) -> Result<Option<Arc<Summary<P::Output>>>, Interrupt> {
-        let Some(summary) = self
+        let summary = self
             .shared
             .memo
             .get(hash, &self.key_scratch)
-            .map_err(|e| self.shared.fail(e.into()))?
-        else {
-            return Ok(None);
-        };
-        let real = self.to_real(summary, value_swapped);
-        self.pin(&real);
-        Ok(Some(real))
+            .map_err(|e| self.shared.fail(e.into()))?;
+        Ok(summary.map(|summary| self.to_real(summary, value_swapped)))
     }
 
-    /// Pins `real` — the real-space summary of the configuration the key
-    /// path last resolved — in the raw→canonical cache slot it went
-    /// through, if it went through one.
-    fn pin(&mut self, real: &Arc<Summary<P::Output>>) {
-        if let Some(slot) = self.last_slot.and_then(|idx| self.key_cache[idx].as_mut()) {
-            slot.real = Some(Arc::clone(real));
-        }
-    }
-
-    /// The canonical key bytes produced by the last
-    /// [`canonical_key`](Self::canonical_key) call — for callers (the
-    /// distributed frontier expander) that need the bytes, not just the
-    /// hash.
+    /// The canonical key bytes the last [`canonical_key`](Self::canonical_key)
+    /// or [`cursor_key`](Self::cursor_key) call produced — for callers
+    /// (the distributed frontier expander) that need the bytes, not just
+    /// the hash.
     pub(crate) fn key_bytes(&self) -> &[u8] {
         &self.key_scratch
-    }
-
-    /// Takes the seeds belonging to `stepper`, the configuration the
-    /// last [`canonical_key`](Self::canonical_key) call keyed — running
-    /// the tier encoder now if that call was answered by the cache and
-    /// never ran it.  Must be called before any further `canonical_key`
-    /// on this walker (the pending slot is only valid until then);
-    /// `enter` is the sole consumer and computes no other keys in
-    /// between.
-    fn take_frame_seeds(&mut self, stepper: &Stepper<P>, parent: Option<&Frame<P>>) -> FrameSeeds {
-        if let Some(slot_idx) = self.seeds_pending_slot.take() {
-            self.canonicalize(stepper, parent, slot_idx);
-        }
-        std::mem::replace(
-            &mut self.seeds_scratch,
-            self.seeds_pool.pop().unwrap_or_default(),
-        )
     }
 
     /// Maps a summary through the value involution: decided values are
@@ -4235,9 +4323,12 @@ where
     /// because merged orbit members enumerate children in different
     /// orders and would otherwise disagree on discovery order (the
     /// module docs' normal-form argument; `Off` and `Full` summaries are
-    /// deliberately left byte-for-byte as before).
-    fn to_canonical_arc(
-        &self,
+    /// deliberately left byte-for-byte as before).  The values are
+    /// compared through two walker-owned buffers: a valency list is a
+    /// handful of values, sorted in place (a stable sort, like the
+    /// keyed one it replaces) without allocating.
+    fn canonical_arc(
+        &mut self,
         summary: Summary<P::Output>,
         value_swapped: bool,
     ) -> Arc<Summary<P::Output>> {
@@ -4247,10 +4338,13 @@ where
             summary
         };
         if self.shared.plan.tier == CanonTier::SettledInert {
-            summary.decided.sort_by_cached_key(|v| {
-                let mut buf = Vec::new();
-                v.encode(&mut buf);
-                buf
+            let (left, right) = &mut self.decided_bufs;
+            summary.decided.sort_by(|a, b| {
+                left.clear();
+                a.encode(left);
+                right.clear();
+                b.encode(right);
+                left.cmp(&right)
             });
         }
         Arc::new(summary)
@@ -4284,17 +4378,7 @@ where
         if self.shared.stop.load(Ordering::Relaxed) {
             return Err(Interrupt::Stopped);
         }
-        // Revisit fast path: a raw-key cache hit whose real-space
-        // summary is already pinned needs no memo probe and no value
-        // un-swapping — the slot was byte-verified against the raw key.
-        let keyed = {
-            let parent = stack.last();
-            self.key_or_summary(&stepper, parent, true)
-        };
-        let (hash, value_swapped) = match keyed {
-            KeyedEntry::Resolved(real) => return Ok(Entered::Ready(real, stepper)),
-            KeyedEntry::Key { hash, swap } => (hash, swap),
-        };
+        let (hash, value_swapped) = self.canonical_key(&stepper);
         if let Some(real) = self.memoized(hash, value_swapped)? {
             return Ok(Entered::Ready(real, stepper));
         }
@@ -4309,14 +4393,13 @@ where
 
         if self.is_terminal(&stepper) {
             let terminal_summary = self.evaluate_terminal(&stepper);
-            let canonical = self.to_canonical_arc(terminal_summary, value_swapped);
+            let canonical = self.canonical_arc(terminal_summary, value_swapped);
             let summary = self
                 .shared
                 .memo
                 .insert(hash, &self.key_scratch, canonical)
                 .map_err(|e| self.shared.fail(e.into()))?;
             let real = self.to_real(summary, value_swapped);
-            self.pin(&real);
             return Ok(Entered::Ready(real, stepper));
         }
 
@@ -4347,14 +4430,11 @@ where
 
         // The scratch becomes the frame's key; the frame's eventual
         // insert needs exactly these bytes, and the pool hands the
-        // scratch slot a recycled buffer for the next enter.  Same move
-        // for the seeds the key path left behind: the frame's children
-        // canonicalize incrementally from them.
+        // scratch slot a recycled buffer for the next enter.
         let key = std::mem::replace(
             &mut self.key_scratch,
             self.key_pool.pop().unwrap_or_default(),
         );
-        let seeds = self.take_frame_seeds(&stepper, stack.last());
         stack.push(Frame {
             stepper,
             hash,
@@ -4363,7 +4443,6 @@ where
             awaiting: None,
             acc: Summary::empty(self.shared.system.t()),
             value_swapped,
-            seeds,
             round,
         });
         Ok(Entered::Expanded)
@@ -4483,7 +4562,7 @@ where
                 open.actions_into(idx, &mut self.row_buf);
                 let mut child = stepper.clone();
                 child.step(&self.row_buf).map_err(ExploreError::Engine)?;
-                let (hash, _) = self.canonical_key(&child, None);
+                let (hash, _) = self.canonical_key(&child);
                 let violating = self
                     .shared
                     .memo
@@ -5220,9 +5299,9 @@ mod tests {
             .collect()
     }
 
-    /// A test-only mirror of `Walker::canonical_key` without the cache
-    /// or seeding: plan resolution, tier encoding, and the value
-    /// minimum, so key-level tests can compare modes directly.
+    /// A test-only mirror of `Walker::canonical_key` on a walker of its
+    /// own: plan resolution, tier encoding, and the value minimum, so
+    /// key-level tests can compare modes directly.
     fn test_key<P>(
         stepper: &Stepper<P>,
         mode: Symmetry,
@@ -5240,26 +5319,18 @@ mod tests {
             return out;
         }
         let mut canon = Canonicalizer::new();
-        let mut inert = Vec::new();
-        if plan.tier == CanonTier::SettledInert {
-            compute_inert_flags(stepper, t, &mut inert);
-        } else {
-            inert.resize(stepper.procs().len(), false);
-        }
-        tier_key_into(
-            stepper, plan.tier, false, &inert, None, &mut canon, &mut out, None,
-        );
+        let mut in_place = Vec::new();
+        flag_in_place(stepper, plan.tier, t, &mut in_place);
+        tier_key_into(stepper, plan.tier, false, &in_place, &mut canon, &mut out);
         if plan.value {
             let mut swapped = Vec::new();
             tier_key_into(
                 stepper,
                 plan.tier,
                 true,
-                &inert,
-                None,
+                &in_place,
                 &mut canon,
                 &mut swapped,
-                None,
             );
             if swapped < out {
                 out = swapped;
@@ -5373,65 +5444,6 @@ mod tests {
             out.push(stepper.clone());
         }
         out
-    }
-
-    /// The incremental canonicalization contract: a child key computed
-    /// from the parent's carried (pre-sorted) settled pool is
-    /// byte-identical to the key computed from scratch — for both the
-    /// plain and the swapped encoding, and so is the seed it extracts
-    /// for the next generation.  This is what licenses the hot path to
-    /// sort only the per-step settled delta.
-    #[test]
-    fn seeded_incremental_key_matches_unseeded() {
-        let t = 2usize;
-        for seed in [1u64, 7, 42, 0xBAD5EED] {
-            let walk = crw_walk(false, seed);
-            let mut canon = Canonicalizer::new();
-            // (seed for this encoding, parent status) carried per pass.
-            let mut carried: Option<([CanonSeed; 2], Vec<ProcStatus>)> = None;
-            for stepper in &walk {
-                let mut inert = Vec::new();
-                compute_inert_flags(stepper, t, &mut inert);
-                let mut next_seeds: [CanonSeed; 2] = Default::default();
-                for (pass, swap) in [(0usize, false), (1usize, true)] {
-                    let (mut fresh, mut fresh_seed) = (Vec::new(), CanonSeed::default());
-                    tier_key_into(
-                        stepper,
-                        CanonTier::SettledInert,
-                        swap,
-                        &inert,
-                        None,
-                        &mut canon,
-                        &mut fresh,
-                        Some(&mut fresh_seed),
-                    );
-                    if let Some((seeds, parent_status)) = &carried {
-                        let (mut seeded, mut seeded_seed) = (Vec::new(), CanonSeed::default());
-                        tier_key_into(
-                            stepper,
-                            CanonTier::SettledInert,
-                            swap,
-                            &inert,
-                            Some((&seeds[pass], parent_status)),
-                            &mut canon,
-                            &mut seeded,
-                            Some(&mut seeded_seed),
-                        );
-                        assert_eq!(
-                            fresh, seeded,
-                            "seed={seed} swap={swap}: seeded key must match unseeded"
-                        );
-                        assert_eq!(
-                            (&fresh_seed.bytes, &fresh_seed.ends),
-                            (&seeded_seed.bytes, &seeded_seed.ends),
-                            "seed={seed} swap={swap}: extracted seeds must match"
-                        );
-                    }
-                    next_seeds[pass] = fresh_seed;
-                }
-                carried = Some((next_seeds, stepper.status().to_vec()));
-            }
-        }
     }
 
     proptest::proptest! {
@@ -6015,6 +6027,7 @@ mod tests {
         model: ModelKind,
         max_rounds: u32,
         max_crashes_per_round: Option<usize>,
+        symmetry: Symmetry,
         procs: Vec<P>,
         proposals: Vec<P::Output>,
         mut check: impl FnMut(&mut Walker<'_, '_, P>, &Stepper<P>, &mut RoundKeys<P>),
@@ -6026,6 +6039,7 @@ mod tests {
         let config = ExploreConfig {
             model,
             max_crashes_per_round,
+            symmetry,
             ..options(max_rounds, 1_000_000)
         };
         let shared = Shared::new(
@@ -6160,11 +6174,14 @@ mod tests {
 
     /// The key-first differential: along seeded random adversary paths
     /// from `procs`, for **every** row of every visited configuration,
-    /// the raw key assembled from the open round's interned per-process
-    /// records must equal [`make_key_into`] of the child that `fork_from`
-    /// and `step` produce under the materialized row.  The oracle side
-    /// shares none of the table, view or assembly code.  Returns how
-    /// many children were compared.
+    /// the plan's key assembled from the open round's interned
+    /// per-process records ([`Walker::cursor_key`]: the raw key with
+    /// symmetry off, the tier encoder run on the row's record forms
+    /// otherwise) must equal [`Walker::canonical_key`] of the child that
+    /// `fork_from` and `step` produce under the materialized row — in
+    /// bytes, hash and swap orientation.  The oracle side shares none of
+    /// the table, view, record-form or assembly code.  Returns how many
+    /// children were compared.
     fn assert_assembled_keys_match_stepped<P>(
         system: SystemConfig,
         model: ModelKind,
@@ -6172,6 +6189,7 @@ mod tests {
         procs: Vec<P>,
         proposals: Vec<P::Output>,
         label: &str,
+        symmetry: Symmetry,
     ) -> usize
     where
         P: CheckableProtocol,
@@ -6179,28 +6197,26 @@ mod tests {
     {
         let mut spare = Stepper::new(system, model, TraceLevel::Off, procs.clone()).unwrap();
         let mut row = RoundActions::new();
-        let mut stepped_key = Vec::new();
         on_random_paths(
             system,
             model,
             max_rounds,
             None,
+            symmetry,
             procs,
             proposals,
             |walker, stepper, round| {
                 for idx in 0..round.len() {
-                    let assembled = walker
-                        .child_raw_key(round, idx)
-                        .expect("systems this small are keyed")
-                        .to_vec();
+                    round.classify(idx).expect("systems this small are keyed");
+                    let assembled = walker.cursor_key(round);
+                    let assembled_bytes = walker.key_bytes().to_vec();
                     round.actions_into(idx, &mut row);
                     spare.fork_from(stepper);
                     spare.step(&row).unwrap();
-                    make_key_into(&spare, &mut stepped_key);
                     assert_eq!(
-                        assembled,
-                        stepped_key,
-                        "{label}: round {} row {idx} {row:?}",
+                        (walker.canonical_key(&spare), walker.key_bytes()),
+                        (assembled, &assembled_bytes[..]),
+                        "{label} under {symmetry:?}: round {} row {idx} {row:?}",
                         stepper.round()
                     );
                 }
@@ -6210,8 +6226,62 @@ mod tests {
 
     #[test]
     fn assembled_child_keys_match_stepped_children() {
-        let compared = over_the_zoo!(assert_assembled_keys_match_stepped);
-        assert!(compared > 5_000, "only {compared} children compared");
+        use twostep_model::WideValue;
+        // CRW under both commit orders, FloodSet, EarlyStopping, the
+        // block simulation and Duo, at every strength: raw, settled,
+        // rank-inert (which no process of these systems is: t = n − 1,
+        // or a protocol that declares none) and the value quotient on
+        // top where the proposals admit it.
+        for symmetry in [
+            Symmetry::Off,
+            Symmetry::Full,
+            Symmetry::Partial,
+            Symmetry::PartialValue,
+        ] {
+            let compared = over_the_zoo!(assert_assembled_keys_match_stepped, symmetry);
+            assert!(compared > 5_000, "only {compared} children compared");
+        }
+
+        // Below t = n − 1 rank-inertness fires — at the root already,
+        // for the two highest ranks — and pooled actives reach the keys.
+        let system = SystemConfig::new(5, 2).unwrap();
+        let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
+        let procs = twostep_core::crw_processes(&system, &bits);
+        let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone());
+        let mut in_place = Vec::new();
+        flag_in_place(&root.unwrap(), CanonTier::SettledInert, 2, &mut in_place);
+        assert_eq!(in_place, [true, true, true, false, false]);
+        for symmetry in [Symmetry::Partial, Symmetry::PartialValue] {
+            let compared = assert_assembled_keys_match_stepped(
+                system,
+                ModelKind::Extended,
+                6,
+                procs.clone(),
+                bits.clone(),
+                "crw below maximal resilience",
+                symmetry,
+            );
+            assert!(compared > 500, "only {compared} children compared");
+        }
+
+        // The full orbit: every record pooled, actives re-encoded at
+        // their sorted positions from the states the records keep.
+        let system = SystemConfig::new(4, 2).unwrap();
+        let ests = [5, 9, 5, 7];
+        assert_eq!(
+            Symmetry::Full.plan::<Gossip>(&ests).tier,
+            CanonTier::FullOrbit
+        );
+        let compared = assert_assembled_keys_match_stepped(
+            system,
+            ModelKind::Extended,
+            3,
+            gossip_procs(4, &ests),
+            ests.to_vec(),
+            "gossip",
+            Symmetry::Full,
+        );
+        assert!(compared > 500, "only {compared} children compared");
     }
 
     /// The nested product the odometer must reproduce, as whole action
@@ -6365,6 +6435,7 @@ mod tests {
             model,
             max_rounds,
             max_crashes_per_round,
+            Symmetry::Off,
             procs,
             proposals,
             |_, stepper, round| {
@@ -6458,10 +6529,9 @@ mod tests {
         make_key_into(&child, &mut stepped_key);
         let mut round = walker.open_round(&root).unwrap();
         let idx = row_index(&round, &row);
-        assert_eq!(
-            walker.child_raw_key(&mut round, idx),
-            Some(&stepped_key[..])
-        );
+        round.classify(idx).expect("keyed");
+        walker.cursor_key(&mut round);
+        assert_eq!(walker.key_bytes(), &stepped_key[..]);
     }
 
     /// [`BudgetArbiter`]'s verdicts with its headroom withheld (the
@@ -6552,6 +6622,112 @@ mod tests {
         assert_eq!((steered.memo.len(), walk.steps), (states, steps + 1));
         let frame = &mut walk.stack[0];
         assert_eq!(frame.acc.terminals, 2 * child_terminals, "added at row b");
+        frame.next_action = frame.round.len();
+        assert_eq!(walk.step(by_step).unwrap().status, StepStatus::Done);
+        assert_eq!(walk.into_summaries()[0].terminals, 2 * child_terminals);
+    }
+
+    /// Two rows that crash different silent receivers alike: `p_1` dies
+    /// mid-commit having reached `p_4` and `p_3`, and one of the two dies
+    /// at the end of the round, undecided, while the other decides.  The
+    /// children are two raw configurations — two successor classes — but
+    /// one orbit under the settled tier: `p_2` stands in place in both,
+    /// and the settled records are the same three, two of them in
+    /// exchanged slots.  One key is assembled and probed, at the first
+    /// row; the second is answered by the orbit table, and the child is
+    /// absorbed in full both times.
+    #[test]
+    fn rows_that_permute_settled_records_share_an_orbit_and_are_each_absorbed() {
+        use twostep_model::WideValue;
+        let system = SystemConfig::new(4, 3).unwrap();
+        let proposals: Vec<WideValue> = (0..4).map(|i| WideValue::new(1, i % 2)).collect();
+        let procs = twostep_core::crw_processes(&system, &proposals);
+        let config = ExploreConfig {
+            symmetry: Symmetry::Full,
+            ..options(6, 100_000)
+        };
+        let shared = |procs: &Vec<_>| {
+            Shared::new(
+                system,
+                config,
+                &ExploreOptions::serial(),
+                &proposals,
+                procs.clone(),
+            )
+            .unwrap()
+        };
+        let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone())
+            .expect("four processes");
+        let dying = |silent: usize| -> RoundActions {
+            let mut row = vec![
+                Some(CrashStage::MidControl { prefix_len: 2 }),
+                None,
+                None,
+                None,
+            ];
+            row[silent] = Some(CrashStage::EndOfRound);
+            row
+        };
+        let (third, fourth) = (dying(2), dying(3));
+
+        // The two children differ, and only in which slot holds which
+        // settled record.
+        let (mut a, mut b) = (root.clone(), root.clone());
+        a.step(&third).unwrap();
+        b.step(&fourth).unwrap();
+        let key = |child| test_key(child, Symmetry::Off, &proposals, 3);
+        assert_ne!(key(&a), key(&b), "two raw configurations");
+        assert_eq!(a.status()[1], ProcStatus::Active);
+        let (a_status, b_status) = (a.status(), b.status());
+        assert_eq!(
+            (&a_status[2], &b_status[2]),
+            (&b_status[3], &a_status[3]),
+            "the silent receivers' fates, exchanged"
+        );
+
+        // The child on its own, for its terminal count.
+        let alone = shared(&procs);
+        let mut walker = Walker::new(&alone);
+        let mut walk = StepWalker::new(&mut walker, vec![a]);
+        while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+        let child_terminals = walk.into_summaries()[0].terminals;
+        assert!(child_terminals > 1);
+
+        // The root, steered: row `a`, row `b`, then straight to the pop.
+        let steered = shared(&procs);
+        let mut walker = Walker::new(&steered);
+        let mut walk = StepWalker::new(&mut walker, vec![root]);
+        let mut unbudgeted = BudgetArbiter::new(WalkBudget::unlimited());
+        let by_step = &mut NoHeadroom(&mut unbudgeted);
+        assert!(walk.step(by_step).unwrap().expanded);
+        let round = &walk.stack[0].round;
+        let (a, b) = (row_index(round, &third), row_index(round, &fourth));
+        walk.stack[0].next_action = a;
+        assert!(walk.step(by_step).unwrap().expanded, "nothing answers yet");
+        while walk.step(by_step).unwrap().frontier_len > 1 {}
+        let frame = &mut walk.stack[0];
+        assert_eq!(frame.acc.terminals, child_terminals, "absorbed at row a");
+        frame.next_action = b;
+        let (states, steps) = (steered.memo.len(), walk.steps);
+        assert!(
+            !walk.step(by_step).unwrap().expanded,
+            "answered by the orbit"
+        );
+        assert_eq!((steered.memo.len(), walk.steps), (states, steps + 1));
+        let frame = &mut walk.stack[0];
+        assert_eq!(
+            frame.acc.terminals,
+            2 * child_terminals,
+            "absorbed at row b"
+        );
+        // Two rows met, two successor classes, both with the summary —
+        // and one orbit class, which is one key assembled and one memo
+        // probe: a key is assembled only for an orbit without a summary.
+        let orbits = frame.round.orbits.as_deref().expect("a settled-tier round");
+        assert_eq!(frame.round.classes.summaries.len(), 2);
+        assert!(frame.round.classes.summaries.iter().all(Option::is_some));
+        assert_eq!(orbits.table.summaries.len(), 1);
+        assert!(orbits.table.summaries[0].is_some());
         frame.next_action = frame.round.len();
         assert_eq!(walk.step(by_step).unwrap().status, StepStatus::Done);
         assert_eq!(walk.into_summaries()[0].terminals, 2 * child_terminals);

@@ -13,7 +13,11 @@
 //! budgets: each driver stays under 6 allocs/state, and the stepped
 //! driver stays within 10% (+64 fixed) of the plain one — a `step()`
 //! call, and the headroom it asks its arbiter for before a run of
-//! repeated rows, must not buy its bookkeeping with heap traffic.
+//! repeated rows, must not buy its bookkeeping with heap traffic.  A
+//! third row walks the same space under `partial+value` and is pinned to
+//! no more allocations per *raw* state than the symmetry-off row: the
+//! quotient's orbit tables and record forms are pooled with the round,
+//! and a memo an eighth the size must not be paid for in heap traffic.
 //!
 //! Usage: `cargo run --release --example alloc_probe` (set
 //! `TWOSTEP_BENCH_N`/`TWOSTEP_BENCH_T` to change the system).
@@ -45,7 +49,7 @@ use std::time::Duration;
 
 use twostep_core::crw_processes;
 use twostep_model::{SystemConfig, WideValue};
-use twostep_modelcheck::{explore_with, ExploreConfig, ExploreOptions, WalkBudget};
+use twostep_modelcheck::{explore_with, ExploreConfig, ExploreOptions, Symmetry, WalkBudget};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -88,6 +92,7 @@ fn main() {
     let proposals: Vec<WideValue> = (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect();
     let config = ExploreConfig {
         max_states: 50_000_000,
+        symmetry: Symmetry::Off,
         ..ExploreConfig::for_crw(&system)
     };
 
@@ -104,6 +109,16 @@ fn main() {
     let (stepped_states, stepped_allocs, stepped_best) =
         probe(system, config, &stepped_options, &proposals);
     assert_eq!(states, stepped_states, "drivers must agree on the space");
+    let quotient_config = ExploreConfig {
+        symmetry: Symmetry::PartialValue,
+        ..config
+    };
+    let (orbits, quotient_allocs, quotient_best) = probe(
+        system,
+        quotient_config,
+        &ExploreOptions::serial(),
+        &proposals,
+    );
 
     let per_state = |allocs: u64| allocs as f64 / (6 * states) as f64;
     println!(
@@ -117,6 +132,14 @@ fn main() {
          allocs_per_state={:.2} best_secs={stepped_best:.4} states/sec={:.0}",
         per_state(stepped_allocs),
         states as f64 / stepped_best
+    );
+
+    println!(
+        "(n={n}, t={t}) states={states} partial+value: orbits={orbits} \
+         allocs_total={quotient_allocs} allocs_per_raw_state={:.2} best_secs={quotient_best:.4} \
+         raw states/sec={:.0}",
+        per_state(quotient_allocs),
+        states as f64 / quotient_best
     );
 
     assert!(
@@ -134,6 +157,11 @@ fn main() {
         stepped_allocs <= ceiling,
         "stepped driver allocates beyond the plain driver's envelope: \
          {stepped_allocs} > {ceiling} (plain {plain_allocs})"
+    );
+    assert!(
+        quotient_allocs <= plain_allocs,
+        "the partial+value walk allocates more per raw state than the symmetry-off walk: \
+         {quotient_allocs} > {plain_allocs}"
     );
     println!("alloc_probe: ok (stepped within {ceiling} alloc ceiling)");
 }
