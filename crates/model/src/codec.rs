@@ -595,12 +595,23 @@ pub fn compress(raw: &[u8]) -> Vec<u8> {
 /// are truncated, malformed, carry trailing garbage, or claim an
 /// uncompressed length above `max_len` (the caller's allocation bound —
 /// a corrupted length claim must never force a giant allocation).
-pub fn decompress(mut input: &[u8], max_len: usize) -> Option<Vec<u8>> {
+pub fn decompress(input: &[u8], max_len: usize) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
+    decompress_into(input, max_len, &mut out)?;
+    Some(out)
+}
+
+/// [`decompress`] into a caller-owned buffer (cleared first), so a loop
+/// over many records — the spill tier's rehydrates, a segment import —
+/// reuses one allocation.  On `None` the contents of `out` are
+/// unspecified.
+pub fn decompress_into(mut input: &[u8], max_len: usize, out: &mut Vec<u8>) -> Option<()> {
+    out.clear();
     let raw_len = decode_varint(&mut input)? as usize;
     if raw_len > max_len {
         return None;
     }
-    let mut out = Vec::with_capacity(raw_len.min(1 << 20));
+    out.reserve(raw_len.min(1 << 20));
     while out.len() < raw_len {
         let literal_len = decode_varint(&mut input)? as usize;
         if literal_len > raw_len - out.len() || literal_len > input.len() {
@@ -644,7 +655,7 @@ pub fn decompress(mut input: &[u8], max_len: usize) -> Option<Vec<u8>> {
     if !input.is_empty() {
         return None; // trailing garbage is never a valid encoding
     }
-    Some(out)
+    Some(())
 }
 
 #[cfg(test)]
@@ -816,11 +827,15 @@ mod tests {
         ];
         let mut reused = Compressor::new();
         let mut out = Vec::new();
+        // The same for the decompressor's caller-owned buffer: what an
+        // earlier record left in it never shows in a later one.
+        let mut back = vec![0xEE; 7];
         for raw in &inputs {
             reused.compress_into(raw, &mut out);
             assert_eq!(out, compress(raw), "reuse must not change the encoding");
-            let back = decompress(&out, raw.len().max(1)).expect("decompresses");
+            decompress_into(&out, raw.len().max(1), &mut back).expect("decompresses");
             assert_eq!(&back, raw);
+            assert_eq!(decompress(&out, raw.len().max(1)).as_ref(), Some(raw));
         }
     }
 

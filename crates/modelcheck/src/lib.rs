@@ -23,8 +23,9 @@
 //! * [`MemoConfig`] / [`SpillCodec`] — the disk tier: a bounded hot map
 //!   per shard plus append-only, checksummed segment files of compactly
 //!   encoded cold entries — keys *and* summaries, indexed in RAM only by
-//!   fixed-width hashes (module [`spill`]), so the reachable `(n, t)` is
-//!   bounded by disk, not RAM;
+//!   fixed-width hashes, written and read back a block at a time
+//!   (module [`spill`]), so the reachable `(n, t)` is bounded by disk,
+//!   not RAM;
 //! * one run spine — every engine opens a run the same way (deadline
 //!   clock, fingerprint, cache seed, checkpoint resume, all-or-nothing
 //!   memo), differs only in the *work* that fills the memo, and finishes

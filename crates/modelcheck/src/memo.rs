@@ -33,8 +33,14 @@
 //! ([`crate::spill::SegmentStore`]) whose records hold the **full key
 //! bytes and summary**, addressed by the in-memory hash index.  A lookup
 //! that misses the hot tier probes the index by hash, rehydrates each
-//! candidate record, and accepts it only if the stored key bytes equal
-//! the probe exactly.
+//! candidate record — borrowed from the store's write-behind tail or
+//! from one of its cached blocks of the segment file, checked against
+//! its length prefix and CRC, decompressed into a store-owned buffer —
+//! and accepts it only if the stored key bytes equal the probe exactly.
+//! Whole-memo visits ([`ShardedMemo::for_each`], the exports) take each
+//! shard's hot entries first and then its spilled records in file
+//! order, never in the index's hash order, so they read every block
+//! once.
 //!
 //! Storing the key as its canonical bytes is also what makes segment
 //! files cheap to move: a record is `[u32 key_len][key bytes][summary]`,
@@ -323,11 +329,22 @@ impl<O> Bucket<O> {
     }
 }
 
+/// A shard's hot tier: buckets by precomputed key hash.
+type HotTable<O> = HashMap<u64, Bucket<O>, PassThroughState>;
+
+/// A spilled record passed its CRC yet is not a `(key, summary)` entry.
+fn undecodable_entry(spill_ref: &crate::spill::SpillRef) -> SpillError {
+    SpillError::corrupt(format!(
+        "undecodable entry record at segment {} offset {}",
+        spill_ref.segment, spill_ref.offset
+    ))
+}
+
 /// One memo shard.  Both tables are keyed by the precomputed 64-bit key
 /// hash behind a pass-through hasher; 64-bit collisions chain inside
 /// the bucket and are resolved by comparing full key bytes.
 struct Shard<O> {
-    hot: HashMap<u64, Bucket<O>, PassThroughState>,
+    hot: HotTable<O>,
     /// Entries across all hot buckets (`hot.len()` counts buckets).
     hot_len: usize,
     /// Clock order over the hot entries; front = eviction hand.
@@ -355,26 +372,11 @@ where
     }
 
     /// The hot entry for `key`, if resident: one u64 bucket probe plus a
-    /// byte comparison per collision-chained candidate.
-    fn hot_get(&self, hash: u64, key: &[u8]) -> Option<&HotEntry<O>> {
-        self.hot
-            .get(&hash)?
-            .as_slice()
-            .iter()
-            .find(|e| &*e.key == key)
-    }
-
-    /// Reads and decodes one spilled record.  An associated fn over the
-    /// destructured store (not `&mut self`) so `for_each`/`find_map` can
-    /// call it while iterating the index.
-    fn read_record(
-        store: &mut Option<SegmentStore>,
-        spill_ref: &crate::spill::SpillRef,
-    ) -> Result<Vec<u8>, SpillError> {
-        store
-            .as_mut()
-            .expect("spill index entries require a segment store")
-            .read(spill_ref)
+    /// byte comparison per collision-chained candidate.  An associated
+    /// fn over the table (not `&self`) so the spilled-record scans can
+    /// ask while they hold the store.
+    fn hot_get<'a>(hot: &'a HotTable<O>, hash: u64, key: &[u8]) -> Option<&'a HotEntry<O>> {
+        hot.get(&hash)?.as_slice().iter().find(|e| &*e.key == key)
     }
 
     /// Finds `key`'s spilled record, if any: probes the hashed index and
@@ -383,20 +385,21 @@ where
     /// the result back to the hot tier via [`Self::admit`].
     fn rehydrate(&mut self, hash: u64, key: &[u8]) -> Result<Rehydrated<O>, SpillError> {
         // Destructure so the index borrow and the store's mutable borrow
-        // are disjoint — this is the cold-tier hot path, no allocation.
+        // are disjoint — this is the cold-tier hot path: the payload is
+        // lent from the store's buffers, nothing is allocated until a
+        // candidate's summary is decoded.
         let Shard { index, store, .. } = self;
         let slots = match index.get(&hash) {
             Some(slots) => slots,
             None => return Ok(None),
         };
+        let store = store
+            .as_mut()
+            .expect("spill index entries require a segment store");
         for slot in slots {
-            let payload = Self::read_record(store, &slot.spill_ref)?;
-            let (stored_key, summary) = split_entry::<O>(&payload).ok_or_else(|| {
-                SpillError::corrupt(format!(
-                    "undecodable entry record at segment {} offset {}",
-                    slot.spill_ref.segment, slot.spill_ref.offset
-                ))
-            })?;
+            let payload = store.read(&slot.spill_ref)?;
+            let (stored_key, summary) =
+                split_entry::<O>(payload).ok_or_else(|| undecodable_entry(&slot.spill_ref))?;
             if stored_key == key {
                 return Ok(Some((Arc::new(summary), slot.fresh)));
             }
@@ -580,7 +583,7 @@ where
         let lock = &self.shards[self.shard_of(hash)];
         {
             let shard = lock.read().expect("memo shard poisoned");
-            if let Some(entry) = shard.hot_get(hash, key) {
+            if let Some(entry) = Shard::hot_get(&shard.hot, hash, key) {
                 entry.referenced.store(true, Ordering::Relaxed);
                 return Ok(Some(Arc::clone(&entry.summary)));
             }
@@ -590,7 +593,7 @@ where
             return Ok(None);
         }
         let mut shard = lock.write().expect("memo shard poisoned");
-        if let Some(entry) = shard.hot_get(hash, key) {
+        if let Some(entry) = Shard::hot_get(&shard.hot, hash, key) {
             // A racing walker promoted it between our locks.
             entry.referenced.store(true, Ordering::Relaxed);
             return Ok(Some(Arc::clone(&entry.summary)));
@@ -633,7 +636,7 @@ where
     ) -> Result<Arc<Summary<O>>, SpillError> {
         let lock = &self.shards[self.shard_of(hash)];
         let mut shard = lock.write().expect("memo shard poisoned");
-        if let Some(entry) = shard.hot_get(hash, key) {
+        if let Some(entry) = Shard::hot_get(&shard.hot, hash, key) {
             entry.referenced.store(true, Ordering::Relaxed);
             return Ok(Arc::clone(&entry.summary));
         }
@@ -687,8 +690,9 @@ where
         self.approx_bytes.load(Ordering::Relaxed)
     }
 
-    /// Visits every memoized entry as `(key bytes, summary)`, rehydrating
-    /// spilled ones (single-threaded, post-exploration).
+    /// Visits every memoized entry as `(key bytes, summary)` — each
+    /// shard's hot entries first, then its spilled-only records in file
+    /// order (single-threaded, post-exploration).
     pub(crate) fn for_each(
         &self,
         mut f: impl FnMut(&[u8], &Arc<Summary<O>>),
@@ -716,28 +720,21 @@ where
                     }
                 }
             }
-            let Shard {
-                hot, index, store, ..
-            } = &mut *shard;
-            for (hash, slots) in index.iter() {
-                for slot in slots {
-                    let payload = Shard::<O>::read_record(store, &slot.spill_ref)?;
-                    let (key, summary) = split_entry::<O>(&payload).ok_or_else(|| {
-                        SpillError::corrupt(format!(
-                            "undecodable entry record at segment {} offset {}",
-                            slot.spill_ref.segment, slot.spill_ref.offset
-                        ))
-                    })?;
-                    let resident = hot
-                        .get(hash)
-                        .is_some_and(|b| b.as_slice().iter().any(|e| &*e.key == key));
-                    if resident {
-                        continue; // already visited via the hot tier
-                    }
-                    if let Some(found) = f(key, &Arc::new(summary)) {
-                        return Ok(Some(found));
-                    }
+            let Shard { hot, store, .. } = &mut *shard;
+            let Some(store) = store else { continue };
+            let mut found = None;
+            // The store is walked front to back rather than through the
+            // index: hash order would scatter the reads over its blocks.
+            store.scan(|spill_ref, payload| {
+                let (key, summary) =
+                    split_entry::<O>(payload).ok_or_else(|| undecodable_entry(&spill_ref))?;
+                if Shard::hot_get(hot, stable_hash64(key), key).is_none() {
+                    found = f(key, &Arc::new(summary));
                 }
+                Ok(found.is_none())
+            })?;
+            if found.is_some() {
+                return Ok(found);
             }
         }
         Ok(None)
@@ -785,35 +782,37 @@ where
             let Shard {
                 hot, index, store, ..
             } = &mut *shard;
-            for (hash, slots) in index.iter() {
-                for slot in slots {
-                    if only_fresh && !slot.fresh {
-                        continue;
+            let Some(store) = store else { continue };
+            store.scan(|spill_ref, payload| {
+                let mut input = payload;
+                let key =
+                    split_key_prefix(&mut input).ok_or_else(|| undecodable_entry(&spill_ref))?;
+                let hash = stable_hash64(key);
+                if only_fresh {
+                    // Freshness lives in the index slot that addresses
+                    // this very record.
+                    let slot = index
+                        .get(&hash)
+                        .and_then(|slots| slots.iter().find(|slot| slot.spill_ref == spill_ref))
+                        .ok_or_else(|| {
+                            SpillError::corrupt(format!(
+                                "the record at segment {} offset {} is not in the spill index",
+                                spill_ref.segment, spill_ref.offset
+                            ))
+                        })?;
+                    if !slot.fresh {
+                        return Ok(true);
                     }
-                    // Entries both hot and spilled were exported above;
-                    // the record's key-byte prefix detects them without
-                    // decoding the summary — and the record ships
-                    // verbatim, no re-encode.
-                    let payload = store
-                        .as_mut()
-                        .expect("spill index entries require a segment store")
-                        .read(&slot.spill_ref)?;
-                    let mut input = payload.as_slice();
-                    let key = split_key_prefix(&mut input).ok_or_else(|| {
-                        SpillError::corrupt(format!(
-                            "undecodable key at segment {} offset {}",
-                            slot.spill_ref.segment, slot.spill_ref.offset
-                        ))
-                    })?;
-                    let resident = hot
-                        .get(hash)
-                        .is_some_and(|b| b.as_slice().iter().any(|e| &*e.key == key));
-                    if resident {
-                        continue;
-                    }
-                    writer.append(&payload)?;
                 }
-            }
+                // Entries both hot and spilled were exported above; the
+                // record's key-byte prefix detects them without decoding
+                // the summary — and the record ships verbatim, no
+                // re-encode.
+                if Shard::hot_get(hot, hash, key).is_none() {
+                    writer.append(payload)?;
+                }
+                Ok(true)
+            })?;
         }
         writer.finish()
     }
@@ -861,7 +860,7 @@ where
         let mut reader = SegmentReader::open(path)?;
         let mut records = 0u64;
         while let Some(payload) = reader.next_record()? {
-            let (key, summary) = split_entry::<O>(&payload).ok_or_else(|| {
+            let (key, summary) = split_entry::<O>(payload).ok_or_else(|| {
                 SpillError::corrupt(format!(
                     "{}: undecodable entry in record {records}",
                     path.display()
@@ -968,16 +967,25 @@ mod tests {
         assert_eq!(memo.len(), 200, "gets never mint distinct states");
     }
 
+    /// The index `key_for` built `key` from, checked against it.
+    fn index_of(key: &[u8]) -> u64 {
+        let i = u64::from_le_bytes(key[9..17].try_into().expect("key_for's index field"));
+        assert_eq!(key_for(i), key, "known key bytes");
+        i
+    }
+
     /// Satellite regression: concurrent rehydrate/promote/evict races at
     /// a tiny hot capacity.  Many threads hammer overlapping key ranges
     /// with interleaved gets and inserts; every observed summary must be
     /// the key's canonical one, and the distinct count must equal the
-    /// key-set cardinality exactly.
+    /// key-set cardinality exactly.  With two hot entries and a thousand
+    /// keys, each shard's records fill several tail flushes and blocks,
+    /// and the scans below walk all of them.
     #[test]
     fn eviction_races_preserve_memo_contents() {
-        const KEYS: u64 = 64;
+        const KEYS: u64 = 1024;
         const THREADS: u64 = 8;
-        const ROUNDS: u64 = 6;
+        const ROUNDS: u64 = 3;
         let memo: ShardedMemo<u64> = ShardedMemo::new(2, &MemoConfig::spill(2)).unwrap();
         std::thread::scope(|scope| {
             for tid in 0..THREADS {
@@ -1005,9 +1013,7 @@ mod tests {
         // Every key is present exactly once with its canonical summary.
         let mut seen = vec![0usize; KEYS as usize];
         memo.for_each(|key, summary| {
-            let i = (0..KEYS)
-                .find(|i| key_for(*i) == key)
-                .expect("known key bytes");
+            let i = index_of(key);
             seen[i as usize] += 1;
             assert_eq!(**summary, summary_for(i), "for_each({i})");
         })
@@ -1016,6 +1022,21 @@ mod tests {
             seen.iter().all(|&c| c == 1),
             "each key visited once: {seen:?}"
         );
+        // `find_map` walks the same order and stops at its first `Some`.
+        for wanted in [0, KEYS / 2, KEYS - 1] {
+            let found = memo
+                .find_map(|key, summary| (index_of(key) == wanted).then(|| Arc::clone(summary)))
+                .unwrap()
+                .expect("every key is memoized");
+            assert_eq!(*found, summary_for(wanted), "find_map({wanted})");
+        }
+        let mut visits = 0;
+        let first = memo.find_map(|key, _| {
+            visits += 1;
+            Some(index_of(key))
+        });
+        assert!(first.unwrap().is_some());
+        assert_eq!(visits, 1, "the first `Some` ends the scan");
     }
 
     #[test]
@@ -1027,6 +1048,17 @@ mod tests {
         for i in 0..100u64 {
             insert(&source, i);
         }
+        // One hot entry a shard, so 96 of the 100 are spilled-only: the
+        // census and the export both meet each key once.
+        let mut seen = [0usize; 100];
+        source
+            .for_each(|key, summary| {
+                let i = index_of(key);
+                seen[i as usize] += 1;
+                assert_eq!(**summary, summary_for(i), "for_each({i})");
+            })
+            .unwrap();
+        assert_eq!(seen, [1; 100], "each key visited once");
         assert_eq!(source.export_to(&path).unwrap(), 100);
 
         // Destination: all-RAM with a different shard count.

@@ -27,12 +27,17 @@
 //!   requirement once files travel between processes.  Three access
 //!   paths:
 //!   [`SegmentStore`] (one memo shard's append-only spill storage,
-//!   random-access by [`SpillRef`], rotated every [`SEGMENT_BYTES`]),
+//!   random-access by [`SpillRef`], rotated every [`SEGMENT_BYTES`]; it
+//!   moves bytes in blocks, not records — appends gather in a
+//!   write-behind tail, reads go through a few cached blocks of the
+//!   file, and a scan walks the segments front to back — while every
+//!   record read is still checked against its length prefix and CRC),
 //!   [`SegmentWriter`] (builds one export file, patching the true record
 //!   count into the header on [`finish`](SegmentWriter::finish) so an
 //!   unfinished file is distinguishable from a complete one), and
 //!   [`SegmentReader`] (sequential scan of an export file, validating
-//!   header, CRCs, and record count).
+//!   header, CRCs, and record count, lending each record from its own
+//!   buffers).
 //!
 //! Spill segment files live in a [`SpillDir`]: a unique per-exploration
 //! subdirectory of either a caller-chosen root or the system temp dir,
@@ -42,8 +47,9 @@
 //! operating-system failures, [`SpillError::Foreign`] for files that are
 //! not segment files this build can read (bad magic, unsupported
 //! version, header cut short), and [`SpillError::Corrupt`] for segment
-//! files damaged after the header (CRC mismatch, truncated record,
-//! record-count mismatch, undecodable payload).
+//! files damaged after the header (CRC mismatch, truncated record —
+//! under a reader or behind a live store alike — record-count mismatch,
+//! undecodable payload).
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
@@ -162,11 +168,15 @@ impl std::fmt::Display for SpillError {
 impl std::error::Error for SpillError {}
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3), table-driven, no dependencies
+// CRC32 (IEEE 802.3), slicing-by-8, no dependencies
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, which lets
+/// [`crc32`] fold eight input bytes per step with eight independent
+/// lookups instead of eight dependent ones.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -179,17 +189,40 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let shorter = tables[t - 1][i];
+            tables[t][i] = tables[0][(shorter & 0xFF) as usize] ^ (shorter >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// IEEE CRC32 of `bytes` — the per-record checksum of segment files.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes(chunk[..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(chunk[4..].try_into().expect("4 bytes"));
+        c = CRC_TABLES[7][(lo & 0xFF) as usize]
+            ^ CRC_TABLES[6][(lo >> 8 & 0xFF) as usize]
+            ^ CRC_TABLES[5][(lo >> 16 & 0xFF) as usize]
+            ^ CRC_TABLES[4][(lo >> 24) as usize]
+            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+            ^ CRC_TABLES[2][(hi >> 8 & 0xFF) as usize]
+            ^ CRC_TABLES[1][(hi >> 16 & 0xFF) as usize]
+            ^ CRC_TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -345,19 +378,15 @@ fn parse_header(h: &[u8], path: &Path) -> Result<(u64, u8), SpillError> {
     Ok((count, flags))
 }
 
-/// Unpacks one stored record payload: decompresses when the owning
-/// file's header says so (classifying failures as corruption — the CRC
-/// already passed, so undecompressable bytes mean the file was written
-/// wrong, not damaged in flight), or returns the raw bytes as-is.
-fn unpack_payload(
-    payload: Vec<u8>,
-    compressed: bool,
+/// Decompresses one stored record payload into `raw`.  The CRC already
+/// passed, so undecompressable bytes mean the file was written wrong,
+/// not damaged in flight: corruption, named by `context`.
+fn decompress_record(
+    stored: &[u8],
+    raw: &mut Vec<u8>,
     context: impl Fn() -> String,
-) -> Result<Vec<u8>, SpillError> {
-    if !compressed {
-        return Ok(payload);
-    }
-    twostep_model::codec::decompress(&payload, MAX_RAW_RECORD)
+) -> Result<(), SpillError> {
+    twostep_model::codec::decompress_into(stored, MAX_RAW_RECORD, raw)
         .ok_or_else(|| SpillError::corrupt(format!("{}: undecompressable record", context())))
 }
 
@@ -374,17 +403,91 @@ pub(crate) struct SpillRef {
     pub(crate) len: u32,
 }
 
+/// Framed bytes a store gathers in memory before writing them to the
+/// last segment in one piece.  Tail and block sizes come from a sweep
+/// (CHANGES.md, PR 19) whose timings could not tell 4 KiB blocks from
+/// 64 KiB ones: these are the smallest that keep an (8,7) walk at 2 % hot
+/// under 6 000 segment reads and 250 writes — a 64-shard memo holds a
+/// tail and up to [`CACHED_BLOCKS`] blocks per shard.
+const TAIL_BYTES: usize = 16 * 1024;
+
+/// Size of one cached block of a segment file.
+const BLOCK_BYTES: usize = 16 * 1024;
+
+/// Blocks a store caches, the least recently used replaced first.
+const CACHED_BLOCKS: usize = 4;
+
+/// One segment file of a store and how many of its bytes have been
+/// written (the store's own count: nothing else appends to the file).
+struct Segment {
+    file: File,
+    len: u64,
+}
+
+/// A cached, block-aligned stretch of one segment file.
+struct Block {
+    segment: u32,
+    /// File offset of `bytes[0]`, a multiple of the block size.
+    start: u64,
+    /// Valid bytes: short of the block size when the segment ended
+    /// inside the block at the time it was read.
+    len: usize,
+    /// [`SegmentStore::clock`] at the last use (LRU order).
+    used: u64,
+    bytes: Box<[u8]>,
+}
+
 /// One shard's append-only spill storage: checksummed records in a chain
 /// of segment files (`shard<S>-seg<K>.spill`), rotated every
 /// [`SEGMENT_BYTES`].  All access is serialized by the owning shard's
-/// lock, so a plain `File` per segment (shared cursor, explicit seeks)
-/// suffices.
+/// lock.  Bytes move between memory and the files in blocks, not
+/// records:
+///
+/// * **Write-behind tail.**  [`append`](Self::append) frames a record
+///   into an in-memory tail of the last segment; the tail reaches the
+///   file in one seek + one write when the next record would take it
+///   past [`TAIL_BYTES`], before the store rotates to a new segment and
+///   before a [`scan`](Self::scan).  A [`SpillRef`] past the segment's
+///   written length is read from the tail.  An I/O error at a flush
+///   surfaces from the `append` or `scan` that triggered it and — like
+///   every spill error — ends the exploration; the tail keeps its bytes,
+///   so the store stays consistent for whoever still holds it.  Dropping
+///   the store discards the tail: spill segments are private to the run
+///   and deleted with its [`SpillDir`], nothing ever re-opens them.
+/// * **Block-cached reads.**  [`read`](Self::read) finds a written
+///   record in one of [`CACHED_BLOCKS`] cached [`BLOCK_BYTES`] blocks
+///   (one seek + one read on a miss; a block cached while the segment
+///   was shorter is re-read when a record runs past its valid length),
+///   or, when the record straddles a block boundary, reads exactly its
+///   frame.  Siblings are evicted next to each other and probed in row
+///   order, so most rehydrates land in a cached block.
+/// * **File-order scans.**  [`scan`](Self::scan) walks every segment
+///   front to back through the same block reads — frames are
+///   self-delimiting after the header.
+///
+/// Every read, whichever way its bytes came, checks the length prefix
+/// against the [`SpillRef`], the CRC against the stored bytes, and that
+/// they decompress; a segment that ends inside a record (truncated
+/// behind the store) is [`SpillError::Corrupt`], like a truncated export
+/// under [`SegmentReader`].  Tail and blocks are allocated on first use:
+/// a shard that never spills, or never rehydrates, pays nothing.
 pub(crate) struct SegmentStore {
     dir: PathBuf,
     shard: usize,
-    segments: Vec<File>,
-    /// Bytes written to the last segment (`0` when no segment is open).
-    tail_len: u64,
+    tail_bytes: usize,
+    block_bytes: usize,
+    segment_bytes: u64,
+    segments: Vec<Segment>,
+    /// Whole frames (and a new segment's header) appended to the last
+    /// segment but not yet written: file bytes `[len, len + tail.len())`.
+    tail: Vec<u8>,
+    blocks: Vec<Block>,
+    /// Counts block uses; stamps [`Block::used`].
+    clock: u64,
+    /// The frame `fetch` last made addressable.
+    frame: Vec<u8>,
+    /// The decompressed payload `read` lends out.
+    raw: Vec<u8>,
     /// Reusable compressor + output buffer: eviction appends are the
     /// spill tier's hot path, so compressing a record must not allocate.
     compressor: twostep_model::codec::Compressor,
@@ -395,70 +498,183 @@ impl SegmentStore {
     /// An empty store writing `shard<shard>-seg*.spill` under `dir`.
     /// Segment files are created lazily on first append.
     pub(crate) fn new(dir: &Path, shard: usize) -> Self {
+        Self::with_sizes(dir, shard, TAIL_BYTES, BLOCK_BYTES, SEGMENT_BYTES)
+    }
+
+    /// [`Self::new`] with explicit sizes — tests shrink them to a few
+    /// hundred bytes so rotation and every block edge are exercised.
+    fn with_sizes(
+        dir: &Path,
+        shard: usize,
+        tail_bytes: usize,
+        block_bytes: usize,
+        segment_bytes: u64,
+    ) -> Self {
         SegmentStore {
             dir: dir.to_path_buf(),
             shard,
+            tail_bytes,
+            block_bytes,
+            segment_bytes,
             segments: Vec::new(),
-            tail_len: 0,
+            tail: Vec::new(),
+            blocks: Vec::new(),
+            clock: 0,
+            frame: Vec::new(),
+            raw: Vec::new(),
             compressor: twostep_model::codec::Compressor::new(),
             packed: Vec::new(),
         }
     }
 
+    /// Writes the tail to the last segment: one seek (reads share the
+    /// handle's cursor), one write.
+    fn flush(&mut self) -> Result<(), SpillError> {
+        if self.tail.is_empty() {
+            return Ok(());
+        }
+        let last = self
+            .segments
+            .last_mut()
+            .expect("a non-empty tail belongs to an open segment");
+        last.file
+            .seek(SeekFrom::Start(last.len))
+            .map_err(|e| SpillError::io("seeking segment tail", e))?;
+        last.file
+            .write_all(&self.tail)
+            .map_err(|e| SpillError::io("writing segment tail", e))?;
+        last.len += self.tail.len() as u64;
+        self.tail.clear();
+        Ok(())
+    }
+
     fn open_segment(&mut self) -> Result<(), SpillError> {
+        self.flush()?;
         let path = self.dir.join(format!(
             "shard{}-seg{}.spill",
             self.shard,
             self.segments.len()
         ));
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create_new(true)
             .read(true)
             .write(true)
             .open(&path)
             .map_err(|e| SpillError::io(&format!("creating segment {}", path.display()), e))?;
-        // Streaming segments never learn their final record count; they
-        // are indexed in memory, not scanned.
-        file.write_all(&header_bytes(STREAMING_COUNT, FLAG_COMPRESSED))
-            .map_err(|e| SpillError::io("writing segment header", e))?;
-        self.segments.push(file);
-        self.tail_len = HEADER_LEN;
+        self.segments.push(Segment { file, len: 0 });
+        // Streaming segments never learn their final record count.  The
+        // header travels with the first flush.
+        self.tail.reserve_exact(self.tail_bytes);
+        self.tail
+            .extend_from_slice(&header_bytes(STREAMING_COUNT, FLAG_COMPRESSED));
         Ok(())
     }
 
     /// Compresses and appends one `[u32 len][u32 crc][payload]` record,
     /// returning its address (`len` is the *stored*, compressed length).
     pub(crate) fn append(&mut self, payload: &[u8]) -> Result<SpillRef, SpillError> {
-        if self.segments.is_empty() || self.tail_len >= SEGMENT_BYTES {
-            self.open_segment()?;
-        }
         self.compressor.compress_into(payload, &mut self.packed);
+        let position = self.segments.last().map_or(0, |last| last.len) + self.tail.len() as u64;
+        if self.segments.is_empty() || position >= self.segment_bytes {
+            self.open_segment()?;
+        } else if self.tail.len() + 8 + self.packed.len() > self.tail_bytes {
+            self.flush()?;
+        }
         let segment = self.segments.len() - 1;
-        let offset = self.tail_len;
-        let file = &mut self.segments[segment];
-        // Reads share this handle's cursor, so position explicitly.
-        file.seek(SeekFrom::Start(offset))
-            .map_err(|e| SpillError::io("seeking segment tail", e))?;
-        write_framed_record(file, &self.packed)?;
-        self.tail_len = offset + 8 + self.packed.len() as u64;
+        let at = self.tail.len();
+        if let Err(e) = write_framed_record(&mut self.tail, &self.packed) {
+            // A torn frame must not stay: refs and scans assume the tail
+            // holds whole frames.
+            self.tail.truncate(at);
+            return Err(e);
+        }
         Ok(SpillRef {
             segment: segment as u32,
-            offset,
+            offset: self.segments[segment].len + at as u64,
             len: self.packed.len() as u32,
         })
     }
 
-    /// Reads the record at `r`, verifying its length prefix and CRC.
-    pub(crate) fn read(&mut self, r: &SpillRef) -> Result<Vec<u8>, SpillError> {
-        let file = self
+    /// Copies bytes `[offset, offset + n)` of `segment` into
+    /// `self.frame`: from the tail, from a cached block (read first on a
+    /// miss), or — across a block boundary — straight from the file.
+    fn fetch(&mut self, segment: u32, offset: u64, n: usize) -> Result<(), SpillError> {
+        let cut_short = || {
+            SpillError::corrupt(format!(
+                "segment {segment} ends inside the record at offset {offset}"
+            ))
+        };
+        let is_last = segment as usize + 1 == self.segments.len();
+        let seg = self
             .segments
-            .get_mut(r.segment as usize)
-            .ok_or_else(|| SpillError::corrupt(format!("segment {} does not exist", r.segment)))?;
-        file.seek(SeekFrom::Start(r.offset))
-            .map_err(|e| SpillError::io("seeking record", e))?;
-        let mut prefix = [0u8; 8];
-        file.read_exact(&mut prefix)
-            .map_err(|e| SpillError::io("reading record prefix", e))?;
+            .get_mut(segment as usize)
+            .ok_or_else(|| SpillError::corrupt(format!("segment {segment} does not exist")))?;
+        let end = offset + n as u64;
+        self.frame.clear();
+        if end > seg.len {
+            // Only the last segment's tail holds bytes its file does
+            // not, and no frame spans the two.
+            if !is_last || offset < seg.len {
+                return Err(cut_short());
+            }
+            let (at, to) = ((offset - seg.len) as usize, (end - seg.len) as usize);
+            let bytes = self.tail.get(at..to).ok_or_else(cut_short)?;
+            self.frame.extend_from_slice(bytes);
+            return Ok(());
+        }
+        let block_bytes = self.block_bytes as u64;
+        let start = offset - offset % block_bytes;
+        if end > start + block_bytes {
+            self.frame.resize(n, 0);
+            if read_at(&mut seg.file, offset, &mut self.frame)? < n {
+                return Err(cut_short());
+            }
+            return Ok(());
+        }
+        let cached = (self.blocks.iter()).position(|b| b.segment == segment && b.start == start);
+        let slot = match cached {
+            Some(slot) => slot,
+            None => {
+                if self.blocks.len() < CACHED_BLOCKS {
+                    self.blocks.push(Block {
+                        segment,
+                        start,
+                        len: 0,
+                        used: 0,
+                        bytes: vec![0; self.block_bytes].into_boxed_slice(),
+                    });
+                }
+                // A block just pushed was never used: it is the minimum.
+                let (slot, block) = (self.blocks.iter_mut().enumerate())
+                    .min_by_key(|(_, b)| b.used)
+                    .expect("the cache holds at least one block");
+                (block.segment, block.start, block.len) = (segment, start, 0);
+                slot
+            }
+        };
+        let block = &mut self.blocks[slot];
+        self.clock += 1;
+        block.used = self.clock;
+        let (at, needed) = ((offset - start) as usize, (end - start) as usize);
+        if block.len < needed {
+            // Never read, or read while the segment was shorter.
+            let want = (seg.len - start).min(block_bytes) as usize;
+            block.len = 0; // a failed read leaves no byte of it valid
+            block.len = read_at(&mut seg.file, start, &mut block.bytes[..want])?;
+            if block.len < needed {
+                return Err(cut_short());
+            }
+        }
+        self.frame.extend_from_slice(&block.bytes[at..needed]);
+        Ok(())
+    }
+
+    /// Lends the payload of the record at `r` — valid until the next
+    /// call on the store — having verified its length prefix, its CRC
+    /// and that it decompresses.
+    pub(crate) fn read(&mut self, r: &SpillRef) -> Result<&[u8], SpillError> {
+        self.fetch(r.segment, r.offset, 8 + r.len as usize)?;
+        let (prefix, stored) = self.frame.split_at(8);
         let stored_len = u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes"));
         let stored_crc = u32::from_le_bytes(prefix[4..].try_into().expect("4 bytes"));
         if stored_len != r.len {
@@ -467,19 +683,71 @@ impl SegmentStore {
                 r.segment, r.offset, r.len
             )));
         }
-        let mut payload = vec![0u8; r.len as usize];
-        file.read_exact(&mut payload)
-            .map_err(|e| SpillError::io("reading record payload", e))?;
-        if crc32(&payload) != stored_crc {
+        if crc32(stored) != stored_crc {
             return Err(SpillError::corrupt(format!(
                 "CRC mismatch at segment {} offset {}",
                 r.segment, r.offset
             )));
         }
-        unpack_payload(payload, true, || {
+        decompress_record(stored, &mut self.raw, || {
             format!("segment {} offset {}", r.segment, r.offset)
-        })
+        })?;
+        Ok(&self.raw)
     }
+
+    /// Visits every record in `(segment, offset)` order — the order they
+    /// were appended in — with the [`SpillRef`] `append` returned for it,
+    /// verified as by [`read`](Self::read), until `visit` returns `false`.
+    pub(crate) fn scan(
+        &mut self,
+        mut visit: impl FnMut(SpillRef, &[u8]) -> Result<bool, SpillError>,
+    ) -> Result<(), SpillError> {
+        self.flush()?;
+        for segment in 0..self.segments.len() {
+            let (segment, end) = (segment as u32, self.segments[segment].len);
+            let mut offset = HEADER_LEN;
+            while offset < end {
+                // The length prefix is not checksummed: bound it by what
+                // the segment holds before the payload is touched.
+                self.fetch(segment, offset, 4)?;
+                let len = u32::from_le_bytes(self.frame[..].try_into().expect("4 bytes"));
+                let left = end - offset;
+                if 8 + u64::from(len) > left {
+                    return Err(SpillError::corrupt(format!(
+                        "segment {segment}: the record at offset {offset} claims {len} bytes \
+                         but only {left} remain in the segment"
+                    )));
+                }
+                let r = SpillRef {
+                    segment,
+                    offset,
+                    len,
+                };
+                if !visit(r, self.read(&r)?)? {
+                    return Ok(());
+                }
+                offset += 8 + len as u64;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Reads `file` from `offset` until `buf` is full or the file ends —
+/// one seek and, short reads aside, one read; returns the bytes read.
+fn read_at(file: &mut File, offset: u64, buf: &mut [u8]) -> Result<usize, SpillError> {
+    file.seek(SeekFrom::Start(offset))
+        .map_err(|e| SpillError::io("seeking segment", e))?;
+    let mut filled = 0;
+    while filled < buf.len() {
+        match file.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(SpillError::io("reading segment", e)),
+        }
+    }
+    Ok(filled)
 }
 
 // ---------------------------------------------------------------------------
@@ -593,6 +861,11 @@ pub(crate) struct SegmentReader {
     /// payload buffer is allocated (a corrupted prefix must surface as
     /// `Corrupt`, never as a multi-gigabyte allocation).
     remaining: u64,
+    /// The current record's stored bytes and, under the compression
+    /// flag, its decompressed payload: [`Self::next_record`] lends one
+    /// of the two, so a scan allocates per file, not per record.
+    stored: Vec<u8>,
+    raw: Vec<u8>,
 }
 
 impl SegmentReader {
@@ -658,13 +931,16 @@ impl SegmentReader {
                 seen: 0,
                 compressed: flags & FLAG_COMPRESSED != 0,
                 remaining: file_len.saturating_sub(HEADER_LEN),
+                stored: Vec::new(),
+                raw: Vec::new(),
             },
             flags,
         ))
     }
 
-    /// The next record's payload, or `None` at a clean end of file.
-    pub(crate) fn next_record(&mut self) -> Result<Option<Vec<u8>>, SpillError> {
+    /// The next record's payload — valid until the next call — or `None`
+    /// at a clean end of file.
+    pub(crate) fn next_record(&mut self) -> Result<Option<&[u8]>, SpillError> {
         let mut prefix = [0u8; 8];
         let mut filled = 0;
         while filled < prefix.len() {
@@ -708,24 +984,29 @@ impl SegmentReader {
             )));
         }
         self.remaining -= len as u64;
-        let mut payload = vec![0u8; len];
-        self.reader.read_exact(&mut payload).map_err(|e| {
+        self.stored.resize(len, 0);
+        self.reader.read_exact(&mut self.stored).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 SpillError::corrupt(format!("{}: truncated record payload", self.path.display()))
             } else {
                 SpillError::io("reading record payload", e)
             }
         })?;
-        if crc32(&payload) != stored_crc {
+        if crc32(&self.stored) != stored_crc {
             return Err(SpillError::corrupt(format!(
                 "{}: CRC mismatch in record {}",
                 self.path.display(),
                 self.seen
             )));
         }
-        let payload = unpack_payload(payload, self.compressed, || {
-            format!("{} record {}", self.path.display(), self.seen)
-        })?;
+        let payload = if self.compressed {
+            decompress_record(&self.stored, &mut self.raw, || {
+                format!("{} record {}", self.path.display(), self.seen)
+            })?;
+            &self.raw
+        } else {
+            &self.stored
+        };
         self.seen += 1;
         Ok(Some(payload))
     }
@@ -811,7 +1092,7 @@ pub(crate) fn read_frontier_segment(path: &Path) -> Result<Vec<(u64, Vec<u32>)>,
     let mut reader = SegmentReader::open_frontier(path)?;
     let mut roots = Vec::new();
     while let Some(payload) = reader.next_record()? {
-        roots.push(decode_frontier_record(&payload, path)?);
+        roots.push(decode_frontier_record(payload, path)?);
     }
     Ok(roots)
 }
@@ -819,6 +1100,7 @@ pub(crate) fn read_frontier_segment(path: &Path) -> Result<Vec<(u64, Vec<u32>)>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use twostep_model::WideValue;
 
     fn roundtrip<T: SpillCodec + PartialEq + std::fmt::Debug>(value: T) {
@@ -850,6 +1132,31 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The byte-at-a-time table loop `crc32` replaced: its reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest! {
+        /// Slicing-by-8 computes the same function, whatever the length
+        /// leaves for its bytewise remainder: every length 0..=64 in
+        /// every case, plus the generated length.
+        #[test]
+        fn crc32_matches_the_bytewise_reference(
+            bytes in prop::collection::vec(any::<u8>(), 64..=300),
+        ) {
+            for len in 0..=64 {
+                let prefix = &bytes[..len];
+                prop_assert_eq!(crc32(prefix), crc32_bytewise(prefix), "length {}", len);
+            }
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
+    }
+
     #[test]
     fn summary_record_roundtrips() {
         let summary = Summary {
@@ -867,38 +1174,280 @@ mod tests {
         assert!(decode_summary::<WideValue>(&buf).is_none());
     }
 
+    /// A store whose tail, blocks and segments are a few frames long.
+    fn tiny_store(dir: &SpillDir, shard: usize) -> SegmentStore {
+        SegmentStore::with_sizes(dir.path(), shard, 96, 64, 400)
+    }
+
+    fn segment_len(dir: &SpillDir, shard: usize, segment: u32) -> u64 {
+        let path = dir.path().join(format!("shard{shard}-seg{segment}.spill"));
+        std::fs::metadata(path).unwrap().len()
+    }
+
+    /// Forty bytes the compressor cannot shrink, distinct per `i`.
+    fn noise(i: u8) -> Vec<u8> {
+        (0..40u8).map(|k| k.wrapping_mul(37) ^ i).collect()
+    }
+
+    /// Everything `scan` visits, in order.
+    fn scanned(store: &mut SegmentStore) -> Vec<(SpillRef, Vec<u8>)> {
+        let mut seen = Vec::new();
+        store
+            .scan(|r, payload| {
+                seen.push((r, payload.to_vec()));
+                Ok(true)
+            })
+            .unwrap();
+        seen
+    }
+
     #[test]
     fn segment_store_append_and_read() {
         let dir = SpillDir::create(None).unwrap();
-        let mut store = SegmentStore::new(dir.path(), 3);
-        let refs: Vec<SpillRef> = (0..50u8)
-            .map(|i| store.append(&vec![i; i as usize + 1]).unwrap())
-            .collect();
-        // Read back in a scrambled order; every record must be intact.
-        for (i, r) in refs.iter().enumerate().rev() {
-            let payload = store.read(r).unwrap();
-            assert_eq!(payload, vec![i as u8; i + 1]);
+        // The shipped sizes (all fifty records stay in the tail) and tiny
+        // ones (flushes, block edges and rotation among them).
+        for (shard, mut store) in [SegmentStore::new(dir.path(), 0), tiny_store(&dir, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let refs: Vec<SpillRef> = (0..50u8)
+                .map(|i| store.append(&vec![i; i as usize + 1]).unwrap())
+                .collect();
+            // Read back in a scrambled order; every record must be intact.
+            for (i, r) in refs.iter().enumerate().rev() {
+                let payload = store.read(r).unwrap();
+                assert_eq!(payload, vec![i as u8; i + 1]);
+            }
+            assert_eq!(refs[0].segment, 0);
+            assert_eq!(refs[0].offset, HEADER_LEN, "records start after the header");
+            let rotated = refs.last().unwrap().segment > 0;
+            assert_eq!(rotated, shard == 1, "only the tiny store rotates");
         }
-        assert_eq!(refs[0].segment, 0);
-        assert_eq!(refs[0].offset, HEADER_LEN, "records start after the header");
+    }
+
+    #[test]
+    fn segment_store_reads_a_block_cached_short_and_since_extended() {
+        let dir = SpillDir::create(None).unwrap();
+        let mut store = SegmentStore::with_sizes(dir.path(), 0, 1024, 256, 1 << 20);
+        let first = store.append(b"first").unwrap();
+        // A scan flushes; the read then caches block 0 as long as the
+        // file is: header + one frame.
+        assert_eq!(scanned(&mut store), [(first, b"first".to_vec())]);
+        assert_eq!(store.read(&first).unwrap(), b"first");
+        let second = store.append(b"second").unwrap();
+        assert_eq!(store.read(&second).unwrap(), b"second", "from the tail");
+        assert_eq!(segment_len(&dir, 0, 0), second.offset, "still unwritten");
+        store.scan(|_, _| Ok(false)).unwrap();
+        assert!(
+            second.offset + 8 + u64::from(second.len) <= 256,
+            "same block"
+        );
+        assert_eq!(
+            store.read(&second).unwrap(),
+            b"second",
+            "from the re-read block"
+        );
+        assert_eq!(store.read(&first).unwrap(), b"first");
     }
 
     #[test]
     fn segment_store_detects_bit_rot() {
         let dir = SpillDir::create(None).unwrap();
-        let mut store = SegmentStore::new(dir.path(), 0);
-        let r = store.append(b"precious bytes").unwrap();
-        // Flip one payload byte behind the store's back.
+        let mut store = SegmentStore::with_sizes(dir.path(), 0, 64, 64, 1 << 20);
+        let flushed = store.append(b"precious bytes").unwrap();
+        let in_tail = store.append(b"more precious bytes").unwrap();
+        assert_eq!(
+            segment_len(&dir, 0, 0),
+            in_tail.offset,
+            "one record written"
+        );
+        // Flip one payload byte of the written record behind the store's
+        // back, and ruin where the unwritten one will go.
         let path = dir.path().join("shard0-seg0.spill");
         let mut bytes = std::fs::read(&path).unwrap();
-        let idx = (r.offset + 8) as usize + 3;
+        let idx = (flushed.offset + 8) as usize + 3;
         bytes[idx] ^= 0x40;
+        bytes.extend_from_slice(&[0xFF; 64]);
         std::fs::write(&path, &bytes).unwrap();
-        let err = store.read(&r).unwrap_err();
+        let err = store.read(&flushed).unwrap_err();
         assert!(
             matches!(err, SpillError::Corrupt { .. }),
             "bit rot must surface as Corrupt, got {err:?}"
         );
+        // File damage cannot reach a record the file does not hold yet.
+        assert_eq!(store.read(&in_tail).unwrap(), b"more precious bytes");
+    }
+
+    #[test]
+    fn truncation_behind_the_store_is_corrupt() {
+        let dir = SpillDir::create(None).unwrap();
+        // 64-byte blocks: the 40-byte records sit inside one block or
+        // straddle two, and both read paths must classify a cut alike.
+        let mut store = SegmentStore::with_sizes(dir.path(), 0, 64, 64, 1 << 20);
+        let refs: Vec<SpillRef> = (0..8).map(|i| store.append(&noise(i)).unwrap()).collect();
+        assert_eq!(scanned(&mut store).len(), 8, "flushed, and intact so far");
+        let file = OpenOptions::new()
+            .write(true)
+            .open(dir.path().join("shard0-seg0.spill"))
+            .unwrap();
+        for (i, r) in refs.iter().enumerate().rev() {
+            // Cut the segment a few bytes into record `i`.  A cached
+            // block rightly outlives the bytes under it, so forget them.
+            file.set_len(r.offset + 11).unwrap();
+            store.blocks.clear();
+            for cut in &refs[i..] {
+                match store.read(cut).unwrap_err() {
+                    SpillError::Corrupt { detail } => {
+                        assert!(detail.contains("ends inside the record"), "{detail}")
+                    }
+                    other => panic!("expected Corrupt, got {other:?}"),
+                }
+            }
+            for (k, whole) in refs[..i].iter().enumerate() {
+                assert_eq!(store.read(whole).unwrap(), noise(k as u8));
+            }
+            let mut visited = 0;
+            let err = store
+                .scan(|_, _| {
+                    visited += 1;
+                    Ok(true)
+                })
+                .unwrap_err();
+            assert!(matches!(err, SpillError::Corrupt { .. }), "{err:?}");
+            assert_eq!(visited, i, "the scan yields what precedes the cut");
+        }
+    }
+
+    #[test]
+    fn scan_bounds_a_length_prefix_before_touching_the_payload() {
+        let dir = SpillDir::create(None).unwrap();
+        let mut store = tiny_store(&dir, 0);
+        // Incompressible 40-byte payloads: two frames overflow the
+        // 96-byte tail, so the first two records are written — and
+        // nothing is cached, no read having happened yet.
+        let refs: Vec<SpillRef> = (0..3).map(|i| store.append(&noise(i)).unwrap()).collect();
+        assert_eq!(segment_len(&dir, 0, 0), refs[2].offset);
+        // The length prefix is not checksummed: a flipped high byte
+        // claims ~4 GiB, which the segment's own length refutes.
+        let path = dir.path().join("shard0-seg0.spill");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[refs[1].offset as usize + 3] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut visited = Vec::new();
+        let err = store
+            .scan(|r, _| {
+                visited.push(r);
+                Ok(true)
+            })
+            .unwrap_err();
+        match &err {
+            SpillError::Corrupt { detail } => assert!(detail.contains("claims"), "{detail}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(visited, refs[..1]);
+        assert!(
+            store.frame.capacity() < 1 << 20,
+            "nothing sized by the claim"
+        );
+    }
+
+    #[test]
+    fn injected_write_fault_fails_the_append_it_names() {
+        use crate::faults::{install_io_fault, IoFault};
+        for fault in [
+            IoFault::FailWrite(3),
+            IoFault::TornWrite(3),
+            IoFault::Enospc(3),
+        ] {
+            let dir = SpillDir::create(None).unwrap();
+            let mut store = tiny_store(&dir, 0);
+            let guard = install_io_fault(fault);
+            // Write ordinals count records, not flushes: the third
+            // append fails, wherever its bytes would have gone.
+            let mut kept = Vec::new();
+            for i in 0..6u8 {
+                match store.append(&[i; 30]) {
+                    Ok(r) => kept.push((r, vec![i; 30])),
+                    Err(err) => {
+                        assert_eq!(i, 2, "{fault:?} fired on the wrong append: {err:?}");
+                        assert!(matches!(err, SpillError::Io { .. }), "{err:?}");
+                    }
+                }
+            }
+            drop(guard);
+            assert_eq!(kept.len(), 5, "{fault:?}");
+            // Nothing of the failed frame stayed behind.
+            assert_eq!(scanned(&mut store), kept, "{fault:?}");
+        }
+    }
+
+    /// One step of the model test below.
+    #[derive(Clone, Debug)]
+    enum StoreOp {
+        Append(Vec<u8>),
+        /// Read the record appended `n`-th, modulo how many there are.
+        Read(usize),
+        /// Scan, stopping after this many records.
+        Scan(usize),
+    }
+
+    fn store_op() -> impl Strategy<Value = StoreOp> {
+        prop_oneof![
+            // Incompressible and repetitive payloads, empty to longer
+            // than a block.
+            prop::collection::vec(any::<u8>(), 0..=90).prop_map(StoreOp::Append),
+            (any::<u8>(), 0usize..=200).prop_map(|(b, n)| StoreOp::Append(vec![b; n])),
+            any::<usize>().prop_map(StoreOp::Read),
+            any::<usize>().prop_map(StoreOp::Read),
+            (1usize..=40).prop_map(StoreOp::Scan),
+        ]
+    }
+
+    proptest! {
+        /// The store against a `Vec` of what was appended, with sizes
+        /// small enough that a few dozen operations put records in the
+        /// tail, in cached blocks, in blocks cached short and since
+        /// extended, across block boundaries and in rotated segments.
+        #[test]
+        fn segment_store_matches_a_model_at_block_edges(
+            tail_bytes in 24usize..=200,
+            block_bytes in 8usize..=128,
+            segment_bytes in 60u64..=600,
+            ops in prop::collection::vec(store_op(), 1..=80),
+        ) {
+            let dir = SpillDir::create(None).unwrap();
+            let mut store =
+                SegmentStore::with_sizes(dir.path(), 0, tail_bytes, block_bytes, segment_bytes);
+            let mut model: Vec<(SpillRef, Vec<u8>)> = Vec::new();
+            for op in ops {
+                match op {
+                    StoreOp::Append(payload) => {
+                        let r = store.append(&payload).unwrap();
+                        if let Some((last, _)) = model.last() {
+                            prop_assert!(
+                                (last.segment, last.offset) < (r.segment, r.offset),
+                                "refs grow: {:?} then {:?}", last, r
+                            );
+                        }
+                        model.push((r, payload));
+                    }
+                    StoreOp::Read(_) if model.is_empty() => {}
+                    StoreOp::Read(n) => {
+                        let (r, payload) = &model[n % model.len()];
+                        prop_assert_eq!(store.read(r).unwrap(), &payload[..], "{:?}", r);
+                    }
+                    StoreOp::Scan(limit) => {
+                        let mut seen = Vec::new();
+                        store.scan(|r, payload| {
+                            seen.push((r, payload.to_vec()));
+                            Ok(seen.len() < limit)
+                        }).unwrap();
+                        prop_assert_eq!(&seen[..], &model[..limit.min(model.len())]);
+                    }
+                }
+            }
+            prop_assert_eq!(scanned(&mut store), model);
+        }
     }
 
     #[test]
