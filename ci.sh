@@ -12,7 +12,7 @@
 #   TWOSTEP_BENCH_N/T     (n, t) for the explorer bench (raise toward (7, 6)
 #                         as runners allow)
 #   TWOSTEP_DONATE_DEPTH  donation cutoff for the bench's "donate" row
-#   TWOSTEP_BENCH_SKIP_GATE=1  skip the serial states/sec regression gate
+#   TWOSTEP_BENCH_SKIP_GATE=1  skip the same-run wall-clock ratio gates
 #                         (escape hatch for slow or heavily shared runners)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -34,30 +34,11 @@ echo "== cargo fmt --check"
 cargo fmt --all --check
 
 echo "== explorer bench (quick) -> BENCH_explorer.json (+ BENCH_history.jsonl)"
-# The perf gate below compares the fresh serial states/sec against the
-# **committed** baseline (git HEAD, not the working tree — the bench
-# overwrites the working-tree file, so reading it back would silently
-# rebaseline every rerun onto the previous local result).  Fall back to
-# the working-tree copy only when git can't produce one (shallow tools,
-# first commit).
-baseline_json="$(git show HEAD:BENCH_explorer.json 2>/dev/null || true)"
-if [[ -z "$baseline_json" && -f BENCH_explorer.json ]]; then
-    baseline_json="$(cat BENCH_explorer.json)"
-fi
-baseline_serial=""
-baseline_n=""
-baseline_t=""
-baseline_file_present=0
-baseline_symmetry=""
-baseline_symmetry_raw=""
-if [[ -n "$baseline_json" ]]; then
-    baseline_file_present=1
-    baseline_serial="$(sed -n 's/.*"engine": "serial".*"states_per_sec": \([0-9.]*\).*/\1/p' <<<"$baseline_json" | head -1)"
-    baseline_symmetry="$(sed -n 's/.*"engine": "symmetry".*"states_per_sec": \([0-9.]*\).*/\1/p' <<<"$baseline_json" | head -1)"
-    baseline_symmetry_raw="$(sed -n 's/.*"engine": "symmetry".*"raw_states_per_sec": \([0-9.]*\).*/\1/p' <<<"$baseline_json" | head -1)"
-    baseline_n="$(sed -n 's/^  "n": \([0-9]*\),$/\1/p' <<<"$baseline_json")"
-    baseline_t="$(sed -n 's/^  "t": \([0-9]*\),$/\1/p' <<<"$baseline_json")"
-fi
+# Every perf gate below is a same-run ratio: both rows come from this one
+# bench invocation.  Nothing is compared with the committed
+# BENCH_explorer.json — on 7 ms (6,5) rows a cross-commit floor sits
+# inside the run-to-run noise of an unchanged build (ROADMAP 2(a));
+# speed across commits is held by the repo benchmark's alternating pairs.
 commit_sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 cargo run --release -q -p twostep-bench --bin explorer_bench -- --quick \
     --history BENCH_history.jsonl --commit "$commit_sha"
@@ -76,43 +57,19 @@ grep '"verdicts_identical": true' BENCH_explorer.json >/dev/null \
     || { echo "FAIL: symmetry row lost its verdict-equality witness" >&2; exit 1; }
 sed -n 's/.*"symmetry": {\("mode[^}]*\)}.*/symmetry OK: \1/p' BENCH_explorer.json
 
-echo "== perf smoke-gate (serial states/sec vs committed baseline)"
-new_serial="$(sed -n 's/.*"engine": "serial".*"states_per_sec": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
-new_n="$(sed -n 's/^  "n": \([0-9]*\),$/\1/p' BENCH_explorer.json)"
-new_t="$(sed -n 's/^  "t": \([0-9]*\),$/\1/p' BENCH_explorer.json)"
-if [[ "${TWOSTEP_BENCH_SKIP_GATE:-0}" == "1" ]]; then
-    echo "perf gate skipped (TWOSTEP_BENCH_SKIP_GATE=1): serial=$new_serial states/sec"
-elif [[ "$baseline_file_present" == "0" ]]; then
-    echo "perf gate: no committed baseline to compare against (first run); serial=$new_serial states/sec"
-elif [[ -z "$baseline_serial" || -z "$new_serial" ]]; then
-    # A baseline file that exists but cannot be parsed must fail, not
-    # silently disarm the gate forever after a format change.
-    echo "FAIL: perf gate could not parse a serial states/sec value" >&2
-    echo "      (baseline='$baseline_serial', current='$new_serial') — update the sed extraction in ci.sh alongside the bench JSON format." >&2
-    exit 1
-elif [[ "$baseline_n" != "$new_n" || "$baseline_t" != "$new_t" ]]; then
-    echo "perf gate: baseline is ($baseline_n, $baseline_t), this run is ($new_n, $new_t) — not comparable; serial=$new_serial states/sec"
-else
-    awk -v new="$new_serial" -v base="$baseline_serial" 'BEGIN {
-        floor = 0.7 * base;
-        if (new < floor) {
-            printf "FAIL: serial throughput regressed >30%%: %.1f states/sec vs committed baseline %.1f (floor %.1f).\n", new, base, floor;
-            printf "      Investigate before committing, or rerun with TWOSTEP_BENCH_SKIP_GATE=1 on a known-slow runner.\n";
-            exit 1;
-        }
-        printf "perf gate OK: %.1f states/sec vs baseline %.1f (floor %.1f)\n", new, base, floor;
-    }' >&2 || exit 1
-fi
-
 echo "== perf gate (stepped driver within 10% of the owned-loop serial walk, same run)"
 # Both rows come from the same bench invocation (same machine state,
 # best-of-N), so this is a same-run overhead bound on the frame-stepped
 # core — per step() call (a run of repeated rows and the step that ends
 # it) one headroom computation and one arbiter inspection, with every
 # budget limit armed — not a cross-commit trend gate.
+new_serial="$(sed -n 's/.*"engine": "serial".*"states_per_sec": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
 new_stepped="$(sed -n 's/.*"engine": "stepped".*"states_per_sec": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
-if [[ -z "$new_stepped" ]]; then
-    echo "FAIL: BENCH_explorer.json is missing the stepped row" >&2
+if [[ -z "$new_serial" || -z "$new_stepped" ]]; then
+    # Rows that cannot be parsed must fail, not silently disarm the gate
+    # after a format change.
+    echo "FAIL: stepped gate could not parse states/sec (serial='$new_serial', stepped='$new_stepped')" >&2
+    echo "      — update the sed extraction in ci.sh alongside the bench JSON format." >&2
     exit 1
 elif [[ "${TWOSTEP_BENCH_SKIP_GATE:-0}" == "1" ]]; then
     echo "stepped gate skipped (TWOSTEP_BENCH_SKIP_GATE=1): stepped=$new_stepped states/sec"
@@ -124,36 +81,6 @@ else
             exit 1;
         }
         printf "stepped gate OK: %.1f states/sec vs serial %.1f (floor %.1f)\n", stepped, serial, floor;
-    }' >&2 || exit 1
-fi
-
-echo "== perf smoke-gate (symmetry raw states/sec vs committed baseline)"
-# Orbit-count throughput is only comparable between runs at the *same*
-# canonicalization strength, and the strength has been deepened across
-# releases (full -> partial+value).  The trend gate therefore compares
-# the raw-equivalent figure — raw states stood in for per second —
-# which is mode-independent; it is armed only once a committed baseline
-# carries `raw_states_per_sec` (older baselines predate the field, and
-# their orbit figure is not comparable).
-new_symmetry="$(sed -n 's/.*"engine": "symmetry".*"states_per_sec": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
-new_symmetry_raw="$(sed -n 's/.*"engine": "symmetry".*"raw_states_per_sec": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
-if [[ "${TWOSTEP_BENCH_SKIP_GATE:-0}" == "1" ]]; then
-    echo "symmetry gate skipped (TWOSTEP_BENCH_SKIP_GATE=1): symmetry=$new_symmetry_raw raw states/sec"
-elif [[ -z "$new_symmetry_raw" ]]; then
-    echo "FAIL: BENCH_explorer.json symmetry row is missing raw_states_per_sec" >&2
-    exit 1
-elif [[ -z "$baseline_symmetry_raw" ]]; then
-    echo "symmetry gate: committed baseline has no raw_states_per_sec yet (pre-partial format); symmetry=$new_symmetry_raw raw states/sec"
-elif [[ "$baseline_n" != "$new_n" || "$baseline_t" != "$new_t" ]]; then
-    echo "symmetry gate: baseline is ($baseline_n, $baseline_t), this run is ($new_n, $new_t) — not comparable"
-else
-    awk -v new="$new_symmetry_raw" -v base="$baseline_symmetry_raw" 'BEGIN {
-        floor = 0.7 * base;
-        if (new < floor) {
-            printf "FAIL: symmetry raw-equivalent throughput regressed >30%%: %.1f raw states/sec vs committed baseline %.1f (floor %.1f).\n", new, base, floor;
-            exit 1;
-        }
-        printf "symmetry gate OK: %.1f raw states/sec vs baseline %.1f (floor %.1f)\n", new, base, floor;
     }' >&2 || exit 1
 fi
 
@@ -187,45 +114,6 @@ else
             exit 1;
         }
         printf "symmetry wall-clock gate OK: %.6f s vs same-run serial %.6f s (ceiling %.6f s)\n", sym, serial, ceiling;
-    }' >&2 || exit 1
-fi
-
-echo "== perf gate (elastic steal engine vs the committed partitioned row)"
-# The steal row is the elastic engine with its lazy default policy: on
-# the sub-second pinned system it never offloads, so its states/sec is
-# the cost of elasticity when idle.  The floor is the *committed*
-# partitioned row — elastic-when-idle must never be slower than the
-# static fan-out it replaces, or the "costs nothing until needed" pitch
-# is broken.
-new_steal="$(sed -n 's/.*"engine": "steal".*"states_per_sec": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
-baseline_partitioned=""
-if [[ -n "$baseline_json" ]]; then
-    baseline_partitioned="$(sed -n 's/.*"engine": "partitioned".*"states_per_sec": \([0-9.]*\).*/\1/p' <<<"$baseline_json" | head -1)"
-fi
-if [[ -z "$new_steal" ]]; then
-    echo "FAIL: BENCH_explorer.json is missing the steal row" >&2
-    exit 1
-elif [[ "${TWOSTEP_BENCH_SKIP_GATE:-0}" == "1" ]]; then
-    echo "steal gate skipped (TWOSTEP_BENCH_SKIP_GATE=1): steal=$new_steal states/sec"
-elif [[ "$baseline_file_present" == "0" ]]; then
-    echo "steal gate: no committed baseline to compare against (first run); steal=$new_steal states/sec"
-elif [[ -z "$baseline_partitioned" ]]; then
-    # The committed baseline has carried a partitioned row for several
-    # releases; failing to parse one means the JSON format changed and
-    # the gate must not silently disarm.
-    echo "FAIL: steal gate could not parse the committed partitioned states/sec" >&2
-    echo "      — update the sed extraction in ci.sh alongside the bench JSON format." >&2
-    exit 1
-elif [[ "$baseline_n" != "$new_n" || "$baseline_t" != "$new_t" ]]; then
-    echo "steal gate: baseline is ($baseline_n, $baseline_t), this run is ($new_n, $new_t) — not comparable; steal=$new_steal states/sec"
-else
-    awk -v steal="$new_steal" -v part="$baseline_partitioned" 'BEGIN {
-        if (steal < part) {
-            printf "FAIL: elastic steal engine is slower than the committed static partitioned row: %.1f vs %.1f states/sec.\n", steal, part;
-            printf "      Idle elasticity must beat the fan-out it replaces — investigate before committing.\n";
-            exit 1;
-        }
-        printf "steal gate OK: %.1f states/sec vs committed partitioned %.1f\n", steal, part;
     }' >&2 || exit 1
 fi
 

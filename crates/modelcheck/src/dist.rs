@@ -27,11 +27,16 @@
 //!   root locally first and offloads only once the run outlives its
 //!   [`StealConfig`]; a scheduler then re-balances by preempting loaded
 //!   workers and re-splitting the frontiers they hand back.  The two
-//!   schedulers stay separate on measurement: at CRW (8,7) the elastic
-//!   one takes 2.69–4.07 s where the partitioned one takes 1.99–2.58 s
-//!   (`benchmark/results/trace-seed0.jsonl`, `dist.elastic_s` against
-//!   `dist.inproc_s`), so "partitioned = elastic with stealing off"
-//!   would be a regression.
+//!   schedulers are measured side by side, not folded into one: at CRW
+//!   (8,7) the elastic one takes 0.23–0.27 s — with its default policy
+//!   it never offloads at this size (`dist.elastic_steals` 0), so that
+//!   is the local walk plus the coordinator's fixed costs — where the
+//!   partitioned one, two in-process workers, takes 0.32–0.64 s
+//!   (`dist.elastic_s` against `dist.inproc_s`, six traced runs of the
+//!   repo benchmark at PR 21; the rows under `benchmark/results/` are
+//!   ten times older).  Neither number says what the other engine would
+//!   cost on the other's ground; ROADMAP 2(b) is where the two become
+//!   one claim loop or one of them goes.
 //!
 //! Both kinds of worker ([`run_worker`], [`run_worker_elastic`]) are one
 //! body: import the seed segments, rebuild subtree roots from the
@@ -400,53 +405,53 @@ pub struct WorkerReport {
 }
 
 /// Expands `root` to the depth-`depth` frontier: the distinct
-/// configurations reachable in exactly `depth` rounds, each paired with
-/// its partitioning hash and its action-index path, in deterministic
+/// configurations reachable in exactly `depth` rounds, each as its
+/// partitioning hash and its action-index path, in deterministic
 /// (enumeration-order, first occurrence) order.  Terminal configurations
 /// reached earlier are dropped — they are leaves the coordinator's
 /// replay evaluates itself.
+///
+/// A configuration exists here only on a level that is expanded further:
+/// the last level's are records from the moment their keys are
+/// assembled, and nothing steps them.
 fn expand_frontier<P>(
     walker: &mut Walker<'_, '_, P>,
     root: Stepper<P>,
     depth: u32,
-) -> Result<Vec<PathedRoot<P>>, ExploreError>
+) -> Result<Vec<FrontierRecord>, ExploreError>
 where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
-    // Each level carries the partitioning hash alongside the stepper —
-    // computed once per configuration, when it enters the dedup set.
-    // The hash is the memo's own stable key-byte hash — canonicalized
-    // under the run's symmetry plan, exactly as the walkers key their
-    // memo lookups (`Walker::canonical_key` keeps every engine on the
-    // one key path) — so every process running the same build partitions
-    // identically, and pid-permuted frontier variants collapse onto one
-    // owner instead of being walked by several.
-    let (root_hash, _) = walker.canonical_key(&root);
-    let mut level: Vec<PathedRoot<P>> = vec![PathedRoot {
-        hash: root_hash,
-        path: Vec::new(),
-        stepper: root,
-    }];
-    for _ in 0..depth {
+    // The partitioning hash is the memo's own stable key-byte hash —
+    // canonicalized under the run's symmetry plan, exactly as the walkers
+    // key their memo lookups (`Walker::canonical_key` and
+    // `Walker::cursor_key` keep every engine on the one key path) — so
+    // every process running the same build partitions identically, and
+    // pid-permuted frontier variants collapse onto one owner instead of
+    // being walked by several.
+    if depth == 0 {
+        return Ok(vec![(walker.canonical_key(&root).0, Vec::new())]);
+    }
+    let mut level: Vec<(Vec<u32>, Stepper<P>)> = vec![(Vec::new(), root)];
+    let mut records = Vec::new();
+    for deeper in (0..depth).rev() {
         let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        let mut next: Vec<PathedRoot<P>> = Vec::new();
+        let mut next = Vec::new();
         let mut actions = RoundActions::new();
-        for parent in level {
-            if walker.is_terminal(&parent.stepper) {
+        for (path, parent) in &level {
+            if walker.is_terminal(parent) {
                 continue;
             }
-            let mut round = walker
-                .open_round(&parent.stepper)
-                .map_err(ExploreError::Engine)?;
+            let mut round = walker.open_round(parent).map_err(ExploreError::Engine)?;
             // Key first, like the walk itself.  A row whose successor
             // class the round has met is a repeated key: class numbers
             // are handed out in first-occurrence order, so dropping it
             // leaves that order untouched.  The first row of a class has
-            // the plan's key assembled from its records, and only a key
-            // the level has not seen is stepped into existence.  (A round
-            // the engine does not tabulate keys no row: every child is
-            // stepped, then keyed.)
+            // the plan's key assembled from its records, and a key the
+            // level has not seen is stepped into existence only where the
+            // next level opens its round.  (A round the engine does not
+            // tabulate keys no row: every child is stepped, then keyed.)
             let mut met = 0;
             for idx in 0..round.len() {
                 let assembled = match round.classify(idx) {
@@ -460,26 +465,40 @@ where
                 if assembled.is_some() && seen.contains(walker.key_bytes()) {
                     continue;
                 }
-                round.actions_into(idx, &mut actions);
-                let mut child = parent.stepper.clone();
-                child.step(&actions).map_err(ExploreError::Engine)?;
-                debug_assert!(assembled.is_none_or(|hash| walker.canonical_key(&child).0 == hash));
-                let hash = assembled.unwrap_or_else(|| walker.canonical_key(&child).0);
+                let mut stepped = || {
+                    round.actions_into(idx, &mut actions);
+                    let mut child = parent.clone();
+                    child.step(&actions).map_err(ExploreError::Engine)?;
+                    Ok::<_, ExploreError>(child)
+                };
+                debug_assert!(
+                    assembled
+                        .is_none_or(|hash| stepped()
+                            .is_ok_and(|child| walker.canonical_key(&child).0 == hash)),
+                    "assembled frontier hash differs from the stepped child's"
+                );
+                let (hash, child) = match assembled {
+                    Some(hash) if deeper == 0 => (hash, None),
+                    Some(hash) => (hash, Some(stepped()?)),
+                    None => {
+                        let child = stepped()?;
+                        (walker.canonical_key(&child).0, Some(child))
+                    }
+                };
                 if seen.insert(walker.key_bytes().to_vec()) {
-                    let mut path = parent.path.clone();
+                    let mut path = path.clone();
                     path.push(idx as u32);
-                    next.push(PathedRoot {
-                        hash,
-                        path,
-                        stepper: child,
-                    });
+                    match child {
+                        Some(child) if deeper > 0 => next.push((path, child)),
+                        _ => records.push((hash, path)),
+                    }
                 }
             }
             walker.close_round(round);
         }
         level = next;
     }
-    Ok(level)
+    Ok(records)
 }
 
 /// A frontier record in wire form: the subtree root's canonical-key
@@ -891,11 +910,8 @@ where
     // the worker phase: if a partition exhausts its retry budget, the
     // coordinator rebuilds that slice from them and walks it locally.
     let frontier_start = Instant::now();
-    let frontier_records: Vec<FrontierRecord> =
-        expand_frontier(&mut Walker::new(shared), run.root.clone(), options.depth)?
-            .into_iter()
-            .map(|r| (r.hash, r.path))
-            .collect();
+    let frontier_records =
+        expand_frontier(&mut Walker::new(shared), run.root.clone(), options.depth)?;
     let frontier_path = scratch.path().join("frontier.seg");
     write_frontier_segment(&frontier_path, &frontier_records)?;
     timings.frontier_seconds = frontier_start.elapsed().as_secs_f64();
@@ -1245,7 +1261,11 @@ where
     // walk, which is what lets elastic distribution win the quick bench
     // instead of taxing it.
     let frontier_start = Instant::now();
-    let roots = expand_frontier(&mut Walker::new(shared), run.root.clone(), 0)?;
+    let roots = vec![PathedRoot {
+        hash: Walker::new(shared).canonical_key(&run.root).0,
+        path: Vec::new(),
+        stepper: run.root.clone(),
+    }];
     timings.frontier_seconds = frontier_start.elapsed().as_secs_f64();
 
     // Local-first: walk in this very process and only consider
@@ -1556,4 +1576,85 @@ where
     };
     explore_elastic_timed(system, config, options, initial, proposals, launch)
         .map(|(report, ..)| report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::explorer::Symmetry;
+    use twostep_core::crw_processes;
+    use twostep_model::WideValue;
+
+    /// The expansion [`expand_frontier`] is measured against: every child
+    /// of every level forked and stepped, then keyed as a configuration
+    /// that exists, first occurrence kept.  Nothing of the rounds' records
+    /// or class tables is asked.
+    fn stepped_frontier<P>(
+        walker: &mut Walker<'_, '_, P>,
+        root: Stepper<P>,
+        depth: u32,
+    ) -> Vec<FrontierRecord>
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let mut level = vec![(walker.canonical_key(&root).0, Vec::new(), root)];
+        for _ in 0..depth {
+            let mut seen = HashSet::new();
+            let mut next = Vec::new();
+            let mut actions = RoundActions::new();
+            for (_, path, parent) in &level {
+                if walker.is_terminal(parent) {
+                    continue;
+                }
+                let round = walker.open_round(parent).unwrap();
+                for idx in 0..round.len() {
+                    round.actions_into(idx, &mut actions);
+                    let mut child = parent.clone();
+                    child.step(&actions).unwrap();
+                    let (hash, _) = walker.canonical_key(&child);
+                    if seen.insert(walker.key_bytes().to_vec()) {
+                        let path = path.iter().copied().chain([idx as u32]).collect();
+                        next.push((hash, path, child));
+                    }
+                }
+                walker.close_round(round);
+            }
+            level = next;
+        }
+        let records = level.into_iter().map(|(hash, path, _)| (hash, path));
+        records.collect()
+    }
+
+    /// The frontier records — hashes, paths, first-occurrence order — are
+    /// those of the stepped expansion at every depth the coordinators use,
+    /// with symmetry off, on the settled tier and under `partial+value`:
+    /// a last level that steps nothing partitions and rebuilds as before.
+    #[test]
+    fn the_frontier_is_the_stepped_expansions() {
+        let system = SystemConfig::new(5, 4).unwrap();
+        let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
+        let procs = crw_processes(&system, &bits);
+        for symmetry in [Symmetry::Off, Symmetry::Full, Symmetry::PartialValue] {
+            let config = ExploreConfig {
+                symmetry,
+                ..ExploreConfig::for_crw(&system)
+            };
+            let options = ExploreOptions::serial();
+            let shared = Shared::new(system, config, &options, &bits, procs.clone()).unwrap();
+            let root = Stepper::new(system, config.model, TraceLevel::Off, procs.clone()).unwrap();
+            let mut sizes = Vec::new();
+            for depth in 0..=2 {
+                let walker = &mut Walker::new(&shared);
+                let records = expand_frontier(walker, root.clone(), depth).unwrap();
+                let reference = stepped_frontier(walker, root.clone(), depth);
+                assert_eq!(records, reference, "{symmetry:?} at depth {depth}");
+                sizes.push(records.len());
+            }
+            assert!(
+                sizes[0] == 1 && sizes[1] > 20 && sizes[2] > sizes[1],
+                "{symmetry:?}: frontiers of {sizes:?} records"
+            );
+        }
+    }
 }

@@ -99,8 +99,9 @@
 //!
 //! Everything every engine does funnels through one loop — key a child
 //! configuration, probe the memo, and only for a child nothing answers
-//! for fork it, step it one round and enter it — so that loop is
-//! engineered to allocate nothing and hash once in steady state:
+//! for settle it from its records if it is terminal, or fork it, step it
+//! one round and expand it — so that loop is engineered to allocate
+//! nothing and hash once in steady state:
 //!
 //! * **canonical byte keys** — entering a configuration encodes it once
 //!   into a walker-local scratch buffer (`make_key_into`: round,
@@ -120,8 +121,8 @@
 //!   touches an atomic clock bit; write locks are for misses with a
 //!   disk tier and for inserts ([`crate::memo`]);
 //! * **clone-free successors** — a child that has to exist (a memo
-//!   miss, see *Key-first successor generation* below) costs no
-//!   allocation either: per-process snapshots live behind
+//!   miss that expands, see *Key-first successor generation* below)
+//!   costs no allocation either: per-process snapshots live behind
 //!   `Arc`s ([`twostep_sim::Stepper`] copy-on-write), child steppers
 //!   are recycled through a walker pool and re-forked in place
 //!   (`Stepper::fork_from` reuses every buffer), round scratch (send
@@ -135,7 +136,10 @@
 //!   send-phase copy, the record arena, the (slot, outcome), class and
 //!   orbit tables, the one buffer a row is materialized into when the
 //!   engine needs a real action vector, key buffers, and the terminal
-//!   pseudo-schedule are all recycled across configurations.
+//!   pseudo-schedule and scratch summary are all recycled across
+//!   configurations; a terminal is memoized under the one shared summary
+//!   of its outcome (`Terminals`), so a leaf allocates its memo entry
+//!   and nothing else.
 //!
 //! None of this changes a single observable bit: keys merge exactly the
 //! configurations the structured comparison merged, summaries are the
@@ -160,8 +164,11 @@
 //! the memo for every row were.  Successors are therefore generated
 //! **key first**, from a round that is kept **factored**: a child is
 //! resolved to a *successor class* by table lookups, a class's raw key
-//! is assembled without the child, and `fork` + `step` + `enter` is the
-//! path of the 1.6 % nothing answers for.
+//! is assembled without the child, and of the 1.6 % nothing answers for
+//! the terminal ones — four in five — are evaluated from the records
+//! their key was assembled from: a child is a key until something has
+//! to *run* on it, and `fork` + `step` is the path of the 0.3 % that
+//! expand.
 //!
 //! The adversary of one round is a product — every active process
 //! independently survives or crashes in one of its own outcomes (for the
@@ -185,7 +192,7 @@
 //!    row in place, from the right: the last slot that can take a
 //!    further outcome takes it, the slots after it go back to
 //!    surviving.  A `RoundActions` vector exists only where the engine
-//!    needs one — a memo miss, a donation, a harvest, a frontier or
+//!    needs one — a memo miss that expands, a donation, a frontier or
 //!    witness replay — *unranked* from the row's index into one pooled
 //!    buffer, the cursor left where it stands;
 //! 2. **record ids by (slot, outcome)** — the engine resolves each
@@ -213,7 +220,9 @@
 //!    the same bytes (a process that hears its own estimate, or dies at
 //!    the end of the round undecided whatever it heard), and only ids
 //!    that mean "equal bytes" make the next step work — without
-//!    interning half the rows repeat a class, with it 86.8 %;
+//!    interning half the rows repeat a class, with it 86.8 %.  Beside
+//!    its bytes a record keeps what they encode of the process — its
+//!    status and its decision — for step 5;
 //! 4. **the successor-class table** — the row's vector of record ids
 //!    *is* its child: equal ids are equal records process by process,
 //!    hence equal raw keys.  A frame-local open-addressed table keyed by
@@ -241,29 +250,46 @@
 //!    it skips would return.  Only the first row of an *orbit* has its
 //!    canonical key assembled — the tier encoder run over the forms each
 //!    interned record keeps of its process, see *Canonicalization hot
-//!    path* — and probed.  If nothing answers, the child is forked,
-//!    stepped and entered.  Either way its summary is absorbed into the
-//!    frame and recorded for the class and the orbit in one move, so a
-//!    class or an orbit that has a summary has been absorbed.  A row
-//!    that repeats such a class is an addition: no key is assembled,
-//!    nothing is hashed, neither the orbit table nor the memo is
-//!    touched, no summary is cloned; the first row of another class of
-//!    such an orbit is absorbed in full — only its probe is skipped.
+//!    path* — and probed.  Whatever answers, the summary is absorbed
+//!    into the frame and recorded for the class and the orbit in one
+//!    move, so a class or an orbit that has a summary has been absorbed.
+//!    A row that repeats such a class is an addition: no key is
+//!    assembled, nothing is hashed, neither the orbit table nor the memo
+//!    is touched, no summary is cloned; the first row of another class
+//!    of such an orbit is absorbed in full — only its probe is skipped;
+//! 5. **the probe's miss is the child's entry** — a child nothing
+//!    answers for is a new state, and the key its probe assembled —
+//!    bytes, hash, swap orientation — is the key it is memoized under:
+//!    nothing keys or probes it a second time.  It passes the
+//!    `max_states` test, and then its records say what it is.  If every
+//!    one of them is settled, or the child would play a round past
+//!    `max_rounds`, it is **terminal**, and a terminal evaluation reads
+//!    statuses and decisions, nothing else — which the records hold, and
+//!    which are final (a decided or crashed process has nothing more to
+//!    say): the spec check runs on them, the summary is interned among
+//!    the distinct terminal summaries of the walk and memoized, and the
+//!    frame absorbs it — one step, no [`Stepper`].  Otherwise the child
+//!    is forked, stepped and its frame pushed, under the same key.
 //!
 //! At `(8, 7)` the 2 936 634 rows fall into 387 567 classes (13.2 %), so
-//! that many keys are assembled and probed, and the other 2 549 067 rows
-//! cost a table lookup and an addition each.  Under `partial+value` the
-//! 2 420 154 rows fall into 278 081 classes, those into 72 818 orbit
-//! classes — the keys assembled and probed — and 5 786 children are
-//! forked, stepped and entered.  What the factoring deleted: the
-//! per-frame `Vec<RoundActions>` and its two pools, then the flat row
-//! array after it (4.5 MB for the `(8, 7)` root), the per-row
-//! `CrashStage::effect` / reach / round-end evaluation, the per-row
-//! view vector, and the engine's "row aimed at a decided process"
-//! escape — an index row can only name active processes.  The
-//! distributed frontier expander and the steal harvester key their
-//! children the same way and build a `Stepper` only for a first
-//! occurrence / a memo miss.
+//! that many keys are assembled and probed — 387 568 memo probes a walk,
+//! the root's included — and the other 2 549 067 rows cost a table
+//! lookup and an addition each.  Of the 47 788 children nothing answers
+//! for, 38 597 are terminal and settled from their rows, under 64
+//! distinct summaries; 9 191 are forked, stepped and expanded; the tier
+//! encoder runs on a [`Stepper`] once, for the root.  Under
+//! `partial+value` the 2 420 154 rows fall into 278 081 classes, those
+//! into 72 818 orbit classes — the keys assembled and probed — and of
+//! the 5 786 children nothing answers for 2 810 are settled from their
+//! rows and 2 976 expand.  What the factoring deleted: the per-frame
+//! `Vec<RoundActions>` and its two pools, then the flat row array after
+//! it (4.5 MB for the `(8, 7)` root), the per-row `CrashStage::effect` /
+//! reach / round-end evaluation, the per-row view vector, and the
+//! engine's "row aimed at a decided process" escape — an index row can
+//! only name active processes.  The distributed frontier expander and the steal harvester key their
+//! children the same way: the harvester builds no child at all — a
+//! probe's miss is its record — and the expander only those of a level
+//! it expands further.
 //!
 //! **Multiplicity and order are untouched.**  The class table answers
 //! *what* a child's summary is, never *whether* the row counts: every
@@ -304,15 +330,19 @@
 //! encoded it: metrics, the trace, and the round a process crashed in.
 //! The one fallback is a system wider than the views' 64-bit sender
 //! masks: the engine declines to tabulate it, nothing is classified, and
-//! every row is materialized and takes the fork + step path, as does
-//! every memo miss.  In debug builds every key assembled from records is
-//! checked against the forked + stepped child — its raw bytes against
-//! `make_key_into`, its plan key against the tier encoder run on the
-//! child, in bytes, hash and swap orientation — and every row answered
-//! from a table — a class hit, the rows inside a run included, and an
-//! orbit hit — assembles its key after all, checks it the same way, and
-//! compares the table's summary with what the skipped probe returns —
-//! so each differential suite is also a differential of this.
+//! every row is materialized, stepped and entered as a configuration
+//! that exists (key, probe, and on a miss what step 5 does from the
+//! probe's miss on, read off the `Stepper`).  In debug builds every key
+//! assembled from records is checked against the forked + stepped child
+//! — its raw bytes against `make_key_into`, its plan key against the
+//! tier encoder run on the child, in bytes, hash and swap orientation —
+//! every row answered from a table — a class hit, the rows inside a run
+//! included, and an orbit hit — assembles its key after all, checks it
+//! the same way, and compares the table's summary with what the skipped
+//! probe returns, and every child the memo does not hold is stepped
+//! after all: it must be terminal exactly if its records say so, and
+//! then stand with their statuses and decisions and evaluate to the same
+//! summary — so each differential suite is also a differential of this.
 //! Enumeration order, absorb order, the one-step-per-child
 //! accounting, the stop check and the `max_states` check are where they
 //! always were: reports are bit-identical.  One thing does move: a
@@ -443,9 +473,9 @@
 //! (`tier_key_into`), over a *source* of per-process records with two
 //! implementors.  A [`Stepper`] encodes each form from the process's
 //! state as it is asked; that is the key path of every configuration
-//! that exists — a root, a configuration being entered, a frontier or
-//! witness replay — and it runs once per configuration *entered* (5 787
-//! times at `(8, 7)` under `partial+value`).  The row an open round's
+//! that exists — a root, a donated subtree, a child of a round the
+//! engine does not tabulate, a frontier or witness replay — and a walk
+//! from one root runs it once.  The row an open round's
 //! cursor stands on is the other: when a record is interned, the round
 //! keeps beside its raw bytes what the encoder may ask of that process
 //! in the child — its in-place and its pooled (owner-stripped) bytes, in
@@ -454,9 +484,9 @@
 //! position must be asked — so the key of a child nothing has stepped
 //! is the same encoder copying those forms.  A first-of-orbit row thus
 //! costs the row's in-place flags, its orbit vector and a table lookup,
-//! then one assembly per encoding, one stable hash and one memo probe;
-//! `fork` + `step` + `enter` is left to the children nothing answers
-//! for.  A key is always encoded from scratch — its pooled records, a
+//! then one assembly per encoding, one stable hash and one memo probe —
+//! and the key stands for a child nothing answers for: it is settled or
+//! expanded under it, never keyed again.  A key is always encoded from scratch — its pooled records, a
 //! handful of short ones, sorted in full — and nothing caches keys
 //! across frames: the orbit table remembers, for the life of a frame,
 //! which children it has seen, and the memo everything else.
@@ -709,7 +739,8 @@
 //!   cooperative scheduling point — the primary driver calls
 //!   `thread::yield_now`), or [`StepVerdict::Refuse`] with the exhausted
 //!   [`BudgetKind`] (steps, wall-clock deadline, memo bytes — the
-//!   distinct-state budget keeps its historical `enter()`-site check).
+//!   distinct-state budget keeps its historical check, where a memo
+//!   miss is about to become a state).
 //!   The built-in [`BudgetArbiter`] enforces a declarative
 //!   [`WalkBudget`] ([`ExploreOptions::budget`], env-resolvable via
 //!   `TWOSTEP_MAX_STEPS` / `TWOSTEP_DEADLINE_MS`; the deadline clock
@@ -752,8 +783,8 @@ use twostep_model::{
 };
 use twostep_sim::{
     check_uniform_consensus, default_threads, run_on_workers, Decision, EnvKnob, ModelKind,
-    ProcStatus, RoundActions, RoundView, SentRound, SimError, SpecViolation, Stepper, SyncProtocol,
-    TraceLevel, WorkQueue,
+    ProcStatus, RoundActions, RoundView, SentRound, SimError, SpecReport, SpecViolation, Stepper,
+    SyncProtocol, TraceLevel, WorkQueue,
 };
 
 use crate::cache::{CacheConfig, CacheSession};
@@ -2849,9 +2880,11 @@ where
     P::Output: Hash,
 {
     shared: &'s Shared<'a, P>,
-    /// Scratch for the canonical key encoding of the configuration being
-    /// entered; swapped into the frame (and replaced from `key_pool`)
-    /// when the configuration expands.
+    /// Scratch for the canonical key last encoded — of a configuration
+    /// being entered, or assembled from a row's records by the key-first
+    /// probe.  A probe's miss leaves the child's key here: a terminal
+    /// child is memoized under it, and when a configuration expands it is
+    /// swapped into the frame (and replaced from `key_pool`).
     key_scratch: Vec<u8>,
     /// Retired frame key buffers, reused for future frames.
     key_pool: Vec<Vec<u8>>,
@@ -2866,8 +2899,9 @@ where
     /// configurations so their send-phase copy, outcome lists, odometer,
     /// record arena, (slot, outcome) and class tables are reused.
     round_pool: Vec<RoundKeys<P>>,
-    /// Reusable pseudo-schedule for terminal evaluation.
-    schedule_buf: CrashSchedule,
+    /// Terminal evaluation: its scratch, and the distinct summaries it
+    /// has produced.
+    terminals: Terminals<P::Output>,
     /// Reusable record-sorting scratch for symmetry-reduced keying
     /// (unused when [`ExploreConfig::symmetry`] is off).
     canon: Canonicalizer,
@@ -2878,7 +2912,7 @@ where
     /// configuration the tier encoder is about to run on.
     in_place_buf: Vec<bool>,
     /// Two encoded `decided` values, compared where a summary's valency
-    /// list is sorted for the memo ([`Walker::canonical_arc`]).
+    /// list is sorted for the memo ([`Walker::canonicalize`]).
     decided_bufs: (Vec<u8>, Vec<u8>),
     /// Reusable buffer of a plan's data destinations still active —
     /// deliveries to settled processes are effect-free, so the adversary
@@ -2887,6 +2921,101 @@ where
     /// Reusable buffer of the 1-based control-message counts `k` whose
     /// `k`-th receiver is still active (same effect quotient).
     live_ks_buf: Vec<usize>,
+}
+
+/// Terminal evaluation with everything it reuses.  A walk is mostly
+/// leaves — 38 597 of the 47 789 configurations of CRW `(8, 7)` — and
+/// they end in very few ways: a terminal's summary is its crash count,
+/// its last decision round, the values decided and one flag, 64 distinct
+/// ones over that whole walk.  So a terminal is evaluated into one
+/// scratch summary, rewritten in place, and memoized under the `Arc` of
+/// the first terminal that ended the same way: a repeated outcome
+/// allocates nothing, and a later memo hit on any of those leaves touches
+/// a summary that is already in cache.  The table has no capacity and no
+/// eviction — crash counts × decision rounds × valencies bound it.
+struct Terminals<O> {
+    /// Reusable pseudo-schedule: who crashed, all the spec check asks.
+    schedule: CrashSchedule,
+    /// The terminal last [`evaluate`](Self::evaluate)d: its summary and
+    /// how many of its processes crashed.
+    summary: Summary<O>,
+    crashed: usize,
+    /// The distinct summaries [`interned`](Self::interned) so far, by
+    /// crash count.
+    distinct: Vec<Vec<Arc<Summary<O>>>>,
+}
+
+impl<O: Clone + Eq + std::fmt::Debug> Terminals<O> {
+    fn new(system: SystemConfig) -> Self {
+        Terminals {
+            schedule: CrashSchedule::none(system.n()),
+            summary: Summary::empty(system.t()),
+            crashed: 0,
+            distinct: vec![Vec::new(); system.t() + 1],
+        }
+    }
+
+    /// Evaluates the terminal configuration whose processes stand with
+    /// `status` and `decisions` — of a [`Stepper`], or read off the
+    /// records of a row ([`RoundKeys::cursor_terminal`]): settled records
+    /// are final, so they are all a terminal ever was to the checker.
+    /// Leaves its real-space summary in `self.summary` and returns the
+    /// spec report behind the summary's `violating`.
+    fn evaluate(
+        &mut self,
+        config: &ExploreConfig,
+        proposals: &[O],
+        status: &[ProcStatus],
+        decisions: &[Option<Decision<O>>],
+    ) -> SpecReport<O> {
+        self.schedule.reset();
+        self.crashed = 0;
+        for (i, status) in status.iter().enumerate() {
+            if let ProcStatus::Crashed(round) = status {
+                self.crashed += 1;
+                // Stage is irrelevant to the spec check; only the correct
+                // set and rounds matter.
+                self.schedule.set(
+                    ProcessId::from_idx(i),
+                    Some(CrashPoint::new(*round, CrashStage::BeforeSend)),
+                );
+            }
+        }
+
+        let bound = config.round_bound.map(|rb| rb.bound(self.crashed));
+        let mut report = check_uniform_consensus(proposals, decisions, &self.schedule, bound);
+        if config.spec == SpecMode::NonUniform {
+            report
+                .violations
+                .retain(|v| !matches!(v, SpecViolation::UniformAgreement { .. }));
+        }
+
+        let summary = &mut self.summary;
+        summary.terminals = 1;
+        summary.worst_round_by_f.fill(None);
+        summary.worst_round_by_f[self.crashed] =
+            decisions.iter().flatten().map(|d| d.round.get()).max();
+        summary.decided.clear();
+        for d in decisions.iter().flatten() {
+            if !summary.decided.contains(&d.value) {
+                summary.decided.push(d.value.clone());
+            }
+        }
+        summary.violating = !report.ok();
+        report
+    }
+
+    /// The shared `Arc` of `self.summary` — as it stands, which is in
+    /// canonical space once the caller has taken it there.
+    fn interned(&mut self) -> Arc<Summary<O>> {
+        let met = &mut self.distinct[self.crashed];
+        if let Some(same) = met.iter().find(|same| ***same == self.summary) {
+            return Arc::clone(same);
+        }
+        let fresh = Arc::new(self.summary.clone());
+        met.push(Arc::clone(&fresh));
+        fresh
+    }
 }
 
 /// One level of the explicit DFS stack: a configuration mid-expansion.
@@ -2904,7 +3033,7 @@ where
     /// order that makes reports deterministic).
     next_action: usize,
     /// Where the child the frame is waiting for — the one it forked,
-    /// stepped and entered for `next_action - 1`, now the frame above it
+    /// stepped and expanded for `next_action - 1`, now the frame above it
     /// — will be recorded when its summary comes back.
     awaiting: Option<ChildClass>,
     acc: Summary<P::Output>,
@@ -2968,8 +3097,10 @@ where
 /// content; and the successor classes met so far.  Almost every child is
 /// a repeat of a class its frame has already absorbed, and costs a table
 /// lookup and an addition; a child that is the first of its class is
-/// keyed by `memcpy` from the records — neither ever exists as a
-/// [`Stepper`].  Under a canonicalizing plan the round also has an
+/// keyed by `memcpy` from the records, and if the memo does not hold it
+/// and its records are all settled, evaluated from what they keep of
+/// each process — none of these ever exists as a [`Stepper`].  Under a
+/// canonicalizing plan the round also has an
 /// **orbit level** ([`Orbits`]): the first row of a class is resolved to
 /// the orbit of its child before any key exists, and keyed canonically
 /// from the records if the frame has not absorbed that orbit.
@@ -2992,10 +3123,11 @@ where
     /// enumeration order — survival first, then each outcome; last slot
     /// fastest — which makes row `idx` a mixed-radix numeral in these.
     count: Vec<usize>,
-    /// The cursor: the row last classified and its index (`None` before
-    /// the first), and how many crashes that row spends.
+    /// The cursor: the row last classified, its index (`None` before
+    /// the first) and its class, and how many crashes that row spends.
     row: Vec<u16>,
     at: Option<usize>,
+    class: usize,
     spent: usize,
     /// Whether the engine tabulated the outcomes.  It declines a system
     /// wider than its view masks; no child of such a configuration is
@@ -3005,6 +3137,17 @@ where
     /// record id's range in them.
     records: Vec<u8>,
     ranges: Vec<(u32, u32)>,
+    /// Per record id, what its bytes encode of the process: its status
+    /// and decision in the child.  All a terminal evaluation reads, so a
+    /// child whose records are all settled — final, whatever follows — is
+    /// evaluated from its row and never built
+    /// ([`cursor_terminal`](Self::cursor_terminal)).
+    fates: Vec<(ProcStatus, ChildDecision<P>)>,
+    /// The cursor row's child as a terminal evaluation reads it — one
+    /// status and one decision per process — filled where the row is
+    /// found to lead to a terminal.
+    child_status: Vec<ProcStatus>,
+    child_decisions: Vec<ChildDecision<P>>,
     /// Per process: the id of its record if it was settled before the
     /// round — no row changes it — and `None` for an active process,
     /// whose record is its slot's entry in a class.
@@ -3037,6 +3180,10 @@ where
     /// raw-plan round carries an empty pointer and nothing else of it.
     orbits: Option<Box<Orbits<P>>>,
 }
+
+/// The decision one process of a configuration stands with, if it took
+/// one.
+type ChildDecision<P> = Option<Decision<<P as SyncProtocol>::Output>>;
 
 /// The **orbit level** of an open round, kept under a canonicalizing
 /// plan only.  Two things.  Per interned record, the **forms** the tier
@@ -3263,6 +3410,16 @@ where
     }
 }
 
+/// The record id of every process under a row, in process order: its
+/// `fixed` one for a process settled before the round, its slot's among
+/// the row's `ids` otherwise.
+fn row_records<'r>(fixed: &'r [Option<u32>], ids: &'r [u32]) -> impl Iterator<Item = u32> + 'r {
+    let mut slots = ids.iter();
+    (fixed.iter()).map(move |fixed| {
+        fixed.unwrap_or_else(|| *slots.next().expect("one id per active process"))
+    })
+}
+
 /// The class hash: an FNV-1a fold over a row's record ids, one id per
 /// step.
 const FOLD_START: u64 = 0xcbf2_9ce4_8422_2325;
@@ -3407,6 +3564,7 @@ where
         }
         self.records.clear();
         self.ranges.clear();
+        self.fates.clear();
         self.fixed.clear();
         if let Some(orbits) = &mut self.orbits {
             orbits.forms.clear();
@@ -3425,6 +3583,7 @@ where
                     let whole = (start, self.records.len() as u32);
                     let id = self.ranges.len() as u32;
                     self.ranges.push(whole);
+                    self.fates.push((settled.clone(), decision.clone()));
                     if let Some(orbits) = &mut self.orbits {
                         orbits.keep_settled(&mut self.records, whole, settled, decision);
                         orbits.recs[i] = id;
@@ -3491,7 +3650,7 @@ where
 
     /// Materializes row `idx` as the action vector the engine steps
     /// under — only ever setting active processes.  For the few places a
-    /// child has to exist: a memo miss, a donation, a harvest, a
+    /// child has to exist: a memo miss that expands, a donation, a
     /// frontier or witness replay.
     pub(crate) fn actions_into(&self, idx: usize, actions: &mut RoundActions) {
         actions.clear();
@@ -3560,7 +3719,8 @@ where
         }
         let slots = self.row.len();
         let from = match self.at.replace(idx) {
-            Some(at) if at == idx => slots,
+            // A row's class stands: the table only ever gains classes.
+            Some(at) if at == idx => return Some(self.class),
             Some(at) if at + 1 == idx => self.advance(),
             _ => {
                 let mut row = std::mem::take(&mut self.row);
@@ -3585,7 +3745,8 @@ where
             self.ids[slot] = id;
             self.folds[slot + 1] = fold_id(self.folds[slot], id);
         }
-        Some(self.classes.class_of(&self.ids, self.folds[slots]))
+        self.class = self.classes.class_of(&self.ids, self.folds[slots]);
+        Some(self.class)
     }
 
     /// Settles `slot`'s process under a view met for the first time and
@@ -3608,6 +3769,8 @@ where
             None => {
                 let whole = (start as u32, self.records.len() as u32);
                 self.ranges.push(whole);
+                self.fates
+                    .push((after.status.clone(), after.decision.clone()));
                 if let Some(orbits) = &mut self.orbits {
                     match after.status {
                         ProcStatus::Active => {
@@ -3633,12 +3796,30 @@ where
         key.clear();
         self.sent.round().next().get().encode(key);
         (self.fixed.len() as u32).encode(key);
-        let mut slots = self.ids.iter();
-        for fixed in &self.fixed {
-            let id = fixed.unwrap_or_else(|| *slots.next().expect("one id per active process"));
+        for id in row_records(&self.fixed, &self.ids) {
             let (from, to) = self.ranges[id as usize];
             key.extend_from_slice(&self.records[from as usize..to as usize]);
         }
+    }
+
+    /// If the child the row last [`classify`](Self::classify)d leads to
+    /// is terminal — it would play a round past `max_rounds`, or every
+    /// record of the row is settled — its statuses and decisions, process
+    /// by process, read off the records.
+    fn cursor_terminal(&mut self, max_rounds: u32) -> Option<(&[ProcStatus], &[ChildDecision<P>])> {
+        let fates = &self.fates;
+        let quiescent = || (self.ids.iter()).all(|id| fates[*id as usize].0 != ProcStatus::Active);
+        if self.sent.round().next().get() <= max_rounds && !quiescent() {
+            return None;
+        }
+        self.child_status.clear();
+        self.child_decisions.clear();
+        for id in row_records(&self.fixed, &self.ids) {
+            let (status, decision) = &fates[id as usize];
+            self.child_status.push(status.clone());
+            self.child_decisions.push(decision.clone());
+        }
+        Some((&self.child_status, &self.child_decisions))
     }
 
     /// The row last [`classify`](Self::classify)d — the child it leads
@@ -3699,9 +3880,21 @@ enum Probed<O> {
     /// summary: what the memo answered for its key, or what the frame
     /// absorbed for its orbit.
     Answered(ChildClass, Arc<Summary<O>>),
-    /// Nothing answers for it: it has to be forked, stepped and entered.
-    /// Its classes, if the round is keyed.
-    Unanswered(Option<ChildClass>),
+    /// Nothing answers for it.  If its round is keyed, the probe's miss
+    /// is all the keying it gets: it is settled or expanded under the
+    /// key that miss left in the walker's scratch.  If not, it has to be
+    /// forked, stepped and entered.
+    Unanswered(Option<KeyedChild>),
+}
+
+/// A child the memo knows nothing of, as far as its probe got: its
+/// classes, and the `(hash, value_swapped)` of its key — whose bytes
+/// stand in `key_scratch` until the walker keys something else.
+#[derive(Clone, Copy, Debug)]
+struct KeyedChild {
+    class: ChildClass,
+    hash: u64,
+    value_swapped: bool,
 }
 
 /// Outcome of entering a configuration.
@@ -3832,32 +4025,51 @@ where
             if shared.stop.load(Ordering::Relaxed) {
                 return Err(Interrupt::Stopped);
             }
-            // Key first: only a child nothing answers for is forked,
-            // stepped and entered.
+            // Key first: a child is its key until something has to run
+            // on it.
             match self.walker.probe_child(frame, idx)? {
                 Probed::Repeat(terminals) => {
                     frame.acc.terminals += terminals;
                     let silent = headroom
                         .get_or_insert_with(|| arbiter.headroom(&progress(self.steps, depth)));
                     if *silent > 0 {
-                        *silent -= 1;
-                        self.steps += 1;
+                        // This row is taken in silence, and so is the rest
+                        // of its run, without leaving the frame.
+                        let taken = 1 + self.walker.absorb_repeats(frame, *silent - 1)?;
+                        *silent -= taken;
+                        self.steps += taken;
                         continue;
                     }
                 }
                 Probed::Answered(child, summary) => frame.absorb(Some(child), summary),
-                Probed::Unanswered(child) => {
-                    frame.awaiting = child;
-                    let mut child = self.walker.fork(&frame.stepper);
-                    frame.round.actions_into(idx, &mut self.walker.row_buf);
-                    child
-                        .step(&self.walker.row_buf)
-                        .map_err(|e| shared.fail(ExploreError::Engine(e)))?;
+                Probed::Unanswered(Some(child)) => {
+                    self.walker.admit_state()?;
+                    debug_assert!(
+                        self.walker.records_are_the_stepped_child(frame, idx),
+                        "records and stepper disagree on a terminal child"
+                    );
+                    let (hash, swapped) = (child.hash, child.value_swapped);
+                    let max_rounds = shared.config.max_rounds;
+                    if let Some((status, decisions)) = frame.round.cursor_terminal(max_rounds) {
+                        // Settled records are final: the row holds all a
+                        // terminal evaluation reads, and no child is built.
+                        let summary =
+                            (self.walker).settle_terminal(hash, swapped, status, decisions)?;
+                        frame.absorb(Some(child.class), summary);
+                    } else {
+                        frame.awaiting = Some(child.class);
+                        let stepper = self.walker.step_child(frame, idx)?;
+                        (self.walker).expand(stepper, hash, swapped, &mut self.stack)?;
+                        expanded = true;
+                    }
+                }
+                Probed::Unanswered(None) => {
+                    let child = self.walker.step_child(frame, idx)?;
                     match self.walker.enter(child, &mut self.stack)? {
                         Entered::Ready(summary, stepper) => {
                             self.walker.stepper_pool.push(stepper);
                             let frame = self.stack.last_mut().expect("the frame is still open");
-                            frame.absorb_awaited(summary);
+                            frame.absorb(None, summary);
                         }
                         Entered::Expanded => expanded = true,
                     }
@@ -3906,8 +4118,9 @@ where
     /// Harvests the suspended walk's remaining frontier: for every frame
     /// on the stack, each not-yet-started child is emitted as a
     /// `(canonical-key hash, action-index path)` record — unless the memo
-    /// already holds it, which the key-first probe answers for almost
-    /// every child without forking it.  `prefix` is the current root's
+    /// already holds it, which the key-first probe answers without the
+    /// child; the hash of a probe that missed is the record's, so no
+    /// child is built.  `prefix` is the current root's
     /// own path; a child of frame `j` extends it with the actions chosen
     /// into frames `1..=j` plus the child's own index.
     ///
@@ -3938,26 +4151,22 @@ where
             for idx in frame.next_action..frame.round.len() {
                 // The probe reads the frame's class table and records
                 // nothing in it: a class gets a summary only from the
-                // walk, when the frame absorbs it.
-                if !matches!(walker.probe_child(frame, idx)?, Probed::Unanswered(_)) {
-                    continue;
-                }
-                let mut child = walker.fork(&frame.stepper);
-                frame.round.actions_into(idx, &mut walker.row_buf);
-                child
-                    .step(&walker.row_buf)
-                    .map_err(|e| walker.shared.fail(ExploreError::Engine(e)))?;
-                let (hash, _) = walker.canonical_key(&child);
-                let known = walker
-                    .shared
-                    .memo
-                    .get(hash, &walker.key_scratch)
-                    .map_err(|e| walker.shared.fail(e.into()))?
-                    .is_some();
-                walker.stepper_pool.push(child);
-                if known {
-                    continue;
-                }
+                // walk, when the frame absorbs it.  Its miss is the
+                // child's record; only a round that keys no row has the
+                // child stepped to be keyed and probed.
+                let hash = match walker.probe_child(frame, idx)? {
+                    Probed::Unanswered(Some(child)) => child.hash,
+                    Probed::Unanswered(None) => {
+                        let child = walker.step_child(frame, idx)?;
+                        let (hash, swapped) = walker.canonical_key(&child);
+                        walker.stepper_pool.push(child);
+                        if walker.memoized(hash, swapped)?.is_some() {
+                            continue;
+                        }
+                        hash
+                    }
+                    _ => continue,
+                };
                 path.push(idx as u32);
                 out.push((hash, path.clone()));
                 path.pop();
@@ -3981,7 +4190,7 @@ where
             row_buf: Vec::new(),
             stepper_pool: Vec::new(),
             round_pool: Vec::new(),
-            schedule_buf: CrashSchedule::none(shared.system.n()),
+            terminals: Terminals::new(shared.system),
             canon: Canonicalizer::new(),
             swap_buf: Vec::new(),
             in_place_buf: Vec::new(),
@@ -4019,10 +4228,14 @@ where
                 count: Vec::new(),
                 row: Vec::new(),
                 at: None,
+                class: 0,
                 spent: 0,
                 keyed: false,
                 records: Vec::new(),
                 ranges: Vec::new(),
+                fates: Vec::new(),
+                child_status: Vec::new(),
+                child_decisions: Vec::new(),
                 fixed: Vec::new(),
                 known: Vec::new(),
                 sender_slots: 0,
@@ -4104,11 +4317,13 @@ where
     /// the frame has absorbed answers it with the summary absorbed then,
     /// and no key is assembled; otherwise the plan's key of the child is
     /// assembled from the row's records ([`cursor_key`](Self::cursor_key))
-    /// and taken to the memo.  Nothing is recorded here: the caller that
+    /// and taken to the memo; a miss comes back with that key's hash and
+    /// orientation, its bytes left in `key_scratch` for whoever makes
+    /// the child a state.  Nothing is recorded here: the caller that
     /// absorbs an answer records it for the class and the orbit
     /// ([`Frame::absorb`]), as it does for a child nothing answered for
-    /// — forked, stepped and entered as it always was — when that
-    /// child's summary comes back.
+    /// when that child's summary exists — at once if it is settled from
+    /// its records, when its frame pops if it expands.
     fn probe_child(
         &mut self,
         frame: &mut Frame<P>,
@@ -4149,7 +4364,11 @@ where
         );
         Ok(match self.memoized(hash, swap)? {
             Some(summary) => Probed::Answered(child, summary),
-            None => Probed::Unanswered(Some(child)),
+            None => Probed::Unanswered(Some(KeyedChild {
+                class: child,
+                hash,
+                value_swapped: swap,
+            })),
         })
     }
 
@@ -4284,22 +4503,14 @@ where
         &self.key_scratch
     }
 
-    /// Maps a summary through the value involution: decided values are
-    /// swapped element-wise (discovery order is preserved — the swap
-    /// does not reorder enumeration), counts and rounds are untouched.
-    fn swap_summary(summary: &Summary<P::Output>) -> Summary<P::Output> {
-        Summary {
-            terminals: summary.terminals,
-            worst_round_by_f: summary.worst_round_by_f.clone(),
-            decided: summary
-                .decided
-                .iter()
-                .map(|v| {
-                    v.value_swapped()
-                        .expect("value-symmetry tier active but a decided value has no swap image")
-                })
-                .collect(),
-            violating: summary.violating,
+    /// Maps decided values through the value involution, element-wise
+    /// (discovery order is preserved — the swap does not reorder
+    /// enumeration; a summary's counts and rounds are untouched by it).
+    fn swap_decided(decided: &mut [P::Output]) {
+        for value in decided {
+            *value = value
+                .value_swapped()
+                .expect("value-symmetry tier active but a decided value has no swap image");
         }
     }
 
@@ -4311,34 +4522,35 @@ where
         value_swapped: bool,
     ) -> Arc<Summary<P::Output>> {
         if value_swapped {
-            Arc::new(Self::swap_summary(&summary))
+            let mut real = (*summary).clone();
+            Self::swap_decided(&mut real.decided);
+            Arc::new(real)
         } else {
             summary
         }
     }
 
-    /// A real-space summary prepared for the memo: mapped into canonical
-    /// value space when the swapped encoding won the key, and — on the
-    /// partial tier only — its `decided` list sorted by encoded bytes,
-    /// because merged orbit members enumerate children in different
-    /// orders and would otherwise disagree on discovery order (the
-    /// module docs' normal-form argument; `Off` and `Full` summaries are
-    /// deliberately left byte-for-byte as before).  The values are
-    /// compared through two walker-owned buffers: a valency list is a
-    /// handful of values, sorted in place (a stable sort, like the
-    /// keyed one it replaces) without allocating.
-    fn canonical_arc(
-        &mut self,
-        summary: Summary<P::Output>,
+    /// Takes a real-space summary to the form the memo holds, in place:
+    /// mapped into canonical value space when the swapped encoding won
+    /// the key, and — on the partial tier only — its `decided` list
+    /// sorted by encoded bytes, because merged orbit members enumerate
+    /// children in different orders and would otherwise disagree on
+    /// discovery order (the module docs' normal-form argument; `Off` and
+    /// `Full` summaries are deliberately left byte-for-byte as before).
+    /// The values are compared through two walker-owned buffers (`bufs`):
+    /// a valency list is a handful of values, sorted in place (a stable
+    /// sort, like the keyed one it replaces) without allocating.
+    fn canonicalize(
+        plan: SymmetryPlan,
+        bufs: &mut (Vec<u8>, Vec<u8>),
+        summary: &mut Summary<P::Output>,
         value_swapped: bool,
-    ) -> Arc<Summary<P::Output>> {
-        let mut summary = if value_swapped {
-            Self::swap_summary(&summary)
-        } else {
-            summary
-        };
-        if self.shared.plan.tier == CanonTier::SettledInert {
-            let (left, right) = &mut self.decided_bufs;
+    ) {
+        if value_swapped {
+            Self::swap_decided(&mut summary.decided);
+        }
+        if plan.tier == CanonTier::SettledInert {
+            let (left, right) = bufs;
             summary.decided.sort_by(|a, b| {
                 left.clear();
                 a.encode(left);
@@ -4347,6 +4559,17 @@ where
                 left.cmp(&right)
             });
         }
+    }
+
+    /// A completed frame's real-space summary, [`canonicalize`](Self::canonicalize)d
+    /// for the memo.
+    fn canonical_arc(
+        &mut self,
+        mut summary: Summary<P::Output>,
+        value_swapped: bool,
+    ) -> Arc<Summary<P::Output>> {
+        let plan = self.shared.plan;
+        Self::canonicalize(plan, &mut self.decided_bufs, &mut summary, value_swapped);
         Arc::new(summary)
     }
 
@@ -4363,13 +4586,54 @@ where
         }
     }
 
-    /// Enters one configuration: memo hit, terminal evaluation, or frame
-    /// push — donating tail children to idle workers on the way.
-    ///
-    /// This is the hot path: the configuration is encoded once into the
-    /// walker's reusable scratch buffer, hashed once, and the memo is
-    /// probed with the `(hash, bytes)` pair — a hit allocates nothing
-    /// and (on an all-RAM memo) takes only a shared read lock.
+    /// `frame`'s child under row `idx`, built: forked from the frame's
+    /// configuration and stepped under the materialized row.
+    fn step_child(&mut self, frame: &Frame<P>, idx: usize) -> Result<Stepper<P>, Interrupt> {
+        let mut child = self.fork(&frame.stepper);
+        frame.round.actions_into(idx, &mut self.row_buf);
+        child
+            .step(&self.row_buf)
+            .map_err(|e| self.shared.fail(ExploreError::Engine(e)))?;
+        Ok(child)
+    }
+
+    /// Takes `frame`'s next rows for as long as each repeats a successor
+    /// class the frame has absorbed — at most `limit` of them — adding
+    /// their classes' terminal counts to the frame; returns how many it
+    /// took.  The body of a run: per row the stop flag, one
+    /// [`classify`](RoundKeys::classify) and one addition.  It stops
+    /// *before* the row that ends the run, which `step` then takes like
+    /// any other (the cursor stands on it, classified).
+    fn absorb_repeats(&mut self, frame: &mut Frame<P>, limit: u64) -> Result<u64, Interrupt> {
+        let rows = frame.round.len();
+        let (mut taken, mut terminals) = (0, 0);
+        while taken < limit && frame.next_action < rows {
+            if self.shared.stop.load(Ordering::Relaxed) {
+                return Err(Interrupt::Stopped);
+            }
+            let idx = frame.next_action;
+            let class = (frame.round.classify(idx)).expect("a repeat was met: the round is keyed");
+            let Some(summary) = &frame.round.classes.summaries[class] else {
+                break;
+            };
+            terminals += summary.terminals;
+            debug_assert!(
+                self.skipped_probe(frame, idx).as_deref()
+                    == frame.round.classes.summaries[class].as_deref(),
+                "class table and memo disagree on a repeated child"
+            );
+            frame.next_action += 1;
+            taken += 1;
+        }
+        frame.acc.terminals += terminals;
+        Ok(taken)
+    }
+
+    /// Enters one configuration that exists — a root, a donated subtree,
+    /// a child of a round the engine does not tabulate: key, probe, and
+    /// on a miss what a keyed child goes through from its probe's miss
+    /// on — the `max_states` test, then terminal evaluation or the frame
+    /// push.
     fn enter(
         &mut self,
         stepper: Stepper<P>,
@@ -4382,6 +4646,19 @@ where
         if let Some(real) = self.memoized(hash, value_swapped)? {
             return Ok(Entered::Ready(real, stepper));
         }
+        self.admit_state()?;
+        if self.is_terminal(&stepper) {
+            let (status, decisions) = (stepper.status(), stepper.decisions());
+            let real = self.settle_terminal(hash, value_swapped, status, decisions)?;
+            return Ok(Entered::Ready(real, stepper));
+        }
+        self.expand(stepper, hash, value_swapped, stack)?;
+        Ok(Entered::Expanded)
+    }
+
+    /// The `max_states` test a configuration the memo does not hold
+    /// passes before it becomes a state.
+    fn admit_state(&self) -> Result<(), Interrupt> {
         if self.shared.memo.len() >= self.shared.config.max_states {
             // Raise the abort (cancel flag + queue close) before this
             // walker unwinds, so no peer hangs in `pop_wait` or keeps
@@ -4390,19 +4667,42 @@ where
                 budget: self.shared.config.max_states,
             }));
         }
+        Ok(())
+    }
 
-        if self.is_terminal(&stepper) {
-            let terminal_summary = self.evaluate_terminal(&stepper);
-            let canonical = self.canonical_arc(terminal_summary, value_swapped);
-            let summary = self
-                .shared
-                .memo
-                .insert(hash, &self.key_scratch, canonical)
-                .map_err(|e| self.shared.fail(e.into()))?;
-            let real = self.to_real(summary, value_swapped);
-            return Ok(Entered::Ready(real, stepper));
-        }
+    /// Settles a terminal configuration the memo does not hold — keyed
+    /// `(hash, value_swapped)`, key bytes in `key_scratch`, its processes
+    /// standing with `status` and `decisions`: evaluates it, memoizes
+    /// the shared `Arc` of its canonical summary ([`Terminals`]) and
+    /// returns its real-space summary.
+    fn settle_terminal(
+        &mut self,
+        hash: u64,
+        value_swapped: bool,
+        status: &[ProcStatus],
+        decisions: &[ChildDecision<P>],
+    ) -> Result<Arc<Summary<P::Output>>, Interrupt> {
+        let shared = self.shared;
+        (self.terminals).evaluate(&shared.config, shared.proposals, status, decisions);
+        let (bufs, summary) = (&mut self.decided_bufs, &mut self.terminals.summary);
+        Self::canonicalize(shared.plan, bufs, summary, value_swapped);
+        let canonical = self.terminals.interned();
+        let summary = (shared.memo)
+            .insert(hash, &self.key_scratch, canonical)
+            .map_err(|e| shared.fail(e.into()))?;
+        Ok(self.to_real(summary, value_swapped))
+    }
 
+    /// Pushes the frame of a configuration the memo does not hold and
+    /// that is not terminal — keyed `(hash, value_swapped)`, key bytes in
+    /// `key_scratch` — donating tail children to idle workers on the way.
+    fn expand(
+        &mut self,
+        stepper: Stepper<P>,
+        hash: u64,
+        value_swapped: bool,
+        stack: &mut Vec<Frame<P>>,
+    ) -> Result<(), Interrupt> {
         // The configuration expands: its send phase runs here, once, for
         // the enumeration below and for every child key after it.
         let round = self
@@ -4430,7 +4730,7 @@ where
 
         // The scratch becomes the frame's key; the frame's eventual
         // insert needs exactly these bytes, and the pool hands the
-        // scratch slot a recycled buffer for the next enter.
+        // scratch slot a recycled buffer for the next key.
         let key = std::mem::replace(
             &mut self.key_scratch,
             self.key_pool.pop().unwrap_or_default(),
@@ -4445,58 +4745,39 @@ where
             value_swapped,
             round,
         });
-        Ok(Entered::Expanded)
+        Ok(())
+    }
+
+    /// The oracle behind `step`'s debug assertion on a keyed child the
+    /// memo does not hold: fork, step, look.  The stepped child must be
+    /// terminal exactly if the cursor row's records say so
+    /// ([`RoundKeys::cursor_terminal`]), and then stand with the statuses
+    /// and decisions read off them and evaluate to the same summary.
+    fn records_are_the_stepped_child(&mut self, frame: &mut Frame<P>, idx: usize) -> bool {
+        let Ok(child) = self.step_child(frame, idx) else {
+            return false;
+        };
+        let (config, proposals) = (&self.shared.config, self.shared.proposals);
+        let agree = match frame.round.cursor_terminal(config.max_rounds) {
+            None => !self.is_terminal(&child),
+            Some((status, decisions)) => {
+                let evaluated = |terminals: &mut Terminals<P::Output>, status, decisions| {
+                    terminals.evaluate(config, proposals, status, decisions);
+                    terminals.summary.clone()
+                };
+                self.is_terminal(&child)
+                    && status == child.status()
+                    && decisions == child.decisions()
+                    && evaluated(&mut self.terminals, status, decisions)
+                        == evaluated(&mut self.terminals, child.status(), child.decisions())
+            }
+        };
+        self.stepper_pool.push(child);
+        agree
     }
 
     pub(crate) fn is_terminal(&self, stepper: &Stepper<P>) -> bool {
         stepper.is_quiescent() || stepper.round().get() > self.shared.config.max_rounds
-    }
-
-    fn evaluate_terminal(&mut self, stepper: &Stepper<P>) -> Summary<P::Output> {
-        let config = &self.shared.config;
-        self.schedule_buf.reset();
-        let mut f = 0usize;
-        for (i, status) in stepper.status().iter().enumerate() {
-            if let ProcStatus::Crashed(round) = status {
-                f += 1;
-                // Stage is irrelevant to the spec check; only the correct
-                // set and rounds matter.
-                self.schedule_buf.set(
-                    ProcessId::from_idx(i),
-                    Some(CrashPoint::new(*round, CrashStage::BeforeSend)),
-                );
-            }
-        }
-
-        let bound = config.round_bound.map(|rb| rb.bound(f));
-        let mut report = check_uniform_consensus(
-            self.shared.proposals,
-            stepper.decisions(),
-            &self.schedule_buf,
-            bound,
-        );
-        if config.spec == SpecMode::NonUniform {
-            report
-                .violations
-                .retain(|v| !matches!(v, SpecViolation::UniformAgreement { .. }));
-        }
-
-        let mut summary = Summary::empty(self.shared.system.t());
-        summary.terminals = 1;
-        let last = stepper
-            .decisions()
-            .iter()
-            .flatten()
-            .map(|d| d.round.get())
-            .max();
-        summary.worst_round_by_f[f] = last;
-        for d in stepper.decisions().iter().flatten() {
-            if !summary.decided.contains(&d.value) {
-                summary.decided.push(d.value.clone());
-            }
-        }
-        summary.violating = !report.ok();
-        summary
     }
 
     /// Walks one violating path through the completed memo, rebuilding its
@@ -4523,35 +4804,14 @@ where
 
         loop {
             if self.is_terminal(&stepper) {
-                let summary = self.evaluate_terminal(&stepper);
-                debug_assert!(summary.violating);
-                let n = self.shared.system.n();
-                let mut pseudo = CrashSchedule::none(n);
-                for (i, status) in stepper.status().iter().enumerate() {
-                    if let ProcStatus::Crashed(round) = status {
-                        pseudo.set(
-                            ProcessId::from_idx(i),
-                            Some(CrashPoint::new(*round, CrashStage::BeforeSend)),
-                        );
-                    }
-                }
-                let f = pseudo.f();
-                let bound = self.shared.config.round_bound.map(|rb| rb.bound(f));
-                let mut report = check_uniform_consensus(
-                    self.shared.proposals,
-                    stepper.decisions(),
-                    &pseudo,
-                    bound,
-                );
-                if self.shared.config.spec == SpecMode::NonUniform {
-                    report
-                        .violations
-                        .retain(|v| !matches!(v, SpecViolation::UniformAgreement { .. }));
-                }
+                let (config, proposals) = (&self.shared.config, self.shared.proposals);
+                let (status, decisions) = (stepper.status(), stepper.decisions());
+                let report = (self.terminals).evaluate(config, proposals, status, decisions);
+                debug_assert!(self.terminals.summary.violating);
                 return Ok(Witness {
                     schedule,
                     violations: report.violations,
-                    decisions: stepper.decisions().to_vec(),
+                    decisions: decisions.to_vec(),
                 });
             }
 
@@ -6116,8 +6376,10 @@ mod tests {
                 $(, $extra)*
             );
 
-            // FloodSet (everyone sends to everyone) and EarlyStopping
-            // (the one `DecideAndContinue` user), on the classic model.
+            // FloodSet (everyone sends to everyone), EarlyStopping, and
+            // the non-uniform early decider — the one `DecideAndContinue`
+            // user, whose processes stand *active with a decision* — on
+            // the classic model.
             let system = SystemConfig::new(4, 3).unwrap();
             total += $check(
                 system,
@@ -6135,6 +6397,15 @@ mod tests {
                 twostep_baselines::earlystop_processes(4, 3, &ranks(4)),
                 ranks(4),
                 "earlystop"
+                $(, $extra)*
+            );
+            total += $check(
+                system,
+                ModelKind::Classic,
+                5,
+                twostep_baselines::nonuniform_processes(4, 3, &ranks(4)),
+                ranks(4),
+                "nonuniform early decider"
                 $(, $extra)*
             );
 
@@ -6179,9 +6450,11 @@ mod tests {
     /// symmetry off, the tier encoder run on the row's record forms
     /// otherwise) must equal [`Walker::canonical_key`] of the child that
     /// `fork_from` and `step` produce under the materialized row — in
-    /// bytes, hash and swap orientation.  The oracle side shares none of
-    /// the table, view, record-form or assembly code.  Returns how many
-    /// children were compared.
+    /// bytes, hash and swap orientation — and the statuses and decisions
+    /// the row's records keep ([`RoundKeys::cursor_terminal`] reads a
+    /// terminal child off them) must be that child's.  The oracle side
+    /// shares none of the table, view, record-form or assembly code.
+    /// Returns how many children were compared.
     fn assert_assembled_keys_match_stepped<P>(
         system: SystemConfig,
         model: ModelKind,
@@ -6216,6 +6489,24 @@ mod tests {
                     assert_eq!(
                         (walker.canonical_key(&spare), walker.key_bytes()),
                         (assembled, &assembled_bytes[..]),
+                        "{label} under {symmetry:?}: round {} row {idx} {row:?}",
+                        stepper.round()
+                    );
+                    // What the row's records keep of each process is
+                    // what the stepped child stands with, and the row
+                    // is terminal exactly if the child is.
+                    let kept = row_records(&round.fixed, &round.ids);
+                    let (status, decisions): (Vec<_>, Vec<_>) =
+                        kept.map(|id| round.fates[id as usize].clone()).unzip();
+                    assert_eq!(
+                        (&status[..], &decisions[..]),
+                        (spare.status(), spare.decisions()),
+                        "{label} under {symmetry:?}: round {} row {idx} {row:?}",
+                        stepper.round()
+                    );
+                    assert_eq!(
+                        round.cursor_terminal(max_rounds),
+                        (walker.is_terminal(&spare)).then_some((&status[..], &decisions[..])),
                         "{label} under {symmetry:?}: round {} row {idx} {row:?}",
                         stepper.round()
                     );
@@ -7060,5 +7351,263 @@ mod tests {
         let report = explore(system, options(2, 10_000), procs, vec![3; n]).unwrap();
         assert_eq!(report.root.terminals, 1 + 2 * n as u64);
         assert!(report.root.decided == vec![3] && !report.root.violating);
+    }
+
+    /// `NeverDecide` at `(3, 2)` runs into the round cap: every leaf of
+    /// the walk is a terminal with *active* processes, found terminal by
+    /// the child's round, not by its records — which say `Active` — and
+    /// evaluated from them all the same.  The report is the one the walk
+    /// produced when it stepped every such child (PR 19's figures).
+    #[test]
+    fn round_cap_terminals_are_settled_from_their_records() {
+        let system = SystemConfig::new(3, 2).unwrap();
+        let procs = vec![NeverDecide; 3];
+        let report = explore(system, options(2, 10_000), procs, vec![0u64; 3]).unwrap();
+        assert_eq!((report.distinct_states, report.root.terminals), (15, 61));
+        assert!(report.root.violating, "the survivors never decide");
+        assert_eq!(report.root.worst_round_by_f, vec![None; 3]);
+        assert!(report.root.decided.is_empty());
+        let witness = report.witness.expect("a violating root has a witness");
+        assert!(witness
+            .violations
+            .iter()
+            .all(|v| matches!(v, SpecViolation::Termination { .. })));
+    }
+
+    /// A `max_states` limit that falls on a leaf is raised by the records
+    /// path where `enter` raised it: `DecideOwn` at `(3, 2)` is a root
+    /// and nineteen leaves, so with room for three states the fourth
+    /// child trips the limit — after the same four steps, with the same
+    /// three states memoized, as when that child was stepped first.
+    #[test]
+    fn a_state_limit_on_a_leaf_is_raised_from_the_records() {
+        let system = SystemConfig::new(3, 2).unwrap();
+        let procs: Vec<DecideOwn> = (0..3).map(|v| DecideOwn { v }).collect();
+        let proposals = vec![0u64, 1, 2];
+        let config = options(4, 3);
+        let options = ExploreOptions::serial();
+        let shared = Shared::new(system, config, &options, &proposals, procs.clone()).unwrap();
+        let root = Stepper::new(system, config.model, TraceLevel::Off, procs).unwrap();
+        let mut walker = Walker::new(&shared);
+        let mut walk = StepWalker::new(&mut walker, vec![root]);
+        let mut steps = 0;
+        let failure = loop {
+            match walk.step(&mut Unbounded) {
+                Ok(step) if step.status == StepStatus::Done => panic!("twenty states fit in three"),
+                Ok(step) => steps = step.steps,
+                Err(failure) => break failure,
+            }
+        };
+        assert!(matches!(
+            failure,
+            Interrupt::Failed(ExploreError::StateLimit { budget: 3 })
+        ));
+        assert_eq!((steps, shared.memo.len()), (4, 3));
+    }
+
+    /// Every reachable terminal configuration of `root`, by a memoized
+    /// DFS over stepped configurations that shares nothing with the walk
+    /// but its order: children are visited in enumeration order, so where
+    /// a key does not pin a configuration down (the early decider's state
+    /// keeps its decision, not the round it was taken in) both explore
+    /// the one met first.
+    fn stepped_leaves<P>(walker: &mut Walker<'_, '_, P>, root: &Stepper<P>) -> Vec<Stepper<P>>
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let (mut seen, mut leaves) = (std::collections::HashSet::new(), Vec::new());
+        let mut stack = vec![root.clone()];
+        while let Some(stepper) = stack.pop() {
+            let mut key = Vec::new();
+            make_key_into(&stepper, &mut key);
+            if !seen.insert(key) {
+                continue;
+            }
+            if walker.is_terminal(&stepper) {
+                leaves.push(stepper);
+                continue;
+            }
+
+            for actions in action_sets_of(walker, &stepper).iter().rev() {
+                let mut child = stepper.clone();
+                child.step(actions).unwrap();
+                stack.push(child);
+            }
+        }
+        leaves
+    }
+
+    /// What a terminal configuration summarizes to, written down again
+    /// beside the test that uses it as its reference (uniform spec only).
+    fn reference_leaf<P>(shared: &Shared<'_, P>, leaf: &Stepper<P>) -> Summary<P::Output>
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let mut schedule = CrashSchedule::none(shared.system.n());
+        for (i, status) in leaf.status().iter().enumerate() {
+            if let ProcStatus::Crashed(round) = status {
+                let died = CrashPoint::new(*round, CrashStage::BeforeSend);
+                schedule.set(ProcessId::from_idx(i), Some(died));
+            }
+        }
+        let f = schedule.f();
+        let bound = shared.config.round_bound.map(|rb| rb.bound(f));
+        let report = check_uniform_consensus(shared.proposals, leaf.decisions(), &schedule, bound);
+        let mut summary = Summary::empty(shared.system.t());
+        summary.terminals = 1;
+        summary.violating = !report.ok();
+        for decision in leaf.decisions().iter().flatten() {
+            let worst = &mut summary.worst_round_by_f[f];
+            *worst = (*worst).max(Some(decision.round.get()));
+            if !summary.decided.contains(&decision.value) {
+                summary.decided.push(decision.value.clone());
+            }
+        }
+        summary
+    }
+
+    /// Leaf by leaf: every terminal configuration a stepped DFS reaches
+    /// is memoized under the summary a stepped evaluation gives it —
+    /// though the walk built none of them and read each off its parent's
+    /// records.  Returns how many leaves were compared.
+    fn assert_leaves_are_memoized_as_evaluated<P>(
+        system: SystemConfig,
+        config: ExploreConfig,
+        procs: Vec<P>,
+        proposals: Vec<P::Output>,
+        label: &str,
+    ) -> usize
+    where
+        P: CheckableProtocol,
+        P::Output: Hash + SpillCodec,
+    {
+        let options = ExploreOptions::serial();
+        let shared = Shared::new(system, config, &options, &proposals, procs.clone()).unwrap();
+        let root = Stepper::new(system, config.model, TraceLevel::Off, procs).unwrap();
+        let mut walker = Walker::new(&shared);
+        let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
+        while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+        let leaves = stepped_leaves(&mut walker, &root);
+        for leaf in &leaves {
+            let (hash, _) = walker.canonical_key(leaf);
+            let memoized = shared.memo.get(hash, walker.key_bytes()).unwrap();
+            assert_eq!(
+                memoized.as_deref(),
+                Some(&reference_leaf(&shared, leaf)),
+                "{label}: {:?} {:?}",
+                leaf.status(),
+                leaf.decisions()
+            );
+        }
+        leaves.len()
+    }
+
+    /// The leaves a correct protocol's *root* summary cannot tell apart
+    /// are told apart here: a crashed process's decision, an active
+    /// one's, a leaf on the round cap.
+    #[test]
+    fn leaves_are_memoized_as_a_stepped_evaluation_summarizes_them() {
+        let system = SystemConfig::new(3, 2).unwrap();
+        let own: Vec<DecideOwn> = (0..3).map(|v| DecideOwn { v }).collect();
+        let leaves = assert_leaves_are_memoized_as_evaluated(
+            system,
+            options(4, 10_000),
+            own,
+            vec![0u64, 1, 2],
+            "decide-own",
+        );
+        assert_eq!(leaves, 19);
+        assert_leaves_are_memoized_as_evaluated(
+            system,
+            options(2, 10_000),
+            vec![NeverDecide; 3],
+            vec![0u64; 3],
+            "never-decide on the round cap",
+        );
+        let system = SystemConfig::new(4, 3).unwrap();
+        let ranks: Vec<u64> = (0..4).map(|i| 10 + (i * 7) % 4).collect();
+        let classic = ExploreConfig {
+            model: ModelKind::Classic,
+            ..options(5, 1_000_000)
+        };
+        assert_leaves_are_memoized_as_evaluated(
+            system,
+            classic,
+            twostep_baselines::nonuniform_processes(4, 3, &ranks),
+            ranks,
+            "nonuniform early decider",
+        );
+        let system = SystemConfig::new(5, 4).unwrap();
+        let bits: Vec<_> = (0..5)
+            .map(|i| twostep_model::WideValue::new(1, i % 2))
+            .collect();
+        let config = ExploreConfig {
+            symmetry: Symmetry::Off,
+            ..ExploreConfig::for_crw(&system)
+        };
+        let procs = twostep_core::crw_processes(&system, &bits);
+        assert_leaves_are_memoized_as_evaluated(system, config, procs, bits, "crw (5, 4)");
+    }
+
+    /// Terminals that end alike are memoized under one `Arc`: over the
+    /// CRW `(5, 4)` walk, any two leaves whose memoized summaries are
+    /// equal hold the *same* summary — with symmetry off, on the settled
+    /// tier and under `partial+value`, where the summary is interned in
+    /// canonical space — and the walk's verdict is what it was when every
+    /// leaf had a summary of its own.
+    #[test]
+    fn equal_terminal_outcomes_share_one_summary() {
+        use twostep_model::WideValue;
+        let system = SystemConfig::new(5, 4).unwrap();
+        let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
+        let procs = twostep_core::crw_processes(&system, &bits);
+        // States, terminals and worst rounds per `f` as PR 19 reports them.
+        for (symmetry, states) in [
+            (Symmetry::Off, 815),
+            (Symmetry::Full, 314),
+            (Symmetry::PartialValue, 235),
+        ] {
+            let config = ExploreConfig {
+                symmetry,
+                ..ExploreConfig::for_crw(&system)
+            };
+            let options = ExploreOptions::serial();
+            let shared = Shared::new(system, config, &options, &bits, procs.clone()).unwrap();
+            let root = Stepper::new(system, config.model, TraceLevel::Off, procs.clone()).unwrap();
+            let mut walker = Walker::new(&shared);
+            let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
+            while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+            let summary = walk.into_summaries().remove(0);
+            assert_eq!(
+                (shared.memo.len(), summary.terminals, summary.violating),
+                (states, 36_365, false),
+                "{symmetry:?}"
+            );
+            let worst_rounds: Vec<_> = (1..=5).map(Some).collect();
+            assert_eq!(summary.worst_round_by_f, worst_rounds, "{symmetry:?}");
+            assert_eq!(summary.decided, &bits[..2], "{symmetry:?}");
+
+            let leaves = stepped_leaves(&mut walker, &root);
+            let mut distinct: Vec<Arc<Summary<WideValue>>> = Vec::new();
+            for leaf in &leaves {
+                let (hash, _) = walker.canonical_key(leaf);
+                let memoized = shared.memo.get(hash, walker.key_bytes()).unwrap();
+                let memoized = memoized.expect("the walk memoized every leaf");
+                match distinct.iter().find(|met| ***met == *memoized) {
+                    Some(met) => assert!(Arc::ptr_eq(met, &memoized), "{symmetry:?}"),
+                    None => distinct.push(memoized),
+                }
+            }
+            let interned: usize = walker.terminals.distinct.iter().map(Vec::len).sum();
+            assert_eq!(distinct.len(), interned, "{symmetry:?}");
+            assert!(
+                leaves.len() > 4 * distinct.len(),
+                "{symmetry:?}: {} leaves end in {} ways",
+                leaves.len(),
+                distinct.len()
+            );
+        }
     }
 }

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 
 use twostep_adversary::crash_outcomes_effective_into;
-use twostep_baselines::{earlystop_processes, floodset_processes};
+use twostep_baselines::{earlystop_processes, floodset_processes, nonuniform_processes};
 use twostep_core::{crw_processes, CommitOrder, Crw};
 use twostep_model::{CrashPoint, CrashSchedule, CrashStage, ProcessId, SystemConfig, WideValue};
 use twostep_modelcheck::{
@@ -513,6 +513,40 @@ fn classic_baseline_walks_equal_the_naive_oracle() {
             &format!("earlystop ({n}, {t})"),
         );
         assert!(!root.violating, "earlystop ({n}, {t})");
+    }
+}
+
+/// The one place a *crashed* process's decision decides the verdict: the
+/// non-uniform early-deciding baseline held to **uniform** agreement
+/// fails only where a process decides and then crashes while the
+/// survivors settle on another value.  The walk evaluates those
+/// terminals from what its records keep of a process that settled
+/// crashed-with-a-decision; the oracle reads the stepped configuration.
+#[test]
+fn decide_then_crash_violations_equal_the_naive_oracle() {
+    for system in systems(&[]).into_iter().filter(|system| system.t() >= 2) {
+        let (n, t) = (system.n(), system.t());
+        let proposals: Vec<u64> = (0..n as u64).map(|i| 10 + i).collect();
+        let config = ExploreConfig {
+            model: ModelKind::Classic,
+            max_rounds: t as u32 + 2,
+            max_states: 5_000_000,
+            round_bound: None,
+            max_crashes_per_round: None,
+            symmetry: Symmetry::Off,
+            spec: SpecMode::Uniform,
+        };
+        let root = assert_walk_matches_oracle(
+            system,
+            config,
+            nonuniform_processes(n, t, &proposals),
+            proposals,
+            &format!("nonuniform ({n}, {t})"),
+        );
+        assert!(
+            root.violating,
+            "nonuniform ({n}, {t}) under uniform agreement"
+        );
     }
 }
 
