@@ -1,6 +1,6 @@
 //! CI-facing explorer benchmark: times the exhaustive CRW exploration
-//! under the serial, frame-stepped (budget-arbited), parallel,
-//! donation-tuned, spilling, and **partitioned multi-process** engines
+//! under the serial, parallel, donation-tuned, spilling, and
+//! **partitioned multi-process** engines
 //! and writes the distinct-states/sec trajectory to
 //! `BENCH_explorer.json` so the perf trend is recorded from every CI
 //! run (see `ci.sh`).
@@ -44,14 +44,14 @@
 //! process) and `partitions` (worker processes); single-process rows
 //! have `partitions: 1`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use twostep_bench::distcli::{bench_proposals, maybe_run_dist_worker, run_dist_crw, DistRequest};
 use twostep_core::crw_processes;
 use twostep_model::SystemConfig;
 use twostep_modelcheck::{
     explore_with, CacheConfig, ExploreConfig, ExploreOptions, MemoConfig, StealConfig, Summary,
-    Symmetry, WalkBudget,
+    Symmetry,
 };
 use twostep_sim::default_threads;
 
@@ -146,19 +146,6 @@ fn main() {
     let engines: Vec<(&'static str, ExploreOptions)> = vec![
         ("serial", ExploreOptions::serial()),
         (
-            // The frame-stepped driver with a real (never-tripping)
-            // budget arbiter consulted after every step — prices the
-            // per-step inspection (including the deadline's clock read)
-            // against the `serial` row; `ci.sh` gates it within 10%.
-            "stepped",
-            ExploreOptions::serial().with_budget(WalkBudget {
-                max_steps: Some(u64::MAX),
-                deadline: Some(Duration::from_secs(86_400)),
-                max_memo_bytes: Some(u64::MAX),
-                yield_every: None,
-            }),
-        ),
-        (
             "parallel",
             ExploreOptions::with_threads(threads)
                 .with_donate_depth(None)
@@ -198,13 +185,6 @@ fn main() {
             distinct_states = report.distinct_states;
             if engine == "serial" {
                 serial_root = Some(report.root.clone());
-            }
-            if engine == "stepped" {
-                assert_eq!(
-                    Some(&report.root),
-                    serial_root.as_ref(),
-                    "the stepped driver must be bit-identical to the owned-loop serial walk"
-                );
             }
         }
         let result = EngineResult {

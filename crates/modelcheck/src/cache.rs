@@ -41,7 +41,11 @@
 //! failed commit warns and moves on.  What the cache can never do is
 //! change a report: cold and warm runs are bit-identical by the same
 //! argument that makes thread counts and worker processes invisible
-//! (see [`crate::explorer`]'s determinism section).
+//! (see [`crate::explorer`]'s determinism section) — pinned across both
+//! model kinds and every engine shape by `tests/cache_differential.rs`.
+//! Every engine seeds and commits alike: the run spine's open seeds the
+//! memo, its finish commits it, and a distributed work phase passes the
+//! seed on (one consolidated segment to the workers, deltas back).
 //!
 //! The `max_states` budget is deliberately **excluded** from the
 //! fingerprint: it is a resource safety valve, not part of the

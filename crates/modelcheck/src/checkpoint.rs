@@ -1,6 +1,6 @@
 //! Resumable walk checkpoints: the suspended half of the frame-stepped
-//! explorer core (see [`crate::explorer`]'s *Frame-stepped core*
-//! section).
+//! explorer core (whose driver contracts are at the head of
+//! `explorer/budget.rs`).
 //!
 //! A walk suspended by an exhausted [`WalkBudget`](crate::WalkBudget)
 //! limit — or a rerouted `StateLimit` abort — serializes its partial
@@ -22,7 +22,9 @@
 //! whole subtree is memoized.  A resumed run simply re-drives the root
 //! walk and fast-forwards through memo hits until it reaches unexplored
 //! territory; the composed final report is bit-identical to an
-//! uninterrupted run's (`tests/checkpoint_differential.rs`).
+//! uninterrupted run's (`tests/checkpoint_differential.rs`, and
+//! `tests/checkpoint_props.rs` composing arbitrary step-budget
+//! partitions).
 //!
 //! Two guards keep resume sound, both inherited from the cache's
 //! policies:

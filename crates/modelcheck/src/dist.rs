@@ -61,7 +61,64 @@
 //! The coordinator still **fails loudly** ([`ExploreError::Worker`])
 //! when a worker cannot be completed within its launch attempts, because
 //! silent fallback to a near-serial replay would defeat the point of
-//! distributing.
+//! distributing.  `tests/dist_differential.rs` pins all of it:
+//! partitioned reports are bit-identical to `threads = 1` across
+//! partition counts, frontier depths, worker memo tierings, and worker
+//! crash/retry histories.
+//!
+//! ## Elastic distribution
+//!
+//! Static partitioning pays its whole coordination bill — frontier
+//! expansion, worker spawn-up, export/merge — up front, whether or not
+//! the run is long enough to amortize it.  The **elastic** engine
+//! ([`explore_elastic_timed`]) inverts that: its work phase starts
+//! walking the root *locally* through the same frame-stepped core, and
+//! distribution is an escape hatch it only reaches for when the run
+//! outlives a [`StealConfig`]'s thresholds.  Short runs therefore pay
+//! nothing — they are a plain serial walk plus one
+//! per-`yield_every`-steps policy check.
+//!
+//! Three mechanisms, all built on machinery the walker already proves
+//! correct:
+//!
+//! * **progress protocol** — every elastic walk (local or worker)
+//!   reports `(steps, frontier, fresh)` each `yield_every` steps;
+//!   worker processes print it as parseable `dist-progress:` stdout
+//!   lines which the coordinator tails into a live per-worker load
+//!   board.  `frontier` counts the *unexplored siblings hanging off the
+//!   DFS stack* — the work a preemption could harvest — and `fresh`
+//!   counts new memo inserts, so a walk that is merely re-traversing
+//!   memoized territory advertises no stealable value;
+//! * **steal handshake** — the coordinator requests a steal by writing
+//!   a flag file next to the victim's scratch; the victim observes it
+//!   at its next report boundary, suspends, and exports two artifacts
+//!   *in a fixed order*: first the harvested frontier (every unexplored
+//!   subtree root, addressed by its **action-index path** from the true
+//!   initial configuration — canonical keys are lossy under symmetry,
+//!   so the path is the only faithful cross-process address), then its
+//!   sealed memo delta.  A crash between the two leaves an unsealed
+//!   delta that fails validation, so a half-preempted worker is
+//!   indistinguishable from a dead one and simply retried.  The
+//!   coordinator re-splits the harvested frontier across fresh workers,
+//!   each seeded with *every* delta merged so far — stolen subtrees are
+//!   never walked twice, and a re-assigned subtree that was already
+//!   finished memoizes nothing fresh, cannot be preempted (preemption
+//!   requires `fresh > 0`), and exits immediately, which bounds every
+//!   preempt chain in a finite space;
+//! * **memo handoff soundness** — the determinism argument above,
+//!   unchanged: summaries are a function of the key, so merging a
+//!   preempted worker's *partial* delta is as conflict-free as merging a
+//!   complete one, and the final canonical replay recomputes anything
+//!   the handoff under-covered.  Elastic scheduling decisions (when to
+//!   offload, whom to preempt, how to re-split) can affect only
+//!   *timing*, never the report.
+//!
+//! `tests/dist_differential.rs` pins the elastic engine the same way:
+//! forced-steal runs (zero warm-up, preempt-everything policy) are
+//! bit-identical to serial across both model kinds and partition
+//! counts, through killed-mid-steal retries, steal requests that lose
+//! the race with a natural finish, and — by proptest — arbitrary
+//! `(yield_every, partitions, min_frontier)` re-split cadences.
 //!
 //! ## Fault tolerance
 //!
@@ -73,15 +130,22 @@
 //! record's CRC32, and the sealed record count
 //! ([`crate::spill::SpillError`] classifies the failure modes).
 //!
-//! The retry loop is [`twostep_sim::run_tasks_supervised`]: per-partition
-//! attempts are bounded by [`DistOptions::attempts`], retries back off
-//! deterministically, a panicking launch closure is contained as that
-//! worker's failure, and [`SuperviseConfig::attempt_timeout`] bounds any
-//! single launch (the attempt's [`twostep_sim::CancelToken`] trips and
-//! the launch is expected to kill its process and return).  The elastic
-//! scheduler additionally runs a **liveness watchdog** over the
-//! progress-pulse feed ([`SuperviseConfig::watchdog`]): a worker that
-//! stops pulsing is cancelled and retried as if it had crashed.
+//! The partitioned retry loop is [`twostep_sim::run_tasks_supervised`],
+//! the elastic one is the scheduler's own, and both read one
+//! [`SuperviseConfig`]: per-worker attempts are bounded by
+//! [`DistOptions::attempts`], retries back off deterministically
+//! (doubling from [`SuperviseConfig::backoff`], no jitter — reruns
+//! schedule identically), a panicking launch closure is contained as
+//! that worker's failure, and [`SuperviseConfig::attempt_timeout`] bounds
+//! any single launch under either engine (the attempt's
+//! [`twostep_sim::CancelToken`] trips and the launch is expected to kill
+//! its process and return).  The elastic scheduler additionally runs a
+//! **liveness watchdog** over the progress-pulse feed
+//! ([`SuperviseConfig::watchdog`]): a worker that stops pulsing is
+//! cancelled and retried as if it had crashed.  Garbled `dist-progress:`
+//! lines are skipped with a once-per-worker warning, never parsed into
+//! the load board: a worker that lies about its progress can waste a
+//! steal attempt; it cannot corrupt state.
 //!
 //! When a partition exhausts every launch attempt the coordinator
 //! **degrades instead of failing** (unless
@@ -96,8 +160,13 @@
 //! Every failure mode here is reproducible on demand: the
 //! [`crate::faults`] harness injects crashes, hangs, corrupt/truncated
 //! exports, slow IO, and lying pulses keyed by `(partition, attempt)`
-//! ([`DistOptions::faults`]), and the differential suites assert
-//! bit-identity with the serial walk under every survivable plan.
+//! ([`DistOptions::faults`]), and an IO shim can fail or tear the nth
+//! coordinator-side spill/cache/checkpoint write.
+//! `tests/fault_differential.rs` pins the contract: every survivable
+//! plan is report-invisible (bit-identical to serial, by matrix and by
+//! proptest), retry exhaustion degrades to an identical report, hung
+//! workers die within the watchdog/timeout deadline, and no single torn
+//! write leaves a cache a later run would trust.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
@@ -205,15 +274,17 @@ pub struct SuperviseConfig {
     pub backoff: Duration,
     /// Upper bound on any single backoff delay.
     pub backoff_cap: Duration,
-    /// Wall-clock budget for one worker launch; an attempt still running
-    /// at the deadline has its [`CancelToken`] tripped and is retried as
-    /// a crash.  `None` disables the per-attempt timeout.
+    /// Wall-clock budget for one worker launch, under both coordinators:
+    /// an attempt still running at the deadline has its [`CancelToken`]
+    /// tripped and is retried as a crash.  `None` disables the
+    /// per-attempt timeout.
     pub attempt_timeout: Option<Duration>,
     /// Pulse-liveness deadline for the elastic scheduler: a worker whose
     /// last `dist-progress:` pulse (or launch) is older than this is
     /// cancelled and retried as a crash.  `None` disables the watchdog.
     /// Ignored by the classic partitioned engine, whose workers don't
-    /// pulse — use [`attempt_timeout`](Self::attempt_timeout) there.
+    /// pulse — [`attempt_timeout`](Self::attempt_timeout) is what bounds
+    /// a launch there.
     pub watchdog: Option<Duration>,
     /// What retry-budget exhaustion means: `true` (default) walks the
     /// orphaned partition locally in the coordinator — the run *degrades*
@@ -1220,8 +1291,7 @@ impl Drop for SendGuard {
 /// run's [`ElasticStats`].
 ///
 /// The report is bit-identical to [`crate::explore_with`] — see the
-/// module docs of [`crate::explorer`] ("Elastic distribution") for the
-/// soundness argument.  `launch` runs one worker to completion —
+/// module docs ("Elastic distribution") for the soundness argument.  `launch` runs one worker to completion —
 /// in-process or by spawning an OS process and tailing its pipe — and
 /// forwards every progress pulse to the provided callback.
 pub fn explore_elastic_timed<P, L>(
@@ -1430,28 +1500,34 @@ where
                         w.flagged = true;
                     }
                 }
-                // Liveness watchdog: a worker whose last pulse (or
-                // launch) is older than the deadline is cancelled — the
-                // launch kills its process and reports a failure, which
-                // flows into the ordinary retry path below.
-                if let Some(deadline) = options.supervise.watchdog {
+                // Liveness: an attempt older than the per-attempt
+                // timeout, or — the watchdog — one whose last pulse (or
+                // launch) is older than the pulse deadline, is cancelled:
+                // the launch kills its process and reports a failure,
+                // which flows into the ordinary retry path below.
+                {
                     let board = pulse_board.lock().expect("pulse board poisoned");
                     for w in active.values() {
                         if w.retry_at.is_some() || w.task.cancel.is_cancelled() {
                             continue;
                         }
-                        let last_alive = board
-                            .get(&w.task.worker)
-                            .map(|&(_, at)| at.max(w.spawned_at))
-                            .unwrap_or(w.spawned_at);
-                        if last_alive.elapsed() >= deadline {
-                            eprintln!(
-                                "twostep: worker {} has not pulsed within {:?}; \
-                                 cancelling the attempt and retrying it as crashed",
-                                w.task.worker, deadline
-                            );
-                            w.task.cancel.cancel();
-                        }
+                        let worker = w.task.worker;
+                        let last_alive = (board.get(&worker))
+                            .map_or(w.spawned_at, |&(_, at)| at.max(w.spawned_at));
+                        let overdue = match (policy.attempt_timeout, options.supervise.watchdog) {
+                            (Some(timeout), _) if w.spawned_at.elapsed() >= timeout => {
+                                format!("exceeded its {timeout:?} attempt timeout")
+                            }
+                            (_, Some(deadline)) if last_alive.elapsed() >= deadline => {
+                                format!("has not pulsed within {deadline:?}")
+                            }
+                            _ => continue,
+                        };
+                        eprintln!(
+                            "twostep: worker {worker} {overdue}; cancelling the attempt \
+                             and retrying it as crashed"
+                        );
+                        w.task.cancel.cancel();
                     }
                 }
                 let (worker, result) = match rx.recv_timeout(poll) {

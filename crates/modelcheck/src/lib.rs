@@ -19,7 +19,11 @@
 //!   **two-tier (RAM + disk)** memo ([`ExploreOptions`] selects
 //!   thread/shard counts and the [`MemoConfig`] tiering, `threads = 1`
 //!   is the serial walk, and every option produces bit-identical
-//!   reports);
+//!   reports).  Module [`explorer`] holds the engine's architecture and
+//!   determinism argument and a map of what it is made of — `config`,
+//!   `budget`, `report`, `canon` (key layouts, symmetry soundness),
+//!   `round` (key-first successor generation), `walker`, `run` — each
+//!   with its own argument at its head;
 //! * [`MemoConfig`] / [`SpillCodec`] — the disk tier: a bounded hot map
 //!   per shard plus append-only, checksummed segment files of compactly
 //!   encoded cold entries — keys *and* summaries, indexed in RAM only by
@@ -70,9 +74,9 @@ pub use dist::{
     WorkerPulse, WorkerReport, WorkerTask,
 };
 pub use explorer::{
-    budget_from_env, explore, explore_with, Arbiter, BudgetArbiter, BudgetKind, CheckableProtocol,
-    ExploreConfig, ExploreError, ExploreOptions, ExploreReport, RoundBound, SpecMode, StepProgress,
-    StepResult, StepStatus, StepVerdict, Summary, Symmetry, Unbounded, WalkBudget, Witness,
+    budget_from_env, explore, explore_with, BudgetKind, CheckableProtocol, ExploreConfig,
+    ExploreError, ExploreOptions, ExploreReport, RoundBound, SpecMode, Summary, Symmetry,
+    WalkBudget, Witness,
 };
 pub use faults::{
     fault_plan_from_env, install_io_fault, FaultPlan, IoFault, IoFaultGuard, WorkerFault,

@@ -239,6 +239,59 @@ fn hung_worker_is_cancelled_by_attempt_timeout_and_retried() {
     assert_identical(&serial, &dist, "hang detected and retried");
 }
 
+/// The elastic coordinator reads the same per-attempt timeout: with no
+/// pulse watchdog configured, a hung elastic worker is cancelled once its
+/// launch is older than [`SuperviseConfig::attempt_timeout`] and the
+/// relaunch converges — in well under the worker's own 60s hang cap,
+/// which is all that ended such a hang before.
+#[test]
+fn elastic_hung_worker_is_cancelled_by_attempt_timeout_without_a_watchdog() {
+    let (n, t) = (4usize, 2usize);
+    let system = SystemConfig::new(n, t).unwrap();
+    let proposals = crw_proposals(n);
+    let config = ExploreConfig::for_crw(&system);
+    let serial = crw_serial(system, config);
+    let mut options = dist_options(2, FaultPlan::parse("p0a0=hang@walk").unwrap());
+    options.supervise.attempt_timeout = Some(Duration::from_millis(150));
+    assert_eq!(options.supervise.watchdog, None);
+    options.steal = StealConfig {
+        enabled: true,
+        min_frontier: 1,
+        poll_interval: Duration::ZERO,
+        yield_every: 16,
+    };
+    let started = Instant::now();
+    let launch = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
+        run_worker_elastic(
+            system,
+            config,
+            ExploreOptions::serial(),
+            crw_processes(&system, &proposals),
+            proposals.clone(),
+            task,
+            pulse,
+        )
+        .map_err(|e| e.to_string())
+    };
+    let (dist, _timings, stats) = explore_elastic_timed(
+        system,
+        config,
+        &options,
+        crw_processes(&system, &proposals),
+        proposals.clone(),
+        launch,
+    )
+    .unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the attempt timeout, not the 60s hang cap, must end the hang (took {:?})",
+        started.elapsed()
+    );
+    assert!(stats.offloaded, "the forced policy reached a worker");
+    assert_eq!(stats.degraded, 0, "the relaunch succeeded");
+    assert_identical(&serial, &dist, "elastic hang ended by the attempt timeout");
+}
+
 /// A partition whose worker crashes on *every* attempt is walked locally
 /// by the coordinator — the run degrades instead of failing, the
 /// degradation is reported in the timings, and the report is still

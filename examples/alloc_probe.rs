@@ -1,8 +1,8 @@
 //! Hot-path allocation probe: runs the serial exhaustive CRW
 //! exploration under a counting global allocator and reports total
 //! heap allocations alongside best-of-6 distinct-states/sec — for the
-//! plain serial driver *and* for the frame-stepped driver with a
-//! never-tripping budget arbiter.
+//! one serial driver with its budget unarmed (`plain`) *and* with every
+//! limit armed but sized never to trip (`armed`).
 //!
 //! This is the measurement harness behind the explorer's hot-path
 //! budget ("the inner loop allocates nothing in steady state", 2.5
@@ -11,10 +11,10 @@
 //! `allocs_total` when touching the walker, the stepper fork path, or
 //! the memo — a regression shows up here as thousands of extra
 //! allocations long before it is visible in wall-clock noise.  The probe
-//! *pins* both budgets: each driver stays under 3 allocs/state, and the
-//! stepped driver stays within 10% (+64 fixed) of the plain one — a
-//! `step()` call, and the headroom it asks its arbiter for before a run
-//! of repeated rows, must not buy its bookkeeping with heap traffic.  A
+//! *pins* both budgets: each row stays under 3 allocs/state, and the
+//! armed row stays within 10% (+64 fixed) of the plain one — a `step()`
+//! call's arbiter inspection, and the headroom it asks for before a run
+//! of repeated rows, must not buy their bookkeeping with heap traffic.  A
 //! third row walks the same space under `partial+value` and is pinned to
 //! the same 3 allocations per *raw* state (2.5 at `(5, 4)`, 2.3 at
 //! `(8, 7)`): the quotient's orbit tables and record forms are pooled
@@ -101,17 +101,20 @@ fn main() {
 
     let (states, plain_allocs, plain_best) =
         probe(system, config, &ExploreOptions::serial(), &proposals);
-    // The stepped driver with every budget limit armed (but sized never
-    // to trip), so the per-step arbiter inspection is fully exercised.
-    let stepped_options = ExploreOptions::serial().with_budget(WalkBudget {
+    // Every budget limit armed (but sized never to trip), so the
+    // per-step arbiter inspection is fully exercised.
+    let armed_options = ExploreOptions::serial().with_budget(WalkBudget {
         max_steps: Some(u64::MAX),
         deadline: Some(Duration::from_secs(86_400)),
         max_memo_bytes: Some(u64::MAX),
         yield_every: None,
     });
-    let (stepped_states, stepped_allocs, stepped_best) =
-        probe(system, config, &stepped_options, &proposals);
-    assert_eq!(states, stepped_states, "drivers must agree on the space");
+    let (armed_states, armed_allocs, armed_best) =
+        probe(system, config, &armed_options, &proposals);
+    assert_eq!(
+        states, armed_states,
+        "an armed budget must not change the space"
+    );
     let quotient_config = ExploreConfig {
         symmetry: Symmetry::PartialValue,
         ..config
@@ -131,10 +134,10 @@ fn main() {
         states as f64 / plain_best
     );
     println!(
-        "(n={n}, t={t}) states={states} stepped: allocs_total={stepped_allocs} \
-         allocs_per_state={:.2} best_secs={stepped_best:.4} states/sec={:.0}",
-        per_state(stepped_allocs),
-        states as f64 / stepped_best
+        "(n={n}, t={t}) states={states} armed: allocs_total={armed_allocs} \
+         allocs_per_state={:.2} best_secs={armed_best:.4} states/sec={:.0}",
+        per_state(armed_allocs),
+        states as f64 / armed_best
     );
 
     println!(
@@ -147,7 +150,7 @@ fn main() {
 
     for (driver, allocs) in [
         ("plain", plain_allocs),
-        ("stepped", stepped_allocs),
+        ("armed", armed_allocs),
         ("partial+value", quotient_allocs),
     ] {
         assert!(
@@ -158,9 +161,9 @@ fn main() {
     }
     let ceiling = plain_allocs + plain_allocs / 10 + 64;
     assert!(
-        stepped_allocs <= ceiling,
-        "stepped driver allocates beyond the plain driver's envelope: \
-         {stepped_allocs} > {ceiling} (plain {plain_allocs})"
+        armed_allocs <= ceiling,
+        "the armed budget allocates beyond the plain walk's envelope: \
+         {armed_allocs} > {ceiling} (plain {plain_allocs})"
     );
-    println!("alloc_probe: ok (stepped within {ceiling} alloc ceiling)");
+    println!("alloc_probe: ok (armed within {ceiling} alloc ceiling)");
 }
