@@ -30,15 +30,14 @@
 //! `steal` row is the elastic engine under its *default* lazy policy:
 //! on a sub-second bench system it never offloads, so the row records
 //! exactly what elasticity costs when it isn't needed (the pitch is
-//! that it costs nothing — `ci.sh` gates it against the committed
-//! `partitioned` row).
+//! that it costs nothing).
 //!
 //! The `symmetry` row runs the serial engine at the strongest sound
 //! canonicalization tier for CRW (`partial+value`), asserts the root
 //! verdict field-by-field against the `serial` row, and records both
 //! its orbit-count throughput (`states_per_sec`) and the raw states it
 //! stands in for (`raw_states_per_sec`); `ci.sh` gates its wall clock
-//! directly against the committed `serial` row.
+//! against the `serial` row of the same run.
 //!
 //! Every result row records both `threads` (walkers inside one
 //! process) and `partitions` (worker processes); single-process rows

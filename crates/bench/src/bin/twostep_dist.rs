@@ -279,7 +279,7 @@ fn main() {
     }
     println!(
         "twostep-dist: supervision degraded={} quarantined={}",
-        run.stats.degraded, run.stats.quarantined
+        timings.degraded_partitions, run.stats.quarantined
     );
     println!(
         "twostep-dist: phases seed={:.3} frontier={:.3} workers={:.3} {worker_phases}\

@@ -616,8 +616,9 @@ pub struct DistRun {
     /// Coordinator-side phase attribution (seed, worker wall, merge,
     /// replay, report).
     pub timings: DistTimings,
-    /// What the elastic scheduler did; for a partitioned run only
-    /// `degraded` is set (to [`DistTimings::degraded_partitions`]).
+    /// What the elastic plan's scheduling did (all zero for a partitioned
+    /// run, whose degraded slices are counted in
+    /// [`DistTimings::degraded_partitions`], as an elastic run's are too).
     pub stats: ElasticStats,
     /// Worker-reported seconds per phase, max across the workers of a
     /// partitioned run (they run concurrently, so the max approximates
@@ -649,9 +650,8 @@ pub fn run_dist_crw(request: &DistRequest) -> Result<DistRun, ExploreError> {
         faults: request.faults.clone(),
         supervise: request.supervise,
     };
-    // Last successful attempt's worker-side phase timings, per partition.
-    let worker_timings: Mutex<Vec<Option<WorkerPhaseSeconds>>> =
-        Mutex::new(vec![None; request.partitions.max(1)]);
+    // Each partition's one successful launch files its phases here.
+    let worker_phases = Mutex::new(WorkerPhaseSeconds::default());
     let launch = |task: &WorkerTask| {
         let args = CrwWorkerArgs {
             run: run.clone(),
@@ -667,7 +667,12 @@ pub fn run_dist_crw(request: &DistRequest) -> Result<DistRun, ExploreError> {
         run_child(&exe, args.to_args(), &task.cancel, |line| {
             timing = parse_worker_timing(line).or(timing);
         })?;
-        worker_timings.lock().expect("worker timings poisoned")[task.partition] = timing;
+        let mine = timing.unwrap_or_default();
+        let mut max = worker_phases.lock().expect("worker phases poisoned");
+        max.seed = max.seed.max(mine.seed);
+        max.frontier = max.frontier.max(mine.frontier);
+        max.walk = max.walk.max(mine.walk);
+        max.export = max.export.max(mine.export);
         Ok(())
     };
     let launch_elastic = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
@@ -709,33 +714,16 @@ pub fn run_dist_crw(request: &DistRequest) -> Result<DistRun, ExploreError> {
     let (report, timings, stats) = if request.steal.enabled {
         explore_elastic_timed(system, config, &options, initial, proposals, launch_elastic)?
     } else {
-        let (report, timings) =
-            explore_partitioned_timed(system, config, &options, initial, proposals, launch)?;
-        let stats = ElasticStats {
-            degraded: timings.degraded_partitions,
-            ..ElasticStats::default()
-        };
-        (report, timings, stats)
+        explore_partitioned_timed(system, config, &options, initial, proposals, launch)
+            .map(|(report, timings)| (report, timings, ElasticStats::default()))?
     };
     let total_seconds = start.elapsed().as_secs_f64();
-    let mut worker_phases = WorkerPhaseSeconds::default();
-    for worker in worker_timings
-        .into_inner()
-        .expect("worker timings poisoned")
-        .iter()
-        .flatten()
-    {
-        worker_phases.seed = worker_phases.seed.max(worker.seed);
-        worker_phases.frontier = worker_phases.frontier.max(worker.frontier);
-        worker_phases.walk = worker_phases.walk.max(worker.walk);
-        worker_phases.export = worker_phases.export.max(worker.export);
-    }
     Ok(DistRun {
         report,
         total_seconds,
         timings,
         stats,
-        worker_phases,
+        worker_phases: worker_phases.into_inner().expect("worker phases poisoned"),
     })
 }
 

@@ -58,18 +58,22 @@ use twostep_model::SystemConfig;
 use twostep_sim::{EnvKnob, ModelKind};
 
 use crate::explorer::{CheckableProtocol, ExploreConfig, RoundBound, SpecMode};
+use crate::manifest::{put_name, remove_own_files, segment_suffix, take_name, Envelope};
 use crate::memo::ShardedMemo;
-use crate::spill::{crc32, SpillCodec, SpillError, FORMAT_VERSION};
+use crate::spill::{SpillCodec, SpillError, FORMAT_VERSION};
 
 /// File name of the cache manifest inside a cache directory.
 pub const MANIFEST_NAME: &str = "manifest.twocache";
 
-/// First 8 bytes of a manifest file.
-const CACHE_MAGIC: [u8; 8] = *b"TWOCACHE";
-
 /// Manifest format version; independent of the segment
 /// [`FORMAT_VERSION`], which is fingerprinted separately.
 const CACHE_FORMAT_VERSION: u32 = 1;
+
+const ENVELOPE: Envelope = Envelope {
+    file_name: MANIFEST_NAME,
+    magic: *b"TWOCACHE",
+    version: CACHE_FORMAT_VERSION,
+};
 
 /// Exploration **semantics** version, mixed into every run fingerprint.
 ///
@@ -258,47 +262,21 @@ pub(crate) struct Manifest {
 
 impl Manifest {
     fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&CACHE_MAGIC);
-        CACHE_FORMAT_VERSION.encode(&mut out);
-        self.fingerprint.encode(&mut out);
-        (self.segments.len() as u32).encode(&mut out);
-        for name in &self.segments {
-            (name.len() as u32).encode(&mut out);
-            out.extend_from_slice(name.as_bytes());
-        }
-        let crc = crc32(&out);
-        crc.encode(&mut out);
-        out
+        ENVELOPE.seal(|out| {
+            self.fingerprint.encode(out);
+            (self.segments.len() as u32).encode(out);
+            for name in &self.segments {
+                put_name(name, out);
+            }
+        })
     }
 
     fn parse(bytes: &[u8]) -> Option<Manifest> {
-        if bytes.len() < 8 + 4 + 4 || bytes[..8] != CACHE_MAGIC {
-            return None;
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let mut crc_input = crc_bytes;
-        if u32::decode(&mut crc_input)? != crc32(body) {
-            return None;
-        }
-        let mut input = &body[8..];
-        if u32::decode(&mut input)? != CACHE_FORMAT_VERSION {
-            return None;
-        }
+        let mut input = ENVELOPE.open(bytes)?;
         let fingerprint = u64::decode(&mut input)?;
         let count = u32::decode(&mut input)? as usize;
-        let mut segments = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let len = u32::decode(&mut input)? as usize;
-            let raw = twostep_model::codec::take(&mut input, len)?;
-            let name = std::str::from_utf8(raw).ok()?.to_string();
-            // Segment names are flat file names inside the cache dir; a
-            // name that escapes it is not something we ever wrote.
-            if name.is_empty() || name.contains(['/', '\\']) || name == ".." {
-                return None;
-            }
-            segments.push(name);
-        }
+        let segments: Option<Vec<String>> = (0..count).map(|_| take_name(&mut input)).collect();
+        let segments = segments?;
         input.is_empty().then_some(Manifest {
             fingerprint,
             segments,
@@ -310,28 +288,13 @@ impl Manifest {
 /// `seg-<16 hex fingerprint>-<6 digit index>.seg` — the only files a
 /// commit's garbage collection is allowed to remove.
 fn is_cache_segment_name(name: &str) -> bool {
-    let Some(rest) = name.strip_prefix("seg-") else {
-        return false;
-    };
-    let Some(rest) = rest.strip_suffix(".seg") else {
-        return false;
-    };
-    let Some((fingerprint, index)) = rest.split_once('-') else {
-        return false;
-    };
-    fingerprint.len() == 16
-        && fingerprint.chars().all(|c| c.is_ascii_hexdigit())
-        && index.len() == 6
-        && index.chars().all(|c| c.is_ascii_digit())
+    let index = segment_suffix(name, "seg-").and_then(|index| index.strip_prefix('-'));
+    index.is_some_and(|index| index.len() == 6 && index.chars().all(|c| c.is_ascii_digit()))
 }
 
 /// Atomically (write-then-rename) writes `manifest` into `dir`.
 fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<(), SpillError> {
-    let tmp = dir.join(format!("{MANIFEST_NAME}.tmp-{}", std::process::id()));
-    crate::faults::shim_fs_write(&tmp, &manifest.to_bytes())
-        .map_err(|e| SpillError::io(&format!("writing manifest {}", tmp.display()), e))?;
-    std::fs::rename(&tmp, dir.join(MANIFEST_NAME))
-        .map_err(|e| SpillError::io("renaming manifest into place", e))
+    ENVELOPE.write(dir, &manifest.to_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -549,24 +512,10 @@ impl CacheSession {
         let records = memo.export_delta(&cache.dir.join(&name))?;
         manifest.segments.push(name);
         write_manifest(&cache.dir, &manifest)?;
-        // Garbage-collect segments of a replaced (stale) cache.  Only
-        // files matching the cache's *own* naming are ever touched: a
-        // user may point the cache at a directory that already holds
-        // other `.seg` files (worker exports, archived segments), and a
-        // commit must never destroy something it didn't write.
-        if let Ok(entries) = std::fs::read_dir(&cache.dir) {
-            for entry in entries.flatten() {
-                let file_name = entry.file_name();
-                let Some(file_name) = file_name.to_str() else {
-                    continue;
-                };
-                if is_cache_segment_name(file_name)
-                    && !manifest.segments.iter().any(|s| s == file_name)
-                {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
+        // Garbage-collect segments of a replaced (stale) cache.
+        remove_own_files(&cache.dir, |name| {
+            is_cache_segment_name(name) && !manifest.segments.iter().any(|s| s == name)
+        });
         Ok(Some(records))
     }
 }

@@ -30,7 +30,7 @@
 //! policies:
 //!
 //! * **all-or-nothing import** — a segment that fails validation
-//!   mid-import declares the checkpoint [`Broken`](CheckpointLoad) and
+//!   mid-import declares the checkpoint `CheckpointLoad::Broken` and
 //!   the caller discards the partially seeded memo whole (a partial
 //!   image would silently shrink `distinct_states` and the census);
 //! * **seed superset check** — the fresh delta is descendant-closed
@@ -47,17 +47,15 @@
 //! **consumes** the artifact so a stale partial image can't shadow
 //! later (differently budgeted) runs.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::explorer::BudgetKind;
+use crate::manifest::{put_name, remove_own_files, segment_suffix, take_name, Envelope};
 use crate::memo::ShardedMemo;
-use crate::spill::{crc32, SpillCodec, SpillError};
+use crate::spill::{SpillCodec, SpillError};
 
 /// File name of the checkpoint manifest inside a checkpoint directory.
 pub const CHECKPOINT_MANIFEST_NAME: &str = "manifest.twockpt";
-
-/// First 8 bytes of a checkpoint manifest file.
-const CHECKPOINT_MAGIC: [u8; 8] = *b"TWOCKPT1";
 
 /// Checkpoint manifest format version; independent of the segment
 /// format version, which the fingerprint covers.  v2 added the
@@ -65,6 +63,12 @@ const CHECKPOINT_MAGIC: [u8; 8] = *b"TWOCKPT1";
 /// is keyed in one strength's canonical space, and resuming it at
 /// another would mix quotients.
 const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+
+const ENVELOPE: Envelope = Envelope {
+    file_name: CHECKPOINT_MANIFEST_NAME,
+    magic: *b"TWOCKPT1",
+    version: CHECKPOINT_FORMAT_VERSION,
+};
 
 /// Where a suspended walk parks its resumable artifact
 /// ([`crate::ExploreOptions::checkpoint`]).
@@ -135,34 +139,18 @@ fn reason_byte(reason: BudgetKind) -> u8 {
 
 impl CheckpointManifest {
     fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        CHECKPOINT_FORMAT_VERSION.encode(&mut out);
-        self.fingerprint.encode(&mut out);
-        out.push(self.reason);
-        self.states.encode(&mut out);
-        self.seeded.encode(&mut out);
-        out.push(self.strength);
-        (self.segment.len() as u32).encode(&mut out);
-        out.extend_from_slice(self.segment.as_bytes());
-        let crc = crc32(&out);
-        crc.encode(&mut out);
-        out
+        ENVELOPE.seal(|out| {
+            self.fingerprint.encode(out);
+            out.push(self.reason);
+            self.states.encode(out);
+            self.seeded.encode(out);
+            out.push(self.strength);
+            put_name(&self.segment, out);
+        })
     }
 
     fn parse(bytes: &[u8]) -> Option<CheckpointManifest> {
-        if bytes.len() < 8 + 4 + 4 || bytes[..8] != CHECKPOINT_MAGIC {
-            return None;
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let mut crc_input = crc_bytes;
-        if u32::decode(&mut crc_input)? != crc32(body) {
-            return None;
-        }
-        let mut input = &body[8..];
-        if u32::decode(&mut input)? != CHECKPOINT_FORMAT_VERSION {
-            return None;
-        }
+        let mut input = ENVELOPE.open(bytes)?;
         let fingerprint = u64::decode(&mut input)?;
         let reason = *twostep_model::codec::take(&mut input, 1)?.first()?;
         if reason > reason_byte(BudgetKind::Autosave) {
@@ -171,14 +159,7 @@ impl CheckpointManifest {
         let states = u64::decode(&mut input)?;
         let seeded = u64::decode(&mut input)?;
         let strength = *twostep_model::codec::take(&mut input, 1)?.first()?;
-        let len = u32::decode(&mut input)? as usize;
-        let raw = twostep_model::codec::take(&mut input, len)?;
-        let segment = std::str::from_utf8(raw).ok()?.to_string();
-        // Segment names are flat file names inside the checkpoint dir; a
-        // name that escapes it is not something we ever wrote.
-        if segment.is_empty() || segment.contains(['/', '\\']) || segment == ".." {
-            return None;
-        }
+        let segment = take_name(&mut input)?;
         input.is_empty().then_some(CheckpointManifest {
             fingerprint,
             reason,
@@ -194,25 +175,7 @@ impl CheckpointManifest {
 /// `ckpt-<16 hex fingerprint>.seg` — the only files consumption is
 /// allowed to remove besides the manifest.
 fn is_checkpoint_segment_name(name: &str) -> bool {
-    let Some(rest) = name.strip_prefix("ckpt-") else {
-        return false;
-    };
-    let Some(fingerprint) = rest.strip_suffix(".seg") else {
-        return false;
-    };
-    fingerprint.len() == 16 && fingerprint.chars().all(|c| c.is_ascii_hexdigit())
-}
-
-/// Atomically (write-then-rename) writes `manifest` into `dir`.
-fn write_manifest(dir: &Path, manifest: &CheckpointManifest) -> Result<(), SpillError> {
-    let tmp = dir.join(format!(
-        "{CHECKPOINT_MANIFEST_NAME}.tmp-{}",
-        std::process::id()
-    ));
-    crate::faults::shim_fs_write(&tmp, &manifest.to_bytes())
-        .map_err(|e| SpillError::io(&format!("writing manifest {}", tmp.display()), e))?;
-    std::fs::rename(&tmp, dir.join(CHECKPOINT_MANIFEST_NAME))
-        .map_err(|e| SpillError::io("renaming manifest into place", e))
+    segment_suffix(name, "ckpt-") == Some("")
 }
 
 /// Serializes a suspended walk's fresh memo delta into `config.dir` and
@@ -267,17 +230,15 @@ where
     // delta: checkpoint imports count as fresh on resume, so the delta
     // always contains its predecessors.
     memo.export_delta(&config.dir.join(&segment))?;
-    write_manifest(
-        &config.dir,
-        &CheckpointManifest {
-            fingerprint,
-            reason: reason_byte(reason),
-            states: memo.len() as u64,
-            seeded: memo.seeded_len() as u64,
-            strength,
-            segment,
-        },
-    )
+    let manifest = CheckpointManifest {
+        fingerprint,
+        reason: reason_byte(reason),
+        states: memo.len() as u64,
+        seeded: memo.seeded_len() as u64,
+        strength,
+        segment,
+    };
+    ENVELOPE.write(&config.dir, &manifest.to_bytes())
 }
 
 /// What [`load_checkpoint`] found.
@@ -400,17 +361,7 @@ where
 /// suspension overwrites it.
 pub(crate) fn consume_checkpoint(config: &CheckpointConfig) {
     let _ = std::fs::remove_file(config.dir.join(CHECKPOINT_MANIFEST_NAME));
-    if let Ok(entries) = std::fs::read_dir(&config.dir) {
-        for entry in entries.flatten() {
-            let file_name = entry.file_name();
-            let Some(file_name) = file_name.to_str() else {
-                continue;
-            };
-            if is_checkpoint_segment_name(file_name) {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    }
+    remove_own_files(&config.dir, is_checkpoint_segment_name);
 }
 
 #[cfg(test)]

@@ -1,48 +1,53 @@
-//! Distributed exploration: the two multi-process **work phases** of the
-//! run spine in [`crate::explorer`] (open → work → finish).
+//! Distributed exploration: the multi-process **work phase** of the run
+//! spine in [`crate::explorer`] (open → work → finish), under two entry
+//! points.
 //!
-//! One machine's RAM and cores stopped being the ceiling in two earlier
-//! steps (the work-sharing parallel engine, then the disk-backed memo);
-//! this module removes the "one process" bound.  A coordinator opens a
-//! run exactly as [`crate::explore_with`] does — clock, fingerprint,
-//! cache seed, checkpoint resume — fills the run's memo with summaries
-//! computed by worker processes, and finishes it exactly as
-//! `explore_with` does: the canonical root walk (here a *replay*, which
-//! finds every worker-covered subtree already memoized and computes
-//! only the region above the frontier plus whatever no worker covered),
-//! report, cache commit.  Nothing needs a network — processes
-//! rendezvous through checksummed segment files under a shared scratch
-//! directory.  What differs between the two coordinators is only how
-//! the memo gets filled:
+//! The work-sharing parallel engine and the disk-backed memo lifted the
+//! ceiling of one machine's cores and RAM; this module removes the "one
+//! process" bound.  A coordinator opens a run exactly as
+//! [`crate::explore_with`] does — clock, fingerprint, cache seed,
+//! checkpoint resume — fills the run's memo with summaries computed by
+//! worker processes, and finishes it exactly as `explore_with` does: the
+//! canonical root walk (here a *replay*, which finds every
+//! worker-covered subtree already memoized and computes only the region
+//! above the frontier plus whatever no worker covered), report, cache
+//! commit.  Nothing needs a network — processes rendezvous through
+//! checksummed segment files under a shared scratch directory.
+//!
+//! There is **one coordinator loop** (`coordinate`).  It holds a queue
+//! of frontier *slices* — lists of subtree roots, each addressed by its
+//! **action-index path** from the true initial configuration (canonical
+//! keys are lossy under symmetry, so the path is the only faithful
+//! cross-process address) — and `partitions` worker slots.  An idle slot
+//! takes the next slice: the loop writes it as a sealed frontier segment
+//! and launches a worker on it, every launch on a thread of its own
+//! inside the one supervision primitive ([`twostep_sim::supervise`]:
+//! attempts, backoff, attempt timeout, panic containment).  What an
+//! attempt is, is written once: refresh the seed list, clear a stale
+//! steal flag, launch, then validate and merge the export on that same
+//! thread, and read back the frontier of a worker that was preempted.
+//! An entry point contributes a **plan** — the slices, the seed segments
+//! every launch imports first, and a steal policy or none:
 //!
 //! * **partitioned** ([`explore_partitioned_timed`]) — the coordinator
 //!   expands the root to the depth-`d` frontier (the distinct
 //!   configurations reachable in exactly `d` rounds, deduplicated by
-//!   configuration key) once, ships it as a sealed frontier segment,
-//!   and launches one supervised worker per partition; a worker owns
-//!   the subtree roots whose key hash lands in its partition
-//!   (`hash % partitions == partition` — the memo's own stable hash,
-//!   identical in every process running the same build);
+//!   configuration key) once and cuts it by key hash into one slice per
+//!   partition (`hash % partitions` — the memo's own stable hash,
+//!   identical in every process running the same build); stealing is
+//!   off, so the plan is static: slice `i` is worker `i`'s, start to end;
 //! * **elastic** ([`explore_elastic_timed`]) — the coordinator walks the
 //!   root locally first and offloads only once the run outlives its
-//!   [`StealConfig`]; a scheduler then re-balances by preempting loaded
-//!   workers and re-splitting the frontiers they hand back.  The two
-//!   schedulers are measured side by side, not folded into one: at CRW
-//!   (8,7) the elastic one takes 0.23–0.27 s — with its default policy
-//!   it never offloads at this size (`dist.elastic_steals` 0), so that
-//!   is the local walk plus the coordinator's fixed costs — where the
-//!   partitioned one, two in-process workers, takes 0.32–0.64 s
-//!   (`dist.elastic_s` against `dist.inproc_s`, six traced runs of the
-//!   repo benchmark at PR 21; the rows under `benchmark/results/` are
-//!   ten times older).  Neither number says what the other engine would
-//!   cost on the other's ground; ROADMAP 2(b) is where the two become
-//!   one claim loop or one of them goes.
+//!   [`StealConfig`]; the frontier its preempted walk leaves is cut
+//!   evenly into the slices, and stealing is on: the loop re-balances by
+//!   preempting loaded workers and re-cutting the frontiers they hand
+//!   back (*Elastic distribution* below).
 //!
 //! Both kinds of worker ([`run_worker`], [`run_worker_elastic`]) are one
 //! body: import the seed segments, rebuild subtree roots from the
-//! frontier segment, walk them with the ordinary walker core — any
-//! thread count, any memo tiering — and export the fresh memo delta
-//! (full keys *and* summaries) as one sealed interchange segment.
+//! frontier segment, walk them with the ordinary walker core (any thread
+//! count, any memo tiering) and export the fresh memo delta — full keys
+//! *and* summaries — as one sealed interchange segment.
 //!
 //! ## Determinism
 //!
@@ -58,28 +63,24 @@
 //! another process is unobservable.  Under-coverage is *safe*, not just
 //! tolerated: a worker that was never launched, crashed, or exported
 //! only part of its work merely leaves more for the replay to compute.
-//! The coordinator still **fails loudly** ([`ExploreError::Worker`])
-//! when a worker cannot be completed within its launch attempts, because
-//! silent fallback to a near-serial replay would defeat the point of
-//! distributing.  `tests/dist_differential.rs` pins all of it:
-//! partitioned reports are bit-identical to `threads = 1` across
-//! partition counts, frontier depths, worker memo tierings, and worker
-//! crash/retry histories.
+//! So scheduling decisions (how the frontier is cut, when to offload,
+//! whom to preempt) can affect only *timing*, never the report.
+//! `tests/dist_differential.rs` pins it under both plans: bit-identical
+//! to `threads = 1` across partition counts, frontier depths, worker
+//! memo tierings and crash/retry histories; forced-steal runs through
+//! killed-mid-steal retries, steal requests that lose the race with a
+//! natural finish, and — by proptest — arbitrary `(yield_every,
+//! partitions, min_frontier)` cadences.
 //!
 //! ## Elastic distribution
 //!
 //! Static partitioning pays its whole coordination bill — frontier
 //! expansion, worker spawn-up, export/merge — up front, whether or not
-//! the run is long enough to amortize it.  The **elastic** engine
-//! ([`explore_elastic_timed`]) inverts that: its work phase starts
-//! walking the root *locally* through the same frame-stepped core, and
-//! distribution is an escape hatch it only reaches for when the run
-//! outlives a [`StealConfig`]'s thresholds.  Short runs therefore pay
-//! nothing — they are a plain serial walk plus one
-//! per-`yield_every`-steps policy check.
-//!
-//! Three mechanisms, all built on machinery the walker already proves
-//! correct:
+//! the run is long enough to amortize it.  The elastic plan inverts
+//! that: distribution is an escape hatch reached only when the local
+//! walk outlives a [`StealConfig`]'s thresholds, so a short run is a
+//! plain serial walk plus one policy check per `yield_every` steps.
+//! Two mechanisms:
 //!
 //! * **progress protocol** — every elastic walk (local or worker)
 //!   reports `(steps, frontier, fresh)` each `yield_every` steps;
@@ -88,97 +89,77 @@
 //!   board.  `frontier` counts the *unexplored siblings hanging off the
 //!   DFS stack* — the work a preemption could harvest — and `fresh`
 //!   counts new memo inserts, so a walk that is merely re-traversing
-//!   memoized territory advertises no stealable value;
+//!   memoized territory advertises no stealable value.  Garbled lines
+//!   are skipped with a once-per-launch warning, never parsed into the
+//!   board: a worker that lies about its progress can waste a steal
+//!   attempt; it cannot corrupt state;
 //! * **steal handshake** — the coordinator requests a steal by writing
 //!   a flag file next to the victim's scratch; the victim observes it
 //!   at its next report boundary, suspends, and exports two artifacts
 //!   *in a fixed order*: first the harvested frontier (every unexplored
-//!   subtree root, addressed by its **action-index path** from the true
-//!   initial configuration — canonical keys are lossy under symmetry,
-//!   so the path is the only faithful cross-process address), then its
-//!   sealed memo delta.  A crash between the two leaves an unsealed
-//!   delta that fails validation, so a half-preempted worker is
-//!   indistinguishable from a dead one and simply retried.  The
-//!   coordinator re-splits the harvested frontier across fresh workers,
-//!   each seeded with *every* delta merged so far — stolen subtrees are
-//!   never walked twice, and a re-assigned subtree that was already
-//!   finished memoizes nothing fresh, cannot be preempted (preemption
-//!   requires `fresh > 0`), and exits immediately, which bounds every
-//!   preempt chain in a finite space;
-//! * **memo handoff soundness** — the determinism argument above,
-//!   unchanged: summaries are a function of the key, so merging a
-//!   preempted worker's *partial* delta is as conflict-free as merging a
-//!   complete one, and the final canonical replay recomputes anything
-//!   the handoff under-covered.  Elastic scheduling decisions (when to
-//!   offload, whom to preempt, how to re-split) can affect only
-//!   *timing*, never the report.
-//!
-//! `tests/dist_differential.rs` pins the elastic engine the same way:
-//! forced-steal runs (zero warm-up, preempt-everything policy) are
-//! bit-identical to serial across both model kinds and partition
-//! counts, through killed-mid-steal retries, steal requests that lose
-//! the race with a natural finish, and — by proptest — arbitrary
-//! `(yield_every, partitions, min_frontier)` re-split cadences.
+//!   subtree root, once), then its sealed memo delta.  A crash between
+//!   the two leaves an unsealed delta that fails validation, so a
+//!   half-preempted worker is indistinguishable from a dead one and
+//!   simply retried.  The loop re-cuts the harvested frontier across
+//!   its idle slots, each launch seeded with *every* delta merged so
+//!   far — stolen subtrees are never walked twice, and a re-assigned
+//!   subtree that was already finished memoizes nothing fresh, cannot
+//!   be preempted (preemption requires `fresh > 0`), and exits
+//!   immediately, which bounds every preempt chain in a finite space.
 //!
 //! ## Fault tolerance
 //!
-//! Workers are crash-retryable by construction: an export is written to
-//! a fresh file and *sealed* (record count patched into the header) only
-//! at the end, so a killed worker leaves an unfinished file that fails
-//! validation, and the coordinator relaunches it — the rerun overwrites
-//! the remains.  Validation covers the magic/version header, every
-//! record's CRC32, and the sealed record count
-//! ([`crate::spill::SpillError`] classifies the failure modes).
+//! One rule each, whichever plan is running:
 //!
-//! The partitioned retry loop is [`twostep_sim::run_tasks_supervised`],
-//! the elastic one is the scheduler's own, and both read one
-//! [`SuperviseConfig`]: per-worker attempts are bounded by
-//! [`DistOptions::attempts`], retries back off deterministically
-//! (doubling from [`SuperviseConfig::backoff`], no jitter — reruns
-//! schedule identically), a panicking launch closure is contained as
-//! that worker's failure, and [`SuperviseConfig::attempt_timeout`] bounds
-//! any single launch under either engine (the attempt's
-//! [`twostep_sim::CancelToken`] trips and the launch is expected to kill
-//! its process and return).  The elastic scheduler additionally runs a
-//! **liveness watchdog** over the progress-pulse feed
-//! ([`SuperviseConfig::watchdog`]): a worker that stops pulsing is
-//! cancelled and retried as if it had crashed.  Garbled `dist-progress:`
-//! lines are skipped with a once-per-worker warning, never parsed into
-//! the load board: a worker that lies about its progress can waste a
-//! steal attempt; it cannot corrupt state.
-//!
-//! When a partition exhausts every launch attempt the coordinator
-//! **degrades instead of failing** (unless
-//! [`SuperviseConfig::degrade`] is off): it walks the orphaned frontier
-//! slice locally — sound because under-coverage is safe (see above) and
-//! the records to rebuild the slice are already on the coordinator's
-//! side of the process boundary — and reports the event in
-//! [`DistTimings::degraded_partitions`] / [`ElasticStats::degraded`].
-//! The elastic scheduler also *quarantines* such a worker slot
-//! (capacity shrinks; no future re-split lands on it).
+//! * **validation** — an export is written to a fresh file and *sealed*
+//!   (record count patched into the header) only at the end, so a
+//!   killed worker leaves an unfinished file; the coordinator trusts
+//!   nothing a process boundary crossed and scans the header, every
+//!   record's CRC32 and the sealed count as it merges
+//!   ([`crate::spill::SpillError`] classifies the failure modes).  An
+//!   attempt whose launch or whose export fails is a failed attempt;
+//! * **retry** — a failed attempt is relaunched (the rerun overwrites
+//!   the remains) up to [`DistOptions::attempts`] times, after a
+//!   deterministic backoff (doubling from [`SuperviseConfig::backoff`],
+//!   no jitter — reruns schedule identically); a panicking launch
+//!   closure is a failed attempt, never the coordinator's death;
+//! * **deadlines** — [`SuperviseConfig::attempt_timeout`] bounds any
+//!   single attempt, and where workers pulse
+//!   [`SuperviseConfig::watchdog`] bounds the silence between two
+//!   pulses: past either, the attempt's [`twostep_sim::CancelToken`]
+//!   trips, the launch is expected to kill its process and return, and
+//!   the attempt has failed;
+//! * **degrade** — a slice whose attempts are exhausted is walked by the
+//!   coordinator itself, from the records it cut the slice from, and its
+//!   worker slot is *quarantined* (capacity shrinks; with every slot
+//!   quarantined whatever is still queued is walked the same way).  The
+//!   run completes with the exact report and says so in
+//!   [`DistTimings::degraded_partitions`] / [`ElasticStats::degraded`].
+//!   With [`SuperviseConfig::degrade`] off it **fails loudly** instead
+//!   ([`ExploreError::Worker`]): silent fallback to a near-serial replay
+//!   would defeat the point of distributing.
 //!
 //! Every failure mode here is reproducible on demand: the
 //! [`crate::faults`] harness injects crashes, hangs, corrupt/truncated
-//! exports, slow IO, and lying pulses keyed by `(partition, attempt)`
+//! exports, slow IO, and lying pulses keyed by `(worker, attempt)`
 //! ([`DistOptions::faults`]), and an IO shim can fail or tear the nth
 //! coordinator-side spill/cache/checkpoint write.
 //! `tests/fault_differential.rs` pins the contract: every survivable
 //! plan is report-invisible (bit-identical to serial, by matrix and by
-//! proptest), retry exhaustion degrades to an identical report, hung
-//! workers die within the watchdog/timeout deadline, and no single torn
-//! write leaves a cache a later run would trust.
+//! proptest), each rule behaves the same under both plans, hung workers
+//! die within the watchdog/timeout deadline, and no single torn write
+//! leaves a cache a later run would trust.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use twostep_model::SystemConfig;
 use twostep_sim::{
-    panic_message, run_tasks_supervised, CancelToken, EnvKnob, RetryPolicy, RoundActions, Stepper,
-    SupervisedAttempt, TraceLevel,
+    supervise, CancelToken, EnvKnob, RetryPolicy, RoundActions, Stepper, SupervisedAttempt,
+    TraceLevel,
 };
 
 use crate::cache::CacheConfig;
@@ -187,24 +168,26 @@ use crate::explorer::{
     ExploreConfig, ExploreError, ExploreOptions, ExploreReport, Interrupt, PathedRoot, Run, Shared,
     WalkBudget, WalkOutcome, Walker,
 };
-use crate::faults::{self, FaultPlan, WorkerFault, WorkerPhase};
+use crate::faults::{self, FaultPlan, IoFaultGuard, WorkerFault, WorkerPhase};
 use crate::memo::key_validator;
 use crate::spill::{read_frontier_segment, write_frontier_segment, SpillCodec, SpillDir};
 
-/// How a partitioned exploration is split and merged.
+/// How a distributed exploration is split, supervised and merged.
 #[derive(Clone, Debug)]
 pub struct DistOptions {
-    /// Number of frontier partitions == number of workers (min 1).
+    /// Worker slots: how many workers run at once (min 1) — and, under
+    /// the partitioned plan, how many slices the frontier is cut into.
     pub partitions: usize,
-    /// Frontier depth `d`: workers own the subtrees rooted at the
+    /// Frontier depth `d` of the partitioned plan, the only one that
+    /// expands a frontier: workers own the subtrees rooted at the
     /// distinct configurations reachable in exactly `d` rounds.  Depth 1
     /// already yields a frontier far wider than any sane partition count
     /// (every adversary move of round 1); deeper frontiers give finer
     /// partitions at the cost of a longer shared prefix that every
     /// worker re-expands.
     pub depth: u32,
-    /// Launch attempts per worker before the coordinator gives up and
-    /// reports [`ExploreError::Worker`] (min 1).
+    /// Launch attempts per slice before the coordinator gives up on its
+    /// worker and degrades, or reports [`ExploreError::Worker`] (min 1).
     pub attempts: usize,
     /// Root directory for the shared scratch (worker export segments);
     /// system temp dir when `None`.  A unique subdirectory is created
@@ -231,9 +214,8 @@ pub struct DistOptions {
     /// export only their (often empty) deltas, which is what removes the
     /// merge traffic from repeated runs.
     pub cache: Option<CacheConfig>,
-    /// Work-stealing policy for the elastic engine
-    /// ([`explore_elastic_timed`]); ignored by
-    /// [`explore_partitioned_timed`].
+    /// The elastic plan's policy ([`explore_elastic_timed`]): when to
+    /// offload, when to preempt.  The partitioned plan has none.
     pub steal: StealConfig,
     /// Deterministic fault injection ([`crate::faults`]): which worker
     /// launches misbehave and how.  Empty by default — production runs
@@ -241,7 +223,7 @@ pub struct DistOptions {
     pub faults: FaultPlan,
     /// Worker-lifecycle supervision: retry backoff, per-attempt timeout,
     /// pulse-liveness watchdog, and the degrade-vs-fail policy for
-    /// partitions that exhaust their retry budget.
+    /// slices that exhaust their retry budget.
     pub supervise: SuperviseConfig,
 }
 
@@ -270,26 +252,24 @@ impl DistOptions {
 pub struct SuperviseConfig {
     /// Base delay before a worker's first relaunch; doubles per retry
     /// (deterministic, no jitter) up to [`backoff_cap`](Self::backoff_cap).
-    /// `Duration::ZERO` relaunches immediately, the legacy behavior.
+    /// `Duration::ZERO` relaunches immediately.
     pub backoff: Duration,
     /// Upper bound on any single backoff delay.
     pub backoff_cap: Duration,
-    /// Wall-clock budget for one worker launch, under both coordinators:
-    /// an attempt still running at the deadline has its [`CancelToken`]
-    /// tripped and is retried as a crash.  `None` disables the
-    /// per-attempt timeout.
+    /// Wall-clock budget for one attempt — launch, validation and merge:
+    /// one still running at the deadline has its [`CancelToken`] tripped
+    /// and is retried as a crash.  `None` disables the timeout.
     pub attempt_timeout: Option<Duration>,
-    /// Pulse-liveness deadline for the elastic scheduler: a worker whose
-    /// last `dist-progress:` pulse (or launch) is older than this is
+    /// Pulse-liveness deadline, for workers that pulse: one whose last
+    /// `dist-progress:` pulse (or launch) is older than this is
     /// cancelled and retried as a crash.  `None` disables the watchdog.
-    /// Ignored by the classic partitioned engine, whose workers don't
-    /// pulse — [`attempt_timeout`](Self::attempt_timeout) is what bounds
-    /// a launch there.
+    /// A partition worker never pulses —
+    /// [`attempt_timeout`](Self::attempt_timeout) is what bounds it.
     pub watchdog: Option<Duration>,
     /// What retry-budget exhaustion means: `true` (default) walks the
-    /// orphaned partition locally in the coordinator — the run *degrades*
-    /// and still produces the exact report — while `false` preserves the
-    /// legacy loud [`ExploreError::Worker`] failure.
+    /// orphaned slice locally in the coordinator — the run *degrades*
+    /// and still produces the exact report — while `false` fails it
+    /// loudly with [`ExploreError::Worker`].
     pub degrade: bool,
 }
 
@@ -307,7 +287,7 @@ impl Default for SuperviseConfig {
 
 impl SuperviseConfig {
     /// The [`RetryPolicy`] this supervision config induces for
-    /// `attempts` launches per task.
+    /// `attempts` launches per slice.
     pub fn policy(&self, attempts: usize) -> RetryPolicy {
         RetryPolicy {
             attempts: attempts.max(1),
@@ -432,11 +412,11 @@ pub struct WorkerTask {
     /// image) the worker imports before walking; subtrees answered by it
     /// are skipped, not re-explored, and excluded from the export.
     pub seed_path: Option<PathBuf>,
-    /// The sealed frontier segment written by the coordinator (`(hash,
-    /// path)` records for the *whole* depth-`d` frontier), from which
-    /// the worker rebuilds its slice — the expansion happens once per
-    /// run, not once per worker.  Every coordinator ships one; a worker
-    /// handed `None` fails loudly.
+    /// A sealed frontier segment written by the coordinator (`(hash,
+    /// path)` records), from which the worker rebuilds the subtree roots
+    /// that hash into its partition — the expansion happens once per
+    /// run, not once per worker.  The coordinator ships each worker its
+    /// own slice; a worker handed `None` fails loudly.
     pub frontier_path: Option<PathBuf>,
     /// Which launch of this partition this is (0-based); the fault
     /// harness keys injected misbehavior by `(partition, attempt)`.
@@ -454,7 +434,7 @@ pub struct WorkerTask {
 /// What one worker did, for logs and benches.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerReport {
-    /// Distinct configurations on the full depth-`d` frontier.
+    /// Records in the frontier segment it was handed.
     pub frontier: usize,
     /// Frontier subtree roots owned by this partition.
     pub owned: usize,
@@ -570,6 +550,12 @@ where
         level = next;
     }
     Ok(records)
+}
+
+/// The partition, of `partitions`, that owns the subtree root whose key
+/// has the memo's (build-stable) `hash`.
+fn owner(hash: u64, partitions: usize) -> usize {
+    (hash % partitions as u64) as usize
 }
 
 /// A frontier record in wire form: the subtree root's canonical-key
@@ -757,7 +743,7 @@ where
     let mut records = read_frontier_segment(job.frontier)?;
     let frontier = records.len();
     if let Some((partition, partitions)) = job.slice {
-        records.retain(|(hash, _)| (hash % partitions as u64) as usize == partition);
+        records.retain(|(hash, _)| owner(*hash, partitions) == partition);
     }
     let roots = reconstruct_paths(&mut Walker::new(&shared), &root, records)?;
     let owned = roots.len();
@@ -855,12 +841,13 @@ pub struct DistTimings {
     /// Seeding: importing the persistent cache into the coordinator
     /// memo and writing the consolidated worker seed segment.
     pub seed_seconds: f64,
-    /// The coordinator's single depth-`d` frontier expansion (written to
-    /// the shared frontier segment; workers import their slice instead
-    /// of re-expanding).
+    /// The partitioned plan's single depth-`d` frontier expansion and
+    /// its cut into slices (workers import theirs instead of
+    /// re-expanding).
     pub frontier_seconds: f64,
-    /// The worker phase, wall clock: first launch to last validated
-    /// import (includes crashed-worker retries).
+    /// The work phase, wall clock: the elastic plan's local walk, then
+    /// first launch to last validated import (crashed-worker retries and
+    /// degraded local walks included).
     pub workers_wall_seconds: f64,
     /// Segment merge: summed durations of the coordinator-side imports
     /// of worker export segments (they overlap in wall time — workers
@@ -871,225 +858,12 @@ pub struct DistTimings {
     pub replay_seconds: f64,
     /// Census and (if violating) witness reconstruction.
     pub report_seconds: f64,
-    /// Partitions that exhausted their retry budget and were walked
-    /// locally by the coordinator instead ([`SuperviseConfig::degrade`]).
-    /// `0` on every clean run.
+    /// Slices that exhausted their retry budget and were walked locally
+    /// by the coordinator instead ([`SuperviseConfig::degrade`]), under
+    /// either plan.  `0` on every clean run.
     pub degraded_partitions: usize,
     /// Wall clock spent on those degraded local walks.
     pub degraded_seconds: f64,
-}
-
-/// Walks `(hash, path)` records in the coordinator itself — the degraded
-/// fallback for a slice whose worker exhausted every retry.  Sound for
-/// the same reason under-coverage is: whatever the failed launches did
-/// or didn't export, these subtrees end up memoized exactly once, here.
-fn walk_locally<P>(
-    run: &Run<'_, P>,
-    threads: usize,
-    records: Vec<FrontierRecord>,
-) -> Result<(), ExploreError>
-where
-    P: CheckableProtocol,
-    P::Output: Hash + SpillCodec,
-{
-    let roots = reconstruct_paths(&mut Walker::new(&run.shared), &run.root, records)?;
-    walk_unbounded(&run.shared, threads, roots)
-}
-
-/// Finishes a coordinator's run ([`Run::finish`]: replay, report,
-/// commit), filing the two phases it times under `timings`.
-fn finish_timed<P>(
-    run: Run<'_, P>,
-    mut timings: DistTimings,
-) -> Result<(ExploreReport<P::Output>, DistTimings), ExploreError>
-where
-    P: CheckableProtocol,
-    P::Output: Hash + SpillCodec,
-{
-    let (report, replay_seconds, report_seconds) = run.finish()?;
-    timings.replay_seconds = replay_seconds;
-    timings.report_seconds = report_seconds;
-    Ok((report, timings))
-}
-
-/// Explores `initial` by frontier partitioning: launches one worker per
-/// partition via `launch`, validates and retries failed workers, merges
-/// every exported segment into a pre-seeded memo, and replays the
-/// canonical root walk over it.  Also returns the coordinator's
-/// per-phase [`DistTimings`].
-///
-/// The report is bit-identical to [`crate::explore_with`] at any
-/// partition count, any worker engine, and any worker crash/retry
-/// history (module docs give the argument).  `launch` runs one worker to
-/// completion — typically by spawning an OS process with the task's
-/// parameters and waiting for it — and returns a human-readable error if
-/// the worker could not run; the coordinator additionally validates the
-/// export file itself, so a worker that *claims* success with a damaged
-/// or unsealed export is also retried.
-pub fn explore_partitioned_timed<P, L>(
-    system: SystemConfig,
-    config: ExploreConfig,
-    options: &DistOptions,
-    initial: Vec<P>,
-    proposals: Vec<P::Output>,
-    launch: L,
-) -> Result<(ExploreReport<P::Output>, DistTimings), ExploreError>
-where
-    P: CheckableProtocol,
-    P::Output: Hash + SpillCodec,
-    L: Fn(&WorkerTask) -> Result<(), String> + Sync,
-{
-    let partitions = options.partitions.max(1);
-    // An `io=` clause in the fault plan arms the IO shim over this
-    // (the coordinator) thread's writes for the run's duration; workers
-    // are untouched — their faults ride the task.
-    let _io_fault = options.faults.io.map(faults::install_io_fault);
-    // The scratch dir is owned by this function: whichever way it exits
-    // — success, worker-retry exhaustion, validation failure, engine
-    // error, even unwind — `scratch` drops and the directory is removed
-    // recursively (`SpillDir`); only the caller-provided root outlives
-    // the run.
-    let scratch = SpillDir::create(options.scratch_dir.as_deref())?;
-    let mut timings = DistTimings::default();
-
-    let seed_start = Instant::now();
-    let cache = options.cache.clone();
-    let run = Run::open(system, config, &options.replay, cache, &proposals, initial)?;
-    let shared = &run.shared;
-    let seed_path = if shared.memo.len() == 0 {
-        None
-    } else {
-        let mut segments = run.cache_segments();
-        if run.resumed == 0 && segments.len() == 1 {
-            // The common warm case: one sealed image the coordinator
-            // just imported end to end.  Hand workers that very file
-            // (they only read it) instead of re-compressing and
-            // re-writing the whole image into the scratch dir.  (With a
-            // resumed checkpoint in the memo the cache file alone would
-            // under-seed, so that case falls through to a full export.)
-            segments.pop()
-        } else {
-            let path = scratch.path().join("seed.seg");
-            shared.memo.export_to(&path)?;
-            Some(path)
-        }
-    };
-    timings.seed_seconds = seed_start.elapsed().as_secs_f64();
-
-    // Expand the depth-`d` frontier once, here, and ship it to every
-    // worker as a sealed frontier segment.  The records stay alive past
-    // the worker phase: if a partition exhausts its retry budget, the
-    // coordinator rebuilds that slice from them and walks it locally.
-    let frontier_start = Instant::now();
-    let frontier_records =
-        expand_frontier(&mut Walker::new(shared), run.root.clone(), options.depth)?;
-    let frontier_path = scratch.path().join("frontier.seg");
-    write_frontier_segment(&frontier_path, &frontier_records)?;
-    timings.frontier_seconds = frontier_start.elapsed().as_secs_f64();
-
-    let merge_seconds = Mutex::new(0f64);
-    let workers_start = Instant::now();
-    let policy = options.supervise.policy(options.attempts);
-    let outcomes = run_tasks_supervised(partitions, &policy, |ctx: &SupervisedAttempt| {
-        let task = WorkerTask {
-            partition: ctx.index,
-            partitions,
-            depth: options.depth,
-            export_path: scratch.path().join(format!("worker{}.seg", ctx.index)),
-            seed_path: seed_path.clone(),
-            frontier_path: Some(frontier_path.clone()),
-            attempt: ctx.attempt,
-            fault: options.faults.for_worker(ctx.index as u64, ctx.attempt),
-            cancel: ctx.cancel.clone(),
-        };
-        launch(&task)?;
-        // Trust nothing a process boundary crossed: the import scans
-        // header, every record's CRC, and the sealed record count —
-        // merging and validating in one pass over the file.  A
-        // partial import of a file that fails mid-scan is harmless:
-        // every record that passed its CRC is a correct
-        // (key, summary) pair, so it simply pre-seeds the memo the
-        // retried worker would re-export anyway (duplicate inserts
-        // are absorbed).  Deltas import as *fresh*: relative to the
-        // persistent cache they are exactly what this run added.
-        let merge_start = Instant::now();
-        let result = shared
-            .memo
-            .import_from(&task.export_path, key_validator::<P>())
-            .map(|_| ())
-            .map_err(|e| e.to_string());
-        *merge_seconds.lock().expect("merge timing poisoned") +=
-            merge_start.elapsed().as_secs_f64();
-        result
-    });
-    timings.workers_wall_seconds = workers_start.elapsed().as_secs_f64();
-    timings.merge_seconds = merge_seconds.into_inner().expect("merge timing poisoned");
-    let degraded_start = Instant::now();
-    for (partition, outcome) in outcomes.into_iter().enumerate() {
-        let Err(err) = outcome else { continue };
-        let detail = err.to_string();
-        if !options.supervise.degrade {
-            return Err(ExploreError::Worker { partition, detail });
-        }
-        // Graceful degradation: under-coverage is safe (module docs), so
-        // an orphaned partition is walked right here — slower than a
-        // worker, but the run completes with the exact report instead of
-        // dying after every retry already failed.
-        eprintln!(
-            "twostep: partition {partition} exhausted its {} launch attempt(s) \
-             ({detail}); walking it locally in degraded mode",
-            policy.attempts
-        );
-        let mine = frontier_records
-            .iter()
-            .filter(|(hash, _)| (hash % partitions as u64) as usize == partition)
-            .cloned()
-            .collect();
-        walk_locally(&run, options.replay.threads, mine)?;
-        timings.degraded_partitions += 1;
-    }
-    if timings.degraded_partitions > 0 {
-        timings.degraded_seconds = degraded_start.elapsed().as_secs_f64();
-    }
-    finish_timed(run, timings)
-}
-
-/// [`explore_partitioned_timed`] with every worker run inside this
-/// process — the zero-setup path (and the one the differential suite
-/// exercises): workers still communicate solely through exported segment
-/// files, so the merge path is identical to the multi-process
-/// deployment.
-///
-/// `worker_engine` selects each worker's thread count and memo tiering;
-/// the coordinator's replay uses `options.replay`.
-pub fn explore_partitioned_in_process<P>(
-    system: SystemConfig,
-    config: ExploreConfig,
-    options: &DistOptions,
-    worker_engine: ExploreOptions,
-    initial: Vec<P>,
-    proposals: Vec<P::Output>,
-) -> Result<ExploreReport<P::Output>, ExploreError>
-where
-    P: CheckableProtocol,
-    P::Output: Hash + SpillCodec,
-{
-    let worker_initial = initial.clone();
-    let worker_proposals = proposals.clone();
-    let launch = |task: &WorkerTask| {
-        run_worker(
-            system,
-            config,
-            worker_engine.clone(),
-            worker_initial.clone(),
-            worker_proposals.clone(),
-            task,
-        )
-        .map(|_| ())
-        .map_err(|e| e.to_string())
-    };
-    explore_partitioned_timed(system, config, options, initial, proposals, launch)
-        .map(|(report, _)| report)
 }
 
 /// One elastic worker's assignment: the frontier slice it walks, the
@@ -1126,10 +900,8 @@ pub struct ElasticTask {
     /// [`DistOptions::faults`] by `(worker id, attempt)`; `None` (the
     /// production case) runs clean.
     pub fault: Option<WorkerFault>,
-    /// The attempt's cooperative stop signal: tripped by the
-    /// supervisor's watchdog when the worker stops pulsing.  An
-    /// OS-process launch polls it and kills the child; in-process
-    /// injected hangs poll it directly.
+    /// The attempt's cooperative stop signal, as
+    /// [`WorkerTask::cancel`]: the pulse watchdog trips it too.
     pub cancel: CancelToken,
 }
 
@@ -1243,45 +1015,451 @@ where
     })
 }
 
-/// A live elastic worker, from the coordinator's side of the handshake.
-struct ActiveWorker {
-    task: ElasticTask,
-    attempt: usize,
+/// Walks `(hash, path)` records in the coordinator itself — the degraded
+/// fallback for a slice whose worker exhausted every retry.
+fn walk_locally<P>(
+    run: &Run<'_, P>,
+    threads: usize,
+    records: Vec<FrontierRecord>,
+) -> Result<(), ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let roots = reconstruct_paths(&mut Walker::new(&run.shared), &run.root, records)?;
+    walk_unbounded(&run.shared, threads, roots)
+}
+
+/// What both coordinators hold from entry to exit.  Bound to locals in
+/// this order, they drop in reverse: the run before its scratch directory.
+type Opened<'a, P> = (Option<IoFaultGuard>, SpillDir, Run<'a, P>, DistTimings);
+
+/// Opens a coordinator's run ([`Run::open`]: clock, fingerprint, cache
+/// seed, checkpoint resume) beside a fresh scratch directory.
+fn open_coordinator<'a, P>(
+    system: SystemConfig,
+    config: ExploreConfig,
+    options: &'a DistOptions,
+    proposals: &'a [P::Output],
+    initial: Vec<P>,
+) -> Result<Opened<'a, P>, ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    // An `io=` clause in the fault plan arms the IO shim over this (the
+    // coordinator) thread's writes for the run's duration; workers are
+    // untouched — their faults ride the task.
+    let io_fault = options.faults.io.map(faults::install_io_fault);
+    // Whichever way the entry point exits — errors and unwinding included
+    // — the `SpillDir` drops and the directory is removed recursively;
+    // only the caller-provided root outlives the run.
+    let scratch = SpillDir::create(options.scratch_dir.as_deref())?;
+    let seed_start = Instant::now();
+    let cache = options.cache.clone();
+    let run = Run::open(system, config, &options.replay, cache, proposals, initial)?;
+    let timings = DistTimings {
+        seed_seconds: seed_start.elapsed().as_secs_f64(),
+        ..DistTimings::default()
+    };
+    Ok((io_fault, scratch, run, timings))
+}
+
+/// Finishes a coordinator's run ([`Run::finish`]: replay, report,
+/// commit), filing the two phases it times under `timings`.
+fn finish_timed<P>(
+    run: Run<'_, P>,
+    mut timings: DistTimings,
+) -> Result<(ExploreReport<P::Output>, DistTimings), ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let (report, replay_seconds, report_seconds) = run.finish()?;
+    timings.replay_seconds = replay_seconds;
+    timings.report_seconds = report_seconds;
+    Ok((report, timings))
+}
+
+/// What an entry point contributes to the one loop ([`coordinate`]).
+struct Plan<'p> {
+    /// Frontier slices waiting for a worker slot; the loop launches them
+    /// in queue order as workers `0, 1, …`.
+    slices: VecDeque<Vec<FrontierRecord>>,
+    /// Memo segments every launch imports before walking.
+    seeds: Vec<PathBuf>,
+    /// With stealing [`enabled`](StealConfig::enabled) workers pulse and
+    /// honor steal flags: the loop preempts loaded ones while a slot
+    /// idles, and runs the pulse watchdog.  Off, the slices are all.
+    steal: &'p StealConfig,
+}
+
+/// Cuts `records` into `ways` slices by key hash, order kept: slice `i`
+/// holds what partition worker `i` of `ways` owns.
+fn cut_by_hash(records: Vec<FrontierRecord>, ways: usize) -> VecDeque<Vec<FrontierRecord>> {
+    let mut slices = vec![Vec::new(); ways];
+    for record in records {
+        slices[owner(record.0, ways)].push(record);
+    }
+    slices.into()
+}
+
+/// Cuts `records` into at most `ways` slices of even length, order kept.
+fn cut_evenly(
+    records: Vec<FrontierRecord>,
+    ways: usize,
+) -> impl Iterator<Item = Vec<FrontierRecord>> {
+    let mut rest: VecDeque<FrontierRecord> = records.into();
+    (1..=ways.max(1)).rev().map_while(move |left| {
+        let take = rest.len().div_ceil(left);
+        (take > 0).then(|| rest.drain(..take).collect())
+    })
+}
+
+/// A launch in flight, as its own thread and its pulses describe it to
+/// the loop.
+struct Live {
+    /// Harvestable frontier last advertised (`0` before the first pulse).
+    frontier: usize,
+    /// Last pulse, or the launch.
+    alive_at: Instant,
     /// A steal flag has been written and not yet answered; such a victim
     /// is never flagged twice.
     flagged: bool,
-    /// When the current attempt was launched — the liveness baseline for
-    /// a worker that has not pulsed yet.
-    spawned_at: Instant,
-    /// A failed attempt waiting out its deterministic backoff; respawned
-    /// when the deadline passes.  The slot stays occupied meanwhile.
-    retry_at: Option<Instant>,
+    cancel: CancelToken,
 }
 
-/// Sends the worker's result to the coordinator exactly once — including
-/// when `launch` panics, so the scheduler loop never hangs on a worker
-/// that will not report.
-struct SendGuard {
-    tx: mpsc::Sender<(u64, Result<ElasticExit, String>)>,
-    worker: u64,
-    done: bool,
-}
-
-impl SendGuard {
-    fn finish(mut self, result: Result<ElasticExit, String>) {
-        self.done = true;
-        let _ = self.tx.send((self.worker, result));
-    }
-}
-
-impl Drop for SendGuard {
-    fn drop(&mut self) {
-        if !self.done {
-            let _ = self
-                .tx
-                .send((self.worker, Err("worker launch panicked".to_string())));
+/// The one coordinator loop: fills idle worker slots from the plan's
+/// slice queue, preempts loaded workers while a slot idles, watches
+/// pulses, and receives finished slices — until nothing is queued or in
+/// flight.  Every launch runs on a thread of its own inside
+/// [`twostep_sim::supervise`] (retries, backoff, attempt timeout, panic
+/// containment) and merges its own export there: merges overlap.
+fn coordinate<P, L>(
+    run: &Run<'_, P>,
+    options: &DistOptions,
+    scratch: &Path,
+    plan: Plan<'_>,
+    launch: L,
+    timings: &mut DistTimings,
+) -> Result<ElasticStats, ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+    L: Fn(&ElasticTask, usize, &(dyn Fn(WorkerPulse) + Sync)) -> Result<ElasticExit, String> + Sync,
+{
+    let partitions = options.partitions.max(1);
+    let policy = options.supervise.policy(options.attempts);
+    let steal = plan.steal;
+    let poll = steal.poll_interval.max(Duration::from_millis(1));
+    let mut queue = plan.slices;
+    let mut stats = ElasticStats::default();
+    let seeds = Mutex::new(plan.seeds);
+    let merge_seconds = Mutex::new(0f64);
+    let board: Mutex<HashMap<u64, Live>> = Mutex::new(HashMap::new());
+    let memo = &run.shared.memo;
+    // Worker `worker`'s rendezvous file `name` under the scratch dir.
+    let at = |worker: u64, name: &str| scratch.join(format!("worker{worker}-{name}"));
+    let pulse = |p: WorkerPulse| {
+        if let Some(live) = board.lock().expect("board poisoned").get_mut(&p.worker) {
+            (live.frontier, live.alive_at) = (p.frontier, Instant::now());
         }
+    };
+    // What an attempt is, under either plan.  Its value is the frontier a
+    // preempted worker handed back, if it was preempted.
+    let attempt = |worker: u64, ctx: &SupervisedAttempt| {
+        let task = ElasticTask {
+            worker,
+            // Deltas merged since the slice was cut shrink the run.
+            seed_paths: seeds.lock().expect("seed list poisoned").clone(),
+            frontier_path: at(worker, "frontier.seg"),
+            export_path: at(worker, "export.seg"),
+            preempt_path: at(worker, "preempt.seg"),
+            steal_flag: at(worker, "steal.flag"),
+            yield_every: steal.yield_every.max(1),
+            fault: options.faults.for_worker(worker, ctx.attempt),
+            cancel: ctx.cancel.clone(),
+        };
+        // A stale flag would preempt a relaunch on its first pulse.
+        let _ = std::fs::remove_file(&task.steal_flag);
+        let live = Live {
+            frontier: 0,
+            alive_at: Instant::now(),
+            flagged: false,
+            cancel: ctx.cancel.clone(),
+        };
+        board.lock().expect("board poisoned").insert(worker, live);
+        let exit = launch(&task, ctx.attempt, &pulse);
+        // Between attempts a slice is neither a victim nor watched.
+        board.lock().expect("board poisoned").remove(&worker);
+        let exit = exit?;
+        // Merging and validating are one pass over the file (module
+        // docs, *validation*).  A partial import of a file that fails
+        // mid-scan is harmless: every record that passed its CRC is a
+        // correct (key, summary) pair, so it simply pre-seeds the memo
+        // the retried worker would re-export anyway.  Deltas import as
+        // *fresh*: relative to the persistent cache they are exactly what
+        // this run added.
+        let merge_start = Instant::now();
+        let merged = memo.import_from(&task.export_path, key_validator::<P>());
+        *merge_seconds.lock().expect("merge timing poisoned") +=
+            merge_start.elapsed().as_secs_f64();
+        merged.map_err(|e| e.to_string())?;
+        match exit {
+            ElasticExit::Finished => Ok(None),
+            ElasticExit::Preempted => read_frontier_segment(&task.preempt_path)
+                .map(Some)
+                .map_err(|e| e.to_string()),
+        }
+    };
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| -> Result<(), ExploreError> {
+        // What each busy slot's slice covers, kept for the degrade rule.
+        let mut active: HashMap<u64, Vec<FrontierRecord>> = HashMap::new();
+        let mut orphans: Vec<Vec<FrontierRecord>> = Vec::new();
+        let mut next_worker = 0u64;
+        loop {
+            // The degrade rule (module docs): a slice that exhausted its
+            // attempts — and, once every slot has failed every budget,
+            // whatever is still queued — is walked right here.
+            if stats.quarantined >= partitions {
+                orphans.extend(queue.drain(..));
+            }
+            for records in orphans.drain(..) {
+                let degraded_start = Instant::now();
+                walk_locally(run, options.replay.threads, records)?;
+                stats.degraded += 1;
+                timings.degraded_seconds += degraded_start.elapsed().as_secs_f64();
+            }
+            // A slot whose slice was orphaned is quarantined: capacity
+            // shrinks, and no later slice lands on it.
+            let capacity = partitions - stats.quarantined.min(partitions - 1);
+            while active.len() < capacity {
+                let Some(records) = queue.pop_front() else {
+                    break;
+                };
+                let worker = next_worker;
+                next_worker += 1;
+                write_frontier_segment(&at(worker, "frontier.seg"), &records)?;
+                stats.workers_launched += 1;
+                let (tx, attempt) = (tx.clone(), &attempt);
+                scope.spawn(move || {
+                    let result = supervise(&policy, |ctx| attempt(worker, ctx));
+                    let _ = tx.send((worker, result));
+                });
+                active.insert(worker, records);
+            }
+            if active.is_empty() {
+                return Ok(());
+            }
+            if steal.enabled {
+                let mut board = board.lock().expect("board poisoned");
+                // Idle capacity and nothing queued: preempt the most loaded
+                // un-flagged worker whose frontier clears the threshold.
+                if queue.is_empty() && active.len() < capacity {
+                    let loaded = board.iter_mut().filter(|(_, live)| {
+                        !live.flagged && live.frontier >= steal.min_frontier.max(1)
+                    });
+                    if let Some((&id, live)) =
+                        loaded.max_by_key(|(&id, live)| (live.frontier, std::cmp::Reverse(id)))
+                    {
+                        std::fs::write(at(id, "steal.flag"), b"steal").map_err(|e| {
+                            ExploreError::Coordinator {
+                                detail: format!("writing steal flag: {e}"),
+                            }
+                        })?;
+                        live.flagged = true;
+                    }
+                }
+                // The pulse watchdog: a launch silent past the deadline is
+                // cancelled — it kills its process and reports a failure,
+                // which is retried like any other.
+                if let Some(deadline) = options.supervise.watchdog {
+                    for (worker, live) in board.iter() {
+                        if live.alive_at.elapsed() >= deadline && !live.cancel.is_cancelled() {
+                            eprintln!(
+                                "twostep: worker {worker} has not pulsed within {deadline:?}; \
+                                 cancelling the attempt and retrying it as crashed"
+                            );
+                            live.cancel.cancel();
+                        }
+                    }
+                }
+            }
+            // The loop holds a sender, so the only error is the timeout.
+            let Ok((worker, result)) = rx.recv_timeout(poll) else {
+                continue;
+            };
+            let records = active.remove(&worker).expect("unknown worker reported");
+            match result {
+                Ok(handed) => {
+                    // The merged delta seeds every later launch, so a
+                    // stolen subtree is never walked twice.
+                    (seeds.lock().expect("seed list poisoned")).push(at(worker, "export.seg"));
+                    if let Some(handed) = handed {
+                        stats.steals += 1;
+                        queue.extend(cut_evenly(handed, capacity.saturating_sub(active.len())));
+                    }
+                }
+                Err(error) if options.supervise.degrade => {
+                    eprintln!(
+                        "twostep: worker {worker} exhausted its {} launch attempt(s) \
+                         ({error}); walking its slice locally in degraded mode",
+                        policy.attempts
+                    );
+                    stats.quarantined += 1;
+                    orphans.push(records);
+                }
+                Err(error) => {
+                    // Hasten the survivors' exit before failing: a
+                    // flagged worker preempts at its next pulse instead of
+                    // finishing its whole slice.
+                    for &other in active.keys() {
+                        let _ = std::fs::write(at(other, "steal.flag"), b"stop");
+                    }
+                    return Err(ExploreError::Worker {
+                        partition: worker as usize,
+                        detail: error.to_string(),
+                    });
+                }
+            }
+        }
+    })?;
+    timings.merge_seconds = merge_seconds.into_inner().expect("merge timing poisoned");
+    timings.degraded_partitions = stats.degraded;
+    Ok(stats)
+}
+
+/// The partitioned plan's seed: a segment holding the coordinator's memo
+/// as the run opened it, `None` when that is empty.
+fn opening_seed<P>(run: &Run<'_, P>, scratch: &Path) -> Result<Option<PathBuf>, ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let mut segments = run.cache_segments();
+    if run.shared.memo.len() == 0 {
+        Ok(None)
+    } else if run.resumed == 0 && segments.len() == 1 {
+        // The common warm case: one sealed image the coordinator just
+        // imported end to end.  Hand workers that very file (they only
+        // read it) instead of re-compressing and re-writing the whole
+        // image into the scratch dir.  (With a resumed checkpoint in the
+        // memo the cache file alone would under-seed.)
+        Ok(segments.pop())
+    } else {
+        let path = scratch.join("seed.seg");
+        run.shared.memo.export_to(&path)?;
+        Ok(Some(path))
     }
+}
+
+/// Explores `initial` by frontier partitioning: launches one worker per
+/// partition via `launch`, validates and retries failed workers, merges
+/// every exported segment into a pre-seeded memo, and replays the
+/// canonical root walk over it.  Also returns the coordinator's
+/// per-phase [`DistTimings`].
+///
+/// The report is bit-identical to [`crate::explore_with`] at any
+/// partition count, any worker engine, and any worker crash/retry
+/// history (module docs give the argument).  `launch` runs one worker to
+/// completion — typically by spawning an OS process with the task's
+/// parameters and waiting for it — and returns a human-readable error if
+/// the worker could not run; the coordinator additionally validates the
+/// export file itself, so a worker that *claims* success with a damaged
+/// or unsealed export is also retried.
+pub fn explore_partitioned_timed<P, L>(
+    system: SystemConfig,
+    config: ExploreConfig,
+    options: &DistOptions,
+    initial: Vec<P>,
+    proposals: Vec<P::Output>,
+    launch: L,
+) -> Result<(ExploreReport<P::Output>, DistTimings), ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+    L: Fn(&WorkerTask) -> Result<(), String> + Sync,
+{
+    let partitions = options.partitions.max(1);
+    let (_io_fault, scratch, run, mut timings) =
+        open_coordinator(system, config, options, &proposals, initial)?;
+    let seed_start = Instant::now();
+    let seed_path = opening_seed(&run, scratch.path())?;
+    timings.seed_seconds += seed_start.elapsed().as_secs_f64();
+
+    // The partitioned plan: the depth-`d` frontier, expanded once, here,
+    // and cut by key hash — slice `i` is worker `i`'s.
+    let frontier_start = Instant::now();
+    let walker = &mut Walker::new(&run.shared);
+    let frontier = expand_frontier(walker, run.root.clone(), options.depth)?;
+    let slices = cut_by_hash(frontier, partitions);
+    timings.frontier_seconds = frontier_start.elapsed().as_secs_f64();
+
+    let workers_start = Instant::now();
+    let plan = Plan {
+        slices,
+        seeds: seed_path.clone().into_iter().collect(),
+        steal: &StealConfig::default(),
+    };
+    // The `WorkerTask` view of a slice: its own segment is the frontier
+    // the worker filters (and keeps whole), its one seed the opening one.
+    let view = |task: &ElasticTask, attempt: usize, _: &(dyn Fn(WorkerPulse) + Sync)| {
+        let task = WorkerTask {
+            partition: task.worker as usize,
+            partitions,
+            depth: options.depth,
+            export_path: task.export_path.clone(),
+            seed_path: seed_path.clone(),
+            frontier_path: Some(task.frontier_path.clone()),
+            attempt,
+            fault: task.fault,
+            cancel: task.cancel.clone(),
+        };
+        launch(&task).map(|()| ElasticExit::Finished)
+    };
+    coordinate(&run, options, scratch.path(), plan, view, &mut timings)?;
+    timings.workers_wall_seconds = workers_start.elapsed().as_secs_f64();
+    finish_timed(run, timings)
+}
+
+/// [`explore_partitioned_timed`] with every worker run inside this
+/// process — the zero-setup path (and the one the differential suite
+/// exercises): workers still communicate solely through exported segment
+/// files, so the merge path is identical to the multi-process
+/// deployment.
+///
+/// `worker_engine` selects each worker's thread count and memo tiering;
+/// the coordinator's replay uses `options.replay`.
+pub fn explore_partitioned_in_process<P>(
+    system: SystemConfig,
+    config: ExploreConfig,
+    options: &DistOptions,
+    worker_engine: ExploreOptions,
+    initial: Vec<P>,
+    proposals: Vec<P::Output>,
+) -> Result<ExploreReport<P::Output>, ExploreError>
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let worker_initial = initial.clone();
+    let worker_proposals = proposals.clone();
+    let launch = |task: &WorkerTask| {
+        run_worker(
+            system,
+            config,
+            worker_engine.clone(),
+            worker_initial.clone(),
+            worker_proposals.clone(),
+            task,
+        )
+        .map(|_| ())
+        .map_err(|e| e.to_string())
+    };
+    explore_partitioned_timed(system, config, options, initial, proposals, launch)
+        .map(|(report, _)| report)
 }
 
 /// Explores `initial` elastically: walk locally first, offload to
@@ -1291,9 +1469,10 @@ impl Drop for SendGuard {
 /// run's [`ElasticStats`].
 ///
 /// The report is bit-identical to [`crate::explore_with`] — see the
-/// module docs ("Elastic distribution") for the soundness argument.  `launch` runs one worker to completion —
-/// in-process or by spawning an OS process and tailing its pipe — and
-/// forwards every progress pulse to the provided callback.
+/// module docs ("Elastic distribution") for the soundness argument.
+/// `launch` runs one worker to completion — in-process or by spawning an
+/// OS process and tailing its pipe — and forwards every progress pulse to
+/// the provided callback.
 pub fn explore_elastic_timed<P, L>(
     system: SystemConfig,
     config: ExploreConfig,
@@ -1309,39 +1488,17 @@ where
 {
     let partitions = options.partitions.max(1);
     let steal = &options.steal;
-    let attempts = options.attempts.max(1);
-    // See `explore_partitioned_timed`: an `io=` clause arms the IO shim
-    // over the coordinator thread's writes for the run.
-    let _io_fault = options.faults.io.map(faults::install_io_fault);
-    let scratch = SpillDir::create(options.scratch_dir.as_deref())?;
-    let mut timings = DistTimings::default();
-    let mut stats = ElasticStats::default();
-
-    let seed_start = Instant::now();
-    let cache = options.cache.clone();
-    let run = Run::open(system, config, &options.replay, cache, &proposals, initial)?;
+    let (_io_fault, scratch, run, mut timings) =
+        open_coordinator(system, config, options, &proposals, initial)?;
     let shared = &run.shared;
-    timings.seed_seconds = seed_start.elapsed().as_secs_f64();
-
-    // No upfront frontier expansion (`options.depth` is a partitioned
-    // concern): the local walk starts at the root itself, and a preempted
-    // stack *harvests* its natural frontier — the unexplored children of
-    // whatever the DFS was holding when the steal policy fired.  That
-    // keeps the never-offloads path within a whisker of the plain serial
-    // walk, which is what lets elastic distribution win the quick bench
-    // instead of taxing it.
-    let frontier_start = Instant::now();
+    // The elastic plan: walk the root right here, preempted only once the
+    // run has outlived `poll_interval` *and* still holds a frontier worth
+    // splitting; what the stack then *harvests* is cut into the slices.
     let roots = vec![PathedRoot {
         hash: Walker::new(shared).canonical_key(&run.root).0,
         path: Vec::new(),
         stepper: run.root.clone(),
     }];
-    timings.frontier_seconds = frontier_start.elapsed().as_secs_f64();
-
-    // Local-first: walk in this very process and only consider
-    // offloading once the run has outlived `poll_interval` *and* still
-    // holds a frontier worth splitting.  A quick run never pays a worker
-    // spawn; a big one sheds its whole remaining frontier in one preempt.
     let workers_start = Instant::now();
     let local = walk_elastic(shared, roots, steal.yield_every, |p| {
         if steal.enabled
@@ -1354,267 +1511,23 @@ where
             ElasticVerdict::Continue
         }
     })?;
-    let mut pending: VecDeque<FrontierRecord> = local.unwrap_or_default().into();
-
-    if !pending.is_empty() {
-        stats.offloaded = true;
-        // Everything walked so far — cache seed plus the local phase —
-        // becomes the first worker seed.
-        let first_seed = scratch.path().join("elastic-seed.seg");
-        shared.memo.export_to(&first_seed)?;
-        let mut seed_paths = vec![first_seed];
-
-        let (tx, rx) = mpsc::channel::<(u64, Result<ElasticExit, String>)>();
-        let pulse_board: Mutex<HashMap<u64, (usize, Instant)>> = Mutex::new(HashMap::new());
-        let pulse_fn = |p: WorkerPulse| {
-            pulse_board
-                .lock()
-                .expect("pulse board poisoned")
-                .insert(p.worker, (p.frontier, Instant::now()));
+    let mut stats = ElasticStats::default();
+    if let Some(frontier) = local.filter(|frontier| !frontier.is_empty()) {
+        // The workers' first seed: the cache seed plus the local phase.
+        let seed = scratch.path().join("seed.seg");
+        shared.memo.export_to(&seed)?;
+        let plan = Plan {
+            slices: cut_evenly(frontier, partitions).collect(),
+            seeds: vec![seed],
+            steal,
         };
-        let pulse_dyn: &(dyn Fn(WorkerPulse) + Sync) = &pulse_fn;
-        let launch = &launch;
-        let mut active: HashMap<u64, ActiveWorker> = HashMap::new();
-        let mut next_worker = 0u64;
-        let poll = steal.poll_interval.max(Duration::from_millis(1));
-        let policy = options.supervise.policy(attempts);
-
-        std::thread::scope(|scope| -> Result<(), ExploreError> {
-            // Launches one attempt of `task`, containing panics: a
-            // panicking launch closure reports as that worker's failure
-            // (and is retried), never as coordinator death.
-            let spawn_launch = |task: &ElasticTask| {
-                let spawn_task = task.clone();
-                let guard = SendGuard {
-                    tx: tx.clone(),
-                    worker: task.worker,
-                    done: false,
-                };
-                scope.spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| launch(&spawn_task, pulse_dyn)))
-                        .unwrap_or_else(|payload| {
-                            Err(format!(
-                                "worker launch panicked: {}",
-                                panic_message(payload)
-                            ))
-                        });
-                    guard.finish(result);
-                });
-            };
-            loop {
-                // Quarantined slots shrink capacity; with every slot
-                // quarantined, whatever is still pending is walked
-                // locally — the scheduler refuses to hand work to a
-                // worker population that has failed every budget.
-                let capacity = partitions - stats.quarantined.min(partitions - 1);
-                if stats.quarantined >= partitions && !pending.is_empty() {
-                    let records: Vec<FrontierRecord> = pending.drain(..).collect();
-                    eprintln!(
-                        "twostep: every worker slot is quarantined; walking the remaining \
-                         {} frontier record(s) locally in degraded mode",
-                        records.len()
-                    );
-                    walk_locally(&run, 1, records)?;
-                    stats.degraded += 1;
-                }
-                // Respawn attempts whose deterministic backoff elapsed.
-                let now = Instant::now();
-                for w in active.values_mut() {
-                    if w.retry_at.is_some_and(|at| at <= now) {
-                        w.retry_at = None;
-                        // Refresh the seeds: deltas merged since the
-                        // first launch shrink the rerun.
-                        w.task.seed_paths = seed_paths.clone();
-                        w.task.fault = options.faults.for_worker(w.task.worker, w.attempt);
-                        w.task.cancel = CancelToken::new();
-                        w.attempt += 1;
-                        w.spawned_at = now;
-                        spawn_launch(&w.task);
-                    }
-                }
-                // Fill idle slots: split the pending frontier evenly
-                // across them (hash-order chunks; determinism of the
-                // *result* never depends on the split — module docs).
-                while !pending.is_empty() && active.len() < capacity {
-                    let take = pending
-                        .len()
-                        .div_ceil(capacity - active.len())
-                        .min(pending.len());
-                    let chunk: Vec<FrontierRecord> = pending.drain(..take).collect();
-                    let worker = next_worker;
-                    next_worker += 1;
-                    let frontier_path =
-                        scratch.path().join(format!("elastic-frontier{worker}.seg"));
-                    write_frontier_segment(&frontier_path, &chunk)?;
-                    let task = ElasticTask {
-                        worker,
-                        seed_paths: seed_paths.clone(),
-                        frontier_path,
-                        export_path: scratch.path().join(format!("elastic-export{worker}.seg")),
-                        preempt_path: scratch.path().join(format!("elastic-preempt{worker}.seg")),
-                        steal_flag: scratch.path().join(format!("elastic-steal{worker}.flag")),
-                        yield_every: steal.yield_every.max(1),
-                        fault: options.faults.for_worker(worker, 0),
-                        cancel: CancelToken::new(),
-                    };
-                    stats.workers_launched += 1;
-                    spawn_launch(&task);
-                    active.insert(
-                        worker,
-                        ActiveWorker {
-                            task,
-                            attempt: 1,
-                            flagged: false,
-                            spawned_at: Instant::now(),
-                            retry_at: None,
-                        },
-                    );
-                }
-                if active.is_empty() {
-                    if pending.is_empty() {
-                        break;
-                    }
-                    continue;
-                }
-                // Idle capacity and nothing queued: preempt the most
-                // loaded un-flagged worker whose advertised frontier
-                // clears the threshold.
-                if pending.is_empty() && active.len() < capacity {
-                    let victim = {
-                        let board = pulse_board.lock().expect("pulse board poisoned");
-                        active
-                            .iter()
-                            .filter(|(_, w)| !w.flagged && w.retry_at.is_none())
-                            .filter_map(|(&id, _)| board.get(&id).map(|&(f, _)| (id, f)))
-                            .filter(|&(_, f)| f >= steal.min_frontier.max(1))
-                            .max_by_key(|&(id, f)| (f, std::cmp::Reverse(id)))
-                            .map(|(id, _)| id)
-                    };
-                    if let Some(id) = victim {
-                        let w = active.get_mut(&id).expect("victim is active");
-                        std::fs::write(&w.task.steal_flag, b"steal").map_err(|e| {
-                            ExploreError::Coordinator {
-                                detail: format!("writing steal flag: {e}"),
-                            }
-                        })?;
-                        w.flagged = true;
-                    }
-                }
-                // Liveness: an attempt older than the per-attempt
-                // timeout, or — the watchdog — one whose last pulse (or
-                // launch) is older than the pulse deadline, is cancelled:
-                // the launch kills its process and reports a failure,
-                // which flows into the ordinary retry path below.
-                {
-                    let board = pulse_board.lock().expect("pulse board poisoned");
-                    for w in active.values() {
-                        if w.retry_at.is_some() || w.task.cancel.is_cancelled() {
-                            continue;
-                        }
-                        let worker = w.task.worker;
-                        let last_alive = (board.get(&worker))
-                            .map_or(w.spawned_at, |&(_, at)| at.max(w.spawned_at));
-                        let overdue = match (policy.attempt_timeout, options.supervise.watchdog) {
-                            (Some(timeout), _) if w.spawned_at.elapsed() >= timeout => {
-                                format!("exceeded its {timeout:?} attempt timeout")
-                            }
-                            (_, Some(deadline)) if last_alive.elapsed() >= deadline => {
-                                format!("has not pulsed within {deadline:?}")
-                            }
-                            _ => continue,
-                        };
-                        eprintln!(
-                            "twostep: worker {worker} {overdue}; cancelling the attempt \
-                             and retrying it as crashed"
-                        );
-                        w.task.cancel.cancel();
-                    }
-                }
-                let (worker, result) = match rx.recv_timeout(poll) {
-                    Ok(report) => report,
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        unreachable!("the coordinator holds a sender")
-                    }
-                };
-                let w = active.get_mut(&worker).expect("unknown worker reported");
-                // Trust nothing a thread/process boundary crossed: the
-                // import validates header, per-record CRCs, and the
-                // sealed count; a preempt segment is validated the same
-                // way.  Any failure is charged to the worker and retried.
-                let resolved: Result<Option<Vec<FrontierRecord>>, String> =
-                    result.and_then(|exit| {
-                        let merge_start = Instant::now();
-                        let merged = shared
-                            .memo
-                            .import_from(&w.task.export_path, key_validator::<P>())
-                            .map(|_| ())
-                            .map_err(|e| e.to_string());
-                        timings.merge_seconds += merge_start.elapsed().as_secs_f64();
-                        merged?;
-                        match exit {
-                            ElasticExit::Finished => Ok(None),
-                            ElasticExit::Preempted => read_frontier_segment(&w.task.preempt_path)
-                                .map(Some)
-                                .map_err(|e| e.to_string()),
-                        }
-                    });
-                match resolved {
-                    Ok(handed) => {
-                        // The merged delta seeds every future worker, so
-                        // a stolen subtree is never walked twice.
-                        seed_paths.push(w.task.export_path.clone());
-                        if let Some(handed) = handed {
-                            stats.steals += 1;
-                            pending.extend(handed);
-                        }
-                        active.remove(&worker);
-                    }
-                    Err(detail) if w.attempt >= attempts && options.supervise.degrade => {
-                        // Quarantine the slot and walk its slice locally:
-                        // the run degrades, it does not die.  The slice's
-                        // own frontier segment is intact — the
-                        // coordinator wrote it.
-                        eprintln!(
-                            "twostep: worker {worker} exhausted its {attempts} launch \
-                             attempt(s) ({detail}); quarantining the slot and walking \
-                             its slice locally in degraded mode"
-                        );
-                        let records = read_frontier_segment(&w.task.frontier_path)?;
-                        let _ = std::fs::remove_file(&w.task.steal_flag);
-                        active.remove(&worker);
-                        walk_locally(&run, 1, records)?;
-                        stats.degraded += 1;
-                        stats.quarantined += 1;
-                    }
-                    Err(detail) if w.attempt >= attempts => {
-                        // Hasten the survivors' exit before reporting:
-                        // a flagged worker preempts at its next pulse
-                        // instead of finishing its whole slice.
-                        for other in active.values() {
-                            let _ = std::fs::write(&other.task.steal_flag, b"stop");
-                        }
-                        return Err(ExploreError::Worker {
-                            partition: worker as usize,
-                            detail,
-                        });
-                    }
-                    Err(_) => {
-                        w.flagged = false;
-                        // A stale flag would preempt the relaunch on its
-                        // first pulse.
-                        let _ = std::fs::remove_file(&w.task.steal_flag);
-                        // Deterministic backoff before the relaunch; the
-                        // slot waits it out without blocking the loop.
-                        w.retry_at = Some(Instant::now() + policy.delay_before(w.attempt));
-                    }
-                }
-            }
-            Ok(())
-        })?;
+        let launch = |task: &ElasticTask, _: usize, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
+            launch(task, pulse)
+        };
+        stats = coordinate(&run, options, scratch.path(), plan, launch, &mut timings)?;
+        stats.offloaded = true;
     }
     timings.workers_wall_seconds = workers_start.elapsed().as_secs_f64();
-
     let (report, timings) = finish_timed(run, timings)?;
     Ok((report, timings, stats))
 }

@@ -1395,6 +1395,53 @@ fn a_harvest_mid_frame_leaves_the_walk_whole() {
     on_the_accounted_walks!(assert_harvest_leaves_the_walk_whole);
 }
 
+/// A harvest emits a child once.  The probe records nothing in the class
+/// table, so every row of a class its frame has not absorbed comes back
+/// unanswered: emitted row by row, a (9, 8) frontier held more records
+/// than the space has states.  Preempted mid-frame at CRW (5, 4) and
+/// (6, 5), raw and under `partial+value`: the harvested hashes are
+/// pairwise distinct — within a frame, and across the frames of the stack.
+#[test]
+fn a_harvest_emits_each_child_once() {
+    use twostep_model::WideValue;
+    for (n, t) in [(5, 4), (6, 5)] {
+        let system = SystemConfig::new(n, t).unwrap();
+        let bits: Vec<WideValue> = (0..n as u64).map(|i| WideValue::new(1, i % 2)).collect();
+        let procs = twostep_core::crw_processes(&system, &bits);
+        for symmetry in [Symmetry::Off, Symmetry::PartialValue] {
+            let label = format!("crw ({n}, {t}) {symmetry:?}");
+            let config = ExploreConfig {
+                symmetry,
+                ..ExploreConfig::for_crw(&system)
+            };
+            let options = ExploreOptions::serial();
+            let shared = Shared::new(system, config, &options, &bits, procs.clone()).unwrap();
+            let root = Stepper::new(system, config.model, TraceLevel::Off, procs.clone()).unwrap();
+            let mut walker = Walker::new(&shared);
+            let mut walk = StepWalker::new(&mut walker, vec![root]);
+            let (mut mid_frame, mut repeats) = (0, 0);
+            for stop in [25, 100, 400, 1600] {
+                let mut arbiter = BudgetArbiter::new(WalkBudget {
+                    max_steps: Some(stop),
+                    ..WalkBudget::unlimited()
+                });
+                while walk.step(&mut arbiter).unwrap().status == StepStatus::Running {}
+                let top = walk.stack.last().expect("suspended before the end");
+                mid_frame += usize::from(0 < top.next_action && top.next_action < top.round.len());
+                let mut frontier = Vec::new();
+                walk.harvest_into(&[], &mut frontier).unwrap();
+                let distinct: std::collections::HashSet<u64> =
+                    frontier.iter().map(|(hash, _)| *hash).collect();
+                assert_eq!(distinct.len(), frontier.len(), "{label}: at {stop}");
+                assert!(frontier.len() <= walk.harvestable(), "{label}: at {stop}");
+                repeats += walk.harvestable() - frontier.len();
+            }
+            assert!(mid_frame > 0, "{label}: no harvest mid-frame");
+            assert!(repeats > 0, "{label}: no row repeated a harvested child");
+        }
+    }
+}
+
 /// A system too large for the views' sender masks is explored
 /// entirely on the step path — the factoring imposes no limit on
 /// `n`.  One round of a quiet protocol at `n = 65`, `t = 1`: the

@@ -505,8 +505,9 @@ where
     }
 
     /// Unexplored immediate children across every frame of the current
-    /// DFS stack — an upper bound on what [`Self::harvest_into`] emits
-    /// (harvest additionally skips children already memoized).
+    /// DFS stack, row by row — an upper bound on what
+    /// [`Self::harvest_into`] emits (harvest additionally skips children
+    /// already memoized, and the rows that repeat a child).
     pub(crate) fn harvestable(&self) -> usize {
         self.stack
             .iter()
@@ -519,9 +520,11 @@ where
     /// `(canonical-key hash, action-index path)` record — unless the memo
     /// already holds it, which the key-first probe answers without the
     /// child; the hash of a probe that missed is the record's, so no
-    /// child is built.  `prefix` is the current root's
-    /// own path; a child of frame `j` extends it with the actions chosen
-    /// into frames `1..=j` plus the child's own index.
+    /// child is built.  A child is emitted once, under its first row:
+    /// the rows of a frame are many to a child, and the frontier is cut
+    /// into workers' slices record by record.  `prefix` is the current
+    /// root's own path; a child of frame `j` extends it with the actions
+    /// chosen into frames `1..=j` plus the child's own index.
     ///
     /// The frames themselves (partially-absorbed interiors) are *not*
     /// emitted: their summaries are recomputed by whoever re-drives the
@@ -539,6 +542,10 @@ where
         let mut path: Vec<u32> = Vec::with_capacity(prefix.len() + self.stack.len() + 1);
         path.extend_from_slice(prefix);
         let depth = self.stack.len();
+        // Hashes emitted so far, over every frame: two classes of one
+        // orbit are one child.  (Dropping a record is always sound —
+        // under-coverage is left to the replay.)
+        let mut emitted = std::collections::HashSet::new();
         for (level, frame) in self.stack.iter_mut().enumerate() {
             // Interior frames (those with a frame above) necessarily
             // advanced `next_action` to push that child; only the top
@@ -547,7 +554,18 @@ where
                 level + 1 == depth || frame.next_action > 0,
                 "interior frames were entered through an action"
             );
+            // Class numbers are handed out in first-occurrence order, so
+            // a row whose class is below the highest met has had its row:
+            // in this harvest, or before it — and then the frame has
+            // absorbed the class, or is waiting for it, and the child is
+            // the frame above.
+            let mut met = 0;
             for idx in frame.next_action..frame.round.len() {
+                match frame.round.classify(idx) {
+                    Some(class) if class < met => continue,
+                    Some(class) => met = class + 1,
+                    None => {}
+                }
                 // The probe reads the frame's class table and records
                 // nothing in it: a class gets a summary only from the
                 // walk, when the frame absorbs it.  Its miss is the
@@ -566,6 +584,9 @@ where
                     }
                     _ => continue,
                 };
+                if !emitted.insert(hash) {
+                    continue;
+                }
                 path.push(idx as u32);
                 out.push((hash, path.clone()));
                 path.pop();

@@ -34,8 +34,9 @@
 //!   clock, fingerprint, cache seed, checkpoint resume, all-or-nothing
 //!   memo), differs only in the *work* that fills the memo, and finishes
 //!   it the same way (root walk, report, cache commit); [`explore_with`]
-//!   is the run with no work phase, and module [`dist`] adds the two
-//!   that use worker OS processes, both bit-identical to the serial
+//!   is the run with no work phase, and module [`dist`] adds the one
+//!   that uses worker OS processes — one coordinator loop and one
+//!   supervision rule under two plans, both bit-identical to the serial
 //!   report with crashed workers validated out and retried:
 //!   [`explore_partitioned_timed`] / [`run_worker`] hash-partition the
 //!   depth-`d` frontier, and [`explore_elastic_timed`] /
@@ -61,6 +62,7 @@ pub mod checkpoint;
 pub mod dist;
 pub mod explorer;
 pub mod faults;
+mod manifest;
 pub mod memo;
 pub mod sample;
 pub mod spill;

@@ -30,22 +30,22 @@
 //! take the write lock.  When [`MemoConfig::hot_capacity`] is finite,
 //! each shard evicts its coldest entries (clock / second-chance order)
 //! to tier two: an append-only segment file per shard
-//! ([`crate::spill::SegmentStore`]) whose records hold the **full key
+//! (`crate::spill::SegmentStore`) whose records hold the **full key
 //! bytes and summary**, addressed by the in-memory hash index.  A lookup
 //! that misses the hot tier probes the index by hash, rehydrates each
 //! candidate record — borrowed from the store's write-behind tail or
 //! from one of its cached blocks of the segment file, checked against
 //! its length prefix and CRC, decompressed into a store-owned buffer —
 //! and accepts it only if the stored key bytes equal the probe exactly.
-//! Whole-memo visits ([`ShardedMemo::for_each`], the exports) take each
+//! Whole-memo visits (`ShardedMemo::for_each`, the exports) take each
 //! shard's hot entries first and then its spilled records in file
 //! order, never in the index's hash order, so they read every block
 //! once.
 //!
 //! Storing the key as its canonical bytes is also what makes segment
 //! files cheap to move: a record is `[u32 key_len][key bytes][summary]`,
-//! so spilling, exporting ([`ShardedMemo::export_to`]), and importing
-//! ([`ShardedMemo::import_from`]) all copy the key bytes verbatim — no
+//! so spilling, exporting (`ShardedMemo::export_to`), and importing
+//! (`ShardedMemo::import_from`) all copy the key bytes verbatim — no
 //! structured re-encode anywhere on those paths.
 //!
 //! Two invariants make the tiers invisible to the exploration result:

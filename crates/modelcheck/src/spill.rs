@@ -26,20 +26,20 @@
 //!   entirely is detected *before* its bytes are interpreted — a
 //!   requirement once files travel between processes.  Three access
 //!   paths:
-//!   [`SegmentStore`] (one memo shard's append-only spill storage,
-//!   random-access by [`SpillRef`], rotated every [`SEGMENT_BYTES`]; it
+//!   `SegmentStore` (one memo shard's append-only spill storage,
+//!   random-access by `SpillRef`, rotated every `SEGMENT_BYTES`; it
 //!   moves bytes in blocks, not records — appends gather in a
 //!   write-behind tail, reads go through a few cached blocks of the
 //!   file, and a scan walks the segments front to back — while every
 //!   record read is still checked against its length prefix and CRC),
-//!   [`SegmentWriter`] (builds one export file, patching the true record
-//!   count into the header on [`finish`](SegmentWriter::finish) so an
-//!   unfinished file is distinguishable from a complete one), and
-//!   [`SegmentReader`] (sequential scan of an export file, validating
+//!   `SegmentWriter` (builds one export file, patching the true record
+//!   count into the header on `finish` so an unfinished file is
+//!   distinguishable from a complete one), and
+//!   `SegmentReader` (sequential scan of an export file, validating
 //!   header, CRCs, and record count, lending each record from its own
 //!   buffers).
 //!
-//! Spill segment files live in a [`SpillDir`]: a unique per-exploration
+//! Spill segment files live in a `SpillDir`: a unique per-exploration
 //! subdirectory of either a caller-chosen root or the system temp dir,
 //! removed recursively when the exploration's memo is dropped.
 //!

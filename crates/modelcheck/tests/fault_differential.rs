@@ -461,6 +461,188 @@ fn elastic_hung_worker_is_caught_by_pulse_watchdog() {
     assert_identical(&serial, &dist, "elastic hang caught by watchdog");
 }
 
+/// Supervision is one implementation under both plans: the same fault
+/// on worker 0, run through the partitioned entry and through the
+/// forced-steal elastic one at (5, 4), is retried the same number of
+/// times after the same deterministic backoff, degrades the same number
+/// of slices, fails with the same [`ExploreError::Worker`] detail — and
+/// where the run completes, the report is the serial one.
+#[test]
+fn supervision_is_the_same_under_both_plans() {
+    use std::sync::Mutex;
+    use twostep_modelcheck::ExploreError;
+
+    let (n, t) = (5usize, 4usize);
+    let system = SystemConfig::new(n, t).unwrap();
+    let proposals = crw_proposals(n);
+    let config = ExploreConfig::for_crw(&system);
+    let serial = crw_serial(system, config);
+    let exhausting = "p0a0=crash@walk;p0a1=crash@walk;p0a2=crash@walk";
+    // (label, fault plan, attempt timeout, degrade, worker 0's launches,
+    // degraded slices — `None` where the run must fail).
+    let timeout = Some(Duration::from_millis(150));
+    let table = [
+        (
+            "crash on attempt 0",
+            "p0a0=crash@walk",
+            None,
+            true,
+            2,
+            Some(0),
+        ),
+        (
+            "hang ended by the timeout",
+            "p0a0=hang@walk",
+            timeout,
+            true,
+            2,
+            Some(0),
+        ),
+        (
+            "corrupt export",
+            "p0a0=corrupt-export",
+            None,
+            true,
+            2,
+            Some(0),
+        ),
+        (
+            "every attempt crashes, degrade on",
+            exhausting,
+            None,
+            true,
+            3,
+            Some(1),
+        ),
+        (
+            "every attempt crashes, degrade off",
+            exhausting,
+            None,
+            false,
+            3,
+            None,
+        ),
+    ];
+    for (label, plan, attempt_timeout, degrade, launches, degraded) in table {
+        let mut options = dist_options(2, FaultPlan::parse(plan).unwrap());
+        options.supervise = SuperviseConfig {
+            backoff: Duration::from_millis(20),
+            backoff_cap: Duration::from_millis(40),
+            attempt_timeout,
+            watchdog: None,
+            degrade,
+        };
+        let policy = options.supervise.policy(options.attempts);
+        // Per plan: `Ok(degraded slices)` or `Err(detail)`.
+        let mut outcomes = Vec::new();
+        for elastic in [false, true] {
+            let label = format!(
+                "{label}, {}",
+                if elastic { "elastic" } else { "partitioned" }
+            );
+            // (worker, launch began, launch returned), in launch order.
+            let log: Mutex<Vec<(u64, Instant, Instant)>> = Mutex::new(Vec::new());
+            let logged = |worker: u64, began: Instant| {
+                log.lock().unwrap().push((worker, began, Instant::now()));
+            };
+            let started = Instant::now();
+            let result = if elastic {
+                options.steal = StealConfig {
+                    enabled: true,
+                    min_frontier: 1,
+                    poll_interval: Duration::ZERO,
+                    yield_every: 16,
+                };
+                let launch = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
+                    let began = Instant::now();
+                    let exit = run_worker_elastic(
+                        system,
+                        config,
+                        ExploreOptions::serial(),
+                        crw_processes(&system, &proposals),
+                        proposals.clone(),
+                        task,
+                        pulse,
+                    );
+                    logged(task.worker, began);
+                    exit.map_err(|e| e.to_string())
+                };
+                explore_elastic_timed(
+                    system,
+                    config,
+                    &options,
+                    crw_processes(&system, &proposals),
+                    proposals.clone(),
+                    launch,
+                )
+                .map(|(report, timings, stats)| {
+                    assert!(stats.offloaded, "{label}: the forced policy offloads");
+                    assert_eq!(stats.degraded, timings.degraded_partitions, "{label}");
+                    (report, timings)
+                })
+            } else {
+                let launch = |task: &WorkerTask| {
+                    let began = Instant::now();
+                    let report = run_worker(
+                        system,
+                        config,
+                        ExploreOptions::serial(),
+                        crw_processes(&system, &proposals),
+                        proposals.clone(),
+                        task,
+                    );
+                    logged(task.partition as u64, began);
+                    report.map(|_| ()).map_err(|e| e.to_string())
+                };
+                explore_partitioned_timed(
+                    system,
+                    config,
+                    &options,
+                    crw_processes(&system, &proposals),
+                    proposals.clone(),
+                    launch,
+                )
+            };
+            assert!(
+                started.elapsed() < Duration::from_secs(30),
+                "{label}: the attempt timeout, not the 60s hang cap, ends a hang"
+            );
+            let log = log.into_inner().unwrap();
+            let faulted: Vec<_> = log.iter().filter(|(worker, ..)| *worker == 0).collect();
+            assert_eq!(faulted.len(), launches, "{label}: launches of worker 0");
+            for (retry, pair) in faulted.windows(2).enumerate() {
+                let waited = pair[1].1.duration_since(pair[0].2);
+                let backoff = policy.delay_before(retry + 1);
+                assert!(waited >= backoff, "{label}: retry {retry} after {waited:?}");
+            }
+            if degraded.is_some() {
+                // A failing run stops waiting for the slices in flight.
+                let others = log.iter().filter(|(worker, ..)| *worker != 0);
+                let mut others: Vec<u64> = others.map(|(worker, ..)| *worker).collect();
+                others.sort_unstable();
+                let once: Vec<u64> = (1..=others.len() as u64).collect();
+                assert_eq!(others, once, "{label}: every other slice launches once");
+            }
+            outcomes.push(match result {
+                Ok((report, timings)) => {
+                    assert_identical(&serial, &report, &label);
+                    Ok(timings.degraded_partitions)
+                }
+                Err(ExploreError::Worker { partition, detail }) => {
+                    assert_eq!(partition, 0, "{label}");
+                    Err(detail)
+                }
+                Err(other) => panic!("{label}: {other:?}"),
+            });
+        }
+        assert_eq!(outcomes[0], outcomes[1], "{label}: partitioned vs elastic");
+        match degraded {
+            Some(degraded) => assert_eq!(outcomes[0], Ok(degraded), "{label}"),
+            None => assert!(outcomes[0].is_err(), "{label}: {:?}", outcomes[0]),
+        }
+    }
+}
+
 /// A torn coordinator write at **any** ordinal — wherever it lands in
 /// the run's write sequence — must leave the cache directory in a state
 /// a later clean run either rebuilds or validly reuses, never wrongly

@@ -47,7 +47,7 @@ pub use engine::{
 pub use env::EnvKnob;
 pub use protocol::{Inbox, SendPlan, Step, SyncProtocol};
 pub use scheduler::{
-    default_threads, panic_message, run_on_workers, run_tasks_supervised, CancelToken, RetryPolicy,
+    default_threads, panic_message, run_on_workers, supervise, CancelToken, RetryPolicy,
     SupervisedAttempt, TaskError, WorkQueue, MAX_THREADS,
 };
 pub use spec::{check_uniform_consensus, SpecReport, SpecViolation};

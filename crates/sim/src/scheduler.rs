@@ -7,8 +7,8 @@
 //!   workers, running worker 0 on the calling thread (so a single-worker
 //!   run costs no spawn at all, and the caller's stack hosts the "primary"
 //!   walker in parallel exploration);
-//! * [`run_tasks_supervised`] — the fault-containing retry scheduler: one
-//!   supervisor thread per fallible task, a [`RetryPolicy`] of attempt
+//! * [`supervise`] — the fault-containing retry primitive: one fallible
+//!   task run on the calling thread under a [`RetryPolicy`] of attempt
 //!   budget / deterministic backoff / per-attempt timeout, a
 //!   [`CancelToken`] handed to every attempt so hung work can be told to
 //!   stop, and panic containment (a panicking task closure becomes that
@@ -26,8 +26,8 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use crate::env::{warn_once, EnvKnob};
 
@@ -133,9 +133,9 @@ impl CancelToken {
     }
 }
 
-/// Retry discipline for [`run_tasks_supervised`]: how many launches each
-/// task gets, how long to wait between them, and how long any single
-/// attempt may run.
+/// Retry discipline for [`supervise`]: how many launches a task gets,
+/// how long to wait between them, and how long any single attempt may
+/// run.
 ///
 /// Backoff is **deterministic** (no jitter): the delay before attempt
 /// `k >= 1` is `backoff * 2^(k-1)`, capped at `backoff_cap` — so a given
@@ -217,13 +217,11 @@ impl<E: std::fmt::Display> std::fmt::Display for TaskError<E> {
     }
 }
 
-/// One launch attempt under [`run_tasks_supervised`]: which task, which
-/// attempt, and the attempt's cancellation token (fresh per attempt).
+/// One launch attempt under [`supervise`]: which attempt, and its
+/// cancellation token (fresh per attempt).
 #[derive(Clone, Debug)]
 pub struct SupervisedAttempt {
-    /// The task index, `0..count`.
-    pub index: usize,
-    /// The attempt number for this task, `0..policy.attempts`.
+    /// The attempt number, `0..policy.attempts`.
     pub attempt: usize,
     /// Tripped by the watchdog when the attempt outlives its timeout;
     /// the closure should poll it at yield points and abandon the work
@@ -244,45 +242,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Opened by the attempt when it finishes; watched by the watchdog
-/// thread, which trips the cancel token if the gate is still shut at the
-/// deadline.
-struct AttemptGate {
-    done: Mutex<bool>,
-    finished: Condvar,
-}
-
-impl AttemptGate {
-    fn new() -> Self {
-        AttemptGate {
-            done: Mutex::new(false),
-            finished: Condvar::new(),
-        }
-    }
-
-    fn open(&self) {
-        *self.done.lock().expect("attempt gate poisoned") = true;
-        self.finished.notify_all();
-    }
-
-    fn watch(&self, timeout: Duration, cancel: &CancelToken) {
-        let deadline = Instant::now() + timeout;
-        let mut done = self.done.lock().expect("attempt gate poisoned");
-        while !*done {
-            let now = Instant::now();
-            if now >= deadline {
-                cancel.cancel();
-                return;
-            }
-            let (guard, _) = self
-                .finished
-                .wait_timeout(done, deadline - now)
-                .expect("attempt gate poisoned");
-            done = guard;
-        }
-    }
-}
-
 /// Runs `attempt()` with an optional watchdog: if the attempt is still
 /// running when `timeout` expires, `cancel` is tripped (the attempt is
 /// *not* abandoned — scoped threads always join — but cooperative work
@@ -295,28 +254,30 @@ fn with_watchdog<R>(
     let Some(timeout) = timeout else {
         return attempt();
     };
-    let gate = AttemptGate::new();
+    // The watcher waits on a channel nothing is ever sent on: dropping
+    // the sender — when the attempt returns, or unwinds — wakes it early.
+    let (finished, watch) = mpsc::channel::<()>();
     std::thread::scope(|scope| {
-        let gate = &gate;
-        scope.spawn(move || gate.watch(timeout, cancel));
+        scope.spawn(move || {
+            if watch.recv_timeout(timeout) == Err(mpsc::RecvTimeoutError::Timeout) {
+                cancel.cancel();
+            }
+        });
         let result = attempt();
-        gate.open();
+        drop(finished);
         result
     })
 }
 
-/// Runs `count` independent fallible tasks concurrently — one scoped
-/// supervisor thread per task — under a [`RetryPolicy`], and returns the
-/// per-task outcome (`Ok(())`, or the [`TaskError`] of the *last* failed
-/// attempt).
+/// Runs one fallible task under a [`RetryPolicy`] on the calling thread
+/// and returns the value of its first successful attempt, or the
+/// [`TaskError`] of the *last* failed one.
 ///
 /// This is the workspace's process-orchestration idiom: the distributed
-/// explorer uses it to launch one worker OS process per partition, where
-/// "failure" covers a non-zero exit, an export file that fails
-/// validation, a hung attempt (timeout), or a panicking launch closure.
-/// Tasks are expected to be coarse (each backed by a process or a long
-/// computation), so a plain thread per task is the right cost model — no
-/// pooling.
+/// explorer runs every worker launch inside it, on a thread of the
+/// launch's own, where "failure" covers a non-zero exit, an export file
+/// that fails validation, a hung attempt (timeout), or a panicking launch
+/// closure.
 ///
 /// Fault containment:
 ///
@@ -334,68 +295,38 @@ fn with_watchdog<R>(
 ///
 /// # Panics
 ///
-/// Panics if `policy.attempts == 0` (every task needs at least one
-/// launch).
-pub fn run_tasks_supervised<E, F>(
-    count: usize,
+/// Panics if `policy.attempts == 0` (a task needs at least one launch).
+pub fn supervise<T, E>(
     policy: &RetryPolicy,
-    run: F,
-) -> Vec<Result<(), TaskError<E>>>
-where
-    E: Send,
-    F: Fn(&SupervisedAttempt) -> Result<(), E> + Sync,
-{
-    assert!(
-        policy.attempts >= 1,
-        "every task needs at least one attempt"
-    );
-    let mut results: Vec<Result<(), TaskError<E>>> = Vec::with_capacity(count);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..count)
-            .map(|index| {
-                let run = &run;
-                scope.spawn(move || {
-                    let mut last: Result<(), TaskError<E>> = Ok(());
-                    for attempt in 0..policy.attempts {
-                        let delay = policy.delay_before(attempt);
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                        let ctx = SupervisedAttempt {
-                            index,
-                            attempt,
-                            cancel: CancelToken::new(),
-                        };
-                        let outcome = with_watchdog(policy.attempt_timeout, &ctx.cancel, || {
-                            catch_unwind(AssertUnwindSafe(|| run(&ctx)))
-                        });
-                        last = match outcome {
-                            Ok(Ok(())) => Ok(()),
-                            Ok(Err(_)) if ctx.cancel.is_cancelled() => Err(TaskError::TimedOut {
-                                after: policy.attempt_timeout.unwrap_or_default(),
-                            }),
-                            Ok(Err(e)) => Err(TaskError::Failed(e)),
-                            Err(payload) => Err(TaskError::Panicked(panic_message(payload))),
-                        };
-                        if last.is_ok() {
-                            break;
-                        }
-                    }
-                    last
-                })
-            })
-            .collect();
-        for handle in handles {
-            // The closure inside is already panic-contained; this join
-            // can only see a panic from the supervisor scaffolding
-            // itself, and even that must not abort the caller.
-            results.push(match handle.join() {
-                Ok(result) => result,
-                Err(payload) => Err(TaskError::Panicked(panic_message(payload))),
-            });
+    mut run: impl FnMut(&SupervisedAttempt) -> Result<T, E>,
+) -> Result<T, TaskError<E>> {
+    assert!(policy.attempts >= 1, "a task needs at least one attempt");
+    let mut attempt = 0;
+    loop {
+        let delay = policy.delay_before(attempt);
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
         }
-    });
-    results
+        let ctx = SupervisedAttempt {
+            attempt,
+            cancel: CancelToken::new(),
+        };
+        let outcome = with_watchdog(policy.attempt_timeout, &ctx.cancel, || {
+            catch_unwind(AssertUnwindSafe(|| run(&ctx)))
+        });
+        let error = match outcome {
+            Ok(Ok(value)) => return Ok(value),
+            Ok(Err(e)) => match policy.attempt_timeout {
+                Some(after) if ctx.cancel.is_cancelled() => TaskError::TimedOut { after },
+                _ => TaskError::Failed(e),
+            },
+            Err(payload) => TaskError::Panicked(panic_message(payload)),
+        };
+        attempt += 1;
+        if attempt == policy.attempts {
+            return Err(error);
+        }
+    }
 }
 
 /// A closable multi-producer multi-consumer work injector.
@@ -496,6 +427,26 @@ impl<T> WorkQueue<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Instant;
+
+    /// `count` tasks, each under [`supervise`] on a scoped thread of its
+    /// own — the way the distributed coordinator runs its launches.
+    fn supervise_each<E: Send>(
+        count: usize,
+        policy: &RetryPolicy,
+        run: impl Fn(usize, &SupervisedAttempt) -> Result<(), E> + Sync,
+    ) -> Vec<Result<(), TaskError<E>>> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..count)
+                .map(|index| {
+                    let run = &run;
+                    scope.spawn(move || supervise(policy, |task| run(index, task)))
+                })
+                .collect();
+            let joined = handles.into_iter().map(|h| h.join().expect("contained"));
+            joined.collect()
+        })
+    }
 
     #[test]
     fn default_threads_is_positive() {
@@ -554,13 +505,10 @@ mod tests {
         // Task 1 fails its first two attempts, then succeeds; the others
         // succeed immediately.  Attempt numbers must be sequential.
         let attempts_seen = Mutex::new(Vec::new());
-        let results = run_tasks_supervised(3, &RetryPolicy::new(3), |task: &SupervisedAttempt| {
-            attempts_seen
-                .lock()
-                .unwrap()
-                .push((task.index, task.attempt));
-            if task.index == 1 && task.attempt < 2 {
-                Err(format!("task {} attempt {} died", task.index, task.attempt))
+        let results = supervise_each(3, &RetryPolicy::new(3), |index, task| {
+            attempts_seen.lock().unwrap().push((index, task.attempt));
+            if index == 1 && task.attempt < 2 {
+                Err(format!("task {} attempt {} died", index, task.attempt))
             } else {
                 Ok(())
             }
@@ -578,8 +526,8 @@ mod tests {
 
     #[test]
     fn supervised_tasks_report_exhausted_task() {
-        let results = run_tasks_supervised(2, &RetryPolicy::new(2), |task: &SupervisedAttempt| {
-            if task.index == 0 {
+        let results = supervise_each(2, &RetryPolicy::new(2), |index, _| {
+            if index == 0 {
                 Err("always dies")
             } else {
                 Ok(())
@@ -594,8 +542,8 @@ mod tests {
         // Regression for the old `handle.join().expect(...)`: a panic in
         // the task closure must surface as that task's retryable failure,
         // not abort the scheduler.  Task 0 panics once, then succeeds.
-        let results = run_tasks_supervised(2, &RetryPolicy::new(2), |task: &SupervisedAttempt| {
-            if task.index == 0 && task.attempt == 0 {
+        let results = supervise_each(2, &RetryPolicy::new(2), |index, task| {
+            if index == 0 && task.attempt == 0 {
                 panic!("injected panic on attempt {}", task.attempt);
             }
             Ok::<(), String>(())
@@ -605,8 +553,8 @@ mod tests {
 
     #[test]
     fn always_panicking_task_reports_panicked_without_aborting_siblings() {
-        let results = run_tasks_supervised(3, &RetryPolicy::new(2), |task: &SupervisedAttempt| {
-            if task.index == 1 {
+        let results = supervise_each(3, &RetryPolicy::new(2), |index, _| {
+            if index == 1 {
                 panic!("task 1 always panics");
             }
             Ok::<(), String>(())
@@ -655,7 +603,7 @@ mod tests {
             attempt_timeout: Some(Duration::from_millis(40)),
         };
         let started = Instant::now();
-        let results = run_tasks_supervised(1, &policy, |ctx: &SupervisedAttempt| {
+        let results = supervise_each(1, &policy, |_, ctx| {
             // A cooperative "hang": spins until the watchdog trips the
             // token, then reports failure.  The hard cap keeps the test
             // from wedging if the watchdog never fires.
@@ -688,7 +636,7 @@ mod tests {
             backoff_cap: Duration::ZERO,
             attempt_timeout: Some(Duration::from_millis(40)),
         };
-        let results = run_tasks_supervised(1, &policy, |ctx: &SupervisedAttempt| {
+        let results = supervise_each(1, &policy, |_, ctx| {
             if ctx.attempt == 0 {
                 // Hang until cancelled.
                 let hung_at = Instant::now();
@@ -717,7 +665,7 @@ mod tests {
             backoff_cap: Duration::ZERO,
             attempt_timeout: Some(Duration::from_millis(5)),
         };
-        let results = run_tasks_supervised(1, &policy, |ctx: &SupervisedAttempt| {
+        let results = supervise_each(1, &policy, |_, ctx| {
             while !ctx.cancel.is_cancelled() {
                 std::thread::sleep(Duration::from_millis(1));
             }
