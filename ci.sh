@@ -264,7 +264,7 @@ if [[ -f "$CKPT_DIR/manifest.twockpt" ]]; then
 fi
 echo "checkpoint OK: suspended at reason=deadline, resumed to an identical report"
 
-echo "== allocation probe (budget unarmed and armed, and the quotient, pinned to the allocs/state budget)"
+echo "== allocation probe (budget unarmed and armed, the quotient, and a 2%-hot spilling walk, pinned to their allocs/state budgets)"
 cargo run --release -q --example alloc_probe
 
 echo "CI OK"

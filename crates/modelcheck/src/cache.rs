@@ -59,7 +59,7 @@ use twostep_sim::{EnvKnob, ModelKind};
 
 use crate::explorer::{CheckableProtocol, ExploreConfig, RoundBound, SpecMode};
 use crate::manifest::{put_name, remove_own_files, segment_suffix, take_name, Envelope};
-use crate::memo::ShardedMemo;
+use crate::memo::{EntryValidator, ShardedMemo};
 use crate::spill::{SpillCodec, SpillError, FORMAT_VERSION};
 
 /// File name of the cache manifest inside a cache directory.
@@ -415,14 +415,17 @@ impl CacheSession {
     /// report's aggregates — a seeded parent short-circuits the walk, so
     /// its missing descendants would never be re-counted and
     /// `distinct_states` / the bivalency census would silently shrink.
-    pub(crate) fn seed<O, V>(&mut self, memo: &ShardedMemo<O>, validate_key: V) -> Option<u64>
+    pub(crate) fn seed<O>(
+        &mut self,
+        memo: &ShardedMemo<O>,
+        validator: EntryValidator,
+    ) -> Option<u64>
     where
         O: Clone + Eq + SpillCodec,
-        V: Fn(&[u8]) -> bool,
     {
         let mut records = 0u64;
         for path in self.segments() {
-            match memo.import_seed_from(&path, &validate_key) {
+            match memo.import_seed_from(&path, validator) {
                 Ok(n) => records += n,
                 Err(e) => {
                     eprintln!(

@@ -51,7 +51,7 @@ use std::path::PathBuf;
 
 use crate::explorer::BudgetKind;
 use crate::manifest::{put_name, remove_own_files, segment_suffix, take_name, Envelope};
-use crate::memo::ShardedMemo;
+use crate::memo::{EntryValidator, ShardedMemo};
 use crate::spill::{SpillCodec, SpillError};
 
 /// File name of the checkpoint manifest inside a checkpoint directory.
@@ -278,16 +278,15 @@ pub(crate) enum CheckpointLoad {
 /// is usable for the run identified by `fingerprint`.  Call *after* the
 /// persistent-cache seed: the superset guard compares the manifest's
 /// recorded seed against `memo.seeded_len()`.
-pub(crate) fn load_checkpoint<O, V>(
+pub(crate) fn load_checkpoint<O>(
     config: &CheckpointConfig,
     fingerprint: u64,
     strength: u8,
     memo: &ShardedMemo<O>,
-    validate_key: V,
+    validator: EntryValidator,
 ) -> CheckpointLoad
 where
     O: Clone + Eq + SpillCodec,
-    V: Fn(&[u8]) -> bool,
 {
     let path = config.dir.join(CHECKPOINT_MANIFEST_NAME);
     let manifest = match std::fs::read(&path) {
@@ -340,7 +339,7 @@ where
         );
         return CheckpointLoad::Absent;
     }
-    match memo.import_from(&config.dir.join(&manifest.segment), validate_key) {
+    match memo.import_from(&config.dir.join(&manifest.segment), validator) {
         Ok(records) => CheckpointLoad::Loaded { records },
         Err(e) => {
             eprintln!(
@@ -381,6 +380,11 @@ mod tests {
             decided: vec![WideValue::new(1, ident)],
             violating: false,
         })
+    }
+
+    /// Any key bytes, and the summaries [`summary`] builds (`t = 1`).
+    fn any_key() -> EntryValidator {
+        EntryValidator::new(|_| true, 1)
     }
 
     fn memo_with(keys: &[&[u8]]) -> ShardedMemo<WideValue> {
@@ -466,7 +470,7 @@ mod tests {
         // A matching resume imports every record as fresh.
         let resumed = ShardedMemo::<WideValue>::new(2, &MemoConfig::all_ram()).unwrap();
         assert_eq!(
-            load_checkpoint(&config, 42, 0, &resumed, |_| true),
+            load_checkpoint(&config, 42, 0, &resumed, any_key()),
             CheckpointLoad::Loaded { records: 3 }
         );
         assert_eq!(resumed.len(), 3);
@@ -475,7 +479,7 @@ mod tests {
         // A different fingerprint is loudly ignored, memo untouched.
         let foreign = ShardedMemo::<WideValue>::new(2, &MemoConfig::all_ram()).unwrap();
         assert_eq!(
-            load_checkpoint(&config, 43, 0, &foreign, |_| true),
+            load_checkpoint(&config, 43, 0, &foreign, any_key()),
             CheckpointLoad::Absent
         );
         assert_eq!(foreign.len(), 0);
@@ -484,7 +488,7 @@ mod tests {
         consume_checkpoint(&config);
         let after = ShardedMemo::<WideValue>::new(2, &MemoConfig::all_ram()).unwrap();
         assert_eq!(
-            load_checkpoint(&config, 42, 0, &after, |_| true),
+            load_checkpoint(&config, 42, 0, &after, any_key()),
             CheckpointLoad::Absent
         );
         assert!(!config.dir.join(CHECKPOINT_MANIFEST_NAME).exists());
@@ -499,7 +503,7 @@ mod tests {
         let seed = memo_with(&[b"alpha", b"beta"]);
         seed.export_to(&seed_path).unwrap();
         let suspended = ShardedMemo::<WideValue>::new(2, &MemoConfig::all_ram()).unwrap();
-        suspended.import_seed_from(&seed_path, |_| true).unwrap();
+        suspended.import_seed_from(&seed_path, any_key()).unwrap();
         suspended
             .insert(stable_hash64(b"gamma"), b"gamma", summary(9))
             .unwrap();
@@ -509,7 +513,7 @@ mod tests {
         // behind gamma: rejected, memo untouched.
         let cold = ShardedMemo::<WideValue>::new(2, &MemoConfig::all_ram()).unwrap();
         assert_eq!(
-            load_checkpoint(&config, 7, 0, &cold, |_| true),
+            load_checkpoint(&config, 7, 0, &cold, any_key()),
             CheckpointLoad::Absent
         );
         assert_eq!(cold.len(), 0);
@@ -517,9 +521,9 @@ mod tests {
         // With the (equal or larger) seed restored, the resume goes
         // through and the delta holds exactly the fresh entry.
         let warm = ShardedMemo::<WideValue>::new(2, &MemoConfig::all_ram()).unwrap();
-        warm.import_seed_from(&seed_path, |_| true).unwrap();
+        warm.import_seed_from(&seed_path, any_key()).unwrap();
         assert_eq!(
-            load_checkpoint(&config, 7, 0, &warm, |_| true),
+            load_checkpoint(&config, 7, 0, &warm, any_key()),
             CheckpointLoad::Loaded { records: 1 }
         );
         assert_eq!(warm.len(), 3);
@@ -534,14 +538,14 @@ mod tests {
         assert!(write_checkpoint(&config, 11, 0x13, BudgetKind::Steps, &memo).is_some());
         let resumed = ShardedMemo::<WideValue>::new(2, &MemoConfig::all_ram()).unwrap();
         assert_eq!(
-            load_checkpoint(&config, 11, 0, &resumed, |_| true),
+            load_checkpoint(&config, 11, 0, &resumed, any_key()),
             CheckpointLoad::StrengthMismatch { found: 0x13 }
         );
         assert_eq!(resumed.len(), 0, "refusal leaves the memo untouched");
         // At the matching strength the same artifact resumes normally.
         let matching = ShardedMemo::<WideValue>::new(2, &MemoConfig::all_ram()).unwrap();
         assert_eq!(
-            load_checkpoint(&config, 11, 0x13, &matching, |_| true),
+            load_checkpoint(&config, 11, 0x13, &matching, any_key()),
             CheckpointLoad::Loaded { records: 1 }
         );
     }
@@ -560,7 +564,7 @@ mod tests {
 
         let resumed = ShardedMemo::<WideValue>::new(2, &MemoConfig::all_ram()).unwrap();
         assert_eq!(
-            load_checkpoint(&config, 5, 0, &resumed, |_| true),
+            load_checkpoint(&config, 5, 0, &resumed, any_key()),
             CheckpointLoad::Broken
         );
     }

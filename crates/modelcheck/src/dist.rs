@@ -169,7 +169,7 @@ use crate::explorer::{
     WalkBudget, WalkOutcome, Walker,
 };
 use crate::faults::{self, FaultPlan, IoFaultGuard, WorkerFault, WorkerPhase};
-use crate::memo::key_validator;
+use crate::memo::entry_validator;
 use crate::spill::{read_frontier_segment, write_frontier_segment, SpillCodec, SpillDir};
 
 /// How a distributed exploration is split, supervised and merged.
@@ -735,7 +735,9 @@ where
         // boundary it shares a disk with; a damaged seed means the run
         // is broken, so fail (and let the coordinator retry) rather than
         // silently exploring cold and re-exporting the whole space.
-        seeded += shared.memo.import_seed_from(seed, key_validator::<P>())?;
+        seeded += shared
+            .memo
+            .import_seed_from(seed, entry_validator::<P>(system.t()))?;
     }
     let seed_seconds = seed_start.elapsed().as_secs_f64();
     let frontier_start = Instant::now();
@@ -1158,6 +1160,7 @@ where
     let merge_seconds = Mutex::new(0f64);
     let board: Mutex<HashMap<u64, Live>> = Mutex::new(HashMap::new());
     let memo = &run.shared.memo;
+    let validator = entry_validator::<P>(run.shared.system.t());
     // Worker `worker`'s rendezvous file `name` under the scratch dir.
     let at = |worker: u64, name: &str| scratch.join(format!("worker{worker}-{name}"));
     let pulse = |p: WorkerPulse| {
@@ -1201,7 +1204,7 @@ where
         // *fresh*: relative to the persistent cache they are exactly what
         // this run added.
         let merge_start = Instant::now();
-        let merged = memo.import_from(&task.export_path, key_validator::<P>());
+        let merged = memo.import_from(&task.export_path, validator);
         *merge_seconds.lock().expect("merge timing poisoned") +=
             merge_start.elapsed().as_secs_f64();
         merged.map_err(|e| e.to_string())?;

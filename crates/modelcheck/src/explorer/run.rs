@@ -111,12 +111,10 @@ where
         let mut session = CacheSession::open(cache, fingerprint);
         let root = Stepper::new(system, config.model, TraceLevel::Off, initial.clone())
             .map_err(ExploreError::Engine)?;
+        let validator = crate::memo::entry_validator::<P>(system.t());
         let mut cache_seeded = |initial: Vec<P>| -> Result<Shared<'a, P>, ExploreError> {
             let shared = Shared::new(system, config, engine, proposals, initial)?;
-            if session
-                .seed(&shared.memo, crate::memo::key_validator::<P>())
-                .is_some()
-            {
+            if session.seed(&shared.memo, validator).is_some() {
                 return Ok(shared);
             }
             // Broken cache: the partial seed goes, memo and all.
@@ -130,7 +128,7 @@ where
                 fingerprint,
                 shared.plan.strength(),
                 &shared.memo,
-                crate::memo::key_validator::<P>(),
+                validator,
             ) {
                 CheckpointLoad::Loaded { records } => resumed = records,
                 CheckpointLoad::Absent => {}

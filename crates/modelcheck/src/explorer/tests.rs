@@ -1097,7 +1097,7 @@ fn autosave_snapshots_survive_an_unclean_abort() {
         42,
         probe.plan.strength(),
         &probe.memo,
-        crate::memo::key_validator::<Flooder>(),
+        crate::memo::entry_validator::<Flooder>(system.t()),
     ) {
         CheckpointLoad::Loaded { records } => {
             assert!(records > 0, "autosave captured fresh states");

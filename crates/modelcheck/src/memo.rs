@@ -35,18 +35,37 @@
 //! that misses the hot tier probes the index by hash, rehydrates each
 //! candidate record — borrowed from the store's write-behind tail or
 //! from one of its cached blocks of the segment file, checked against
-//! its length prefix and CRC, decompressed into a store-owned buffer —
-//! and accepts it only if the stored key bytes equal the probe exactly.
-//! Whole-memo visits (`ShardedMemo::for_each`, the exports) take each
-//! shard's hot entries first and then its spilled records in file
-//! order, never in the index's hash order, so they read every block
-//! once.
+//! its length prefix and CRC, and lent as it was stored (the store does
+//! not compress) — reads its summary through the shard's summary table
+//! (below), and accepts it only if the stored key bytes equal the probe
+//! exactly.  Whole-memo visits (`ShardedMemo::for_each`, the exports)
+//! take each shard's hot entries first and then its spilled records in
+//! file order, never in the index's hash order, so they read every
+//! block once.
 //!
 //! Storing the key as its canonical bytes is also what makes segment
 //! files cheap to move: a record is `[u32 key_len][key bytes][summary]`,
 //! so spilling, exporting (`ShardedMemo::export_to`), and importing
 //! (`ShardedMemo::import_from`) all copy the key bytes verbatim — no
-//! structured re-encode anywhere on those paths.
+//! structured re-encode anywhere on those paths, and a spilled record
+//! ships verbatim: the export hands the very payload the store holds to
+//! the export writer, which compresses it.
+//!
+//! **Summaries are shared by their bytes.**  Every path that reads a
+//! record back — a rehydrate, the census / `find_map` scan, an import —
+//! decodes its summary through a `SummaryTable`: 256 slots, direct-mapped
+//! by [`stable_hash64`] of the summary bytes, each holding those bytes
+//! and their decoded `Arc<Summary>`.  A slot holding the same bytes
+//! answers with a clone of its `Arc` — summaries are immutable, so
+//! sharing one is sharing a value — and a miss decodes exactly as a
+//! table-less read would, so undecodable bytes are still
+//! [`SpillError::Corrupt`], found before any key is compared, and never
+//! take a slot.  The paper's bound is why this pays: every run decides
+//! by round `f + 1`, so a walk's summaries take very few distinct byte
+//! strings (64 distinct terminal summaries at CRW (8,7)), and a slot
+//! answers ≈ 94 % of the decodes of an (8,7) walk at 2 % hot.  A shard
+//! builds its table on its first rehydrate or scan (an all-RAM memo
+//! never does); an import builds one for the call.
 //!
 //! Two invariants make the tiers invisible to the exploration result:
 //!
@@ -72,7 +91,7 @@ use twostep_sim::SyncProtocol;
 
 use crate::explorer::Summary;
 use crate::spill::{
-    decode_summary_prefix, encode_summary, SegmentReader, SegmentStore, SegmentWriter, SpillCodec,
+    decode_summary, encode_summary, SegmentReader, SegmentStore, SegmentWriter, SpillCodec,
     SpillDir, SpillError,
 };
 
@@ -212,28 +231,101 @@ where
     encode_summary(summary, out);
 }
 
-/// Splits a record produced by [`encode_entry`] into its borrowed key
-/// bytes and decoded summary; `None` on truncated, malformed, or
-/// trailing-garbage input.
-pub(crate) fn split_entry<O>(payload: &[u8]) -> Option<(&[u8], Summary<O>)>
-where
-    O: SpillCodec,
-{
-    let mut input = payload;
-    let key = split_key_prefix(&mut input)?;
-    let summary = decode_summary_prefix::<O>(&mut input)?;
-    if !input.is_empty() {
-        return None;
-    }
-    Some((key, summary))
-}
-
 /// Borrows just the key bytes off the front of a record, advancing the
 /// input past them — used where the summary is not needed (export's
 /// hot-tier dedup check).
 pub(crate) fn split_key_prefix<'a>(input: &mut &'a [u8]) -> Option<&'a [u8]> {
     let len = u32::decode(input)? as usize;
     twostep_model::codec::take(input, len)
+}
+
+/// Slots of a [`SummaryTable`].
+const SUMMARY_SLOTS: usize = 256;
+
+/// A decoded summary and the bytes it was decoded from.
+struct Decoded<O> {
+    bytes: Vec<u8>,
+    summary: Arc<Summary<O>>,
+}
+
+/// Summaries decoded from records, direct-mapped by [`stable_hash64`]
+/// of their bytes — the module docs' *summaries are shared by their
+/// bytes*.  Allocates nothing until first used.
+struct SummaryTable<O> {
+    /// [`SUMMARY_SLOTS`] slots once used, none before.
+    slots: Vec<Option<Decoded<O>>>,
+}
+
+impl<O: SpillCodec> SummaryTable<O> {
+    fn new() -> Self {
+        SummaryTable { slots: Vec::new() }
+    }
+
+    /// Splits a record produced by [`encode_entry`] into its borrowed
+    /// key bytes and its summary: the one a slot holds for the same
+    /// summary bytes, or else a fresh decode that `accept`s, which then
+    /// takes the slot.  `None` on truncated, malformed or
+    /// trailing-garbage input, or a summary `accept` refuses — and the
+    /// table is left as it was.  A table is asked with one `accept`
+    /// throughout, so a slot only ever holds what it would accept.
+    fn split_entry<'a>(
+        &mut self,
+        payload: &'a [u8],
+        accept: impl FnOnce(&Summary<O>) -> bool,
+    ) -> Option<(&'a [u8], Arc<Summary<O>>)> {
+        let mut bytes = payload;
+        let key = split_key_prefix(&mut bytes)?;
+        if self.slots.is_empty() {
+            self.slots.resize_with(SUMMARY_SLOTS, || None);
+        }
+        let slot = &mut self.slots[stable_hash64(bytes) as usize % SUMMARY_SLOTS];
+        if let Some(held) = slot.as_ref().filter(|held| held.bytes == bytes) {
+            return Some((key, Arc::clone(&held.summary)));
+        }
+        let summary = Arc::new(decode_summary::<O>(bytes).filter(accept)?);
+        match slot {
+            Some(held) => {
+                held.bytes.clear();
+                held.bytes.extend_from_slice(bytes);
+                held.summary = Arc::clone(&summary);
+            }
+            None => {
+                *slot = Some(Decoded {
+                    bytes: bytes.to_vec(),
+                    summary: Arc::clone(&summary),
+                })
+            }
+        }
+        Some((key, summary))
+    }
+}
+
+/// What an import accepts of a foreign `(key, summary)` record once its
+/// frame and CRC have passed: key bytes the protocol's key decoder
+/// accepts, and a summary shaped like the ones a walk at crash budget
+/// `t` builds — `t + 1` worst-round entries, no value decided twice.
+/// Either failure is [`SpillError::Corrupt`]: a summary with the wrong
+/// number of rounds would be merged by `Summary::absorb`, whose `zip`
+/// silently drops rounds, and a repeated value would read as bivalent
+/// in the census.
+#[derive(Clone, Copy)]
+pub(crate) struct EntryValidator {
+    key: fn(&[u8]) -> bool,
+    t: usize,
+}
+
+impl EntryValidator {
+    /// Accepts the keys `key` accepts and the summaries of crash budget
+    /// `t`.
+    pub(crate) fn new(key: fn(&[u8]) -> bool, t: usize) -> Self {
+        EntryValidator { key, t }
+    }
+
+    fn accepts_summary<O: Eq>(&self, summary: &Summary<O>) -> bool {
+        let decided = &summary.decided;
+        summary.worst_round_by_f.len() == self.t + 1
+            && (1..decided.len()).all(|i| !decided[..i].contains(&decided[i]))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -352,6 +444,8 @@ struct Shard<O> {
     /// Spilled records by fixed-width key hash.
     index: HashMap<u64, Vec<SpillSlot>, PassThroughState>,
     store: Option<SegmentStore>,
+    /// The summaries of the records read back from `store`.
+    summaries: SummaryTable<O>,
     /// Reusable encode buffer for evictions.
     scratch: Vec<u8>,
 }
@@ -367,6 +461,7 @@ where
             clock: VecDeque::new(),
             index: HashMap::default(),
             store,
+            summaries: SummaryTable::new(),
             scratch: Vec::new(),
         }
     }
@@ -384,11 +479,16 @@ where
     /// summary together with the record's freshness; the caller promotes
     /// the result back to the hot tier via [`Self::admit`].
     fn rehydrate(&mut self, hash: u64, key: &[u8]) -> Result<Rehydrated<O>, SpillError> {
-        // Destructure so the index borrow and the store's mutable borrow
-        // are disjoint — this is the cold-tier hot path: the payload is
-        // lent from the store's buffers, nothing is allocated until a
-        // candidate's summary is decoded.
-        let Shard { index, store, .. } = self;
+        // Destructure so the index borrow and the store's and table's
+        // mutable borrows are disjoint — this is the cold-tier hot path:
+        // the payload is lent from the store's buffers, and nothing is
+        // allocated unless its summary bytes miss the table.
+        let Shard {
+            index,
+            store,
+            summaries,
+            ..
+        } = self;
         let slots = match index.get(&hash) {
             Some(slots) => slots,
             None => return Ok(None),
@@ -398,10 +498,11 @@ where
             .expect("spill index entries require a segment store");
         for slot in slots {
             let payload = store.read(&slot.spill_ref)?;
-            let (stored_key, summary) =
-                split_entry::<O>(payload).ok_or_else(|| undecodable_entry(&slot.spill_ref))?;
+            let (stored_key, summary) = summaries
+                .split_entry(payload, |_| true)
+                .ok_or_else(|| undecodable_entry(&slot.spill_ref))?;
             if stored_key == key {
-                return Ok(Some((Arc::new(summary), slot.fresh)));
+                return Ok(Some((summary, slot.fresh)));
             }
         }
         Ok(None)
@@ -720,16 +821,22 @@ where
                     }
                 }
             }
-            let Shard { hot, store, .. } = &mut *shard;
+            let Shard {
+                hot,
+                store,
+                summaries,
+                ..
+            } = &mut *shard;
             let Some(store) = store else { continue };
             let mut found = None;
             // The store is walked front to back rather than through the
             // index: hash order would scatter the reads over its blocks.
             store.scan(|spill_ref, payload| {
-                let (key, summary) =
-                    split_entry::<O>(payload).ok_or_else(|| undecodable_entry(&spill_ref))?;
+                let (key, summary) = summaries
+                    .split_entry(payload, |_| true)
+                    .ok_or_else(|| undecodable_entry(&spill_ref))?;
                 if Shard::hot_get(hot, stable_hash64(key), key).is_none() {
-                    found = f(key, &Arc::new(summary));
+                    found = f(key, &summary);
                 }
                 Ok(found.is_none())
             })?;
@@ -820,23 +927,26 @@ where
     /// Merges an interchange segment file written by [`Self::export_to`]
     /// / [`Self::export_delta`] into this memo — validating header, CRCs,
     /// record count, and every record's shape, and rejecting any record
-    /// whose key bytes fail the caller's `validate_key` (the protocol's
-    /// canonical-key decoder, [`key_validator`]): a malformed key that
-    /// slipped past the CRC must classify as [`SpillError::Corrupt`]
-    /// here, at the trust boundary, not panic later in the census or
-    /// witness paths.  Accepted key bytes are adopted verbatim (hashed
-    /// once, never structurally re-encoded); records whose key is
-    /// already present are skipped (their summaries are necessarily
-    /// identical, both being the deterministic merge for that key).
-    /// Imported entries count as **fresh** — this is how a coordinator
-    /// absorbs worker deltas it must itself re-export.  Returns the
-    /// number of records read.
+    /// the caller's `validator` ([`entry_validator`]) refuses: key bytes
+    /// the protocol's canonical-key decoder does not accept, or a
+    /// summary not shaped for the run's crash budget.  Such a record
+    /// slipped past the CRC and must classify as [`SpillError::Corrupt`]
+    /// here, at the trust boundary, not panic or skew a merge later in
+    /// the walk, the census or the witness paths.  Summaries decode once
+    /// per distinct byte string (and are checked then), through a
+    /// summary table of the call's own.  Accepted key bytes are adopted
+    /// verbatim (hashed once, never structurally re-encoded); records
+    /// whose key is already present are skipped (their summaries are
+    /// necessarily identical, both being the deterministic merge for
+    /// that key).  Imported entries count as **fresh** — this is how a
+    /// coordinator absorbs worker deltas it must itself re-export.
+    /// Returns the number of records read.
     pub(crate) fn import_from(
         &self,
         path: &Path,
-        validate_key: impl Fn(&[u8]) -> bool,
+        validator: EntryValidator,
     ) -> Result<u64, SpillError> {
-        self.import_inner(path, validate_key, true)
+        self.import_inner(path, validator, true)
     }
 
     /// [`Self::import_from`], but the entries count as **seeded** (not
@@ -846,57 +956,67 @@ where
     pub(crate) fn import_seed_from(
         &self,
         path: &Path,
-        validate_key: impl Fn(&[u8]) -> bool,
+        validator: EntryValidator,
     ) -> Result<u64, SpillError> {
-        self.import_inner(path, validate_key, false)
+        self.import_inner(path, validator, false)
     }
 
     fn import_inner(
         &self,
         path: &Path,
-        validate_key: impl Fn(&[u8]) -> bool,
+        validator: EntryValidator,
         fresh: bool,
     ) -> Result<u64, SpillError> {
         let mut reader = SegmentReader::open(path)?;
+        let mut summaries = SummaryTable::new();
         let mut records = 0u64;
         while let Some(payload) = reader.next_record()? {
-            let (key, summary) = split_entry::<O>(payload).ok_or_else(|| {
-                SpillError::corrupt(format!(
-                    "{}: undecodable entry in record {records}",
-                    path.display()
-                ))
-            })?;
-            if !validate_key(key) {
+            let (key, summary) = summaries
+                .split_entry(payload, |summary| validator.accepts_summary(summary))
+                .ok_or_else(|| {
+                    SpillError::corrupt(format!(
+                        "{}: record {records} holds no entry of crash budget {} \
+                         (undecodable, or a summary of the wrong shape)",
+                        path.display(),
+                        validator.t
+                    ))
+                })?;
+            if !(validator.key)(key) {
                 return Err(SpillError::corrupt(format!(
                     "{}: record {records} holds undecodable key bytes",
                     path.display()
                 )));
             }
-            self.insert_inner(stable_hash64(key), key, Arc::new(summary), fresh)?;
+            self.insert_inner(stable_hash64(key), key, summary, fresh)?;
             records += 1;
         }
         Ok(records)
     }
 }
 
-/// The canonical key validator for protocol `P`: accepts exactly the
-/// byte strings that decode as one self-delimiting configuration key
-/// (`make_key_into`'s output).  Import paths run every foreign record's
-/// key through this before adopting it.
-pub(crate) fn key_validator<P>() -> impl Fn(&[u8]) -> bool
+/// The import validator for protocol `P` at crash budget `t`: keys are
+/// exactly the byte strings that decode as one self-delimiting
+/// configuration key (`make_key_into`'s output), summaries are shaped
+/// for `t` ([`EntryValidator`]).  Import paths run every foreign record
+/// through this before adopting it.
+pub(crate) fn entry_validator<P>(t: usize) -> EntryValidator
 where
     P: SyncProtocol + SpillCodec,
     P::Output: SpillCodec,
 {
-    |key: &[u8]| {
-        let mut input = key;
-        decode_key_prefix::<P>(&mut input).is_some() && input.is_empty()
-    }
+    EntryValidator::new(
+        |key| {
+            let mut input = key;
+            decode_key_prefix::<P>(&mut input).is_some() && input.is_empty()
+        },
+        t,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A deterministic canonical-looking key for index `i`: round prefix
     /// plus some payload bytes of varying length.
@@ -935,17 +1055,26 @@ mod tests {
         memo.get(hash_for(&key), &key).unwrap()
     }
 
+    /// Any key bytes, and the summaries [`summary_for`] builds (`t = 1`).
+    fn any_key() -> EntryValidator {
+        EntryValidator::new(|_| true, 1)
+    }
+
     #[test]
     fn entry_record_roundtrips() {
         let key = key_for(42);
         let summary = summary_for(42);
         let mut buf = Vec::new();
         encode_entry(&key, &summary, &mut buf);
-        let (k2, s2) = split_entry::<u64>(&buf).expect("decodes");
+        let mut table = SummaryTable::new();
+        let (k2, s2) = table.split_entry(&buf, |_| true).expect("decodes");
         assert_eq!(k2, key.as_slice());
-        assert_eq!(s2, summary);
+        assert_eq!(*s2, summary);
         buf.push(0);
-        assert!(split_entry::<u64>(&buf).is_none(), "trailing garbage");
+        assert!(
+            table.split_entry(&buf, |_| true).is_none(),
+            "trailing garbage"
+        );
     }
 
     #[test]
@@ -1063,7 +1192,7 @@ mod tests {
 
         // Destination: all-RAM with a different shard count.
         let dest: ShardedMemo<u64> = ShardedMemo::new(7, &MemoConfig::all_ram()).unwrap();
-        assert_eq!(dest.import_from(&path, |_| true).unwrap(), 100);
+        assert_eq!(dest.import_from(&path, any_key()).unwrap(), 100);
         assert_eq!(dest.len(), 100);
         for i in 0..100u64 {
             let got = get(&dest, i).expect("imported key");
@@ -1071,7 +1200,7 @@ mod tests {
         }
 
         // Importing the same file again is idempotent.
-        assert_eq!(dest.import_from(&path, |_| true).unwrap(), 100);
+        assert_eq!(dest.import_from(&path, any_key()).unwrap(), 100);
         assert_eq!(dest.len(), 100, "duplicate imports mint nothing");
     }
 
@@ -1096,7 +1225,7 @@ mod tests {
 
         let dest: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
         let err = dest
-            .import_from(&path, |key: &[u8]| key.len() >= 8)
+            .import_from(&path, EntryValidator::new(|key| key.len() >= 8, 1))
             .expect_err("invalid key bytes must not import");
         assert!(
             matches!(err, SpillError::Corrupt { .. }),
@@ -1127,7 +1256,7 @@ mod tests {
         // 40..100 (interleaved with gets so seeded entries are evicted,
         // rehydrated, and re-evicted along the way).
         let memo: ShardedMemo<u64> = ShardedMemo::new(2, &MemoConfig::spill(2)).unwrap();
-        assert_eq!(memo.import_seed_from(&seed_path, |_| true).unwrap(), 40);
+        assert_eq!(memo.import_seed_from(&seed_path, any_key()).unwrap(), 40);
         assert_eq!(memo.seeded_len(), 40);
         for i in 0..100u64 {
             if i % 3 == 0 {
@@ -1145,7 +1274,7 @@ mod tests {
             "delta = fresh entries only"
         );
         let fresh: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
-        fresh.import_from(&delta_path, |_| true).unwrap();
+        fresh.import_from(&delta_path, any_key()).unwrap();
         for i in 40..100u64 {
             let got = get(&fresh, i).expect("fresh key in delta");
             assert_eq!(*got, summary_for(i));
@@ -1159,7 +1288,7 @@ mod tests {
 
         // A memo that only re-walked the seed has nothing to commit.
         let warm: ShardedMemo<u64> = ShardedMemo::new(2, &MemoConfig::all_ram()).unwrap();
-        warm.import_seed_from(&seed_path, |_| true).unwrap();
+        warm.import_seed_from(&seed_path, any_key()).unwrap();
         for i in 0..40u64 {
             insert(&warm, i);
         }
@@ -1200,5 +1329,284 @@ mod tests {
         assert_eq!(*memo.get(forged, &a).unwrap().unwrap(), summary_for(1));
         assert_eq!(*memo.get(forged, &b).unwrap().unwrap(), summary_for(2));
         assert_eq!(memo.len(), 12);
+    }
+
+    /// `summary`'s bytes, as a record holds them.
+    fn summary_bytes(summary: &Summary<u64>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_summary(summary, &mut bytes);
+        bytes
+    }
+
+    fn slot_of(summary_bytes: &[u8]) -> usize {
+        stable_hash64(summary_bytes) as usize % SUMMARY_SLOTS
+    }
+
+    /// Appends `payload` to the store of `hash`'s shard and indexes it
+    /// under `hash`, as an eviction would — whatever the payload holds.
+    fn plant(memo: &ShardedMemo<u64>, hash: u64, payload: &[u8]) {
+        let mut shard = memo.shards[memo.shard_of(hash)].write().unwrap();
+        let store = shard.store.as_mut().expect("a spilling memo");
+        let spill_ref = store.append(payload).unwrap();
+        let slot = SpillSlot {
+            spill_ref,
+            fresh: true,
+        };
+        shard.index.entry(hash).or_default().push(slot);
+    }
+
+    /// Twenty keys inserted under twenty `Arc`s of one summary come back
+    /// as one `Arc` from every path that reads records back.
+    #[test]
+    fn equal_summary_bytes_come_back_as_one_arc() {
+        const KEYS: u64 = 20;
+        let shared = summary_for(5);
+        // One hot entry: every key but the last inserted is spilled-only.
+        let memo: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::spill(1)).unwrap();
+        for i in 0..KEYS {
+            let key = key_for(i);
+            memo.insert(hash_for(&key), &key, Arc::new(shared.clone()))
+                .unwrap();
+        }
+        let mut scanned = Vec::new();
+        memo.for_each(|key, summary| {
+            if index_of(key) != KEYS - 1 {
+                scanned.push(Arc::clone(summary));
+            }
+        })
+        .unwrap();
+        assert_eq!(scanned.len(), KEYS as usize - 1);
+        assert_eq!(*scanned[0], shared);
+        assert!(
+            scanned.iter().all(|s| Arc::ptr_eq(s, &scanned[0])),
+            "census scan"
+        );
+        // Each get misses the hot tier and rehydrates through the slot.
+        for i in 0..KEYS {
+            assert!(
+                Arc::ptr_eq(&get(&memo, i).unwrap(), &scanned[0]),
+                "get({i})"
+            );
+        }
+        let dir = SpillDir::create(None).unwrap();
+        let path = dir.path().join("shared.seg");
+        assert_eq!(memo.export_to(&path).unwrap(), KEYS);
+        let dest: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
+        assert_eq!(dest.import_from(&path, any_key()).unwrap(), KEYS);
+        let first = get(&dest, 0).unwrap();
+        for i in 0..KEYS {
+            assert!(Arc::ptr_eq(&get(&dest, i).unwrap(), &first), "import({i})");
+        }
+    }
+
+    /// Three times as many distinct summaries as slots, one hot entry:
+    /// keys whose summaries share a slot are read alternately, so every
+    /// read finds the slot holding another summary's bytes.
+    #[test]
+    fn more_distinct_summaries_than_slots_read_back_as_themselves() {
+        const KEYS: u64 = 3 * SUMMARY_SLOTS as u64;
+        let memo: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::spill(1)).unwrap();
+        for i in 0..KEYS {
+            insert(&memo, i);
+        }
+        let mut by_slot: std::collections::BTreeMap<usize, Vec<u64>> = Default::default();
+        for i in 0..KEYS {
+            let slot = slot_of(&summary_bytes(&summary_for(i)));
+            by_slot.entry(slot).or_default().push(i);
+        }
+        let shared_slots = by_slot.values().filter(|keys| keys.len() > 1);
+        let mut collisions = 0;
+        for keys in shared_slots {
+            for &i in keys.iter().chain(keys) {
+                assert_eq!(*get(&memo, i).unwrap(), summary_for(i), "get({i})");
+                collisions += 1;
+            }
+        }
+        assert!(collisions > 0, "{KEYS} summaries in {SUMMARY_SLOTS} slots");
+        for i in (0..KEYS).rev() {
+            assert_eq!(*get(&memo, i).unwrap(), summary_for(i), "get({i})");
+        }
+        memo.for_each(|key, summary| assert_eq!(**summary, summary_for(index_of(key))))
+            .unwrap();
+    }
+
+    /// Summary bytes that do not decode are `Corrupt` before any key is
+    /// compared — under the probe's own key and under another key at the
+    /// probe's hash — even when a valid summary holds their slot, and
+    /// they never take it.
+    #[test]
+    fn undecodable_summary_bytes_are_corrupt_whatever_the_key() {
+        let memo: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::spill(1)).unwrap();
+        insert(&memo, 1);
+        insert(&memo, 2);
+        let held = get(&memo, 1).expect("rehydrated: its summary holds its slot");
+        let slot = slot_of(&summary_bytes(&summary_for(1)));
+        // Three bytes cannot hold a summary's terminal count.
+        let garbage = (0..=u16::MAX)
+            .map(|k| [&[0xEE][..], &k.to_le_bytes()].concat())
+            .find(|bytes| slot_of(bytes) == slot)
+            .expect("three-byte strings reach every slot");
+        assert!(decode_summary::<u64>(&garbage).is_none());
+        let record = |key: &[u8]| {
+            let mut record = Vec::new();
+            (key.len() as u32).encode(&mut record);
+            record.extend_from_slice(key);
+            record.extend_from_slice(&garbage);
+            record
+        };
+        let (k5, k6, k7) = (key_for(5), key_for(6), key_for(7));
+        plant(&memo, hash_for(&k5), &record(&k5));
+        plant(&memo, hash_for(&k7), &record(&k6));
+        for probe in [&k5, &k7] {
+            let err = memo.get(hash_for(probe), probe).unwrap_err();
+            assert!(matches!(err, SpillError::Corrupt { .. }), "{err:?}");
+        }
+        // Key 1, evicted again, still reads back as the `Arc` its slot
+        // held; the census then meets the planted records.
+        insert(&memo, 3);
+        assert!(Arc::ptr_eq(&get(&memo, 1).unwrap(), &held));
+        let err = memo.for_each(|_, _| {}).unwrap_err();
+        assert!(matches!(err, SpillError::Corrupt { .. }), "{err:?}");
+    }
+
+    /// A record whose frame and CRC are sound and whose summary decodes,
+    /// but not to one a walk at the validator's crash budget builds —
+    /// too few rounds, too many, a value decided twice — is `Corrupt` at
+    /// import and is not adopted.
+    #[test]
+    fn import_rejects_a_summary_of_the_wrong_shape() {
+        let dir = SpillDir::create(None).unwrap();
+        let path = dir.path().join("forged.seg");
+        let forgeries = [
+            Summary {
+                worst_round_by_f: vec![Some(1)],
+                ..summary_for(1)
+            },
+            Summary {
+                worst_round_by_f: vec![Some(1), None, Some(3)],
+                ..summary_for(1)
+            },
+            Summary {
+                decided: vec![7, 7],
+                ..summary_for(1)
+            },
+        ];
+        for forged in forgeries {
+            let mut writer = SegmentWriter::create(&path).unwrap();
+            for (i, summary) in [(0, summary_for(0)), (1, forged.clone())] {
+                let mut record = Vec::new();
+                encode_entry(&key_for(i), &summary, &mut record);
+                writer.append(&record).unwrap();
+            }
+            writer.finish().unwrap();
+            assert_eq!(crate::spill::validate_segment_file(&path).unwrap(), 2);
+            let dest: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
+            match dest.import_from(&path, any_key()).unwrap_err() {
+                SpillError::Corrupt { detail } => assert!(detail.contains("record 1"), "{detail}"),
+                other => panic!("expected Corrupt for {forged:?}, got {other:?}"),
+            }
+            assert!(get(&dest, 1).is_none(), "{forged:?} adopted");
+        }
+    }
+
+    /// What `payload` spells by a reference that shares no code with the
+    /// summary table: one `(key, summary)` entry, if it is one — and,
+    /// when `shaped`, only if its summary is one of `t = 1`.
+    fn spelled(payload: &[u8], shaped: bool) -> Option<(Vec<u8>, Summary<u64>)> {
+        let mut rest = payload;
+        let len = u32::decode(&mut rest)? as usize;
+        if rest.len() < len {
+            return None;
+        }
+        let (key, summary) = rest.split_at(len);
+        let summary = decode_summary::<u64>(summary)?;
+        let mut seen = std::collections::BTreeSet::new();
+        let sound =
+            summary.worst_round_by_f.len() == 2 && summary.decided.iter().all(|v| seen.insert(v));
+        (sound || !shaped).then(|| (key.to_vec(), summary))
+    }
+
+    /// Fuzz inputs for the read-back decoders: arbitrary bytes, and
+    /// sound entries with a byte changed, a length claim blown up to
+    /// `0xFFFF_FFFF`-ish, or cut short.
+    fn record_bytes() -> impl Strategy<Value = Vec<u8>> {
+        fn entry(i: u64) -> Vec<u8> {
+            let mut record = Vec::new();
+            encode_entry(&key_for(i % 64), &summary_for(i % 64), &mut record);
+            record
+        }
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..=64),
+            (any::<u64>(), any::<usize>(), any::<u8>()).prop_map(|(i, at, byte)| {
+                let mut record = entry(i);
+                let at = at % record.len();
+                record[at] = byte;
+                record
+            }),
+            (any::<u64>(), any::<usize>()).prop_map(|(i, at)| {
+                let mut record = entry(i);
+                let at = at % (record.len() - 3);
+                record[at..at + 4].fill(0xFF);
+                record
+            }),
+            (any::<u64>(), any::<usize>()).prop_map(|(i, cut)| {
+                let record = entry(i);
+                record[..cut % record.len()].to_vec()
+            }),
+        ]
+    }
+
+    proptest! {
+        /// A store record and a CRC-valid import record yield `Corrupt`
+        /// unless they spell an entry, and then exactly that entry.  No
+        /// input panics, allocates by the lengths it claims (a claim of
+        /// four billion entries would abort the process), or enters a
+        /// summary table.
+        #[test]
+        fn arbitrary_record_bytes_are_corrupt_or_the_entry_they_spell(
+            payload in record_bytes(),
+        ) {
+            let stored = spelled(&payload, false);
+            let probe = stored.as_ref().map_or_else(|| key_for(999), |(key, _)| key.clone());
+            let memo: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::spill(1)).unwrap();
+            plant(&memo, hash_for(&probe), &payload);
+            let read = memo.get(hash_for(&probe), &probe);
+            let census = memo.for_each(|_, _| {});
+            match &stored {
+                Some((_, summary)) => {
+                    let read = read.unwrap().expect("the key it spells is memoized");
+                    prop_assert_eq!(&*read, summary);
+                    prop_assert!(census.is_ok(), "{:?}", census);
+                }
+                None => {
+                    prop_assert!(matches!(read, Err(SpillError::Corrupt { .. })), "{:?}", read);
+                    prop_assert!(matches!(census, Err(SpillError::Corrupt { .. })), "{:?}", census);
+                }
+            }
+            let shard = memo.shards[0].read().unwrap();
+            for held in shard.summaries.slots.iter().flatten() {
+                let decoded = decode_summary::<u64>(&held.bytes);
+                prop_assert_eq!(decoded.as_ref(), Some(&*held.summary));
+            }
+
+            let dir = SpillDir::create(None).unwrap();
+            let path = dir.path().join("fuzz.seg");
+            let mut writer = SegmentWriter::create(&path).unwrap();
+            writer.append(&payload).unwrap();
+            writer.finish().unwrap();
+            let dest: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
+            let imported = dest.import_from(&path, any_key());
+            match spelled(&payload, true) {
+                Some((key, summary)) => {
+                    prop_assert_eq!(imported.unwrap(), 1);
+                    let got = dest.get(hash_for(&key), &key).unwrap();
+                    prop_assert_eq!(got.as_deref(), Some(&summary));
+                }
+                None => {
+                    prop_assert!(matches!(imported, Err(SpillError::Corrupt { .. })), "{:?}", imported);
+                    prop_assert_eq!(dest.len(), 0);
+                }
+            }
+        }
     }
 }

@@ -21,23 +21,27 @@
 //!   here and property-tested in `tests/spill_roundtrip.rs`).
 //! * **Segment files** — a 24-byte header (8-byte magic, format version,
 //!   record count) followed by `[u32 len][u32 crc32][payload]` records.
-//!   Every record is covered by an IEEE CRC32 of its payload, so a
+//!   Every record is covered by an IEEE CRC32 of its stored bytes, so a
 //!   truncated write, a flipped bit, or a file produced by something else
 //!   entirely is detected *before* its bytes are interpreted — a
-//!   requirement once files travel between processes.  Three access
-//!   paths:
+//!   requirement once files travel between processes.  Compression is a
+//!   property of **interchange** files (exports, cache segments,
+//!   checkpoint images), flagged in their header; the run-private spill
+//!   segments are written flag-clear, their records stored as they are.
+//!   Three access paths:
 //!   `SegmentStore` (one memo shard's append-only spill storage,
 //!   random-access by `SpillRef`, rotated every `SEGMENT_BYTES`; it
 //!   moves bytes in blocks, not records — appends gather in a
 //!   write-behind tail, reads go through a few cached blocks of the
 //!   file, and a scan walks the segments front to back — while every
-//!   record read is still checked against its length prefix and CRC),
-//!   `SegmentWriter` (builds one export file, patching the true record
-//!   count into the header on `finish` so an unfinished file is
-//!   distinguishable from a complete one), and
+//!   record read is still checked against its length prefix and CRC,
+//!   then lent as it was stored),
+//!   `SegmentWriter` (builds one export file, compressed by default,
+//!   patching the true record count into the header on `finish` so an
+//!   unfinished file is distinguishable from a complete one), and
 //!   `SegmentReader` (sequential scan of an export file, validating
-//!   header, CRCs, and record count, lending each record from its own
-//!   buffers).
+//!   header, CRCs, and record count, lending each record — decompressed
+//!   under the header's flag — from its own buffers).
 //!
 //! Spill segment files live in a `SpillDir`: a unique per-exploration
 //! subdirectory of either a caller-chosen root or the system temp dir,
@@ -67,10 +71,11 @@ pub(crate) const SEGMENT_BYTES: u64 = 64 * 1024 * 1024;
 pub(crate) const MAGIC: [u8; 8] = *b"TWOSPILL";
 
 /// Format version; bumped whenever the header or record layout changes.
-/// Version 3 added the header compression flag: record payloads are
-/// stored through the [`twostep_model::codec::compress`] codec, with the
-/// CRC taken over the *stored* (compressed) bytes so damage is detected
-/// before decompression is attempted.  Version 4 changed the record
+/// Version 3 added the header compression flag ([`FLAG_COMPRESSED`]):
+/// under it, record payloads are stored through the
+/// [`twostep_model::codec::compress`] codec, with the CRC taken over the
+/// *stored* (compressed) bytes so damage is detected before
+/// decompression is attempted.  Version 4 changed the record
 /// layout to `[u32 key_len][canonical key bytes][summary]`: keys are the
 /// explorer's canonical byte encodings stored verbatim (hashed with
 /// [`twostep_model::codec::stable_hash64`], never re-encoded on spill or
@@ -79,7 +84,11 @@ pub(crate) const MAGIC: [u8; 8] = *b"TWOSPILL";
 /// [`SpillError::Foreign`] and cache consumers loudly replace it.
 pub(crate) const FORMAT_VERSION: u32 = 4;
 
-/// Header flag bit: record payloads are compressed.
+/// Header flag bit: record payloads are compressed.  Set on interchange
+/// files — they are shipped, cached and kept, so their bytes on disk
+/// are worth the codec — and clear on the segments a
+/// [`SegmentStore`] writes, which no process but their own ever reads
+/// and which a rehydrate would otherwise decompress on every read.
 pub(crate) const FLAG_COMPRESSED: u8 = 1;
 
 /// Header flag bit: the segment holds *frontier records* — action-index
@@ -242,22 +251,14 @@ pub fn encode_summary<O: SpillCodec>(summary: &Summary<O>, out: &mut Vec<u8>) {
 /// Decodes a [`Summary`] record produced by [`encode_summary`]; `None` if
 /// the bytes are truncated, malformed, or carry trailing garbage.
 pub fn decode_summary<O: SpillCodec>(mut input: &[u8]) -> Option<Summary<O>> {
-    let summary = decode_summary_prefix(&mut input)?;
-    if !input.is_empty() {
-        return None;
-    }
-    Some(summary)
-}
-
-/// Decodes a [`Summary`] from the front of `input`, advancing past it —
-/// the building block for records that carry a key *and* a summary.
-pub(crate) fn decode_summary_prefix<O: SpillCodec>(input: &mut &[u8]) -> Option<Summary<O>> {
-    Some(Summary {
+    let input = &mut input;
+    let summary = Summary {
         terminals: u64::decode(input)?,
         worst_round_by_f: Vec::<Option<u32>>::decode(input)?,
         decided: Vec::<O>::decode(input)?,
         violating: bool::decode(input)?,
-    })
+    };
+    input.is_empty().then_some(summary)
 }
 
 // ---------------------------------------------------------------------------
@@ -378,18 +379,6 @@ fn parse_header(h: &[u8], path: &Path) -> Result<(u64, u8), SpillError> {
     Ok((count, flags))
 }
 
-/// Decompresses one stored record payload into `raw`.  The CRC already
-/// passed, so undecompressable bytes mean the file was written wrong,
-/// not damaged in flight: corruption, named by `context`.
-fn decompress_record(
-    stored: &[u8],
-    raw: &mut Vec<u8>,
-    context: impl Fn() -> String,
-) -> Result<(), SpillError> {
-    twostep_model::codec::decompress_into(stored, MAX_RAW_RECORD, raw)
-        .ok_or_else(|| SpillError::corrupt(format!("{}: undecompressable record", context())))
-}
-
 // ---------------------------------------------------------------------------
 // Segment store (in-exploration spill tier)
 // ---------------------------------------------------------------------------
@@ -465,12 +454,17 @@ struct Block {
 ///   front to back through the same block reads — frames are
 ///   self-delimiting after the header.
 ///
-/// Every read, whichever way its bytes came, checks the length prefix
-/// against the [`SpillRef`], the CRC against the stored bytes, and that
-/// they decompress; a segment that ends inside a record (truncated
-/// behind the store) is [`SpillError::Corrupt`], like a truncated export
-/// under [`SegmentReader`].  Tail and blocks are allocated on first use:
-/// a shard that never spills, or never rehydrates, pays nothing.
+/// Records are stored as they were appended, under a header with
+/// [`FLAG_COMPRESSED`] clear: the segments are private to the run, and
+/// a rehydrate that had to decompress its record cost more than the
+/// block read that fetched it.  Every read, whichever way its bytes
+/// came, checks the length prefix against the [`SpillRef`] and the CRC
+/// against the stored bytes, then lends the payload out of the frame it
+/// checked; a segment that ends inside a record (truncated behind the
+/// store) is [`SpillError::Corrupt`], like a truncated export under
+/// [`SegmentReader`].  What the payload *means* is the caller's to
+/// check.  Tail and blocks are allocated on first use: a shard that
+/// never spills, or never rehydrates, pays nothing.
 pub(crate) struct SegmentStore {
     dir: PathBuf,
     shard: usize,
@@ -484,14 +478,9 @@ pub(crate) struct SegmentStore {
     blocks: Vec<Block>,
     /// Counts block uses; stamps [`Block::used`].
     clock: u64,
-    /// The frame `fetch` last made addressable.
+    /// The frame `fetch` last made addressable; `read` lends its
+    /// payload.
     frame: Vec<u8>,
-    /// The decompressed payload `read` lends out.
-    raw: Vec<u8>,
-    /// Reusable compressor + output buffer: eviction appends are the
-    /// spill tier's hot path, so compressing a record must not allocate.
-    compressor: twostep_model::codec::Compressor,
-    packed: Vec<u8>,
 }
 
 impl SegmentStore {
@@ -521,9 +510,6 @@ impl SegmentStore {
             blocks: Vec::new(),
             clock: 0,
             frame: Vec::new(),
-            raw: Vec::new(),
-            compressor: twostep_model::codec::Compressor::new(),
-            packed: Vec::new(),
         }
     }
 
@@ -566,23 +552,22 @@ impl SegmentStore {
         // header travels with the first flush.
         self.tail.reserve_exact(self.tail_bytes);
         self.tail
-            .extend_from_slice(&header_bytes(STREAMING_COUNT, FLAG_COMPRESSED));
+            .extend_from_slice(&header_bytes(STREAMING_COUNT, 0));
         Ok(())
     }
 
-    /// Compresses and appends one `[u32 len][u32 crc][payload]` record,
-    /// returning its address (`len` is the *stored*, compressed length).
+    /// Appends one `[u32 len][u32 crc][payload]` record, the payload as
+    /// given, returning its address.
     pub(crate) fn append(&mut self, payload: &[u8]) -> Result<SpillRef, SpillError> {
-        self.compressor.compress_into(payload, &mut self.packed);
         let position = self.segments.last().map_or(0, |last| last.len) + self.tail.len() as u64;
         if self.segments.is_empty() || position >= self.segment_bytes {
             self.open_segment()?;
-        } else if self.tail.len() + 8 + self.packed.len() > self.tail_bytes {
+        } else if self.tail.len() + 8 + payload.len() > self.tail_bytes {
             self.flush()?;
         }
         let segment = self.segments.len() - 1;
         let at = self.tail.len();
-        if let Err(e) = write_framed_record(&mut self.tail, &self.packed) {
+        if let Err(e) = write_framed_record(&mut self.tail, payload) {
             // A torn frame must not stay: refs and scans assume the tail
             // holds whole frames.
             self.tail.truncate(at);
@@ -591,7 +576,7 @@ impl SegmentStore {
         Ok(SpillRef {
             segment: segment as u32,
             offset: self.segments[segment].len + at as u64,
-            len: self.packed.len() as u32,
+            len: payload.len() as u32,
         })
     }
 
@@ -670,8 +655,8 @@ impl SegmentStore {
     }
 
     /// Lends the payload of the record at `r` — valid until the next
-    /// call on the store — having verified its length prefix, its CRC
-    /// and that it decompresses.
+    /// call on the store — having verified its length prefix and its
+    /// CRC.
     pub(crate) fn read(&mut self, r: &SpillRef) -> Result<&[u8], SpillError> {
         self.fetch(r.segment, r.offset, 8 + r.len as usize)?;
         let (prefix, stored) = self.frame.split_at(8);
@@ -689,10 +674,7 @@ impl SegmentStore {
                 r.segment, r.offset
             )));
         }
-        decompress_record(stored, &mut self.raw, || {
-            format!("segment {} offset {}", r.segment, r.offset)
-        })?;
-        Ok(&self.raw)
+        Ok(stored)
     }
 
     /// Visits every record in `(segment, offset)` order — the order they
@@ -776,8 +758,8 @@ pub(crate) struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// A compressed export file — the uniform default for spill, export,
-    /// and dist interchange segments.
+    /// A compressed export file — the uniform default for exports, cache
+    /// segments, checkpoint images and dist interchange segments.
     pub(crate) fn create(path: &Path) -> Result<Self, SpillError> {
         Self::create_flagged(path, FLAG_COMPRESSED)
     }
@@ -1000,9 +982,16 @@ impl SegmentReader {
             )));
         }
         let payload = if self.compressed {
-            decompress_record(&self.stored, &mut self.raw, || {
-                format!("{} record {}", self.path.display(), self.seen)
-            })?;
+            // The CRC already passed, so undecompressable bytes mean the
+            // file was written wrong, not damaged in flight.
+            twostep_model::codec::decompress_into(&self.stored, MAX_RAW_RECORD, &mut self.raw)
+                .ok_or_else(|| {
+                    SpillError::corrupt(format!(
+                        "{} record {}: undecompressable record",
+                        self.path.display(),
+                        self.seen
+                    ))
+                })?;
             &self.raw
         } else {
             &self.stored
@@ -1184,7 +1173,7 @@ mod tests {
         std::fs::metadata(path).unwrap().len()
     }
 
-    /// Forty bytes the compressor cannot shrink, distinct per `i`.
+    /// Forty bytes, distinct per `i`.
     fn noise(i: u8) -> Vec<u8> {
         (0..40u8).map(|k| k.wrapping_mul(37) ^ i).collect()
     }
@@ -1223,6 +1212,25 @@ mod tests {
             let rotated = refs.last().unwrap().segment > 0;
             assert_eq!(rotated, shard == 1, "only the tiny store rotates");
         }
+    }
+
+    #[test]
+    fn segment_store_writes_its_records_as_given_under_a_flag_clear_header() {
+        let dir = SpillDir::create(None).unwrap();
+        let mut store = tiny_store(&dir, 0);
+        // Repetitive bytes a compressor would shrink to a few.
+        let payload = [b'z'; 60];
+        let r = store.append(&payload).unwrap();
+        assert_eq!(r.len, 60, "the stored length is the payload's");
+        store.scan(|_, _| Ok(true)).unwrap();
+        let bytes = std::fs::read(dir.path().join("shard0-seg0.spill")).unwrap();
+        assert_eq!(
+            parse_header(&bytes, dir.path()).unwrap(),
+            (STREAMING_COUNT, 0)
+        );
+        let at = r.offset as usize + 8;
+        assert_eq!(&bytes[at..at + payload.len()], payload);
+        assert_eq!(store.read(&r).unwrap(), payload);
     }
 
     #[test]
@@ -1321,10 +1329,10 @@ mod tests {
     #[test]
     fn scan_bounds_a_length_prefix_before_touching_the_payload() {
         let dir = SpillDir::create(None).unwrap();
-        let mut store = tiny_store(&dir, 0);
-        // Incompressible 40-byte payloads: two frames overflow the
-        // 96-byte tail, so the first two records are written — and
-        // nothing is cached, no read having happened yet.
+        // 40-byte payloads are 48-byte frames: two overflow an 88-byte
+        // tail, so the first two records are written — and nothing is
+        // cached, no read having happened yet.
+        let mut store = SegmentStore::with_sizes(dir.path(), 0, 88, 64, 400);
         let refs: Vec<SpillRef> = (0..3).map(|i| store.append(&noise(i)).unwrap()).collect();
         assert_eq!(segment_len(&dir, 0, 0), refs[2].offset);
         // The length prefix is not checksummed: a flipped high byte

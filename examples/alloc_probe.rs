@@ -22,6 +22,15 @@
 //! heap traffic — what it does allocate is mostly the real-space copy of
 //! a summary memoized under the value-swapped key, one per such hit.
 //!
+//! A fourth row walks the symmetry-off space with 2 % of its states hot
+//! (`MemoConfig::spill(states / 50)`) and is pinned to 7 allocations per
+//! state (6.3 at `(5, 4)`): a rehydrate reads its record out of the
+//! store's own buffers and shares the summary a slot of the shard's
+//! summary table already decoded from the same bytes, so what is left is
+//! one key per admit and the summaries the table has not met.  The
+//! first three counts do not move with it — the table is built on a
+//! shard's first rehydrate, which an all-RAM memo never makes.
+//!
 //! Usage: `cargo run --release --example alloc_probe` (set
 //! `TWOSTEP_BENCH_N`/`TWOSTEP_BENCH_T` to change the system).
 
@@ -52,7 +61,9 @@ use std::time::Duration;
 
 use twostep_core::crw_processes;
 use twostep_model::{SystemConfig, WideValue};
-use twostep_modelcheck::{explore_with, ExploreConfig, ExploreOptions, Symmetry, WalkBudget};
+use twostep_modelcheck::{
+    explore_with, ExploreConfig, ExploreOptions, MemoConfig, Symmetry, WalkBudget,
+};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -125,6 +136,10 @@ fn main() {
         &ExploreOptions::serial(),
         &proposals,
     );
+    let spill_options = ExploreOptions::serial().with_memo(MemoConfig::spill(states / 50));
+    let (spill_states, spill_allocs, spill_best) =
+        probe(system, config, &spill_options, &proposals);
+    assert_eq!(states, spill_states, "spilling must not change the space");
 
     let per_state = |allocs: u64| allocs as f64 / (6 * states) as f64;
     println!(
@@ -147,7 +162,19 @@ fn main() {
         per_state(quotient_allocs),
         states as f64 / quotient_best
     );
+    println!(
+        "(n={n}, t={t}) states={states} spill: hot={} allocs_total={spill_allocs} \
+         allocs_per_state={:.2} best_secs={spill_best:.4} states/sec={:.0}",
+        states / 50,
+        per_state(spill_allocs),
+        states as f64 / spill_best
+    );
 
+    assert!(
+        per_state(spill_allocs) <= 7.0,
+        "the spilling walk exceeds the 7 allocs per state budget: {:.2}",
+        per_state(spill_allocs)
+    );
     for (driver, allocs) in [
         ("plain", plain_allocs),
         ("armed", armed_allocs),
