@@ -12,8 +12,6 @@
 #   TWOSTEP_BENCH_N/T     (n, t) for the explorer bench (raise toward (7, 6)
 #                         as runners allow)
 #   TWOSTEP_DONATE_DEPTH  donation cutoff for the bench's "donate" row
-#   TWOSTEP_BENCH_SKIP_GATE=1  skip the same-run symmetry wall-clock gate
-#                         (escape hatch for slow or heavily shared runners)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -34,8 +32,9 @@ echo "== benchmark harness tests (the only build of benchmark/src/adapter.rs out
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "== file-length tripwire (crates/modelcheck/src: no file over 2000 lines)"
-# Longest today: spill.rs, then explorer/tests.rs and explorer/round.rs
-# (about 1 720 each) and dist.rs (about 1 650).
+# Longest today: explorer/tests.rs and spill.rs (about 1 750 each),
+# then dist.rs and memo.rs (about 1 650 and 1 610); explorer/round.rs
+# keeps its tests in explorer/round/tests.rs.
 longest="$(find crates/modelcheck/src -name '*.rs' -print0 | xargs -0 wc -l | grep -v ' total$' | sort -rn | head -5)"
 echo "$longest"
 if (( $(awk 'NR == 1 { print $1 }' <<<"$longest") > 2000 )); then
@@ -53,11 +52,11 @@ echo "== cargo fmt --check"
 cargo fmt --all --check
 
 echo "== explorer bench (quick) -> BENCH_explorer.json (+ BENCH_history.jsonl)"
-# The perf gate below is a same-run ratio: both rows come from this one
-# bench invocation.  Nothing is compared with the committed
-# BENCH_explorer.json — on 7 ms (6,5) rows a cross-commit floor sits
-# inside the run-to-run noise of an unchanged build (ROADMAP 2(a));
-# speed across commits is held by the repo benchmark's alternating pairs.
+# No wall-clock gate reads these rows: on 7 ms (6,5) walks a same-run
+# ratio or a cross-commit floor sits inside the run-to-run noise of an
+# unchanged build.  Speed is held by the repo benchmark's alternating
+# pairs, where crw8-quotient runs at about 0.78x crw8-cold (medians of
+# ten 28 s runs each, 0.126 s against 0.161 s).
 commit_sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 cargo run --release -q -p twostep-bench --bin explorer_bench -- --quick \
     --history BENCH_history.jsonl --commit "$commit_sha"
@@ -75,39 +74,6 @@ grep '"engine": "symmetry"' BENCH_explorer.json >/dev/null \
 grep '"verdicts_identical": true' BENCH_explorer.json >/dev/null \
     || { echo "FAIL: symmetry row lost its verdict-equality witness" >&2; exit 1; }
 sed -n 's/.*"symmetry": {\("mode[^}]*\)}.*/symmetry OK: \1/p' BENCH_explorer.json
-
-echo "== perf gate (symmetry wall clock within 25% of the serial walk, same run)"
-# The quotient exists to win on wall clock, and at scale it does: since
-# the orbit-level classes the repo benchmark's crw8-quotient runs at
-# about 0.6x crw8-cold, which is where that claim is measured and held.
-# This gate is only a tripwire on the pinned quick system, a 7 ms (6,5)
-# row where fixed costs dominate and the two walks differ by less than
-# the row's noise: a same-run ratio with a stated tolerance — both rows
-# come from one bench invocation (same machine state, best-of-N), and one
-# full symmetry-reduced exploration
-# may cost at most 1.25x the serial walk it stands in for.  The ceiling
-# stays at 1.25x until ROADMAP item 2(a) re-bases the quick bench at a
-# size where the quotient's gain shows.  A cross-commit absolute (the
-# old "beats the committed serial row") turns every serial speed-up
-# into a spurious symmetry failure on the next PR.
-new_symmetry_seconds="$(sed -n 's/.*"engine": "symmetry".*"best_seconds": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
-new_serial_seconds="$(sed -n 's/.*"engine": "serial".*"best_seconds": \([0-9.]*\).*/\1/p' BENCH_explorer.json | head -1)"
-if [[ -z "$new_symmetry_seconds" || -z "$new_serial_seconds" ]]; then
-    echo "FAIL: symmetry wall-clock gate could not parse best_seconds" >&2
-    echo "      (serial='$new_serial_seconds', symmetry='$new_symmetry_seconds') — update the sed extraction in ci.sh alongside the bench JSON format." >&2
-    exit 1
-elif [[ "${TWOSTEP_BENCH_SKIP_GATE:-0}" == "1" ]]; then
-    echo "symmetry wall-clock gate skipped (TWOSTEP_BENCH_SKIP_GATE=1): symmetry=$new_symmetry_seconds s, serial=$new_serial_seconds s"
-else
-    awk -v sym="$new_symmetry_seconds" -v serial="$new_serial_seconds" 'BEGIN {
-        ceiling = 1.25 * serial;
-        if (sym > ceiling) {
-            printf "FAIL: symmetry-reduced exploration (%.6f s) costs more than 1.25x the same-run serial walk (%.6f s, ceiling %.6f s).\n", sym, serial, ceiling;
-            exit 1;
-        }
-        printf "symmetry wall-clock gate OK: %.6f s vs same-run serial %.6f s (ceiling %.6f s)\n", sym, serial, ceiling;
-    }' >&2 || exit 1
-fi
 
 echo "== partitioned exploration (2 worker processes, quick, all symmetry strengths)"
 dist_off_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- --quick --partitions 2 --symmetry off)"

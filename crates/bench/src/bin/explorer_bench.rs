@@ -36,8 +36,10 @@
 //! canonicalization tier for CRW (`partial+value`), asserts the root
 //! verdict field-by-field against the `serial` row, and records both
 //! its orbit-count throughput (`states_per_sec`) and the raw states it
-//! stands in for (`raw_states_per_sec`); `ci.sh` gates its wall clock
-//! against the `serial` row of the same run.
+//! stands in for (`raw_states_per_sec`); `ci.sh` checks that the row and
+//! its verdict-equality witness are there.  No row is a wall-clock
+//! gate: on the quick `(6, 5)` system the rows sit inside their own
+//! run-to-run noise, and speed is measured by the repo benchmark.
 //!
 //! Every result row records both `threads` (walkers inside one
 //! process) and `partitions` (worker processes); single-process rows
@@ -113,9 +115,8 @@ fn main() {
     let (default_n, default_t) = (6, 5);
     let n = env_usize("TWOSTEP_BENCH_N").unwrap_or(default_n);
     let t = env_usize("TWOSTEP_BENCH_T").unwrap_or(default_t);
-    // Best-of-3 even in quick mode: the wall-clock gate compares a
-    // fresh symmetry row against the committed serial row, and best-of
-    // narrows the fresh side's upward scheduler noise.
+    // Best-of-3 even in quick mode: best-of narrows each row's upward
+    // scheduler noise in the recorded trajectory.
     let iters = 3;
 
     let system = SystemConfig::new(n, t).expect("valid bench system");
@@ -328,9 +329,7 @@ fn main() {
     // Steal row: the elastic engine under its default lazy policy.  A
     // sub-second bench run never outlives the 250ms warm-up, so no
     // worker processes are launched and the row prices elasticity's
-    // overhead when idle — the policy check plus the pipeline framing —
-    // which must stay competitive with `parallel` (gated by `ci.sh`
-    // against the committed `partitioned` row as the floor).
+    // overhead when idle — the policy check plus the pipeline framing.
     {
         let mut best = f64::INFINITY;
         let mut stats_extra = String::new();
@@ -376,7 +375,7 @@ fn main() {
     // which is what lets `ci.sh` treat the committed JSON as a
     // verdict-equality witness.  `states_per_sec` is computed over the
     // row's own (smaller) orbit count; `raw_states_per_sec` over the
-    // raw count it stands in for — the like-mode trend gate and the
+    // raw count it stands in for — the like-mode trend and the
     // cross-engine comparison respectively.
     {
         let sym = Symmetry::PartialValue;

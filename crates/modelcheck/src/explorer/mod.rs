@@ -108,8 +108,9 @@
 //! * `canon` — key layouts: the raw key and the canonical tiers, with
 //!   the soundness argument of each symmetry strength;
 //! * `round` — one configuration's open round: the odometer over its
-//!   adversary moves, the key records, and the class and orbit tables
-//!   key-first successor generation answers from, private to it;
+//!   adversary moves, the key records, and the class, orbit and block
+//!   tables key-first successor generation answers from, private to it
+//!   (the tests that read them are its child `round/tests.rs`);
 //! * `walker` — the DFS itself, a step at a time, and the state its
 //!   walkers share (abort protocol included);
 //! * `run` — the run spine (open → work → finish) every engine shares,

@@ -1,7 +1,8 @@
 //! One configuration's **open round**: its send phase run once, the
 //! adversary's moves as an odometer over per-slot outcome lists, the
-//! key records its children are made of, and the successor-class and
-//! orbit-class tables that say which children its frame has absorbed.
+//! key records its children are made of, and the successor-class,
+//! orbit-class and block tables that say which children its frame has
+//! absorbed.
 //! Every table is private to this module: a round is opened by
 //! [`RoundKeys::open`], a class's summary is read through
 //! [`RoundKeys::class_summary`] (an orbit's comes back from
@@ -115,7 +116,25 @@
 //!    A row that repeats such a class is an addition: no key is
 //!    assembled, nothing is hashed, neither the orbit table nor the memo
 //!    is touched, no summary is cloned; the first row of another class
-//!    of such an orbit is absorbed in full — only its probe is skipped;
+//!    of such an orbit is absorbed in full — only its probe is skipped.
+//!    Above the class there is a **block level**.  Call the slot after
+//!    the round's last sender the *cut*; the rows that agree on every
+//!    slot before it are a *block*, and differ only in slots whose
+//!    records are functions of their own outcomes (step 2).  So a
+//!    block's sequence of classes is fixed by its **signature**: the ids
+//!    of the slots before the cut, the crashes left to spend, and the
+//!    ids of every outcome of every slot from the cut on — read through
+//!    the (slot, outcome) table, where the block's own rows find them
+//!    again.  A third frame-local table of the same kind, keyed by
+//!    signatures, holds per block the walk took from its first row to
+//!    its last the terminals those rows added.  A block whose signature
+//!    is there is made of classes the frame has absorbed; it is taken
+//!    in one move — one addition, its rows counted as steps, an
+//!    unranking at the next row — when the arbiter lets all of its rows
+//!    pass in silence (below), and row by row otherwise.  A row starts a
+//!    block when every slot from the cut on survives, however the cursor
+//!    got there; a round whose last slot sends has no slot past the cut,
+//!    and builds no signature;
 //! 5. **the probe's miss is the child's entry** — a child nothing
 //!    answers for is a new state, and the key its probe assembled —
 //!    bytes, hash, swap orientation — is the key it is memoized under:
@@ -133,14 +152,21 @@
 //! At `(8, 7)` the 2 936 634 rows fall into 387 567 classes (13.2 %), so
 //! that many keys are assembled and probed — 387 568 memo probes a walk,
 //! the root's included — and the other 2 549 067 rows cost a table
-//! lookup and an addition each.  Of the 47 788 children nothing answers
-//! for, 38 597 are terminal and settled from their rows, under 64
-//! distinct summaries; 9 191 are forked, stepped and expanded; the tier
-//! encoder runs on a [`Stepper`] once, for the root.  Under
+//! lookup and an addition each — or less: the walk meets 33 138 blocks
+//! (31 367 of more than one row), 13 215 of them repeat a signature
+//! their frame has taken and are taken whole, and 1 747 326 rows are
+//! never classified.  (The serial walk's unlimited budget took those
+//! rows in silence before: its 2 945 827 steps still take 396 760
+//! `step()` calls.)  Of the 47 788 children nothing answers for, 38 597
+//! are terminal and settled from their rows, under 64 distinct
+//! summaries; 9 191 are forked, stepped and expanded; the tier encoder
+//! runs on a [`Stepper`] once, for the root.  Under
 //! `partial+value` the 2 420 154 rows fall into 278 081 classes, those
 //! into 72 818 orbit classes — the keys assembled and probed — and of
 //! the 5 786 children nothing answers for 2 810 are settled from their
-//! rows and 2 976 expand.  An index row can only name active processes.
+//! rows and 2 976 expand; 8 652 of its 19 346 blocks are taken whole,
+//! and 1 484 224 rows never classified.  An index row can only name
+//! active processes.
 //! The distributed frontier expander and the steal harvester key their
 //! children the same way: the harvester builds no child at all — a
 //! probe's miss is its record — and the expander only those of a level
@@ -162,11 +188,15 @@
 //! of a class, or the frame's pop — as far as the arbiter's
 //! `Arbiter::headroom` says no verdict but `Allow` is
 //! passed over (the serial `(8, 7)` walk: 2 945 827 steps in 396 760
-//! calls).  Order cannot change because nothing is reordered: the first
-//! row of every class is where it was, so the children are entered in
-//! the same order (DFS order, memo insertion order), `decided` values
-//! are discovered in the same order (a repeat discovers none), and a
-//! budget, a yield or a deadline poll falls on the same step number.
+//! calls).  A block whose signature its frame has taken is such a run,
+//! every row of it a repeat, and the earlier block's count is what its
+//! rows add: it is taken in one addition when the headroom covers it,
+//! and split like any run when not.  Order cannot change because
+//! nothing is reordered: the first row of every class is where it was,
+//! so the children are entered in the same order (DFS order, memo
+//! insertion order), `decided` values are discovered in the same order
+//! (a repeat discovers none), and a budget, a yield or a deadline poll
+//! falls on the same step number.
 //!
 //! Soundness rests on three facts of the round semantics, all of them
 //! properties of [`Stepper::step`] (which is written on top
@@ -191,7 +221,8 @@
 //! walker's oracles (`assembled_keys_are_stepped_keys`, `skipped_probe`,
 //! `records_are_the_stepped_child`) fork and step after all for every
 //! key assembled from records, every row answered from a table and
-//! every child settled from its row — so each differential suite is
+//! every child settled from its row, and `block_is_its_rows` classifies
+//! every row of a block taken whole — so each differential suite is
 //! also a differential of this.
 //! Enumeration order, absorb order, the one-step-per-child
 //! accounting, the stop check and the `max_states` check are where they
@@ -308,10 +339,45 @@ where
     /// its trailing slots re-folds only those.
     ids: Vec<u32>,
     folds: Vec<u64>,
-    classes: ClassTable<P::Output>,
+    classes: ClassTable<Arc<Summary<P::Output>>>,
     /// The orbit level, under a canonicalizing plan — boxed, so that a
     /// raw-plan round carries an empty pointer and nothing else of it.
     orbits: Option<Box<Orbits<P>>>,
+    /// The block level (module docs, step 4): the slot after the last
+    /// sender — the number of slots where no block can repeat: the last
+    /// slot sends, nothing sends, or the round is not keyed.
+    cut: usize,
+    /// Scratch for the signature of the block the cursor row starts.
+    signature: Vec<u32>,
+    /// Per block signature the walk has taken from first row to last,
+    /// the terminals those rows added to the frame.
+    blocks: ClassTable<u64>,
+    /// The block the walk entered at its first row and has not left.
+    open_block: Option<OpenBlock>,
+    /// How many blocks the walk took in one move, and how many it found
+    /// in the table but had to split, over the round's whole life in its
+    /// walker's pool.
+    #[cfg(test)]
+    pub(super) block_counts: BlockCounts,
+}
+
+/// A block the walk entered at its first row: its number in the block
+/// table, that row, the row after its last, and the frame's terminal
+/// count before it.
+#[derive(Clone, Copy)]
+struct OpenBlock {
+    block: usize,
+    first: usize,
+    end: usize,
+    terminals: u64,
+}
+
+/// What `RoundKeys::block_counts` counts.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(super) struct BlockCounts {
+    pub(super) whole: usize,
+    pub(super) split: usize,
 }
 
 /// Scratch of [`RoundKeys::open`], kept by whoever opens rounds: a plan's
@@ -371,7 +437,7 @@ struct Orbits<P: CheckableProtocol> {
     /// of its pooled slots.
     vector: Vec<u32>,
     pooled: Vec<u32>,
-    table: ClassTable<P::Output>,
+    table: ClassTable<Arc<Summary<P::Output>>>,
 }
 
 /// What [`Orbits`] keeps of one interned record: the process's role in
@@ -580,28 +646,32 @@ fn fold_ids(ids: &[u32]) -> u64 {
 
 /// A frame's **successor classes** (module docs, step 4): the distinct
 /// record-id vectors its rows have produced, each — once the frame has
-/// absorbed it — with the real-space summary of the child they all lead
-/// to.  Open addressing, entries verified by comparing ids; the index
-/// starts small and doubles when the classes met fill half of it, so it
-/// is sized by classes, not by rows (13 % of them at `(8, 7)`).  A
-/// round's orbit level ([`Orbits`]) keeps a second one, keyed on orbit
-/// vectors.
-struct ClassTable<O> {
+/// absorbed it — with a value: the real-space summary of the child they
+/// all lead to.  Open addressing, entries verified by comparing ids; the
+/// index starts small and doubles when the classes met fill half of it,
+/// so it is sized by classes, not by rows (13 % of them at `(8, 7)`).  A
+/// round keeps two more: its orbit level ([`Orbits`]) one keyed on orbit
+/// vectors, and its block level one keyed on block signatures, whose
+/// value is a terminal count.
+struct ClassTable<V> {
     /// Class number + 1 per bucket, `0` for an empty one; a power of two
     /// long.
     index: Vec<u32>,
     /// Class `c`'s record ids: `ids[c * stride..][..stride]`.
     ids: Vec<u32>,
     stride: usize,
-    /// A class's summary, from the moment its frame absorbed it — which
-    /// [`RoundKeys::absorb`] alone records, so "has a summary" *is* "was
-    /// absorbed", the fact run absorption rests on.
-    summaries: Vec<Option<Arc<Summary<O>>>>,
+    /// A class's value, from the moment its frame absorbed it — which
+    /// [`RoundKeys::absorb`] alone records for a class or an orbit, so
+    /// "has a summary" *is* "was absorbed", the fact run absorption
+    /// rests on; [`RoundKeys::take_block`] records a block's when the
+    /// walk leaves it.
+    values: Vec<Option<V>>,
 }
 
-impl<O> ClassTable<O> {
+impl<V> ClassTable<V> {
     /// Buckets of an emptied table: room for the classes of an average
-    /// frame (42 at `(8, 7)`) without growing.
+    /// frame (42 at `(8, 7)`) without growing — in the index, which
+    /// doubles at half full, and in the storage of the classes.
     const START_BUCKETS: usize = 128;
 
     fn new() -> Self {
@@ -609,17 +679,19 @@ impl<O> ClassTable<O> {
             index: Vec::new(),
             ids: Vec::new(),
             stride: 0,
-            summaries: Vec::new(),
+            values: Vec::new(),
         }
     }
 
-    /// Empties the table for a round of `stride` slots.
+    /// Empties the table for id vectors `stride` long.
     fn reset(&mut self, stride: usize) {
         self.index.clear();
         self.index.resize(Self::START_BUCKETS, 0);
         self.ids.clear();
+        self.ids.reserve(Self::START_BUCKETS / 2 * stride);
         self.stride = stride;
-        self.summaries.clear();
+        self.values.clear();
+        self.values.reserve(Self::START_BUCKETS / 2);
     }
 
     fn ids_of(&self, class: usize) -> &[u32] {
@@ -641,7 +713,7 @@ impl<O> ClassTable<O> {
     }
 
     /// The class of the id vector `ids`, whose [`fold_ids`] hash is
-    /// `hash` — entered as a new one, without a summary, when no row
+    /// `hash` — entered as a new one, without a value, when no row
     /// produced it before.
     fn class_of(&mut self, ids: &[u32], hash: u64) -> usize {
         debug_assert_eq!(ids.len(), self.stride);
@@ -650,15 +722,15 @@ impl<O> ClassTable<O> {
         if let Some(class) = met {
             return class;
         }
-        let class = self.summaries.len();
+        let class = self.values.len();
         self.ids.extend_from_slice(ids);
-        self.summaries.push(None);
+        self.values.push(None);
         self.index[bucket] = class as u32 + 1;
-        if 2 * self.summaries.len() > self.index.len() {
+        if 2 * self.values.len() > self.index.len() {
             let buckets = 2 * self.index.len();
             self.index.clear();
             self.index.resize(buckets, 0);
-            for class in 0..self.summaries.len() {
+            for class in 0..self.values.len() {
                 let (bucket, _) = self.find(fold_ids(self.ids_of(class)), |_| false);
                 self.index[bucket] = class as u32 + 1;
             }
@@ -699,6 +771,12 @@ where
             folds: Vec::new(),
             classes: ClassTable::new(),
             orbits: (plan.tier != CanonTier::Raw).then(|| Box::new(Orbits::new(plan))),
+            cut: 0,
+            signature: Vec::new(),
+            blocks: ClassTable::new(),
+            open_block: None,
+            #[cfg(test)]
+            block_counts: BlockCounts::default(),
         }
     }
 
@@ -804,9 +882,11 @@ where
     /// Has the engine tabulate the outcomes and, if it does, starts the
     /// round's tables: the fixed records of the processes settled before
     /// the round, no view met, no (slot, outcome) entry good, the cursor
-    /// before the first row, no class.
+    /// before the first row, no class, no block.
     fn start_tables(&mut self) {
         self.keyed = self.sent.tabulate(&self.outcomes);
+        self.cut = self.outcomes.len();
+        self.open_block = None;
         if !self.keyed {
             return;
         }
@@ -867,6 +947,18 @@ where
         if let Some(orbits) = &mut self.orbits {
             orbits.table.reset(slots);
         }
+        // With nothing sending the round is one block, which no other
+        // block of the frame can repeat.
+        let cut = self.sent.senders().last().map_or(slots, |last| last + 1);
+        if cut < slots {
+            self.cut = cut;
+            let suffix: usize = self.outcomes[cut..]
+                .iter()
+                .map(|stages| stages.len() + 1)
+                .sum();
+            self.blocks.reset(cut + 1 + suffix);
+            self.signature.reserve(cut + 1 + suffix);
+        }
     }
 
     /// How many adversary moves the round has.
@@ -909,6 +1001,25 @@ where
                 actions[active[slot]] = Some(self.outcomes[slot][outcome as usize - 1].clone());
             }
         });
+    }
+
+    /// Whether rows `idx..idx + rows` are one whole block: they agree on
+    /// every slot before the cut, and the rows on either side of them do
+    /// not.  Read off unranked rows, for the walker's debug oracle.
+    pub(super) fn is_block(&self, idx: usize, rows: usize) -> bool {
+        let prefix = |idx: usize| {
+            let mut prefix = vec![0; self.cut];
+            self.unrank(idx, |slot, outcome| {
+                if slot < self.cut {
+                    prefix[slot] = outcome;
+                }
+            });
+            prefix
+        };
+        let first = prefix(idx);
+        (idx..idx + rows).all(|row| prefix(row) == first)
+            && (idx == 0 || prefix(idx - 1) != first)
+            && (idx + rows == self.len() || prefix(idx + rows) != first)
     }
 
     /// Moves the cursor to the next row, in place and from the right:
@@ -974,21 +1085,127 @@ where
             }
         };
         for slot in from..slots {
-            let entry = self.first_entry[slot] as usize + usize::from(self.row[slot]);
-            let (stamp, mut id) = self.by_outcome[entry];
-            if stamp != self.epoch {
-                let view = self.sent.view(&self.row, slot);
-                id = match self.known[slot].iter().find(|(met, _)| *met == view) {
-                    Some(&(_, id)) => id,
-                    None => self.settle_record(slot, &view),
-                };
-                self.by_outcome[entry] = (self.epoch, id);
-            }
+            let id = self.record_id(slot);
             self.ids[slot] = id;
             self.folds[slot + 1] = fold_id(self.folds[slot], id);
         }
         self.class = self.classes.class_of(&self.ids, self.folds[slots]);
         Some(self.class)
+    }
+
+    /// The id of `slot`'s record under the cursor row: its (slot,
+    /// outcome) entry, refilled from the slot's view when stale (module
+    /// docs, step 2).
+    #[inline]
+    fn record_id(&mut self, slot: usize) -> u32 {
+        let entry = self.first_entry[slot] as usize + usize::from(self.row[slot]);
+        let (stamp, id) = self.by_outcome[entry];
+        if stamp == self.epoch {
+            return id;
+        }
+        let view = self.sent.view(&self.row, slot);
+        let id = match self.known[slot].iter().find(|(met, _)| *met == view) {
+            Some(&(_, id)) => id,
+            None => self.settle_record(slot, &view),
+        };
+        self.by_outcome[entry] = (self.epoch, id);
+        id
+    }
+
+    /// Whether the row last [`classify`](Self::classify)d starts a block
+    /// (module docs, step 4): the round has slots past the cut, and every
+    /// one of them survives.  A property of the row, so an unranked
+    /// cursor recognises a block start as a stepped one does.
+    #[inline]
+    pub(super) fn cursor_starts_block(&self) -> bool {
+        // From the right, where the odometer moves fastest.
+        self.cut < self.row.len()
+            && self.row[self.cut..]
+                .iter()
+                .rev()
+                .all(|outcome| *outcome == 0)
+    }
+
+    /// Takes in one move the block that row `idx` — the row last
+    /// [`classify`](Self::classify)d, which
+    /// [starts one](Self::cursor_starts_block) — starts, if the walk has
+    /// taken a block of its signature before and `room()` — asked only
+    /// then — covers all of its rows: returns how many rows it has and
+    /// the terminals they add.  `terminals` is the frame's count before
+    /// row `idx`, which the walk is about to take.  A block whose
+    /// signature has no count yet is entered, and its count is recorded
+    /// when the walk comes from its last row to the next block start;
+    /// one the walk enters anywhere else records nothing.  Out of line:
+    /// the walk's loops over rows call it at block starts alone.
+    #[inline(never)]
+    pub(super) fn take_block(
+        &mut self,
+        idx: usize,
+        terminals: u64,
+        room: impl FnOnce() -> u64,
+    ) -> Option<(usize, u64)> {
+        debug_assert!(self.at == Some(idx) && self.cursor_starts_block());
+        if self.open_block.is_some_and(|open| open.first == idx) {
+            return None;
+        }
+        if let Some(open) = self.open_block.take() {
+            if open.end == idx {
+                self.blocks.values[open.block] = Some(terminals - open.terminals);
+            }
+        }
+        let (block, rows) = self.cursor_block()?;
+        let Some(added) = self.blocks.values[block] else {
+            self.open_block = Some(OpenBlock {
+                block,
+                first: idx,
+                end: idx + rows,
+                terminals,
+            });
+            return None;
+        };
+        let whole = rows as u64 <= room();
+        #[cfg(test)]
+        if whole {
+            self.block_counts.whole += 1;
+        } else {
+            self.block_counts.split += 1;
+        }
+        whole.then_some((rows, added))
+    }
+
+    /// The block the cursor row starts, looked up in the block table —
+    /// entered as a new one, without a count, when the frame met no
+    /// block of its signature before — and how many rows it has.  `None`
+    /// for a block of one row: the row spends every crash left.
+    ///
+    /// The signature: the ids of the slots before the cut, the crashes
+    /// left, and per slot from the cut on the ids of all its outcomes —
+    /// read through the (slot, outcome) table, where the block's own
+    /// rows find them again.  Past the last sender a slot's record is a
+    /// function of its own outcome (step 2), and with a crash left every
+    /// outcome of every such slot is some row's, so equal signatures are
+    /// equal class sequences, row for row.
+    fn cursor_block(&mut self) -> Option<(usize, usize)> {
+        let (cut, slots) = (self.cut, self.row.len());
+        let left = self.budget - self.spent;
+        if left == 0 {
+            return None;
+        }
+        let mut signature = std::mem::take(&mut self.signature);
+        signature.clear();
+        signature.extend_from_slice(&self.ids[..cut]);
+        signature.push(left as u32);
+        for slot in cut..slots {
+            signature.push(self.ids[slot]);
+            for outcome in 1..=self.outcomes[slot].len() {
+                self.row[slot] = outcome as u16;
+                signature.push(self.record_id(slot));
+            }
+            self.row[slot] = 0;
+        }
+        let block = self.blocks.class_of(&signature, fold_ids(&signature));
+        self.signature = signature;
+        Some((block, self.count[cut * (self.budget + 1) + left]))
     }
 
     /// Settles `slot`'s process under a view met for the first time and
@@ -1114,13 +1331,13 @@ where
         }
         let hash = fold_ids(&orbits.vector);
         let orbit = orbits.table.class_of(&orbits.vector, hash);
-        (orbit, orbits.table.summaries[orbit].clone())
+        (orbit, orbits.table.values[orbit].clone())
     }
 
     /// The summary the frame has absorbed for successor class `class`,
     /// if it has absorbed it.
     pub(super) fn class_summary(&self, class: usize) -> Option<&Arc<Summary<P::Output>>> {
-        self.classes.summaries[class].as_ref()
+        self.classes.values[class].as_ref()
     }
 
     /// Absorbs into `acc` — the summary the frame of this round is
@@ -1142,573 +1359,11 @@ where
         let Some(child) = child else { return };
         if let (Some(orbit), Some(orbits)) = (child.orbit, &mut self.orbits) {
             // An orbit that answered the row itself keeps what it has.
-            orbits.table.summaries[orbit].get_or_insert_with(|| Arc::clone(&summary));
+            orbits.table.values[orbit].get_or_insert_with(|| Arc::clone(&summary));
         }
-        self.classes.summaries[child.class] = Some(summary);
+        self.classes.values[child.class] = Some(summary);
     }
 }
 
 #[cfg(test)]
-pub(super) mod tests {
-    //! The tests that read a round's tables.  They run as
-    //! `explorer::tests::<name>` — the ids they have always had; the
-    //! `#[test]` entry points are in `tests.rs` — so here they are plain
-    //! functions.  The walker they use as driver and as oracle is the
-    //! one place a module of the chain looks at a later one.
-
-    use twostep_model::SystemConfig;
-    use twostep_sim::{ModelKind, TraceLevel};
-
-    use super::super::budget::{BudgetArbiter, StepStatus, Unbounded};
-    use super::super::canon::flag_in_place;
-    use super::super::config::{ExploreOptions, Symmetry, WalkBudget};
-    use super::super::testkit::*;
-    use super::super::walker::{Shared, StepWalker, Walker};
-    use super::*;
-
-    /// The key-first differential: along seeded random adversary paths
-    /// from `procs`, for **every** row of every visited configuration,
-    /// the plan's key assembled from the open round's interned
-    /// per-process records ([`Walker::cursor_key`]: the raw key with
-    /// symmetry off, the tier encoder run on the row's record forms
-    /// otherwise) must equal [`Walker::canonical_key`] of the child that
-    /// `fork_from` and `step` produce under the materialized row — in
-    /// bytes, hash and swap orientation — and the statuses and decisions
-    /// the row's records keep ([`RoundKeys::cursor_terminal`] reads a
-    /// terminal child off them) must be that child's.  The oracle side
-    /// shares none of the table, view, record-form or assembly code.
-    /// Returns how many children were compared.
-    fn assert_assembled_keys_match_stepped<P>(
-        system: SystemConfig,
-        model: ModelKind,
-        max_rounds: u32,
-        procs: Vec<P>,
-        proposals: Vec<P::Output>,
-        label: &str,
-        symmetry: Symmetry,
-    ) -> usize
-    where
-        P: CheckableProtocol,
-        P::Output: Hash + SpillCodec,
-    {
-        let mut spare = Stepper::new(system, model, TraceLevel::Off, procs.clone()).unwrap();
-        let mut row = RoundActions::new();
-        on_random_paths(
-            system,
-            model,
-            max_rounds,
-            None,
-            symmetry,
-            procs,
-            proposals,
-            |walker, stepper, round| {
-                for idx in 0..round.len() {
-                    round.classify(idx).expect("systems this small are keyed");
-                    let assembled = walker.cursor_key(round);
-                    let assembled_bytes = walker.key_bytes().to_vec();
-                    round.actions_into(idx, &mut row);
-                    spare.fork_from(stepper);
-                    spare.step(&row).unwrap();
-                    assert_eq!(
-                        (walker.canonical_key(&spare), walker.key_bytes()),
-                        (assembled, &assembled_bytes[..]),
-                        "{label} under {symmetry:?}: round {} row {idx} {row:?}",
-                        stepper.round()
-                    );
-                    // What the row's records keep of each process is
-                    // what the stepped child stands with, and the row
-                    // is terminal exactly if the child is.
-                    let kept = row_records(&round.fixed, &round.ids);
-                    let (status, decisions): (Vec<_>, Vec<_>) =
-                        kept.map(|id| round.fates[id as usize].clone()).unzip();
-                    assert_eq!(
-                        (&status[..], &decisions[..]),
-                        (spare.status(), spare.decisions()),
-                        "{label} under {symmetry:?}: round {} row {idx} {row:?}",
-                        stepper.round()
-                    );
-                    assert_eq!(
-                        round.cursor_terminal(max_rounds),
-                        (walker.is_terminal(&spare)).then_some((&status[..], &decisions[..])),
-                        "{label} under {symmetry:?}: round {} row {idx} {row:?}",
-                        stepper.round()
-                    );
-                }
-            },
-        )
-    }
-
-    pub(in crate::explorer) fn assembled_child_keys_match_stepped_children() {
-        use twostep_model::WideValue;
-        // CRW under both commit orders, FloodSet, EarlyStopping, the
-        // block simulation and Duo, at every strength: raw, settled,
-        // rank-inert (which no process of these systems is: t = n − 1,
-        // or a protocol that declares none) and the value quotient on
-        // top where the proposals admit it.
-        for symmetry in [
-            Symmetry::Off,
-            Symmetry::Full,
-            Symmetry::Partial,
-            Symmetry::PartialValue,
-        ] {
-            let compared = over_the_zoo!(assert_assembled_keys_match_stepped, symmetry);
-            assert!(compared > 5_000, "only {compared} children compared");
-        }
-
-        // Below t = n − 1 rank-inertness fires — at the root already,
-        // for the two highest ranks — and pooled actives reach the keys.
-        let system = SystemConfig::new(5, 2).unwrap();
-        let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
-        let procs = twostep_core::crw_processes(&system, &bits);
-        let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone());
-        let mut in_place = Vec::new();
-        flag_in_place(&root.unwrap(), CanonTier::SettledInert, 2, &mut in_place);
-        assert_eq!(in_place, [true, true, true, false, false]);
-        for symmetry in [Symmetry::Partial, Symmetry::PartialValue] {
-            let compared = assert_assembled_keys_match_stepped(
-                system,
-                ModelKind::Extended,
-                6,
-                procs.clone(),
-                bits.clone(),
-                "crw below maximal resilience",
-                symmetry,
-            );
-            assert!(compared > 500, "only {compared} children compared");
-        }
-
-        // The full orbit: every record pooled, actives re-encoded at
-        // their sorted positions from the states the records keep.
-        let system = SystemConfig::new(4, 2).unwrap();
-        let ests = [5, 9, 5, 7];
-        assert_eq!(
-            Symmetry::Full.plan::<Gossip>(&ests).tier,
-            CanonTier::FullOrbit
-        );
-        let compared = assert_assembled_keys_match_stepped(
-            system,
-            ModelKind::Extended,
-            3,
-            gossip_procs(4, &ests),
-            ests.to_vec(),
-            "gossip",
-            Symmetry::Full,
-        );
-        assert!(compared > 500, "only {compared} children compared");
-    }
-
-    /// The nested product the odometer must reproduce, as whole action
-    /// vectors: each active process survives first, then crashes in each
-    /// of its outcomes in turn, at most `budget` of them in one row.
-    fn reference_product(
-        n: usize,
-        active: &[usize],
-        outcomes: &[Vec<CrashStage>],
-        budget: usize,
-    ) -> Vec<RoundActions> {
-        fn rec(
-            active: &[usize],
-            outcomes: &[Vec<CrashStage>],
-            idx: usize,
-            budget: usize,
-            current: &mut RoundActions,
-            out: &mut Vec<RoundActions>,
-        ) {
-            if idx == active.len() {
-                out.push(current.clone());
-                return;
-            }
-            rec(active, outcomes, idx + 1, budget, current, out);
-            if budget > 0 {
-                for stage in &outcomes[idx] {
-                    current[active[idx]] = Some(stage.clone());
-                    rec(active, outcomes, idx + 1, budget - 1, current, out);
-                }
-                current[active[idx]] = None;
-            }
-        }
-        let mut out = Vec::new();
-        rec(active, outcomes, 0, budget, &mut vec![None; n], &mut out);
-        out
-    }
-
-    /// The enumeration the odometer must reproduce, written the way the
-    /// walker wrote it before rows were indices: peek each active
-    /// process's plan shape, list its live-effect crash outcomes, and
-    /// take the nested product.
-    fn reference_rows<P>(
-        stepper: &Stepper<P>,
-        t: usize,
-        max_crashes_per_round: Option<usize>,
-    ) -> Vec<RoundActions>
-    where
-        P: SyncProtocol + Clone,
-    {
-        let n = stepper.procs().len();
-        let is_active = |p: &ProcessId| matches!(stepper.status()[p.idx()], ProcStatus::Active);
-        let active: Vec<usize> = stepper.active().map(ProcessId::idx).collect();
-        let mut shape = twostep_sim::PlanShape {
-            data_dests: Vec::new(),
-            control_len: 0,
-            control_dests: Vec::new(),
-        };
-        let outcomes: Vec<Vec<CrashStage>> = active
-            .iter()
-            .map(|&i| {
-                assert!(stepper.peek_plan_shape_into(i, &mut shape));
-                let live: Vec<ProcessId> =
-                    shape.data_dests.iter().copied().filter(is_active).collect();
-                let ks: Vec<usize> = (1..=shape.control_len)
-                    .filter(|k| is_active(&shape.control_dests[k - 1]))
-                    .collect();
-                let mut stages = Vec::new();
-                crash_outcomes_effective_into(
-                    n,
-                    &live,
-                    !shape.data_dests.is_empty(),
-                    &ks,
-                    &mut stages,
-                );
-                stages
-            })
-            .collect();
-        let crashed = (stepper.status().iter())
-            .filter(|s| matches!(s, ProcStatus::Crashed(_)))
-            .count();
-        let budget = max_crashes_per_round.unwrap_or(usize::MAX).min(t - crashed);
-        reference_product(n, &active, &outcomes, budget)
-    }
-
-    /// Every way of asking `round`'s odometer for a row gives the row of
-    /// `reference`: unranked off the cursor, stepped to in place from
-    /// the row before — whatever was unranked in between — and unranked
-    /// *into* the cursor, with the step after that.
-    fn assert_odometer_matches<P>(round: &mut RoundKeys<P>, reference: &[RoundActions], label: &str)
-    where
-        P: CheckableProtocol,
-        P::Output: Hash + SpillCodec,
-    {
-        let cursor = |round: &RoundKeys<P>| -> RoundActions {
-            let spent = round.row.iter().filter(|outcome| **outcome > 0).count();
-            assert_eq!(round.spent, spent, "{label}: {:?}", round.row);
-            let mut actions = vec![None; round.sent.status().len()];
-            for (slot, &outcome) in round.row.iter().enumerate() {
-                if outcome > 0 {
-                    actions[round.sent.active()[slot]] =
-                        Some(round.outcomes[slot][outcome as usize - 1].clone());
-                }
-            }
-            actions
-        };
-        assert_eq!(round.len(), reference.len(), "{label}");
-        let mut row = RoundActions::new();
-        for (idx, expected) in reference.iter().enumerate() {
-            round.actions_into(idx, &mut row);
-            assert_eq!(row, *expected, "{label}: row {idx} unranked");
-            // An index row cannot name a settled process.
-            for (action, status) in row.iter().zip(round.sent.status()) {
-                assert!(action.is_none() || matches!(status, ProcStatus::Active));
-            }
-            round.actions_into((7 * idx + 3) % reference.len(), &mut row);
-            round.classify(idx).expect("keyed");
-            assert_eq!(cursor(round), *expected, "{label}: row {idx} stepped to");
-        }
-        for idx in (0..reference.len()).rev().step_by(3) {
-            round.classify(idx).expect("keyed");
-            assert_eq!(cursor(round), reference[idx], "{label}: row {idx} sought");
-            if let Some(expected) = reference.get(idx + 1) {
-                round.classify(idx + 1).expect("keyed");
-                assert_eq!(cursor(round), *expected, "{label}: row {idx} + 1");
-            }
-        }
-    }
-
-    /// Row `idx` of an open round *is* row `idx` of the enumeration every
-    /// `(hash, Vec<u32>)` frontier path, checkpoint and persistent cache
-    /// was written against — and stays it under budgets and outcome
-    /// lists the walk itself does not produce at these sizes: no crash
-    /// left to spend, one, more than there are slots, and a slot that
-    /// cannot crash at all.
-    fn assert_rows_match_reference<P>(
-        system: SystemConfig,
-        model: ModelKind,
-        max_rounds: u32,
-        procs: Vec<P>,
-        proposals: Vec<P::Output>,
-        label: &str,
-        max_crashes_per_round: Option<usize>,
-    ) -> usize
-    where
-        P: CheckableProtocol,
-        P::Output: Hash + SpillCodec,
-    {
-        let mut at_root = true;
-        on_random_paths(
-            system,
-            model,
-            max_rounds,
-            max_crashes_per_round,
-            Symmetry::Off,
-            procs,
-            proposals,
-            |_, stepper, round| {
-                let reference = reference_rows(stepper, system.t(), max_crashes_per_round);
-                assert_odometer_matches(
-                    round,
-                    &reference,
-                    &format!("{label}: {}", stepper.round()),
-                );
-                if !std::mem::take(&mut at_root) {
-                    return;
-                }
-                let (n, active) = (system.n(), round.sent.active().to_vec());
-                let (outcomes, budget) = (round.outcomes.clone(), round.budget);
-                for unable in [None, Some(1)] {
-                    if let Some(slot) = unable {
-                        round.outcomes[slot].clear();
-                    }
-                    for budget in [0, 1, active.len() + 1] {
-                        round.count_rows(budget);
-                        round.start_tables();
-                        let reference = reference_product(n, &active, &round.outcomes, budget);
-                        let label = format!("{label}: budget {budget}, unable {unable:?}");
-                        assert_odometer_matches(round, &reference, &label);
-                    }
-                }
-                // The path goes on from the round the walker opened.
-                round.outcomes = outcomes;
-                round.count_rows(budget);
-                round.start_tables();
-            },
-        )
-    }
-
-    pub(in crate::explorer) fn index_rows_reproduce_the_reference_enumeration() {
-        let free = over_the_zoo!(assert_rows_match_reference, None);
-        let capped = over_the_zoo!(assert_rows_match_reference, Some(1));
-        assert!(capped < free, "the per-round cap prunes rows");
-        assert!(free > 5_000, "only {free} rows compared");
-    }
-
-    /// Two views of one process that settle to the same record: `p_4`
-    /// dies at the end of round 1 with and without the coordinator's
-    /// data (and no commit either way), and is "crashed, undecided" both
-    /// times.  The two rows must share a successor class — one key, one
-    /// memo probe — and still count once each: a frame steered over just
-    /// these two rows absorbs the shared child at the first and adds its
-    /// terminals again at the second.
-    pub(in crate::explorer) fn views_that_settle_alike_share_a_class_and_are_each_absorbed() {
-        use twostep_model::{PidSet, WideValue};
-        let system = SystemConfig::new(4, 3).unwrap();
-        let proposals: Vec<WideValue> = (0..4).map(|i| WideValue::new(1, i % 2)).collect();
-        let procs = twostep_core::crw_processes(&system, &proposals);
-        let shared = |procs: &Vec<_>| {
-            Shared::new(
-                system,
-                options(6, 100_000),
-                &ExploreOptions::serial(),
-                &proposals,
-                procs.clone(),
-            )
-            .unwrap()
-        };
-        let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone())
-            .expect("four processes");
-        let silent = |heard: &[ProcessId]| -> RoundActions {
-            vec![
-                Some(CrashStage::MidData {
-                    delivered: PidSet::from_iter(4, heard.iter().copied()),
-                }),
-                None,
-                None,
-                Some(CrashStage::EndOfRound),
-            ]
-        };
-        let (without, with) = (silent(&[]), silent(&[ProcessId::new(4)]));
-
-        let classes = shared(&procs);
-        let mut walker = Walker::new(&classes);
-        let mut round = walker.open_round(&root).unwrap();
-        let (a, b) = (row_index(&round, &without), row_index(&round, &with));
-        let class = round.classify(a).expect("keyed");
-        let view = round.sent.view(&round.row, 3);
-        assert_eq!(round.classify(b), Some(class), "one class for both rows");
-        assert_ne!(round.sent.view(&round.row, 3), view, "p_4 saw two rounds");
-        assert_eq!(round.known[3].len(), 2, "two views of p_4 met");
-        assert_eq!(round.known[3][0].1, round.known[3][1].1, "one record");
-
-        // The child on its own, for its terminal count.
-        let alone = shared(&procs);
-        let mut walker = Walker::new(&alone);
-        let mut child = root.clone();
-        child.step(&without).unwrap();
-        let mut walk = StepWalker::new(&mut walker, vec![child]);
-        while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
-        let child_terminals = walk.into_summaries()[0].terminals;
-        assert!(child_terminals > 1);
-
-        // The root, steered: row `a`, row `b`, then straight to the pop.
-        let steered = shared(&procs);
-        let mut walker = Walker::new(&steered);
-        let mut walk = StepWalker::new(&mut walker, vec![root]);
-        let mut unbudgeted = BudgetArbiter::new(WalkBudget::unlimited());
-        let by_step = &mut NoHeadroom(&mut unbudgeted);
-        assert!(walk.step(by_step).unwrap().expanded);
-        walk.stack[0].next_action = a;
-        assert!(walk.step(by_step).unwrap().expanded, "a first row");
-        while walk.step(by_step).unwrap().frontier_len > 1 {}
-        let frame = &mut walk.stack[0];
-        assert_eq!(frame.acc.terminals, child_terminals, "absorbed at row a");
-        assert!(frame.round.classes.summaries[class].is_some());
-        frame.next_action = b;
-        let (states, steps) = (steered.memo.len(), walk.steps);
-        assert!(!walk.step(by_step).unwrap().expanded, "a repeat");
-        assert_eq!((steered.memo.len(), walk.steps), (states, steps + 1));
-        let frame = &mut walk.stack[0];
-        assert_eq!(frame.acc.terminals, 2 * child_terminals, "added at row b");
-        frame.next_action = frame.round.len();
-        assert_eq!(walk.step(by_step).unwrap().status, StepStatus::Done);
-        assert_eq!(walk.into_summaries()[0].terminals, 2 * child_terminals);
-    }
-
-    /// Two rows that crash different silent receivers alike: `p_1` dies
-    /// mid-commit having reached `p_4` and `p_3`, and one of the two dies
-    /// at the end of the round, undecided, while the other decides.  The
-    /// children are two raw configurations — two successor classes — but
-    /// one orbit under the settled tier: `p_2` stands in place in both,
-    /// and the settled records are the same three, two of them in
-    /// exchanged slots.  One key is assembled and probed, at the first
-    /// row; the second is answered by the orbit table, and the child is
-    /// absorbed in full both times.
-    pub(in crate::explorer) fn rows_that_permute_settled_records_share_an_orbit_and_are_each_absorbed(
-    ) {
-        use twostep_model::WideValue;
-        let system = SystemConfig::new(4, 3).unwrap();
-        let proposals: Vec<WideValue> = (0..4).map(|i| WideValue::new(1, i % 2)).collect();
-        let procs = twostep_core::crw_processes(&system, &proposals);
-        let config = ExploreConfig {
-            symmetry: Symmetry::Full,
-            ..options(6, 100_000)
-        };
-        let shared = |procs: &Vec<_>| {
-            Shared::new(
-                system,
-                config,
-                &ExploreOptions::serial(),
-                &proposals,
-                procs.clone(),
-            )
-            .unwrap()
-        };
-        let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone())
-            .expect("four processes");
-        let dying = |silent: usize| -> RoundActions {
-            let mut row = vec![
-                Some(CrashStage::MidControl { prefix_len: 2 }),
-                None,
-                None,
-                None,
-            ];
-            row[silent] = Some(CrashStage::EndOfRound);
-            row
-        };
-        let (third, fourth) = (dying(2), dying(3));
-
-        // The two children differ, and only in which slot holds which
-        // settled record.
-        let (mut a, mut b) = (root.clone(), root.clone());
-        a.step(&third).unwrap();
-        b.step(&fourth).unwrap();
-        let key = |child| test_key(child, Symmetry::Off, &proposals, 3);
-        assert_ne!(key(&a), key(&b), "two raw configurations");
-        assert_eq!(a.status()[1], ProcStatus::Active);
-        let (a_status, b_status) = (a.status(), b.status());
-        assert_eq!(
-            (&a_status[2], &b_status[2]),
-            (&b_status[3], &a_status[3]),
-            "the silent receivers' fates, exchanged"
-        );
-
-        // The child on its own, for its terminal count.
-        let alone = shared(&procs);
-        let mut walker = Walker::new(&alone);
-        let mut walk = StepWalker::new(&mut walker, vec![a]);
-        while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
-        let child_terminals = walk.into_summaries()[0].terminals;
-        assert!(child_terminals > 1);
-
-        // The root, steered: row `a`, row `b`, then straight to the pop.
-        let steered = shared(&procs);
-        let mut walker = Walker::new(&steered);
-        let mut walk = StepWalker::new(&mut walker, vec![root]);
-        let mut unbudgeted = BudgetArbiter::new(WalkBudget::unlimited());
-        let by_step = &mut NoHeadroom(&mut unbudgeted);
-        assert!(walk.step(by_step).unwrap().expanded);
-        let round = &walk.stack[0].round;
-        let (a, b) = (row_index(round, &third), row_index(round, &fourth));
-        walk.stack[0].next_action = a;
-        assert!(walk.step(by_step).unwrap().expanded, "nothing answers yet");
-        while walk.step(by_step).unwrap().frontier_len > 1 {}
-        let frame = &mut walk.stack[0];
-        assert_eq!(frame.acc.terminals, child_terminals, "absorbed at row a");
-        frame.next_action = b;
-        let (states, steps) = (steered.memo.len(), walk.steps);
-        assert!(
-            !walk.step(by_step).unwrap().expanded,
-            "answered by the orbit"
-        );
-        assert_eq!((steered.memo.len(), walk.steps), (states, steps + 1));
-        let frame = &mut walk.stack[0];
-        assert_eq!(
-            frame.acc.terminals,
-            2 * child_terminals,
-            "absorbed at row b"
-        );
-        // Two rows met, two successor classes, both with the summary —
-        // and one orbit class, which is one key assembled and one memo
-        // probe: a key is assembled only for an orbit without a summary.
-        let orbits = frame.round.orbits.as_deref().expect("a settled-tier round");
-        assert_eq!(frame.round.classes.summaries.len(), 2);
-        assert!(frame.round.classes.summaries.iter().all(Option::is_some));
-        assert_eq!(orbits.table.summaries.len(), 1);
-        assert!(orbits.table.summaries[0].is_some());
-        frame.next_action = frame.round.len();
-        assert_eq!(walk.step(by_step).unwrap().status, StepStatus::Done);
-        assert_eq!(walk.into_summaries()[0].terminals, 2 * child_terminals);
-    }
-
-    /// What the odometer bought: the `(8, 7)` CRW root round — 282 211
-    /// adversary moves, 97 MB as action vectors, 4.5 MB as index rows —
-    /// is a cursor and a count table, and its class index is sized by
-    /// the classes it meets.
-    pub(in crate::explorer) fn root_round_at_8_7_has_282_211_rows_and_no_per_row_storage() {
-        use twostep_model::WideValue;
-        let system = SystemConfig::new(8, 7).unwrap();
-        let proposals: Vec<WideValue> = (0..8).map(|i| WideValue::new(1, i % 2)).collect();
-        let procs = twostep_core::crw_processes(&system, &proposals);
-        let shared = Shared::new(
-            system,
-            ExploreConfig::for_crw(&system),
-            &ExploreOptions::serial(),
-            &proposals,
-            procs.clone(),
-        )
-        .unwrap();
-        let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
-        let mut round = Walker::new(&shared).open_round(&root).unwrap();
-        assert_eq!(round.len(), 282_211);
-        // Eight slots, seven crashes to spend.
-        assert_eq!((round.row.len(), round.count.len()), (8, 9 * 8));
-        let outcomes: usize = round.outcomes.iter().map(|stages| stages.len() + 1).sum();
-        assert_eq!(round.by_outcome.len(), outcomes);
-        assert!(outcomes < 256, "{outcomes} (slot, outcome) pairs");
-        let buckets = |round: &RoundKeys<_>| round.classes.index.len();
-        assert_eq!(buckets(&round), ClassTable::<WideValue>::START_BUCKETS);
-        for idx in 0..round.len() {
-            round.classify(idx).expect("keyed");
-        }
-        let classes = round.classes.summaries.len();
-        assert!(classes < round.len() / 4, "{classes} classes");
-        assert!(2 * classes <= buckets(&round) && buckets(&round) < 4 * classes + 4);
-    }
-}
+pub(super) mod tests;

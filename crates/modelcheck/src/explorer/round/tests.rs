@@ -1,0 +1,673 @@
+//! The tests that read a round's tables.  They run as
+//! `explorer::tests::<name>` — the ids they have always had; the
+//! `#[test]` entry points are in `tests.rs` — so here they are plain
+//! functions.  The walker they use as driver and as oracle is the
+//! one place a module of the chain looks at a later one.
+
+use twostep_model::SystemConfig;
+use twostep_sim::{ModelKind, TraceLevel};
+
+use super::super::budget::{BudgetArbiter, StepStatus, Unbounded};
+use super::super::canon::flag_in_place;
+use super::super::config::{ExploreOptions, Symmetry, WalkBudget};
+use super::super::testkit::*;
+use super::super::walker::{Shared, StepWalker, Walker};
+use super::*;
+
+/// The key-first differential: along seeded random adversary paths
+/// from `procs`, for **every** row of every visited configuration,
+/// the plan's key assembled from the open round's interned
+/// per-process records ([`Walker::cursor_key`]: the raw key with
+/// symmetry off, the tier encoder run on the row's record forms
+/// otherwise) must equal [`Walker::canonical_key`] of the child that
+/// `fork_from` and `step` produce under the materialized row — in
+/// bytes, hash and swap orientation — and the statuses and decisions
+/// the row's records keep ([`RoundKeys::cursor_terminal`] reads a
+/// terminal child off them) must be that child's.  The oracle side
+/// shares none of the table, view, record-form or assembly code.
+/// Returns how many children were compared.
+fn assert_assembled_keys_match_stepped<P>(
+    system: SystemConfig,
+    model: ModelKind,
+    max_rounds: u32,
+    procs: Vec<P>,
+    proposals: Vec<P::Output>,
+    label: &str,
+    symmetry: Symmetry,
+) -> usize
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let mut spare = Stepper::new(system, model, TraceLevel::Off, procs.clone()).unwrap();
+    let mut row = RoundActions::new();
+    on_random_paths(
+        system,
+        model,
+        max_rounds,
+        None,
+        symmetry,
+        procs,
+        proposals,
+        |walker, stepper, round| {
+            for idx in 0..round.len() {
+                round.classify(idx).expect("systems this small are keyed");
+                let assembled = walker.cursor_key(round);
+                let assembled_bytes = walker.key_bytes().to_vec();
+                round.actions_into(idx, &mut row);
+                spare.fork_from(stepper);
+                spare.step(&row).unwrap();
+                assert_eq!(
+                    (walker.canonical_key(&spare), walker.key_bytes()),
+                    (assembled, &assembled_bytes[..]),
+                    "{label} under {symmetry:?}: round {} row {idx} {row:?}",
+                    stepper.round()
+                );
+                // What the row's records keep of each process is
+                // what the stepped child stands with, and the row
+                // is terminal exactly if the child is.
+                let kept = row_records(&round.fixed, &round.ids);
+                let (status, decisions): (Vec<_>, Vec<_>) =
+                    kept.map(|id| round.fates[id as usize].clone()).unzip();
+                assert_eq!(
+                    (&status[..], &decisions[..]),
+                    (spare.status(), spare.decisions()),
+                    "{label} under {symmetry:?}: round {} row {idx} {row:?}",
+                    stepper.round()
+                );
+                assert_eq!(
+                    round.cursor_terminal(max_rounds),
+                    (walker.is_terminal(&spare)).then_some((&status[..], &decisions[..])),
+                    "{label} under {symmetry:?}: round {} row {idx} {row:?}",
+                    stepper.round()
+                );
+            }
+        },
+    )
+}
+
+pub(in crate::explorer) fn assembled_child_keys_match_stepped_children() {
+    use twostep_model::WideValue;
+    // CRW under both commit orders, FloodSet, EarlyStopping, the
+    // block simulation and Duo, at every strength: raw, settled,
+    // rank-inert (which no process of these systems is: t = n − 1,
+    // or a protocol that declares none) and the value quotient on
+    // top where the proposals admit it.
+    for symmetry in [
+        Symmetry::Off,
+        Symmetry::Full,
+        Symmetry::Partial,
+        Symmetry::PartialValue,
+    ] {
+        let compared = over_the_zoo!(assert_assembled_keys_match_stepped, symmetry);
+        assert!(compared > 5_000, "only {compared} children compared");
+    }
+
+    // Below t = n − 1 rank-inertness fires — at the root already,
+    // for the two highest ranks — and pooled actives reach the keys.
+    let system = SystemConfig::new(5, 2).unwrap();
+    let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &bits);
+    let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone());
+    let mut in_place = Vec::new();
+    flag_in_place(&root.unwrap(), CanonTier::SettledInert, 2, &mut in_place);
+    assert_eq!(in_place, [true, true, true, false, false]);
+    for symmetry in [Symmetry::Partial, Symmetry::PartialValue] {
+        let compared = assert_assembled_keys_match_stepped(
+            system,
+            ModelKind::Extended,
+            6,
+            procs.clone(),
+            bits.clone(),
+            "crw below maximal resilience",
+            symmetry,
+        );
+        assert!(compared > 500, "only {compared} children compared");
+    }
+
+    // The full orbit: every record pooled, actives re-encoded at
+    // their sorted positions from the states the records keep.
+    let system = SystemConfig::new(4, 2).unwrap();
+    let ests = [5, 9, 5, 7];
+    assert_eq!(
+        Symmetry::Full.plan::<Gossip>(&ests).tier,
+        CanonTier::FullOrbit
+    );
+    let compared = assert_assembled_keys_match_stepped(
+        system,
+        ModelKind::Extended,
+        3,
+        gossip_procs(4, &ests),
+        ests.to_vec(),
+        "gossip",
+        Symmetry::Full,
+    );
+    assert!(compared > 500, "only {compared} children compared");
+}
+
+/// The nested product the odometer must reproduce, as whole action
+/// vectors: each active process survives first, then crashes in each
+/// of its outcomes in turn, at most `budget` of them in one row.
+fn reference_product(
+    n: usize,
+    active: &[usize],
+    outcomes: &[Vec<CrashStage>],
+    budget: usize,
+) -> Vec<RoundActions> {
+    fn rec(
+        active: &[usize],
+        outcomes: &[Vec<CrashStage>],
+        idx: usize,
+        budget: usize,
+        current: &mut RoundActions,
+        out: &mut Vec<RoundActions>,
+    ) {
+        if idx == active.len() {
+            out.push(current.clone());
+            return;
+        }
+        rec(active, outcomes, idx + 1, budget, current, out);
+        if budget > 0 {
+            for stage in &outcomes[idx] {
+                current[active[idx]] = Some(stage.clone());
+                rec(active, outcomes, idx + 1, budget - 1, current, out);
+            }
+            current[active[idx]] = None;
+        }
+    }
+    let mut out = Vec::new();
+    rec(active, outcomes, 0, budget, &mut vec![None; n], &mut out);
+    out
+}
+
+/// The enumeration the odometer must reproduce, written the way the
+/// walker wrote it before rows were indices: peek each active
+/// process's plan shape, list its live-effect crash outcomes, and
+/// take the nested product.
+fn reference_rows<P>(
+    stepper: &Stepper<P>,
+    t: usize,
+    max_crashes_per_round: Option<usize>,
+) -> Vec<RoundActions>
+where
+    P: SyncProtocol + Clone,
+{
+    let n = stepper.procs().len();
+    let is_active = |p: &ProcessId| matches!(stepper.status()[p.idx()], ProcStatus::Active);
+    let active: Vec<usize> = stepper.active().map(ProcessId::idx).collect();
+    let mut shape = twostep_sim::PlanShape {
+        data_dests: Vec::new(),
+        control_len: 0,
+        control_dests: Vec::new(),
+    };
+    let outcomes: Vec<Vec<CrashStage>> = active
+        .iter()
+        .map(|&i| {
+            assert!(stepper.peek_plan_shape_into(i, &mut shape));
+            let live: Vec<ProcessId> = shape.data_dests.iter().copied().filter(is_active).collect();
+            let ks: Vec<usize> = (1..=shape.control_len)
+                .filter(|k| is_active(&shape.control_dests[k - 1]))
+                .collect();
+            let mut stages = Vec::new();
+            crash_outcomes_effective_into(n, &live, !shape.data_dests.is_empty(), &ks, &mut stages);
+            stages
+        })
+        .collect();
+    let crashed = (stepper.status().iter())
+        .filter(|s| matches!(s, ProcStatus::Crashed(_)))
+        .count();
+    let budget = max_crashes_per_round.unwrap_or(usize::MAX).min(t - crashed);
+    reference_product(n, &active, &outcomes, budget)
+}
+
+/// Every way of asking `round`'s odometer for a row gives the row of
+/// `reference`: unranked off the cursor, stepped to in place from
+/// the row before — whatever was unranked in between — and unranked
+/// *into* the cursor, with the step after that.
+fn assert_odometer_matches<P>(round: &mut RoundKeys<P>, reference: &[RoundActions], label: &str)
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let cursor = |round: &RoundKeys<P>| -> RoundActions {
+        let spent = round.row.iter().filter(|outcome| **outcome > 0).count();
+        assert_eq!(round.spent, spent, "{label}: {:?}", round.row);
+        let mut actions = vec![None; round.sent.status().len()];
+        for (slot, &outcome) in round.row.iter().enumerate() {
+            if outcome > 0 {
+                actions[round.sent.active()[slot]] =
+                    Some(round.outcomes[slot][outcome as usize - 1].clone());
+            }
+        }
+        actions
+    };
+    assert_eq!(round.len(), reference.len(), "{label}");
+    let mut row = RoundActions::new();
+    for (idx, expected) in reference.iter().enumerate() {
+        round.actions_into(idx, &mut row);
+        assert_eq!(row, *expected, "{label}: row {idx} unranked");
+        // An index row cannot name a settled process.
+        for (action, status) in row.iter().zip(round.sent.status()) {
+            assert!(action.is_none() || matches!(status, ProcStatus::Active));
+        }
+        round.actions_into((7 * idx + 3) % reference.len(), &mut row);
+        round.classify(idx).expect("keyed");
+        assert_eq!(cursor(round), *expected, "{label}: row {idx} stepped to");
+    }
+    for idx in (0..reference.len()).rev().step_by(3) {
+        round.classify(idx).expect("keyed");
+        assert_eq!(cursor(round), reference[idx], "{label}: row {idx} sought");
+        if let Some(expected) = reference.get(idx + 1) {
+            round.classify(idx + 1).expect("keyed");
+            assert_eq!(cursor(round), *expected, "{label}: row {idx} + 1");
+        }
+    }
+}
+
+/// Row `idx` of an open round *is* row `idx` of the enumeration every
+/// `(hash, Vec<u32>)` frontier path, checkpoint and persistent cache
+/// was written against — and stays it under budgets and outcome
+/// lists the walk itself does not produce at these sizes: no crash
+/// left to spend, one, more than there are slots, and a slot that
+/// cannot crash at all.
+fn assert_rows_match_reference<P>(
+    system: SystemConfig,
+    model: ModelKind,
+    max_rounds: u32,
+    procs: Vec<P>,
+    proposals: Vec<P::Output>,
+    label: &str,
+    max_crashes_per_round: Option<usize>,
+) -> usize
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let mut at_root = true;
+    on_random_paths(
+        system,
+        model,
+        max_rounds,
+        max_crashes_per_round,
+        Symmetry::Off,
+        procs,
+        proposals,
+        |_, stepper, round| {
+            let reference = reference_rows(stepper, system.t(), max_crashes_per_round);
+            assert_odometer_matches(round, &reference, &format!("{label}: {}", stepper.round()));
+            if !std::mem::take(&mut at_root) {
+                return;
+            }
+            let (n, active) = (system.n(), round.sent.active().to_vec());
+            let (outcomes, budget) = (round.outcomes.clone(), round.budget);
+            for unable in [None, Some(1)] {
+                if let Some(slot) = unable {
+                    round.outcomes[slot].clear();
+                }
+                for budget in [0, 1, active.len() + 1] {
+                    round.count_rows(budget);
+                    round.start_tables();
+                    let reference = reference_product(n, &active, &round.outcomes, budget);
+                    let label = format!("{label}: budget {budget}, unable {unable:?}");
+                    assert_odometer_matches(round, &reference, &label);
+                }
+            }
+            // The path goes on from the round the walker opened.
+            round.outcomes = outcomes;
+            round.count_rows(budget);
+            round.start_tables();
+        },
+    )
+}
+
+pub(in crate::explorer) fn index_rows_reproduce_the_reference_enumeration() {
+    let free = over_the_zoo!(assert_rows_match_reference, None);
+    let capped = over_the_zoo!(assert_rows_match_reference, Some(1));
+    assert!(capped < free, "the per-round cap prunes rows");
+    assert!(free > 5_000, "only {free} rows compared");
+}
+
+/// Two views of one process that settle to the same record: `p_4`
+/// dies at the end of round 1 with and without the coordinator's
+/// data (and no commit either way), and is "crashed, undecided" both
+/// times.  The two rows must share a successor class — one key, one
+/// memo probe — and still count once each: a frame steered over just
+/// these two rows absorbs the shared child at the first and adds its
+/// terminals again at the second.
+pub(in crate::explorer) fn views_that_settle_alike_share_a_class_and_are_each_absorbed() {
+    use twostep_model::{PidSet, WideValue};
+    let system = SystemConfig::new(4, 3).unwrap();
+    let proposals: Vec<WideValue> = (0..4).map(|i| WideValue::new(1, i % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &proposals);
+    let shared = |procs: &Vec<_>| {
+        Shared::new(
+            system,
+            options(6, 100_000),
+            &ExploreOptions::serial(),
+            &proposals,
+            procs.clone(),
+        )
+        .unwrap()
+    };
+    let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone())
+        .expect("four processes");
+    let silent = |heard: &[ProcessId]| -> RoundActions {
+        vec![
+            Some(CrashStage::MidData {
+                delivered: PidSet::from_iter(4, heard.iter().copied()),
+            }),
+            None,
+            None,
+            Some(CrashStage::EndOfRound),
+        ]
+    };
+    let (without, with) = (silent(&[]), silent(&[ProcessId::new(4)]));
+
+    let classes = shared(&procs);
+    let mut walker = Walker::new(&classes);
+    let mut round = walker.open_round(&root).unwrap();
+    let (a, b) = (row_index(&round, &without), row_index(&round, &with));
+    let class = round.classify(a).expect("keyed");
+    let view = round.sent.view(&round.row, 3);
+    assert_eq!(round.classify(b), Some(class), "one class for both rows");
+    assert_ne!(round.sent.view(&round.row, 3), view, "p_4 saw two rounds");
+    assert_eq!(round.known[3].len(), 2, "two views of p_4 met");
+    assert_eq!(round.known[3][0].1, round.known[3][1].1, "one record");
+
+    // The child on its own, for its terminal count.
+    let alone = shared(&procs);
+    let mut walker = Walker::new(&alone);
+    let mut child = root.clone();
+    child.step(&without).unwrap();
+    let mut walk = StepWalker::new(&mut walker, vec![child]);
+    while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+    let child_terminals = walk.into_summaries()[0].terminals;
+    assert!(child_terminals > 1);
+
+    // The root, steered: row `a`, row `b`, then straight to the pop.
+    let steered = shared(&procs);
+    let mut walker = Walker::new(&steered);
+    let mut walk = StepWalker::new(&mut walker, vec![root]);
+    let mut unbudgeted = BudgetArbiter::new(WalkBudget::unlimited());
+    let by_step = &mut NoHeadroom(&mut unbudgeted);
+    assert!(walk.step(by_step).unwrap().expanded);
+    walk.stack[0].next_action = a;
+    assert!(walk.step(by_step).unwrap().expanded, "a first row");
+    while walk.step(by_step).unwrap().frontier_len > 1 {}
+    let frame = &mut walk.stack[0];
+    assert_eq!(frame.acc.terminals, child_terminals, "absorbed at row a");
+    assert!(frame.round.classes.values[class].is_some());
+    frame.next_action = b;
+    let (states, steps) = (steered.memo.len(), walk.steps);
+    assert!(!walk.step(by_step).unwrap().expanded, "a repeat");
+    assert_eq!((steered.memo.len(), walk.steps), (states, steps + 1));
+    let frame = &mut walk.stack[0];
+    assert_eq!(frame.acc.terminals, 2 * child_terminals, "added at row b");
+    frame.next_action = frame.round.len();
+    assert_eq!(walk.step(by_step).unwrap().status, StepStatus::Done);
+    assert_eq!(walk.into_summaries()[0].terminals, 2 * child_terminals);
+}
+
+/// Two rows that crash different silent receivers alike: `p_1` dies
+/// mid-commit having reached `p_4` and `p_3`, and one of the two dies
+/// at the end of the round, undecided, while the other decides.  The
+/// children are two raw configurations — two successor classes — but
+/// one orbit under the settled tier: `p_2` stands in place in both,
+/// and the settled records are the same three, two of them in
+/// exchanged slots.  One key is assembled and probed, at the first
+/// row; the second is answered by the orbit table, and the child is
+/// absorbed in full both times.
+pub(in crate::explorer) fn rows_that_permute_settled_records_share_an_orbit_and_are_each_absorbed()
+{
+    use twostep_model::WideValue;
+    let system = SystemConfig::new(4, 3).unwrap();
+    let proposals: Vec<WideValue> = (0..4).map(|i| WideValue::new(1, i % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &proposals);
+    let config = ExploreConfig {
+        symmetry: Symmetry::Full,
+        ..options(6, 100_000)
+    };
+    let shared = |procs: &Vec<_>| {
+        Shared::new(
+            system,
+            config,
+            &ExploreOptions::serial(),
+            &proposals,
+            procs.clone(),
+        )
+        .unwrap()
+    };
+    let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone())
+        .expect("four processes");
+    let dying = |silent: usize| -> RoundActions {
+        let mut row = vec![
+            Some(CrashStage::MidControl { prefix_len: 2 }),
+            None,
+            None,
+            None,
+        ];
+        row[silent] = Some(CrashStage::EndOfRound);
+        row
+    };
+    let (third, fourth) = (dying(2), dying(3));
+
+    // The two children differ, and only in which slot holds which
+    // settled record.
+    let (mut a, mut b) = (root.clone(), root.clone());
+    a.step(&third).unwrap();
+    b.step(&fourth).unwrap();
+    let key = |child| test_key(child, Symmetry::Off, &proposals, 3);
+    assert_ne!(key(&a), key(&b), "two raw configurations");
+    assert_eq!(a.status()[1], ProcStatus::Active);
+    let (a_status, b_status) = (a.status(), b.status());
+    assert_eq!(
+        (&a_status[2], &b_status[2]),
+        (&b_status[3], &a_status[3]),
+        "the silent receivers' fates, exchanged"
+    );
+
+    // The child on its own, for its terminal count.
+    let alone = shared(&procs);
+    let mut walker = Walker::new(&alone);
+    let mut walk = StepWalker::new(&mut walker, vec![a]);
+    while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+    let child_terminals = walk.into_summaries()[0].terminals;
+    assert!(child_terminals > 1);
+
+    // The root, steered: row `a`, row `b`, then straight to the pop.
+    let steered = shared(&procs);
+    let mut walker = Walker::new(&steered);
+    let mut walk = StepWalker::new(&mut walker, vec![root]);
+    let mut unbudgeted = BudgetArbiter::new(WalkBudget::unlimited());
+    let by_step = &mut NoHeadroom(&mut unbudgeted);
+    assert!(walk.step(by_step).unwrap().expanded);
+    let round = &walk.stack[0].round;
+    let (a, b) = (row_index(round, &third), row_index(round, &fourth));
+    walk.stack[0].next_action = a;
+    assert!(walk.step(by_step).unwrap().expanded, "nothing answers yet");
+    while walk.step(by_step).unwrap().frontier_len > 1 {}
+    let frame = &mut walk.stack[0];
+    assert_eq!(frame.acc.terminals, child_terminals, "absorbed at row a");
+    frame.next_action = b;
+    let (states, steps) = (steered.memo.len(), walk.steps);
+    assert!(
+        !walk.step(by_step).unwrap().expanded,
+        "answered by the orbit"
+    );
+    assert_eq!((steered.memo.len(), walk.steps), (states, steps + 1));
+    let frame = &mut walk.stack[0];
+    assert_eq!(
+        frame.acc.terminals,
+        2 * child_terminals,
+        "absorbed at row b"
+    );
+    // Two rows met, two successor classes, both with the summary —
+    // and one orbit class, which is one key assembled and one memo
+    // probe: a key is assembled only for an orbit without a summary.
+    let orbits = frame.round.orbits.as_deref().expect("a settled-tier round");
+    assert_eq!(frame.round.classes.values.len(), 2);
+    assert!(frame.round.classes.values.iter().all(Option::is_some));
+    assert_eq!(orbits.table.values.len(), 1);
+    assert!(orbits.table.values[0].is_some());
+    frame.next_action = frame.round.len();
+    assert_eq!(walk.step(by_step).unwrap().status, StepStatus::Done);
+    assert_eq!(walk.into_summaries()[0].terminals, 2 * child_terminals);
+}
+
+/// Cuts every round met along seeded random paths into blocks as the
+/// definition reads — maximal runs of rows that agree on every slot
+/// up to the round's last sender, read off the cursor row — and has
+/// the round look up each block's signature at its first row: a
+/// block of more than one row has one, with its length, and blocks
+/// that share one classify row for row to the same classes.
+/// Returns how many blocks repeated an earlier one's signature, and
+/// the length of the longest.
+fn assert_blocks_of_a_signature_classify_alike<P>(
+    system: SystemConfig,
+    procs: Vec<P>,
+    proposals: Vec<P::Output>,
+    symmetry: Symmetry,
+    label: &str,
+) -> (usize, usize)
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let (mut repeats, mut longest) = (0, 0);
+    let model = ModelKind::Extended;
+    on_random_paths(
+        system,
+        model,
+        6,
+        None,
+        symmetry,
+        procs,
+        proposals,
+        |_, _, round| {
+            let slots = round.row.len();
+            let last_sender = round.sent.senders().last().copied();
+            let cut = last_sender.map_or(slots, |last| last + 1);
+            assert_eq!(round.cut, cut, "{label}");
+            // The class of every row, and the first row of every
+            // block with what the round's signature lookup says of it.
+            let (mut classes, mut starts) = (Vec::new(), Vec::new());
+            let mut prefix = None;
+            for idx in 0..round.len() {
+                classes.push(round.classify(idx).expect("systems this small are keyed"));
+                let here = last_sender.map(|last| round.row[..=last].to_vec());
+                if idx == 0 || here != prefix {
+                    starts.push((idx, (cut < slots).then(|| round.cursor_block()).flatten()));
+                    prefix = here;
+                }
+            }
+            starts.push((classes.len(), None));
+            let mut classes_of = std::collections::HashMap::new();
+            for pair in starts.windows(2) {
+                let ((first, signed), (end, _)) = (pair[0], pair[1]);
+                let block = &classes[first..end];
+                let Some((number, rows)) = signed else {
+                    assert!(cut == slots || block.len() == 1, "{label}: {block:?}");
+                    continue;
+                };
+                assert_eq!(rows, block.len(), "{label}");
+                longest = longest.max(rows);
+                if let Some(earlier) = classes_of.insert(number, block) {
+                    assert_eq!(earlier, block, "{label}: block {number}");
+                    repeats += 1;
+                }
+            }
+        },
+    );
+    (repeats, longest)
+}
+
+pub(in crate::explorer) fn blocks_of_one_signature_classify_row_for_row_alike() {
+    use twostep_model::WideValue;
+    for (n, t) in [(5, 4), (4, 3)] {
+        let system = SystemConfig::new(n, t).unwrap();
+        let bits: Vec<WideValue> = (0..n as u64).map(|i| WideValue::new(1, i % 2)).collect();
+        for symmetry in [Symmetry::Off, Symmetry::PartialValue] {
+            let label = format!("crw ({n}, {t}) {symmetry:?}");
+            let procs = twostep_core::crw_processes(&system, &bits);
+            let (repeats, longest) = assert_blocks_of_a_signature_classify_alike(
+                system,
+                procs,
+                bits.clone(),
+                symmetry,
+                &label,
+            );
+            assert!(repeats > 10, "{label}: {repeats} blocks repeated");
+            assert!(longest < BEYOND_BLOCKS as usize, "{label}: {longest} rows");
+        }
+    }
+}
+
+/// A FloodSet round in which the last slot has something fresh to
+/// flood, hence sends, has no slot past the cut: none of its rows
+/// starts a block, so a walk over them neither takes a block nor builds
+/// a signature.
+pub(in crate::explorer) fn a_round_whose_last_slot_sends_builds_no_signature() {
+    let system = SystemConfig::new(4, 3).unwrap();
+    let ranks: Vec<u64> = (0..4).map(|i| 10 + (i * 7) % 4).collect();
+    let procs = twostep_baselines::floodset_processes(4, 3, &ranks);
+    let model = ModelKind::Classic;
+    let mut sending = 0;
+    on_random_paths(
+        system,
+        model,
+        5,
+        None,
+        Symmetry::Off,
+        procs,
+        ranks,
+        |_, _, round| {
+            let slots = round.row.len();
+            if round.sent.senders().last() != Some(&(slots - 1)) {
+                return;
+            }
+            assert_eq!(round.cut, slots);
+            // The walker builds a signature at a block start only.
+            for idx in 0..round.len() {
+                round.classify(idx).expect("systems this small are keyed");
+                assert!(!round.cursor_starts_block(), "row {idx} starts a block");
+            }
+            sending += round.len();
+        },
+    );
+    assert!(sending > 1_000, "only {sending} rows");
+}
+
+/// What the odometer bought: the `(8, 7)` CRW root round — 282 211
+/// adversary moves, 97 MB as action vectors, 4.5 MB as index rows —
+/// is a cursor and a count table, and its class index is sized by
+/// the classes it meets.
+pub(in crate::explorer) fn root_round_at_8_7_has_282_211_rows_and_no_per_row_storage() {
+    use twostep_model::WideValue;
+    let system = SystemConfig::new(8, 7).unwrap();
+    let proposals: Vec<WideValue> = (0..8).map(|i| WideValue::new(1, i % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &proposals);
+    let shared = Shared::new(
+        system,
+        ExploreConfig::for_crw(&system),
+        &ExploreOptions::serial(),
+        &proposals,
+        procs.clone(),
+    )
+    .unwrap();
+    let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
+    let mut round = Walker::new(&shared).open_round(&root).unwrap();
+    assert_eq!(round.len(), 282_211);
+    // Eight slots, seven crashes to spend.
+    assert_eq!((round.row.len(), round.count.len()), (8, 9 * 8));
+    let outcomes: usize = round.outcomes.iter().map(|stages| stages.len() + 1).sum();
+    assert_eq!(round.by_outcome.len(), outcomes);
+    assert!(outcomes < 256, "{outcomes} (slot, outcome) pairs");
+    let buckets = |round: &RoundKeys<_>| round.classes.index.len();
+    assert_eq!(buckets(&round), ClassTable::<WideValue>::START_BUCKETS);
+    for idx in 0..round.len() {
+        round.classify(idx).expect("keyed");
+    }
+    let classes = round.classes.values.len();
+    assert!(classes < round.len() / 4, "{classes} classes");
+    assert!(2 * classes <= buckets(&round) && buckets(&round) < 4 * classes + 4);
+}

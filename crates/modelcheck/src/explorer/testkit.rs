@@ -572,17 +572,23 @@ impl Arbiter for NoHeadroom<'_> {
     }
 }
 
+/// A `yield_every` stride longer than any block of the CRW `(5, 4)`
+/// walk (the largest, its root round's, is 81 rows): a walk yielding at
+/// it can take a block of any length whole.
+pub(super) const BEYOND_BLOCKS: u64 = 97;
+
 /// Calls `$check(system, config, procs, proposals, label)` — a
 /// function generic in the protocol — for the two walks the run
 /// absorption tests drive: CRW `(5, 4)`, whose one sender a round
-/// leaves long runs of repeated rows, and FloodSet `(4, 3)`, where
-/// every slot is a sender.
+/// leaves long runs of repeated rows and repeated blocks, and FloodSet
+/// `(4, 3)`, where every slot with something fresh to flood sends.
+/// Evaluates to the two results, in that order.
 macro_rules! on_the_accounted_walks {
     ($check:ident) => {{
         use twostep_model::WideValue;
         let system = SystemConfig::new(5, 4).unwrap();
         let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
-        $check(
+        let crw = $check(
             system,
             ExploreConfig::for_crw(&system),
             twostep_core::crw_processes(&system, &bits),
@@ -591,7 +597,7 @@ macro_rules! on_the_accounted_walks {
         );
         let system = SystemConfig::new(4, 3).unwrap();
         let ranks: Vec<u64> = (0..4).map(|i| 10 + (i * 7) % 4).collect();
-        $check(
+        let floodset = $check(
             system,
             ExploreConfig {
                 model: ModelKind::Classic,
@@ -601,6 +607,7 @@ macro_rules! on_the_accounted_walks {
             ranks,
             "floodset (4, 3)",
         );
+        (crw, floodset)
     }};
 }
 

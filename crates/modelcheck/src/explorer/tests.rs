@@ -2,9 +2,9 @@
 //! plumbing, the key layouts, the walk and its step accounting, the run
 //! drivers — over the shared kit (`testkit.rs`).  They stay one module so
 //! that every test keeps the `explorer::tests::…` path it has always
-//! run under; the five that read a round's private tables have their
-//! bodies in `round.rs`, where those tables are visible, and their entry
-//! points here.
+//! run under; the seven that read a round's private tables have their
+//! bodies in `round/tests.rs`, a child of the round module where those
+//! tables are visible, and their entry points here.
 
 use std::hash::Hash;
 use std::path::PathBuf;
@@ -25,6 +25,7 @@ use super::config::{
     DEADLINE_MS, DONATE_DEPTH, MAX_STEPS, SYMMETRY,
 };
 use super::report::{ExploreError, ExploreReport, Summary};
+use super::round::BlockCounts;
 use super::run::{walk_roots, Autosave};
 use super::testkit::*;
 use super::walker::{Interrupt, Shared, StepWalker, Walker};
@@ -35,7 +36,7 @@ use crate::spill::SpillCodec;
 
 /// Runs under its historical name a test whose body lives beside the
 /// private tables it reads.
-macro_rules! in_round_rs {
+macro_rules! in_round_tests {
     ($($name:ident),* $(,)?) => {$(
         #[test]
         fn $name() {
@@ -44,12 +45,14 @@ macro_rules! in_round_rs {
     )*};
 }
 
-in_round_rs!(
+in_round_tests!(
     assembled_child_keys_match_stepped_children,
     index_rows_reproduce_the_reference_enumeration,
     views_that_settle_alike_share_a_class_and_are_each_absorbed,
     rows_that_permute_settled_records_share_an_orbit_and_are_each_absorbed,
     root_round_at_8_7_has_282_211_rows_and_no_per_row_storage,
+    blocks_of_one_signature_classify_row_for_row_alike,
+    a_round_whose_last_slot_sends_builds_no_signature,
 );
 
 #[test]
@@ -1232,20 +1235,23 @@ where
     (trace, walk.into_summaries().remove(0))
 }
 
-/// Step accounting under run absorption: a `step()` call that takes
-/// several steps counts each, passes over none at which the arbiter
-/// would have said anything but `Allow`, and returns what the
-/// step-by-step walk saw at the same step number.  So
-/// `yield_every = 7` yields at exactly the multiples of 7, and
-/// `max_steps = k` refuses after exactly `k` steps — for every `k`
-/// the walk has, inside runs included.
+/// Step accounting under run and block absorption: a `step()` call
+/// that takes several steps counts each, passes over none at which the
+/// arbiter would have said anything but `Allow`, and returns what the
+/// step-by-step walk saw at the same step number.  So `yield_every = 7`
+/// yields at exactly the multiples of 7 — and so does a stride longer
+/// than any block, under which blocks are taken whole and split by the
+/// arbiter both — and `max_steps = k` refuses after exactly `k` steps,
+/// for every `k` the walk has, inside runs and blocks included.
+/// Returns the blocks the walk at the long stride took whole and split.
 fn assert_steps_are_counted<P>(
     system: SystemConfig,
     config: ExploreConfig,
     procs: Vec<P>,
     proposals: Vec<P::Output>,
     label: &str,
-) where
+) -> BlockCounts
+where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
@@ -1254,36 +1260,42 @@ fn assert_steps_are_counted<P>(
         Shared::new(system, config, &options, &proposals, procs.clone()).unwrap()
     };
     let root = Stepper::new(system, config.model, TraceLevel::Off, procs.clone()).unwrap();
-    let yielding = || {
+    let yielding = |every| {
         BudgetArbiter::new(WalkBudget {
-            yield_every: Some(7),
+            yield_every: Some(every),
             ..WalkBudget::unlimited()
         })
     };
-    let (trace, reference) = step_by_step(&fresh(), &root, &mut yielding());
-    for (k, (_, _, status)) in (1..).zip(&trace) {
-        let yields = k % 7 == 0 && k < trace.len();
-        assert_eq!(*status == StepStatus::Yielded, yields, "{label}: step {k}");
-    }
+    let (mut trace, mut blocks) = (Vec::new(), BlockCounts::default());
+    for every in [7, BEYOND_BLOCKS] {
+        let reference;
+        (trace, reference) = step_by_step(&fresh(), &root, &mut yielding(every));
+        for (k, (_, _, status)) in (1..).zip(&trace) {
+            let yields = k % every == 0 && k < trace.len() as u64;
+            assert_eq!(*status == StepStatus::Yielded, yields, "{label}: step {k}");
+        }
 
-    // Runs taken: fewer calls, the same walk at every call's end.
-    let shared = fresh();
-    let mut walker = Walker::new(&shared);
-    let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
-    let mut yielding = yielding();
-    let (mut calls, mut counted) = (0, 0);
-    while counted < trace.len() {
-        let step = walk.step(&mut yielding).unwrap();
-        let passed = &trace[counted..step.steps as usize - 1];
-        assert!(
-            (passed.iter()).all(|(_, _, status)| *status == StepStatus::Running),
-            "{label}: call {calls} passed over a step the arbiter had a say at"
-        );
-        assert_eq!(seen(&step), trace[step.steps as usize - 1], "{label}");
-        (calls, counted) = (calls + 1, step.steps as usize);
+        // Runs and blocks taken: fewer calls, the same walk at every
+        // call's end.
+        let shared = fresh();
+        let mut walker = Walker::new(&shared);
+        let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
+        let mut yielding = yielding(every);
+        let (mut calls, mut counted) = (0, 0);
+        while counted < trace.len() {
+            let step = walk.step(&mut yielding).unwrap();
+            let passed = &trace[counted..step.steps as usize - 1];
+            assert!(
+                (passed.iter()).all(|(_, _, status)| *status == StepStatus::Running),
+                "{label}: call {calls} passed over a step the arbiter had a say at"
+            );
+            assert_eq!(seen(&step), trace[step.steps as usize - 1], "{label}");
+            (calls, counted) = (calls + 1, step.steps as usize);
+        }
+        assert!(calls < trace.len(), "{label}: {calls} calls, no run taken");
+        blocks = walk.block_counts();
+        assert_eq!(walk.into_summaries(), [reference], "{label}");
     }
-    assert!(calls < trace.len(), "{label}: {calls} calls, no run taken");
-    assert_eq!(walk.into_summaries(), [reference], "{label}");
 
     // `max_steps = k`: the walk is free to run up to a stride ahead
     // of each `k`, and every `k` is the target of one of the walks.
@@ -1304,6 +1316,7 @@ fn assert_steps_are_counted<P>(
         let calls = refused_after(&mut walk, k, &trace);
         assert!(calls < k, "{label}: {calls} calls for {k} steps");
     }
+    blocks
 }
 
 /// Steps `walk` under `max_steps = k` until it is refused — after
@@ -1334,7 +1347,9 @@ where
 
 #[test]
 fn steps_inside_runs_are_counted_one_by_one() {
-    on_the_accounted_walks!(assert_steps_are_counted);
+    for blocks in <[BlockCounts; 2]>::from(on_the_accounted_walks!(assert_steps_are_counted)) {
+        assert!(blocks.whole > 0 && blocks.split > 0, "{blocks:?}");
+    }
 }
 
 /// A harvest taken from a walk suspended anywhere — mid-frame, with
@@ -1343,14 +1358,17 @@ fn steps_inside_runs_are_counted_one_by_one() {
 /// reads the frames' class tables and writes nothing in them.  (A
 /// class it gave a summary would count as absorbed by its frame, and
 /// the rows that lead to it would add their terminals to a frame
-/// that never merged the rest.)
+/// that never merged the rest.)  So does a harvest taken in every
+/// pause of one walk that has just taken a block whole; returns how
+/// many of those there were.
 fn assert_harvest_leaves_the_walk_whole<P>(
     system: SystemConfig,
     config: ExploreConfig,
     procs: Vec<P>,
     proposals: Vec<P::Output>,
     label: &str,
-) where
+) -> usize
+where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
@@ -1388,11 +1406,36 @@ fn assert_harvest_leaves_the_walk_whole<P>(
         assert!(image(&shared) == reference, "{label}: harvested at {k}");
     }
     assert!(mid_frame > 12, "{label}: {mid_frame} harvests mid-frame");
+
+    let shared = fresh();
+    let mut walker = Walker::new(&shared);
+    let mut walk = StepWalker::new(&mut walker, vec![root]);
+    let mut yielding = BudgetArbiter::new(WalkBudget {
+        yield_every: Some(BEYOND_BLOCKS),
+        ..WalkBudget::unlimited()
+    });
+    let (mut taken, mut harvests) = (0, 0);
+    while walk.step(&mut yielding).unwrap().status != StepStatus::Done {
+        let whole = walk.block_counts().whole;
+        if whole > taken {
+            (taken, harvests) = (whole, harvests + 1);
+            walk.harvest_into(&[], &mut Vec::new()).unwrap();
+        }
+    }
+    assert!(
+        image(&shared) == reference,
+        "{label}: harvested after blocks"
+    );
+    harvests
 }
 
 #[test]
 fn a_harvest_mid_frame_leaves_the_walk_whole() {
-    on_the_accounted_walks!(assert_harvest_leaves_the_walk_whole);
+    let (crw, floodset) = on_the_accounted_walks!(assert_harvest_leaves_the_walk_whole);
+    assert!(
+        crw > 0 && floodset > 0,
+        "harvests after a block: {crw}, {floodset}"
+    );
 }
 
 /// A harvest emits a child once.  The probe records nothing in the class

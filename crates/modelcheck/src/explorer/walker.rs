@@ -42,13 +42,20 @@
 //!   rows of small outcome *indices*, and none of them is stored: an
 //!   odometer holds the one row the walk stands on and steps it in
 //!   place.  The odometer, the per-process outcome lists, the
-//!   send-phase copy, the record arena, the (slot, outcome), class and
-//!   orbit tables, the one buffer a row is materialized into when the
-//!   engine needs a real action vector, key buffers, and the terminal
-//!   pseudo-schedule and scratch summary are all recycled across
-//!   configurations; a terminal is memoized under the one shared summary
-//!   of its outcome ([`Terminals`]), so a leaf allocates its memo entry
-//!   and nothing else.
+//!   send-phase copy, the record arena, the (slot, outcome), class,
+//!   orbit and block tables, the one buffer a row is materialized into
+//!   when the engine needs a real action vector, key buffers, and the
+//!   terminal pseudo-schedule and scratch summary are all recycled
+//!   across configurations; a terminal is memoized under the one shared
+//!   summary of its outcome ([`Terminals`]), so a leaf allocates its
+//!   memo entry and nothing else;
+//! * **rows that are not looked at** — a row that repeats a class its
+//!   frame has absorbed is one classification and one addition, and a
+//!   run of them is taken in the call that ends it; at the first row of
+//!   a block whose signature the frame has taken before
+//!   ([`RoundKeys::take_block`], the head of `round.rs`) the whole block
+//!   is one addition and one jump of `next_action`, its other rows
+//!   never classified — 1 747 326 of the `(8, 7)` walk's 2 936 634.
 //!
 //! ## `StateLimit` abort protocol
 //!
@@ -78,6 +85,8 @@ use super::budget::{Arbiter, StepProgress, StepResult, StepStatus, StepVerdict};
 use super::canon::{flag_in_place, make_key_into, tier_key_into, KeySource};
 use super::config::{CanonTier, CheckableProtocol, ExploreConfig, ExploreOptions, SymmetryPlan};
 use super::report::{ExploreError, Summary, Terminals};
+#[cfg(test)]
+use super::round::BlockCounts;
 use super::round::{ChildClass, ChildDecision, LiveEffects, RoundKeys};
 use crate::memo::ShardedMemo;
 use crate::spill::SpillCodec;
@@ -416,10 +425,28 @@ where
                 break;
             }
             let idx = frame.next_action;
-            frame.next_action += 1;
             if shared.stop.load(Ordering::Relaxed) {
                 return Err(Interrupt::Stopped);
             }
+            // A block the frame has taken before is one addition, if all
+            // of its rows can be taken in silence.
+            if frame.round.classify(idx).is_some() && frame.round.cursor_starts_block() {
+                let room =
+                    || *headroom.get_or_insert_with(|| arbiter.headroom(&progress(self.steps)));
+                if let Some((rows, added)) = frame.round.take_block(idx, frame.acc.terminals, room)
+                {
+                    debug_assert!(
+                        self.walker.block_is_its_rows(frame, idx, rows, added),
+                        "a block taken whole is not the sum of its rows"
+                    );
+                    frame.acc.terminals += added;
+                    frame.next_action += rows;
+                    *headroom.as_mut().expect("asked for the block") -= rows as u64;
+                    self.steps += rows as u64;
+                    continue;
+                }
+            }
+            frame.next_action += 1;
             // Key first: a child is its key until something has to run
             // on it.
             match self.walker.probe_child(frame, idx)? {
@@ -502,6 +529,19 @@ where
     /// meaningful after a [`StepStatus::Done`].
     pub(crate) fn into_summaries(self) -> Vec<Arc<Summary<P::Output>>> {
         self.summaries
+    }
+
+    /// The blocks the walker's rounds — on the stack and in the pool —
+    /// took whole and split.
+    #[cfg(test)]
+    pub(super) fn block_counts(&self) -> BlockCounts {
+        let rounds = self.stack.iter().map(|frame| &frame.round);
+        (rounds.chain(&self.walker.round_pool)).fold(BlockCounts::default(), |sum, round| {
+            BlockCounts {
+                whole: sum.whole + round.block_counts.whole,
+                split: sum.split + round.block_counts.split,
+            }
+        })
     }
 
     /// Unexplored immediate children across every frame of the current
@@ -741,6 +781,36 @@ where
         self.memoized(hash, swap).ok().flatten()
     }
 
+    /// The oracle behind the debug assertions on a block taken whole
+    /// ([`RoundKeys::take_block`]): rows `idx..idx + rows` — exactly the
+    /// rows that agree with row `idx` up to the last sender
+    /// ([`RoundKeys::is_block`]) — classified on the cursor one by one,
+    /// each repeating a class the frame has absorbed, with the summary
+    /// the memo probe it skips would return (`skipped_probe`), and
+    /// between them the `added` terminals.  The cursor goes back to row
+    /// `idx`, where a release walk leaves it.
+    fn block_is_its_rows(
+        &mut self,
+        frame: &mut Frame<P>,
+        idx: usize,
+        rows: usize,
+        added: u64,
+    ) -> bool {
+        let mut terminals = 0;
+        for row in idx..idx + rows {
+            let class = frame.round.classify(row).expect("a block is keyed");
+            let Some(summary) = frame.round.class_summary(class) else {
+                return false;
+            };
+            terminals += summary.terminals;
+            if self.skipped_probe(frame, row).as_ref() != frame.round.class_summary(class) {
+                return false;
+            }
+        }
+        frame.round.classify(idx);
+        terminals == added && frame.round.is_block(idx, rows)
+    }
+
     /// Encodes `stepper`'s configuration into its canonical key bytes in
     /// `key_scratch` and returns `(hash, value_swapped)` — the key path
     /// of every configuration that exists: a root, a configuration being
@@ -926,9 +996,12 @@ where
     /// class the frame has absorbed — at most `limit` of them — adding
     /// their classes' terminal counts to the frame; returns how many it
     /// took.  The body of a run: per row the stop flag, one
-    /// [`classify`](RoundKeys::classify) and one addition.  It stops
-    /// *before* the row that ends the run, which `step` then takes like
-    /// any other (the cursor stands on it, classified).
+    /// [`classify`](RoundKeys::classify) and one addition — or, at the
+    /// first row of a block the frame has taken before, one addition
+    /// for the whole block ([`RoundKeys::take_block`]) if it fits in
+    /// what is left of `limit`.  It stops *before* the row that ends the
+    /// run, which `step` then takes like any other (the cursor stands on
+    /// it, classified).
     fn absorb_repeats(&mut self, frame: &mut Frame<P>, limit: u64) -> Result<u64, Interrupt> {
         let rows = frame.round.len();
         let (mut taken, mut terminals) = (0, 0);
@@ -938,6 +1011,20 @@ where
             }
             let idx = frame.next_action;
             let class = (frame.round.classify(idx)).expect("a repeat was met: the round is keyed");
+            if frame.round.cursor_starts_block() {
+                let before = frame.acc.terminals + terminals;
+                if let Some((block, added)) = frame.round.take_block(idx, before, || limit - taken)
+                {
+                    debug_assert!(
+                        self.block_is_its_rows(frame, idx, block, added),
+                        "a block taken whole is not the sum of its rows"
+                    );
+                    terminals += added;
+                    frame.next_action += block;
+                    taken += block as u64;
+                    continue;
+                }
+            }
             let Some(summary) = frame.round.class_summary(class) else {
                 break;
             };
