@@ -7,11 +7,9 @@
 # Knobs respected by the test suite:
 #   TWOSTEP_THREADS       worker count for sweeps + the parallel explorer
 #   PROPTEST_CASES        per-test case count for property tests
-#   CRITERION_SAMPLES     samples per benchmark (criterion benches are not
-#                         run here; the quick explorer bench below is)
-#   TWOSTEP_BENCH_N/T     (n, t) for the explorer bench (raise toward (7, 6)
-#                         as runners allow)
-#   TWOSTEP_DONATE_DEPTH  donation cutoff for the bench's "donate" row
+#
+# Speed is not gated here: the repo benchmark (`benchmark/`,
+# BENCHMARK.json) measures it, in alternating pairs of runs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -50,30 +48,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p twostep-modelcheck -
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
-
-echo "== explorer bench (quick) -> BENCH_explorer.json (+ BENCH_history.jsonl)"
-# No wall-clock gate reads these rows: on 7 ms (6,5) walks a same-run
-# ratio or a cross-commit floor sits inside the run-to-run noise of an
-# unchanged build.  Speed is held by the repo benchmark's alternating
-# pairs, where crw8-quotient runs at about 0.78x crw8-cold (medians of
-# ten 28 s runs each, 0.126 s against 0.161 s).
-commit_sha="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-cargo run --release -q -p twostep-bench --bin explorer_bench -- --quick \
-    --history BENCH_history.jsonl --commit "$commit_sha"
-cat BENCH_explorer.json
-
-echo "== symmetry row: both modes ran, verdicts identical"
-# The bench runs the pinned system with symmetry off (the baseline
-# rows) and at the strongest sound tier (the `symmetry` row,
-# partial+value for CRW) and asserts the verdict summaries are equal
-# in-process; the marker it writes is the committed witness of that
-# assertion, so its absence means the symmetry row silently
-# disappeared.
-grep '"engine": "symmetry"' BENCH_explorer.json >/dev/null \
-    || { echo "FAIL: BENCH_explorer.json is missing the symmetry row" >&2; exit 1; }
-grep '"verdicts_identical": true' BENCH_explorer.json >/dev/null \
-    || { echo "FAIL: symmetry row lost its verdict-equality witness" >&2; exit 1; }
-sed -n 's/.*"symmetry": {\("mode[^}]*\)}.*/symmetry OK: \1/p' BENCH_explorer.json
 
 echo "== partitioned exploration (2 worker processes, quick, all symmetry strengths)"
 dist_off_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- --quick --partitions 2 --symmetry off)"
@@ -209,11 +183,12 @@ if [[ "$suspended_code" != "3" ]]; then
 fi
 grep '^twostep-dist: suspended reason=deadline .*checkpoint=' <<<"$suspended_out" >/dev/null \
     || { echo "FAIL: suspended run must print a parseable suspension line" >&2; exit 1; }
-[[ -f "$CKPT_DIR/manifest.twockpt" ]] \
-    || { echo "FAIL: suspension left no checkpoint manifest in $CKPT_DIR" >&2; exit 1; }
+compgen -G "$CKPT_DIR/manifest.*" >/dev/null && compgen -G "$CKPT_DIR/*.seg" >/dev/null \
+    || { echo "FAIL: suspension left no manifest and segment in $CKPT_DIR" >&2; exit 1; }
 # Resume without a deadline: the composed report must be byte-identical
 # to the uninterrupted run of the same system from earlier in this
-# script, and the consumed artifact must be gone.
+# script, and the consumed checkpoint must leave its directory empty: no
+# manifest listing a resume segment, no segment file.
 resumed_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- \
     --quick --partitions 2 --symmetry off --checkpoint-dir "$CKPT_DIR")"
 resumed_result="$(grep '^twostep-dist: result' <<<"$resumed_out")"
@@ -224,8 +199,8 @@ if [[ "$resumed_result" != "$uninterrupted_result" ]]; then
     echo "FAIL: resumed report differs from the uninterrupted one" >&2
     exit 1
 fi
-if [[ -f "$CKPT_DIR/manifest.twockpt" ]]; then
-    echo "FAIL: successful resume must consume the checkpoint artifact" >&2
+if [[ -n "$(ls -A "$CKPT_DIR")" ]]; then
+    echo "FAIL: successful resume must consume the checkpoint, left: $(ls -A "$CKPT_DIR")" >&2
     exit 1
 fi
 echo "checkpoint OK: suspended at reason=deadline, resumed to an identical report"

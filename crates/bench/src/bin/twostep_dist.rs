@@ -42,10 +42,11 @@
 //!   `TWOSTEP_MAX_STEPS` / `TWOSTEP_DEADLINE_MS` env vars.  A budgeted
 //!   run that suspends prints a parseable `twostep-dist: suspended`
 //!   line and exits with code 3;
-//! * `--checkpoint-dir DIR` — a suspended run serializes its partial
-//!   memo there; rerunning with the same directory (and a looser or no
-//!   budget) resumes to the bit-identical final report and consumes the
-//!   artifact;
+//! * `--checkpoint-dir DIR` — a suspended run commits its partial memo
+//!   there as a resume segment (a cache directory's manifest and segment
+//!   naming; `DIR` may be the `--cache-dir` too); rerunning with the same
+//!   directory (and a looser or no budget) resumes to the bit-identical
+//!   final report and drops the resume segments;
 //! * `--fault PLAN` — deterministic fault injection for chaos testing
 //!   (see `twostep_modelcheck::faults` for the grammar, e.g.
 //!   `p0a0=crash@walk;p1a0=hang@export`).  Overrides the

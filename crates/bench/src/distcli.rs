@@ -1,6 +1,5 @@
 //! CLI plumbing for multi-process partitioned exploration of the CRW
-//! algorithm — shared by the `twostep-dist` coordinator binary and the
-//! `explorer_bench` partitioned row.
+//! algorithm — the `twostep-dist` coordinator binary and its worker half.
 //!
 //! The distributed engine in `twostep_modelcheck::dist` is
 //! protocol-generic but process-agnostic: the coordinator launches
@@ -551,8 +550,7 @@ fn run_child(
     Ok(())
 }
 
-/// One multi-process CRW exploration, as `twostep-dist` and
-/// `explorer_bench` ask for it.
+/// One multi-process CRW exploration, as `twostep-dist` asks for it.
 #[derive(Clone, Debug)]
 pub struct DistRequest {
     /// The system, the workers' engine, the budget and symmetry mode of

@@ -1,5 +1,5 @@
-//! Persistent result cache: compressed, fingerprinted memo segments
-//! that warm-start serial, parallel, and partitioned exploration.
+//! Persistent result cache and resumable checkpoints: fingerprinted memo
+//! segments that warm-start a run, or let a suspended one finish.
 //!
 //! Re-exploring millions of identical configurations on every invocation
 //! is the engine's single biggest waste: the memo is deterministic — a
@@ -7,45 +7,88 @@
 //! memo image answers every repeated subtree instantly.  This module
 //! makes that image durable.  A **cache directory** holds:
 //!
-//! * one or more sealed interchange segment files (the format of
-//!   [`crate::spill`], compressed records, CRC-validated) — the first is
-//!   a full memo image, later ones are **delta segments** appended by
-//!   warm runs that discovered new states;
-//! * a **manifest** (`manifest.twocache`) binding those segments to a
-//!   64-bit **fingerprint** of everything that determines their
-//!   contents: the segment format version, the system `(n, t)`, the
+//! * sealed interchange segment files (the format of [`crate::spill`],
+//!   compressed records, CRC-validated), named
+//!   `seg-<fingerprint>-<index>.seg` with an index no commit reuses.
+//!   Each has a **role**.  A *seed* segment is a finished run's delta:
+//!   the first is a full memo image, later ones hold what warm runs
+//!   added.  A *resume* segment is a suspended run's fresh delta — a
+//!   checkpoint directory ([`crate::checkpoint`]) is a cache directory;
+//! * one **manifest** (`manifest.twocache`) binding them to a 64-bit
+//!   **fingerprint** of everything that determines their contents: the
+//!   segment format version, the system `(n, t)`, the
 //!   exploration-relevant [`ExploreConfig`] options, and the protocol /
 //!   proposal identity via [`CheckableProtocol::fingerprint`] (a
 //!   [`stable_hash64`](twostep_model::codec::stable_hash64) of each
-//!   initial process's [`SpillCodec`] encoding).
+//!   initial process's [`SpillCodec`] encoding).  It also records the
+//!   symmetry strength the segments are keyed at and the *seed floor*
+//!   below.
 //!
-//! A run that opens the cache with a **matching** fingerprint pre-seeds
-//! its memo from the segments before walking; the walk then
+//! A run opens one session per distinct directory its cache and its
+//! checkpoint name.  Under a **matching** fingerprint, the seed segments
+//! of the cache's directory pre-seed the memo before the walk (imported
+//! as seeded, so they count as `cache_hits`); the walk then
 //! short-circuits on every memoized subtree, and in the fully-warm case
-//! touches exactly the root.  A **mismatched** or unreadable manifest is
-//! **loudly ignored** — one stderr line, then a cold run — never
-//! silently reused: a stale summary is undetectable downstream, so the
-//! only safe policies are "provably same run" and "start over".  In
-//! [`CacheMode::ReadWrite`] the run then commits back: a matching cache
-//! gains one delta segment holding only the newly inserted entries
-//! (nothing at all if the walk was fully warm); a stale or absent cache
-//! is replaced wholesale (fresh manifest, single full segment, orphaned
-//! segment files of the previous fingerprint removed).
+//! touches exactly the root.  Then the resume segments of the
+//! checkpoint's directory are imported as fresh.  A **mismatched** or
+//! unreadable manifest is **loudly ignored** — one stderr line, then a
+//! cold run — never silently reused: a stale summary is undetectable
+//! downstream, so the only safe policies are "provably same run" and
+//! "start over".  One mismatch is louder still: resume segments keyed at
+//! another symmetry strength are a hard
+//! [`ExploreError::CheckpointStrength`] refusal, because the user asked
+//! to continue that image, and recomputing it under another quotient
+//! would change `distinct_states` and the census without a word.
 //!
-//! The cache is an *optimization*, so cache failures never fail an
-//! exploration: a segment that fails validation mid-import declares the
-//! whole cache broken — the partial seed is **discarded** and the run
-//! explores cold (a partial image would silently shrink
-//! `distinct_states` and the census, because a seeded parent
-//! short-circuits the walk above its missing descendants) — and a
-//! failed commit warns and moves on.  What the cache can never do is
-//! change a report: cold and warm runs are bit-identical by the same
-//! argument that makes thread counts and worker processes invisible
-//! (see [`crate::explorer`]'s determinism section) — pinned across both
-//! model kinds and every engine shape by `tests/cache_differential.rs`.
-//! Every engine seeds and commits alike: the run spine's open seeds the
-//! memo, its finish commits it, and a distributed work phase passes the
-//! seed on (one consolidated segment to the workers, deltas back).
+//! **Why a resume is exact.**  No frontier frames are saved, and none
+//! are needed: memo inserts happen only at frame pop or terminal entry,
+//! so a quiescent memo image is **descendant-closed** — every memoized
+//! configuration's whole subtree is memoized.  A resumed run re-drives
+//! the root walk and fast-forwards through memo hits until it reaches
+//! unexplored territory.  Resume segments import as *fresh*, so the
+//! report, `cache_hits` included, and the next commit's delta are those
+//! of an uninterrupted run (`tests/checkpoint_differential.rs`, and
+//! `tests/checkpoint_props.rs` composing arbitrary step-budget
+//! partitions).
+//!
+//! **The seed floor.**  A fresh delta is descendant-closed only
+//! *together with* the seed it was suspended over: a fresh parent may
+//! have seeded descendants.  The manifest records that seed's size, and
+//! a resume whose own seed is smaller loudly ignores the resume
+//! segments.  A fingerprint-matching seed only grows — every commit
+//! keeps every seed segment — so `>=` means superset.
+//!
+//! **One commit rule.**  A commit writes the memo's fresh entries
+//! (everything beyond the seed; with no seed, the full image) as one new
+//! segment of its role: `resume` for a suspension or an autosave, which
+//! also records the floor, and `seed` for a [`CacheMode::ReadWrite`]
+//! finish.  It keeps every seed segment and drops every resume segment
+//! of a directory the checkpoint names — those imported as fresh, so the
+//! new delta holds them, and any not imported are unsound above the new
+//! floor.  Then it renames the manifest into place, and only after that
+//! removes the segment files the manifest no longer lists.  Until the
+//! rename the old manifest lists only intact files, so a failed commit
+//! costs the new segment, never the one before it.  A commit that writes
+//! a segment replaces a stale or absent manifest wholesale; segments of
+//! a role the run did not configure for the directory are left alone and
+//! stay listed.  A finish with no seed to write still drops the resume
+//! segments (it consumes the checkpoint), and a manifest left listing
+//! nothing is removed.
+//!
+//! The cache is an *optimization*, so its failures never fail an
+//! exploration: a segment that fails validation mid-import costs the
+//! whole memo, which is discarded and re-seeded from what is still
+//! intact (a partial image would silently shrink `distinct_states` and
+//! the census, because a seeded parent short-circuits the walk above its
+//! missing descendants), and a failed commit warns and moves on.  What
+//! the cache can never do is change a report: cold and warm runs are
+//! bit-identical by the same argument that makes thread counts and
+//! worker processes invisible (see [`crate::explorer`]'s determinism
+//! section) — pinned across both model kinds and every engine shape by
+//! `tests/cache_differential.rs`.  Every engine seeds and commits alike:
+//! the run spine's open seeds the memo, its finish commits it, and a
+//! distributed work phase passes the seed on (one consolidated segment
+//! to the workers, deltas back).
 //!
 //! The `max_states` budget is deliberately **excluded** from the
 //! fingerprint: it is a resource safety valve, not part of the
@@ -57,23 +100,14 @@ use std::path::{Path, PathBuf};
 use twostep_model::SystemConfig;
 use twostep_sim::{EnvKnob, ModelKind};
 
-use crate::explorer::{CheckableProtocol, ExploreConfig, RoundBound, SpecMode};
-use crate::manifest::{put_name, remove_own_files, segment_suffix, take_name, Envelope};
+use crate::checkpoint::CheckpointConfig;
+use crate::explorer::{CheckableProtocol, ExploreConfig, ExploreError, RoundBound, SpecMode};
+pub use crate::manifest::MANIFEST_NAME;
+use crate::manifest::{
+    remove_unlisted, segment_index, segment_name, Manifest, Role, CACHE_FORMAT_VERSION,
+};
 use crate::memo::{EntryValidator, ShardedMemo};
 use crate::spill::{SpillCodec, SpillError, FORMAT_VERSION};
-
-/// File name of the cache manifest inside a cache directory.
-pub const MANIFEST_NAME: &str = "manifest.twocache";
-
-/// Manifest format version; independent of the segment
-/// [`FORMAT_VERSION`], which is fingerprinted separately.
-const CACHE_FORMAT_VERSION: u32 = 1;
-
-const ENVELOPE: Envelope = Envelope {
-    file_name: MANIFEST_NAME,
-    magic: *b"TWOCACHE",
-    version: CACHE_FORMAT_VERSION,
-};
 
 /// Exploration **semantics** version, mixed into every run fingerprint.
 ///
@@ -248,142 +282,135 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Manifest
+// Sessions
 // ---------------------------------------------------------------------------
 
-/// The parsed manifest: the fingerprint its segments were produced
-/// under, and their file names (relative to the cache dir, oldest
-/// first — import order is irrelevant, but deterministic is tidy).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct Manifest {
-    pub(crate) fingerprint: u64,
-    pub(crate) segments: Vec<String>,
-}
-
-impl Manifest {
-    fn to_bytes(&self) -> Vec<u8> {
-        ENVELOPE.seal(|out| {
-            self.fingerprint.encode(out);
-            (self.segments.len() as u32).encode(out);
-            for name in &self.segments {
-                put_name(name, out);
-            }
-        })
-    }
-
-    fn parse(bytes: &[u8]) -> Option<Manifest> {
-        let mut input = ENVELOPE.open(bytes)?;
-        let fingerprint = u64::decode(&mut input)?;
-        let count = u32::decode(&mut input)? as usize;
-        let segments: Option<Vec<String>> = (0..count).map(|_| take_name(&mut input)).collect();
-        let segments = segments?;
-        input.is_empty().then_some(Manifest {
-            fingerprint,
-            segments,
-        })
-    }
-}
-
-/// Whether `name` follows the cache's own segment naming —
-/// `seg-<16 hex fingerprint>-<6 digit index>.seg` — the only files a
-/// commit's garbage collection is allowed to remove.
-fn is_cache_segment_name(name: &str) -> bool {
-    let index = segment_suffix(name, "seg-").and_then(|index| index.strip_prefix('-'));
-    index.is_some_and(|index| index.len() == 6 && index.chars().all(|c| c.is_ascii_digit()))
-}
-
-/// Atomically (write-then-rename) writes `manifest` into `dir`.
-fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<(), SpillError> {
-    ENVELOPE.write(dir, &manifest.to_bytes())
-}
-
-// ---------------------------------------------------------------------------
-// Cache session
-// ---------------------------------------------------------------------------
-
-/// What opening the cache found.
+/// What opening a directory found.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum CacheState {
-    /// No cache configured.
-    Disabled,
-    /// Configured, but no manifest exists yet (first run, or the dir is
-    /// missing entirely).
+    /// No manifest yet (first run, or the directory is missing).
     Empty,
-    /// A manifest exists but cannot be used: unreadable/corrupt
-    /// (`found: None`) or fingerprint mismatch (`found: Some(fp)`).
-    /// Always reported loudly; never reused.
+    /// A manifest that cannot be used: unreadable or corrupt
+    /// (`found: None`), another run's (`found: Some(fp)`), or one whose
+    /// seed broke mid-import.  Always reported loudly; never reused;
+    /// replaced by the next commit.
     Stale { found: Option<u64> },
-    /// A valid manifest with a matching fingerprint.
-    Ready,
+    /// A manifest of this run, as this session last left it on disk.
+    Ready(Manifest),
 }
 
-/// One exploration's handle on the persistent cache: open → [`seed`] the
-/// memo → explore → [`commit`] the delta.  Constructed unconditionally
-/// (a `None` config yields an inert session) so call sites stay linear.
+/// One run's handle on one directory: open → [`import`] the roles the
+/// run configured there → explore → [`commit`].
 ///
-/// [`seed`]: Self::seed
+/// [`import`]: Self::import
 /// [`commit`]: Self::commit
 pub(crate) struct CacheSession {
-    config: Option<CacheConfig>,
+    dir: PathBuf,
+    /// The cache's mode, when the run's cache names this directory: its
+    /// seed segments are imported, and a ReadWrite finish commits one.
+    seed: Option<CacheMode>,
+    /// Whether the run's checkpoint names this directory: its resume
+    /// segments are imported, suspensions commit here, and every commit
+    /// drops the resume segments it supersedes.
+    resume: bool,
     fingerprint: u64,
+    strength: u8,
     state: CacheState,
-    manifest: Option<Manifest>,
 }
 
 impl CacheSession {
-    /// Opens the cache and classifies its state, warning on stderr when
-    /// a manifest exists but cannot be used (wrong fingerprint, corrupt,
-    /// unreadable) — the loud-ignore policy.
-    pub(crate) fn open(config: Option<CacheConfig>, fingerprint: u64) -> CacheSession {
-        let (state, manifest) = match &config {
-            None => (CacheState::Disabled, None),
-            Some(cache) => {
-                let path = cache.dir.join(MANIFEST_NAME);
-                match std::fs::read(&path) {
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => (CacheState::Empty, None),
-                    Err(e) => {
-                        eprintln!(
-                            "twostep: cache manifest {} is unreadable ({e}); \
-                             ignoring the cache and exploring cold",
-                            path.display()
-                        );
-                        (CacheState::Stale { found: None }, None)
-                    }
-                    Ok(bytes) => match Manifest::parse(&bytes) {
-                        None => {
-                            eprintln!(
-                                "twostep: cache manifest {} is corrupt; \
-                                 ignoring the cache and exploring cold",
-                                path.display()
-                            );
-                            (CacheState::Stale { found: None }, None)
-                        }
-                        Some(manifest) if manifest.fingerprint != fingerprint => {
-                            eprintln!(
-                                "twostep: cache {} was produced by a different run \
-                                 (fingerprint {:016x}, this run is {fingerprint:016x}); \
-                                 ignoring it and exploring cold",
-                                cache.dir.display(),
-                                manifest.fingerprint
-                            );
-                            (
-                                CacheState::Stale {
-                                    found: Some(manifest.fingerprint),
-                                },
-                                None,
-                            )
-                        }
-                        Some(manifest) => (CacheState::Ready, Some(manifest)),
-                    },
-                }
-            }
-        };
-        CacheSession {
-            config,
-            fingerprint,
-            state,
-            manifest,
+    /// One session per distinct directory the run names: the cache's
+    /// with its mode as the seed role, the checkpoint's with the resume
+    /// role, or one session with both when they are the same directory.
+    pub(crate) fn open_all(
+        cache: Option<&CacheConfig>,
+        checkpoint: Option<&CheckpointConfig>,
+        fingerprint: u64,
+        strength: u8,
+    ) -> Result<Vec<CacheSession>, ExploreError> {
+        let mut dirs: Vec<(&Path, Option<CacheMode>, bool)> = Vec::new();
+        if let Some(cache) = cache {
+            dirs.push((&cache.dir, Some(cache.mode), false));
         }
+        if let Some(checkpoint) = checkpoint {
+            match dirs.first_mut() {
+                Some((dir, _, resume)) if *dir == checkpoint.dir => *resume = true,
+                _ => dirs.push((&checkpoint.dir, None, true)),
+            }
+        }
+        let open = |(dir, seed, resume)| Self::open(dir, seed, resume, fingerprint, strength);
+        dirs.into_iter().map(open).collect()
+    }
+
+    /// Opens `dir` and classifies its manifest, warning on stderr when
+    /// one exists but cannot be used — the loud-ignore policy — and
+    /// refusing resume segments keyed at another strength.
+    fn open(
+        dir: &Path,
+        seed: Option<CacheMode>,
+        resume: bool,
+        fingerprint: u64,
+        strength: u8,
+    ) -> Result<CacheSession, ExploreError> {
+        let path = dir.join(MANIFEST_NAME);
+        let ignored = |why: &str| {
+            eprintln!(
+                "twostep: {why}; ignoring {} and exploring cold",
+                dir.display()
+            );
+        };
+        let state = match std::fs::read(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => CacheState::Empty,
+            Err(e) => {
+                ignored(&format!("manifest {} is unreadable ({e})", path.display()));
+                CacheState::Stale { found: None }
+            }
+            Ok(bytes) => match Manifest::parse(&bytes) {
+                None => {
+                    ignored(&format!("manifest {} is corrupt", path.display()));
+                    CacheState::Stale { found: None }
+                }
+                Some(manifest)
+                    if resume
+                        && manifest.strength != strength
+                        && manifest.segments.iter().any(|(r, _)| *r == Role::Resume) =>
+                {
+                    return Err(ExploreError::CheckpointStrength {
+                        found: manifest.strength,
+                        expected: strength,
+                    });
+                }
+                Some(manifest) if manifest.fingerprint != fingerprint => {
+                    ignored(&format!(
+                        "its segments were produced by a different run (fingerprint \
+                         {:016x}, this run is {fingerprint:016x})",
+                        manifest.fingerprint
+                    ));
+                    CacheState::Stale {
+                        found: Some(manifest.fingerprint),
+                    }
+                }
+                Some(manifest) => CacheState::Ready(manifest),
+            },
+        };
+        Ok(CacheSession {
+            dir: dir.to_path_buf(),
+            seed,
+            resume,
+            fingerprint,
+            strength,
+            state,
+        })
+    }
+
+    /// The directory.
+    pub(crate) fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Whether the run's checkpoint names this directory.
+    pub(crate) fn resumes(&self) -> bool {
+        self.resume
     }
 
     /// The opened state (asserted by the unit tests).
@@ -392,49 +419,71 @@ impl CacheSession {
         &self.state
     }
 
-    /// Absolute paths of the usable cache segments (empty unless
-    /// [`CacheState::Ready`]).
-    pub(crate) fn segments(&self) -> Vec<PathBuf> {
-        let (Some(cache), Some(manifest)) = (&self.config, &self.manifest) else {
-            return Vec::new();
+    /// The listed segments of `role` the run configured here, as paths.
+    pub(crate) fn segments(&self, role: Role) -> Vec<PathBuf> {
+        let configured = match role {
+            Role::Seed => self.seed.is_some(),
+            Role::Resume => self.resume,
         };
-        manifest
-            .segments
-            .iter()
-            .map(|name| cache.dir.join(name))
-            .collect()
+        match &self.state {
+            CacheState::Ready(manifest) if configured => (manifest.segments.iter())
+                .filter(|(r, _)| *r == role)
+                .map(|(_, name)| self.dir.join(name))
+                .collect(),
+            _ => Vec::new(),
+        }
     }
 
-    /// Pre-seeds `memo` from every usable cache segment, **all or
-    /// nothing**.  `Some(records)` on success; `None` if any segment
-    /// failed validation mid-import, in which case the cache is
-    /// declared broken (downgraded to stale, so a ReadWrite commit
-    /// replaces it) and the **caller must discard `memo` and start
-    /// cold**: although every record that passed its CRC is an exact
-    /// `(key, summary)` pair, a *partial* image is unsafe for the
-    /// report's aggregates — a seeded parent short-circuits the walk, so
-    /// its missing descendants would never be re-counted and
-    /// `distinct_states` / the bivalency census would silently shrink.
-    pub(crate) fn seed<O>(
+    /// Imports the `role` segments the run configured here into `memo`,
+    /// **all or nothing** — seed segments as seeded, resume segments as
+    /// fresh, the latter only above the seed floor (module docs).
+    /// `Some(records)` on success; `None` after a loud warning if a
+    /// segment failed validation mid-import, in which case the **caller
+    /// must discard `memo`** and import again into a fresh one: a broken
+    /// seed has turned the session stale, so that import skips it and a
+    /// ReadWrite commit replaces it.
+    pub(crate) fn import<O>(
         &mut self,
         memo: &ShardedMemo<O>,
+        role: Role,
         validator: EntryValidator,
     ) -> Option<u64>
     where
         O: Clone + Eq + SpillCodec,
     {
-        let mut records = 0u64;
-        for path in self.segments() {
-            match memo.import_seed_from(&path, validator) {
+        let paths = self.segments(role);
+        if let CacheState::Ready(manifest) = &self.state {
+            if role == Role::Resume
+                && !paths.is_empty()
+                && manifest.floor > memo.seeded_len() as u64
+            {
+                eprintln!(
+                    "twostep: {} was suspended over a {}-entry cache seed but this run \
+                     seeded only {}; ignoring its resume segments and starting over",
+                    self.dir.display(),
+                    manifest.floor,
+                    memo.seeded_len()
+                );
+                return Some(0);
+            }
+        }
+        let mut records = 0;
+        for path in paths {
+            let imported = match role {
+                Role::Seed => memo.import_seed_from(&path, validator),
+                Role::Resume => memo.import_from(&path, validator),
+            };
+            match imported {
                 Ok(n) => records += n,
                 Err(e) => {
                     eprintln!(
-                        "twostep: cache segment {} failed to import ({e}); \
-                         discarding the cache and exploring cold",
+                        "twostep: segment {} failed to import ({e}); discarding the memo \
+                         and starting over without it",
                         path.display()
                     );
-                    self.state = CacheState::Stale { found: None };
-                    self.manifest = None;
+                    if role == Role::Seed {
+                        self.state = CacheState::Stale { found: None };
+                    }
                     return None;
                 }
             }
@@ -442,84 +491,91 @@ impl CacheSession {
         Some(records)
     }
 
-    /// Commits this run's newly discovered entries back to the cache
-    /// (ReadWrite mode only; Read and disabled sessions are no-ops).
-    ///
-    /// * [`CacheState::Ready`] — appends one delta segment holding only
-    ///   the fresh entries, or touches nothing if the run was fully warm;
-    /// * [`CacheState::Empty`] / [`CacheState::Stale`] — replaces the
-    ///   cache wholesale: a fresh full segment, a fresh manifest under
-    ///   this run's fingerprint, and orphaned `.seg` files removed.
-    ///
-    /// Cache write failures warn and return `None` — they never fail the
-    /// exploration that produced the (already correct) report.  Returns
-    /// the number of records written otherwise.
-    pub(crate) fn commit<O>(&self, memo: &ShardedMemo<O>) -> Option<u64>
+    /// Commits to this directory by the module's one commit rule: a new
+    /// segment of `role` holding the memo's fresh entries (when it has
+    /// any; `None` writes nothing), seed segments kept, resume segments
+    /// dropped when the run's checkpoint names the directory.  A commit
+    /// that would change nothing touches nothing, nor does one that
+    /// writes nothing over a manifest that is not this run's.  Failures
+    /// warn and return `false` — they never fail the exploration.
+    pub(crate) fn commit<O>(&mut self, memo: &ShardedMemo<O>, role: Option<Role>) -> bool
     where
         O: Clone + Eq + SpillCodec,
     {
-        let cache = match &self.config {
-            Some(cache) if cache.mode == CacheMode::ReadWrite => cache,
-            _ => return None,
-        };
-        match self.try_commit(cache, memo) {
-            Ok(records) => records,
+        match self.try_commit(memo, role) {
+            Ok(()) => true,
             Err(e) => {
                 eprintln!(
-                    "twostep: failed to commit cache {} ({e}); \
-                     the exploration result is unaffected",
-                    cache.dir.display()
+                    "twostep: failed to commit {} ({e}); its previous manifest stands, \
+                     and the exploration result is unaffected",
+                    self.dir.display()
                 );
-                None
+                false
             }
         }
     }
 
-    fn try_commit<O>(
-        &self,
-        cache: &CacheConfig,
-        memo: &ShardedMemo<O>,
-    ) -> Result<Option<u64>, SpillError>
+    /// The finishing commit: a seed segment under
+    /// [`CacheMode::ReadWrite`], the resume segments dropped in the same
+    /// manifest — or the drop alone, where no seed may be written.
+    pub(crate) fn finish<O>(&mut self, memo: &ShardedMemo<O>)
     where
         O: Clone + Eq + SpillCodec,
     {
-        if self.state == CacheState::Ready && memo.len() == memo.seeded_len() {
-            // Fully warm: the cache already holds everything this run
-            // observed.  Touch nothing.
-            return Ok(None);
+        let role = (self.seed == Some(CacheMode::ReadWrite)).then_some(Role::Seed);
+        if role.is_some() || self.resume {
+            self.commit(memo, role);
         }
-        std::fs::create_dir_all(&cache.dir).map_err(|e| {
-            SpillError::io(&format!("creating cache dir {}", cache.dir.display()), e)
-        })?;
-        let mut manifest = match (&self.state, &self.manifest) {
-            (CacheState::Ready, Some(manifest)) => manifest.clone(),
-            _ => Manifest {
-                fingerprint: self.fingerprint,
-                segments: Vec::new(),
-            },
+    }
+
+    fn try_commit<O>(&mut self, memo: &ShardedMemo<O>, role: Option<Role>) -> Result<(), SpillError>
+    where
+        O: Clone + Eq + SpillCodec,
+    {
+        let write = role.filter(|_| memo.len() > memo.seeded_len());
+        let mut manifest = match &self.state {
+            CacheState::Ready(manifest) => manifest.clone(),
+            // Nothing to write, and nothing listed is this run's to drop.
+            _ if write.is_none() => return Ok(()),
+            _ => Manifest::empty(self.fingerprint, self.strength),
         };
-        // Segment names carry the fingerprint, so replacing a *stale*
-        // cache never writes over a file the old manifest still lists:
-        // until the new manifest renames into place (atomic), a crash
-        // mid-commit leaves the old manifest pointing exclusively at its
-        // own intact segments — never at another fingerprint's data,
-        // which every later run would silently trust.
-        let name = format!(
-            "seg-{:016x}-{:06}.seg",
-            self.fingerprint,
-            manifest.segments.len()
-        );
-        // The delta is everything this run added beyond the seed; with
-        // no seed imported (cold, stale, or empty cache) that is the
-        // full memo image.
-        let records = memo.export_delta(&cache.dir.join(&name))?;
-        manifest.segments.push(name);
-        write_manifest(&cache.dir, &manifest)?;
-        // Garbage-collect segments of a replaced (stale) cache.
-        remove_own_files(&cache.dir, |name| {
-            is_cache_segment_name(name) && !manifest.segments.iter().any(|s| s == name)
-        });
-        Ok(Some(records))
+        // Past every listed index, dropped ones included: those files
+        // stay live until the new manifest is in place.
+        let next = (manifest.segments.iter())
+            .filter_map(|(_, name)| segment_index(name))
+            .max()
+            .map_or(0, |index| index + 1);
+        if self.resume {
+            manifest.segments.retain(|(r, _)| *r == Role::Seed);
+        }
+        if role == Some(Role::Resume) {
+            manifest.floor = memo.seeded_len() as u64;
+        }
+        if let Some(role) = write {
+            std::fs::create_dir_all(&self.dir).map_err(|e| {
+                SpillError::io(&format!("creating directory {}", self.dir.display()), e)
+            })?;
+            let name = segment_name(self.fingerprint, next);
+            memo.export_delta(&self.dir.join(&name))?;
+            manifest.segments.push((role, name));
+        }
+        if matches!(&self.state, CacheState::Ready(old) if *old == manifest) {
+            return Ok(());
+        }
+        if !manifest.segments.is_empty() {
+            manifest.write(&self.dir)?;
+        } else if let Err(e) = std::fs::remove_file(self.dir.join(MANIFEST_NAME)) {
+            if e.kind() != std::io::ErrorKind::NotFound {
+                return Err(SpillError::io("removing an emptied manifest", e));
+            }
+        }
+        remove_unlisted(&self.dir, &manifest.segments);
+        self.state = if manifest.segments.is_empty() {
+            CacheState::Empty
+        } else {
+            CacheState::Ready(manifest)
+        };
+        Ok(())
     }
 }
 
@@ -547,57 +603,96 @@ pub fn cache_from_env() -> Option<CacheConfig> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
 
+    use super::*;
+    use crate::explorer::{ExploreOptions, ExploreReport, Summary, WalkBudget};
+    use crate::memo::MemoConfig;
+    use crate::spill::SpillDir;
+    use twostep_model::codec::stable_hash64;
+    use twostep_model::WideValue;
+
+    fn summary(ident: u64) -> Arc<Summary<WideValue>> {
+        Arc::new(Summary {
+            terminals: 1,
+            worst_round_by_f: vec![Some(2), None],
+            decided: vec![WideValue::new(1, ident)],
+            violating: false,
+        })
+    }
+
+    /// Any key bytes, and the summaries [`summary`] builds (`t = 1`).
+    fn any_key() -> EntryValidator {
+        EntryValidator::new(|_| true, 1)
+    }
+
+    fn empty_memo() -> ShardedMemo<WideValue> {
+        ShardedMemo::new(2, &MemoConfig::all_ram()).unwrap()
+    }
+
+    fn memo_with(keys: &[&[u8]]) -> ShardedMemo<WideValue> {
+        let memo = empty_memo();
+        for (i, key) in keys.iter().enumerate() {
+            memo.insert(stable_hash64(key), key, summary(i as u64))
+                .unwrap();
+        }
+        memo
+    }
+
+    /// A session on `dir` with only the resume role, as a run whose
+    /// checkpoint names it opens one.
+    fn checkpoint(dir: &Path, fingerprint: u64, strength: u8) -> CacheSession {
+        CacheSession::open(dir, None, true, fingerprint, strength).unwrap()
+    }
+
+    /// The manifest `dir` holds.
+    fn manifest_of(dir: &Path) -> Manifest {
+        Manifest::parse(&std::fs::read(dir.join(MANIFEST_NAME)).unwrap()).unwrap()
+    }
+
+    /// The segment-named files of `dir`, sorted.
+    fn segment_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = (std::fs::read_dir(dir).into_iter().flatten().flatten())
+            .filter_map(|entry| entry.file_name().into_string().ok())
+            .filter(|name| segment_index(name).is_some())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// A cache's manifest: seed segments only.  The checkpoint side —
+    /// resume segments, floor — is `checkpoint::tests`'.
     #[test]
     fn manifest_roundtrips() {
-        let manifest = Manifest {
-            fingerprint: 0xDEAD_BEEF_0BAD_F00D,
-            segments: vec!["seg-000000.seg".into(), "seg-000001.seg".into()],
-        };
-        let bytes = manifest.to_bytes();
-        assert_eq!(Manifest::parse(&bytes), Some(manifest.clone()));
-
-        // Any single-byte corruption must fail the CRC (or the shape
-        // checks) — never parse to a different manifest.
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x20;
-            assert_ne!(
-                Manifest::parse(&bad),
-                Some(manifest.clone()),
-                "flip at byte {i} must not parse identically"
-            );
+        let fingerprint = 0xDEAD_BEEF_0BAD_F00D;
+        let mut manifest = Manifest::empty(fingerprint, 0x13);
+        for index in 0..2 {
+            (manifest.segments).push((Role::Seed, segment_name(fingerprint, index)));
         }
-        // Truncations never parse.
-        for cut in 0..bytes.len() {
-            assert_eq!(Manifest::parse(&bytes[..cut]), None, "cut at {cut}");
-        }
+        crate::manifest::assert_sealed(&manifest);
     }
 
     #[test]
     fn manifest_rejects_path_escapes() {
-        let evil = Manifest {
-            fingerprint: 1,
-            segments: vec!["../../etc/passwd".into()],
-        };
+        let mut evil = Manifest::empty(1, 0);
+        evil.segments.push((Role::Seed, "../../etc/passwd".into()));
         assert_eq!(Manifest::parse(&evil.to_bytes()), None);
     }
 
     #[test]
     fn gc_only_matches_own_segment_names() {
-        assert!(is_cache_segment_name("seg-0123456789abcdef-000000.seg"));
-        assert!(is_cache_segment_name("seg-ABCDEF0123456789-000042.seg"));
-        // Anything the cache didn't write must be left alone.
-        assert!(!is_cache_segment_name("worker0.seg"));
-        assert!(!is_cache_segment_name("seg-000000.seg"));
-        assert!(!is_cache_segment_name(
-            "seg-0123456789abcdef-000000.seg.bak"
-        ));
-        assert!(!is_cache_segment_name("seg-0123456789abcde-000000.seg")); // 15 hex
-        assert!(!is_cache_segment_name("seg-0123456789abcdxx-000000.seg"));
-        assert!(!is_cache_segment_name("seg-0123456789abcdef-00000.seg")); // 5 digits
-        assert!(!is_cache_segment_name("archive.seg"));
+        assert_eq!(segment_index("seg-0123456789abcdef-000000.seg"), Some(0));
+        assert_eq!(segment_index("seg-ABCDEF0123456789-000042.seg"), Some(42));
+        assert_eq!(segment_index(&segment_name(7, 1_000_000)), Some(1_000_000));
+        // Anything a commit didn't write must be left alone.
+        assert_eq!(segment_index("worker0.seg"), None);
+        assert_eq!(segment_index("seg-000000.seg"), None);
+        assert_eq!(segment_index("seg-0123456789abcdef-000000.seg.bak"), None);
+        assert_eq!(segment_index("seg-0123456789abcde-000000.seg"), None); // 15 hex
+        assert_eq!(segment_index("seg-0123456789abcdxx-000000.seg"), None);
+        assert_eq!(segment_index("seg-0123456789abcdef-00000.seg"), None); // 5 digits
+        assert_eq!(segment_index("ckpt-0123456789abcdef.seg"), None);
+        assert_eq!(segment_index("archive.seg"), None);
     }
 
     #[test]
@@ -611,40 +706,301 @@ mod tests {
 
     #[test]
     fn open_classifies_missing_and_stale() {
-        let dir = crate::spill::SpillDir::create(None).unwrap();
+        let dir = SpillDir::create(None).unwrap();
         let cache_dir = dir.path().join("cache");
-        let config = Some(CacheConfig::read_write(&cache_dir));
-
-        // Disabled and empty.
-        assert_eq!(*CacheSession::open(None, 7).state(), CacheState::Disabled);
-        assert_eq!(
-            *CacheSession::open(config.clone(), 7).state(),
-            CacheState::Empty
-        );
+        let open = |fingerprint| {
+            CacheSession::open(
+                &cache_dir,
+                Some(CacheMode::ReadWrite),
+                false,
+                fingerprint,
+                0,
+            )
+            .unwrap()
+        };
+        assert_eq!(*open(7).state(), CacheState::Empty);
 
         // A valid manifest under another fingerprint is stale.
         std::fs::create_dir_all(&cache_dir).unwrap();
-        write_manifest(
-            &cache_dir,
-            &Manifest {
-                fingerprint: 99,
-                segments: Vec::new(),
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            *CacheSession::open(config.clone(), 7).state(),
-            CacheState::Stale { found: Some(99) }
-        );
-        let ready = CacheSession::open(config.clone(), 99);
-        assert_eq!(*ready.state(), CacheState::Ready);
-        assert!(ready.segments().is_empty());
+        Manifest::empty(99, 0).write(&cache_dir).unwrap();
+        assert_eq!(*open(7).state(), CacheState::Stale { found: Some(99) });
+        let ready = open(99);
+        assert_eq!(*ready.state(), CacheState::Ready(Manifest::empty(99, 0)));
+        assert!(ready.segments(Role::Seed).is_empty());
 
         // A corrupt manifest is stale with no recovered fingerprint.
         std::fs::write(cache_dir.join(MANIFEST_NAME), b"not a manifest").unwrap();
+        assert_eq!(*open(7).state(), CacheState::Stale { found: None });
+    }
+
+    /// Suspend, suspend again, resume, finish: every rewrite lists a new
+    /// file before removing the one it supersedes; a matching resume
+    /// imports every record as fresh, a foreign one nothing; the finish
+    /// consumes the checkpoint.
+    #[test]
+    fn write_resume_consume_cycle() {
+        let dir = SpillDir::create(None).unwrap();
+        let ckpt = dir.path().join("ckpt");
+        let memo = memo_with(&[b"alpha", b"beta", b"gamma"]);
+        let mut writer = checkpoint(&ckpt, 42, 0);
+        assert!(writer.commit(&memo, Some(Role::Resume)));
+        let first = segment_files(&ckpt);
+        assert!(writer.commit(&memo, Some(Role::Resume)));
+        let second = segment_files(&ckpt);
+        assert_eq!((first.len(), second.len()), (1, 1));
+        assert_ne!(first, second, "a rewrite never reuses a live file");
         assert_eq!(
-            *CacheSession::open(config, 7).state(),
-            CacheState::Stale { found: None }
+            manifest_of(&ckpt).segments,
+            vec![(Role::Resume, second[0].clone())]
         );
+
+        let resumed = empty_memo();
+        let mut resuming = checkpoint(&ckpt, 42, 0);
+        assert_eq!(resuming.import(&resumed, Role::Resume, any_key()), Some(3));
+        assert_eq!(resumed.len(), 3);
+        assert_eq!(resumed.seeded_len(), 0, "resume segments import fresh");
+
+        // A different fingerprint is loudly ignored, memo untouched.
+        let foreign = empty_memo();
+        let mut other = checkpoint(&ckpt, 43, 0);
+        assert_eq!(other.import(&foreign, Role::Resume, any_key()), Some(0));
+        assert_eq!(foreign.len(), 0);
+
+        // The finish consumes: nothing listed, nothing left.
+        resuming.finish(&resumed);
+        assert!(!ckpt.join(MANIFEST_NAME).exists());
+        assert!(segment_files(&ckpt).is_empty());
+        assert_eq!(*checkpoint(&ckpt, 42, 0).state(), CacheState::Empty);
+    }
+
+    #[test]
+    fn under_seeded_resume_is_rejected() {
+        let dir = SpillDir::create(None).unwrap();
+        let ckpt = dir.path().join("ckpt");
+        let seed_path = dir.path().join("seed.seg");
+        // The suspended run had 2 seeded + 1 fresh entry.
+        memo_with(&[b"alpha", b"beta"])
+            .export_to(&seed_path)
+            .unwrap();
+        let suspended = empty_memo();
+        suspended.import_seed_from(&seed_path, any_key()).unwrap();
+        suspended
+            .insert(stable_hash64(b"gamma"), b"gamma", summary(9))
+            .unwrap();
+        assert!(checkpoint(&ckpt, 7, 0).commit(&suspended, Some(Role::Resume)));
+        assert_eq!(manifest_of(&ckpt).floor, 2);
+
+        // Resuming without the seed would hide alpha/beta's descendants
+        // behind gamma: ignored, memo untouched.
+        let cold = empty_memo();
+        let imported = checkpoint(&ckpt, 7, 0).import(&cold, Role::Resume, any_key());
+        assert_eq!((imported, cold.len()), (Some(0), 0));
+
+        // With the (equal or larger) seed restored, the resume goes
+        // through and the delta holds exactly the fresh entry.
+        let warm = empty_memo();
+        warm.import_seed_from(&seed_path, any_key()).unwrap();
+        let imported = checkpoint(&ckpt, 7, 0).import(&warm, Role::Resume, any_key());
+        assert_eq!((imported, warm.len()), (Some(1), 3));
+    }
+
+    #[test]
+    fn strength_mismatch_is_a_hard_refusal_not_a_restart() {
+        let dir = SpillDir::create(None).unwrap();
+        let ckpt = dir.path().join("ckpt");
+        let memo = memo_with(&[b"alpha"]);
+        // Suspended at partial+value strength (0x13); resumed at off (0).
+        assert!(checkpoint(&ckpt, 11, 0x13).commit(&memo, Some(Role::Resume)));
+        assert_eq!(
+            CacheSession::open(&ckpt, None, true, 11, 0).err(),
+            Some(ExploreError::CheckpointStrength {
+                found: 0x13,
+                expected: 0
+            })
+        );
+        // A run that only reads the directory as a cache is not resuming
+        // anything: another strength is another fingerprint, ignored.
+        let cache = CacheSession::open(&ckpt, Some(CacheMode::Read), false, 12, 0).unwrap();
+        assert_eq!(*cache.state(), CacheState::Stale { found: Some(11) });
+        // At the matching strength the same artifact resumes normally.
+        let matching = empty_memo();
+        let imported = checkpoint(&ckpt, 11, 0x13).import(&matching, Role::Resume, any_key());
+        assert_eq!(imported, Some(1));
+    }
+
+    #[test]
+    fn corrupt_segment_is_broken_not_partial_silence() {
+        let dir = SpillDir::create(None).unwrap();
+        let ckpt = dir.path().join("ckpt");
+        let memo = memo_with(&[b"alpha", b"beta"]);
+        assert!(checkpoint(&ckpt, 5, 0).commit(&memo, Some(Role::Resume)));
+        let segment = ckpt.join(segment_name(5, 0));
+        let mut bytes = std::fs::read(&segment).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        std::fs::write(&segment, &bytes).unwrap();
+
+        let resumed = empty_memo();
+        let imported = checkpoint(&ckpt, 5, 0).import(&resumed, Role::Resume, any_key());
+        assert_eq!(imported, None, "the caller must discard the memo whole");
+    }
+
+    // -----------------------------------------------------------------
+    // A cache and a checkpoint in one run
+    // -----------------------------------------------------------------
+
+    type Crw = twostep_core::Crw<WideValue>;
+
+    fn crw_run(options: ExploreOptions) -> Result<ExploreReport<WideValue>, ExploreError> {
+        let system = SystemConfig::new(3, 2).unwrap();
+        let proposals: Vec<WideValue> = (0..3).map(|i| WideValue::new(1, i % 2)).collect();
+        crate::explore_with::<Crw>(
+            system,
+            ExploreConfig::for_crw(&system),
+            options,
+            twostep_core::crw_processes(&system, &proposals),
+            proposals,
+        )
+    }
+
+    fn steps(max_steps: u64) -> WalkBudget {
+        WalkBudget {
+            max_steps: Some(max_steps),
+            ..WalkBudget::unlimited()
+        }
+    }
+
+    fn assert_same(a: &ExploreReport<WideValue>, b: &ExploreReport<WideValue>, label: &str) {
+        assert_eq!(a.root, b.root, "{label}: root summary");
+        assert_eq!(a.distinct_states, b.distinct_states, "{label}: states");
+        assert_eq!(a.cache_hits, b.cache_hits, "{label}: cache hits");
+        assert_eq!(
+            a.bivalency_by_round, b.bivalency_by_round,
+            "{label}: census"
+        );
+    }
+
+    /// Suspends a run at `max_steps`, resuming into `checkpoint` with
+    /// the given cache; asserts the suspension left its artifact.
+    fn suspend(cache: Option<CacheConfig>, checkpoint: &Path, max_steps: u64) {
+        let options = (ExploreOptions::serial().with_cache(cache))
+            .with_budget(steps(max_steps))
+            .with_checkpoint(Some(CheckpointConfig::at(checkpoint)));
+        match crw_run(options) {
+            Err(ExploreError::Interrupted {
+                checkpoint: Some(dir),
+                ..
+            }) => assert_eq!(dir, checkpoint),
+            other => panic!("expected a checkpointed suspension, got {other:?}"),
+        }
+    }
+
+    /// A partial cache: a suspended run's resume segment is a
+    /// descendant-closed image of part of the space, so relabelled a
+    /// seed it is a valid cache that a warm run still makes progress
+    /// beyond.
+    fn partial_cache(dir: &Path) {
+        suspend(None, dir, 7);
+        let mut manifest = manifest_of(dir);
+        for (role, _) in &mut manifest.segments {
+            *role = Role::Seed;
+        }
+        manifest.floor = 0;
+        manifest.write(dir).unwrap();
+    }
+
+    /// A warm-cache run suspended and resumed with the same cache reports
+    /// what the uninterrupted warm run does, `cache_hits` included; the
+    /// checkpoint is consumed and the cache gains one seed segment.
+    #[test]
+    fn a_warm_cache_run_suspends_and_resumes_with_its_cache() {
+        let dir = SpillDir::create(None).unwrap();
+        let (cache_dir, ckpt) = (dir.path().join("cache"), dir.path().join("ckpt"));
+        partial_cache(&cache_dir);
+        let warm =
+            crw_run(ExploreOptions::serial().with_cache(Some(CacheConfig::read(&cache_dir))))
+                .unwrap();
+        assert!(
+            warm.cache_hits > 0 && warm.fresh_states > 0,
+            "a partial cache"
+        );
+
+        let cache = Some(CacheConfig::read_write(&cache_dir));
+        suspend(cache.clone(), &ckpt, 1);
+        assert_eq!(manifest_of(&ckpt).floor, warm.cache_hits as u64);
+        let resumed = ExploreOptions::serial()
+            .with_cache(cache)
+            .with_checkpoint(Some(CheckpointConfig::at(&ckpt)));
+        assert_same(&warm, &crw_run(resumed).unwrap(), "resumed warm run");
+        assert!(!ckpt.join(MANIFEST_NAME).exists() && segment_files(&ckpt).is_empty());
+        let roles: Vec<Role> = manifest_of(&cache_dir)
+            .segments
+            .iter()
+            .map(|s| s.0)
+            .collect();
+        assert_eq!(roles, [Role::Seed, Role::Seed]);
+    }
+
+    /// A run suspended over a cache seed, resumed without the cache: the
+    /// seed floor ignores the resume segments, and the run is the cold
+    /// run.
+    #[test]
+    fn a_resume_without_its_cache_is_ignored_below_the_floor() {
+        let dir = SpillDir::create(None).unwrap();
+        let (cache_dir, ckpt) = (dir.path().join("cache"), dir.path().join("ckpt"));
+        partial_cache(&cache_dir);
+        suspend(Some(CacheConfig::read(&cache_dir)), &ckpt, 1);
+        assert!(manifest_of(&ckpt).floor > 0);
+
+        let cold = crw_run(ExploreOptions::serial()).unwrap();
+        let resumed =
+            crw_run(ExploreOptions::serial().with_checkpoint(Some(CheckpointConfig::at(&ckpt))))
+                .unwrap();
+        assert_same(&cold, &resumed, "resume below the floor");
+        assert_eq!(resumed.cache_hits, 0);
+        assert!(!ckpt.join(MANIFEST_NAME).exists() && segment_files(&ckpt).is_empty());
+    }
+
+    /// One directory as both cache and checkpoint: after completion the
+    /// manifest lists only seed segments, no resume file is left, and a
+    /// file the commits did not write is untouched.
+    #[test]
+    fn one_directory_for_cache_and_checkpoint_ends_with_seeds_only() {
+        let dir = SpillDir::create(None).unwrap();
+        let both = dir.path().join("both");
+        std::fs::create_dir_all(&both).unwrap();
+        std::fs::write(both.join("archive.seg"), b"not ours").unwrap();
+        let cache = Some(CacheConfig::read_write(&both));
+        suspend(cache.clone(), &both, 1);
+        let listed = manifest_of(&both).segments;
+        assert!(
+            listed.iter().all(|(role, _)| *role == Role::Resume),
+            "{listed:?}"
+        );
+
+        let resumed = ExploreOptions::serial()
+            .with_cache(cache.clone())
+            .with_checkpoint(Some(CheckpointConfig::at(&both)));
+        let cold = crw_run(ExploreOptions::serial()).unwrap();
+        assert_same(
+            &cold,
+            &crw_run(resumed).unwrap(),
+            "resumed in one directory",
+        );
+        let listed = manifest_of(&both).segments;
+        assert!(
+            listed.iter().all(|(role, _)| *role == Role::Seed),
+            "{listed:?}"
+        );
+        let names: Vec<String> = listed.into_iter().map(|(_, name)| name).collect();
+        assert_eq!(segment_files(&both), names, "no resume file is left");
+        assert_eq!(
+            std::fs::read(both.join("archive.seg")).unwrap(),
+            b"not ours"
+        );
+
+        // The seeds are the whole image: a warm run is answered by them.
+        let warm = crw_run(ExploreOptions::serial().with_cache(cache)).unwrap();
+        assert_eq!(warm.cache_hits, warm.distinct_states);
     }
 }

@@ -38,10 +38,10 @@
 //!   honored only after the walk has memoized at least one *fresh*
 //!   configuration this session, so a resume chain always terminates in
 //!   at most `distinct_states` sessions even at `max_steps = 0`;
-//! * **suspension** — a refused walk serializes the memo's fresh delta
-//!   and nothing of its stack; why that image is resumable, and what
-//!   pins the resumed report to the uninterrupted one, is
-//!   [`crate::checkpoint`]'s header.
+//! * **suspension** — a refused walk commits the memo's fresh delta as a
+//!   resume segment and nothing of its stack; why that image is
+//!   resumable, and what pins the resumed report to the uninterrupted
+//!   one, is [`crate::cache`]'s header.
 
 use std::time::Instant;
 
@@ -62,11 +62,6 @@ pub enum BudgetKind {
     /// distinct-state budget — routed
     /// through the checkpoint path when one is configured.
     States,
-    /// Not a limit at all: a periodic crash-safety snapshot
-    /// ([`crate::CheckpointConfig::autosave_every`]).  Never refuses a
-    /// step — it only labels the checkpoint manifest so a resume can
-    /// tell a mid-run autosave from a budget suspension.
-    Autosave,
 }
 
 impl std::fmt::Display for BudgetKind {
@@ -76,7 +71,6 @@ impl std::fmt::Display for BudgetKind {
             BudgetKind::Deadline => "deadline",
             BudgetKind::MemoBytes => "memo-bytes",
             BudgetKind::States => "states",
-            BudgetKind::Autosave => "autosave",
         })
     }
 }

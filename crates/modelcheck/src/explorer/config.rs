@@ -408,10 +408,10 @@ pub struct ExploreOptions {
     /// chain converges to the uninterrupted report.
     pub budget: WalkBudget,
     /// Checkpoint directory for suspended walks ([`crate::checkpoint`]):
-    /// `Some` makes budget suspensions (and `StateLimit` aborts) write a
+    /// `Some` makes budget suspensions (and `StateLimit` aborts) commit a
     /// resumable fresh-delta segment there, and makes a later run with a
-    /// matching fingerprint resume from it (the artifact is consumed on
-    /// successful completion).  `None` (the default) keeps the
+    /// matching fingerprint resume from it (the resume segments are
+    /// dropped on successful completion).  `None` (the default) keeps the
     /// historical behavior: interrupts discard partial work.
     pub checkpoint: Option<CheckpointConfig>,
 }

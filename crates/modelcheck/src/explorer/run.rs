@@ -8,16 +8,16 @@
 //! Every engine is the same three steps around one crate-private `Run`:
 //!
 //! * **open** — start the deadline clock (budgets bound the whole call,
-//!   not one walk), fingerprint the run, build the shared state, seed
-//!   the memo from the persistent cache when its fingerprint matches,
-//!   and resume a checkpoint when one is there.  Seeding is **all or
-//!   nothing**: a seeded parent hides its descendants from the walk, so
-//!   an artifact that breaks mid-import (corrupt segment, bad CRC,
-//!   undecompressable record) would be result-correct for the root but
-//!   silently shrink `distinct_states` and the census.  A broken cache
-//!   or checkpoint therefore costs the whole memo, which is rebuilt and
-//!   re-seeded from whatever is still intact; a checkpoint suspended at
-//!   another symmetry strength is a hard
+//!   not one walk), fingerprint the run, build the shared state, open
+//!   one [`crate::cache`] session per directory the cache and the
+//!   checkpoint name, and import their seed segments, then their resume
+//!   segments.  Seeding is **all or nothing**: a seeded parent hides its
+//!   descendants from the walk, so a segment that breaks mid-import
+//!   (corrupt segment, bad CRC, undecompressable record) would be
+//!   result-correct for the root but silently shrink `distinct_states`
+//!   and the census.  A broken segment therefore costs the whole memo,
+//!   which is rebuilt and re-seeded from whatever is still intact; resume
+//!   segments keyed at another symmetry strength are a hard
 //!   [`ExploreError::CheckpointStrength`] refusal;
 //! * **work** — whatever fills the memo ahead of the final walk.
 //!   Nothing, for `explore_with`, which *is* the zero-worker run; one
@@ -30,11 +30,11 @@
 //! * **finish** — honor a deadline that passed during a work phase that
 //!   made progress (everything merged rides into the checkpoint), run
 //!   the canonical root walk under the budget, build the census and
-//!   witness, commit the fresh delta to the cache, and consume the
-//!   checkpoint the run resumed from.  Every way of stopping short — an
-//!   exhausted [`WalkBudget`] limit, or a `StateLimit` abort when a
+//!   witness, then commit: a seed segment to a read-write cache, and the
+//!   checkpoint's resume segments dropped.  Every way of stopping short —
+//!   an exhausted [`WalkBudget`] limit, or a `StateLimit` abort when a
 //!   checkpoint is configured — leaves through one suspend path that
-//!   serializes the fresh memo delta and returns
+//!   commits the fresh memo delta as a resume segment and returns
 //!   [`ExploreError::Interrupted`].
 
 use std::hash::Hash;
@@ -50,7 +50,7 @@ use super::config::{CheckableProtocol, ExploreConfig, ExploreOptions, WalkBudget
 use super::report::{build_report, ExploreError, ExploreReport, Summary, Terminals, Witness};
 use super::walker::{Interrupt, Shared, StepWalker, Walker};
 use crate::cache::{CacheConfig, CacheSession};
-use crate::checkpoint::{self, CheckpointConfig, CheckpointLoad};
+use crate::manifest::Role;
 use crate::spill::SpillCodec;
 
 /// One exploration run, the spine every engine shares: [`open`](Self::open)
@@ -67,12 +67,12 @@ where
     pub(crate) shared: Shared<'a, P>,
     /// The true initial configuration, ready to step.
     pub(crate) root: Stepper<P>,
-    /// Records imported from a resumed checkpoint (0 when none).
+    /// Records imported from resume segments (0 when none).
     pub(crate) resumed: u64,
     /// Threads, budget and checkpoint directory of the finishing walk.
     engine: &'a ExploreOptions,
-    session: CacheSession,
-    fingerprint: u64,
+    /// One per directory the cache and the checkpoint name.
+    sessions: Vec<CacheSession>,
     /// Entry instant: the deadline bounds the whole run, not one walk.
     started: Instant,
     /// Memo size once `open` has seeded it — what came from a cache or a
@@ -86,16 +86,16 @@ where
     P::Output: Hash + SpillCodec,
 {
     /// Opens a run: starts the deadline clock, fingerprints the run,
-    /// builds the shared state, seeds the memo from `cache` when its
-    /// fingerprint matches, and resumes `engine.checkpoint` when one is
-    /// there — the memo seeded all or nothing (module docs; a broken
-    /// cache turns its session stale, so it re-seeds nothing and a
-    /// ReadWrite commit replaces it with this run's full image).
+    /// builds the shared state, opens its [`CacheSession`]s and imports
+    /// every seed segment, then every resume segment — the memo seeded
+    /// all or nothing (module docs).  A broken seed turns its session
+    /// stale, so the retry imports nothing from it and a ReadWrite commit
+    /// replaces it; a broken resume is not retried.
     ///
-    /// A resumed checkpoint's records import as *fresh* — relative to
-    /// the cache they are exactly what the suspended run added — so the
-    /// final commit still writes a complete delta and `cache_hits`
-    /// matches an uninterrupted run.
+    /// Resume segments import as *fresh* — relative to the cache they
+    /// are exactly what the suspended run added — so the final commit
+    /// still writes a complete delta and `cache_hits` matches an
+    /// uninterrupted run.
     pub(crate) fn open(
         system: SystemConfig,
         config: ExploreConfig,
@@ -105,158 +105,165 @@ where
         initial: Vec<P>,
     ) -> Result<Self, ExploreError> {
         let started = Instant::now();
-        // A stale or absent cache is reported (loudly) by the session
-        // and ignored.
         let fingerprint = crate::cache::run_fingerprint(system, &config, &initial, proposals);
-        let mut session = CacheSession::open(cache, fingerprint);
         let root = Stepper::new(system, config.model, TraceLevel::Off, initial.clone())
             .map_err(ExploreError::Engine)?;
+        let mut shared = Shared::new(system, config, engine, proposals, initial)?;
+        let checkpoint = engine.checkpoint.as_ref();
+        let strength = shared.plan.strength();
+        let mut sessions =
+            CacheSession::open_all(cache.as_ref(), checkpoint, fingerprint, strength)?;
         let validator = crate::memo::entry_validator::<P>(system.t());
-        let mut cache_seeded = |initial: Vec<P>| -> Result<Shared<'a, P>, ExploreError> {
-            let shared = Shared::new(system, config, engine, proposals, initial)?;
-            if session.seed(&shared.memo, validator).is_some() {
-                return Ok(shared);
+        let mut resume = true;
+        let resumed = 'imported: loop {
+            let mut resumed = 0;
+            let roles: &[Role] = if resume {
+                &[Role::Seed, Role::Resume]
+            } else {
+                &[Role::Seed]
+            };
+            for &role in roles {
+                for session in &mut sessions {
+                    let Some(records) = session.import(&shared.memo, role, validator) else {
+                        // The partial image goes, memo and all.
+                        resume &= role == Role::Seed;
+                        let initial = std::mem::take(&mut shared.initial);
+                        shared = Shared::new(system, config, engine, proposals, initial)?;
+                        continue 'imported;
+                    };
+                    if role == Role::Resume {
+                        resumed += records;
+                    }
+                }
             }
-            // Broken cache: the partial seed goes, memo and all.
-            Shared::new(system, config, engine, proposals, shared.initial)
+            break resumed;
         };
-        let mut shared = cache_seeded(initial)?;
-        let mut resumed = 0;
-        if let Some(ckpt) = &engine.checkpoint {
-            match checkpoint::load_checkpoint(
-                ckpt,
-                fingerprint,
-                shared.plan.strength(),
-                &shared.memo,
-                validator,
-            ) {
-                CheckpointLoad::Loaded { records } => resumed = records,
-                CheckpointLoad::Absent => {}
-                // A strength flip is a hard refusal, not a loud restart:
-                // the user asked to resume a specific suspended image,
-                // and that image lives in another strength's key space.
-                CheckpointLoad::StrengthMismatch { found } => {
-                    return Err(ExploreError::CheckpointStrength {
-                        found,
-                        expected: shared.plan.strength(),
-                    });
-                }
-                CheckpointLoad::Broken => {
-                    shared = cache_seeded(std::mem::take(&mut shared.initial))?;
-                }
-            }
-        }
         let baseline = shared.memo.len();
         Ok(Run {
             shared,
             root,
             resumed,
             engine,
-            session,
-            fingerprint,
+            sessions,
             started,
             baseline,
         })
     }
 
-    /// The cache segments `open` seeded the memo from.
+    /// The seed segments `open` seeded the memo from.
     pub(crate) fn cache_segments(&self) -> Vec<PathBuf> {
-        self.session.segments()
+        (self.sessions.iter())
+            .flat_map(|session| session.segments(Role::Seed))
+            .collect()
     }
 
     /// Finishes a run: the canonical root walk over whatever the memo
     /// holds by now (everything, for a distributed run's replay; only
-    /// the seeds, for `explore_with`), then census and witness, cache
-    /// commit, and consumption of the checkpoint the run resumed from.
-    /// Also returns the seconds the walk and the report took.
+    /// the seeds, for `explore_with`), then census and witness, and each
+    /// session's finishing commit — a seed segment to a read-write
+    /// cache, the checkpoint's resume segments dropped.  Also returns
+    /// the seconds the walk and the report took.
     ///
-    /// Every way of stopping short goes through
-    /// [`suspend`](Self::suspend) here: the deadline having already
-    /// passed during a work phase that made progress (that phase runs
-    /// unbounded, so the deadline is honored at the boundary and
-    /// everything merged rides into the checkpoint), a budget the walk
-    /// itself exhausts, and — when a checkpoint is configured, so that
-    /// the partial memo survives for a rerun with a raised budget — a
-    /// `StateLimit` abort.
+    /// Every way of stopping short goes through [`suspend`] here: the
+    /// deadline having already passed during a work phase that made
+    /// progress (that phase runs unbounded, so the deadline is honored
+    /// at the boundary and everything merged rides into the checkpoint),
+    /// a budget the walk itself exhausts, and — when a checkpoint is
+    /// configured, so that the partial memo survives for a rerun with a
+    /// raised budget — a `StateLimit` abort.
     pub(crate) fn finish(self) -> Result<(ExploreReport<P::Output>, f64, f64), ExploreError> {
-        let Run { engine, shared, .. } = &self;
+        let Run {
+            shared,
+            root,
+            engine,
+            mut sessions,
+            started,
+            baseline,
+            ..
+        } = self;
         if let Some(deadline) = engine.budget.deadline {
-            if self.started.elapsed() >= deadline && shared.memo.len() > self.baseline {
-                return Err(self.suspend(BudgetKind::Deadline));
+            if started.elapsed() >= deadline && shared.memo.len() > baseline {
+                return Err(suspend(&shared, &mut sessions, BudgetKind::Deadline));
             }
         }
         let autosave = engine.checkpoint.as_ref().and_then(|ckpt| {
-            ckpt.autosave_every.map(|every| Autosave {
-                config: ckpt,
-                fingerprint: self.fingerprint,
-                every: every.max(1),
+            Some(Autosave {
+                every: ckpt.autosave_every?.max(1),
+                session: sessions.iter_mut().find(|s| s.resumes())?,
             })
         });
         let walk_start = Instant::now();
-        let root = match walk_roots(
-            shared,
+        let outcome = walk_roots(
+            &shared,
             engine.threads,
-            vec![self.root.clone()],
+            vec![root],
             &engine.budget,
-            self.started,
+            started,
             autosave,
-        ) {
+        );
+        let root = match outcome {
             Ok(WalkOutcome::Done(mut summaries)) => summaries.pop().expect("one root, one summary"),
-            Ok(WalkOutcome::Suspended { reason }) => return Err(self.suspend(reason)),
+            Ok(WalkOutcome::Suspended { reason }) => {
+                return Err(suspend(&shared, &mut sessions, reason));
+            }
             Err(ExploreError::StateLimit { .. }) if engine.checkpoint.is_some() => {
-                return Err(self.suspend(BudgetKind::States));
+                return Err(suspend(&shared, &mut sessions, BudgetKind::States));
             }
             Err(error) => return Err(error),
         };
         let walk_seconds = walk_start.elapsed().as_secs_f64();
         let report_start = Instant::now();
         let witness = (root.violating)
-            .then(|| reconstruct_witness(&mut Walker::new(shared)))
+            .then(|| reconstruct_witness(&mut Walker::new(&shared)))
             .transpose()?;
         let report = build_report(&shared.memo, root, witness)?;
         let report_seconds = report_start.elapsed().as_secs_f64();
-        self.session.commit(&shared.memo);
-        if let Some(ckpt) = &engine.checkpoint {
-            checkpoint::consume_checkpoint(ckpt);
+        for session in &mut sessions {
+            session.finish(&shared.memo);
         }
         Ok((report, walk_seconds, report_seconds))
     }
+}
 
-    /// Serializes the suspended run's fresh memo delta (when a
-    /// checkpoint directory is configured) and builds the
-    /// [`ExploreError::Interrupted`] to return.  The exploration is
-    /// quiescent here — every walker joined before [`walk_roots`]
-    /// returned — so the memo image is descendant-closed (inserts happen
-    /// only at frame pop / terminal entry).
-    fn suspend(&self, reason: BudgetKind) -> ExploreError {
-        let memo = &self.shared.memo;
-        let written = self.engine.checkpoint.as_ref().and_then(|ckpt| {
-            let strength = self.shared.plan.strength();
-            checkpoint::write_checkpoint(ckpt, self.fingerprint, strength, reason, memo)
-        });
-        ExploreError::Interrupted {
-            reason,
-            checkpoint: written,
-            states: memo.len(),
-        }
+/// Commits the suspended run's fresh memo delta as a resume segment of
+/// the checkpoint directory (when one is configured) and builds the
+/// [`ExploreError::Interrupted`] to return.  The exploration is
+/// quiescent here — every walker joined before [`walk_roots`] returned —
+/// so the memo image is descendant-closed (inserts happen only at frame
+/// pop / terminal entry).
+fn suspend<P>(
+    shared: &Shared<'_, P>,
+    sessions: &mut [CacheSession],
+    reason: BudgetKind,
+) -> ExploreError
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    let memo = &shared.memo;
+    let checkpoint = (sessions.iter_mut().find(|s| s.resumes())).and_then(|s| {
+        s.commit(memo, Some(Role::Resume))
+            .then(|| s.dir().to_path_buf())
+    });
+    ExploreError::Interrupted {
+        reason,
+        checkpoint,
+        states: memo.len(),
     }
 }
 
 /// Periodic crash-safety snapshotting for [`walk_roots`]
-/// ([`CheckpointConfig::autosave_every`]): at `Yield` points, once at
-/// least `every` steps have passed since the last save, the walk's
-/// fresh memo delta is rewritten as a checkpoint labelled
-/// [`BudgetKind::Autosave`].
+/// ([`crate::CheckpointConfig::autosave_every`]): at `Yield` points, once
+/// at least `every` steps have passed since the last save, the walk's
+/// fresh memo delta is committed to `session` as a resume segment.
 ///
 /// Only honored on single-threaded walks: with stealers running, a
 /// mid-walk export scan can race a concurrent insert across shards (a
 /// parent landing in a later-scanned shard after its child's shard was
 /// scanned) and break the descendant-closure the resume path relies on.
 /// A one-walker memo is trivially quiescent at every step boundary.
-#[derive(Clone, Copy)]
-pub(crate) struct Autosave<'c> {
-    pub(crate) config: &'c CheckpointConfig,
-    pub(crate) fingerprint: u64,
+pub(crate) struct Autosave<'s> {
+    pub(crate) session: &'s mut CacheSession,
     pub(crate) every: u64,
 }
 
@@ -308,8 +315,8 @@ where
     let autosave = autosave.filter(|_| threads == 1);
     let result_slot: Slot<P::Output> = Mutex::new(None);
     // Handed to worker 0 through a mutex so the closure only needs the
-    // steppers to be `Send`, not `Sync`.
-    let root_handoff = Mutex::new(Some(roots));
+    // steppers and the autosave session to be `Send`, not `Sync`.
+    let handoff = Mutex::new(Some((roots, autosave)));
 
     run_on_workers(threads, |worker| {
         if worker == 0 {
@@ -317,7 +324,7 @@ where
             // the calling thread.  Close the queue however we exit
             // (including by panic), so stealers never block forever.
             let _closer = QueueCloser(&shared.queue);
-            let roots = root_handoff
+            let (roots, autosave) = handoff
                 .lock()
                 .expect("root handoff poisoned")
                 .take()
@@ -377,7 +384,7 @@ fn drive_primary<P>(
     roots: Vec<Stepper<P>>,
     budget: &WalkBudget,
     started: Instant,
-    autosave: Option<Autosave<'_>>,
+    mut autosave: Option<Autosave<'_>>,
 ) -> Result<WalkOutcome<P::Output>, Interrupt>
 where
     P: CheckableProtocol,
@@ -404,15 +411,9 @@ where
             StepStatus::Running => {}
             StepStatus::Done => return Ok(WalkOutcome::Done(stepped.into_summaries())),
             StepStatus::Yielded => {
-                if let Some(save) = &autosave {
+                if let Some(save) = &mut autosave {
                     if step.steps - last_saved >= save.every && step.distinct_states > baseline {
-                        checkpoint::write_checkpoint(
-                            save.config,
-                            save.fingerprint,
-                            shared.plan.strength(),
-                            BudgetKind::Autosave,
-                            &shared.memo,
-                        );
+                        save.session.commit(&shared.memo, Some(Role::Resume));
                         last_saved = step.steps;
                     }
                 }

@@ -30,7 +30,9 @@ use super::run::{walk_roots, Autosave};
 use super::testkit::*;
 use super::walker::{Interrupt, Shared, StepWalker, Walker};
 use super::{explore, explore_with};
-use crate::checkpoint::{self, CheckpointConfig, CheckpointLoad};
+use crate::cache::CacheSession;
+use crate::checkpoint::CheckpointConfig;
+use crate::manifest::Role;
 use crate::memo::MemoConfig;
 use crate::spill::SpillCodec;
 
@@ -1076,6 +1078,9 @@ fn autosave_snapshots_survive_an_unclean_abort() {
     )
     .unwrap();
     let root = Stepper::new(system, config.model, TraceLevel::Off, procs.clone()).unwrap();
+    let strength = shared.plan.strength();
+    let open = || CacheSession::open_all(None, Some(&ckpt), 42, strength).unwrap();
+    let mut sessions = open();
     let err = match walk_roots(
         &shared,
         1,
@@ -1083,8 +1088,7 @@ fn autosave_snapshots_survive_an_unclean_abort() {
         &WalkBudget::unlimited(),
         Instant::now(),
         Some(Autosave {
-            config: &ckpt,
-            fingerprint: 42,
+            session: &mut sessions[0],
             every: 4,
         }),
     ) {
@@ -1095,17 +1099,10 @@ fn autosave_snapshots_survive_an_unclean_abort() {
     // The abort itself wrote nothing — whatever is on disk came from
     // the periodic autosaves during the walk.
     let probe = Shared::new(system, config, &ExploreOptions::serial(), &proposals, procs).unwrap();
-    match checkpoint::load_checkpoint(
-        &ckpt,
-        42,
-        probe.plan.strength(),
-        &probe.memo,
-        crate::memo::entry_validator::<Flooder>(system.t()),
-    ) {
-        CheckpointLoad::Loaded { records } => {
-            assert!(records > 0, "autosave captured fresh states");
-        }
-        other => panic!("expected a loadable autosave checkpoint, got {other:?}"),
+    let validator = crate::memo::entry_validator::<Flooder>(system.t());
+    match open()[0].import(&probe.memo, Role::Resume, validator) {
+        Some(records) => assert!(records > 0, "autosave captured fresh states"),
+        None => panic!("expected a loadable autosave checkpoint"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,10 +12,10 @@
 //!   supervised retry schedule replays it identically every run.
 //! * **IO faults** ([`IoFault`], [`install_io_fault`]): a shim over the
 //!   workspace's write choke points — framed spill/export records and
-//!   cache/checkpoint manifests — that fails, tears, or ENOSPC-s the
-//!   `n`-th write the arming (coordinator) thread makes.  This proves the
-//!   loud-replace and all-or-nothing manifest guarantees under injected
-//!   damage rather than hand-mangled files.
+//!   the manifest caches and checkpoints share — that fails, tears, or
+//!   ENOSPC-s the `n`-th write the arming (coordinator) thread makes.
+//!   This proves the loud-replace and all-or-nothing manifest guarantees
+//!   under injected damage rather than hand-mangled files.
 //!
 //! Plans come from `--fault` on `twostep-dist` or the `TWOSTEP_FAULT`
 //! environment variable (garbage warns once and is ignored, per the
@@ -403,9 +403,10 @@ pub fn lying_frontier(true_frontier: usize) -> usize {
 
 /// One injected IO failure, applied to the `n`-th (1-based) write that
 /// passes through the workspace's write choke points: framed
-/// spill/export records ([`crate::spill`]) and cache/checkpoint manifest
-/// temp files.  Writes after the `n`-th succeed again — one determinate
-/// injury, so tests can assert the exact recovery path.
+/// spill/export records ([`crate::spill`]) and the temp files of the one
+/// manifest caches and checkpoints share.  Writes after the `n`-th
+/// succeed again — one determinate injury, so tests can assert the exact
+/// recovery path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoFault {
     /// The write fails outright; nothing reaches the file.
@@ -546,7 +547,7 @@ pub(crate) fn injected_io_error(tap: IoTap) -> std::io::Error {
 }
 
 /// `std::fs::write` with the IO shim applied: the whole-file write used
-/// for cache/checkpoint manifest temp files.  A torn write leaves the
+/// for manifest temp files ([`crate::cache`]).  A torn write leaves the
 /// first half of `contents` on disk before failing.
 pub(crate) fn shim_fs_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     if let Some(tap) = tap_write() {

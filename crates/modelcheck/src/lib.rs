@@ -30,13 +30,17 @@
 //!   fixed-width hashes, written and read back a block at a time
 //!   (module [`spill`]), so the reachable `(n, t)` is bounded by disk,
 //!   not RAM;
+//! * [`cache`] — persistent, fingerprinted memo segments with one
+//!   manifest per directory: *seed* segments warm-start a run, *resume*
+//!   segments let a suspended one finish ([`CheckpointConfig`] — a
+//!   checkpoint directory is a cache directory), under one commit rule;
 //! * one run spine — every engine opens a run the same way (deadline
-//!   clock, fingerprint, cache seed, checkpoint resume, all-or-nothing
-//!   memo), differs only in the *work* that fills the memo, and finishes
-//!   it the same way (root walk, report, cache commit); [`explore_with`]
-//!   is the run with no work phase, and module [`dist`] adds the one
-//!   that uses worker OS processes — one coordinator loop and one
-//!   supervision rule under two plans, both bit-identical to the serial
+//!   clock, fingerprint, seed then resume imports, all-or-nothing memo),
+//!   differs only in the *work* that fills the memo, and finishes it the
+//!   same way (root walk, report, one commit per directory);
+//!   [`explore_with`] is the run with no work phase, and module [`dist`]
+//!   adds the one that uses worker OS processes — one coordinator loop
+//!   and one supervision rule under two plans, both bit-identical to the serial
 //!   report with crashed workers validated out and retried:
 //!   [`explore_partitioned_timed`] / [`run_worker`] hash-partition the
 //!   depth-`d` frontier, and [`explore_elastic_timed`] /

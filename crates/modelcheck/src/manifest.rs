@@ -1,9 +1,14 @@
-//! What the manifests of [`crate::cache`] and [`crate::checkpoint`] have
-//! in common: the envelope they are sealed in — magic, version, body,
-//! CRC32 trailer, written to a temporary name and renamed into place —
-//! and the two hygiene rules both directories keep: a manifest names only
-//! flat files of its own directory, and a cleanup removes only files that
-//! follow its owner's naming.
+//! The one manifest of a cache directory ([`crate::cache`]): which of
+//! the directory's segment files a run may trust, and as what.
+//!
+//! It binds a list of segments, each tagged with its [`Role`], to the
+//! run fingerprint and symmetry strength they were produced under and to
+//! the *seed floor* their resume segments need.  It is sealed like every
+//! other artifact — magic, version, body, CRC32 trailer — and written to
+//! a temporary name, then renamed into place.  Two hygiene rules: a
+//! manifest names only flat files of its own directory, and a cleanup
+//! removes only files that follow the segment naming
+//! `seg-<16 hex fingerprint>-<index>.seg` (six digits or more).
 
 use std::path::Path;
 
@@ -11,83 +16,183 @@ use twostep_model::codec::take;
 
 use crate::spill::{crc32, SpillCodec, SpillError};
 
-/// One kind of manifest file.
-pub(crate) struct Envelope {
-    /// The manifest's file name inside its directory.
-    pub(crate) file_name: &'static str,
-    /// First 8 bytes of the file.
-    pub(crate) magic: [u8; 8],
-    /// Format version of the body.
-    pub(crate) version: u32,
+/// File name of the manifest inside a cache directory.
+pub const MANIFEST_NAME: &str = "manifest.twocache";
+
+/// First 8 bytes of the manifest.
+const MAGIC: [u8; 8] = *b"TWOCACHE";
+
+/// Manifest format version; independent of the segment
+/// [`FORMAT_VERSION`](crate::spill::FORMAT_VERSION), which is
+/// fingerprinted separately.  Version 2 made it the manifest of
+/// checkpoints too: the strength byte, the seed floor and a role per
+/// segment.
+pub(crate) const CACHE_FORMAT_VERSION: u32 = 2;
+
+/// What a segment holds, relative to the run that reads it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// A finished run's memo delta: imported as seeded, so it counts
+    /// toward `cache_hits`; every commit keeps it.
+    Seed = 0,
+    /// A suspended run's fresh delta: imported as fresh, so the resumed
+    /// report equals the uninterrupted one; every commit of a run whose
+    /// checkpoint names the directory drops it, because the new delta
+    /// holds it.
+    Resume = 1,
 }
 
-impl Envelope {
-    /// Seals the body `write_body` appends: magic and version before it,
-    /// the CRC32 of all three after.
-    pub(crate) fn seal(&self, write_body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut out = self.magic.to_vec();
-        self.version.encode(&mut out);
-        write_body(&mut out);
+/// A parsed manifest.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Manifest {
+    /// [`crate::cache::run_fingerprint`] of the run that wrote the
+    /// segments.
+    pub(crate) fingerprint: u64,
+    /// The symmetry-canonicalization strength the segments are keyed at
+    /// (the `SymmetryPlan::strength` byte).  The fingerprint covers it
+    /// too; it is kept apart so that a resume at another strength is a
+    /// precise hard refusal rather than a foreign-run shrug.
+    pub(crate) strength: u8,
+    /// Seeded entries the last suspension ran over: its resume segments
+    /// are descendant-closed only above a seed at least this large.
+    pub(crate) floor: u64,
+    /// The segments, oldest first.
+    pub(crate) segments: Vec<(Role, String)>,
+}
+
+impl Manifest {
+    /// A manifest listing nothing.
+    pub(crate) fn empty(fingerprint: u64, strength: u8) -> Manifest {
+        Manifest {
+            fingerprint,
+            strength,
+            floor: 0,
+            segments: Vec::new(),
+        }
+    }
+
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        CACHE_FORMAT_VERSION.encode(&mut out);
+        self.fingerprint.encode(&mut out);
+        out.push(self.strength);
+        self.floor.encode(&mut out);
+        (self.segments.len() as u32).encode(&mut out);
+        for (role, name) in &self.segments {
+            out.push(*role as u8);
+            (name.len() as u32).encode(&mut out);
+            out.extend_from_slice(name.as_bytes());
+        }
         crc32(&out).encode(&mut out);
         out
     }
 
-    /// The body of a sealed manifest; `None` under another magic or
-    /// version, or a CRC that does not match.
-    pub(crate) fn open<'b>(&self, bytes: &'b [u8]) -> Option<&'b [u8]> {
-        if bytes.len() < 8 + 4 + 4 || bytes[..8] != self.magic {
+    /// The manifest `bytes` hold; `None` under another magic or version,
+    /// a CRC that does not match, or a body of the wrong shape.
+    pub(crate) fn parse(bytes: &[u8]) -> Option<Manifest> {
+        if bytes.len() < MAGIC.len() + 4 + 4 || bytes[..MAGIC.len()] != MAGIC {
             return None;
         }
         let (sealed, mut crc) = bytes.split_at(bytes.len() - 4);
         if u32::decode(&mut crc)? != crc32(sealed) {
             return None;
         }
-        let mut body = &sealed[8..];
-        (u32::decode(&mut body)? == self.version).then_some(body)
+        let mut input = &sealed[MAGIC.len()..];
+        if u32::decode(&mut input)? != CACHE_FORMAT_VERSION {
+            return None;
+        }
+        let fingerprint = u64::decode(&mut input)?;
+        let strength = *take(&mut input, 1)?.first()?;
+        let floor = u64::decode(&mut input)?;
+        let count = u32::decode(&mut input)?;
+        let segments = (0..count)
+            .map(|_| {
+                let role = match take(&mut input, 1)?.first()? {
+                    0 => Role::Seed,
+                    1 => Role::Resume,
+                    _ => return None,
+                };
+                Some((role, take_name(&mut input)?))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        input.is_empty().then_some(Manifest {
+            fingerprint,
+            strength,
+            floor,
+            segments,
+        })
     }
 
-    /// Atomically (write-then-rename) puts `sealed` into `dir`.
-    pub(crate) fn write(&self, dir: &Path, sealed: &[u8]) -> Result<(), SpillError> {
-        let tmp = dir.join(format!("{}.tmp-{}", self.file_name, std::process::id()));
-        crate::faults::shim_fs_write(&tmp, sealed)
+    /// Atomically (write-then-rename) puts the manifest into `dir`.
+    pub(crate) fn write(&self, dir: &Path) -> Result<(), SpillError> {
+        let tmp = dir.join(format!("{MANIFEST_NAME}.tmp-{}", std::process::id()));
+        crate::faults::shim_fs_write(&tmp, &self.to_bytes())
             .map_err(|e| SpillError::io(&format!("writing manifest {}", tmp.display()), e))?;
-        std::fs::rename(&tmp, dir.join(self.file_name))
+        std::fs::rename(&tmp, dir.join(MANIFEST_NAME))
             .map_err(|e| SpillError::io("renaming manifest into place", e))
     }
-}
-
-/// Appends a segment's file name to a manifest body.
-pub(crate) fn put_name(name: &str, out: &mut Vec<u8>) {
-    (name.len() as u32).encode(out);
-    out.extend_from_slice(name.as_bytes());
 }
 
 /// Reads a segment's file name back.  Segment names are flat file names
 /// inside the manifest's directory; a name that escapes it is not
 /// something we ever wrote.
-pub(crate) fn take_name(input: &mut &[u8]) -> Option<String> {
+fn take_name(input: &mut &[u8]) -> Option<String> {
     let len = u32::decode(input)? as usize;
     let name = std::str::from_utf8(take(input, len)?).ok()?;
     (!name.is_empty() && !name.contains(['/', '\\']) && name != "..").then(|| name.to_string())
 }
 
-/// What stands between `<prefix><16 hex fingerprint>` and `.seg` in a
-/// segment file name of that shape.
-pub(crate) fn segment_suffix<'n>(name: &'n str, prefix: &str) -> Option<&'n str> {
-    let stem = name.strip_prefix(prefix)?.strip_suffix(".seg")?;
-    let (fingerprint, suffix) = stem.split_at_checked(16)?;
-    let hex = fingerprint.chars().all(|c| c.is_ascii_hexdigit());
-    hex.then_some(suffix)
+/// The file name of segment `index` of the run with `fingerprint`.
+pub(crate) fn segment_name(fingerprint: u64, index: u32) -> String {
+    format!("seg-{fingerprint:016x}-{index:06}.seg")
 }
 
-/// Removes the files of `dir` whose names `ours` recognizes, and nothing
-/// else: a user may point a cache or checkpoint at a directory that
-/// already holds other `.seg` files (worker exports, archived segments),
-/// and a cleanup must never destroy something its owner didn't write.
-pub(crate) fn remove_own_files(dir: &Path, ours: impl Fn(&str) -> bool) {
+/// The index of a file named like a segment, `None` for any other name.
+/// Only such files are a cleanup's to remove.
+pub(crate) fn segment_index(name: &str) -> Option<u32> {
+    let stem = name.strip_prefix("seg-")?.strip_suffix(".seg")?;
+    let (fingerprint, index) = stem.split_at_checked(16)?;
+    let index = index.strip_prefix('-')?;
+    let digits = index.len() >= 6 && index.chars().all(|c| c.is_ascii_digit());
+    let hex = fingerprint.chars().all(|c| c.is_ascii_hexdigit());
+    (hex && digits).then(|| index.parse().ok())?
+}
+
+/// Removes the segment-named files of `dir` that `listed` does not
+/// name, and nothing else: a user may point a cache or checkpoint at a
+/// directory that already holds other `.seg` files (worker exports,
+/// archived segments), and a cleanup must never destroy something it
+/// did not write.
+pub(crate) fn remove_unlisted(dir: &Path, listed: &[(Role, String)]) {
     for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
-        if entry.file_name().to_str().is_some_and(&ours) {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if segment_index(name).is_some() && !listed.iter().any(|(_, s)| s == name) {
             let _ = std::fs::remove_file(entry.path());
         }
+    }
+}
+
+/// Asserts that `manifest` round-trips, and that no single-byte
+/// corruption or truncation of its bytes parses back to it.
+#[cfg(test)]
+pub(crate) fn assert_sealed(manifest: &Manifest) {
+    let bytes = manifest.to_bytes();
+    assert_eq!(Manifest::parse(&bytes).as_ref(), Some(manifest));
+
+    // Any single-byte corruption must fail the CRC (or the shape
+    // checks) — never parse to a different manifest.
+    for i in 0..bytes.len() {
+        let mut bad = bytes.clone();
+        bad[i] ^= 0x20;
+        assert_ne!(
+            Manifest::parse(&bad).as_ref(),
+            Some(manifest),
+            "flip at byte {i} must not parse identically"
+        );
+    }
+    // Truncations never parse.
+    for cut in 0..bytes.len() {
+        assert_eq!(Manifest::parse(&bytes[..cut]), None, "cut at {cut}");
     }
 }

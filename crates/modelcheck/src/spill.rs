@@ -25,9 +25,10 @@
 //!   truncated write, a flipped bit, or a file produced by something else
 //!   entirely is detected *before* its bytes are interpreted — a
 //!   requirement once files travel between processes.  Compression is a
-//!   property of **interchange** files (exports, cache segments,
-//!   checkpoint images), flagged in their header; the run-private spill
-//!   segments are written flag-clear, their records stored as they are.
+//!   property of **interchange** files (exports, and the seed and resume
+//!   segments of a cache directory), flagged in their header; the
+//!   run-private spill segments are written flag-clear, their records
+//!   stored as they are.
 //!   Three access paths:
 //!   `SegmentStore` (one memo shard's append-only spill storage,
 //!   random-access by `SpillRef`, rotated every `SEGMENT_BYTES`; it
@@ -758,8 +759,9 @@ pub(crate) struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// A compressed export file — the uniform default for exports, cache
-    /// segments, checkpoint images and dist interchange segments.
+    /// A compressed export file — the uniform default for exports, the
+    /// seed and resume segments of a cache directory, and dist
+    /// interchange segments.
     pub(crate) fn create(path: &Path) -> Result<Self, SpillError> {
         Self::create_flagged(path, FLAG_COMPRESSED)
     }

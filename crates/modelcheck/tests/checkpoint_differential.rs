@@ -7,7 +7,9 @@
 //! Every intermediate error must be `ExploreError::Interrupted` carrying
 //! the checkpoint directory, each session must make progress (the resume
 //! chain is bounded by the distinct-state count), and the successful
-//! final session must consume the checkpoint artifact.
+//! final session must consume the checkpoint artifact.  A suspension
+//! whose write fails — at any write ordinal — must never cost a later
+//! resume the checkpoint before it.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,10 +17,11 @@ use std::time::Duration;
 
 use twostep_core::crw_processes;
 use twostep_model::{SystemConfig, WideValue};
+use twostep_modelcheck::cache::MANIFEST_NAME;
 use twostep_modelcheck::{
-    explore_partitioned_in_process, explore_with, BudgetKind, CheckpointConfig, DistOptions,
-    ExploreConfig, ExploreError, ExploreOptions, ExploreReport, FaultPlan, MemoConfig, StealConfig,
-    SuperviseConfig, Symmetry, WalkBudget,
+    explore_partitioned_in_process, explore_with, install_io_fault, BudgetKind, CheckpointConfig,
+    DistOptions, ExploreConfig, ExploreError, ExploreOptions, ExploreReport, FaultPlan, IoFault,
+    MemoConfig, StealConfig, SuperviseConfig, Symmetry, WalkBudget,
 };
 
 /// A unique temp directory removed on drop (checkpoint roots).
@@ -57,6 +60,20 @@ fn assert_identical(a: &ExploreReport<WideValue>, b: &ExploreReport<WideValue>, 
         a.bivalency_by_round, b.bivalency_by_round,
         "{label}: bivalency census"
     );
+}
+
+/// A successful run consumed its checkpoint: the directory's manifest,
+/// which would list the resume segments, is gone, and so is every file
+/// — a checkpoint-only directory holds nothing else.
+fn assert_consumed(dir: &Path, label: &str) {
+    assert!(
+        !dir.join(MANIFEST_NAME).exists(),
+        "{label}: success consumes the checkpoint"
+    );
+    let left: Vec<_> = (std::fs::read_dir(dir).into_iter().flatten().flatten())
+        .map(|entry| entry.file_name())
+        .collect();
+    assert!(left.is_empty(), "{label}: left behind {left:?}");
 }
 
 fn crw_config(system: &SystemConfig, symmetry: Symmetry) -> ExploreConfig {
@@ -181,10 +198,7 @@ fn interrupted_and_resumed_matches_uninterrupted() {
                     sessions > 1,
                     "{label}: a {max_steps}-step budget must actually interrupt"
                 );
-                assert!(
-                    !dir.path().join("manifest.twockpt").exists(),
-                    "{label}: success consumes the checkpoint"
-                );
+                assert_consumed(dir.path(), &label);
             }
         }
     }
@@ -295,7 +309,7 @@ fn state_limit_leaves_a_resumable_checkpoint() {
     // cache commit exports them), so `fresh_states` can't witness the
     // fast-forward; report identity and artifact consumption do.
     assert_identical(&baseline, &resumed, "statelimit resume");
-    assert!(!dir.path().join("manifest.twockpt").exists());
+    assert_consumed(dir.path(), "statelimit resume");
 }
 
 /// The partitioned-2 engine: budgets govern the whole pipeline.  An
@@ -388,10 +402,7 @@ fn partitioned_interrupted_and_resumed_matches_uninterrupted() {
             };
             assert_identical(&baseline, &resumed, &label);
             assert!(sessions > 1, "{label}: the budget must actually interrupt");
-            assert!(
-                !dir.path().join("manifest.twockpt").exists(),
-                "{label}: success consumes the checkpoint"
-            );
+            assert_consumed(dir.path(), &label);
         }
     }
 }
@@ -443,4 +454,111 @@ fn foreign_checkpoint_is_ignored_not_imported() {
     // A foreign import would inflate `distinct_states` with run A's
     // configurations; bit-identity to the cold baseline rules it out.
     assert_identical(&baseline, &with_stale, "foreign checkpoint");
+}
+
+/// One session of the CRW (4, 3) walk, checkpointing into `dir`.
+fn crw43_session(dir: &Path, budget: WalkBudget) -> Result<ExploreReport<WideValue>, ExploreError> {
+    let system = SystemConfig::new(4, 3).unwrap();
+    let proposals = crw_proposals(4);
+    explore_with(
+        system,
+        crw_config(&system, Symmetry::Off),
+        ExploreOptions::serial()
+            .with_budget(budget)
+            .with_checkpoint(Some(CheckpointConfig::at(dir))),
+        crw_processes(&system, &proposals),
+        proposals,
+    )
+}
+
+/// `(checkpoint, states)` of a session that must have suspended.
+fn suspended(result: Result<ExploreReport<WideValue>, ExploreError>) -> (Option<PathBuf>, usize) {
+    match result {
+        Err(ExploreError::Interrupted {
+            checkpoint, states, ..
+        }) => (checkpoint, states),
+        other => panic!("expected a suspension, got {other:?}"),
+    }
+}
+
+const STEPS_200: WalkBudget = WalkBudget {
+    max_steps: Some(200),
+    deadline: None,
+    max_memo_bytes: None,
+    yield_every: None,
+};
+
+/// Resumes `dir` to completion in 200-step sessions: every session must
+/// start from at least the `last_good` states it was handed, and the
+/// composed report must be the uninterrupted one.
+fn resume_to_completion(dir: &Path, mut last_good: usize, label: &str) {
+    let system = SystemConfig::new(4, 3).unwrap();
+    let proposals = crw_proposals(4);
+    let baseline = explore_with(
+        system,
+        crw_config(&system, Symmetry::Off),
+        ExploreOptions::serial(),
+        crw_processes(&system, &proposals),
+        proposals.clone(),
+    )
+    .unwrap();
+    let report = loop {
+        match crw43_session(dir, STEPS_200) {
+            Ok(report) => break report,
+            Err(ExploreError::Interrupted {
+                checkpoint, states, ..
+            }) => {
+                assert_eq!(checkpoint.as_deref(), Some(dir), "{label}");
+                assert!(
+                    states > last_good,
+                    "{label}: suspended at {states} states after a checkpoint of {last_good}"
+                );
+                last_good = states;
+            }
+            Err(other) => panic!("{label}: unexpected error {other:?}"),
+        }
+    };
+    assert_identical(&baseline, &report, label);
+    assert_consumed(dir, label);
+}
+
+/// A rewrite that fails keeps the checkpoint before it: the new resume
+/// segment is a new file, and the manifest listing it replaces the old
+/// one only once the segment is whole.  (A rewrite that exports over the
+/// file the live manifest lists tears it, and the next resume starts
+/// over from nothing.)
+#[test]
+fn a_failed_checkpoint_rewrite_keeps_the_previous_checkpoint() {
+    let dir = TempDir::new("rewrite");
+    let (written, first) = suspended(crw43_session(dir.path(), STEPS_200));
+    assert_eq!(written.as_deref(), Some(dir.path()));
+    let fault = install_io_fault(IoFault::FailWrite(1));
+    let (written, _) = suspended(crw43_session(dir.path(), STEPS_200));
+    drop(fault);
+    assert_eq!(written, None, "the faulted rewrite fails");
+    resume_to_completion(dir.path(), first, "after a failed rewrite");
+}
+
+/// The checkpoint twin of `fault_differential`'s
+/// `any_single_torn_write_leaves_cache_trustworthy`: one faulted
+/// suspension, wherever the fault lands in its writes (segment records
+/// or manifest), never costs a clean resume the last good checkpoint,
+/// and the chain still converges to the uninterrupted report.
+#[test]
+fn any_single_faulted_suspension_keeps_the_last_good_checkpoint() {
+    for io_fault in ["torn-write", "fail-write", "enospc"] {
+        for nth in [1u64, 2, 3, 4, 5, 6, 7, 8, 16, 64, 256] {
+            let label = format!("io={io_fault}({nth})");
+            let dir = TempDir::new("faulted");
+            let (_, mut last_good) = suspended(crw43_session(dir.path(), STEPS_200));
+            let plan = FaultPlan::parse(&label).unwrap();
+            let fault = install_io_fault(plan.io.unwrap());
+            let (written, states) = suspended(crw43_session(dir.path(), STEPS_200));
+            drop(fault);
+            if written.is_some() {
+                last_good = states;
+            }
+            resume_to_completion(dir.path(), last_good, &label);
+        }
+    }
 }
