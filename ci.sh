@@ -13,7 +13,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+quick=false
 if [[ "${1:-}" == "--quick" ]]; then
+    quick=true
     export PROPTEST_CASES="${PROPTEST_CASES:-32}"
 fi
 
@@ -31,8 +33,8 @@ cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "== file-length tripwire (crates/modelcheck/src: no file over 2000 lines)"
 # Longest today: explorer/tests.rs and spill.rs (about 1 750 each),
-# then dist.rs and memo.rs (about 1 650 and 1 610); explorer/round.rs
-# keeps its tests in explorer/round/tests.rs.
+# then explorer/round.rs, dist.rs and memo.rs (about 1 670, 1 650 and
+# 1 610); explorer/round.rs keeps its tests in explorer/round/tests.rs.
 longest="$(find crates/modelcheck/src -name '*.rs' -print0 | xargs -0 wc -l | grep -v ' total$' | sort -rn | head -5)"
 echo "$longest"
 if (( $(awk 'NR == 1 { print $1 }' <<<"$longest") > 2000 )); then
@@ -207,5 +209,9 @@ echo "checkpoint OK: suspended at reason=deadline, resumed to an identical repor
 
 echo "== allocation probe (budget unarmed and armed, the quotient, and a 2%-hot spilling walk, pinned to their allocs/state budgets)"
 cargo run --release -q --example alloc_probe
+if [[ "$quick" == false ]]; then
+    echo "== allocation probe at (8, 7), where the walker's block cache fills (about 5 s; not under --quick)"
+    TWOSTEP_BENCH_N=8 TWOSTEP_BENCH_T=7 cargo run --release -q --example alloc_probe
+fi
 
 echo "CI OK"

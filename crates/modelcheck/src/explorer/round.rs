@@ -134,7 +134,35 @@
 //!    pass in silence (below), and row by row otherwise.  A row starts a
 //!    block when every slot from the cut on survives, however the cursor
 //!    got there; a round whose last slot sends has no slot past the cut,
-//!    and builds no signature;
+//!    and builds no signature.
+//!    Above the frame there is a **cache level**.  A block whose
+//!    signature its frame has not taken may have been taken by an
+//!    *earlier* frame, and the walker keeps what such blocks came to in
+//!    a [`BlockCache`] — 1 024 direct-mapped slots in one arena — keyed
+//!    by a block's **content**: the child round, the process count and
+//!    the crashes left, then the signature with every id replaced by
+//!    the record it names, so equal contents are equal child keys, row
+//!    for row.  A slot holds the block's row count, the terminals its
+//!    rows added, and its *shape*: the rest of what they folded into
+//!    their frame — worst rounds, `decided` in discovery order, the
+//!    violation flag — interned walker-wide.  To record a block, its
+//!    round keeps an accumulator for it while it is open: every summary
+//!    the frame absorbs in it, and, once each (a per-class stamp), the
+//!    class of a row that repeats one the frame absorbed before the
+//!    block opened; it is stored with the block's count when the walk
+//!    comes from its last row to the next block start.  A block the
+//!    cache holds is taken in one move as a block of the frame's table
+//!    is — one [`Summary::absorb`] of its shape, one addition — and the
+//!    frame's table records its count for the frame's later blocks of
+//!    its signature.  This is exact: equal contents lead to the same
+//!    children, which the memo already holds — it forgets none; an
+//!    eviction only moves an entry — under the same summaries; the merge
+//!    is associative (maximum, ordered-set union, OR, sum) and, but for
+//!    `terminals`, idempotent, so one absorb of the rows' fold is their
+//!    absorbs one by one; and a walker never outlives its run, so no
+//!    summary meets another run's proposals, spec or `max_rounds`.  No
+//!    state is admitted: `max_states`, step numbers and reports do not
+//!    move;
 //! 5. **the probe's miss is the child's entry** — a child nothing
 //!    answers for is a new state, and the key its probe assembled —
 //!    bytes, hash, swap orientation — is the key it is memoized under:
@@ -149,24 +177,26 @@
 //!    frame absorbs it — one step, no [`Stepper`].  Otherwise the child
 //!    is forked, stepped and its frame pushed, under the same key.
 //!
-//! At `(8, 7)` the 2 936 634 rows fall into 387 567 classes (13.2 %), so
-//! that many keys are assembled and probed — 387 568 memo probes a walk,
-//! the root's included — and the other 2 549 067 rows cost a table
-//! lookup and an addition each — or less: the walk meets 33 138 blocks
-//! (31 367 of more than one row), 13 215 of them repeat a signature
-//! their frame has taken and are taken whole, and 1 747 326 rows are
-//! never classified.  (The serial walk's unlimited budget took those
-//! rows in silence before: its 2 945 827 steps still take 396 760
-//! `step()` calls.)  Of the 47 788 children nothing answers for, 38 597
-//! are terminal and settled from their rows, under 64 distinct
-//! summaries; 9 191 are forked, stepped and expanded; the tier encoder
-//! runs on a [`Stepper`] once, for the root.  Under
-//! `partial+value` the 2 420 154 rows fall into 278 081 classes, those
-//! into 72 818 orbit classes — the keys assembled and probed — and of
-//! the 5 786 children nothing answers for 2 810 are settled from their
-//! rows and 2 976 expand; 8 652 of its 19 346 blocks are taken whole,
-//! and 1 484 224 rows never classified.  An index row can only name
-//! active processes.
+//! At `(8, 7)` the walk meets 33 138 blocks (31 367 of more than one
+//! row) in 2 936 634 rows.  13 215 repeat a signature their frame has
+//! taken; of the 18 152 others the cache holds 4 567, and those are
+//! taken whole as well — 420 633 rows — so 2 163 392 rows are never
+//! classified.  The 773 242 that are fall into 279 911 classes, and the
+//! first row of each is keyed and probed — 275 345 memo probes a walk,
+//! the root's included; the other 4 567 start a block the cache takes.
+//! Every other row costs a table lookup and an addition.  (The serial
+//! walk's unlimited budget took those rows in silence before: its
+//! 2 945 827 steps take 284 537 `step()` calls.)  Of the 47 788 children
+//! nothing answers for, 38 597 are terminal and settled from their
+//! rows, under 64 distinct summaries; 9 191 are forked, stepped and
+//! expanded; the tier encoder runs on a [`Stepper`] once, for the root.
+//! Under `partial+value` the 2 420 154 rows meet 19 346 blocks, of
+//! which the frames' tables take 8 652 and the cache 2 923 of the
+//! 10 010 others, and 1 810 614 rows are never classified; the rest
+//! fall into 201 402 classes, those into 57 011 orbit classes — the
+//! keys assembled and probed — and of the 5 786 children nothing
+//! answers for 2 810 are settled from their rows and 2 976 expand.  An
+//! index row can only name active processes.
 //! The distributed frontier expander and the steal harvester key their
 //! children the same way: the harvester builds no child at all — a
 //! probe's miss is its record — and the expander only those of a level
@@ -187,16 +217,18 @@
 //! takes a run together with the step that ends it — the next first row
 //! of a class, or the frame's pop — as far as the arbiter's
 //! `Arbiter::headroom` says no verdict but `Allow` is
-//! passed over (the serial `(8, 7)` walk: 2 945 827 steps in 396 760
+//! passed over (the serial `(8, 7)` walk: 2 945 827 steps in 284 537
 //! calls).  A block whose signature its frame has taken is such a run,
 //! every row of it a repeat, and the earlier block's count is what its
 //! rows add: it is taken in one addition when the headroom covers it,
-//! and split like any run when not.  Order cannot change because
-//! nothing is reordered: the first row of every class is where it was,
-//! so the children are entered in the same order (DFS order, memo
-//! insertion order), `decided` values are discovered in the same order
-//! (a repeat discovers none), and a budget, a yield or a deadline poll
-//! falls on the same step number.
+//! and split like any run when not.  A block the cache holds is taken
+//! under the same rule; its rows are memo hits, whose summaries its
+//! shape folds in their order.  Order cannot change because
+//! nothing is reordered: the first row of every class that is entered
+//! at all is where it was, so the children are entered in the same
+//! order (DFS order, memo insertion order), `decided` values are
+//! discovered in the same order (a repeat discovers none), and a
+//! budget, a yield or a deadline poll falls on the same step number.
 //!
 //! Soundness rests on three facts of the round semantics, all of them
 //! properties of [`Stepper::step`] (which is written on top
@@ -222,8 +254,9 @@
 //! `records_are_the_stepped_child`) fork and step after all for every
 //! key assembled from records, every row answered from a table and
 //! every child settled from its row, and `block_is_its_rows` classifies
-//! every row of a block taken whole — so each differential suite is
-//! also a differential of this.
+//! every row of a block taken whole and folds what the memo holds for
+//! each into the frame's summary from before the take — so each
+//! differential suite is also a differential of this.
 //! Enumeration order, absorb order, the one-step-per-child
 //! accounting, the stop check and the `max_states` check are where they
 //! always were: reports are bit-identical.  One thing does move: a
@@ -249,10 +282,13 @@
 //! verdict-preserving.  (Logic version v4; Off-mode reports before v4
 //! counted effect-duplicate terminals separately.)
 
-use std::hash::Hash;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use twostep_adversary::crash_outcomes_effective_into;
+use twostep_model::codec::{encode_varint, stable_hash64};
 use twostep_model::{CrashStage, ProcessId, SymmetryContext};
 use twostep_sim::{
     Decision, ProcStatus, RoundActions, RoundView, SentRound, SimError, Stepper, SyncProtocol,
@@ -354,22 +390,37 @@ where
     blocks: ClassTable<u64>,
     /// The block the walk entered at its first row and has not left.
     open_block: Option<OpenBlock>,
-    /// How many blocks the walk took in one move, and how many it found
-    /// in the table but had to split, over the round's whole life in its
-    /// walker's pool.
+    /// The open block's content ([`cursor_content`](Self::cursor_content)),
+    /// kept for the walker's [`BlockCache`] until the block is left.
+    content: Vec<u8>,
+    /// What the open block's rows have folded into the frame so far —
+    /// every summary [`absorb`](Self::absorb)ed while it is open, and
+    /// once each the classes absorbed before it that its rows
+    /// [`repeat`](Self::repeat).  Its terminal count is not read.
+    block_acc: Summary<P::Output>,
+    /// How many blocks the round has opened, and per class the number
+    /// of the last one opened when its summary was absorbed or folded
+    /// into `block_acc`: a class is in the open block's accumulator
+    /// exactly when its stamp is `opened`.
+    opened: u32,
+    folded: Vec<u32>,
+    /// How many blocks the walk took in one move from the block table
+    /// and from the walker's cache, and how many it found in either but
+    /// had to split, over the round's whole life in its walker's pool.
     #[cfg(test)]
     pub(super) block_counts: BlockCounts,
 }
 
 /// A block the walk entered at its first row: its number in the block
-/// table, that row, the row after its last, and the frame's terminal
-/// count before it.
+/// table, that row, the row after its last, the frame's terminal count
+/// before it, and the hash of its content if a cache slot can hold it.
 #[derive(Clone, Copy)]
 struct OpenBlock {
     block: usize,
     first: usize,
     end: usize,
     terminals: u64,
+    content: Option<u64>,
 }
 
 /// What `RoundKeys::block_counts` counts.
@@ -377,7 +428,21 @@ struct OpenBlock {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(super) struct BlockCounts {
     pub(super) whole: usize,
+    pub(super) across: usize,
     pub(super) split: usize,
+}
+
+#[cfg(test)]
+impl BlockCounts {
+    /// Counts a block the block table (`across`: the walker's cache)
+    /// answered for as taken whole or split.
+    fn count(&mut self, whole: bool, across: bool) {
+        match (whole, across) {
+            (false, _) => self.split += 1,
+            (true, false) => self.whole += 1,
+            (true, true) => self.across += 1,
+        }
+    }
 }
 
 /// Scratch of [`RoundKeys::open`], kept by whoever opens rounds: a plan's
@@ -739,13 +804,147 @@ impl<V> ClassTable<V> {
     }
 }
 
+/// The walker's **block cache** (module docs, step 4): block contents
+/// an earlier frame took from first row to last, each with its row
+/// count, the terminals its rows added and its *shape* — the rest of
+/// what they folded into their frame.  Direct-mapped by the content's
+/// [`stable_hash64`], hits verified on the full bytes; a store replaces
+/// whatever held its slot, and a content longer than a slot is never
+/// kept.  The slots share one arena, allocated at the first store.
+pub(super) struct BlockCache<O> {
+    slots: Vec<CachedBlock>,
+    /// Slot `s`'s content: `arena[s * slot_bytes..][..slots[s].len]`.
+    arena: Vec<u8>,
+    slot_bytes: usize,
+    /// The distinct shapes stored: summaries with no terminal, interned
+    /// through `shape_ids`, keyed by [`shape_hash`].  A shape whose
+    /// hash another holds is kept unindexed.
+    shapes: Vec<Summary<O>>,
+    shape_ids: HashMap<u64, u32>,
+}
+
+/// One slot of a [`BlockCache`].  An empty one holds no bytes, which no
+/// content is.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct CachedBlock {
+    hash: u64,
+    terminals: u64,
+    rows: usize,
+    shape: u32,
+    len: u32,
+}
+
+/// What interns a shape: its worst rounds, its values in discovery
+/// order and its flag — a summary's all but `terminals`.
+fn shape_hash<O: Hash>(shape: &Summary<O>) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    shape.worst_round_by_f.hash(&mut hasher);
+    shape.decided.hash(&mut hasher);
+    shape.violating.hash(&mut hasher);
+    hasher.finish()
+}
+
+impl<O: Clone + Eq + Hash> BlockCache<O> {
+    /// Sized by the `crw8-quotient` benchmark's peak RSS: its 6.5 MiB
+    /// leave room for about 1 MiB, and 1 024 slots of 384 bytes hold
+    /// every content met at `(8, 7)` and `(9, 8)` (160 and 176 bytes on
+    /// average, 326 and 368 at most) in under 0.5 MiB.
+    const SLOTS: usize = 1024;
+    const SLOT_BYTES: usize = 384;
+
+    pub(super) fn new() -> Self {
+        Self::with_slot_bytes(Self::SLOT_BYTES)
+    }
+
+    fn with_slot_bytes(slot_bytes: usize) -> Self {
+        BlockCache {
+            slots: Vec::new(),
+            arena: Vec::new(),
+            slot_bytes,
+            shapes: Vec::new(),
+            shape_ids: HashMap::new(),
+        }
+    }
+
+    fn fits(&self, content: &[u8]) -> bool {
+        content.len() <= self.slot_bytes
+    }
+
+    fn slot_of(hash: u64) -> usize {
+        hash as usize & (Self::SLOTS - 1)
+    }
+
+    /// The rows, the terminals and the shape of the block stored under
+    /// `content`, whose hash is `hash`, if its slot still holds it.
+    fn get(&self, hash: u64, content: &[u8]) -> Option<(usize, u64, &Summary<O>)> {
+        let slot = Self::slot_of(hash);
+        let stored = self.slots.get(slot)?;
+        let bytes = &self.arena[slot * self.slot_bytes..][..stored.len as usize];
+        (stored.hash == hash && bytes == content).then(|| {
+            let shape = &self.shapes[stored.shape as usize];
+            (stored.rows, stored.terminals, shape)
+        })
+    }
+
+    /// Stores the block whose content is `content` (hash `hash`): its
+    /// `rows`, the `terminals` they added, and the rest of `folded`.
+    fn store(
+        &mut self,
+        hash: u64,
+        content: &[u8],
+        rows: usize,
+        terminals: u64,
+        folded: &Summary<O>,
+    ) {
+        if !self.fits(content) {
+            return;
+        }
+        if self.slots.is_empty() {
+            self.slots = vec![CachedBlock::default(); Self::SLOTS];
+            self.arena = vec![0; Self::SLOTS * self.slot_bytes];
+        }
+        let slot = Self::slot_of(hash);
+        self.arena[slot * self.slot_bytes..][..content.len()].copy_from_slice(content);
+        self.slots[slot] = CachedBlock {
+            hash,
+            terminals,
+            rows,
+            shape: self.shape_id(folded),
+            len: content.len() as u32,
+        };
+    }
+
+    /// The id of `folded`'s shape, interned on first sight.
+    fn shape_id(&mut self, folded: &Summary<O>) -> u32 {
+        let hash = shape_hash(folded);
+        let same = |shape: &Summary<O>| {
+            shape.worst_round_by_f == folded.worst_round_by_f
+                && shape.decided == folded.decided
+                && shape.violating == folded.violating
+        };
+        if let Some(&id) = self.shape_ids.get(&hash) {
+            if same(&self.shapes[id as usize]) {
+                return id;
+            }
+        }
+        let id = self.shapes.len() as u32;
+        self.shapes.push(Summary {
+            terminals: 0,
+            ..folded.clone()
+        });
+        self.shape_ids.entry(hash).or_insert(id);
+        id
+    }
+}
+
 impl<P> RoundKeys<P>
 where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
-    /// A round with nothing in its tables, around a send phase.
-    fn new(sent: SentRound<P>, plan: SymmetryPlan) -> Self {
+    /// A round with nothing in its tables, around a send phase, for a
+    /// system of crash budget `t`.
+    fn new(sent: SentRound<P>, plan: SymmetryPlan, t: usize) -> Self {
         RoundKeys {
             sent,
             outcomes: Vec::new(),
@@ -775,6 +974,10 @@ where
             signature: Vec::new(),
             blocks: ClassTable::new(),
             open_block: None,
+            content: Vec::new(),
+            block_acc: Summary::empty(t),
+            opened: 0,
+            folded: Vec::new(),
             #[cfg(test)]
             block_counts: BlockCounts::default(),
         }
@@ -801,7 +1004,7 @@ where
                 round.sent.reset(stepper)?;
                 round
             }
-            None => Self::new(SentRound::new(stepper)?, plan),
+            None => Self::new(SentRound::new(stepper)?, plan, stepper.config().t()),
         };
         let status = round.sent.status();
         let slots = round.sent.active().len();
@@ -887,6 +1090,8 @@ where
         self.keyed = self.sent.tabulate(&self.outcomes);
         self.cut = self.outcomes.len();
         self.open_block = None;
+        self.opened = 0;
+        self.folded.clear();
         if !self.keyed {
             return;
         }
@@ -1128,49 +1333,85 @@ where
 
     /// Takes in one move the block that row `idx` — the row last
     /// [`classify`](Self::classify)d, which
-    /// [starts one](Self::cursor_starts_block) — starts, if the walk has
-    /// taken a block of its signature before and `room()` — asked only
-    /// then — covers all of its rows: returns how many rows it has and
-    /// the terminals they add.  `terminals` is the frame's count before
-    /// row `idx`, which the walk is about to take.  A block whose
-    /// signature has no count yet is entered, and its count is recorded
-    /// when the walk comes from its last row to the next block start;
-    /// one the walk enters anywhere else records nothing.  Out of line:
+    /// [starts one](Self::cursor_starts_block) — starts, folding its
+    /// rows into `acc`, the frame's summary before row `idx`: returns
+    /// how many rows it has.  Two levels answer (module docs, step 4),
+    /// each only if `room()` — asked once, and only then — covers all of
+    /// the block's rows.  The frame's block table first: a signature the
+    /// frame has taken is its count of terminals, one addition.  Then
+    /// `cache`, for a signature the frame has not: a content an earlier
+    /// frame took is one [`Summary::absorb`] of its shape and its count,
+    /// which the block table records for the frame's later blocks.  A
+    /// block neither level holds, or one the cache holds but `room()`
+    /// does not cover, is entered: it is recorded — in the block table,
+    /// and under its content in `cache` — when the walk comes from its
+    /// last row to the next block start.  A block of the table that
+    /// `room()` does not cover is split like a run, and one the walk
+    /// enters anywhere but its first row records nothing.  Out of line:
     /// the walk's loops over rows call it at block starts alone.
     #[inline(never)]
     pub(super) fn take_block(
         &mut self,
         idx: usize,
-        terminals: u64,
+        acc: &mut Summary<P::Output>,
+        cache: &mut BlockCache<P::Output>,
         room: impl FnOnce() -> u64,
-    ) -> Option<(usize, u64)> {
+    ) -> Option<usize> {
         debug_assert!(self.at == Some(idx) && self.cursor_starts_block());
         if self.open_block.is_some_and(|open| open.first == idx) {
             return None;
         }
         if let Some(open) = self.open_block.take() {
             if open.end == idx {
-                self.blocks.values[open.block] = Some(terminals - open.terminals);
+                let added = acc.terminals - open.terminals;
+                self.blocks.values[open.block] = Some(added);
+                if let Some(hash) = open.content {
+                    let rows = open.end - open.first;
+                    cache.store(hash, &self.content, rows, added, &self.block_acc);
+                }
             }
         }
         let (block, rows) = self.cursor_block()?;
-        let Some(added) = self.blocks.values[block] else {
-            self.open_block = Some(OpenBlock {
-                block,
-                first: idx,
-                end: idx + rows,
-                terminals,
-            });
-            return None;
-        };
-        let whole = rows as u64 <= room();
-        #[cfg(test)]
-        if whole {
-            self.block_counts.whole += 1;
-        } else {
-            self.block_counts.split += 1;
+        if let Some(added) = self.blocks.values[block] {
+            let whole = rows as u64 <= room();
+            #[cfg(test)]
+            self.block_counts.count(whole, false);
+            if whole {
+                acc.terminals += added;
+            }
+            return whole.then_some(rows);
         }
-        whole.then_some((rows, added))
+        self.cursor_content();
+        let content = cache
+            .fits(&self.content)
+            .then(|| stable_hash64(&self.content));
+        if let Some((stored, added, shape)) =
+            content.and_then(|hash| cache.get(hash, &self.content))
+        {
+            debug_assert_eq!(stored, rows, "one content, one row count");
+            let whole = rows as u64 <= room();
+            #[cfg(test)]
+            self.block_counts.count(whole, true);
+            if whole {
+                acc.absorb(shape);
+                acc.terminals += added;
+                self.blocks.values[block] = Some(added);
+                return Some(rows);
+            }
+        }
+        self.opened += 1;
+        let folded = &mut self.block_acc;
+        folded.worst_round_by_f.fill(None);
+        folded.decided.clear();
+        folded.violating = false;
+        self.open_block = Some(OpenBlock {
+            block,
+            first: idx,
+            end: idx + rows,
+            terminals: acc.terminals,
+            content,
+        });
+        None
     }
 
     /// The block the cursor row starts, looked up in the block table —
@@ -1206,6 +1447,52 @@ where
         let block = self.blocks.class_of(&signature, fold_ids(&signature));
         self.signature = signature;
         Some((block, self.count[cut * (self.budget + 1) + left]))
+    }
+
+    /// Writes into `content` the **content** of the block whose
+    /// signature [`cursor_block`](Self::cursor_block) last built: that
+    /// signature with every id replaced by the record it names, so that
+    /// equal contents are equal child keys, row for row.  The child
+    /// round, the process count and the crashes left, then per process
+    /// a tag and its records, each length-prefixed: `0` and the record
+    /// of a process settled before the round, `1` and the record of a
+    /// slot before the cut, `2`, the outcome count and the record of
+    /// every outcome, survival first, of a slot from the cut on.
+    fn cursor_content(&mut self) {
+        let (records, ranges) = (&self.records, &self.ranges);
+        let record = |id: u32, content: &mut Vec<u8>| {
+            let (from, to) = ranges[id as usize];
+            encode_varint(u64::from(to - from), content);
+            content.extend_from_slice(&records[from as usize..to as usize]);
+        };
+        let (content, signature) = (&mut self.content, &self.signature);
+        content.clear();
+        self.sent.round().next().get().encode(content);
+        (self.fixed.len() as u32).encode(content);
+        signature[self.cut].encode(content);
+        // The next slot, and where the ids of the next slot from the
+        // cut on start in the signature.
+        let (mut slot, mut past) = (0, self.cut + 1);
+        for fixed in &self.fixed {
+            match *fixed {
+                Some(id) => {
+                    content.push(0);
+                    record(id, content);
+                }
+                None if slot < self.cut => {
+                    content.push(1);
+                    record(signature[slot], content);
+                    slot += 1;
+                }
+                None => {
+                    let ids = &signature[past..][..self.outcomes[slot].len() + 1];
+                    content.push(2);
+                    encode_varint(ids.len() as u64, content);
+                    ids.iter().for_each(|id| record(*id, content));
+                    (slot, past) = (slot + 1, past + ids.len());
+                }
+            }
+        }
     }
 
     /// Settles `slot`'s process under a view met for the first time and
@@ -1357,11 +1644,33 @@ where
     ) {
         acc.absorb(&summary);
         let Some(child) = child else { return };
+        if self.open_block.is_some() {
+            self.block_acc.absorb(&summary);
+        }
+        if self.folded.len() <= child.class {
+            self.folded.resize(child.class + 1, 0);
+        }
+        self.folded[child.class] = self.opened;
         if let (Some(orbit), Some(orbits)) = (child.orbit, &mut self.orbits) {
             // An orbit that answered the row itself keeps what it has.
             orbits.table.values[orbit].get_or_insert_with(|| Arc::clone(&summary));
         }
         self.classes.values[child.class] = Some(summary);
+    }
+
+    /// What is left of a row that repeats `class`, if the frame has
+    /// absorbed that class: its terminal count.  If a block is open and
+    /// the class was absorbed before it opened, the class's summary is
+    /// folded into the block's once — the walk's repeats reach the block
+    /// through here alone (a harvest probes rows; it never takes them).
+    #[inline]
+    pub(super) fn repeat(&mut self, class: usize) -> Option<u64> {
+        let summary = self.classes.values[class].as_ref()?;
+        if self.open_block.is_some() && self.folded[class] != self.opened {
+            self.block_acc.absorb(summary);
+            self.folded[class] = self.opened;
+        }
+        Some(summary.terminals)
     }
 }
 

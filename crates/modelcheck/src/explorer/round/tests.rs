@@ -1,8 +1,9 @@
-//! The tests that read a round's tables.  They run as
-//! `explorer::tests::<name>` — the ids they have always had; the
-//! `#[test]` entry points are in `tests.rs` — so here they are plain
-//! functions.  The walker they use as driver and as oracle is the
-//! one place a module of the chain looks at a later one.
+//! The tests that read a round's tables or the walker's block cache.
+//! They run as `explorer::tests::<name>` — the ids the first of them
+//! have always had; the `#[test]` entry points are in `tests.rs` — so
+//! here they are plain functions.  The walker that steps them and
+//! serves as their oracle is the one place a module of the chain looks
+//! at a later one.
 
 use twostep_model::SystemConfig;
 use twostep_sim::{ModelKind, TraceLevel};
@@ -670,4 +671,297 @@ pub(in crate::explorer) fn root_round_at_8_7_has_282_211_rows_and_no_per_row_sto
     let classes = round.classes.values.len();
     assert!(classes < round.len() / 4, "{classes} classes");
     assert!(2 * classes <= buckets(&round) && buckets(&round) < 4 * classes + 4);
+}
+
+/// A shape as the cache tests store it: one value decided at round
+/// `value` by a crash-free terminal.
+fn shape(value: u64) -> Summary<u64> {
+    Summary {
+        terminals: 0,
+        worst_round_by_f: vec![Some(value as u32), None],
+        decided: vec![value],
+        violating: false,
+    }
+}
+
+/// Two contents forced to one hash share a slot and never answer for
+/// each other: a hit is verified on the full bytes.
+pub(in crate::explorer) fn block_cache_contents_of_one_hash_never_answer_for_each_other() {
+    let mut cache = BlockCache::<u64>::new();
+    let (a, b) = (&b"content-a"[..], &b"content-b-longer"[..]);
+    let forged = 0xDEAD_BEEF_u64;
+    cache.store(forged, a, 3, 7, &shape(1));
+    assert_eq!(cache.get(forged, a), Some((3, 7, &shape(1))));
+    assert_eq!(cache.get(forged, b), None, "a answered for b");
+    cache.store(forged, b, 4, 9, &shape(2));
+    assert_eq!(cache.get(forged, b), Some((4, 9, &shape(2))));
+    assert_eq!(cache.get(forged, a), None, "b answered for a");
+}
+
+/// A store over an occupied slot — another content, another hash, the
+/// same slot — replaces what the slot held.
+pub(in crate::explorer) fn block_cache_store_over_an_occupied_slot_replaces_it() {
+    let mut cache = BlockCache::<u64>::new();
+    let (a, b) = (&b"content-a"[..], &b"content-b"[..]);
+    let (first, second) = (5, 5 + BlockCache::<u64>::SLOTS as u64);
+    assert_eq!(
+        BlockCache::<u64>::slot_of(first),
+        BlockCache::<u64>::slot_of(second)
+    );
+    cache.store(first, a, 3, 7, &shape(1));
+    cache.store(second, b, 4, 9, &shape(2));
+    assert_eq!(cache.get(first, a), None, "the slot still held a");
+    assert_eq!(cache.get(second, b), Some((4, 9, &shape(2))));
+}
+
+/// A content longer than a slot is never stored — and a walk whose
+/// cache fits no content takes no block across frames: it walks each
+/// such block row by row, to the same summaries and states.
+pub(in crate::explorer) fn block_cache_keeps_no_content_longer_than_a_slot() {
+    use twostep_model::WideValue;
+    let mut cache = BlockCache::<u64>::new();
+    let long = vec![7; BlockCache::<u64>::SLOT_BYTES + 1];
+    let (hash, fitting) = (stable_hash64(&long), &long[1..]);
+    assert!(!cache.fits(&long) && cache.fits(fitting));
+    cache.store(hash, &long, 3, 7, &shape(1));
+    assert_eq!(cache.get(hash, &long), None);
+    assert!(cache.slots.is_empty(), "a refused store allocates nothing");
+    cache.store(hash, fitting, 3, 7, &shape(1));
+    assert_eq!(cache.get(hash, fitting), Some((3, 7, &shape(1))));
+
+    let system = SystemConfig::new(5, 4).unwrap();
+    let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &bits);
+    let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone()).unwrap();
+    let walk = |slot_bytes: usize| {
+        let config = ExploreConfig::for_crw(&system);
+        let options = ExploreOptions::serial();
+        let shared = Shared::new(system, config, &options, &bits, procs.clone()).unwrap();
+        let mut walker = Walker::new(&shared);
+        walker.blocks = BlockCache::with_slot_bytes(slot_bytes);
+        let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
+        let mut yielding = BudgetArbiter::new(WalkBudget {
+            yield_every: Some(BEYOND_BLOCKS),
+            ..WalkBudget::unlimited()
+        });
+        while walk.step(&mut yielding).unwrap().status != StepStatus::Done {}
+        (
+            walk.block_counts(),
+            walk.into_summaries(),
+            shared.memo.len(),
+        )
+    };
+    let (cached, summaries, states) = walk(BlockCache::<u64>::SLOT_BYTES);
+    let (narrow, narrow_summaries, narrow_states) = walk(0);
+    assert!(cached.across > 0, "{cached:?}");
+    assert!(narrow.across == 0 && narrow.whole > 0, "{narrow:?}");
+    assert_eq!((narrow_summaries, narrow_states), (summaries, states));
+}
+
+/// Shapes are interned by value: a block summary's worst rounds, its
+/// values in discovery order and its flag — never its terminal count.
+pub(in crate::explorer) fn block_cache_equal_shapes_share_one_id() {
+    let mut cache = BlockCache::<u64>::new();
+    let one = cache.shape_id(&shape(1));
+    let counted = Summary {
+        terminals: 40,
+        ..shape(1)
+    };
+    assert_eq!(cache.shape_id(&counted), one, "terminals are no shape");
+    assert_ne!(cache.shape_id(&shape(2)), one);
+    let both = |decided: Vec<u64>| Summary {
+        decided,
+        ..shape(1)
+    };
+    let (ascending, descending) = (both(vec![1, 2]), both(vec![2, 1]));
+    assert_ne!(cache.shape_id(&ascending), cache.shape_id(&descending));
+    assert_eq!(
+        cache.shape_id(&descending),
+        cache.shape_id(&descending.clone())
+    );
+    assert_eq!(cache.shapes.len(), 4);
+    assert!(cache.shapes.iter().all(|shape| shape.terminals == 0));
+}
+
+/// Reads the block a cache slot holds back into its rows and checks
+/// it against the memo: the content decoded into the raw key of each
+/// row's child, in enumeration order — one record per process, each
+/// slot from the cut on taking its outcomes survival first, the last
+/// fastest, at most the crashes left of them crashing — and each key's
+/// summary read from the memo.  The slot's row count is the rows', its
+/// terminals their sum, and its shape their fold.
+fn assert_cached_block_is_its_rows<P>(
+    shared: &Shared<'_, P>,
+    cache: &BlockCache<P::Output>,
+    slot: usize,
+    label: &str,
+) where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    use twostep_model::codec::decode_varint;
+    let stored = cache.slots[slot];
+    let mut input = &cache.arena[slot * cache.slot_bytes..][..stored.len as usize];
+    let decode = |input: &mut &[u8]| u32::decode(input).expect("a u32");
+    let (round, processes, left) = (decode(&mut input), decode(&mut input), decode(&mut input));
+    let record = |input: &mut &[u8]| {
+        let len = decode_varint(input).expect("a length") as usize;
+        let (record, rest) = input.split_at(len);
+        *input = rest;
+        record.to_vec()
+    };
+    // Per process, the records a row may give it, survival first.
+    let mut choices: Vec<Vec<Vec<u8>>> = Vec::new();
+    for _ in 0..processes {
+        let tag = input[0];
+        input = &input[1..];
+        let count = match tag {
+            2 => decode_varint(&mut input).expect("an outcome count"),
+            _ => 1,
+        };
+        choices.push((0..count).map(|_| record(&mut input)).collect());
+    }
+    assert!(input.is_empty(), "{label}: slot {slot} has trailing bytes");
+    fn product(choices: &[usize], left: usize, row: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        let Some((&count, rest)) = choices.split_first() else {
+            out.push(row.clone());
+            return;
+        };
+        for outcome in 0..if left > 0 { count } else { 1 } {
+            row.push(outcome);
+            product(rest, left - usize::from(outcome > 0), row, out);
+            row.pop();
+        }
+    }
+    let mut rows = Vec::new();
+    let counts: Vec<usize> = choices.iter().map(Vec::len).collect();
+    product(&counts, left as usize, &mut Vec::new(), &mut rows);
+    let mut folded = Summary::empty(shared.system.t());
+    for row in &rows {
+        let mut key = Vec::new();
+        round.encode(&mut key);
+        processes.encode(&mut key);
+        for (records, &outcome) in choices.iter().zip(row) {
+            key.extend_from_slice(&records[outcome]);
+        }
+        let summary = shared.memo.get(stable_hash64(&key), &key).unwrap();
+        folded.absorb(&summary.expect("a cached block's children are memoized"));
+    }
+    assert_eq!(
+        (stored.rows, stored.terminals),
+        (rows.len(), folded.terminals),
+        "{label}: slot {slot}"
+    );
+    folded.terminals = 0;
+    assert_eq!(
+        cache.shapes[stored.shape as usize], folded,
+        "{label}: slot {slot}"
+    );
+}
+
+/// Every block the cache stores, checked the moment it is stored
+/// ([`assert_cached_block_is_its_rows`]) — whichever frame absorbed
+/// each class its rows reach: in the block, or before the block opened.
+/// Returns how many stores were checked.
+fn assert_cached_blocks_are_their_rows<P>(
+    system: SystemConfig,
+    config: ExploreConfig,
+    procs: Vec<P>,
+    proposals: Vec<P::Output>,
+    label: &str,
+) -> usize
+where
+    P: CheckableProtocol,
+    P::Output: Hash + SpillCodec,
+{
+    // Under a raw plan a child's raw key is its memo key.
+    let config = ExploreConfig {
+        symmetry: Symmetry::Off,
+        ..config
+    };
+    let options = ExploreOptions::serial();
+    let shared = Shared::new(system, config, &options, &proposals, procs.clone()).unwrap();
+    let root = Stepper::new(system, config.model, TraceLevel::Off, procs).unwrap();
+    let mut walker = Walker::new(&shared);
+    let mut walk = StepWalker::new(&mut walker, vec![root]);
+    let (mut seen, mut checked) = (Vec::new(), 0);
+    while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {
+        let cache = walk.block_cache();
+        seen.resize(cache.slots.len(), CachedBlock::default());
+        for (slot, stored) in cache.slots.iter().enumerate() {
+            if *stored != seen[slot] {
+                assert_cached_block_is_its_rows(&shared, cache, slot, label);
+                (seen[slot], checked) = (*stored, checked + 1);
+            }
+        }
+    }
+    checked
+}
+
+pub(in crate::explorer) fn cached_blocks_are_the_fold_of_their_rows() {
+    let (crw, floodset) = on_the_accounted_walks!(assert_cached_blocks_are_their_rows);
+    assert!(
+        crw > 10 && floodset > 10,
+        "stores checked: {crw}, {floodset}"
+    );
+}
+
+/// A class the frame absorbed before a block opened and the block's
+/// rows repeat is in what the block stores, so a later frame that
+/// takes the block from the cache absorbs it too.  In the walks of
+/// this suite such a class never adds what the block's other rows do
+/// not, so this drives the CRW `(4, 3)` root round by hand, with
+/// made-up summaries whose worst rounds name the classes they stand
+/// for.  (Every row repeats the same class here — the accumulator asks
+/// nothing of the row.)
+pub(in crate::explorer) fn a_block_stores_the_classes_its_rows_repeat() {
+    use twostep_model::WideValue;
+    let system = SystemConfig::new(4, 3).unwrap();
+    let proposals: Vec<WideValue> = (0..4).map(|i| WideValue::new(1, i % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &proposals);
+    let config = ExploreConfig::for_crw(&system);
+    let options = ExploreOptions::serial();
+    let shared = Shared::new(system, config, &options, &proposals, procs.clone()).unwrap();
+    let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
+    let mut walker = Walker::new(&shared);
+    let marked = |f: usize, round: u32, terminals: u64| {
+        let mut summary = Summary::empty(3);
+        summary.worst_round_by_f[f] = Some(round);
+        summary.terminals = terminals;
+        Arc::new(summary)
+    };
+    let class = |class| Some(ChildClass { class, orbit: None });
+
+    let (mut cache, mut acc) = (BlockCache::new(), Summary::empty(3));
+    let mut round = walker.open_round(&root).unwrap();
+    let before = round.classify(0).expect("keyed");
+    assert!(round.cursor_starts_block());
+    round.absorb(&mut acc, class(before), marked(0, 7, 2));
+    assert_eq!(round.take_block(0, &mut acc, &mut cache, || u64::MAX), None);
+    let inside = round.classify(1).expect("keyed");
+    round.absorb(&mut acc, class(inside), marked(1, 8, 3));
+    let end = (2..round.len())
+        .find(|&idx| round.classify(idx).is_some() && round.cursor_starts_block())
+        .expect("a second block");
+    for _ in 2..end {
+        acc.terminals += round.repeat(before).expect("absorbed before the block");
+    }
+    round.classify(end);
+    round.take_block(end, &mut acc, &mut cache, || 0);
+    let added = 3 + 2 * (end as u64 - 2);
+    let stored = cache.slots.iter().find(|stored| stored.len > 0);
+    let stored = *stored.expect("the block is stored when the walk leaves it");
+    assert_eq!((stored.rows, stored.terminals), (end, added));
+    let shape = &cache.shapes[stored.shape as usize];
+    assert_eq!(shape.worst_round_by_f, [Some(7), Some(8), None, None]);
+
+    // A frame that has absorbed nothing takes the block whole.
+    let (mut later, mut acc) = (walker.open_round(&root).unwrap(), Summary::empty(3));
+    later.classify(0);
+    assert_eq!(
+        later.take_block(0, &mut acc, &mut cache, || u64::MAX),
+        Some(end)
+    );
+    assert_eq!(acc.worst_round_by_f, [Some(7), Some(8), None, None]);
+    assert_eq!(acc.terminals, added);
 }

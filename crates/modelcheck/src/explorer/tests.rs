@@ -2,9 +2,10 @@
 //! plumbing, the key layouts, the walk and its step accounting, the run
 //! drivers — over the shared kit (`testkit.rs`).  They stay one module so
 //! that every test keeps the `explorer::tests::…` path it has always
-//! run under; the seven that read a round's private tables have their
-//! bodies in `round/tests.rs`, a child of the round module where those
-//! tables are visible, and their entry points here.
+//! run under; the thirteen that read a round's private tables or the
+//! walker's block cache have their bodies in `round/tests.rs`, a child
+//! of the round module where those are visible, and their entry points
+//! here.
 
 use std::hash::Hash;
 use std::path::PathBuf;
@@ -55,6 +56,12 @@ in_round_tests!(
     root_round_at_8_7_has_282_211_rows_and_no_per_row_storage,
     blocks_of_one_signature_classify_row_for_row_alike,
     a_round_whose_last_slot_sends_builds_no_signature,
+    block_cache_contents_of_one_hash_never_answer_for_each_other,
+    block_cache_store_over_an_occupied_slot_replaces_it,
+    block_cache_keeps_no_content_longer_than_a_slot,
+    block_cache_equal_shapes_share_one_id,
+    cached_blocks_are_the_fold_of_their_rows,
+    a_block_stores_the_classes_its_rows_repeat,
 );
 
 #[test]
@@ -1346,6 +1353,10 @@ where
 fn steps_inside_runs_are_counted_one_by_one() {
     for blocks in <[BlockCounts; 2]>::from(on_the_accounted_walks!(assert_steps_are_counted)) {
         assert!(blocks.whole > 0 && blocks.split > 0, "{blocks:?}");
+        assert!(
+            blocks.across > 0,
+            "no block taken from the cache: {blocks:?}"
+        );
     }
 }
 
@@ -1356,15 +1367,17 @@ fn steps_inside_runs_are_counted_one_by_one() {
 /// class it gave a summary would count as absorbed by its frame, and
 /// the rows that lead to it would add their terminals to a frame
 /// that never merged the rest.)  So does a harvest taken in every
-/// pause of one walk that has just taken a block whole; returns how
-/// many of those there were.
+/// pause of one walk that has just taken a block whole — from its
+/// frame's block table or from the walker's cache, whose blocks are
+/// folded by the walk's repeats and never by a harvest's probes;
+/// returns how many of those pauses followed a take of each kind.
 fn assert_harvest_leaves_the_walk_whole<P>(
     system: SystemConfig,
     config: ExploreConfig,
     procs: Vec<P>,
     proposals: Vec<P::Output>,
     label: &str,
-) -> usize
+) -> (usize, usize)
 where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
@@ -1411,11 +1424,14 @@ where
         yield_every: Some(BEYOND_BLOCKS),
         ..WalkBudget::unlimited()
     });
-    let (mut taken, mut harvests) = (0, 0);
+    let (mut taken, mut harvests) = (BlockCounts::default(), (0, 0));
     while walk.step(&mut yielding).unwrap().status != StepStatus::Done {
-        let whole = walk.block_counts().whole;
-        if whole > taken {
-            (taken, harvests) = (whole, harvests + 1);
+        let blocks = walk.block_counts();
+        let (whole, across) = (blocks.whole > taken.whole, blocks.across > taken.across);
+        if whole || across {
+            harvests.0 += usize::from(whole);
+            harvests.1 += usize::from(across);
+            taken = blocks;
             walk.harvest_into(&[], &mut Vec::new()).unwrap();
         }
     }
@@ -1429,10 +1445,12 @@ where
 #[test]
 fn a_harvest_mid_frame_leaves_the_walk_whole() {
     let (crw, floodset) = on_the_accounted_walks!(assert_harvest_leaves_the_walk_whole);
-    assert!(
-        crw > 0 && floodset > 0,
-        "harvests after a block: {crw}, {floodset}"
-    );
+    for (whole, across) in [crw, floodset] {
+        assert!(
+            whole > 0 && across > 0,
+            "harvests after a block: {crw:?}, {floodset:?}"
+        );
+    }
 }
 
 /// A harvest emits a child once.  The probe records nothing in the class

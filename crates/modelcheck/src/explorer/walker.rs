@@ -54,8 +54,11 @@
 //!   run of them is taken in the call that ends it; at the first row of
 //!   a block whose signature the frame has taken before
 //!   ([`RoundKeys::take_block`], the head of `round.rs`) the whole block
-//!   is one addition and one jump of `next_action`, its other rows
-//!   never classified — 1 747 326 of the `(8, 7)` walk's 2 936 634.
+//!   is one addition and one jump of `next_action`, and at the first row
+//!   of one whose content an earlier frame took — the walker's
+//!   [`BlockCache`] — one absorb and one jump: its other rows are never
+//!   classified, keyed or probed — 2 163 392 of the `(8, 7)` walk's
+//!   2 936 634.
 //!
 //! ## `StateLimit` abort protocol
 //!
@@ -87,7 +90,7 @@ use super::config::{CanonTier, CheckableProtocol, ExploreConfig, ExploreOptions,
 use super::report::{ExploreError, Summary, Terminals};
 #[cfg(test)]
 use super::round::BlockCounts;
-use super::round::{ChildClass, ChildDecision, LiveEffects, RoundKeys};
+use super::round::{BlockCache, ChildClass, ChildDecision, LiveEffects, RoundKeys};
 use crate::memo::ShardedMemo;
 use crate::spill::SpillCodec;
 
@@ -241,6 +244,11 @@ where
     decided_bufs: (Vec<u8>, Vec<u8>),
     /// Scratch of [`RoundKeys::open`].
     live: LiveEffects,
+    /// The blocks earlier frames took, by content
+    /// ([`RoundKeys::take_block`]).  A block's summary depends on the
+    /// run's proposals, spec and `max_rounds`: a walker never outlives
+    /// its run's [`Shared`], so no summary crosses runs.
+    pub(super) blocks: BlockCache<P::Output>,
 }
 
 /// One level of the explicit DFS stack: a configuration mid-expansion.
@@ -288,9 +296,10 @@ where
 /// What the key-first probe ([`Walker::probe_child`]) learned about a
 /// child.
 enum Probed<O> {
-    /// Its row repeats a successor class the frame has absorbed: all
-    /// that is left of it is the class's terminal count, to be added.
-    Repeat(u64),
+    /// Its row repeats this successor class, which the frame has
+    /// absorbed: all that is left of it is the class's terminal count,
+    /// to be added ([`RoundKeys::repeat`]).
+    Repeat(usize),
     /// Its row is the first of its class, and this is its real-space
     /// summary: what the memo answered for its key, or what the frame
     /// absorbed for its orbit.
@@ -428,18 +437,13 @@ where
             if shared.stop.load(Ordering::Relaxed) {
                 return Err(Interrupt::Stopped);
             }
-            // A block the frame has taken before is one addition, if all
-            // of its rows can be taken in silence.
+            // A block the frame or an earlier one has taken is one
+            // addition or one absorb, if all of its rows can be taken in
+            // silence.
             if frame.round.classify(idx).is_some() && frame.round.cursor_starts_block() {
                 let room =
                     || *headroom.get_or_insert_with(|| arbiter.headroom(&progress(self.steps)));
-                if let Some((rows, added)) = frame.round.take_block(idx, frame.acc.terminals, room)
-                {
-                    debug_assert!(
-                        self.walker.block_is_its_rows(frame, idx, rows, added),
-                        "a block taken whole is not the sum of its rows"
-                    );
-                    frame.acc.terminals += added;
+                if let Some(rows) = self.walker.take_block(frame, idx, room) {
                     frame.next_action += rows;
                     *headroom.as_mut().expect("asked for the block") -= rows as u64;
                     self.steps += rows as u64;
@@ -450,8 +454,9 @@ where
             // Key first: a child is its key until something has to run
             // on it.
             match self.walker.probe_child(frame, idx)? {
-                Probed::Repeat(terminals) => {
-                    frame.acc.terminals += terminals;
+                Probed::Repeat(class) => {
+                    let terminals = frame.round.repeat(class);
+                    frame.acc.terminals += terminals.expect("the probe found it absorbed");
                     let silent =
                         headroom.get_or_insert_with(|| arbiter.headroom(&progress(self.steps)));
                     if *silent > 0 {
@@ -532,16 +537,24 @@ where
     }
 
     /// The blocks the walker's rounds — on the stack and in the pool —
-    /// took whole and split.
+    /// took whole from their block tables and from the walker's cache,
+    /// and split.
     #[cfg(test)]
     pub(super) fn block_counts(&self) -> BlockCounts {
         let rounds = self.stack.iter().map(|frame| &frame.round);
         (rounds.chain(&self.walker.round_pool)).fold(BlockCounts::default(), |sum, round| {
             BlockCounts {
                 whole: sum.whole + round.block_counts.whole,
+                across: sum.across + round.block_counts.across,
                 split: sum.split + round.block_counts.split,
             }
         })
+    }
+
+    /// The walker's block cache, as the walk has left it.
+    #[cfg(test)]
+    pub(super) fn block_cache(&self) -> &BlockCache<P::Output> {
+        &self.walker.blocks
     }
 
     /// Unexplored immediate children across every frame of the current
@@ -598,7 +611,8 @@ where
             // a row whose class is below the highest met has had its row:
             // in this harvest, or before it — and then the frame has
             // absorbed the class, or is waiting for it, and the child is
-            // the frame above.
+            // the frame above, or the row started a block taken from the
+            // walker's cache, and the memo holds the child.
             let mut met = 0;
             for idx in frame.next_action..frame.round.len() {
                 match frame.round.classify(idx) {
@@ -656,6 +670,7 @@ where
             in_place_buf: Vec::new(),
             decided_bufs: (Vec::new(), Vec::new()),
             live: LiveEffects::default(),
+            blocks: BlockCache::new(),
         }
     }
 
@@ -697,13 +712,12 @@ where
         let Some(class) = frame.round.classify(idx) else {
             return Ok(Probed::Unanswered(None));
         };
-        if let Some(summary) = frame.round.class_summary(class) {
-            let terminals = summary.terminals;
+        if frame.round.class_summary(class).is_some() {
             debug_assert!(
                 self.skipped_probe(frame, idx).as_ref() == frame.round.class_summary(class),
                 "class table and memo disagree on a repeated child"
             );
-            return Ok(Probed::Repeat(terminals));
+            return Ok(Probed::Repeat(class));
         }
         let mut child = ChildClass { class, orbit: None };
         let (hash, swap) = if self.shared.plan.tier != CanonTier::Raw {
@@ -781,34 +795,52 @@ where
         self.memoized(hash, swap).ok().flatten()
     }
 
+    /// Takes in one move, if it can, the block that row `idx` of
+    /// `frame` — classified, and [starting one](RoundKeys::cursor_starts_block)
+    /// — starts: from the frame's block table or the walker's cache
+    /// ([`RoundKeys::take_block`]), when `room()` covers its rows.
+    /// Returns how many rows it took; in debug builds
+    /// `block_is_its_rows` checks them.
+    fn take_block(
+        &mut self,
+        frame: &mut Frame<P>,
+        idx: usize,
+        room: impl FnOnce() -> u64,
+    ) -> Option<usize> {
+        let before = cfg!(debug_assertions).then(|| frame.acc.clone());
+        let rows = (frame.round).take_block(idx, &mut frame.acc, &mut self.blocks, room)?;
+        debug_assert!(
+            self.block_is_its_rows(frame, idx, rows, before),
+            "a block taken whole is not the sum of its rows"
+        );
+        Some(rows)
+    }
+
     /// The oracle behind the debug assertions on a block taken whole
     /// ([`RoundKeys::take_block`]): rows `idx..idx + rows` — exactly the
     /// rows that agree with row `idx` up to the last sender
     /// ([`RoundKeys::is_block`]) — classified on the cursor one by one,
-    /// each repeating a class the frame has absorbed, with the summary
-    /// the memo probe it skips would return (`skipped_probe`), and
-    /// between them the `added` terminals.  The cursor goes back to row
-    /// `idx`, where a release walk leaves it.
+    /// and the summary the memo probe each skips would return
+    /// (`skipped_probe`) folded into `before`, the frame's summary
+    /// before the take, give the frame's summary after it.  The cursor
+    /// goes back to row `idx`, where a release walk leaves it.
     fn block_is_its_rows(
         &mut self,
         frame: &mut Frame<P>,
         idx: usize,
         rows: usize,
-        added: u64,
+        before: Option<Summary<P::Output>>,
     ) -> bool {
-        let mut terminals = 0;
+        let mut folded = before.expect("kept in debug builds");
         for row in idx..idx + rows {
-            let class = frame.round.classify(row).expect("a block is keyed");
-            let Some(summary) = frame.round.class_summary(class) else {
+            frame.round.classify(row).expect("a block is keyed");
+            let Some(summary) = self.skipped_probe(frame, row) else {
                 return false;
             };
-            terminals += summary.terminals;
-            if self.skipped_probe(frame, row).as_ref() != frame.round.class_summary(class) {
-                return false;
-            }
+            folded.absorb(&summary);
         }
         frame.round.classify(idx);
-        terminals == added && frame.round.is_block(idx, rows)
+        folded == frame.acc && frame.round.is_block(idx, rows)
     }
 
     /// Encodes `stepper`'s configuration into its canonical key bytes in
@@ -996,15 +1028,16 @@ where
     /// class the frame has absorbed — at most `limit` of them — adding
     /// their classes' terminal counts to the frame; returns how many it
     /// took.  The body of a run: per row the stop flag, one
-    /// [`classify`](RoundKeys::classify) and one addition — or, at the
-    /// first row of a block the frame has taken before, one addition
-    /// for the whole block ([`RoundKeys::take_block`]) if it fits in
-    /// what is left of `limit`.  It stops *before* the row that ends the
-    /// run, which `step` then takes like any other (the cursor stands on
-    /// it, classified).
+    /// [`classify`](RoundKeys::classify) and one addition
+    /// ([`RoundKeys::repeat`]) — or, at the first row of a block the
+    /// frame or an earlier one has taken, one addition or one absorb for
+    /// the whole block ([`RoundKeys::take_block`]) if it fits in what is
+    /// left of `limit`.  It stops *before* the row that ends the run,
+    /// which `step` then takes like any other (the cursor stands on it,
+    /// classified).
     fn absorb_repeats(&mut self, frame: &mut Frame<P>, limit: u64) -> Result<u64, Interrupt> {
         let rows = frame.round.len();
-        let (mut taken, mut terminals) = (0, 0);
+        let mut taken = 0;
         while taken < limit && frame.next_action < rows {
             if self.shared.stop.load(Ordering::Relaxed) {
                 return Err(Interrupt::Stopped);
@@ -1012,31 +1045,23 @@ where
             let idx = frame.next_action;
             let class = (frame.round.classify(idx)).expect("a repeat was met: the round is keyed");
             if frame.round.cursor_starts_block() {
-                let before = frame.acc.terminals + terminals;
-                if let Some((block, added)) = frame.round.take_block(idx, before, || limit - taken)
-                {
-                    debug_assert!(
-                        self.block_is_its_rows(frame, idx, block, added),
-                        "a block taken whole is not the sum of its rows"
-                    );
-                    terminals += added;
+                if let Some(block) = self.take_block(frame, idx, || limit - taken) {
                     frame.next_action += block;
                     taken += block as u64;
                     continue;
                 }
             }
-            let Some(summary) = frame.round.class_summary(class) else {
+            let Some(terminals) = frame.round.repeat(class) else {
                 break;
             };
-            terminals += summary.terminals;
             debug_assert!(
                 self.skipped_probe(frame, idx).as_ref() == frame.round.class_summary(class),
                 "class table and memo disagree on a repeated child"
             );
+            frame.acc.terminals += terminals;
             frame.next_action += 1;
             taken += 1;
         }
-        frame.acc.terminals += terminals;
         Ok(taken)
     }
 

@@ -5,7 +5,7 @@
 //! limit armed but sized never to trip (`armed`).
 //!
 //! This is the measurement harness behind the explorer's hot-path
-//! budget ("the inner loop allocates nothing in steady state", 2.5
+//! budget ("the inner loop allocates nothing in steady state", 2.7
 //! allocations per distinct state end to end at the default `(5, 4)`,
 //! 1.7 at `(8, 7)` — a leaf costs its memo entry and nothing else): watch
 //! `allocs_total` when touching the walker, the stepper fork path, or
@@ -16,7 +16,7 @@
 //! call's arbiter inspection, and the headroom it asks for before a run
 //! of repeated rows, must not buy their bookkeeping with heap traffic.  A
 //! third row walks the same space under `partial+value` and is pinned to
-//! the same 3 allocations per *raw* state (2.5 at `(5, 4)`, 2.3 at
+//! the same 3 allocations per *raw* state (2.5 at `(5, 4)`, 1.9 at
 //! `(8, 7)`): the quotient's orbit tables and record forms are pooled
 //! with the round, and a memo an eighth the size must not be paid for in
 //! heap traffic — what it does allocate is mostly the real-space copy of
@@ -24,7 +24,7 @@
 //!
 //! A fourth row walks the symmetry-off space with 2 % of its states hot
 //! (`MemoConfig::spill(states / 50)`) and is pinned to 7 allocations per
-//! state (5.0 at `(5, 4)`, 7.0 at `(8, 7)`): a rehydrate reads its
+//! state (4.7 at `(5, 4)`, 5.6 at `(8, 7)`): a rehydrate reads its
 //! record out of the store's own buffers and shares the summary a slot
 //! of the shard's summary table already decoded from the same bytes, so
 //! what is left is one key per admit and the summaries the table has
@@ -32,15 +32,24 @@
 //! built on a shard's first rehydrate, which an all-RAM memo never
 //! makes.
 //!
-//! Over their six walks each at `(5, 4)` the four rows count 12 174,
-//! 12 174, 12 042 and 24 204 allocations.  A round's three frame-local
+//! Over their six walks each at `(5, 4)` the four rows count 13 032,
+//! 13 032, 12 018 and 22 854 allocations.  A round's three frame-local
 //! tables — successor classes, orbits, blocks — are pooled with it and
 //! sized on first use for the classes of an average frame, so a pooled
 //! round's tables allocate once each, not class by class, until a
-//! larger frame outgrows them.
+//! larger frame outgrows them.  A walker's block cache allocates its
+//! slots at its first store and then one entry per distinct block
+//! shape (447 at `(8, 7)`).  The blocks it takes skip their memo
+//! probes, and with them the real-space copies of value-swapped hits
+//! and some rehydrates: when the cache came in, the `(8, 7)` quotient
+//! row fell from 2.26 to 1.88 allocations per raw state and the
+//! spilling row from 6.97 to 5.59, while the plain row rose from 1.69
+//! to 1.71.
 //!
 //! Usage: `cargo run --release --example alloc_probe` (set
-//! `TWOSTEP_BENCH_N`/`TWOSTEP_BENCH_T` to change the system).
+//! `TWOSTEP_BENCH_N`/`TWOSTEP_BENCH_T` to change the system; `ci.sh`
+//! runs it at the default and, outside `--quick`, at `(8, 7)`, where the
+//! block cache fills).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
