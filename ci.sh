@@ -5,7 +5,6 @@
 #   --quick   lighter property-test load (PROPTEST_CASES=32) for smoke runs
 #
 # Knobs respected by the test suite:
-#   TWOSTEP_THREADS       worker count for sweeps + the parallel explorer
 #   PROPTEST_CASES        per-test case count for property tests
 #
 # Speed is not gated here: the repo benchmark (`benchmark/`,
@@ -39,6 +38,17 @@ longest="$(find crates/modelcheck/src -name '*.rs' -print0 | xargs -0 wc -l | gr
 echo "$longest"
 if (( $(awk 'NR == 1 { print $1 }' <<<"$longest") > 2000 )); then
     echo "FAIL: a file under crates/modelcheck/src exceeds 2000 lines — split it along a seam" >&2
+    exit 1
+fi
+
+echo "== environment tripwire (a run is configured by its arguments: no env::var outside the proptest shim)"
+# A run's settings come from its call or its command line; the one
+# environment read left is the proptest shim's PROPTEST_CASES, which
+# belongs to the test harness, not to a run.
+env_reads="$(grep -rn 'env::var' --include='*.rs' crates examples src tests | grep -v '^crates/shims/proptest/' || true)"
+if [[ -n "$env_reads" ]]; then
+    echo "$env_reads" >&2
+    echo "FAIL: a program file reads the environment — take the setting as an argument" >&2
     exit 1
 fi
 
@@ -211,7 +221,7 @@ echo "== allocation probe (budget unarmed and armed, the quotient, and a 2%-hot 
 cargo run --release -q --example alloc_probe
 if [[ "$quick" == false ]]; then
     echo "== allocation probe at (8, 7), where the walker's block cache fills (about 5 s; not under --quick)"
-    TWOSTEP_BENCH_N=8 TWOSTEP_BENCH_T=7 cargo run --release -q --example alloc_probe
+    cargo run --release -q --example alloc_probe -- 8 7
 fi
 
 echo "CI OK"

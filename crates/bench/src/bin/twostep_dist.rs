@@ -21,27 +21,26 @@
 //! * `--steal` — the **elastic** engine: the coordinator walks locally
 //!   and offloads to worker processes only when the run outlives the
 //!   steal policy's thresholds, then re-balances by preempting loaded
-//!   workers.  `TWOSTEP_STEAL=1|0` toggles it flaglessly (garbage values
-//!   warn once and leave stealing off); the `--steal-*` knobs tune the
-//!   policy and imply nothing on their own.  The `result` line is
-//!   bit-identical to the classic engines — `ci.sh` asserts it;
+//!   workers.  The `--steal-*` knobs tune the policy and imply nothing
+//!   on their own.  The `result` line is bit-identical to the classic
+//!   engines — `ci.sh` asserts it;
+//! * `--worker-threads W` — walker threads per worker process (default
+//!   1);
 //! * `--spill HOT` — workers run a two-tier memo with the given hot
 //!   capacity instead of all-RAM;
 //! * `--symmetry off|full|partial|partial+value` — symmetry reduction
 //!   mode for the whole run (coordinator *and* every worker; the mode
-//!   rides in the worker argv so a worker's own environment cannot
-//!   diverge).  Defaults to the `TWOSTEP_SYMMETRY` env var, else `off`;
+//!   rides in the worker argv, so every process keys configurations
+//!   alike).  Defaults to `off`;
 //! * `--cache-dir DIR` — persistent result cache (read-write): the
 //!   coordinator and every worker warm-start from `DIR` when its
 //!   fingerprint matches this run, and the run's newly discovered
-//!   states are committed back as a delta segment.  Falls back to the
-//!   `TWOSTEP_CACHE_DIR` env var;
+//!   states are committed back as a delta segment;
 //! * `--max-steps S` / `--deadline-ms MS` — walk budget for the whole
 //!   coordinator pipeline (the deadline clock covers seed, workers,
-//!   merge, and replay; workers walk unbounded).  Fall back to the
-//!   `TWOSTEP_MAX_STEPS` / `TWOSTEP_DEADLINE_MS` env vars.  A budgeted
-//!   run that suspends prints a parseable `twostep-dist: suspended`
-//!   line and exits with code 3;
+//!   merge, and replay; workers walk unbounded).  A budgeted run that
+//!   suspends prints a parseable `twostep-dist: suspended` line and
+//!   exits with code 3;
 //! * `--checkpoint-dir DIR` — a suspended run commits its partial memo
 //!   there as a resume segment (a cache directory's manifest and segment
 //!   naming; `DIR` may be the `--cache-dir` too); rerunning with the same
@@ -49,14 +48,14 @@
 //!   final report and drops the resume segments;
 //! * `--fault PLAN` — deterministic fault injection for chaos testing
 //!   (see `twostep_modelcheck::faults` for the grammar, e.g.
-//!   `p0a0=crash@walk;p1a0=hang@export`).  Overrides the
-//!   `TWOSTEP_FAULT` env var; an unparseable flag value is a hard
-//!   error — a chaos run that silently ran clean would vacuously pass;
+//!   `p0a0=crash@walk;p1a0=hang@export`).  An unparseable value is a
+//!   hard error — a chaos run that silently ran clean would vacuously
+//!   pass;
 //! * `--attempt-timeout-ms MS` / `--watchdog-ms MS` / `--backoff-ms MS`
 //!   — supervision knobs: per-attempt wall-clock cap, per-worker pulse
 //!   liveness deadline (elastic engine), and the base of the
 //!   deterministic exponential retry backoff.  `0` disables the two
-//!   timeouts.  Fall back to `TWOSTEP_WATCHDOG_MS` / `TWOSTEP_BACKOFF_MS`;
+//!   timeouts;
 //! * `--no-degrade` — a partition that exhausts its worker launch
 //!   attempts fails the run loudly instead of being walked locally by
 //!   the coordinator (the default prints a
@@ -65,52 +64,45 @@
 //! * worker processes are recognized by the `--dist-worker` argument
 //!   vector (see `twostep_bench::distcli`) — never pass it by hand.
 //!
-//! Every flag with an env fallback resolves the same way: the flag when
-//! it is present and parses, else the env var (which warns once on
-//! garbage, like `TWOSTEP_THREADS`), else the default — and a flag whose
-//! value is missing or unparseable says so before falling back, except
-//! `--fault`, which is a hard error.
+//! Every setting comes from these flags and nothing else: a flag resolves
+//! to its value when it is present and parses, else to the default — and
+//! a flag whose value is missing or unparseable says so before falling
+//! back, except `--fault`, which is a hard error.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
 use twostep_bench::distcli::{maybe_run_dist_worker, run_dist_crw, CrwRunArgs, DistRequest};
 use twostep_modelcheck::{
-    budget_from_env, cache_from_env, fault_plan_from_env, steal_from_env, supervise_from_env,
     ExploreError, FaultPlan, StealConfig, SuperviseConfig, Symmetry, WalkBudget,
 };
 
 /// The value of `flag` when it is present and `parse` accepts it, else
-/// `fallback()` — the env var's value, or the default.  A flag whose
-/// value is missing or rejected is never silently dropped.
-fn flag_or<T>(
-    args: &[String],
-    flag: &str,
-    parse: impl Fn(&str) -> Option<T>,
-    fallback: impl FnOnce() -> T,
-) -> T {
+/// `default`.  A flag whose value is missing or rejected is never
+/// silently dropped.
+fn flag_or<T>(args: &[String], flag: &str, parse: impl Fn(&str) -> Option<T>, default: T) -> T {
     let Some(i) = args.iter().position(|a| a == flag) else {
-        return fallback();
+        return default;
     };
     args.get(i + 1).and_then(|v| parse(v)).unwrap_or_else(|| {
-        eprintln!("twostep-dist: {flag} needs a valid value; using the env var or the default");
-        fallback()
+        eprintln!("twostep-dist: {flag} needs a valid value; using the default");
+        default
     })
 }
 
 /// [`flag_or`] for flags whose value is a plain number.
 fn number_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    flag_or(args, flag, |v| v.parse().ok(), || default)
+    flag_or(args, flag, |v| v.parse().ok(), default)
 }
 
 /// [`flag_or`] for millisecond flags where `0` means "off".
-fn millis_or(args: &[String], flag: &str, fallback: Option<Duration>) -> Option<Duration> {
+fn millis_or(args: &[String], flag: &str, default: Option<Duration>) -> Option<Duration> {
     let parse = |v: &str| {
         v.parse()
             .ok()
             .map(|ms| (ms > 0).then(|| Duration::from_millis(ms)))
     };
-    flag_or(args, flag, parse, || fallback)
+    flag_or(args, flag, parse, default)
 }
 
 /// A directory flag's value; the next flag is not a directory.
@@ -128,14 +120,12 @@ fn main() {
     let (default_n, default_t) = if has("--quick") { (5, 4) } else { (6, 5) };
     let n = number_or(&args, "--n", default_n);
     let t = number_or(&args, "--t", default_t);
-    let env_budget = budget_from_env();
-    let env_supervise = supervise_from_env();
-    let steal_defaults = StealConfig::default();
+    let defaults = DistRequest::new(n, t);
     // The one flag that does not fall back: an unparseable `--fault` is
     // a hard error — a chaos run that silently ran clean would pass
     // vacuously.
     let faults = match args.iter().position(|a| a == "--fault") {
-        None => fault_plan_from_env(),
+        None => defaults.faults,
         Some(i) => args
             .get(i + 1)
             .ok_or_else(|| "needs a plan (or 'none')".to_string())
@@ -145,66 +135,68 @@ fn main() {
                 std::process::exit(2);
             }),
     };
-    let defaults = DistRequest::new(n, t);
     let request = DistRequest {
         run: CrwRunArgs {
-            threads: number_or(&args, "--worker-threads", twostep_sim::default_threads()),
+            threads: number_or(&args, "--worker-threads", defaults.run.threads),
             hot_capacity: Some(number_or(&args, "--spill", 0)).filter(|&hot| hot > 0),
             symmetry: flag_or(
                 &args,
                 "--symmetry",
                 Symmetry::parse_token,
-                Symmetry::from_env,
+                defaults.run.symmetry,
             ),
             ..defaults.run
         },
         partitions: number_or(&args, "--partitions", defaults.partitions).max(1),
         depth: number_or(&args, "--depth", defaults.depth),
-        cache_dir: flag_or(&args, "--cache-dir", directory, || {
-            cache_from_env().map(|c| c.dir)
-        }),
+        cache_dir: flag_or(&args, "--cache-dir", directory, defaults.cache_dir),
         budget: WalkBudget {
             max_steps: flag_or(
                 &args,
                 "--max-steps",
                 |v| v.parse().ok().map(Some),
-                || env_budget.max_steps,
+                defaults.budget.max_steps,
             ),
             deadline: flag_or(
                 &args,
                 "--deadline-ms",
                 |v| v.parse().ok().map(|ms| Some(Duration::from_millis(ms))),
-                || env_budget.deadline,
+                defaults.budget.deadline,
             ),
-            ..env_budget
+            ..defaults.budget
         },
         // Without it a budget suspension discards its partial work.
-        checkpoint_dir: flag_or(&args, "--checkpoint-dir", directory, || None),
+        checkpoint_dir: flag_or(
+            &args,
+            "--checkpoint-dir",
+            directory,
+            defaults.checkpoint_dir,
+        ),
         steal: StealConfig {
-            enabled: has("--steal") || steal_from_env().unwrap_or(false),
+            enabled: has("--steal"),
             poll_interval: Duration::from_millis(number_or(
                 &args,
                 "--steal-poll-ms",
-                steal_defaults.poll_interval.as_millis() as u64,
+                defaults.steal.poll_interval.as_millis() as u64,
             )),
-            min_frontier: number_or(&args, "--steal-min-frontier", steal_defaults.min_frontier),
-            yield_every: number_or(&args, "--steal-yield-every", steal_defaults.yield_every).max(1),
+            min_frontier: number_or(&args, "--steal-min-frontier", defaults.steal.min_frontier),
+            yield_every: number_or(&args, "--steal-yield-every", defaults.steal.yield_every).max(1),
         },
         faults,
         supervise: SuperviseConfig {
             attempt_timeout: millis_or(
                 &args,
                 "--attempt-timeout-ms",
-                env_supervise.attempt_timeout,
+                defaults.supervise.attempt_timeout,
             ),
-            watchdog: millis_or(&args, "--watchdog-ms", env_supervise.watchdog),
+            watchdog: millis_or(&args, "--watchdog-ms", defaults.supervise.watchdog),
             backoff: Duration::from_millis(number_or(
                 &args,
                 "--backoff-ms",
-                env_supervise.backoff.as_millis() as u64,
+                defaults.supervise.backoff.as_millis() as u64,
             )),
             degrade: !has("--no-degrade"),
-            ..env_supervise
+            ..defaults.supervise
         },
     };
     if !request.faults.is_empty() {

@@ -55,8 +55,7 @@ pub struct CrwRunArgs {
     /// Symmetry-reduction mode.  Workers rebuild their `ExploreConfig`
     /// from this argv, so the mode must ride along explicitly — every
     /// process of one run has to key (and partition) configurations
-    /// identically, regardless of what `TWOSTEP_SYMMETRY` says in the
-    /// worker's environment.
+    /// identically.
     pub symmetry: Symmetry,
 }
 
@@ -640,7 +639,7 @@ pub fn run_dist_crw(request: &DistRequest) -> Result<DistRun, ExploreError> {
         depth: request.depth,
         attempts: 3,
         scratch_dir: None,
-        replay: ExploreOptions::default()
+        replay: ExploreOptions::serial()
             .with_budget(request.budget.clone())
             .with_checkpoint(request.checkpoint_dir.clone().map(CheckpointConfig::at)),
         cache: request.cache_dir.clone().map(CacheConfig::read_write),

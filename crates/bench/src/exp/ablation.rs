@@ -12,9 +12,7 @@ use crate::cells;
 use crate::table::Table;
 use twostep_core::{CommitOrder, Crw};
 use twostep_model::{ProcessId, SystemConfig, WideValue};
-use twostep_modelcheck::{
-    explore_with, ExploreConfig, ExploreOptions, RoundBound, SpecMode, Symmetry,
-};
+use twostep_modelcheck::{explore, ExploreConfig, RoundBound, SpecMode, Symmetry};
 use twostep_sim::ModelKind;
 
 /// Runs the ablation for one `(n, t)` and renders the table.
@@ -50,14 +48,7 @@ pub fn table(n: usize, t: usize) -> Table {
             max_crashes_per_round: None,
             symmetry: Symmetry::Off,
         };
-        let report = explore_with(
-            system,
-            options,
-            ExploreOptions::default(),
-            procs,
-            proposals.clone(),
-        )
-        .expect("within budget");
+        let report = explore(system, options, procs, proposals.clone()).expect("within budget");
 
         let worst: Vec<String> = report
             .root

@@ -20,7 +20,7 @@ use crate::table::Table;
 use twostep_core::crw_processes;
 use twostep_model::{SystemConfig, WideValue};
 use twostep_modelcheck::{
-    explore_with, sample, ExploreConfig, ExploreOptions, RoundBound, SampleConfig, SampleStrategy,
+    explore, sample, ExploreConfig, RoundBound, SampleConfig, SampleStrategy,
 };
 use twostep_sim::ModelKind;
 
@@ -57,10 +57,9 @@ pub fn tables(p: E5Params) -> Vec<Table> {
     for &(n, t) in &p.systems {
         let system = SystemConfig::new(n, t).expect("valid system");
         let proposals = binary_proposals(n);
-        let report = explore_with(
+        let report = explore(
             system,
             ExploreConfig::for_crw(&system),
-            ExploreOptions::default(),
             crw_processes(&system, &proposals),
             proposals.clone(),
         )
@@ -107,10 +106,9 @@ pub fn tables(p: E5Params) -> Vec<Table> {
         // The Theorem 3 adversary: at most ONE crash per round — the
         // restriction the §5 proof actually uses.  The worst case must
         // still be exactly f+1: the lower bound needs no crash bursts.
-        let t3 = explore_with(
+        let t3 = explore(
             system,
             ExploreConfig::theorem3(&system),
-            ExploreOptions::default(),
             crw_processes(&system, &proposals),
             proposals.clone(),
         )

@@ -98,7 +98,7 @@ use std::hash::Hash;
 use std::path::{Path, PathBuf};
 
 use twostep_model::SystemConfig;
-use twostep_sim::{EnvKnob, ModelKind};
+use twostep_sim::ModelKind;
 
 use crate::checkpoint::CheckpointConfig;
 use crate::explorer::{CheckableProtocol, ExploreConfig, ExploreError, RoundBound, SpecMode};
@@ -577,28 +577,6 @@ impl CacheSession {
         };
         Ok(())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Environment resolution (TWOSTEP_CACHE_DIR)
-// ---------------------------------------------------------------------------
-
-/// `TWOSTEP_CACHE_DIR`: the cache root; unset is no cache, and a
-/// set-but-empty value is never silently honored *or* dropped.
-pub(crate) const CACHE_DIR: EnvKnob<PathBuf> = EnvKnob {
-    name: "TWOSTEP_CACHE_DIR",
-    fallback: "is set but empty; persistent cache disabled",
-    parse: |raw| (!raw.is_empty()).then(|| PathBuf::from(raw)),
-};
-
-/// Resolves the persistent-cache configuration from `TWOSTEP_CACHE_DIR`
-/// (ReadWrite mode — the env knob is for "keep warming this directory
-/// up" workflows).  Unset means no cache; an empty value warns once on
-/// stderr and disables the cache rather than panicking.  A path that
-/// turns out to be unusable (e.g. an existing non-directory) is caught
-/// later by the session's open/commit, which also warn-and-disable.
-pub fn cache_from_env() -> Option<CacheConfig> {
-    CACHE_DIR.get().map(CacheConfig::read_write)
 }
 
 #[cfg(test)]

@@ -158,8 +158,7 @@ use std::time::{Duration, Instant};
 
 use twostep_model::SystemConfig;
 use twostep_sim::{
-    supervise, CancelToken, EnvKnob, RetryPolicy, RoundActions, Stepper, SupervisedAttempt,
-    TraceLevel,
+    supervise, CancelToken, RetryPolicy, RoundActions, Stepper, SupervisedAttempt, TraceLevel,
 };
 
 use crate::cache::CacheConfig;
@@ -229,7 +228,7 @@ pub struct DistOptions {
 
 impl DistOptions {
     /// Defaults for `partitions` workers: depth-1 frontier, 3 attempts,
-    /// temp-dir scratch, default replay engine, no cache, stealing off,
+    /// temp-dir scratch, serial replay engine, no cache, stealing off,
     /// no injected faults, default supervision (degrade on exhaustion).
     pub fn new(partitions: usize) -> Self {
         DistOptions {
@@ -298,36 +297,6 @@ impl SuperviseConfig {
     }
 }
 
-/// `TWOSTEP_WATCHDOG_MS`: the pulse-liveness deadline in milliseconds
-/// (`0` disables it).
-pub(crate) const WATCHDOG_MS: EnvKnob<u64> = EnvKnob {
-    name: "TWOSTEP_WATCHDOG_MS",
-    fallback: "is not a millisecond count; keeping the default",
-    parse: |raw| raw.parse().ok(),
-};
-
-/// `TWOSTEP_BACKOFF_MS`: the base retry backoff in milliseconds.
-pub(crate) const BACKOFF_MS: EnvKnob<u64> = EnvKnob {
-    name: "TWOSTEP_BACKOFF_MS",
-    fallback: "is not a millisecond count; keeping the default",
-    parse: |raw| raw.parse().ok(),
-};
-
-/// Resolves supervision overrides from the environment:
-/// `TWOSTEP_WATCHDOG_MS` (pulse-liveness deadline, `0` disables) and
-/// `TWOSTEP_BACKOFF_MS` (base retry backoff).  Garbage warns once per
-/// process and leaves the default in place — never silently honored.
-pub fn supervise_from_env() -> SuperviseConfig {
-    let mut config = SuperviseConfig::default();
-    if let Some(ms) = WATCHDOG_MS.get() {
-        config.watchdog = (ms > 0).then(|| Duration::from_millis(ms));
-    }
-    if let Some(ms) = BACKOFF_MS.get() {
-        config.backoff = Duration::from_millis(ms);
-    }
-    config
-}
-
 /// Work-stealing policy for [`explore_elastic_timed`]: when the coordinator
 /// provisions workers, and when it preempts a loaded one to re-balance.
 ///
@@ -373,24 +342,6 @@ impl StealConfig {
             ..Self::default()
         }
     }
-}
-
-/// `TWOSTEP_STEAL`: `1`/`true`/`on` or `0`/`false`/`off`.
-pub(crate) const STEAL: EnvKnob<bool> = EnvKnob {
-    name: "TWOSTEP_STEAL",
-    fallback: "is not a toggle (1/0/true/false/on/off); work stealing stays off",
-    parse: |raw| match raw.to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
-    },
-};
-
-/// Resolves the `TWOSTEP_STEAL` env toggle; `None` when unset, and —
-/// loudly, once — when set to anything that is not a toggle: the user
-/// would otherwise believe stealing is on when it is not.
-pub fn steal_from_env() -> Option<bool> {
-    STEAL.get()
 }
 
 /// One worker's assignment: which frontier partition to explore and

@@ -24,8 +24,7 @@
 //!   [`BudgetKind`] (steps, wall-clock deadline, memo bytes — the
 //!   distinct-state budget is checked where a memo miss is about to
 //!   become a state).  The built-in [`BudgetArbiter`] enforces a
-//!   declarative [`WalkBudget`] (`ExploreOptions::budget`,
-//!   env-resolvable via `TWOSTEP_MAX_STEPS` / `TWOSTEP_DEADLINE_MS`; the
+//!   declarative [`WalkBudget`] (`ExploreOptions::budget`; the
 //!   deadline clock is read every 64 steps, not every step).  A call
 //!   never passes over a step at which the arbiter could have answered
 //!   anything else, or changed its own state: before the first silent

@@ -8,8 +8,8 @@
 //! configurations are mere relabelings of one another — and exploring
 //! each label variant separately pays up to `n!` redundancy that no
 //! constant-factor hot-path win can touch.  `ExploreConfig::symmetry`
-//! (`Symmetry::Off | Full | Partial | PartialValue`, env tokens
-//! `off|full|partial|partial+value` via `TWOSTEP_SYMMETRY`) quotients
+//! (`Symmetry::Off | Full | Partial | PartialValue`, CLI tokens
+//! `off|full|partial|partial+value`) quotients
 //! the key path by the largest group that is *sound for the protocol
 //! being checked*, at escalating strengths:
 //!

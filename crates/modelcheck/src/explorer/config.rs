@@ -2,15 +2,14 @@
 //! the exploration limits and model options ([`ExploreConfig`]), the
 //! engine options ([`ExploreOptions`], [`WalkBudget`]), the symmetry
 //! modes and what a run resolves one to (`SymmetryPlan` — the soundness
-//! of each tier is argued at the head of `canon.rs`), and the four
-//! `TWOSTEP_*` variables the explorer's defaults read.
+//! of each tier is argued at the head of `canon.rs`).
 
 use std::hash::Hash;
 use std::time::Duration;
 
 use twostep_model::codec::stable_hash64;
 use twostep_model::SystemConfig;
-use twostep_sim::{default_threads, EnvKnob, ModelKind, SyncProtocol};
+use twostep_sim::{ModelKind, SyncProtocol};
 
 use crate::cache::CacheConfig;
 use crate::checkpoint::CheckpointConfig;
@@ -138,10 +137,9 @@ pub enum Symmetry {
 }
 
 impl Symmetry {
-    /// The mode's canonical config-string token, shared by the
-    /// `TWOSTEP_SYMMETRY` env override, the bench CLI, and the
-    /// distributed worker argv (so every process of a run agrees on the
-    /// spelling).
+    /// The mode's canonical config-string token, shared by the bench
+    /// CLIs and the distributed worker argv (so every process of a run
+    /// agrees on the spelling).
     pub fn token(self) -> &'static str {
         match self {
             Symmetry::Off => "off",
@@ -153,8 +151,8 @@ impl Symmetry {
 
     /// Parses a [`token`](Self::token) (ASCII case-insensitive,
     /// surrounding whitespace ignored); `None` for anything else —
-    /// callers decide whether that warrants a warning
-    /// (the `TWOSTEP_SYMMETRY` warn-once policy) or a hard error.
+    /// callers decide whether that falls back to a default or is a hard
+    /// error.
     pub fn parse_token(raw: &str) -> Option<Symmetry> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "off" => Some(Symmetry::Off),
@@ -163,13 +161,6 @@ impl Symmetry {
             "partial+value" => Some(Symmetry::PartialValue),
             _ => None,
         }
-    }
-
-    /// The mode the `TWOSTEP_SYMMETRY` env var selects
-    /// (`off|full|partial|partial+value`); [`Symmetry::Off`] when unset,
-    /// and — loudly, once — when set to anything else.
-    pub fn from_env() -> Symmetry {
-        SYMMETRY.get().unwrap_or_default()
     }
 
     /// Resolves the mode into the run's concrete [`SymmetryPlan`] —
@@ -320,9 +311,8 @@ pub struct ExploreConfig {
     /// proof kills at most one process per round, so the `f+1` lower
     /// bound already holds against this weaker adversary.
     pub max_crashes_per_round: Option<usize>,
-    /// Symmetry-reduction mode (default [`Symmetry::Off`]; the
-    /// [`for_crw`](Self::for_crw) constructor honors the
-    /// `TWOSTEP_SYMMETRY` env override).  Part of the persistent-cache
+    /// Symmetry-reduction mode ([`Symmetry::Off`] from
+    /// [`for_crw`](Self::for_crw)).  Part of the persistent-cache
     /// fingerprint: runs at different effective strengths never share a
     /// cache.
     pub symmetry: Symmetry,
@@ -330,12 +320,9 @@ pub struct ExploreConfig {
 
 impl ExploreConfig {
     /// Defaults for checking the paper's algorithm: extended model, round
-    /// cap `n + 1`, Theorem 1 bound, a generous state budget.  Honors
-    /// the `TWOSTEP_SYMMETRY` env override ([`Symmetry::from_env`]) so
-    /// operators can flip symmetry reduction without recompiling;
-    /// explicit callers (the bench harness runs both modes in one
-    /// process) just assign [`ExploreConfig::symmetry`] after
-    /// construction.
+    /// cap `n + 1`, Theorem 1 bound, a generous state budget, no
+    /// symmetry reduction; a caller wanting a quotient assigns
+    /// [`ExploreConfig::symmetry`] after construction.
     pub fn for_crw(system: &SystemConfig) -> Self {
         ExploreConfig {
             model: ModelKind::Extended,
@@ -344,7 +331,7 @@ impl ExploreConfig {
             round_bound: Some(RoundBound::FPlus(1)),
             spec: SpecMode::Uniform,
             max_crashes_per_round: None,
-            symmetry: Symmetry::from_env(),
+            symmetry: Symmetry::Off,
         }
     }
 
@@ -368,8 +355,7 @@ impl ExploreConfig {
 /// budget carve-out).
 #[derive(Clone, Debug)]
 pub struct ExploreOptions {
-    /// Worker threads ([`twostep_sim::default_threads`] by default, which
-    /// honors the `TWOSTEP_THREADS` env override; min 1).
+    /// Worker threads (1 by default; min 1).
     pub threads: usize,
     /// Memo shards (power of two recommended; min 1).  More shards mean
     /// less lock contention and slightly more per-lookup overhead.
@@ -384,28 +370,25 @@ pub struct ExploreOptions {
     /// subtrees are the big ones, so a small cutoff keeps the
     /// work-sharing benefit while avoiding donation overhead (one extra
     /// `step` per donated child) deep in the tree, where subtrees are
-    /// tiny and mostly memoized anyway.  Defaults to the
-    /// `TWOSTEP_DONATE_DEPTH` env var when set; results are identical
-    /// under every policy — only load balance changes.
+    /// tiny and mostly memoized anyway.  `None` by default; results are
+    /// identical under every policy — only load balance changes.
     pub donate_depth: Option<u32>,
     /// Persistent result cache ([`crate::cache`]): `Some` pre-seeds the
     /// memo from the cache directory when its fingerprint matches this
     /// run (warm-started walks short-circuit on every memoized subtree)
     /// and, in [`CacheMode::ReadWrite`](crate::CacheMode::ReadWrite),
     /// commits newly discovered entries back as a delta segment.
-    /// Defaults to the `TWOSTEP_CACHE_DIR` env var when set (ReadWrite);
-    /// results are identical with and without a cache — only speed
-    /// changes.
+    /// `None` by default; results are identical with and without a
+    /// cache — only speed changes.
     pub cache: Option<CacheConfig>,
     /// Per-walk preemption budget enforced by the frame-stepped driver
     /// (`explorer/budget.rs`).  An exhausted budget suspends the walk:
     /// with a [`checkpoint`](Self::checkpoint) directory configured the
     /// partial memo is serialized for resume; either way the call returns
     /// [`ExploreError::Interrupted`](crate::ExploreError::Interrupted).
-    /// Defaults to the `TWOSTEP_MAX_STEPS` / `TWOSTEP_DEADLINE_MS` env
-    /// vars when set ([`budget_from_env`]); unlimited otherwise.  Results
-    /// are identical under every budget — an interrupted-then-resumed
-    /// chain converges to the uninterrupted report.
+    /// Unlimited by default.  Results are identical under every budget —
+    /// an interrupted-then-resumed chain converges to the uninterrupted
+    /// report.
     pub budget: WalkBudget,
     /// Checkpoint directory for suspended walks ([`crate::checkpoint`]):
     /// `Some` makes budget suspensions (and `StateLimit` aborts) commit a
@@ -417,16 +400,9 @@ pub struct ExploreOptions {
 }
 
 impl Default for ExploreOptions {
+    /// The serial engine ([`ExploreOptions::serial`]).
     fn default() -> Self {
-        ExploreOptions {
-            threads: default_threads(),
-            shards: 64,
-            memo: MemoConfig::all_ram(),
-            donate_depth: DONATE_DEPTH.get(),
-            cache: crate::cache::cache_from_env(),
-            budget: budget_from_env(),
-            checkpoint: None,
-        }
+        Self::serial()
     }
 }
 
@@ -444,11 +420,13 @@ impl ExploreOptions {
         }
     }
 
-    /// A parallel engine with an explicit worker count.
+    /// A parallel engine with an explicit worker count over 64 memo
+    /// shards.
     pub fn with_threads(threads: usize) -> Self {
         ExploreOptions {
             threads: threads.max(1),
-            ..Self::default()
+            shards: 64,
+            ..Self::serial()
         }
     }
 
@@ -480,39 +458,6 @@ impl ExploreOptions {
         ExploreOptions { checkpoint, ..self }
     }
 }
-
-/// `TWOSTEP_DONATE_DEPTH`: the donation cutoff round; unset donates at
-/// any depth.
-pub(crate) const DONATE_DEPTH: EnvKnob<u32> = EnvKnob {
-    name: "TWOSTEP_DONATE_DEPTH",
-    fallback: "is not a round number; donating at any depth",
-    parse: |raw| raw.parse().ok(),
-};
-
-/// `TWOSTEP_SYMMETRY`: a [`Symmetry::token`]; unset is [`Symmetry::Off`].
-pub(crate) const SYMMETRY: EnvKnob<Symmetry> = EnvKnob {
-    name: "TWOSTEP_SYMMETRY",
-    fallback: "is not \"off\", \"full\", \"partial\", or \"partial+value\"; \
-               symmetry reduction stays off",
-    parse: Symmetry::parse_token,
-};
-
-/// `TWOSTEP_MAX_STEPS`: a step count; unset is unbounded.  `0` is
-/// accepted: the min-progress guarantee still advances one fresh state
-/// per session.
-pub(crate) const MAX_STEPS: EnvKnob<u64> = EnvKnob {
-    name: "TWOSTEP_MAX_STEPS",
-    fallback: "is not a step count; walks are unbounded",
-    parse: |raw| raw.parse().ok(),
-};
-
-/// `TWOSTEP_DEADLINE_MS`: a wall-clock deadline in milliseconds; unset is
-/// none.
-pub(crate) const DEADLINE_MS: EnvKnob<Duration> = EnvKnob {
-    name: "TWOSTEP_DEADLINE_MS",
-    fallback: "is not a millisecond count; walks have no deadline",
-    parse: |raw| raw.parse().ok().map(Duration::from_millis),
-};
 
 /// Declarative per-walk budget enforced by the frame-stepped driver via
 /// `BudgetArbiter` (the contracts at the head of `explorer/budget.rs`).
@@ -552,17 +497,5 @@ impl WalkBudget {
     /// Whether every limit is unset.
     pub fn is_unlimited(&self) -> bool {
         *self == Self::default()
-    }
-}
-
-/// Resolves the default [`WalkBudget`] from the `TWOSTEP_MAX_STEPS` /
-/// `TWOSTEP_DEADLINE_MS` env vars — unset means unlimited, and a
-/// set-but-unparseable value is never silently ignored
-/// ([`twostep_sim::EnvKnob`]).
-pub fn budget_from_env() -> WalkBudget {
-    WalkBudget {
-        max_steps: MAX_STEPS.get(),
-        deadline: DEADLINE_MS.get(),
-        ..WalkBudget::unlimited()
     }
 }

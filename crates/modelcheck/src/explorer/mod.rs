@@ -50,9 +50,9 @@
 //!   (tail-first — the ones it would reach last) to the queue.  Stealing
 //!   walkers explore those subtrees into the shared memo and discard the
 //!   local result; the primary walker later finds them memoized.  The
-//!   depth-aware policy [`ExploreOptions::donate_depth`]
-//!   (`TWOSTEP_DONATE_DEPTH`) optionally confines donation to shallow
-//!   rounds, where subtrees are still big enough to repay the handoff;
+//!   depth-aware policy [`ExploreOptions::donate_depth`] optionally
+//!   confines donation to shallow rounds, where subtrees are still big
+//!   enough to repay the handoff;
 //! * worker 0 — the **primary** walker, running on the calling thread via
 //!   [`twostep_sim::run_on_workers`] — performs the canonical root walk
 //!   (or, for a distributed worker, the canonical walk of each assigned
@@ -100,7 +100,7 @@
 //!
 //! * `config` — what to explore and how: [`ExploreConfig`],
 //!   [`ExploreOptions`], [`WalkBudget`], [`Symmetry`] and the plan a run
-//!   resolves it to, the `TWOSTEP_*` defaults;
+//!   resolves it to;
 //! * `budget` — the driver protocol of the frame-stepped core: step
 //!   results, arbiters, [`BudgetKind`];
 //! * `report` — [`ExploreError`], [`Summary`], [`ExploreReport`],
@@ -135,8 +135,7 @@ use crate::spill::SpillCodec;
 
 pub use budget::BudgetKind;
 pub use config::{
-    budget_from_env, CheckableProtocol, ExploreConfig, ExploreOptions, RoundBound, SpecMode,
-    Symmetry, WalkBudget,
+    CheckableProtocol, ExploreConfig, ExploreOptions, RoundBound, SpecMode, Symmetry, WalkBudget,
 };
 pub use report::{ExploreError, ExploreReport, Summary, Witness};
 pub(crate) use run::{

@@ -8,14 +8,13 @@
 //! here.
 
 use std::hash::Hash;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use twostep_model::codec::stable_hash64;
 use twostep_model::{CrashPoint, CrashSchedule, CrashStage, ProcessId, Round, SystemConfig};
 use twostep_sim::{
-    check_uniform_consensus, EnvKnob, ModelKind, ProcStatus, RoundActions, SpecViolation, Stepper,
+    check_uniform_consensus, ModelKind, ProcStatus, RoundActions, SpecViolation, Stepper,
     TraceLevel,
 };
 
@@ -23,7 +22,6 @@ use super::budget::{BudgetArbiter, BudgetKind, StepResult, StepStatus, Unbounded
 use super::canon::make_key_into;
 use super::config::{
     CheckableProtocol, ExploreConfig, ExploreOptions, RoundBound, Symmetry, WalkBudget,
-    DEADLINE_MS, DONATE_DEPTH, MAX_STEPS, SYMMETRY,
 };
 use super::report::{ExploreError, ExploreReport, Summary};
 use super::round::BlockCounts;
@@ -263,12 +261,22 @@ fn deep_spaces_do_not_overflow_the_stack() {
     assert_eq!(report.distinct_states, 20_001);
 }
 
+/// The defaults are constants: `default()` is the serial walk with
+/// nothing armed, `with_threads` changes only the worker and shard
+/// counts, and `for_crw` does not quotient.
 #[test]
 fn explore_options_defaults_are_sane() {
-    assert_eq!(ExploreOptions::serial().threads, 1);
-    assert!(ExploreOptions::default().threads >= 1);
-    assert!(ExploreOptions::default().shards >= 1);
+    let default = ExploreOptions::default();
+    assert_eq!((default.threads, default.shards), (1, 1));
+    assert_eq!(default.donate_depth, None);
+    assert!(default.cache.is_none() && default.checkpoint.is_none());
+    assert!(default.budget.is_unlimited());
+    let parallel = ExploreOptions::with_threads(4);
+    assert_eq!((parallel.threads, parallel.shards), (4, 64));
+    assert!(parallel.cache.is_none() && parallel.budget.is_unlimited());
     assert_eq!(ExploreOptions::with_threads(0).threads, 1);
+    let system = SystemConfig::new(3, 2).unwrap();
+    assert_eq!(ExploreConfig::for_crw(&system).symmetry, Symmetry::Off);
     assert!(!ExploreOptions::default().memo.spill_enabled());
     assert!(ExploreOptions::default()
         .with_memo(MemoConfig::spill(16))
@@ -847,60 +855,6 @@ fn spilled_witness_matches_ram_witness() {
     let wp = spilled.witness.expect("spilled witness");
     assert_eq!(format!("{:?}", ws.schedule), format!("{:?}", wp.schedule));
     assert_eq!(ws.decisions, wp.decisions);
-}
-
-/// The env-knob policy over every model-checker variable, one row
-/// each (`TWOSTEP_THREADS` has the same row next to its knob in
-/// `twostep_sim`): unset resolves to the default silently, a valid
-/// value (whitespace tolerated) is honored silently, and garbage
-/// resolves to the default with a warning naming the variable and
-/// the offending value — never silently ignored.
-#[test]
-fn every_env_knob_follows_the_warn_once_policy() {
-    fn row<T: PartialEq + std::fmt::Debug>(knob: EnvKnob<T>, valid: &str, value: T, garbage: &str) {
-        assert_eq!(knob.resolve(None), (None, None), "{}: unset", knob.name);
-        assert_eq!(
-            knob.resolve(Some(&format!("  {valid} "))),
-            (Some(value), None),
-            "{}: valid",
-            knob.name
-        );
-        let (value, warning) = knob.resolve(Some(garbage));
-        assert_eq!(value, None, "{}: garbage falls back", knob.name);
-        let warning = warning.unwrap_or_else(|| panic!("{}: garbage must warn", knob.name));
-        assert!(warning.contains(knob.name), "{warning}");
-        assert!(warning.contains(&format!("{garbage:?}")), "{warning}");
-    }
-    use crate::dist::{BACKOFF_MS, STEAL, WATCHDOG_MS};
-    let plan = "p0a0=crash@walk;p1a0=hang@export";
-    row(DONATE_DEPTH, "2", 2, "deep");
-    row(
-        SYMMETRY,
-        "Partial+Value",
-        Symmetry::PartialValue,
-        "sideways",
-    );
-    row(SYMMETRY, "off", Symmetry::Off, "");
-    // `0` is a valid step budget (min-progress still advances).
-    row(MAX_STEPS, "0", 0, "soon");
-    row(MAX_STEPS, "123", 123, "-3");
-    row(DEADLINE_MS, "250", Duration::from_millis(250), "1.5s");
-    row(
-        crate::cache::CACHE_DIR,
-        "/tmp/twostep-cache",
-        PathBuf::from("/tmp/twostep-cache"),
-        "   ",
-    );
-    row(STEAL, "ON", true, "maybe");
-    row(STEAL, "0", false, "2");
-    row(WATCHDOG_MS, "0", 0, "5s");
-    row(BACKOFF_MS, "40", 40, "fast");
-    row(
-        crate::faults::FAULT,
-        plan,
-        crate::faults::FaultPlan::parse(plan).unwrap(),
-        "p0=explode",
-    );
 }
 
 #[test]

@@ -17,9 +17,8 @@
 //!   This proves the loud-replace and all-or-nothing manifest guarantees
 //!   under injected damage rather than hand-mangled files.
 //!
-//! Plans come from `--fault` on `twostep-dist` or the `TWOSTEP_FAULT`
-//! environment variable (garbage warns once and is ignored, per the
-//! `TWOSTEP_THREADS` idiom).  The grammar, entries separated by `;`:
+//! Plans come from `--fault` on `twostep-dist` (or a test building a
+//! [`FaultPlan`] directly).  The grammar, entries separated by `;`:
 //!
 //! ```text
 //! p<partition>a<attempt>=<fault>      one worker launch
@@ -44,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use twostep_sim::{CancelToken, EnvKnob};
+use twostep_sim::CancelToken;
 
 use crate::explorer::ExploreError;
 
@@ -278,20 +277,6 @@ fn parse_worker_key(key: &str) -> Result<(u64, usize), String> {
         partition.parse::<u64>().map_err(|_| bad())?,
         attempt.parse::<usize>().map_err(|_| bad())?,
     ))
-}
-
-/// `TWOSTEP_FAULT`: a [`FaultPlan::parse`] plan; unset injects nothing.
-pub(crate) const FAULT: EnvKnob<FaultPlan> = EnvKnob {
-    name: "TWOSTEP_FAULT",
-    fallback: "is not a fault plan; injecting nothing",
-    parse: |raw| FaultPlan::parse(raw).ok(),
-};
-
-/// Resolves a fault plan from the `TWOSTEP_FAULT` environment variable.
-/// Unset means no faults; a value that doesn't parse is **not** silently
-/// honored — it warns once on stderr and injects nothing.
-pub fn fault_plan_from_env() -> FaultPlan {
-    FAULT.get().unwrap_or_default()
 }
 
 /// Hard cap on an injected hang whose cancel token never trips, so a

@@ -71,23 +71,19 @@ pub mod memo;
 pub mod sample;
 pub mod spill;
 
-pub use cache::{cache_from_env, run_fingerprint, CacheConfig, CacheMode};
+pub use cache::{run_fingerprint, CacheConfig, CacheMode};
 pub use checkpoint::CheckpointConfig;
 pub use dist::{
     explore_elastic_in_process, explore_elastic_timed, explore_partitioned_in_process,
-    explore_partitioned_timed, run_worker, run_worker_elastic, steal_from_env, supervise_from_env,
-    DistOptions, DistTimings, ElasticExit, ElasticStats, ElasticTask, StealConfig, SuperviseConfig,
-    WorkerPulse, WorkerReport, WorkerTask,
+    explore_partitioned_timed, run_worker, run_worker_elastic, DistOptions, DistTimings,
+    ElasticExit, ElasticStats, ElasticTask, StealConfig, SuperviseConfig, WorkerPulse,
+    WorkerReport, WorkerTask,
 };
 pub use explorer::{
-    budget_from_env, explore, explore_with, BudgetKind, CheckableProtocol, ExploreConfig,
-    ExploreError, ExploreOptions, ExploreReport, RoundBound, SpecMode, Summary, Symmetry,
-    WalkBudget, Witness,
+    explore, explore_with, BudgetKind, CheckableProtocol, ExploreConfig, ExploreError,
+    ExploreOptions, ExploreReport, RoundBound, SpecMode, Summary, Symmetry, WalkBudget, Witness,
 };
-pub use faults::{
-    fault_plan_from_env, install_io_fault, FaultPlan, IoFault, IoFaultGuard, WorkerFault,
-    WorkerPhase,
-};
+pub use faults::{install_io_fault, FaultPlan, IoFault, IoFaultGuard, WorkerFault, WorkerPhase};
 pub use memo::MemoConfig;
 pub use sample::{sample, SampleConfig, SampleReport, SampleStrategy, SampleViolation};
 pub use spill::{decode_summary, encode_summary, validate_segment_file, SpillCodec, SpillError};

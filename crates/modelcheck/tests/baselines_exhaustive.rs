@@ -5,31 +5,7 @@
 
 use twostep_baselines::{earlystop_processes, floodset_processes};
 use twostep_model::SystemConfig;
-use twostep_modelcheck::{
-    explore_with, ExploreConfig, ExploreOptions, RoundBound, SpecMode, Symmetry,
-};
-
-/// All exhaustive suites run through the parallel default engine; the
-/// differential suite (`parallel_differential.rs`) pins its equivalence
-/// to the serial walk.
-fn explore<P>(
-    system: twostep_model::SystemConfig,
-    config: ExploreConfig,
-    initial: Vec<P>,
-    proposals: Vec<P::Output>,
-) -> Result<twostep_modelcheck::ExploreReport<P::Output>, twostep_modelcheck::ExploreError>
-where
-    P: twostep_modelcheck::CheckableProtocol,
-    P::Output: std::hash::Hash + twostep_modelcheck::SpillCodec,
-{
-    explore_with(
-        system,
-        config,
-        ExploreOptions::default(),
-        initial,
-        proposals,
-    )
-}
+use twostep_modelcheck::{explore, ExploreConfig, RoundBound, SpecMode, Symmetry};
 
 use twostep_sim::ModelKind;
 

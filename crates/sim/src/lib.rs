@@ -18,10 +18,7 @@
 //!   [`sweep`]);
 //! * [`run_on_workers`] / [`WorkQueue`] / [`default_threads`] — the
 //!   workspace-wide worker scheduler and work-sharing injector (module
-//!   [`scheduler`]), shared by sweeps and the exhaustive explorer and
-//!   honoring the `TWOSTEP_THREADS` env override;
-//! * [`EnvKnob`] — the one warn-once policy every `TWOSTEP_*` environment
-//!   variable in the workspace resolves through.
+//!   [`scheduler`]), shared by sweeps and the exhaustive explorer.
 //!
 //! The engine is fully deterministic: given the same protocol states and
 //! the same [`CrashSchedule`](twostep_model::CrashSchedule), it produces
@@ -32,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-mod env;
 pub mod protocol;
 pub mod scheduler;
 pub mod spec;
@@ -44,11 +40,10 @@ pub use engine::{
     Decision, ModelKind, PlanShape, ProcStatus, RoundActions, RoundView, RunReport, SentRound,
     SettledProcess, SimError, Simulation, Stepper,
 };
-pub use env::EnvKnob;
 pub use protocol::{Inbox, SendPlan, Step, SyncProtocol};
 pub use scheduler::{
     default_threads, panic_message, run_on_workers, supervise, CancelToken, RetryPolicy,
-    SupervisedAttempt, TaskError, WorkQueue, MAX_THREADS,
+    SupervisedAttempt, TaskError, WorkQueue,
 };
 pub use spec::{check_uniform_consensus, SpecReport, SpecViolation};
 pub use stats::{Histogram, Summary};

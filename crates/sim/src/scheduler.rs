@@ -17,11 +17,10 @@
 //!   the channel through which busy explorer walkers *share* unexplored
 //!   subtrees with idle ones.
 //!
-//! Thread-count policy lives in [`default_threads`]: the `TWOSTEP_THREADS`
-//! environment variable (minimum 1) overrides the machine's available
-//! parallelism, and every parallel facility in the workspace — parameter
-//! sweeps, the exhaustive explorer, experiment harnesses — resolves its
-//! default through this single function.
+//! Thread-count policy lives in [`default_threads`]: the machine's
+//! available parallelism, which every parallel facility in the workspace
+//! that is not handed an explicit count resolves through this one
+//! function.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,55 +28,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::env::{warn_once, EnvKnob};
-
-/// Hard cap on the worker count accepted from `TWOSTEP_THREADS`: values
-/// above this are almost certainly typos (no machine this workspace
-/// targets has thousands of cores, and each worker pins a thread), so
-/// they are clamped rather than honored.
-pub const MAX_THREADS: usize = 4096;
-
-/// Number of worker threads to use by default.
-///
-/// Resolution order:
-///
-/// 1. `TWOSTEP_THREADS` environment variable (useful to pin CI or
-///    reproduce serial behavior: `TWOSTEP_THREADS=1`); surrounding
-///    whitespace is tolerated, values above [`MAX_THREADS`] are clamped,
-///    and `0` or an unparseable value is **not** silently honored — it
-///    falls back to machine parallelism with a one-time warning on
-///    stderr;
-/// 2. the machine's available parallelism;
-/// 3. 1, if neither is known.
+/// Number of worker threads to use by default: the machine's available
+/// parallelism, or 1 if it is not known.
 pub fn default_threads() -> usize {
-    let machine = std::thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1);
-    let (threads, warning) = clamp_threads(THREADS.get().unwrap_or(machine));
-    if let Some(warning) = warning {
-        warn_once("TWOSTEP_THREADS cap", &warning);
-    }
-    threads
-}
-
-/// `TWOSTEP_THREADS`: any positive worker count ([`default_threads`]
-/// clamps it to [`MAX_THREADS`]).
-const THREADS: EnvKnob<usize> = EnvKnob {
-    name: "TWOSTEP_THREADS",
-    fallback: "is not a thread count (need at least one worker); \
-               falling back to machine parallelism",
-    parse: |raw| raw.parse().ok().filter(|&n| n >= 1),
-};
-
-/// Clamps a requested worker count to [`MAX_THREADS`], with the warning
-/// the clamp earns.
-fn clamp_threads(requested: usize) -> (usize, Option<String>) {
-    if requested > MAX_THREADS {
-        let warning =
-            format!("TWOSTEP_THREADS={requested} exceeds the {MAX_THREADS}-thread cap; clamping");
-        return (MAX_THREADS, Some(warning));
-    }
-    (requested, None)
+        .unwrap_or(1)
 }
 
 /// Runs `work(worker_index)` on `threads` workers: indexes `1..threads`
@@ -451,35 +407,6 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn clamp_threads_caps_absurd_values_loudly() {
-        let (threads, warning) = clamp_threads(10_000);
-        assert_eq!(threads, MAX_THREADS);
-        assert!(warning.expect("clamping warns").contains("10000"));
-        // The cap itself is accepted silently.
-        assert_eq!(clamp_threads(MAX_THREADS), (MAX_THREADS, None));
-        assert_eq!(clamp_threads(8), (8, None));
-    }
-
-    /// The env-knob policy, once, through the `TWOSTEP_THREADS` row (the
-    /// model checker's table test runs the other nine variables through
-    /// the same `resolve`): unset is the default and silent, garbage is
-    /// the default plus a warning naming variable and value, a valid
-    /// value is honored.
-    #[test]
-    fn threads_knob_follows_the_env_policy() {
-        assert_eq!(THREADS.resolve(None), (None, None));
-        assert_eq!(THREADS.resolve(Some("  8 ")), (Some(8), None));
-        assert_eq!(THREADS.resolve(Some("1")), (Some(1), None));
-        for garbage in ["0", "not-a-number", "-3", ""] {
-            let (threads, warning) = THREADS.resolve(Some(garbage));
-            assert_eq!(threads, None, "{garbage:?} falls back");
-            let warning = warning.expect("garbage must warn, not be silently ignored");
-            assert!(warning.contains("TWOSTEP_THREADS"), "{warning}");
-            assert!(warning.contains(&format!("{garbage:?}")), "{warning}");
-        }
     }
 
     #[test]

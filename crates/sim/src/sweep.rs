@@ -6,8 +6,8 @@
 //! scoped-worker scheduler ([`crate::scheduler::run_on_workers`], also
 //! used by the exhaustive explorer) with dynamic (atomic-counter)
 //! scheduling, without pulling a thread-pool dependency into the
-//! workspace.  Worker counts default through
-//! [`default_threads`], which honors the `TWOSTEP_THREADS` env override.
+//! workspace.  Worker counts default through [`default_threads`], the
+//! machine's available parallelism.
 //!
 //! Results come back **in input order** regardless of completion order, so
 //! sweep output is deterministic and directly zippable with the inputs.

@@ -46,10 +46,9 @@
 //! spilling row from 6.97 to 5.59, while the plain row rose from 1.69
 //! to 1.71.
 //!
-//! Usage: `cargo run --release --example alloc_probe` (set
-//! `TWOSTEP_BENCH_N`/`TWOSTEP_BENCH_T` to change the system; `ci.sh`
-//! runs it at the default and, outside `--quick`, at `(8, 7)`, where the
-//! block cache fills).
+//! Usage: `cargo run --release --example alloc_probe -- [N T]` (the
+//! system defaults to `(5, 4)`; `ci.sh` runs it at the default and,
+//! outside `--quick`, as `-- 8 7`, where the block cache fills).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,11 +81,13 @@ use twostep_modelcheck::{
     explore_with, ExploreConfig, ExploreOptions, MemoConfig, Symmetry, WalkBudget,
 };
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|raw| raw.trim().parse().ok())
-        .unwrap_or(default)
+/// The `index`-th command-line argument as a count; `default` when it
+/// is absent.
+fn arg(index: usize, default: usize) -> usize {
+    std::env::args().nth(index).map_or(default, |raw| {
+        raw.parse()
+            .unwrap_or_else(|_| panic!("usage: alloc_probe [N T]; {raw:?} is not a count"))
+    })
 }
 
 /// Best-of-6 serial exploration with `options`; returns (distinct
@@ -117,8 +118,8 @@ fn probe(
 }
 
 fn main() {
-    let n = env_usize("TWOSTEP_BENCH_N", 5);
-    let t = env_usize("TWOSTEP_BENCH_T", 4);
+    let n = arg(1, 5);
+    let t = arg(2, 4);
     let system = SystemConfig::new(n, t).expect("valid probe system");
     let proposals: Vec<WideValue> = (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect();
     let config = ExploreConfig {
