@@ -31,9 +31,10 @@ echo "== benchmark harness tests (the only build of benchmark/src/adapter.rs out
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "== file-length tripwire (crates/modelcheck/src: no file over 2000 lines)"
-# Longest today: explorer/tests.rs and spill.rs (about 1 750 each),
-# then explorer/round.rs, dist.rs and memo.rs (about 1 670, 1 650 and
-# 1 610); explorer/round.rs keeps its tests in explorer/round/tests.rs.
+# Longest today: spill.rs and explorer/tests.rs (about 1 760 and 1 730;
+# spill.rs is two-fifths tests), then explorer/round.rs, memo.rs and
+# dist.rs (about 1 680, 1 610 and 1 600); explorer/round.rs keeps its
+# tests in explorer/round/tests.rs.
 longest="$(find crates/modelcheck/src -name '*.rs' -print0 | xargs -0 wc -l | grep -v ' total$' | sort -rn | head -5)"
 echo "$longest"
 if (( $(awk 'NR == 1 { print $1 }' <<<"$longest") > 2000 )); then
@@ -155,6 +156,26 @@ grep '^twostep-dist: supervision degraded=1 ' <<<"$exhaust_out" >/dev/null \
     || { echo "FAIL: retry exhaustion must report exactly one degraded partition" >&2; exit 1; }
 echo "fault storm OK: retry exhaustion degraded to a local walk (degraded=1), report identical"
 
+# Every segment a run commits is stored as written: format version 5
+# (header bytes 8-11, little-endian) and a flags byte (header byte 20)
+# of 0 — no frontier flag on a memo segment, and no bit from an older
+# format.
+check_segment_headers() {
+    local seg version flags checked=0
+    for seg in "$1"/*.seg; do
+        [[ -e "$seg" ]] || continue
+        version="$(od --endian=little -An -tu4 -j8 -N4 "$seg" | tr -d ' ')"
+        flags="$(od -An -tu1 -j20 -N1 "$seg" | tr -d ' ')"
+        if [[ "$version" != 5 || "$flags" != 0 ]]; then
+            echo "FAIL: $seg: header version=$version flags=$flags, want version=5 flags=0" >&2
+            exit 1
+        fi
+        checked=$((checked + 1))
+    done
+    (( checked > 0 )) || { echo "FAIL: no segment in $1 to check" >&2; exit 1; }
+    echo "segment headers OK: $checked in $1 at version 5, flags 0"
+}
+
 echo "== persistent cache: cold-then-warm partitioned exploration (quick)"
 CACHE_DIR="$(mktemp -d)"
 trap 'rm -rf "$CACHE_DIR"' EXIT
@@ -176,6 +197,7 @@ distinct="$(sed -n 's/.* distinct_states=\([0-9]*\).*/\1/p' <<<"$warm_result")"
 grep "^twostep-dist: cache cache_hits=$distinct fresh_states=0$" <<<"$warm_out" >/dev/null \
     || { echo "FAIL: warm run must be answered entirely by the cache" >&2; exit 1; }
 echo "cache OK: warm run reused all $distinct states"
+check_segment_headers "$CACHE_DIR"
 
 echo "== checkpoint/resume: deadline-interrupted then resumed partitioned run (quick)"
 CKPT_DIR="$(mktemp -d)"
@@ -197,6 +219,7 @@ grep '^twostep-dist: suspended reason=deadline .*checkpoint=' <<<"$suspended_out
     || { echo "FAIL: suspended run must print a parseable suspension line" >&2; exit 1; }
 compgen -G "$CKPT_DIR/manifest.*" >/dev/null && compgen -G "$CKPT_DIR/*.seg" >/dev/null \
     || { echo "FAIL: suspension left no manifest and segment in $CKPT_DIR" >&2; exit 1; }
+check_segment_headers "$CKPT_DIR"
 # Resume without a deadline: the composed report must be byte-identical
 # to the uninterrupted run of the same system from earlier in this
 # script, and the consumed checkpoint must leave its directory empty: no

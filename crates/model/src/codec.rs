@@ -436,13 +436,17 @@ pub fn stable_hash64(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Varint + LZ compression for segment records
+// Varints, and an LZ codec kept for the benchmark
 // ---------------------------------------------------------------------------
+//
+// Varints serve the explorer's keys and block contents: they
+// length-prefix the key records a cached block holds.  The LZ codec
+// (`Compressor`, `compress`, `decompress`) has no library caller —
+// segment files store their records as written — and is kept only for
+// the benchmark's `codec.*compress*` rows.
 
-/// Appends the LEB128 varint encoding of `value` to `out` (1–10 bytes).
-///
-/// Used by the segment-record compressor below, where lengths and match
-/// distances are overwhelmingly small and a fixed-width `u64` would
+/// Appends the LEB128 varint encoding of `value` to `out` (1–10 bytes):
+/// lengths are overwhelmingly small, and a fixed-width `u64` would
 /// double the size of short records.
 pub fn encode_varint(mut value: u64, out: &mut Vec<u8>) {
     loop {
@@ -529,15 +533,12 @@ impl Compressor {
     /// LZ-style codec: a varint uncompressed length, then alternating
     /// literal runs and back-references (`varint literal_len, literals,
     /// varint match_len - MIN_MATCH, varint distance`), the final run
-    /// literal-only.  Self-contained — no external crates — because
-    /// segment files must be writable and readable in offline builds.
+    /// literal-only.  Self-contained — no external crates.
     ///
-    /// Memo records are highly repetitive (per-process snapshots of
-    /// mostly identical processes), so even this greedy single-pass
+    /// Memo records are repetitive, so even this greedy single-pass
     /// matcher typically halves them; incompressible input costs a few
     /// header bytes.  [`decompress`] inverts the encoding exactly.
-    /// Inputs are bounded by the segment record framing (`u32` lengths),
-    /// comfortably within the table's `u32` positions.
+    /// Inputs must stay within the table's `u32` positions.
     pub fn compress_into(&mut self, raw: &[u8], out: &mut Vec<u8>) {
         out.clear();
         self.generation = self.generation.wrapping_add(1);
@@ -602,8 +603,9 @@ pub fn decompress(input: &[u8], max_len: usize) -> Option<Vec<u8>> {
 }
 
 /// [`decompress`] into a caller-owned buffer (cleared first), so a loop
-/// over many records — the spill tier's rehydrates, a segment import —
-/// reuses one allocation.  On `None` the contents of `out` are
+/// over many records reuses one allocation.  `max_len` is the only bound
+/// on what a few input bytes expand to: a one-literal, one-match stream
+/// can demand all of it.  On `None` the contents of `out` are
 /// unspecified.
 pub fn decompress_into(mut input: &[u8], max_len: usize, out: &mut Vec<u8>) -> Option<()> {
     out.clear();
@@ -640,8 +642,7 @@ pub fn decompress_into(mut input: &[u8], max_len: usize, out: &mut Vec<u8>) -> O
         let start = out.len() - distance;
         if distance >= match_len {
             // Non-overlapping match — the common case for memo records —
-            // copies as one block instead of per-byte pushes (this is
-            // the rehydrate-read hot path of the spill tier).
+            // copies as one block instead of per-byte pushes.
             out.extend_from_within(start..start + match_len);
         } else {
             // Overlapping match (the run-length idiom): the source grows

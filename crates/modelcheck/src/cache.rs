@@ -8,7 +8,7 @@
 //! makes that image durable.  A **cache directory** holds:
 //!
 //! * sealed interchange segment files (the format of [`crate::spill`],
-//!   compressed records, CRC-validated), named
+//!   records stored as written, CRC-validated), named
 //!   `seg-<fingerprint>-<index>.seg` with an index no commit reuses.
 //!   Each has a **role**.  A *seed* segment is a finished run's delta:
 //!   the first is a full memo image, later ones hold what warm runs

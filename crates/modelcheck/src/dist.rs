@@ -1298,8 +1298,8 @@ where
     } else if run.resumed == 0 && segments.len() == 1 {
         // The common warm case: one sealed image the coordinator just
         // imported end to end.  Hand workers that very file (they only
-        // read it) instead of re-compressing and re-writing the whole
-        // image into the scratch dir.  (With a resumed checkpoint in the
+        // read it) instead of re-writing the whole image into the
+        // scratch dir.  (With a resumed checkpoint in the
         // memo the cache file alone would under-seed.)
         Ok(segments.pop())
     } else {

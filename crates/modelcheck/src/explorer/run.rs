@@ -13,7 +13,7 @@
 //!   checkpoint name, and import their seed segments, then their resume
 //!   segments.  Seeding is **all or nothing**: a seeded parent hides its
 //!   descendants from the walk, so a segment that breaks mid-import
-//!   (corrupt segment, bad CRC, undecompressable record) would be
+//!   (corrupt segment, bad CRC, truncated record) would be
 //!   result-correct for the root but silently shrink `distinct_states`
 //!   and the census.  A broken segment therefore costs the whole memo,
 //!   which is rebuilt and re-seeded from whatever is still intact; resume

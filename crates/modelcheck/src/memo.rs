@@ -35,10 +35,9 @@
 //! that misses the hot tier probes the index by hash, rehydrates each
 //! candidate record — borrowed from the store's write-behind tail or
 //! from one of its cached blocks of the segment file, checked against
-//! its length prefix and CRC, and lent as it was stored (the store does
-//! not compress) — reads its summary through the shard's summary table
-//! (below), and accepts it only if the stored key bytes equal the probe
-//! exactly.  Whole-memo visits (`ShardedMemo::for_each`, the exports)
+//! its length prefix and CRC, and lent as it was stored — reads its
+//! summary through the shard's summary table (below), and accepts it
+//! only if the stored key bytes equal the probe exactly.  Whole-memo visits (`ShardedMemo::for_each`, the exports)
 //! take each shard's hot entries first and then its spilled records in
 //! file order, never in the index's hash order, so they read every
 //! block once.
@@ -49,7 +48,7 @@
 //! (`ShardedMemo::import_from`) all copy the key bytes verbatim — no
 //! structured re-encode anywhere on those paths, and a spilled record
 //! ships verbatim: the export hands the very payload the store holds to
-//! the export writer, which compresses it.
+//! the export writer, which stores it as it is.
 //!
 //! **Summaries are shared by their bytes.**  Every path that reads a
 //! record back — a rehydrate, the census / `find_map` scan, an import —

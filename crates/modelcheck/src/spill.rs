@@ -24,25 +24,22 @@
 //!   Every record is covered by an IEEE CRC32 of its stored bytes, so a
 //!   truncated write, a flipped bit, or a file produced by something else
 //!   entirely is detected *before* its bytes are interpreted — a
-//!   requirement once files travel between processes.  Compression is a
-//!   property of **interchange** files (exports, and the seed and resume
-//!   segments of a cache directory), flagged in their header; the
-//!   run-private spill segments are written flag-clear, their records
-//!   stored as they are.
-//!   Three access paths:
+//!   requirement once files travel between processes.  Every segment —
+//!   run-private spill segment or **interchange** file (an export, a
+//!   seed or resume segment of a cache directory) — stores each record
+//!   as it was written: what a reader checks the CRC of is what it
+//!   lends.  Three access paths:
 //!   `SegmentStore` (one memo shard's append-only spill storage,
 //!   random-access by `SpillRef`, rotated every `SEGMENT_BYTES`; it
 //!   moves bytes in blocks, not records — appends gather in a
 //!   write-behind tail, reads go through a few cached blocks of the
-//!   file, and a scan walks the segments front to back — while every
-//!   record read is still checked against its length prefix and CRC,
-//!   then lent as it was stored),
-//!   `SegmentWriter` (builds one export file, compressed by default,
-//!   patching the true record count into the header on `finish` so an
-//!   unfinished file is distinguishable from a complete one), and
-//!   `SegmentReader` (sequential scan of an export file, validating
-//!   header, CRCs, and record count, lending each record — decompressed
-//!   under the header's flag — from its own buffers).
+//!   file, and a scan walks the segments front to back),
+//!   `SegmentWriter` (builds one interchange file, patching the true
+//!   record count into the header on `finish` so an unfinished file is
+//!   distinguishable from a complete one), and `SegmentReader`
+//!   (sequential scan of an interchange file, validating header, CRCs,
+//!   and record count).  Both readers check each record against its
+//!   length prefix and CRC, then lend it out of the buffer they checked.
 //!
 //! Spill segment files live in a `SpillDir`: a unique per-exploration
 //! subdirectory of either a caller-chosen root or the system temp dir,
@@ -72,25 +69,15 @@ pub(crate) const SEGMENT_BYTES: u64 = 64 * 1024 * 1024;
 pub(crate) const MAGIC: [u8; 8] = *b"TWOSPILL";
 
 /// Format version; bumped whenever the header or record layout changes.
-/// Version 3 added the header compression flag ([`FLAG_COMPRESSED`]):
-/// under it, record payloads are stored through the
-/// [`twostep_model::codec::compress`] codec, with the CRC taken over the
-/// *stored* (compressed) bytes so damage is detected before
-/// decompression is attempted.  Version 4 changed the record
-/// layout to `[u32 key_len][canonical key bytes][summary]`: keys are the
-/// explorer's canonical byte encodings stored verbatim (hashed with
+/// Version 5 records are `[u32 key_len][canonical key bytes][summary]`
+/// — the explorer's canonical key encodings (hashed with
 /// [`twostep_model::codec::stable_hash64`], never re-encoded on spill or
-/// export), where v3 records held structured per-snapshot re-encodings.
-/// A v3 file is a different format: readers classify it as
-/// [`SpillError::Foreign`] and cache consumers loudly replace it.
-pub(crate) const FORMAT_VERSION: u32 = 4;
-
-/// Header flag bit: record payloads are compressed.  Set on interchange
-/// files — they are shipped, cached and kept, so their bytes on disk
-/// are worth the codec — and clear on the segments a
-/// [`SegmentStore`] writes, which no process but their own ever reads
-/// and which a rehydrate would otherwise decompress on every read.
-pub(crate) const FLAG_COMPRESSED: u8 = 1;
+/// export) followed by the summary — stored as written, with the CRC
+/// taken over exactly the bytes a reader lends.  A file of any earlier
+/// version is a different format: readers classify it as
+/// [`SpillError::Foreign`] at the header, before any record is read, and
+/// cache consumers loudly replace it.
+pub(crate) const FORMAT_VERSION: u32 = 5;
 
 /// Header flag bit: the segment holds *frontier records* — action-index
 /// paths from the initial configuration — rather than memo entries.  The
@@ -102,12 +89,7 @@ pub(crate) const FLAG_FRONTIER: u8 = 2;
 
 /// Every flag bit this build understands; anything else is a future
 /// format and classified as [`SpillError::Foreign`].
-const KNOWN_FLAGS: u8 = FLAG_COMPRESSED | FLAG_FRONTIER;
-
-/// Upper bound on a single record's uncompressed size, enforced by the
-/// decompressor so a corrupted (CRC-colliding) or crafted length claim
-/// can never force a giant allocation.
-const MAX_RAW_RECORD: usize = 1 << 30;
+const KNOWN_FLAGS: u8 = FLAG_FRONTIER;
 
 /// Header record-count sentinel for streaming (never-finished) segment
 /// files — the in-exploration spill segments, which are only ever read
@@ -455,15 +437,12 @@ struct Block {
 ///   front to back through the same block reads — frames are
 ///   self-delimiting after the header.
 ///
-/// Records are stored as they were appended, under a header with
-/// [`FLAG_COMPRESSED`] clear: the segments are private to the run, and
-/// a rehydrate that had to decompress its record cost more than the
-/// block read that fetched it.  Every read, whichever way its bytes
-/// came, checks the length prefix against the [`SpillRef`] and the CRC
-/// against the stored bytes, then lends the payload out of the frame it
-/// checked; a segment that ends inside a record (truncated behind the
-/// store) is [`SpillError::Corrupt`], like a truncated export under
-/// [`SegmentReader`].  What the payload *means* is the caller's to
+/// Records are stored as they were appended.  Every read, whichever way
+/// its bytes came, checks the length prefix against the [`SpillRef`] and
+/// the CRC against the stored bytes, then lends the payload out of the
+/// frame it checked; a segment that ends inside a record (truncated
+/// behind the store) is [`SpillError::Corrupt`], like a truncated export
+/// under [`SegmentReader`].  What the payload *means* is the caller's to
 /// check.  Tail and blocks are allocated on first use: a shard that
 /// never spills, or never rehydrates, pays nothing.
 pub(crate) struct SegmentStore {
@@ -752,29 +731,16 @@ pub(crate) struct SegmentWriter {
     file: std::io::BufWriter<File>,
     path: PathBuf,
     records: u64,
-    compressed: bool,
-    /// Reusable compressor + output buffer for the export loop.
-    compressor: twostep_model::codec::Compressor,
-    packed: Vec<u8>,
 }
 
 impl SegmentWriter {
-    /// A compressed export file — the uniform default for exports, the
-    /// seed and resume segments of a cache directory, and dist
-    /// interchange segments.
+    /// A memo segment — an export, a seed or resume segment of a cache
+    /// directory, or a dist interchange segment.
     pub(crate) fn create(path: &Path) -> Result<Self, SpillError> {
-        Self::create_flagged(path, FLAG_COMPRESSED)
+        Self::create_flagged(path, 0)
     }
 
-    /// An export file with an explicit compression flag (tests exercise
-    /// the uncompressed reader path through this).
-    #[cfg(test)]
-    pub(crate) fn create_with(path: &Path, compressed: bool) -> Result<Self, SpillError> {
-        Self::create_flagged(path, if compressed { FLAG_COMPRESSED } else { 0 })
-    }
-
-    /// A frontier segment: records are action-index paths, stored raw
-    /// (paths are a few dozen bytes — compression buys nothing), and the
+    /// A frontier segment: records are action-index paths, and the
     /// [`FLAG_FRONTIER`] bit keeps a memo import from ever consuming the
     /// file by accident.
     pub(crate) fn create_frontier(path: &Path) -> Result<Self, SpillError> {
@@ -794,19 +760,11 @@ impl SegmentWriter {
             file: std::io::BufWriter::with_capacity(256 * 1024, file),
             path: path.to_path_buf(),
             records: 0,
-            compressed: flags & FLAG_COMPRESSED != 0,
-            compressor: twostep_model::codec::Compressor::new(),
-            packed: Vec::new(),
         })
     }
 
     pub(crate) fn append(&mut self, payload: &[u8]) -> Result<(), SpillError> {
-        if self.compressed {
-            self.compressor.compress_into(payload, &mut self.packed);
-            write_framed_record(&mut self.file, &self.packed)?;
-        } else {
-            write_framed_record(&mut self.file, payload)?;
-        }
+        write_framed_record(&mut self.file, payload)?;
         self.records += 1;
         Ok(())
     }
@@ -838,18 +796,15 @@ pub(crate) struct SegmentReader {
     path: PathBuf,
     expected: u64,
     seen: u64,
-    /// Whether record payloads must be decompressed (header flag).
-    compressed: bool,
     /// Bytes left in the file after the current read position — the
     /// upper bound any record length prefix must respect *before* its
     /// payload buffer is allocated (a corrupted prefix must surface as
     /// `Corrupt`, never as a multi-gigabyte allocation).
     remaining: u64,
-    /// The current record's stored bytes and, under the compression
-    /// flag, its decompressed payload: [`Self::next_record`] lends one
-    /// of the two, so a scan allocates per file, not per record.
+    /// The current record's stored bytes, which [`Self::next_record`]
+    /// lends once their CRC has passed: a scan allocates per file, not
+    /// per record, and never more than the file holds.
     stored: Vec<u8>,
-    raw: Vec<u8>,
 }
 
 impl SegmentReader {
@@ -913,10 +868,8 @@ impl SegmentReader {
                 path: path.to_path_buf(),
                 expected,
                 seen: 0,
-                compressed: flags & FLAG_COMPRESSED != 0,
                 remaining: file_len.saturating_sub(HEADER_LEN),
                 stored: Vec::new(),
-                raw: Vec::new(),
             },
             flags,
         ))
@@ -983,23 +936,8 @@ impl SegmentReader {
                 self.seen
             )));
         }
-        let payload = if self.compressed {
-            // The CRC already passed, so undecompressable bytes mean the
-            // file was written wrong, not damaged in flight.
-            twostep_model::codec::decompress_into(&self.stored, MAX_RAW_RECORD, &mut self.raw)
-                .ok_or_else(|| {
-                    SpillError::corrupt(format!(
-                        "{} record {}: undecompressable record",
-                        self.path.display(),
-                        self.seen
-                    ))
-                })?;
-            &self.raw
-        } else {
-            &self.stored
-        };
         self.seen += 1;
-        Ok(Some(payload))
+        Ok(Some(&self.stored))
     }
 
     /// Records promised by the header.
@@ -1010,8 +948,9 @@ impl SegmentReader {
 }
 
 /// Scans a whole interchange file, validating the header, every record's
-/// CRC, the record count, and (under the compression flag) every
-/// payload's decompressability; returns the record count.  (The
+/// length prefix and CRC, and the record count; returns the record count.
+/// It reads each record as stored, so it holds no more than the largest
+/// record the file itself contains.  (The
 /// distributed coordinator and the cache seed get the same guarantees
 /// from the import scan itself — `ShardedMemo::import_from` — without a
 /// second pass over the file; this standalone check exists for tests and
@@ -1497,36 +1436,62 @@ mod tests {
     fn wrong_version_is_rejected_as_foreign() {
         let dir = SpillDir::create(None).unwrap();
         let path = dir.path().join("future.seg");
-        let mut header = header_bytes(0, FLAG_COMPRESSED);
+        let mut header = header_bytes(0, 0);
         header[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         std::fs::write(&path, header).unwrap();
         let err = SegmentReader::open(&path).unwrap_err();
         assert!(matches!(err, SpillError::Foreign { .. }), "{err:?}");
     }
 
+    /// A sealed segment file of format `version` with flags byte `flags`,
+    /// holding `records`, each framed with its length and a valid CRC.
+    fn sealed_segment(version: u32, flags: u8, records: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = b"TWOSPILL".to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&[flags, 0, 0, 0]);
+        for record in records {
+            bytes.extend_from_slice(&(record.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(record).to_le_bytes());
+            bytes.extend_from_slice(record);
+        }
+        bytes
+    }
+
     #[test]
-    fn v3_segment_is_rejected_as_foreign_under_v4() {
-        // A sealed, internally consistent v3 file (the pre-byte-key
-        // record layout) must classify as Foreign — its records would
-        // parse as garbage under the v4 `[key_len][key][summary]`
-        // layout, so the version gate has to reject it before any
-        // record is interpreted, and cache consumers replace it loudly.
-        assert_eq!(FORMAT_VERSION, 4, "this test pins the v3→v4 boundary");
+    fn pre_v5_segments_are_rejected_as_foreign() {
+        // Sealed, internally consistent files of earlier versions must
+        // classify as Foreign at the header, before any record is read,
+        // and cache consumers replace them loudly.  The v3 file holds a
+        // pre-byte-key structured record.  The v4 file sets the
+        // compression flag v5 dropped, and its one record is an LZ
+        // stream of one literal and one distance-1 match claiming
+        // 2^30 - 1 bytes: 45 bytes that a v4 reader expanded to 1 GiB.
+        assert_eq!(FORMAT_VERSION, 5, "this test pins the v4→v5 boundary");
+        use twostep_model::codec::encode_varint;
+        let mut bomb = Vec::new();
+        encode_varint((1 << 30) - 1, &mut bomb); // the expanded length
+        encode_varint(1, &mut bomb); // one literal…
+        bomb.push(b'a');
+        encode_varint((1 << 30) - 6, &mut bomb); // …then 2^30 - 2 bytes
+        encode_varint(1, &mut bomb); // copied from distance 1
+        let v4 = sealed_segment(4, 0x01, &[&bomb]);
+        assert_eq!(v4.len(), 45);
+        let v3 = sealed_segment(3, 0x01, &[b"a v3-era structured record"]);
         let dir = SpillDir::create(None).unwrap();
-        let path = dir.path().join("v3.seg");
-        let mut bytes = header_bytes(1, FLAG_COMPRESSED).to_vec();
-        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        let record = twostep_model::codec::compress(b"a v3-era structured record");
-        bytes.extend_from_slice(&(record.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&record).to_le_bytes());
-        bytes.extend_from_slice(&record);
-        std::fs::write(&path, bytes).unwrap();
-        let err = SegmentReader::open(&path).unwrap_err();
-        match &err {
-            SpillError::Foreign { detail } => {
-                assert!(detail.contains("format version 3"), "{detail}")
+        let path = dir.path().join("pre-v5.seg");
+        for (version, bytes) in [(3, v3), (4, v4)] {
+            std::fs::write(&path, bytes).unwrap();
+            let opened = SegmentReader::open(&path).map(|_| ());
+            for result in [opened, validate_segment_file(&path).map(|_| ())] {
+                match result {
+                    Err(SpillError::Foreign { detail }) => assert!(
+                        detail.contains(&format!("format version {version}")),
+                        "{detail}"
+                    ),
+                    other => panic!("v{version}: expected Foreign, got {other:?}"),
+                }
             }
-            other => panic!("expected Foreign, got {other:?}"),
         }
     }
 
@@ -1534,72 +1499,16 @@ mod tests {
     fn unknown_header_flags_are_rejected_as_foreign() {
         let dir = SpillDir::create(None).unwrap();
         let path = dir.path().join("flags.seg");
-        let mut header = header_bytes(0, 0);
-        header[20] = 0x82; // an unknown flag bit alongside garbage
-        std::fs::write(&path, header).unwrap();
-        let err = SegmentReader::open(&path).unwrap_err();
-        assert!(matches!(err, SpillError::Foreign { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn uncompressed_export_reads_back_via_flag() {
-        // The compression flag is honored per file: a flag-off export
-        // stores raw payloads and the reader returns them untouched.
-        let dir = SpillDir::create(None).unwrap();
-        let path = dir.path().join("raw.seg");
-        let mut writer = SegmentWriter::create_with(&path, false).unwrap();
-        writer.append(b"stored verbatim").unwrap();
-        writer.finish().unwrap();
-        let mut reader = SegmentReader::open(&path).unwrap();
-        assert!(!reader.compressed);
-        assert_eq!(reader.next_record().unwrap().unwrap(), b"stored verbatim");
-        assert!(reader.next_record().unwrap().is_none());
-    }
-
-    #[test]
-    fn compressed_export_actually_shrinks_repetitive_records() {
-        let dir = SpillDir::create(None).unwrap();
-        let raw_path = dir.path().join("raw.seg");
-        let packed_path = dir.path().join("packed.seg");
-        let record: Vec<u8> = b"snapshot ".iter().cycle().take(4096).copied().collect();
-        for (path, compressed) in [(&raw_path, false), (&packed_path, true)] {
-            let mut writer = SegmentWriter::create_with(path, compressed).unwrap();
-            for _ in 0..8 {
-                writer.append(&record).unwrap();
+        // An unknown flag bit alongside garbage, and the compression
+        // flag of v4, which v5 does not know.
+        for flags in [0x82, 0x01] {
+            std::fs::write(&path, header_bytes(0, flags)).unwrap();
+            match SegmentReader::open(&path).unwrap_err() {
+                SpillError::Foreign { detail } => {
+                    assert!(detail.contains("unknown header flags"), "{detail}")
+                }
+                other => panic!("flags {flags:#04x}: expected Foreign, got {other:?}"),
             }
-            writer.finish().unwrap();
-            let mut reader = SegmentReader::open(path).unwrap();
-            while let Some(payload) = reader.next_record().unwrap() {
-                assert_eq!(payload, record);
-            }
-        }
-        let raw_len = std::fs::metadata(&raw_path).unwrap().len();
-        let packed_len = std::fs::metadata(&packed_path).unwrap().len();
-        assert!(
-            packed_len < raw_len / 4,
-            "compressed export must shrink: {packed_len} vs {raw_len}"
-        );
-    }
-
-    #[test]
-    fn undecompressable_record_with_valid_crc_is_corrupt() {
-        // A record whose CRC passes but whose payload is not a valid
-        // compressed stream must classify as Corrupt — never a panic, a
-        // silent empty read, or a huge allocation.
-        let dir = SpillDir::create(None).unwrap();
-        let path = dir.path().join("garble.seg");
-        let garbage = b"\xFF\xFF\xFF\xFF definitely not an LZ stream";
-        let mut file = std::fs::File::create(&path).unwrap();
-        file.write_all(&header_bytes(1, FLAG_COMPRESSED)).unwrap();
-        write_framed_record(&mut file, garbage).unwrap();
-        drop(file);
-        let mut reader = SegmentReader::open(&path).unwrap();
-        let err = reader.next_record().unwrap_err();
-        match &err {
-            SpillError::Corrupt { detail } => {
-                assert!(detail.contains("undecompressable"), "{detail}")
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 
@@ -1722,6 +1631,123 @@ mod tests {
         writer.finish().unwrap();
         let err = read_frontier_segment(&path).unwrap_err();
         assert!(matches!(err, SpillError::Corrupt { .. }), "{err:?}");
+    }
+
+    /// What the reader fuzz below puts in its file.
+    #[derive(Clone, Debug)]
+    enum Garbled {
+        /// These bytes.
+        Bytes(Vec<u8>),
+        /// A v5 header — frontier flag or not, this sealed count — then
+        /// these bytes.
+        Header(bool, u64, Vec<u8>),
+        /// A sealed segment of these records, memo or frontier, written
+        /// by [`SegmentWriter`], with the byte at `at` (modulo the
+        /// length) flipped by `mask`, or the file cut there if `mask` is
+        /// zero.
+        Damaged {
+            frontier: bool,
+            records: Vec<Vec<u8>>,
+            at: usize,
+            mask: u8,
+        },
+    }
+
+    fn garbled() -> impl Strategy<Value = Garbled> {
+        let bytes = || prop::collection::vec(any::<u8>(), 0..=120);
+        let count = prop_oneof![0u64..=4, any::<u64>()];
+        prop_oneof![
+            bytes().prop_map(Garbled::Bytes),
+            (any::<bool>(), count, bytes()).prop_map(|(f, n, rest)| Garbled::Header(f, n, rest)),
+            (
+                any::<bool>(),
+                prop::collection::vec(prop::collection::vec(any::<u8>(), 0..=40), 0..=4),
+                any::<usize>(),
+                any::<u8>(),
+            )
+                .prop_map(|(frontier, records, at, mask)| Garbled::Damaged {
+                    frontier,
+                    records,
+                    at,
+                    mask,
+                }),
+        ]
+    }
+
+    proptest! {
+        /// The reader is the whole decoder of interchange bytes: over
+        /// garbage, a bare header or a damaged real segment, none of
+        /// its entry points panics, every error is `Corrupt` or
+        /// `Foreign`, and no record buffer outgrows the file.
+        #[test]
+        fn the_interchange_reader_classifies_any_bytes(input in garbled()) {
+            let dir = SpillDir::create(None).unwrap();
+            let path = dir.path().join("garbled.seg");
+            let bytes = match input {
+                Garbled::Bytes(bytes) => bytes,
+                Garbled::Header(frontier, count, rest) => {
+                    let flags = if frontier { FLAG_FRONTIER } else { 0 };
+                    let mut bytes = header_bytes(count, flags).to_vec();
+                    bytes.extend_from_slice(&rest);
+                    bytes
+                }
+                Garbled::Damaged { frontier, records, at, mask } => {
+                    if frontier {
+                        let roots: Vec<(u64, Vec<u32>)> = (records.iter().enumerate())
+                            .map(|(i, r)| (i as u64, r.iter().map(|&b| u32::from(b)).collect()))
+                            .collect();
+                        write_frontier_segment(&path, &roots).unwrap();
+                    } else {
+                        let mut writer = SegmentWriter::create(&path).unwrap();
+                        for record in &records {
+                            writer.append(record).unwrap();
+                        }
+                        writer.finish().unwrap();
+                    }
+                    let mut bytes = std::fs::read(&path).unwrap();
+                    let at = at % bytes.len();
+                    match mask {
+                        0 => bytes.truncate(at),
+                        _ => bytes[at] ^= mask,
+                    }
+                    bytes
+                }
+            };
+            std::fs::write(&path, &bytes).unwrap();
+            let classified = |err: &SpillError| {
+                matches!(err, SpillError::Corrupt { .. } | SpillError::Foreign { .. })
+            };
+            if let Err(err) = validate_segment_file(&path) {
+                prop_assert!(classified(&err), "validate: {:?}", err);
+            }
+            if let Err(err) = read_frontier_segment(&path) {
+                prop_assert!(classified(&err), "read_frontier_segment: {:?}", err);
+            }
+            for open in [SegmentReader::open, SegmentReader::open_frontier] {
+                let mut reader = match open(&path) {
+                    Ok(reader) => reader,
+                    Err(err) => {
+                        prop_assert!(classified(&err), "open: {:?}", err);
+                        continue;
+                    }
+                };
+                loop {
+                    let next = reader.next_record().map(|record| record.is_some());
+                    prop_assert!(
+                        reader.stored.capacity() <= bytes.len(),
+                        "{} bytes held for a {}-byte file", reader.stored.capacity(), bytes.len()
+                    );
+                    match next {
+                        Ok(true) => {}
+                        Ok(false) => break,
+                        Err(err) => {
+                            prop_assert!(classified(&err), "next_record: {:?}", err);
+                            break;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -606,7 +606,7 @@ fn symmetry_strength_changes_the_cache_fingerprint() {
     assert_eq!(pv_warm.cache_hits, pv_warm.distinct_states);
 }
 
-/// A damaged cache segment is detected (CRC / decompression / framing),
+/// A damaged cache segment is detected (CRC / framing / record count),
 /// classified as Corrupt by the standalone validator, and the
 /// exploration **discards the whole seed** and runs cold — a partial
 /// image must never shrink the report's aggregates (a seeded parent
@@ -704,10 +704,11 @@ fn corrupted_cache_segment_degrades_to_cold_run() {
     assert_eq!(healed.cache_hits, healed.distinct_states);
 }
 
-/// Satellite regression for the v4 format bump: a cache whose segment is
-/// a **v3-era file** (the pre-byte-key record layout) must be classified
-/// foreign and discarded whole — never silently reused — and a ReadWrite
-/// run must loudly replace it with a fresh v4 image.
+/// A cache whose segment is a file of an **earlier format version** —
+/// v3 (the pre-byte-key record layout) or v4 (whose compression flag v5
+/// dropped) — must be classified foreign and discarded whole, never
+/// silently reused, and a ReadWrite run must loudly replace it with a
+/// fresh image of the current version.
 #[test]
 fn v3_segment_cache_is_foreign_and_replaced() {
     let (n, t) = (4usize, 2usize);
@@ -723,74 +724,78 @@ fn v3_segment_cache_is_foreign_and_replaced() {
     )
     .unwrap();
 
-    // Prime a valid cache, then rewrite its segment as a sealed, empty
-    // v3 file: 8-byte magic, version 3, zero records, compression flag.
-    // The manifest still matches this run's fingerprint, so the segment
-    // itself is what the seed import must reject.
-    let dir = TempDir::new("v3-cache");
-    explore_with(
-        system,
-        config,
-        ExploreOptions::serial().with_cache(Some(CacheConfig::read_write(dir.path()))),
-        crw_processes(&system, &proposals),
-        proposals.clone(),
-    )
-    .unwrap();
-    let segment = std::fs::read_dir(dir.path())
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|e| e == "seg"))
-        .expect("committed cache holds one segment");
-    let mut v3_header = Vec::new();
-    v3_header.extend_from_slice(b"TWOSPILL");
-    v3_header.extend_from_slice(&3u32.to_le_bytes());
-    v3_header.extend_from_slice(&0u64.to_le_bytes());
-    v3_header.push(1); // FLAG_COMPRESSED
-    v3_header.extend_from_slice(&[0u8; 3]);
-    assert_eq!(v3_header.len(), 24, "segment header is 24 bytes");
-    std::fs::write(&segment, &v3_header).unwrap();
-    let err = validate_segment_file(&segment).expect_err("v3 must not validate under v4");
-    assert!(
-        matches!(err, SpillError::Foreign { .. }),
-        "expected Foreign, got {err:?}"
-    );
+    for version in [3u32, 4] {
+        // Prime a valid cache, then rewrite its segment as a sealed,
+        // empty file of the old version: 8-byte magic, version, zero
+        // records, the v4 compression flag.  The manifest still matches
+        // this run's fingerprint, so the segment itself is what the seed
+        // import must reject.
+        let dir = TempDir::new(&format!("v{version}-cache"));
+        explore_with(
+            system,
+            config,
+            ExploreOptions::serial().with_cache(Some(CacheConfig::read_write(dir.path()))),
+            crw_processes(&system, &proposals),
+            proposals.clone(),
+        )
+        .unwrap();
+        let segment = std::fs::read_dir(dir.path())
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .find(|p| p.extension().is_some_and(|e| e == "seg"))
+            .expect("committed cache holds one segment");
+        let mut old_header = Vec::new();
+        old_header.extend_from_slice(b"TWOSPILL");
+        old_header.extend_from_slice(&version.to_le_bytes());
+        old_header.extend_from_slice(&0u64.to_le_bytes());
+        old_header.push(1); // the v4 compression flag
+        old_header.extend_from_slice(&[0u8; 3]);
+        assert_eq!(old_header.len(), 24, "segment header is 24 bytes");
+        std::fs::write(&segment, &old_header).unwrap();
+        let err = validate_segment_file(&segment).expect_err("an old version must not validate");
+        assert!(
+            matches!(err, SpillError::Foreign { .. }),
+            "v{version}: expected Foreign, got {err:?}"
+        );
 
-    // Read-only: the v3 cache is ignored, the run is cold and correct.
-    let cold = explore_with(
-        system,
-        config,
-        ExploreOptions::serial().with_cache(Some(CacheConfig::read(dir.path()))),
-        crw_processes(&system, &proposals),
-        proposals.clone(),
-    )
-    .unwrap();
-    assert_identical(&baseline, &cold, "v3 cache ignored");
-    assert_eq!(
-        cold.cache_hits, 0,
-        "no record of a v3 segment is ever reused"
-    );
+        // Read-only: the old cache is ignored, the run is cold and
+        // correct.
+        let cold = explore_with(
+            system,
+            config,
+            ExploreOptions::serial().with_cache(Some(CacheConfig::read(dir.path()))),
+            crw_processes(&system, &proposals),
+            proposals.clone(),
+        )
+        .unwrap();
+        assert_identical(&baseline, &cold, &format!("v{version} cache ignored"));
+        assert_eq!(
+            cold.cache_hits, 0,
+            "no record of a v{version} segment is ever reused"
+        );
 
-    // ReadWrite: the broken cache is replaced; the next run warms fully
-    // from the fresh v4 image.
-    let replacing = explore_with(
-        system,
-        config,
-        ExploreOptions::serial().with_cache(Some(CacheConfig::read_write(dir.path()))),
-        crw_processes(&system, &proposals),
-        proposals.clone(),
-    )
-    .unwrap();
-    assert_identical(&baseline, &replacing, "replacing run");
-    assert_eq!(replacing.cache_hits, 0);
-    let warmed = explore_with(
-        system,
-        config,
-        ExploreOptions::serial().with_cache(Some(CacheConfig::read_write(dir.path()))),
-        crw_processes(&system, &proposals),
-        proposals.clone(),
-    )
-    .unwrap();
-    assert_identical(&baseline, &warmed, "replaced cache warms again");
-    assert_eq!(warmed.cache_hits, warmed.distinct_states);
+        // ReadWrite: the broken cache is replaced; the next run warms
+        // fully from the fresh image.
+        let replacing = explore_with(
+            system,
+            config,
+            ExploreOptions::serial().with_cache(Some(CacheConfig::read_write(dir.path()))),
+            crw_processes(&system, &proposals),
+            proposals.clone(),
+        )
+        .unwrap();
+        assert_identical(&baseline, &replacing, "replacing run");
+        assert_eq!(replacing.cache_hits, 0);
+        let warmed = explore_with(
+            system,
+            config,
+            ExploreOptions::serial().with_cache(Some(CacheConfig::read_write(dir.path()))),
+            crw_processes(&system, &proposals),
+            proposals.clone(),
+        )
+        .unwrap();
+        assert_identical(&baseline, &warmed, "replaced cache warms again");
+        assert_eq!(warmed.cache_hits, warmed.distinct_states);
+    }
 }

@@ -1,10 +1,13 @@
 //! Property tests for the spill tier's binary `Summary` encoding:
 //! encode → decode must be the identity across generated census shapes,
-//! valency sets, and value types (`u64` and width-carrying `WideValue`);
-//! the segment-record compressor (`twostep_model::codec::{compress,
-//! decompress}`) must be the identity around it, and corrupt or
-//! truncated compressed payloads must never panic, never allocate past
-//! the caller's bound, and never round-trip to a *different* summary.
+//! valency sets, and value types (`u64` and width-carrying `WideValue`).
+//! Segment files store these records as written.  The last two
+//! properties pin the LZ codec (`twostep_model::codec::{compress,
+//! decompress}`), which no segment uses and which stays only for the
+//! benchmark's codec rows: it must be the identity around a summary, and
+//! corrupt or truncated compressed payloads must never panic, never
+//! allocate past the caller's bound, and never round-trip to a
+//! *different* summary.
 
 use proptest::prelude::*;
 use twostep_model::codec::{compress, decompress};
@@ -75,8 +78,8 @@ proptest! {
         prop_assert!(decode_summary::<u64>(&buf).is_none());
     }
 
-    /// Compressed `Summary` records (the on-disk form since segment
-    /// format v3): compress → decompress → decode is the identity.
+    /// Compressed `Summary` records: compress → decompress → decode is
+    /// the identity.
     #[test]
     fn compressed_summaries_roundtrip(
         terminals in any::<u64>(),
@@ -104,10 +107,7 @@ proptest! {
 
     /// Corrupt or truncated compressed payloads: `decompress` either
     /// rejects them (`None`) or yields bytes that are *not* the original
-    /// record — never a panic, never an allocation past the bound.  (At
-    /// the segment-file layer the per-record CRC catches these first and
-    /// classifies them as `SpillError::Corrupt`; this pins the layer
-    /// below, for payloads whose CRC was forged or also damaged.)
+    /// record — never a panic, never an allocation past the bound.
     #[test]
     fn mangled_compressed_summaries_never_panic(
         terminals in any::<u64>(),
@@ -133,9 +133,7 @@ proptest! {
         // Bit rot: must not panic, and any output respects the caller's
         // allocation bound.  (Equality with the original is possible for
         // a lucky flip — e.g. a match distance redirected into an equal
-        // byte run — which is exactly why the segment layer CRCs the
-        // stored payload and classifies mismatches as Corrupt before
-        // decompression is attempted.)
+        // byte run — so the codec is no integrity check.)
         let mut damaged = packed.clone();
         let position = (flip_at as usize) % damaged.len();
         damaged[position] ^= flip_mask;
