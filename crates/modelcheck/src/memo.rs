@@ -10,17 +10,20 @@
 //! That single `u64` then does *all* the addressing work:
 //!
 //! * it picks the shard (top bits) and the bucket inside the shard's
-//!   raw-index table (a `HashMap<u64, Vec<entry>>` behind a pass-through
-//!   hasher — the key bytes are **never re-hashed**, not by the shard
-//!   map and not by the spill index);
-//! * it is the fixed-width key of the cold tier's on-disk record index;
+//!   hot table (a `HashMap<u64, Bucket>` behind a pass-through hasher,
+//!   the bucket holding its one entry inline — the key bytes are
+//!   **never re-hashed**, not by the shard map and not by the spill
+//!   index);
+//! * it is the fixed-width key of the cold tier's on-disk record index,
+//!   whose slot holds the record's address inline: a spilled state keeps
+//!   24 bytes of RAM (plus table slack), not its key;
 //! * it is the partitioning hash of distributed exploration — stable
 //!   across processes, builds, and platforms by construction.
 //!
-//! Distinct keys that collide on the 64-bit hash chain into the same
-//! bucket and are told apart by comparing full key bytes, exactly like
-//! the spill index always has; a collision costs one extra `memcmp`,
-//! never a wrong answer.
+//! Distinct keys that collide on the 64-bit hash chain — in the hot
+//! bucket, and past the spill index's inline slot in a side table — and
+//! are told apart by comparing full key bytes; a collision costs one
+//! extra `memcmp`, never a wrong answer.
 //!
 //! Tier one is a bounded per-shard table of live `Arc<Summary>` values —
 //! the *hot* tier — behind an `RwLock` whose **read lock suffices for a
@@ -37,10 +40,12 @@
 //! from one of its cached blocks of the segment file, checked against
 //! its length prefix and CRC, and lent as it was stored — reads its
 //! summary through the shard's summary table (below), and accepts it
-//! only if the stored key bytes equal the probe exactly.  Whole-memo visits (`ShardedMemo::for_each`, the exports)
-//! take each shard's hot entries first and then its spilled records in
-//! file order, never in the index's hash order, so they read every
-//! block once.
+//! only if the stored key bytes equal the probe exactly.  Whole-memo
+//! visits (`ShardedMemo::for_each`, the exports) take from each shard's
+//! hot table only the entries with no record, then every record in file
+//! order, never in the index's hash order, so they read every block
+//! once; a key with a record is met through it, so no visit hashes a
+//! record's key or probes the hot table for it.
 //!
 //! Storing the key as its canonical bytes is also what makes segment
 //! files cheap to move: a record is `[u32 key_len][key bytes][summary]`,
@@ -91,7 +96,7 @@ use twostep_sim::SyncProtocol;
 use crate::explorer::Summary;
 use crate::spill::{
     decode_summary, encode_summary, SegmentReader, SegmentStore, SegmentWriter, SpillCodec,
-    SpillDir, SpillError,
+    SpillDir, SpillError, SpillRef,
 };
 
 /// Memo-tier configuration: how many summaries stay hot in RAM and where
@@ -121,7 +126,9 @@ pub struct MemoConfig {
     /// hot entry, so actual residency is
     /// `shards · max(1, hot_capacity / shards)` — up to `shards` entries
     /// when `hot_capacity < shards`.  Results never depend on the value,
-    /// only memory/IO do.
+    /// only memory/IO do.  A state past the hot tier keeps a 24-byte
+    /// index slot in RAM (its hash and its record's address) plus the
+    /// hashed table's slack, whatever its key's length.
     pub hot_capacity: usize,
     /// Root directory for segment files (`None` = system temp dir).
     /// Ignored unless `hot_capacity` is finite.
@@ -376,9 +383,11 @@ struct HotEntry<O> {
 }
 
 /// One spilled record's address plus its freshness — the cold-tier twin
-/// of [`HotEntry::fresh`], so delta export survives eviction.
+/// of [`HotEntry::fresh`], so delta export survives eviction.  16 bytes,
+/// kept inline in the spill index: a spilled state costs its table slot
+/// and no allocation of its own.
 struct SpillSlot {
-    spill_ref: crate::spill::SpillRef,
+    spill_ref: SpillRef,
     fresh: bool,
 }
 
@@ -424,24 +433,28 @@ impl<O> Bucket<O> {
 type HotTable<O> = HashMap<u64, Bucket<O>, PassThroughState>;
 
 /// A spilled record passed its CRC yet is not a `(key, summary)` entry.
-fn undecodable_entry(spill_ref: &crate::spill::SpillRef) -> SpillError {
+fn undecodable_entry(spill_ref: &SpillRef) -> SpillError {
     SpillError::corrupt(format!(
         "undecodable entry record at segment {} offset {}",
         spill_ref.segment, spill_ref.offset
     ))
 }
 
-/// One memo shard.  Both tables are keyed by the precomputed 64-bit key
-/// hash behind a pass-through hasher; 64-bit collisions chain inside
-/// the bucket and are resolved by comparing full key bytes.
+/// One memo shard.  Its tables are keyed by the precomputed 64-bit key
+/// hash behind a pass-through hasher; 64-bit collisions chain (in the
+/// hot bucket, or in `collided` for the spill index) and are resolved by
+/// comparing full key bytes.
 struct Shard<O> {
     hot: HotTable<O>,
     /// Entries across all hot buckets (`hot.len()` counts buckets).
     hot_len: usize,
     /// Clock order over the hot entries; front = eviction hand.
     clock: VecDeque<(u64, Arc<[u8]>)>,
-    /// Spilled records by fixed-width key hash.
-    index: HashMap<u64, Vec<SpillSlot>, PassThroughState>,
+    /// The first spilled record under each key hash, inline.
+    index: HashMap<u64, SpillSlot, PassThroughState>,
+    /// Further spilled records whose keys share their hash with one in
+    /// `index` — empty unless two keys collide on all 64 bits.
+    collided: HashMap<u64, Vec<SpillSlot>, PassThroughState>,
     store: Option<SegmentStore>,
     /// The summaries of the records read back from `store`.
     summaries: SummaryTable<O>,
@@ -459,6 +472,7 @@ where
             hot_len: 0,
             clock: VecDeque::new(),
             index: HashMap::default(),
+            collided: HashMap::default(),
             store,
             summaries: SummaryTable::new(),
             scratch: Vec::new(),
@@ -473,7 +487,21 @@ where
         hot.get(&hash)?.as_slice().iter().find(|e| &*e.key == key)
     }
 
-    /// Finds `key`'s spilled record, if any: probes the hashed index and
+    /// Indexes a record just appended under `hash`: inline if the hash
+    /// has no record yet, else in `collided`.
+    fn index_spilled(&mut self, hash: u64, slot: SpillSlot) {
+        match self.index.entry(hash) {
+            std::collections::hash_map::Entry::Vacant(vacant) => {
+                vacant.insert(slot);
+            }
+            std::collections::hash_map::Entry::Occupied(_) => {
+                self.collided.entry(hash).or_default().push(slot);
+            }
+        }
+    }
+
+    /// Finds `key`'s spilled record, if any: probes the hashed index —
+    /// its inline slot, then any records that collided with it — and
     /// verifies candidates by full-key-byte comparison.  Returns the
     /// summary together with the record's freshness; the caller promotes
     /// the result back to the hot tier via [`Self::admit`].
@@ -484,19 +512,17 @@ where
         // allocated unless its summary bytes miss the table.
         let Shard {
             index,
+            collided,
             store,
             summaries,
             ..
         } = self;
-        let slots = match index.get(&hash) {
-            Some(slots) => slots,
-            None => return Ok(None),
-        };
-        let store = store
-            .as_mut()
-            .expect("spill index entries require a segment store");
-        for slot in slots {
-            let payload = store.read(&slot.spill_ref)?;
+        let collisions = collided.get(&hash).into_iter().flatten();
+        for slot in index.get(&hash).into_iter().chain(collisions) {
+            let payload = store
+                .as_mut()
+                .expect("spill index entries require a segment store")
+                .read(&slot.spill_ref)?;
             let (stored_key, summary) = summaries
                 .split_entry(payload, |_| true)
                 .ok_or_else(|| undecodable_entry(&slot.spill_ref))?;
@@ -544,7 +570,9 @@ where
     /// Evicts exactly one hot entry in clock (second-chance) order,
     /// spilling its full `(key bytes, summary)` record unless one
     /// already exists.  After this, the evicted key's only full copy
-    /// lives on disk — the RAM cost of a cold entry is its index slot.
+    /// lives on disk — the RAM cost of a cold entry is its 24-byte index
+    /// slot (hash and [`SpillSlot`]) plus the table's slack: a hashed
+    /// table runs at most 7/8 full, and grows by doubling.
     fn evict_one(&mut self) -> Result<(), SpillError> {
         loop {
             let (hash, key) = self
@@ -593,10 +621,13 @@ where
                     .as_mut()
                     .expect("bounded hot tier requires a segment store")
                     .append(&self.scratch)?;
-                self.index.entry(hash).or_default().push(SpillSlot {
-                    spill_ref,
-                    fresh: entry.fresh,
-                });
+                self.index_spilled(
+                    hash,
+                    SpillSlot {
+                        spill_ref,
+                        fresh: entry.fresh,
+                    },
+                );
             }
             return Ok(());
         }
@@ -791,8 +822,8 @@ where
     }
 
     /// Visits every memoized entry as `(key bytes, summary)` — each
-    /// shard's hot entries first, then its spilled-only records in file
-    /// order (single-threaded, post-exploration).
+    /// shard's hot entries that have no record first, then every record
+    /// in file order (single-threaded, post-exploration).
     pub(crate) fn for_each(
         &self,
         mut f: impl FnMut(&[u8], &Arc<Summary<O>>),
@@ -804,9 +835,13 @@ where
         .map(|_| ())
     }
 
-    /// First `Some` produced by `f` over the memoized entries (hot first,
-    /// then spilled-only — each key exactly once), stopping the scan as
-    /// soon as it is found.
+    /// First `Some` produced by `f` over the memoized entries, stopping
+    /// the scan as soon as it is found.  Each key is met exactly once:
+    /// a hot entry whose `spilled` bit is clear from the hot table, every
+    /// other key through its one record — a key both hot and spilled
+    /// included, whose summary the record holds too, since summaries are
+    /// immutable and a record is never rewritten.  So a record costs no
+    /// hash and no hot probe.
     pub(crate) fn find_map<R>(
         &self,
         mut f: impl FnMut(&[u8], &Arc<Summary<O>>) -> Option<R>,
@@ -814,17 +849,14 @@ where
         for lock in &self.shards {
             let mut shard = lock.write().expect("memo shard poisoned");
             for bucket in shard.hot.values() {
-                for entry in bucket.as_slice() {
+                for entry in bucket.as_slice().iter().filter(|e| !e.spilled) {
                     if let Some(found) = f(&entry.key, &entry.summary) {
                         return Ok(Some(found));
                     }
                 }
             }
             let Shard {
-                hot,
-                store,
-                summaries,
-                ..
+                store, summaries, ..
             } = &mut *shard;
             let Some(store) = store else { continue };
             let mut found = None;
@@ -834,9 +866,7 @@ where
                 let (key, summary) = summaries
                     .split_entry(payload, |_| true)
                     .ok_or_else(|| undecodable_entry(&spill_ref))?;
-                if Shard::hot_get(hot, stable_hash64(key), key).is_none() {
-                    found = f(key, &summary);
-                }
+                found = f(key, &summary);
                 Ok(found.is_none())
             })?;
             if found.is_some() {
@@ -875,9 +905,11 @@ where
         let mut scratch: Vec<u8> = Vec::new();
         for lock in &self.shards {
             let mut shard = lock.write().expect("memo shard poisoned");
+            // The census's order: a key with a record ships as that
+            // record, verbatim.
             for bucket in shard.hot.values() {
                 for entry in bucket.as_slice() {
-                    if only_fresh && !entry.fresh {
+                    if entry.spilled || (only_fresh && !entry.fresh) {
                         continue;
                     }
                     scratch.clear();
@@ -886,35 +918,24 @@ where
                 }
             }
             let Shard {
-                hot, index, store, ..
+                index,
+                collided,
+                store,
+                ..
             } = &mut *shard;
             let Some(store) = store else { continue };
+            // Freshness lives in the index slot that addresses a record:
+            // the seeded ones, sorted into file order, are what a delta
+            // skips.
+            let mut seeded: Vec<SpillRef> = if only_fresh {
+                let slots = index.values().chain(collided.values().flatten());
+                slots.filter(|s| !s.fresh).map(|s| s.spill_ref).collect()
+            } else {
+                Vec::new()
+            };
+            seeded.sort_unstable();
             store.scan(|spill_ref, payload| {
-                let mut input = payload;
-                let key =
-                    split_key_prefix(&mut input).ok_or_else(|| undecodable_entry(&spill_ref))?;
-                let hash = stable_hash64(key);
-                if only_fresh {
-                    // Freshness lives in the index slot that addresses
-                    // this very record.
-                    let slot = index
-                        .get(&hash)
-                        .and_then(|slots| slots.iter().find(|slot| slot.spill_ref == spill_ref))
-                        .ok_or_else(|| {
-                            SpillError::corrupt(format!(
-                                "the record at segment {} offset {} is not in the spill index",
-                                spill_ref.segment, spill_ref.offset
-                            ))
-                        })?;
-                    if !slot.fresh {
-                        return Ok(true);
-                    }
-                }
-                // Entries both hot and spilled were exported above; the
-                // record's key-byte prefix detects them without decoding
-                // the summary — and the record ships verbatim, no
-                // re-encode.
-                if Shard::hot_get(hot, hash, key).is_none() {
+                if seeded.binary_search(&spill_ref).is_err() {
                     writer.append(payload)?;
                 }
                 Ok(true)
@@ -1312,22 +1333,93 @@ mod tests {
         assert!(memo.get(forged, b"key-c").unwrap().is_none());
     }
 
-    /// Same, but through the spill tier: colliding keys evicted to disk
-    /// rehydrate to their own summaries.
+    /// Records in all of `memo`'s stores.
+    fn records(memo: &ShardedMemo<u64>) -> usize {
+        let mut records = 0;
+        for lock in &memo.shards {
+            let mut shard = lock.write().unwrap();
+            if let Some(store) = shard.store.as_mut() {
+                store
+                    .scan(|_, _| {
+                        records += 1;
+                        Ok(true)
+                    })
+                    .unwrap();
+            }
+        }
+        records
+    }
+
+    /// Same, but through the spill tier: three keys under one hash — the
+    /// first evicted kept inline in the index, the other two in its
+    /// `collided` table — rehydrate to their own summaries, are evicted
+    /// again without a second record, and keep their freshness: the one
+    /// seeded stays out of the delta export.
     #[test]
     fn hash_collisions_chain_through_the_spill_tier() {
+        let dir = SpillDir::create(None).unwrap();
+        let (seed_path, delta_path) = (dir.path().join("seed.seg"), dir.path().join("delta.seg"));
+        let keys = [
+            b"key-a".to_vec(),
+            b"key-b-longer".to_vec(),
+            b"key-c".to_vec(),
+        ];
+        // The "forged" hash is `a`'s own, so that the seed import — which
+        // hashes what it reads — files `a` under it too.
+        let forged = hash_for(&keys[0]);
+        let origin: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
+        origin
+            .insert(forged, &keys[0], Arc::new(summary_for(0)))
+            .unwrap();
+        assert_eq!(origin.export_to(&seed_path).unwrap(), 1);
+
         let memo: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::spill(1)).unwrap();
-        let (a, b) = (b"key-a".to_vec(), b"key-b-longer".to_vec());
-        let forged = 0xDEAD_BEEF_u64;
-        memo.insert(forged, &a, Arc::new(summary_for(1))).unwrap();
-        memo.insert(forged, &b, Arc::new(summary_for(2))).unwrap();
-        // Push both out of the hot tier.
+        assert_eq!(memo.import_seed_from(&seed_path, any_key()).unwrap(), 1);
+        for (i, key) in keys.iter().enumerate().skip(1) {
+            memo.insert(forged, key, Arc::new(summary_for(i as u64)))
+                .unwrap();
+        }
+        // Push all three out of the hot tier, then give every key a
+        // record: the get evicts the last key inserted.
         for i in 10..20u64 {
             insert(&memo, i);
         }
-        assert_eq!(*memo.get(forged, &a).unwrap().unwrap(), summary_for(1));
-        assert_eq!(*memo.get(forged, &b).unwrap().unwrap(), summary_for(2));
-        assert_eq!(memo.len(), 12);
+        get(&memo, 10).unwrap();
+        assert_eq!(memo.len(), 13);
+        assert_eq!(records(&memo), 13, "one record per key");
+        {
+            let shard = memo.shards[0].read().unwrap();
+            assert!(shard.index.contains_key(&forged), "the first inline");
+            assert_eq!(shard.collided.len(), 1, "one hash collided");
+            assert_eq!(shard.collided[&forged].len(), 2, "the others chained");
+        }
+        for _ in 0..2 {
+            for (i, key) in keys.iter().enumerate() {
+                let got = memo.get(forged, key).unwrap().expect("rehydrates");
+                assert_eq!(*got, summary_for(i as u64), "key {i}");
+            }
+            // Evicts the last of the three, which has its record.
+            get(&memo, 11).unwrap();
+            assert_eq!(records(&memo), 13, "a rehydrated entry is never rewritten");
+        }
+        assert!(memo.get(forged, b"key-d").unwrap().is_none());
+        assert_eq!(memo.len(), 13, "colliding keys are distinct states");
+
+        assert_eq!(memo.export_delta(&delta_path).unwrap(), 12);
+        let dest: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
+        dest.import_from(&delta_path, any_key()).unwrap();
+        let mut exported = Vec::new();
+        dest.for_each(|key, _| exported.push(key.to_vec())).unwrap();
+        let colliding: Vec<_> = keys.iter().filter(|key| exported.contains(key)).collect();
+        assert_eq!(colliding, [&keys[1], &keys[2]], "the seeded key stays out");
+    }
+
+    /// A spilled state's RAM is its index slot: a hash and an inline
+    /// record address, no allocation of its own.
+    #[test]
+    fn a_spilled_state_costs_one_24_byte_index_slot() {
+        assert_eq!(std::mem::size_of::<SpillRef>(), 12);
+        assert_eq!(std::mem::size_of::<(u64, SpillSlot)>(), 24);
     }
 
     /// `summary`'s bytes, as a record holds them.
@@ -1351,7 +1443,7 @@ mod tests {
             spill_ref,
             fresh: true,
         };
-        shard.index.entry(hash).or_default().push(slot);
+        shard.index_spilled(hash, slot);
     }
 
     /// Twenty keys inserted under twenty `Arc`s of one summary come back

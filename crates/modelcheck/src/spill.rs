@@ -65,6 +65,10 @@ use crate::explorer::Summary;
 /// Bytes after which a shard rotates to a fresh segment file.
 pub(crate) const SEGMENT_BYTES: u64 = 64 * 1024 * 1024;
 
+// Every record starts below `SEGMENT_BYTES`, so its offset fits the
+// `u32` a `SpillRef` keeps.
+const _: () = assert!(SEGMENT_BYTES <= u32::MAX as u64);
+
 /// First 8 bytes of every segment file.
 pub(crate) const MAGIC: [u8; 8] = *b"TWOSPILL";
 
@@ -367,11 +371,15 @@ fn parse_header(h: &[u8], path: &Path) -> Result<(u64, u8), SpillError> {
 // ---------------------------------------------------------------------------
 
 /// Address of one spilled record: which segment file of the owning shard,
-/// the byte offset of its length prefix, and the payload length.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// the byte offset of its length prefix, and the payload length — 12
+/// bytes, since the memo keeps one per spilled state.  The offset fits a
+/// `u32` because a record always *starts* below [`SEGMENT_BYTES`]:
+/// [`SegmentStore::append`] opens a new segment once the write position
+/// reaches it.  Ordered as the records lie in the store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct SpillRef {
     pub(crate) segment: u32,
-    pub(crate) offset: u64,
+    pub(crate) offset: u32,
     pub(crate) len: u32,
 }
 
@@ -479,6 +487,10 @@ impl SegmentStore {
         block_bytes: usize,
         segment_bytes: u64,
     ) -> Self {
+        assert!(
+            segment_bytes <= SEGMENT_BYTES,
+            "record offsets must fit a u32"
+        );
         SegmentStore {
             dir: dir.to_path_buf(),
             shard,
@@ -555,7 +567,9 @@ impl SegmentStore {
         }
         Ok(SpillRef {
             segment: segment as u32,
-            offset: self.segments[segment].len + at as u64,
+            // Below `segment_bytes`: the record starts at `position`, or
+            // past a fresh segment's header.
+            offset: (self.segments[segment].len + at as u64) as u32,
             len: payload.len() as u32,
         })
     }
@@ -638,7 +652,7 @@ impl SegmentStore {
     /// call on the store — having verified its length prefix and its
     /// CRC.
     pub(crate) fn read(&mut self, r: &SpillRef) -> Result<&[u8], SpillError> {
-        self.fetch(r.segment, r.offset, 8 + r.len as usize)?;
+        self.fetch(r.segment, u64::from(r.offset), 8 + r.len as usize)?;
         let (prefix, stored) = self.frame.split_at(8);
         let stored_len = u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes"));
         let stored_crc = u32::from_le_bytes(prefix[4..].try_into().expect("4 bytes"));
@@ -680,9 +694,18 @@ impl SegmentStore {
                          but only {left} remain in the segment"
                     )));
                 }
+                // No record starts at or past the rotation point (which
+                // is also what keeps its offset a `u32`): one that would
+                // follows a length prefix gone wrong.
+                if offset >= self.segment_bytes {
+                    return Err(SpillError::corrupt(format!(
+                        "segment {segment}: a record starts at offset {offset}, \
+                         past the rotation point"
+                    )));
+                }
                 let r = SpillRef {
                     segment,
-                    offset,
+                    offset: offset as u32,
                     len,
                 };
                 if !visit(r, self.read(&r)?)? {
@@ -1149,7 +1172,11 @@ mod tests {
                 assert_eq!(payload, vec![i as u8; i + 1]);
             }
             assert_eq!(refs[0].segment, 0);
-            assert_eq!(refs[0].offset, HEADER_LEN, "records start after the header");
+            assert_eq!(
+                u64::from(refs[0].offset),
+                HEADER_LEN,
+                "records start after the header"
+            );
             let rotated = refs.last().unwrap().segment > 0;
             assert_eq!(rotated, shard == 1, "only the tiny store rotates");
         }
@@ -1185,10 +1212,14 @@ mod tests {
         assert_eq!(store.read(&first).unwrap(), b"first");
         let second = store.append(b"second").unwrap();
         assert_eq!(store.read(&second).unwrap(), b"second", "from the tail");
-        assert_eq!(segment_len(&dir, 0, 0), second.offset, "still unwritten");
+        assert_eq!(
+            segment_len(&dir, 0, 0),
+            u64::from(second.offset),
+            "still unwritten"
+        );
         store.scan(|_, _| Ok(false)).unwrap();
         assert!(
-            second.offset + 8 + u64::from(second.len) <= 256,
+            u64::from(second.offset + 8 + second.len) <= 256,
             "same block"
         );
         assert_eq!(
@@ -1207,7 +1238,7 @@ mod tests {
         let in_tail = store.append(b"more precious bytes").unwrap();
         assert_eq!(
             segment_len(&dir, 0, 0),
-            in_tail.offset,
+            u64::from(in_tail.offset),
             "one record written"
         );
         // Flip one payload byte of the written record behind the store's
@@ -1242,7 +1273,7 @@ mod tests {
         for (i, r) in refs.iter().enumerate().rev() {
             // Cut the segment a few bytes into record `i`.  A cached
             // block rightly outlives the bytes under it, so forget them.
-            file.set_len(r.offset + 11).unwrap();
+            file.set_len(u64::from(r.offset) + 11).unwrap();
             store.blocks.clear();
             for cut in &refs[i..] {
                 match store.read(cut).unwrap_err() {
@@ -1275,7 +1306,7 @@ mod tests {
         // cached, no read having happened yet.
         let mut store = SegmentStore::with_sizes(dir.path(), 0, 88, 64, 400);
         let refs: Vec<SpillRef> = (0..3).map(|i| store.append(&noise(i)).unwrap()).collect();
-        assert_eq!(segment_len(&dir, 0, 0), refs[2].offset);
+        assert_eq!(segment_len(&dir, 0, 0), u64::from(refs[2].offset));
         // The length prefix is not checksummed: a flipped high byte
         // claims ~4 GiB, which the segment's own length refutes.
         let path = dir.path().join("shard0-seg0.spill");
@@ -1298,6 +1329,43 @@ mod tests {
             store.frame.capacity() < 1 << 20,
             "nothing sized by the claim"
         );
+    }
+
+    /// A segment's last record may run past the rotation point, but no
+    /// record starts there: two sound frames rewritten over one, the
+    /// second starting at the rotation point, are `Corrupt` at the
+    /// second.
+    #[test]
+    fn scan_refuses_a_frame_starting_past_the_rotation_point() {
+        let dir = SpillDir::create(None).unwrap();
+        // A 600-byte tail holds the 508-byte frame; the next append
+        // rotates, which writes segment 0 — and nothing is cached yet.
+        let mut store = SegmentStore::with_sizes(dir.path(), 0, 600, 64, 400);
+        let long = store.append(&[7; 500]).unwrap();
+        store.append(b"next").unwrap();
+        assert_eq!(segment_len(&dir, 0, 0), u64::from(long.offset) + 508);
+        let mut forged = Vec::new();
+        write_framed_record(&mut forged, &[7; 368]).unwrap();
+        write_framed_record(&mut forged, &[7; 124]).unwrap();
+        let path = dir.path().join("shard0-seg0.spill");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.truncate(long.offset as usize);
+        bytes.extend_from_slice(&forged);
+        std::fs::write(&path, &bytes).unwrap();
+        let mut visited = 0;
+        let err = store
+            .scan(|_, _| {
+                visited += 1;
+                Ok(true)
+            })
+            .unwrap_err();
+        match &err {
+            SpillError::Corrupt { detail } => {
+                assert!(detail.contains("offset 400"), "{detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(visited, 1, "the first forged frame is sound");
     }
 
     #[test]
