@@ -9,30 +9,33 @@
 //! hashed exactly once with [`twostep_model::codec::stable_hash64`].
 //! That single `u64` then does *all* the addressing work:
 //!
-//! * it picks the shard (top bits) and the bucket inside the shard's
-//!   hot table (a `HashMap<u64, Bucket>` behind a pass-through hasher,
-//!   the bucket holding its one entry inline — the key bytes are
-//!   **never re-hashed**, not by the shard map and not by the spill
-//!   index);
+//! * it picks the shard (top bits) and the slot inside the shard's hot
+//!   table (a `HashMap<u64, HotEntry>` behind a pass-through hasher, the
+//!   slot holding its one entry inline — the key bytes are **never
+//!   re-hashed**, not by the shard map and not by the spill index);
 //! * it is the fixed-width key of the cold tier's on-disk record index,
 //!   whose slot holds the record's address inline: a spilled state keeps
 //!   24 bytes of RAM (plus table slack), not its key;
 //! * it is the partitioning hash of distributed exploration — stable
 //!   across processes, builds, and platforms by construction.
 //!
-//! Distinct keys that collide on the 64-bit hash chain — in the hot
-//! bucket, and past the spill index's inline slot in a side table — and
-//! are told apart by comparing full key bytes; a collision costs one
-//! extra `memcmp`, never a wrong answer.
+//! Distinct keys that collide on the 64-bit hash chain — past the hot
+//! table's and the spill index's inline slots, each in a side table of
+//! its own — and are told apart by comparing full key bytes; a collision
+//! costs one extra `memcmp`, never a wrong answer.
 //!
 //! Tier one is a bounded per-shard table of live `Arc<Summary>` values —
-//! the *hot* tier — behind an `RwLock` whose **read lock suffices for a
-//! hit**: lookups in a warm or late-stage walk (where hits dominate)
-//! take the shared lock, compare bytes, bump an atomic clock bit, and
-//! leave; only misses that must consult the disk tier, and inserts,
-//! take the write lock.  When [`MemoConfig::hot_capacity`] is finite,
-//! each shard evicts its coldest entries (clock / second-chance order)
-//! to tier two: an append-only segment file per shard
+//! the *hot* tier (`hot.rs`).  An entry owns no allocation: its key
+//! bytes are copied once, at admission, into an append-only arena of
+//! byte chunks that belongs to the shard, and the entry names them by
+//! position and length, so a hot state costs its key bytes plus one
+//! 32-byte table slot.  The tier sits behind an `RwLock` whose **read
+//! lock suffices for a hit**: lookups in a warm or late-stage walk
+//! (where hits dominate) take the shared lock, compare bytes, bump an
+//! atomic clock bit, and leave; only misses that must consult the disk
+//! tier, and inserts, take the write lock.  When
+//! [`MemoConfig::hot_capacity`] is finite, each shard evicts its coldest
+//! entries (clock / second-chance order) to tier two: an append-only segment file per shard
 //! (`crate::spill::SegmentStore`) whose records hold the **full key
 //! bytes and summary**, addressed by the in-memory hash index.  A lookup
 //! that misses the hot tier probes the index by hash, rehydrates each
@@ -49,7 +52,8 @@
 //!
 //! Storing the key as its canonical bytes is also what makes segment
 //! files cheap to move: a record is `[u32 key_len][key bytes][summary]`,
-//! so spilling, exporting (`ShardedMemo::export_to`), and importing
+//! so admitting (into the shard's key arena), spilling, exporting
+//! (`ShardedMemo::export_to`), and importing
 //! (`ShardedMemo::import_from`) all copy the key bytes verbatim — no
 //! structured re-encode anywhere on those paths, and a spilled record
 //! ships verbatim: the export hands the very payload the store holds to
@@ -84,20 +88,24 @@
 //!   rehydrated entry just drops the hot copy and keeps the old record
 //!   (tracked by a per-entry `spilled` bit).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 use twostep_model::codec::stable_hash64;
 use twostep_sim::SyncProtocol;
+
+use self::hot::{HotTable, KEY_CHUNK};
 
 use crate::explorer::Summary;
 use crate::spill::{
     decode_summary, encode_summary, SegmentReader, SegmentStore, SegmentWriter, SpillCodec,
     SpillDir, SpillError, SpillRef,
 };
+
+mod hot;
 
 /// Memo-tier configuration: how many summaries stay hot in RAM and where
 /// cold ones spill.
@@ -126,9 +134,12 @@ pub struct MemoConfig {
     /// hot entry, so actual residency is
     /// `shards · max(1, hot_capacity / shards)` — up to `shards` entries
     /// when `hot_capacity < shards`.  Results never depend on the value,
-    /// only memory/IO do.  A state past the hot tier keeps a 24-byte
-    /// index slot in RAM (its hash and its record's address) plus the
-    /// hashed table's slack, whatever its key's length.
+    /// only memory/IO do.  A hot state keeps its key bytes (in its
+    /// shard's arena of 64 KiB chunks) and a 32-byte table slot in RAM,
+    /// plus a 16-byte clock item when this is finite; a state past the
+    /// hot tier keeps a 24-byte index slot (its hash and its record's
+    /// address), whatever its key's length.  Each hashed table adds its
+    /// slack: it runs at most 7/8 full and grows by doubling.
     pub hot_capacity: usize,
     /// Root directory for segment files (`None` = system temp dir).
     /// Ignored unless `hot_capacity` is finite.
@@ -361,29 +372,8 @@ impl Hasher for PassThroughHasher {
 
 type PassThroughState = BuildHasherDefault<PassThroughHasher>;
 
-/// One hot-tier entry: the full key bytes, the live summary, its clock
-/// reference bit, and whether a spill record for this key already exists
-/// on disk.
-struct HotEntry<O> {
-    /// Canonical key bytes, shared with the clock queue.
-    key: Arc<[u8]>,
-    summary: Arc<Summary<O>>,
-    /// Second-chance bit: set on every touch, cleared (and the entry
-    /// rotated to the clock tail) the first time the hand reaches it.
-    /// Atomic so the read-locked hit path can set it without upgrading
-    /// to the write lock.
-    referenced: AtomicBool,
-    /// A segment record for this key already exists (the entry was
-    /// rehydrated), so evicting it again writes nothing.
-    spilled: bool,
-    /// Inserted fresh by this run's own exploration (as opposed to
-    /// seeded from a persistent cache / distributed seed segment).
-    /// [`ShardedMemo::export_delta`] writes exactly the fresh entries.
-    fresh: bool,
-}
-
 /// One spilled record's address plus its freshness — the cold-tier twin
-/// of [`HotEntry::fresh`], so delta export survives eviction.  16 bytes,
+/// of `HotEntry::fresh`, so delta export survives eviction.  16 bytes,
 /// kept inline in the spill index: a spilled state costs its table slot
 /// and no allocation of its own.
 struct SpillSlot {
@@ -394,44 +384,6 @@ struct SpillSlot {
 /// A rehydrated summary paired with its record's freshness bit.
 type Rehydrated<O> = Option<(Arc<Summary<O>>, bool)>;
 
-/// A hot-table bucket: the overwhelmingly common single entry lives
-/// inline (no `Vec` allocation or extra pointer chase per configuration
-/// probe); genuine 64-bit hash collisions promote the bucket to a
-/// chain.
-enum Bucket<O> {
-    One(HotEntry<O>),
-    Many(Vec<HotEntry<O>>),
-}
-
-impl<O> Bucket<O> {
-    fn as_slice(&self) -> &[HotEntry<O>] {
-        match self {
-            Bucket::One(entry) => std::slice::from_ref(entry),
-            Bucket::Many(entries) => entries,
-        }
-    }
-
-    fn push(&mut self, entry: HotEntry<O>) {
-        match self {
-            Bucket::Many(entries) => entries.push(entry),
-            Bucket::One(_) => {
-                let Bucket::One(first) = std::mem::replace(self, Bucket::Many(Vec::new())) else {
-                    unreachable!("just matched One")
-                };
-                let Bucket::Many(entries) = self else {
-                    unreachable!("just replaced with Many")
-                };
-                entries.reserve(2);
-                entries.push(first);
-                entries.push(entry);
-            }
-        }
-    }
-}
-
-/// A shard's hot tier: buckets by precomputed key hash.
-type HotTable<O> = HashMap<u64, Bucket<O>, PassThroughState>;
-
 /// A spilled record passed its CRC yet is not a `(key, summary)` entry.
 fn undecodable_entry(spill_ref: &SpillRef) -> SpillError {
     SpillError::corrupt(format!(
@@ -440,16 +392,14 @@ fn undecodable_entry(spill_ref: &SpillRef) -> SpillError {
     ))
 }
 
-/// One memo shard.  Its tables are keyed by the precomputed 64-bit key
-/// hash behind a pass-through hasher; 64-bit collisions chain (in the
-/// hot bucket, or in `collided` for the spill index) and are resolved by
-/// comparing full key bytes.
+/// One memo shard: its hot tier ([`HotTable`], whose key bytes live in
+/// the shard's own arena) and its spill index.  Both are keyed by the
+/// precomputed 64-bit key hash behind a pass-through hasher, each holding
+/// the first entry under a hash inline; 64-bit collisions chain in a side
+/// table (the hot tier's own, or `collided` for the spill index) and are
+/// resolved by comparing full key bytes.
 struct Shard<O> {
     hot: HotTable<O>,
-    /// Entries across all hot buckets (`hot.len()` counts buckets).
-    hot_len: usize,
-    /// Clock order over the hot entries; front = eviction hand.
-    clock: VecDeque<(u64, Arc<[u8]>)>,
     /// The first spilled record under each key hash, inline.
     index: HashMap<u64, SpillSlot, PassThroughState>,
     /// Further spilled records whose keys share their hash with one in
@@ -466,25 +416,15 @@ impl<O> Shard<O>
 where
     O: Clone + Eq + SpillCodec,
 {
-    fn new(store: Option<SegmentStore>) -> Self {
+    fn new(store: Option<SegmentStore>, hot: HotTable<O>) -> Self {
         Shard {
-            hot: HashMap::default(),
-            hot_len: 0,
-            clock: VecDeque::new(),
+            hot,
             index: HashMap::default(),
             collided: HashMap::default(),
             store,
             summaries: SummaryTable::new(),
             scratch: Vec::new(),
         }
-    }
-
-    /// The hot entry for `key`, if resident: one u64 bucket probe plus a
-    /// byte comparison per collision-chained candidate.  An associated
-    /// fn over the table (not `&self`) so the spilled-record scans can
-    /// ask while they hold the store.
-    fn hot_get<'a>(hot: &'a HotTable<O>, hash: u64, key: &[u8]) -> Option<&'a HotEntry<O>> {
-        hot.get(&hash)?.as_slice().iter().find(|e| &*e.key == key)
     }
 
     /// Indexes a record just appended under `hash`: inline if the hash
@@ -533,37 +473,23 @@ where
         Ok(None)
     }
 
+    /// Makes `key` hot under `hash`, evicting first if the tier is
+    /// full.  The key bytes are copied into the shard's arena.
     fn admit(
         &mut self,
         hash: u64,
-        key: Arc<[u8]>,
+        key: &[u8],
         summary: Arc<Summary<O>>,
         spilled: bool,
         fresh: bool,
         hot_capacity: usize,
     ) -> Result<(), SpillError> {
         if hot_capacity != usize::MAX {
-            while self.hot_len >= hot_capacity {
+            while self.hot.len() >= hot_capacity {
                 self.evict_one()?;
             }
-            self.clock.push_back((hash, Arc::clone(&key)));
         }
-        let entry = HotEntry {
-            key,
-            summary,
-            referenced: AtomicBool::new(true),
-            spilled,
-            fresh,
-        };
-        match self.hot.entry(hash) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Bucket::One(entry));
-            }
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                slot.into_mut().push(entry);
-            }
-        }
-        self.hot_len += 1;
+        self.hot.insert(hash, key, summary, spilled, fresh);
         Ok(())
     }
 
@@ -574,63 +500,30 @@ where
     /// slot (hash and [`SpillSlot`]) plus the table's slack: a hashed
     /// table runs at most 7/8 full, and grows by doubling.
     fn evict_one(&mut self) -> Result<(), SpillError> {
-        loop {
-            let (hash, key) = self
-                .clock
-                .pop_front()
-                .expect("clock queue tracks every hot entry");
-            let entry = {
-                let mut slot = match self.hot.entry(hash) {
-                    std::collections::hash_map::Entry::Occupied(slot) => slot,
-                    std::collections::hash_map::Entry::Vacant(_) => {
-                        unreachable!("clock queue tracks every hot entry")
-                    }
-                };
-                let entries = slot.get().as_slice();
-                let pos = entries
-                    .iter()
-                    .position(|e| Arc::ptr_eq(&e.key, &key))
-                    .expect("clock queue tracks every hot entry");
-                if entries[pos].referenced.load(Ordering::Relaxed) {
-                    entries[pos].referenced.store(false, Ordering::Relaxed);
-                    self.clock.push_back((hash, key));
-                    continue;
-                }
-                match slot.get_mut() {
-                    Bucket::One(_) => {
-                        let Bucket::One(entry) = slot.remove() else {
-                            unreachable!("just matched One")
-                        };
-                        entry
-                    }
-                    Bucket::Many(entries) => {
-                        let entry = entries.swap_remove(pos);
-                        if entries.is_empty() {
-                            slot.remove();
-                        }
-                        entry
-                    }
-                }
-            };
-            self.hot_len -= 1;
+        let Shard {
+            hot,
+            store,
+            scratch,
+            ..
+        } = self;
+        let mut record = None;
+        hot.evict(|hash, key, entry| {
             if !entry.spilled {
-                self.scratch.clear();
-                encode_entry(&entry.key, &entry.summary, &mut self.scratch);
-                let spill_ref = self
-                    .store
+                scratch.clear();
+                encode_entry(key, &entry.summary, scratch);
+                let spill_ref = store
                     .as_mut()
                     .expect("bounded hot tier requires a segment store")
-                    .append(&self.scratch)?;
-                self.index_spilled(
-                    hash,
-                    SpillSlot {
-                        spill_ref,
-                        fresh: entry.fresh,
-                    },
-                );
+                    .append(scratch)?;
+                let fresh = entry.fresh;
+                record = Some((hash, SpillSlot { spill_ref, fresh }));
             }
-            return Ok(());
+            Ok(())
+        })?;
+        if let Some((hash, slot)) = record {
+            self.index_spilled(hash, slot);
         }
+        Ok(())
     }
 }
 
@@ -670,6 +563,16 @@ where
     O: Clone + Eq + SpillCodec,
 {
     pub(crate) fn new(shards: usize, config: &MemoConfig) -> Result<Self, SpillError> {
+        Self::with_key_chunk(shards, config, KEY_CHUNK)
+    }
+
+    /// [`Self::new`] with `key_chunk`-byte key chunks — tests shrink
+    /// them so that compaction runs every few evictions.
+    fn with_key_chunk(
+        shards: usize,
+        config: &MemoConfig,
+        key_chunk: usize,
+    ) -> Result<Self, SpillError> {
         let shards = shards.max(1);
         let (spill_dir, per_shard_hot) = if config.spill_enabled() {
             let dir = SpillDir::create(config.spill_dir.as_deref())?;
@@ -682,7 +585,8 @@ where
                 let store = spill_dir
                     .as_ref()
                     .map(|dir| SegmentStore::new(dir.path(), i));
-                RwLock::new(Shard::new(store))
+                let hot = HotTable::new(store.is_some(), key_chunk);
+                RwLock::new(Shard::new(store, hot))
             })
             .collect();
         Ok(ShardedMemo {
@@ -706,15 +610,15 @@ where
     /// Looks `key` (with its precomputed `hash`) up across both tiers.
     ///
     /// The hit path — dominant in warm and late-exploration walks —
-    /// takes only the shard's **read** lock: probe the bucket, compare
-    /// bytes, set the atomic clock bit, clone the `Arc`.  Only a miss
-    /// with a disk tier to consult (rehydrate + promote mutate the
-    /// shard) upgrades to the write lock.
+    /// takes only the shard's **read** lock: probe the slot, compare
+    /// the key bytes in the arena, set the atomic clock bit, clone the
+    /// `Arc`.  Only a miss with a disk tier to consult (rehydrate +
+    /// promote mutate the shard) upgrades to the write lock.
     pub(crate) fn get(&self, hash: u64, key: &[u8]) -> Result<Option<Arc<Summary<O>>>, SpillError> {
         let lock = &self.shards[self.shard_of(hash)];
         {
             let shard = lock.read().expect("memo shard poisoned");
-            if let Some(entry) = Shard::hot_get(&shard.hot, hash, key) {
+            if let Some(entry) = shard.hot.get(hash, key) {
                 entry.referenced.store(true, Ordering::Relaxed);
                 return Ok(Some(Arc::clone(&entry.summary)));
             }
@@ -724,18 +628,19 @@ where
             return Ok(None);
         }
         let mut shard = lock.write().expect("memo shard poisoned");
-        if let Some(entry) = Shard::hot_get(&shard.hot, hash, key) {
+        if let Some(entry) = shard.hot.get(hash, key) {
             // A racing walker promoted it between our locks.
             entry.referenced.store(true, Ordering::Relaxed);
             return Ok(Some(Arc::clone(&entry.summary)));
         }
         match shard.rehydrate(hash, key)? {
             Some((summary, fresh)) => {
-                // Promote: the full key re-enters RAM from the probe's
-                // bytes (identical to the record's copy by construction).
+                // Promote: the full key re-enters the arena from the
+                // probe's bytes (identical to the record's copy by
+                // construction).
                 shard.admit(
                     hash,
-                    Arc::from(key),
+                    key,
                     Arc::clone(&summary),
                     true,
                     fresh,
@@ -767,7 +672,7 @@ where
     ) -> Result<Arc<Summary<O>>, SpillError> {
         let lock = &self.shards[self.shard_of(hash)];
         let mut shard = lock.write().expect("memo shard poisoned");
-        if let Some(entry) = Shard::hot_get(&shard.hot, hash, key) {
+        if let Some(entry) = shard.hot.get(hash, key) {
             entry.referenced.store(true, Ordering::Relaxed);
             return Ok(Arc::clone(&entry.summary));
         }
@@ -775,7 +680,7 @@ where
             if let Some((existing, was_fresh)) = shard.rehydrate(hash, key)? {
                 shard.admit(
                     hash,
-                    Arc::from(key),
+                    key,
                     Arc::clone(&existing),
                     true,
                     was_fresh,
@@ -786,16 +691,17 @@ where
         }
         shard.admit(
             hash,
-            Arc::from(key),
+            key,
             Arc::clone(&summary),
             false,
             fresh,
             self.per_shard_hot,
         )?;
         self.distinct.fetch_add(1, Ordering::Relaxed);
-        // Flat per-record estimate: key bytes + entry bookkeeping (Arc
-        // headers, hash, bucket slot).  The budget this feeds is a soft
-        // limit, so "approximately right, always monotone" is enough.
+        // Flat per-record estimate: key bytes + entry bookkeeping (hash,
+        // table slot), over-approximated.  The budget this feeds is a
+        // soft limit, so "approximately right, always monotone" is
+        // enough.
         self.approx_bytes
             .fetch_add(key.len() as u64 + 64, Ordering::Relaxed);
         if !fresh {
@@ -848,11 +754,9 @@ where
     ) -> Result<Option<R>, SpillError> {
         for lock in &self.shards {
             let mut shard = lock.write().expect("memo shard poisoned");
-            for bucket in shard.hot.values() {
-                for entry in bucket.as_slice().iter().filter(|e| !e.spilled) {
-                    if let Some(found) = f(&entry.key, &entry.summary) {
-                        return Ok(Some(found));
-                    }
+            for (key, entry) in shard.hot.entries().filter(|(_, e)| !e.spilled) {
+                if let Some(found) = f(key, &entry.summary) {
+                    return Ok(Some(found));
                 }
             }
             let Shard {
@@ -907,15 +811,13 @@ where
             let mut shard = lock.write().expect("memo shard poisoned");
             // The census's order: a key with a record ships as that
             // record, verbatim.
-            for bucket in shard.hot.values() {
-                for entry in bucket.as_slice() {
-                    if entry.spilled || (only_fresh && !entry.fresh) {
-                        continue;
-                    }
-                    scratch.clear();
-                    encode_entry(&entry.key, &entry.summary, &mut scratch);
-                    writer.append(&scratch)?;
+            for (key, entry) in shard.hot.entries() {
+                if entry.spilled || (only_fresh && !entry.fresh) {
+                    continue;
                 }
+                scratch.clear();
+                encode_entry(key, &entry.summary, &mut scratch);
+                writer.append(&scratch)?;
             }
             let Shard {
                 index,
@@ -1035,6 +937,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use super::hot::{ClockItem, HotEntry};
     use super::*;
     use proptest::prelude::*;
 
@@ -1318,19 +1221,134 @@ mod tests {
     }
 
     /// Keys sharing a 64-bit hash must chain, not clobber: simulate a
-    /// full collision by inserting two different byte keys under the
-    /// same forged hash.
+    /// full collision by inserting three different byte keys under the
+    /// same forged hash — in an all-RAM memo, and in a bounded one whose
+    /// hot tier holds the first inline and the others in its side table.
+    /// There, evicting the inline entry promotes a collided one: both
+    /// still answer from the hot tier, having no record to rehydrate
+    /// from.  Once all three are spilled and rehydrated, the export
+    /// holds each key once.
     #[test]
     fn hash_collisions_chain_on_key_bytes() {
-        let memo: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
-        let (a, b) = (b"key-a".to_vec(), b"key-b-longer".to_vec());
+        let keys = [
+            b"key-a".to_vec(),
+            b"key-b-longer".to_vec(),
+            b"key-c".to_vec(),
+        ];
         let forged = 0xDEAD_BEEF_u64;
-        memo.insert(forged, &a, Arc::new(summary_for(1))).unwrap();
-        memo.insert(forged, &b, Arc::new(summary_for(2))).unwrap();
-        assert_eq!(memo.len(), 2, "colliding keys are distinct states");
-        assert_eq!(*memo.get(forged, &a).unwrap().unwrap(), summary_for(1));
-        assert_eq!(*memo.get(forged, &b).unwrap().unwrap(), summary_for(2));
-        assert!(memo.get(forged, b"key-c").unwrap().is_none());
+        let answers = |memo: &ShardedMemo<u64>| {
+            for (i, key) in keys.iter().enumerate() {
+                let got = memo.get(forged, key).unwrap().expect("a colliding key");
+                assert_eq!(*got, summary_for(i as u64), "key {i}");
+            }
+            assert!(memo.get(forged, b"key-d").unwrap().is_none());
+        };
+        let ram: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
+        let memo: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::spill(3)).unwrap();
+        for memo in [&ram, &memo] {
+            for (i, key) in keys.iter().enumerate() {
+                memo.insert(forged, key, Arc::new(summary_for(i as u64)))
+                    .unwrap();
+            }
+            assert_eq!(memo.len(), 3, "colliding keys are distinct states");
+            answers(memo);
+        }
+        // The hand clears all three bits, then evicts the inline `a`.
+        insert(&memo, 10);
+        assert_eq!(records(&memo), 1, "only the inline entry was evicted");
+        for (i, key) in keys.iter().enumerate().skip(1) {
+            let got = memo.get(forged, key).unwrap().expect("still hot");
+            assert_eq!(*got, summary_for(i as u64), "key {i}");
+        }
+        for i in 11..20u64 {
+            insert(&memo, i);
+        }
+        assert_eq!(records(&memo), 10, "all three spilled, 17..20 hot");
+        answers(&memo);
+        assert_eq!(records(&memo), 13, "17..20 evicted by the rehydrates");
+        insert(&memo, 10);
+        answers(&memo);
+        assert_eq!(records(&memo), 13, "a rehydrated entry is never rewritten");
+
+        let dir = SpillDir::create(None).unwrap();
+        let path = dir.path().join("collided.seg");
+        assert_eq!(memo.export_to(&path).unwrap(), 13, "each key once");
+        let dest: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
+        assert_eq!(dest.import_from(&path, any_key()).unwrap(), 13);
+        assert_eq!(dest.len(), 13);
+        for (i, key) in keys.iter().enumerate() {
+            let got = dest.get(hash_for(key), key).unwrap().expect("exported");
+            assert_eq!(*got, summary_for(i as u64), "key {i}");
+        }
+    }
+
+    /// A bounded one-shard memo whose key chunks are 64 bytes, driven
+    /// through a pseudo-random run of inserts and gets — hot hits,
+    /// rehydrates, and with them re-evictions that write nothing —
+    /// against a model map, then one delta export and import.  Every get
+    /// answers what the model holds, and after every operation the arena
+    /// has written at most twice its live key bytes plus one chunk:
+    /// evictions free bytes, compaction (which runs many times here, and
+    /// moves every live key and clock item) takes them back.  One key in
+    /// eight is longer than a chunk and takes one of its own.
+    #[test]
+    fn compaction_under_churn_keeps_every_key_and_bounds_the_arena() {
+        const CHUNK: usize = 64;
+        const KEYS: u64 = 24;
+        let key = |i: u64| {
+            let mut key = key_for(i);
+            if i % 8 == 7 {
+                key.resize(CHUNK + 16 + i as usize, 0x5A);
+            }
+            key
+        };
+        let memo: ShardedMemo<u64> =
+            ShardedMemo::with_key_chunk(1, &MemoConfig::spill(4), CHUNK).unwrap();
+        let mut model = std::collections::BTreeMap::new();
+        let (mut compactions, mut hits, mut last_written) = (0, 0, 0);
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for step in 0..4_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let i = state % KEYS;
+            let key = key(i);
+            if (state >> 32).is_multiple_of(3) {
+                let got = memo.insert(hash_for(&key), &key, Arc::new(summary_for(i)));
+                assert_eq!(*got.unwrap(), summary_for(i), "step {step}: insert({i})");
+                model.insert(i, summary_for(i));
+            } else {
+                let hot = {
+                    let shard = memo.shards[0].read().unwrap();
+                    shard.hot.get(hash_for(&key), &key).is_some()
+                };
+                hits += usize::from(hot);
+                let got = memo.get(hash_for(&key), &key).unwrap();
+                assert_eq!(got.as_deref(), model.get(&i), "step {step}: get({i})");
+            }
+            let (written, live) = memo.shards[0].read().unwrap().hot.arena_bytes();
+            assert!(
+                written <= 2 * live + CHUNK,
+                "step {step}: {written} bytes written for {live} live"
+            );
+            compactions += usize::from(written < last_written);
+            last_written = written;
+        }
+        assert_eq!(memo.len(), model.len());
+        assert!(compactions > 100, "{compactions} compactions");
+        assert!(hits > 100, "{hits} hot hits");
+
+        let dir = SpillDir::create(None).unwrap();
+        let path = dir.path().join("churn.seg");
+        assert_eq!(memo.export_delta(&path).unwrap(), model.len() as u64);
+        let dest: ShardedMemo<u64> = ShardedMemo::new(1, &MemoConfig::all_ram()).unwrap();
+        dest.import_from(&path, any_key()).unwrap();
+        assert_eq!(dest.len(), model.len());
+        for (&i, summary) in &model {
+            let key = key(i);
+            let got = dest.get(hash_for(&key), &key).unwrap();
+            assert_eq!(got.as_deref(), Some(summary), "imported({i})");
+        }
     }
 
     /// Records in all of `memo`'s stores.
@@ -1420,6 +1438,14 @@ mod tests {
     fn a_spilled_state_costs_one_24_byte_index_slot() {
         assert_eq!(std::mem::size_of::<SpillRef>(), 12);
         assert_eq!(std::mem::size_of::<(u64, SpillSlot)>(), 24);
+    }
+
+    /// A hot state's RAM is its key bytes in the shard's arena plus one
+    /// 32-byte table slot — and, in a bounded tier, a 16-byte clock item.
+    #[test]
+    fn a_hot_state_costs_one_32_byte_slot() {
+        assert_eq!(std::mem::size_of::<(u64, HotEntry<u64>)>(), 32);
+        assert_eq!(std::mem::size_of::<ClockItem>(), 16);
     }
 
     /// `summary`'s bytes, as a record holds them.
