@@ -24,6 +24,14 @@ cargo build --release --workspace --all-targets
 echo "== cargo test -q"
 cargo test -q --workspace
 
+echo "== terminal counts saturate in release, where [profile.release] has no overflow-checks"
+cargo test --release -q -p twostep-modelcheck --lib explorer::tests::terminal_counts_saturate
+
+if [[ "$quick" == false ]]; then
+    echo "== independent memoized oracle, ignored cases: CRW (8, 7) and the classic baselines at (5, 4), release (not under --quick)"
+    cargo test --release -q -p twostep-modelcheck --test naive_oracle -- --ignored
+fi
+
 echo "== benchmark harness tests (the only build of benchmark/src/adapter.rs outside the benchmark)"
 # The root workspace does not build `benchmark/`, so a library name its
 # adapter pins (its header lists them) can be lost without anything
@@ -31,10 +39,10 @@ echo "== benchmark harness tests (the only build of benchmark/src/adapter.rs out
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "== file-length tripwire (crates/modelcheck/src: no file over 2000 lines)"
-# Longest today: spill.rs and explorer/tests.rs (about 1 760 and 1 730;
-# spill.rs is two-fifths tests), then explorer/round.rs, memo.rs and
-# dist.rs (about 1 680, 1 610 and 1 600); explorer/round.rs keeps its
-# tests in explorer/round/tests.rs.
+# Longest today: spill.rs (about 1 830 lines, 780 of them tests),
+# explorer/tests.rs and memo.rs (about 1 730 each; memo.rs is 790
+# lines of tests), explorer/round.rs (about 1 670; its tests are in
+# explorer/round/tests.rs) and dist.rs (about 1 600).
 longest="$(find crates/modelcheck/src -name '*.rs' -print0 | xargs -0 wc -l | grep -v ' total$' | sort -rn | head -5)"
 echo "$longest"
 if (( $(awk 'NR == 1 { print $1 }' <<<"$longest") > 2000 )); then
@@ -62,36 +70,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p twostep-modelcheck -
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
-echo "== partitioned exploration (2 worker processes, quick, all symmetry strengths)"
+echo "== partitioned exploration (2 worker processes, quick, both symmetry modes)"
 dist_off_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- --quick --partitions 2 --symmetry off)"
-dist_full_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- --quick --partitions 2 --symmetry full)"
 dist_pv_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- --quick --partitions 2 --symmetry partial+value)"
 grep '^twostep-dist: result' <<<"$dist_off_out"
-grep '^twostep-dist: result' <<<"$dist_full_out"
 grep '^twostep-dist: result' <<<"$dist_pv_out"
 # Verdict equality across modes: everything except the state count —
-# which symmetry exists to shrink — must agree at every strength.
+# which symmetry exists to shrink — must agree.
 verdict_of() { sed -n 's/^twostep-dist: result .*\(terminals=.*\)$/\1/p' <<<"$1"; }
 states_of() { sed -n 's/^twostep-dist: result .* distinct_states=\([0-9]*\) .*/\1/p' <<<"$1"; }
-if [[ "$(verdict_of "$dist_off_out")" != "$(verdict_of "$dist_full_out")" ]]; then
-    echo "FAIL: symmetry-reduced partitioned verdict differs from the raw one" >&2
-    exit 1
-fi
 if [[ "$(verdict_of "$dist_off_out")" != "$(verdict_of "$dist_pv_out")" ]]; then
     echo "FAIL: partial+value partitioned verdict differs from the raw one" >&2
     exit 1
 fi
-# The deeper quotient must shrink monotonically:
-# distinct(partial+value) <= distinct(full) <= distinct(off).
-if (( $(states_of "$dist_full_out") > $(states_of "$dist_off_out") )); then
+if (( $(states_of "$dist_pv_out") > $(states_of "$dist_off_out") )); then
     echo "FAIL: symmetry reduction must never add states" >&2
     exit 1
 fi
-if (( $(states_of "$dist_pv_out") > $(states_of "$dist_full_out") )); then
-    echo "FAIL: the partial+value quotient must be at least as coarse as full" >&2
-    exit 1
-fi
-echo "symmetry modes agree: $(verdict_of "$dist_off_out") ($(states_of "$dist_off_out") raw -> $(states_of "$dist_full_out") settled -> $(states_of "$dist_pv_out") partial+value orbit states)"
+echo "symmetry modes agree: $(verdict_of "$dist_off_out") ($(states_of "$dist_off_out") raw -> $(states_of "$dist_pv_out") partial+value orbit states)"
 
 echo "== elastic steal run (forced policy, quick): bit-identical to the classic engine"
 # Zero warm-up + any-size frontier forces the full steal machinery over

@@ -7,7 +7,7 @@
 //!
 //! Usage: `twostep-dist [--quick] [--n N] [--t T] [--partitions K]
 //!                      [--depth D] [--worker-threads W] [--spill HOT]
-//!                      [--symmetry off|full|partial|partial+value]
+//!                      [--symmetry off|partial+value]
 //!                      [--cache-dir DIR]
 //!                      [--max-steps S] [--deadline-ms MS]
 //!                      [--checkpoint-dir DIR] [--steal]
@@ -28,10 +28,10 @@
 //!   1);
 //! * `--spill HOT` — workers run a two-tier memo with the given hot
 //!   capacity instead of all-RAM;
-//! * `--symmetry off|full|partial|partial+value` — symmetry reduction
-//!   mode for the whole run (coordinator *and* every worker; the mode
-//!   rides in the worker argv, so every process keys configurations
-//!   alike).  Defaults to `off`;
+//! * `--symmetry off|partial+value` — symmetry reduction mode for the
+//!   whole run (coordinator *and* every worker; the mode rides in the
+//!   worker argv, so every process keys configurations alike).
+//!   Defaults to `off`;
 //! * `--cache-dir DIR` — persistent result cache (read-write): the
 //!   coordinator and every worker warm-start from `DIR` when its
 //!   fingerprint matches this run, and the run's newly discovered

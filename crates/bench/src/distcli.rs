@@ -737,7 +737,7 @@ mod tests {
                 threads: 4,
                 hot_capacity: Some(1024),
                 max_states: 50_000_000,
-                symmetry: Symmetry::Full,
+                symmetry: Symmetry::PartialValue,
             },
             depth: 1,
             partition: 1,
@@ -782,23 +782,11 @@ mod tests {
         let slot = mangled.iter().position(|a| a == "nofault").unwrap();
         mangled[slot] = "explode@never".to_string();
         assert_eq!(CrwWorkerArgs::parse(&mangled), None);
-        // Every strength rides the argv unchanged — including the
-        // two-word partial+value token.
-        for mode in [Symmetry::Partial, Symmetry::PartialValue] {
-            let deep = CrwWorkerArgs {
-                run: CrwRunArgs {
-                    symmetry: mode,
-                    ..args.run.clone()
-                },
-                ..args.clone()
-            };
-            assert_eq!(CrwWorkerArgs::parse(&deep.to_args()), Some(deep.clone()));
-        }
         // An unknown symmetry token is a parse failure, not a default:
         // silently falling back to `Off` would make one worker partition
         // the frontier differently from the rest of the run.
         let mut mangled = args.to_args();
-        let slot = mangled.iter().position(|a| a == "full").unwrap();
+        let slot = mangled.iter().position(|a| a == "partial+value").unwrap();
         mangled[slot] = "sideways".to_string();
         assert_eq!(CrwWorkerArgs::parse(&mangled), None);
     }
@@ -862,7 +850,7 @@ mod tests {
                 threads: 2,
                 hot_capacity: Some(4096),
                 max_states: 50_000_000,
-                symmetry: Symmetry::Full,
+                symmetry: Symmetry::PartialValue,
             },
             worker: 7,
             yield_every: 2048,
@@ -884,16 +872,6 @@ mod tests {
             ..args.clone()
         };
         assert_eq!(CrwElasticArgs::parse(&faulty.to_args()), Some(faulty));
-        for mode in [Symmetry::Partial, Symmetry::PartialValue] {
-            let deep = CrwElasticArgs {
-                run: CrwRunArgs {
-                    symmetry: mode,
-                    ..args.run.clone()
-                },
-                ..args.clone()
-            };
-            assert_eq!(CrwElasticArgs::parse(&deep.to_args()), Some(deep.clone()));
-        }
         let unseeded = CrwElasticArgs {
             run: CrwRunArgs {
                 hot_capacity: None,

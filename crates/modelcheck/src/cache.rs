@@ -129,8 +129,8 @@ use crate::spill::{SpillCodec, SpillError, FORMAT_VERSION};
 /// Version 3: symmetry reduction ([`crate::Symmetry`]) — the key path
 /// gained canonicalization modulo pid permutation, and the fingerprint
 /// gained the run's *effective canonicalization strength* byte.  The
-/// strength byte keeps `Off` and `Full` caches apart from here on; the
-/// version bump keeps every version-2 cache (written before the byte
+/// strength byte keeps caches of different strengths apart from here
+/// on; the version bump keeps every version-2 cache (written before the byte
 /// existed) from fingerprint-matching a version-3 `Off` run.
 ///
 /// Version 4: effect-pruned adversary enumeration plus the deeper

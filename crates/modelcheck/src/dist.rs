@@ -1571,14 +1571,14 @@ mod tests {
 
     /// The frontier records — hashes, paths, first-occurrence order — are
     /// those of the stepped expansion at every depth the coordinators use,
-    /// with symmetry off, on the settled tier and under `partial+value`:
+    /// with symmetry off and under `partial+value`:
     /// a last level that steps nothing partitions and rebuilds as before.
     #[test]
     fn the_frontier_is_the_stepped_expansions() {
         let system = SystemConfig::new(5, 4).unwrap();
         let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
         let procs = crw_processes(&system, &bits);
-        for symmetry in [Symmetry::Off, Symmetry::Full, Symmetry::PartialValue] {
+        for symmetry in [Symmetry::Off, Symmetry::PartialValue] {
             let config = ExploreConfig {
                 symmetry,
                 ..ExploreConfig::for_crw(&system)

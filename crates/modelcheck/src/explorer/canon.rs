@@ -8,41 +8,27 @@
 //! configurations are mere relabelings of one another — and exploring
 //! each label variant separately pays up to `n!` redundancy that no
 //! constant-factor hot-path win can touch.  `ExploreConfig::symmetry`
-//! (`Symmetry::Off | Full | Partial | PartialValue`, CLI tokens
-//! `off|full|partial|partial+value`) quotients
-//! the key path by the largest group that is *sound for the protocol
-//! being checked*, at escalating strengths:
+//! (`Symmetry::Off | PartialValue`, CLI tokens `off|partial+value`)
+//! quotients the key path by the largest group that is *sound for the
+//! protocol being checked*, composed of:
 //!
-//! * **settled-record canonicalization** — always applied under
-//!   `Symmetry::Full`, sound for **every** protocol.  Before hashing,
-//!   the records of settled (decided or crashed) processes are sorted
-//!   into their index slots in canonical byte order; active processes
-//!   keep their true indexes and encodings.  Two configurations merged
-//!   this way have *identical* active processes at *identical* indexes
-//!   (hence identical future dynamics: a settled process is inert, and
-//!   the silent-index set is unchanged) and multiset-equal settled
-//!   records — and every quantity a `Summary` carries is a function
-//!   of decision values/counts and the crash count, never of which
-//!   index holds which settled record (validity is membership in the
-//!   proposal set, agreement compares values pairwise, termination and
-//!   `f` are counts).  Merged subtrees therefore summarize
-//!   **bit-identically**, and the root report matches `Off` exactly;
-//! * **full-orbit canonicalization** — additionally applied when the
-//!   protocol declares itself pid-symmetric
-//!   ([`SpillCodec::pid_symmetric`]): *all* records are sorted (each
-//!   active stripped to its owner-relabelled-to-slot-0 encoding via
-//!   [`SpillCodec::encode_relabelled`], ties broken by index — tied
-//!   records are byte-identical, so the tie-break never breaks the
-//!   normal form) and each active is re-encoded as owned by its sorted
-//!   position.  This is the full `n!` quotient; it is sound only when
-//!   the dynamics are invariant under index permutation (the
-//!   `pid_symmetric` contract), which rank-dependent protocols — the
-//!   paper's rotating-coordinator algorithm among them — do **not**
-//!   satisfy, so they keep the settled-only strength automatically;
-//! * **rank-inert pooling** (`Symmetry::Partial`) — the partial-orbit
-//!   tier for rank-dependent protocols.  A protocol may declare an
-//!   *active* process rank-inert ([`SpillCodec::rank_inert`]): its
-//!   remaining behaviour no longer depends on its rank.  For CRW under
+//! * **settled-record pooling** — sound for **every** protocol.  Before
+//!   hashing, the records of settled (decided or crashed) processes are
+//!   sorted into their index slots in canonical byte order; active
+//!   processes keep their true indexes and encodings.  Two
+//!   configurations merged this way have *identical* active processes
+//!   at *identical* indexes (hence identical future dynamics: a settled
+//!   process is inert, and the silent-index set is unchanged) and
+//!   multiset-equal settled records — and every quantity a `Summary`
+//!   carries is a function of decision values/counts and the crash
+//!   count, never of which index holds which settled record (validity
+//!   is membership in the proposal set, agreement compares values
+//!   pairwise, termination and `f` are counts).  Merged subtrees
+//!   therefore summarize identically;
+//! * **rank-inert pooling** — on top of settled-record pooling, the
+//!   partial-orbit tier.  A protocol may declare an *active* process
+//!   rank-inert ([`SpillCodec::rank_inert`]): its remaining behaviour
+//!   no longer depends on its rank.  For CRW under
 //!   `HighestFirst` commit order that is exactly the case when more
 //!   actives sit below it than the adversary has crashes left
 //!   (`actives_below > t − crashed`): its own coordinator round can
@@ -65,15 +51,27 @@
 //!   canonical value encoding) at insert under this tier — so orbit
 //!   members summarize identically and the quotient is summary-exact,
 //!   terminal counts included;
-//! * **value symmetry** (`Symmetry::PartialValue`) — composed on top
-//!   of the partial tier when the protocol declares a value involution
+//! * **full-orbit canonicalization** — in place of both pooling tiers
+//!   when the protocol declares itself pid-symmetric
+//!   ([`SpillCodec::pid_symmetric`]): *all* records are sorted (each
+//!   active stripped to its owner-relabelled-to-slot-0 encoding via
+//!   [`SpillCodec::encode_relabelled`], ties broken by index — tied
+//!   records are byte-identical, so the tie-break never breaks the
+//!   normal form) and each active is re-encoded as owned by its sorted
+//!   position.  This is the full `n!` quotient; it is sound only when
+//!   the dynamics are invariant under index permutation (the
+//!   `pid_symmetric` contract), which rank-dependent protocols — the
+//!   paper's rotating-coordinator algorithm among them — do **not**
+//!   satisfy, so they are pooled instead;
+//! * **value symmetry** — composed on top of either permutation tier
+//!   when the protocol declares a value involution
 //!   ([`SpillCodec::value_symmetric`] / [`SpillCodec::value_swapped`],
 //!   e.g. flipping a binary estimate) *and* the run's proposal set is
 //!   closed under it (checked per run against the actual proposals;
-//!   inapplicable requests warn once and degrade to `Partial`).  The
-//!   canonical key becomes the lexicographic minimum of the plain and
-//!   the value-swapped encoding, so a configuration and its value
-//!   mirror share one memo entry holding the canonical-space summary;
+//!   where it does not apply, the run warns once and quotients by
+//!   permutations alone).  The canonical key becomes the lexicographic
+//!   minimum of the plain and the value-swapped encoding, so a
+//!   configuration and its value mirror share one memo entry holding the canonical-space summary;
 //!   a hit through the swapped encoding maps the summary back through
 //!   the involution (element-wise on `decided` — the swap commutes
 //!   with the dynamics, so terminals, rounds, and the violation flag
@@ -93,14 +91,13 @@
 //! `violating` bit equals every member's.  Disable symmetry
 //! (`Symmetry::Off`, the default) when raw per-configuration counts or
 //! differential comparison against historical baselines matter.  The
-//! effective strength (off / settled-only / full-orbit / rank-inert,
-//! with a value-quotient bit) is part of the persistent-cache
-//! fingerprint and the checkpoint manifest, so caches never cross
-//! strengths silently — should a protocol's `pid_symmetric` /
-//! `value_symmetric` declarations or the proposal set change — and a
-//! checkpoint suspended at one strength refuses to resume at another
-//! (its frontier keys and memo image are meaningless in the other
-//! quotient).
+//! effective strength (off / full-orbit / rank-inert, with a
+//! value-quotient bit) is part of the persistent-cache fingerprint and
+//! the checkpoint manifest, so caches never cross strengths silently —
+//! should a protocol's `pid_symmetric` / `value_symmetric`
+//! declarations or the proposal set change — and a checkpoint suspended
+//! at one strength refuses to resume at another (its frontier keys and
+//! memo image are meaningless in the other quotient).
 //!
 //! ## Canonicalization hot path
 //!
@@ -327,11 +324,10 @@ where
 /// Fills `in_place[i]` for every process: whether the tier encoder
 /// leaves `p_{i+1}`'s record in its own slot rather than pooling it.
 /// No record stands on the full orbit; otherwise every active process
-/// does — unless the tier pools rank-inert actives
-/// ([`CanonTier::SettledInert`]) and the protocol declares the process's
-/// *rank* inert for the rest of the run ([`SpillCodec::rank_inert`],
-/// soundness in the module docs).  One ascending pass: `crash_budget` is
-/// the remaining crashes `t − crashed`, and `actives_below` counts the
+/// does — unless the protocol declares the process's *rank* inert for
+/// the rest of the run ([`SpillCodec::rank_inert`], soundness in the
+/// module docs).  One ascending pass: `crash_budget` is the remaining
+/// crashes `t − crashed`, and `actives_below` counts the
 /// actives `j < i` whose rank `j + 1` is still reachable by the
 /// committing frontier (`j + 1 ≥ round`).  Computed from the
 /// **unswapped** state only — the value involution commutes with the
@@ -351,9 +347,6 @@ where
         let role = source.role(i);
         in_place.push(role == Role::Active);
         crashed += usize::from(role == Role::Crashed);
-    }
-    if tier != CanonTier::SettledInert {
-        return;
     }
     let round = source.round_number();
     let crash_budget = t.saturating_sub(crashed);

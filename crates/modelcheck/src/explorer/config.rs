@@ -99,9 +99,9 @@ pub enum SpecMode {
 }
 
 /// Symmetry-reduction mode: whether configurations are canonicalized
-/// modulo process-index permutation (and, at the strongest mode, modulo
-/// the binary value involution) before keying the memo — each tier's
-/// soundness is argued at the head of `explorer/canon.rs`.
+/// modulo process-index permutation and the binary value involution
+/// before keying the memo — the quotient's soundness is argued at the
+/// head of `explorer/canon.rs`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Symmetry {
     /// No canonicalization: every raw configuration is a distinct memo
@@ -109,30 +109,17 @@ pub enum Symmetry {
     /// suites compare against.
     #[default]
     Off,
-    /// Canonicalize modulo the largest *structurally* sound permutation
-    /// group: settled (decided/crashed) records are sorted into their
-    /// slots for every protocol, and the full `n!` orbit is quotiented
-    /// for protocols declaring [`SpillCodec::pid_symmetric`].  Verdicts,
-    /// the root summary, and witness validity are unchanged;
+    /// Canonicalize modulo the largest permutation group sound for the
+    /// protocol — the full `n!` orbit for [`SpillCodec::pid_symmetric`]
+    /// protocols; otherwise settled records and rank-inert actives
+    /// ([`SpillCodec::rank_inert`]) pooled, the other actives in place —
+    /// and modulo the value involution where it applies
+    /// ([`SpillCodec::value_symmetric`] protocols over a swap-closed
+    /// proposal set; otherwise the permutation quotient runs alone, with
+    /// one warning).  Verdicts, the root summary and witness validity
+    /// are unchanged, up to the order of the `decided` valency list;
     /// `distinct_states` and the census count orbits instead of raw
     /// configurations.
-    Full,
-    /// Everything [`Full`](Symmetry::Full) does, plus the **partial
-    /// (mixed-role) quotient**: active processes whose rank is provably
-    /// inert ([`SpillCodec::rank_inert`]) are owner-stripped and pooled
-    /// with the settled records.  Still exact for the root summary (see
-    /// the normal-form argument at the head of `explorer/canon.rs`), up to
-    /// the order of the `decided` valency list, which this tier stores in canonical
-    /// (encoded-byte) order.
-    Partial,
-    /// Everything [`Partial`](Symmetry::Partial) does, plus **value
-    /// symmetry** when it applies ([`SpillCodec::value_symmetric`]
-    /// protocols over a swap-closed binary proposal set): each
-    /// configuration is keyed by the lexicographically smaller of its
-    /// canonical encoding and its value-swapped canonical encoding, and
-    /// memoized summaries are mapped through the involution on the way
-    /// in and out.  When value symmetry does not apply to the run it
-    /// degrades to `Partial` (loudly, once).
     PartialValue,
 }
 
@@ -143,8 +130,6 @@ impl Symmetry {
     pub fn token(self) -> &'static str {
         match self {
             Symmetry::Off => "off",
-            Symmetry::Full => "full",
-            Symmetry::Partial => "partial",
             Symmetry::PartialValue => "partial+value",
         }
     }
@@ -156,8 +141,6 @@ impl Symmetry {
     pub fn parse_token(raw: &str) -> Option<Symmetry> {
         match raw.trim().to_ascii_lowercase().as_str() {
             "off" => Some(Symmetry::Off),
-            "full" => Some(Symmetry::Full),
-            "partial" => Some(Symmetry::Partial),
             "partial+value" => Some(Symmetry::PartialValue),
             _ => None,
         }
@@ -175,9 +158,8 @@ impl Symmetry {
     {
         let tier = match self {
             Symmetry::Off => CanonTier::Raw,
-            _ if P::pid_symmetric() => CanonTier::FullOrbit,
-            Symmetry::Full => CanonTier::Settled,
-            Symmetry::Partial | Symmetry::PartialValue => CanonTier::SettledInert,
+            Symmetry::PartialValue if P::pid_symmetric() => CanonTier::FullOrbit,
+            Symmetry::PartialValue => CanonTier::SettledInert,
         };
         let value = self == Symmetry::PartialValue && value_symmetry_applies::<P>(proposals);
         if self == Symmetry::PartialValue && !value {
@@ -187,7 +169,7 @@ impl Symmetry {
                     "twostep: symmetry mode \"partial+value\" requested but value \
                      symmetry does not apply to this run (protocol not value-symmetric, \
                      or proposal set not closed under the value swap); \
-                     running at \"partial\" strength"
+                     quotienting by permutations alone"
                 )
             });
         }
@@ -238,17 +220,16 @@ where
 pub(crate) enum CanonTier {
     /// The plain `make_key_into` encoding; nothing is sorted.
     Raw,
-    /// Settled (decided/crashed) records sorted into the settled slots;
-    /// actives keep their true indexes.  Sound for every protocol.
-    Settled,
-    /// `Settled`, plus rank-inert actives ([`SpillCodec::rank_inert`])
-    /// owner-stripped (tag `3`) and sorted jointly with the settled
-    /// records into the non-true-active slots.
+    /// Settled (decided/crashed) records and rank-inert actives
+    /// ([`SpillCodec::rank_inert`]) — the latter owner-stripped (tag
+    /// `3`) — sorted jointly into the slots of everything not a
+    /// rank-dependent active; those keep their true indexes.  Sound for
+    /// every protocol.
     SettledInert,
     /// Every record sorted, actives re-encoded at their sorted position
     /// — the full `n!` quotient for [`SpillCodec::pid_symmetric`]
     /// protocols (subsumes `SettledInert`, so pid-symmetric protocols
-    /// take this tier at every non-`Off` mode).
+    /// take this tier under [`Symmetry::PartialValue`]).
     FullOrbit,
 }
 
@@ -264,9 +245,9 @@ pub(crate) struct SymmetryPlan {
 impl SymmetryPlan {
     /// The effective canonicalization strength as the byte the
     /// persistent-cache fingerprint and the checkpoint manifest record:
-    /// the tier code (`0` raw, `1` settled, `2` full-orbit, `3`
-    /// settled-inert) with bit `0x10` set when the value quotient is
-    /// active.  Fingerprinting the *strength* (not the configured mode)
+    /// the tier code (`0` raw, `2` full-orbit, `3` settled-inert; `1`
+    /// was a settled-only tier and is never written) with bit `0x10`
+    /// set when the value quotient is active.  Fingerprinting the *strength* (not the configured mode)
     /// matters because `pid_symmetric` / `value_symmetric` are
     /// type-level declarations and value applicability depends on the
     /// proposals: any of them can change without an encoding changing,
@@ -275,7 +256,6 @@ impl SymmetryPlan {
     pub(crate) fn strength(self) -> u8 {
         let tier = match self.tier {
             CanonTier::Raw => 0,
-            CanonTier::Settled => 1,
             CanonTier::FullOrbit => 2,
             CanonTier::SettledInert => 3,
         };
@@ -435,14 +415,6 @@ impl ExploreOptions {
         ExploreOptions { memo, ..self }
     }
 
-    /// The same engine with an explicit donation-depth cutoff.
-    pub fn with_donate_depth(self, donate_depth: Option<u32>) -> Self {
-        ExploreOptions {
-            donate_depth,
-            ..self
-        }
-    }
-
     /// The same engine with an explicit persistent-cache configuration.
     pub fn with_cache(self, cache: Option<CacheConfig>) -> Self {
         ExploreOptions { cache, ..self }
@@ -492,10 +464,5 @@ impl WalkBudget {
     /// No limits: the walk runs to completion (the historical behavior).
     pub fn unlimited() -> Self {
         Self::default()
-    }
-
-    /// Whether every limit is unset.
-    pub fn is_unlimited(&self) -> bool {
-        *self == Self::default()
     }
 }

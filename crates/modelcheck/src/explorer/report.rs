@@ -87,6 +87,10 @@ pub enum ExploreError {
         /// Which fault fired, human-readable.
         detail: String,
     },
+    /// The root's terminal count does not fit a `u64`.  Every terminal
+    /// sum saturates, so an overflow anywhere in the walk pins the root
+    /// at `u64::MAX`; the run fails rather than report that number.
+    TerminalOverflow,
 }
 
 impl From<SpillError> for ExploreError {
@@ -134,6 +138,7 @@ impl std::fmt::Display for ExploreError {
             ExploreError::Injected { detail } => {
                 write!(f, "injected fault: {detail}")
             }
+            ExploreError::TerminalOverflow => f.write_str("the terminal count exceeds u64::MAX"),
             ExploreError::CheckpointStrength { found, expected } => {
                 write!(
                     f,
@@ -179,8 +184,11 @@ impl<O: Clone + Eq> Summary<O> {
         }
     }
 
+    /// Merges `child` in.  The terminal count saturates: a sum past
+    /// `u64::MAX` stays there, and so does every sum it reaches, up to
+    /// the root ([`ExploreError::TerminalOverflow`]).
     pub(super) fn absorb(&mut self, child: &Summary<O>) {
-        self.terminals += child.terminals;
+        self.terminals = self.terminals.saturating_add(child.terminals);
         for (mine, theirs) in self
             .worst_round_by_f
             .iter_mut()

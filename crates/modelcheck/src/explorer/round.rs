@@ -209,9 +209,9 @@
 //! skipped: [`Summary`]'s merge takes the maximum of worst rounds, the
 //! ordered-set union of `decided` and the OR of `violating` — all three
 //! idempotent, so merging the same child a second time changes none of
-//! them, whatever was merged in between — and adds `terminals`, so the
-//! whole of the second merge is `terminals += child.terminals`
-//! (property-tested).  A **run** is a maximal stretch of consecutive
+//! them, whatever was merged in between — and adds `terminals`
+//! (saturating at `u64::MAX`), so the whole of the second merge is that
+//! addition (property-tested).  A **run** is a maximal stretch of consecutive
 //! such rows; since none of them touches the memo, the stack or
 //! anything an arbiter looks at but the step count, one `step()` call
 //! takes a run together with the step that ends it — the next first row
@@ -514,7 +514,7 @@ struct RecordForms {
     /// active process, the settled record otherwise.
     whole: [(u32, u32); 2],
     /// An active process's owner-stripped encoding (relabelled to slot
-    /// 0, untagged), under the tiers that pool actives.
+    /// 0, untagged).
     stripped: [(u32, u32); 2],
     /// The content id of the form the record pools as, if it ever does.
     content: u32,
@@ -562,27 +562,22 @@ where
             whole: [whole; 2],
             stripped: [(0, 0); 2],
             content: u32::MAX,
-            state: u32::MAX,
+            state: self.live_states as u32,
         };
         let swapped = self.plan.value.then(|| swapped_proc(state));
         if let Some(swapped) = &swapped {
             forms.whole[1] = appended(records, |out| encode_active_record(swapped, out));
         }
-        // The settled tier leaves every active in place and asks its
-        // state nothing.
-        if self.plan.tier != CanonTier::Settled {
-            forms.stripped[0] = appended(records, |out| state.encode_relabelled(0, out));
-            if let Some(swapped) = &swapped {
-                forms.stripped[1] = appended(records, |out| swapped.encode_relabelled(0, out));
-            }
-            forms.content = self.content_of(records, true, forms.stripped[0]);
-            forms.state = self.live_states as u32;
-            match self.states.get_mut(self.live_states) {
-                Some(kept) => kept.clone_from(state),
-                None => self.states.push(state.clone()),
-            }
-            self.live_states += 1;
+        forms.stripped[0] = appended(records, |out| state.encode_relabelled(0, out));
+        if let Some(swapped) = &swapped {
+            forms.stripped[1] = appended(records, |out| swapped.encode_relabelled(0, out));
         }
+        forms.content = self.content_of(records, true, forms.stripped[0]);
+        match self.states.get_mut(self.live_states) {
+            Some(kept) => kept.clone_from(state),
+            None => self.states.push(state.clone()),
+        }
+        self.live_states += 1;
         self.forms.push(forms);
     }
 
@@ -1362,7 +1357,8 @@ where
             return None;
         }
         if let Some(open) = self.open_block.take() {
-            if open.end == idx {
+            // A saturated count is no block's count: nothing is kept.
+            if open.end == idx && acc.terminals != u64::MAX {
                 let added = acc.terminals - open.terminals;
                 self.blocks.values[open.block] = Some(added);
                 if let Some(hash) = open.content {
@@ -1377,7 +1373,7 @@ where
             #[cfg(test)]
             self.block_counts.count(whole, false);
             if whole {
-                acc.terminals += added;
+                acc.terminals = acc.terminals.saturating_add(added);
             }
             return whole.then_some(rows);
         }
@@ -1394,7 +1390,7 @@ where
             self.block_counts.count(whole, true);
             if whole {
                 acc.absorb(shape);
-                acc.terminals += added;
+                acc.terminals = acc.terminals.saturating_add(added);
                 self.blocks.values[block] = Some(added);
                 return Some(rows);
             }

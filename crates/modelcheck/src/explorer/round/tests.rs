@@ -90,16 +90,11 @@ where
 pub(in crate::explorer) fn assembled_child_keys_match_stepped_children() {
     use twostep_model::WideValue;
     // CRW under both commit orders, FloodSet, EarlyStopping, the
-    // block simulation and Duo, at every strength: raw, settled,
-    // rank-inert (which no process of these systems is: t = n − 1,
+    // block simulation and Duo, raw and quotiented: settled records
+    // pooled (no process of these systems is rank-inert: t = n − 1,
     // or a protocol that declares none) and the value quotient on
     // top where the proposals admit it.
-    for symmetry in [
-        Symmetry::Off,
-        Symmetry::Full,
-        Symmetry::Partial,
-        Symmetry::PartialValue,
-    ] {
+    for symmetry in [Symmetry::Off, Symmetry::PartialValue] {
         let compared = over_the_zoo!(assert_assembled_keys_match_stepped, symmetry);
         assert!(compared > 5_000, "only {compared} children compared");
     }
@@ -113,25 +108,23 @@ pub(in crate::explorer) fn assembled_child_keys_match_stepped_children() {
     let mut in_place = Vec::new();
     flag_in_place(&root.unwrap(), CanonTier::SettledInert, 2, &mut in_place);
     assert_eq!(in_place, [true, true, true, false, false]);
-    for symmetry in [Symmetry::Partial, Symmetry::PartialValue] {
-        let compared = assert_assembled_keys_match_stepped(
-            system,
-            ModelKind::Extended,
-            6,
-            procs.clone(),
-            bits.clone(),
-            "crw below maximal resilience",
-            symmetry,
-        );
-        assert!(compared > 500, "only {compared} children compared");
-    }
+    let compared = assert_assembled_keys_match_stepped(
+        system,
+        ModelKind::Extended,
+        6,
+        procs,
+        bits,
+        "crw below maximal resilience",
+        Symmetry::PartialValue,
+    );
+    assert!(compared > 500, "only {compared} children compared");
 
     // The full orbit: every record pooled, actives re-encoded at
     // their sorted positions from the states the records keep.
     let system = SystemConfig::new(4, 2).unwrap();
     let ests = [5, 9, 5, 7];
     assert_eq!(
-        Symmetry::Full.plan::<Gossip>(&ests).tier,
+        Symmetry::PartialValue.plan::<Gossip>(&ests).tier,
         CanonTier::FullOrbit
     );
     let compared = assert_assembled_keys_match_stepped(
@@ -141,7 +134,7 @@ pub(in crate::explorer) fn assembled_child_keys_match_stepped_children() {
         gossip_procs(4, &ests),
         ests.to_vec(),
         "gossip",
-        Symmetry::Full,
+        Symmetry::PartialValue,
     );
     assert!(compared > 500, "only {compared} children compared");
 }
@@ -413,7 +406,7 @@ pub(in crate::explorer) fn views_that_settle_alike_share_a_class_and_are_each_ab
 /// mid-commit having reached `p_4` and `p_3`, and one of the two dies
 /// at the end of the round, undecided, while the other decides.  The
 /// children are two raw configurations — two successor classes — but
-/// one orbit under the settled tier: `p_2` stands in place in both,
+/// one orbit under the pooled tier: `p_2` stands in place in both,
 /// and the settled records are the same three, two of them in
 /// exchanged slots.  One key is assembled and probed, at the first
 /// row; the second is answered by the orbit table, and the child is
@@ -425,7 +418,7 @@ pub(in crate::explorer) fn rows_that_permute_settled_records_share_an_orbit_and_
     let proposals: Vec<WideValue> = (0..4).map(|i| WideValue::new(1, i % 2)).collect();
     let procs = twostep_core::crw_processes(&system, &proposals);
     let config = ExploreConfig {
-        symmetry: Symmetry::Full,
+        symmetry: Symmetry::PartialValue,
         ..options(6, 100_000)
     };
     let shared = |procs: &Vec<_>| {
@@ -505,7 +498,7 @@ pub(in crate::explorer) fn rows_that_permute_settled_records_share_an_orbit_and_
     // Two rows met, two successor classes, both with the summary —
     // and one orbit class, which is one key assembled and one memo
     // probe: a key is assembled only for an orbit without a summary.
-    let orbits = frame.round.orbits.as_deref().expect("a settled-tier round");
+    let orbits = frame.round.orbits.as_deref().expect("a pooled-tier round");
     assert_eq!(frame.round.classes.values.len(), 2);
     assert!(frame.round.classes.values.iter().all(Option::is_some));
     assert_eq!(orbits.table.values.len(), 1);

@@ -211,6 +211,9 @@ where
             }
             Err(error) => return Err(error),
         };
+        if root.terminals == u64::MAX {
+            return Err(ExploreError::TerminalOverflow);
+        }
         let walk_seconds = walk_start.elapsed().as_secs_f64();
         let report_start = Instant::now();
         let witness = (root.violating)

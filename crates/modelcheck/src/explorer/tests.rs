@@ -25,7 +25,7 @@ use super::config::{
 };
 use super::report::{ExploreError, ExploreReport, Summary};
 use super::round::BlockCounts;
-use super::run::{walk_roots, Autosave};
+use super::run::{walk_roots, Autosave, Run};
 use super::testkit::*;
 use super::walker::{Interrupt, Shared, StepWalker, Walker};
 use super::{explore, explore_with};
@@ -270,10 +270,10 @@ fn explore_options_defaults_are_sane() {
     assert_eq!((default.threads, default.shards), (1, 1));
     assert_eq!(default.donate_depth, None);
     assert!(default.cache.is_none() && default.checkpoint.is_none());
-    assert!(default.budget.is_unlimited());
+    assert_eq!(default.budget, WalkBudget::default());
     let parallel = ExploreOptions::with_threads(4);
     assert_eq!((parallel.threads, parallel.shards), (4, 64));
-    assert!(parallel.cache.is_none() && parallel.budget.is_unlimited());
+    assert!(parallel.cache.is_none() && parallel.budget == WalkBudget::default());
     assert_eq!(ExploreOptions::with_threads(0).threads, 1);
     let system = SystemConfig::new(3, 2).unwrap();
     assert_eq!(ExploreConfig::for_crw(&system).symmetry, Symmetry::Off);
@@ -402,24 +402,16 @@ fn donation_depth_cutoffs_are_result_invisible() {
         let tuned = explore_with(
             system,
             options(4, 2_000_000),
-            ExploreOptions::with_threads(4).with_donate_depth(donate_depth),
+            ExploreOptions {
+                donate_depth,
+                ..ExploreOptions::with_threads(4)
+            },
             procs.clone(),
             proposals.clone(),
         )
         .unwrap();
         assert_reports_identical(&serial, &tuned, &format!("donate_depth={donate_depth:?}"));
     }
-}
-
-#[test]
-fn explore_options_donation_builder() {
-    assert_eq!(ExploreOptions::serial().donate_depth, None);
-    assert_eq!(
-        ExploreOptions::serial()
-            .with_donate_depth(Some(3))
-            .donate_depth,
-        Some(3)
-    );
 }
 
 /// Structural equality of two configurations, field by field — the
@@ -530,31 +522,21 @@ proptest::proptest! {
 
 #[test]
 fn symmetry_strength_is_protocol_dependent() {
-    // Off is strength 0 for everyone; Full is settled-only (1) for
-    // rank-dependent protocols and full-orbit (2) for declared
-    // pid-symmetric ones; Partial adds the rank-inert tier (3) for
-    // rank-dependent protocols and is subsumed by the orbit for
-    // pid-symmetric ones.  u64 outputs are not value-symmetric, so
-    // PartialValue degrades to Partial strength here.
+    // Off is strength 0 for everyone; PartialValue is the rank-inert
+    // tier (3) for rank-dependent protocols and the full orbit (2) for
+    // declared pid-symmetric ones.  u64 outputs are not value-symmetric,
+    // so the value bit (0x10) stays clear here.
     let p: Vec<u64> = vec![0, 1];
     assert_eq!(Symmetry::Off.plan::<Flooder>(&p).strength(), 0);
     assert_eq!(Symmetry::Off.plan::<DecideOwn>(&p).strength(), 0);
-    assert_eq!(Symmetry::Full.plan::<Flooder>(&p).strength(), 1);
-    assert_eq!(Symmetry::Full.plan::<DecideOwn>(&p).strength(), 2);
-    assert_eq!(Symmetry::Full.plan::<Gossip>(&p).strength(), 2);
-    assert_eq!(Symmetry::Partial.plan::<Flooder>(&p).strength(), 3);
-    assert_eq!(Symmetry::Partial.plan::<Gossip>(&p).strength(), 2);
     assert_eq!(Symmetry::PartialValue.plan::<Flooder>(&p).strength(), 3);
+    assert_eq!(Symmetry::PartialValue.plan::<DecideOwn>(&p).strength(), 2);
+    assert_eq!(Symmetry::PartialValue.plan::<Gossip>(&p).strength(), 2);
 }
 
 #[test]
 fn symmetry_tokens_roundtrip_and_reject_garbage() {
-    for mode in [
-        Symmetry::Off,
-        Symmetry::Full,
-        Symmetry::Partial,
-        Symmetry::PartialValue,
-    ] {
+    for mode in [Symmetry::Off, Symmetry::PartialValue] {
         assert_eq!(Symmetry::parse_token(mode.token()), Some(mode));
         assert_eq!(
             Symmetry::parse_token(&format!("  {}  ", mode.token().to_ascii_uppercase())),
@@ -562,7 +544,16 @@ fn symmetry_tokens_roundtrip_and_reject_garbage() {
             "tokens are case-insensitive and whitespace-tolerant"
         );
     }
-    for garbage in ["", "on", "value", "partial+", "full+value", "partial value"] {
+    for garbage in [
+        "",
+        "on",
+        "full",
+        "partial",
+        "value",
+        "partial+",
+        "full+value",
+        "partial value",
+    ] {
         assert_eq!(Symmetry::parse_token(garbage), None, "{garbage:?}");
     }
 }
@@ -571,7 +562,8 @@ fn symmetry_tokens_roundtrip_and_reject_garbage() {
 fn full_orbit_key_is_permutation_invariant() {
     // Two initial configurations that are owner-relabelled index
     // permutations of each other: canonical keys must coincide under
-    // Full and stay distinct under Off.
+    // PartialValue (the full orbit for this pid-symmetric protocol) and
+    // stay distinct under Off.
     let system = SystemConfig::new(3, 1).unwrap();
     let mk = |ests: &[u64]| {
         Stepper::new(
@@ -585,8 +577,8 @@ fn full_orbit_key_is_permutation_invariant() {
     let a = mk(&[5, 9, 5]);
     let b = mk(&[5, 5, 9]);
     let proposals: Vec<u64> = vec![5, 9, 5];
-    let ka = test_key(&a, Symmetry::Full, &proposals, 1);
-    let kb = test_key(&b, Symmetry::Full, &proposals, 1);
+    let ka = test_key(&a, Symmetry::PartialValue, &proposals, 1);
+    let kb = test_key(&b, Symmetry::PartialValue, &proposals, 1);
     assert_eq!(ka, kb, "permuted configurations share one canonical key");
     let oa = test_key(&a, Symmetry::Off, &proposals, 1);
     let ob = test_key(&b, Symmetry::Off, &proposals, 1);
@@ -640,9 +632,8 @@ proptest::proptest! {
     /// value-mirror of every configuration, and the
     /// `partial+value` canonical key — the lexicographic minimum
     /// over both encodings — must agree on each mirrored pair,
-    /// while staying a valid, self-delimiting key encoding.  The
-    /// plain (swap-free) partial keys must instead tell the two
-    /// polarities apart at the root.
+    /// while staying a valid, self-delimiting key encoding.  The raw
+    /// keys must instead tell the two polarities apart at the root.
     #[test]
     fn value_quotient_key_is_involution_invariant(
         seed in proptest::prelude::any::<u64>(),
@@ -667,8 +658,8 @@ proptest::proptest! {
             proptest::prop_assert!(decoded.is_some(), "step {} key must decode", i);
             proptest::prop_assert!(input.is_empty(), "step {} key must be self-delimiting", i);
         }
-        let pa = test_key(&walk_a[0], Symmetry::Partial, &proposals_a, t);
-        let pb = test_key(&walk_b[0], Symmetry::Partial, &proposals_b, t);
+        let pa = test_key(&walk_a[0], Symmetry::Off, &proposals_a, t);
+        let pb = test_key(&walk_b[0], Symmetry::Off, &proposals_b, t);
         proptest::prop_assert_ne!(
             pa, pb,
             "without the value quotient the two polarities are distinct states"
@@ -702,41 +693,6 @@ fn assert_census_shrinks(off: &ExploreReport<u64>, full: &ExploreReport<u64>, la
     }
 }
 
-/// Settled-record canonicalization (the strength every protocol
-/// gets, the rank-dependent `Flooder` included) is summary-exact:
-/// the root summary — `decided` order included — matches `Off`
-/// bit for bit while the state count shrinks or holds.
-#[test]
-fn settled_canonicalization_is_summary_exact_for_rank_dependent_protocols() {
-    let system = SystemConfig::new(4, 2).unwrap();
-    let (procs, proposals) = flooder_procs(4);
-    let off = explore(
-        system,
-        options(4, 2_000_000),
-        procs.clone(),
-        proposals.clone(),
-    )
-    .unwrap();
-    let full = explore(
-        system,
-        ExploreConfig {
-            symmetry: Symmetry::Full,
-            ..options(4, 2_000_000)
-        },
-        procs,
-        proposals,
-    )
-    .unwrap();
-    assert_eq!(off.root, full.root, "settled-only merges are bit-identical");
-    assert!(
-        full.distinct_states < off.distinct_states,
-        "crashed/decided permutations must merge: {} !< {}",
-        full.distinct_states,
-        off.distinct_states
-    );
-    assert_census_shrinks(&off, &full, "flooder");
-}
-
 /// The full-orbit quotient for a pid-symmetric protocol: verdicts
 /// and per-`f` worst rounds are identical, valency agrees as a set,
 /// the witness remains a real violating execution, and the state
@@ -756,7 +712,7 @@ fn full_orbit_quotient_matches_off_for_pid_symmetric_protocols() {
     let full = explore(
         system,
         ExploreConfig {
-            symmetry: Symmetry::Full,
+            symmetry: Symmetry::PartialValue,
             ..options(3, 2_000_000)
         },
         procs,
@@ -803,7 +759,7 @@ fn symmetric_witness_is_a_real_execution() {
     let full = explore(
         system,
         ExploreConfig {
-            symmetry: Symmetry::Full,
+            symmetry: Symmetry::PartialValue,
             ..options(2, 100_000)
         },
         initial,
@@ -857,14 +813,67 @@ fn spilled_witness_matches_ram_witness() {
     assert_eq!(ws.decisions, wp.decisions);
 }
 
+/// Terminal counts cannot wrap: every terminal sum saturates at
+/// `u64::MAX` and an ancestor of a saturated count stays there, so a run
+/// whose root saturates fails instead of reporting it — here every child
+/// of a CRW `(3, 2)` root is planted in the memo with half of `u64::MAX`
+/// terminals.  Release builds check no overflow: a wrapping sum would
+/// report a small, wrong count there (`ci.sh` runs this with
+/// `--release`).
+#[test]
+fn terminal_counts_saturate_instead_of_wrapping() {
+    let two = Summary {
+        terminals: 2,
+        ..Summary::<u64>::empty(1)
+    };
+    let mut near = Summary {
+        terminals: u64::MAX - 1,
+        ..Summary::empty(1)
+    };
+    near.absorb(&two);
+    assert_eq!(near.terminals, u64::MAX);
+    let mut parent = Summary::empty(1);
+    for child in [&two, &near, &two] {
+        parent.absorb(child);
+    }
+    assert_eq!(parent.terminals, u64::MAX, "an ancestor stays saturated");
+
+    use twostep_model::WideValue;
+    let system = SystemConfig::new(3, 2).unwrap();
+    let bits: Vec<WideValue> = (0..3).map(|i| WideValue::new(1, i % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &bits);
+    let config = ExploreConfig::for_crw(&system);
+    let engine = ExploreOptions::serial();
+    let run = Run::open(system, config, &engine, None, &bits, procs).unwrap();
+    let half = Arc::new(Summary {
+        terminals: u64::MAX / 2,
+        ..Summary::empty(system.t())
+    });
+    let mut walker = Walker::new(&run.shared);
+    let rows = action_sets_of(&mut walker, &run.root);
+    assert!(rows.len() > 2);
+    for row in &rows {
+        let mut child = run.root.clone();
+        child.step(row).unwrap();
+        let (hash, _) = walker.canonical_key(&child);
+        let key = walker.key_bytes().to_vec();
+        run.shared
+            .memo
+            .insert(hash, &key, Arc::clone(&half))
+            .unwrap();
+    }
+    drop(walker);
+    assert_eq!(run.finish().err(), Some(ExploreError::TerminalOverflow));
+}
+
 #[test]
 fn unlimited_budget_is_unlimited() {
-    assert!(WalkBudget::unlimited().is_unlimited());
+    assert_eq!(WalkBudget::unlimited(), WalkBudget::default());
     let budget = WalkBudget {
         max_steps: Some(1),
         ..WalkBudget::unlimited()
     };
-    assert!(!budget.is_unlimited());
+    assert_ne!(budget, WalkBudget::default());
 }
 
 /// An exhausted step budget with no checkpoint configured suspends
@@ -1668,9 +1677,8 @@ fn leaves_are_memoized_as_a_stepped_evaluation_summarizes_them() {
 
 /// Terminals that end alike are memoized under one `Arc`: over the
 /// CRW `(5, 4)` walk, any two leaves whose memoized summaries are
-/// equal hold the *same* summary — with symmetry off, on the settled
-/// tier and under `partial+value`, where the summary is interned in
-/// canonical space — and the walk's verdict is what it was when every
+/// equal hold the *same* summary — with symmetry off and under
+/// `partial+value`, where the summary is interned in canonical space — and the walk's verdict is what it was when every
 /// leaf had a summary of its own.
 #[test]
 fn equal_terminal_outcomes_share_one_summary() {
@@ -1679,11 +1687,7 @@ fn equal_terminal_outcomes_share_one_summary() {
     let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
     let procs = twostep_core::crw_processes(&system, &bits);
     // States, terminals and worst rounds per `f` as PR 19 reports them.
-    for (symmetry, states) in [
-        (Symmetry::Off, 815),
-        (Symmetry::Full, 314),
-        (Symmetry::PartialValue, 235),
-    ] {
+    for (symmetry, states) in [(Symmetry::Off, 815), (Symmetry::PartialValue, 235)] {
         let config = ExploreConfig {
             symmetry,
             ..ExploreConfig::for_crw(&system)

@@ -455,8 +455,9 @@ where
             // on it.
             match self.walker.probe_child(frame, idx)? {
                 Probed::Repeat(class) => {
-                    let terminals = frame.round.repeat(class);
-                    frame.acc.terminals += terminals.expect("the probe found it absorbed");
+                    let terminals =
+                        (frame.round.repeat(class)).expect("the probe found it absorbed");
+                    frame.acc.terminals = frame.acc.terminals.saturating_add(terminals);
                     let silent =
                         headroom.get_or_insert_with(|| arbiter.headroom(&progress(self.steps)));
                     if *silent > 0 {
@@ -958,12 +959,11 @@ where
 
     /// Takes a real-space summary to the form the memo holds, in place:
     /// mapped into canonical value space when the swapped encoding won
-    /// the key, and — on the partial tier only — its `decided` list
+    /// the key, and — on the pooled tier only — its `decided` list
     /// sorted by encoded bytes, because merged orbit members enumerate
     /// children in different orders and would otherwise disagree on
     /// discovery order (the normal-form argument at the head of
-    /// `canon.rs`; `Off` and
-    /// `Full` summaries are deliberately left byte-for-byte as before).
+    /// `canon.rs`; raw and full-orbit summaries keep discovery order).
     /// The values are compared through two walker-owned buffers (`bufs`):
     /// a valency list is a handful of values, sorted in place (a stable
     /// sort, like the keyed one it replaces) without allocating.
@@ -1058,7 +1058,7 @@ where
                 self.skipped_probe(frame, idx).as_ref() == frame.round.class_summary(class),
                 "class table and memo disagree on a repeated child"
             );
-            frame.acc.terminals += terminals;
+            frame.acc.terminals = frame.acc.terminals.saturating_add(terminals);
             frame.next_action += 1;
             taken += 1;
         }

@@ -474,9 +474,9 @@ fn stale_fingerprint_is_ignored_and_replaced() {
 }
 
 /// The symmetry mode is part of the run fingerprint: a cache committed
-/// under `Symmetry::Full` must be **loudly replaced** — never silently
-/// reused — by a `Symmetry::Off` run, and vice versa.  The two modes
-/// memoize different key spaces (orbit representatives vs raw
+/// under `Symmetry::PartialValue` must be **loudly replaced** — never
+/// silently reused — by a `Symmetry::Off` run, and vice versa.  The two
+/// modes memoize different key spaces (orbit representatives vs raw
 /// configurations), so reusing either image for the other would corrupt
 /// `distinct_states` and the census even where the verdicts agree.
 #[test]
@@ -501,24 +501,24 @@ fn symmetry_mode_changes_the_cache_fingerprint() {
         .unwrap()
     };
 
-    // Prime the cache under Full.
-    let full_baseline = run(Symmetry::Full, None);
-    let full_cold = run(Symmetry::Full, cached());
-    assert_identical(&full_baseline, &full_cold, "full cold");
-    assert_eq!(full_cold.cache_hits, 0);
+    // Prime the cache under partial+value.
+    let pv_baseline = run(Symmetry::PartialValue, None);
+    let pv_cold = run(Symmetry::PartialValue, cached());
+    assert_identical(&pv_baseline, &pv_cold, "partial+value cold");
+    assert_eq!(pv_cold.cache_hits, 0);
 
     // An Off run sees a foreign fingerprint: zero hits, its own correct
-    // cold report, and (ReadWrite) it replaces the Full image.
+    // cold report, and (ReadWrite) it replaces the partial+value image.
     let off_baseline = run(Symmetry::Off, None);
     assert!(
-        full_baseline.distinct_states < off_baseline.distinct_states,
+        pv_baseline.distinct_states < off_baseline.distinct_states,
         "the two modes must actually key different state spaces here"
     );
-    let off_over_full = run(Symmetry::Off, cached());
-    assert_identical(&off_baseline, &off_over_full, "off over full cache");
+    let off_over_pv = run(Symmetry::Off, cached());
+    assert_identical(&off_baseline, &off_over_pv, "off over partial+value cache");
     assert_eq!(
-        off_over_full.cache_hits, 0,
-        "a Full-mode cache must never warm an Off-mode run"
+        off_over_pv.cache_hits, 0,
+        "a partial+value cache must never warm an Off-mode run"
     );
     let off_warm = run(Symmetry::Off, cached());
     assert_identical(&off_baseline, &off_warm, "off warm");
@@ -527,79 +527,12 @@ fn symmetry_mode_changes_the_cache_fingerprint() {
         "the replacement image warms its own mode"
     );
 
-    // And the other direction: the Off image is foreign to Full.
-    let full_over_off = run(Symmetry::Full, cached());
-    assert_identical(&full_baseline, &full_over_off, "full over off cache");
+    // And the other direction: the Off image is foreign to partial+value.
+    let pv_over_off = run(Symmetry::PartialValue, cached());
+    assert_identical(&pv_baseline, &pv_over_off, "partial+value over off cache");
     assert_eq!(
-        full_over_off.cache_hits, 0,
-        "an Off-mode cache must never warm a Full-mode run"
-    );
-    let full_warm = run(Symmetry::Full, cached());
-    assert_identical(&full_baseline, &full_warm, "full warm");
-    assert_eq!(full_warm.cache_hits, full_warm.distinct_states);
-}
-
-/// Strength, not mode, is what the fingerprint records: two *non-Off*
-/// modes that resolve to different canonicalization strengths
-/// (`Full` → the settled tier, `PartialValue` → the rank-inert tier
-/// with the value quotient for CRW's binary proposals) memoize
-/// different orbit spaces, so a cache written at one strength must be
-/// loudly replaced — zero hits, correct cold report — when read at the
-/// other, in both directions.
-#[test]
-fn symmetry_strength_changes_the_cache_fingerprint() {
-    let (n, t) = (4usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = |symmetry: Symmetry| ExploreConfig {
-        symmetry,
-        ..ExploreConfig::for_crw(&system)
-    };
-    let dir = TempDir::new("symmetry-strength");
-    let cached = || Some(CacheConfig::read_write(dir.path()));
-    let run = |symmetry: Symmetry, cache: Option<CacheConfig>| {
-        explore_with(
-            system,
-            config(symmetry),
-            ExploreOptions::serial().with_cache(cache),
-            crw_processes(&system, &proposals),
-            proposals.clone(),
-        )
-        .unwrap()
-    };
-
-    let full_baseline = run(Symmetry::Full, None);
-    let pv_baseline = run(Symmetry::PartialValue, None);
-    assert!(
-        pv_baseline.distinct_states < full_baseline.distinct_states,
-        "the deeper strength must actually key a smaller orbit space here \
-         ({} vs {})",
-        pv_baseline.distinct_states,
-        full_baseline.distinct_states
-    );
-
-    // Prime under the deeper strength; a Full run must not warm from it.
-    let pv_cold = run(Symmetry::PartialValue, cached());
-    assert_identical(&pv_baseline, &pv_cold, "partial+value cold");
-    assert_eq!(pv_cold.cache_hits, 0);
-    let full_over_pv = run(Symmetry::Full, cached());
-    assert_identical(
-        &full_baseline,
-        &full_over_pv,
-        "full over partial+value cache",
-    );
-    assert_eq!(
-        full_over_pv.cache_hits, 0,
-        "a partial+value cache must never warm a Full run"
-    );
-
-    // The Full run replaced the image; partial+value is foreign again,
-    // replaces it back, and then warms itself completely.
-    let pv_over_full = run(Symmetry::PartialValue, cached());
-    assert_identical(&pv_baseline, &pv_over_full, "partial+value over full cache");
-    assert_eq!(
-        pv_over_full.cache_hits, 0,
-        "a Full cache must never warm a partial+value run"
+        pv_over_off.cache_hits, 0,
+        "an Off-mode cache must never warm a partial+value run"
     );
     let pv_warm = run(Symmetry::PartialValue, cached());
     assert_identical(&pv_baseline, &pv_warm, "partial+value warm");

@@ -167,7 +167,7 @@ fn run_resumable(
 fn interrupted_and_resumed_matches_uninterrupted() {
     let system = SystemConfig::new(3, 2).unwrap();
     let proposals = crw_proposals(3);
-    for symmetry in [Symmetry::Off, Symmetry::Full] {
+    for symmetry in [Symmetry::Off, Symmetry::PartialValue] {
         let config = crw_config(&system, symmetry);
         let baseline = explore_with(
             system,
@@ -321,7 +321,7 @@ fn state_limit_leaves_a_resumable_checkpoint() {
 fn partitioned_interrupted_and_resumed_matches_uninterrupted() {
     let system = SystemConfig::new(3, 2).unwrap();
     let proposals = crw_proposals(3);
-    for symmetry in [Symmetry::Off, Symmetry::Full] {
+    for symmetry in [Symmetry::Off, Symmetry::PartialValue] {
         let config = crw_config(&system, symmetry);
         // Depth 2 keeps a real interior region (root + depth-1 configs)
         // for the replay to compute fresh: at depth 1 the only interior

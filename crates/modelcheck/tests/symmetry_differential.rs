@@ -1,35 +1,28 @@
 //! Differential property test for symmetry reduction: for every `(n, t)`
 //! with `n ≤ 5`, both model kinds, and every engine (serial, parallel,
-//! spilling, partitioned), exploring with `Symmetry::Full` must agree
-//! with `Symmetry::Off` on everything the checker *verifies* — the
-//! violation flag, worst decision round per `f`, execution count,
-//! reachable decision values, and the per-round bivalency *presence* —
-//! while `distinct_states` (the work metric the reduction exists to
-//! shrink) only ever drops.
+//! spilling, partitioned, elastic steal), exploring with
+//! `Symmetry::PartialValue` must agree with `Symmetry::Off` on
+//! everything the checker *verifies* — the violation flag, the terminal
+//! count (exact under effect-pruned adversary enumeration), the worst
+//! decision round per `f`, the set of reachable decision values, and
+//! the per-round bivalency *presence* — while `distinct_states` (the
+//! work metric the reduction exists to shrink) only ever drops.
 //!
 //! Both bench protocols are rank-dependent (CRW's rotating coordinator,
-//! FloodSet's identified senders), so they exercise the universally
-//! sound **settled-record** canonicalization tier: decided and crashed
-//! processes are interchangeable once only their decisions matter, and
-//! the quotient is summary-*exact* — the root summary, `decided` order
-//! included, is asserted equal bit for bit.  (The stronger full-orbit
-//! tier for `pid_symmetric` protocols is covered by the explorer's unit
-//! suite, which owns a genuinely symmetric protocol.)
+//! FloodSet's identified senders), so they take the pooled tier:
+//! settled records, and for CRW below `t = n − 1` the rank-inert
+//! actives, are sorted into their slots, and for CRW's binary
+//! proposals the value involution is quotiented on top.  Merged orbit
+//! members enumerate their children in different orders, so the
+//! `decided` *set* is pinned rather than its discovery order
+//! ([`assert_quotient`]).  (The full-orbit tier for `pid_symmetric`
+//! protocols is covered by the explorer's unit suite, which owns a
+//! genuinely symmetric protocol.)
 //!
 //! Census semantics under the quotient: identical round list, per-round
 //! counts become orbit counts (`≤` the raw counts), and a round has a
-//! bivalent configuration after reduction iff it had one before.
-//!
-//! The **deeper tiers** (`Symmetry::Partial`, `Symmetry::PartialValue`)
-//! additionally pool rank-inert actives and (for CRW's binary
-//! proposals) quotient by the value involution.  Merged orbit members
-//! enumerate their children in different orders, so those tiers
-//! guarantee the verdict fields — violation flag, terminal count
-//! (exact under effect-pruned adversary enumeration), per-`f` worst
-//! rounds — bit for bit but the `decided` *set* rather than its
-//! discovery order; [`assert_quotient_set`] pins exactly that.  Every
-//! engine (serial, parallel, spill, partitioned, elastic steal) must
-//! still agree bit-for-bit *within* one strength.
+//! bivalent configuration after reduction iff it had one before.  Every
+//! engine must still agree bit-for-bit *within* one mode.
 
 use std::time::Duration;
 
@@ -66,9 +59,7 @@ fn engines() -> Vec<(&'static str, ExploreOptions)> {
         ("serial", ExploreOptions::serial()),
         (
             "parallel4",
-            ExploreOptions::with_threads(4)
-                .with_donate_depth(None)
-                .with_cache(None),
+            ExploreOptions::with_threads(4).with_cache(None),
         ),
         (
             "spill",
@@ -94,74 +85,32 @@ fn assert_identical<O: std::fmt::Debug + Eq>(
     );
 }
 
-/// The settled-tier quotient contract: verdict summary exactly equal,
-/// state count never up, census shrunk but round-shape and bivalency
-/// presence preserved.
-fn assert_quotient<O: std::fmt::Debug + Eq>(
+/// The quotient contract: the verdict summary equal, except that
+/// `decided` is compared as a *set* — the pooled tier merges orbits
+/// whose members enumerate children in different orders, so discovery
+/// order is not preserved (the memo sorts decided vectors into a normal
+/// form instead).  Terminal counts stay exact: effect-pruned adversary
+/// enumeration keeps one transition per live-effect class, so
+/// pooled-orbit members contribute identical terminal counts.  The
+/// state count never goes up; the census shrinks but keeps its round
+/// shape and bivalency presence; a violating space still yields a
+/// witness (reconstruction re-drives from the true initial
+/// configuration, not from a canonical representative).
+fn assert_quotient<O: std::fmt::Debug + Eq + Ord + Clone>(
     off: &ExploreReport<O>,
-    full: &ExploreReport<O>,
-    label: &str,
-) {
-    assert_eq!(off.root, full.root, "{label}: verdict summary must match");
-    assert!(
-        full.distinct_states <= off.distinct_states,
-        "{label}: reduction must never add states ({} > {})",
-        full.distinct_states,
-        off.distinct_states
-    );
-    assert_eq!(
-        off.bivalency_by_round.len(),
-        full.bivalency_by_round.len(),
-        "{label}: census rounds"
-    );
-    for ((r_off, c_off, b_off), (r_full, c_full, b_full)) in
-        off.bivalency_by_round.iter().zip(&full.bivalency_by_round)
-    {
-        assert_eq!(r_off, r_full, "{label}: census round order");
-        assert!(
-            c_full <= c_off,
-            "{label}: round {r_off} orbit count {c_full} > raw count {c_off}"
-        );
-        assert!(b_full <= b_off, "{label}: round {r_off} bivalent counts");
-        assert_eq!(
-            *b_off > 0,
-            *b_full > 0,
-            "{label}: round {r_off} bivalency presence"
-        );
-    }
-    // A violating space must still yield a concrete, checkable witness
-    // after reduction (reconstruction re-drives from the true initial
-    // configuration, not from a canonical representative).
-    assert_eq!(
-        off.witness.is_some(),
-        full.witness.is_some(),
-        "{label}: witness presence"
-    );
-}
-
-/// The deeper-tier quotient contract: everything [`assert_quotient`]
-/// pins, except that `decided` is compared as a *set* — the partial
-/// tiers merge orbits whose members enumerate children in different
-/// orders, so discovery order is not preserved (the memo sorts decided
-/// vectors into a normal form instead).  Terminal counts stay exact:
-/// effect-pruned adversary enumeration keeps one transition per
-/// live-effect class at every strength, so pooled-orbit members
-/// contribute identical terminal counts.
-fn assert_quotient_set<O: std::fmt::Debug + Eq + Ord + Clone>(
-    off: &ExploreReport<O>,
-    deep: &ExploreReport<O>,
+    quotient: &ExploreReport<O>,
     label: &str,
 ) {
     assert_eq!(
-        off.root.violating, deep.root.violating,
+        off.root.violating, quotient.root.violating,
         "{label}: violation verdict"
     );
     assert_eq!(
-        off.root.terminals, deep.root.terminals,
+        off.root.terminals, quotient.root.terminals,
         "{label}: terminal count must be exact"
     );
     assert_eq!(
-        off.root.worst_round_by_f, deep.root.worst_round_by_f,
+        off.root.worst_round_by_f, quotient.root.worst_round_by_f,
         "{label}: per-f worst rounds"
     );
     let sorted = |v: &[O]| {
@@ -171,38 +120,40 @@ fn assert_quotient_set<O: std::fmt::Debug + Eq + Ord + Clone>(
     };
     assert_eq!(
         sorted(&off.root.decided),
-        sorted(&deep.root.decided),
+        sorted(&quotient.root.decided),
         "{label}: decided set"
     );
     assert!(
-        deep.distinct_states <= off.distinct_states,
+        quotient.distinct_states <= off.distinct_states,
         "{label}: reduction must never add states ({} > {})",
-        deep.distinct_states,
+        quotient.distinct_states,
         off.distinct_states
     );
     assert_eq!(
         off.bivalency_by_round.len(),
-        deep.bivalency_by_round.len(),
+        quotient.bivalency_by_round.len(),
         "{label}: census rounds"
     );
-    for ((r_off, c_off, b_off), (r_deep, c_deep, b_deep)) in
-        off.bivalency_by_round.iter().zip(&deep.bivalency_by_round)
+    for ((r_off, c_off, b_off), (r_q, c_q, b_q)) in off
+        .bivalency_by_round
+        .iter()
+        .zip(&quotient.bivalency_by_round)
     {
-        assert_eq!(r_off, r_deep, "{label}: census round order");
+        assert_eq!(r_off, r_q, "{label}: census round order");
         assert!(
-            c_deep <= c_off,
-            "{label}: round {r_off} orbit count {c_deep} > raw count {c_off}"
+            c_q <= c_off,
+            "{label}: round {r_off} orbit count {c_q} > raw count {c_off}"
         );
-        assert!(b_deep <= b_off, "{label}: round {r_off} bivalent counts");
+        assert!(b_q <= b_off, "{label}: round {r_off} bivalent counts");
         assert_eq!(
             *b_off > 0,
-            *b_deep > 0,
+            *b_q > 0,
             "{label}: round {r_off} bivalency presence"
         );
     }
     assert_eq!(
         off.witness.is_some(),
-        deep.witness.is_some(),
+        quotient.witness.is_some(),
         "{label}: witness presence"
     );
 }
@@ -227,40 +178,10 @@ fn floodset_config(t: usize, symmetry: Symmetry) -> ExploreConfig {
 }
 
 #[test]
-fn extended_model_crw_full_agrees_with_off_on_every_engine() {
-    for (n, t) in systems() {
-        let system = SystemConfig::new(n, t).unwrap();
-        let proposals: Vec<WideValue> = (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect();
-        let run = |symmetry: Symmetry, options: ExploreOptions| {
-            explore_with(
-                system,
-                crw_config(&system, symmetry),
-                options,
-                crw_processes(&system, &proposals),
-                proposals.clone(),
-            )
-            .unwrap()
-        };
-        let off = run(Symmetry::Off, ExploreOptions::serial());
-        let full = run(Symmetry::Full, ExploreOptions::serial());
-        assert_quotient(&off, &full, &format!("crw n={n} t={t}"));
-        for (engine, options) in engines() {
-            let engine_full = run(Symmetry::Full, options);
-            assert_identical(
-                &full,
-                &engine_full,
-                &format!("crw n={n} t={t} engine={engine} (Full)"),
-            );
-        }
-    }
-}
-
-#[test]
 fn extended_model_crw_deeper_tiers_agree_on_every_engine() {
-    // The rank-inert partial tier and its value-composed variant: the
-    // quotient must stay verdict-exact (decided as a set) against Off,
-    // monotonically coarser than Full, and every engine must agree
-    // bit-for-bit within one strength.
+    // The pooled tier with the value quotient on top: verdict-exact
+    // (decided as a set) against Off, and every engine agrees
+    // bit-for-bit with the serial quotient walk.
     for (n, t) in systems() {
         let system = SystemConfig::new(n, t).unwrap();
         let proposals: Vec<WideValue> = (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect();
@@ -275,51 +196,15 @@ fn extended_model_crw_deeper_tiers_agree_on_every_engine() {
             .unwrap()
         };
         let off = run(Symmetry::Off, ExploreOptions::serial());
-        let full = run(Symmetry::Full, ExploreOptions::serial());
-        let mut prev_distinct = full.distinct_states;
-        for symmetry in [Symmetry::Partial, Symmetry::PartialValue] {
-            let label = format!("crw n={n} t={t} {symmetry:?}");
-            let deep = run(symmetry, ExploreOptions::serial());
-            assert_quotient_set(&off, &deep, &label);
-            assert!(
-                deep.distinct_states <= prev_distinct,
-                "{label}: deeper tier must be at least as coarse \
-                 ({} orbits vs {prev_distinct} at the previous strength)",
-                deep.distinct_states
-            );
-            prev_distinct = deep.distinct_states;
-            for (engine, options) in engines() {
-                let engine_deep = run(symmetry, options);
-                assert_identical(&deep, &engine_deep, &format!("{label} engine={engine}"));
-            }
-        }
-    }
-}
-
-#[test]
-fn classic_model_floodset_full_agrees_with_off_on_every_engine() {
-    for (n, t) in systems() {
-        let system = SystemConfig::new(n, t).unwrap();
-        let proposals: Vec<u64> = (0..n as u64).map(|i| 10 + i).collect();
-        let run = |symmetry: Symmetry, options: ExploreOptions| {
-            explore_with(
-                system,
-                floodset_config(t, symmetry),
-                options,
-                floodset_processes(n, t, &proposals),
-                proposals.clone(),
-            )
-            .unwrap()
-        };
-        let off = run(Symmetry::Off, ExploreOptions::serial());
-        let full = run(Symmetry::Full, ExploreOptions::serial());
-        assert_quotient(&off, &full, &format!("floodset n={n} t={t}"));
+        let label = format!("crw n={n} t={t}");
+        let quotient = run(Symmetry::PartialValue, ExploreOptions::serial());
+        assert_quotient(&off, &quotient, &label);
         for (engine, options) in engines() {
-            let engine_full = run(Symmetry::Full, options);
+            let engine_quotient = run(Symmetry::PartialValue, options);
             assert_identical(
-                &full,
-                &engine_full,
-                &format!("floodset n={n} t={t} engine={engine} (Full)"),
+                &quotient,
+                &engine_quotient,
+                &format!("{label} engine={engine}"),
             );
         }
     }
@@ -329,32 +214,33 @@ fn classic_model_floodset_full_agrees_with_off_on_every_engine() {
 fn classic_model_floodset_deeper_tiers_degrade_soundly() {
     // FloodSet opts out of both deeper quotients (`rank_inert` is
     // always false — every active broadcasts — and `min(W)` does not
-    // commute with the value involution), so Partial degrades to
-    // exactly the settled tier's orbit count and PartialValue must not
-    // activate the value quotient.  The verdict contract still holds.
-    for (n, t) in [(4usize, 2usize), (4, 3), (5, 2)] {
+    // commute with the value involution), so `partial+value` pools its
+    // settled records alone; the verdict contract still holds, on every
+    // engine.  `naive_oracle.rs` checks its orbit count against brute
+    // force.
+    for (n, t) in systems() {
         let system = SystemConfig::new(n, t).unwrap();
         let proposals: Vec<u64> = (0..n as u64).map(|i| 10 + i).collect();
-        let run = |symmetry: Symmetry| {
+        let run = |symmetry: Symmetry, options: ExploreOptions| {
             explore_with(
                 system,
                 floodset_config(t, symmetry),
-                ExploreOptions::serial(),
+                options,
                 floodset_processes(n, t, &proposals),
                 proposals.clone(),
             )
             .unwrap()
         };
-        let off = run(Symmetry::Off);
-        let full = run(Symmetry::Full);
-        for symmetry in [Symmetry::Partial, Symmetry::PartialValue] {
-            let deep = run(symmetry);
-            let label = format!("floodset n={n} t={t} {symmetry:?}");
-            assert_quotient_set(&off, &deep, &label);
-            assert_eq!(
-                deep.distinct_states, full.distinct_states,
-                "{label}: with every deeper hook opted out, the orbit \
-                 count must equal the settled tier's"
+        let off = run(Symmetry::Off, ExploreOptions::serial());
+        let label = format!("floodset n={n} t={t}");
+        let quotient = run(Symmetry::PartialValue, ExploreOptions::serial());
+        assert_quotient(&off, &quotient, &label);
+        for (engine, options) in engines() {
+            let engine_quotient = run(Symmetry::PartialValue, options);
+            assert_identical(
+                &quotient,
+                &engine_quotient,
+                &format!("{label} engine={engine}"),
             );
         }
     }
@@ -364,8 +250,8 @@ fn classic_model_floodset_deeper_tiers_degrade_soundly() {
 fn elastic_steal_engine_commutes_with_symmetry() {
     // The elastic engine under a policy that always fires: offload,
     // preempt handshake, frontier re-split, and seeded relaunch all
-    // happen at every strength, and the merged report must still be
-    // bit-identical to the same-strength serial walk.
+    // happen in both modes, and the merged report must still be
+    // bit-identical to the same-mode serial walk.
     let (n, t) = (4usize, 3usize);
     let system = SystemConfig::new(n, t).unwrap();
     let proposals: Vec<WideValue> = (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect();
@@ -379,12 +265,7 @@ fn elastic_steal_engine_commutes_with_symmetry() {
         steal: forced_steal,
         ..DistOptions::new(2)
     };
-    for symmetry in [
-        Symmetry::Off,
-        Symmetry::Full,
-        Symmetry::Partial,
-        Symmetry::PartialValue,
-    ] {
+    for symmetry in [Symmetry::Off, Symmetry::PartialValue] {
         let config = crw_config(&system, symmetry);
         let serial = explore_with(
             system,
@@ -421,12 +302,7 @@ fn partitioned_engine_commutes_with_symmetry() {
     for (n, t) in [(4usize, 2usize), (4, 3), (5, 2)] {
         let system = SystemConfig::new(n, t).unwrap();
         let proposals: Vec<WideValue> = (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect();
-        for symmetry in [
-            Symmetry::Off,
-            Symmetry::Full,
-            Symmetry::Partial,
-            Symmetry::PartialValue,
-        ] {
+        for symmetry in [Symmetry::Off, Symmetry::PartialValue] {
             let config = crw_config(&system, symmetry);
             let serial = explore_with(
                 system,
@@ -459,7 +335,8 @@ fn reduction_is_strict_for_a_pinned_system() {
     // The quotient theorems above allow `≤`; this pin proves the
     // machinery actually fires on the bench protocol — at `(5, 4)` CRW
     // reaches configurations whose settled records differ only by which
-    // slots hold them, and those must merge.
+    // slots hold them, and value mirrors of one another, and those must
+    // merge.
     let (n, t) = (5usize, 4usize);
     let system = SystemConfig::new(n, t).unwrap();
     let proposals: Vec<WideValue> = (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect();
@@ -474,52 +351,25 @@ fn reduction_is_strict_for_a_pinned_system() {
         .unwrap()
     };
     let off = run(Symmetry::Off);
-    let full = run(Symmetry::Full);
-    let partial = run(Symmetry::Partial);
     let pv = run(Symmetry::PartialValue);
-    assert_quotient(&off, &full, "crw n=5 t=4");
-    assert_quotient_set(&off, &partial, "crw n=5 t=4 partial");
-    assert_quotient_set(&off, &pv, "crw n=5 t=4 partial+value");
-    assert!(
-        full.distinct_states < off.distinct_states,
-        "expected a strict reduction at (5, 4): {} orbits vs {} raw states",
-        full.distinct_states,
-        off.distinct_states
-    );
-    // The strength ladder must actually be a ladder at (5, 4), and the
-    // exact rung heights are pinned: the exploration is deterministic,
-    // so any drift in these counts is a semantic change to the quotient
-    // (or to the adversary enumeration) that must be reviewed, not a
-    // flaky measurement.
-    assert!(
-        pv.distinct_states <= partial.distinct_states
-            && partial.distinct_states <= full.distinct_states,
-        "strength ladder violated: {} (partial+value) vs {} (partial) vs {} (full)",
-        pv.distinct_states,
-        partial.distinct_states,
-        full.distinct_states
-    );
+    assert_quotient(&off, &pv, "crw n=5 t=4 partial+value");
     eprintln!(
-        "symmetry_differential: crw (5, 4) {} raw -> {} full -> {} partial -> {} partial+value",
-        off.distinct_states, full.distinct_states, partial.distinct_states, pv.distinct_states
+        "symmetry_differential: crw (5, 4) {} raw -> {} partial+value orbit states",
+        off.distinct_states, pv.distinct_states
     );
+    // The exploration is deterministic, so any drift in these counts is
+    // a semantic change to the quotient (or to the adversary
+    // enumeration) that must be reviewed, not a flaky measurement.
     assert_eq!(
-        (
-            off.distinct_states,
-            full.distinct_states,
-            partial.distinct_states,
-            pv.distinct_states,
-        ),
+        (off.distinct_states, pv.distinct_states),
         PINNED_54_COUNTS,
         "pinned (5, 4) distinct-state counts drifted"
     );
 }
 
-/// The committed `(off, full, partial, partial+value)` distinct-state
-/// counts at CRW `(5, 4)` — see `reduction_is_strict_for_a_pinned_system`.
-/// Partial equals Full here by arithmetic, not by accident: at
-/// `t = n - 1` an active process can never see more actives below it
-/// than the remaining crash budget, so rank-inertness cannot fire (it
-/// pays off at small `t`, where the budget runs out before the ranks
-/// do); the extra 314 → 235 step is the binary value quotient.
-const PINNED_54_COUNTS: (usize, usize, usize, usize) = (815, 314, 314, 235);
+/// The committed `(off, partial+value)` distinct-state counts at CRW
+/// `(5, 4)` — see `reduction_is_strict_for_a_pinned_system`.  At
+/// `t = n − 1` no rank is ever inert (an active process never sees more
+/// actives below it than the remaining crash budget), so the 815 → 235
+/// step is settled-record pooling and the binary value quotient.
+const PINNED_54_COUNTS: (usize, usize) = (815, 235);
