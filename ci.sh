@@ -30,6 +30,8 @@ cargo test --release -q -p twostep-modelcheck --lib explorer::tests::terminal_co
 if [[ "$quick" == false ]]; then
     echo "== independent memoized oracle, ignored cases: CRW (8, 7) and the classic baselines at (5, 4), release (not under --quick)"
     cargo test --release -q -p twostep-modelcheck --test naive_oracle -- --ignored
+    echo "== bivalence shift B(n,t,r) = B(n-1,t-1,r-1), ignored case: CRW up to (10, 9), release (not under --quick)"
+    cargo test --release -q -p twostep-modelcheck --test crw_exhaustive -- --ignored
 fi
 
 echo "== benchmark harness tests (the only build of benchmark/src/adapter.rs outside the benchmark)"
@@ -65,7 +67,7 @@ echo "== cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc -D warnings (no broken or private intra-doc links)"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p twostep-modelcheck -p twostep-sim -p twostep-bench
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "== cargo fmt --check"
 cargo fmt --all --check

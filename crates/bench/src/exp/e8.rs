@@ -2,10 +2,10 @@
 //! executor over worker counts, on a fixed batch of independent consensus
 //! simulations.
 //!
-//! Criterion benches (`cargo bench`) provide the rigorous statistics; this
-//! table is the quick, text-artifact version for `EXPERIMENTS.md` — the
-//! workload is embarrassingly parallel, so the shape to look for is
-//! near-linear speedup until physical cores run out.
+//! One timing per worker count (the best of `reps` repetitions), as a
+//! text table from `repro e8-scaling` — the workload is embarrassingly
+//! parallel, so the shape to look for is near-linear speedup until
+//! physical cores run out.
 
 use crate::cells;
 use crate::table::Table;

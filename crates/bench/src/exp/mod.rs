@@ -1,5 +1,7 @@
-//! One module per experiment; see `DESIGN.md` §4 for the per-experiment
-//! index (paper claim → workload → modules → regenerating target).
+//! One module per experiment; each module's header names the paper
+//! claim it checks and its workload, and `repro`'s usage text
+//! (`crates/bench/src/bin/repro.rs`) is the index of regenerating
+//! targets.
 
 pub mod ablation;
 pub mod e1;

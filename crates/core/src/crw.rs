@@ -152,9 +152,8 @@ impl<V: SpillCodec> SpillCodec for Crw<V> {
         (me.idx() < n).then_some(Crw { me, n, est, order })
     }
 
-    /// CRW is rank-*dependent* (rotating coordinator), so it never claims
-    /// `pid_symmetric`; the relabel still matters to the partial-orbit
-    /// tier, which owner-strips rank-inert records before pooling them.
+    /// The symmetry quotient owner-strips rank-inert records before
+    /// pooling them, so the owner is rewritten to the process at `at`.
     fn encode_relabelled(&self, at: usize, out: &mut Vec<u8>) {
         ProcessId::from_idx(at).encode(out);
         self.n.encode(out);

@@ -67,13 +67,6 @@ impl<P: SpillCodec> SpillCodec for ClassicOnExtended<P> {
     fn decode(input: &mut &[u8]) -> Option<Self> {
         Some(ClassicOnExtended(P::decode(input)?))
     }
-    // The wrapper adds no state of its own, so pid-symmetry is exactly
-    // the wrapped protocol's property.  `ExtendedOnClassic` deliberately
-    // keeps the conservative defaults: its buffered inbox embeds peer
-    // `ProcessId`s, which the symmetry contract forbids.
-    fn pid_symmetric() -> bool {
-        P::pid_symmetric()
-    }
     fn encode_relabelled(&self, at: usize, out: &mut Vec<u8>) {
         self.0.encode_relabelled(at, out);
     }

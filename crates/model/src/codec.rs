@@ -56,39 +56,16 @@ pub trait SpillCodec: Sized {
     /// consumed bytes; `None` if the bytes do not form a valid value.
     fn decode(input: &mut &[u8]) -> Option<Self>;
 
-    /// Whether this protocol-state type is **pid-symmetric**: its dynamics
-    /// are invariant under any permutation of process indexes, provided
-    /// each moved state is re-encoded for its new slot with
-    /// [`encode_relabelled`](SpillCodec::encode_relabelled).
-    ///
-    /// The contract a `true` answer asserts (it is a *semantic* promise
-    /// about the protocol, not just about the encoding):
-    ///
-    /// * the owning process id is used only for self-identification
-    ///   (e.g. excluding itself from a broadcast), never to special-case
-    ///   a rank (rotating coordinators, ring successors, leader ranks);
-    /// * no other process's id or rank is embedded in the state (views,
-    ///   heard-from sets, per-rank vectors all break the symmetry);
-    /// * `encode_relabelled(at, …)` with a fixed `at` is injective on
-    ///   states modulo the owner id: two states relabelled to the same
-    ///   slot encode equal iff they differ only in their owner.
-    ///
-    /// Symmetry reduction in the model checker uses this to quotient the
-    /// state space by the full permutation group; rank-dependent
-    /// protocols keep the default `false` and still benefit from the
-    /// weaker (always-sound) settled-record canonicalization.
-    fn pid_symmetric() -> bool {
-        false
-    }
-
     /// Appends this value's encoding *as if its owner were the process at
-    /// 0-based index `at`* — the permutation remap used by symmetry
-    /// reduction when it moves a state to a canonical slot.
+    /// 0-based index `at`*.  Symmetry reduction calls it with `at = 0` to
+    /// owner-strip a [`rank_inert`](SpillCodec::rank_inert) state before
+    /// pooling it: two such states must encode equal iff they differ
+    /// only in their owner.
     ///
     /// The default encodes unchanged, which is correct for every state
-    /// that does not embed its owner's id.  Types that do embed it (and
-    /// opt into [`pid_symmetric`](SpillCodec::pid_symmetric)) must
-    /// override this to substitute the owner for the process at `at`.
+    /// that does not embed its owner's id.  Types that do embed it and
+    /// declare rank-inert states must override this to substitute the
+    /// owner for the process at `at`.
     fn encode_relabelled(&self, _at: usize, out: &mut Vec<u8>) {
         self.encode(out)
     }
@@ -948,13 +925,7 @@ mod tests {
     }
 
     #[test]
-    fn default_codec_is_not_pid_symmetric() {
-        // The opt-in must never leak through the blanket defaults: every
-        // primitive keeps `false`, and the default relabel is the plain
-        // encoding.
-        assert!(!u64::pid_symmetric());
-        assert!(!ProcessId::pid_symmetric());
-        assert!(!Vec::<u32>::pid_symmetric());
+    fn default_relabel_is_the_plain_encoding() {
         let v = WideValue::new(4, 9);
         let mut a = Vec::new();
         let mut b = Vec::new();

@@ -262,12 +262,12 @@ where
     });
     config.max_crashes_per_round.encode(&mut buf);
     // The *effective* canonicalization strength (the resolved
-    // [`SymmetryPlan`](crate::explorer) byte: tier code + value bit),
-    // not just the configured mode: `pid_symmetric` / `value_symmetric`
-    // are type-level declarations and value applicability depends on
-    // the proposal set — any of them can change between builds without
-    // any encoding changing, and a cache keyed at the other strength
-    // holds a differently quotiented state space.
+    // [`SymmetryPlan`](crate::explorer) byte: pooling code + value bit),
+    // not just the configured mode: `value_symmetric` is a type-level
+    // declaration and value applicability depends on the proposal set —
+    // either can change between builds without any encoding changing,
+    // and a cache keyed at the other strength holds a differently
+    // quotiented state space.
     buf.push(config.symmetry.plan::<P>(proposals).strength());
     let mut state = fnv1a(&buf, fnv1a_start());
     for process in initial {

@@ -430,8 +430,8 @@ where
     // key their memo lookups (`Walker::canonical_key` and
     // `Walker::cursor_key` keep every engine on the one key path) — so
     // every process running the same build partitions identically, and
-    // pid-permuted frontier variants collapse onto one owner instead of
-    // being walked by several.
+    // frontier variants one orbit holds collapse onto one owner instead
+    // of being walked by several.
     if depth == 0 {
         return Ok(vec![(walker.canonical_key(&root).0, Vec::new())]);
     }

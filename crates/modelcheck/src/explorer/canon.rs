@@ -1,5 +1,5 @@
 //! Configuration keys: the raw layout every memo entry is stored under,
-//! and the canonical layouts symmetry reduction keys by — the one place
+//! and the canonical layout symmetry reduction keys by — the one place
 //! a key's tag bytes `0`–`3` are written.
 //!
 //! ## Symmetry reduction
@@ -51,34 +51,21 @@
 //!   canonical value encoding) at insert under this tier — so orbit
 //!   members summarize identically and the quotient is summary-exact,
 //!   terminal counts included;
-//! * **full-orbit canonicalization** — in place of both pooling tiers
-//!   when the protocol declares itself pid-symmetric
-//!   ([`SpillCodec::pid_symmetric`]): *all* records are sorted (each
-//!   active stripped to its owner-relabelled-to-slot-0 encoding via
-//!   [`SpillCodec::encode_relabelled`], ties broken by index — tied
-//!   records are byte-identical, so the tie-break never breaks the
-//!   normal form) and each active is re-encoded as owned by its sorted
-//!   position.  This is the full `n!` quotient; it is sound only when
-//!   the dynamics are invariant under index permutation (the
-//!   `pid_symmetric` contract), which rank-dependent protocols — the
-//!   paper's rotating-coordinator algorithm among them — do **not**
-//!   satisfy, so they are pooled instead;
-//! * **value symmetry** — composed on top of either permutation tier
-//!   when the protocol declares a value involution
+//! * **value symmetry** — composed on top of the pooling when the
+//!   protocol declares a value involution
 //!   ([`SpillCodec::value_symmetric`] / [`SpillCodec::value_swapped`],
 //!   e.g. flipping a binary estimate) *and* the run's proposal set is
 //!   closed under it (checked per run against the actual proposals;
 //!   where it does not apply, the run warns once and quotients by
 //!   permutations alone).  The canonical key becomes the lexicographic
 //!   minimum of the plain and the value-swapped encoding, so a
-//!   configuration and its value mirror share one memo entry holding the canonical-space summary;
-//!   a hit through the swapped encoding maps the summary back through
-//!   the involution (element-wise on `decided` — the swap commutes
-//!   with the dynamics, so terminals, rounds, and the violation flag
-//!   are fixed points).  Composition is sound because the involution
+//!   configuration and its value mirror share one memo entry holding
+//!   the canonical-space summary; a hit through the swapped encoding
+//!   maps the summary back through the involution (element-wise on
+//!   `decided` — the swap commutes with the dynamics, so terminals,
+//!   rounds, and the violation flag are fixed points).  Composition is sound because the involution
 //!   acts value-wise and commutes with rank inertness (which reads
 //!   only statuses, ranks, and the crash budget — never values).
-//!
 //!
 //! What changes and what doesn't: `distinct_states` drops (each memo
 //! entry now summarizes an orbit of configurations), and the per-round
@@ -91,13 +78,13 @@
 //! `violating` bit equals every member's.  Disable symmetry
 //! (`Symmetry::Off`, the default) when raw per-configuration counts or
 //! differential comparison against historical baselines matter.  The
-//! effective strength (off / full-orbit / rank-inert, with a
-//! value-quotient bit) is part of the persistent-cache fingerprint and
-//! the checkpoint manifest, so caches never cross strengths silently —
-//! should a protocol's `pid_symmetric` / `value_symmetric`
-//! declarations or the proposal set change — and a checkpoint suspended
-//! at one strength refuses to resume at another (its frontier keys and
-//! memo image are meaningless in the other quotient).
+//! effective strength (off / pooled, with a value-quotient bit) is part
+//! of the persistent-cache fingerprint and the checkpoint manifest, so
+//! caches never cross strengths silently — should a protocol's
+//! `value_symmetric` declaration or the proposal set change — and a
+//! checkpoint suspended at one strength refuses to resume at another
+//! (its frontier keys and memo image are meaningless in the other
+//! quotient).
 //!
 //! ## Canonicalization hot path
 //!
@@ -111,14 +98,14 @@
 //! cursor stands on is the other: when a record is interned, the round
 //! keeps beside its raw bytes what the encoder may ask of that process
 //! in the child — its in-place and its pooled (owner-stripped) bytes, in
-//! the plain and, under a value plan, the swapped encoding, and the
-//! settled state itself where `rank_inert` or a relabelling to a sorted
-//! position must be asked — so the key of a child nothing has stepped
-//! is the same encoder copying those forms.  A first-of-orbit row thus
-//! costs the row's in-place flags, its orbit vector and a table lookup,
-//! then one assembly per encoding, one stable hash and one memo probe —
-//! and the key stands for a child nothing answers for: it is settled or
-//! expanded under it, never keyed again.  A key is always encoded from
+//! the plain and, under a value plan, the swapped encoding, and an
+//! active process's state itself, which `rank_inert` is asked of — so
+//! the key of a child nothing has stepped is the same encoder copying
+//! those forms.  A first-of-orbit row thus costs the row's in-place
+//! flags, its orbit vector and a table lookup, then one assembly per
+//! encoding, one stable hash and one memo probe — and the key stands
+//! for a child nothing answers for: it is settled or expanded under it,
+//! never keyed again.  A key is always encoded from
 //! scratch — its pooled records, a handful of short ones, sorted in
 //! full — and nothing caches keys across frames: the orbit table
 //! remembers, for the life of a frame, which children it has seen, and
@@ -130,7 +117,7 @@ use twostep_model::codec::Canonicalizer;
 use twostep_model::SymmetryContext;
 use twostep_sim::{Decision, ProcStatus, Stepper};
 
-use super::config::{CanonTier, CheckableProtocol};
+use super::config::CheckableProtocol;
 use crate::spill::SpillCodec;
 
 /// Encodes `stepper`'s configuration into its **canonical key bytes**,
@@ -195,7 +182,7 @@ pub(super) fn encode_active_record<P: SpillCodec>(proc: &P, out: &mut Vec<u8>) {
 /// Appends the key record of one **settled** (decided or crashed)
 /// process: tag `1` decided + value + round, or tag `2` crashed +
 /// optional `(value, round)`.  Shared by the plain key encoding and the
-/// canonical tiers, so a settled process encodes identically whether or
+/// canonical layout, so a settled process encodes identically whether or
 /// not its record is about to be sorted.  With `swap` set, decided
 /// values encode their [`SpillCodec::value_swapped`] image — the
 /// value-symmetry tier's swapped encoding pass.
@@ -281,9 +268,10 @@ pub(super) trait KeySource<P: CheckableProtocol> {
     /// ([`encode_key_record`]): tag `0` + protocol encoding for an
     /// active process, the settled record otherwise.
     fn record(&self, i: usize, swap: bool, out: &mut Vec<u8>);
-    /// Appends **active** process `i`'s encoding as if the process at
-    /// index `at` owned it ([`SpillCodec::encode_relabelled`]), untagged.
-    fn relabelled(&self, i: usize, swap: bool, at: usize, out: &mut Vec<u8>);
+    /// Appends **active** process `i`'s owner-stripped encoding — as if
+    /// the process at index 0 owned it ([`SpillCodec::encode_relabelled`])
+    /// — untagged.
+    fn stripped(&self, i: usize, swap: bool, out: &mut Vec<u8>);
 }
 
 impl<P> KeySource<P> for Stepper<P>
@@ -312,36 +300,33 @@ where
         encode_key_record(status, &*self.procs()[i], decision, swap, out);
     }
 
-    fn relabelled(&self, i: usize, swap: bool, at: usize, out: &mut Vec<u8>) {
+    fn stripped(&self, i: usize, swap: bool, out: &mut Vec<u8>) {
         if swap {
-            swapped_proc(&*self.procs()[i]).encode_relabelled(at, out);
+            swapped_proc(&*self.procs()[i]).encode_relabelled(0, out);
         } else {
-            self.procs()[i].encode_relabelled(at, out);
+            self.procs()[i].encode_relabelled(0, out);
         }
     }
 }
 
 /// Fills `in_place[i]` for every process: whether the tier encoder
 /// leaves `p_{i+1}`'s record in its own slot rather than pooling it.
-/// No record stands on the full orbit; otherwise every active process
-/// does — unless the protocol declares the process's *rank* inert for
-/// the rest of the run ([`SpillCodec::rank_inert`], soundness in the
-/// module docs).  One ascending pass: `crash_budget` is the remaining
-/// crashes `t − crashed`, and `actives_below` counts the
-/// actives `j < i` whose rank `j + 1` is still reachable by the
-/// committing frontier (`j + 1 ≥ round`).  Computed from the
+/// Every active process does — unless the protocol declares the
+/// process's *rank* inert for the rest of the run
+/// ([`SpillCodec::rank_inert`], soundness in the module docs).  One
+/// ascending pass: `crash_budget` is the remaining crashes
+/// `t − crashed`, and `actives_below` counts the actives `j < i` whose
+/// rank `j + 1` is still reachable by the committing frontier
+/// (`j + 1 ≥ round`).  Computed from the
 /// **unswapped** state only — the value involution commutes with the
 /// dynamics, so it cannot change rank inertness.
-pub(super) fn flag_in_place<P, S>(source: &S, tier: CanonTier, t: usize, in_place: &mut Vec<bool>)
+pub(super) fn flag_in_place<P, S>(source: &S, t: usize, in_place: &mut Vec<bool>)
 where
     P: CheckableProtocol,
     S: KeySource<P>,
 {
     let n = source.processes();
     in_place.clear();
-    if tier == CanonTier::FullOrbit {
-        return in_place.resize(n, false);
-    }
     let mut crashed = 0usize;
     for i in 0..n {
         let role = source.role(i);
@@ -368,11 +353,10 @@ where
     }
 }
 
-/// Encodes one canonical key at the given tier — the one place a
-/// canonical layout is written, behind every canonicalizing mode and
-/// every [`KeySource`]: the walker's key-first probe (a row's records),
-/// `enter`, witness reconstruction, and the distributed frontier
-/// expander, so every engine keys (and therefore hashes, shards, and
+/// Encodes one canonical key — the one place the canonical layout is
+/// written, behind every [`KeySource`]: the walker's key-first probe (a
+/// row's records), `enter`, witness reconstruction, and the distributed
+/// frontier expander, so every engine keys (and therefore hashes, shards, and
 /// partitions) a configuration identically, stepped or not.
 ///
 /// * `swap` — encode the value-swapped twin of the configuration (the
@@ -380,20 +364,17 @@ where
 ///   lexicographically smaller key).
 /// * `in_place` — which processes keep their slot ([`flag_in_place`]).
 ///
-/// A process the tier leaves **in place** — an active one, unless the
-/// tier is the full orbit or the process's rank is inert — is encoded
-/// into its own slot; every other record is **pooled**: settled records
-/// as they are, pooled actives owner-stripped (relabelled to slot 0)
-/// behind tag `3` (rank-inert) or `0` (full orbit), all sorted by their
-/// bytes into the remaining slots — where the full orbit re-encodes each
-/// active as owned by its sorted position.
+/// A process the encoder leaves **in place** — an active one, unless
+/// its rank is inert — is encoded into its own slot; every other record
+/// is **pooled**: settled records as they are, rank-inert actives
+/// owner-stripped (relabelled to slot 0) behind tag `3`, all sorted by
+/// their bytes into the remaining slots.
 ///
-/// Every canonical layout remains a valid key encoding —
+/// The canonical layout remains a valid key encoding —
 /// [`decode_key_prefix`](crate::memo::decode_key_prefix) and the
 /// segment key validator accept tags `0`–`3` unchanged.
 pub(super) fn tier_key_into<P, S>(
     source: &S,
-    tier: CanonTier,
     swap: bool,
     in_place: &[bool],
     canon: &mut Canonicalizer,
@@ -402,7 +383,6 @@ pub(super) fn tier_key_into<P, S>(
     P: CheckableProtocol,
     S: KeySource<P>,
 {
-    debug_assert!(tier != CanonTier::Raw, "raw keys take make_key_into");
     let n = source.processes();
     out.clear();
     source.round_number().encode(out);
@@ -412,26 +392,13 @@ pub(super) fn tier_key_into<P, S>(
         let rec = canon.record();
         match source.role(i) {
             Role::Active => {
-                rec.push(if tier == CanonTier::FullOrbit { 0 } else { 3 });
-                source.relabelled(i, swap, 0, rec);
+                rec.push(3);
+                source.stripped(i, swap, rec);
             }
             Role::Decided | Role::Crashed => source.record(i, swap, rec),
         }
     }
     canon.sort();
-    if tier == CanonTier::FullOrbit {
-        // Everything was pooled, so a record's place in the batch is its
-        // process's index.
-        for (at, (i, bytes)) in canon.iter_sorted().enumerate() {
-            if bytes.first() == Some(&0) {
-                out.push(0);
-                source.relabelled(i, swap, at, out);
-            } else {
-                out.extend_from_slice(bytes);
-            }
-        }
-        return;
-    }
     let mut pooled = canon.iter_sorted();
     for (i, stands) in in_place.iter().enumerate() {
         if *stands {

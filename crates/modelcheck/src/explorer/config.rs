@@ -1,8 +1,8 @@
 //! What to explore and how: the protocol bound ([`CheckableProtocol`]),
 //! the exploration limits and model options ([`ExploreConfig`]), the
 //! engine options ([`ExploreOptions`], [`WalkBudget`]), the symmetry
-//! modes and what a run resolves one to (`SymmetryPlan` — the soundness
-//! of each tier is argued at the head of `canon.rs`).
+//! modes and what a run resolves one to (`SymmetryPlan` — the
+//! quotient's soundness is argued at the head of `canon.rs`).
 
 use std::hash::Hash;
 use std::time::Duration;
@@ -109,10 +109,9 @@ pub enum Symmetry {
     /// suites compare against.
     #[default]
     Off,
-    /// Canonicalize modulo the largest permutation group sound for the
-    /// protocol — the full `n!` orbit for [`SpillCodec::pid_symmetric`]
-    /// protocols; otherwise settled records and rank-inert actives
-    /// ([`SpillCodec::rank_inert`]) pooled, the other actives in place —
+    /// Canonicalize modulo the permutations of settled records and
+    /// rank-inert actives ([`SpillCodec::rank_inert`]) — those pooled,
+    /// the other actives in place, a quotient sound for every protocol —
     /// and modulo the value involution where it applies
     /// ([`SpillCodec::value_symmetric`] protocols over a swap-closed
     /// proposal set; otherwise the permutation quotient runs alone, with
@@ -156,13 +155,9 @@ impl Symmetry {
         P: CheckableProtocol,
         P::Output: Hash + SpillCodec,
     {
-        let tier = match self {
-            Symmetry::Off => CanonTier::Raw,
-            Symmetry::PartialValue if P::pid_symmetric() => CanonTier::FullOrbit,
-            Symmetry::PartialValue => CanonTier::SettledInert,
-        };
-        let value = self == Symmetry::PartialValue && value_symmetry_applies::<P>(proposals);
-        if self == Symmetry::PartialValue && !value {
+        let pooled = self == Symmetry::PartialValue;
+        let value = pooled && value_symmetry_applies::<P>(proposals);
+        if pooled && !value {
             static WARN_ONCE: std::sync::Once = std::sync::Once::new();
             WARN_ONCE.call_once(|| {
                 eprintln!(
@@ -173,7 +168,7 @@ impl Symmetry {
                 )
             });
         }
-        SymmetryPlan { tier, value }
+        SymmetryPlan { pooled, value }
     }
 }
 
@@ -214,52 +209,33 @@ where
     true
 }
 
-/// Which canonical-key layout a run uses — the [`Symmetry`] mode
-/// resolved against the protocol's type-level declarations.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum CanonTier {
-    /// The plain `make_key_into` encoding; nothing is sorted.
-    Raw,
-    /// Settled (decided/crashed) records and rank-inert actives
-    /// ([`SpillCodec::rank_inert`]) — the latter owner-stripped (tag
-    /// `3`) — sorted jointly into the slots of everything not a
-    /// rank-dependent active; those keep their true indexes.  Sound for
-    /// every protocol.
-    SettledInert,
-    /// Every record sorted, actives re-encoded at their sorted position
-    /// — the full `n!` quotient for [`SpillCodec::pid_symmetric`]
-    /// protocols (subsumes `SettledInert`, so pid-symmetric protocols
-    /// take this tier under [`Symmetry::PartialValue`]).
-    FullOrbit,
-}
-
-/// A run's resolved symmetry configuration: the canonical-key tier plus
-/// whether the value-involution quotient is active.  Computed once per
-/// run ([`Symmetry::plan`]) and carried in `Shared`.
+/// A run's resolved symmetry configuration: whether records are pooled
+/// into a canonical key, plus whether the value-involution quotient is
+/// active.  Computed once per run ([`Symmetry::plan`]) and carried in
+/// `Shared`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct SymmetryPlan {
-    pub(crate) tier: CanonTier,
+    /// Settled records and rank-inert actives ([`SpillCodec::rank_inert`])
+    /// — the latter owner-stripped, tag `3` — sorted jointly into the
+    /// slots of everything not a rank-dependent active, which keeps its
+    /// true index.  Off, every key is the plain `make_key_into`
+    /// encoding and nothing is sorted.
+    pub(crate) pooled: bool,
     pub(crate) value: bool,
 }
 
 impl SymmetryPlan {
     /// The effective canonicalization strength as the byte the
     /// persistent-cache fingerprint and the checkpoint manifest record:
-    /// the tier code (`0` raw, `2` full-orbit, `3` settled-inert; `1`
-    /// was a settled-only tier and is never written) with bit `0x10`
-    /// set when the value quotient is active.  Fingerprinting the *strength* (not the configured mode)
-    /// matters because `pid_symmetric` / `value_symmetric` are
-    /// type-level declarations and value applicability depends on the
-    /// proposals: any of them can change without an encoding changing,
-    /// and a cache keyed at another strength holds a differently
-    /// quotiented state space.
+    /// `0` raw or `3` pooled (`1` and `2` were retired tiers and are
+    /// never written), with bit `0x10` set when the value quotient is
+    /// active.  Fingerprinting the *strength* (not the configured mode)
+    /// matters because `value_symmetric` is a type-level declaration and
+    /// value applicability depends on the proposals: either can change
+    /// without an encoding changing, and a cache keyed at another
+    /// strength holds a differently quotiented state space.
     pub(crate) fn strength(self) -> u8 {
-        let tier = match self.tier {
-            CanonTier::Raw => 0,
-            CanonTier::FullOrbit => 2,
-            CanonTier::SettledInert => 3,
-        };
-        tier | if self.value { 0x10 } else { 0 }
+        (if self.pooled { 3 } else { 0 }) | if self.value { 0x10 } else { 0 }
     }
 }
 

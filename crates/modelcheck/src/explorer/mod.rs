@@ -32,9 +32,11 @@
 //! reachable depth is bounded by memory, not the OS stack — and
 //! **parallel** with [`ExploreOptions::threads`] workers:
 //!
-//! * the memo table is split into [`ExploreOptions::shards`] hash-sharded,
-//!   mutex-guarded `HashMap`s ([`Summary`]s behind `Arc`s), so concurrent
-//!   walkers contend on `1/shards` of the table instead of one lock;
+//! * the memo table is split into [`ExploreOptions::shards`] hash-sharded
+//!   `RwLock` shards, each a hot table over a key arena ([`Summary`]s
+//!   behind `Arc`s) plus a spill index (`crate::memo`'s head), so
+//!   concurrent walkers contend on `1/shards` of the table instead of
+//!   one lock, and a hit takes only the read lock;
 //! * each shard is optionally **two-tier** ([`crate::MemoConfig`]): a
 //!   bounded hot map of live entries plus an append-only on-disk segment
 //!   file of cold ones — full keys *and* summaries, checksummed — evicted in
@@ -105,8 +107,8 @@
 //!   results, arbiters, [`BudgetKind`];
 //! * `report` — [`ExploreError`], [`Summary`], [`ExploreReport`],
 //!   [`Witness`], and the evaluation of one terminal configuration;
-//! * `canon` — key layouts: the raw key and the canonical tiers, with
-//!   the soundness argument of each symmetry strength;
+//! * `canon` — key layouts: the raw key and the canonical one, with
+//!   the symmetry quotient's soundness argument;
 //! * `round` — one configuration's open round: the odometer over its
 //!   adversary moves, the key records, and the class, orbit and block
 //!   tables key-first successor generation answers from, private to it

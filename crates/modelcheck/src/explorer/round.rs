@@ -97,20 +97,19 @@
 //!    there is an **orbit level** between the class and the key: the
 //!    row is resolved to its *orbit vector* — per slot, the record id
 //!    where the tier encoder would leave the child's process in place,
-//!    and, in the slots it would pool (settled records; rank-inert
-//!    actives on the partial tier; every record on the full orbit), the
-//!    sorted *content ids* of the pooled records, interned across the
-//!    frame by their plain-encoding bytes — and a second frame-local
-//!    table of the same kind, keyed by that vector, holds per orbit the
-//!    frame has absorbed the summary absorbed for it.  Equal vectors
-//!    are equal in-place records at equal slots and equal multisets of
-//!    pooled records, so equal plain *and* equal value-swapped canonical
-//!    bytes: the same memo entry, read through the same orientation —
-//!    an absorbed orbit answers the row with exactly what the memo probe
-//!    it skips would return.  Only the first row of an *orbit* has its
-//!    canonical key assembled — the tier encoder run over the forms each
-//!    interned record keeps of its process, see the head of `canon.rs`
-//!    — and probed.  Whatever answers, the summary is absorbed
+//!    and, in the slots it would pool (settled records and rank-inert
+//!    actives), the sorted *content ids* of the pooled records,
+//!    interned across the frame by their plain-encoding bytes — and a
+//!    second frame-local table of the same kind, keyed by that vector,
+//!    holds per orbit the frame has absorbed the summary absorbed for
+//!    it.  Equal vectors are equal in-place records at equal slots and
+//!    equal multisets of pooled records, so equal plain *and* equal
+//!    value-swapped canonical bytes: the same memo entry, read through
+//!    the same orientation — an absorbed orbit answers the row with
+//!    exactly what the memo probe it skips would return.  Only the first
+//!    row of an *orbit* has its canonical key assembled — the tier
+//!    encoder run over the forms each interned record keeps of its
+//!    process, see the head of `canon.rs` — and probed.  Whatever answers, the summary is absorbed
 //!    into the frame and recorded for the class and the orbit in one
 //!    move, so a class or an orbit that has a summary has been absorbed.
 //!    A row that repeats such a class is an addition: no key is
@@ -297,7 +296,7 @@ use twostep_sim::{
 use super::canon::{
     encode_active_record, encode_key_record, encode_settled_record, swapped_proc, KeySource, Role,
 };
-use super::config::{CanonTier, CheckableProtocol, ExploreConfig, SymmetryPlan};
+use super::config::{CheckableProtocol, ExploreConfig, SymmetryPlan};
 use super::report::Summary;
 use crate::spill::SpillCodec;
 
@@ -485,9 +484,9 @@ struct Orbits<P: CheckableProtocol> {
     plan: SymmetryPlan,
     /// Per record id (parallel to [`RoundKeys::ranges`]).
     forms: Vec<RecordForms>,
-    /// The states behind the active records of a tier that asks for them
-    /// (`rank_inert`, `encode_relabelled` at a sorted position).  Pooled
-    /// with the round: only the first `live_states` belong to it.
+    /// The states behind the active records, which `rank_inert` is asked
+    /// of.  Pooled with the round: only the first `live_states` belong
+    /// to it.
     states: Vec<P>,
     live_states: usize,
     /// The distinct pooled forms met in the frame — whether of an active
@@ -667,17 +666,8 @@ where
         self.copy(self.forms(i).whole[usize::from(swap)], out);
     }
 
-    /// The stripped form (`at == 0`) is kept with the record; an owner
-    /// anywhere else — the full orbit's sorted positions — is encoded
-    /// from the kept state.
-    fn relabelled(&self, i: usize, swap: bool, at: usize, out: &mut Vec<u8>) {
-        if at == 0 {
-            self.copy(self.forms(i).stripped[usize::from(swap)], out);
-        } else if swap {
-            swapped_proc(self.state(i)).encode_relabelled(at, out);
-        } else {
-            self.state(i).encode_relabelled(at, out);
-        }
+    fn stripped(&self, i: usize, swap: bool, out: &mut Vec<u8>) {
+        self.copy(self.forms(i).stripped[usize::from(swap)], out);
     }
 }
 
@@ -964,7 +954,7 @@ where
             ids: Vec::new(),
             folds: Vec::new(),
             classes: ClassTable::new(),
-            orbits: (plan.tier != CanonTier::Raw).then(|| Box::new(Orbits::new(plan))),
+            orbits: plan.pooled.then(|| Box::new(Orbits::new(plan))),
             cut: 0,
             signature: Vec::new(),
             blocks: ClassTable::new(),

@@ -14,9 +14,7 @@ use twostep_sim::{
 
 use super::budget::{Arbiter, BudgetArbiter, StepProgress, StepVerdict};
 use super::canon::{flag_in_place, make_key_into, tier_key_into};
-use super::config::{
-    CanonTier, CheckableProtocol, ExploreConfig, ExploreOptions, SpecMode, Symmetry,
-};
+use super::config::{CheckableProtocol, ExploreConfig, ExploreOptions, SpecMode, Symmetry};
 use super::round::RoundKeys;
 use super::walker::{Shared, Walker};
 use crate::spill::SpillCodec;
@@ -49,11 +47,6 @@ impl SpillCodec for DecideOwn {
             v: u64::decode(input)?,
         })
     }
-    // Quiet and rank-oblivious: sends nothing, embeds no pid — the
-    // full-orbit quotient is sound.
-    fn pid_symmetric() -> bool {
-        true
-    }
 }
 
 /// A protocol that never decides — termination must be flagged.
@@ -75,9 +68,6 @@ impl SpillCodec for NeverDecide {
     fn encode(&self, _out: &mut Vec<u8>) {}
     fn decode(_input: &mut &[u8]) -> Option<Self> {
         Some(NeverDecide)
-    }
-    fn pid_symmetric() -> bool {
-        true
     }
 }
 
@@ -193,11 +183,10 @@ pub(super) fn flooder_procs(n: usize) -> (Vec<Flooder>, Vec<u64>) {
     (procs, proposals)
 }
 
-/// A genuinely pid-symmetric protocol (embeds its own pid, so the
-/// relabelling remap is exercised): everyone broadcasts its estimate
-/// to everyone else for two rounds, adopts the minimum it hears, and
-/// decides at the end of round 2.  No rank is special and peers are
-/// treated uniformly, so the full-orbit quotient is sound.
+/// A rank-oblivious broadcaster that embeds its own pid: everyone
+/// broadcasts its estimate to everyone else for two rounds, adopts the
+/// minimum it hears, and decides at the end of round 2.  No rank is
+/// special and peers are treated uniformly.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub(super) struct Gossip {
     pub(super) me: u32,
@@ -248,14 +237,6 @@ impl SpillCodec for Gossip {
             est: u64::decode(input)?,
         })
     }
-    fn pid_symmetric() -> bool {
-        true
-    }
-    fn encode_relabelled(&self, at: usize, out: &mut Vec<u8>) {
-        (at as u32 + 1).encode(out); // owner rewritten to rank at+1
-        self.n.encode(out);
-        self.est.encode(out);
-    }
 }
 
 pub(super) fn gossip_procs(n: usize, ests: &[u64]) -> Vec<Gossip> {
@@ -284,24 +265,17 @@ where
 {
     let plan = mode.plan::<P>(proposals);
     let mut out = Vec::new();
-    if plan.tier == CanonTier::Raw {
+    if !plan.pooled {
         make_key_into(stepper, &mut out);
         return out;
     }
     let mut canon = Canonicalizer::new();
     let mut in_place = Vec::new();
-    flag_in_place(stepper, plan.tier, t, &mut in_place);
-    tier_key_into(stepper, plan.tier, false, &in_place, &mut canon, &mut out);
+    flag_in_place(stepper, t, &mut in_place);
+    tier_key_into(stepper, false, &in_place, &mut canon, &mut out);
     if plan.value {
         let mut swapped = Vec::new();
-        tier_key_into(
-            stepper,
-            plan.tier,
-            true,
-            &in_place,
-            &mut canon,
-            &mut swapped,
-        );
+        tier_key_into(stepper, true, &in_place, &mut canon, &mut swapped);
         if swapped < out {
             out = swapped;
         }

@@ -522,16 +522,26 @@ proptest::proptest! {
 
 #[test]
 fn symmetry_strength_is_protocol_dependent() {
-    // Off is strength 0 for everyone; PartialValue is the rank-inert
-    // tier (3) for rank-dependent protocols and the full orbit (2) for
-    // declared pid-symmetric ones.  u64 outputs are not value-symmetric,
-    // so the value bit (0x10) stays clear here.
+    // Off is strength 0 for everyone; PartialValue pools records (3)
+    // for every protocol, with the value bit (0x10) where the protocol
+    // is value-symmetric and the proposals are closed under the swap.
+    // u64 outputs are not value-symmetric, and neither is FloodSet.
+    use twostep_model::WideValue;
     let p: Vec<u64> = vec![0, 1];
     assert_eq!(Symmetry::Off.plan::<Flooder>(&p).strength(), 0);
     assert_eq!(Symmetry::Off.plan::<DecideOwn>(&p).strength(), 0);
     assert_eq!(Symmetry::PartialValue.plan::<Flooder>(&p).strength(), 3);
-    assert_eq!(Symmetry::PartialValue.plan::<DecideOwn>(&p).strength(), 2);
-    assert_eq!(Symmetry::PartialValue.plan::<Gossip>(&p).strength(), 2);
+    assert_eq!(Symmetry::PartialValue.plan::<DecideOwn>(&p).strength(), 3);
+    assert_eq!(Symmetry::PartialValue.plan::<Gossip>(&p).strength(), 3);
+    let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
+    type Crw = twostep_core::Crw<WideValue>;
+    type FloodSet = twostep_baselines::FloodSet<WideValue>;
+    assert_eq!(Symmetry::Off.plan::<Crw>(&bits).strength(), 0);
+    assert_eq!(Symmetry::PartialValue.plan::<Crw>(&bits).strength(), 0x13);
+    assert_eq!(
+        Symmetry::PartialValue.plan::<FloodSet>(&bits).strength(),
+        0x03
+    );
 }
 
 #[test]
@@ -559,33 +569,20 @@ fn symmetry_tokens_roundtrip_and_reject_garbage() {
 }
 
 #[test]
-fn full_orbit_key_is_permutation_invariant() {
-    // Two initial configurations that are owner-relabelled index
-    // permutations of each other: canonical keys must coincide under
-    // PartialValue (the full orbit for this pid-symmetric protocol) and
-    // stay distinct under Off.
-    let system = SystemConfig::new(3, 1).unwrap();
-    let mk = |ests: &[u64]| {
-        Stepper::new(
-            system,
-            ModelKind::Extended,
-            TraceLevel::Off,
-            gossip_procs(3, ests),
-        )
-        .unwrap()
-    };
-    let a = mk(&[5, 9, 5]);
-    let b = mk(&[5, 5, 9]);
-    let proposals: Vec<u64> = vec![5, 9, 5];
-    let ka = test_key(&a, Symmetry::PartialValue, &proposals, 1);
-    let kb = test_key(&b, Symmetry::PartialValue, &proposals, 1);
-    assert_eq!(ka, kb, "permuted configurations share one canonical key");
-    let oa = test_key(&a, Symmetry::Off, &proposals, 1);
-    let ob = test_key(&b, Symmetry::Off, &proposals, 1);
-    assert_ne!(oa, ob, "Off keeps raw configurations distinct");
-    // The canonical key still decodes as an ordinary key encoding.
-    let mut input = ka.as_slice();
-    assert!(crate::memo::decode_key_prefix::<Gossip>(&mut input).is_some());
+fn pooled_key_decodes_as_a_key() {
+    // CRW (5,2)'s root pools its two highest ranks as rank-inert actives
+    // (tag 3): the canonical key differs from the raw one and still
+    // decodes as an ordinary key encoding, to its last byte.
+    use twostep_model::WideValue;
+    let system = SystemConfig::new(5, 2).unwrap();
+    let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &bits);
+    let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
+    let key = test_key(&root, Symmetry::PartialValue, &bits, 2);
+    assert_ne!(key, test_key(&root, Symmetry::Off, &bits, 2));
+    let mut input = key.as_slice();
+    let decoded = crate::memo::decode_key_prefix::<twostep_core::Crw<WideValue>>(&mut input);
+    assert!(decoded.is_some());
     assert!(input.is_empty());
 }
 
@@ -670,35 +667,37 @@ proptest::proptest! {
 /// Census semantics under symmetry: same rounds, counts never grow,
 /// and a round has bivalent orbits iff it had bivalent
 /// configurations.
-fn assert_census_shrinks(off: &ExploreReport<u64>, full: &ExploreReport<u64>, label: &str) {
+fn assert_census_shrinks(off: &ExploreReport<u64>, quotient: &ExploreReport<u64>, label: &str) {
     assert_eq!(
         off.bivalency_by_round.len(),
-        full.bivalency_by_round.len(),
+        quotient.bivalency_by_round.len(),
         "{label}: census rounds"
     );
-    for ((r_off, c_off, b_off), (r_full, c_full, b_full)) in
-        off.bivalency_by_round.iter().zip(&full.bivalency_by_round)
+    for ((r_off, c_off, b_off), (r_q, c_q, b_q)) in off
+        .bivalency_by_round
+        .iter()
+        .zip(&quotient.bivalency_by_round)
     {
-        assert_eq!(r_off, r_full, "{label}: census round order");
+        assert_eq!(r_off, r_q, "{label}: census round order");
         assert!(
-            c_full <= c_off,
-            "{label}: round {r_off} orbit count {c_full} > raw count {c_off}"
+            c_q <= c_off,
+            "{label}: round {r_off} orbit count {c_q} > raw count {c_off}"
         );
-        assert!(b_full <= b_off, "{label}: round {r_off} bivalent counts");
+        assert!(b_q <= b_off, "{label}: round {r_off} bivalent counts");
         assert_eq!(
             *b_off > 0,
-            *b_full > 0,
+            *b_q > 0,
             "{label}: round {r_off} bivalency presence"
         );
     }
 }
 
-/// The full-orbit quotient for a pid-symmetric protocol: verdicts
-/// and per-`f` worst rounds are identical, valency agrees as a set,
-/// the witness remains a real violating execution, and the state
-/// count strictly drops (permuted actives merge).
+/// The pooled quotient on a protocol that declares no rank-inert
+/// actives: verdicts and per-`f` worst rounds are identical, valency
+/// agrees as a set, and the state count strictly drops (permuted
+/// settled records merge).
 #[test]
-fn full_orbit_quotient_matches_off_for_pid_symmetric_protocols() {
+fn settled_pooling_matches_off_and_merges_states() {
     let system = SystemConfig::new(3, 2).unwrap();
     let procs = gossip_procs(3, &[5, 5, 9]);
     let proposals = vec![5u64, 5, 9];
@@ -709,7 +708,7 @@ fn full_orbit_quotient_matches_off_for_pid_symmetric_protocols() {
         proposals.clone(),
     )
     .unwrap();
-    let full = explore(
+    let quotient = explore(
         system,
         ExploreConfig {
             symmetry: Symmetry::PartialValue,
@@ -719,31 +718,31 @@ fn full_orbit_quotient_matches_off_for_pid_symmetric_protocols() {
         proposals,
     )
     .unwrap();
-    assert_eq!(off.root.terminals, full.root.terminals);
-    assert_eq!(off.root.worst_round_by_f, full.root.worst_round_by_f);
-    assert_eq!(off.root.violating, full.root.violating);
+    assert_eq!(off.root.terminals, quotient.root.terminals);
+    assert_eq!(off.root.worst_round_by_f, quotient.root.worst_round_by_f);
+    assert_eq!(off.root.violating, quotient.root.violating);
     let sorted = |mut v: Vec<u64>| {
         v.sort_unstable();
         v
     };
     assert_eq!(
         sorted(off.root.decided.clone()),
-        sorted(full.root.decided.clone()),
+        sorted(quotient.root.decided.clone()),
         "valency agrees as a set (order may follow the orbit representative)"
     );
     assert!(
-        full.distinct_states < off.distinct_states,
-        "permuted actives must merge: {} !< {}",
-        full.distinct_states,
+        quotient.distinct_states < off.distinct_states,
+        "permuted settled records must merge: {} !< {}",
+        quotient.distinct_states,
         off.distinct_states
     );
-    assert_census_shrinks(&off, &full, "gossip");
+    assert_census_shrinks(&off, &quotient, "gossip");
 }
 
-/// A violating pid-symmetric space must still reconstruct a valid
-/// witness under the quotient: the schedule is a real execution's
-/// (re-driven from the true initial configuration, not decoded from
-/// a canonical representative) and its violations are non-empty.
+/// A violating space must still reconstruct a valid witness under the
+/// quotient: the schedule is a real execution's (re-driven from the
+/// true initial configuration, not decoded from a canonical
+/// representative) and its violations are non-empty.
 #[test]
 fn symmetric_witness_is_a_real_execution() {
     let system = SystemConfig::new(3, 2).unwrap();
@@ -756,7 +755,7 @@ fn symmetric_witness_is_a_real_execution() {
         proposals.clone(),
     )
     .unwrap();
-    let full = explore(
+    let quotient = explore(
         system,
         ExploreConfig {
             symmetry: Symmetry::PartialValue,
@@ -766,14 +765,14 @@ fn symmetric_witness_is_a_real_execution() {
         proposals,
     )
     .unwrap();
-    assert!(off.root.violating && full.root.violating);
+    assert!(off.root.violating && quotient.root.violating);
     assert!(
-        full.distinct_states < off.distinct_states,
+        quotient.distinct_states < off.distinct_states,
         "settled permutations of (decided, crashed) must merge: {} !< {}",
-        full.distinct_states,
+        quotient.distinct_states,
         off.distinct_states
     );
-    let witness = full.witness.expect("witness under symmetry");
+    let witness = quotient.witness.expect("witness under symmetry");
     assert!(
         witness
             .violations

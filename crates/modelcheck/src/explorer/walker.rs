@@ -86,7 +86,7 @@ use twostep_sim::{ProcStatus, RoundActions, SimError, Stepper, SyncProtocol, Wor
 
 use super::budget::{Arbiter, StepProgress, StepResult, StepStatus, StepVerdict};
 use super::canon::{flag_in_place, make_key_into, tier_key_into, KeySource};
-use super::config::{CanonTier, CheckableProtocol, ExploreConfig, ExploreOptions, SymmetryPlan};
+use super::config::{CheckableProtocol, ExploreConfig, ExploreOptions, SymmetryPlan};
 use super::report::{ExploreError, Summary, Terminals};
 #[cfg(test)]
 use super::round::BlockCounts;
@@ -721,7 +721,7 @@ where
             return Ok(Probed::Repeat(class));
         }
         let mut child = ChildClass { class, orbit: None };
-        let (hash, swap) = if self.shared.plan.tier != CanonTier::Raw {
+        let (hash, swap) = if self.shared.plan.pooled {
             self.flag_in_place(&frame.round.cursor_row());
             let (orbit, absorbed) = frame.round.orbit_class(&self.in_place_buf);
             child.orbit = Some(orbit);
@@ -851,7 +851,7 @@ where
     /// straight to [`make_key_into`]; canonicalizing plans run the tier
     /// encoder on the stepper.
     pub(crate) fn canonical_key(&mut self, stepper: &Stepper<P>) -> (u64, bool) {
-        if self.shared.plan.tier == CanonTier::Raw {
+        if !self.shared.plan.pooled {
             make_key_into(stepper, &mut self.key_scratch);
             return (stable_hash64(&self.key_scratch), false);
         }
@@ -865,7 +865,7 @@ where
     /// the row's records.  The raw key under a raw plan; under a
     /// canonicalizing one the tier encoder runs on the row.
     pub(crate) fn cursor_key(&mut self, round: &mut RoundKeys<P>) -> (u64, bool) {
-        if self.shared.plan.tier == CanonTier::Raw {
+        if !self.shared.plan.pooled {
             round.class_key_into(&mut self.key_scratch);
             return (stable_hash64(&self.key_scratch), false);
         }
@@ -875,10 +875,9 @@ where
     }
 
     /// Leaves in `in_place_buf` which of `source`'s processes keep their
-    /// slot under the run's tier.
+    /// slot in its canonical key.
     fn flag_in_place<S: KeySource<P>>(&mut self, source: &S) {
-        let (plan, t) = (self.shared.plan, self.shared.system.t());
-        flag_in_place(source, plan.tier, t, &mut self.in_place_buf);
+        flag_in_place(source, self.shared.system.t(), &mut self.in_place_buf);
     }
 
     /// Runs the tier encoder on `source`, whose flags are in
@@ -888,17 +887,10 @@ where
     fn tier_key<S: KeySource<P>>(&mut self, source: &S) -> (u64, bool) {
         let plan = self.shared.plan;
         let (in_place, canon) = (&self.in_place_buf, &mut self.canon);
-        tier_key_into(
-            source,
-            plan.tier,
-            false,
-            in_place,
-            canon,
-            &mut self.key_scratch,
-        );
+        tier_key_into(source, false, in_place, canon, &mut self.key_scratch);
         let mut swap = false;
         if plan.value {
-            tier_key_into(source, plan.tier, true, in_place, canon, &mut self.swap_buf);
+            tier_key_into(source, true, in_place, canon, &mut self.swap_buf);
             if self.swap_buf < self.key_scratch {
                 std::mem::swap(&mut self.swap_buf, &mut self.key_scratch);
                 swap = true;
@@ -959,11 +951,11 @@ where
 
     /// Takes a real-space summary to the form the memo holds, in place:
     /// mapped into canonical value space when the swapped encoding won
-    /// the key, and — on the pooled tier only — its `decided` list
+    /// the key, and — under a pooled plan only — its `decided` list
     /// sorted by encoded bytes, because merged orbit members enumerate
     /// children in different orders and would otherwise disagree on
     /// discovery order (the normal-form argument at the head of
-    /// `canon.rs`; raw and full-orbit summaries keep discovery order).
+    /// `canon.rs`; raw summaries keep discovery order).
     /// The values are compared through two walker-owned buffers (`bufs`):
     /// a valency list is a handful of values, sorted in place (a stable
     /// sort, like the keyed one it replaces) without allocating.
@@ -976,7 +968,7 @@ where
         if value_swapped {
             Self::swap_decided(&mut summary.decided);
         }
-        if plan.tier == CanonTier::SettledInert {
+        if plan.pooled {
             let (left, right) = bufs;
             summary.decided.sort_by(|a, b| {
                 left.clear();

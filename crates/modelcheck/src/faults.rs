@@ -112,7 +112,9 @@ pub enum WorkerFault {
     /// Complete the walk, then cut the export segment short mid-record.
     TruncateExport,
     /// Sleep this many milliseconds at the start of every phase (models
-    /// a slow disk / overloaded node; never fatal).
+    /// a slow disk / overloaded node; never fatal by itself).  Like a
+    /// hang, the sleep polls the [`CancelToken`] and gives up when it
+    /// trips, and it never outlasts the hang's hard cap.
     SlowIo(u64),
     /// Report wildly inflated frontier sizes in `dist-progress:` pulses
     /// (elastic workers only; never fatal — the steal scheduler may
@@ -279,16 +281,19 @@ fn parse_worker_key(key: &str) -> Result<(u64, usize), String> {
     ))
 }
 
-/// Hard cap on an injected hang whose cancel token never trips, so a
-/// mis-configured test wedges for a bounded time instead of forever.
+/// Hard cap on an injected hang or slow-io sleep whose cancel token
+/// never trips, so a mis-configured test wedges for a bounded time
+/// instead of forever.
 const HANG_CAP: Duration = Duration::from_secs(60);
 
-/// How often a hanging worker polls its cancel token.
+/// How often a hanging or sleeping worker polls its cancel token.
 const HANG_POLL: Duration = Duration::from_millis(2);
 
 /// Applies `fault` at the start of `phase`: crashes return an
 /// [`ExploreError::Injected`], hangs spin until `cancel` trips (or the
-/// hard cap expires), slow-io sleeps.  Everything else is a no-op here.
+/// hard cap expires), slow-io sleeps its time (at most the hard cap)
+/// unless `cancel` trips first, which is an `Injected` error too.
+/// Everything else is a no-op here.
 pub fn at_phase(
     fault: Option<WorkerFault>,
     phase: WorkerPhase,
@@ -316,8 +321,19 @@ pub fn at_phase(
             })
         }
         Some(WorkerFault::SlowIo(ms)) => {
-            std::thread::sleep(Duration::from_millis(ms));
-            Ok(())
+            let until = Instant::now() + Duration::from_millis(ms).min(HANG_CAP);
+            loop {
+                let left = until.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Ok(());
+                }
+                if cancel.is_cancelled() {
+                    return Err(ExploreError::Injected {
+                        detail: format!("injected slow-io at phase {} was cancelled", phase.name()),
+                    });
+                }
+                std::thread::sleep(left.min(HANG_POLL));
+            }
         }
         _ => Ok(()),
     }
@@ -660,6 +676,29 @@ mod tests {
             assert!(err.to_string().contains("cancelled"), "{err}");
         });
         assert!(started.elapsed() < HANG_CAP, "must exit via cancellation");
+    }
+
+    #[test]
+    fn slow_io_gives_up_when_cancelled() {
+        // On its own thread, so a sleep that ignores the token fails the
+        // test instead of wedging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let cancel = CancelToken::new();
+            cancel.cancel();
+            let fault = Some(WorkerFault::SlowIo(u64::MAX));
+            let _ = tx.send(at_phase(fault, WorkerPhase::Walk, &cancel));
+        });
+        let outcome = rx.recv_timeout(Duration::from_secs(1));
+        let err = outcome
+            .expect("slow-io must notice the cancelled token")
+            .unwrap_err();
+        assert!(err.to_string().contains("cancelled"), "{err}");
+
+        let cancel = CancelToken::new();
+        let started = Instant::now();
+        assert!(at_phase(Some(WorkerFault::SlowIo(5)), WorkerPhase::Seed, &cancel).is_ok());
+        assert!(started.elapsed() >= Duration::from_millis(5));
     }
 
     #[test]

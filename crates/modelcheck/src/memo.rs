@@ -219,7 +219,7 @@ where
             2 => {
                 let _decision = Option::<(P::Output, u32)>::decode(input)?;
             }
-            // Rank-inert active (partial symmetry tier): the protocol
+            // Rank-inert active (pooled symmetry plan): the protocol
             // state, owner-stripped via `encode_relabelled(0, ..)` —
             // which is still a valid protocol encoding to walk past.
             3 => {

@@ -252,3 +252,64 @@ fn zero_crashes_per_round_cap_means_failure_free_space() {
     assert_eq!(report.root.worst_round_by_f[0], Some(1));
     assert!(!report.root.is_bivalent(), "p1 always wins: univalent");
 }
+
+/// `B(n, t, r)` for `r = 1, 2, …`: the bivalent configurations a walk of
+/// CRW over [`binary_proposals`] meets at round `r`.
+fn bivalent_by_round(n: usize, t: usize) -> Vec<usize> {
+    let census = explore_crw(n, t, &binary_proposals(n)).bivalency_by_round;
+    for (at, (round, _, _)) in census.iter().enumerate() {
+        assert_eq!(*round as usize, at + 1, "({n},{t}): census rounds");
+    }
+    census.iter().map(|(_, _, bivalent)| *bivalent).collect()
+}
+
+/// The lower bound's induction as an identity between sizes: one more
+/// process and one more crash buy exactly one more round of bivalence,
+/// `B(n, t, r) = B(n − 1, t − 1, r − 1)` for every `r ≥ 4`.  Only rounds
+/// 2 and 3 are new at each rung (at `r = 3` the identity fails: (8,7)
+/// has 602 bivalent configurations there, (7,6) has 145 at round 2).
+/// `chain` lists rungs one process and one crash apart, smallest first,
+/// so each rung is walked once.  The walker is compared with itself at
+/// two sizes, which catches a bug that depends on size.
+fn assert_bivalence_shifts(chain: &[(usize, usize)]) {
+    let mut smaller: Option<((usize, usize), Vec<usize>)> = None;
+    for &(n, t) in chain {
+        let census = bivalent_by_round(n, t);
+        if let Some(((m, s), below)) = &smaller {
+            assert_eq!(
+                (*m + 1, *s + 1),
+                (n, t),
+                "a chain steps by one process and one crash"
+            );
+            assert_eq!(
+                census.len(),
+                below.len() + 1,
+                "({n},{t}) has one more round than ({m},{s})"
+            );
+            assert_eq!(
+                census[3..],
+                below[2..],
+                "B({n},{t},r) = B({m},{s},r-1) for r >= 4: {census:?} against {below:?}"
+            );
+        }
+        smaller = Some(((n, t), census));
+    }
+}
+
+#[test]
+fn bivalence_at_one_more_crash_is_one_round_later() {
+    assert_eq!(bivalent_by_round(6, 5), [1, 69, 50, 12, 2, 0, 0]);
+    assert_bivalence_shifts(&[(3, 2), (4, 3), (5, 4), (6, 5)]);
+    assert_bivalence_shifts(&[(5, 3), (6, 4)]);
+    assert_bivalence_shifts(&[(6, 3), (7, 4)]);
+}
+
+/// The same identity up to (10,9), where a debug walk is too slow for
+/// tier-1; `ci.sh` runs it with `--release`.
+#[test]
+#[ignore = "release only: walks up to CRW (10,9); ci.sh runs it"]
+fn bivalence_at_one_more_crash_is_one_round_later_up_to_10_9() {
+    assert_bivalence_shifts(&[(6, 5), (7, 6), (8, 7), (9, 8), (10, 9)]);
+    assert_bivalence_shifts(&[(6, 4), (7, 5), (8, 6)]);
+    assert_bivalence_shifts(&[(7, 4), (8, 5), (9, 6)]);
+}

@@ -9,15 +9,13 @@
 //! work metric the reduction exists to shrink) only ever drops.
 //!
 //! Both bench protocols are rank-dependent (CRW's rotating coordinator,
-//! FloodSet's identified senders), so they take the pooled tier:
-//! settled records, and for CRW below `t = n − 1` the rank-inert
-//! actives, are sorted into their slots, and for CRW's binary
-//! proposals the value involution is quotiented on top.  Merged orbit
+//! FloodSet's identified senders), and the quotient pools what carries
+//! no rank: settled records, and for CRW below `t = n − 1` the
+//! rank-inert actives, are sorted into their slots, and for CRW's
+//! binary proposals the value involution is quotiented on top.  Merged orbit
 //! members enumerate their children in different orders, so the
 //! `decided` *set* is pinned rather than its discovery order
-//! ([`assert_quotient`]).  (The full-orbit tier for `pid_symmetric`
-//! protocols is covered by the explorer's unit suite, which owns a
-//! genuinely symmetric protocol.)
+//! ([`assert_quotient`]).
 //!
 //! Census semantics under the quotient: identical round list, per-round
 //! counts become orbit counts (`≤` the raw counts), and a round has a

@@ -398,7 +398,7 @@ pub mod prop {
             }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: SizeRange,

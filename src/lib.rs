@@ -48,7 +48,8 @@
 //! See `examples/` for crash storms, the threaded runtime, the MR99
 //! bridge, the exhaustive lower bound, and the §2.2 cost model; run
 //! `cargo run -p twostep-bench --bin repro -- all` to regenerate every
-//! table in `EXPERIMENTS.md`.
+//! table of the paper's claims (`repro`'s usage text,
+//! `crates/bench/src/bin/repro.rs`, lists them).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
