@@ -154,6 +154,23 @@ grep '^twostep-dist: supervision degraded=1 ' <<<"$exhaust_out" >/dev/null \
     || { echo "FAIL: retry exhaustion must report exactly one degraded partition" >&2; exit 1; }
 echo "fault storm OK: retry exhaustion degraded to a local walk (degraded=1), report identical"
 
+echo "== fault storm (quick): retry exhaustion with --no-degrade fails loudly and tears down"
+# The same storm with degradation off must fail the run with partition
+# 0's error, and the coordinator must still tear down while partition
+# 1's export may be on its way to the merge: a hang is timeout's 124.
+nodegrade_code=0
+nodegrade_err="$(timeout 120 cargo run --release -q -p twostep-bench --bin twostep-dist -- \
+    --quick --partitions 2 --no-degrade --backoff-ms 1 \
+    --fault 'p0a0=crash@walk;p0a1=crash@export;p0a2=crash@seed' 2>&1 >/dev/null)" \
+    || nodegrade_code=$?
+if [[ "$nodegrade_code" == 0 || "$nodegrade_code" == 124 ]]; then
+    echo "FAIL: --no-degrade exhaustion exited $nodegrade_code, want a failure that is not a timeout" >&2
+    exit 1
+fi
+grep '^twostep-dist: partition 0 worker failed every attempt' <<<"$nodegrade_err" \
+    || { echo "FAIL: --no-degrade exhaustion must name partition 0's failure" >&2; exit 1; }
+echo "fault storm OK: --no-degrade exhaustion failed loudly (exit $nodegrade_code) and tore down"
+
 # Every segment a run commits is stored as written: format version 5
 # (header bytes 8-11, little-endian) and a flags byte (header byte 20)
 # of 0 — no frontier flag on a memo segment, and no bit from an older

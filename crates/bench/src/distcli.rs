@@ -377,11 +377,7 @@ pub fn run_crw_elastic_worker(args: &CrwElasticArgs) -> i32 {
         // Block-buffered when piped; flush per pulse or the coordinator's
         // load estimates lag an entire buffer behind reality.
         let mut out = std::io::stdout().lock();
-        let _ = writeln!(
-            out,
-            "dist-progress: worker={} steps={} frontier={} fresh={}",
-            p.worker, p.steps, p.frontier, p.fresh
-        );
+        let _ = writeln!(out, "{}", pulse_line(&p));
         let _ = out.flush();
     };
     match run_worker_elastic(
@@ -424,6 +420,15 @@ enum PulseLine {
     Garbled,
     /// Anything else a worker prints (status lines, the outcome line).
     NotAPulse,
+}
+
+/// The `dist-progress:` line a worker prints for one pulse;
+/// [`classify_pulse_line`] reads it back.
+fn pulse_line(p: &WorkerPulse) -> String {
+    format!(
+        "dist-progress: worker={} steps={} frontier={} fresh={}",
+        p.worker, p.steps, p.frontier, p.fresh
+    )
 }
 
 /// The value of `line`'s first `key=value` token, if it parses.
@@ -727,6 +732,7 @@ pub fn run_dist_crw(request: &DistRequest) -> Result<DistRun, ExploreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn worker_args_roundtrip() {
@@ -942,5 +948,64 @@ mod tests {
             classify_pulse_line("dist-progress: v=3 worker=9 progress=0.5"),
             PulseLine::Garbled
         );
+    }
+
+    /// A piece of text near the pulse grammar: its prefix, field keys,
+    /// separators and numbers — one past `u64::MAX` among them — or an
+    /// arbitrary char.
+    fn pulse_piece() -> impl Strategy<Value = String> {
+        const PIECES: &str = "dist-progress:| |\t|=|worker=|steps=|frontier=|fresh=|v=|-|+|\
+            0|18446744073709551616";
+        let pieces: Vec<&str> = PIECES.split('|').collect();
+        prop_oneof![
+            (0..pieces.len()).prop_map(move |i| pieces[i].to_string()),
+            any::<u64>().prop_map(|n| n.to_string()),
+            (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('?').to_string()),
+        ]
+    }
+
+    fn arb_pulse() -> impl Strategy<Value = WorkerPulse> {
+        (any::<u64>(), any::<u64>(), any::<usize>(), any::<usize>()).prop_map(
+            |(worker, steps, frontier, fresh)| WorkerPulse {
+                worker,
+                steps,
+                frontier,
+                fresh,
+            },
+        )
+    }
+
+    /// Pieces strung together, or a real pulse line with one spliced in.
+    fn pulse_text() -> impl Strategy<Value = String> {
+        let spliced = (arb_pulse(), pulse_piece(), any::<usize>()).prop_map(|(p, piece, at)| {
+            let mut line = pulse_line(&p);
+            line.insert_str(at % (line.len() + 1), &piece);
+            line
+        });
+        prop_oneof![
+            prop::collection::vec(pulse_piece(), 0..=12).prop_map(|pieces| pieces.concat()),
+            spliced,
+        ]
+    }
+
+    proptest! {
+        /// Any line is a pulse, garbled or no pulse at all — never a
+        /// panic; only the prefix makes it a claim, and a pulse it yields
+        /// prints to a line that reads back to it.
+        #[test]
+        fn any_line_classifies(line in pulse_text()) {
+            match classify_pulse_line(&line) {
+                PulseLine::NotAPulse => prop_assert!(!line.starts_with("dist-progress:")),
+                PulseLine::Garbled => prop_assert!(line.starts_with("dist-progress:")),
+                PulseLine::Pulse(p) => {
+                    prop_assert_eq!(classify_pulse_line(&pulse_line(&p)), PulseLine::Pulse(p));
+                }
+            }
+        }
+
+        #[test]
+        fn printed_pulses_read_back(p in arb_pulse()) {
+            prop_assert_eq!(classify_pulse_line(&pulse_line(&p)), PulseLine::Pulse(p));
+        }
     }
 }

@@ -24,8 +24,9 @@
 //! inside the one supervision primitive ([`twostep_sim::supervise`]:
 //! attempts, backoff, attempt timeout, panic containment).  What an
 //! attempt is, is written once: refresh the seed list, clear a stale
-//! steal flag, launch, then validate and merge the export on that same
-//! thread, and read back the frontier of a worker that was preempted.
+//! steal flag, launch, hand the export to the loop — which validates and
+//! merges it on its own thread, the one thread that writes the memo —
+//! and read back the frontier of a worker that was preempted.
 //! An entry point contributes a **plan** — the slices, the seed segments
 //! every launch imports first, and a steal policy or none:
 //!
@@ -115,9 +116,11 @@
 //!   (record count patched into the header) only at the end, so a
 //!   killed worker leaves an unfinished file; the coordinator trusts
 //!   nothing a process boundary crossed and scans the header, every
-//!   record's CRC32 and the sealed count as it merges
-//!   ([`crate::spill::SpillError`] classifies the failure modes).  An
-//!   attempt whose launch or whose export fails is a failed attempt;
+//!   record's CRC32 and the sealed count as it merges — one export at a
+//!   time, on the loop's own thread, while the launch's thread waits for
+//!   the answer ([`crate::spill::SpillError`] classifies the failure
+//!   modes).  An attempt whose launch or whose export fails is a failed
+//!   attempt, and so is one whose merge panics;
 //! * **retry** — a failed attempt is relaunched (the rerun overwrites
 //!   the remains) up to [`DistOptions::attempts`] times, after a
 //!   deterministic backoff (doubling from [`SuperviseConfig::backoff`],
@@ -152,13 +155,15 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use twostep_model::SystemConfig;
 use twostep_sim::{
-    supervise, CancelToken, RetryPolicy, RoundActions, Stepper, SupervisedAttempt, TraceLevel,
+    panic_message, supervise, CancelToken, RetryPolicy, RoundActions, Stepper, SupervisedAttempt,
+    TaskError, TraceLevel,
 };
 
 use crate::cache::CacheConfig;
@@ -802,10 +807,10 @@ pub struct DistTimings {
     /// first launch to last validated import (crashed-worker retries and
     /// degraded local walks included).
     pub workers_wall_seconds: f64,
-    /// Segment merge: summed durations of the coordinator-side imports
-    /// of worker export segments (they overlap in wall time — workers
-    /// finish at different moments — so this is CPU attribution, not a
-    /// wall-clock slice).
+    /// Segment merge: the coordinator loop's serial time validating and
+    /// importing worker export segments.  The loop merges one export at a
+    /// time on its own thread, so this is a slice of
+    /// [`workers_wall_seconds`](Self::workers_wall_seconds).
     pub merge_seconds: f64,
     /// The canonical root replay over the merged memo.
     pub replay_seconds: f64,
@@ -1082,12 +1087,26 @@ struct Live {
     cancel: CancelToken,
 }
 
+/// What a launch's thread sends the loop.
+enum Event {
+    /// An attempt's worker exited cleanly: validate and merge its export
+    /// at this path, and answer on the reply channel.
+    Merge(PathBuf, mpsc::SyncSender<Result<(), String>>),
+    /// A slice's supervision is over, with what [`supervise`] returned:
+    /// the frontier a preempted worker handed back, if it was preempted.
+    Done(u64, Result<Option<Vec<FrontierRecord>>, TaskError<String>>),
+}
+
 /// The one coordinator loop: fills idle worker slots from the plan's
 /// slice queue, preempts loaded workers while a slot idles, watches
 /// pulses, and receives finished slices — until nothing is queued or in
 /// flight.  Every launch runs on a thread of its own inside
 /// [`twostep_sim::supervise`] (retries, backoff, attempt timeout, panic
-/// containment) and merges its own export there: merges overlap.
+/// containment), which waits for its worker and sends the export back
+/// ([`Event::Merge`]).  The loop validates and merges it on its own
+/// thread — the one that expands the frontier, walks degraded slices and
+/// replays — so merges run one at a time, and every allocation the memo
+/// makes comes from that thread.
 fn coordinate<P, L>(
     run: &Run<'_, P>,
     options: &DistOptions,
@@ -1108,7 +1127,6 @@ where
     let mut queue = plan.slices;
     let mut stats = ElasticStats::default();
     let seeds = Mutex::new(plan.seeds);
-    let merge_seconds = Mutex::new(0f64);
     let board: Mutex<HashMap<u64, Live>> = Mutex::new(HashMap::new());
     let memo = &run.shared.memo;
     let validator = entry_validator::<P>(run.shared.system.t());
@@ -1121,7 +1139,7 @@ where
     };
     // What an attempt is, under either plan.  Its value is the frontier a
     // preempted worker handed back, if it was preempted.
-    let attempt = |worker: u64, ctx: &SupervisedAttempt| {
+    let attempt = |worker: u64, ctx: &SupervisedAttempt, events: &mpsc::Sender<Event>| {
         let task = ElasticTask {
             worker,
             // Deltas merged since the slice was cut shrink the run.
@@ -1147,18 +1165,17 @@ where
         // Between attempts a slice is neither a victim nor watched.
         board.lock().expect("board poisoned").remove(&worker);
         let exit = exit?;
-        // Merging and validating are one pass over the file (module
-        // docs, *validation*).  A partial import of a file that fails
-        // mid-scan is harmless: every record that passed its CRC is a
-        // correct (key, summary) pair, so it simply pre-seeds the memo
-        // the retried worker would re-export anyway.  Deltas import as
-        // *fresh*: relative to the persistent cache they are exactly what
-        // this run added.
-        let merge_start = Instant::now();
-        let merged = memo.import_from(&task.export_path, validator);
-        *merge_seconds.lock().expect("merge timing poisoned") +=
-            merge_start.elapsed().as_secs_f64();
-        merged.map_err(|e| e.to_string())?;
+        // The loop validates and merges the export (module docs,
+        // *validation*) and answers; its `Err` is this attempt's failure.
+        // A loop that has failed the run and gone drops the request
+        // unanswered: nothing waits for this export any more, so the
+        // attempt ends instead of being retried.
+        let (reply, answer) = mpsc::sync_channel(1);
+        let _ = events.send(Event::Merge(task.export_path.clone(), reply));
+        let Ok(merged) = answer.recv() else {
+            return Ok(None);
+        };
+        merged?;
         match exit {
             ElasticExit::Finished => Ok(None),
             ElasticExit::Preempted => read_frontier_segment(&task.preempt_path)
@@ -1167,8 +1184,11 @@ where
         }
     };
 
-    let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| -> Result<(), ExploreError> {
+        // Made inside the scope, the channel drops before the scope joins
+        // its threads: an attempt blocked on a merge reply the loop will
+        // never send sees its request dropped instead of deadlocking.
+        let (tx, rx) = mpsc::channel();
         // What each busy slot's slice covers, kept for the degrade rule.
         let mut active: HashMap<u64, Vec<FrontierRecord>> = HashMap::new();
         let mut orphans: Vec<Vec<FrontierRecord>> = Vec::new();
@@ -1199,8 +1219,8 @@ where
                 stats.workers_launched += 1;
                 let (tx, attempt) = (tx.clone(), &attempt);
                 scope.spawn(move || {
-                    let result = supervise(&policy, |ctx| attempt(worker, ctx));
-                    let _ = tx.send((worker, result));
+                    let result = supervise(&policy, |ctx| attempt(worker, ctx, &tx));
+                    let _ = tx.send(Event::Done(worker, result));
                 });
                 active.insert(worker, records);
             }
@@ -1242,8 +1262,34 @@ where
                 }
             }
             // The loop holds a sender, so the only error is the timeout.
-            let Ok((worker, result)) = rx.recv_timeout(poll) else {
-                continue;
+            let (worker, result) = match rx.recv_timeout(poll) {
+                Ok(Event::Done(worker, result)) => (worker, result),
+                Ok(Event::Merge(export, reply)) => {
+                    // Merging and validating are one pass over the file
+                    // (module docs, *validation*), here: the memo's
+                    // allocations all come from the one thread that owns
+                    // it.  A partial import of a file that fails mid-scan
+                    // is harmless: every record that passed its CRC is a
+                    // correct (key, summary) pair, so it simply pre-seeds
+                    // the memo the retried worker would re-export anyway.
+                    // Deltas import as *fresh*: relative to the persistent
+                    // cache they are exactly what this run added.  A panic
+                    // is the attempt's failure, never the coordinator's
+                    // death.
+                    let merge_start = Instant::now();
+                    let merged =
+                        catch_unwind(AssertUnwindSafe(|| memo.import_from(&export, validator)));
+                    timings.merge_seconds += merge_start.elapsed().as_secs_f64();
+                    let _ = reply.send(match merged {
+                        Ok(merged) => merged.map(drop).map_err(|e| e.to_string()),
+                        Err(payload) => Err(format!(
+                            "merging the export panicked: {}",
+                            panic_message(payload)
+                        )),
+                    });
+                    continue;
+                }
+                Err(_) => continue,
             };
             let records = active.remove(&worker).expect("unknown worker reported");
             match result {
@@ -1280,7 +1326,6 @@ where
             }
         }
     })?;
-    timings.merge_seconds = merge_seconds.into_inner().expect("merge timing poisoned");
     timings.degraded_partitions = stats.degraded;
     Ok(stats)
 }

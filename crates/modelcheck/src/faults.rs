@@ -563,6 +563,7 @@ pub(crate) fn shim_fs_write(path: &Path, contents: &[u8]) -> std::io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fault_tokens_round_trip() {
@@ -716,5 +717,88 @@ mod tests {
         assert_eq!(tap_write(), None, "third write passes again");
         drop(guard);
         assert_eq!(tap_write(), None, "disarmed after the guard drops");
+    }
+
+    /// A piece of text near the plan grammar: one of its tokens,
+    /// separators or numbers — a count past `u64::MAX` among them — or
+    /// an arbitrary char.
+    fn plan_piece() -> impl Strategy<Value = String> {
+        const PIECES: &str = "p|a|=|;| |io|crash@|hang@|seed|frontier|walk|export|\
+            corrupt-export|truncate-export|lying-progress|slow-io(|fail-write(|torn-write(|\
+            enospc(|(|)|none|0|18446744073709551616";
+        let pieces: Vec<&str> = PIECES.split('|').collect();
+        prop_oneof![
+            (0..pieces.len()).prop_map(move |i| pieces[i].to_string()),
+            any::<u64>().prop_map(|n| n.to_string()),
+            (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('?').to_string()),
+        ]
+    }
+
+    /// Pieces strung together, or a rendered plan with one spliced in.
+    fn plan_text() -> impl Strategy<Value = String> {
+        let spliced = (arb_plan(), plan_piece(), any::<usize>()).prop_map(|(plan, piece, at)| {
+            let mut text = plan.render();
+            text.insert_str(at % (text.len() + 1), &piece);
+            text
+        });
+        prop_oneof![
+            prop::collection::vec(plan_piece(), 0..=16).prop_map(|pieces| pieces.concat()),
+            spliced,
+        ]
+    }
+
+    fn arb_phase() -> impl Strategy<Value = WorkerPhase> {
+        (0..WorkerPhase::ALL.len()).prop_map(|i| WorkerPhase::ALL[i])
+    }
+
+    fn arb_fault() -> impl Strategy<Value = WorkerFault> {
+        prop_oneof![
+            arb_phase().prop_map(WorkerFault::CrashAt),
+            arb_phase().prop_map(WorkerFault::HangAt),
+            Just(WorkerFault::CorruptExport),
+            Just(WorkerFault::TruncateExport),
+            any::<u64>().prop_map(WorkerFault::SlowIo),
+            Just(WorkerFault::LyingProgress),
+        ]
+    }
+
+    fn arb_plan() -> impl Strategy<Value = FaultPlan> {
+        let ordinal = 1..=u64::MAX;
+        let io = prop_oneof![
+            Just(None),
+            ordinal.clone().prop_map(|n| Some(IoFault::FailWrite(n))),
+            ordinal.clone().prop_map(|n| Some(IoFault::TornWrite(n))),
+            ordinal.prop_map(|n| Some(IoFault::Enospc(n))),
+        ];
+        let entry = ((any::<u64>(), any::<usize>()), arb_fault());
+        (prop::collection::vec(entry, 0..=6), io).prop_map(|(workers, io)| FaultPlan {
+            workers: workers.into_iter().collect(),
+            io,
+        })
+    }
+
+    proptest! {
+        /// Any text is a plan or an error, never a panic, and whatever
+        /// parses renders to text that parses back to it; the same for
+        /// a single fault token.
+        #[test]
+        fn any_text_parses_or_is_refused(text in plan_text()) {
+            if let Ok(plan) = FaultPlan::parse(&text) {
+                prop_assert_eq!(FaultPlan::parse(&plan.render()), Ok(plan));
+            }
+            if let Ok(fault) = WorkerFault::parse_token(&text) {
+                prop_assert_eq!(WorkerFault::parse_token(&fault.token()), Ok(fault));
+            }
+            if let Ok(fault) = IoFault::parse_token(&text) {
+                prop_assert_eq!(IoFault::parse_token(&fault.token()), Ok(fault));
+            }
+        }
+
+        /// Every plan the grammar can express survives `render` then
+        /// `parse` unchanged.
+        #[test]
+        fn generated_plans_round_trip(plan in arb_plan()) {
+            prop_assert_eq!(FaultPlan::parse(&plan.render()), Ok(plan));
+        }
     }
 }

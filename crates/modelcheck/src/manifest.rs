@@ -196,3 +196,124 @@ pub(crate) fn assert_sealed(manifest: &Manifest) {
         assert_eq!(Manifest::parse(&bytes[..cut]), None, "cut at {cut}");
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `body` behind the magic, sealed with its CRC: bytes that reach the
+    /// shape checks.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(body);
+        crc32(&bytes).encode(&mut bytes);
+        bytes
+    }
+
+    fn arb_manifest() -> impl Strategy<Value = Manifest> {
+        // Flat names from a small alphabet; `..` is not one.
+        let name = prop::collection::vec(0usize..4, 1..=12).prop_map(|chars| {
+            chars
+                .iter()
+                .map(|&c| b".a0-"[c] as char)
+                .collect::<String>()
+        });
+        let segment = (any::<bool>(), name).prop_map(|(resume, name)| {
+            let role = if resume { Role::Resume } else { Role::Seed };
+            (role, name)
+        });
+        let segments = prop::collection::vec(segment, 0..=4).prop_map(|segments| {
+            segments
+                .into_iter()
+                .filter(|(_, name)| name != "..")
+                .collect()
+        });
+        (any::<u64>(), any::<u8>(), any::<u64>(), segments).prop_map(
+            |(fingerprint, strength, floor, segments)| Manifest {
+                fingerprint,
+                strength,
+                floor,
+                segments,
+            },
+        )
+    }
+
+    /// What the fuzz below hands [`Manifest::parse`].
+    fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let bytes = || prop::collection::vec(any::<u8>(), 0..=96);
+        prop_oneof![
+            // Anything at all.
+            bytes(),
+            // The magic, then anything: the CRC refuses nearly all.
+            bytes().prop_map(|rest| [&MAGIC[..], &rest].concat()),
+            // A sealed body of anything: the shape checks see arbitrary
+            // versions, counts and name lengths.
+            bytes().prop_map(|body| sealed(&body)),
+            // This version and a segment count, then anything, sealed.
+            (any::<u32>(), bytes()).prop_map(|(count, rest)| {
+                let mut body = Vec::new();
+                CACHE_FORMAT_VERSION.encode(&mut body);
+                body.extend_from_slice(&[0; 17]);
+                count.encode(&mut body);
+                body.extend_from_slice(&rest);
+                sealed(&body)
+            }),
+            // A real manifest with one byte flipped, or cut there (mask
+            // 0), resealed or not.
+            (arb_manifest(), any::<usize>(), any::<u8>(), any::<bool>()).prop_map(
+                |(manifest, at, mask, reseal)| {
+                    let mut bytes = manifest.to_bytes();
+                    let at = at % bytes.len();
+                    match mask {
+                        0 => bytes.truncate(at),
+                        _ => bytes[at] ^= mask,
+                    }
+                    if reseal && bytes.len() > MAGIC.len() + 4 {
+                        let body = &bytes[MAGIC.len()..bytes.len() - 4];
+                        bytes = sealed(body);
+                    }
+                    bytes
+                },
+            ),
+        ]
+    }
+
+    proptest! {
+        /// Over any bytes the parser refuses or yields a manifest whose
+        /// own encoding is exactly those bytes (so it round-trips), and
+        /// never panics.
+        #[test]
+        fn any_bytes_are_refused_or_a_manifest_that_round_trips(bytes in hostile_bytes()) {
+            if let Some(manifest) = Manifest::parse(&bytes) {
+                prop_assert_eq!(Manifest::parse(&manifest.to_bytes()), Some(manifest.clone()));
+                prop_assert_eq!(manifest.to_bytes(), bytes);
+            }
+        }
+
+        #[test]
+        fn generated_manifests_round_trip(manifest in arb_manifest()) {
+            prop_assert_eq!(Manifest::parse(&manifest.to_bytes()), Some(manifest));
+        }
+    }
+
+    /// A sealed manifest claiming `u32::MAX` segments, or one name of
+    /// `u32::MAX` bytes, is refused by its length.  A parser that reserved
+    /// by the count would ask for 128 GiB here and abort the run.
+    #[test]
+    fn a_claimed_count_is_never_reserved() {
+        let mut body = Vec::new();
+        CACHE_FORMAT_VERSION.encode(&mut body);
+        body.extend_from_slice(&[0; 17]);
+        let mut huge_count = body.clone();
+        u32::MAX.encode(&mut huge_count);
+        huge_count.push(Role::Seed as u8);
+        assert_eq!(Manifest::parse(&sealed(&huge_count)), None);
+        let mut huge_name = body;
+        1u32.encode(&mut huge_name);
+        huge_name.push(Role::Seed as u8);
+        u32::MAX.encode(&mut huge_name);
+        huge_name.extend_from_slice(b"seg");
+        assert_eq!(Manifest::parse(&sealed(&huge_name)), None);
+    }
+}

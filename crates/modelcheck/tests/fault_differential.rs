@@ -361,6 +361,63 @@ fn total_worker_loss_degrades_whole_run_to_local_walk() {
     assert_identical(&serial, &dist, "total worker loss");
 }
 
+/// With degradation off, a run whose worker 0 crashes on every attempt
+/// fails with [`ExploreError::Worker`] even while a surviving worker's
+/// export is on its way to the loop: worker 1 finishes only once the
+/// loop, having taken worker 0's last failure, writes the survivors'
+/// stop flags, so its merge request reaches a loop that is failing the
+/// run or already gone.  The request must be dropped with the loop, not
+/// left waiting for an answer the scope's join would then wait on
+/// forever.  The run goes on a thread of its own under a wall-clock
+/// guard, so a hang fails the test instead of wedging the suite.
+#[test]
+fn a_failing_loop_drops_a_survivors_pending_merge() {
+    use std::sync::mpsc;
+    use twostep_modelcheck::ExploreError;
+
+    let (n, t) = (4usize, 2usize);
+    let system = SystemConfig::new(n, t).unwrap();
+    let proposals = crw_proposals(n);
+    let config = ExploreConfig::for_crw(&system);
+    let plan = FaultPlan::parse("p0a0=crash@walk;p0a1=crash@export;p0a2=crash@seed").unwrap();
+    let mut options = dist_options(2, plan);
+    options.supervise.degrade = false;
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let launch = |task: &WorkerTask| {
+            let result = run_worker(
+                system,
+                config,
+                ExploreOptions::serial(),
+                crw_processes(&system, &proposals),
+                proposals.clone(),
+                task,
+            );
+            if task.partition == 1 {
+                let stop = task.export_path.with_file_name("worker1-steal.flag");
+                while !stop.exists() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            result.map(|_| ()).map_err(|e| e.to_string())
+        };
+        let result = explore_partitioned_timed(
+            system,
+            config,
+            &options,
+            crw_processes(&system, &proposals),
+            proposals.clone(),
+            launch,
+        );
+        let _ = done.send(result.map(|_| ()));
+    });
+    match outcome.recv_timeout(Duration::from_secs(60)) {
+        Ok(Err(ExploreError::Worker { partition, .. })) => assert_eq!(partition, 0),
+        Ok(other) => panic!("expected worker 0's failure, got {other:?}"),
+        Err(_) => panic!("the failing run did not return within 60 s"),
+    }
+}
+
 /// The elastic scheduler quarantines a worker slot that exhausts its
 /// launch budget, walks its slice locally, and keeps going with reduced
 /// capacity — stats reporting both, report identical.
