@@ -156,13 +156,14 @@ echo "fault storm OK: retry exhaustion degraded to a local walk (degraded=1), re
 
 echo "== fault storm (quick): retry exhaustion with --no-degrade fails loudly and tears down"
 # The same storm with degradation off must fail the run with partition
-# 0's error, and the coordinator must still tear down while partition
-# 1's export may be on its way to the merge: a hang is timeout's 124.
+# 0's error, and the coordinator must tear down by cancelling partition
+# 1, which sleeps 5 s at each of its four phases, not by waiting ~20 s
+# for it: a hang, or a wait, is timeout's 124.
 nodegrade_code=0
-nodegrade_err="$(timeout 120 cargo run --release -q -p twostep-bench --bin twostep-dist -- \
+nodegrade_err="$(timeout 15 cargo run --release -q -p twostep-bench --bin twostep-dist -- \
     --quick --partitions 2 --no-degrade --backoff-ms 1 \
-    --fault 'p0a0=crash@walk;p0a1=crash@export;p0a2=crash@seed' 2>&1 >/dev/null)" \
-    || nodegrade_code=$?
+    --fault 'p0a0=crash@walk;p0a1=crash@export;p0a2=crash@seed;p1a0=slow-io(5000)' \
+    2>&1 >/dev/null)" || nodegrade_code=$?
 if [[ "$nodegrade_code" == 0 || "$nodegrade_code" == 124 ]]; then
     echo "FAIL: --no-degrade exhaustion exited $nodegrade_code, want a failure that is not a timeout" >&2
     exit 1

@@ -500,9 +500,9 @@ fn parse_worker_timing(stdout: &str) -> Option<WorkerPhaseSeconds> {
 /// Runs one worker process — `exe` re-executed with `args` — to its exit,
 /// handing every line of its stdout to `on_line` as it arrives (its
 /// stderr passes straight through).  A watcher kills the process as soon
-/// as `cancel` trips: the supervisor's attempt timeout and pulse
-/// watchdog must be able to end a hung worker, and the tailer blocks on
-/// the pipe and cannot poll.  Killing the child closes the pipe, which
+/// as `cancel` trips: the coordinator's attempt timeout and pulse
+/// watchdog must be able to end a hung worker, and a failing run its
+/// survivors, and the tailer blocks on the pipe and cannot poll.  Killing the child closes the pipe, which
 /// unblocks the tailer.  Anything but a clean, uncancelled exit is a
 /// retryable launch failure.
 fn run_child(

@@ -20,13 +20,12 @@
 //! keys are lossy under symmetry, so the path is the only faithful
 //! cross-process address) — and `partitions` worker slots.  An idle slot
 //! takes the next slice: the loop writes it as a sealed frontier segment
-//! and launches a worker on it, every launch on a thread of its own
-//! inside the one supervision primitive ([`twostep_sim::supervise`]:
-//! attempts, backoff, attempt timeout, panic containment).  What an
-//! attempt is, is written once: refresh the seed list, clear a stale
-//! steal flag, launch, hand the export to the loop — which validates and
-//! merges it on its own thread, the one thread that writes the memo —
-//! and read back the frontier of a worker that was preempted.
+//! and launches a worker on it.  The loop owns every attempt, and what
+//! an attempt is, is written once: a task built from the seed list as it
+//! stands, a stale steal flag cleared, and one thread that runs the
+//! launch once and sends its outcome to the loop — which validates and
+//! merges the export on its own thread, the one thread that writes the
+//! memo, and reads back the frontier of a worker that was preempted.
 //! An entry point contributes a **plan** — the slices, the seed segments
 //! every launch imports first, and a steal policy or none:
 //!
@@ -117,21 +116,24 @@
 //!   killed worker leaves an unfinished file; the coordinator trusts
 //!   nothing a process boundary crossed and scans the header, every
 //!   record's CRC32 and the sealed count as it merges — one export at a
-//!   time, on the loop's own thread, while the launch's thread waits for
-//!   the answer ([`crate::spill::SpillError`] classifies the failure
-//!   modes).  An attempt whose launch or whose export fails is a failed
-//!   attempt, and so is one whose merge panics;
+//!   time, on the loop's own thread, once the launch's thread has ended
+//!   ([`crate::spill::SpillError`] classifies the failure modes).  An
+//!   attempt whose launch or whose export fails is a failed attempt, and
+//!   so is one whose merge panics;
 //! * **retry** — a failed attempt is relaunched (the rerun overwrites
 //!   the remains) up to [`DistOptions::attempts`] times, after a
 //!   deterministic backoff (doubling from [`SuperviseConfig::backoff`],
-//!   no jitter — reruns schedule identically); a panicking launch
-//!   closure is a failed attempt, never the coordinator's death;
+//!   no jitter — reruns schedule identically) that the loop waits out
+//!   without a thread sleeping; a panicking launch closure is a failed
+//!   attempt ("task panicked: …"), never the coordinator's death;
 //! * **deadlines** — [`SuperviseConfig::attempt_timeout`] bounds any
-//!   single attempt, and where workers pulse
-//!   [`SuperviseConfig::watchdog`] bounds the silence between two
-//!   pulses: past either, the attempt's [`twostep_sim::CancelToken`]
-//!   trips, the launch is expected to kill its process and return, and
-//!   the attempt has failed;
+//!   single launch, and where workers pulse [`SuperviseConfig::watchdog`]
+//!   bounds the silence between two pulses.  The loop checks both each
+//!   time it wakes, and wakes by the earliest: past either, it trips the
+//!   attempt's [`twostep_sim::CancelToken`], the launch is expected to
+//!   kill its process and return, and an `Err` it returns then is a
+//!   failure "attempt exceeded its … timeout" (an `Ok` finished the work
+//!   and counts);
 //! * **degrade** — a slice whose attempts are exhausted is walked by the
 //!   coordinator itself, from the records it cut the slice from, and its
 //!   worker slot is *quarantined* (capacity shrinks; with every slot
@@ -139,7 +141,8 @@
 //!   run completes with the exact report and says so in
 //!   [`DistTimings::degraded_partitions`] / [`ElasticStats::degraded`].
 //!   With [`SuperviseConfig::degrade`] off it **fails loudly** instead
-//!   ([`ExploreError::Worker`]): silent fallback to a near-serial replay
+//!   ([`ExploreError::Worker`]), and cancels every attempt still running
+//!   rather than waiting for it: silent fallback to a near-serial replay
 //!   would defeat the point of distributing.
 //!
 //! Every failure mode here is reproducible on demand: the
@@ -157,14 +160,11 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use twostep_model::SystemConfig;
-use twostep_sim::{
-    panic_message, supervise, CancelToken, RetryPolicy, RoundActions, Stepper, SupervisedAttempt,
-    TaskError, TraceLevel,
-};
+use twostep_sim::{panic_message, CancelToken, RoundActions, Stepper, TraceLevel};
 
 use crate::cache::CacheConfig;
 use crate::explorer::{
@@ -260,9 +260,10 @@ pub struct SuperviseConfig {
     pub backoff: Duration,
     /// Upper bound on any single backoff delay.
     pub backoff_cap: Duration,
-    /// Wall-clock budget for one attempt — launch, validation and merge:
-    /// one still running at the deadline has its [`CancelToken`] tripped
-    /// and is retried as a crash.  `None` disables the timeout.
+    /// Wall-clock budget for one launch: one still running at the
+    /// deadline has its [`CancelToken`] tripped and is retried as a crash.
+    /// The merge of its export runs on the coordinator loop afterwards and
+    /// is not bounded by it.  `None` disables the timeout.
     pub attempt_timeout: Option<Duration>,
     /// Pulse-liveness deadline, for workers that pulse: one whose last
     /// `dist-progress:` pulse (or launch) is older than this is
@@ -290,15 +291,16 @@ impl Default for SuperviseConfig {
 }
 
 impl SuperviseConfig {
-    /// The [`RetryPolicy`] this supervision config induces for
-    /// `attempts` launches per slice.
-    pub fn policy(&self, attempts: usize) -> RetryPolicy {
-        RetryPolicy {
-            attempts: attempts.max(1),
-            backoff: self.backoff,
-            backoff_cap: self.backoff_cap,
-            attempt_timeout: self.attempt_timeout,
+    /// The deterministic delay before a slice's `attempt` (0-based): none
+    /// before the first, then [`backoff`](Self::backoff) doubling per
+    /// retry up to [`backoff_cap`](Self::backoff_cap), with no jitter.
+    fn delay_before(&self, attempt: usize) -> Duration {
+        if attempt == 0 || self.backoff.is_zero() {
+            return Duration::ZERO;
         }
+        let doublings = u32::try_from(attempt - 1).unwrap_or(u32::MAX).min(20);
+        let delay = self.backoff.checked_mul(1 << doublings);
+        delay.unwrap_or(self.backoff_cap).min(self.backoff_cap)
     }
 }
 
@@ -320,8 +322,8 @@ pub struct StealConfig {
     /// the handoff costs more than the remaining walk.
     pub min_frontier: usize,
     /// How long the coordinator walks locally before considering
-    /// offloading, and how often it re-evaluates steal opportunities
-    /// while workers run.
+    /// offloading.  While workers run, the loop re-evaluates steal
+    /// opportunities at every pulse.
     pub poll_interval: Duration,
     /// Worker progress-pulse cadence in walk steps: every this-many
     /// steps a worker reports its load and checks for a steal request.
@@ -381,9 +383,10 @@ pub struct WorkerTask {
     /// [`DistOptions::faults`] by the coordinator; `None` (the
     /// production case) runs clean.
     pub fault: Option<WorkerFault>,
-    /// The attempt's cooperative stop signal: tripped by the
-    /// supervisor's timeout/watchdog.  An OS-process launch polls it and
-    /// kills the child; in-process injected hangs poll it directly.
+    /// The attempt's cooperative stop signal: tripped by the coordinator
+    /// loop at the attempt timeout or the watchdog, or when the run fails.
+    /// An OS-process launch polls it and kills the child; in-process
+    /// injected hangs poll it directly.
     pub cancel: CancelToken,
 }
 
@@ -1074,39 +1077,59 @@ fn cut_evenly(
     })
 }
 
-/// A launch in flight, as its own thread and its pulses describe it to
-/// the loop.
+/// A slice's attempt in flight, as its pulses describe it to the loop.
 struct Live {
-    /// Harvestable frontier last advertised (`0` before the first pulse).
-    frontier: usize,
+    /// When the launch began: the attempt timeout counts from here.
+    launched: Instant,
     /// Last pulse, or the launch.
     alive_at: Instant,
+    /// Harvestable frontier last advertised (`0` before the first pulse).
+    frontier: usize,
     /// A steal flag has been written and not yet answered; such a victim
     /// is never flagged twice.
     flagged: bool,
     cancel: CancelToken,
+    /// The deadline that expired, once the loop has tripped `cancel`.
+    expired: Option<Duration>,
 }
 
-/// What a launch's thread sends the loop.
+/// A slice the loop owns from its first launch to its last exit.
+struct Slice {
+    /// What the slice covers, kept for the degrade rule.
+    records: Vec<FrontierRecord>,
+    /// The attempt running, or the next one, launched once `due`.
+    attempt: usize,
+    due: Instant,
+    /// `None` while no attempt runs: before the first, or in a backoff.
+    live: Option<Live>,
+}
+
+/// What an attempt's thread sends the loop.
 enum Event {
-    /// An attempt's worker exited cleanly: validate and merge its export
-    /// at this path, and answer on the reply channel.
-    Merge(PathBuf, mpsc::SyncSender<Result<(), String>>),
-    /// A slice's supervision is over, with what [`supervise`] returned:
-    /// the frontier a preempted worker handed back, if it was preempted.
-    Done(u64, Result<Option<Vec<FrontierRecord>>, TaskError<String>>),
+    /// A worker's progress pulse.
+    Pulse(WorkerPulse),
+    /// Attempt `attempt` of worker `worker`'s slice returned from its
+    /// launch — or panicked in it, caught on its thread.
+    Exited {
+        worker: u64,
+        attempt: usize,
+        result: std::thread::Result<Result<ElasticExit, String>>,
+    },
 }
 
-/// The one coordinator loop: fills idle worker slots from the plan's
-/// slice queue, preempts loaded workers while a slot idles, watches
-/// pulses, and receives finished slices — until nothing is queued or in
-/// flight.  Every launch runs on a thread of its own inside
-/// [`twostep_sim::supervise`] (retries, backoff, attempt timeout, panic
-/// containment), which waits for its worker and sends the export back
-/// ([`Event::Merge`]).  The loop validates and merges it on its own
-/// thread — the one that expands the frontier, walks degraded slices and
-/// replays — so merges run one at a time, and every allocation the memo
-/// makes comes from that thread.
+/// The one coordinator loop, and the only owner of every attempt: it
+/// fills idle worker slots from the plan's slice queue, starts each
+/// attempt on one thread of its own that runs `launch` once, and receives
+/// everything on one channel — a pulse, or an attempt's exit.  On an exit
+/// it validates and merges the export on its own thread (the one that
+/// expands the frontier, walks degraded slices and replays, so every
+/// allocation the memo makes comes from it), reads back a preempted
+/// worker's frontier, and schedules a failed attempt's retry after its
+/// backoff.  Deadlines and backoffs are checked each time it wakes, and
+/// it sleeps no later than the earliest of them.  It preempts loaded
+/// workers while a slot idles, until nothing is queued or in flight; a
+/// run that fails cancels the attempts still running rather than waiting
+/// for them.
 fn coordinate<P, L>(
     run: &Run<'_, P>,
     options: &DistOptions,
@@ -1121,79 +1144,66 @@ where
     L: Fn(&ElasticTask, usize, &(dyn Fn(WorkerPulse) + Sync)) -> Result<ElasticExit, String> + Sync,
 {
     let partitions = options.partitions.max(1);
-    let policy = options.supervise.policy(options.attempts);
+    let attempts = options.attempts.max(1);
+    let supervise = &options.supervise;
     let steal = plan.steal;
-    let poll = steal.poll_interval.max(Duration::from_millis(1));
+    let launch = &launch;
     let mut queue = plan.slices;
+    let mut seeds = plan.seeds;
     let mut stats = ElasticStats::default();
-    let seeds = Mutex::new(plan.seeds);
-    let board: Mutex<HashMap<u64, Live>> = Mutex::new(HashMap::new());
     let memo = &run.shared.memo;
     let validator = entry_validator::<P>(run.shared.system.t());
     // Worker `worker`'s rendezvous file `name` under the scratch dir.
     let at = |worker: u64, name: &str| scratch.join(format!("worker{worker}-{name}"));
-    let pulse = |p: WorkerPulse| {
-        if let Some(live) = board.lock().expect("board poisoned").get_mut(&p.worker) {
-            (live.frontier, live.alive_at) = (p.frontier, Instant::now());
-        }
-    };
-    // What an attempt is, under either plan.  Its value is the frontier a
-    // preempted worker handed back, if it was preempted.
-    let attempt = |worker: u64, ctx: &SupervisedAttempt, events: &mpsc::Sender<Event>| {
-        let task = ElasticTask {
-            worker,
-            // Deltas merged since the slice was cut shrink the run.
-            seed_paths: seeds.lock().expect("seed list poisoned").clone(),
-            frontier_path: at(worker, "frontier.seg"),
-            export_path: at(worker, "export.seg"),
-            preempt_path: at(worker, "preempt.seg"),
-            steal_flag: at(worker, "steal.flag"),
-            yield_every: steal.yield_every.max(1),
-            fault: options.faults.for_worker(worker, ctx.attempt),
-            cancel: ctx.cancel.clone(),
-        };
-        // A stale flag would preempt a relaunch on its first pulse.
-        let _ = std::fs::remove_file(&task.steal_flag);
-        let live = Live {
-            frontier: 0,
-            alive_at: Instant::now(),
-            flagged: false,
-            cancel: ctx.cancel.clone(),
-        };
-        board.lock().expect("board poisoned").insert(worker, live);
-        let exit = launch(&task, ctx.attempt, &pulse);
-        // Between attempts a slice is neither a victim nor watched.
-        board.lock().expect("board poisoned").remove(&worker);
-        let exit = exit?;
-        // The loop validates and merges the export (module docs,
-        // *validation*) and answers; its `Err` is this attempt's failure.
-        // A loop that has failed the run and gone drops the request
-        // unanswered: nothing waits for this export any more, so the
-        // attempt ends instead of being retried.
-        let (reply, answer) = mpsc::sync_channel(1);
-        let _ = events.send(Event::Merge(task.export_path.clone(), reply));
-        let Ok(merged) = answer.recv() else {
-            return Ok(None);
-        };
-        merged?;
-        match exit {
-            ElasticExit::Finished => Ok(None),
-            ElasticExit::Preempted => read_frontier_segment(&task.preempt_path)
-                .map(Some)
-                .map_err(|e| e.to_string()),
-        }
-    };
 
     std::thread::scope(|scope| -> Result<(), ExploreError> {
-        // Made inside the scope, the channel drops before the scope joins
-        // its threads: an attempt blocked on a merge reply the loop will
-        // never send sees its request dropped instead of deadlocking.
+        // Made inside the scope, the receiver drops before the scope joins
+        // its threads: an attempt that ends after the loop has gone sends
+        // into nothing.
         let (tx, rx) = mpsc::channel();
-        // What each busy slot's slice covers, kept for the degrade rule.
-        let mut active: HashMap<u64, Vec<FrontierRecord>> = HashMap::new();
+        // What an attempt is, under either plan: a task built from the
+        // seed list as it stands (deltas merged since the slice was cut
+        // shrink the run), on one thread that runs the launch once.
+        let start = |worker: u64, attempt: usize, seeds: &[PathBuf]| {
+            let task = ElasticTask {
+                worker,
+                seed_paths: seeds.to_vec(),
+                frontier_path: at(worker, "frontier.seg"),
+                export_path: at(worker, "export.seg"),
+                preempt_path: at(worker, "preempt.seg"),
+                steal_flag: at(worker, "steal.flag"),
+                yield_every: steal.yield_every.max(1),
+                fault: options.faults.for_worker(worker, attempt),
+                cancel: CancelToken::new(),
+            };
+            // A stale flag would preempt a relaunch on its first pulse.
+            let _ = std::fs::remove_file(&task.steal_flag);
+            let launched = Instant::now();
+            let live = Live {
+                launched,
+                alive_at: launched,
+                frontier: 0,
+                flagged: false,
+                cancel: task.cancel.clone(),
+                expired: None,
+            };
+            let tx = tx.clone();
+            scope.spawn(move || {
+                let pulses = tx.clone();
+                let pulse = move |p| drop(pulses.send(Event::Pulse(p)));
+                let result = catch_unwind(AssertUnwindSafe(|| launch(&task, attempt, &pulse)));
+                let _ = tx.send(Event::Exited {
+                    worker,
+                    attempt,
+                    result,
+                });
+            });
+            live
+        };
+        let mut slices: HashMap<u64, Slice> = HashMap::new();
         let mut orphans: Vec<Vec<FrontierRecord>> = Vec::new();
         let mut next_worker = 0u64;
-        loop {
+        let outcome = (|| loop {
             // The degrade rule (module docs): a slice that exhausted its
             // attempts — and, once every slot has failed every budget,
             // whatever is still queued — is walked right here.
@@ -1209,7 +1219,7 @@ where
             // A slot whose slice was orphaned is quarantined: capacity
             // shrinks, and no later slice lands on it.
             let capacity = partitions - stats.quarantined.min(partitions - 1);
-            while active.len() < capacity {
+            while slices.len() < capacity {
                 let Some(records) = queue.pop_front() else {
                     break;
                 };
@@ -1217,114 +1227,165 @@ where
                 next_worker += 1;
                 write_frontier_segment(&at(worker, "frontier.seg"), &records)?;
                 stats.workers_launched += 1;
-                let (tx, attempt) = (tx.clone(), &attempt);
-                scope.spawn(move || {
-                    let result = supervise(&policy, |ctx| attempt(worker, ctx, &tx));
-                    let _ = tx.send(Event::Done(worker, result));
-                });
-                active.insert(worker, records);
+                let (due, live) = (Instant::now(), None);
+                slices.insert(
+                    worker,
+                    Slice {
+                        records,
+                        attempt: 0,
+                        due,
+                        live,
+                    },
+                );
             }
-            if active.is_empty() {
+            if slices.is_empty() {
                 return Ok(());
             }
-            if steal.enabled {
-                let mut board = board.lock().expect("board poisoned");
-                // Idle capacity and nothing queued: preempt the most loaded
-                // un-flagged worker whose frontier clears the threshold.
-                if queue.is_empty() && active.len() < capacity {
-                    let loaded = board.iter_mut().filter(|(_, live)| {
-                        !live.flagged && live.frontier >= steal.min_frontier.max(1)
-                    });
-                    if let Some((&id, live)) =
-                        loaded.max_by_key(|(&id, live)| (live.frontier, std::cmp::Reverse(id)))
-                    {
-                        std::fs::write(at(id, "steal.flag"), b"steal").map_err(|e| {
-                            ExploreError::Coordinator {
-                                detail: format!("writing steal flag: {e}"),
-                            }
-                        })?;
-                        live.flagged = true;
-                    }
+            // Due attempts start, expired deadlines trip their attempt's
+            // token — the launch kills its process and reports a failure,
+            // retried like any other — and the loop sleeps until the next
+            // deadline or backoff.
+            let now = Instant::now();
+            let mut wake = None;
+            for (&worker, slice) in &mut slices {
+                if slice.live.is_none() && slice.due > now {
+                    wake = Some(slice.due.min(wake.unwrap_or(slice.due)));
+                    continue;
                 }
-                // The pulse watchdog: a launch silent past the deadline is
-                // cancelled — it kills its process and reports a failure,
-                // which is retried like any other.
-                if let Some(deadline) = options.supervise.watchdog {
-                    for (worker, live) in board.iter() {
-                        if live.alive_at.elapsed() >= deadline && !live.cancel.is_cancelled() {
-                            eprintln!(
-                                "twostep: worker {worker} has not pulsed within {deadline:?}; \
-                                 cancelling the attempt and retrying it as crashed"
-                            );
-                            live.cancel.cancel();
-                        }
+                let live = slice
+                    .live
+                    .get_or_insert_with(|| start(worker, slice.attempt, &seeds));
+                let timeout = supervise.attempt_timeout.map(|d| (live.launched + d, d));
+                let watchdog = supervise.watchdog.filter(|_| steal.enabled);
+                let silence = watchdog.map(|d| (live.alive_at + d, d));
+                match timeout
+                    .into_iter()
+                    .chain(silence)
+                    .min()
+                    .filter(|_| live.expired.is_none())
+                {
+                    Some((expires, after)) if expires <= now => {
+                        eprintln!(
+                            "twostep: worker {worker} exceeded its {after:?} deadline; \
+                             cancelling the attempt"
+                        );
+                        live.cancel.cancel();
+                        live.expired = Some(after);
                     }
+                    Some((expires, _)) => wake = Some(expires.min(wake.unwrap_or(expires))),
+                    None => {}
+                }
+            }
+            // Idle capacity and nothing queued: preempt the most loaded
+            // un-flagged worker whose frontier clears the threshold.
+            if steal.enabled && queue.is_empty() && slices.len() < capacity {
+                let running = slices
+                    .iter_mut()
+                    .filter_map(|(&id, s)| Some((id, s.live.as_mut()?)));
+                let loaded = running.filter(|(_, live)| {
+                    !live.flagged && live.frontier >= steal.min_frontier.max(1)
+                });
+                if let Some((id, live)) =
+                    loaded.max_by_key(|(id, live)| (live.frontier, std::cmp::Reverse(*id)))
+                {
+                    std::fs::write(at(id, "steal.flag"), b"steal").map_err(|e| {
+                        ExploreError::Coordinator {
+                            detail: format!("writing steal flag: {e}"),
+                        }
+                    })?;
+                    live.flagged = true;
                 }
             }
             // The loop holds a sender, so the only error is the timeout.
-            let (worker, result) = match rx.recv_timeout(poll) {
-                Ok(Event::Done(worker, result)) => (worker, result),
-                Ok(Event::Merge(export, reply)) => {
-                    // Merging and validating are one pass over the file
-                    // (module docs, *validation*), here: the memo's
-                    // allocations all come from the one thread that owns
-                    // it.  A partial import of a file that fails mid-scan
-                    // is harmless: every record that passed its CRC is a
-                    // correct (key, summary) pair, so it simply pre-seeds
-                    // the memo the retried worker would re-export anyway.
-                    // Deltas import as *fresh*: relative to the persistent
-                    // cache they are exactly what this run added.  A panic
-                    // is the attempt's failure, never the coordinator's
-                    // death.
+            let sleep = wake.map(|w| w.saturating_duration_since(Instant::now()));
+            let Ok(event) = rx.recv_timeout(sleep.unwrap_or(Duration::MAX)) else {
+                continue;
+            };
+            if let Event::Pulse(p) = &event {
+                if let Some(live) = slices.get_mut(&p.worker).and_then(|s| s.live.as_mut()) {
+                    (live.frontier, live.alive_at) = (p.frontier, Instant::now());
+                }
+            }
+            let Event::Exited {
+                worker,
+                attempt,
+                result,
+            } = event
+            else {
+                continue;
+            };
+            let mut slice = slices.remove(&worker).expect("unknown worker exited");
+            let live = slice.live.take().expect("only a running attempt exits");
+            let outcome = match result {
+                Err(payload) => Err(format!("task panicked: {}", panic_message(payload))),
+                // A launch that returns `Ok` after its token tripped
+                // finished the work: it is merged like any other.
+                Ok(Err(error)) => Err(match live.expired {
+                    Some(after) => format!("attempt exceeded its {after:?} timeout"),
+                    None => error,
+                }),
+                // Merging and validating are one pass over the file
+                // (module docs, *validation*), here, on the memo's one
+                // thread.  A file that fails mid-scan leaves only records
+                // that passed their CRC: correct (key, summary) pairs that
+                // pre-seed what the retry would re-export anyway.  Deltas
+                // import as *fresh*: relative to the persistent cache they
+                // are what this run added.  A panic fails the attempt.
+                Ok(Ok(exit)) => {
                     let merge_start = Instant::now();
+                    let export = at(worker, "export.seg");
                     let merged =
                         catch_unwind(AssertUnwindSafe(|| memo.import_from(&export, validator)));
                     timings.merge_seconds += merge_start.elapsed().as_secs_f64();
-                    let _ = reply.send(match merged {
-                        Ok(merged) => merged.map(drop).map_err(|e| e.to_string()),
-                        Err(payload) => Err(format!(
+                    match (merged, exit) {
+                        (Ok(Ok(_)), ElasticExit::Finished) => Ok(None),
+                        (Ok(Ok(_)), ElasticExit::Preempted) => {
+                            let handed = read_frontier_segment(&at(worker, "preempt.seg"));
+                            handed.map(Some).map_err(|e| e.to_string())
+                        }
+                        (Ok(Err(e)), _) => Err(e.to_string()),
+                        (Err(payload), _) => Err(format!(
                             "merging the export panicked: {}",
                             panic_message(payload)
                         )),
-                    });
-                    continue;
+                    }
                 }
-                Err(_) => continue,
             };
-            let records = active.remove(&worker).expect("unknown worker reported");
-            match result {
+            match outcome {
                 Ok(handed) => {
                     // The merged delta seeds every later launch, so a
                     // stolen subtree is never walked twice.
-                    (seeds.lock().expect("seed list poisoned")).push(at(worker, "export.seg"));
+                    seeds.push(at(worker, "export.seg"));
                     if let Some(handed) = handed {
                         stats.steals += 1;
-                        queue.extend(cut_evenly(handed, capacity.saturating_sub(active.len())));
+                        queue.extend(cut_evenly(handed, capacity.saturating_sub(slices.len())));
                     }
                 }
-                Err(error) if options.supervise.degrade => {
+                Err(_) if attempt + 1 < attempts => {
+                    slice.attempt = attempt + 1;
+                    slice.due = Instant::now() + supervise.delay_before(slice.attempt);
+                    slices.insert(worker, slice);
+                }
+                Err(error) if supervise.degrade => {
                     eprintln!(
-                        "twostep: worker {worker} exhausted its {} launch attempt(s) \
-                         ({error}); walking its slice locally in degraded mode",
-                        policy.attempts
+                        "twostep: worker {worker} exhausted its {attempts} launch attempt(s) \
+                         ({error}); walking its slice locally in degraded mode"
                     );
                     stats.quarantined += 1;
-                    orphans.push(records);
+                    orphans.push(slice.records);
                 }
-                Err(error) => {
-                    // Hasten the survivors' exit before failing: a
-                    // flagged worker preempts at its next pulse instead of
-                    // finishing its whole slice.
-                    for &other in active.keys() {
-                        let _ = std::fs::write(at(other, "steal.flag"), b"stop");
-                    }
-                    return Err(ExploreError::Worker {
-                        partition: worker as usize,
-                        detail: error.to_string(),
-                    });
+                Err(detail) => {
+                    let partition = worker as usize;
+                    return Err(ExploreError::Worker { partition, detail });
                 }
             }
+        })();
+        // However the loop ends, no attempt outlives it: a cancelled
+        // launch kills its process and returns, and the scope joins it.
+        for live in slices.values().filter_map(|slice| slice.live.as_ref()) {
+            live.cancel.cancel();
         }
+        outcome
     })?;
     timings.degraded_partitions = stats.degraded;
     Ok(stats)
@@ -1612,6 +1673,27 @@ mod tests {
         }
         let records = level.into_iter().map(|(hash, path, _)| (hash, path));
         records.collect()
+    }
+
+    /// The retry schedule is deterministic, doubles per retry from the base
+    /// backoff, stops at the cap, never overflows, and a zero base
+    /// relaunches at once.
+    #[test]
+    fn backoff_schedule_is_deterministic_and_capped() {
+        let supervise = SuperviseConfig {
+            backoff: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(35),
+            ..SuperviseConfig::default()
+        };
+        let delays: Vec<Duration> = (0..5).map(|a| supervise.delay_before(a)).collect();
+        let ms = Duration::from_millis;
+        assert_eq!(delays, [Duration::ZERO, ms(10), ms(20), ms(35), ms(35)]);
+        assert_eq!(supervise.delay_before(10_000), ms(35));
+        let immediate = SuperviseConfig {
+            backoff: Duration::ZERO,
+            ..supervise
+        };
+        assert_eq!(immediate.delay_before(4), Duration::ZERO);
     }
 
     /// The frontier records — hashes, paths, first-occurrence order — are

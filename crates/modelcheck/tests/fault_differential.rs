@@ -15,9 +15,9 @@ use twostep_core::crw_processes;
 use twostep_model::{SystemConfig, WideValue};
 use twostep_modelcheck::{
     explore_elastic_timed, explore_partitioned_in_process, explore_partitioned_timed, explore_with,
-    run_worker, run_worker_elastic, CacheConfig, CacheMode, DistOptions, ElasticTask,
-    ExploreConfig, ExploreOptions, ExploreReport, FaultPlan, RoundBound, SpecMode, StealConfig,
-    SuperviseConfig, Symmetry, WorkerPulse, WorkerTask,
+    run_worker, run_worker_elastic, CacheConfig, CacheMode, DistOptions, DistTimings, ElasticTask,
+    ExploreConfig, ExploreError, ExploreOptions, ExploreReport, FaultPlan, RoundBound, SpecMode,
+    StealConfig, SuperviseConfig, Symmetry, WorkerPulse, WorkerTask,
 };
 use twostep_sim::ModelKind;
 
@@ -362,18 +362,18 @@ fn total_worker_loss_degrades_whole_run_to_local_walk() {
 }
 
 /// With degradation off, a run whose worker 0 crashes on every attempt
-/// fails with [`ExploreError::Worker`] even while a surviving worker's
-/// export is on its way to the loop: worker 1 finishes only once the
-/// loop, having taken worker 0's last failure, writes the survivors'
-/// stop flags, so its merge request reaches a loop that is failing the
-/// run or already gone.  The request must be dropped with the loop, not
-/// left waiting for an answer the scope's join would then wait on
-/// forever.  The run goes on a thread of its own under a wall-clock
-/// guard, so a hang fails the test instead of wedging the suite.
+/// fails with [`ExploreError::Worker`] even while a surviving worker is
+/// still to report: worker 1 finishes its slice and then returns only
+/// once the loop, having taken worker 0's last failure, cancels it — so
+/// its export reaches a loop that is failing the run or already gone.
+/// The loop must not wedge on it, and must cancel the survivor rather
+/// than wait for it.  The run goes on a thread of its own under a
+/// wall-clock guard, so a hang fails the test instead of wedging the
+/// suite.
 #[test]
 fn a_failing_loop_drops_a_survivors_pending_merge() {
-    use std::sync::mpsc;
-    use twostep_modelcheck::ExploreError;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{mpsc, Arc};
 
     let (n, t) = (4usize, 2usize);
     let system = SystemConfig::new(n, t).unwrap();
@@ -382,6 +382,8 @@ fn a_failing_loop_drops_a_survivors_pending_merge() {
     let plan = FaultPlan::parse("p0a0=crash@walk;p0a1=crash@export;p0a2=crash@seed").unwrap();
     let mut options = dist_options(2, plan);
     options.supervise.degrade = false;
+    let survivor_cancelled = Arc::new(AtomicBool::new(false));
+    let cancelled = Arc::clone(&survivor_cancelled);
     let (done, outcome) = mpsc::channel();
     std::thread::spawn(move || {
         let launch = |task: &WorkerTask| {
@@ -394,10 +396,10 @@ fn a_failing_loop_drops_a_survivors_pending_merge() {
                 task,
             );
             if task.partition == 1 {
-                let stop = task.export_path.with_file_name("worker1-steal.flag");
-                while !stop.exists() {
+                while !task.cancel.is_cancelled() {
                     std::thread::sleep(Duration::from_millis(1));
                 }
+                cancelled.store(true, Ordering::Relaxed);
             }
             result.map(|_| ()).map_err(|e| e.to_string())
         };
@@ -416,6 +418,279 @@ fn a_failing_loop_drops_a_survivors_pending_merge() {
         Ok(other) => panic!("expected worker 0's failure, got {other:?}"),
         Err(_) => panic!("the failing run did not return within 60 s"),
     }
+    assert!(
+        survivor_cancelled.load(Ordering::Relaxed),
+        "the failing loop cancels its survivor"
+    );
+}
+
+/// A failing run cancels its survivors instead of waiting for them, under
+/// both plans: worker 0 crashes on every attempt with degradation off,
+/// while worker 1 sleeps 5 s at each of its four phases.  The run must
+/// report worker 0's failure within 5 s — a loop that waited for worker
+/// 1 to finish would take about 20.
+#[test]
+fn a_failing_run_cancels_a_slow_survivor_under_both_plans() {
+    use std::sync::mpsc;
+
+    let (n, t) = (4usize, 2usize);
+    let system = SystemConfig::new(n, t).unwrap();
+    let config = ExploreConfig::for_crw(&system);
+    let plan = "p0a0=crash@seed;p0a1=crash@seed;p0a2=crash@seed;p1a0=slow-io(5000)";
+    for elastic in [false, true] {
+        let mut options = dist_options(2, FaultPlan::parse(plan).unwrap());
+        options.supervise.degrade = false;
+        if elastic {
+            options.steal = StealConfig {
+                enabled: true,
+                min_frontier: 1,
+                poll_interval: Duration::ZERO,
+                yield_every: 16,
+            };
+        }
+        let (done, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let proposals = crw_proposals(n);
+            let initial = crw_processes(&system, &proposals);
+            let result = if elastic {
+                let launch = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
+                    run_worker_elastic(
+                        system,
+                        config,
+                        ExploreOptions::serial(),
+                        crw_processes(&system, &proposals),
+                        proposals.clone(),
+                        task,
+                        pulse,
+                    )
+                    .map_err(|e| e.to_string())
+                };
+                let run = explore_elastic_timed(
+                    system,
+                    config,
+                    &options,
+                    initial,
+                    proposals.clone(),
+                    launch,
+                );
+                run.map(|_| ())
+            } else {
+                let run = explore_partitioned_in_process(
+                    system,
+                    config,
+                    &options,
+                    ExploreOptions::serial(),
+                    initial,
+                    proposals.clone(),
+                );
+                run.map(|_| ())
+            };
+            let _ = done.send(result);
+        });
+        let label = if elastic { "elastic" } else { "partitioned" };
+        match outcome.recv_timeout(Duration::from_secs(5)) {
+            Ok(Err(ExploreError::Worker { partition, .. })) => assert_eq!(partition, 0, "{label}"),
+            Ok(other) => panic!("{label}: expected worker 0's failure, got {other:?}"),
+            Err(_) => panic!("{label}: the failing run did not return within 5 s"),
+        }
+    }
+}
+
+/// The partitioned launch every supervision case below wraps: one
+/// in-process worker at (4, 2).
+fn crw42_worker(task: &WorkerTask) -> Result<(), String> {
+    let system = SystemConfig::new(4, 2).unwrap();
+    let proposals = crw_proposals(4);
+    run_worker(
+        system,
+        ExploreConfig::for_crw(&system),
+        ExploreOptions::serial(),
+        crw_processes(&system, &proposals),
+        proposals,
+        task,
+    )
+    .map(|_| ())
+    .map_err(|e| e.to_string())
+}
+
+/// Runs the partitioned plan at (4, 2) under `options` with `launch`.
+fn crw42_partitioned(
+    options: &DistOptions,
+    launch: impl Fn(&WorkerTask) -> Result<(), String> + Sync,
+) -> Result<(ExploreReport<WideValue>, DistTimings), ExploreError> {
+    let system = SystemConfig::new(4, 2).unwrap();
+    let proposals = crw_proposals(4);
+    explore_partitioned_timed(
+        system,
+        ExploreConfig::for_crw(&system),
+        options,
+        crw_processes(&system, &proposals),
+        proposals,
+        launch,
+    )
+}
+
+/// A launch closure that panics on its first attempt is a failed
+/// attempt, contained on its thread: the slice is retried and the report
+/// is the serial one.
+#[test]
+fn a_launch_that_panics_once_is_retried_to_the_identical_report() {
+    let system = SystemConfig::new(4, 2).unwrap();
+    let serial = crw_serial(system, ExploreConfig::for_crw(&system));
+    let launch = |task: &WorkerTask| {
+        if task.partition == 0 && task.attempt == 0 {
+            panic!("injected panic on attempt {}", task.attempt);
+        }
+        crw42_worker(task)
+    };
+    let (dist, timings) = crw42_partitioned(&dist_options(2, FaultPlan::none()), launch).unwrap();
+    assert_eq!(timings.degraded_partitions, 0, "the retry succeeded");
+    assert_identical(&serial, &dist, "panic on attempt 0");
+}
+
+/// A launch closure that panics on every attempt exhausts its slice:
+/// with degradation on the slice is walked locally and the report is the
+/// serial one; with it off the run fails with the panic's message, and
+/// the other slice is never disturbed.
+#[test]
+fn a_launch_that_always_panics_degrades_or_fails_naming_the_panic() {
+    let system = SystemConfig::new(4, 2).unwrap();
+    let serial = crw_serial(system, ExploreConfig::for_crw(&system));
+    let launch = |task: &WorkerTask| {
+        if task.partition == 0 {
+            panic!("partition 0 always panics");
+        }
+        crw42_worker(task)
+    };
+    let mut options = dist_options(2, FaultPlan::none());
+    let (dist, timings) = crw42_partitioned(&options, launch).unwrap();
+    assert_eq!(timings.degraded_partitions, 1, "partition 0 degraded");
+    assert_identical(&serial, &dist, "a launch that always panics");
+    options.supervise.degrade = false;
+    match crw42_partitioned(&options, launch) {
+        Err(ExploreError::Worker { partition, detail }) => {
+            assert_eq!(partition, 0);
+            assert!(
+                detail.contains("task panicked: partition 0 always panics"),
+                "{detail}"
+            );
+        }
+        other => panic!("expected partition 0's failure, got {other:?}"),
+    }
+}
+
+/// A launch that returns `Ok` after the attempt timeout tripped its
+/// token finished its work: the attempt counts as a success, its export
+/// is merged, and the slice is launched once.
+#[test]
+fn an_attempt_that_returns_ok_after_its_timeout_counts() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let system = SystemConfig::new(4, 2).unwrap();
+    let serial = crw_serial(system, ExploreConfig::for_crw(&system));
+    let mut options = dist_options(2, FaultPlan::none());
+    options.supervise.attempt_timeout = Some(Duration::from_millis(50));
+    let launches = AtomicUsize::new(0);
+    let launch = |task: &WorkerTask| {
+        let result = crw42_worker(task);
+        if task.partition == 0 {
+            launches.fetch_add(1, Ordering::Relaxed);
+            let started = Instant::now();
+            while !task.cancel.is_cancelled() && started.elapsed() < Duration::from_secs(30) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(
+                task.cancel.is_cancelled(),
+                "the attempt timeout never fired"
+            );
+        }
+        result
+    };
+    let (dist, timings) = crw42_partitioned(&options, launch).unwrap();
+    assert_eq!(launches.into_inner(), 1, "partition 0 is not retried");
+    assert_eq!(timings.degraded_partitions, 0);
+    assert_identical(&serial, &dist, "Ok after the timeout");
+}
+
+/// A slice whose launch fails is relaunched until an attempt succeeds:
+/// partition 0 fails its first two attempts and is launched as attempts
+/// 0, 1, 2 in turn; partition 1 succeeds at once and is launched once.
+#[test]
+fn a_slice_is_relaunched_until_an_attempt_succeeds() {
+    use std::sync::Mutex;
+
+    let system = SystemConfig::new(4, 2).unwrap();
+    let serial = crw_serial(system, ExploreConfig::for_crw(&system));
+    let seen = Mutex::new(Vec::new());
+    let launch = |task: &WorkerTask| {
+        seen.lock().unwrap().push((task.partition, task.attempt));
+        if task.partition == 0 && task.attempt < 2 {
+            return Err(format!("attempt {} died", task.attempt));
+        }
+        crw42_worker(task)
+    };
+    let (dist, timings) = crw42_partitioned(&dist_options(2, FaultPlan::none()), launch).unwrap();
+    let seen = seen.into_inner().unwrap();
+    let of = |partition| {
+        let attempts = seen.iter().filter(|(p, _)| *p == partition);
+        attempts.map(|&(_, attempt)| attempt).collect::<Vec<_>>()
+    };
+    assert_eq!(of(0), [0, 1, 2]);
+    assert_eq!(of(1), [0]);
+    assert_eq!(timings.degraded_partitions, 0);
+    assert_identical(&serial, &dist, "two failed attempts, then success");
+}
+
+/// A hung attempt is cancelled at the attempt timeout and retried with a
+/// fresh token — the relaunch converges to the serial report.
+#[test]
+fn a_timed_out_attempt_is_retried_with_a_fresh_token() {
+    use std::sync::Mutex;
+
+    let system = SystemConfig::new(4, 2).unwrap();
+    let serial = crw_serial(system, ExploreConfig::for_crw(&system));
+    let mut options = dist_options(2, FaultPlan::parse("p0a0=hang@walk").unwrap());
+    options.supervise.attempt_timeout = Some(Duration::from_millis(100));
+    let tokens_at_launch = Mutex::new(Vec::new());
+    let launch = |task: &WorkerTask| {
+        if task.partition == 0 {
+            let tripped = task.cancel.is_cancelled();
+            tokens_at_launch.lock().unwrap().push(tripped);
+        }
+        crw42_worker(task)
+    };
+    let (dist, timings) = crw42_partitioned(&options, launch).unwrap();
+    assert_eq!(
+        tokens_at_launch.into_inner().unwrap(),
+        [false, false],
+        "each attempt starts with an untripped token"
+    );
+    assert_eq!(timings.degraded_partitions, 0, "the relaunch succeeded");
+    assert_identical(&serial, &dist, "hang timed out and retried");
+}
+
+/// An attempt that returns `Err` after the attempt timeout tripped its
+/// token failed by timing out: with no attempt left and degradation off,
+/// the run fails with the timeout's detail — in well under the injected
+/// hang's own 60 s cap.
+#[test]
+fn a_timed_out_last_attempt_fails_naming_its_timeout() {
+    let mut options = dist_options(2, FaultPlan::parse("p0a0=hang@walk").unwrap());
+    options.attempts = 1;
+    options.supervise.attempt_timeout = Some(Duration::from_millis(100));
+    options.supervise.degrade = false;
+    let started = Instant::now();
+    match crw42_partitioned(&options, crw42_worker) {
+        Err(ExploreError::Worker { partition, detail }) => {
+            assert_eq!(partition, 0);
+            assert_eq!(detail, "attempt exceeded its 100ms timeout");
+        }
+        other => panic!("expected partition 0's timeout, got {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "the attempt timeout, not the 60s hang cap, ends the hang"
+    );
 }
 
 /// The elastic scheduler quarantines a worker slot that exhausts its
@@ -589,7 +864,6 @@ fn supervision_is_the_same_under_both_plans() {
             watchdog: None,
             degrade,
         };
-        let policy = options.supervise.policy(options.attempts);
         // Per plan: `Ok(degraded slices)` or `Err(detail)`.
         let mut outcomes = Vec::new();
         for elastic in [false, true] {
@@ -669,7 +943,8 @@ fn supervision_is_the_same_under_both_plans() {
             assert_eq!(faulted.len(), launches, "{label}: launches of worker 0");
             for (retry, pair) in faulted.windows(2).enumerate() {
                 let waited = pair[1].1.duration_since(pair[0].2);
-                let backoff = policy.delay_before(retry + 1);
+                let doubled = options.supervise.backoff * (1 << retry);
+                let backoff = doubled.min(options.supervise.backoff_cap);
                 assert!(waited >= backoff, "{label}: retry {retry} after {waited:?}");
             }
             if degraded.is_some() {

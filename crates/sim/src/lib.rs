@@ -41,10 +41,7 @@ pub use engine::{
     SettledProcess, SimError, Simulation, Stepper,
 };
 pub use protocol::{Inbox, SendPlan, Step, SyncProtocol};
-pub use scheduler::{
-    default_threads, panic_message, run_on_workers, supervise, CancelToken, RetryPolicy,
-    SupervisedAttempt, TaskError, WorkQueue,
-};
+pub use scheduler::{default_threads, panic_message, run_on_workers, CancelToken, WorkQueue};
 pub use spec::{check_uniform_consensus, SpecReport, SpecViolation};
 pub use stats::{Histogram, Summary};
 pub use sweep::{par_map, Sweeper};
