@@ -18,8 +18,8 @@ if [[ "${1:-}" == "--quick" ]]; then
     export PROPTEST_CASES="${PROPTEST_CASES:-32}"
 fi
 
-echo "== cargo build --release"
-cargo build --release --workspace --all-targets
+echo "== cargo build --release --locked (a Cargo.lock that no longer matches the manifests fails here)"
+cargo build --release --locked --workspace --all-targets
 
 echo "== cargo test -q"
 cargo test -q --workspace
@@ -38,7 +38,7 @@ echo "== benchmark harness tests (the only build of benchmark/src/adapter.rs out
 # The root workspace does not build `benchmark/`, so a library name its
 # adapter pins (its header lists them) can be lost without anything
 # above noticing.
-cargo test --offline -q --manifest-path benchmark/Cargo.toml
+cargo test --offline --locked -q --manifest-path benchmark/Cargo.toml
 
 echo "== file-length tripwire (crates/modelcheck/src: no file over 2000 lines)"
 # Longest today: spill.rs (about 1 830 lines, 780 of them tests),

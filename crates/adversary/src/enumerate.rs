@@ -1,172 +1,31 @@
-//! Exhaustive enumeration of adversary choices.
+//! Exhaustive enumeration of the adversary's choices in one round.
 //!
-//! Two granularities:
+//! [`crash_outcomes_effective_into`] lists the crash stages open to the
+//! adversary against **one** process's send plan in **one** round, one
+//! per distinct effect on the processes still active.  This is what the
+//! model checker branches on.  For a plan whose data destinations are
+//! `Δ` and whose ordered control list has length `c`, with every
+//! receiver active, the distinct observable outcomes are exactly
 //!
-//! * [`crash_outcomes`] — the complete, duplicate-free set of crash stages
-//!   available against **one** process's send plan in **one** round.  This
-//!   is what the model checker branches on: for a plan with data
-//!   destination set `Δ` and an ordered control list of length `c`, the
-//!   distinct observable outcomes are exactly
+//! * `MidData{S}` for every *proper* subset `S ⊊ Δ` (the data step was
+//!   interrupted; includes `S = ∅`, which subsumes `BeforeSend`);
+//! * `MidControl{k}` for `k = 0 ..= c` (data step completed, commit
+//!   prefix of length `k` delivered; `k = 0` subsumes `MidData{Δ}`, and
+//!   for an empty `Δ` it is `MidData{∅}` already, so `k` starts at 1);
+//! * `EndOfRound` (full participation, then death).
 //!
-//!   * `MidData{S}` for every *proper* subset `S ⊊ Δ` (the data step was
-//!     interrupted; includes `S = ∅`, which subsumes `BeforeSend`),
-//!   * `MidControl{k}` for `k = 0 ..= c` (data step completed, commit
-//!     prefix of length `k` delivered; `k = 0` subsumes `MidData{Δ}`),
-//!   * `EndOfRound` (full participation, then death).
-//!
-//!   Any other stage produces an outcome identical to one of these, so
-//!   enumerating them — and nothing else — makes the execution tree both
-//!   complete and non-redundant.
-//!
-//! * [`all_schedules`] — every static [`CrashSchedule`] over a palette of
-//!   stages, for bounded-exhaustive integration tests.  Grows fast
-//!   (`Σ_{|S| ≤ t} (rounds · stages)^{|S|}` over victim sets `S`); intended
-//!   for `n ≤ 5`.
+//! Any other stage produces an outcome identical to one of these, so
+//! enumerating them, and nothing else, makes the execution tree both
+//! complete and non-redundant.  Where some receivers are already settled
+//! (decided or crashed), stages that differ only in deliveries to them
+//! collapse further; the function's docs say how.
+//! [`crash_outcome_count`] counts the list without building it.
 
-use twostep_model::{
-    CrashPoint, CrashSchedule, CrashStage, PidSet, ProcessId, Round, SystemConfig,
-};
-
-/// All distinct crash outcomes against a single round's send plan (see the
-/// module docs for why this set is complete and duplicate-free).
-///
-/// `n` is the system size; `data_dests` the plan's data destinations (order
-/// irrelevant); `control_len` the length of the ordered control list.
-///
-/// Allocates a fresh `Vec` per call; the model checker's hot loop should
-/// prefer [`crash_outcomes_iter`] (lazy, allocation-free per item) or
-/// [`crash_outcomes_into`] (caller-supplied reusable buffer).
-///
-/// # Panics
-///
-/// Panics if `data_dests.len() > 20` — enumerating 2²⁰ subsets is never
-/// what a bounded model check wants; that limit is far above any `n` the
-/// checker can finish anyway.
-pub fn crash_outcomes(n: usize, data_dests: &[ProcessId], control_len: usize) -> Vec<CrashStage> {
-    crash_outcomes_iter(n, data_dests, control_len).collect()
-}
-
-/// Fills `out` (cleared first, allocation reused) with exactly the
-/// sequence [`crash_outcomes`] returns.  The explorer calls this once per
-/// active process per configuration; reusing the buffer removes a `Vec`
-/// allocation from the innermost enumeration loop.
-pub fn crash_outcomes_into(
-    n: usize,
-    data_dests: &[ProcessId],
-    control_len: usize,
-    out: &mut Vec<CrashStage>,
-) {
-    out.clear();
-    out.extend(crash_outcomes_iter(n, data_dests, control_len));
-}
-
-/// Lazy iterator over the distinct crash outcomes against one send plan,
-/// in the same order [`crash_outcomes`] materializes them: proper data
-/// subsets by ascending mask, then commit prefixes by ascending length,
-/// then [`CrashStage::EndOfRound`].
-///
-/// # Panics
-///
-/// Panics if `data_dests.len() > 20` (see [`crash_outcomes`]).
-pub fn crash_outcomes_iter<'a>(
-    n: usize,
-    data_dests: &'a [ProcessId],
-    control_len: usize,
-) -> CrashOutcomes<'a> {
-    assert!(
-        data_dests.len() <= 20,
-        "exhaustive subset enumeration capped at 20 destinations"
-    );
-    CrashOutcomes {
-        n,
-        data_dests,
-        control_len,
-        phase: OutcomePhase::DataSubset { mask: 0 },
-    }
-}
-
-/// See [`crash_outcomes_iter`].
-#[derive(Clone, Debug)]
-pub struct CrashOutcomes<'a> {
-    n: usize,
-    data_dests: &'a [ProcessId],
-    control_len: usize,
-    phase: OutcomePhase,
-}
-
-#[derive(Clone, Debug)]
-enum OutcomePhase {
-    /// Emitting `MidData{S}` for proper subsets `S ⊊ Δ` (the full set is
-    /// subsumed by `MidControl{0}`).
-    DataSubset {
-        mask: usize,
-    },
-    /// Emitting `MidControl{k}`.  `MidControl{0}` ("data step done, no
-    /// commit out") is only distinct from `MidData{∅}` when there *was* a
-    /// data step; for an empty data plan both mean "crashed having sent
-    /// nothing, without receiving", so `k` starts at 1 there.
-    ControlPrefix {
-        k: usize,
-    },
-    /// Emitting the final full-participation-then-death outcome.
-    EndOfRound,
-    Done,
-}
-
-impl Iterator for CrashOutcomes<'_> {
-    type Item = CrashStage;
-
-    fn next(&mut self) -> Option<CrashStage> {
-        let d = self.data_dests.len();
-        let subsets = 1usize << d;
-        loop {
-            match self.phase {
-                OutcomePhase::DataSubset { mask } => {
-                    if mask >= subsets || (mask == subsets - 1 && d > 0) {
-                        let k_start = if d > 0 { 0 } else { 1 };
-                        self.phase = OutcomePhase::ControlPrefix { k: k_start };
-                        continue;
-                    }
-                    self.phase = OutcomePhase::DataSubset { mask: mask + 1 };
-                    let mut delivered = PidSet::empty(self.n);
-                    for (bit, pid) in self.data_dests.iter().enumerate() {
-                        if mask & (1 << bit) != 0 {
-                            delivered.insert(*pid);
-                        }
-                    }
-                    return Some(CrashStage::MidData { delivered });
-                }
-                OutcomePhase::ControlPrefix { k } => {
-                    if k > self.control_len {
-                        self.phase = OutcomePhase::EndOfRound;
-                        continue;
-                    }
-                    self.phase = OutcomePhase::ControlPrefix { k: k + 1 };
-                    return Some(CrashStage::MidControl { prefix_len: k });
-                }
-                OutcomePhase::EndOfRound => {
-                    self.phase = OutcomePhase::Done;
-                    return Some(CrashStage::EndOfRound);
-                }
-                OutcomePhase::Done => return None,
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        // Exact when still at the start; a safe lower bound of 0 otherwise.
-        match self.phase {
-            OutcomePhase::DataSubset { mask: 0 } => {
-                let exact = crash_outcome_count(self.data_dests.len(), self.control_len);
-                (exact, Some(exact))
-            }
-            _ => (0, None),
-        }
-    }
-}
+use twostep_model::{CrashStage, PidSet, ProcessId};
 
 /// Fills `out` (cleared first) with one representative crash stage per
-/// **live-effect class**: [`crash_outcomes`] quotiented by "produces the
+/// **live-effect class** of the outcomes against one round's send plan:
+/// the complete list of the module docs, quotiented by "produces the
 /// same deliveries to still-*active* receivers".  Deliveries to crashed
 /// or decided receivers are dropped by the engine without any
 /// configuration-visible effect, so two stages differing only there step
@@ -183,18 +42,21 @@ impl Iterator for CrashOutcomes<'_> {
 /// * `had_data_plan` — whether the *raw* plan had any data destination
 ///   (distinguishes "no data step at all" from "data step aimed only at
 ///   settled receivers", which changes which stage represents the
-///   nothing-delivered class, mirroring [`crash_outcomes`]' edge rule);
+///   nothing-delivered class);
 /// * `live_control_ks` — ascending 1-based prefix lengths `k` whose
 ///   `k`-th control destination is still active.  A prefix whose last
 ///   entry is settled has the same live effect as the next shorter one,
 ///   so only these lengths (plus 0) represent distinct commit windows.
 ///
-/// With every receiver live this emits exactly the [`crash_outcomes`]
-/// sequence (same order): the quotient is the identity on a live system.
+/// The order is fixed: data subsets by ascending mask, then commit
+/// prefixes by ascending length, then [`CrashStage::EndOfRound`].  With
+/// every receiver live this is the complete list of the module docs:
+/// the quotient is the identity on a live system.
 ///
 /// # Panics
 ///
-/// Panics if `live_data_dests.len() > 20` (see [`crash_outcomes`]).
+/// Panics if `live_data_dests.len() > 20`: enumerating 2²⁰ subsets is
+/// never what a bounded model check wants.
 pub fn crash_outcomes_effective_into(
     n: usize,
     live_data_dests: &[ProcessId],
@@ -232,7 +94,7 @@ pub fn crash_outcomes_effective_into(
         out.push(CrashStage::MidControl { prefix_len: 0 });
     } else {
         // No data step at all: `MidData{∅}` is the canonical
-        // nothing-sent representative, exactly as in `crash_outcomes`.
+        // nothing-sent representative.
         out.push(CrashStage::MidData {
             delivered: PidSet::empty(n),
         });
@@ -244,9 +106,17 @@ pub fn crash_outcomes_effective_into(
     out.push(CrashStage::EndOfRound);
 }
 
-/// Number of outcomes [`crash_outcomes`] will return, without building
-/// them — used to report branching factors.
+/// Number of outcomes against a plan with `data_dest_count` data
+/// destinations and `control_len` commit prefixes, every receiver live,
+/// without building them.  Given the live counts
+/// (`live_data_dests.len()`, `live_control_ks.len()`) it is the length
+/// of the list [`crash_outcomes_effective_into`] fills, which lets the
+/// model checker refuse a round too wide for it before building one.
+/// `usize::MAX` when `data_dest_count` is `usize::BITS` or more.
 pub fn crash_outcome_count(data_dest_count: usize, control_len: usize) -> usize {
+    if data_dest_count >= usize::BITS as usize {
+        return usize::MAX;
+    }
     let subsets = 1usize << data_dest_count;
     let (proper, prefixes) = if data_dest_count > 0 {
         (subsets - 1, control_len + 1)
@@ -254,145 +124,6 @@ pub fn crash_outcome_count(data_dest_count: usize, control_len: usize) -> usize 
         (1, control_len)
     };
     proper + prefixes + 1
-}
-
-/// Which stage families a static schedule enumeration includes.
-#[derive(Clone, Copy, Debug)]
-pub struct StagePalette {
-    /// Include `BeforeSend`.
-    pub before_send: bool,
-    /// Include `EndOfRound`.
-    pub end_of_round: bool,
-    /// Include `MidControl{k}` for every `k = 0..n`.
-    pub mid_control: bool,
-    /// Include `MidData{S}` for every subset `S` of the *universe* (the
-    /// engine intersects with actual destinations).  Exponential — only
-    /// for very small `n`.
-    pub mid_data: bool,
-}
-
-impl StagePalette {
-    /// Lifecycle-only palette: crash silently or after full participation.
-    pub fn coarse() -> Self {
-        StagePalette {
-            before_send: true,
-            end_of_round: true,
-            mid_control: false,
-            mid_data: false,
-        }
-    }
-
-    /// Everything except data subsets (polynomial in `n`).
-    pub fn with_prefixes() -> Self {
-        StagePalette {
-            before_send: true,
-            end_of_round: true,
-            mid_control: true,
-            mid_data: false,
-        }
-    }
-
-    /// The full exponential palette.
-    pub fn full() -> Self {
-        StagePalette {
-            before_send: true,
-            end_of_round: true,
-            mid_control: true,
-            mid_data: true,
-        }
-    }
-
-    fn stages(&self, n: usize) -> Vec<CrashStage> {
-        let mut stages = Vec::new();
-        if self.before_send {
-            stages.push(CrashStage::BeforeSend);
-        }
-        if self.mid_data {
-            for mask in 0..(1usize << n) {
-                let mut delivered = PidSet::empty(n);
-                for bit in 0..n {
-                    if mask & (1 << bit) != 0 {
-                        delivered.insert(ProcessId::from_idx(bit));
-                    }
-                }
-                stages.push(CrashStage::MidData { delivered });
-            }
-        }
-        if self.mid_control {
-            for k in 0..n {
-                stages.push(CrashStage::MidControl { prefix_len: k });
-            }
-        }
-        if self.end_of_round {
-            stages.push(CrashStage::EndOfRound);
-        }
-        stages
-    }
-}
-
-/// Enumerates **every** crash schedule over `config` with crash rounds in
-/// `1..=max_round` and stages from `palette` — the failure-free schedule
-/// first.
-///
-/// Intended for bounded-exhaustive testing (`n ≤ 5`); see the module docs
-/// for the growth rate.
-pub fn all_schedules(
-    config: &SystemConfig,
-    max_round: u32,
-    palette: StagePalette,
-) -> Vec<CrashSchedule> {
-    let n = config.n();
-    let stages = palette.stages(n);
-    let mut per_victim: Vec<CrashPoint> = Vec::with_capacity(max_round as usize * stages.len());
-    for round in Round::up_to(max_round) {
-        for stage in &stages {
-            per_victim.push(CrashPoint::new(round, stage.clone()));
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut current = CrashSchedule::none(n);
-    enumerate_victims(config, &per_victim, 0, 0, &mut current, &mut out);
-    out
-}
-
-fn enumerate_victims(
-    config: &SystemConfig,
-    points: &[CrashPoint],
-    next_pid_idx: usize,
-    crashes_so_far: usize,
-    current: &mut CrashSchedule,
-    out: &mut Vec<CrashSchedule>,
-) {
-    if next_pid_idx == config.n() {
-        out.push(current.clone());
-        return;
-    }
-    let pid = ProcessId::from_idx(next_pid_idx);
-    // Option 1: this process stays correct.
-    enumerate_victims(
-        config,
-        points,
-        next_pid_idx + 1,
-        crashes_so_far,
-        current,
-        out,
-    );
-    // Option 2: it crashes, at every possible point — if budget remains.
-    if crashes_so_far < config.t() {
-        for cp in points {
-            current.set(pid, Some(cp.clone()));
-            enumerate_victims(
-                config,
-                points,
-                next_pid_idx + 1,
-                crashes_so_far + 1,
-                current,
-                out,
-            );
-        }
-        current.set(pid, None);
-    }
 }
 
 #[cfg(test)]
@@ -403,9 +134,9 @@ mod tests {
         ProcessId::new(r)
     }
 
-    /// Reference implementation: the original eager enumeration, kept
-    /// verbatim so the lazy iterator and buffer APIs can be diffed
-    /// against the exact pre-refactor sequence.
+    /// Reference implementation: the original eager enumeration of the
+    /// complete list against a plan whose receivers are all live, written
+    /// out independently of the live-effect form.
     fn crash_outcomes_reference(
         n: usize,
         data_dests: &[ProcessId],
@@ -435,57 +166,26 @@ mod tests {
     }
 
     #[test]
-    fn iterator_and_buffer_match_reference_sequence_exactly() {
-        let dest_sets: Vec<Vec<ProcessId>> = vec![
-            vec![],
-            vec![pid(2)],
-            vec![pid(2), pid(3)],
-            vec![pid(2), pid(3), pid(5)],
-            (1..=5).map(pid).collect(),
-        ];
-        let mut buf = Vec::new();
-        for dests in &dest_sets {
-            for ctl in 0..=4usize {
-                let want = crash_outcomes_reference(6, dests, ctl);
-                assert_eq!(crash_outcomes(6, dests, ctl), want, "eager API");
-                let got: Vec<CrashStage> = crash_outcomes_iter(6, dests, ctl).collect();
-                assert_eq!(got, want, "lazy iterator");
-                // The reusable buffer keeps its allocation across calls.
-                crash_outcomes_into(6, dests, ctl, &mut buf);
-                assert_eq!(buf, want, "buffer API");
-            }
-        }
-    }
-
-    #[test]
-    fn iterator_size_hint_is_exact_at_start() {
-        let dests = [pid(2), pid(3)];
-        let it = crash_outcomes_iter(4, &dests, 2);
-        // 3 proper subsets + prefixes 0..=2 + EndOfRound = 7.
-        assert_eq!(it.size_hint(), (7, Some(7)));
-        assert_eq!(it.count(), 7);
-    }
-
-    #[test]
     fn outcome_count_matches_enumeration() {
         let dests = [pid(2), pid(3), pid(4)];
         for ctl in 0..=3usize {
-            let outs = crash_outcomes(5, &dests, ctl);
+            let outs = crash_outcomes_reference(5, &dests, ctl);
             assert_eq!(outs.len(), crash_outcome_count(dests.len(), ctl));
             // 2^3 - 1 proper subsets + (ctl+1) prefixes + EndOfRound.
             assert_eq!(outs.len(), 7 + ctl + 1 + 1);
         }
+        assert_eq!(crash_outcome_count(usize::BITS as usize, 0), usize::MAX);
     }
 
     #[test]
     fn outcomes_for_empty_plan_collapse() {
         // A process sending nothing has exactly 2 distinct fates: die
         // without receiving this round, or die after full participation.
-        let outs = crash_outcomes(4, &[], 0);
+        let outs = crash_outcomes_reference(4, &[], 0);
         assert_eq!(outs.len(), crash_outcome_count(0, 0));
         assert_eq!(outs.len(), 2);
         // With control messages but no data: prefixes 1..=c are distinct.
-        let outs = crash_outcomes(4, &[], 2);
+        let outs = crash_outcomes_reference(4, &[], 2);
         assert_eq!(outs.len(), crash_outcome_count(0, 2));
         assert_eq!(outs.len(), 1 + 2 + 1);
     }
@@ -499,15 +199,16 @@ mod tests {
             vec![pid(2)],
             vec![pid(2), pid(3)],
             vec![pid(2), pid(3), pid(5)],
+            (1..=5).map(pid).collect(),
         ];
         let mut buf = Vec::new();
         for dests in &dest_sets {
-            for ctl in 0..=3usize {
+            for ctl in 0..=4usize {
                 let live_ks: Vec<usize> = (1..=ctl).collect();
                 crash_outcomes_effective_into(6, dests, !dests.is_empty(), &live_ks, &mut buf);
                 assert_eq!(
                     buf,
-                    crash_outcomes(6, dests, ctl),
+                    crash_outcomes_reference(6, dests, ctl),
                     "dests={dests:?} ctl={ctl}"
                 );
             }
@@ -533,6 +234,11 @@ mod tests {
                 CrashStage::EndOfRound,
             ]
         );
+        assert_eq!(
+            buf.len(),
+            crash_outcome_count(1, 1),
+            "count of the live counts"
+        );
         assert_eq!(crash_outcome_count(3, 3), 12, "raw count for contrast");
     }
 
@@ -550,12 +256,17 @@ mod tests {
                 CrashStage::EndOfRound,
             ]
         );
+        assert_eq!(
+            buf.len(),
+            crash_outcome_count(0, 1),
+            "count of the live counts"
+        );
     }
 
     #[test]
     fn effective_keeps_empty_data_representative_without_a_plan() {
         // No data step at all: the nothing-sent class is represented by
-        // `MidData{∅}`, exactly as in the raw enumeration's `d = 0` edge.
+        // `MidData{∅}`, exactly as in the complete list's `d = 0` edge.
         let mut buf = Vec::new();
         crash_outcomes_effective_into(4, &[], false, &[1, 3], &mut buf);
         assert_eq!(
@@ -569,10 +280,15 @@ mod tests {
                 CrashStage::EndOfRound,
             ]
         );
+        assert_eq!(
+            buf.len(),
+            crash_outcome_count(0, 2),
+            "count of the live counts"
+        );
     }
 
     fn assert_effects_distinct(n: usize, dests: &[ProcessId], ctl: usize) {
-        let outs = crash_outcomes(n, dests, ctl);
+        let outs = crash_outcomes_reference(n, dests, ctl);
         let mut effects = Vec::new();
         for stage in &outs {
             let e = stage.effect(n);
@@ -604,41 +320,9 @@ mod tests {
     }
 
     #[test]
-    fn all_schedules_counts() {
-        // n = 3, t = 1, 2 rounds, coarse palette: victim choices are
-        // "nobody" + 3 victims × (2 rounds × 2 stages) = 1 + 12.
-        let config = SystemConfig::new(3, 1).unwrap();
-        let schedules = all_schedules(&config, 2, StagePalette::coarse());
-        assert_eq!(schedules.len(), 13);
-        assert_eq!(schedules[0].f(), 0, "failure-free first");
-        for s in &schedules {
-            assert!(s.validate(&config).is_ok());
-        }
-    }
-
-    #[test]
-    fn all_schedules_two_victims() {
-        // n = 3, t = 2, 1 round, coarse: 2 choices per victim, so
-        // Σ_{k≤2} C(3,k)·2^k = 1 + 6 + 12 = 19.
-        let config = SystemConfig::new(3, 2).unwrap();
-        let schedules = all_schedules(&config, 1, StagePalette::coarse());
-        assert_eq!(schedules.len(), 19);
-        let max_f = schedules.iter().map(|s| s.f()).max().unwrap();
-        assert_eq!(max_f, 2);
-    }
-
-    #[test]
-    fn palette_stage_counts() {
-        let n = 3;
-        assert_eq!(StagePalette::coarse().stages(n).len(), 2);
-        assert_eq!(StagePalette::with_prefixes().stages(n).len(), 2 + 3);
-        assert_eq!(StagePalette::full().stages(n).len(), 2 + 3 + 8);
-    }
-
-    #[test]
     #[should_panic(expected = "capped at 20")]
     fn subset_cap_enforced() {
         let dests: Vec<ProcessId> = (1..=21).map(pid).collect();
-        let _ = crash_outcomes(30, &dests, 0);
+        crash_outcomes_effective_into(30, &dests, true, &[], &mut Vec::new());
     }
 }

@@ -9,10 +9,10 @@
 //!   counts;
 //! * [`random`] — seed-deterministic random schedules and proposal vectors
 //!   for property tests and large sweeps;
-//! * [`enumerate`] — complete, duplicate-free enumeration of crash
-//!   outcomes (per round, against a concrete send plan) and of whole
-//!   schedules (bounded-exhaustive testing); the model checker in
-//!   `twostep-modelcheck` is built on these.
+//! * [`enumerate`] — complete, duplicate-free enumeration of the crash
+//!   outcomes against one process's send plan in one round, one per
+//!   effect on the processes still active; the model checker in
+//!   `twostep-modelcheck` branches on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,10 +21,7 @@ pub mod enumerate;
 pub mod random;
 pub mod worst_case;
 
-pub use enumerate::{
-    all_schedules, crash_outcome_count, crash_outcomes, crash_outcomes_effective_into,
-    crash_outcomes_into, crash_outcomes_iter, CrashOutcomes, StagePalette,
-};
+pub use enumerate::{crash_outcome_count, crash_outcomes_effective_into};
 pub use random::{
     random_binary_proposals, random_proposals, random_schedule, random_wide_proposals,
     RandomScheduleSpec,

@@ -64,6 +64,10 @@
 //! * worker processes are recognized by the `--dist-worker` argument
 //!   vector (see `twostep_bench::distcli`) — never pass it by hand.
 //!
+//! A `--n`/`--t` pair that forms no valid system prints one line and
+//! exits with code 2, as a worker handed one does; a failed exploration
+//! prints its error and exits with code 1.
+//!
 //! Every setting comes from these flags and nothing else: a flag resolves
 //! to its value when it is present and parses, else to the default — and
 //! a flag whose value is missing or unparseable says so before falling
@@ -199,6 +203,11 @@ fn main() {
             ..defaults.supervise
         },
     };
+    // An invalid system exits as a worker handed one does.
+    let (system, proposals) = request
+        .run
+        .instance("twostep-dist")
+        .unwrap_or_else(|code| std::process::exit(code));
     if !request.faults.is_empty() {
         eprintln!("twostep-dist: fault plan {}", request.faults.render());
     }
@@ -220,7 +229,7 @@ fn main() {
         },
         if request.steal.enabled { "on" } else { "off" }
     );
-    let run = run_dist_crw(&request).unwrap_or_else(|e| bail(e));
+    let run = run_dist_crw(&request, system, proposals).unwrap_or_else(|e| bail(e));
     let (report, total_seconds, timings) = (&run.report, run.total_seconds, &run.timings);
 
     let worst = report

@@ -111,8 +111,8 @@ impl CrwRunArgs {
     }
 
     /// The system and the canonical bench proposals, or — after saying
-    /// so as `who` — the exit code of a worker handed an invalid system.
-    fn instance(&self, who: &str) -> Result<(SystemConfig, Vec<WideValue>), i32> {
+    /// so as `who` — the exit code of a process handed an invalid system.
+    pub fn instance(&self, who: &str) -> Result<(SystemConfig, Vec<WideValue>), i32> {
         match SystemConfig::new(self.n, self.t) {
             Ok(system) => Ok((system, bench_proposals(self.n))),
             Err(e) => {
@@ -630,11 +630,15 @@ pub struct DistRun {
 
 /// Runs a `(n, t)` CRW exploration across worker OS processes
 /// (re-executions of the current binary), merging their exported
-/// segments and replaying the canonical walk in this process.
-pub fn run_dist_crw(request: &DistRequest) -> Result<DistRun, ExploreError> {
+/// segments and replaying the canonical walk in this process.  `system`
+/// and `proposals` are `request.run`'s [`CrwRunArgs::instance`], which
+/// the workers resolve the same way.
+pub fn run_dist_crw(
+    request: &DistRequest,
+    system: SystemConfig,
+    proposals: Vec<WideValue>,
+) -> Result<DistRun, ExploreError> {
     let run = &request.run;
-    let system = SystemConfig::new(run.n, run.t).expect("valid bench system");
-    let proposals = bench_proposals(run.n);
     let config = run.config(&system);
     let exe = std::env::current_exe().map_err(|e| ExploreError::Coordinator {
         detail: format!("cannot locate own binary for re-exec: {e}"),

@@ -68,3 +68,33 @@ fn dist_bin_matches_serial_exploration() {
     assert_eq!(field(summary, "violating"), "false");
     assert_eq!(field(summary, "partitions"), "2");
 }
+
+/// Runs `twostep-dist` with `args` and returns its exit code and stderr.
+fn run_dist(args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_twostep-dist"))
+        .args(args)
+        .output()
+        .expect("twostep-dist runs");
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn dist_bin_refuses_bad_systems_without_panicking() {
+    // No valid system: one line, exit 2, as a worker handed one does.
+    let (code, stderr) = run_dist(&["--n", "3", "--t", "3"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("invalid system (3, 3)"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    // A round wider than the explorer takes: the explorer's error, exit 1.
+    let (code, stderr) = run_dist(&["--n", "17", "--t", "1", "--partitions", "1"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("round 1: p1 has 65553 crash outcomes"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}

@@ -453,7 +453,7 @@ where
             if walker.is_terminal(parent) {
                 continue;
             }
-            let mut round = walker.open_round(parent).map_err(ExploreError::Engine)?;
+            let mut round = walker.open_round(parent)?;
             // Key first, like the walk itself.  A row whose successor
             // class the round has met is a repeated key: class numbers
             // are handed out in first-occurrence order, so dropping it
@@ -580,7 +580,7 @@ where
     if groups.is_empty() {
         return Ok(());
     }
-    let round = walker.open_round(node).map_err(ExploreError::Engine)?;
+    let round = walker.open_round(node)?;
     let mut actions = RoundActions::new();
     for (idx, group) in groups {
         if idx as usize >= round.len() {

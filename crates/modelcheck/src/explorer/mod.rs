@@ -5,9 +5,10 @@
 //! the extended (or classic) model for a given `(n, t)`: at each round the
 //! adversary may crash any subset of the live processes (within the
 //! remaining budget), and each crash takes one of the *distinct* outcomes
-//! enumerated by [`twostep_adversary::crash_outcomes_iter`] against that
-//! process's concrete send plan — arbitrary data subsets, ordered commit
-//! prefixes, end-of-round death.
+//! enumerated by [`twostep_adversary::crash_outcomes_effective_into`]
+//! against that process's concrete send plan — arbitrary data subsets,
+//! ordered commit prefixes, end-of-round death — one per effect on the
+//! processes still active.
 //!
 //! Identical configurations reached along different paths are merged: the
 //! execution space is a DAG, and each node's subtree is summarized once

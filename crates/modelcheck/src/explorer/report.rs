@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use twostep_model::{CrashPoint, CrashSchedule, CrashStage, ProcessId, SystemConfig};
+use twostep_model::{CrashPoint, CrashSchedule, CrashStage, ProcessId, Round, SystemConfig};
 use twostep_sim::{
     check_uniform_consensus, Decision, ProcStatus, SimError, SpecReport, SpecViolation,
 };
@@ -91,6 +91,18 @@ pub enum ExploreError {
     /// sum saturates, so an overflow anywhere in the walk pins the root
     /// at `u64::MAX`; the run fails rather than report that number.
     TerminalOverflow,
+    /// A process has more crash outcomes in a round than an adversary
+    /// move can name: a move stores one `u16` outcome index per active
+    /// process, which takes a sender to at most 15 live data
+    /// destinations.
+    RoundTooWide {
+        /// The round being opened.
+        round: Round,
+        /// The process whose outcomes overflow.
+        process: ProcessId,
+        /// How many crash outcomes it has.
+        outcomes: usize,
+    },
 }
 
 impl From<SpillError> for ExploreError {
@@ -139,6 +151,16 @@ impl std::fmt::Display for ExploreError {
                 write!(f, "injected fault: {detail}")
             }
             ExploreError::TerminalOverflow => f.write_str("the terminal count exceeds u64::MAX"),
+            ExploreError::RoundTooWide {
+                round,
+                process,
+                outcomes,
+            } => write!(
+                f,
+                "round {round}: {process} has {outcomes} crash outcomes, more than an \
+                 adversary move can name (a sender may reach at most 15 live data \
+                 destinations)"
+            ),
             ExploreError::CheckpointStrength { found, expected } => {
                 write!(
                     f,

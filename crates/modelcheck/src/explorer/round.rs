@@ -280,25 +280,44 @@
 //! the partial tier's terminal counts exact rather than merely
 //! verdict-preserving.  (Logic version v4; Off-mode reports before v4
 //! counted effect-duplicate terminals separately.)
+//!
+//! ## How wide a round can be
+//!
+//! A row names each slot's outcome by a `u16`, `0` for surviving, so a
+//! process may have at most 65 534 crash outcomes in a round.  A sender
+//! with `d` live data destinations and `k` live commit prefixes has
+//! `2^d + k + 1` of them: `d` may reach 15, not 16.  CRW's round-1
+//! coordinator sends data to every other process, so the walker takes
+//! CRW up to `n = 16`.  [`RoundKeys::open`] counts each slot's outcomes
+//! before it lists them, and a wider round fails the run with
+//! [`ExploreError::RoundTooWide`] (naming the round, the process and
+//! the count).  The fallback for systems wider than 64 processes above
+//! therefore serves only protocols whose senders stay within 15 live
+//! data destinations.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use twostep_adversary::crash_outcomes_effective_into;
+use twostep_adversary::{crash_outcome_count, crash_outcomes_effective_into};
 use twostep_model::codec::{encode_varint, stable_hash64};
 use twostep_model::{CrashStage, ProcessId, SymmetryContext};
 use twostep_sim::{
-    Decision, ProcStatus, RoundActions, RoundView, SentRound, SimError, Stepper, SyncProtocol,
+    Decision, ProcStatus, RoundActions, RoundView, SentRound, Stepper, SyncProtocol,
 };
 
 use super::canon::{
     encode_active_record, encode_key_record, encode_settled_record, swapped_proc, KeySource, Role,
 };
 use super::config::{CheckableProtocol, ExploreConfig, SymmetryPlan};
-use super::report::Summary;
+use super::report::{ExploreError, Summary};
 use crate::spill::SpillCodec;
+
+/// The most crash outcomes one process may have in a round: a row stores
+/// each slot's outcome index as a `u16`, `0` for surviving (the head of
+/// this module, "How wide a round can be").
+const MAX_OUTCOMES: usize = u16::MAX as usize - 1;
 
 /// One configuration's **open round** — what key-first successor
 /// generation (module docs) works from, and the only thing that reads or
@@ -976,20 +995,25 @@ where
     /// the round's odometer steps through and unranks, the no-crash move
     /// first, then the canonical order that makes reports deterministic.
     /// Fails where stepping any child would have failed (the send phase
-    /// does not look at the adversary).
+    /// does not look at the adversary), and with
+    /// [`ExploreError::RoundTooWide`] where a process has more outcomes
+    /// than a row can name.
     pub(super) fn open(
         pooled: Option<Self>,
         stepper: &Stepper<P>,
         config: &ExploreConfig,
         plan: SymmetryPlan,
         live: &mut LiveEffects,
-    ) -> Result<Self, SimError> {
+    ) -> Result<Self, ExploreError> {
         let mut round = match pooled {
             Some(mut round) => {
-                round.sent.reset(stepper)?;
+                round.sent.reset(stepper).map_err(ExploreError::Engine)?;
                 round
             }
-            None => Self::new(SentRound::new(stepper)?, plan, stepper.config().t()),
+            None => {
+                let sent = SentRound::new(stepper).map_err(ExploreError::Engine)?;
+                Self::new(sent, plan, stepper.config().t())
+            }
         };
         let status = round.sent.status();
         let slots = round.sent.active().len();
@@ -1016,6 +1040,16 @@ where
                     .filter(|(_, p)| matches!(status[p.idx()], ProcStatus::Active))
                     .map(|(k0, _)| k0 + 1),
             );
+            // The live-effect list is as long as the full list of a plan
+            // whose receivers are the live ones: count it before building it.
+            let outcomes = crash_outcome_count(live.dests.len(), live.ks.len());
+            if outcomes > MAX_OUTCOMES {
+                return Err(ExploreError::RoundTooWide {
+                    round: round.sent.round(),
+                    process: ProcessId::from_idx(i),
+                    outcomes,
+                });
+            }
             crash_outcomes_effective_into(
                 status.len(),
                 &live.dests,
@@ -1023,10 +1057,7 @@ where
                 &live.ks,
                 stages,
             );
-            assert!(
-                stages.len() < usize::from(u16::MAX),
-                "a row stores outcome indices as u16"
-            );
+            debug_assert_eq!(stages.len(), outcomes);
         }
 
         let crashed_so_far = status

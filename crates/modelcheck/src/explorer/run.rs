@@ -605,7 +605,7 @@ where
 
         let round = stepper.round();
         let mut advanced = false;
-        let open = walker.open_round(&stepper).map_err(ExploreError::Engine)?;
+        let open = walker.open_round(&stepper)?;
         for idx in 0..open.len() {
             open.actions_into(idx, &mut row);
             let mut child = stepper.clone();

@@ -119,6 +119,32 @@ fn state_budget_is_enforced() {
     assert_eq!(err, ExploreError::StateLimit { budget: 3 });
 }
 
+/// A row names a slot's outcome by a `u16`.  CRW's round-1 coordinator
+/// at `(17, 1)` sends data and a commit to 16 live processes, which is
+/// 2¹⁶ + 16 + 1 outcomes: the walk refuses the round by name instead of
+/// panicking.
+#[test]
+fn a_sender_with_16_live_data_destinations_is_too_wide() {
+    use twostep_model::WideValue;
+    let system = SystemConfig::new(17, 1).unwrap();
+    let bits: Vec<WideValue> = (0..17).map(|i| WideValue::new(1, i % 2)).collect();
+    let err = explore(
+        system,
+        ExploreConfig::for_crw(&system),
+        twostep_core::crw_processes(&system, &bits),
+        bits,
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        ExploreError::RoundTooWide {
+            round: Round::FIRST,
+            process: ProcessId::new(1),
+            outcomes: (1 << 16) + 16 + 1,
+        }
+    );
+}
+
 #[test]
 fn state_budget_is_enforced_in_parallel_too() {
     let system = SystemConfig::new(3, 2).unwrap();

@@ -82,7 +82,7 @@ use std::sync::{Arc, Mutex};
 
 use twostep_model::codec::{stable_hash64, Canonicalizer};
 use twostep_model::SystemConfig;
-use twostep_sim::{ProcStatus, RoundActions, SimError, Stepper, SyncProtocol, WorkQueue};
+use twostep_sim::{ProcStatus, RoundActions, Stepper, SyncProtocol, WorkQueue};
 
 use super::budget::{Arbiter, StepProgress, StepResult, StepStatus, StepVerdict};
 use super::canon::{flag_in_place, make_key_into, tier_key_into, KeySource};
@@ -684,7 +684,10 @@ where
 
     /// Opens `stepper`'s next round ([`RoundKeys::open`]) on a round from
     /// the pool, if it holds one.
-    pub(crate) fn open_round(&mut self, stepper: &Stepper<P>) -> Result<RoundKeys<P>, SimError> {
+    pub(crate) fn open_round(
+        &mut self,
+        stepper: &Stepper<P>,
+    ) -> Result<RoundKeys<P>, ExploreError> {
         let (pooled, shared) = (self.round_pool.pop(), self.shared);
         RoundKeys::open(pooled, stepper, &shared.config, shared.plan, &mut self.live)
     }
@@ -1133,9 +1136,7 @@ where
     ) -> Result<(), Interrupt> {
         // The configuration expands: its send phase runs here, once, for
         // the enumeration below and for every child key after it.
-        let round = self
-            .open_round(&stepper)
-            .map_err(|e| self.shared.fail(ExploreError::Engine(e)))?;
+        let round = self.open_round(&stepper).map_err(|e| self.shared.fail(e))?;
 
         // Work-sharing: if workers are parked on the injector, hand them
         // the subtrees this walker would reach last.  They explore into

@@ -3,9 +3,9 @@
 //! The deterministic simulator (`twostep-sim`) is where proofs-by-testing
 //! happen; this crate is the existence proof that the extended model runs
 //! on a real shared-nothing substrate: **one OS thread per process**,
-//! crossbeam channels as reliable LAN links, and a lockstep coordinator
-//! that enforces the round structure (the role played by synchronized
-//! clocks in an actual deployment).
+//! `std::sync::mpsc` channels as reliable LAN links, and a lockstep
+//! coordinator that enforces the round structure (the role played by
+//! synchronized clocks in an actual deployment).
 //!
 //! Fault injection preserves the paper's semantics exactly, by placing the
 //! crash in the *sender's network shim*: a thread scheduled to crash in

@@ -16,9 +16,9 @@
 //! the runtime counterpart of the synchronous model's fundamental
 //! property that a round-`r` message is received in round `r`.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Mutex, PoisonError};
 use twostep_model::{
     BitSized, CrashSchedule, CrashStage, DeliveryOutcome, PidSet, ProcessId, Round, RunMetrics,
     SystemConfig,
@@ -210,18 +210,21 @@ impl<'a> ThreadedRuntime<'a> {
         let mut inbox_tx: Vec<Sender<NetMsg<P::Msg>>> = Vec::with_capacity(n);
         let mut inbox_rx: Vec<Option<Receiver<NetMsg<P::Msg>>>> = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             inbox_tx.push(tx);
             inbox_rx.push(Some(rx));
         }
         let mut ctl_tx: Vec<Sender<Ctl>> = Vec::with_capacity(n);
         let mut ctl_rx: Vec<Option<Receiver<Ctl>>> = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             ctl_tx.push(tx);
             ctl_rx.push(Some(rx));
         }
-        let (fb_tx, fb_rx) = unbounded::<Feedback<P::Output>>();
+        let (fb_tx, fb_rx) = channel::<Feedback<P::Output>>();
+        // Every update under this lock is one counter or one table entry,
+        // so a guard recovered from a holder that panicked (protocol code
+        // cloning a message) still guards valid metrics.
         let metrics = Mutex::new(RunMetrics::new(n));
         let model = self.model;
         let schedule = self.schedule;
@@ -283,6 +286,7 @@ impl<'a> ThreadedRuntime<'a> {
                                 decisions[idx] = Some(Decision { value: v, round });
                                 metrics
                                     .lock()
+                                    .unwrap_or_else(PoisonError::into_inner)
                                     .record_decision(ProcessId::from_idx(idx), round);
                                 // A decided worker has exited; if it was also
                                 // scheduled to die this round, count the crash.
@@ -324,7 +328,10 @@ impl<'a> ThreadedRuntime<'a> {
                         }
                     }
                 }
-                metrics.lock().rounds_executed = round.get();
+                metrics
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .rounds_executed = round.get();
 
                 for &i in &receivers {
                     let _ = ctl_tx[i].send(Ctl::ReceivePhase(round));
@@ -344,6 +351,7 @@ impl<'a> ThreadedRuntime<'a> {
                                     decisions[idx] = Some(Decision { value: v, round });
                                     metrics
                                         .lock()
+                                        .unwrap_or_else(PoisonError::into_inner)
                                         .record_decision(ProcessId::from_idx(idx), round);
                                 }
                                 if halts {
@@ -393,7 +401,7 @@ impl<'a> ThreadedRuntime<'a> {
         if let Some(e) = error {
             return Err(e);
         }
-        let mut metrics = metrics.into_inner();
+        let mut metrics = metrics.into_inner().unwrap_or_else(PoisonError::into_inner);
         // Decision rounds were recorded incrementally; keep table aligned.
         debug_assert_eq!(metrics.decision_round.len(), n);
         for (i, d) in decisions.iter().enumerate() {
@@ -478,7 +486,7 @@ fn worker_loop<P>(
 
                 // Network shim: transmit under the crash stage's filter.
                 {
-                    let mut m = metrics.lock();
+                    let mut m = metrics.lock().unwrap_or_else(PoisonError::into_inner);
                     for (dst, msg) in &plan.data {
                         let transmitted = outcome
                             .data_filter

@@ -14,8 +14,7 @@
 //! * [`check_uniform_consensus`] — the consensus specification as a
 //!   post-hoc checker (module [`spec`]);
 //! * [`Trace`] — optional event recording (module [`trace`]);
-//! * [`par_map`] / [`Sweeper`] — parallel parameter sweeps (module
-//!   [`sweep`]);
+//! * [`par_map`] — parallel parameter sweeps (module [`sweep`]);
 //! * [`run_on_workers`] / [`WorkQueue`] / [`default_threads`] — the
 //!   workspace-wide worker scheduler and work-sharing injector (module
 //!   [`scheduler`]), shared by sweeps and the exhaustive explorer.
@@ -32,7 +31,6 @@ pub mod engine;
 pub mod protocol;
 pub mod scheduler;
 pub mod spec;
-pub mod stats;
 pub mod sweep;
 pub mod trace;
 
@@ -43,6 +41,5 @@ pub use engine::{
 pub use protocol::{Inbox, SendPlan, Step, SyncProtocol};
 pub use scheduler::{default_threads, panic_message, run_on_workers, CancelToken, WorkQueue};
 pub use spec::{check_uniform_consensus, SpecReport, SpecViolation};
-pub use stats::{Histogram, Summary};
-pub use sweep::{par_map, Sweeper};
+pub use sweep::par_map;
 pub use trace::{Event, Trace, TraceLevel};

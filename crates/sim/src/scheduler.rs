@@ -146,11 +146,6 @@ impl<T> WorkQueue<T> {
         self.idle.load(Ordering::Relaxed)
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("work queue poisoned").closed
-    }
-
     /// Enqueues an item (no-op if the queue is already closed) and wakes
     /// one idle consumer.
     pub fn push(&self, item: T) {
@@ -255,7 +250,6 @@ mod tests {
             queue.close();
             assert_eq!(handle.join().unwrap(), None);
         });
-        assert!(queue.is_closed());
         queue.push(7); // no-op after close
         assert_eq!(queue.pop_wait(), None);
     }

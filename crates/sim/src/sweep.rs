@@ -6,8 +6,9 @@
 //! scoped-worker scheduler ([`crate::scheduler::run_on_workers`], also
 //! used by the exhaustive explorer) with dynamic (atomic-counter)
 //! scheduling, without pulling a thread-pool dependency into the
-//! workspace.  Worker counts default through [`default_threads`], the
-//! machine's available parallelism.
+//! workspace.  Callers that pick no worker count pass
+//! [`default_threads`](crate::default_threads), the machine's available
+//! parallelism.
 //!
 //! Results come back **in input order** regardless of completion order, so
 //! sweep output is deterministic and directly zippable with the inputs.
@@ -15,7 +16,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-pub use crate::scheduler::default_threads;
 use crate::scheduler::run_on_workers;
 
 /// Applies `f` to every item on `threads` workers, returning results in
@@ -84,43 +84,6 @@ where
         .collect()
 }
 
-/// Convenience wrapper carrying a thread count.
-#[derive(Clone, Copy, Debug)]
-pub struct Sweeper {
-    threads: usize,
-}
-
-impl Sweeper {
-    /// A sweeper using all available parallelism.
-    pub fn auto() -> Self {
-        Sweeper {
-            threads: default_threads(),
-        }
-    }
-
-    /// A sweeper with an explicit worker count (min 1).
-    pub fn with_threads(threads: usize) -> Self {
-        Sweeper {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// See [`par_map`].
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        par_map(items, self.threads, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,18 +127,5 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 500);
-    }
-
-    #[test]
-    fn sweeper_auto_has_at_least_one_thread() {
-        assert!(Sweeper::auto().threads() >= 1);
-        assert_eq!(Sweeper::with_threads(0).threads(), 1);
-    }
-
-    #[test]
-    fn sweeper_map_delegates() {
-        let s = Sweeper::with_threads(4);
-        let out = s.map(&[5u64, 6], |i, x| x + i as u64);
-        assert_eq!(out, vec![5, 7]);
     }
 }

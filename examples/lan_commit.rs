@@ -4,8 +4,8 @@
 //! cargo run --example lan_commit
 //! ```
 //!
-//! A small cluster (one OS thread per node, crossbeam channels as the
-//! reliable LAN) must agree on which configuration epoch to commit.  The
+//! A small cluster (one OS thread per node, `std::sync::mpsc` channels as
+//! the reliable LAN) must agree on which configuration epoch to commit.  The
 //! primary (`p_1`) pushes its epoch and crashes halfway through its commit
 //! sequence; the run shows prefix delivery, value locking, and takeover —
 //! and the threaded result is compared against the deterministic simulator
