@@ -91,26 +91,40 @@ if (( $(states_of "$dist_pv_out") > $(states_of "$dist_off_out") )); then
 fi
 echo "symmetry modes agree: $(verdict_of "$dist_off_out") ($(states_of "$dist_off_out") raw -> $(states_of "$dist_pv_out") partial+value orbit states)"
 
-echo "== elastic steal run (forced policy, quick): bit-identical to the classic engine"
+echo "== elastic steal run (forced policy, (6, 5)): a steal across OS processes, bit-identical to the classic engine"
 # Zero warm-up + any-size frontier forces the full steal machinery over
 # real OS worker processes — offload, preempt handshake, frontier
-# re-split, seeded relaunch — on the same quick system; the timing-free
-# result line must match the classic partitioned run byte for byte.
-steal_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- \
-    --quick --partitions 2 --symmetry off \
-    --steal --steal-poll-ms 0 --steal-min-frontier 1 --steal-yield-every 64)"
-grep '^twostep-dist: steal workers=' <<<"$steal_out"
-grep '^twostep-dist: steal workers=.* offloaded=true' <<<"$steal_out" >/dev/null \
-    || { echo "FAIL: forced steal policy never offloaded — the elastic path was not exercised" >&2; exit 1; }
-steal_result="$(grep '^twostep-dist: result' <<<"$steal_out")"
-classic_result="$(grep '^twostep-dist: result' <<<"$dist_off_out")"
-echo "steal:   $steal_result"
+# re-split, seeded relaunch.  The quick (5, 4) system is walked before a
+# worker is preempted; the default (6, 5) one steals in almost every
+# run (about 85 ms each).  Every run's timing-free result line must
+# match the classic partitioned (6, 5) run byte for byte, and at least
+# one of up to three runs must really steal (`steals=` of 1 or more).
+classic_65_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- --partitions 2 --symmetry off)"
+classic_result="$(grep '^twostep-dist: result' <<<"$classic_65_out")"
 echo "classic: $classic_result"
-if [[ "$steal_result" != "$classic_result" ]]; then
-    echo "FAIL: elastic steal report differs from the classic partitioned one" >&2
+stole=false
+for attempt in 1 2 3; do
+    steal_out="$(cargo run --release -q -p twostep-bench --bin twostep-dist -- \
+        --partitions 2 --symmetry off \
+        --steal --steal-poll-ms 0 --steal-min-frontier 1 --steal-yield-every 64)"
+    steal_line="$(grep '^twostep-dist: steal workers=' <<<"$steal_out")"
+    steal_result="$(grep '^twostep-dist: result' <<<"$steal_out")"
+    echo "steal $attempt: $steal_line"
+    if [[ "$steal_result" != "$classic_result" ]]; then
+        echo "steal:   $steal_result" >&2
+        echo "FAIL: elastic steal report differs from the classic partitioned one" >&2
+        exit 1
+    fi
+    if (( $(sed -n 's/.* steals=\([0-9]*\) .*/\1/p' <<<"$steal_line") >= 1 )); then
+        stole=true
+        break
+    fi
+done
+if [[ "$stole" == false ]]; then
+    echo "FAIL: the forced steal policy never stole in 3 runs — the preempt path was not exercised" >&2
     exit 1
 fi
-echo "elastic OK: forced-steal run is bit-identical to the classic engine"
+echo "elastic OK: a forced-steal run stole and is bit-identical to the classic engine"
 
 echo "== fault storm (quick): crash + corrupt + hang survive retries, report untouched"
 # A survivable chaos plan over the same quick system: partition 0 crashes

@@ -66,7 +66,9 @@
 //!
 //! A `--n`/`--t` pair that forms no valid system prints one line and
 //! exits with code 2, as a worker handed one does; a failed exploration
-//! prints its error and exits with code 1.
+//! prints its error and exits with code 1 — among them a system of more
+//! than 64 processes, which the explorer refuses before any worker is
+//! launched.
 //!
 //! Every setting comes from these flags and nothing else: a flag resolves
 //! to its value when it is present and parses, else to the default — and

@@ -31,6 +31,16 @@ use twostep_modelcheck::{
 };
 use twostep_sim::CancelToken;
 
+/// `eprintln!` in one `write_all`, newline included.  Worker processes
+/// and their coordinator share one stderr, and `eprintln!` writes a line
+/// piece by piece, so lines printed at once cut into each other.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        let line = format!("{}\n", format_args!($($arg)*));
+        let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
+    }};
+}
+
 /// Argv marker that switches a binary into worker mode.
 pub const WORKER_FLAG: &str = "--dist-worker";
 
@@ -116,7 +126,7 @@ impl CrwRunArgs {
         match SystemConfig::new(self.n, self.t) {
             Ok(system) => Ok((system, bench_proposals(self.n))),
             Err(e) => {
-                eprintln!("{who}: invalid system ({}, {}): {e}", self.n, self.t);
+                say!("{who}: invalid system ({}, {}): {e}", self.n, self.t);
                 Err(2)
             }
         }
@@ -243,7 +253,7 @@ pub fn run_crw_worker(args: &CrwWorkerArgs) -> i32 {
         &task,
     ) {
         Ok(report) => {
-            eprintln!(
+            say!(
                 "dist-worker: partition {}/{} owned {}/{} frontier subtrees, \
                  {} distinct states ({} seeded), {} records exported",
                 args.partition,
@@ -267,7 +277,7 @@ pub fn run_crw_worker(args: &CrwWorkerArgs) -> i32 {
             0
         }
         Err(e) => {
-            eprintln!("dist-worker: partition {} failed: {e}", args.partition);
+            say!("dist-worker: partition {} failed: {e}", args.partition);
             1
         }
     }
@@ -400,7 +410,7 @@ pub fn run_crw_elastic_worker(args: &CrwElasticArgs) -> i32 {
             0
         }
         Err(e) => {
-            eprintln!("dist-elastic-worker: worker {} failed: {e}", args.worker);
+            say!("dist-elastic-worker: worker {} failed: {e}", args.worker);
             1
         }
     }
@@ -703,7 +713,7 @@ pub fn run_dist_crw(
                 PulseLine::Pulse(p) => pulse(p),
                 PulseLine::Garbled if !warned_garbled => {
                     warned_garbled = true;
-                    eprintln!(
+                    say!(
                         "dist-elastic: worker {}: ignoring garbled progress \
                          line {line:?} (warning once per launch)",
                         task.worker

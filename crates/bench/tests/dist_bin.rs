@@ -97,4 +97,42 @@ fn dist_bin_refuses_bad_systems_without_panicking() {
         "stderr: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    // A system wider than the explorer takes: refused before any worker
+    // is launched, naming the system and the limit, exit 1.
+    let (code, stderr) = run_dist(&["--n", "65", "--t", "1"]);
+    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("65") && stderr.contains("64"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("dist-worker"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+/// Worker processes print their status lines on the stderr they share
+/// with each other and the coordinator: each line goes out whole, so two
+/// workers finishing at once leave two lines, neither cut into the other.
+/// Whether two finish at once is up to the scheduler (a line written
+/// piece by piece was cut into in about one debug run of twenty), so the
+/// run is repeated.
+#[test]
+fn worker_status_lines_are_written_whole() {
+    let prefix = "dist-worker:";
+    for _ in 0..8 {
+        let (code, stderr) = run_dist(&["--quick", "--partitions", "2"]);
+        assert_eq!(code, Some(0), "stderr: {stderr}");
+        for line in stderr.lines() {
+            assert!(line.matches(prefix).count() <= 1, "spliced: {line:?}");
+        }
+        let status: Vec<&str> = (stderr.lines())
+            .filter(|line| line.starts_with(prefix))
+            .collect();
+        for partition in 0..2 {
+            let own = format!("{prefix} partition {partition}/2 ");
+            let lines = status.iter().filter(|line| line.starts_with(&own));
+            assert_eq!(lines.count(), 1, "partition {partition}: {stderr}");
+        }
+        assert_eq!(status.len(), 2, "stderr: {stderr}");
+    }
 }

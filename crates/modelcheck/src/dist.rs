@@ -176,6 +176,16 @@ use crate::faults::{self, FaultPlan, IoFaultGuard, WorkerFault, WorkerPhase};
 use crate::memo::entry_validator;
 use crate::spill::{read_frontier_segment, write_frontier_segment, SpillCodec, SpillDir};
 
+/// `eprintln!` in one `write_all`, newline included.  The coordinator
+/// shares its stderr with its worker processes, and `eprintln!` writes a
+/// line piece by piece, so lines printed at once cut into each other.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        let line = format!("{}\n", format_args!($($arg)*));
+        let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
+    }};
+}
+
 /// How a distributed exploration is split, supervised and merged.
 #[derive(Clone, Debug)]
 pub struct DistOptions {
@@ -460,19 +470,16 @@ where
             // leaves that order untouched.  The first row of a class has
             // the plan's key assembled from its records, and a key the
             // level has not seen is stepped into existence only where the
-            // next level opens its round.  (A round the engine does not
-            // tabulate keys no row: every child is stepped, then keyed.)
+            // next level opens its round.
             let mut met = 0;
             for idx in 0..round.len() {
-                let assembled = match round.classify(idx) {
-                    Some(class) if class < met => continue,
-                    Some(class) => {
-                        met = class + 1;
-                        Some(walker.cursor_key(&mut round).0)
-                    }
-                    None => None,
-                };
-                if assembled.is_some() && seen.contains(walker.key_bytes()) {
+                let class = round.classify(idx);
+                if class < met {
+                    continue;
+                }
+                met = class + 1;
+                let hash = walker.cursor_key(&mut round).0;
+                if seen.contains(walker.key_bytes()) {
                     continue;
                 }
                 let mut stepped = || {
@@ -482,26 +489,16 @@ where
                     Ok::<_, ExploreError>(child)
                 };
                 debug_assert!(
-                    assembled
-                        .is_none_or(|hash| stepped()
-                            .is_ok_and(|child| walker.canonical_key(&child).0 == hash)),
+                    stepped().is_ok_and(|child| walker.canonical_key(&child).0 == hash),
                     "assembled frontier hash differs from the stepped child's"
                 );
-                let (hash, child) = match assembled {
-                    Some(hash) if deeper == 0 => (hash, None),
-                    Some(hash) => (hash, Some(stepped()?)),
-                    None => {
-                        let child = stepped()?;
-                        (walker.canonical_key(&child).0, Some(child))
-                    }
-                };
-                if seen.insert(walker.key_bytes().to_vec()) {
-                    let mut path = path.clone();
-                    path.push(idx as u32);
-                    match child {
-                        Some(child) if deeper > 0 => next.push((path, child)),
-                        _ => records.push((hash, path)),
-                    }
+                seen.insert(walker.key_bytes().to_vec());
+                let mut path = path.clone();
+                path.push(idx as u32);
+                if deeper == 0 {
+                    records.push((hash, path));
+                } else {
+                    next.push((path, stepped()?));
                 }
             }
             walker.close_round(round);
@@ -1265,7 +1262,7 @@ where
                     .filter(|_| live.expired.is_none())
                 {
                     Some((expires, after)) if expires <= now => {
-                        eprintln!(
+                        say!(
                             "twostep: worker {worker} exceeded its {after:?} deadline; \
                              cancelling the attempt"
                         );
@@ -1367,7 +1364,7 @@ where
                     slices.insert(worker, slice);
                 }
                 Err(error) if supervise.degrade => {
-                    eprintln!(
+                    say!(
                         "twostep: worker {worker} exhausted its {attempts} launch attempt(s) \
                          ({error}); walking its slice locally in degraded mode"
                     );

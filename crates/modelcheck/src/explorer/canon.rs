@@ -92,9 +92,8 @@
 //! (`tier_key_into`), over a *source* of per-process records with two
 //! implementors.  A [`Stepper`] encodes each form from the process's
 //! state as it is asked; that is the key path of every configuration
-//! that exists — a root, a donated subtree, a child of a round the
-//! engine does not tabulate, a frontier or witness replay — and a walk
-//! from one root runs it once.  The row an open round's
+//! that exists — a root, a donated subtree, a frontier root rebuilt
+//! from its path — and a walk from one root runs it once.  The row an open round's
 //! cursor stands on is the other: when a record is interned, the round
 //! keeps beside its raw bytes what the encoder may ask of that process
 //! in the child — its in-place and its pooled (owner-stripped) bytes, in

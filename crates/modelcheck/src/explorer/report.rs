@@ -103,6 +103,16 @@ pub enum ExploreError {
         /// How many crash outcomes it has.
         outcomes: usize,
     },
+    /// The system has more processes than a round can be keyed for: the
+    /// engine's views keep the senders that reach a process as bits of
+    /// a `u64` (`twostep_sim::SentRound::MAX_PROCESSES`).  Refused when
+    /// the run opens, before anything is walked.
+    SystemTooWide {
+        /// The system's process count.
+        n: usize,
+        /// The most processes a run may have.
+        limit: usize,
+    },
 }
 
 impl From<SpillError> for ExploreError {
@@ -160,6 +170,11 @@ impl std::fmt::Display for ExploreError {
                 "round {round}: {process} has {outcomes} crash outcomes, more than an \
                  adversary move can name (a sender may reach at most 15 live data \
                  destinations)"
+            ),
+            ExploreError::SystemTooWide { n, limit } => write!(
+                f,
+                "a system of {n} processes is wider than the explorer takes: at most \
+                 {limit} processes"
             ),
             ExploreError::CheckpointStrength { found, expected } => {
                 write!(

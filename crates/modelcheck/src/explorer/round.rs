@@ -196,10 +196,11 @@
 //! keys assembled and probed — and of the 5 786 children nothing
 //! answers for 2 810 are settled from their rows and 2 976 expand.  An
 //! index row can only name active processes.
-//! The distributed frontier expander and the steal harvester key their
-//! children the same way: the harvester builds no child at all — a
-//! probe's miss is its record — and the expander only those of a level
-//! it expands further.
+//! The distributed frontier expander, the steal harvester and witness
+//! replay key their children the same way: the harvester builds no child
+//! at all — a probe's miss is its record — the expander only those of a
+//! level it expands further, and witness replay only the child it
+//! descends into.
 //!
 //! **Multiplicity and order are untouched.**  The class table answers
 //! *what* a child's summary is, never *whether* the row counts: every
@@ -244,12 +245,8 @@
 //!
 //! What is deliberately **not** keyed, because `make_key_into` never
 //! encoded it: metrics, the trace, and the round a process crashed in.
-//! The one fallback is a system wider than the views' 64-bit sender
-//! masks: the engine declines to tabulate it, nothing is classified, and
-//! every row is materialized, stepped and entered as a configuration
-//! that exists (key, probe, and on a miss what step 5 does from the
-//! probe's miss on, read off the `Stepper`).  In debug builds the
-//! walker's oracles (`assembled_keys_are_stepped_keys`, `skipped_probe`,
+//! In debug builds the walker's oracles
+//! (`assembled_keys_are_stepped_keys`, `skipped_probe`,
 //! `records_are_the_stepped_child`) fork and step after all for every
 //! key assembled from records, every row answered from a table and
 //! every child settled from its row, and `block_is_its_rows` classifies
@@ -283,17 +280,24 @@
 //!
 //! ## How wide a round can be
 //!
-//! A row names each slot's outcome by a `u16`, `0` for surviving, so a
-//! process may have at most 65 534 crash outcomes in a round.  A sender
-//! with `d` live data destinations and `k` live commit prefixes has
-//! `2^d + k + 1` of them: `d` may reach 15, not 16.  CRW's round-1
-//! coordinator sends data to every other process, so the walker takes
-//! CRW up to `n = 16`.  [`RoundKeys::open`] counts each slot's outcomes
-//! before it lists them, and a wider round fails the run with
-//! [`ExploreError::RoundTooWide`] (naming the round, the process and
-//! the count).  The fallback for systems wider than 64 processes above
-//! therefore serves only protocols whose senders stay within 15 live
-//! data destinations.
+//! Two limits, both checked before anything is walked:
+//!
+//! * **at most 64 processes** ([`SentRound::MAX_PROCESSES`]) — a view
+//!   keeps the senders that reach a process as bits of a `u64`, so every
+//!   round of a wider system would have to be stepped row by row to be
+//!   keyed.  The run refuses such a system when it opens, with
+//!   [`ExploreError::SystemTooWide`] (naming `n` and the limit), and every
+//!   round the walker opens is tabulated;
+//! * **at most 15 live data destinations per sender** — a row names each
+//!   slot's outcome by a `u16`, `0` for surviving, so a process may have
+//!   at most 65 534 crash outcomes in a round, and a sender with `d` live
+//!   data destinations and `k` live commit prefixes has `2^d + k + 1` of
+//!   them: `d` may reach 15, not 16.  CRW's round-1 coordinator sends
+//!   data to every other process, so the walker takes CRW up to
+//!   `n = 16`.  [`RoundKeys::open`] counts each slot's outcomes before it
+//!   lists them, and a wider round fails the run with
+//!   [`ExploreError::RoundTooWide`] (naming the round, the process and
+//!   the count).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -350,10 +354,6 @@ where
     at: Option<usize>,
     class: usize,
     spent: usize,
-    /// Whether the engine tabulated the outcomes.  It declines a system
-    /// wider than its view masks; no child of such a configuration is
-    /// keyed, and every row takes the fork + step path.
-    keyed: bool,
     /// Key records ([`encode_key_record`] bytes), back to back, and each
     /// record id's range in them.
     records: Vec<u8>,
@@ -399,7 +399,7 @@ where
     orbits: Option<Box<Orbits<P>>>,
     /// The block level (module docs, step 4): the slot after the last
     /// sender — the number of slots where no block can repeat: the last
-    /// slot sends, nothing sends, or the round is not keyed.
+    /// slot sends, or nothing sends.
     cut: usize,
     /// Scratch for the signature of the block the cursor row starts.
     signature: Vec<u32>,
@@ -958,7 +958,6 @@ where
             at: None,
             class: 0,
             spent: 0,
-            keyed: false,
             records: Vec::new(),
             ranges: Vec::new(),
             fates: Vec::new(),
@@ -1098,19 +1097,15 @@ where
         }
     }
 
-    /// Has the engine tabulate the outcomes and, if it does, starts the
-    /// round's tables: the fixed records of the processes settled before
-    /// the round, no view met, no (slot, outcome) entry good, the cursor
+    /// Has the engine tabulate the outcomes and starts the round's
+    /// tables: the fixed records of the processes settled before the
+    /// round, no view met, no (slot, outcome) entry good, the cursor
     /// before the first row, no class, no block.
     fn start_tables(&mut self) {
-        self.keyed = self.sent.tabulate(&self.outcomes);
-        self.cut = self.outcomes.len();
+        self.sent.tabulate(&self.outcomes);
         self.open_block = None;
         self.opened = 0;
         self.folded.clear();
-        if !self.keyed {
-            return;
-        }
         self.records.clear();
         self.ranges.clear();
         self.fates.clear();
@@ -1170,9 +1165,9 @@ where
         }
         // With nothing sending the round is one block, which no other
         // block of the frame can repeat.
-        let cut = self.sent.senders().last().map_or(slots, |last| last + 1);
-        if cut < slots {
-            self.cut = cut;
+        self.cut = self.sent.senders().last().map_or(slots, |last| last + 1);
+        if self.cut < slots {
+            let cut = self.cut;
             let suffix: usize = self.outcomes[cut..]
                 .iter()
                 .map(|stages| stages.len() + 1)
@@ -1285,16 +1280,12 @@ where
     /// Resolves row `idx` to its successor class (module docs, steps
     /// 1–4): one interned record id per slot → class number.  The cursor
     /// moves to `idx` — one step of the odometer when the rows arrive in
-    /// enumeration order, an unranking otherwise.  `None` for a round the
-    /// engine did not tabulate; the caller steps the row instead.
-    pub(crate) fn classify(&mut self, idx: usize) -> Option<usize> {
-        if !self.keyed {
-            return None;
-        }
+    /// enumeration order, an unranking otherwise.
+    pub(crate) fn classify(&mut self, idx: usize) -> usize {
         let slots = self.row.len();
         let from = match self.at.replace(idx) {
             // A row's class stands: the table only ever gains classes.
-            Some(at) if at == idx => return Some(self.class),
+            Some(at) if at == idx => return self.class,
             Some(at) if at + 1 == idx => self.advance(),
             _ => {
                 let mut row = std::mem::take(&mut self.row);
@@ -1311,7 +1302,7 @@ where
             self.folds[slot + 1] = fold_id(self.folds[slot], id);
         }
         self.class = self.classes.class_of(&self.ids, self.folds[slots]);
-        Some(self.class)
+        self.class
     }
 
     /// The id of `slot`'s record under the cursor row: its (slot,
@@ -1646,8 +1637,7 @@ where
 
     /// Absorbs into `acc` — the summary the frame of this round is
     /// accumulating — the summary of a child met for the first time, and
-    /// records it for the child's classes (`child`; `None` if the round
-    /// is not keyed).  The one place a class or an orbit gets its
+    /// records it for the child's classes (`child`).  The one place a class or an orbit gets its
     /// summary, so that one that has a summary has been absorbed: what is
     /// left of a later row that repeats the class is its terminal count
     /// ([`Summary::absorb`] adds `terminals` and is idempotent in
@@ -1656,11 +1646,10 @@ where
     pub(super) fn absorb(
         &mut self,
         acc: &mut Summary<P::Output>,
-        child: Option<ChildClass>,
+        child: ChildClass,
         summary: Arc<Summary<P::Output>>,
     ) {
         acc.absorb(&summary);
-        let Some(child) = child else { return };
         if self.open_block.is_some() {
             self.block_acc.absorb(&summary);
         }

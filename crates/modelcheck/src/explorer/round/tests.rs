@@ -52,7 +52,7 @@ where
         proposals,
         |walker, stepper, round| {
             for idx in 0..round.len() {
-                round.classify(idx).expect("systems this small are keyed");
+                round.classify(idx);
                 let assembled = walker.cursor_key(round);
                 let assembled_bytes = walker.key_bytes().to_vec();
                 round.actions_into(idx, &mut row);
@@ -226,14 +226,14 @@ where
             assert!(action.is_none() || matches!(status, ProcStatus::Active));
         }
         round.actions_into((7 * idx + 3) % reference.len(), &mut row);
-        round.classify(idx).expect("keyed");
+        round.classify(idx);
         assert_eq!(cursor(round), *expected, "{label}: row {idx} stepped to");
     }
     for idx in (0..reference.len()).rev().step_by(3) {
-        round.classify(idx).expect("keyed");
+        round.classify(idx);
         assert_eq!(cursor(round), reference[idx], "{label}: row {idx} sought");
         if let Some(expected) = reference.get(idx + 1) {
-            round.classify(idx + 1).expect("keyed");
+            round.classify(idx + 1);
             assert_eq!(cursor(round), *expected, "{label}: row {idx} + 1");
         }
     }
@@ -342,9 +342,9 @@ pub(in crate::explorer) fn views_that_settle_alike_share_a_class_and_are_each_ab
     let mut walker = Walker::new(&classes);
     let mut round = walker.open_round(&root).unwrap();
     let (a, b) = (row_index(&round, &without), row_index(&round, &with));
-    let class = round.classify(a).expect("keyed");
+    let class = round.classify(a);
     let view = round.sent.view(&round.row, 3);
-    assert_eq!(round.classify(b), Some(class), "one class for both rows");
+    assert_eq!(round.classify(b), class, "one class for both rows");
     assert_ne!(round.sent.view(&round.row, 3), view, "p_4 saw two rounds");
     assert_eq!(round.known[3].len(), 2, "two views of p_4 met");
     assert_eq!(round.known[3][0].1, round.known[3][1].1, "one record");
@@ -528,7 +528,7 @@ where
             let (mut classes, mut starts) = (Vec::new(), Vec::new());
             let mut prefix = None;
             for idx in 0..round.len() {
-                classes.push(round.classify(idx).expect("systems this small are keyed"));
+                classes.push(round.classify(idx));
                 let here = last_sender.map(|last| round.row[..=last].to_vec());
                 if idx == 0 || here != prefix {
                     starts.push((idx, (cut < slots).then(|| round.cursor_block()).flatten()));
@@ -603,7 +603,7 @@ pub(in crate::explorer) fn a_round_whose_last_slot_sends_builds_no_signature() {
             assert_eq!(round.cut, slots);
             // The walker builds a signature at a block start only.
             for idx in 0..round.len() {
-                round.classify(idx).expect("systems this small are keyed");
+                round.classify(idx);
                 assert!(!round.cursor_starts_block(), "row {idx} starts a block");
             }
             sending += round.len();
@@ -640,7 +640,7 @@ pub(in crate::explorer) fn root_round_at_8_7_has_282_211_rows_and_no_per_row_sto
     let buckets = |round: &RoundKeys<_>| round.classes.index.len();
     assert_eq!(buckets(&round), ClassTable::<WideValue>::START_BUCKETS);
     for idx in 0..round.len() {
-        round.classify(idx).expect("keyed");
+        round.classify(idx);
     }
     let classes = round.classes.values.len();
     assert!(classes < round.len() / 4, "{classes} classes");
@@ -904,18 +904,21 @@ pub(in crate::explorer) fn a_block_stores_the_classes_its_rows_repeat() {
         summary.terminals = terminals;
         Arc::new(summary)
     };
-    let class = |class| Some(ChildClass { class, orbit: None });
+    let class = |class| ChildClass { class, orbit: None };
 
     let (mut cache, mut acc) = (BlockCache::new(), Summary::empty(3));
     let mut round = walker.open_round(&root).unwrap();
-    let before = round.classify(0).expect("keyed");
+    let before = round.classify(0);
     assert!(round.cursor_starts_block());
     round.absorb(&mut acc, class(before), marked(0, 7, 2));
     assert_eq!(round.take_block(0, &mut acc, &mut cache, || u64::MAX), None);
-    let inside = round.classify(1).expect("keyed");
+    let inside = round.classify(1);
     round.absorb(&mut acc, class(inside), marked(1, 8, 3));
     let end = (2..round.len())
-        .find(|&idx| round.classify(idx).is_some() && round.cursor_starts_block())
+        .find(|&idx| {
+            round.classify(idx);
+            round.cursor_starts_block()
+        })
         .expect("a second block");
     for _ in 2..end {
         acc.terminals += round.repeat(before).expect("absorbed before the block");

@@ -578,7 +578,9 @@ where
     // (kept in `Shared` — under symmetry reduction the memoized
     // round-1 key may be a canonical representative, so it must not
     // be decoded back into processes), choosing at each level the
-    // first child whose memoized summary violates.
+    // first child whose memoized summary violates.  Children are keyed
+    // from their rows' records, as the walk keys them; only the one
+    // descended into is built.
     let shared = walker.shared;
     let mut stepper = Stepper::new(
         shared.system,
@@ -605,16 +607,25 @@ where
 
         let round = stepper.round();
         let mut advanced = false;
-        let open = walker.open_round(&stepper)?;
+        let mut open = walker.open_round(&stepper)?;
+        // Class numbers are handed out in first-occurrence order: a row
+        // whose class is below the highest met repeats a child already
+        // found not violating.
+        let mut met = 0;
         for idx in 0..open.len() {
-            open.actions_into(idx, &mut row);
-            let mut child = stepper.clone();
-            child.step(&row).map_err(ExploreError::Engine)?;
-            let (hash, _) = walker.canonical_key(&child);
+            let class = open.classify(idx);
+            if class < met {
+                continue;
+            }
+            met = class + 1;
+            let (hash, _) = walker.cursor_key(&mut open);
             let violating = (shared.memo)
                 .get(hash, walker.key_bytes())?
                 .is_some_and(|s| s.violating);
             if violating {
+                open.actions_into(idx, &mut row);
+                let mut child = stepper.clone();
+                child.step(&row).map_err(ExploreError::Engine)?;
                 for (i, a) in row.iter().enumerate() {
                     if let Some(stage) = a {
                         schedule.set(

@@ -1,8 +1,8 @@
 //! The kit the explorer's test modules share: the protocol zoo
-//! (`DecideOwn`, `NeverDecide`, `Flooder`, `Gossip`, `Duo`), a default
-//! [`options`] config, hand-driven rounds and random adversary paths, a
-//! mirror of the walker's key path ([`test_key`]), and the two macros
-//! that run a protocol-generic check over the zoo.
+//! (`DecideOwn`, `NeverDecide`, `Flooder`, `Gossip`, `Duo`, `Ring`), a
+//! default [`options`] config, hand-driven rounds and random adversary
+//! paths, a mirror of the walker's key path ([`test_key`]), and the two
+//! macros that run a protocol-generic check over the zoo.
 
 use std::hash::Hash;
 
@@ -349,6 +349,67 @@ pub(super) fn duo_procs(n: usize) -> (Vec<Duo>, Vec<u64>) {
         .map(|(i, est)| Duo {
             me: i as u32 + 1,
             n,
+            est: *est,
+        })
+        .collect();
+    (procs, proposals)
+}
+
+/// A ring as wide as the engine's view masks allow: in round 1 each
+/// `p_i` sends its estimate in one data message to `p_(i mod n)+1`.  A
+/// process that hears its predecessor decides what it heard at the end
+/// of round 1; one that does not decides its own estimate in round 2,
+/// sending nothing.  At `n = 64` the masks' top bit is `p_64`, the
+/// sender `p_1` hears and the receiver `p_63` reaches.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub(super) struct Ring {
+    pub(super) me: u32,
+    pub(super) n: u32,
+    pub(super) est: u64,
+}
+
+impl SyncProtocol for Ring {
+    type Msg = u64;
+    type Output = u64;
+    fn send(&mut self, round: Round) -> SendPlan<u64, u64> {
+        let plan = SendPlan::quiet();
+        if round == Round::FIRST {
+            return plan.with_data(ProcessId::new(self.me % self.n + 1), self.est);
+        }
+        plan
+    }
+    fn receive(&mut self, round: Round, inbox: &Inbox<u64>) -> Step<u64> {
+        let predecessor = ProcessId::new((self.me + self.n - 2) % self.n + 1);
+        match inbox.data_from(predecessor) {
+            Some(v) => Step::Decide(*v),
+            None if round.get() >= 2 => Step::Decide(self.est),
+            None => Step::Continue,
+        }
+    }
+}
+
+impl SpillCodec for Ring {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.me.encode(out);
+        self.n.encode(out);
+        self.est.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(Ring {
+            me: u32::decode(input)?,
+            n: u32::decode(input)?,
+            est: u64::decode(input)?,
+        })
+    }
+}
+
+/// A ring of `n` processes, `p_i` proposing `i`.
+pub(super) fn ring_procs(n: usize) -> (Vec<Ring>, Vec<u64>) {
+    let proposals: Vec<u64> = (1..=n as u64).collect();
+    let procs = (proposals.iter())
+        .map(|est| Ring {
+            me: *est as u32,
+            n: n as u32,
             est: *est,
         })
         .collect();

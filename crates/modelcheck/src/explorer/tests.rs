@@ -768,7 +768,9 @@ fn settled_pooling_matches_off_and_merges_states() {
 /// A violating space must still reconstruct a valid witness under the
 /// quotient: the schedule is a real execution's (re-driven from the
 /// true initial configuration, not decoded from a canonical
-/// representative) and its violations are non-empty.
+/// representative) and its violations are non-empty.  Orbit members
+/// agree on violating, so the first violating child of every level is
+/// the one the raw walk finds: the two witnesses are one.
 #[test]
 fn symmetric_witness_is_a_real_execution() {
     let system = SystemConfig::new(3, 2).unwrap();
@@ -799,6 +801,10 @@ fn symmetric_witness_is_a_real_execution() {
         off.distinct_states
     );
     let witness = quotient.witness.expect("witness under symmetry");
+    let raw = off.witness.expect("witness without symmetry");
+    assert_eq!(witness.schedule, raw.schedule);
+    assert_eq!(witness.violations, raw.violations);
+    assert_eq!(witness.decisions, raw.decisions);
     assert!(
         witness
             .violations
@@ -1138,7 +1144,7 @@ fn mid_control_crash_suppresses_the_send_phase_decision_in_the_assembled_key() {
     make_key_into(&child, &mut stepped_key);
     let mut round = walker.open_round(&root).unwrap();
     let idx = row_index(&round, &row);
-    round.classify(idx).expect("keyed");
+    round.classify(idx);
     walker.cursor_key(&mut round);
     assert_eq!(walker.key_bytes(), &stepped_key[..]);
 }
@@ -1488,18 +1494,52 @@ fn a_harvest_emits_each_child_once() {
     }
 }
 
-/// A system too large for the views' sender masks is explored
-/// entirely on the step path — the factoring imposes no limit on
-/// `n`.  One round of a quiet protocol at `n = 65`, `t = 1`: the
-/// crash-free run, plus each process dying silent or at the end.
+/// A system wider than the views' sender masks is refused when its
+/// run opens, by name, before anything is walked: at `n = 65` the
+/// error names the system and the limit.
 #[test]
-fn systems_beyond_the_view_masks_are_stepped() {
+fn systems_beyond_the_view_masks_are_refused() {
     let n = 65;
     let system = SystemConfig::new(n, 1).unwrap();
     let procs = vec![DecideOwn { v: 3 }; n];
-    let report = explore(system, options(2, 10_000), procs, vec![3; n]).unwrap();
-    assert_eq!(report.root.terminals, 1 + 2 * n as u64);
-    assert!(report.root.decided == vec![3] && !report.root.violating);
+    let err = explore(system, options(2, 10_000), procs, vec![3; n]).unwrap_err();
+    assert_eq!(err, ExploreError::SystemTooWide { n: 65, limit: 64 });
+    assert!(err.to_string().contains("65") && err.to_string().contains("64"));
+}
+
+/// The widest system a run takes is keyed from its records like any
+/// other: a ring of 64 (`Ring`), each process's one data message a bit
+/// of its receiver's view, `p_64`'s the top one.  The debug oracles
+/// check every key assembled at that bit against the stepped child
+/// (`assembled_keys_are_stepped_keys`) and every child settled from its
+/// records (`records_are_the_stepped_child`); the leaves are checked
+/// against a stepped DFS.  Every row of round 1 — crash-free, or one
+/// process crashing in one of its 3 outcomes — ends in one terminal.
+#[test]
+fn a_ring_of_64_is_keyed_at_the_masks_top_bit() {
+    let system = SystemConfig::new(64, 1).unwrap();
+    let (procs, proposals) = ring_procs(64);
+    let config = options(3, 10_000);
+    let leaves = assert_leaves_are_memoized_as_evaluated(
+        system,
+        config,
+        procs.clone(),
+        proposals.clone(),
+        "ring",
+    );
+    let report = explore(system, config, procs, proposals).unwrap();
+    assert_eq!(report.root.terminals, 1 + 64 * 3);
+    assert_eq!(
+        leaves,
+        report.distinct_states - 1 - 64,
+        "the root and one expanded child per silenced receiver"
+    );
+    assert!(report.root.violating);
+    let witness = report.witness.expect("a violating root has a witness");
+    assert!(witness
+        .violations
+        .iter()
+        .any(|v| matches!(v, SpecViolation::UniformAgreement { .. })));
 }
 
 /// `NeverDecide` at `(3, 2)` runs into the round cap: every leaf of

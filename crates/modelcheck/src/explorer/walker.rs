@@ -82,7 +82,7 @@ use std::sync::{Arc, Mutex};
 
 use twostep_model::codec::{stable_hash64, Canonicalizer};
 use twostep_model::SystemConfig;
-use twostep_sim::{ProcStatus, RoundActions, Stepper, SyncProtocol, WorkQueue};
+use twostep_sim::{ProcStatus, RoundActions, SentRound, Stepper, SyncProtocol, WorkQueue};
 
 use super::budget::{Arbiter, StepProgress, StepResult, StepStatus, StepVerdict};
 use super::canon::{flag_in_place, make_key_into, tier_key_into, KeySource};
@@ -138,6 +138,9 @@ where
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
+    /// The shared state of one walk of `system`: the memo `options`
+    /// configure and the run's symmetry plan.  Refuses a system wider
+    /// than a round can be keyed for ([`ExploreError::SystemTooWide`]).
     pub(crate) fn new(
         system: SystemConfig,
         config: ExploreConfig,
@@ -145,6 +148,13 @@ where
         proposals: &'a [P::Output],
         initial: Vec<P>,
     ) -> Result<Self, ExploreError> {
+        let limit = SentRound::<P>::MAX_PROCESSES;
+        if system.n() > limit {
+            return Err(ExploreError::SystemTooWide {
+                n: system.n(),
+                limit,
+            });
+        }
         let plan = config.symmetry.plan::<P>(proposals);
         Ok(Shared {
             system,
@@ -288,7 +298,10 @@ where
     /// Absorbs the summary of the child the frame was waiting for
     /// ([`RoundKeys::absorb`]).
     fn absorb_awaited(&mut self, summary: Arc<Summary<P::Output>>) {
-        let child = self.awaiting.take();
+        let child = self
+            .awaiting
+            .take()
+            .expect("a frame below waits for its child");
         self.round.absorb(&mut self.acc, child, summary);
     }
 }
@@ -304,11 +317,10 @@ enum Probed<O> {
     /// summary: what the memo answered for its key, or what the frame
     /// absorbed for its orbit.
     Answered(ChildClass, Arc<Summary<O>>),
-    /// Nothing answers for it.  If its round is keyed, the probe's miss
-    /// is all the keying it gets: it is settled or expanded under the
-    /// key that miss left in the walker's scratch.  If not, it has to be
-    /// forked, stepped and entered.
-    Unanswered(Option<KeyedChild>),
+    /// Nothing answers for it.  The probe's miss is all the keying it
+    /// gets: it is settled or expanded under the key that miss left in
+    /// the walker's scratch.
+    Unanswered(KeyedChild),
 }
 
 /// A child the memo knows nothing of, as far as its probe got: its
@@ -440,7 +452,8 @@ where
             // A block the frame or an earlier one has taken is one
             // addition or one absorb, if all of its rows can be taken in
             // silence.
-            if frame.round.classify(idx).is_some() && frame.round.cursor_starts_block() {
+            frame.round.classify(idx);
+            if frame.round.cursor_starts_block() {
                 let room =
                     || *headroom.get_or_insert_with(|| arbiter.headroom(&progress(self.steps)));
                 if let Some(rows) = self.walker.take_block(frame, idx, room) {
@@ -470,9 +483,9 @@ where
                     }
                 }
                 Probed::Answered(child, summary) => {
-                    frame.round.absorb(&mut frame.acc, Some(child), summary)
+                    frame.round.absorb(&mut frame.acc, child, summary)
                 }
-                Probed::Unanswered(Some(child)) => {
+                Probed::Unanswered(child) => {
                     self.walker.admit_state()?;
                     debug_assert!(
                         self.walker.records_are_the_stepped_child(frame, idx),
@@ -485,25 +498,12 @@ where
                         // terminal evaluation reads, and no child is built.
                         let summary =
                             (self.walker).settle_terminal(hash, swapped, status, decisions)?;
-                        frame
-                            .round
-                            .absorb(&mut frame.acc, Some(child.class), summary);
+                        frame.round.absorb(&mut frame.acc, child.class, summary);
                     } else {
                         frame.awaiting = Some(child.class);
                         let stepper = self.walker.step_child(frame, idx)?;
                         (self.walker).expand(stepper, hash, swapped, &mut self.stack)?;
                         expanded = true;
-                    }
-                }
-                Probed::Unanswered(None) => {
-                    let child = self.walker.step_child(frame, idx)?;
-                    match self.walker.enter(child, &mut self.stack)? {
-                        Entered::Ready(summary, stepper) => {
-                            self.walker.stepper_pool.push(stepper);
-                            let frame = self.stack.last_mut().expect("the frame is still open");
-                            frame.round.absorb(&mut frame.acc, None, summary);
-                        }
-                        Entered::Expanded => expanded = true,
                     }
                 }
             }
@@ -616,29 +616,19 @@ where
             // walker's cache, and the memo holds the child.
             let mut met = 0;
             for idx in frame.next_action..frame.round.len() {
-                match frame.round.classify(idx) {
-                    Some(class) if class < met => continue,
-                    Some(class) => met = class + 1,
-                    None => {}
+                let class = frame.round.classify(idx);
+                if class < met {
+                    continue;
                 }
+                met = class + 1;
                 // The probe reads the frame's class table and records
                 // nothing in it: a class gets a summary only from the
                 // walk, when the frame absorbs it.  Its miss is the
-                // child's record; only a round that keys no row has the
-                // child stepped to be keyed and probed.
-                let hash = match walker.probe_child(frame, idx)? {
-                    Probed::Unanswered(Some(child)) => child.hash,
-                    Probed::Unanswered(None) => {
-                        let child = walker.step_child(frame, idx)?;
-                        let (hash, swapped) = walker.canonical_key(&child);
-                        walker.stepper_pool.push(child);
-                        if walker.memoized(hash, swapped)?.is_some() {
-                            continue;
-                        }
-                        hash
-                    }
-                    _ => continue,
+                // child's record, and no child is built.
+                let Probed::Unanswered(child) = walker.probe_child(frame, idx)? else {
+                    continue;
                 };
+                let hash = child.hash;
                 if !emitted.insert(hash) {
                     continue;
                 }
@@ -713,9 +703,7 @@ where
         frame: &mut Frame<P>,
         idx: usize,
     ) -> Result<Probed<P::Output>, Interrupt> {
-        let Some(class) = frame.round.classify(idx) else {
-            return Ok(Probed::Unanswered(None));
-        };
+        let class = frame.round.classify(idx);
         if frame.round.class_summary(class).is_some() {
             debug_assert!(
                 self.skipped_probe(frame, idx).as_ref() == frame.round.class_summary(class),
@@ -746,11 +734,11 @@ where
         );
         Ok(match self.memoized(hash, swap)? {
             Some(summary) => Probed::Answered(child, summary),
-            None => Probed::Unanswered(Some(KeyedChild {
+            None => Probed::Unanswered(KeyedChild {
                 class: child,
                 hash,
                 value_swapped: swap,
-            })),
+            }),
         })
     }
 
@@ -837,7 +825,7 @@ where
     ) -> bool {
         let mut folded = before.expect("kept in debug builds");
         for row in idx..idx + rows {
-            frame.round.classify(row).expect("a block is keyed");
+            frame.round.classify(row);
             let Some(summary) = self.skipped_probe(frame, row) else {
                 return false;
             };
@@ -849,8 +837,8 @@ where
 
     /// Encodes `stepper`'s configuration into its canonical key bytes in
     /// `key_scratch` and returns `(hash, value_swapped)` — the key path
-    /// of every configuration that exists: a root, a configuration being
-    /// entered, a frontier or witness replay.  Raw plans delegate
+    /// of every configuration that exists: a root or a donated subtree
+    /// being entered, a frontier's root.  Raw plans delegate
     /// straight to [`make_key_into`]; canonicalizing plans run the tier
     /// encoder on the stepper.
     pub(crate) fn canonical_key(&mut self, stepper: &Stepper<P>) -> (u64, bool) {
@@ -1038,7 +1026,7 @@ where
                 return Err(Interrupt::Stopped);
             }
             let idx = frame.next_action;
-            let class = (frame.round.classify(idx)).expect("a repeat was met: the round is keyed");
+            let class = frame.round.classify(idx);
             if frame.round.cursor_starts_block() {
                 if let Some(block) = self.take_block(frame, idx, || limit - taken) {
                     frame.next_action += block;
@@ -1060,11 +1048,10 @@ where
         Ok(taken)
     }
 
-    /// Enters one configuration that exists — a root, a donated subtree,
-    /// a child of a round the engine does not tabulate: key, probe, and
-    /// on a miss what a keyed child goes through from its probe's miss
-    /// on — the `max_states` test, then terminal evaluation or the frame
-    /// push.
+    /// Enters one configuration that exists — a root or a donated
+    /// subtree: key, probe, and on a miss what a keyed child goes through
+    /// from its probe's miss on — the `max_states` test, then terminal
+    /// evaluation or the frame push.
     fn enter(
         &mut self,
         stepper: Stepper<P>,

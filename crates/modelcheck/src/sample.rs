@@ -24,8 +24,8 @@ use rand::{Rng, SeedableRng};
 use std::hash::Hash;
 use twostep_model::{CrashPoint, CrashSchedule, CrashStage, PidSet, ProcessId, SystemConfig};
 use twostep_sim::{
-    check_uniform_consensus, ModelKind, ProcStatus, RoundActions, SimError, SpecViolation, Stepper,
-    TraceLevel,
+    check_uniform_consensus, ModelKind, PlanShape, ProcStatus, RoundActions, SimError,
+    SpecViolation, Stepper, TraceLevel,
 };
 
 /// How the sampler picks adversary actions.
@@ -111,6 +111,9 @@ where
     let mut worst_round_by_f: Vec<Option<u32>> = vec![None; t + 1];
     let mut runs_by_f: Vec<u64> = vec![0; t + 1];
     let mut violation: Option<SampleViolation<P::Output>> = None;
+    // The plan shape of the process being crashed, read after the draw
+    // that picks it.
+    let mut shape = PlanShape::default();
 
     for run_idx in 0..config.runs {
         let seed = config.seed.wrapping_add(run_idx);
@@ -121,12 +124,11 @@ where
 
         while !stepper.is_quiescent() && stepper.round().get() <= config.max_rounds {
             let round = stepper.round();
-            let shapes = stepper.peek_plan_shapes();
             let mut actions: RoundActions = vec![None; n];
 
             match config.strategy {
                 SampleStrategy::UniformRandom { crash_prob } => {
-                    for i in 0..n {
+                    for (i, action) in actions.iter_mut().enumerate() {
                         if budget == 0 {
                             break;
                         }
@@ -134,8 +136,8 @@ where
                             continue;
                         }
                         if rng.gen_bool(crash_prob) {
-                            let shape = shapes[i].as_ref().expect("active has a shape");
-                            actions[i] = Some(random_stage(
+                            assert!(stepper.peek_plan_shape_into(i, &mut shape));
+                            *action = Some(random_stage(
                                 &mut rng,
                                 n,
                                 &shape.data_dests,
@@ -155,7 +157,7 @@ where
                             && matches!(stepper.status()[ci], ProcStatus::Active)
                             && rng.gen_bool(hunt_prob)
                         {
-                            let shape = shapes[ci].as_ref().expect("active has a shape");
+                            assert!(stepper.peek_plan_shape_into(ci, &mut shape));
                             // Right after the data step, with a short
                             // commit prefix: the Theorem 1 killer move.
                             let prefix = rng.gen_range(0..=shape.control_len.min(1));
@@ -168,7 +170,7 @@ where
                         let i = rng.gen_range(0..n);
                         if matches!(stepper.status()[i], ProcStatus::Active) && actions[i].is_none()
                         {
-                            let shape = shapes[i].as_ref().expect("active has a shape");
+                            assert!(stepper.peek_plan_shape_into(i, &mut shape));
                             actions[i] = Some(random_stage(
                                 &mut rng,
                                 n,

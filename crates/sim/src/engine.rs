@@ -128,7 +128,7 @@ pub type RoundActions = Vec<Option<CrashStage>>;
 /// The externally visible shape of one process's send plan for a round:
 /// enough for an adversary to enumerate its distinct crash outcomes,
 /// nothing more (payloads stay hidden).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct PlanShape {
     /// Destinations of the data step (order irrelevant).
     pub data_dests: Vec<ProcessId>,
@@ -323,11 +323,11 @@ impl<P: SyncProtocol> Stepper<P> {
             .map(|(i, _)| ProcessId::from_idx(i))
     }
 
-    /// The plan shape process `i` would produce this round, written into
-    /// `shape` (its destination buffer is reused); `false` when the
-    /// process is not active.  The allocation-free single-process
-    /// counterpart of [`Self::peek_plan_shapes`], for the model
-    /// checker's per-configuration enumeration loop.
+    /// The *shape* (data destinations, control list and its length) of
+    /// the plan process `i` would produce this round, computed on a clone
+    /// so the real protocol state is untouched, and written into `shape`
+    /// (its destination buffers are reused); `false` when the process is
+    /// not active.
     pub fn peek_plan_shape_into(&self, i: usize, shape: &mut PlanShape) -> bool
     where
         P: Clone,
@@ -342,35 +342,6 @@ impl<P: SyncProtocol> Stepper<P> {
         shape.control_dests.clear();
         shape.control_dests.extend(plan.control.iter().copied());
         true
-    }
-
-    /// The *shape* (data destinations + control list length) of the plan
-    /// each active process would produce this round, computed on clones so
-    /// the real protocol state is untouched.
-    ///
-    /// The model checker uses this to enumerate exactly the distinct crash
-    /// outcomes available to the adversary this round.
-    pub fn peek_plan_shapes(&self) -> Vec<Option<PlanShape>>
-    where
-        P: Clone,
-    {
-        let round = self.round;
-        self.procs
-            .iter()
-            .zip(&self.status)
-            .map(|(p, s)| {
-                if matches!(s, ProcStatus::Active) {
-                    let plan = (**p).clone().send(round);
-                    Some(PlanShape {
-                        data_dests: plan.data.iter().map(|(d, _)| *d).collect(),
-                        control_len: plan.control.len(),
-                        control_dests: plan.control.clone(),
-                    })
-                } else {
-                    None
-                }
-            })
-            .collect()
     }
 
     /// Executes one full round under the given adversary `actions`.
@@ -724,17 +695,13 @@ fn settle<O>(
 /// what becomes of the process — two rows that give a process equal views
 /// leave it in equal states — which is what lets the model checker settle
 /// each (process, view) pair once per configuration ([`SentRound`]).
-/// Opaque and comparable; bit `i` of a mask is sender `p_{i+1}`.
+/// Opaque and comparable; bit `i` of a mask is sender `p_{i+1}`, so a
+/// view names senders of at most [`SentRound::MAX_PROCESSES`] processes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RoundView {
     data: u64,
     control: u64,
     end: RoundEnd,
-}
-
-impl RoundView {
-    /// Largest system whose senders fit the view's masks.
-    const MAX_PROCESSES: usize = u64::BITS as usize;
 }
 
 /// What became of one process at the end of a round settled on the side
@@ -838,6 +805,13 @@ pub struct SentRound<P: SyncProtocol> {
     decision: Option<Decision<P::Output>>,
 }
 
+impl<P: SyncProtocol> SentRound<P> {
+    /// The largest system a round can be tabulated for: a
+    /// [`RoundView`] keeps the senders that reach a process as bits of a
+    /// `u64`.
+    pub const MAX_PROCESSES: usize = u64::BITS as usize;
+}
+
 impl<P: SyncProtocol + Clone> SentRound<P> {
     /// Runs the send phase of `source`'s next round on a copy of it.
     /// Fails exactly where [`Stepper::step`] would fail before looking at
@@ -911,18 +885,23 @@ impl<P: SyncProtocol + Clone> SentRound<P> {
     /// `outcomes[s][k - 1]` from here on (`0` means it survives).  Each
     /// (process, outcome) pair is resolved once — [`CrashStage::effect`],
     /// the reach of a sender's data and control steps, how the process's
-    /// own round ends.  Returns `false`, tabulating nothing, for a system
-    /// too large for the views' sender masks: only [`Stepper::step`] can
-    /// execute its rounds.
-    pub fn tabulate(&mut self, outcomes: &[Vec<CrashStage>]) -> bool {
+    /// own round ends.
+    ///
+    /// # Panics
+    ///
+    /// For a system of more than [`MAX_PROCESSES`](Self::MAX_PROCESSES)
+    /// processes, whose senders the views' masks cannot hold.
+    pub fn tabulate(&mut self, outcomes: &[Vec<CrashStage>]) {
         debug_assert_eq!(outcomes.len(), self.active.len());
+        let n = self.sent.config.n();
+        assert!(
+            n <= Self::MAX_PROCESSES,
+            "a round of {n} processes is wider than a view's {} senders",
+            Self::MAX_PROCESSES
+        );
         self.table.clear();
         self.starts.clear();
         self.senders.clear();
-        let n = self.sent.config.n();
-        if n > RoundView::MAX_PROCESSES {
-            return false;
-        }
         for (slot, (&i, stages)) in self.active.iter().zip(outcomes).enumerate() {
             let plan = &self.sent.plans[i];
             let decides_after_send = plan.decide_after_send.is_some();
@@ -950,7 +929,6 @@ impl<P: SyncProtocol + Clone> SentRound<P> {
             }));
         }
         self.starts.push(self.table.len() as u32);
-        true
     }
 
     /// The slots whose plan sends anything, ascending.  A row reaches a
@@ -1429,7 +1407,7 @@ mod tests {
             vec![CrashStage::BeforeSend],
             vec![],
         ];
-        assert!(sent.tabulate(&outcomes));
+        sent.tabulate(&outcomes);
         let rows: [[u16; 4]; 5] = [
             [0, 0, 0, 0],
             [1, 0, 0, 0],
@@ -1478,7 +1456,7 @@ mod tests {
         sent.reset(&decided).unwrap();
         assert!(sent.plan(0).is_none());
         assert!(sent.active().is_empty());
-        assert!(sent.tabulate(&[]));
+        sent.tabulate(&[]);
         assert!(sent.senders().is_empty());
     }
 
