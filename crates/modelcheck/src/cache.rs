@@ -47,7 +47,7 @@
 //! the root walk and fast-forwards through memo hits until it reaches
 //! unexplored territory.  Resume segments import as *fresh*, so the
 //! report, `cache_hits` included, and the next commit's delta are those
-//! of an uninterrupted run (`tests/checkpoint_differential.rs`, and
+//! of an uninterrupted run (`tests/engines/checkpoint.rs`, and
 //! `tests/checkpoint_props.rs` composing arbitrary step-budget
 //! partitions).
 //!
@@ -85,10 +85,10 @@
 //! bit-identical by the same argument that makes thread counts and
 //! worker processes invisible (see [`crate::explorer`]'s determinism
 //! section) — pinned across both model kinds and every engine shape by
-//! `tests/cache_differential.rs`.  Every engine seeds and commits alike:
-//! the run spine's open seeds the memo, its finish commits it, and a
-//! distributed work phase passes the seed on (one consolidated segment
-//! to the workers, deltas back).
+//! the cache sessions of `tests/engines/matrix.rs`.  Every engine seeds
+//! and commits alike: the run spine's open seeds the memo, its finish
+//! commits it, and a distributed work phase passes the seed on (one
+//! consolidated segment to the workers, deltas back).
 //!
 //! The `max_states` budget is deliberately **excluded** from the
 //! fingerprint: it is a resource safety valve, not part of the

@@ -65,9 +65,10 @@
 //! only part of its work merely leaves more for the replay to compute.
 //! So scheduling decisions (how the frontier is cut, when to offload,
 //! whom to preempt) can affect only *timing*, never the report.
-//! `tests/dist_differential.rs` pins it under both plans: bit-identical
-//! to `threads = 1` across partition counts, frontier depths, worker
-//! memo tierings and crash/retry histories; forced-steal runs through
+//! The engine matrix (`tests/engines/matrix.rs`) and `tests/engines/dist.rs`
+//! pin it under both plans: bit-identical to `threads = 1` across
+//! partition counts, frontier depths, worker memo tierings and
+//! crash/retry histories; forced-steal runs through
 //! killed-mid-steal retries, steal requests that lose the race with a
 //! natural finish, and — by proptest — arbitrary `(yield_every,
 //! partitions, min_frontier)` cadences.
@@ -150,7 +151,7 @@
 //! exports, slow IO, and lying pulses keyed by `(worker, attempt)`
 //! ([`DistOptions::faults`]), and an IO shim can fail or tear the nth
 //! coordinator-side spill/cache/checkpoint write.
-//! `tests/fault_differential.rs` pins the contract: every survivable
+//! `tests/engines/fault.rs` pins the contract: every survivable
 //! plan is report-invisible (bit-identical to serial, by matrix and by
 //! proptest), each rule behaves the same under both plans, hung workers
 //! die within the watchdog/timeout deadline, and no single torn write
@@ -744,7 +745,7 @@ where
 /// subtrees with the given engine, and exports the memo delta as a
 /// sealed interchange segment at `task.export_path`.
 ///
-/// Callable in-process (the differential suite does) or as the body of a
+/// Callable in-process (the engine tests do) or as the body of a
 /// worker OS process (`twostep-dist --dist-worker`); either way the
 /// exported segment is identical.  A task without a
 /// [`frontier_path`](WorkerTask::frontier_path) is an error: every
@@ -917,7 +918,7 @@ pub struct ElasticStats {
 /// The walk itself is single-threaded ([`ElasticTask::yield_every`]-step
 /// pulses require the frame-stepped driver); `engine` still governs memo
 /// tiering and spill configuration.  Callable in-process (the
-/// differential suite does) or as the body of a worker OS process
+/// engine tests do) or as the body of a worker OS process
 /// (`twostep-dist --dist-elastic-worker`); either way the exported
 /// segments are identical.
 pub fn run_worker_elastic<P>(
@@ -1482,7 +1483,7 @@ where
 }
 
 /// [`explore_partitioned_timed`] with every worker run inside this
-/// process — the zero-setup path (and the one the differential suite
+/// process — the zero-setup path (and the one the engine matrix
 /// exercises): workers still communicate solely through exported segment
 /// files, so the merge path is identical to the multi-process
 /// deployment.
@@ -1590,7 +1591,7 @@ where
 }
 
 /// [`explore_elastic_timed`] with every worker run inside this process —
-/// the zero-setup path (and the one the differential suite exercises):
+/// the zero-setup path (and the one the engine matrix exercises):
 /// workers still communicate solely through exported segment files and
 /// the steal-flag handshake, so the scheduler path is identical to the
 /// multi-process deployment.

@@ -83,7 +83,8 @@
 //! on a cold hit, full-key-verified), and `distinct_states` still counts
 //! fresh insertions.  Reports are therefore bit-identical
 //! spill-vs-no-spill at any `hot_capacity` and any thread count
-//! (differentially tested in `tests/spill_differential.rs`).
+//! (every engine row of `tests/engines/matrix.rs` runs a spilling memo
+//! beside the all-RAM serial walk).
 //!
 //! One carve-out: the `max_states` budget is a **resource safety valve**,
 //! not part of the deterministic result.  Whenever the budget is not

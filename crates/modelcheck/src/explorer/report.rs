@@ -194,7 +194,7 @@ impl std::error::Error for ExploreError {}
 ///
 /// Under a spilling memo ([`MemoConfig`](crate::MemoConfig)) summaries round-trip through
 /// the compact binary record of [`crate::spill`]; equality is derived so
-/// the round-trip (and the spill-vs-RAM differential suite) can assert
+/// the round-trip (and the engine matrix's spilling cells) can assert
 /// identity directly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Summary<O> {
@@ -278,7 +278,7 @@ pub struct ExploreReport<O> {
 }
 
 /// A reconstructed counterexample.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Witness<O> {
     /// The crash schedule of the violating execution.
     pub schedule: CrashSchedule,

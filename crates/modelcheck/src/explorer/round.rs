@@ -252,7 +252,7 @@
 //! every child settled from its row, and `block_is_its_rows` classifies
 //! every row of a block taken whole and folds what the memo holds for
 //! each into the frame's summary from before the take — so each
-//! differential suite is also a differential of this.
+//! cell of the engine matrix is also a differential of this.
 //! Enumeration order, absorb order, the one-step-per-child
 //! accounting, the stop check and the `max_states` check are where they
 //! always were: reports are bit-identical.  One thing does move: a

@@ -262,10 +262,8 @@ fn parallel_witness_matches_serial() {
         vec![0u64, 1],
     )
     .unwrap();
-    let ws = serial.witness.expect("serial witness");
-    let wp = parallel.witness.expect("parallel witness");
-    assert_eq!(format!("{:?}", ws.schedule), format!("{:?}", wp.schedule));
-    assert_eq!(ws.decisions, wp.decisions);
+    assert!(serial.witness.is_some(), "serial witness");
+    assert_eq!(serial.witness, parallel.witness);
 }
 
 #[test]
@@ -337,8 +335,8 @@ fn state_limit_abort_joins_promptly_at_four_threads() {
 }
 
 /// The two-tier memo is invisible to results: spill-vs-RAM reports
-/// are identical at 1 and 4 threads (the broad differential matrix
-/// lives in `tests/spill_differential.rs`).
+/// are identical at 1 and 4 threads (the broad engine matrix lives in
+/// `tests/engines/matrix.rs`).
 #[test]
 fn spill_memo_matches_all_ram_engine() {
     let system = SystemConfig::new(4, 2).unwrap();
@@ -838,10 +836,8 @@ fn spilled_witness_matches_ram_witness() {
         vec![0u64, 1],
     )
     .unwrap();
-    let ws = ram.witness.expect("ram witness");
-    let wp = spilled.witness.expect("spilled witness");
-    assert_eq!(format!("{:?}", ws.schedule), format!("{:?}", wp.schedule));
-    assert_eq!(ws.decisions, wp.decisions);
+    assert!(ram.witness.is_some(), "ram witness");
+    assert_eq!(ram.witness, spilled.witness);
 }
 
 /// Terminal counts cannot wrap: every terminal sum saturates at

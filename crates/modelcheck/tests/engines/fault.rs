@@ -1,74 +1,25 @@
-//! Differential suite for the fault-injection harness: a distributed
-//! exploration running under any **survivable** fault plan — crashes,
-//! hangs, corrupted/truncated exports, slow IO, lying progress pulses —
-//! must produce a report **bit-identical** to the serial walk.  Retry
-//! exhaustion with graceful degradation enabled must *also* converge to
-//! the identical report (the coordinator walks the orphaned slices
-//! locally), and a torn coordinator write at *any* ordinal must never
-//! leave a cache directory a later run would wrongly trust.
+//! The fault-injection harness: a distributed exploration under any
+//! **survivable** fault plan — crashes, hangs, corrupted/truncated
+//! exports, slow IO, lying progress pulses — returns the serial walk's
+//! report.  Retry exhaustion with graceful degradation on *also*
+//! converges to it (the coordinator walks the orphaned slices locally),
+//! each supervision rule behaves the same under both plans, and a torn
+//! coordinator write at *any* ordinal never leaves a cache directory a
+//! later run would wrongly trust.
 
-use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use twostep_baselines::floodset_processes;
-use twostep_core::crw_processes;
-use twostep_model::{SystemConfig, WideValue};
 use twostep_modelcheck::{
-    explore_elastic_timed, explore_partitioned_in_process, explore_partitioned_timed, explore_with,
-    run_worker, run_worker_elastic, CacheConfig, CacheMode, DistOptions, DistTimings, ElasticTask,
-    ExploreConfig, ExploreError, ExploreOptions, ExploreReport, FaultPlan, RoundBound, SpecMode,
-    StealConfig, SuperviseConfig, Symmetry, WorkerPulse, WorkerTask,
+    CacheConfig, DistOptions, ElasticTask, ExploreError, ExploreOptions, FaultPlan,
+    SuperviseConfig, WorkerPulse, WorkerTask,
 };
-use twostep_sim::ModelKind;
 
-/// A unique temp directory removed on drop (cache roots for the suite).
-struct TempDir {
-    path: PathBuf,
-}
+use crate::kit::{assert_same, crw, floodset, forced_steal, reference, Engine, TempDir};
 
-impl TempDir {
-    fn new(label: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "twostep-fault-{label}-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        std::fs::create_dir_all(&path).unwrap();
-        TempDir { path }
-    }
-
-    fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.path);
-    }
-}
-
-fn assert_identical<O: std::fmt::Debug + Eq>(
-    serial: &ExploreReport<O>,
-    dist: &ExploreReport<O>,
-    label: &str,
-) {
-    assert_eq!(serial.root, dist.root, "{label}: root summary");
-    assert_eq!(
-        serial.distinct_states, dist.distinct_states,
-        "{label}: distinct states"
-    );
-    assert_eq!(
-        serial.bivalency_by_round, dist.bivalency_by_round,
-        "{label}: bivalency census"
-    );
-}
-
-/// Fast supervision for tests: millisecond backoff, no timeouts unless a
-/// test sets them.
+/// Fast supervision: millisecond backoff, no timeouts unless a test
+/// sets them.
 fn fast_supervise() -> SuperviseConfig {
     SuperviseConfig {
         backoff: Duration::from_millis(1),
@@ -81,32 +32,15 @@ fn fast_supervise() -> SuperviseConfig {
 
 fn dist_options(partitions: usize, plan: FaultPlan) -> DistOptions {
     DistOptions {
-        partitions,
-        depth: 1,
-        attempts: 3,
-        scratch_dir: None,
-        cache: None,
-        replay: ExploreOptions::serial(),
-        steal: StealConfig::default(),
         faults: plan,
         supervise: fast_supervise(),
+        ..DistOptions::new(partitions)
     }
 }
 
-fn crw_proposals(n: usize) -> Vec<WideValue> {
-    (0..n).map(|i| WideValue::new(1, (i % 2) as u64)).collect()
-}
-
-fn crw_serial(system: SystemConfig, config: ExploreConfig) -> ExploreReport<WideValue> {
-    let proposals = crw_proposals(system.n());
-    explore_with(
-        system,
-        config,
-        ExploreOptions::serial(),
-        crw_processes(&system, &proposals),
-        proposals,
-    )
-    .unwrap()
+/// The partitioned plan in-process, workers on the serial engine.
+fn in_process(options: DistOptions) -> Engine {
+    Engine::Partitioned(options, ExploreOptions::serial())
 }
 
 /// Every single-shot worker fault the plan grammar can inject, applied
@@ -126,12 +60,8 @@ fn survivable_fault_matrix_is_bit_identical() {
         "lying-progress",
     ];
 
-    // Extended-model CRW.
-    let (n, t) = (4usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = ExploreConfig::for_crw(&system);
-    let serial = crw_serial(system, config);
+    let workload = crw(4, 2);
+    let serial = reference(&workload);
     for partitions in [2usize, 4] {
         for token in fault_tokens {
             // A primary first-attempt fault plus a second-attempt fault
@@ -139,56 +69,20 @@ fn survivable_fault_matrix_is_bit_identical() {
             // not interfere.
             let plan = FaultPlan::parse(&format!("p0a0={token};p1a1=crash@walk")).unwrap();
             assert!(plan.survivable(partitions as u64, 3), "{token}");
-            let dist = explore_partitioned_in_process(
-                system,
-                config,
-                &dist_options(partitions, plan),
-                ExploreOptions::serial(),
-                crw_processes(&system, &proposals),
-                proposals.clone(),
-            )
-            .unwrap();
-            assert_identical(
-                &serial,
-                &dist,
-                &format!("crw partitions={partitions} fault={token}"),
-            );
+            let dist = in_process(dist_options(partitions, plan))
+                .run(&workload)
+                .unwrap();
+            let label = format!("crw partitions={partitions} fault={token}");
+            assert_same(&serial, &dist, &label);
         }
     }
 
-    // Classic-model floodset.
-    let (n, t) = (3usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals: Vec<u64> = (0..n as u64).map(|i| 10 + i).collect();
-    let config = ExploreConfig {
-        model: ModelKind::Classic,
-        max_rounds: t as u32 + 2,
-        max_states: 10_000_000,
-        round_bound: Some(RoundBound::Fixed(t as u32 + 1)),
-        spec: SpecMode::Uniform,
-        max_crashes_per_round: None,
-        symmetry: Symmetry::Off,
-    };
-    let serial = explore_with(
-        system,
-        config,
-        ExploreOptions::serial(),
-        floodset_processes(n, t, &proposals),
-        proposals.clone(),
-    )
-    .unwrap();
+    let workload = floodset(3, 2);
+    let serial = reference(&workload);
     for token in fault_tokens {
         let plan = FaultPlan::parse(&format!("p1a0={token}")).unwrap();
-        let dist = explore_partitioned_in_process(
-            system,
-            config,
-            &dist_options(2, plan),
-            ExploreOptions::serial(),
-            floodset_processes(n, t, &proposals),
-            proposals.clone(),
-        )
-        .unwrap();
-        assert_identical(&serial, &dist, &format!("floodset fault={token}"));
+        let dist = in_process(dist_options(2, plan)).run(&workload).unwrap();
+        assert_same(&serial, &dist, &format!("floodset fault={token}"));
     }
 }
 
@@ -198,35 +92,13 @@ fn survivable_fault_matrix_is_bit_identical() {
 /// own 60s in-process hang cap would fire.
 #[test]
 fn hung_worker_is_cancelled_by_attempt_timeout_and_retried() {
-    let (n, t) = (3usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = ExploreConfig::for_crw(&system);
-    let serial = crw_serial(system, config);
+    let workload = crw(3, 2);
     let mut options = dist_options(2, FaultPlan::parse("p0a0=hang@walk").unwrap());
     options.supervise.attempt_timeout = Some(Duration::from_millis(150));
     let started = Instant::now();
-    let launch = |task: &WorkerTask| {
-        run_worker(
-            system,
-            config,
-            ExploreOptions::serial(),
-            crw_processes(&system, &proposals),
-            proposals.clone(),
-            task,
-        )
-        .map(|_| ())
-        .map_err(|e| e.to_string())
-    };
-    let (dist, timings) = explore_partitioned_timed(
-        system,
-        config,
-        &options,
-        crw_processes(&system, &proposals),
-        proposals.clone(),
-        launch,
-    )
-    .unwrap();
+    let (dist, timings) = workload
+        .partitioned(&options, |task| workload.worker(task))
+        .unwrap();
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "the watchdog, not the 60s hang cap, must end the hang (took {:?})",
@@ -236,7 +108,7 @@ fn hung_worker_is_cancelled_by_attempt_timeout_and_retried() {
         timings.degraded_partitions, 0,
         "retry succeeded, no degradation"
     );
-    assert_identical(&serial, &dist, "hang detected and retried");
+    assert_same(&reference(&workload), &dist, "hang detected and retried");
 }
 
 /// The elastic coordinator reads the same per-attempt timeout: with no
@@ -246,42 +118,16 @@ fn hung_worker_is_cancelled_by_attempt_timeout_and_retried() {
 /// which is all that ended such a hang before.
 #[test]
 fn elastic_hung_worker_is_cancelled_by_attempt_timeout_without_a_watchdog() {
-    let (n, t) = (4usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = ExploreConfig::for_crw(&system);
-    let serial = crw_serial(system, config);
+    let workload = crw(4, 2);
     let mut options = dist_options(2, FaultPlan::parse("p0a0=hang@walk").unwrap());
     options.supervise.attempt_timeout = Some(Duration::from_millis(150));
     assert_eq!(options.supervise.watchdog, None);
-    options.steal = StealConfig {
-        enabled: true,
-        min_frontier: 1,
-        poll_interval: Duration::ZERO,
-        yield_every: 16,
-    };
+    options.steal = forced_steal(16);
     let started = Instant::now();
     let launch = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
-        run_worker_elastic(
-            system,
-            config,
-            ExploreOptions::serial(),
-            crw_processes(&system, &proposals),
-            proposals.clone(),
-            task,
-            pulse,
-        )
-        .map_err(|e| e.to_string())
+        workload.elastic_worker(task, pulse)
     };
-    let (dist, _timings, stats) = explore_elastic_timed(
-        system,
-        config,
-        &options,
-        crw_processes(&system, &proposals),
-        proposals.clone(),
-        launch,
-    )
-    .unwrap();
+    let (dist, _timings, stats) = workload.elastic(&options, launch).unwrap();
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "the attempt timeout, not the 60s hang cap, must end the hang (took {:?})",
@@ -289,52 +135,32 @@ fn elastic_hung_worker_is_cancelled_by_attempt_timeout_without_a_watchdog() {
     );
     assert!(stats.offloaded, "the forced policy reached a worker");
     assert_eq!(stats.degraded, 0, "the relaunch succeeded");
-    assert_identical(&serial, &dist, "elastic hang ended by the attempt timeout");
+    let label = "elastic hang ended by the attempt timeout";
+    assert_same(&reference(&workload), &dist, label);
 }
 
 /// A partition whose worker crashes on *every* attempt is walked locally
 /// by the coordinator — the run degrades instead of failing, the
-/// degradation is reported in the timings, and the report is still
-/// bit-identical to the serial walk.
+/// degradation is reported in the timings, and the report is still the
+/// serial walk's.
 #[test]
 fn retry_exhaustion_degrades_to_local_walk_with_identical_report() {
-    let (n, t) = (4usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = ExploreConfig::for_crw(&system);
-    let serial = crw_serial(system, config);
+    let workload = crw(4, 2);
     let plan = FaultPlan::parse("p0a0=crash@walk;p0a1=crash@export;p0a2=crash@seed").unwrap();
     assert!(
         !plan.survivable(2, 3),
         "every attempt of partition 0 is fatal"
     );
-    let launch = |task: &WorkerTask| {
-        run_worker(
-            system,
-            config,
-            ExploreOptions::serial(),
-            crw_processes(&system, &proposals),
-            proposals.clone(),
-            task,
-        )
-        .map(|_| ())
-        .map_err(|e| e.to_string())
-    };
-    let (dist, timings) = explore_partitioned_timed(
-        system,
-        config,
-        &dist_options(2, plan),
-        crw_processes(&system, &proposals),
-        proposals.clone(),
-        launch,
-    )
-    .unwrap();
+    let options = dist_options(2, plan);
+    let (dist, timings) = workload
+        .partitioned(&options, |task| workload.worker(task))
+        .unwrap();
     assert_eq!(
         timings.degraded_partitions, 1,
         "exactly partition 0 degraded"
     );
     assert!(timings.degraded_seconds >= 0.0);
-    assert_identical(&serial, &dist, "retry exhaustion degraded");
+    assert_same(&reference(&workload), &dist, "retry exhaustion degraded");
 }
 
 /// Every partition exhausting every attempt degrades the *whole* run to
@@ -342,23 +168,12 @@ fn retry_exhaustion_degrades_to_local_walk_with_identical_report() {
 /// serial engine, not a failure.
 #[test]
 fn total_worker_loss_degrades_whole_run_to_local_walk() {
-    let (n, t) = (3usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = ExploreConfig::for_crw(&system);
-    let serial = crw_serial(system, config);
+    let workload = crw(3, 2);
     let launch = |_task: &WorkerTask| Err("cluster is on fire".to_string());
-    let (dist, timings) = explore_partitioned_timed(
-        system,
-        config,
-        &dist_options(2, FaultPlan::none()),
-        crw_processes(&system, &proposals),
-        proposals.clone(),
-        launch,
-    )
-    .unwrap();
+    let options = dist_options(2, FaultPlan::none());
+    let (dist, timings) = workload.partitioned(&options, launch).unwrap();
     assert_eq!(timings.degraded_partitions, 2, "both partitions degraded");
-    assert_identical(&serial, &dist, "total worker loss");
+    assert_same(&reference(&workload), &dist, "total worker loss");
 }
 
 /// With degradation off, a run whose worker 0 crashes on every attempt
@@ -372,13 +187,6 @@ fn total_worker_loss_degrades_whole_run_to_local_walk() {
 /// suite.
 #[test]
 fn a_failing_loop_drops_a_survivors_pending_merge() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{mpsc, Arc};
-
-    let (n, t) = (4usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = ExploreConfig::for_crw(&system);
     let plan = FaultPlan::parse("p0a0=crash@walk;p0a1=crash@export;p0a2=crash@seed").unwrap();
     let mut options = dist_options(2, plan);
     options.supervise.degrade = false;
@@ -386,31 +194,18 @@ fn a_failing_loop_drops_a_survivors_pending_merge() {
     let cancelled = Arc::clone(&survivor_cancelled);
     let (done, outcome) = mpsc::channel();
     std::thread::spawn(move || {
+        let workload = crw(4, 2);
         let launch = |task: &WorkerTask| {
-            let result = run_worker(
-                system,
-                config,
-                ExploreOptions::serial(),
-                crw_processes(&system, &proposals),
-                proposals.clone(),
-                task,
-            );
+            let result = workload.worker(task);
             if task.partition == 1 {
                 while !task.cancel.is_cancelled() {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 cancelled.store(true, Ordering::Relaxed);
             }
-            result.map(|_| ()).map_err(|e| e.to_string())
+            result
         };
-        let result = explore_partitioned_timed(
-            system,
-            config,
-            &options,
-            crw_processes(&system, &proposals),
-            proposals.clone(),
-            launch,
-        );
+        let result = workload.partitioned(&options, launch);
         let _ = done.send(result.map(|_| ()));
     });
     match outcome.recv_timeout(Duration::from_secs(60)) {
@@ -431,59 +226,23 @@ fn a_failing_loop_drops_a_survivors_pending_merge() {
 /// 1 to finish would take about 20.
 #[test]
 fn a_failing_run_cancels_a_slow_survivor_under_both_plans() {
-    use std::sync::mpsc;
-
-    let (n, t) = (4usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let config = ExploreConfig::for_crw(&system);
     let plan = "p0a0=crash@seed;p0a1=crash@seed;p0a2=crash@seed;p1a0=slow-io(5000)";
     for elastic in [false, true] {
         let mut options = dist_options(2, FaultPlan::parse(plan).unwrap());
         options.supervise.degrade = false;
         if elastic {
-            options.steal = StealConfig {
-                enabled: true,
-                min_frontier: 1,
-                poll_interval: Duration::ZERO,
-                yield_every: 16,
-            };
+            options.steal = forced_steal(16);
         }
         let (done, outcome) = mpsc::channel();
         std::thread::spawn(move || {
-            let proposals = crw_proposals(n);
-            let initial = crw_processes(&system, &proposals);
+            let workload = crw(4, 2);
             let result = if elastic {
                 let launch = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
-                    run_worker_elastic(
-                        system,
-                        config,
-                        ExploreOptions::serial(),
-                        crw_processes(&system, &proposals),
-                        proposals.clone(),
-                        task,
-                        pulse,
-                    )
-                    .map_err(|e| e.to_string())
+                    workload.elastic_worker(task, pulse)
                 };
-                let run = explore_elastic_timed(
-                    system,
-                    config,
-                    &options,
-                    initial,
-                    proposals.clone(),
-                    launch,
-                );
-                run.map(|_| ())
+                workload.elastic(&options, launch).map(|_| ())
             } else {
-                let run = explore_partitioned_in_process(
-                    system,
-                    config,
-                    &options,
-                    ExploreOptions::serial(),
-                    initial,
-                    proposals.clone(),
-                );
-                run.map(|_| ())
+                in_process(options).run(&workload).map(|_| ())
             };
             let _ = done.send(result);
         });
@@ -496,56 +255,22 @@ fn a_failing_run_cancels_a_slow_survivor_under_both_plans() {
     }
 }
 
-/// The partitioned launch every supervision case below wraps: one
-/// in-process worker at (4, 2).
-fn crw42_worker(task: &WorkerTask) -> Result<(), String> {
-    let system = SystemConfig::new(4, 2).unwrap();
-    let proposals = crw_proposals(4);
-    run_worker(
-        system,
-        ExploreConfig::for_crw(&system),
-        ExploreOptions::serial(),
-        crw_processes(&system, &proposals),
-        proposals,
-        task,
-    )
-    .map(|_| ())
-    .map_err(|e| e.to_string())
-}
-
-/// Runs the partitioned plan at (4, 2) under `options` with `launch`.
-fn crw42_partitioned(
-    options: &DistOptions,
-    launch: impl Fn(&WorkerTask) -> Result<(), String> + Sync,
-) -> Result<(ExploreReport<WideValue>, DistTimings), ExploreError> {
-    let system = SystemConfig::new(4, 2).unwrap();
-    let proposals = crw_proposals(4);
-    explore_partitioned_timed(
-        system,
-        ExploreConfig::for_crw(&system),
-        options,
-        crw_processes(&system, &proposals),
-        proposals,
-        launch,
-    )
-}
-
 /// A launch closure that panics on its first attempt is a failed
 /// attempt, contained on its thread: the slice is retried and the report
 /// is the serial one.
 #[test]
 fn a_launch_that_panics_once_is_retried_to_the_identical_report() {
-    let system = SystemConfig::new(4, 2).unwrap();
-    let serial = crw_serial(system, ExploreConfig::for_crw(&system));
+    let workload = crw(4, 2);
     let launch = |task: &WorkerTask| {
         if task.partition == 0 && task.attempt == 0 {
             panic!("injected panic on attempt {}", task.attempt);
         }
-        crw42_worker(task)
+        workload.worker(task)
     };
-    let (dist, timings) = crw42_partitioned(&dist_options(2, FaultPlan::none()), launch).unwrap();
+    let options = dist_options(2, FaultPlan::none());
+    let (dist, timings) = workload.partitioned(&options, launch).unwrap();
     assert_eq!(timings.degraded_partitions, 0, "the retry succeeded");
-    assert_identical(&serial, &dist, "panic on attempt 0");
+    assert_same(&reference(&workload), &dist, "panic on attempt 0");
 }
 
 /// A launch closure that panics on every attempt exhausts its slice:
@@ -554,20 +279,19 @@ fn a_launch_that_panics_once_is_retried_to_the_identical_report() {
 /// the other slice is never disturbed.
 #[test]
 fn a_launch_that_always_panics_degrades_or_fails_naming_the_panic() {
-    let system = SystemConfig::new(4, 2).unwrap();
-    let serial = crw_serial(system, ExploreConfig::for_crw(&system));
+    let workload = crw(4, 2);
     let launch = |task: &WorkerTask| {
         if task.partition == 0 {
             panic!("partition 0 always panics");
         }
-        crw42_worker(task)
+        workload.worker(task)
     };
     let mut options = dist_options(2, FaultPlan::none());
-    let (dist, timings) = crw42_partitioned(&options, launch).unwrap();
+    let (dist, timings) = workload.partitioned(&options, launch).unwrap();
     assert_eq!(timings.degraded_partitions, 1, "partition 0 degraded");
-    assert_identical(&serial, &dist, "a launch that always panics");
+    assert_same(&reference(&workload), &dist, "a launch that always panics");
     options.supervise.degrade = false;
-    match crw42_partitioned(&options, launch) {
+    match workload.partitioned(&options, launch) {
         Err(ExploreError::Worker { partition, detail }) => {
             assert_eq!(partition, 0);
             assert!(
@@ -584,15 +308,12 @@ fn a_launch_that_always_panics_degrades_or_fails_naming_the_panic() {
 /// is merged, and the slice is launched once.
 #[test]
 fn an_attempt_that_returns_ok_after_its_timeout_counts() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let system = SystemConfig::new(4, 2).unwrap();
-    let serial = crw_serial(system, ExploreConfig::for_crw(&system));
+    let workload = crw(4, 2);
     let mut options = dist_options(2, FaultPlan::none());
     options.supervise.attempt_timeout = Some(Duration::from_millis(50));
     let launches = AtomicUsize::new(0);
     let launch = |task: &WorkerTask| {
-        let result = crw42_worker(task);
+        let result = workload.worker(task);
         if task.partition == 0 {
             launches.fetch_add(1, Ordering::Relaxed);
             let started = Instant::now();
@@ -606,10 +327,10 @@ fn an_attempt_that_returns_ok_after_its_timeout_counts() {
         }
         result
     };
-    let (dist, timings) = crw42_partitioned(&options, launch).unwrap();
+    let (dist, timings) = workload.partitioned(&options, launch).unwrap();
     assert_eq!(launches.into_inner(), 1, "partition 0 is not retried");
     assert_eq!(timings.degraded_partitions, 0);
-    assert_identical(&serial, &dist, "Ok after the timeout");
+    assert_same(&reference(&workload), &dist, "Ok after the timeout");
 }
 
 /// A slice whose launch fails is relaunched until an attempt succeeds:
@@ -617,19 +338,17 @@ fn an_attempt_that_returns_ok_after_its_timeout_counts() {
 /// 0, 1, 2 in turn; partition 1 succeeds at once and is launched once.
 #[test]
 fn a_slice_is_relaunched_until_an_attempt_succeeds() {
-    use std::sync::Mutex;
-
-    let system = SystemConfig::new(4, 2).unwrap();
-    let serial = crw_serial(system, ExploreConfig::for_crw(&system));
+    let workload = crw(4, 2);
     let seen = Mutex::new(Vec::new());
     let launch = |task: &WorkerTask| {
         seen.lock().unwrap().push((task.partition, task.attempt));
         if task.partition == 0 && task.attempt < 2 {
             return Err(format!("attempt {} died", task.attempt));
         }
-        crw42_worker(task)
+        workload.worker(task)
     };
-    let (dist, timings) = crw42_partitioned(&dist_options(2, FaultPlan::none()), launch).unwrap();
+    let options = dist_options(2, FaultPlan::none());
+    let (dist, timings) = workload.partitioned(&options, launch).unwrap();
     let seen = seen.into_inner().unwrap();
     let of = |partition| {
         let attempts = seen.iter().filter(|(p, _)| *p == partition);
@@ -638,17 +357,18 @@ fn a_slice_is_relaunched_until_an_attempt_succeeds() {
     assert_eq!(of(0), [0, 1, 2]);
     assert_eq!(of(1), [0]);
     assert_eq!(timings.degraded_partitions, 0);
-    assert_identical(&serial, &dist, "two failed attempts, then success");
+    assert_same(
+        &reference(&workload),
+        &dist,
+        "two failed attempts, then success",
+    );
 }
 
 /// A hung attempt is cancelled at the attempt timeout and retried with a
 /// fresh token — the relaunch converges to the serial report.
 #[test]
 fn a_timed_out_attempt_is_retried_with_a_fresh_token() {
-    use std::sync::Mutex;
-
-    let system = SystemConfig::new(4, 2).unwrap();
-    let serial = crw_serial(system, ExploreConfig::for_crw(&system));
+    let workload = crw(4, 2);
     let mut options = dist_options(2, FaultPlan::parse("p0a0=hang@walk").unwrap());
     options.supervise.attempt_timeout = Some(Duration::from_millis(100));
     let tokens_at_launch = Mutex::new(Vec::new());
@@ -657,16 +377,16 @@ fn a_timed_out_attempt_is_retried_with_a_fresh_token() {
             let tripped = task.cancel.is_cancelled();
             tokens_at_launch.lock().unwrap().push(tripped);
         }
-        crw42_worker(task)
+        workload.worker(task)
     };
-    let (dist, timings) = crw42_partitioned(&options, launch).unwrap();
+    let (dist, timings) = workload.partitioned(&options, launch).unwrap();
     assert_eq!(
         tokens_at_launch.into_inner().unwrap(),
         [false, false],
         "each attempt starts with an untripped token"
     );
     assert_eq!(timings.degraded_partitions, 0, "the relaunch succeeded");
-    assert_identical(&serial, &dist, "hang timed out and retried");
+    assert_same(&reference(&workload), &dist, "hang timed out and retried");
 }
 
 /// An attempt that returns `Err` after the attempt timeout tripped its
@@ -675,12 +395,13 @@ fn a_timed_out_attempt_is_retried_with_a_fresh_token() {
 /// hang's own 60 s cap.
 #[test]
 fn a_timed_out_last_attempt_fails_naming_its_timeout() {
+    let workload = crw(4, 2);
     let mut options = dist_options(2, FaultPlan::parse("p0a0=hang@walk").unwrap());
     options.attempts = 1;
     options.supervise.attempt_timeout = Some(Duration::from_millis(100));
     options.supervise.degrade = false;
     let started = Instant::now();
-    match crw42_partitioned(&options, crw42_worker) {
+    match workload.partitioned(&options, |task| workload.worker(task)) {
         Err(ExploreError::Worker { partition, detail }) => {
             assert_eq!(partition, 0);
             assert_eq!(detail, "attempt exceeded its 100ms timeout");
@@ -698,40 +419,14 @@ fn a_timed_out_last_attempt_fails_naming_its_timeout() {
 /// capacity — stats reporting both, report identical.
 #[test]
 fn elastic_exhausted_worker_is_quarantined_and_walked_locally() {
-    let (n, t) = (4usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = ExploreConfig::for_crw(&system);
-    let serial = crw_serial(system, config);
+    let workload = crw(4, 2);
     let plan = FaultPlan::parse("p0a0=crash@walk;p0a1=crash@walk;p0a2=crash@walk").unwrap();
     let mut options = dist_options(2, plan);
-    options.steal = StealConfig {
-        enabled: true,
-        min_frontier: 1,
-        poll_interval: Duration::ZERO,
-        yield_every: 16,
-    };
+    options.steal = forced_steal(16);
     let launch = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
-        run_worker_elastic(
-            system,
-            config,
-            ExploreOptions::serial(),
-            crw_processes(&system, &proposals),
-            proposals.clone(),
-            task,
-            pulse,
-        )
-        .map_err(|e| e.to_string())
+        workload.elastic_worker(task, pulse)
     };
-    let (dist, _timings, stats) = explore_elastic_timed(
-        system,
-        config,
-        &options,
-        crw_processes(&system, &proposals),
-        proposals.clone(),
-        launch,
-    )
-    .unwrap();
+    let (dist, _timings, stats) = workload.elastic(&options, launch).unwrap();
     assert!(
         stats.degraded >= 1,
         "worker 0's slice must be walked locally (stats: {stats:?})"
@@ -740,7 +435,7 @@ fn elastic_exhausted_worker_is_quarantined_and_walked_locally() {
         stats.quarantined >= 1,
         "worker 0's slot must be quarantined (stats: {stats:?})"
     );
-    assert_identical(&serial, &dist, "elastic quarantine");
+    assert_same(&reference(&workload), &dist, "elastic quarantine");
 }
 
 /// An elastic worker that hangs (and therefore stops pulsing) is caught
@@ -749,48 +444,26 @@ fn elastic_exhausted_worker_is_quarantined_and_walked_locally() {
 /// cap.
 #[test]
 fn elastic_hung_worker_is_caught_by_pulse_watchdog() {
-    let (n, t) = (4usize, 2usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = ExploreConfig::for_crw(&system);
-    let serial = crw_serial(system, config);
+    let workload = crw(4, 2);
     let mut options = dist_options(2, FaultPlan::parse("p0a0=hang@walk").unwrap());
     options.supervise.watchdog = Some(Duration::from_millis(200));
-    options.steal = StealConfig {
-        enabled: true,
-        min_frontier: 1,
-        poll_interval: Duration::ZERO,
-        yield_every: 16,
-    };
+    options.steal = forced_steal(16);
     let started = Instant::now();
     let launch = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
-        run_worker_elastic(
-            system,
-            config,
-            ExploreOptions::serial(),
-            crw_processes(&system, &proposals),
-            proposals.clone(),
-            task,
-            pulse,
-        )
-        .map_err(|e| e.to_string())
+        workload.elastic_worker(task, pulse)
     };
-    let (dist, _timings, stats) = explore_elastic_timed(
-        system,
-        config,
-        &options,
-        crw_processes(&system, &proposals),
-        proposals.clone(),
-        launch,
-    )
-    .unwrap();
+    let (dist, _timings, stats) = workload.elastic(&options, launch).unwrap();
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "the pulse watchdog must end the hang (took {:?})",
         started.elapsed()
     );
     assert_eq!(stats.degraded, 0, "the relaunch succeeded");
-    assert_identical(&serial, &dist, "elastic hang caught by watchdog");
+    assert_same(
+        &reference(&workload),
+        &dist,
+        "elastic hang caught by watchdog",
+    );
 }
 
 /// Supervision is one implementation under both plans: the same fault
@@ -801,14 +474,8 @@ fn elastic_hung_worker_is_caught_by_pulse_watchdog() {
 /// where the run completes, the report is the serial one.
 #[test]
 fn supervision_is_the_same_under_both_plans() {
-    use std::sync::Mutex;
-    use twostep_modelcheck::ExploreError;
-
-    let (n, t) = (5usize, 4usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = ExploreConfig::for_crw(&system);
-    let serial = crw_serial(system, config);
+    let workload = crw(5, 4);
+    let serial = reference(&workload);
     let exhausting = "p0a0=crash@walk;p0a1=crash@walk;p0a2=crash@walk";
     // (label, fault plan, attempt timeout, degrade, worker 0's launches,
     // degraded slices — `None` where the run must fail).
@@ -878,61 +545,28 @@ fn supervision_is_the_same_under_both_plans() {
             };
             let started = Instant::now();
             let result = if elastic {
-                options.steal = StealConfig {
-                    enabled: true,
-                    min_frontier: 1,
-                    poll_interval: Duration::ZERO,
-                    yield_every: 16,
-                };
+                options.steal = forced_steal(16);
                 let launch = |task: &ElasticTask, pulse: &(dyn Fn(WorkerPulse) + Sync)| {
                     let began = Instant::now();
-                    let exit = run_worker_elastic(
-                        system,
-                        config,
-                        ExploreOptions::serial(),
-                        crw_processes(&system, &proposals),
-                        proposals.clone(),
-                        task,
-                        pulse,
-                    );
+                    let exit = workload.elastic_worker(task, pulse);
                     logged(task.worker, began);
-                    exit.map_err(|e| e.to_string())
+                    exit
                 };
-                explore_elastic_timed(
-                    system,
-                    config,
-                    &options,
-                    crw_processes(&system, &proposals),
-                    proposals.clone(),
-                    launch,
-                )
-                .map(|(report, timings, stats)| {
-                    assert!(stats.offloaded, "{label}: the forced policy offloads");
-                    assert_eq!(stats.degraded, timings.degraded_partitions, "{label}");
-                    (report, timings)
-                })
+                workload
+                    .elastic(&options, launch)
+                    .map(|(report, timings, stats)| {
+                        assert!(stats.offloaded, "{label}: the forced policy offloads");
+                        assert_eq!(stats.degraded, timings.degraded_partitions, "{label}");
+                        (report, timings)
+                    })
             } else {
                 let launch = |task: &WorkerTask| {
                     let began = Instant::now();
-                    let report = run_worker(
-                        system,
-                        config,
-                        ExploreOptions::serial(),
-                        crw_processes(&system, &proposals),
-                        proposals.clone(),
-                        task,
-                    );
+                    let result = workload.worker(task);
                     logged(task.partition as u64, began);
-                    report.map(|_| ()).map_err(|e| e.to_string())
+                    result
                 };
-                explore_partitioned_timed(
-                    system,
-                    config,
-                    &options,
-                    crw_processes(&system, &proposals),
-                    proposals.clone(),
-                    launch,
-                )
+                workload.partitioned(&options, launch)
             };
             assert!(
                 started.elapsed() < Duration::from_secs(30),
@@ -957,7 +591,7 @@ fn supervision_is_the_same_under_both_plans() {
             }
             outcomes.push(match result {
                 Ok((report, timings)) => {
-                    assert_identical(&serial, &report, &label);
+                    assert_same(&serial, &report, &label);
                     Ok(timings.degraded_partitions)
                 }
                 Err(ExploreError::Worker { partition, detail }) => {
@@ -982,37 +616,23 @@ fn supervision_is_the_same_under_both_plans() {
 /// all-or-nothing, and segment validation catches the rest.
 #[test]
 fn any_single_torn_write_leaves_cache_trustworthy() {
-    let (n, t) = (3usize, 1usize);
-    let system = SystemConfig::new(n, t).unwrap();
-    let proposals = crw_proposals(n);
-    let config = ExploreConfig::for_crw(&system);
-    let serial = crw_serial(system, config);
+    let workload = crw(3, 1);
+    let serial = reference(&workload);
     for io_fault in ["torn-write", "fail-write", "enospc"] {
         // Dense over the run's first writes (frontier, seed, exports),
         // geometric tail so late writes (cache segment, manifest) land
         // in range too.
         for nth in [1u64, 2, 3, 4, 5, 6, 7, 8, 16, 64, 256] {
             let dir = TempDir::new(&format!("{io_fault}-{nth}"));
-            let cache = Some(CacheConfig {
-                dir: dir.path().to_path_buf(),
-                mode: CacheMode::ReadWrite,
-            });
-            let plan = FaultPlan::parse(&format!("io={io_fault}({nth})")).unwrap();
-            let mut options = dist_options(2, plan);
-            options.cache = cache.clone();
+            std::fs::create_dir_all(dir.path()).unwrap();
+            let cache = Some(CacheConfig::read_write(dir.path()));
             let label = format!("io={io_fault}({nth})");
+            let faulted = in_process(dist_options(2, FaultPlan::parse(&label).unwrap()));
             // The faulted run either succeeds (the torn write hit a
             // warn-and-continue path, or never fired) or fails loudly —
-            // a success must already be bit-identical.
-            match explore_partitioned_in_process(
-                system,
-                config,
-                &options,
-                ExploreOptions::serial(),
-                crw_processes(&system, &proposals),
-                proposals.clone(),
-            ) {
-                Ok(report) => assert_identical(&serial, &report, &label),
+            // a success must already be the serial report.
+            match faulted.with_cache(cache.clone()).run(&workload) {
+                Ok(report) => assert_same(&serial, &report, &label),
                 Err(e) => {
                     let msg = e.to_string();
                     assert!(!msg.is_empty(), "{label}: error must carry detail");
@@ -1021,25 +641,14 @@ fn any_single_torn_write_leaves_cache_trustworthy() {
             // Whatever the torn write left behind, a clean run over the
             // same cache directory must converge to the serial report —
             // rebuilding (loud-replace) rather than trusting damage.
-            let mut clean = dist_options(2, FaultPlan::none());
-            clean.cache = cache;
-            let recovered = explore_partitioned_in_process(
-                system,
-                config,
-                &clean,
-                ExploreOptions::serial(),
-                crw_processes(&system, &proposals),
-                proposals.clone(),
-            )
-            .unwrap_or_else(|e| panic!("{label}: clean rerun failed: {e}"));
-            assert_identical(&serial, &recovered, &format!("{label} clean rerun"));
+            let clean = in_process(dist_options(2, FaultPlan::none())).with_cache(cache);
+            let recovered = clean
+                .run(&workload)
+                .unwrap_or_else(|e| panic!("{label}: clean rerun failed: {e}"));
+            assert_same(&serial, &recovered, &format!("{label} clean rerun"));
         }
     }
 }
-
-// ---------------------------------------------------------------------
-// Property: any survivable plan is invisible in the report
-// ---------------------------------------------------------------------
 
 mod fault_props {
     use super::*;
@@ -1068,7 +677,7 @@ mod fault_props {
 
         /// Any survivable assignment of faults to `(partition, attempt)`
         /// slots — made survivable by construction: final attempts keep
-        /// only non-fatal faults — yields the bit-identical report.
+        /// only non-fatal faults — yields the serial report.
         #[test]
         fn any_survivable_plan_is_report_invisible(
             entries in prop::collection::vec(
@@ -1080,8 +689,8 @@ mod fault_props {
             // Hangs are survivable but slow (they wait out a timeout);
             // give every hang a fast attempt timeout and drop fatal
             // faults from final attempts so the plan is survivable with
-            // the suite's 3-attempt budget.  Duplicate slots keep the
-            // last fault (the plan grammar itself rejects duplicates).
+            // the 3-attempt budget.  Duplicate slots keep the last fault
+            // (the plan grammar itself rejects duplicates).
             let assignment: std::collections::BTreeMap<(u64, usize), WorkerFault> =
                 entries.into_iter().collect();
             let tokens: Vec<String> = assignment
@@ -1092,24 +701,12 @@ mod fault_props {
             let plan = FaultPlan::parse(&tokens.join(";")).unwrap();
             prop_assert!(plan.survivable(partitions as u64, 3));
 
-            let (n, t) = (3usize, 2usize);
-            let system = SystemConfig::new(n, t).unwrap();
-            let proposals = crw_proposals(n);
-            let config = ExploreConfig::for_crw(&system);
-            let serial = crw_serial(system, config);
+            let workload = crw(3, 2);
             let mut options = dist_options(partitions, plan);
             options.supervise.attempt_timeout = Some(Duration::from_millis(200));
-            let dist = explore_partitioned_in_process(
-                system,
-                config,
-                &options,
-                ExploreOptions::serial(),
-                crw_processes(&system, &proposals),
-                proposals.clone(),
-            )
-            .unwrap();
-            assert_identical(
-                &serial,
+            let dist = in_process(options).run(&workload).unwrap();
+            assert_same(
+                &reference(&workload),
                 &dist,
                 &format!("plan [{}] partitions={partitions}", tokens.join(";")),
             );
