@@ -43,9 +43,9 @@ echo "== benchmark harness tests (the only build of benchmark/src/adapter.rs out
 cargo test --offline --locked -q --manifest-path benchmark/Cargo.toml
 
 echo "== file-length tripwire (crates/modelcheck/src and tests: no file over 2000 lines)"
-# Longest today: spill.rs (about 1 830 lines, 780 of them tests),
-# explorer/tests.rs (about 1 790), memo.rs and dist.rs (about 1 730
-# each; memo.rs is 790 lines of tests) and explorer/round.rs (about
+# Longest today: spill.rs (about 1 860 lines, 800 of them tests),
+# explorer/tests.rs (about 1 790), memo.rs (about 1 750, 810 of them
+# tests), dist.rs (about 1 730) and explorer/round.rs (about
 # 1 680; its tests are in explorer/round/tests.rs).  The longest test
 # file is tests/naive_oracle.rs (about 730); the engine binary under
 # tests/engines/ grows by modules, not by one file.
@@ -190,24 +190,24 @@ grep '^twostep-dist: partition 0 worker failed every attempt' <<<"$nodegrade_err
     || { echo "FAIL: --no-degrade exhaustion must name partition 0's failure" >&2; exit 1; }
 echo "fault storm OK: --no-degrade exhaustion failed loudly (exit $nodegrade_code) and tore down"
 
-# Every segment a run commits is stored as written: format version 5
-# (header bytes 8-11, little-endian) and a flags byte (header byte 20)
-# of 0 — no frontier flag on a memo segment, and no bit from an older
-# format.
+# Every segment a run commits is stored as written: format version 6
+# (header bytes 8-11, little-endian; records whose integers are
+# varints) and a flags byte (header byte 20) of 0 — no frontier flag on
+# a memo segment, and no bit from an older format.
 check_segment_headers() {
     local seg version flags checked=0
     for seg in "$1"/*.seg; do
         [[ -e "$seg" ]] || continue
         version="$(od --endian=little -An -tu4 -j8 -N4 "$seg" | tr -d ' ')"
         flags="$(od -An -tu1 -j20 -N1 "$seg" | tr -d ' ')"
-        if [[ "$version" != 5 || "$flags" != 0 ]]; then
-            echo "FAIL: $seg: header version=$version flags=$flags, want version=5 flags=0" >&2
+        if [[ "$version" != 6 || "$flags" != 0 ]]; then
+            echo "FAIL: $seg: header version=$version flags=$flags, want version=6 flags=0" >&2
             exit 1
         fi
         checked=$((checked + 1))
     done
     (( checked > 0 )) || { echo "FAIL: no segment in $1 to check" >&2; exit 1; }
-    echo "segment headers OK: $checked in $1 at version 5, flags 0"
+    echo "segment headers OK: $checked in $1 at version 6, flags 0"
 }
 
 echo "== persistent cache: cold-then-warm partitioned exploration (quick)"

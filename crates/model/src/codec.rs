@@ -44,7 +44,7 @@ pub struct SymmetryContext {
 /// Byte encoding for values stored in spilled memo records and
 /// distributed-exploration interchange segments.
 ///
-/// Implemented for the primitive integers, `usize`, `bool`, `()`,
+/// Implemented for the unsigned integers, `usize`, `bool`, `()`,
 /// [`ProcessId`], [`PidSet`](crate::PidSet), [`WideValue`], `Option<T>`,
 /// `Vec<T>`, `BTreeSet<T>`, and pairs.  Protocol crates implement it for
 /// their process-state types so the model checker can spill and exchange
@@ -133,21 +133,36 @@ pub fn take<'a>(input: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
     Some(head)
 }
 
-macro_rules! impl_spill_codec_int {
+// Integers.  A byte is itself; every wider one is its *minimal* LEB128
+// encoding (`encode_varint` / `decode_varint`, below), so a key spends
+// one byte on a rank, a round or a count, and equal values keep equal
+// bytes.
+
+impl SpillCodec for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(take(input, 1)?[0])
+    }
+}
+
+macro_rules! impl_spill_codec_varint {
     ($($ty:ty),*) => {$(
         impl SpillCodec for $ty {
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+                encode_varint(u128::from(*self), out);
             }
+            #[inline]
             fn decode(input: &mut &[u8]) -> Option<Self> {
-                let bytes = take(input, std::mem::size_of::<$ty>())?;
-                Some(<$ty>::from_le_bytes(bytes.try_into().ok()?))
+                decode_varint(input, <$ty>::BITS).map(|value| value as $ty)
             }
         }
     )*};
 }
 
-impl_spill_codec_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
+impl_spill_codec_varint!(u16, u32, u64, u128);
 
 impl SpillCodec for usize {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -416,45 +431,59 @@ pub fn stable_hash64(bytes: &[u8]) -> u64 {
 // Varints, and an LZ codec kept for the benchmark
 // ---------------------------------------------------------------------------
 //
-// Varints serve the explorer's keys and block contents: they
-// length-prefix the key records a cached block holds.  The LZ codec
-// (`Compressor`, `compress`, `decompress`) has no library caller —
-// segment files store their records as written — and is kept only for
-// the benchmark's `codec.*compress*` rows.
+// The varint is the one integer codec of every key, summary and record:
+// the `SpillCodec` impls above are `encode_varint` / `decode_varint`.
+// Framing a reader finds by byte position — a segment header, a record's
+// `[u32 len][u32 crc]` prefix, a frontier record, a manifest's CRC
+// trailer — is written with `to_le_bytes` where it is framed, not here.
+// The LZ codec (`Compressor`, `compress`, `decompress`) has no library
+// caller — segment files store their records as written — and is kept
+// only for the benchmark's `codec.*compress*` rows.
 
-/// Appends the LEB128 varint encoding of `value` to `out` (1–10 bytes):
-/// lengths are overwhelmingly small, and a fixed-width `u64` would
-/// double the size of short records.
-pub fn encode_varint(mut value: u64, out: &mut Vec<u8>) {
-    loop {
-        let byte = (value & 0x7F) as u8;
+/// Appends the minimal LEB128 encoding of `value` to `out`: seven bits
+/// a byte, low group first, the high bit set on every byte but the
+/// last — one byte below 128.
+#[inline]
+fn encode_varint(mut value: u128, out: &mut Vec<u8>) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
         value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
+    out.push(value as u8);
 }
 
-/// Decodes one LEB128 varint from the front of `input`, advancing past
-/// it; `None` on truncation or a non-canonical over-long encoding.
-pub fn decode_varint(input: &mut &[u8]) -> Option<u64> {
-    let mut value: u64 = 0;
-    for (i, &byte) in input.iter().enumerate() {
-        if i == 9 && byte > 0x01 {
-            return None; // would overflow 64 bits
+/// Decodes one varint of an integer `bits` wide from the front of
+/// `input`, advancing past it.  Only the minimal encoding decodes:
+/// `None` on truncation, a trailing zero group, more than ⌈bits/7⌉
+/// bytes, or a last group with bits beyond `bits` — so a value has
+/// exactly one encoding, and equal keys are equal bytes.
+#[inline]
+fn decode_varint(input: &mut &[u8], bits: u32) -> Option<u128> {
+    // Most integers of a key or summary are below 128: one byte.
+    if let Some((&byte, rest)) = input.split_first() {
+        if byte < 0x80 {
+            *input = rest;
+            return Some(u128::from(byte));
         }
-        value |= u64::from(byte & 0x7F) << (7 * i as u32);
+    }
+    let max_len = bits.div_ceil(7) as usize;
+    // Bits the last of `max_len` groups may carry.
+    let last_bits = bits - 7 * (max_len as u32 - 1);
+    let mut value = 0u128;
+    for (i, &byte) in input.iter().take(max_len).enumerate() {
+        let group = byte & 0x7F;
+        if i + 1 == max_len && (byte & 0x80 != 0 || group >> last_bits != 0) {
+            return None; // over-long, or overflows `bits`
+        }
+        value |= u128::from(group) << (7 * i);
         if byte & 0x80 == 0 {
-            if i > 0 && byte == 0 {
-                return None; // over-long encoding: not canonical
+            if byte == 0 {
+                // Past the first byte (the fast path took one-byte
+                // varints): a trailing zero group, not minimal.
+                return None;
             }
             *input = &input[i + 1..];
             return Some(value);
-        }
-        if i == 9 {
-            return None;
         }
     }
     None // ran out of bytes mid-varint
@@ -526,7 +555,7 @@ impl Compressor {
             self.generation = 1;
         }
         let generation = self.generation;
-        encode_varint(raw.len() as u64, out);
+        (raw.len() as u64).encode(out);
         let mut i = 0;
         let mut literal_start = 0;
         while i + MIN_MATCH <= raw.len() {
@@ -543,10 +572,10 @@ impl Compressor {
                     while i + len < raw.len() && raw[candidate + len] == raw[i + len] {
                         len += 1;
                     }
-                    encode_varint((i - literal_start) as u64, out);
+                    ((i - literal_start) as u64).encode(out);
                     out.extend_from_slice(&raw[literal_start..i]);
-                    encode_varint((len - MIN_MATCH) as u64, out);
-                    encode_varint(distance as u64, out);
+                    ((len - MIN_MATCH) as u64).encode(out);
+                    (distance as u64).encode(out);
                     i += len;
                     literal_start = i;
                     continue;
@@ -555,7 +584,7 @@ impl Compressor {
             i += 1;
         }
         if literal_start < raw.len() {
-            encode_varint((raw.len() - literal_start) as u64, out);
+            ((raw.len() - literal_start) as u64).encode(out);
             out.extend_from_slice(&raw[literal_start..]);
         }
     }
@@ -586,13 +615,13 @@ pub fn decompress(input: &[u8], max_len: usize) -> Option<Vec<u8>> {
 /// unspecified.
 pub fn decompress_into(mut input: &[u8], max_len: usize, out: &mut Vec<u8>) -> Option<()> {
     out.clear();
-    let raw_len = decode_varint(&mut input)? as usize;
+    let raw_len = u64::decode(&mut input)? as usize;
     if raw_len > max_len {
         return None;
     }
     out.reserve(raw_len.min(1 << 20));
     while out.len() < raw_len {
-        let literal_len = decode_varint(&mut input)? as usize;
+        let literal_len = u64::decode(&mut input)? as usize;
         if literal_len > raw_len - out.len() || literal_len > input.len() {
             return None;
         }
@@ -607,12 +636,12 @@ pub fn decompress_into(mut input: &[u8], max_len: usize, out: &mut Vec<u8>) -> O
         if remaining_out < MIN_MATCH {
             return None; // no admissible match fits in the output
         }
-        let token = decode_varint(&mut input)?;
+        let token = u64::decode(&mut input)?;
         if token > (remaining_out - MIN_MATCH) as u64 {
             return None;
         }
         let match_len = token as usize + MIN_MATCH;
-        let distance = decode_varint(&mut input)? as usize;
+        let distance = u64::decode(&mut input)? as usize;
         if distance == 0 || distance > out.len() {
             return None;
         }
@@ -640,6 +669,7 @@ pub fn decompress_into(mut input: &[u8], max_len: usize, out: &mut Vec<u8>) -> O
 mod tests {
     use super::*;
     use crate::PidSet;
+    use proptest::prelude::*;
 
     fn roundtrip<T: SpillCodec + PartialEq + std::fmt::Debug>(value: T) {
         let mut buf = Vec::new();
@@ -654,7 +684,7 @@ mod tests {
     fn primitive_roundtrips() {
         roundtrip(0u8);
         roundtrip(u64::MAX);
-        roundtrip(-5i64);
+        roundtrip(u128::MAX);
         roundtrip(usize::MAX);
         roundtrip(true);
         roundtrip(false);
@@ -715,44 +745,143 @@ mod tests {
     fn truncated_input_decodes_to_none() {
         let mut buf = Vec::new();
         12345u64.encode(&mut buf);
-        let mut short = &buf[..5];
-        assert!(u64::decode(&mut short).is_none());
+        for cut in 0..buf.len() {
+            let mut short = &buf[..cut];
+            assert!(u64::decode(&mut short).is_none(), "cut at {cut}");
+        }
         let mut bad_bool = &[7u8][..];
         assert!(bool::decode(&mut bad_bool).is_none());
-        let mut zero_rank = &[0u8; 4][..];
+        let mut zero = Vec::new();
+        0u32.encode(&mut zero);
+        let mut zero_rank = zero.as_slice();
         assert!(ProcessId::decode(&mut zero_rank).is_none());
+    }
+
+    /// `value`'s encoding is minimal (one byte per started group of
+    /// seven significant bits, one for zero), decodes to exactly `value`
+    /// over exactly its bytes, refuses every strict prefix, and refuses
+    /// the same value spelled one trailing zero group longer.
+    fn assert_varint<T>(value: T)
+    where
+        T: SpillCodec + Copy + PartialEq + std::fmt::Debug + Into<u128>,
+    {
+        let mut buf = Vec::new();
+        value.encode(&mut buf);
+        let significant = 128 - value.into().leading_zeros();
+        let minimal = significant.div_ceil(7).max(1) as usize;
+        assert_eq!(buf.len(), minimal, "{value:?} takes {buf:02x?}");
+        let mut input = buf.as_slice();
+        assert_eq!(T::decode(&mut input), Some(value));
+        assert!(input.is_empty(), "{value:?} consumed exactly");
+        for cut in 0..buf.len() {
+            assert_eq!(T::decode(&mut &buf[..cut]), None, "{value:?} cut at {cut}");
+        }
+        let mut padded = buf.clone();
+        *padded.last_mut().expect("one byte at least") |= 0x80;
+        padded.push(0);
+        assert_eq!(T::decode(&mut padded.as_slice()), None, "{value:?} padded");
+    }
+
+    /// 0, 127, 128, every 2^k - 1, 2^k and 2^k + 1, and the maximum of a
+    /// `bits`-wide unsigned integer.
+    fn edges(bits: u32) -> Vec<u128> {
+        let max = u128::MAX >> (128 - bits);
+        let mut values = vec![0, 127, 128, max];
+        for k in 0..bits {
+            let power = 1u128 << k;
+            values.extend([power - 1, power, power + 1]);
+        }
+        values.retain(|v| *v <= max);
+        values
     }
 
     #[test]
     fn varint_roundtrips() {
-        for value in [
-            0u64,
-            1,
-            127,
-            128,
-            300,
-            16_383,
-            16_384,
-            u32::MAX as u64,
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            encode_varint(value, &mut buf);
-            let mut input = buf.as_slice();
-            assert_eq!(decode_varint(&mut input), Some(value));
-            assert!(input.is_empty(), "value {value} consumed exactly");
+        (0..=u16::MAX).for_each(assert_varint);
+        edges(32).into_iter().for_each(|v| assert_varint(v as u32));
+        edges(64).into_iter().for_each(|v| assert_varint(v as u64));
+        edges(128).into_iter().for_each(assert_varint);
+        for v in edges(64) {
+            let mut wide = Vec::new();
+            (v as u64).encode(&mut wide);
+            let mut narrow = Vec::new();
+            (v as usize).encode(&mut narrow);
+            assert_eq!(narrow, wide, "a usize is its u64");
         }
-        // Truncated mid-varint.
-        let mut buf = Vec::new();
-        encode_varint(u64::MAX, &mut buf);
-        let mut short = &buf[..4];
-        assert!(decode_varint(&mut short).is_none());
-        // Over-long (non-canonical) encoding of 1.
-        let mut overlong = &[0x81u8, 0x00][..];
-        assert!(decode_varint(&mut overlong).is_none());
         // An 11-byte continuation chain can never be a u64.
-        let mut absurd = &[0xFFu8; 11][..];
-        assert!(decode_varint(&mut absurd).is_none());
+        assert_eq!(u64::decode(&mut &[0xFFu8; 11][..]), None);
+    }
+
+    /// The `max_len` bytes of `T::MAX` with its last group replaced by
+    /// `last`.
+    fn groups(max_len: usize, last: u8) -> Vec<u8> {
+        let mut bytes = vec![0xFF; max_len - 1];
+        bytes.push(last);
+        bytes
+    }
+
+    #[test]
+    fn varint_decode_refuses_every_non_minimal_spelling() {
+        // A trailing zero group, for every width.
+        let one = [0x81u8, 0x00];
+        assert_eq!(u16::decode(&mut &one[..]), None);
+        assert_eq!(u32::decode(&mut &one[..]), None);
+        assert_eq!(u64::decode(&mut &one[..]), None);
+        assert_eq!(u128::decode(&mut &one[..]), None);
+        // ⌈bits/7⌉ bytes decode (the maximum); a last group one bit
+        // wider, or one more byte, does not.
+        fn limits<T: SpillCodec + PartialEq + std::fmt::Debug>(max: T, max_len: usize, top: u8) {
+            assert_eq!(T::decode(&mut &groups(max_len, top)[..]), Some(max));
+            assert_eq!(T::decode(&mut &groups(max_len, top + 1)[..]), None);
+            assert_eq!(T::decode(&mut &groups(max_len, 0x80)[..]), None);
+            let longer = [groups(max_len, 0x80), vec![0x01]].concat();
+            assert_eq!(T::decode(&mut &longer[..]), None);
+            // Zero spelled in every length up to and past the limit.
+            for len in 2..=max_len + 1 {
+                let zero = [vec![0x80; len - 1], vec![0x00]].concat();
+                assert_eq!(T::decode(&mut &zero[..]), None, "zero in {len} bytes");
+            }
+        }
+        limits(u16::MAX, 3, 0x03);
+        limits(u32::MAX, 5, 0x0F);
+        limits(u64::MAX, 10, 0x01);
+        limits(u128::MAX, 19, 0x03);
+        // A usize is decoded through u64, so it refuses what u64 does.
+        assert_eq!(usize::decode(&mut &groups(10, 0x02)[..]), None);
+    }
+
+    /// A `u128` spread over every magnitude: 128 random bits shifted
+    /// right by 0–127.
+    fn any_u128() -> impl Strategy<Value = u128> {
+        (any::<u64>(), any::<u64>(), 0u32..128)
+            .prop_map(|(hi, lo, shift)| ((u128::from(hi) << 64) | u128::from(lo)) >> shift)
+    }
+
+    proptest! {
+        #[test]
+        fn any_varint_round_trips_minimally(value in any_u128()) {
+            assert_varint(value as u16);
+            assert_varint(value as u32);
+            assert_varint(value as u64);
+            assert_varint(value);
+        }
+
+        /// Bytes that decode re-encode to themselves: no value has a
+        /// second spelling.
+        #[test]
+        fn any_decoded_bytes_are_the_encoding(bytes in prop::collection::vec(any::<u8>(), 0..=20)) {
+            fn respelled<T: SpillCodec>(bytes: &[u8]) -> Option<bool> {
+                let mut input = bytes;
+                let value = T::decode(&mut input)?;
+                let mut again = Vec::new();
+                value.encode(&mut again);
+                Some(again == bytes[..bytes.len() - input.len()])
+            }
+            prop_assert!(respelled::<u16>(&bytes).unwrap_or(true));
+            prop_assert!(respelled::<u32>(&bytes).unwrap_or(true));
+            prop_assert!(respelled::<u64>(&bytes).unwrap_or(true));
+            prop_assert!(respelled::<u128>(&bytes).unwrap_or(true));
+        }
     }
 
     fn compression_roundtrip(raw: &[u8]) -> usize {
@@ -834,32 +963,32 @@ mod tests {
         // A length claim above the caller's bound is refused before any
         // allocation of that size.
         let mut absurd = Vec::new();
-        encode_varint(u64::MAX, &mut absurd);
+        u64::MAX.encode(&mut absurd);
         assert!(decompress(&absurd, 1 << 20).is_none());
         // Distance reaching before the start of the output.
         let mut bad = Vec::new();
-        encode_varint(8, &mut bad); // raw_len
-        encode_varint(2, &mut bad); // two literals
+        8u64.encode(&mut bad); // raw_len
+        2u64.encode(&mut bad); // two literals
         bad.extend_from_slice(b"ab");
-        encode_varint(0, &mut bad); // match_len = MIN_MATCH
-        encode_varint(7, &mut bad); // distance 7 > 2 bytes produced
+        0u64.encode(&mut bad); // match_len = MIN_MATCH
+        7u64.encode(&mut bad); // distance 7 > 2 bytes produced
         assert!(decompress(&bad, 1024).is_none());
         // Zero distance is never valid.
         let mut zero = Vec::new();
-        encode_varint(8, &mut zero);
-        encode_varint(2, &mut zero);
+        8u64.encode(&mut zero);
+        2u64.encode(&mut zero);
         zero.extend_from_slice(b"ab");
-        encode_varint(0, &mut zero);
-        encode_varint(0, &mut zero);
+        0u64.encode(&mut zero);
+        0u64.encode(&mut zero);
         assert!(decompress(&zero, 1024).is_none());
         // A match-length token near u64::MAX must be rejected before the
         // `+ MIN_MATCH` addition, not overflow it (debug panic).
         let mut huge = Vec::new();
-        encode_varint(8, &mut huge);
-        encode_varint(2, &mut huge);
+        8u64.encode(&mut huge);
+        2u64.encode(&mut huge);
         huge.extend_from_slice(b"ab");
-        encode_varint(u64::MAX, &mut huge);
-        encode_varint(1, &mut huge);
+        u64::MAX.encode(&mut huge);
+        1u64.encode(&mut huge);
         assert!(decompress(&huge, 1024).is_none());
     }
 

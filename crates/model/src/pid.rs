@@ -343,8 +343,8 @@ impl PidSet {
 impl SpillCodec for PidSet {
     fn encode(&self, out: &mut Vec<u8>) {
         self.n.encode(out);
-        // Byte-identical to the former `Vec<u64>` encoding: u32 count,
-        // then the live words little-endian.
+        // Byte-identical to the `Vec<u64>` encoding: the count, then
+        // the live words, each a varint.
         let words = self.words();
         (words.len() as u32).encode(out);
         for w in words {

@@ -86,10 +86,18 @@ mod tests {
         unknown.segments.push((Role::Resume, name.clone()));
         let mut bytes = unknown.to_bytes();
         bytes.truncate(bytes.len() - 4);
-        let role_at = bytes.len() - name.len() - 4 - 1;
+        // The role byte follows the magic and five varint fields:
+        // version, fingerprint, strength, floor and segment count.
+        let mut body = &bytes[8..];
+        u32::decode(&mut body).expect("version");
+        u64::decode(&mut body).expect("fingerprint");
+        u8::decode(&mut body).expect("strength");
+        u64::decode(&mut body).expect("floor");
+        assert_eq!(u32::decode(&mut body), Some(1), "one segment");
+        let role_at = bytes.len() - body.len();
         assert_eq!(bytes[role_at], Role::Resume as u8);
         bytes[role_at] = 2;
-        crc32(&bytes.clone()).encode(&mut bytes);
+        bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
         assert_eq!(Manifest::parse(&bytes), None);
     }
 

@@ -126,9 +126,10 @@ use crate::spill::SpillCodec;
 ///
 /// Layout (self-delimiting, decoded by
 /// [`decode_key_prefix`](crate::memo::decode_key_prefix) on the cold
-/// witness path): `round: u32`, `process count: u32`, then per process a
-/// tag byte — `0` active + protocol encoding, `1` decided + value +
-/// round, `2` crashed + optional `(value, round)`.  Byte equality of two
+/// witness path): `round: u32`, `process count: u32` (varints, like
+/// every integer [`SpillCodec`] writes), then per process a tag byte —
+/// `0` active + protocol encoding, `1` decided + value + round, `2`
+/// crashed + optional `(value, round)`.  Byte equality of two
 /// keys coincides with structural equality of the configurations because
 /// every component encoding is canonical (see
 /// [`CheckableProtocol::fingerprint`]).

@@ -305,7 +305,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use twostep_adversary::{crash_outcome_count, crash_outcomes_effective_into};
-use twostep_model::codec::{encode_varint, stable_hash64};
+use twostep_model::codec::stable_hash64;
 use twostep_model::{CrashStage, ProcessId, SymmetryContext};
 use twostep_sim::{
     Decision, ProcStatus, RoundActions, RoundView, SentRound, Stepper, SyncProtocol,
@@ -851,8 +851,9 @@ fn shape_hash<O: Hash>(shape: &Summary<O>) -> u64 {
 impl<O: Clone + Eq + Hash> BlockCache<O> {
     /// Sized by the `crw8-quotient` benchmark's peak RSS: its 6.5 MiB
     /// leave room for about 1 MiB, and 1 024 slots of 384 bytes hold
-    /// every content met at `(8, 7)` and `(9, 8)` (160 and 176 bytes on
-    /// average, 326 and 368 at most) in under 0.5 MiB.
+    /// every content met at `(8, 7)` and `(9, 8)` (69 and 77 bytes on
+    /// average, 122 and 138 at most, their integers varints) in under
+    /// 0.5 MiB.
     const SLOTS: usize = 1024;
     const SLOT_BYTES: usize = 384;
 
@@ -1470,7 +1471,7 @@ where
         let (records, ranges) = (&self.records, &self.ranges);
         let record = |id: u32, content: &mut Vec<u8>| {
             let (from, to) = ranges[id as usize];
-            encode_varint(u64::from(to - from), content);
+            (to - from).encode(content);
             content.extend_from_slice(&records[from as usize..to as usize]);
         };
         let (content, signature) = (&mut self.content, &self.signature);
@@ -1495,7 +1496,7 @@ where
                 None => {
                     let ids = &signature[past..][..self.outcomes[slot].len() + 1];
                     content.push(2);
-                    encode_varint(ids.len() as u64, content);
+                    ids.len().encode(content);
                     ids.iter().for_each(|id| record(*id, content));
                     (slot, past) = (slot + 1, past + ids.len());
                 }

@@ -773,13 +773,12 @@ fn assert_cached_block_is_its_rows<P>(
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
-    use twostep_model::codec::decode_varint;
     let stored = cache.slots[slot];
     let mut input = &cache.arena[slot * cache.slot_bytes..][..stored.len as usize];
     let decode = |input: &mut &[u8]| u32::decode(input).expect("a u32");
     let (round, processes, left) = (decode(&mut input), decode(&mut input), decode(&mut input));
     let record = |input: &mut &[u8]| {
-        let len = decode_varint(input).expect("a length") as usize;
+        let len = usize::decode(input).expect("a length");
         let (record, rest) = input.split_at(len);
         *input = rest;
         record.to_vec()
@@ -790,7 +789,7 @@ fn assert_cached_block_is_its_rows<P>(
         let tag = input[0];
         input = &input[1..];
         let count = match tag {
-            2 => decode_varint(&mut input).expect("an outcome count"),
+            2 => usize::decode(&mut input).expect("an outcome count"),
             _ => 1,
         };
         choices.push((0..count).map(|_| record(&mut input)).collect());

@@ -26,8 +26,10 @@ const MAGIC: [u8; 8] = *b"TWOCACHE";
 /// [`FORMAT_VERSION`](crate::spill::FORMAT_VERSION), which is
 /// fingerprinted separately.  Version 2 made it the manifest of
 /// checkpoints too: the strength byte, the seed floor and a role per
-/// segment.
-pub(crate) const CACHE_FORMAT_VERSION: u32 = 2;
+/// segment.  Version 3 writes every integer of the body as a minimal
+/// LEB128 varint ([`SpillCodec`]); the CRC trailer stays four
+/// little-endian bytes, because the parser finds it by position.
+pub(crate) const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// What a segment holds, relative to the run that reads it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,18 +85,18 @@ impl Manifest {
             (name.len() as u32).encode(&mut out);
             out.extend_from_slice(name.as_bytes());
         }
-        crc32(&out).encode(&mut out);
+        out.extend_from_slice(&crc32(&out).to_le_bytes());
         out
     }
 
     /// The manifest `bytes` hold; `None` under another magic or version,
     /// a CRC that does not match, or a body of the wrong shape.
     pub(crate) fn parse(bytes: &[u8]) -> Option<Manifest> {
-        if bytes.len() < MAGIC.len() + 4 + 4 || bytes[..MAGIC.len()] != MAGIC {
+        if bytes.len() < MAGIC.len() + 4 || bytes[..MAGIC.len()] != MAGIC {
             return None;
         }
-        let (sealed, mut crc) = bytes.split_at(bytes.len() - 4);
-        if u32::decode(&mut crc)? != crc32(sealed) {
+        let (sealed, crc) = bytes.split_at(bytes.len() - 4);
+        if u32::from_le_bytes(crc.try_into().ok()?) != crc32(sealed) {
             return None;
         }
         let mut input = &sealed[MAGIC.len()..];
@@ -207,8 +209,19 @@ mod tests {
     fn sealed(body: &[u8]) -> Vec<u8> {
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(body);
-        crc32(&bytes).encode(&mut bytes);
+        bytes.extend_from_slice(&crc32(&bytes).to_le_bytes());
         bytes
+    }
+
+    /// This version, then a zero fingerprint, strength and floor: the
+    /// body up to the segment count.
+    fn zeroed_head() -> Vec<u8> {
+        let mut body = Vec::new();
+        CACHE_FORMAT_VERSION.encode(&mut body);
+        0u64.encode(&mut body);
+        body.push(0);
+        0u64.encode(&mut body);
+        body
     }
 
     fn arb_manifest() -> impl Strategy<Value = Manifest> {
@@ -252,9 +265,7 @@ mod tests {
             bytes().prop_map(|body| sealed(&body)),
             // This version and a segment count, then anything, sealed.
             (any::<u32>(), bytes()).prop_map(|(count, rest)| {
-                let mut body = Vec::new();
-                CACHE_FORMAT_VERSION.encode(&mut body);
-                body.extend_from_slice(&[0; 17]);
+                let mut body = zeroed_head();
                 count.encode(&mut body);
                 body.extend_from_slice(&rest);
                 sealed(&body)
@@ -297,14 +308,63 @@ mod tests {
         }
     }
 
+    /// The CRC sealing `manifest`, read off its trailer.
+    fn trailer(manifest: &Manifest) -> u32 {
+        let bytes = manifest.to_bytes();
+        u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"))
+    }
+
+    /// An empty manifest sealed by CRC `target`, solved for rather than
+    /// searched: from 2^63 up a fingerprint's varint is ten bytes whose
+    /// free bits are the fingerprint's low 63, and over bodies of one
+    /// length a CRC is affine in their bits, so the fingerprint bits
+    /// that move the CRC by `trailer(base) ^ target` solve a GF(2)
+    /// system.
+    fn manifest_sealed_by(target: u32) -> Manifest {
+        let base = 1u64 << 63;
+        let crc = |fingerprint: u64| trailer(&Manifest::empty(fingerprint, 0));
+        // `basis[b]`: a CRC difference whose highest set bit is `b`, and
+        // the fingerprint bits that make it.
+        let mut basis = [(0u32, 0u64); 32];
+        let reduce = |basis: &[(u32, u64); 32], (mut diff, mut bits): (u32, u64)| {
+            for b in (0..32).rev() {
+                if diff >> b & 1 == 1 && basis[b].0 != 0 {
+                    (diff, bits) = (diff ^ basis[b].0, bits ^ basis[b].1);
+                }
+            }
+            (diff, bits)
+        };
+        for k in 0..63 {
+            let (diff, bits) = reduce(&basis, (crc(base | 1 << k) ^ crc(base), 1 << k));
+            if diff != 0 {
+                basis[31 - diff.leading_zeros() as usize] = (diff, bits);
+            }
+        }
+        let (left, bits) = reduce(&basis, (crc(base) ^ target, 0));
+        assert_eq!(left, 0, "the fingerprint bits reach every CRC");
+        Manifest::empty(base | bits, 0)
+    }
+
+    /// The CRC trailer is four bytes whatever its value: a CRC below 128,
+    /// which a varint would spell in one byte, still seals a manifest
+    /// that round-trips, and no cut of it parses.
+    #[test]
+    fn a_crc_below_128_keeps_a_four_byte_trailer() {
+        for target in [0, 0x42, 0x7F] {
+            let manifest = manifest_sealed_by(target);
+            assert_eq!(trailer(&manifest), target);
+            let bytes = manifest.to_bytes();
+            assert_eq!(bytes[bytes.len() - 4..], target.to_le_bytes());
+            assert_sealed(&manifest);
+        }
+    }
+
     /// A sealed manifest claiming `u32::MAX` segments, or one name of
     /// `u32::MAX` bytes, is refused by its length.  A parser that reserved
     /// by the count would ask for 128 GiB here and abort the run.
     #[test]
     fn a_claimed_count_is_never_reserved() {
-        let mut body = Vec::new();
-        CACHE_FORMAT_VERSION.encode(&mut body);
-        body.extend_from_slice(&[0; 17]);
+        let body = zeroed_head();
         let mut huge_count = body.clone();
         u32::MAX.encode(&mut huge_count);
         huge_count.push(Role::Seed as u8);

@@ -29,9 +29,11 @@
 //! bytes are copied once, at admission, into an append-only arena of
 //! byte chunks that belongs to the shard, and the entry names them by
 //! position and length, so a hot state costs its key bytes plus one
-//! 32-byte table slot.  The tier sits behind an `RwLock` whose **read
-//! lock suffices for a hit**: lookups in a warm or late-stage walk
-//! (where hits dominate) take the shared lock, compare bytes, bump an
+//! 32-byte table slot.  Every integer in a key is a minimal LEB128
+//! varint, so a CRW (8,7) key averages 29.7 bytes (fixed-width integers
+//! made it 96.8).  The tier sits behind an `RwLock` whose **read lock
+//! suffices for a hit**: lookups in a warm or late-stage walk (where
+//! hits dominate) take the shared lock, compare bytes, bump an
 //! atomic clock bit, and leave; only misses that must consult the disk
 //! tier, and inserts, take the write lock.  When
 //! [`MemoConfig::hot_capacity`] is finite, each shard evicts its coldest
@@ -51,7 +53,7 @@
 //! record's key or probes the hot table for it.
 //!
 //! Storing the key as its canonical bytes is also what makes segment
-//! files cheap to move: a record is `[u32 key_len][key bytes][summary]`,
+//! files cheap to move: a record is `[varint key_len][key bytes][summary]`,
 //! so admitting (into the shard's key arena), spilling, exporting
 //! (`ShardedMemo::export_to`), and importing
 //! (`ShardedMemo::import_from`) all copy the key bytes verbatim — no
@@ -186,10 +188,9 @@ impl MemoConfig {
 }
 
 /// The round a canonical key encoding begins with (its first field) —
-/// the census reads this straight off the bytes without decoding
-/// anything else.
-pub(crate) fn key_round(key: &[u8]) -> u32 {
-    u32::from_le_bytes(key[..4].try_into().expect("keys start with a round"))
+/// the census decodes it off the front of the bytes and nothing else.
+pub(crate) fn key_round(mut key: &[u8]) -> u32 {
+    u32::decode(&mut key).expect("keys start with a round")
 }
 
 /// Walks a full configuration key at the front of `input` (the inverse
@@ -238,7 +239,7 @@ where
 /// Appends the self-contained record for one memo entry — the canonical
 /// key bytes (length-prefixed, copied verbatim), then the summary — to
 /// `out`.  This is both the spill-tier record format and the distributed
-/// interchange format (segment format v4).
+/// interchange format (segment format v6: every integer a varint).
 pub(crate) fn encode_entry<O>(key: &[u8], summary: &Summary<O>, out: &mut Vec<u8>)
 where
     O: SpillCodec,
@@ -1021,9 +1022,26 @@ mod tests {
 
     /// The index `key_for` built `key` from, checked against it.
     fn index_of(key: &[u8]) -> u64 {
-        let i = u64::from_le_bytes(key[9..17].try_into().expect("key_for's index field"));
+        let mut input = key;
+        u32::decode(&mut input).expect("key_for's round");
+        u32::decode(&mut input).expect("key_for's process count");
+        u8::decode(&mut input).expect("key_for's tag");
+        let i = u64::decode(&mut input).expect("key_for's index field");
         assert_eq!(key_for(i), key, "known key bytes");
         i
+    }
+
+    /// The round is decoded, not sliced: a round of 128 or more takes a
+    /// second varint byte, and the census still reads it back whole.
+    #[test]
+    fn key_round_reads_every_round_back() {
+        for round in [1u32, 127, 128, 300, 16_384, u32::MAX] {
+            let mut key = Vec::new();
+            round.encode(&mut key);
+            2u32.encode(&mut key);
+            key.extend_from_slice(&[0, 0xA5, 0xA5]);
+            assert_eq!(key_round(&key), round, "{key:02x?}");
+        }
     }
 
     /// Satellite regression: concurrent rehydrate/promote/evict races at
@@ -1558,7 +1576,8 @@ mod tests {
         insert(&memo, 2);
         let held = get(&memo, 1).expect("rehydrated: its summary holds its slot");
         let slot = slot_of(&summary_bytes(&summary_for(1)));
-        // Three bytes cannot hold a summary's terminal count.
+        // Three bytes cannot hold a summary: each of its four fields
+        // takes a byte at least.
         let garbage = (0..=u16::MAX)
             .map(|k| [&[0xEE][..], &k.to_le_bytes()].concat())
             .find(|bytes| slot_of(bytes) == slot)
@@ -1644,8 +1663,8 @@ mod tests {
     }
 
     /// Fuzz inputs for the read-back decoders: arbitrary bytes, and
-    /// sound entries with a byte changed, a length claim blown up to
-    /// `0xFFFF_FFFF`-ish, or cut short.
+    /// sound entries with a byte changed, four bytes set to `0xFF` (a
+    /// varint claiming 2^28 or more, or an over-long one), or cut short.
     fn record_bytes() -> impl Strategy<Value = Vec<u8>> {
         fn entry(i: u64) -> Vec<u8> {
             let mut record = Vec::new();

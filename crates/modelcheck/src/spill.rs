@@ -15,12 +15,18 @@
 //!   values (re-exported from [`twostep_model::codec`], where the impls
 //!   for the primitive building blocks live; protocol crates implement it
 //!   for their process-state types).
-//! * [`encode_summary`] / [`decode_summary`] — the summary payload: round
-//!   census (`worst_round_by_f`), terminal count, valency set, violation
-//!   flag.  Encoding then decoding is the identity (round-trip tested
-//!   here and property-tested in `tests/spill_roundtrip.rs`).
-//! * **Segment files** — a 24-byte header (8-byte magic, format version,
-//!   record count) followed by `[u32 len][u32 crc32][payload]` records.
+//! * [`encode_summary`] / [`decode_summary`] — the summary payload:
+//!   terminal count, round census (`worst_round_by_f`), valency set,
+//!   violation flag, every count and round a varint, one byte below 128
+//!   (a CRW (8,7) summary averages 15.4 bytes).  Encoding then decoding
+//!   is the identity (round-trip tested here and property-tested in
+//!   `tests/spill_roundtrip.rs`).
+//! * **Segment files** — a 24-byte header (8-byte magic, `u32` format
+//!   version, `u64` record count, flags byte, three reserved bytes)
+//!   followed by `[u32 len][u32 crc32][payload]` records.  The header and
+//!   the record frame are fixed-width little-endian, because readers find
+//!   their fields by position; the payload is a memo entry (varints
+//!   inside) or a frontier record (fixed-width, see `encode_frontier_record`).
 //!   Every record is covered by an IEEE CRC32 of its stored bytes, so a
 //!   truncated write, a flipped bit, or a file produced by something else
 //!   entirely is detected *before* its bytes are interpreted — a
@@ -73,15 +79,17 @@ const _: () = assert!(SEGMENT_BYTES <= u32::MAX as u64);
 pub(crate) const MAGIC: [u8; 8] = *b"TWOSPILL";
 
 /// Format version; bumped whenever the header or record layout changes.
-/// Version 5 records are `[u32 key_len][canonical key bytes][summary]`
+/// Version 6 records are `[varint key_len][canonical key bytes][summary]`
 /// — the explorer's canonical key encodings (hashed with
 /// [`twostep_model::codec::stable_hash64`], never re-encoded on spill or
 /// export) followed by the summary — stored as written, with the CRC
-/// taken over exactly the bytes a reader lends.  A file of any earlier
-/// version is a different format: readers classify it as
+/// taken over exactly the bytes a reader lends.  Every integer inside a
+/// record, in the key and the summary alike, is [`SpillCodec`]'s minimal
+/// LEB128 varint; version 5 wrote them fixed-width.  A file of any
+/// earlier version is a different format: readers classify it as
 /// [`SpillError::Foreign`] at the header, before any record is read, and
 /// cache consumers loudly replace it.
-pub(crate) const FORMAT_VERSION: u32 = 5;
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 /// Header flag bit: the segment holds *frontier records* — action-index
 /// paths from the initial configuration — rather than memo entries.  The
@@ -1069,7 +1077,7 @@ mod tests {
     fn primitive_roundtrips() {
         roundtrip(0u8);
         roundtrip(u64::MAX);
-        roundtrip(-5i64);
+        roundtrip(u128::MAX);
         roundtrip(true);
         roundtrip(Some(17u32));
         roundtrip(vec![1u64, 2, 3]);
@@ -1535,14 +1543,13 @@ mod tests {
         // compression flag v5 dropped, and its one record is an LZ
         // stream of one literal and one distance-1 match claiming
         // 2^30 - 1 bytes: 45 bytes that a v4 reader expanded to 1 GiB.
-        assert_eq!(FORMAT_VERSION, 5, "this test pins the v4→v5 boundary");
-        use twostep_model::codec::encode_varint;
+        assert_eq!(FORMAT_VERSION, 6, "this test and the next pin v4→v5→v6");
         let mut bomb = Vec::new();
-        encode_varint((1 << 30) - 1, &mut bomb); // the expanded length
-        encode_varint(1, &mut bomb); // one literal…
+        ((1u64 << 30) - 1).encode(&mut bomb); // the expanded length
+        1u64.encode(&mut bomb); // one literal…
         bomb.push(b'a');
-        encode_varint((1 << 30) - 6, &mut bomb); // …then 2^30 - 2 bytes
-        encode_varint(1, &mut bomb); // copied from distance 1
+        ((1u64 << 30) - 6).encode(&mut bomb); // …then 2^30 - 2 bytes
+        1u64.encode(&mut bomb); // copied from distance 1
         let v4 = sealed_segment(4, 0x01, &[&bomb]);
         assert_eq!(v4.len(), 45);
         let v3 = sealed_segment(3, 0x01, &[b"a v3-era structured record"]);
@@ -1559,6 +1566,34 @@ mod tests {
                     ),
                     other => panic!("v{version}: expected Foreign, got {other:?}"),
                 }
+            }
+        }
+    }
+
+    /// A sealed v5 file — flags byte 0, one memo entry whose integers
+    /// are fixed-width, as v5 wrote them — is Foreign at the header: no
+    /// v6 reader gets to misread its fixed-width fields as varints.
+    #[test]
+    fn v5_segments_are_rejected_as_foreign() {
+        let mut v5_entry = Vec::new();
+        v5_entry.extend_from_slice(&8u32.to_le_bytes()); // key length
+        v5_entry.extend_from_slice(&2u32.to_le_bytes()); // key: round…
+        v5_entry.extend_from_slice(&0u32.to_le_bytes()); // …no processes
+        v5_entry.extend_from_slice(&1u64.to_le_bytes()); // terminals
+        v5_entry.extend_from_slice(&0u32.to_le_bytes()); // no census
+        v5_entry.extend_from_slice(&0u32.to_le_bytes()); // no values
+        v5_entry.push(0); // not violating
+        let v5 = sealed_segment(5, 0, &[&v5_entry]);
+        let dir = SpillDir::create(None).unwrap();
+        let path = dir.path().join("v5.seg");
+        std::fs::write(&path, v5).unwrap();
+        let opened = SegmentReader::open(&path).map(|_| ());
+        for result in [opened, validate_segment_file(&path).map(|_| ())] {
+            match result {
+                Err(SpillError::Foreign { detail }) => {
+                    assert!(detail.contains("format version 5"), "{detail}")
+                }
+                other => panic!("v5: expected Foreign, got {other:?}"),
             }
         }
     }

@@ -257,3 +257,42 @@ fn v3_segment_cache_is_foreign_and_replaced() {
         assert_eq!(warmed.cache_hits, warmed.distinct_states);
     }
 }
+
+/// A cache of **v5 segments** — fixed-width integers inside, varints
+/// since v6 — is foreign and replaced.  The segment here is a real
+/// primed one with only its header's version set back to 5: every
+/// record is whole and CRC-valid, so the version alone must refuse it,
+/// or every record would be reused and `cache_hits` would show it.
+#[test]
+fn v5_segment_cache_is_foreign_and_replaced() {
+    let baseline = reference(&crw(4, 2));
+    let dir = TempDir::new("v5-cache");
+    crw42_cached(CacheConfig::read_write(dir.path()));
+    let segment = the_segment(dir.path());
+    let version_of = |path: &Path| {
+        let bytes = std::fs::read(path).unwrap();
+        u32::from_le_bytes(bytes[8..12].try_into().unwrap())
+    };
+    assert_eq!(version_of(&segment), 6, "a fresh segment is v6");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    bytes[8..12].copy_from_slice(&5u32.to_le_bytes());
+    std::fs::write(&segment, &bytes).unwrap();
+    match validate_segment_file(&segment) {
+        Err(SpillError::Foreign { detail }) => {
+            assert!(detail.contains("format version 5"), "{detail}")
+        }
+        other => panic!("v5: expected Foreign, got {other:?}"),
+    }
+
+    let cold = crw42_cached(CacheConfig::read(dir.path()));
+    assert_same(&baseline, &cold, "v5 cache ignored");
+    assert_eq!(cold.cache_hits, 0, "no record of a v5 segment is reused");
+
+    let replacing = crw42_cached(CacheConfig::read_write(dir.path()));
+    assert_same(&baseline, &replacing, "replacing run");
+    assert_eq!(replacing.cache_hits, 0);
+    assert_eq!(version_of(&the_segment(dir.path())), 6, "replaced by v6");
+    let warmed = crw42_cached(CacheConfig::read_write(dir.path()));
+    assert_same(&baseline, &warmed, "replaced cache warms again");
+    assert_eq!(warmed.cache_hits, warmed.distinct_states);
+}

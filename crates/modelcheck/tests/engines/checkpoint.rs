@@ -15,7 +15,7 @@ use twostep_model::WideValue;
 use twostep_modelcheck::cache::MANIFEST_NAME;
 use twostep_modelcheck::{
     install_io_fault, BudgetKind, CheckpointConfig, DistOptions, ExploreConfig, ExploreError,
-    ExploreOptions, ExploreReport, FaultPlan, IoFault, Symmetry, WalkBudget,
+    ExploreOptions, ExploreReport, FaultPlan, IoFault, SpillCodec, Symmetry, WalkBudget,
 };
 
 use crate::kit::{assert_same, crw, crw_unanimous, reference, Engine, TempDir, Workload};
@@ -344,4 +344,70 @@ fn any_single_faulted_suspension_keeps_the_last_good_checkpoint() {
             resume_to_completion(dir.path(), last_good, &label);
         }
     }
+}
+
+/// IEEE CRC32, bit by bit: the seal of a manifest, for forging an old
+/// one.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &byte in bytes {
+        c ^= u32::from(byte);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// The v2 form of the v3 manifest `bytes`: the same fields, every
+/// integer fixed-width little-endian as v2 wrote it, sealed by its CRC.
+fn as_v2_manifest(bytes: &[u8]) -> Vec<u8> {
+    let mut body = &bytes[8..bytes.len() - 4];
+    let varint = |input: &mut &[u8]| u64::decode(input).expect("a varint field");
+    let byte = |input: &mut &[u8]| u8::decode(input).expect("a byte field");
+    assert_eq!(varint(&mut body), 3, "a fresh manifest is v3");
+    let mut v2 = b"TWOCACHE".to_vec();
+    v2.extend_from_slice(&2u32.to_le_bytes());
+    v2.extend_from_slice(&varint(&mut body).to_le_bytes()); // fingerprint
+    v2.push(byte(&mut body)); // strength
+    v2.extend_from_slice(&varint(&mut body).to_le_bytes()); // floor
+    let count = varint(&mut body) as u32;
+    v2.extend_from_slice(&count.to_le_bytes());
+    for _ in 0..count {
+        v2.push(byte(&mut body)); // role
+        let len = varint(&mut body) as usize;
+        v2.extend_from_slice(&(len as u32).to_le_bytes());
+        v2.extend_from_slice(&body[..len]);
+        body = &body[len..];
+    }
+    assert!(body.is_empty(), "every field of the v3 manifest read");
+    let crc = crc32(&v2);
+    v2.extend_from_slice(&crc.to_le_bytes());
+    v2
+}
+
+/// A checkpoint under a **v2 manifest** — the fields a suspension
+/// wrote, spelled fixed-width as v2 did and sealed by a valid CRC — is
+/// refused and replaced: the next session starts cold, so it suspends
+/// at exactly the states the first one did, and writes a v3 manifest
+/// that resumes to the uninterrupted report.
+#[test]
+fn v2_manifest_checkpoint_is_foreign_and_replaced() {
+    let dir = TempDir::new("v2-manifest");
+    let (written, first) = suspended(crw43_session(dir.path()));
+    assert_eq!(written.as_deref(), Some(dir.path()));
+    let manifest = dir.path().join(MANIFEST_NAME);
+    let v3 = std::fs::read(&manifest).unwrap();
+    std::fs::write(&manifest, as_v2_manifest(&v3)).unwrap();
+
+    let (written, states) = suspended(crw43_session(dir.path()));
+    assert_eq!(written.as_deref(), Some(dir.path()));
+    assert_eq!(states, first, "a v2 manifest's checkpoint is never resumed");
+    let replaced = std::fs::read(&manifest).unwrap();
+    assert_eq!(&replaced[..9], b"TWOCACHE\x03", "replaced by a v3 manifest");
+    resume_to_completion(dir.path(), first, "after a v2 manifest");
 }

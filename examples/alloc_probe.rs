@@ -5,7 +5,7 @@
 //! limit armed but sized never to trip (`armed`).
 //!
 //! This is the measurement harness behind the explorer's hot-path
-//! budget ("the inner loop allocates nothing in steady state", 1.7
+//! budget ("the inner loop allocates nothing in steady state", 1.6
 //! allocations per distinct state end to end at the default `(5, 4)`,
 //! 0.7 at `(8, 7)` — a memo entry's key is copied into its shard's
 //! arena, so a leaf costs no allocation of its own): watch
@@ -17,7 +17,7 @@
 //! call's arbiter inspection, and the headroom it asks for before a run
 //! of repeated rows, must not buy their bookkeeping with heap traffic.  A
 //! third row walks the same space under `partial+value` and is pinned to
-//! 3 allocations per *raw* state (2.2 at `(5, 4)`, 1.8 at `(8, 7)`): the
+//! 3 allocations per *raw* state (2.1 at `(5, 4)`, 1.7 at `(8, 7)`): the
 //! quotient's orbit tables and record forms are pooled with the round,
 //! and a memo an eighth the size must not be paid for in heap traffic —
 //! what it does allocate is mostly the real-space copy of a summary
@@ -25,7 +25,7 @@
 //!
 //! A fourth row walks the symmetry-off space with 2 % of its states hot
 //! (`MemoConfig::spill(states / 50)`) and is pinned to 3 allocations per
-//! state (2.2 at `(5, 4)`, 1.4 at `(8, 7)`): a rehydrate reads its
+//! state (2.1 at `(5, 4)`, 1.4 at `(8, 7)`): a rehydrate reads its
 //! record out of the store's own buffers, shares the summary a slot of
 //! the shard's summary table already decoded from the same bytes, and
 //! copies its key into the arena; an eviction's index slot holds the
@@ -36,8 +36,8 @@
 //! move with it — the table is built on a shard's first rehydrate,
 //! which an all-RAM memo never makes.
 //!
-//! Over their six walks each at `(5, 4)` the four rows count 8 154,
-//! 8 154, 10 620 and 10 764 allocations.  A round's three frame-local
+//! Over their six walks each at `(5, 4)` the four rows count 7 932,
+//! 7 932, 10 248 and 10 422 allocations.  A round's three frame-local
 //! tables — successor classes, orbits, blocks — are pooled with it and
 //! sized on first use for the classes of an average frame, so a pooled
 //! round's tables allocate once each, not class by class, until a
