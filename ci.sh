@@ -44,9 +44,9 @@ cargo test --offline --locked -q --manifest-path benchmark/Cargo.toml
 
 echo "== file-length tripwire (crates/modelcheck/src and tests: no file over 2000 lines)"
 # Longest today: spill.rs (about 1 860 lines, 800 of them tests),
-# explorer/tests.rs (about 1 790), memo.rs (about 1 750, 810 of them
+# explorer/tests.rs (about 1 850), memo.rs (about 1 750, 810 of them
 # tests), dist.rs (about 1 730) and explorer/round.rs (about
-# 1 680; its tests are in explorer/round/tests.rs).  The longest test
+# 1 660; its tests are in explorer/round/tests.rs).  The longest test
 # file is tests/naive_oracle.rs (about 730); the engine binary under
 # tests/engines/ grows by modules, not by one file.
 longest="$(find crates/modelcheck/src crates/modelcheck/tests -name '*.rs' -print0 | xargs -0 wc -l | grep -v ' total$' | sort -rn | head -5)"

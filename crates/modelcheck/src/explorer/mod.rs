@@ -108,7 +108,8 @@
 //! * `budget` — the driver protocol of the frame-stepped core: step
 //!   results, arbiters, [`BudgetKind`];
 //! * `report` — [`ExploreError`], [`Summary`], [`ExploreReport`],
-//!   [`Witness`], and the evaluation of one terminal configuration;
+//!   [`Witness`], the evaluation of one terminal configuration, and
+//!   the walker's summary interner;
 //! * `canon` — key layouts: the raw key and the canonical one, with
 //!   the symmetry quotient's soundness argument;
 //! * `round` — one configuration's open round: the odometer over its

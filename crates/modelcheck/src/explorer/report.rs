@@ -1,9 +1,11 @@
 //! What an exploration reports: why it stopped ([`ExploreError`]), what
 //! it found ([`ExploreReport`], its root [`Summary`] and census, a
-//! [`Witness`] when the spec is violated), and how one terminal
-//! configuration is evaluated into a summary (`Terminals`).
+//! [`Witness`] when the spec is violated), how one terminal
+//! configuration is evaluated into a summary (`Terminals`), and how a
+//! walker keeps equal summaries as one allocation (`SummaryInterner`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -88,8 +90,9 @@ pub enum ExploreError {
         detail: String,
     },
     /// The root's terminal count does not fit a `u64`.  Every terminal
-    /// sum saturates, so an overflow anywhere in the walk pins the root
-    /// at `u64::MAX`; the run fails rather than report that number.
+    /// sum saturates, so an overflow anywhere in the walk would pin the
+    /// root at `u64::MAX`; the run fails instead of reporting that
+    /// number, at the first configuration whose subtree saturates.
     TerminalOverflow,
     /// A process has more crash outcomes in a round than an adversary
     /// move can name: a move stores one `u16` outcome index per active
@@ -195,8 +198,9 @@ impl std::error::Error for ExploreError {}
 /// Under a spilling memo ([`MemoConfig`](crate::MemoConfig)) summaries round-trip through
 /// the compact binary record of [`crate::spill`]; equality is derived so
 /// the round-trip (and the engine matrix's spilling cells) can assert
-/// identity directly.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// identity directly.  Hashing is derived so a walker can intern equal
+/// summaries into one allocation (`SummaryInterner`).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Summary<O> {
     /// Terminal executions in the subtree.
     pub terminals: u64,
@@ -325,26 +329,109 @@ where
     })
 }
 
+/// The walker's **summary interner**: one `Arc` per distinct summary the
+/// walker has handed the memo or its block cache.  A subtree summary has
+/// very few values — a worst round per crash count (Theorem 1 bounds
+/// each by `f + 1`), a valency and a flag; only `terminals` varies — so
+/// the 679 349 states of the serial CRW `(10, 9)` walk hold 4 728
+/// distinct summaries.  Every
+/// summary the walker memoizes passes through it first (a popped
+/// frame's canonical summary, a settled terminal's), and so does every
+/// block shape (a summary with no terminal) its `BlockCache` stores:
+/// equal summaries are one allocation walker-wide, and a duplicate's
+/// buffers are dropped where it is met.  The set has no capacity and no
+/// eviction: it keeps each distinct summary alive for the walker's
+/// lifetime, which is its run's, whatever the memo keeps resident.
+pub(super) struct SummaryInterner<O> {
+    met: HashSet<Arc<Summary<O>>, BuildHasherDefault<WordHasher>>,
+}
+
+/// The interner's hasher: one rotate, xor and multiply per word written
+/// (FxHash's mix).  A summary is a few words, and every one the
+/// interner meets is the walker's own, never input from outside; the
+/// default SipHash, paid once per popped frame and once per settled
+/// terminal, made a serial CRW `(8, 7)` walk about 7 % slower than this
+/// one does.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u8(&mut self, word: u8) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl<O: Clone + Eq + Hash> SummaryInterner<O> {
+    pub(super) fn new() -> Self {
+        SummaryInterner {
+            met: HashSet::default(),
+        }
+    }
+
+    /// The shared `Arc` of `summary`: the one met before, dropping
+    /// `summary`, or `summary`'s own on first sight.
+    pub(super) fn intern(&mut self, summary: Summary<O>) -> Arc<Summary<O>> {
+        if let Some(met) = self.met.get(&summary) {
+            return Arc::clone(met);
+        }
+        let fresh = Arc::new(summary);
+        self.met.insert(Arc::clone(&fresh));
+        fresh
+    }
+
+    /// The shared `Arc` of `summary`, which is cloned on first sight
+    /// only — for a summary in a scratch buffer the caller goes on to
+    /// rewrite.
+    pub(super) fn interned(&mut self, summary: &Summary<O>) -> Arc<Summary<O>> {
+        match self.met.get(summary) {
+            Some(met) => Arc::clone(met),
+            None => self.intern(summary.clone()),
+        }
+    }
+
+    /// How many distinct summaries the walker has met.
+    #[cfg(test)]
+    pub(super) fn len(&self) -> usize {
+        self.met.len()
+    }
+}
+
 /// Terminal evaluation with everything it reuses.  A walk is mostly
 /// leaves — 38 597 of the 47 789 configurations of CRW `(8, 7)` — and
 /// they end in very few ways: a terminal's summary is its crash count,
 /// its last decision round, the values decided and one flag, 64 distinct
 /// ones over that whole walk.  So a terminal is evaluated into one
-/// scratch summary, rewritten in place, and memoized under the `Arc` of
-/// the first terminal that ended the same way: a repeated outcome
-/// allocates nothing, and a later memo hit on any of those leaves touches
-/// a summary that is already in cache.  The table has no capacity and no
-/// eviction — crash counts × decision rounds × valencies bound it.
+/// scratch summary, rewritten in place, which the walker's
+/// [`SummaryInterner`] clones only for an outcome it has not met: a
+/// repeated outcome allocates nothing, and a later memo hit on any of
+/// those leaves touches a summary that is already in cache.
 pub(super) struct Terminals<O> {
     /// Reusable pseudo-schedule: who crashed, all the spec check asks.
     schedule: CrashSchedule,
-    /// The terminal last [`evaluate`](Self::evaluate)d: its summary and
-    /// how many of its processes crashed.
+    /// The summary of the terminal last [`evaluate`](Self::evaluate)d.
     pub(super) summary: Summary<O>,
-    crashed: usize,
-    /// The distinct summaries [`interned`](Self::interned) so far, by
-    /// crash count.
-    pub(super) distinct: Vec<Vec<Arc<Summary<O>>>>,
 }
 
 impl<O: Clone + Eq + std::fmt::Debug> Terminals<O> {
@@ -352,8 +439,6 @@ impl<O: Clone + Eq + std::fmt::Debug> Terminals<O> {
         Terminals {
             schedule: CrashSchedule::none(system.n()),
             summary: Summary::empty(system.t()),
-            crashed: 0,
-            distinct: vec![Vec::new(); system.t() + 1],
         }
     }
 
@@ -371,10 +456,10 @@ impl<O: Clone + Eq + std::fmt::Debug> Terminals<O> {
         decisions: &[Option<Decision<O>>],
     ) -> SpecReport<O> {
         self.schedule.reset();
-        self.crashed = 0;
+        let mut crashed = 0;
         for (i, status) in status.iter().enumerate() {
             if let ProcStatus::Crashed(round) = status {
-                self.crashed += 1;
+                crashed += 1;
                 // Stage is irrelevant to the spec check; only the correct
                 // set and rounds matter.
                 self.schedule.set(
@@ -384,7 +469,7 @@ impl<O: Clone + Eq + std::fmt::Debug> Terminals<O> {
             }
         }
 
-        let bound = config.round_bound.map(|rb| rb.bound(self.crashed));
+        let bound = config.round_bound.map(|rb| rb.bound(crashed));
         let mut report = check_uniform_consensus(proposals, decisions, &self.schedule, bound);
         if config.spec == SpecMode::NonUniform {
             report
@@ -395,8 +480,7 @@ impl<O: Clone + Eq + std::fmt::Debug> Terminals<O> {
         let summary = &mut self.summary;
         summary.terminals = 1;
         summary.worst_round_by_f.fill(None);
-        summary.worst_round_by_f[self.crashed] =
-            decisions.iter().flatten().map(|d| d.round.get()).max();
+        summary.worst_round_by_f[crashed] = decisions.iter().flatten().map(|d| d.round.get()).max();
         summary.decided.clear();
         for d in decisions.iter().flatten() {
             if !summary.decided.contains(&d.value) {
@@ -405,17 +489,5 @@ impl<O: Clone + Eq + std::fmt::Debug> Terminals<O> {
         }
         summary.violating = !report.ok();
         report
-    }
-
-    /// The shared `Arc` of `self.summary` — as it stands, which is in
-    /// canonical space once the caller has taken it there.
-    pub(super) fn interned(&mut self) -> Arc<Summary<O>> {
-        let met = &mut self.distinct[self.crashed];
-        if let Some(same) = met.iter().find(|same| ***same == self.summary) {
-            return Arc::clone(same);
-        }
-        let fresh = Arc::new(self.summary.clone());
-        met.push(Arc::clone(&fresh));
-        fresh
     }
 }

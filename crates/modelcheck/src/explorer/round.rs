@@ -144,24 +144,26 @@
 //!    for row.  A slot holds the block's row count, the terminals its
 //!    rows added, and its *shape*: the rest of what they folded into
 //!    their frame — worst rounds, `decided` in discovery order, the
-//!    violation flag — interned walker-wide.  To record a block, its
-//!    round keeps an accumulator for it while it is open: every summary
-//!    the frame absorbs in it, and, once each (a per-class stamp), the
-//!    class of a row that repeats one the frame absorbed before the
-//!    block opened; it is stored with the block's count when the walk
-//!    comes from its last row to the next block start.  A block the
-//!    cache holds is taken in one move as a block of the frame's table
-//!    is — one [`Summary::absorb`] of its shape, one addition — and the
-//!    frame's table records its count for the frame's later blocks of
-//!    its signature.  This is exact: equal contents lead to the same
-//!    children, which the memo already holds — it forgets none; an
-//!    eviction only moves an entry — under the same summaries; the merge
-//!    is associative (maximum, ordered-set union, OR, sum) and, but for
-//!    `terminals`, idempotent, so one absorb of the rows' fold is their
-//!    absorbs one by one; and a walker never outlives its run, so no
-//!    summary meets another run's proposals, spec or `max_rounds`.  No
-//!    state is admitted: `max_states`, step numbers and reports do not
-//!    move;
+//!    violation flag — a summary with no terminal, interned walker-wide
+//!    by the [`SummaryInterner`] every summary the walker memoizes
+//!    passes through too, so equal shapes are one allocation.  To
+//!    record a block, its round keeps an accumulator for it while it is
+//!    open: every summary the frame absorbs in it, and, once each (a
+//!    per-class stamp), the class of a row that repeats one the frame
+//!    absorbed before the block opened; it is stored with the block's
+//!    count when the walk comes from its last row to the next block
+//!    start.  A block the cache holds is taken in one move as a block of
+//!    the frame's table is — one [`Summary::absorb`] of its shape, one
+//!    addition — and the frame's table records its count for the
+//!    frame's later blocks of its signature.  This is exact: equal
+//!    contents lead to the same children, which the memo already holds
+//!    — it forgets none; an eviction only moves an entry — under the
+//!    same summaries; the merge is associative (maximum, ordered-set
+//!    union, OR, sum) and, but for `terminals`, idempotent, so one
+//!    absorb of the rows' fold is their absorbs one by one; and a walker
+//!    never outlives its run, so no summary meets another run's
+//!    proposals, spec or `max_rounds`.  No state is admitted:
+//!    `max_states`, step numbers and reports do not move;
 //! 5. **the probe's miss is the child's entry** — a child nothing
 //!    answers for is a new state, and the key its probe assembled —
 //!    bytes, hash, swap orientation — is the key it is memoized under:
@@ -172,8 +174,8 @@
 //!    statuses and decisions, nothing else — which the records hold, and
 //!    which are final (a decided or crashed process has nothing more to
 //!    say): the spec check runs on them, the summary is interned among
-//!    the distinct terminal summaries of the walk and memoized, and the
-//!    frame absorbs it — one step, no [`Stepper`].  Otherwise the child
+//!    the distinct summaries of the walk and memoized, and the frame
+//!    absorbs it — one step, no [`Stepper`].  Otherwise the child
 //!    is forked, stepped and its frame pushed, under the same key.
 //!
 //! At `(8, 7)` the walk meets 33 138 blocks (31 367 of more than one
@@ -299,9 +301,7 @@
 //!   [`ExploreError::RoundTooWide`] (naming the round, the process and
 //!   the count).
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
 use twostep_adversary::{crash_outcome_count, crash_outcomes_effective_into};
@@ -315,7 +315,7 @@ use super::canon::{
     encode_active_record, encode_key_record, encode_settled_record, swapped_proc, KeySource, Role,
 };
 use super::config::{CheckableProtocol, ExploreConfig, SymmetryPlan};
-use super::report::{ExploreError, Summary};
+use super::report::{ExploreError, Summary, SummaryInterner};
 use crate::spill::SpillCodec;
 
 /// The most crash outcomes one process may have in a round: a row stores
@@ -414,7 +414,8 @@ where
     /// What the open block's rows have folded into the frame so far —
     /// every summary [`absorb`](Self::absorb)ed while it is open, and
     /// once each the classes absorbed before it that its rows
-    /// [`repeat`](Self::repeat).  Its terminal count is not read.
+    /// [`repeat`](Self::repeat).  Its terminal count is not read: a
+    /// shape has none, so it is zeroed before the block is stored.
     block_acc: Summary<P::Output>,
     /// How many blocks the round has opened, and per class the number
     /// of the last one opened when its summary was absorbed or folded
@@ -811,51 +812,40 @@ impl<V> ClassTable<V> {
 /// The walker's **block cache** (module docs, step 4): block contents
 /// an earlier frame took from first row to last, each with its row
 /// count, the terminals its rows added and its *shape* — the rest of
-/// what they folded into their frame.  Direct-mapped by the content's
-/// [`stable_hash64`], hits verified on the full bytes; a store replaces
-/// whatever held its slot, and a content longer than a slot is never
-/// kept.  The slots share one arena, allocated at the first store.
+/// what they folded into their frame, a summary with no terminal, whose
+/// `Arc` the walker's [`SummaryInterner`] hands out.  Direct-mapped by
+/// the content's [`stable_hash64`], hits verified on the full bytes; a
+/// store replaces whatever held its slot, and a content longer than a
+/// slot is never kept.  The slots share one arena, allocated at the
+/// first store.
 pub(super) struct BlockCache<O> {
-    slots: Vec<CachedBlock>,
-    /// Slot `s`'s content: `arena[s * slot_bytes..][..slots[s].len]`.
+    slots: Vec<Option<CachedBlock<O>>>,
+    /// Slot `s`'s content: `arena[s * slot_bytes..][..len]`, `len` its
+    /// block's.
     arena: Vec<u8>,
     slot_bytes: usize,
-    /// The distinct shapes stored: summaries with no terminal, interned
-    /// through `shape_ids`, keyed by [`shape_hash`].  A shape whose
-    /// hash another holds is kept unindexed.
-    shapes: Vec<Summary<O>>,
-    shape_ids: HashMap<u64, u32>,
 }
 
-/// One slot of a [`BlockCache`].  An empty one holds no bytes, which no
-/// content is.
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
-struct CachedBlock {
+/// One occupied slot of a [`BlockCache`].
+#[derive(Clone, PartialEq, Eq)]
+struct CachedBlock<O> {
     hash: u64,
     terminals: u64,
     rows: usize,
-    shape: u32,
+    shape: Arc<Summary<O>>,
     len: u32,
 }
 
-/// What interns a shape: its worst rounds, its values in discovery
-/// order and its flag — a summary's all but `terminals`.
-fn shape_hash<O: Hash>(shape: &Summary<O>) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    shape.worst_round_by_f.hash(&mut hasher);
-    shape.decided.hash(&mut hasher);
-    shape.violating.hash(&mut hasher);
-    hasher.finish()
-}
-
 impl<O: Clone + Eq + Hash> BlockCache<O> {
-    /// Sized by the `crw8-quotient` benchmark's peak RSS: its 6.5 MiB
-    /// leave room for about 1 MiB, and 1 024 slots of 384 bytes hold
-    /// every content met at `(8, 7)` and `(9, 8)` (69 and 77 bytes on
-    /// average, 122 and 138 at most, their integers varints) in under
-    /// 0.5 MiB.
+    /// Sized by the `crw8-quotient` benchmark's peak RSS, which leaves
+    /// room for well under 1 MiB: a slot is the smallest multiple of 16
+    /// bytes that holds every content the CRW walks meet through
+    /// `(10, 9)` in either symmetry mode — their integers varints, the
+    /// longest 122, 138 and 154 bytes at `(8, 7)`, `(9, 8)` and
+    /// `(10, 9)`, about 69, 77 and 86 on average with symmetry off —
+    /// so the 1 024 slots take 160 KiB.
     const SLOTS: usize = 1024;
-    const SLOT_BYTES: usize = 384;
+    const SLOT_BYTES: usize = 160;
 
     pub(super) fn new() -> Self {
         Self::with_slot_bytes(Self::SLOT_BYTES)
@@ -866,8 +856,6 @@ impl<O: Clone + Eq + Hash> BlockCache<O> {
             slots: Vec::new(),
             arena: Vec::new(),
             slot_bytes,
-            shapes: Vec::new(),
-            shape_ids: HashMap::new(),
         }
     }
 
@@ -883,62 +871,41 @@ impl<O: Clone + Eq + Hash> BlockCache<O> {
     /// `content`, whose hash is `hash`, if its slot still holds it.
     fn get(&self, hash: u64, content: &[u8]) -> Option<(usize, u64, &Summary<O>)> {
         let slot = Self::slot_of(hash);
-        let stored = self.slots.get(slot)?;
+        let stored = self.slots.get(slot)?.as_ref()?;
         let bytes = &self.arena[slot * self.slot_bytes..][..stored.len as usize];
-        (stored.hash == hash && bytes == content).then(|| {
-            let shape = &self.shapes[stored.shape as usize];
-            (stored.rows, stored.terminals, shape)
-        })
+        (stored.hash == hash && bytes == content).then_some((
+            stored.rows,
+            stored.terminals,
+            &*stored.shape,
+        ))
     }
 
     /// Stores the block whose content is `content` (hash `hash`): its
-    /// `rows`, the `terminals` they added, and the rest of `folded`.
+    /// `rows`, the `terminals` they added, and its interned `shape`.
     fn store(
         &mut self,
         hash: u64,
         content: &[u8],
         rows: usize,
         terminals: u64,
-        folded: &Summary<O>,
+        shape: Arc<Summary<O>>,
     ) {
         if !self.fits(content) {
             return;
         }
         if self.slots.is_empty() {
-            self.slots = vec![CachedBlock::default(); Self::SLOTS];
+            self.slots = vec![None; Self::SLOTS];
             self.arena = vec![0; Self::SLOTS * self.slot_bytes];
         }
         let slot = Self::slot_of(hash);
         self.arena[slot * self.slot_bytes..][..content.len()].copy_from_slice(content);
-        self.slots[slot] = CachedBlock {
+        self.slots[slot] = Some(CachedBlock {
             hash,
             terminals,
             rows,
-            shape: self.shape_id(folded),
+            shape,
             len: content.len() as u32,
-        };
-    }
-
-    /// The id of `folded`'s shape, interned on first sight.
-    fn shape_id(&mut self, folded: &Summary<O>) -> u32 {
-        let hash = shape_hash(folded);
-        let same = |shape: &Summary<O>| {
-            shape.worst_round_by_f == folded.worst_round_by_f
-                && shape.decided == folded.decided
-                && shape.violating == folded.violating
-        };
-        if let Some(&id) = self.shape_ids.get(&hash) {
-            if same(&self.shapes[id as usize]) {
-                return id;
-            }
-        }
-        let id = self.shapes.len() as u32;
-        self.shapes.push(Summary {
-            terminals: 0,
-            ..folded.clone()
         });
-        self.shape_ids.entry(hash).or_insert(id);
-        id
     }
 }
 
@@ -1363,6 +1330,7 @@ where
         idx: usize,
         acc: &mut Summary<P::Output>,
         cache: &mut BlockCache<P::Output>,
+        interner: &mut SummaryInterner<P::Output>,
         room: impl FnOnce() -> u64,
     ) -> Option<usize> {
         debug_assert!(self.at == Some(idx) && self.cursor_starts_block());
@@ -1376,7 +1344,9 @@ where
                 self.blocks.values[open.block] = Some(added);
                 if let Some(hash) = open.content {
                     let rows = open.end - open.first;
-                    cache.store(hash, &self.content, rows, added, &self.block_acc);
+                    self.block_acc.terminals = 0;
+                    let shape = interner.interned(&self.block_acc);
+                    cache.store(hash, &self.content, rows, added, shape);
                 }
             }
         }

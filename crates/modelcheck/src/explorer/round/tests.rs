@@ -664,10 +664,10 @@ pub(in crate::explorer) fn block_cache_contents_of_one_hash_never_answer_for_eac
     let mut cache = BlockCache::<u64>::new();
     let (a, b) = (&b"content-a"[..], &b"content-b-longer"[..]);
     let forged = 0xDEAD_BEEF_u64;
-    cache.store(forged, a, 3, 7, &shape(1));
+    cache.store(forged, a, 3, 7, Arc::new(shape(1)));
     assert_eq!(cache.get(forged, a), Some((3, 7, &shape(1))));
     assert_eq!(cache.get(forged, b), None, "a answered for b");
-    cache.store(forged, b, 4, 9, &shape(2));
+    cache.store(forged, b, 4, 9, Arc::new(shape(2)));
     assert_eq!(cache.get(forged, b), Some((4, 9, &shape(2))));
     assert_eq!(cache.get(forged, a), None, "b answered for a");
 }
@@ -682,8 +682,8 @@ pub(in crate::explorer) fn block_cache_store_over_an_occupied_slot_replaces_it()
         BlockCache::<u64>::slot_of(first),
         BlockCache::<u64>::slot_of(second)
     );
-    cache.store(first, a, 3, 7, &shape(1));
-    cache.store(second, b, 4, 9, &shape(2));
+    cache.store(first, a, 3, 7, Arc::new(shape(1)));
+    cache.store(second, b, 4, 9, Arc::new(shape(2)));
     assert_eq!(cache.get(first, a), None, "the slot still held a");
     assert_eq!(cache.get(second, b), Some((4, 9, &shape(2))));
 }
@@ -697,10 +697,10 @@ pub(in crate::explorer) fn block_cache_keeps_no_content_longer_than_a_slot() {
     let long = vec![7; BlockCache::<u64>::SLOT_BYTES + 1];
     let (hash, fitting) = (stable_hash64(&long), &long[1..]);
     assert!(!cache.fits(&long) && cache.fits(fitting));
-    cache.store(hash, &long, 3, 7, &shape(1));
+    cache.store(hash, &long, 3, 7, Arc::new(shape(1)));
     assert_eq!(cache.get(hash, &long), None);
     assert!(cache.slots.is_empty(), "a refused store allocates nothing");
-    cache.store(hash, fitting, 3, 7, &shape(1));
+    cache.store(hash, fitting, 3, 7, Arc::new(shape(1)));
     assert_eq!(cache.get(hash, fitting), Some((3, 7, &shape(1))));
 
     let system = SystemConfig::new(5, 4).unwrap();
@@ -732,29 +732,64 @@ pub(in crate::explorer) fn block_cache_keeps_no_content_longer_than_a_slot() {
     assert_eq!((narrow_summaries, narrow_states), (summaries, states));
 }
 
-/// Shapes are interned by value: a block summary's worst rounds, its
-/// values in discovery order and its flag — never its terminal count.
+/// Shapes are interned by value, in the walker's summary interner: a
+/// summary's worst rounds, its values in discovery order, its flag and
+/// its count, which a block's accumulator zeroes before its shape is
+/// stored.  Over the CRW `(5, 4)` walk, every shape the cache holds has
+/// no terminal, is the interner's own `Arc`, and two equal ones are one
+/// allocation.
 pub(in crate::explorer) fn block_cache_equal_shapes_share_one_id() {
-    let mut cache = BlockCache::<u64>::new();
-    let one = cache.shape_id(&shape(1));
+    use twostep_model::WideValue;
+    let mut interner = SummaryInterner::new();
+    let one = interner.interned(&shape(1));
+    assert!(Arc::ptr_eq(&interner.interned(&shape(1)), &one));
+    assert!(Arc::ptr_eq(&interner.intern(shape(1)), &one));
+    assert!(!Arc::ptr_eq(&interner.interned(&shape(2)), &one));
     let counted = Summary {
         terminals: 40,
         ..shape(1)
     };
-    assert_eq!(cache.shape_id(&counted), one, "terminals are no shape");
-    assert_ne!(cache.shape_id(&shape(2)), one);
+    assert!(!Arc::ptr_eq(&interner.interned(&counted), &one));
     let both = |decided: Vec<u64>| Summary {
         decided,
         ..shape(1)
     };
     let (ascending, descending) = (both(vec![1, 2]), both(vec![2, 1]));
-    assert_ne!(cache.shape_id(&ascending), cache.shape_id(&descending));
-    assert_eq!(
-        cache.shape_id(&descending),
-        cache.shape_id(&descending.clone())
+    assert!(!Arc::ptr_eq(
+        &interner.interned(&ascending),
+        &interner.interned(&descending)
+    ));
+    assert_eq!(interner.len(), 5);
+
+    let system = SystemConfig::new(5, 4).unwrap();
+    let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &bits);
+    let config = ExploreConfig::for_crw(&system);
+    let options = ExploreOptions::serial();
+    let shared = Shared::new(system, config, &options, &bits, procs.clone()).unwrap();
+    let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
+    let mut walker = Walker::new(&shared);
+    let mut walk = StepWalker::new(&mut walker, vec![root]);
+    while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+    drop(walk);
+    let stored: Vec<Arc<Summary<WideValue>>> = (walker.blocks.slots.iter().flatten())
+        .map(|block| Arc::clone(&block.shape))
+        .collect();
+    let mut distinct: Vec<&Arc<Summary<WideValue>>> = Vec::new();
+    for shape in &stored {
+        assert_eq!(shape.terminals, 0, "a shape has no terminal");
+        assert!(Arc::ptr_eq(shape, &walker.interner.interned(shape)));
+        match distinct.iter().find(|met| ***met == *shape) {
+            Some(met) => assert!(Arc::ptr_eq(met, shape)),
+            None => distinct.push(shape),
+        }
+    }
+    assert!(
+        stored.len() > 2 * distinct.len(),
+        "{} blocks stored, {} shapes",
+        stored.len(),
+        distinct.len()
     );
-    assert_eq!(cache.shapes.len(), 4);
-    assert!(cache.shapes.iter().all(|shape| shape.terminals == 0));
 }
 
 /// Reads the block a cache slot holds back into its rows and checks
@@ -773,7 +808,7 @@ fn assert_cached_block_is_its_rows<P>(
     P: CheckableProtocol,
     P::Output: Hash + SpillCodec,
 {
-    let stored = cache.slots[slot];
+    let stored = cache.slots[slot].as_ref().expect("an occupied slot");
     let mut input = &cache.arena[slot * cache.slot_bytes..][..stored.len as usize];
     let decode = |input: &mut &[u8]| u32::decode(input).expect("a u32");
     let (round, processes, left) = (decode(&mut input), decode(&mut input), decode(&mut input));
@@ -826,10 +861,7 @@ fn assert_cached_block_is_its_rows<P>(
         "{label}: slot {slot}"
     );
     folded.terminals = 0;
-    assert_eq!(
-        cache.shapes[stored.shape as usize], folded,
-        "{label}: slot {slot}"
-    );
+    assert_eq!(*stored.shape, folded, "{label}: slot {slot}");
 }
 
 /// Every block the cache stores, checked the moment it is stored
@@ -860,11 +892,11 @@ where
     let (mut seen, mut checked) = (Vec::new(), 0);
     while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {
         let cache = walk.block_cache();
-        seen.resize(cache.slots.len(), CachedBlock::default());
+        seen.resize(cache.slots.len(), None);
         for (slot, stored) in cache.slots.iter().enumerate() {
             if *stored != seen[slot] {
                 assert_cached_block_is_its_rows(&shared, cache, slot, label);
-                (seen[slot], checked) = (*stored, checked + 1);
+                (seen[slot], checked) = (stored.clone(), checked + 1);
             }
         }
     }
@@ -906,11 +938,13 @@ pub(in crate::explorer) fn a_block_stores_the_classes_its_rows_repeat() {
     let class = |class| ChildClass { class, orbit: None };
 
     let (mut cache, mut acc) = (BlockCache::new(), Summary::empty(3));
+    let mut interner = SummaryInterner::new();
     let mut round = walker.open_round(&root).unwrap();
     let before = round.classify(0);
     assert!(round.cursor_starts_block());
     round.absorb(&mut acc, class(before), marked(0, 7, 2));
-    assert_eq!(round.take_block(0, &mut acc, &mut cache, || u64::MAX), None);
+    let taken = round.take_block(0, &mut acc, &mut cache, &mut interner, || u64::MAX);
+    assert_eq!(taken, None);
     let inside = round.classify(1);
     round.absorb(&mut acc, class(inside), marked(1, 8, 3));
     let end = (2..round.len())
@@ -923,21 +957,21 @@ pub(in crate::explorer) fn a_block_stores_the_classes_its_rows_repeat() {
         acc.terminals += round.repeat(before).expect("absorbed before the block");
     }
     round.classify(end);
-    round.take_block(end, &mut acc, &mut cache, || 0);
+    round.take_block(end, &mut acc, &mut cache, &mut interner, || 0);
     let added = 3 + 2 * (end as u64 - 2);
-    let stored = cache.slots.iter().find(|stored| stored.len > 0);
-    let stored = *stored.expect("the block is stored when the walk leaves it");
+    let stored = cache.slots.iter().flatten().next();
+    let stored = stored.expect("the block is stored when the walk leaves it");
     assert_eq!((stored.rows, stored.terminals), (end, added));
-    let shape = &cache.shapes[stored.shape as usize];
-    assert_eq!(shape.worst_round_by_f, [Some(7), Some(8), None, None]);
+    assert_eq!(
+        stored.shape.worst_round_by_f,
+        [Some(7), Some(8), None, None]
+    );
 
     // A frame that has absorbed nothing takes the block whole.
     let (mut later, mut acc) = (walker.open_round(&root).unwrap(), Summary::empty(3));
     later.classify(0);
-    assert_eq!(
-        later.take_block(0, &mut acc, &mut cache, || u64::MAX),
-        Some(end)
-    );
+    let taken = later.take_block(0, &mut acc, &mut cache, &mut interner, || u64::MAX);
+    assert_eq!(taken, Some(end));
     assert_eq!(acc.worst_round_by_f, [Some(7), Some(8), None, None]);
     assert_eq!(acc.terminals, added);
 }

@@ -211,6 +211,8 @@ where
             }
             Err(error) => return Err(error),
         };
+        // A frame that pops saturated fails the walk; a root the memo
+        // answered — a seeded entry — is checked here.
         if root.terminals == u64::MAX {
             return Err(ExploreError::TerminalOverflow);
         }

@@ -893,6 +893,69 @@ fn terminal_counts_saturate_instead_of_wrapping() {
     assert_eq!(run.finish().err(), Some(ExploreError::TerminalOverflow));
 }
 
+/// A run fails at the first frame whose fold saturates, not after the
+/// rest of the walk: here a grandchild of a CRW `(4, 3)` root is planted
+/// in the memo with `u64::MAX` terminals, so the root's first child
+/// that expands pops saturated while the root has rows to go.  The
+/// step that pops it returns the failure, and the run has recorded it.
+#[test]
+fn a_saturated_frame_fails_the_run_before_the_walk_completes() {
+    use twostep_model::WideValue;
+    let system = SystemConfig::new(4, 3).unwrap();
+    let bits: Vec<WideValue> = (0..4).map(|i| WideValue::new(1, i % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &bits);
+    let config = ExploreConfig::for_crw(&system);
+    let options = ExploreOptions::serial();
+    let whole = explore_with(system, config, options.clone(), procs.clone(), bits.clone());
+    let whole = whole.unwrap().distinct_states;
+
+    let shared = Shared::new(system, config, &options, &bits, procs.clone()).unwrap();
+    let root = Stepper::new(system, config.model, TraceLevel::Off, procs).unwrap();
+    let mut walker = Walker::new(&shared);
+    let rows = action_sets_of(&mut walker, &root);
+    let (first, child) = (rows.iter().enumerate())
+        .map(|(idx, row)| {
+            let mut child = root.clone();
+            child.step(row).unwrap();
+            (idx, child)
+        })
+        .find(|(_, child)| !walker.is_terminal(child))
+        .expect("a child that expands");
+    assert!(first + 1 < rows.len());
+    let mut grandchild = child.clone();
+    grandchild
+        .step(&action_sets_of(&mut walker, &child)[0])
+        .unwrap();
+    let (hash, _) = walker.canonical_key(&grandchild);
+    let key = walker.key_bytes().to_vec();
+    let saturated = Arc::new(Summary {
+        terminals: u64::MAX,
+        ..Summary::empty(system.t())
+    });
+    shared.memo.insert(hash, &key, saturated).unwrap();
+
+    let mut walk = StepWalker::new(&mut walker, vec![root]);
+    let failure = loop {
+        match walk.step(&mut Unbounded) {
+            Ok(step) => assert_ne!(step.status, StepStatus::Done, "the walk completed"),
+            Err(failure) => break failure,
+        }
+    };
+    assert!(matches!(
+        failure,
+        Interrupt::Failed(ExploreError::TerminalOverflow)
+    ));
+    assert_eq!(walk.stack.len(), 1, "only the root's frame is open");
+    assert_eq!(walk.stack[0].next_action, first + 1, "{} rows", rows.len());
+    assert!(
+        shared.memo.len() < whole,
+        "{} of {whole}",
+        shared.memo.len()
+    );
+    let recorded = shared.failure.lock().unwrap().clone();
+    assert_eq!(recorded, Some(ExploreError::TerminalOverflow));
+}
+
 #[test]
 fn unlimited_budget_is_unlimited() {
     assert_eq!(WalkBudget::unlimited(), WalkBudget::default());
@@ -1736,19 +1799,23 @@ fn leaves_are_memoized_as_a_stepped_evaluation_summarizes_them() {
     assert_leaves_are_memoized_as_evaluated(system, config, procs, bits, "crw (5, 4)");
 }
 
-/// Terminals that end alike are memoized under one `Arc`: over the
-/// CRW `(5, 4)` walk, any two leaves whose memoized summaries are
-/// equal hold the *same* summary — with symmetry off and under
-/// `partial+value`, where the summary is interned in canonical space — and the walk's verdict is what it was when every
-/// leaf had a summary of its own.
+/// Equal summaries are one allocation: over the CRW `(5, 4)` walk, any
+/// two entries of the all-RAM memo whose summaries are equal — leaves
+/// and completed frames alike — hold the *same* `Arc`, with symmetry off
+/// and under `partial+value`, where summaries are interned in canonical
+/// space; and the walk's verdict is what it was when every state had a
+/// summary of its own.  The memo's states end in few distinct
+/// summaries, every one of them the walker's interner's.
 #[test]
-fn equal_terminal_outcomes_share_one_summary() {
+fn equal_summaries_share_one_allocation() {
     use twostep_model::WideValue;
     let system = SystemConfig::new(5, 4).unwrap();
     let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
     let procs = twostep_core::crw_processes(&system, &bits);
     // States, terminals and worst rounds per `f` as PR 19 reports them.
-    for (symmetry, states) in [(Symmetry::Off, 815), (Symmetry::PartialValue, 235)] {
+    for (symmetry, states, allocations) in
+        [(Symmetry::Off, 815, 93), (Symmetry::PartialValue, 235, 63)]
+    {
         let config = ExploreConfig {
             symmetry,
             ..ExploreConfig::for_crw(&system)
@@ -1757,7 +1824,7 @@ fn equal_terminal_outcomes_share_one_summary() {
         let shared = Shared::new(system, config, &options, &bits, procs.clone()).unwrap();
         let root = Stepper::new(system, config.model, TraceLevel::Off, procs.clone()).unwrap();
         let mut walker = Walker::new(&shared);
-        let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
+        let mut walk = StepWalker::new(&mut walker, vec![root]);
         while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
         let summary = walk.into_summaries().remove(0);
         assert_eq!(
@@ -1769,24 +1836,18 @@ fn equal_terminal_outcomes_share_one_summary() {
         assert_eq!(summary.worst_round_by_f, worst_rounds, "{symmetry:?}");
         assert_eq!(summary.decided, &bits[..2], "{symmetry:?}");
 
-        let leaves = stepped_leaves(&mut walker, &root);
         let mut distinct: Vec<Arc<Summary<WideValue>>> = Vec::new();
-        for leaf in &leaves {
-            let (hash, _) = walker.canonical_key(leaf);
-            let memoized = shared.memo.get(hash, walker.key_bytes()).unwrap();
-            let memoized = memoized.expect("the walk memoized every leaf");
-            match distinct.iter().find(|met| ***met == *memoized) {
-                Some(met) => assert!(Arc::ptr_eq(met, &memoized), "{symmetry:?}"),
-                None => distinct.push(memoized),
-            }
+        (shared.memo)
+            .for_each(
+                |_, memoized| match distinct.iter().find(|met| ***met == **memoized) {
+                    Some(met) => assert!(Arc::ptr_eq(met, memoized), "{symmetry:?}"),
+                    None => distinct.push(Arc::clone(memoized)),
+                },
+            )
+            .unwrap();
+        assert_eq!(distinct.len(), allocations, "{symmetry:?}");
+        for met in &distinct {
+            assert!(Arc::ptr_eq(met, &walker.interner.interned(met)));
         }
-        let interned: usize = walker.terminals.distinct.iter().map(Vec::len).sum();
-        assert_eq!(distinct.len(), interned, "{symmetry:?}");
-        assert!(
-            leaves.len() > 4 * distinct.len(),
-            "{symmetry:?}: {} leaves end in {} ways",
-            leaves.len(),
-            distinct.len()
-        );
     }
 }

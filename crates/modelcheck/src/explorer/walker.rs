@@ -47,8 +47,10 @@
 //!   when the engine needs a real action vector, key buffers, and the
 //!   terminal pseudo-schedule and scratch summary are all recycled
 //!   across configurations; a terminal is memoized under the one shared
-//!   summary of its outcome ([`Terminals`]), so a leaf allocates its
-//!   memo entry and nothing else;
+//!   summary of its outcome, and a completed frame under the one shared
+//!   summary of its subtree ([`SummaryInterner`]), so a leaf allocates
+//!   its memo entry and nothing else, and a frame whose summary the
+//!   walker has met before drops its own;
 //! * **rows that are not looked at** — a row that repeats a class its
 //!   frame has absorbed is one classification and one addition, and a
 //!   run of them is taken in the call that ends it; at the first row of
@@ -87,7 +89,7 @@ use twostep_sim::{ProcStatus, RoundActions, SentRound, Stepper, SyncProtocol, Wo
 use super::budget::{Arbiter, StepProgress, StepResult, StepStatus, StepVerdict};
 use super::canon::{flag_in_place, make_key_into, tier_key_into, KeySource};
 use super::config::{CheckableProtocol, ExploreConfig, ExploreOptions, SymmetryPlan};
-use super::report::{ExploreError, Summary, Terminals};
+use super::report::{ExploreError, Summary, SummaryInterner, Terminals};
 #[cfg(test)]
 use super::round::BlockCounts;
 use super::round::{BlockCache, ChildClass, ChildDecision, LiveEffects, RoundKeys};
@@ -237,9 +239,11 @@ where
     /// Retired open rounds, re-opened ([`RoundKeys::open`]) for future
     /// configurations so that every buffer and table of theirs is reused.
     round_pool: Vec<RoundKeys<P>>,
-    /// Terminal evaluation: its scratch, and the distinct summaries it
-    /// has produced.
+    /// Terminal evaluation and its scratch.
     pub(super) terminals: Terminals<P::Output>,
+    /// The one `Arc` of each distinct summary this walker has memoized
+    /// or cached as a block shape.
+    pub(super) interner: SummaryInterner<P::Output>,
     /// Reusable record-sorting scratch for symmetry-reduced keying
     /// (unused when [`ExploreConfig::symmetry`] is off).
     canon: Canonicalizer,
@@ -425,6 +429,11 @@ where
             };
             if frame.next_action == frame.round.len() {
                 let done = self.stack.pop().expect("popping the completed frame");
+                // A saturated count stays saturated up to the root: the
+                // run fails here, not after the rest of the walk.
+                if done.acc.terminals == u64::MAX {
+                    return Err(shared.fail(ExploreError::TerminalOverflow));
+                }
                 // `acc` accumulated in real value space; the memo stores
                 // canonical space, and whatever comes back is translated
                 // again for the parent (an involution, so racing inserts
@@ -656,6 +665,7 @@ where
             stepper_pool: Vec::new(),
             round_pool: Vec::new(),
             terminals: Terminals::new(shared.system),
+            interner: SummaryInterner::new(),
             canon: Canonicalizer::new(),
             swap_buf: Vec::new(),
             in_place_buf: Vec::new(),
@@ -800,7 +810,8 @@ where
         room: impl FnOnce() -> u64,
     ) -> Option<usize> {
         let before = cfg!(debug_assertions).then(|| frame.acc.clone());
-        let rows = (frame.round).take_block(idx, &mut frame.acc, &mut self.blocks, room)?;
+        let (cache, interner) = (&mut self.blocks, &mut self.interner);
+        let rows = (frame.round).take_block(idx, &mut frame.acc, cache, interner, room)?;
         debug_assert!(
             self.block_is_its_rows(frame, idx, rows, before),
             "a block taken whole is not the sum of its rows"
@@ -972,7 +983,8 @@ where
     }
 
     /// A completed frame's real-space summary, [`canonicalize`](Self::canonicalize)d
-    /// for the memo.
+    /// for the memo and interned: an equal summary met before is
+    /// returned, and `summary`'s buffers are dropped.
     fn canonical_arc(
         &mut self,
         mut summary: Summary<P::Output>,
@@ -980,7 +992,7 @@ where
     ) -> Arc<Summary<P::Output>> {
         let plan = self.shared.plan;
         Self::canonicalize(plan, &mut self.decided_bufs, &mut summary, value_swapped);
-        Arc::new(summary)
+        self.interner.intern(summary)
     }
 
     /// A configuration forked from `parent` — from the stepper pool when
@@ -1091,7 +1103,7 @@ where
     /// Settles a terminal configuration the memo does not hold — keyed
     /// `(hash, value_swapped)`, key bytes in `key_scratch`, its processes
     /// standing with `status` and `decisions`: evaluates it, memoizes
-    /// the shared `Arc` of its canonical summary ([`Terminals`]) and
+    /// the shared `Arc` of its canonical summary ([`SummaryInterner`]) and
     /// returns its real-space summary.
     fn settle_terminal(
         &mut self,
@@ -1104,7 +1116,7 @@ where
         (self.terminals).evaluate(&shared.config, shared.proposals, status, decisions);
         let (bufs, summary) = (&mut self.decided_bufs, &mut self.terminals.summary);
         Self::canonicalize(shared.plan, bufs, summary, value_swapped);
-        let canonical = self.terminals.interned();
+        let canonical = self.interner.interned(&self.terminals.summary);
         let summary = (shared.memo)
             .insert(hash, &self.key_scratch, canonical)
             .map_err(|e| shared.fail(e.into()))?;

@@ -141,7 +141,14 @@ pub struct MemoConfig {
     /// plus a 16-byte clock item when this is finite; a state past the
     /// hot tier keeps a 24-byte index slot (its hash and its record's
     /// address), whatever its key's length.  Each hashed table adds its
-    /// slack: it runs at most 7/8 full and grows by doubling.
+    /// slack: it runs at most 7/8 full and grows by doubling.  A hot
+    /// state's summary is an `Arc` in its slot, shared with every
+    /// state whose summary is equal: a walker interns each summary it
+    /// memoizes, so a state's summary costs it no allocation of its own.
+    /// The walker's interner keeps each distinct summary it met alive
+    /// for the run, whatever this is — and these are few: 6 605 over
+    /// the 679 349 states of CRW `(10, 9)` with symmetry off, 1 877 of
+    /// them the shapes of its block cache.
     pub hot_capacity: usize,
     /// Root directory for segment files (`None` = system temp dir).
     /// Ignored unless `hot_capacity` is finite.
