@@ -30,7 +30,7 @@ cargo test --release -q -p twostep-modelcheck --lib explorer::tests::terminal_co
 if [[ "$quick" == false ]]; then
     echo "== independent memoized oracle, ignored cases: CRW (8, 7) and the classic baselines at (5, 4), release (not under --quick)"
     cargo test --release -q -p twostep-modelcheck --test naive_oracle -- --ignored
-    echo "== bivalence shift B(n,t,r) = B(n-1,t-1,r-1), ignored case: CRW up to (10, 9), release (not under --quick)"
+    echo "== bivalence shift B(n,t,r) = B(n-1,t-1,r-1), ignored case, with the spec and worst round = f+1 on every rung: CRW up to (10, 9), (8, 6) and (9, 6), release (not under --quick)"
     cargo test --release -q -p twostep-modelcheck --test crw_exhaustive -- --ignored
     echo "== engine matrix, ignored rung row: CRW up to (8, 7) on five engines in both symmetry modes, release (not under --quick)"
     cargo test --release -q -p twostep-modelcheck --test engines -- --ignored

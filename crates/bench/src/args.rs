@@ -6,12 +6,15 @@
 //! repro fig1-trace n=6 schedule="p1@r1:mid-control/2"
 //! ```
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Parsed `key=value` overrides (keys are case-sensitive).
+/// Parsed `key=value` overrides (keys are case-sensitive).  Every lookup
+/// is remembered, so a caller can refuse the keys nothing asked for.
 #[derive(Clone, Debug, Default)]
 pub struct Overrides {
     map: BTreeMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Overrides {
@@ -23,12 +26,27 @@ impl Overrides {
                 map.insert(k.trim().to_string(), v.trim().to_string());
             }
         }
-        Overrides { map }
+        Overrides {
+            map,
+            read: RefCell::default(),
+        }
     }
 
     /// Raw string lookup.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.map.get(key).map(String::as_str)
+    }
+
+    /// The given keys no lookup has asked for so far, in key order: a
+    /// misspelt key, or one the experiments that ran do not take.
+    pub fn unread(&self) -> Vec<&str> {
+        let read = self.read.borrow();
+        self.map
+            .keys()
+            .filter(|key| !read.contains(key.as_str()))
+            .map(String::as_str)
+            .collect()
     }
 
     /// `usize` lookup with a default; panics with a clear message on a
@@ -112,6 +130,17 @@ mod tests {
     fn malformed_integer_panics() {
         let o = ov(&["n=banana"]);
         let _ = o.usize_or("n", 1);
+    }
+
+    #[test]
+    fn unread_keys_are_the_ones_no_lookup_asked_for() {
+        let o = ov(&["e1-rounds", "n=32", "N=5", "seeds=7"]);
+        assert_eq!(o.unread(), ["N", "n", "seeds"]);
+        let _ = o.usize_or("n", 8);
+        let _ = o.u64_or("absent", 1);
+        assert_eq!(o.unread(), ["N", "seeds"]);
+        let _ = o.get("seeds");
+        assert_eq!(o.unread(), ["N"]);
     }
 
     #[test]

@@ -71,12 +71,19 @@ fn lower_bound_tables_ignore_the_shell() {
     );
     let cache_written = cache.exists();
     let _ = std::fs::remove_dir_all(&root);
+    let clean = stdout(&clean);
     assert_eq!(
-        stdout(&clean),
+        clean,
         stdout(&dirty),
         "the exported variables changed the E5 tables"
     );
     assert!(!cache_written, "the E5 run wrote {}", cache.display());
+    // Debug and release builds print the same bytes, so one committed
+    // copy pins the tables for both.
+    assert!(
+        clean == include_str!("e5-lowerbound.txt"),
+        "`repro e5-lowerbound` no longer prints tests/e5-lowerbound.txt:\n{clean}"
+    );
 }
 
 #[test]

@@ -54,9 +54,12 @@
 //! * [`RoundBound`] — the `f+1` / `min(f+2, t+1)` / `t+1` bounds as
 //!   checkable predicates.
 //!
-//! Used by experiment **E5** (`repro e5-lowerbound`) and by the
-//! cross-crate test suite to validate every algorithm in the workspace
-//! over the full schedule space for small `n`.
+//! Every answer is a walk of the whole execution space: the crate has no
+//! sampling mode, because a sample can miss the worst execution and so
+//! cannot prove a round bound.  Used by experiment **E5**
+//! (`repro e5-lowerbound`) and by the cross-crate test suite to validate
+//! every algorithm in the workspace over the full schedule space for
+//! small `n`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,7 +71,6 @@ pub mod explorer;
 pub mod faults;
 mod manifest;
 pub mod memo;
-pub mod sample;
 pub mod spill;
 
 pub use cache::{run_fingerprint, CacheConfig, CacheMode};
@@ -85,5 +87,4 @@ pub use explorer::{
 };
 pub use faults::{install_io_fault, FaultPlan, IoFault, IoFaultGuard, WorkerFault, WorkerPhase};
 pub use memo::MemoConfig;
-pub use sample::{sample, SampleConfig, SampleReport, SampleStrategy, SampleViolation};
 pub use spill::{decode_summary, encode_summary, validate_segment_file, SpillCodec, SpillError};

@@ -4,9 +4,7 @@
 
 use twostep_core::{crw_processes, CommitOrder, Crw};
 use twostep_model::{ProcessId, SystemConfig, WideValue};
-use twostep_modelcheck::{explore, ExploreConfig, ExploreError, RoundBound, SpecMode, Symmetry};
-
-use twostep_sim::ModelKind;
+use twostep_modelcheck::{explore, ExploreConfig, ExploreError, RoundBound};
 
 /// Binary proposals 0/1 alternating — the bivalency argument's input space.
 fn binary_proposals(n: usize) -> Vec<WideValue> {
@@ -117,47 +115,49 @@ fn crw_univalent_with_unanimous_proposals() {
     assert_eq!(report.root.decided[0].ident(), 1);
 }
 
-#[test]
-fn ablation_ascending_commits_violate_theorem1_exhaustively() {
-    // The commit-order reconstruction (see twostep-core docs): with
-    // ascending commits the f+1 bound fails somewhere in the execution
-    // space, and the explorer both flags it and reconstructs a concrete
-    // schedule.  Uniform agreement itself still holds (checked by running
-    // again without the round bound).
-    let n = 4;
-    let system = SystemConfig::new(n, 2).unwrap();
+/// CRW at `(n, t)` with ascending commits, checked against the `f+1`
+/// bound or without it.
+fn explore_lowest_first(
+    n: usize,
+    t: usize,
+    round_bound: Option<RoundBound>,
+) -> twostep_modelcheck::ExploreReport<WideValue> {
+    let system = SystemConfig::new(n, t).unwrap();
     let proposals = binary_proposals(n);
     let procs: Vec<Crw<WideValue>> = proposals
         .iter()
         .enumerate()
         .map(|(i, v)| Crw::with_order(ProcessId::from_idx(i), n, *v, CommitOrder::LowestFirst))
         .collect();
-
-    let with_bound = ExploreConfig {
-        model: ModelKind::Extended,
-        max_rounds: n as u32 + 1,
-        max_states: 5_000_000,
-        round_bound: Some(RoundBound::FPlus(1)),
-        max_crashes_per_round: None,
-        symmetry: Symmetry::Off,
-        spec: SpecMode::Uniform,
+    let config = ExploreConfig {
+        round_bound,
+        ..ExploreConfig::for_crw(&system)
     };
-    let report = explore(system, with_bound, procs.clone(), proposals.clone()).unwrap();
-    assert!(
-        report.root.violating,
-        "ascending commit order must break the f+1 bound somewhere"
-    );
-    let witness = report.witness.expect("counterexample schedule");
-    assert!(
-        !witness.violations.is_empty(),
-        "witness carries the violations"
-    );
+    explore(system, config, procs, proposals).unwrap()
+}
 
-    let no_bound = ExploreConfig {
-        round_bound: None,
-        ..with_bound
-    };
-    let report = explore(system, no_bound, procs, proposals).unwrap();
+#[test]
+fn ablation_ascending_commits_violate_theorem1_exhaustively() {
+    // The commit-order reconstruction (see twostep-core docs): with
+    // ascending commits the f+1 bound fails somewhere in the execution
+    // space, and the explorer both flags it and reconstructs a concrete
+    // schedule — at (4,2) and at (6,3), a budget below n − 1 on a wider
+    // system.  Uniform agreement itself still holds (checked by running
+    // (4,2) again without the round bound).
+    for (n, t) in [(4, 2), (6, 3)] {
+        let report = explore_lowest_first(n, t, Some(RoundBound::FPlus(1)));
+        assert!(
+            report.root.violating,
+            "({n},{t}): ascending commit order must break the f+1 bound somewhere"
+        );
+        let witness = report.witness.expect("counterexample schedule");
+        assert!(
+            !witness.violations.is_empty(),
+            "({n},{t}): witness carries the violations"
+        );
+    }
+
+    let report = explore_lowest_first(4, 2, None);
     assert!(
         !report.root.violating,
         "agreement/validity/termination still hold without the bound"
@@ -254,9 +254,19 @@ fn zero_crashes_per_round_cap_means_failure_free_space() {
 }
 
 /// `B(n, t, r)` for `r = 1, 2, …`: the bivalent configurations a walk of
-/// CRW over [`binary_proposals`] meets at round `r`.
+/// CRW over [`binary_proposals`] meets at round `r`.  The same walk also
+/// checks the specification on every execution and that the worst
+/// decision round is exactly `f + 1` for every `f ≤ t` (Theorems 1 and
+/// 4), so every rung of every chain below is a rung of E5a too.
 fn bivalent_by_round(n: usize, t: usize) -> Vec<usize> {
-    let census = explore_crw(n, t, &binary_proposals(n)).bivalency_by_round;
+    let report = explore_crw(n, t, &binary_proposals(n));
+    assert!(!report.root.violating, "({n},{t}): spec violated");
+    let f_plus_1: Vec<Option<u32>> = (1..=t as u32 + 1).map(Some).collect();
+    assert_eq!(
+        report.root.worst_round_by_f, f_plus_1,
+        "({n},{t}): worst round per f"
+    );
+    let census = report.bivalency_by_round;
     for (at, (round, _, _)) in census.iter().enumerate() {
         assert_eq!(*round as usize, at + 1, "({n},{t}): census rounds");
     }
@@ -269,15 +279,17 @@ fn bivalent_by_round(n: usize, t: usize) -> Vec<usize> {
 /// 2 and 3 are new at each rung (at `r = 3` the identity fails: (8,7)
 /// has 602 bivalent configurations there, (7,6) has 145 at round 2).
 /// `chain` lists rungs one process and one crash apart, smallest first,
-/// so each rung is walked once.  The walker is compared with itself at
-/// two sizes, which catches a bug that depends on size.
-fn assert_bivalence_shifts(chain: &[(usize, usize)]) {
-    let mut smaller: Option<((usize, usize), Vec<usize>)> = None;
-    for &(n, t) in chain {
+/// so each rung is walked once; the censuses come back in that order.
+/// The walker is compared with itself at two sizes, which catches a bug
+/// that depends on size.
+fn assert_bivalence_shifts(chain: &[(usize, usize)]) -> Vec<Vec<usize>> {
+    let mut censuses: Vec<Vec<usize>> = Vec::new();
+    for (at, &(n, t)) in chain.iter().enumerate() {
         let census = bivalent_by_round(n, t);
-        if let Some(((m, s), below)) = &smaller {
+        if let Some(below) = censuses.last() {
+            let (m, s) = chain[at - 1];
             assert_eq!(
-                (*m + 1, *s + 1),
+                (m + 1, s + 1),
                 (n, t),
                 "a chain steps by one process and one crash"
             );
@@ -292,19 +304,21 @@ fn assert_bivalence_shifts(chain: &[(usize, usize)]) {
                 "B({n},{t},r) = B({m},{s},r-1) for r >= 4: {census:?} against {below:?}"
             );
         }
-        smaller = Some(((n, t), census));
+        censuses.push(census);
     }
+    censuses
 }
 
 #[test]
 fn bivalence_at_one_more_crash_is_one_round_later() {
-    assert_eq!(bivalent_by_round(6, 5), [1, 69, 50, 12, 2, 0, 0]);
-    assert_bivalence_shifts(&[(3, 2), (4, 3), (5, 4), (6, 5)]);
+    let max_resilience = assert_bivalence_shifts(&[(3, 2), (4, 3), (5, 4), (6, 5)]);
+    assert_eq!(max_resilience[3], [1, 69, 50, 12, 2, 0, 0], "B(6,5,r)");
     assert_bivalence_shifts(&[(5, 3), (6, 4)]);
     assert_bivalence_shifts(&[(6, 3), (7, 4)]);
 }
 
-/// The same identity up to (10,9), where a debug walk is too slow for
+/// The same identity, with the specification and the `f + 1` worst
+/// round on every rung, up to (10,9), where a debug walk is too slow for
 /// tier-1; `ci.sh` runs it with `--release`.
 #[test]
 #[ignore = "release only: walks up to CRW (10,9); ci.sh runs it"]
