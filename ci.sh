@@ -34,6 +34,8 @@ if [[ "$quick" == false ]]; then
     cargo test --release -q -p twostep-modelcheck --test crw_exhaustive -- --ignored
     echo "== engine matrix, ignored rung row: CRW up to (8, 7) on five engines in both symmetry modes, release (not under --quick)"
     cargo test --release -q -p twostep-modelcheck --test engines -- --ignored
+    echo "== block traffic, ignored case: the exact BlockCounts and block-cache slots of the serial CRW (8, 7) walk in both symmetry modes, release (not under --quick)"
+    cargo test --release -q -p twostep-modelcheck --lib explorer::tests::block_traffic_at_8_7_is_pinned -- --ignored
 fi
 
 echo "== benchmark harness tests (the only build of benchmark/src/adapter.rs outside the benchmark)"
@@ -277,7 +279,7 @@ echo "checkpoint OK: suspended at reason=deadline, resumed to an identical repor
 echo "== allocation probe (budget unarmed and armed, the quotient, and a 2%-hot spilling walk, pinned to their allocs/state budgets)"
 cargo run --release -q --example alloc_probe
 if [[ "$quick" == false ]]; then
-    echo "== allocation probe at (8, 7), where the walker's block cache fills (about 5 s; not under --quick)"
+    echo "== allocation probe at (8, 7), where the walker's block cache grows (about 5 s; not under --quick)"
     cargo run --release -q --example alloc_probe -- 8 7
 fi
 

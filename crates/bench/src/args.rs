@@ -8,6 +8,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::str::FromStr;
 
 /// Parsed `key=value` overrides (keys are case-sensitive).  Every lookup
 /// is remembered, so a caller can refuse the keys nothing asked for.
@@ -49,52 +50,44 @@ impl Overrides {
             .collect()
     }
 
-    /// `usize` lookup with a default; panics with a clear message on a
-    /// malformed value (CLI surface — fail loudly).
-    pub fn usize_or(&self, key: &str, default: usize) -> usize {
-        match self.get(key) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("expected an integer for {key}=, got '{v}'")),
-        }
+    /// `usize` lookup with a default; a malformed value is an error
+    /// naming its `key=value` token (CLI surface — refused before
+    /// anything runs).
+    pub fn usize_or(&self, key: &str, default: usize) -> Result<usize, String> {
+        self.parsed_or(key, default)
     }
 
     /// `u64` lookup with a default.
-    pub fn u64_or(&self, key: &str, default: u64) -> u64 {
-        match self.get(key) {
-            None => default,
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("expected an integer for {key}=, got '{v}'")),
-        }
+    pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
+        self.parsed_or(key, default)
     }
 
     /// Comma-separated `usize` list with a default.
-    pub fn usize_list_or(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        match self.get(key) {
-            None => default.to_vec(),
-            Some(v) => v
-                .split(',')
-                .map(|p| {
-                    p.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad list entry '{p}' for {key}="))
-                })
-                .collect(),
-        }
+    pub fn usize_list_or(&self, key: &str, default: &[usize]) -> Result<Vec<usize>, String> {
+        self.list_or(key, default)
     }
 
     /// Comma-separated `u64` list with a default.
-    pub fn u64_list_or(&self, key: &str, default: &[u64]) -> Vec<u64> {
+    pub fn u64_list_or(&self, key: &str, default: &[u64]) -> Result<Vec<u64>, String> {
+        self.list_or(key, default)
+    }
+
+    fn parsed_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
-            None => default.to_vec(),
+            None => Ok(default),
             Some(v) => v
-                .split(',')
+                .parse()
+                .map_err(|_| format!("`{key}={v}`: expected an integer")),
+        }
+    }
+
+    fn list_or<T: FromStr + Clone>(&self, key: &str, default: &[T]) -> Result<Vec<T>, String> {
+        match self.get(key) {
+            None => Ok(default.to_vec()),
+            Some(v) => (v.split(','))
                 .map(|p| {
-                    p.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("bad list entry '{p}' for {key}="))
+                    (p.trim().parse())
+                        .map_err(|_| format!("`{key}={v}`: bad list entry '{}'", p.trim()))
                 })
                 .collect(),
         }
@@ -113,23 +106,29 @@ mod tests {
     fn parses_key_values_and_ignores_rest() {
         let o = ov(&["e1-rounds", "n=32", "--csv", "seeds=5000"]);
         assert_eq!(o.get("n"), Some("32"));
-        assert_eq!(o.usize_or("n", 8), 32);
-        assert_eq!(o.u64_or("seeds", 10), 5000);
-        assert_eq!(o.usize_or("missing", 7), 7);
+        assert_eq!(o.usize_or("n", 8), Ok(32));
+        assert_eq!(o.u64_or("seeds", 10), Ok(5000));
+        assert_eq!(o.usize_or("missing", 7), Ok(7));
     }
 
     #[test]
     fn lists() {
         let o = ov(&["sizes=4, 8,16"]);
-        assert_eq!(o.usize_list_or("sizes", &[1]), vec![4, 8, 16]);
-        assert_eq!(o.u64_list_or("ds", &[5]), vec![5]);
+        assert_eq!(o.usize_list_or("sizes", &[1]), Ok(vec![4, 8, 16]));
+        assert_eq!(o.u64_list_or("ds", &[5]), Ok(vec![5]));
     }
 
     #[test]
-    #[should_panic(expected = "expected an integer")]
-    fn malformed_integer_panics() {
-        let o = ov(&["n=banana"]);
-        let _ = o.usize_or("n", 1);
+    fn malformed_values_are_errors_naming_their_token() {
+        let o = ov(&["n=banana", "sizes=4,x"]);
+        let error = o.usize_or("n", 1).unwrap_err();
+        assert!(error.contains("`n=banana`"), "{error}");
+        let error = o.usize_list_or("sizes", &[1]).unwrap_err();
+        assert!(
+            error.contains("`sizes=4,x`") && error.contains("'x'"),
+            "{error}"
+        );
+        assert!(o.u64_or("n", 1).is_err() && o.u64_list_or("sizes", &[1]).is_err());
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //!
 //! A key that no experiment of the run reads (misspelt, or not one of
 //! that experiment's) exits 2 before anything runs; under `all` a key
-//! counts as read if any experiment reads it.
+//! counts as read if any experiment reads it.  So do a malformed value
+//! (`n=banana`) and a token that is neither `--csv`, the experiment nor
+//! `key=value` (`--cvs`, a second experiment name): each is named, with
+//! the usage line.
 
 use twostep_bench::{exp, Overrides, Table};
 
@@ -73,29 +76,29 @@ fn plan(cmd: &str, ov: &Overrides) -> Result<Vec<Job>, String> {
         "e1-rounds" => {
             let d = exp::e1::E1Params::default();
             let p = exp::e1::E1Params {
-                n: ov.usize_or("n", d.n),
-                max_f: ov.usize_or("max_f", d.max_f),
-                seeds: ov.u64_or("seeds", d.seeds),
-                threads: ov.usize_or("threads", d.threads),
+                n: ov.usize_or("n", d.n)?,
+                max_f: ov.usize_or("max_f", d.max_f)?,
+                seeds: ov.u64_or("seeds", d.seeds)?,
+                threads: ov.usize_or("threads", d.threads)?,
             };
             tables(move || vec![exp::e1::table(p)])
         }
         "e2-bestcase" => {
             let d = exp::e2::E2Params::default();
             let p = exp::e2::E2Params {
-                sizes: ov.usize_list_or("sizes", &d.sizes),
+                sizes: ov.usize_list_or("sizes", &d.sizes)?,
             };
             tables(move || vec![exp::e2::table(p)])
         }
         "e3-bits" => {
             let d = exp::e3::E3Params::default();
             let p = exp::e3::E3Params {
-                sizes: ov.usize_list_or("sizes", &d.sizes),
+                sizes: ov.usize_list_or("sizes", &d.sizes)?,
                 widths: ov
                     .u64_list_or(
                         "widths",
                         &d.widths.iter().map(|w| *w as u64).collect::<Vec<_>>(),
-                    )
+                    )?
                     .into_iter()
                     .map(|w| w as u32)
                     .collect(),
@@ -105,10 +108,10 @@ fn plan(cmd: &str, ov: &Overrides) -> Result<Vec<Job>, String> {
         "e4-cost" => {
             let d = exp::e4::E4Params::default();
             let p = exp::e4::E4Params {
-                n: ov.usize_or("n", d.n),
-                big_d: ov.u64_or("D", d.big_d),
-                small_ds: ov.u64_list_or("ds", &d.small_ds),
-                fs: ov.usize_list_or("fs", &d.fs),
+                n: ov.usize_or("n", d.n)?,
+                big_d: ov.u64_or("D", d.big_d)?,
+                small_ds: ov.u64_list_or("ds", &d.small_ds)?,
+                fs: ov.usize_list_or("fs", &d.fs)?,
             };
             tables(move || vec![exp::e4::table(p)])
         }
@@ -116,42 +119,42 @@ fn plan(cmd: &str, ov: &Overrides) -> Result<Vec<Job>, String> {
         "e6-equivalence" => {
             let d = exp::e6::E6Params::default();
             let p = exp::e6::E6Params {
-                sizes: ov.usize_list_or("sizes", &d.sizes),
-                seeds: ov.u64_or("seeds", d.seeds),
-                threads: ov.usize_or("threads", d.threads),
+                sizes: ov.usize_list_or("sizes", &d.sizes)?,
+                seeds: ov.u64_or("seeds", d.seeds)?,
+                threads: ov.usize_or("threads", d.threads)?,
             };
             tables(move || vec![exp::e6::table(p)])
         }
         "e7-bridge" => {
             let d = exp::e7::E7Params::default();
             let p = exp::e7::E7Params {
-                n: ov.usize_or("n", d.n),
-                delay: ov.u64_or("delay", d.delay),
-                fd_latency: ov.u64_or("fd", d.fd_latency),
+                n: ov.usize_or("n", d.n)?,
+                delay: ov.u64_or("delay", d.delay)?,
+                fd_latency: ov.u64_or("fd", d.fd_latency)?,
             };
             tables(move || vec![exp::e7::table(p)])
         }
         "e8-scaling" => {
             let d = exp::e8::E8Params::default();
             let p = exp::e8::E8Params {
-                n: ov.usize_or("n", d.n),
-                batch: ov.u64_or("batch", d.batch),
-                threads: ov.usize_list_or("threads", &d.threads),
-                reps: ov.usize_or("reps", d.reps as usize) as u32,
+                n: ov.usize_or("n", d.n)?,
+                batch: ov.u64_or("batch", d.batch)?,
+                threads: ov.usize_list_or("threads", &d.threads)?,
+                reps: ov.usize_or("reps", d.reps as usize)? as u32,
             };
             tables(move || vec![exp::e8::table(p)])
         }
         "e9-snapshot" => {
             let d = exp::e9::E9Params::default();
             let p = exp::e9::E9Params {
-                sizes: ov.usize_list_or("sizes", &d.sizes),
-                initial: ov.u64_or("initial", d.initial),
-                seeds: ov.u64_or("seeds", d.seeds),
+                sizes: ov.usize_list_or("sizes", &d.sizes)?,
+                initial: ov.u64_or("initial", d.initial)?,
+                seeds: ov.u64_or("seeds", d.seeds)?,
             };
             tables(move || exp::e9::tables(p))
         }
         "fig1-trace" => {
-            let n = ov.usize_or("n", 5);
+            let n = ov.usize_or("n", 5)?;
             match ov.get("schedule") {
                 Some(text) => {
                     let schedule =
@@ -159,13 +162,13 @@ fn plan(cmd: &str, ov: &Overrides) -> Result<Vec<Job>, String> {
                     Box::new(move |_| println!("{}", exp::fig1::render_with(n, &schedule)))
                 }
                 None => {
-                    let prefix = ov.usize_or("prefix", 2);
+                    let prefix = ov.usize_or("prefix", 2)?;
                     Box::new(move |_| println!("{}", exp::fig1::render(n, prefix)))
                 }
             }
         }
         "ablation-commit-order" => {
-            let (n, t) = (ov.usize_or("n", 4), ov.usize_or("t", 2));
+            let (n, t) = (ov.usize_or("n", 4)?, ov.usize_or("t", 2)?);
             tables(move || vec![exp::ablation::table(n, t)])
         }
         "all" => {
@@ -180,25 +183,36 @@ fn plan(cmd: &str, ov: &Overrides) -> Result<Vec<Job>, String> {
     Ok(vec![job])
 }
 
+const USAGE: &str = "usage: repro [--csv] <experiment> [key=value ...]   (try: repro all)";
+
+/// Prints `error` and the usage line, and exits 2: nothing has run.
+fn refuse(error: &str) -> ! {
+    eprintln!("{error}");
+    eprintln!("{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let csv = args.iter().any(|a| a == "--csv");
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !a.contains('='))
-        .cloned();
+    // The experiment is the one bare word; any other token that is
+    // neither `--csv` nor `key=value` is refused by name.
+    let mut cmd = None;
+    for arg in args.iter().filter(|a| *a != "--csv" && !a.contains('=')) {
+        match cmd {
+            None if !arg.starts_with('-') => cmd = Some(arg.clone()),
+            _ => refuse(&format!("repro takes no argument `{arg}`; nothing was run")),
+        }
+    }
     let overrides = Overrides::from_args(&args);
 
     let Some(cmd) = cmd else {
-        eprintln!("usage: repro [--csv] <experiment> [key=value ...]   (try: repro all)");
+        eprintln!("{USAGE}");
         eprintln!("experiments: {} all", ALL.join(" "));
         std::process::exit(2);
     };
 
-    let jobs = plan(&cmd, &overrides).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    });
+    let jobs = plan(&cmd, &overrides).unwrap_or_else(|e| refuse(&e));
     let unread = overrides.unread();
     if !unread.is_empty() {
         let keys: Vec<String> = unread.iter().map(|key| format!("`{key}`")).collect();

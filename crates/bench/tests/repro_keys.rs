@@ -1,6 +1,7 @@
 //! `repro` refuses a `key=value` argument that no experiment of the run
-//! reads, before it runs anything: a misspelt or foreign key would
-//! otherwise print the default tables as if they answered the question.
+//! reads, a malformed value and a stray argument, before it runs
+//! anything: each would otherwise print the default tables as if they
+//! answered the question, or panic.
 
 use std::process::Command;
 
@@ -35,4 +36,42 @@ fn under_all_a_key_counts_as_read_if_any_experiment_reads_it() {
     let stderr = refused(&["all", "n=3", "bogus=1"]);
     assert!(stderr.contains("`bogus`"), "the key is not named: {stderr}");
     assert!(!stderr.contains("`n`"), "a read key is named: {stderr}");
+}
+
+#[test]
+fn a_stray_argument_exits_2_naming_it() {
+    // A misspelt flag, and a second experiment name: neither is the
+    // experiment, `--csv` or a `key=value`.
+    for (args, token) in [
+        (&["ablation-commit-order", "--cvs"][..], "`--cvs`"),
+        (
+            &["ablation-commit-order", "e5-lowerbound"][..],
+            "`e5-lowerbound`",
+        ),
+        (&["--cvs", "ablation-commit-order"][..], "`--cvs`"),
+    ] {
+        let stderr = refused(args);
+        assert!(stderr.contains(token), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: repro"),
+            "{args:?}: no usage line: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_malformed_value_exits_2_naming_its_token() {
+    for (args, token) in [
+        (&["e1-rounds", "n=banana"][..], "`n=banana`"),
+        (&["e2-bestcase", "sizes=4,x"][..], "`sizes=4,x`"),
+        (&["all", "seeds=-1"][..], "`seeds=-1`"),
+    ] {
+        let stderr = refused(args);
+        assert!(stderr.contains(token), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: repro"),
+            "{args:?}: no usage line: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

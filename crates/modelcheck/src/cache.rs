@@ -449,7 +449,7 @@ impl CacheSession {
         validator: EntryValidator,
     ) -> Option<u64>
     where
-        O: Clone + Eq + SpillCodec,
+        O: Clone + Eq + std::hash::Hash + SpillCodec,
     {
         let paths = self.segments(role);
         if let CacheState::Ready(manifest) = &self.state {

@@ -142,6 +142,7 @@ pub use budget::BudgetKind;
 pub use config::{
     CheckableProtocol, ExploreConfig, ExploreOptions, RoundBound, SpecMode, Symmetry, WalkBudget,
 };
+pub(crate) use report::SummaryInterner;
 pub use report::{ExploreError, ExploreReport, Summary, Witness};
 pub(crate) use run::{
     drive_elastic, walk_roots, ElasticOutcome, ElasticPulse, ElasticVerdict, PathedRoot, Run,

@@ -225,6 +225,15 @@ impl<O: Clone + Eq> Summary<O> {
         }
     }
 
+    /// Empties the summary in place, keeping its buffers: what
+    /// [`empty`](Self::empty) returns for the same `t`.
+    pub(super) fn clear(&mut self) {
+        self.terminals = 0;
+        self.worst_round_by_f.fill(None);
+        self.decided.clear();
+        self.violating = false;
+    }
+
     /// Merges `child` in.  The terminal count saturates: a sum past
     /// `u64::MAX` stays there, and so does every sum it reaches, up to
     /// the root ([`ExploreError::TerminalOverflow`]).
@@ -342,7 +351,7 @@ where
 /// buffers are dropped where it is met.  The set has no capacity and no
 /// eviction: it keeps each distinct summary alive for the walker's
 /// lifetime, which is its run's, whatever the memo keeps resident.
-pub(super) struct SummaryInterner<O> {
+pub(crate) struct SummaryInterner<O> {
     met: HashSet<Arc<Summary<O>>, BuildHasherDefault<WordHasher>>,
 }
 
@@ -384,7 +393,7 @@ impl Hasher for WordHasher {
 }
 
 impl<O: Clone + Eq + Hash> SummaryInterner<O> {
-    pub(super) fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SummaryInterner {
             met: HashSet::default(),
         }
@@ -401,12 +410,31 @@ impl<O: Clone + Eq + Hash> SummaryInterner<O> {
         fresh
     }
 
+    /// The shared `Arc` of `summary`: the one met before, dropping
+    /// `summary`, or `summary` itself on first sight — for a summary
+    /// that is an `Arc` already, such as one an import decoded.
+    pub(crate) fn shared(&mut self, summary: Arc<Summary<O>>) -> Arc<Summary<O>> {
+        match self.met(&summary) {
+            Some(met) => met,
+            None => {
+                self.met.insert(Arc::clone(&summary));
+                summary
+            }
+        }
+    }
+
+    /// The shared `Arc` of a summary equal to `summary`, if one was
+    /// met before.
+    pub(super) fn met(&self, summary: &Summary<O>) -> Option<Arc<Summary<O>>> {
+        self.met.get(summary).cloned()
+    }
+
     /// The shared `Arc` of `summary`, which is cloned on first sight
     /// only — for a summary in a scratch buffer the caller goes on to
     /// rewrite.
     pub(super) fn interned(&mut self, summary: &Summary<O>) -> Arc<Summary<O>> {
-        match self.met.get(summary) {
-            Some(met) => Arc::clone(met),
+        match self.met(summary) {
+            Some(met) => met,
             None => self.intern(summary.clone()),
         }
     }

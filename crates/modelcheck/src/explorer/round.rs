@@ -137,16 +137,18 @@
 //!    Above the frame there is a **cache level**.  A block whose
 //!    signature its frame has not taken may have been taken by an
 //!    *earlier* frame, and the walker keeps what such blocks came to in
-//!    a [`BlockCache`] — 1 024 direct-mapped slots in one arena — keyed
-//!    by a block's **content**: the child round, the process count and
-//!    the crashes left, then the signature with every id replaced by
-//!    the record it names, so equal contents are equal child keys, row
-//!    for row.  A slot holds the block's row count, the terminals its
-//!    rows added, and its *shape*: the rest of what they folded into
-//!    their frame — worst rounds, `decided` in discovery order, the
-//!    violation flag — a summary with no terminal, interned walker-wide
-//!    by the [`SummaryInterner`] every summary the walker memoizes
-//!    passes through too, so equal shapes are one allocation.  To
+//!    a [`BlockCache`] — sets of slots that double with the blocks the
+//!    walk stores, over one arena of contents at their own length —
+//!    keyed by a block's **content**: the child round, the process
+//!    count and the crashes left, then the signature with every id
+//!    replaced by the record it names, so equal contents are equal
+//!    child keys, row for row.  An entry holds the block's row count,
+//!    the terminals its rows added, and its *shape*: the rest of what
+//!    they folded into their frame — worst rounds, `decided` in
+//!    discovery order, the violation flag — a summary with no terminal,
+//!    interned walker-wide by the [`SummaryInterner`] every summary the
+//!    walker memoizes passes through too, so equal shapes are one
+//!    allocation.  To
 //!    record a block, its round keeps an accumulator for it while it is
 //!    open: every summary the frame absorbs in it, and, once each (a
 //!    per-class stamp), the class of a row that repeats one the frame
@@ -180,22 +182,22 @@
 //!
 //! At `(8, 7)` the walk meets 33 138 blocks (31 367 of more than one
 //! row) in 2 936 634 rows.  13 215 repeat a signature their frame has
-//! taken; of the 18 152 others the cache holds 4 567, and those are
-//! taken whole as well — 420 633 rows — so 2 163 392 rows are never
-//! classified.  The 773 242 that are fall into 279 911 classes, and the
-//! first row of each is keyed and probed — 275 345 memo probes a walk,
-//! the root's included; the other 4 567 start a block the cache takes.
+//! taken; of the 18 152 others the cache holds 6 946, and those are
+//! taken whole as well — 724 740 rows — so 2 465 120 rows are never
+//! classified.  The 471 514 that are fall into 202 111 classes, and the
+//! first row of each is keyed and probed — 195 166 memo probes a walk,
+//! the root's included; the other 6 946 start a block the cache takes.
 //! Every other row costs a table lookup and an addition.  (The serial
 //! walk's unlimited budget took those rows in silence before: its
 //! 2 945 827 steps take 284 537 `step()` calls.)  Of the 47 788 children
 //! nothing answers for, 38 597 are terminal and settled from their
 //! rows, under 64 distinct summaries; 9 191 are forked, stepped and
 //! expanded; the tier encoder runs on a [`Stepper`] once, for the root.
-//! Under `partial+value` the 2 420 154 rows meet 19 346 blocks, of
-//! which the frames' tables take 8 652 and the cache 2 923 of the
-//! 10 010 others, and 1 810 614 rows are never classified; the rest
-//! fall into 201 402 classes, those into 57 011 orbit classes — the
-//! keys assembled and probed — and of the 5 786 children nothing
+//! Under `partial+value` the 2 420 154 rows meet 18 662 blocks of more
+//! than one row, of which the frames' tables take 8 652 and the cache
+//! 4 386 of the 10 010 others, and 2 037 546 rows are never classified;
+//! the rest fall into 142 707 classes, those into 41 874 orbit classes
+//! — the keys assembled and probed — and of the 5 786 children nothing
 //! answers for 2 810 are settled from their rows and 2 976 expand.  An
 //! index row can only name active processes.
 //! The distributed frontier expander, the steal harvester and witness
@@ -432,14 +434,14 @@ where
 
 /// A block the walk entered at its first row: its number in the block
 /// table, that row, the row after its last, the frame's terminal count
-/// before it, and the hash of its content if a cache slot can hold it.
+/// before it, and the hash of its content.
 #[derive(Clone, Copy)]
 struct OpenBlock {
     block: usize,
     first: usize,
     end: usize,
     terminals: u64,
-    content: Option<u64>,
+    hash: u64,
 }
 
 /// What `RoundKeys::block_counts` counts.
@@ -813,71 +815,123 @@ impl<V> ClassTable<V> {
 /// an earlier frame took from first row to last, each with its row
 /// count, the terminals its rows added and its *shape* — the rest of
 /// what they folded into their frame, a summary with no terminal, whose
-/// `Arc` the walker's [`SummaryInterner`] hands out.  Direct-mapped by
-/// the content's [`stable_hash64`], hits verified on the full bytes; a
-/// store replaces whatever held its slot, and a content longer than a
-/// slot is never kept.  The slots share one arena, allocated at the
-/// first store.
+/// `Arc` the walker's [`SummaryInterner`] hands out.
+///
+/// Its size is the walk's own.  The slots come in sets of
+/// [`WAYS`](Self::WAYS), picked by the content's [`stable_hash64`],
+/// each set kept in order of last use — a hit moves its block to the
+/// front, a store puts its block there and drops the set's last one
+/// if the set is full — and a hit is verified on the full bytes.  The
+/// sets double when the contents stored since they last doubled reach
+/// the number of slots: a rehash that loses nothing, each old set
+/// going to two new ones in its order.  So the slots stay about as
+/// many as the blocks the walk has stored: 8 192 at the end of the
+/// serial CRW `(8, 7)` walk, 4 096 under `partial+value`.
+///
+/// A slot is 16 bytes: the shape, the high half of the content's hash,
+/// and where the block's record starts in one arena — its content's
+/// length, its row count and its terminal count as varints, then the
+/// content, at its own length, whatever that is.  A dropped block's
+/// record is dead; when the dead bytes exceed a quarter of the live
+/// ones, the live records move down over them, in arena order, so the
+/// arena stays within 1.25 times its live bytes and one record.
+/// Nothing is allocated before the first store.
 pub(super) struct BlockCache<O> {
+    /// `WAYS` slots per set, a power of two of sets once anything is
+    /// stored; in each set the occupied slots come first, most recently
+    /// used first.
     slots: Vec<Option<CachedBlock<O>>>,
-    /// Slot `s`'s content: `arena[s * slot_bytes..][..len]`, `len` its
-    /// block's.
+    /// The blocks' records, back to back.
     arena: Vec<u8>,
-    slot_bytes: usize,
+    /// Bytes of `arena` that no slot names.
+    dead: usize,
+    /// Contents stored since the sets last doubled.
+    stored: usize,
+    /// Whether a store keeps its block: a walk whose cache keeps
+    /// nothing is a test's differential.
+    #[cfg(test)]
+    keeps: bool,
 }
 
-/// One occupied slot of a [`BlockCache`].
+/// One occupied slot of a [`BlockCache`]: its block's interned shape,
+/// the high half of its content's hash, and where its record starts.
 #[derive(Clone, PartialEq, Eq)]
 struct CachedBlock<O> {
-    hash: u64,
-    terminals: u64,
-    rows: usize,
     shape: Arc<Summary<O>>,
-    len: u32,
+    check: u32,
+    at: u32,
+}
+
+/// What a [`BlockCache`] record holds besides its content, and where.
+struct Record {
+    rows: usize,
+    terminals: u64,
+    /// The content's range in the arena; its end is the record's.
+    content: std::ops::Range<usize>,
 }
 
 impl<O: Clone + Eq + Hash> BlockCache<O> {
-    /// Sized by the `crw8-quotient` benchmark's peak RSS, which leaves
-    /// room for well under 1 MiB: a slot is the smallest multiple of 16
-    /// bytes that holds every content the CRW walks meet through
-    /// `(10, 9)` in either symmetry mode — their integers varints, the
-    /// longest 122, 138 and 154 bytes at `(8, 7)`, `(9, 8)` and
-    /// `(10, 9)`, about 69, 77 and 86 on average with symmetry off —
-    /// so the 1 024 slots take 160 KiB.
-    const SLOTS: usize = 1024;
-    const SLOT_BYTES: usize = 160;
+    /// Slots per set.  With the slot count the walk derives, one slot
+    /// per set (direct-mapped) took 3 406 of the 10 010 blocks the CRW
+    /// `(8, 7)` walk asks under `partial+value`, eight take 4 386, and a
+    /// cache that never drops a block would take 4 859.
+    const WAYS: usize = 8;
 
     pub(super) fn new() -> Self {
-        Self::with_slot_bytes(Self::SLOT_BYTES)
-    }
-
-    fn with_slot_bytes(slot_bytes: usize) -> Self {
         BlockCache {
             slots: Vec::new(),
             arena: Vec::new(),
-            slot_bytes,
+            dead: 0,
+            stored: 0,
+            #[cfg(test)]
+            keeps: true,
         }
     }
 
-    fn fits(&self, content: &[u8]) -> bool {
-        content.len() <= self.slot_bytes
+    /// The slots of the set `hash` picks.
+    fn set_of(&self, hash: u64) -> std::ops::Range<usize> {
+        let sets = self.slots.len() / Self::WAYS;
+        let first = (hash as usize & (sets - 1)) * Self::WAYS;
+        first..first + Self::WAYS
     }
 
-    fn slot_of(hash: u64) -> usize {
-        hash as usize & (Self::SLOTS - 1)
+    fn record(&self, block: &CachedBlock<O>) -> Record {
+        let mut input = &self.arena[block.at as usize..];
+        let mut varint = || u64::decode(&mut input).expect("a cache record's head");
+        let (len, rows, terminals) = (varint() as usize, varint() as usize, varint());
+        let start = self.arena.len() - input.len();
+        Record {
+            rows,
+            terminals,
+            content: start..start + len,
+        }
+    }
+
+    fn content(&self, block: &CachedBlock<O>) -> &[u8] {
+        &self.arena[self.record(block).content]
     }
 
     /// The rows, the terminals and the shape of the block stored under
-    /// `content`, whose hash is `hash`, if its slot still holds it.
-    fn get(&self, hash: u64, content: &[u8]) -> Option<(usize, u64, &Summary<O>)> {
-        let slot = Self::slot_of(hash);
-        let stored = self.slots.get(slot)?.as_ref()?;
-        let bytes = &self.arena[slot * self.slot_bytes..][..stored.len as usize];
-        (stored.hash == hash && bytes == content).then_some((
-            stored.rows,
-            stored.terminals,
-            &*stored.shape,
-        ))
+    /// `content`, whose hash is `hash`, if its set still holds it — and
+    /// then it is the set's most recently used.
+    fn get(&mut self, hash: u64, content: &[u8]) -> Option<(usize, u64, &Summary<O>)> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let set = self.set_of(hash);
+        let check = (hash >> 32) as u32;
+        let found = self.slots[set.clone()]
+            .iter()
+            .map_while(Option::as_ref)
+            .position(|block| block.check == check && self.content(block) == content)?;
+        self.slots[set.start..=set.start + found].rotate_right(1);
+        let block = self.slots[set.start]
+            .as_ref()
+            .expect("the block just found");
+        let Record {
+            rows, terminals, ..
+        } = self.record(block);
+        Some((rows, terminals, &*block.shape))
     }
 
     /// Stores the block whose content is `content` (hash `hash`): its
@@ -890,22 +944,69 @@ impl<O: Clone + Eq + Hash> BlockCache<O> {
         terminals: u64,
         shape: Arc<Summary<O>>,
     ) {
-        if !self.fits(content) {
+        #[cfg(test)]
+        if !self.keeps {
             return;
         }
         if self.slots.is_empty() {
-            self.slots = vec![None; Self::SLOTS];
-            self.arena = vec![0; Self::SLOTS * self.slot_bytes];
+            self.slots.resize_with(Self::WAYS, || None);
         }
-        let slot = Self::slot_of(hash);
-        self.arena[slot * self.slot_bytes..][..content.len()].copy_from_slice(content);
-        self.slots[slot] = Some(CachedBlock {
-            hash,
-            terminals,
-            rows,
+        let at = u32::try_from(self.arena.len()).expect("a block cache's arena fits a u32 offset");
+        content.len().encode(&mut self.arena);
+        rows.encode(&mut self.arena);
+        terminals.encode(&mut self.arena);
+        self.arena.extend_from_slice(content);
+        let set = self.set_of(hash);
+        self.slots[set.clone()].rotate_right(1);
+        let block = CachedBlock {
             shape,
-            len: content.len() as u32,
-        });
+            check: (hash >> 32) as u32,
+            at,
+        };
+        if let Some(dropped) = self.slots[set.start].replace(block) {
+            self.dead += self.record(&dropped).content.end - dropped.at as usize;
+        }
+        self.stored += 1;
+        if self.stored == self.slots.len() {
+            self.grow();
+        }
+        if 4 * self.dead > self.arena.len() - self.dead {
+            self.compact();
+        }
+    }
+
+    /// Doubles the sets: each block moves to the one of its old set's
+    /// two heirs its hash picks, in the order it stood in, so none is
+    /// lost and each set stays in order of last use.
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        self.slots.resize_with(2 * old.len(), || None);
+        let mut next = vec![0; 2 * old.len() / Self::WAYS];
+        for block in old.into_iter().flatten() {
+            let set = self.set_of(stable_hash64(self.content(&block)));
+            let slot = set.start + next[set.start / Self::WAYS];
+            next[set.start / Self::WAYS] += 1;
+            self.slots[slot] = Some(block);
+        }
+        self.stored = 0;
+    }
+
+    /// Moves the live records down over the dead bytes, in arena order.
+    fn compact(&mut self) {
+        let mut order: Vec<usize> = (0..self.slots.len())
+            .filter(|slot| self.slots[*slot].is_some())
+            .collect();
+        order.sort_unstable_by_key(|slot| self.slots[*slot].as_ref().map(|block| block.at));
+        let mut to = 0;
+        for slot in order {
+            let block = self.slots[slot].as_ref().expect("an occupied slot");
+            let (from, end) = (block.at as usize, self.record(block).content.end);
+            self.arena.copy_within(from..end, to);
+            self.slots[slot].as_mut().expect("an occupied slot").at = to as u32;
+            to += end - from;
+        }
+        self.arena.truncate(to);
+        self.dead = 0;
     }
 }
 
@@ -1342,12 +1443,10 @@ where
             if open.end == idx && acc.terminals != u64::MAX {
                 let added = acc.terminals - open.terminals;
                 self.blocks.values[open.block] = Some(added);
-                if let Some(hash) = open.content {
-                    let rows = open.end - open.first;
-                    self.block_acc.terminals = 0;
-                    let shape = interner.interned(&self.block_acc);
-                    cache.store(hash, &self.content, rows, added, shape);
-                }
+                self.block_acc.terminals = 0;
+                let shape = interner.interned(&self.block_acc);
+                let rows = open.end - open.first;
+                cache.store(open.hash, &self.content, rows, added, shape);
             }
         }
         let (block, rows) = self.cursor_block()?;
@@ -1361,12 +1460,8 @@ where
             return whole.then_some(rows);
         }
         self.cursor_content();
-        let content = cache
-            .fits(&self.content)
-            .then(|| stable_hash64(&self.content));
-        if let Some((stored, added, shape)) =
-            content.and_then(|hash| cache.get(hash, &self.content))
-        {
+        let hash = stable_hash64(&self.content);
+        if let Some((stored, added, shape)) = cache.get(hash, &self.content) {
             debug_assert_eq!(stored, rows, "one content, one row count");
             let whole = rows as u64 <= room();
             #[cfg(test)]
@@ -1379,16 +1474,13 @@ where
             }
         }
         self.opened += 1;
-        let folded = &mut self.block_acc;
-        folded.worst_round_by_f.fill(None);
-        folded.decided.clear();
-        folded.violating = false;
+        self.block_acc.clear();
         self.open_block = Some(OpenBlock {
             block,
             first: idx,
             end: idx + rows,
             terminals: acc.terminals,
-            content,
+            hash,
         });
         None
     }
@@ -1433,15 +1525,15 @@ where
     /// signature with every id replaced by the record it names, so that
     /// equal contents are equal child keys, row for row.  The child
     /// round, the process count and the crashes left, then per process
-    /// a tag and its records, each length-prefixed: `0` and the record
-    /// of a process settled before the round, `1` and the record of a
-    /// slot before the cut, `2`, the outcome count and the record of
-    /// every outcome, survival first, of a slot from the cut on.
+    /// the number of records a row may give it and those records: one
+    /// for a process settled before the round or a slot before the cut,
+    /// and for a slot from the cut on one per outcome, survival first.
+    /// A record needs no length: records are self-delimiting, as in a
+    /// key, which is their concatenation.
     fn cursor_content(&mut self) {
         let (records, ranges) = (&self.records, &self.ranges);
-        let record = |id: u32, content: &mut Vec<u8>| {
-            let (from, to) = ranges[id as usize];
-            (to - from).encode(content);
+        let record = |id: &u32, content: &mut Vec<u8>| {
+            let (from, to) = ranges[*id as usize];
             content.extend_from_slice(&records[from as usize..to as usize]);
         };
         let (content, signature) = (&mut self.content, &self.signature);
@@ -1453,24 +1545,20 @@ where
         // cut on start in the signature.
         let (mut slot, mut past) = (0, self.cut + 1);
         for fixed in &self.fixed {
-            match *fixed {
-                Some(id) => {
-                    content.push(0);
-                    record(id, content);
-                }
+            let ids = match fixed {
+                Some(id) => std::slice::from_ref(id),
                 None if slot < self.cut => {
-                    content.push(1);
-                    record(signature[slot], content);
                     slot += 1;
+                    &signature[slot - 1..slot]
                 }
                 None => {
                     let ids = &signature[past..][..self.outcomes[slot].len() + 1];
-                    content.push(2);
-                    ids.len().encode(content);
-                    ids.iter().for_each(|id| record(*id, content));
                     (slot, past) = (slot + 1, past + ids.len());
+                    ids
                 }
-            }
+            };
+            ids.len().encode(content);
+            ids.iter().for_each(|id| record(id, content));
         }
     }
 

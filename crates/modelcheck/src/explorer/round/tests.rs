@@ -658,7 +658,7 @@ fn shape(value: u64) -> Summary<u64> {
     }
 }
 
-/// Two contents forced to one hash share a slot and never answer for
+/// Two contents forced to one hash share a set and never answer for
 /// each other: a hit is verified on the full bytes.
 pub(in crate::explorer) fn block_cache_contents_of_one_hash_never_answer_for_each_other() {
     let mut cache = BlockCache::<u64>::new();
@@ -669,74 +669,174 @@ pub(in crate::explorer) fn block_cache_contents_of_one_hash_never_answer_for_eac
     assert_eq!(cache.get(forged, b), None, "a answered for b");
     cache.store(forged, b, 4, 9, Arc::new(shape(2)));
     assert_eq!(cache.get(forged, b), Some((4, 9, &shape(2))));
-    assert_eq!(cache.get(forged, a), None, "b answered for a");
+    assert_eq!(
+        cache.get(forged, a),
+        Some((3, 7, &shape(1))),
+        "b answered for a"
+    );
 }
 
-/// A store over an occupied slot — another content, another hash, the
-/// same slot — replaces what the slot held.
+/// `count` contents, each with its hash, that fall in one set of a
+/// cache of one or two sets: their hashes are even.
+fn one_set(count: usize) -> Vec<(u64, Vec<u8>)> {
+    (0u32..)
+        .map(|i| i.to_le_bytes().to_vec())
+        .map(|content| (stable_hash64(&content), content))
+        .filter(|(hash, _)| hash % 2 == 0)
+        .take(count)
+        .collect()
+}
+
+/// A store into a full set — another content, another hash, the same
+/// set — drops what the set held longest.
 pub(in crate::explorer) fn block_cache_store_over_an_occupied_slot_replaces_it() {
     let mut cache = BlockCache::<u64>::new();
-    let (a, b) = (&b"content-a"[..], &b"content-b"[..]);
-    let (first, second) = (5, 5 + BlockCache::<u64>::SLOTS as u64);
-    assert_eq!(
-        BlockCache::<u64>::slot_of(first),
-        BlockCache::<u64>::slot_of(second)
-    );
-    cache.store(first, a, 3, 7, Arc::new(shape(1)));
-    cache.store(second, b, 4, 9, Arc::new(shape(2)));
-    assert_eq!(cache.get(first, a), None, "the slot still held a");
-    assert_eq!(cache.get(second, b), Some((4, 9, &shape(2))));
+    let ways = BlockCache::<u64>::WAYS;
+    let contents = one_set(ways + 1);
+    let ((first, a), (last, b)) = (&contents[0], &contents[ways]);
+    for (hash, content) in &contents[..ways] {
+        cache.store(*hash, content, 3, 7, Arc::new(shape(1)));
+    }
+    assert_eq!(cache.slots.len(), 2 * ways, "the sets doubled");
+    assert_eq!(cache.set_of(*first), cache.set_of(*last));
+    cache.store(*last, b, 4, 9, Arc::new(shape(2)));
+    assert_eq!(cache.get(*first, a), None, "the set still held a");
+    assert_eq!(cache.get(*last, b), Some((4, 9, &shape(2))));
 }
 
-/// A content longer than a slot is never stored — and a walk whose
-/// cache fits no content takes no block across frames: it walks each
-/// such block row by row, to the same summaries and states.
-pub(in crate::explorer) fn block_cache_keeps_no_content_longer_than_a_slot() {
-    use twostep_model::WideValue;
+/// A hit makes its block the most recently used of its set: a full
+/// set's next store drops the block used longest ago, not the one
+/// stored first.
+pub(in crate::explorer) fn block_cache_a_set_drops_its_least_recently_used() {
     let mut cache = BlockCache::<u64>::new();
-    let long = vec![7; BlockCache::<u64>::SLOT_BYTES + 1];
-    let (hash, fitting) = (stable_hash64(&long), &long[1..]);
-    assert!(!cache.fits(&long) && cache.fits(fitting));
-    cache.store(hash, &long, 3, 7, Arc::new(shape(1)));
-    assert_eq!(cache.get(hash, &long), None);
-    assert!(cache.slots.is_empty(), "a refused store allocates nothing");
-    cache.store(hash, fitting, 3, 7, Arc::new(shape(1)));
-    assert_eq!(cache.get(hash, fitting), Some((3, 7, &shape(1))));
+    let ways = BlockCache::<u64>::WAYS;
+    let contents = one_set(ways + 1);
+    for (i, (hash, content)) in contents[..ways].iter().enumerate() {
+        cache.store(*hash, content, 1, i as u64, Arc::new(shape(1)));
+    }
+    assert_eq!(cache.slots.len(), 2 * ways, "the sets doubled");
+    let (hash, content) = &contents[0];
+    assert!(cache.get(*hash, content).is_some());
+    let (hash, content) = &contents[ways];
+    cache.store(*hash, content, 1, ways as u64, Arc::new(shape(1)));
+    for (i, (hash, content)) in contents.iter().enumerate() {
+        let kept = cache.get(*hash, content);
+        assert_eq!(kept.is_some(), i != 1, "{i}");
+        assert!(kept.is_none_or(|(_, terminals, _)| terminals == i as u64));
+    }
+}
 
+/// The slots grow with the contents stored, and growing loses none: a
+/// store may drop the one content its slot held, and nothing else,
+/// and no content ever answers for another.  The arena holds each
+/// content at its own length, and at most twice the live bytes and one
+/// content.
+pub(in crate::explorer) fn block_cache_growth_keeps_stored_contents_answerable() {
+    let mut cache = BlockCache::<u64>::new();
+    assert!(cache.get(1, b"x").is_none() && cache.slots.is_empty());
+    let content = |i: u64| {
+        let mut bytes = i.to_le_bytes().to_vec();
+        bytes.resize(1 + (i % 37) as usize * 5, i as u8);
+        bytes
+    };
+    let answers = |cache: &mut BlockCache<u64>, i: u64| {
+        let bytes = content(i);
+        let got = cache.get(stable_hash64(&bytes), &bytes);
+        if let Some(got) = got {
+            assert_eq!(
+                got,
+                (i as usize, 2 * i, &shape(i % 3)),
+                "{i} answered for another"
+            );
+        }
+        got.is_some()
+    };
+    let mut held: Vec<u64> = Vec::new();
+    for i in 0..3_000 {
+        let bytes = content(i);
+        cache.store(
+            stable_hash64(&bytes),
+            &bytes,
+            i as usize,
+            2 * i,
+            Arc::new(shape(i % 3)),
+        );
+        assert!(answers(&mut cache, i), "{i} was not kept");
+        let before = held.len();
+        held.retain(|&j| answers(&mut cache, j));
+        assert!(
+            held.len() + 1 >= before,
+            "store {i} dropped more than its slot"
+        );
+        held.push(i);
+        let live: usize = (cache.slots.iter().flatten())
+            .map(|block| cache.record(block).content.end - block.at as usize)
+            .sum();
+        assert_eq!(live + cache.dead, cache.arena.len());
+        assert!(4 * cache.dead <= live, "store {i}");
+    }
+    assert!(cache.slots.len().is_power_of_two());
+    assert!(
+        (2_048..=4_096).contains(&cache.slots.len()),
+        "{}",
+        cache.slots.len()
+    );
+    // Each occupied slot answers for the one content it holds.
+    assert_eq!(held.len(), cache.slots.iter().flatten().count());
+    assert!(held.len() > 3_000 / 3, "{} of 3 000 held", held.len());
+}
+
+/// A content is kept whatever its length — none, or longer than any
+/// block's — and answers with what was stored under it.
+pub(in crate::explorer) fn block_cache_keeps_a_content_of_any_length() {
+    let mut cache = BlockCache::<u64>::new();
+    let long = vec![7; 1 << 16];
+    // Two slots after the first store: these hashes take one each.
+    let (hash, empty_hash) = (2, 3);
+    cache.store(hash, &long, 3, 7, Arc::new(shape(1)));
+    cache.store(empty_hash, &[], 1, 2, Arc::new(shape(2)));
+    assert_eq!(cache.get(hash, &long), Some((3, 7, &shape(1))));
+    assert_eq!(cache.get(empty_hash, &[]), Some((1, 2, &shape(2))));
+    assert_eq!(cache.get(hash, &long[1..]), None);
+}
+
+/// A walker whose cache keeps nothing takes no block across frames: it
+/// walks each such block row by row — or takes it from its frame's
+/// table — to the same summaries and the same states.
+pub(in crate::explorer) fn a_walk_whose_cache_keeps_nothing_ends_alike() {
+    use twostep_model::WideValue;
     let system = SystemConfig::new(5, 4).unwrap();
     let bits: Vec<WideValue> = (0..5).map(|i| WideValue::new(1, i % 2)).collect();
     let procs = twostep_core::crw_processes(&system, &bits);
     let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs.clone()).unwrap();
-    let walk = |slot_bytes: usize| {
+    let walk = |keeps: bool| {
         let config = ExploreConfig::for_crw(&system);
         let options = ExploreOptions::serial();
         let shared = Shared::new(system, config, &options, &bits, procs.clone()).unwrap();
         let mut walker = Walker::new(&shared);
-        walker.blocks = BlockCache::with_slot_bytes(slot_bytes);
+        walker.blocks.keeps = keeps;
         let mut walk = StepWalker::new(&mut walker, vec![root.clone()]);
         let mut yielding = BudgetArbiter::new(WalkBudget {
             yield_every: Some(BEYOND_BLOCKS),
             ..WalkBudget::unlimited()
         });
         while walk.step(&mut yielding).unwrap().status != StepStatus::Done {}
-        (
-            walk.block_counts(),
-            walk.into_summaries(),
-            shared.memo.len(),
-        )
+        let (counts, summaries) = (walk.block_counts(), walk.into_summaries());
+        assert_eq!(walker.blocks.slots.is_empty(), !keeps, "{counts:?}");
+        (counts, summaries, shared.memo.len())
     };
-    let (cached, summaries, states) = walk(BlockCache::<u64>::SLOT_BYTES);
-    let (narrow, narrow_summaries, narrow_states) = walk(0);
+    let (cached, summaries, states) = walk(true);
+    let (bare, bare_summaries, bare_states) = walk(false);
     assert!(cached.across > 0, "{cached:?}");
-    assert!(narrow.across == 0 && narrow.whole > 0, "{narrow:?}");
-    assert_eq!((narrow_summaries, narrow_states), (summaries, states));
+    assert!(bare.across == 0 && bare.whole > 0, "{bare:?}");
+    assert_eq!((bare_summaries, bare_states), (summaries, states));
 }
 
 /// Shapes are interned by value, in the walker's summary interner: a
 /// summary's worst rounds, its values in discovery order, its flag and
 /// its count, which a block's accumulator zeroes before its shape is
-/// stored.  Over the CRW `(5, 4)` walk, every shape the cache holds has
-/// no terminal, is the interner's own `Arc`, and two equal ones are one
+/// stored.  Over the CRW `(5, 4)` walk, every shape the cache stores
+/// has no terminal, is the interner's own `Arc`, and two equal ones are one
 /// allocation.
 pub(in crate::explorer) fn block_cache_equal_shapes_share_one_id() {
     use twostep_model::WideValue;
@@ -770,11 +870,17 @@ pub(in crate::explorer) fn block_cache_equal_shapes_share_one_id() {
     let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
     let mut walker = Walker::new(&shared);
     let mut walk = StepWalker::new(&mut walker, vec![root]);
-    while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+    // Every content the walk stores, with its shape: the cache's final
+    // slots hold only those no later store replaced.
+    let mut by_content = std::collections::HashMap::new();
+    while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {
+        let cache = walk.block_cache();
+        for block in cache.slots.iter().flatten() {
+            by_content.insert(cache.content(block).to_vec(), Arc::clone(&block.shape));
+        }
+    }
     drop(walk);
-    let stored: Vec<Arc<Summary<WideValue>>> = (walker.blocks.slots.iter().flatten())
-        .map(|block| Arc::clone(&block.shape))
-        .collect();
+    let stored: Vec<Arc<Summary<WideValue>>> = by_content.into_values().collect();
     let mut distinct: Vec<&Arc<Summary<WideValue>>> = Vec::new();
     for shape in &stored {
         assert_eq!(shape.terminals, 0, "a shape has no terminal");
@@ -809,25 +915,28 @@ fn assert_cached_block_is_its_rows<P>(
     P::Output: Hash + SpillCodec,
 {
     let stored = cache.slots[slot].as_ref().expect("an occupied slot");
-    let mut input = &cache.arena[slot * cache.slot_bytes..][..stored.len as usize];
+    let (mut input, record) = (cache.content(stored), cache.record(stored));
     let decode = |input: &mut &[u8]| u32::decode(input).expect("a u32");
     let (round, processes, left) = (decode(&mut input), decode(&mut input), decode(&mut input));
-    let record = |input: &mut &[u8]| {
-        let len = usize::decode(input).expect("a length");
-        let (record, rest) = input.split_at(len);
-        *input = rest;
+    // A record is as long as the key decoder finds a one-process key
+    // made of it.
+    let split = |input: &mut &[u8]| {
+        let mut key = Vec::new();
+        round.encode(&mut key);
+        1u32.encode(&mut key);
+        let head = key.len();
+        key.extend_from_slice(input);
+        let mut rest = &key[..];
+        crate::memo::decode_key_prefix::<P>(&mut rest).expect("a key record");
+        let (record, tail) = input.split_at(key.len() - head - rest.len());
+        *input = tail;
         record.to_vec()
     };
     // Per process, the records a row may give it, survival first.
     let mut choices: Vec<Vec<Vec<u8>>> = Vec::new();
     for _ in 0..processes {
-        let tag = input[0];
-        input = &input[1..];
-        let count = match tag {
-            2 => usize::decode(&mut input).expect("an outcome count"),
-            _ => 1,
-        };
-        choices.push((0..count).map(|_| record(&mut input)).collect());
+        let count = usize::decode(&mut input).expect("a record count");
+        choices.push((0..count).map(|_| split(&mut input)).collect());
     }
     assert!(input.is_empty(), "{label}: slot {slot} has trailing bytes");
     fn product(choices: &[usize], left: usize, row: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
@@ -856,7 +965,7 @@ fn assert_cached_block_is_its_rows<P>(
         folded.absorb(&summary.expect("a cached block's children are memoized"));
     }
     assert_eq!(
-        (stored.rows, stored.terminals),
+        (record.rows, record.terminals),
         (rows.len(), folded.terminals),
         "{label}: slot {slot}"
     );
@@ -889,18 +998,26 @@ where
     let root = Stepper::new(system, config.model, TraceLevel::Off, procs).unwrap();
     let mut walker = Walker::new(&shared);
     let mut walk = StepWalker::new(&mut walker, vec![root]);
-    let (mut seen, mut checked) = (Vec::new(), 0);
+    // What each checked block was stored with: its content, count,
+    // terminals and shape — not its slot or arena offset, which a
+    // growth or a compaction moves.
+    let mut seen = std::collections::HashSet::new();
     while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {
         let cache = walk.block_cache();
-        seen.resize(cache.slots.len(), None);
         for (slot, stored) in cache.slots.iter().enumerate() {
-            if *stored != seen[slot] {
+            let Some(stored) = stored else { continue };
+            let record = cache.record(stored);
+            let what = (
+                cache.content(stored).to_vec(),
+                record.rows,
+                record.terminals,
+            );
+            if seen.insert((what, Arc::clone(&stored.shape))) {
                 assert_cached_block_is_its_rows(&shared, cache, slot, label);
-                (seen[slot], checked) = (stored.clone(), checked + 1);
             }
         }
     }
-    checked
+    seen.len()
 }
 
 pub(in crate::explorer) fn cached_blocks_are_the_fold_of_their_rows() {
@@ -961,7 +1078,8 @@ pub(in crate::explorer) fn a_block_stores_the_classes_its_rows_repeat() {
     let added = 3 + 2 * (end as u64 - 2);
     let stored = cache.slots.iter().flatten().next();
     let stored = stored.expect("the block is stored when the walk leaves it");
-    assert_eq!((stored.rows, stored.terminals), (end, added));
+    let record = cache.record(stored);
+    assert_eq!((record.rows, record.terminals), (end, added));
     assert_eq!(
         stored.shape.worst_round_by_f,
         [Some(7), Some(8), None, None]
@@ -974,4 +1092,55 @@ pub(in crate::explorer) fn a_block_stores_the_classes_its_rows_repeat() {
     assert_eq!(taken, Some(end));
     assert_eq!(acc.worst_round_by_f, [Some(7), Some(8), None, None]);
     assert_eq!(acc.terminals, added);
+}
+
+/// The serial CRW `(n, n - 1)` walk, `i % 2` proposals, under
+/// `symmetry`: the blocks its rounds took whole from their tables and
+/// from the cache and split, and the cache's final slots and bytes.
+fn block_traffic(n: usize, symmetry: Symmetry) -> (BlockCounts, usize, usize) {
+    use twostep_model::WideValue;
+    let system = SystemConfig::new(n, n - 1).unwrap();
+    let bits: Vec<WideValue> = (0..n).map(|i| WideValue::new(1, i as u64 % 2)).collect();
+    let procs = twostep_core::crw_processes(&system, &bits);
+    let config = ExploreConfig {
+        symmetry,
+        ..ExploreConfig::for_crw(&system)
+    };
+    let options = ExploreOptions::serial();
+    let shared = Shared::new(system, config, &options, &bits, procs.clone()).unwrap();
+    let root = Stepper::new(system, ModelKind::Extended, TraceLevel::Off, procs).unwrap();
+    let mut walker = Walker::new(&shared);
+    let mut walk = StepWalker::new(&mut walker, vec![root]);
+    while walk.step(&mut Unbounded).unwrap().status != StepStatus::Done {}
+    let counts = walk.block_counts();
+    drop(walk);
+    let cache = &walker.blocks;
+    let bytes = cache.slots.capacity() * std::mem::size_of::<Option<CachedBlock<WideValue>>>()
+        + cache.arena.capacity();
+    (counts, cache.slots.len(), bytes)
+}
+
+/// The block traffic of the serial CRW `(8, 7)` walk in both symmetry
+/// modes, pinned: these counts repeat exactly, so a change that loses
+/// cache hits — or takes a block it did not before — fails here.  In
+/// release only (`ci.sh` runs it); debug builds classify every row of
+/// a block taken whole again.
+pub(in crate::explorer) fn block_traffic_at_8_7_is_pinned() {
+    let pinned = |whole, across, split| BlockCounts {
+        whole,
+        across,
+        split,
+    };
+    for (symmetry, counts, slots) in [
+        (Symmetry::Off, pinned(13_215, 6_946, 0), 8_192),
+        (Symmetry::PartialValue, pinned(8_652, 4_386, 0), 4_096),
+    ] {
+        let (met, capacity, bytes) = block_traffic(8, symmetry);
+        eprintln!("(8, 7) {symmetry:?}: {met:?}, {capacity} slots, {bytes} bytes");
+        assert_eq!(
+            (met, capacity),
+            (counts, slots),
+            "(8, 7) under {symmetry:?}"
+        );
+    }
 }

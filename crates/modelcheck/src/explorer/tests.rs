@@ -56,11 +56,20 @@ in_round_tests!(
     a_round_whose_last_slot_sends_builds_no_signature,
     block_cache_contents_of_one_hash_never_answer_for_each_other,
     block_cache_store_over_an_occupied_slot_replaces_it,
-    block_cache_keeps_no_content_longer_than_a_slot,
+    block_cache_a_set_drops_its_least_recently_used,
+    block_cache_growth_keeps_stored_contents_answerable,
+    block_cache_keeps_a_content_of_any_length,
+    a_walk_whose_cache_keeps_nothing_ends_alike,
     block_cache_equal_shapes_share_one_id,
     cached_blocks_are_the_fold_of_their_rows,
     a_block_stores_the_classes_its_rows_repeat,
 );
+
+#[test]
+#[ignore = "release only: ci.sh runs it with --release --ignored"]
+fn block_traffic_at_8_7_is_pinned() {
+    super::round::tests::block_traffic_at_8_7_is_pinned();
+}
 
 #[test]
 fn round_bounds_evaluate() {

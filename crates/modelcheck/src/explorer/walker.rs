@@ -49,8 +49,7 @@
 //!   across configurations; a terminal is memoized under the one shared
 //!   summary of its outcome, and a completed frame under the one shared
 //!   summary of its subtree ([`SummaryInterner`]), so a leaf allocates
-//!   its memo entry and nothing else, and a frame whose summary the
-//!   walker has met before drops its own;
+//!   its memo entry and nothing else;
 //! * **rows that are not looked at** — a row that repeats a class its
 //!   frame has absorbed is one classification and one addition, and a
 //!   run of them is taken in the call that ends it; at the first row of
@@ -58,9 +57,14 @@
 //!   ([`RoundKeys::take_block`], the head of `round.rs`) the whole block
 //!   is one addition and one jump of `next_action`, and at the first row
 //!   of one whose content an earlier frame took — the walker's
-//!   [`BlockCache`] — one absorb and one jump: its other rows are never
-//!   classified, keyed or probed — 2 163 392 of the `(8, 7)` walk's
-//!   2 936 634.
+//!   [`BlockCache`], sized by the blocks the walk stores and packing
+//!   their contents at their own length — one absorb and one jump: its
+//!   other rows are never classified, keyed or probed — 2 465 120 of
+//!   the `(8, 7)` walk's 2 936 634;
+//! * **recycled accumulators** — a popped frame whose summary the
+//!   walker has met before hands its accumulator's buffers, cleared, to
+//!   the next frame it expands, so a frame allocates no summary of its
+//!   own unless its subtree's summary is new.
 //!
 //! ## `StateLimit` abort protocol
 //!
@@ -258,6 +262,10 @@ where
     decided_bufs: (Vec<u8>, Vec<u8>),
     /// Scratch of [`RoundKeys::open`].
     live: LiveEffects,
+    /// Retired frame accumulators — a popped frame's summary equal to
+    /// one the interner met, whose buffers it does not keep — cleared
+    /// and reused as the accumulators of future frames.
+    acc_pool: Vec<Summary<P::Output>>,
     /// The blocks earlier frames took, by content
     /// ([`RoundKeys::take_block`]).  A block's summary depends on the
     /// run's proposals, spec and `max_rounds`: a walker never outlives
@@ -671,6 +679,7 @@ where
             in_place_buf: Vec::new(),
             decided_bufs: (Vec::new(), Vec::new()),
             live: LiveEffects::default(),
+            acc_pool: Vec::new(),
             blocks: BlockCache::new(),
         }
     }
@@ -984,7 +993,7 @@ where
 
     /// A completed frame's real-space summary, [`canonicalize`](Self::canonicalize)d
     /// for the memo and interned: an equal summary met before is
-    /// returned, and `summary`'s buffers are dropped.
+    /// returned, and `summary`'s buffers go to the accumulator pool.
     fn canonical_arc(
         &mut self,
         mut summary: Summary<P::Output>,
@@ -992,7 +1001,13 @@ where
     ) -> Arc<Summary<P::Output>> {
         let plan = self.shared.plan;
         Self::canonicalize(plan, &mut self.decided_bufs, &mut summary, value_swapped);
-        self.interner.intern(summary)
+        match self.interner.met(&summary) {
+            Some(met) => {
+                self.acc_pool.push(summary);
+                met
+            }
+            None => self.interner.intern(summary),
+        }
     }
 
     /// A configuration forked from `parent` — from the stepper pool when
@@ -1163,13 +1178,20 @@ where
             &mut self.key_scratch,
             self.key_pool.pop().unwrap_or_default(),
         );
+        let acc = match self.acc_pool.pop() {
+            Some(mut acc) => {
+                acc.clear();
+                acc
+            }
+            None => Summary::empty(self.shared.system.t()),
+        };
         stack.push(Frame {
             stepper,
             hash,
             key,
             next_action: 0,
             awaiting: None,
-            acc: Summary::empty(self.shared.system.t()),
+            acc,
             value_swapped,
             round,
         });

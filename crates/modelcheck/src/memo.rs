@@ -75,7 +75,10 @@
 //! strings (64 distinct terminal summaries at CRW (8,7)), and a slot
 //! answers ≈ 94 % of the decodes of an (8,7) walk at 2 % hot.  A shard
 //! builds its table on its first rehydrate or scan (an all-RAM memo
-//! never does); an import builds one for the call.
+//! never does); an import builds one for the call, and passes each
+//! summary it reads through a summary interner of the call's own, so
+//! that equal values are one `Arc` across the import, whatever the
+//! table's slots have lost.
 //!
 //! Two invariants make the tiers invisible to the exploration result:
 //!
@@ -91,7 +94,7 @@
 //!   (tracked by a per-entry `spilled` bit).
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -101,7 +104,7 @@ use twostep_sim::SyncProtocol;
 
 use self::hot::{HotTable, KEY_CHUNK};
 
-use crate::explorer::Summary;
+use crate::explorer::{Summary, SummaryInterner};
 use crate::spill::{
     decode_summary, encode_summary, SegmentReader, SegmentStore, SegmentWriter, SpillCodec,
     SpillDir, SpillError, SpillRef,
@@ -148,7 +151,14 @@ pub struct MemoConfig {
     /// The walker's interner keeps each distinct summary it met alive
     /// for the run, whatever this is — and these are few: 6 605 over
     /// the 679 349 states of CRW `(10, 9)` with symmetry off, 1 877 of
-    /// them the shapes of its block cache.
+    /// them the shapes of its block cache.  That cache is the walker's
+    /// other RAM past the memo, whatever this is: a 16-byte slot per
+    /// block it can hold, each held block's content at its own length
+    /// plus three varints, and the cache doubles with the blocks the
+    /// walk stores — at the end of the serial CRW walks with symmetry
+    /// off 8 192 slots and 0.5 MiB at `(8, 7)`, 2.0 MiB at `(9, 8)` and
+    /// 8.7 MiB at `(10, 9)` (allocated: slots and arena capacity); under
+    /// `partial+value` 0.25, 1.0 and 2.4 MiB.
     pub hot_capacity: usize,
     /// Root directory for segment files (`None` = system temp dir).
     /// Ignored unless `hot_capacity` is finite.
@@ -875,7 +885,10 @@ where
         &self,
         path: &Path,
         validator: EntryValidator,
-    ) -> Result<u64, SpillError> {
+    ) -> Result<u64, SpillError>
+    where
+        O: Hash,
+    {
         self.import_inner(path, validator, true)
     }
 
@@ -887,7 +900,10 @@ where
         &self,
         path: &Path,
         validator: EntryValidator,
-    ) -> Result<u64, SpillError> {
+    ) -> Result<u64, SpillError>
+    where
+        O: Hash,
+    {
         self.import_inner(path, validator, false)
     }
 
@@ -896,9 +912,16 @@ where
         path: &Path,
         validator: EntryValidator,
         fresh: bool,
-    ) -> Result<u64, SpillError> {
+    ) -> Result<u64, SpillError>
+    where
+        O: Hash,
+    {
         let mut reader = SegmentReader::open(path)?;
         let mut summaries = SummaryTable::new();
+        // The table decodes each distinct byte string about once; the
+        // interner makes each distinct value one `Arc` across the call,
+        // whatever the table's slots have lost.
+        let mut interner = SummaryInterner::new();
         let mut records = 0u64;
         while let Some(payload) = reader.next_record()? {
             let (key, summary) = summaries
@@ -917,6 +940,7 @@ where
                     path.display()
                 )));
             }
+            let summary = interner.shared(summary);
             self.insert_inner(stable_hash64(key), key, summary, fresh)?;
             records += 1;
         }
