@@ -34,7 +34,7 @@ if [[ "$quick" == false ]]; then
     cargo test --release -q -p twostep-modelcheck --test crw_exhaustive -- --ignored
     echo "== engine matrix, ignored rung row: CRW up to (8, 7) on five engines in both symmetry modes, release (not under --quick)"
     cargo test --release -q -p twostep-modelcheck --test engines -- --ignored
-    echo "== block traffic, ignored case: the exact BlockCounts and block-cache slots of the serial CRW (8, 7) walk in both symmetry modes, release (not under --quick)"
+    echo "== block traffic, ignored case: the exact BlockCounts and blocks stored of the serial CRW (8, 7) walk in both symmetry modes, release (not under --quick)"
     cargo test --release -q -p twostep-modelcheck --lib explorer::tests::block_traffic_at_8_7_is_pinned -- --ignored
 fi
 

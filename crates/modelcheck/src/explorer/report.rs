@@ -345,12 +345,13 @@ where
 /// the 679 349 states of the serial CRW `(10, 9)` walk hold 4 728
 /// distinct summaries.  Every
 /// summary the walker memoizes passes through it first (a popped
-/// frame's canonical summary, a settled terminal's), and so does every
-/// block shape (a summary with no terminal) its `BlockCache` stores:
-/// equal summaries are one allocation walker-wide, and a duplicate's
-/// buffers are dropped where it is met.  The set has no capacity and no
-/// eviction: it keeps each distinct summary alive for the walker's
-/// lifetime, which is its run's, whatever the memo keeps resident.
+/// frame's canonical summary, a settled terminal's), and so does the
+/// shape (a summary with no terminal) of every block its `BlockCache`
+/// stores: equal summaries are one allocation walker-wide, and a
+/// duplicate's buffers are dropped where it is met.  Like the block
+/// cache, the set has no capacity and no eviction: it keeps each
+/// distinct summary alive for the walker's lifetime, which is its
+/// run's, whatever the memo keeps resident.
 pub(crate) struct SummaryInterner<O> {
     met: HashSet<Arc<Summary<O>>, BuildHasherDefault<WordHasher>>,
 }

@@ -1,8 +1,9 @@
 //! One configuration's **open round**: its send phase run once, the
 //! adversary's moves as an odometer over per-slot outcome lists, the
-//! key records its children are made of, and the successor-class,
-//! orbit-class and block tables that say which children its frame has
-//! absorbed.
+//! key records its children are made of, the successor-class and
+//! orbit-class tables that say which children its frame has absorbed,
+//! and the block the walk stands in, which the walker's block cache
+//! keeps.
 //! Every table is private to this module: a round is opened by
 //! [`RoundKeys::open`], a class's summary is read through
 //! [`RoundKeys::class_summary`] (an orbit's comes back from
@@ -120,51 +121,45 @@
 //!    the round's last sender the *cut*; the rows that agree on every
 //!    slot before it are a *block*, and differ only in slots whose
 //!    records are functions of their own outcomes (step 2).  So a
-//!    block's sequence of classes is fixed by its **signature**: the ids
-//!    of the slots before the cut, the crashes left to spend, and the
-//!    ids of every outcome of every slot from the cut on — read through
-//!    the (slot, outcome) table, where the block's own rows find them
-//!    again.  A third frame-local table of the same kind, keyed by
-//!    signatures, holds per block the walk took from its first row to
-//!    its last the terminals those rows added.  A block whose signature
-//!    is there is made of classes the frame has absorbed; it is taken
-//!    in one move — one addition, its rows counted as steps, an
-//!    unranking at the next row — when the arbiter lets all of its rows
-//!    pass in silence (below), and row by row otherwise.  A row starts a
-//!    block when every slot from the cut on survives, however the cursor
-//!    got there; a round whose last slot sends has no slot past the cut,
-//!    and builds no signature.
-//!    Above the frame there is a **cache level**.  A block whose
-//!    signature its frame has not taken may have been taken by an
-//!    *earlier* frame, and the walker keeps what such blocks came to in
-//!    a [`BlockCache`] — sets of slots that double with the blocks the
-//!    walk stores, over one arena of contents at their own length —
-//!    keyed by a block's **content**: the child round, the process
-//!    count and the crashes left, then the signature with every id
-//!    replaced by the record it names, so equal contents are equal
-//!    child keys, row for row.  An entry holds the block's row count,
-//!    the terminals its rows added, and its *shape*: the rest of what
-//!    they folded into their frame — worst rounds, `decided` in
-//!    discovery order, the violation flag — a summary with no terminal,
-//!    interned walker-wide by the [`SummaryInterner`] every summary the
-//!    walker memoizes passes through too, so equal shapes are one
-//!    allocation.  To
-//!    record a block, its round keeps an accumulator for it while it is
-//!    open: every summary the frame absorbs in it, and, once each (a
+//!    block's sequence of children is fixed by its **content**: the
+//!    child round, the process count and the crashes left to spend,
+//!    then per process the records a row of the block may give it — the
+//!    one record of a process settled before the round or of a slot
+//!    before the cut, and the record of every outcome of a slot from the
+//!    cut on, read through the (slot, outcome) table, where the block's
+//!    own rows find them again — so equal contents are equal child
+//!    keys, row for row.  A row starts a block when every slot from the
+//!    cut on survives, however the cursor got there; a round whose last
+//!    slot sends has no slot past the cut, and writes no content.  The
+//!    walker keeps every block one of its frames took from first row to
+//!    last in one [`BlockCache`], keyed by content, which forgets
+//!    nothing: an index that doubles at half full, over one slot per
+//!    block and one arena of contents at their own length.  An entry
+//!    holds the block's row count, the terminals its rows added, and
+//!    its *shape*: the rest of what they folded into their frame —
+//!    worst rounds, `decided` in discovery order, the violation flag —
+//!    a summary with no terminal, interned walker-wide by the
+//!    [`SummaryInterner`] every summary the walker memoizes passes
+//!    through too, so equal shapes are one allocation.  To record a
+//!    block, its round keeps an accumulator for it while it is open:
+//!    every summary the frame absorbs in it, and, once each (a
 //!    per-class stamp), the class of a row that repeats one the frame
 //!    absorbed before the block opened; it is stored with the block's
 //!    count when the walk comes from its last row to the next block
-//!    start.  A block the cache holds is taken in one move as a block of
-//!    the frame's table is — one [`Summary::absorb`] of its shape, one
-//!    addition — and the frame's table records its count for the
-//!    frame's later blocks of its signature.  This is exact: equal
-//!    contents lead to the same children, which the memo already holds
-//!    — it forgets none; an eviction only moves an entry — under the
-//!    same summaries; the merge is associative (maximum, ordered-set
-//!    union, OR, sum) and, but for `terminals`, idempotent, so one
-//!    absorb of the rows' fold is their absorbs one by one; and a walker
-//!    never outlives its run, so no summary meets another run's
-//!    proposals, spec or `max_rounds`.  No state is admitted:
+//!    start, or to the end of the round.  A block the cache holds —
+//!    taken by an earlier frame or earlier in the same one — is taken
+//!    in one move, one [`Summary::absorb`] of its shape and one
+//!    addition, its rows counted as steps and an unranking at the next
+//!    row, when the arbiter lets all of its rows pass in silence
+//!    (below), and row by row otherwise.  This is exact: equal contents
+//!    lead to the same children, which the memo already holds — it
+//!    forgets none; an eviction only moves an entry — under the same
+//!    summaries; the merge is associative (maximum, ordered-set union,
+//!    OR, sum) and, but for `terminals`, idempotent, so one absorb of
+//!    the rows' fold is their absorbs one by one, and into a frame that
+//!    has absorbed those rows already it adds their terminals alone;
+//!    and a walker never outlives its run, so no summary meets another
+//!    run's proposals, spec or `max_rounds`.  No state is admitted:
 //!    `max_states`, step numbers and reports do not move;
 //! 5. **the probe's miss is the child's entry** — a child nothing
 //!    answers for is a new state, and the key its probe assembled —
@@ -181,25 +176,27 @@
 //!    is forked, stepped and its frame pushed, under the same key.
 //!
 //! At `(8, 7)` the walk meets 33 138 blocks (31 367 of more than one
-//! row) in 2 936 634 rows.  13 215 repeat a signature their frame has
-//! taken; of the 18 152 others the cache holds 6 946, and those are
-//! taken whole as well — 724 740 rows — so 2 465 120 rows are never
-//! classified.  The 471 514 that are fall into 202 111 classes, and the
-//! first row of each is keyed and probed — 195 166 memo probes a walk,
-//! the root's included; the other 6 946 start a block the cache takes.
-//! Every other row costs a table lookup and an addition.  (The serial
-//! walk's unlimited budget took those rows in silence before: its
-//! 2 945 827 steps take 284 537 `step()` calls.)  Of the 47 788 children
-//! nothing answers for, 38 597 are terminal and settled from their
-//! rows, under 64 distinct summaries; 9 191 are forked, stepped and
-//! expanded; the tier encoder runs on a [`Stepper`] once, for the root.
-//! Under `partial+value` the 2 420 154 rows meet 18 662 blocks of more
-//! than one row, of which the frames' tables take 8 652 and the cache
-//! 4 386 of the 10 010 others, and 2 037 546 rows are never classified;
-//! the rest fall into 142 707 classes, those into 41 874 orbit classes
-//! — the keys assembled and probed — and of the 5 786 children nothing
-//! answers for 2 810 are settled from their rows and 2 976 expand.  An
-//! index row can only name active processes.
+//! row) in 2 936 634 rows.  The cache holds 21 808 of the 31 367 when
+//! the walk comes to them, and those are taken whole — 2 588 916 rows —
+//! so 2 567 108 rows are never classified; it stores the other 9 559
+//! once the walk has taken them, 1 805 of them the last block of their
+//! round.  The 369 526 rows that are classified fall into 129 642
+//! classes, and the first row of each is keyed and probed — 121 050
+//! memo probes a walk, the root's included; the other 8 593 start a
+//! block the cache takes.  Every other row costs a table lookup and an
+//! addition.  (The serial walk's unlimited budget takes those rows in
+//! silence: its 2 945 827 steps take 130 242 `step()` calls.)  Of the
+//! 47 788 children nothing answers for, 38 597 are terminal and settled
+//! from their rows, under 64 distinct summaries; 9 191 are forked,
+//! stepped and expanded; the tier encoder runs on a [`Stepper`] once,
+//! for the root.  Under `partial+value` the 2 420 154 rows meet 18 662
+//! blocks of more than one row, of which the cache takes 14 033 and
+//! stores the other 4 629 (712 of them the last block of their round),
+//! and 2 112 348 rows are never classified; the rest fall into 90 038
+//! classes, those into 33 422 orbit classes — the keys assembled and
+//! probed — and of the 5 786 children nothing answers for 2 810 are
+//! settled from their rows and 2 976 expand.  An index row can only
+//! name active processes.
 //! The distributed frontier expander, the steal harvester and witness
 //! replay key their children the same way: the harvester builds no child
 //! at all — a probe's miss is its record — the expander only those of a
@@ -221,13 +218,11 @@
 //! takes a run together with the step that ends it — the next first row
 //! of a class, or the frame's pop — as far as the arbiter's
 //! `Arbiter::headroom` says no verdict but `Allow` is
-//! passed over (the serial `(8, 7)` walk: 2 945 827 steps in 284 537
-//! calls).  A block whose signature its frame has taken is such a run,
-//! every row of it a repeat, and the earlier block's count is what its
-//! rows add: it is taken in one addition when the headroom covers it,
-//! and split like any run when not.  A block the cache holds is taken
-//! under the same rule; its rows are memo hits, whose summaries its
-//! shape folds in their order.  Order cannot change because
+//! passed over (the serial `(8, 7)` walk: 2 945 827 steps in 130 242
+//! calls).  A block the cache holds is taken under the same rule — in
+//! one move when the headroom covers it, split like any run when not;
+//! its rows are memo hits or repeats, whose summaries its shape folds
+//! in their order.  Order cannot change because
 //! nothing is reordered: the first row of every class that is entered
 //! at all is where it was, so the children are entered in the same
 //! order (DFS order, memo insertion order), `decided` values are
@@ -403,15 +398,10 @@ where
     /// sender — the number of slots where no block can repeat: the last
     /// slot sends, or nothing sends.
     cut: usize,
-    /// Scratch for the signature of the block the cursor row starts.
-    signature: Vec<u32>,
-    /// Per block signature the walk has taken from first row to last,
-    /// the terminals those rows added to the frame.
-    blocks: ClassTable<u64>,
     /// The block the walk entered at its first row and has not left.
     open_block: Option<OpenBlock>,
-    /// The open block's content ([`cursor_content`](Self::cursor_content)),
-    /// kept for the walker's [`BlockCache`] until the block is left.
+    /// The content ([`cursor_content`](Self::cursor_content)) of the
+    /// block last looked up — the open one's, while one is open.
     content: Vec<u8>,
     /// What the open block's rows have folded into the frame so far —
     /// every summary [`absorb`](Self::absorb)ed while it is open, and
@@ -425,19 +415,18 @@ where
     /// exactly when its stamp is `opened`.
     opened: u32,
     folded: Vec<u32>,
-    /// How many blocks the walk took in one move from the block table
-    /// and from the walker's cache, and how many it found in either but
-    /// had to split, over the round's whole life in its walker's pool.
+    /// How many blocks the walker's cache held that the walk took in one
+    /// move, and how many it had to split, over the round's whole life
+    /// in its walker's pool.
     #[cfg(test)]
     pub(super) block_counts: BlockCounts,
 }
 
-/// A block the walk entered at its first row: its number in the block
-/// table, that row, the row after its last, the frame's terminal count
-/// before it, and the hash of its content.
+/// A block the walk entered at its first row: that row, the row after
+/// its last, the frame's terminal count before it, and the hash of its
+/// content.
 #[derive(Clone, Copy)]
 struct OpenBlock {
-    block: usize,
     first: usize,
     end: usize,
     terminals: u64,
@@ -449,21 +438,7 @@ struct OpenBlock {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(super) struct BlockCounts {
     pub(super) whole: usize,
-    pub(super) across: usize,
     pub(super) split: usize,
-}
-
-#[cfg(test)]
-impl BlockCounts {
-    /// Counts a block the block table (`across`: the walker's cache)
-    /// answered for as taken whole or split.
-    fn count(&mut self, whole: bool, across: bool) {
-        match (whole, across) {
-            (false, _) => self.split += 1,
-            (true, false) => self.whole += 1,
-            (true, true) => self.across += 1,
-        }
-    }
 }
 
 /// Scratch of [`RoundKeys::open`], kept by whoever opens rounds: a plan's
@@ -716,27 +691,65 @@ fn fold_ids(ids: &[u32]) -> u64 {
     ids.iter().fold(FOLD_START, |state, id| fold_id(state, *id))
 }
 
+/// An open-addressed index of entry numbers by hash: entry + 1 per
+/// bucket, `0` for an empty one, a power of two of buckets, doubled
+/// when its entries fill half of it — so it is sized by what it holds.
+/// What an entry is, and how a probe verifies one, is its owner's.
+#[derive(Default)]
+struct HashIndex(Vec<u32>);
+
+impl HashIndex {
+    /// Empties the index to `buckets` buckets.
+    fn reset(&mut self, buckets: usize) {
+        self.0.clear();
+        self.0.resize(buckets, 0);
+    }
+
+    /// The first bucket from `hash`'s home on that is empty or holds an
+    /// entry `matches` accepts, with what it holds.
+    fn find(&self, hash: u64, matches: impl Fn(usize) -> bool) -> (usize, Option<usize>) {
+        let mask = self.0.len() - 1;
+        let mut bucket = (hash ^ (hash >> 32)) as usize & mask;
+        loop {
+            match self.0[bucket] {
+                0 => return (bucket, None),
+                entry if matches(entry as usize - 1) => return (bucket, Some(entry as usize - 1)),
+                _ => bucket = (bucket + 1) & mask,
+            }
+        }
+    }
+
+    /// Puts `entry` — the last of the owner's, numbered from 0 — into
+    /// `bucket`, which [`find`](Self::find) found empty, and doubles the
+    /// index when that fills half of it, every entry going back by the
+    /// hash `hash_of` gives it.
+    fn put(&mut self, bucket: usize, entry: usize, hash_of: impl Fn(usize) -> u64) {
+        self.0[bucket] = entry as u32 + 1;
+        if 2 * (entry + 1) > self.0.len() {
+            self.reset(2 * self.0.len());
+            for entry in 0..=entry {
+                let (bucket, _) = self.find(hash_of(entry), |_| false);
+                self.0[bucket] = entry as u32 + 1;
+            }
+        }
+    }
+}
+
 /// A frame's **successor classes** (module docs, step 4): the distinct
 /// record-id vectors its rows have produced, each — once the frame has
 /// absorbed it — with a value: the real-space summary of the child they
-/// all lead to.  Open addressing, entries verified by comparing ids; the
-/// index starts small and doubles when the classes met fill half of it,
-/// so it is sized by classes, not by rows (13 % of them at `(8, 7)`).  A
-/// round keeps two more: its orbit level ([`Orbits`]) one keyed on orbit
-/// vectors, and its block level one keyed on block signatures, whose
-/// value is a terminal count.
+/// all lead to.  A [`HashIndex`] over them, entries verified by
+/// comparing ids, starts small, so it is sized by classes, not by rows
+/// (13 % of them at `(8, 7)`).  A round's orbit level ([`Orbits`])
+/// keeps one more, keyed on orbit vectors.
 struct ClassTable<V> {
-    /// Class number + 1 per bucket, `0` for an empty one; a power of two
-    /// long.
-    index: Vec<u32>,
+    index: HashIndex,
     /// Class `c`'s record ids: `ids[c * stride..][..stride]`.
     ids: Vec<u32>,
     stride: usize,
     /// A class's value, from the moment its frame absorbed it — which
-    /// [`RoundKeys::absorb`] alone records for a class or an orbit, so
-    /// "has a summary" *is* "was absorbed", the fact run absorption
-    /// rests on; [`RoundKeys::take_block`] records a block's when the
-    /// walk leaves it.
+    /// [`RoundKeys::absorb`] alone records, so "has a summary" *is*
+    /// "was absorbed", the fact run absorption rests on.
     values: Vec<Option<V>>,
 }
 
@@ -748,7 +761,7 @@ impl<V> ClassTable<V> {
 
     fn new() -> Self {
         ClassTable {
-            index: Vec::new(),
+            index: HashIndex::default(),
             ids: Vec::new(),
             stride: 0,
             values: Vec::new(),
@@ -757,8 +770,7 @@ impl<V> ClassTable<V> {
 
     /// Empties the table for id vectors `stride` long.
     fn reset(&mut self, stride: usize) {
-        self.index.clear();
-        self.index.resize(Self::START_BUCKETS, 0);
+        self.index.reset(Self::START_BUCKETS);
         self.ids.clear();
         self.ids.reserve(Self::START_BUCKETS / 2 * stride);
         self.stride = stride;
@@ -770,91 +782,57 @@ impl<V> ClassTable<V> {
         &self.ids[class * self.stride..][..self.stride]
     }
 
-    /// The first bucket from `hash`'s home on that is empty or holds a
-    /// class `matches` accepts, with what it holds.
-    fn find(&self, hash: u64, matches: impl Fn(usize) -> bool) -> (usize, Option<usize>) {
-        let mask = self.index.len() - 1;
-        let mut bucket = (hash ^ (hash >> 32)) as usize & mask;
-        loop {
-            match self.index[bucket] {
-                0 => return (bucket, None),
-                entry if matches(entry as usize - 1) => return (bucket, Some(entry as usize - 1)),
-                _ => bucket = (bucket + 1) & mask,
-            }
-        }
-    }
-
     /// The class of the id vector `ids`, whose [`fold_ids`] hash is
     /// `hash` — entered as a new one, without a value, when no row
     /// produced it before.
     fn class_of(&mut self, ids: &[u32], hash: u64) -> usize {
         debug_assert_eq!(ids.len(), self.stride);
         debug_assert_eq!(hash, fold_ids(ids));
-        let (bucket, met) = self.find(hash, |class| self.ids_of(class) == ids);
+        let (bucket, met) = self.index.find(hash, |class| self.ids_of(class) == ids);
         if let Some(class) = met {
             return class;
         }
         let class = self.values.len();
         self.ids.extend_from_slice(ids);
         self.values.push(None);
-        self.index[bucket] = class as u32 + 1;
-        if 2 * self.values.len() > self.index.len() {
-            let buckets = 2 * self.index.len();
-            self.index.clear();
-            self.index.resize(buckets, 0);
-            for class in 0..self.values.len() {
-                let (bucket, _) = self.find(fold_ids(self.ids_of(class)), |_| false);
-                self.index[bucket] = class as u32 + 1;
-            }
-        }
+        let (ids, stride) = (&self.ids, self.stride);
+        (self.index).put(bucket, class, |class| {
+            fold_ids(&ids[class * stride..][..stride])
+        });
         class
     }
 }
 
-/// The walker's **block cache** (module docs, step 4): block contents
-/// an earlier frame took from first row to last, each with its row
-/// count, the terminals its rows added and its *shape* — the rest of
-/// what they folded into their frame, a summary with no terminal, whose
-/// `Arc` the walker's [`SummaryInterner`] hands out.
+/// The walker's **block cache** (module docs, step 4): every block
+/// content a frame of the walk took from first row to last, each with
+/// its row count, the terminals its rows added and its *shape* — the
+/// rest of what they folded into their frame, a summary with no
+/// terminal, whose `Arc` the walker's [`SummaryInterner`] hands out.
 ///
-/// Its size is the walk's own.  The slots come in sets of
-/// [`WAYS`](Self::WAYS), picked by the content's [`stable_hash64`],
-/// each set kept in order of last use — a hit moves its block to the
-/// front, a store puts its block there and drops the set's last one
-/// if the set is full — and a hit is verified on the full bytes.  The
-/// sets double when the contents stored since they last doubled reach
-/// the number of slots: a rehash that loses nothing, each old set
-/// going to two new ones in its order.  So the slots stay about as
-/// many as the blocks the walk has stored: 8 192 at the end of the
-/// serial CRW `(8, 7)` walk, 4 096 under `partial+value`.
-///
-/// A slot is 16 bytes: the shape, the high half of the content's hash,
-/// and where the block's record starts in one arena — its content's
-/// length, its row count and its terminal count as varints, then the
-/// content, at its own length, whatever that is.  A dropped block's
-/// record is dead; when the dead bytes exceed a quarter of the live
-/// ones, the live records move down over them, in arena order, so the
-/// arena stays within 1.25 times its live bytes and one record.
-/// Nothing is allocated before the first store.
+/// It forgets nothing.  A [`HashIndex`] picks a block by its content's
+/// [`stable_hash64`], and a hit is verified on the full bytes.  A slot
+/// is 16 bytes: the shape, the high half of the content's hash, and
+/// where the block's record starts in one arena — its content's length,
+/// its row count and its terminal count as varints, then the content,
+/// at its own length, whatever that is.  So the cache is as large as
+/// the blocks the walk has stored: 9 559 at the end of the serial CRW
+/// `(8, 7)` walk (1.2 MB with the index and the spare capacity of each
+/// buffer), 4 629 under `partial+value`.  Nothing is allocated before
+/// the first store.
 pub(super) struct BlockCache<O> {
-    /// `WAYS` slots per set, a power of two of sets once anything is
-    /// stored; in each set the occupied slots come first, most recently
-    /// used first.
-    slots: Vec<Option<CachedBlock<O>>>,
+    index: HashIndex,
+    /// One per block stored, in the order of their stores.
+    slots: Vec<CachedBlock<O>>,
     /// The blocks' records, back to back.
     arena: Vec<u8>,
-    /// Bytes of `arena` that no slot names.
-    dead: usize,
-    /// Contents stored since the sets last doubled.
-    stored: usize,
     /// Whether a store keeps its block: a walk whose cache keeps
     /// nothing is a test's differential.
     #[cfg(test)]
     keeps: bool,
 }
 
-/// One occupied slot of a [`BlockCache`]: its block's interned shape,
-/// the high half of its content's hash, and where its record starts.
+/// One slot of a [`BlockCache`]: its block's interned shape, the high
+/// half of its content's hash, and where its record starts.
 #[derive(Clone, PartialEq, Eq)]
 struct CachedBlock<O> {
     shape: Arc<Summary<O>>,
@@ -866,33 +844,22 @@ struct CachedBlock<O> {
 struct Record {
     rows: usize,
     terminals: u64,
-    /// The content's range in the arena; its end is the record's.
+    /// The content's range in the arena.
     content: std::ops::Range<usize>,
 }
 
 impl<O: Clone + Eq + Hash> BlockCache<O> {
-    /// Slots per set.  With the slot count the walk derives, one slot
-    /// per set (direct-mapped) took 3 406 of the 10 010 blocks the CRW
-    /// `(8, 7)` walk asks under `partial+value`, eight take 4 386, and a
-    /// cache that never drops a block would take 4 859.
-    const WAYS: usize = 8;
+    /// Buckets of the index at the first store.
+    const START_BUCKETS: usize = 1 << 10;
 
     pub(super) fn new() -> Self {
         BlockCache {
+            index: HashIndex::default(),
             slots: Vec::new(),
             arena: Vec::new(),
-            dead: 0,
-            stored: 0,
             #[cfg(test)]
             keeps: true,
         }
-    }
-
-    /// The slots of the set `hash` picks.
-    fn set_of(&self, hash: u64) -> std::ops::Range<usize> {
-        let sets = self.slots.len() / Self::WAYS;
-        let first = (hash as usize & (sets - 1)) * Self::WAYS;
-        first..first + Self::WAYS
     }
 
     fn record(&self, block: &CachedBlock<O>) -> Record {
@@ -911,23 +878,23 @@ impl<O: Clone + Eq + Hash> BlockCache<O> {
         &self.arena[self.record(block).content]
     }
 
+    /// The bucket of the block stored under `content`, whose hash is
+    /// `hash`, or the empty one where it would go, with the block.
+    fn find(&self, hash: u64, content: &[u8]) -> (usize, Option<usize>) {
+        let check = (hash >> 32) as u32;
+        self.index.find(hash, |block| {
+            let block = &self.slots[block];
+            block.check == check && self.content(block) == content
+        })
+    }
+
     /// The rows, the terminals and the shape of the block stored under
-    /// `content`, whose hash is `hash`, if its set still holds it — and
-    /// then it is the set's most recently used.
-    fn get(&mut self, hash: u64, content: &[u8]) -> Option<(usize, u64, &Summary<O>)> {
+    /// `content`, whose hash is `hash`, if one is.
+    fn get(&self, hash: u64, content: &[u8]) -> Option<(usize, u64, &Summary<O>)> {
         if self.slots.is_empty() {
             return None;
         }
-        let set = self.set_of(hash);
-        let check = (hash >> 32) as u32;
-        let found = self.slots[set.clone()]
-            .iter()
-            .map_while(Option::as_ref)
-            .position(|block| block.check == check && self.content(block) == content)?;
-        self.slots[set.start..=set.start + found].rotate_right(1);
-        let block = self.slots[set.start]
-            .as_ref()
-            .expect("the block just found");
+        let block = &self.slots[self.find(hash, content).1?];
         let Record {
             rows, terminals, ..
         } = self.record(block);
@@ -935,7 +902,8 @@ impl<O: Clone + Eq + Hash> BlockCache<O> {
     }
 
     /// Stores the block whose content is `content` (hash `hash`): its
-    /// `rows`, the `terminals` they added, and its interned `shape`.
+    /// `rows`, the `terminals` they added, and its interned `shape` —
+    /// unless a block of that content is stored already.
     fn store(
         &mut self,
         hash: u64,
@@ -949,64 +917,26 @@ impl<O: Clone + Eq + Hash> BlockCache<O> {
             return;
         }
         if self.slots.is_empty() {
-            self.slots.resize_with(Self::WAYS, || None);
+            self.index.reset(Self::START_BUCKETS);
+        }
+        let (bucket, met) = self.find(hash, content);
+        if met.is_some() {
+            return;
         }
         let at = u32::try_from(self.arena.len()).expect("a block cache's arena fits a u32 offset");
         content.len().encode(&mut self.arena);
         rows.encode(&mut self.arena);
         terminals.encode(&mut self.arena);
         self.arena.extend_from_slice(content);
-        let set = self.set_of(hash);
-        self.slots[set.clone()].rotate_right(1);
-        let block = CachedBlock {
+        self.slots.push(CachedBlock {
             shape,
             check: (hash >> 32) as u32,
             at,
-        };
-        if let Some(dropped) = self.slots[set.start].replace(block) {
-            self.dead += self.record(&dropped).content.end - dropped.at as usize;
-        }
-        self.stored += 1;
-        if self.stored == self.slots.len() {
-            self.grow();
-        }
-        if 4 * self.dead > self.arena.len() - self.dead {
-            self.compact();
-        }
-    }
-
-    /// Doubles the sets: each block moves to the one of its old set's
-    /// two heirs its hash picks, in the order it stood in, so none is
-    /// lost and each set stays in order of last use.
-    fn grow(&mut self) {
-        let old = std::mem::take(&mut self.slots);
-        self.slots.resize_with(2 * old.len(), || None);
-        let mut next = vec![0; 2 * old.len() / Self::WAYS];
-        for block in old.into_iter().flatten() {
-            let set = self.set_of(stable_hash64(self.content(&block)));
-            let slot = set.start + next[set.start / Self::WAYS];
-            next[set.start / Self::WAYS] += 1;
-            self.slots[slot] = Some(block);
-        }
-        self.stored = 0;
-    }
-
-    /// Moves the live records down over the dead bytes, in arena order.
-    fn compact(&mut self) {
-        let mut order: Vec<usize> = (0..self.slots.len())
-            .filter(|slot| self.slots[*slot].is_some())
-            .collect();
-        order.sort_unstable_by_key(|slot| self.slots[*slot].as_ref().map(|block| block.at));
-        let mut to = 0;
-        for slot in order {
-            let block = self.slots[slot].as_ref().expect("an occupied slot");
-            let (from, end) = (block.at as usize, self.record(block).content.end);
-            self.arena.copy_within(from..end, to);
-            self.slots[slot].as_mut().expect("an occupied slot").at = to as u32;
-            to += end - from;
-        }
-        self.arena.truncate(to);
-        self.dead = 0;
+        });
+        let mut index = std::mem::take(&mut self.index);
+        let hash_of = |block| stable_hash64(self.content(&self.slots[block]));
+        index.put(bucket, self.slots.len() - 1, hash_of);
+        self.index = index;
     }
 }
 
@@ -1043,8 +973,6 @@ where
             classes: ClassTable::new(),
             orbits: plan.pooled.then(|| Box::new(Orbits::new(plan))),
             cut: 0,
-            signature: Vec::new(),
-            blocks: ClassTable::new(),
             open_block: None,
             content: Vec::new(),
             block_acc: Summary::empty(t),
@@ -1235,15 +1163,6 @@ where
         // With nothing sending the round is one block, which no other
         // block of the frame can repeat.
         self.cut = self.sent.senders().last().map_or(slots, |last| last + 1);
-        if self.cut < slots {
-            let cut = self.cut;
-            let suffix: usize = self.outcomes[cut..]
-                .iter()
-                .map(|stages| stages.len() + 1)
-                .sum();
-            self.blocks.reset(cut + 1 + suffix);
-            self.signature.reserve(cut + 1 + suffix);
-        }
     }
 
     /// How many adversary moves the round has.
@@ -1411,18 +1330,14 @@ where
     /// [`classify`](Self::classify)d, which
     /// [starts one](Self::cursor_starts_block) — starts, folding its
     /// rows into `acc`, the frame's summary before row `idx`: returns
-    /// how many rows it has.  Two levels answer (module docs, step 4),
-    /// each only if `room()` — asked once, and only then — covers all of
-    /// the block's rows.  The frame's block table first: a signature the
-    /// frame has taken is its count of terminals, one addition.  Then
-    /// `cache`, for a signature the frame has not: a content an earlier
-    /// frame took is one [`Summary::absorb`] of its shape and its count,
-    /// which the block table records for the frame's later blocks.  A
-    /// block neither level holds, or one the cache holds but `room()`
-    /// does not cover, is entered: it is recorded — in the block table,
-    /// and under its content in `cache` — when the walk comes from its
-    /// last row to the next block start.  A block of the table that
-    /// `room()` does not cover is split like a run, and one the walk
+    /// how many rows it has.  First the block the walk leaves here is
+    /// [closed](Self::close_block).  Then `cache` answers (module docs,
+    /// step 4), if `room()` — asked once, and only then — covers all of
+    /// the block's rows: a content a frame took before is one
+    /// [`Summary::absorb`] of its shape and one addition of its count.
+    /// A block the cache holds that `room()` does not cover is split
+    /// like a run; one it does not hold is entered, and stored when the
+    /// walk comes from its last row to the row after it.  One the walk
     /// enters anywhere but its first row records nothing.  Out of line:
     /// the walk's loops over rows call it at block starts alone.
     #[inline(never)]
@@ -1438,45 +1353,26 @@ where
         if self.open_block.is_some_and(|open| open.first == idx) {
             return None;
         }
-        if let Some(open) = self.open_block.take() {
-            // A saturated count is no block's count: nothing is kept.
-            if open.end == idx && acc.terminals != u64::MAX {
-                let added = acc.terminals - open.terminals;
-                self.blocks.values[open.block] = Some(added);
-                self.block_acc.terminals = 0;
-                let shape = interner.interned(&self.block_acc);
-                let rows = open.end - open.first;
-                cache.store(open.hash, &self.content, rows, added, shape);
-            }
-        }
-        let (block, rows) = self.cursor_block()?;
-        if let Some(added) = self.blocks.values[block] {
-            let whole = rows as u64 <= room();
-            #[cfg(test)]
-            self.block_counts.count(whole, false);
-            if whole {
-                acc.terminals = acc.terminals.saturating_add(added);
-            }
-            return whole.then_some(rows);
-        }
-        self.cursor_content();
+        self.close_block(idx, acc, cache, interner);
+        let rows = self.cursor_content()?;
         let hash = stable_hash64(&self.content);
         if let Some((stored, added, shape)) = cache.get(hash, &self.content) {
             debug_assert_eq!(stored, rows, "one content, one row count");
             let whole = rows as u64 <= room();
             #[cfg(test)]
-            self.block_counts.count(whole, true);
+            match whole {
+                true => self.block_counts.whole += 1,
+                false => self.block_counts.split += 1,
+            }
             if whole {
                 acc.absorb(shape);
                 acc.terminals = acc.terminals.saturating_add(added);
-                self.blocks.values[block] = Some(added);
-                return Some(rows);
             }
+            return whole.then_some(rows);
         }
         self.opened += 1;
         self.block_acc.clear();
         self.open_block = Some(OpenBlock {
-            block,
             first: idx,
             end: idx + rows,
             terminals: acc.terminals,
@@ -1485,81 +1381,83 @@ where
         None
     }
 
-    /// The block the cursor row starts, looked up in the block table —
-    /// entered as a new one, without a count, when the frame met no
-    /// block of its signature before — and how many rows it has.  `None`
-    /// for a block of one row: the row spends every crash left.
-    ///
-    /// The signature: the ids of the slots before the cut, the crashes
-    /// left, and per slot from the cut on the ids of all its outcomes —
+    /// Leaves the open block, if there is one, at row `idx` — a block
+    /// start, or the round's end — with `acc` the frame's summary: if
+    /// `idx` is the row after its last, the walk took every row of it,
+    /// and it is stored in `cache` with its count and shape.  A
+    /// saturated count is no block's count: nothing is kept.
+    pub(super) fn close_block(
+        &mut self,
+        idx: usize,
+        acc: &Summary<P::Output>,
+        cache: &mut BlockCache<P::Output>,
+        interner: &mut SummaryInterner<P::Output>,
+    ) {
+        let Some(open) = self.open_block.take() else {
+            return;
+        };
+        if open.end == idx && acc.terminals != u64::MAX {
+            self.block_acc.terminals = 0;
+            let shape = interner.interned(&self.block_acc);
+            let (rows, added) = (open.end - open.first, acc.terminals - open.terminals);
+            cache.store(open.hash, &self.content, rows, added, shape);
+        }
+    }
+
+    /// Writes into `content` the **content** of the block the cursor
+    /// row starts, and returns how many rows it has — `None` for a
+    /// block of one row: the row spends every crash left.  The child
+    /// round, the process count and the crashes left, then per process
+    /// the number of records a row may give it and those records: one
+    /// for a process settled before the round or a slot before the cut,
+    /// and for a slot from the cut on one per outcome, survival first —
     /// read through the (slot, outcome) table, where the block's own
-    /// rows find them again.  Past the last sender a slot's record is a
-    /// function of its own outcome (step 2), and with a crash left every
-    /// outcome of every such slot is some row's, so equal signatures are
-    /// equal class sequences, row for row.
-    fn cursor_block(&mut self) -> Option<(usize, usize)> {
-        let (cut, slots) = (self.cut, self.row.len());
+    /// rows find them again.  A record needs no length: records are
+    /// self-delimiting, as in a key, which is their concatenation.
+    ///
+    /// Past the last sender a slot's record is a function of its own
+    /// outcome (step 2), and with a crash left every outcome of every
+    /// such slot is some row's, so equal contents are equal child keys,
+    /// row for row.
+    fn cursor_content(&mut self) -> Option<usize> {
         let left = self.budget - self.spent;
         if left == 0 {
             return None;
         }
-        let mut signature = std::mem::take(&mut self.signature);
-        signature.clear();
-        signature.extend_from_slice(&self.ids[..cut]);
-        signature.push(left as u32);
-        for slot in cut..slots {
-            signature.push(self.ids[slot]);
-            for outcome in 1..=self.outcomes[slot].len() {
-                self.row[slot] = outcome as u16;
-                signature.push(self.record_id(slot));
+        let mut content = std::mem::take(&mut self.content);
+        content.clear();
+        self.sent.round().next().get().encode(&mut content);
+        (self.fixed.len() as u32).encode(&mut content);
+        (left as u32).encode(&mut content);
+        let mut slot = 0;
+        for i in 0..self.fixed.len() {
+            if let Some(id) = self.fixed[i] {
+                1usize.encode(&mut content);
+                content.extend_from_slice(self.record(id));
+            } else if slot < self.cut {
+                1usize.encode(&mut content);
+                content.extend_from_slice(self.record(self.ids[slot]));
+                slot += 1;
+            } else {
+                let outcomes = self.outcomes[slot].len();
+                (outcomes + 1).encode(&mut content);
+                for outcome in 0..=outcomes {
+                    self.row[slot] = outcome as u16;
+                    let id = self.record_id(slot);
+                    content.extend_from_slice(self.record(id));
+                }
+                self.row[slot] = 0;
+                slot += 1;
             }
-            self.row[slot] = 0;
         }
-        let block = self.blocks.class_of(&signature, fold_ids(&signature));
-        self.signature = signature;
-        Some((block, self.count[cut * (self.budget + 1) + left]))
+        self.content = content;
+        Some(self.count[self.cut * (self.budget + 1) + left])
     }
 
-    /// Writes into `content` the **content** of the block whose
-    /// signature [`cursor_block`](Self::cursor_block) last built: that
-    /// signature with every id replaced by the record it names, so that
-    /// equal contents are equal child keys, row for row.  The child
-    /// round, the process count and the crashes left, then per process
-    /// the number of records a row may give it and those records: one
-    /// for a process settled before the round or a slot before the cut,
-    /// and for a slot from the cut on one per outcome, survival first.
-    /// A record needs no length: records are self-delimiting, as in a
-    /// key, which is their concatenation.
-    fn cursor_content(&mut self) {
-        let (records, ranges) = (&self.records, &self.ranges);
-        let record = |id: &u32, content: &mut Vec<u8>| {
-            let (from, to) = ranges[*id as usize];
-            content.extend_from_slice(&records[from as usize..to as usize]);
-        };
-        let (content, signature) = (&mut self.content, &self.signature);
-        content.clear();
-        self.sent.round().next().get().encode(content);
-        (self.fixed.len() as u32).encode(content);
-        signature[self.cut].encode(content);
-        // The next slot, and where the ids of the next slot from the
-        // cut on start in the signature.
-        let (mut slot, mut past) = (0, self.cut + 1);
-        for fixed in &self.fixed {
-            let ids = match fixed {
-                Some(id) => std::slice::from_ref(id),
-                None if slot < self.cut => {
-                    slot += 1;
-                    &signature[slot - 1..slot]
-                }
-                None => {
-                    let ids = &signature[past..][..self.outcomes[slot].len() + 1];
-                    (slot, past) = (slot + 1, past + ids.len());
-                    ids
-                }
-            };
-            ids.len().encode(content);
-            ids.iter().for_each(|id| record(id, content));
-        }
+    /// The bytes of the record `id` names.
+    fn record(&self, id: u32) -> &[u8] {
+        let (from, to) = self.ranges[id as usize];
+        &self.records[from as usize..to as usize]
     }
 
     /// Settles `slot`'s process under a view met for the first time and
@@ -1610,8 +1508,7 @@ where
         self.sent.round().next().get().encode(key);
         (self.fixed.len() as u32).encode(key);
         for id in row_records(&self.fixed, &self.ids) {
-            let (from, to) = self.ranges[id as usize];
-            key.extend_from_slice(&self.records[from as usize..to as usize]);
+            key.extend_from_slice(self.record(id));
         }
     }
 

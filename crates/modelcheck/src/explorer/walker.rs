@@ -42,25 +42,24 @@
 //!   rows of small outcome *indices*, and none of them is stored: an
 //!   odometer holds the one row the walk stands on and steps it in
 //!   place.  The odometer, the per-process outcome lists, the
-//!   send-phase copy, the record arena, the (slot, outcome), class,
-//!   orbit and block tables, the one buffer a row is materialized into
-//!   when the engine needs a real action vector, key buffers, and the
-//!   terminal pseudo-schedule and scratch summary are all recycled
-//!   across configurations; a terminal is memoized under the one shared
-//!   summary of its outcome, and a completed frame under the one shared
-//!   summary of its subtree ([`SummaryInterner`]), so a leaf allocates
-//!   its memo entry and nothing else;
+//!   send-phase copy, the record arena, the (slot, outcome), class
+//!   and orbit tables, the block content, the one buffer a row is
+//!   materialized into when the engine needs a real action vector, key
+//!   buffers, and the terminal pseudo-schedule and scratch summary are
+//!   all recycled across configurations; a terminal is memoized under
+//!   the one shared summary of its outcome, and a completed frame under
+//!   the one shared summary of its subtree ([`SummaryInterner`]), so a
+//!   leaf allocates its memo entry and nothing else;
 //! * **rows that are not looked at** — a row that repeats a class its
 //!   frame has absorbed is one classification and one addition, and a
 //!   run of them is taken in the call that ends it; at the first row of
-//!   a block whose signature the frame has taken before
-//!   ([`RoundKeys::take_block`], the head of `round.rs`) the whole block
-//!   is one addition and one jump of `next_action`, and at the first row
-//!   of one whose content an earlier frame took — the walker's
-//!   [`BlockCache`], sized by the blocks the walk stores and packing
-//!   their contents at their own length — one absorb and one jump: its
-//!   other rows are never classified, keyed or probed — 2 465 120 of
-//!   the `(8, 7)` walk's 2 936 634;
+//!   a block whose content a frame has taken before — the walker's
+//!   [`BlockCache`], which keeps every block the walk completes, a
+//!   round's last included, with its contents at their own length
+//!   ([`RoundKeys::take_block`], the head of `round.rs`) — the whole
+//!   block is one absorb, one addition and one jump of `next_action`:
+//!   its other rows are never classified, keyed or probed — 2 567 108
+//!   of the `(8, 7)` walk's 2 936 634;
 //! * **recycled accumulators** — a popped frame whose summary the
 //!   walker has met before hands its accumulator's buffers, cleared, to
 //!   the next frame it expands, so a frame allocates no summary of its
@@ -436,6 +435,9 @@ where
                 break;
             };
             if frame.next_action == frame.round.len() {
+                // The round's last block is stored as any other.
+                let (cache, interner) = (&mut self.walker.blocks, &mut self.walker.interner);
+                (frame.round).close_block(frame.next_action, &frame.acc, cache, interner);
                 let done = self.stack.pop().expect("popping the completed frame");
                 // A saturated count stays saturated up to the root: the
                 // run fails here, not after the rest of the walk.
@@ -555,24 +557,16 @@ where
     }
 
     /// The blocks the walker's rounds — on the stack and in the pool —
-    /// took whole from their block tables and from the walker's cache,
-    /// and split.
+    /// took whole from the walker's cache, and split.
     #[cfg(test)]
     pub(super) fn block_counts(&self) -> BlockCounts {
         let rounds = self.stack.iter().map(|frame| &frame.round);
         (rounds.chain(&self.walker.round_pool)).fold(BlockCounts::default(), |sum, round| {
             BlockCounts {
                 whole: sum.whole + round.block_counts.whole,
-                across: sum.across + round.block_counts.across,
                 split: sum.split + round.block_counts.split,
             }
         })
-    }
-
-    /// The walker's block cache, as the walk has left it.
-    #[cfg(test)]
-    pub(super) fn block_cache(&self) -> &BlockCache<P::Output> {
-        &self.walker.blocks
     }
 
     /// Unexplored immediate children across every frame of the current
@@ -808,8 +802,8 @@ where
 
     /// Takes in one move, if it can, the block that row `idx` of
     /// `frame` — classified, and [starting one](RoundKeys::cursor_starts_block)
-    /// — starts: from the frame's block table or the walker's cache
-    /// ([`RoundKeys::take_block`]), when `room()` covers its rows.
+    /// — starts: from the walker's cache ([`RoundKeys::take_block`]),
+    /// when `room()` covers its rows.
     /// Returns how many rows it took; in debug builds
     /// `block_is_its_rows` checks them.
     fn take_block(

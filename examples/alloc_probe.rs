@@ -21,7 +21,7 @@
 //! call's arbiter inspection, and the headroom it asks for before a run
 //! of repeated rows, must not buy their bookkeeping with heap traffic.  A
 //! third row walks the same space under `partial+value` and is pinned to
-//! 3 allocations per *raw* state (2.1 at `(5, 4)`, 1.7 at `(8, 7)`): the
+//! 3 allocations per *raw* state (1.9 at `(5, 4)`, 0.9 at `(8, 7)`): the
 //! quotient's orbit tables and record forms are pooled with the round,
 //! and a memo an eighth the size must not be paid for in heap traffic —
 //! what it does allocate is mostly the real-space copy of a summary
@@ -29,7 +29,7 @@
 //!
 //! A fourth row walks the symmetry-off space with 2 % of its states hot
 //! (`MemoConfig::spill(states / 50)`) and is pinned to 3 allocations per
-//! state (2.0 at `(5, 4)`, 1.2 at `(8, 7)`): a rehydrate reads its
+//! state (1.8 at `(5, 4)`, 0.5 at `(8, 7)`): a rehydrate reads its
 //! record out of the store's own buffers, shares the summary a slot of
 //! the shard's summary table already decoded from the same bytes, and
 //! copies its key into the arena; an eviction's index slot holds the
@@ -40,21 +40,25 @@
 //! move with it — the table is built on a shard's first rehydrate,
 //! which an all-RAM memo never makes.
 //!
-//! Over their six walks each at `(5, 4)` the four rows count 6 450,
-//! 6 480, 9 858 and 9 036 allocations.  A round's three frame-local
-//! tables — successor classes, orbits, blocks — are pooled with it and
-//! sized on first use for the classes of an average frame, so a pooled
-//! round's tables allocate once each, not class by class, until a
-//! larger frame outgrows them.  A walker's block cache allocates its
-//! first set of slots and its arena at its first store, and again only
-//! when either doubles — the slots with the blocks the walk stores, the
-//! arena with their bytes — and the walker's summary interner one
-//! summary per distinct block shape (447 at `(8, 7)`).  The blocks the
-//! cache takes skip their memo probes, and with them the real-space
-//! copies of value-swapped hits and some rehydrates: when the cache
-//! came in, the `(8, 7)` quotient row fell from 2.26 to 1.88
+//! Over their six walks each at `(5, 4)` the four rows count 6 216,
+//! 6 216, 9 114 and 8 706 allocations.  A round's two frame-local
+//! tables — successor classes, orbits — are pooled with it and sized on
+//! first use for the classes of an average frame, so a pooled round's
+//! tables allocate once each, not class by class, until a larger frame
+//! outgrows them.  A walker's block cache allocates its index, its
+//! slots and its arena at its first store, and again only when one of
+//! them doubles — the index and the slots with the blocks the walk
+//! stores, the arena with their bytes — and the walker's summary
+//! interner one summary per distinct block shape (447 at `(8, 7)`).
+//! The blocks the cache takes skip their memo probes, and with them the
+//! real-space copies of value-swapped hits and some rehydrates: when the
+//! cache came in, the `(8, 7)` quotient row fell from 2.26 to 1.88
 //! allocations per raw state and the spilling row from 6.97 to 5.59,
-//! while the plain row rose from 1.69 to 1.71.  When the interner came
+//! while the plain row rose from 1.69 to 1.71; when it came to keep
+//! every block the walk completes, a round's last included, in place of
+//! a frame-local block table beside sets that dropped blocks, the
+//! quotient row fell from 1.17 to 0.92 and the spilling row from 0.58
+//! to 0.47, and the plain row stayed at 0.21.  When the interner came
 //! to completed frames' summaries — each had been an `Arc` of its own —
 //! the plain row fell from 1.62 to 1.53 allocations per state at
 //! `(5, 4)` and from 0.71 to 0.55 at `(8, 7)`; when a duplicate
